@@ -1,13 +1,14 @@
 //! Criterion benches for the design-choice ablations: directory lock
-//! granularity (§4.2's three options), replacement-policy victim
-//! selection, and the wire codec.
+//! granularity (§4.2's three options), eviction at capacity (victim
+//! index vs the scan it replaced), the body digest, and the wire codec.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 use swala_cache::locking::{backend, DirectoryOps};
-use swala_cache::{CacheKey, EntryMeta, NodeId, Policy, PolicyKind};
+use swala_cache::{CacheKey, Digest, EntryMeta, NodeId, Policy, PolicyKind, VictimIndex};
 use swala_proto::Message;
 
 fn preloaded(granularity: &str, nodes: usize, per_node: usize) -> Arc<dyn DirectoryOps> {
@@ -80,30 +81,119 @@ fn bench_ablation_lock_granularity(c: &mut Criterion) {
     group.finish();
 }
 
-/// Victim selection cost per policy over a full table.
-fn bench_ablation_policies(c: &mut Criterion) {
-    let entries: Vec<EntryMeta> = (0..2000u64)
-        .map(|k| {
-            let mut e = EntryMeta::new(
-                CacheKey::new(format!("/e?k={k}")),
-                NodeId(0),
-                100 + (k % 977) * 13,
-                "t",
-                1000 + (k % 313) * 997,
-                None,
-                k,
-            );
-            e.hits = k % 17;
-            e.gds_credit = (k % 1009) as f64;
-            e
-        })
-        .collect();
-    let mut group = c.benchmark_group("ablation_policies");
-    for kind in PolicyKind::ALL {
-        let policy = Policy::new(kind);
-        group.bench_function(format!("choose_victim_2000_{kind}"), |b| {
-            b.iter(|| black_box(policy.choose_victim(entries.iter())))
+/// One cached result for the eviction bench, its rank inputs spread so
+/// no policy degenerates into ties.
+fn bench_entry(id: u64, seq: u64) -> EntryMeta {
+    EntryMeta::new(
+        CacheKey::new(format!("/cgi-bin/adl?id={id}")),
+        NodeId(0),
+        100 + (id % 977) * 13,
+        "text/html",
+        1000 + (id % 313) * 997,
+        None,
+        seq,
+    )
+}
+
+/// A resident key to hit before insert number `next`: spread over the
+/// whole table, so under Lru and Lfu most evictions meet a stale
+/// snapshot to repair.
+fn resident(next: u64, capacity: u64) -> CacheKey {
+    let back = next.wrapping_mul(0x9e37_79b9_7f4a_7c15) % capacity;
+    CacheKey::new(format!("/cgi-bin/adl?id={}", next - 1 - back))
+}
+
+/// The cost of one insert at capacity — a hit, a new entry admitted, one
+/// evicted — per policy and table size. Through the victim index the
+/// cost of *choosing* must be flat in the size. Two reference rows per
+/// size run the same step around a different choice: `table_only` evicts
+/// the oldest id without choosing at all (what the `HashMap` itself costs
+/// as it outgrows the CPU caches), `scan_oracle` chooses with the
+/// O(capacity) `choose_victim` scan the index replaced (ROADMAP item 1c:
+/// the before/after is this one `cargo bench` away).
+fn bench_evict_at_capacity(c: &mut Criterion) {
+    let mut group = c.benchmark_group("evict_at_capacity");
+    group.sample_size(400);
+    for (label, capacity) in [("2k", 2_000u64), ("20k", 20_000), ("200k", 200_000)] {
+        for kind in PolicyKind::ALL {
+            let mut table = HashMap::new();
+            let mut index = VictimIndex::new(kind);
+            for id in 0..capacity {
+                let mut e = bench_entry(id, id);
+                index.on_insert(&mut e, &table);
+                table.insert(e.key.clone(), e);
+            }
+            let mut next = capacity;
+            group.bench_function(format!("{label}/{kind}"), |b| {
+                b.iter(|| {
+                    if let Some(e) = table.get_mut(&resident(next, capacity)) {
+                        index.on_hit(e, next);
+                    }
+                    let mut e = bench_entry(next, next);
+                    next += 1;
+                    index.on_insert(&mut e, &table);
+                    table.insert(e.key.clone(), e);
+                    black_box(index.evict_one(&mut table))
+                })
+            });
+        }
+        let filled = || -> HashMap<CacheKey, EntryMeta> {
+            (0..capacity)
+                .map(|id| bench_entry(id, id))
+                .map(|e| (e.key.clone(), e))
+                .collect()
+        };
+        let mut table = filled();
+        let mut next = capacity;
+        group.bench_function(format!("{label}/table_only"), |b| {
+            b.iter(|| {
+                if let Some(e) = table.get_mut(&resident(next, capacity)) {
+                    e.record_hit(next);
+                }
+                let e = bench_entry(next, next);
+                table.insert(e.key.clone(), e);
+                let oldest = CacheKey::new(format!("/cgi-bin/adl?id={}", next - capacity));
+                next += 1;
+                black_box(table.remove(&oldest))
+            })
         });
+        let mut table = filled();
+        let mut policy = Policy::new(PolicyKind::Lru);
+        let mut next = capacity;
+        group.bench_function(format!("{label}/scan_oracle"), |b| {
+            b.iter(|| {
+                if let Some(e) = table.get_mut(&resident(next, capacity)) {
+                    e.record_hit(next);
+                    policy.on_hit(e);
+                }
+                let mut e = bench_entry(next, next);
+                next += 1;
+                policy.on_insert(&mut e);
+                table.insert(e.key.clone(), e);
+                let victim = policy.choose_victim(table.values()).expect("non-empty");
+                let evicted = table.remove(&victim).expect("chosen from the table");
+                policy.on_evict(&evicted);
+                black_box(evicted)
+            })
+        });
+    }
+    group.finish();
+}
+
+/// SHA-256 of one 4 KiB body — what every insert and every store read
+/// pays — by each implementation this host runs.
+fn bench_digest(c: &mut Criterion) {
+    let body: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
+    let mut group = c.benchmark_group("digest_4k");
+    group.bench_function("scalar", |b| {
+        b.iter(|| black_box(Digest::of_scalar(black_box(&body))))
+    });
+    if Digest::of_accelerated(&body).is_some() {
+        group.bench_function("accelerated", |b| {
+            b.iter(|| black_box(Digest::of_accelerated(black_box(&body))))
+        });
+    } else {
+        println!("digest_4k/accelerated                            skipped: no sha extension");
     }
     group.finish();
 }
@@ -134,6 +224,6 @@ fn bench_wire_codec(c: &mut Criterion) {
 criterion_group! {
     name = ablations;
     config = Criterion::default().measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_millis(500));
-    targets = bench_ablation_lock_granularity, bench_ablation_policies, bench_wire_codec,
+    targets = bench_ablation_lock_granularity, bench_evict_at_capacity, bench_digest, bench_wire_codec,
 }
 criterion_main!(ablations);

@@ -8,15 +8,43 @@
 //! for dedup addressing, not for security against adversarial inputs.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A SHA-256 content digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {
-    /// Digest of `bytes`.
+    /// Digest of `bytes`, by the fastest implementation this CPU runs
+    /// (see [`DigestImpl::active`]). Every implementation produces the
+    /// same 32 bytes.
     pub fn of(bytes: &[u8]) -> Digest {
-        Digest(sha256(bytes))
+        match Self::of_accelerated(bytes) {
+            Some(digest) => digest,
+            None => Self::of_scalar(bytes),
+        }
+    }
+
+    /// Digest of `bytes` by the portable scalar rounds, whatever the CPU
+    /// offers. The reference the accelerated path is tested against.
+    pub fn of_scalar(bytes: &[u8]) -> Digest {
+        Digest(sha256(bytes, compress_scalar))
+    }
+
+    /// Digest of `bytes` by the SHA-NI rounds; `None` where the CPU (or
+    /// the target) has no SHA extension.
+    pub fn of_accelerated(bytes: &[u8]) -> Option<Digest> {
+        #[cfg(target_arch = "x86_64")]
+        if DigestImpl::active() == DigestImpl::ShaNi {
+            return Some(Digest(sha256(bytes, |state, blocks| {
+                // SAFETY: `active()` returns `ShaNi` only after
+                // `is_x86_feature_detected!` confirmed every feature
+                // `compress_sha_ni` is compiled with.
+                unsafe { compress_sha_ni(state, blocks) }
+            })));
+        }
+        let _ = bytes;
+        None
     }
 
     /// The raw 32 bytes.
@@ -40,6 +68,41 @@ impl fmt::Debug for Digest {
     }
 }
 
+/// Which SHA-256 compression function [`Digest::of`] runs on this host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DigestImpl {
+    /// x86-64 SHA extension (`sha256rnds2` / `sha256msg1` / `sha256msg2`).
+    ShaNi,
+    /// Portable scalar rounds.
+    Scalar,
+}
+
+impl DigestImpl {
+    /// The implementation in use, detected once per process.
+    pub fn active() -> DigestImpl {
+        static ACTIVE: OnceLock<DigestImpl> = OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse2")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
+            {
+                return DigestImpl::ShaNi;
+            }
+            DigestImpl::Scalar
+        })
+    }
+
+    /// `sha-ni` or `scalar`, as shown on `/swala-status`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DigestImpl::ShaNi => "sha-ni",
+            DigestImpl::Scalar => "scalar",
+        }
+    }
+}
+
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
@@ -51,23 +114,38 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    // Message + 0x80 + zero pad + 64-bit bit length, to a 64-byte multiple.
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = Vec::with_capacity(data.len() + 72);
-    msg.extend_from_slice(data);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
 
+/// SHA-256 of `data`, with `compress` folding whole 64-byte blocks into
+/// the state. Full blocks are hashed where they lie; only the last
+/// partial block is copied, into the one or two padding blocks.
+fn sha256(data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) -> [u8; 32] {
+    let mut state = H0;
+    let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+    compress(&mut state, blocks);
+
+    // rest + 0x80 + zero pad + 64-bit bit length, to a 64-byte multiple.
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    let bit_len = (data.len() as u64).wrapping_mul(8);
+    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+    compress(&mut state, &tail[..tail_len]);
+
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// FIPS 180-4 §6.2.2 over each 64-byte block of `blocks`.
+fn compress_scalar(h: &mut [u32; 8], blocks: &[u8]) {
     let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
+    for block in blocks.chunks_exact(64) {
         for (i, word) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
         }
@@ -79,7 +157,7 @@ fn sha256(data: &[u8]) -> [u8; 32] {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -100,66 +178,162 @@ fn sha256(data: &[u8]) -> [u8; 32] {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
+        for (word, add) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+            *word = word.wrapping_add(add);
+        }
     }
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+}
+
+/// The same compression on the x86-64 SHA extension: two rounds per
+/// `sha256rnds2`, the message schedule four words at a time.
+///
+/// # Safety
+///
+/// The CPU must support the `sha`, `sse2`, `ssse3` and `sse4.1` features
+/// ([`DigestImpl::active`] checks exactly these).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+unsafe fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+
+    // The instructions want the state as the word vectors ABEF and CDGH.
+    let dcba = _mm_loadu_si128(state.as_ptr().cast());
+    let hgfe = _mm_loadu_si128(state.as_ptr().add(4).cast());
+    let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+    let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+    // Message words are big-endian: swap the bytes of each 32-bit lane.
+    let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+    for block in blocks.chunks_exact(64) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // w[j % 4] holds schedule words W[4j..4j+4] of the latest group j.
+        let mut w = [_mm_setzero_si128(); 4];
+        for i in 0..16 {
+            w[i % 4] = if i < 4 {
+                // SAFETY (of the read): `block` is 64 bytes, so bytes
+                // 16i..16i+16 are in bounds for i < 4; loadu needs no
+                // alignment.
+                _mm_shuffle_epi8(
+                    _mm_loadu_si128(block.as_ptr().add(16 * i).cast()),
+                    byte_swap,
+                )
+            } else {
+                // W[group i] from groups i-4, i-3, i-2 and i-1.
+                let sigma0 = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+                let w_minus_7 = _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4);
+                _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w_minus_7), w[(i + 3) % 4])
+            };
+            // SAFETY (of the read): K has 64 words and 4i + 4 <= 64.
+            let wk = _mm_add_epi32(w[i % 4], _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
     }
-    out
+
+    let feba = _mm_shuffle_epi32(abef, 0x1B);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(
+        state.as_mut_ptr().add(4).cast(),
+        _mm_alignr_epi8(dchg, feba, 8),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // FIPS 180-4 / RFC 6234 test vectors.
+    type Implementation = (&'static str, fn(&[u8]) -> Digest);
+
+    /// Every implementation this host can run, by name. The scalar one
+    /// always; SHA-NI where the CPU has it — otherwise the gap is said
+    /// out loud rather than passed over.
+    fn implementations() -> Vec<Implementation> {
+        let mut all: Vec<Implementation> = vec![("scalar", Digest::of_scalar)];
+        if DigestImpl::active() == DigestImpl::ShaNi {
+            all.push(("sha-ni", |b| {
+                Digest::of_accelerated(b).expect("active() says sha-ni")
+            }));
+        } else {
+            eprintln!("skipped: no sha extension — vectors ran against the scalar rounds only");
+        }
+        all
+    }
+
+    // FIPS 180-4 / RFC 6234 §8.5 test vectors, against every
+    // implementation.
     #[test]
-    fn empty_vector() {
-        assert_eq!(
-            Digest::of(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    fn rfc6234_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        let test4 = b"0123456701234567012345670123456701234567012345670123456701234567".repeat(10);
+        let vectors: [(&[u8], &str); 7] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+            (
+                &test4,
+                "594847328451bdfa85056225462cc1d867d877fb388df0ce35f25ab5562bfbb5",
+            ),
+            (
+                b"\x19",
+                "68aa2e2ee5dff96e3355e6c7ee373e3d6a4e17f75f9518d843709c0c9bc3e3d4",
+            ),
+            (
+                b"\xe3\xd7\x25\x70\xdc\xdd\x78\x7c\xe3\x88\x7a\xb2\xcd\x68\x46\x52",
+                "175ee69b02ba9b58e2b0a5fd13819cea573f3940a94f825128cf4209beabb4e8",
+            ),
+        ];
+        for (name, digest) in implementations() {
+            for (input, expected) in vectors {
+                assert_eq!(
+                    digest(input).to_hex(),
+                    expected,
+                    "{name}, {}-byte input",
+                    input.len()
+                );
+            }
+        }
     }
 
     #[test]
-    fn abc_vector() {
+    fn of_is_the_active_implementation() {
+        let body = vec![0xa5u8; 4096];
+        assert_eq!(Digest::of(&body), Digest::of_scalar(&body));
         assert_eq!(
-            Digest::of(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+            Digest::of_accelerated(&body).is_some(),
+            DigestImpl::active() == DigestImpl::ShaNi
         );
-    }
-
-    #[test]
-    fn two_block_vector() {
-        assert_eq!(
-            Digest::of(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn million_a_vector() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            Digest::of(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert!(["sha-ni", "scalar"].contains(&DigestImpl::active().as_str()));
     }
 
     #[test]
     fn boundary_lengths_differ() {
         // Padding boundary cases (55/56/63/64/65 bytes) all hash distinctly.
-        let mut seen = std::collections::HashSet::new();
-        for n in [0usize, 1, 55, 56, 57, 63, 64, 65, 127, 128] {
-            assert!(seen.insert(Digest::of(&vec![7u8; n])), "len {n} collided");
+        for (name, digest) in implementations() {
+            let mut seen = std::collections::HashSet::new();
+            for n in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
+                assert!(
+                    seen.insert(digest(&vec![7u8; n])),
+                    "{name}: len {n} collided"
+                );
+            }
         }
     }
 

@@ -11,10 +11,16 @@
 //! lookup takes the tables' read locks one at a time; an insert or delete
 //! write-locks a single table. The rejected alternatives (one global lock;
 //! per-entry locks) live in [`crate::locking`] for the ablation bench.
+//!
+//! The local table's lock also covers the replacement policy and its
+//! [`VictimIndex`], so a hit's bookkeeping and an eviction's choice see
+//! one consistent table without a second lock.
 
+use crate::churn::reserve_one;
 use crate::entry::{unix_now, EntryMeta};
 use crate::key::CacheKey;
 use crate::node::NodeId;
+use crate::policy::{PolicyKind, VictimIndex};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
@@ -29,22 +35,68 @@ pub enum Classification {
     Remote(EntryMeta),
 }
 
+/// What [`CacheDirectory::evict_to_capacity`] removed, and what finding
+/// it cost.
+#[derive(Debug)]
+pub struct Eviction {
+    /// The evicted entries, in eviction order.
+    pub victims: Vec<EntryMeta>,
+    /// Index snapshots examined to find them (≥ one per victim).
+    pub examined: u64,
+}
+
+/// One node's table. Only the local node's is evicted from, so only it
+/// carries replacement state.
+struct Table {
+    entries: HashMap<CacheKey, EntryMeta>,
+    victims: Option<VictimIndex>,
+}
+
+impl Table {
+    /// Insert or replace `meta` verbatim, keeping the index in step.
+    fn insert(&mut self, meta: EntryMeta) -> Option<EntryMeta> {
+        if let Some(victims) = &mut self.victims {
+            victims.track(&meta, &self.entries);
+        }
+        reserve_one(&mut self.entries);
+        self.entries.insert(meta.key.clone(), meta)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        if let Some(victims) = &mut self.victims {
+            victims.clear();
+        }
+    }
+}
+
 /// One node's view of the whole cluster's cache contents.
 pub struct CacheDirectory {
     local: NodeId,
     /// `tables[i]` = entries cached at node `i`.
-    tables: Vec<RwLock<HashMap<CacheKey, EntryMeta>>>,
+    tables: Vec<RwLock<Table>>,
 }
 
 impl CacheDirectory {
-    /// Directory for a cluster of `num_nodes`, run at node `local`.
+    /// Directory for a cluster of `num_nodes`, run at node `local`,
+    /// evicting by LRU.
     pub fn new(num_nodes: usize, local: NodeId) -> Self {
+        Self::with_policy(num_nodes, local, PolicyKind::Lru)
+    }
+
+    /// [`new`](Self::new) with the local table's replacement policy named.
+    pub fn with_policy(num_nodes: usize, local: NodeId, policy: PolicyKind) -> Self {
         assert!(num_nodes >= 1, "cluster needs at least one node");
         assert!(local.index() < num_nodes, "local node out of range");
         CacheDirectory {
             local,
             tables: (0..num_nodes)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|i| {
+                    RwLock::new(Table {
+                        entries: HashMap::new(),
+                        victims: (i == local.index()).then(|| VictimIndex::new(policy)),
+                    })
+                })
                 .collect(),
         }
     }
@@ -69,7 +121,7 @@ impl CacheDirectory {
         let now = unix_now();
         {
             let local = self.tables[self.local.index()].read();
-            if let Some(meta) = local.get(key) {
+            if let Some(meta) = local.entries.get(key) {
                 if !meta.is_expired_at(now) {
                     return Classification::Local(meta.clone());
                 }
@@ -80,7 +132,7 @@ impl CacheDirectory {
                 continue;
             }
             let t = table.read();
-            if let Some(meta) = t.get(key) {
+            if let Some(meta) = t.entries.get(key) {
                 if !meta.is_expired_at(now) {
                     return Classification::Remote(meta.clone());
                 }
@@ -89,84 +141,95 @@ impl CacheDirectory {
         Classification::NotCached
     }
 
-    /// Insert (or replace) `meta` in `node`'s table.
+    /// Insert (or replace) `meta` in `node`'s table, as given.
     ///
-    /// Returns the replaced entry, if any. Used both for local inserts and
-    /// for applying a remote node's insert broadcast.
+    /// Returns the replaced entry, if any. Used for applying a remote
+    /// node's insert broadcast and for putting back an entry the local
+    /// table already admitted (its size, cost and GreedyDual-Size credit
+    /// as the policy left them); a *new* local entry goes through
+    /// [`insert_fresh`](Self::insert_fresh).
     pub fn insert(&self, node: NodeId, meta: EntryMeta) -> Option<EntryMeta> {
-        self.tables[node.index()]
-            .write()
-            .insert(meta.key.clone(), meta)
+        self.tables[node.index()].write().insert(meta)
+    }
+
+    /// Admit a freshly executed result to the local table: the policy's
+    /// insert hook runs on it (GreedyDual-Size assigns its credit) under
+    /// the table's write lock. Returns the entry as stored, for the
+    /// insert notice.
+    pub fn insert_fresh(&self, mut meta: EntryMeta) -> EntryMeta {
+        let mut t = self.tables[self.local.index()].write();
+        let Table { entries, victims } = &mut *t;
+        victims
+            .as_mut()
+            .expect("the local table carries the policy")
+            .on_insert(&mut meta, entries);
+        reserve_one(entries);
+        entries.insert(meta.key.clone(), meta.clone());
+        meta
     }
 
     /// Remove `key` from `node`'s table; returns the removed entry.
     pub fn remove(&self, node: NodeId, key: &CacheKey) -> Option<EntryMeta> {
-        self.tables[node.index()].write().remove(key)
+        self.tables[node.index()].write().entries.remove(key)
     }
 
     /// Look up `key` in `node`'s table (unexpired only).
     pub fn get(&self, node: NodeId, key: &CacheKey) -> Option<EntryMeta> {
         let t = self.tables[node.index()].read();
-        t.get(key).filter(|m| !m.is_expired()).cloned()
+        t.entries.get(key).filter(|m| !m.is_expired()).cloned()
     }
 
     /// Record a hit on an entry in `node`'s table at logical time `seq`,
     /// applying the policy's bookkeeping under the table's write lock.
     ///
     /// Returns false if the entry has vanished meanwhile (racing delete).
-    pub fn record_hit(
-        &self,
-        node: NodeId,
-        key: &CacheKey,
-        seq: u64,
-        policy: &mut crate::policy::Policy,
-    ) -> bool {
+    pub fn record_hit(&self, node: NodeId, key: &CacheKey, seq: u64) -> bool {
         let mut t = self.tables[node.index()].write();
-        match t.get_mut(key) {
-            Some(meta) => {
-                meta.record_hit(seq);
-                policy.on_hit(meta);
-                true
-            }
-            None => false,
+        let Table { entries, victims } = &mut *t;
+        match (entries.get_mut(key), victims) {
+            (Some(meta), Some(victims)) => victims.on_hit(meta, seq),
+            (Some(meta), None) => meta.record_hit(seq),
+            (None, _) => return false,
         }
+        true
     }
 
     /// Number of entries in `node`'s table.
     pub fn len(&self, node: NodeId) -> usize {
-        self.tables[node.index()].read().len()
+        self.tables[node.index()].read().entries.len()
     }
 
     /// True when every table is empty.
     pub fn is_empty(&self) -> bool {
-        self.tables.iter().all(|t| t.read().is_empty())
+        self.tables.iter().all(|t| t.read().entries.is_empty())
     }
 
     /// Total entries across all tables.
     pub fn total_len(&self) -> usize {
-        self.tables.iter().map(|t| t.read().len()).sum()
+        self.tables.iter().map(|t| t.read().entries.len()).sum()
     }
 
-    /// Run `policy` to bring the local table at or below `capacity`,
+    /// Run the policy to bring the local table at or below `capacity`,
     /// returning the evicted entries (the caller deletes their files and
     /// broadcasts the deletions).
-    pub fn evict_to_capacity(
-        &self,
-        capacity: usize,
-        policy: &mut crate::policy::Policy,
-    ) -> Vec<EntryMeta> {
-        let mut evicted = Vec::new();
+    pub fn evict_to_capacity(&self, capacity: usize) -> Eviction {
         let mut t = self.tables[self.local.index()].write();
-        while t.len() > capacity {
-            let Some(victim_key) = policy.choose_victim(t.values()) else {
+        let Table { entries, victims } = &mut *t;
+        let victims = victims
+            .as_mut()
+            .expect("the local table carries the policy");
+        let examined_before = victims.examined();
+        let mut evicted = Vec::new();
+        while entries.len() > capacity {
+            let Some(victim) = victims.evict_one(entries) else {
                 break;
             };
-            if let Some(victim) = t.remove(&victim_key) {
-                policy.on_evict(&victim);
-                evicted.push(victim);
-            }
+            evicted.push(victim);
         }
-        evicted
+        Eviction {
+            victims: evicted,
+            examined: victims.examined() - examined_before,
+        }
     }
 
     /// Remove expired entries from the *local* table, returning them.
@@ -180,12 +243,13 @@ impl CacheDirectory {
         {
             let mut t = self.tables[self.local.index()].write();
             let dead: Vec<CacheKey> = t
+                .entries
                 .values()
                 .filter(|m| m.is_expired_at(now))
                 .map(|m| m.key.clone())
                 .collect();
             for k in dead {
-                if let Some(m) = t.remove(&k) {
+                if let Some(m) = t.entries.remove(&k) {
                     out.push(m);
                 }
             }
@@ -194,7 +258,7 @@ impl CacheDirectory {
             if i == self.local.index() {
                 continue;
             }
-            table.write().retain(|_, m| !m.is_expired_at(now));
+            table.write().entries.retain(|_, m| !m.is_expired_at(now));
         }
         out
     }
@@ -209,12 +273,19 @@ impl CacheDirectory {
     /// table.
     pub fn clear_node(&self, node: NodeId) -> Vec<EntryMeta> {
         let mut t = self.tables[node.index()].write();
-        t.drain().map(|(_, m)| m).collect()
+        let dropped = t.entries.drain().map(|(_, m)| m).collect();
+        t.clear();
+        dropped
     }
 
     /// Snapshot of `node`'s table (for directory sync and inspection).
     pub fn snapshot(&self, node: NodeId) -> Vec<EntryMeta> {
-        self.tables[node.index()].read().values().cloned().collect()
+        self.tables[node.index()]
+            .read()
+            .entries
+            .values()
+            .cloned()
+            .collect()
     }
 
     /// Replace `node`'s table wholesale (directory sync on join).
@@ -222,7 +293,7 @@ impl CacheDirectory {
         let mut t = self.tables[node.index()].write();
         t.clear();
         for e in entries {
-            t.insert(e.key.clone(), e);
+            t.insert(e);
         }
     }
 }
@@ -230,7 +301,6 @@ impl CacheDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Policy, PolicyKind};
     use std::time::Duration;
 
     fn meta(key: &str, owner: NodeId, seq: u64) -> EntryMeta {
@@ -290,31 +360,30 @@ mod tests {
     fn record_hit_updates_and_detects_races() {
         let d = CacheDirectory::new(1, NodeId(0));
         let k = CacheKey::new("/h");
-        let mut policy = Policy::new(PolicyKind::Lru);
         d.insert(NodeId(0), meta("/h", NodeId(0), 1));
-        assert!(d.record_hit(NodeId(0), &k, 50, &mut policy));
+        assert!(d.record_hit(NodeId(0), &k, 50));
         assert_eq!(d.get(NodeId(0), &k).unwrap().hits, 1);
         assert_eq!(d.get(NodeId(0), &k).unwrap().last_access_seq, 50);
         d.remove(NodeId(0), &k);
-        assert!(!d.record_hit(NodeId(0), &k, 51, &mut policy));
+        assert!(!d.record_hit(NodeId(0), &k, 51));
     }
 
     #[test]
     fn evict_to_capacity_uses_policy() {
         let d = CacheDirectory::new(1, NodeId(0));
-        let mut policy = Policy::new(PolicyKind::Lru);
         for i in 0..5 {
             d.insert(NodeId(0), meta(&format!("/k{i}"), NodeId(0), i));
         }
-        let evicted = d.evict_to_capacity(3, &mut policy);
-        assert_eq!(evicted.len(), 2);
-        // LRU evicts the two oldest sequence numbers.
-        let mut keys: Vec<String> = evicted.iter().map(|e| e.key.to_string()).collect();
-        keys.sort();
+        let evicted = d.evict_to_capacity(3);
+        // LRU evicts the two oldest sequence numbers, oldest first.
+        let keys: Vec<&str> = evicted.victims.iter().map(|e| e.key.as_str()).collect();
         assert_eq!(keys, vec!["/k0", "/k1"]);
+        assert_eq!(evicted.examined, 2);
         assert_eq!(d.len(NodeId(0)), 3);
         // Already under capacity: no-op.
-        assert!(d.evict_to_capacity(3, &mut policy).is_empty());
+        let noop = d.evict_to_capacity(3);
+        assert!(noop.victims.is_empty());
+        assert_eq!(noop.examined, 0);
     }
 
     #[test]

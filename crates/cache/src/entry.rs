@@ -76,9 +76,13 @@ impl EntryMeta {
     }
 
     /// Record a hit at logical time `seq`.
+    ///
+    /// `last_access_seq` only moves forward: two racing hits may reach
+    /// the table out of clock order, and the eviction index relies on an
+    /// entry's rank never falling (see [`crate::policy`]).
     pub fn record_hit(&mut self, seq: u64) {
         self.hits += 1;
-        self.last_access_seq = seq;
+        self.last_access_seq = self.last_access_seq.max(seq);
     }
 }
 

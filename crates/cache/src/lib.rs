@@ -29,6 +29,7 @@
 //! decisions are deterministic and the simulator (`swala-sim`) reproduces
 //! the exact same evictions as the live server.
 
+mod churn;
 pub mod digest;
 pub mod directory;
 pub mod entry;
@@ -44,8 +45,8 @@ pub mod segstore;
 pub mod stats;
 pub mod store;
 
-pub use digest::Digest;
-pub use directory::{CacheDirectory, Classification};
+pub use digest::{Digest, DigestImpl};
+pub use directory::{CacheDirectory, Classification, Eviction};
 pub use entry::EntryMeta;
 pub use key::CacheKey;
 pub use manager::{
@@ -54,7 +55,7 @@ pub use manager::{
 };
 pub use memcache::MemCache;
 pub use node::NodeId;
-pub use policy::{Policy, PolicyKind};
+pub use policy::{Policy, PolicyKind, VictimIndex};
 pub use ring::{DirectoryKind, HashRing, DEFAULT_VNODES};
 pub use rules::{CacheDecision, CacheRules, Rule};
 pub use segstore::{crc32, decode_record, encode_record, Record, SegmentConfig, SegmentStore};

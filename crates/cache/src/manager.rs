@@ -13,7 +13,7 @@ use crate::entry::EntryMeta;
 use crate::key::CacheKey;
 use crate::memcache::MemCache;
 use crate::node::NodeId;
-use crate::policy::{Policy, PolicyKind};
+use crate::policy::PolicyKind;
 use crate::ring::{DirectoryKind, HashRing, DEFAULT_VNODES};
 use crate::rules::{CacheDecision, CacheRules};
 use crate::stats::CacheStats;
@@ -225,7 +225,6 @@ pub struct CacheManager {
     store: Box<dyn Store>,
     /// In-memory body tier over `store`; `None` when disabled.
     mem: Option<MemCache>,
-    policy: Mutex<Policy>,
     rules: CacheRules,
     stats: Arc<CacheStats>,
     /// Logical clock for recency bookkeeping.
@@ -251,10 +250,9 @@ impl CacheManager {
         CacheManager {
             local: cfg.local,
             capacity: cfg.capacity,
-            directory: CacheDirectory::new(cfg.num_nodes, cfg.local),
+            directory: CacheDirectory::with_policy(cfg.num_nodes, cfg.local, cfg.policy),
             store,
             mem: (cfg.mem_cache_bytes > 0).then(|| MemCache::new(cfg.mem_cache_bytes)),
-            policy: Mutex::new(Policy::new(cfg.policy)),
             rules: cfg.rules,
             stats: Arc::new(CacheStats::new()),
             seq: AtomicU64::new(0),
@@ -409,8 +407,7 @@ impl CacheManager {
             Classification::Local(meta) => match self.read_local_body(key, trace) {
                 Some((body, tier)) => {
                     let seq = self.next_seq();
-                    self.directory
-                        .record_hit(self.local, key, seq, &mut self.policy.lock());
+                    self.directory.record_hit(self.local, key, seq);
                     CacheStats::bump(&self.stats.local_hits);
                     LookupResult::LocalHit { meta, body, tier }
                 }
@@ -566,7 +563,7 @@ impl CacheManager {
             CacheDecision::Uncacheable => unreachable!("should_insert rejected uncacheable"),
         };
         let seq = self.next_seq();
-        let mut meta = EntryMeta::new(
+        let meta = EntryMeta::new(
             key.clone(),
             self.local,
             body.len() as u64,
@@ -583,19 +580,23 @@ impl CacheManager {
         self.store
             .put_digested(key, &(&meta).into(), &digest, body)?;
         self.mem_insert(key, digest, &shared);
-        let mut policy = self.policy.lock();
-        policy.on_insert(&mut meta);
-        self.directory.insert(self.local, meta.clone());
+        let meta = self.directory.insert_fresh(meta);
         CacheStats::bump(&self.stats.inserts);
+        let evicted = self.evict_to_capacity();
+        Ok(InsertOutcome::Inserted { meta, evicted })
+    }
 
-        let evicted = self.directory.evict_to_capacity(self.capacity, &mut policy);
-        drop(policy);
-        for victim in &evicted {
+    /// Evict the local table down to capacity, dropping each victim's
+    /// body from the store and the memory tier.
+    fn evict_to_capacity(&self) -> Vec<EntryMeta> {
+        let eviction = self.directory.evict_to_capacity(self.capacity);
+        CacheStats::add(&self.stats.evict_examined, eviction.examined);
+        for victim in &eviction.victims {
             let _ = self.store.delete(&victim.key);
             self.mem_remove(&victim.key);
             CacheStats::bump(&self.stats.evictions);
         }
-        Ok(InsertOutcome::Inserted { meta, evicted })
+        eviction.victims
     }
 
     /// The CGI failed (Figure 2's unhappy path): release this executor's
@@ -641,8 +642,7 @@ impl CacheManager {
         let meta = meta?;
         let (body, _tier) = self.read_local_body(key, trace)?;
         let seq = self.next_seq();
-        self.directory
-            .record_hit(self.local, key, seq, &mut self.policy.lock());
+        self.directory.record_hit(self.local, key, seq);
         Some((meta, body))
     }
 
@@ -766,7 +766,6 @@ impl CacheManager {
     pub fn recover_from_store(&self) -> usize {
         let now = crate::entry::unix_now();
         let mut restored = 0;
-        let mut policy = self.policy.lock();
         for recovered in self.store.recover() {
             if recovered.expires_unix.is_some_and(|e| e <= now) {
                 let _ = self.store.delete(&recovered.key);
@@ -774,18 +773,11 @@ impl CacheManager {
                 continue;
             }
             let seq = self.next_seq();
-            let mut meta = recovered.into_meta(self.local, seq);
-            policy.on_insert(&mut meta);
-            self.directory.insert(self.local, meta);
+            self.directory
+                .insert_fresh(recovered.into_meta(self.local, seq));
             restored += 1;
         }
-        let evicted = self.directory.evict_to_capacity(self.capacity, &mut policy);
-        drop(policy);
-        for victim in &evicted {
-            let _ = self.store.delete(&victim.key);
-            self.mem_remove(&victim.key);
-            CacheStats::bump(&self.stats.evictions);
-        }
+        let evicted = self.evict_to_capacity();
         self.warm_mem_tier();
         restored - evicted.len()
     }

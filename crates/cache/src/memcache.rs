@@ -28,6 +28,7 @@
 //! tier (unless the bytes are already resident via another key, in
 //! which case sharing them is free).
 
+use crate::churn::reserve_one;
 use crate::digest::Digest;
 use crate::key::CacheKey;
 use parking_lot::Mutex;
@@ -147,9 +148,11 @@ impl MemCache {
             Some((_, refs)) => *refs += 1,
             None => {
                 self.bytes.add(body.len() as u64);
+                reserve_one(&mut inner.bodies);
                 inner.bodies.insert(digest, (body, 1));
             }
         }
+        reserve_one(&mut inner.entries);
         inner.entries.insert(key.clone(), (digest, tick));
         inner.recency.insert(tick, key.clone());
         shared

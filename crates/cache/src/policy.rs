@@ -19,9 +19,29 @@
 //! its inflation value `L`) operated under the same lock as the table they
 //! manage, so decisions are deterministic and reproducible in the
 //! simulator.
+//!
+//! # The monotonicity contract
+//!
+//! Victims are found through [`VictimIndex`], a lazily repaired min-heap,
+//! not by scanning the table. That is exact only because every policy
+//! here obeys one rule, which a sixth policy must obey too:
+//!
+//! > Between its insertion and its removal, an entry's rank
+//! > `(retention_score, last_access_seq, key)` never decreases.
+//!
+//! It holds for all five: `Lru`'s score *is* `last_access_seq`, which
+//! [`EntryMeta::record_hit`] only moves forward; `Lfu`'s `hits` only
+//! counts up; `Size` and `Cost` score on fields fixed at insertion, with
+//! the forward-only `last_access_seq` as tie-break; GreedyDual-Size
+//! re-credits a hit entry to `L + value`, and `L` only rises, so the new
+//! credit is never below the old one. [`Policy::choose_victim`] — the
+//! O(n) scan the index replaced — stays as the oracle the equivalence
+//! tests compare against.
 
 use crate::entry::EntryMeta;
 use crate::key::CacheKey;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::str::FromStr;
 
@@ -122,23 +142,20 @@ impl Policy {
         }
     }
 
-    /// Choose an eviction victim among `entries`.
+    /// Choose an eviction victim among `entries` by scanning all of them.
     ///
     /// Returns the key with the minimum retention score; ties break
     /// toward the least recently used, then lexicographically smallest
-    /// key so the choice is fully deterministic.
+    /// key so the choice is fully deterministic. O(n): production evicts
+    /// through [`VictimIndex`], which picks the same entry; this scan is
+    /// the reference the tests and the `scan_oracle` bench rows hold it to.
     pub fn choose_victim<'a>(
         &self,
         entries: impl Iterator<Item = &'a EntryMeta>,
     ) -> Option<CacheKey> {
         entries
             .map(|e| (self.retention_score(e), e.last_access_seq, &e.key))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-                    .then(a.2.cmp(b.2))
-            })
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(b.2)))
             .map(|(_, _, k)| k.clone())
     }
 
@@ -157,6 +174,178 @@ impl Policy {
 /// GreedyDual-Size base value: recomputation cost per byte cached.
 fn gds_value(e: &EntryMeta) -> f64 {
     e.exec_micros as f64 / (e.size.max(1)) as f64
+}
+
+/// One entry's rank as it stood when the snapshot was pushed. Ordered by
+/// exactly [`Policy::choose_victim`]'s comparator; `insert_seq` only
+/// tells a re-inserted key's snapshot from its predecessor's.
+#[derive(Debug, Clone)]
+struct Candidate {
+    score: f64,
+    last_access_seq: u64,
+    key: CacheKey,
+    insert_seq: u64,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then(self.last_access_seq.cmp(&other.last_access_seq))
+            .then_with(|| self.key.cmp(&other.key))
+            .then(self.insert_seq.cmp(&other.insert_seq))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
+
+/// A [`Policy`] plus an ordered index of eviction candidates over one
+/// table, so picking a victim costs O(log n) instead of a scan.
+///
+/// The index is a min-heap of rank snapshots, one pushed per insertion.
+/// **Hits do no index work**: they let the entry's snapshot go stale, and
+/// [`evict_one`](Self::evict_one) repairs on the way out — a popped
+/// snapshot whose entry is gone or re-inserted is discarded, one whose
+/// entry has since moved up is re-pushed at its current rank, and the
+/// first snapshot that still matches its entry is the victim. That is
+/// the scan's choice exactly: by the module's monotonicity contract every
+/// live entry's rank is at or above its snapshot, so no live entry ranks
+/// below the heap's minimum, and a minimum that equals its entry's rank
+/// is the table's minimum.
+///
+/// The caller owns the table and must route every change to it through
+/// here: [`on_insert`](Self::on_insert) / [`track`](Self::track) *before*
+/// an entry joins, [`on_hit`](Self::on_hit) for hits. Removals need no
+/// call. The live directory and `swala-sim` share this type, so they
+/// evict identically by construction.
+#[derive(Debug, Clone)]
+pub struct VictimIndex {
+    policy: Policy,
+    heap: BinaryHeap<Reverse<Candidate>>,
+    /// Snapshots popped by `evict_one` so far — the index's work counter.
+    examined: u64,
+}
+
+impl VictimIndex {
+    pub fn new(kind: PolicyKind) -> Self {
+        VictimIndex {
+            policy: Policy::new(kind),
+            heap: BinaryHeap::new(),
+            examined: 0,
+        }
+    }
+
+    /// Snapshots currently held, stale ones included.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Snapshots popped by [`evict_one`](Self::evict_one) since creation.
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+
+    /// Most snapshots the index keeps for a table of `live` entries
+    /// before it rebuilds itself from the table.
+    pub fn bound(live: usize) -> usize {
+        2 * live + 64
+    }
+
+    /// `entry` is a fresh insertion about to join `table`: apply the
+    /// policy's insert hook, then index it.
+    pub fn on_insert(&mut self, entry: &mut EntryMeta, table: &HashMap<CacheKey, EntryMeta>) {
+        self.policy.on_insert(entry);
+        self.track(entry, table);
+    }
+
+    /// `entry` is about to join (or replace its key in) `table` as it
+    /// stands, e.g. a snapshot load. Without evictions to drain it —
+    /// TTL churn below capacity — the heap would collect one dead
+    /// snapshot per removed entry, hence the bound.
+    pub fn track(&mut self, entry: &EntryMeta, table: &HashMap<CacheKey, EntryMeta>) {
+        if self.heap.len() >= Self::bound(table.len()) {
+            self.rebuild(table);
+        }
+        let snapshot = self.snapshot(entry);
+        self.heap.push(Reverse(snapshot));
+    }
+
+    /// `entry` was hit at logical time `seq`. No index work.
+    pub fn on_hit(&mut self, entry: &mut EntryMeta, seq: u64) {
+        let before = (self.policy.retention_score(entry), entry.last_access_seq);
+        entry.record_hit(seq);
+        self.policy.on_hit(entry);
+        debug_assert!(
+            (self.policy.retention_score(entry), entry.last_access_seq) >= before,
+            "{} lowered {}'s rank on a hit: the monotonicity contract is broken",
+            self.policy.kind(),
+            entry.key
+        );
+    }
+
+    /// Forget every snapshot (the table was emptied).
+    pub fn clear(&mut self) {
+        self.heap.clear();
+    }
+
+    /// Remove and return the entry of `table` the policy ranks lowest.
+    pub fn evict_one(&mut self, table: &mut HashMap<CacheKey, EntryMeta>) -> Option<EntryMeta> {
+        loop {
+            let Some(Reverse(top)) = self.heap.pop() else {
+                debug_assert!(table.is_empty(), "live entries the index never saw");
+                return None;
+            };
+            self.examined += 1;
+            let Some(live) = table.get(&top.key) else {
+                continue;
+            };
+            if live.insert_seq != top.insert_seq {
+                continue;
+            }
+            let score = self.policy.retention_score(live);
+            if score.total_cmp(&top.score).is_ne() || live.last_access_seq != top.last_access_seq {
+                self.heap.push(Reverse(Candidate {
+                    score,
+                    last_access_seq: live.last_access_seq,
+                    ..top
+                }));
+                continue;
+            }
+            let victim = table.remove(&top.key).expect("looked up above");
+            self.policy.on_evict(&victim);
+            return Some(victim);
+        }
+    }
+
+    fn snapshot(&self, e: &EntryMeta) -> Candidate {
+        Candidate {
+            score: self.policy.retention_score(e),
+            last_access_seq: e.last_access_seq,
+            key: e.key.clone(),
+            insert_seq: e.insert_seq,
+        }
+    }
+
+    fn rebuild(&mut self, table: &HashMap<CacheKey, EntryMeta>) {
+        let fresh: Vec<_> = table.values().map(|e| Reverse(self.snapshot(e))).collect();
+        self.heap = fresh.into();
+    }
 }
 
 #[cfg(test)]

@@ -51,6 +51,10 @@ swala_obs::counters! {
         coalesce_fallbacks: "Coalesced waits that fell back to executing",
         /// Entries evicted by the replacement policy.
         evictions: "Entries evicted by the replacement policy",
+        /// Eviction-index snapshots examined while choosing victims. Flat
+        /// at ~1–3 per eviction whatever the capacity; a climbing ratio to
+        /// `evictions` says the index, not the store, makes inserts slow.
+        evict_examined: "Eviction-index snapshots examined while choosing victims",
         /// Entries removed by TTL expiry.
         expirations: "Entries removed by TTL expiry",
         /// Insert/delete notices sent to peers.

@@ -18,7 +18,7 @@ use crate::node::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -214,6 +214,14 @@ pub struct DiskStore {
     fsyncs: AtomicU64,
 }
 
+/// Where [`DiskStore::find_slot`]'s walk of a probe chain ended.
+enum Slot {
+    /// This slot stores the key.
+    Held(usize),
+    /// The key is absent; this is the chain's first missing slot.
+    Free(usize),
+}
+
 impl DiskStore {
     /// Open (creating if needed) a store rooted at `root`, with
     /// durable (fsynced) writes. The entry count is established with a
@@ -302,20 +310,21 @@ impl DiskStore {
         Ok(String::from_utf8(key).ok())
     }
 
-    /// Walk `key`'s probe chain; `Some(n)` is the slot whose header key
-    /// matches, `None` means the chain ends without a match. Undecodable
+    /// Walk `key`'s probe chain; `Held(n)` is the slot whose header key
+    /// matches, `Free(n)` the missing slot that ends the chain without a
+    /// match — the first one a new entry for `key` may take. Undecodable
     /// files occupy their slot but can never match.
-    fn find_slot(&self, key: &CacheKey) -> io::Result<Option<usize>> {
-        for n in 0..usize::MAX {
+    fn find_slot(&self, key: &CacheKey) -> io::Result<Slot> {
+        for n in 0.. {
             let path = self.candidate(key, n);
             match Self::header_key_at(&path) {
-                Ok(Some(k)) if k == key.as_str() => return Ok(Some(n)),
+                Ok(Some(k)) if k == key.as_str() => return Ok(Slot::Held(n)),
                 Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Slot::Free(n)),
                 Err(e) => return Err(e),
             }
         }
-        Ok(None)
+        unreachable!("probe chain is bounded by the first missing slot")
     }
 
     fn bump_fsyncs(&self, n: u64) {
@@ -398,8 +407,14 @@ impl Store for DiskStore {
             .join(format!(".tmp-{}-{serial}", std::process::id()));
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(&Self::encode_header(key, meta))?;
-            f.write_all(body)?;
+            // Header and body in one write; a short count (possible, if
+            // rare, on a regular file) is finished piecewise.
+            let header = Self::encode_header(key, meta);
+            let written = f.write_vectored(&[IoSlice::new(&header), IoSlice::new(body)])?;
+            if written < header.len() + body.len() {
+                f.write_all(&header[written.min(header.len())..])?;
+                f.write_all(&body[written.saturating_sub(header.len())..])?;
+            }
             f.flush()?;
             // An ack must mean "on the platter", not "in the page
             // cache": sync the data before the rename publishes it.
@@ -412,20 +427,13 @@ impl Store for DiskStore {
         // the same key cannot double-increment the count, and so two
         // colliding keys cannot claim one free slot.
         let _guard = self.count_lock.lock();
-        let slot = match self.find_slot(key)? {
-            Some(n) => (self.candidate(key, n), true),
-            None => {
-                // First free slot in the chain (skipping occupied slots
-                // that belong to colliding or corrupt entries).
-                let mut n = 0;
-                while self.candidate(key, n).exists() {
-                    n += 1;
-                }
-                (self.candidate(key, n), false)
-            }
+        // An absent key takes the first free slot, past the occupied ones
+        // that belong to colliding or corrupt entries.
+        let (slot, existed) = match self.find_slot(key)? {
+            Slot::Held(n) => (n, true),
+            Slot::Free(n) => (n, false),
         };
-        let (final_path, existed) = slot;
-        fs::rename(&tmp, &final_path)?;
+        fs::rename(&tmp, self.candidate(key, slot))?;
         if self.fsync {
             self.sync_root()?;
         }
@@ -455,7 +463,7 @@ impl Store for DiskStore {
 
     fn delete(&self, key: &CacheKey) -> io::Result<()> {
         let _guard = self.count_lock.lock();
-        let Some(n) = self.find_slot(key)? else {
+        let Slot::Held(n) = self.find_slot(key)? else {
             return Ok(()); // deleting an absent key is not an error
         };
         fs::remove_file(self.candidate(key, n))?;
@@ -476,7 +484,7 @@ impl Store for DiskStore {
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
-        matches!(self.find_slot(key), Ok(Some(_)))
+        matches!(self.find_slot(key), Ok(Slot::Held(_)))
     }
 
     fn len(&self) -> usize {

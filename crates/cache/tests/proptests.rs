@@ -8,7 +8,9 @@
 //!   single bit flip is always detected (never mis-decoded, never a
 //!   panic);
 //! * segment-store recovery skips expired entries and survives
-//!   arbitrary corruption of the on-disk log.
+//!   arbitrary corruption of the on-disk log;
+//! * the SHA-NI digest equals the scalar digest at every length and
+//!   alignment.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -479,5 +481,55 @@ proptest! {
                 (got, exp) => prop_assert!(false, "mismatch: {got:?} vs {exp:?}"),
             }
         }
+    }
+}
+
+/// Deterministic filler for the digest sweeps.
+fn filler(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
+#[test]
+fn accelerated_digest_equals_scalar_at_every_length() {
+    // Every length from empty to past the 141st block, so every position
+    // of the 0x80 marker and both padding shapes (one tail block, two) is
+    // crossed many times over.
+    if Digest::of_accelerated(b"").is_none() {
+        eprintln!("skipped: no sha extension");
+        return;
+    }
+    let data = filler(9000, 0x5eed);
+    for len in 0..=data.len() {
+        assert_eq!(
+            Digest::of_accelerated(&data[..len]),
+            Some(Digest::of_scalar(&data[..len])),
+            "length {len}"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn accelerated_digest_equals_scalar_on_unaligned_slices(
+        seed in any::<u64>(),
+        start in 0usize..64,
+        len in 0usize..9001,
+    ) {
+        if Digest::of_accelerated(b"").is_none() {
+            eprintln!("skipped: no sha extension");
+            return Ok(());
+        }
+        let data = filler(start + len, seed);
+        let slice = &data[start..];
+        prop_assert_eq!(Digest::of_accelerated(slice), Some(Digest::of_scalar(slice)));
+        prop_assert_eq!(Digest::of(slice), Digest::of_scalar(slice));
     }
 }

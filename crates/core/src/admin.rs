@@ -40,7 +40,7 @@
 use crate::handler::NodeContext;
 use std::sync::atomic::Ordering;
 use swala_cache::directory::Classification;
-use swala_cache::{CacheKey, CacheStats, NodeId};
+use swala_cache::{CacheKey, CacheStats, DigestImpl, NodeId};
 use swala_http::{Request, Response, StatusCode};
 use swala_obs::{HeatEntry, HistogramSnapshot, MetricSnapshot, MetricValue};
 use swala_proto::{request_invalidate, Message, NodeStats, PeerState};
@@ -448,9 +448,10 @@ fn status_page(ctx: &NodeContext) -> Response {
     }
     let sm = ctx.manager.store_metrics();
     let store = format!(
-        "store={} segments={} live_bytes={} dead_bytes={} bodies={} \
+        "store={} digest={} segments={} live_bytes={} dead_bytes={} bodies={} \
          dedup_hits={} compactions={} compacted_bytes={} fsyncs={}",
         sm.kind,
+        DigestImpl::active().as_str(),
         sm.segments,
         sm.live_bytes,
         sm.dead_bytes,

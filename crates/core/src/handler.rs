@@ -19,7 +19,7 @@ use swala_cgi::{CgiOutput, CgiRequest, Program, ProgramRegistry};
 use swala_http::{Method, Request, Response, StatusCode};
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
 use swala_proto::{
-    announce_delete, announce_insert, Broadcaster, Dialer, FetchOutcome, FetchPool, HealthTracker,
+    announce, announce_delete, Broadcaster, Dialer, FetchOutcome, FetchPool, HealthTracker,
     Message, PeerState, RetryPolicy,
 };
 
@@ -658,10 +658,7 @@ fn execute_and_cache(
             // replicated mode, one point-to-point update to the key's
             // home node in partitioned mode.
             let t0 = trace.start_span();
-            announce_insert(&ctx.manager, &ctx.broadcaster, &meta);
-            for victim in evicted {
-                announce_delete(&ctx.manager, &ctx.broadcaster, victim.owner, &victim.key);
-            }
+            announce(&ctx.manager, &ctx.broadcaster, &meta, &evicted);
             trace.end_span(Stage::BroadcastEnqueue, t0);
         }
         Ok(InsertOutcome::Discarded) => {}

@@ -54,6 +54,7 @@ fn status_page_reports_stats() {
     let server = SwalaServer::start_single(
         ServerOptions {
             pool_size: 2,
+            capacity: 1,
             ..Default::default()
         },
         registry(),
@@ -62,6 +63,8 @@ fn status_page_reports_stats() {
     let mut client = HttpClient::new(server.http_addr());
     client.get("/cgi-bin/adl?id=1&ms=1").unwrap();
     client.get("/cgi-bin/adl?id=1&ms=1").unwrap();
+    // A second key at capacity 1 evicts the first.
+    client.get("/cgi-bin/adl?id=2&ms=1").unwrap();
 
     let page = client.get("/swala-status").unwrap();
     assert_eq!(page.status, StatusCode::OK);
@@ -69,6 +72,18 @@ fn status_page_reports_stats() {
     assert!(html.contains("Swala node node0"), "{html}");
     assert!(html.contains("hits=1"), "cache hit visible: {html}");
     assert!(html.contains("this node"));
+    // "Why is insert slow on this host" is answerable from the endpoints:
+    // which digest implementation runs, and what an eviction examines.
+    let digest = swala_cache::DigestImpl::active().as_str();
+    assert!(html.contains(&format!(" digest={digest} ")), "{html}");
+    let metrics = client.get("/swala-metrics").unwrap();
+    let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
+    assert!(metrics.contains("swala_cache_evictions 1\n"), "{metrics}");
+    // The hit left the first key's snapshot stale: one repair, one pick.
+    assert!(
+        metrics.contains("swala_cache_evict_examined 2\n"),
+        "{metrics}"
+    );
     server.shutdown();
 }
 

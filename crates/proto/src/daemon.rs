@@ -20,74 +20,115 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use swala_cache::{CacheManager, CacheStats, Classification, EntryMeta};
+use swala_cache::{CacheKey, CacheManager, CacheStats, Classification, EntryMeta, NodeId};
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
 
 /// Hot-key entries shipped per [`Message::StatsSnapshot`] — enough for
 /// any sensible cluster ranking while keeping the frame small.
 const HOTKEYS_PER_SNAPSHOT: usize = 64;
 
-/// Tell the cluster this node just cached `meta`: an insert-notice
-/// broadcast in replicated mode; in partitioned mode one point-to-point
+/// A notice and where it goes: `None` is every peer (the replicated
+/// directory's broadcast), `Some` the key's home node (partitioned).
+type Routed = (Option<NodeId>, Message);
+
+/// The notice that tells the cluster this node just cached `meta`: an
+/// insert notice to everyone in replicated mode; in partitioned mode one
 /// [`Message::DirUpdate`] to the key's home node — and nothing at all
 /// when this node *is* the home (its own directory insert already
 /// recorded the entry).
-pub fn announce_insert(manager: &CacheManager, broadcaster: &Broadcaster, meta: &EntryMeta) {
+fn route_insert(manager: &CacheManager, meta: &EntryMeta) -> Option<Routed> {
     match manager.home_node(&meta.key) {
-        None => {
-            broadcaster.broadcast(&Message::InsertNotice { meta: meta.clone() });
-            CacheStats::bump(&manager.stats().broadcasts_sent);
-        }
-        Some(home) if home == manager.local_node() => {}
-        Some(home) => {
-            broadcaster.send_to(
-                home,
-                &Message::DirUpdate {
-                    owner: meta.owner,
-                    key: meta.key.clone(),
-                    meta: Some(meta.clone()),
-                },
-            );
-            CacheStats::bump(&manager.stats().dir_updates_sent);
-        }
+        None => Some((None, Message::InsertNotice { meta: meta.clone() })),
+        Some(home) if home == manager.local_node() => None,
+        Some(home) => Some((
+            Some(home),
+            Message::DirUpdate {
+                owner: meta.owner,
+                key: meta.key.clone(),
+                meta: Some(meta.clone()),
+            },
+        )),
     }
 }
 
-/// Tell the cluster the entry `owner` advertised for `key` is gone:
-/// a delete-notice broadcast in replicated mode, one point-to-point
+/// The notice that tells the cluster the entry `owner` advertised for
+/// `key` is gone: a delete notice to everyone in replicated mode, one
 /// [`Message::DirUpdate`] (meta `None`) to the key's home node in
-/// partitioned mode, nothing when this node is the home.
+/// partitioned mode. When this node is the home its directory is the
+/// authority: the entry is removed from it here and nothing is sent.
+fn route_delete(manager: &CacheManager, owner: NodeId, key: &CacheKey) -> Option<Routed> {
+    match manager.home_node(key) {
+        None => Some((
+            None,
+            Message::DeleteNotice {
+                owner,
+                key: key.clone(),
+            },
+        )),
+        Some(home) if home == manager.local_node() => {
+            manager.directory().remove(owner, key);
+            None
+        }
+        Some(home) => Some((
+            Some(home),
+            Message::DirUpdate {
+                owner,
+                key: key.clone(),
+                meta: None,
+            },
+        )),
+    }
+}
+
+/// Hand `notices` to the broadcaster in one go and count them.
+fn enqueue(manager: &CacheManager, broadcaster: &Broadcaster, notices: &[Routed]) {
+    broadcaster.enqueue(notices);
+    for (to, _) in notices {
+        CacheStats::bump(match to {
+            None => &manager.stats().broadcasts_sent,
+            Some(_) => &manager.stats().dir_updates_sent,
+        });
+    }
+}
+
+/// Tell the cluster this node just cached `meta` (see [`announce`] for
+/// the insert path, which also has evictions to report).
+pub fn announce_insert(manager: &CacheManager, broadcaster: &Broadcaster, meta: &EntryMeta) {
+    enqueue(manager, broadcaster, route_insert(manager, meta).as_slice());
+}
+
+/// Tell the cluster the entry `owner` advertised for `key` is gone.
 pub fn announce_delete(
     manager: &CacheManager,
     broadcaster: &Broadcaster,
-    owner: swala_cache::NodeId,
-    key: &swala_cache::CacheKey,
+    owner: NodeId,
+    key: &CacheKey,
 ) {
-    match manager.home_node(key) {
-        None => {
-            broadcaster.broadcast(&Message::DeleteNotice {
-                owner,
-                key: key.clone(),
-            });
-            CacheStats::bump(&manager.stats().broadcasts_sent);
-        }
-        Some(home) if home == manager.local_node() => {
-            // The home is local: its directory is the authority and the
-            // caller already removed the entry from it.
-            manager.directory().remove(owner, key);
-        }
-        Some(home) => {
-            broadcaster.send_to(
-                home,
-                &Message::DirUpdate {
-                    owner,
-                    key: key.clone(),
-                    meta: None,
-                },
-            );
-            CacheStats::bump(&manager.stats().dir_updates_sent);
-        }
-    }
+    enqueue(
+        manager,
+        broadcaster,
+        route_delete(manager, owner, key).as_slice(),
+    );
+}
+
+/// Tell the cluster about one insert and the evictions it caused, as
+/// [`announce_insert`] and an [`announce_delete`] per victim would — but
+/// with every notice bound for a link queued under one lock and one
+/// writer wake-up. The counters still count notices.
+pub fn announce(
+    manager: &CacheManager,
+    broadcaster: &Broadcaster,
+    inserted: &EntryMeta,
+    evicted: &[EntryMeta],
+) {
+    let deletes = evicted
+        .iter()
+        .filter_map(|victim| route_delete(manager, victim.owner, &victim.key));
+    let notices: Vec<Routed> = route_insert(manager, inserted)
+        .into_iter()
+        .chain(deletes)
+        .collect();
+    enqueue(manager, broadcaster, &notices);
 }
 
 /// Daemon tuning knobs.
@@ -960,6 +1001,91 @@ mod tests {
                     owner: NodeId(0),
                     key: remote_homed,
                     meta: None,
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn announce_sends_an_insert_and_its_evictions_as_one_enqueue() {
+        // Partitioned: the insert and the remote-homed eviction go to the
+        // home in order; the self-homed eviction is a local directory
+        // write and no traffic.
+        let (peer_addr, collector) = collecting_peer();
+        let (manager, broadcaster, daemons) =
+            start_partitioned_node(CacheRules::allow_all(), peer_addr, 60_000);
+        let inserted = EntryMeta::new(
+            key_with_home(&manager, NodeId(1)),
+            NodeId(0),
+            4,
+            "t",
+            1000,
+            None,
+            1,
+        );
+        let self_homed = EntryMeta::new(
+            key_with_home(&manager, NodeId(0)),
+            NodeId(0),
+            4,
+            "t",
+            1000,
+            None,
+            2,
+        );
+        let remote_homed = EntryMeta::new(
+            CacheKey::new(format!("{}&again", inserted.key)),
+            NodeId(0),
+            4,
+            "t",
+            1000,
+            None,
+            3,
+        );
+        let evicted = [self_homed, remote_homed];
+        let expected: Vec<Message> = std::iter::once(Message::Hello { node: NodeId(0) })
+            .chain(std::iter::once(Message::DirUpdate {
+                owner: NodeId(0),
+                key: inserted.key.clone(),
+                meta: Some(inserted.clone()),
+            }))
+            .chain(
+                evicted
+                    .iter()
+                    .filter(|v| manager.home_node(&v.key) == Some(NodeId(1)))
+                    .map(|v| Message::DirUpdate {
+                        owner: NodeId(0),
+                        key: v.key.clone(),
+                        meta: None,
+                    }),
+            )
+            .collect();
+        announce(&manager, &broadcaster, &inserted, &evicted);
+        let snap = manager.stats().snapshot();
+        assert_eq!(snap.dir_updates_sent, expected.len() as u64 - 1);
+        assert_eq!(snap.broadcasts_sent, 0);
+        assert!(broadcaster.flush(Duration::from_secs(5)));
+        daemons.shutdown();
+        broadcaster.shutdown();
+        assert_eq!(collector.join().unwrap(), expected);
+
+        // Replicated: both notices are broadcasts, counted per notice.
+        let (peer_addr, collector) = collecting_peer();
+        let (manager, _daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let broadcaster = Broadcaster::new(NodeId(0), [(NodeId(1), peer_addr)]);
+        announce(&manager, &broadcaster, &inserted, &evicted[..1]);
+        assert_eq!(manager.stats().snapshot().broadcasts_sent, 2);
+        assert!(broadcaster.flush(Duration::from_secs(5)));
+        broadcaster.shutdown();
+        assert_eq!(
+            collector.join().unwrap(),
+            vec![
+                Message::Hello { node: NodeId(0) },
+                Message::InsertNotice {
+                    meta: inserted.clone()
+                },
+                Message::DeleteNotice {
+                    owner: NodeId(0),
+                    key: evicted[0].key.clone(),
                 },
             ]
         );

@@ -53,6 +53,9 @@ pub struct FaultStream {
     inner: TcpStream,
     fault: StreamFault,
     delivered: usize,
+    /// The read/write timeout the socket currently carries, so a pooled
+    /// connection pays the two `setsockopt`s once, not per exchange.
+    io_timeout: Option<Duration>,
 }
 
 impl FaultStream {
@@ -70,15 +73,20 @@ impl FaultStream {
             inner,
             fault,
             delivered: 0,
+            io_timeout: None,
         }
     }
 
-    pub fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        self.inner.set_read_timeout(t)
-    }
-
-    pub fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        self.inner.set_write_timeout(t)
+    /// Bound every read and write on this connection by `timeout`. Free
+    /// when the connection already carries that timeout.
+    pub fn set_io_timeout(&mut self, timeout: Duration) -> io::Result<()> {
+        if self.io_timeout != Some(timeout) {
+            self.io_timeout = None;
+            self.inner.set_read_timeout(Some(timeout))?;
+            self.inner.set_write_timeout(Some(timeout))?;
+            self.io_timeout = Some(timeout);
+        }
+        Ok(())
     }
 
     pub fn set_nodelay(&self, on: bool) -> io::Result<()> {
@@ -235,8 +243,7 @@ fn try_fetch(
 ) -> Result<FetchOutcome, ProtoError> {
     let mut stream = dialer(peer, addr, timeout)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
+    stream.set_io_timeout(timeout)?;
     write_frame(&mut stream, &Message::encode_fetch_request(key, None))?;
     let frame = read_frame(&mut stream)?.ok_or(ProtoError::Truncated("fetch reply"))?;
     match Message::decode(&frame)? {
@@ -266,8 +273,7 @@ pub fn request_sync_via(
 ) -> Result<(swala_cache::NodeId, Vec<swala_cache::EntryMeta>), ProtoError> {
     let mut stream = dialer(peer, addr, timeout)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
+    stream.set_io_timeout(timeout)?;
     write_frame(&mut stream, &Message::SyncRequest.encode())?;
     let frame = read_frame(&mut stream)?.ok_or(ProtoError::Truncated("sync reply"))?;
     match Message::decode(&frame)? {
@@ -297,6 +303,28 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
     use swala_cache::CacheKey;
+
+    #[test]
+    fn io_timeout_is_carried_and_reset_only_on_change() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut conn =
+            FaultStream::connect(addr, Duration::from_secs(1), StreamFault::None).unwrap();
+        let one = Duration::from_secs(1);
+        conn.set_io_timeout(one).unwrap();
+        assert_eq!(conn.inner.read_timeout().unwrap(), Some(one));
+        assert_eq!(conn.inner.write_timeout().unwrap(), Some(one));
+        // Same value again: the socket is not touched (changed behind
+        // the wrapper's back, it stays changed).
+        conn.inner.set_read_timeout(None).unwrap();
+        conn.set_io_timeout(one).unwrap();
+        assert_eq!(conn.inner.read_timeout().unwrap(), None);
+        // A different value is applied to both directions.
+        let two = Duration::from_secs(2);
+        conn.set_io_timeout(two).unwrap();
+        assert_eq!(conn.inner.read_timeout().unwrap(), Some(two));
+        assert_eq!(conn.inner.write_timeout().unwrap(), Some(two));
+    }
 
     /// One-shot fetch server answering from a closure.
     fn fetch_server(

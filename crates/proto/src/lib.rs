@@ -42,7 +42,7 @@ pub mod peers;
 pub mod pool;
 pub mod wire;
 
-pub use daemon::{announce_delete, announce_insert, CacheDaemons, DaemonConfig};
+pub use daemon::{announce, announce_delete, announce_insert, CacheDaemons, DaemonConfig};
 pub use faults::{AcceptFilter, FaultAction, FaultEvent, FaultInjector, FaultRule};
 pub use fetch::{
     default_dialer, fetch_remote, fetch_remote_retry, request_invalidate, request_sync,

@@ -226,16 +226,31 @@ impl PeerLink {
     /// Queue a pre-encoded frame payload (the broadcast fast path: one
     /// encode shared across every link). Drop-oldest on overflow.
     pub fn enqueue_frame(&self, frame: Arc<[u8]>) -> bool {
+        self.enqueue_frames([frame])
+    }
+
+    /// Queue several pre-encoded frame payloads in order, taking the
+    /// queue lock and waking the writer once for all of them. `false`
+    /// (everything counted as dropped) only after shutdown.
+    pub fn enqueue_frames(&self, frames: impl IntoIterator<Item = Arc<[u8]>>) -> bool {
+        let mut frames = frames.into_iter().peekable();
+        if frames.peek().is_none() {
+            return true;
+        }
         let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         if q.shutting_down {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .dropped
+                .fetch_add(frames.count() as u64, Ordering::Relaxed);
             return false;
         }
-        if q.buf.len() >= self.shared.cfg.queue_depth {
-            q.buf.pop_front();
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+        for frame in frames {
+            if q.buf.len() >= self.shared.cfg.queue_depth {
+                q.buf.pop_front();
+                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            q.buf.push_back(frame);
         }
-        q.buf.push_back(frame);
         drop(q);
         self.shared.ready.notify_one();
         true
@@ -519,6 +534,29 @@ impl Broadcaster {
             return false;
         };
         link.enqueue_frame(msg.encode().into())
+    }
+
+    /// Queue several notices at once, each addressed to one peer
+    /// (`Some`) or to every peer (`None`): each message is encoded once,
+    /// and each link's queue is locked and its writer woken once for
+    /// everything that link receives. Order within a link is the slice's
+    /// order. An insert and the evictions it caused go out this way.
+    pub fn enqueue(&self, notices: &[(Option<NodeId>, Message)]) {
+        if self.links.is_empty() {
+            return;
+        }
+        let frames: Vec<(Option<NodeId>, Arc<[u8]>)> = notices
+            .iter()
+            .map(|(to, msg)| (*to, msg.encode().into()))
+            .collect();
+        for link in &self.links {
+            link.enqueue_frames(
+                frames
+                    .iter()
+                    .filter(|(to, _)| to.is_none_or(|peer| peer == link.peer()))
+                    .map(|(_, frame)| Arc::clone(frame)),
+            );
+        }
     }
 
     /// Aggregate (sent, dropped) counters across links.

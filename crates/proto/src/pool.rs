@@ -168,7 +168,10 @@ impl FetchPool {
                 self.coalesce_leads.fetch_add(1, Ordering::Relaxed);
                 let result = self.fetch_alone(peer, addr, key, timeout, policy, trace);
                 let flight = self.flights.lock().remove(&(peer.0, key.clone()));
-                if let Some(flight) = flight {
+                // Waiters join only through the map, so once the flight is
+                // out of it the handles that exist are all that ever will:
+                // publish (a body clone) only if someone holds one.
+                if let Some(flight) = flight.filter(|f| Arc::strong_count(f) > 1) {
                     let mut outcome = flight.outcome.lock().unwrap_or_else(|e| e.into_inner());
                     *outcome = Some(result.0.clone());
                     flight.cv.notify_all();
@@ -402,8 +405,7 @@ fn fetch_on(
     timeout: Duration,
     trace: Option<u64>,
 ) -> Result<FetchOutcome, ProtoError> {
-    conn.set_read_timeout(Some(timeout))?;
-    conn.set_write_timeout(Some(timeout))?;
+    conn.set_io_timeout(timeout)?;
     write_frame(conn, &Message::encode_fetch_request(key, trace))?;
     let frame = read_frame(conn)?.ok_or(ProtoError::Truncated("fetch reply"))?;
     match Message::decode(&frame)? {
@@ -423,8 +425,7 @@ fn dir_lookup_on(
     timeout: Duration,
     trace: Option<u64>,
 ) -> Result<(NodeId, Option<swala_cache::EntryMeta>), ProtoError> {
-    conn.set_read_timeout(Some(timeout))?;
-    conn.set_write_timeout(Some(timeout))?;
+    conn.set_io_timeout(timeout)?;
     write_frame(conn, &Message::encode_dir_lookup(key, trace))?;
     let frame = read_frame(conn)?.ok_or(ProtoError::Truncated("dir-lookup reply"))?;
     match Message::decode(&frame)? {
@@ -441,8 +442,7 @@ fn stats_pull_on(
     timeout: Duration,
     trace: Option<u64>,
 ) -> Result<crate::message::NodeStats, ProtoError> {
-    conn.set_read_timeout(Some(timeout))?;
-    conn.set_write_timeout(Some(timeout))?;
+    conn.set_io_timeout(timeout)?;
     write_frame(conn, &Message::StatsPull { trace }.encode())?;
     let frame = read_frame(conn)?.ok_or(ProtoError::Truncated("stats reply"))?;
     match Message::decode(&frame)? {

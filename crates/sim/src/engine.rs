@@ -4,14 +4,16 @@ use crate::model::{Routing, SimConfig, SimResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use swala_cache::{CacheKey, DirectoryKind, EntryMeta, HashRing, NodeId, Policy};
+use swala_cache::{CacheKey, DirectoryKind, EntryMeta, HashRing, NodeId, VictimIndex};
 use swala_workload::{RequestKind, Trace};
 
 /// One simulated node's cache and its (possibly stale) view of peers.
 struct Node {
     /// Entries this node actually holds.
     cache: HashMap<CacheKey, EntryMeta>,
-    policy: Policy,
+    /// Replacement policy + victim index over `cache` — the live
+    /// directory's own type, so both evict the same entries.
+    victims: VictimIndex,
     /// This node's directory view of *remote* entries: key → owner.
     /// Updated only by (delayed) insert/delete notices.
     view: HashMap<CacheKey, NodeId>,
@@ -78,7 +80,7 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
     let mut nodes: Vec<Node> = (0..cfg.nodes)
         .map(|_| Node {
             cache: HashMap::new(),
-            policy: Policy::new(cfg.policy),
+            victims: VictimIndex::new(cfg.policy),
             view: HashMap::new(),
         })
         .collect();
@@ -149,8 +151,7 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
         if nodes[here].cache.contains_key(&key) {
             let node = &mut nodes[here];
             let entry = node.cache.get_mut(&key).expect("checked");
-            entry.record_hit(t);
-            node.policy.on_hit(entry);
+            node.victims.on_hit(entry, t);
             result.local_hits += 1;
             result.saved_micros += cost;
             continue;
@@ -179,8 +180,7 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
                 if nodes[owner.index()].cache.contains_key(&key) {
                     let peer = &mut nodes[owner.index()];
                     let entry = peer.cache.get_mut(&key).expect("checked");
-                    entry.record_hit(t);
-                    peer.policy.on_hit(entry);
+                    peer.victims.on_hit(entry, t);
                     result.remote_hits += 1;
                     result.saved_micros += cost;
                     continue;
@@ -220,7 +220,7 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
             t,
         );
         let node = &mut nodes[here];
-        node.policy.on_insert(&mut meta);
+        node.victims.on_insert(&mut meta, &node.cache);
         node.cache.insert(key.clone(), meta);
         if cfg.cooperative {
             send_notice(
@@ -237,12 +237,10 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
 
         // Evict to capacity, broadcasting deletions.
         while node.cache.len() > cfg.capacity {
-            let victim_key = node
-                .policy
-                .choose_victim(node.cache.values())
+            let victim = node
+                .victims
+                .evict_one(&mut node.cache)
                 .expect("cache is non-empty");
-            let victim = node.cache.remove(&victim_key).expect("victim exists");
-            node.policy.on_evict(&victim);
             result.evictions += 1;
             if cfg.cooperative {
                 send_notice(
@@ -252,7 +250,7 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
                     cfg.nodes,
                     t + 1 + cfg.broadcast_delay,
                     NodeId(here as u16),
-                    victim_key,
+                    victim.key,
                     false,
                 );
             }

@@ -23,7 +23,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use swala_cache::{CacheKey, EntryMeta, NodeId, Policy, PolicyKind};
+use swala_cache::{CacheKey, EntryMeta, NodeId, PolicyKind, VictimIndex};
 use swala_workload::Trace;
 
 /// Queueing-model parameters.
@@ -90,7 +90,7 @@ impl QueueResult {
 
 struct Node {
     cache: HashMap<CacheKey, EntryMeta>,
-    policy: Policy,
+    victims: VictimIndex,
     /// Virtual time at which this node's CPU frees up.
     cpu_free_at: u64,
 }
@@ -102,7 +102,7 @@ pub fn simulate_queueing(cfg: &QueueConfig, trace: &Trace) -> QueueResult {
     let mut nodes: Vec<Node> = (0..cfg.nodes)
         .map(|_| Node {
             cache: HashMap::new(),
-            policy: Policy::new(cfg.policy),
+            victims: VictimIndex::new(cfg.policy),
             cpu_free_at: 0,
         })
         .collect();
@@ -131,8 +131,7 @@ pub fn simulate_queueing(cfg: &QueueConfig, trace: &Trace) -> QueueResult {
         let done = if nodes[here].cache.contains_key(&key) {
             let node = &mut nodes[here];
             let entry = node.cache.get_mut(&key).expect("checked");
-            entry.record_hit(seq);
-            node.policy.on_hit(entry);
+            node.victims.on_hit(entry, seq);
             result.hits += 1;
             now + cfg.local_hit_micros
         } else if cfg.cooperative && nodes.iter().any(|n| n.cache.contains_key(&key)) {
@@ -143,8 +142,7 @@ pub fn simulate_queueing(cfg: &QueueConfig, trace: &Trace) -> QueueResult {
                 .expect("just found");
             let peer = &mut nodes[owner];
             let entry = peer.cache.get_mut(&key).expect("checked");
-            entry.record_hit(seq);
-            peer.policy.on_hit(entry);
+            peer.victims.on_hit(entry, seq);
             result.hits += 1;
             now + cfg.remote_hit_micros
         } else {
@@ -163,16 +161,12 @@ pub fn simulate_queueing(cfg: &QueueConfig, trace: &Trace) -> QueueResult {
                 None,
                 seq,
             );
-            node.policy.on_insert(&mut meta);
+            node.victims.on_insert(&mut meta, &node.cache);
             node.cache.insert(key, meta);
             while node.cache.len() > cfg.capacity {
-                let victim = node
-                    .policy
-                    .choose_victim(node.cache.values())
-                    .expect("non-empty");
-                if let Some(v) = node.cache.remove(&victim) {
-                    node.policy.on_evict(&v);
-                }
+                node.victims
+                    .evict_one(&mut node.cache)
+                    .expect("cache is non-empty");
             }
             done
         };

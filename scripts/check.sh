@@ -32,6 +32,16 @@ echo "==> cargo test -q --workspace (segment store)"
 # `store: StoreKind::Files` explicitly and are unaffected.
 SWALA_STORE=segment cargo test -q --workspace
 
+echo "==> eviction-index equivalence (victim_index, 2048 cases, pinned seed)"
+# The victim index must evict exactly what the O(capacity) scan would,
+# for all five policies. Same seed every run so a failure replays;
+# the nightly CI job runs 10x the cases on other seeds.
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-cache --test victim_index
+
+echo "==> benches still compile (cargo bench --no-run -p swala-bench)"
+cargo bench --no-run -p swala-bench
+
 echo "==> C10K smoke (c10k)"
 # Raise RLIMIT_NOFILE, park 10k idle keep-alive connections on an
 # event-engine node, and require a live request to complete under the
