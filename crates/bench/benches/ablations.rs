@@ -1,15 +1,16 @@
 //! Criterion benches for the design-choice ablations: directory lock
 //! granularity (§4.2's three options), eviction at capacity (victim
-//! index vs the scan it replaced), the body digest, and the wire codec.
+//! index vs the scan it replaced), the body digest, the wire codec, and
+//! the notice enqueue on a parked vs a held link.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use swala_cache::locking::{backend, DirectoryOps};
 use swala_cache::{CacheKey, Digest, EntryMeta, NodeId, Policy, PolicyKind, VictimIndex};
-use swala_proto::Message;
+use swala_proto::{BroadcastConfig, Message, PeerLink, NOTICE_PACE};
 
 fn preloaded(granularity: &str, nodes: usize, per_node: usize) -> Arc<dyn DirectoryOps> {
     let ops = backend(granularity, nodes).expect("backend");
@@ -221,9 +222,79 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Caller-side cost of handing one notice to a link, by what the writer
+/// is doing: parked (the enqueue must wake it — one futex call) or busy
+/// (a held link: the enqueue is a push under the queue lock and nothing
+/// else). Pacing turns all but one enqueue per interval into the second.
+fn bench_broadcast_enqueue(c: &mut Criterion) {
+    let frame: Arc<[u8]> = Message::Ping.encode().into();
+    let mut group = c.benchmark_group("broadcast");
+
+    // A live sink; each timed enqueue waits (off the clock) for the
+    // previous send's hold to run out and the writer to park.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::spawn(move || {
+        let Ok((mut s, _)) = listener.accept() else {
+            return;
+        };
+        while let Ok(Some(_)) = swala_proto::read_frame(&mut s) {}
+    });
+    let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+    group.bench_function("enqueue_parked", |b| {
+        b.iter_custom(|iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                std::thread::sleep(3 * NOTICE_PACE);
+                let t = Instant::now();
+                black_box(link.enqueue_frame(Arc::clone(&frame)));
+                timed += t.elapsed();
+            }
+            timed
+        })
+    });
+    let st = link.stats();
+    println!(
+        "broadcast/enqueue_parked                         {} of {} enqueues woke the writer",
+        st.wakeups,
+        st.sent + st.queued as u64
+    );
+    drop(link);
+
+    // A writer stuck connecting never parks, so every enqueue is the
+    // held-link push (the full queue sheds its oldest, as under load).
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Mutex::new(gate);
+    let link = PeerLink::with_config(
+        NodeId(0),
+        NodeId(1),
+        addr,
+        BroadcastConfig {
+            connector: Arc::new(move |_, _, _| {
+                let _ = gate.lock().expect("gate").recv();
+                Err(std::io::ErrorKind::ConnectionRefused.into())
+            }),
+            ..Default::default()
+        },
+    );
+    link.enqueue_frame(Arc::clone(&frame));
+    while link.stats().queued > 0 {
+        std::thread::yield_now(); // until the writer has taken it and is stuck
+    }
+    group.bench_function("enqueue_held", |b| {
+        b.iter(|| black_box(link.enqueue_frame(Arc::clone(&frame))))
+    });
+    println!(
+        "broadcast/enqueue_held                           {} wake-ups in all (the first enqueue's, at most)",
+        link.stats().wakeups
+    );
+    drop(release);
+    group.finish();
+}
+
 criterion_group! {
     name = ablations;
     config = Criterion::default().measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_millis(500));
-    targets = bench_ablation_lock_granularity, bench_evict_at_capacity, bench_digest, bench_wire_codec,
+    targets = bench_ablation_lock_granularity, bench_evict_at_capacity, bench_digest, bench_wire_codec, bench_broadcast_enqueue,
 }
 criterion_main!(ablations);

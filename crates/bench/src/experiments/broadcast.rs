@@ -12,6 +12,13 @@
 //!    requests (miss + store + insert + broadcast each): its mean
 //!    response must track a fully-alive pair, because connect timeouts
 //!    and retries happen on writer threads, not request threads.
+//! 3. A loaded link: one producer enqueueing ≈ 15 k notices/s at a live
+//!    sink (what `miss-insert` hands each link), then the same link fed
+//!    one notice every 3 × `NOTICE_PACE`. Counters, not timing, say what
+//!    pacing did — notices per frame, sent at once vs after a hold,
+//!    wake-ups issued — next to the writer thread's CPU per notice, the
+//!    caller's enqueue cost on a held vs a parked link, and the
+//!    enqueue→socket delay histogram the pacing contract bounds.
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
@@ -20,7 +27,7 @@ use std::time::{Duration, Instant};
 use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
 use swala_cache::{CacheKey, EntryMeta, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
-use swala_proto::{Broadcaster, Message};
+use swala_proto::{Broadcaster, LinkStats, Message, NOTICE_PACE};
 
 /// An address that refuses connections: bind, record, drop.
 fn dead_addr() -> SocketAddr {
@@ -141,6 +148,68 @@ fn live_insert_mean(
     (total / requests as f64 * 1e3, miss_hist)
 }
 
+/// On-CPU nanoseconds of this process's notice-writer threads, from the
+/// kernel's per-thread accounting (the clock `RUSAGE_THREAD` reads, but
+/// readable from outside the thread).
+fn writer_cpu_ns() -> u64 {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .flatten()
+        .filter(|t| {
+            std::fs::read_to_string(t.path().join("comm"))
+                .is_ok_and(|c| c.trim_end() == "swala-notice-wr")
+        })
+        .filter_map(|t| std::fs::read_to_string(t.path().join("schedstat")).ok())
+        .filter_map(|s| s.split_whitespace().next()?.parse::<u64>().ok())
+        .sum()
+}
+
+/// One phase of the loaded-link run: `count` notices enqueued `gap`
+/// apart (yield-waiting — a sleep cannot pace microseconds).
+struct LinkPhase {
+    /// Mean caller-side cost of one enqueue.
+    enqueue_ns: f64,
+    /// Writer-thread CPU per notice.
+    writer_cpu_us: f64,
+    /// The link's counters, as deltas over the phase.
+    stats: LinkStats,
+}
+
+fn link_phase(b: &Broadcaster, count: u64, gap: Duration) -> LinkPhase {
+    let before = b.link_stats().remove(0);
+    let cpu0 = writer_cpu_ns();
+    let mut in_enqueue = Duration::ZERO;
+    let start = Instant::now();
+    for n in 0..count {
+        let msg = notice(n);
+        let due = start + gap * n as u32;
+        while Instant::now() < due {
+            // Stands in for a worker between inserts, which blocks on its
+            // socket: give the core up rather than spin the writer off it.
+            std::thread::yield_now();
+        }
+        let t = Instant::now();
+        b.broadcast(&msg);
+        in_enqueue += t.elapsed();
+    }
+    assert!(b.flush(Duration::from_secs(5)), "sink stopped draining");
+    let cpu_ns = writer_cpu_ns() - cpu0;
+    let mut stats = b.link_stats().remove(0);
+    stats.sent -= before.sent;
+    stats.frames -= before.frames;
+    stats.sent_immediate -= before.sent_immediate;
+    stats.sent_after_hold -= before.sent_after_hold;
+    stats.wakeups -= before.wakeups;
+    stats.dropped -= before.dropped;
+    LinkPhase {
+        enqueue_ns: in_enqueue.as_nanos() as f64 / count as f64,
+        writer_cpu_us: cpu_ns as f64 / 1e3 / count as f64,
+        stats,
+    }
+}
+
 pub fn run() -> TableReport {
     let quick = scale::quick();
     let rounds: u64 = if quick { 5_000 } else { 20_000 };
@@ -207,6 +276,81 @@ pub fn run() -> TableReport {
         dead_hist.count,
     ));
     report.note("caller cost is one encode + one bounded enqueue per link; connects, retries and timeouts happen on writer threads");
+    // Loaded link, then the same link idle between notices.
+    let link = Broadcaster::new(NodeId(0), [(NodeId(1), sink_addr())]);
+    link.broadcast(&notice(0)); // connect outside the measured phases
+    link.flush(Duration::from_secs(5));
+    let load_secs = if quick { 1 } else { 3 };
+    let loaded = link_phase(
+        &link,
+        15_000 * load_secs,
+        Duration::from_micros(1_000_000 / 15_000),
+    );
+    let loaded_delay = link.notice_delay().snapshot();
+    std::thread::sleep(3 * NOTICE_PACE); // let the last hold run out
+    let spaced = link_phase(&link, if quick { 200 } else { 1_000 }, 3 * NOTICE_PACE);
+    link.shutdown();
+    for (name, phase) in [
+        ("loaded link, 15k notices/s", &loaded),
+        ("idle link, 3x pace apart", &spaced),
+    ] {
+        let st = &phase.stats;
+        report.row(vec![
+            name.into(),
+            "1".into(),
+            format!("{:.0} ns", phase.enqueue_ns),
+            st.sent.to_string(),
+            st.dropped.to_string(),
+        ]);
+        report.note(format!(
+            "{name}: {:.1} notices/frame ({} frames), {} at once / {} after a hold, {} wake-ups, writer {:.2} us CPU/notice",
+            st.sent as f64 / st.frames.max(1) as f64,
+            st.frames,
+            st.sent_immediate,
+            st.sent_after_hold,
+            st.wakeups,
+            phase.writer_cpu_us,
+        ));
+    }
+    report.note(format!(
+        "loaded-link notice delay (enqueue -> socket): p50 {} us, p99 {} us, max {} us against a {} us pace",
+        loaded_delay.p50(),
+        loaded_delay.p99(),
+        loaded_delay.max,
+        NOTICE_PACE.as_micros(),
+    ));
+    assert_eq!(
+        loaded.stats.dropped + spaced.stats.dropped,
+        0,
+        "a live sink sheds nothing at 15k/s"
+    );
+    assert!(
+        loaded.stats.sent >= 4 * loaded.stats.frames,
+        "a loaded link must coalesce: {:?}",
+        loaded.stats
+    );
+    assert!(
+        loaded.stats.wakeups <= loaded.stats.frames,
+        "a held link is never woken per notice: {:?}",
+        loaded.stats
+    );
+    let phase_json = |p: &LinkPhase| {
+        let st = &p.stats;
+        format!(
+            "{{\"notices\": {}, \"frames\": {}, \"notices_per_frame\": {:.2}, \
+             \"sent_immediate\": {}, \"sent_after_hold\": {}, \"wakeups\": {}, \
+             \"enqueue_ns\": {:.0}, \"writer_cpu_us_per_notice\": {:.3}}}",
+            st.sent,
+            st.frames,
+            st.sent as f64 / st.frames.max(1) as f64,
+            st.sent_immediate,
+            st.sent_after_hold,
+            st.wakeups,
+            p.enqueue_ns,
+            p.writer_cpu_us,
+        )
+    };
+
     let hist_json = |h: &swala_obs::HistogramSnapshot| {
         format!(
             "{{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
@@ -220,9 +364,15 @@ pub fn run() -> TableReport {
         "{{\n  \"experiment\": \"broadcast\",\n  \"quick\": {quick},\n  \
          \"requests\": {requests},\n  \"work_ms\": {ms},\n  \"insert\": {{\n    \
          \"peer_alive\": {{\"client_mean_ms\": {alive:.4}, \"miss_hist\": {}}},\n    \
-         \"peer_dead\": {{\"client_mean_ms\": {dead:.4}, \"miss_hist\": {}}}\n  }}\n}}\n",
+         \"peer_dead\": {{\"client_mean_ms\": {dead:.4}, \"miss_hist\": {}}}\n  }},\n  \
+         \"loaded_link\": {{\n    \"pace_us\": {},\n    \"held\": {},\n    \
+         \"parked\": {},\n    \"delay\": {}\n  }}\n}}\n",
         hist_json(&alive_hist),
         hist_json(&dead_hist),
+        NOTICE_PACE.as_micros(),
+        phase_json(&loaded),
+        phase_json(&spaced),
+        hist_json(&loaded_delay),
     );
     std::fs::write("BENCH_broadcast.json", &json).expect("write BENCH_broadcast.json");
     report.note("insert-path distributions written to BENCH_broadcast.json");

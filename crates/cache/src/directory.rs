@@ -35,6 +35,25 @@ pub enum Classification {
     Remote(EntryMeta),
 }
 
+/// One remote change to the directory, as a peer's notice describes it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RemoteUpdate {
+    /// `meta.owner` now caches `meta.key`.
+    Insert(EntryMeta),
+    /// `owner` no longer caches `key`.
+    Delete { owner: NodeId, key: CacheKey },
+}
+
+impl RemoteUpdate {
+    /// The node whose table this update changes.
+    pub fn owner(&self) -> NodeId {
+        match self {
+            RemoteUpdate::Insert(meta) => meta.owner,
+            RemoteUpdate::Delete { owner, .. } => *owner,
+        }
+    }
+}
+
 /// What [`CacheDirectory::evict_to_capacity`] removed, and what finding
 /// it cost.
 #[derive(Debug)]
@@ -166,6 +185,27 @@ impl CacheDirectory {
         reserve_one(entries);
         entries.insert(meta.key.clone(), meta.clone());
         meta
+    }
+
+    /// Apply `updates` in order, write-locking each owner's table once
+    /// per run of consecutive updates to it — a batch off one peer's link
+    /// is one run. Ends in the same tables as an [`insert`](Self::insert)
+    /// or [`remove`](Self::remove) per update.
+    pub fn apply_updates(&self, updates: Vec<RemoteUpdate>) {
+        let mut updates = updates.into_iter().peekable();
+        while let Some(owner) = updates.peek().map(RemoteUpdate::owner) {
+            let mut table = self.tables[owner.index()].write();
+            while let Some(update) = updates.next_if(|u| u.owner() == owner) {
+                match update {
+                    RemoteUpdate::Insert(meta) => {
+                        table.insert(meta);
+                    }
+                    RemoteUpdate::Delete { key, .. } => {
+                        table.entries.remove(&key);
+                    }
+                }
+            }
+        }
     }
 
     /// Remove `key` from `node`'s table; returns the removed entry.

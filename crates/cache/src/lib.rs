@@ -46,7 +46,7 @@ pub mod stats;
 pub mod store;
 
 pub use digest::{Digest, DigestImpl};
-pub use directory::{CacheDirectory, Classification, Eviction};
+pub use directory::{CacheDirectory, Classification, Eviction, RemoteUpdate};
 pub use entry::EntryMeta;
 pub use key::CacheKey;
 pub use manager::{

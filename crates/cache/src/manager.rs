@@ -8,7 +8,7 @@
 //! the store directly.
 
 use crate::digest::Digest;
-use crate::directory::{CacheDirectory, Classification};
+use crate::directory::{CacheDirectory, Classification, RemoteUpdate};
 use crate::entry::EntryMeta;
 use crate::key::CacheKey;
 use crate::memcache::MemCache;
@@ -728,6 +728,46 @@ impl CacheManager {
         if owner == self.local {
             self.mem_remove(key);
         }
+    }
+
+    /// Apply a run of peer notices at once: what an
+    /// [`apply_remote_insert`](Self::apply_remote_insert) or
+    /// [`apply_remote_delete`](Self::apply_remote_delete) per update
+    /// would do, in one pass over the flight registry (one lock) and one
+    /// table write-lock per owner instead of a lock round-trip each per
+    /// notice. A peer's paced link delivers its notices this way.
+    pub fn apply_remote_batch(&self, updates: Vec<RemoteUpdate>) {
+        if updates.is_empty() {
+            return;
+        }
+        CacheStats::add(&self.stats.updates_applied, updates.len() as u64);
+        {
+            // An insert notice for a key executing here right now is a
+            // false miss (§4.2, scenario 2): the peer cached it first.
+            let flights = self.flights.lock();
+            if !flights.is_empty() {
+                let false_misses = updates
+                    .iter()
+                    .filter(
+                        |u| matches!(u, RemoteUpdate::Insert(m) if flights.contains_key(&m.key)),
+                    )
+                    .count();
+                CacheStats::add(&self.stats.false_misses, false_misses as u64);
+            }
+        }
+        for update in &updates {
+            match update {
+                RemoteUpdate::Insert(meta) => {
+                    debug_assert_ne!(meta.owner, self.local, "own inserts are applied directly")
+                }
+                RemoteUpdate::Delete { owner, key } => {
+                    if *owner == self.local {
+                        self.mem_remove(key);
+                    }
+                }
+            }
+        }
+        self.directory.apply_updates(updates);
     }
 
     /// Explicitly remove a local entry (admin/invalidations). Returns the

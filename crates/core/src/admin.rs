@@ -437,11 +437,16 @@ fn status_page(ctx: &NodeContext) -> Response {
     let mut links = String::new();
     for l in ctx.broadcaster.link_stats() {
         links.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
+            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{:.1}</td>\
+             <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
             l.peer,
             l.addr,
             l.queued,
             l.sent,
+            l.frames,
+            l.sent as f64 / l.frames.max(1) as f64,
+            l.sent_immediate,
+            l.sent_after_hold,
             l.dropped,
             if l.connected { "yes" } else { "no" },
         ));
@@ -521,6 +526,7 @@ fn status_page(ctx: &NodeContext) -> Response {
          <h2>Broadcast links ({bcast_sent} sent, {bcast_dropped} dropped)</h2>\
          <table border=1>\
          <tr><th>peer</th><th>addr</th><th>queued</th><th>sent</th>\
+         <th>frames</th><th>notices/frame</th><th>immediate</th><th>after hold</th>\
          <th>dropped</th><th>connected</th></tr>{links}</table>\
          </body></html>\n",
         node = ctx.node,

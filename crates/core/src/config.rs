@@ -120,9 +120,6 @@ pub struct ServerOptions {
     pub broadcast_queue: usize,
     /// Max notices coalesced into one batch frame by a writer thread.
     pub broadcast_batch: usize,
-    /// How long a writer lingers for more notices before flushing a
-    /// batch. Zero = opportunistic coalescing only.
-    pub broadcast_window: Duration,
     /// Total remote-fetch attempts per request (1 = no retries).
     pub fetch_retries: u32,
     /// Backoff before the second fetch attempt; doubles per retry, with
@@ -221,7 +218,6 @@ impl Default for ServerOptions {
             log_format: LogFormat::Text,
             broadcast_queue: 1024,
             broadcast_batch: 64,
-            broadcast_window: Duration::ZERO,
             fetch_retries: 3,
             fetch_backoff: Duration::from_millis(25),
             suspect_after: 1,
@@ -363,11 +359,6 @@ impl ServerOptions {
                     if opts.broadcast_batch == 0 {
                         return Err(err("broadcast_batch must be positive"));
                     }
-                }
-                "broadcast_window_ms" => {
-                    opts.broadcast_window = Duration::from_millis(
-                        rest.parse().map_err(|_| err("bad broadcast_window_ms"))?,
-                    )
                 }
                 "fetch_retries" => {
                     opts.fetch_retries = rest.parse().map_err(|_| err("bad fetch_retries"))?;
@@ -561,22 +552,19 @@ sync_on_join on
         let o = ServerOptions::parse(
             "broadcast_queue 256
 broadcast_batch 16
-broadcast_window_ms 5
 ",
         )
         .unwrap();
         assert_eq!(o.broadcast_queue, 256);
         assert_eq!(o.broadcast_batch, 16);
-        assert_eq!(o.broadcast_window, Duration::from_millis(5));
         assert!(ServerOptions::parse("broadcast_queue 0")
             .unwrap_err()
             .contains("positive"));
         assert!(ServerOptions::parse("broadcast_batch 0")
             .unwrap_err()
             .contains("positive"));
-        assert!(ServerOptions::parse("broadcast_window_ms x")
-            .unwrap_err()
-            .contains("bad"));
+        // The linger knob is gone: links pace themselves (NOTICE_PACE).
+        assert!(ServerOptions::parse("broadcast_window_ms 5").is_err());
     }
 
     #[test]

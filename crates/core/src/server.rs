@@ -124,7 +124,6 @@ impl BoundSwala {
         let mut broadcast_config = BroadcastConfig {
             queue_depth: options.broadcast_queue,
             batch_max: options.broadcast_batch,
-            batch_window: options.broadcast_window,
             ..BroadcastConfig::default()
         };
         if let Some(faults) = &options.faults {
@@ -343,6 +342,17 @@ impl BoundSwala {
                 "swala_broadcast_dropped",
                 "Cache notices dropped on full peer queues",
                 move || b.counters().1,
+            );
+            let b = Arc::clone(&broadcaster);
+            reg.register_counter(
+                "swala_broadcast_frames",
+                "Wire frames the delivered cache notices travelled in",
+                move || b.frames(),
+            );
+            reg.register_histogram(
+                "swala_notice_delay_microseconds",
+                "Delay from a cache notice's enqueue to its write to the peer socket",
+                Arc::clone(broadcaster.notice_delay()),
             );
         }
 

@@ -103,6 +103,30 @@ fn status_page_reports_per_link_broadcast_counters() {
     // and nothing dropped.
     assert!(html.contains("<td>node1</td>"), "{html}");
     assert!(html.contains("(1 sent, 0 dropped)"), "{html}");
+    // The pacing columns: that one notice found the link idle and went
+    // out at once, as its own frame.
+    assert!(html.contains("<th>notices/frame</th>"), "{html}");
+    assert!(
+        html.contains("<td>1</td><td>1</td><td>1.0</td><td>1</td><td>0</td>"),
+        "sent, frames, notices/frame, immediate, after hold: {html}"
+    );
+    // The same from the metrics endpoints — this node's, and the
+    // federated view built from every node's StatsSnapshot.
+    let metrics = c0.get("/swala-metrics").unwrap();
+    let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
+    assert!(metrics.contains("swala_broadcast_frames 1\n"), "{metrics}");
+    assert!(
+        metrics.contains("swala_notice_delay_microseconds_count 1\n"),
+        "{metrics}"
+    );
+    let cluster = c0.get("/swala-cluster-metrics").unwrap();
+    let cluster = String::from_utf8(cluster.body.into_vec()).unwrap();
+    for family in [
+        "swala_broadcast_frames",
+        "swala_notice_delay_microseconds_bucket",
+    ] {
+        assert!(cluster.contains(family), "{family} federates: {cluster}");
+    }
     for s in servers {
         s.shutdown();
     }

@@ -198,15 +198,20 @@ impl MetricsRegistry {
         g
     }
 
-    /// Create and register a new histogram, returning the shared handle.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
+    /// Register an externally owned histogram.
+    pub fn register_histogram(&self, name: &str, help: &str, histogram: Arc<Histogram>) {
         self.push(Metric {
             name: name.to_string(),
             help: help.to_string(),
             label: None,
-            source: Source::Histogram(Arc::clone(&h)),
+            source: Source::Histogram(histogram),
         });
+    }
+
+    /// Create and register a new histogram, returning the shared handle.
+    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
+        let h = Arc::new(Histogram::new());
+        self.register_histogram(name, help, Arc::clone(&h));
         h
     }
 

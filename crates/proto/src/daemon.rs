@@ -13,15 +13,25 @@
 use crate::faults::{AcceptFilter, FaultAction};
 use crate::message::Message;
 use crate::peers::Broadcaster;
-use crate::wire::{read_frame, write_frame, write_frame_split};
+use crate::wire::{read_frame_patient, write_frame, write_frame_split, FrameRead};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use swala_cache::{CacheKey, CacheManager, CacheStats, Classification, EntryMeta, NodeId};
+use swala_cache::{
+    CacheKey, CacheManager, CacheStats, Classification, EntryMeta, NodeId, RemoteUpdate,
+};
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
+
+/// How often an idle connection handler re-checks the shutdown flag (its
+/// socket's read timeout).
+const READ_TICK: Duration = Duration::from_millis(100);
+
+/// A peer that stops sending mid-frame for this long is dropped (the
+/// request plane's keep-alive idle limit, applied to the cluster plane).
+const FRAME_STALL_LIMIT: Duration = Duration::from_secs(5);
 
 /// Hot-key entries shipped per [`Message::StatsSnapshot`] — enough for
 /// any sensible cluster ranking while keeping the frame small.
@@ -113,8 +123,8 @@ pub fn announce_delete(
 
 /// Tell the cluster about one insert and the evictions it caused, as
 /// [`announce_insert`] and an [`announce_delete`] per victim would — but
-/// with every notice bound for a link queued under one lock and one
-/// writer wake-up. The counters still count notices.
+/// with every notice bound for a link queued under one lock. The
+/// counters still count notices.
 pub fn announce(
     manager: &CacheManager,
     broadcaster: &Broadcaster,
@@ -347,21 +357,19 @@ fn handle_connection(
 ) {
     // A finite read timeout lets the handler observe shutdown even when
     // the peer link is idle.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_read_timeout(Some(READ_TICK));
     let _ = stream.set_nodelay(true);
     loop {
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return, // clean close
-            Err(crate::wire::ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // idle; re-check shutdown
-            }
-            Err(_) => return,
+        let stop = || shutdown.load(Ordering::Acquire);
+        let frame = match read_frame_patient(&mut stream, FRAME_STALL_LIMIT, stop) {
+            Ok(FrameRead::Frame(f)) => f,
+            Ok(FrameRead::Idle) => continue, // nothing consumed; re-check shutdown
+            // Clean close, reset, or a peer stalled mid-frame: resuming
+            // would mis-frame everything after it, so close.
+            Ok(FrameRead::Closed) | Err(_) => return,
         };
         let Ok(msg) = Message::decode(&frame) else {
             return;
@@ -373,19 +381,17 @@ fn handle_connection(
             | Message::Invalidate { .. }
             | Message::NodeDown { .. }
             | Message::DirUpdate { .. } => {
-                apply_notice(msg, manager, broadcaster);
+                apply_notices(vec![msg], manager, broadcaster);
             }
             Message::Batch(msgs) => {
-                // Coalesced notices from a peer's writer thread: fan the
-                // sub-messages out. Only fire-and-forget notices may be
-                // batched; a reply-requiring sub-message is a protocol
-                // violation and drops the connection.
-                for sub in msgs {
-                    if !is_notice(&sub) {
-                        return;
-                    }
-                    apply_notice(sub, manager, broadcaster);
+                // Coalesced notices from a peer's paced writer. Only
+                // fire-and-forget notices may be batched; a
+                // reply-requiring sub-message is a protocol violation and
+                // drops the connection with nothing applied.
+                if !msgs.iter().all(is_notice) {
+                    return;
                 }
+                apply_notices(msgs, manager, broadcaster);
             }
             Message::FetchRequest { key, trace } => {
                 // Adopt the requester's trace id so both nodes' spans of
@@ -511,45 +517,63 @@ fn is_notice(msg: &Message) -> bool {
     )
 }
 
-/// Apply one fire-and-forget notice to the local node.
-fn apply_notice(msg: Message, manager: &CacheManager, broadcaster: &Broadcaster) {
-    match msg {
-        Message::Hello { .. } => {}
-        Message::InsertNotice { meta } => manager.apply_remote_insert(meta),
-        Message::DeleteNotice { owner, key } => manager.apply_remote_delete(owner, &key),
-        Message::NodeDown { node } => {
-            // Directory repair: a peer declared `node` dead. Forget its
-            // entries so this node stops routing false hits at a corpse.
-            // Not re-broadcast — every node hears the origin's broadcast
-            // directly, and echoing would cause notice storms.
-            manager.evict_node(node);
-        }
-        Message::Invalidate { key } => {
-            // Application-driven invalidation: drop the owned entry and
-            // tell the cluster. Invalidating an absent key is a no-op
-            // (the application may race a purge).
-            if let Some(dead) = manager.remove_local(&key) {
-                announce_delete(manager, broadcaster, dead.owner, &dead.key);
+/// Apply fire-and-forget notices to the local node, in order. Directory
+/// updates — nearly all of a batch — are handed to the manager as one
+/// run ([`CacheManager::apply_remote_batch`]); the rare other notice
+/// flushes the run gathered so far and is applied on its own.
+fn apply_notices(msgs: Vec<Message>, manager: &CacheManager, broadcaster: &Broadcaster) {
+    let mut run = Vec::with_capacity(msgs.len());
+    let mut dir_updates = 0;
+    for msg in msgs {
+        match msg {
+            Message::InsertNotice { meta } => run.push(RemoteUpdate::Insert(meta)),
+            Message::DeleteNotice { owner, key } => run.push(RemoteUpdate::Delete { owner, key }),
+            Message::DirUpdate { owner, key, meta } => {
+                // This node is the key's home: fold the point-to-point
+                // update into the directory (the partitioned replacement
+                // for a broadcast notice).
+                dir_updates += 1;
+                run.push(match meta {
+                    Some(m) => RemoteUpdate::Insert(m),
+                    None => RemoteUpdate::Delete { owner, key },
+                });
+            }
+            other => {
+                manager.apply_remote_batch(std::mem::take(&mut run));
+                match other {
+                    Message::Hello { .. } => {}
+                    Message::NodeDown { node } => {
+                        // Directory repair: a peer declared `node` dead.
+                        // Forget its entries so this node stops routing
+                        // false hits at a corpse. Not re-broadcast — every
+                        // node hears the origin's broadcast directly, and
+                        // echoing would cause notice storms.
+                        manager.evict_node(node);
+                    }
+                    Message::Invalidate { key } => {
+                        // Application-driven invalidation: drop the owned
+                        // entry and tell the cluster. Invalidating an
+                        // absent key is a no-op (the application may race
+                        // a purge).
+                        if let Some(dead) = manager.remove_local(&key) {
+                            announce_delete(manager, broadcaster, dead.owner, &dead.key);
+                        }
+                    }
+                    _ => unreachable!("caller checked is_notice"),
+                }
             }
         }
-        Message::DirUpdate { owner, key, meta } => {
-            // This node is the key's home: fold the point-to-point
-            // update into the directory (the partitioned replacement for
-            // a broadcast notice).
-            CacheStats::bump(&manager.stats().dir_updates_received);
-            match meta {
-                Some(m) => manager.apply_remote_insert(m),
-                None => manager.apply_remote_delete(owner, &key),
-            }
-        }
-        _ => unreachable!("caller checked is_notice"),
     }
+    manager.apply_remote_batch(run);
+    CacheStats::add(&manager.stats().dir_updates_received, dir_updates);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fetch::{fetch_remote, FetchOutcome};
+    use crate::wire::read_frame;
+    use std::io::{Read, Write};
     use std::time::Instant;
     use swala_cache::{CacheKey, CacheManagerConfig, CacheRules, LookupResult, MemStore, NodeId};
 
@@ -658,6 +682,59 @@ mod tests {
         let mut s = TcpStream::connect(daemons.addr()).unwrap();
         write_frame(&mut s, &batch.encode()).unwrap();
         wait_until(|| manager.directory().len(NodeId(1)) == 1);
+        daemons.shutdown();
+    }
+
+    fn insert_notice(id: u32) -> Message {
+        Message::InsertNotice {
+            meta: EntryMeta::new(
+                CacheKey::new(format!("/cgi-bin/stall?x={id}")),
+                NodeId(1),
+                8,
+                "t",
+                1000,
+                None,
+                id as u64,
+            ),
+        }
+    }
+
+    #[test]
+    fn sender_pausing_mid_frame_is_not_misframed() {
+        // Pauses longer than the handler's 100 ms read tick, after the
+        // header and again mid-payload: the handler must keep its place
+        // in the stream rather than restart at a "length" made of payload
+        // bytes.
+        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let mut s = TcpStream::connect(daemons.addr()).unwrap();
+        s.set_nodelay(true).unwrap();
+        let payload = insert_notice(1).encode();
+        let pause = Duration::from_millis(150);
+        s.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+        std::thread::sleep(pause);
+        let (a, b) = payload.split_at(payload.len() / 2);
+        s.write_all(a).unwrap();
+        std::thread::sleep(pause);
+        s.write_all(b).unwrap();
+        // The stream is still in step: the next frame decodes too.
+        write_frame(&mut s, &insert_notice(2).encode()).unwrap();
+        wait_until(|| manager.directory().len(NodeId(1)) == 2);
+        assert_eq!(manager.stats().snapshot().updates_applied, 2);
+        daemons.shutdown();
+    }
+
+    #[test]
+    fn half_a_header_then_silence_closes_the_connection() {
+        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let mut s = TcpStream::connect(daemons.addr()).unwrap();
+        s.write_all(&[0, 0]).unwrap();
+        // The handler gives the frame FRAME_STALL_LIMIT to continue, then
+        // closes: EOF here, well inside twice the limit.
+        s.set_read_timeout(Some(2 * FRAME_STALL_LIMIT)).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "daemon closed");
+        assert!(t0.elapsed() >= FRAME_STALL_LIMIT / 2, "{:?}", t0.elapsed());
+        assert_eq!(manager.stats().snapshot().updates_applied, 0);
         daemons.shutdown();
     }
 

@@ -21,8 +21,8 @@
 //! * [`message`] — the message set (hello, insert/delete notices, fetch
 //!   request/reply, directory sync, ping);
 //! * [`peers`] — the asynchronous broadcast pipeline: per-peer writer
-//!   threads fed by bounded drop-oldest queues, notice batching, and the
-//!   cluster [`peers::Broadcaster`];
+//!   threads fed by bounded drop-oldest queues, self-paced notice
+//!   batching, and the cluster [`peers::Broadcaster`];
 //! * [`fetch`] — the client side of a remote cache fetch, with bounded
 //!   retry and an injectable [`fetch::Dialer`];
 //! * [`pool`] — persistent per-peer fetch connections, so a remote hit
@@ -50,6 +50,8 @@ pub use fetch::{
 };
 pub use health::{HealthConfig, HealthSnapshot, HealthTracker, PeerState};
 pub use message::{Message, NodeStats};
-pub use peers::{BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink};
+pub use peers::{BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE};
 pub use pool::{FetchPool, FetchPoolStats, DEFAULT_POOL_SIZE};
-pub use wire::{read_frame, write_frame, write_frame_split, ProtoError};
+pub use wire::{
+    read_frame, read_frame_patient, write_frame, write_frame_split, FrameRead, ProtoError,
+};

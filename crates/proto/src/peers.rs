@@ -9,10 +9,28 @@
 //! connect, a syscall, or a retransmit — regardless of how many peers
 //! are slow, dead, or blackholed.
 //!
-//! Writer threads coalesce whatever has queued since their last write
-//! into a single [`Message::Batch`] frame (up to `batch_max`
-//! sub-messages, optionally waiting `batch_window` for stragglers), so a
-//! node under load amortizes framing and syscalls across many notices.
+//! # Pacing
+//!
+//! A link is **self-pacing**. A notice that finds the link idle (its
+//! writer parked) wakes the writer and goes out at once, so an idle
+//! cluster sees no added delay. Having sent, the writer *holds* the link
+//! for [`NOTICE_PACE`]: enqueues during a hold only push under the queue
+//! lock — they issue **no wake-up**, because the writer is not parked —
+//! and when the hold ends everything queued leaves as one
+//! [`Message::Batch`] frame (several, back to back, only if more than
+//! `batch_max` notices piled up). An empty queue at the end of a hold
+//! parks the writer again. The contract: *a notice handed to a connected
+//! link reaches the socket within one pace interval* (plus the
+//! scheduler's timer slack); nothing else about §4.2's false-hit /
+//! false-miss window changes. A loaded node thus pays one writer wake-up,
+//! one `write` and one peer-side wake-up per interval instead of per
+//! insert. [`PeerLink::flush`] and shutdown cut a hold short.
+//!
+//! The contract is checkable: every queued notice carries its enqueue
+//! `Instant`, the writer records enqueue→socket delay into the
+//! [`notice_delay`](Broadcaster::notice_delay) histogram, and
+//! [`LinkStats`] counts frames, notices sent at once vs after a hold,
+//! and wake-ups issued.
 //!
 //! Backpressure is **drop-oldest**: when a queue is full the oldest
 //! notice is discarded and counted in the link's `dropped` counter. The
@@ -27,10 +45,22 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swala_cache::NodeId;
+use swala_obs::Histogram;
+
+/// How long a writer holds its link after a send before sending again.
+///
+/// A constant, not a knob: it bounds how stale a peer's directory may be
+/// beyond §4.2's own window, and DESIGN.md §5 records the sweep
+/// (125/250/500/1000 µs) that picked it.
+pub const NOTICE_PACE: Duration = Duration::from_micros(500);
+
+/// First reconnect backoff; doubles per failure up to [`BACKOFF_MAX`].
+const BACKOFF_MIN: Duration = Duration::from_millis(25);
+const BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// How a writer thread opens a TCP connection. The target peer's
 /// [`NodeId`] is passed first so fault rules can match by destination.
@@ -46,10 +76,6 @@ pub struct BroadcastConfig {
     pub queue_depth: usize,
     /// Max sub-messages coalesced into one `Batch` frame.
     pub batch_max: usize,
-    /// How long a writer lingers for more notices after the first one is
-    /// available. Zero (the default) coalesces opportunistically: only
-    /// what queued while the previous write was in flight.
-    pub batch_window: Duration,
     /// TCP connect timeout for (re)connection attempts.
     pub connect_timeout: Duration,
     /// Connection factory (tests inject failures/delays here).
@@ -61,7 +87,6 @@ impl Default for BroadcastConfig {
         BroadcastConfig {
             queue_depth: 1024,
             batch_max: 64,
-            batch_window: Duration::ZERO,
             connect_timeout: Duration::from_millis(500),
             connector: Arc::new(|_peer, addr, timeout| TcpStream::connect_timeout(&addr, timeout)),
         }
@@ -73,7 +98,6 @@ impl std::fmt::Debug for BroadcastConfig {
         f.debug_struct("BroadcastConfig")
             .field("queue_depth", &self.queue_depth)
             .field("batch_max", &self.batch_max)
-            .field("batch_window", &self.batch_window)
             .field("connect_timeout", &self.connect_timeout)
             .finish_non_exhaustive()
     }
@@ -89,6 +113,17 @@ pub struct LinkStats {
     /// Payload bytes of delivered notices (framing overhead excluded) —
     /// what the directory bench measures as "directory wire bytes".
     pub sent_bytes: u64,
+    /// Wire frames those notices travelled in (`sent / frames` is the
+    /// coalescing factor pacing buys).
+    pub frames: u64,
+    /// Notices that found the link idle and went out at once.
+    pub sent_immediate: u64,
+    /// Notices that waited out a hold (or a reconnect backoff) first;
+    /// `sent == sent_immediate + sent_after_hold`.
+    pub sent_after_hold: u64,
+    /// Writer wake-ups issued by enqueues: one per idle→busy transition,
+    /// never one per notice on a loaded link.
+    pub wakeups: u64,
     /// Notices dropped: queue overflow, failed delivery, or shutdown.
     pub dropped: u64,
     /// Notices currently queued.
@@ -97,11 +132,36 @@ pub struct LinkStats {
     pub connected: bool,
 }
 
+/// A notice waiting for the writer, stamped when it was handed over.
+struct Queued {
+    at: Instant,
+    frame: Arc<[u8]>,
+}
+
+impl AsRef<[u8]> for Queued {
+    fn as_ref(&self) -> &[u8] {
+        &self.frame
+    }
+}
+
 struct Queue {
-    buf: VecDeque<Arc<[u8]>>,
+    buf: VecDeque<Queued>,
     /// Writer has taken a batch it has not finished delivering.
     in_flight: bool,
     shutting_down: bool,
+    /// Writer is blocked on `ready` with nothing to send — the one state
+    /// in which an enqueue must wake it. Cleared by whoever wakes it.
+    parked: bool,
+    /// `flush` callers waiting for the pipeline to quiesce; while any
+    /// wait, holds are cut short.
+    flushers: usize,
+}
+
+impl Queue {
+    /// A hold (pace or backoff) must end now rather than at its deadline.
+    fn cut_hold(&self) -> bool {
+        self.shutting_down || (self.flushers > 0 && !self.buf.is_empty())
+    }
 }
 
 struct LinkShared {
@@ -110,14 +170,26 @@ struct LinkShared {
     local: NodeId,
     cfg: BroadcastConfig,
     queue: Mutex<Queue>,
-    /// Signaled on enqueue and shutdown; writer waits here.
+    /// Writer waits here: parked (woken by an enqueue), or sitting out a
+    /// hold (woken only by `flush` and shutdown).
     ready: Condvar,
     /// Signaled when the pipeline quiesces; `flush` waits here.
     idle: Condvar,
     sent: AtomicU64,
     sent_bytes: AtomicU64,
+    frames: AtomicU64,
+    sent_immediate: AtomicU64,
+    wakeups: AtomicU64,
     dropped: AtomicU64,
     connected: AtomicBool,
+    /// Enqueue→socket delay of every delivered notice, microseconds.
+    delay: Arc<Histogram>,
+}
+
+impl LinkShared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// Persistent notice link to one peer, serviced by its own writer thread.
@@ -140,6 +212,18 @@ impl PeerLink {
         addr: SocketAddr,
         cfg: BroadcastConfig,
     ) -> Self {
+        Self::with_delay_histogram(local, peer, addr, cfg, Arc::new(Histogram::new()))
+    }
+
+    /// A link recording its notice delays into `delay` (a broadcaster's
+    /// links share one histogram).
+    fn with_delay_histogram(
+        local: NodeId,
+        peer: NodeId,
+        addr: SocketAddr,
+        cfg: BroadcastConfig,
+        delay: Arc<Histogram>,
+    ) -> Self {
         let shared = Arc::new(LinkShared {
             addr,
             peer,
@@ -149,13 +233,19 @@ impl PeerLink {
                 buf: VecDeque::new(),
                 in_flight: false,
                 shutting_down: false,
+                parked: false,
+                flushers: 0,
             }),
             ready: Condvar::new(),
             idle: Condvar::new(),
             sent: AtomicU64::new(0),
             sent_bytes: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
+            sent_immediate: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             connected: AtomicBool::new(false),
+            delay,
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -188,20 +278,39 @@ impl PeerLink {
         )
     }
 
+    /// Wire frames written so far.
+    pub fn frames(&self) -> u64 {
+        self.shared.frames.load(Ordering::Relaxed)
+    }
+
+    /// Enqueue→socket delay of this link's delivered notices.
+    pub fn notice_delay(&self) -> &Arc<Histogram> {
+        &self.shared.delay
+    }
+
+    /// Whether the writer is parked (idle link: the next notice wakes it
+    /// and goes out at once).
+    #[cfg(test)]
+    fn parked(&self) -> bool {
+        self.shared.lock().parked
+    }
+
     /// Snapshot of this link's observable state.
     pub fn stats(&self) -> LinkStats {
-        let queued = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .buf
-            .len();
+        let queued = self.shared.lock().buf.len();
+        // `sent` is bumped before `sent_immediate`, so reading them in
+        // the opposite order keeps the difference from going negative.
+        let sent_immediate = self.shared.sent_immediate.load(Ordering::Relaxed);
+        let sent = self.shared.sent.load(Ordering::Relaxed);
         LinkStats {
             peer: self.shared.peer,
             addr: self.shared.addr,
-            sent: self.shared.sent.load(Ordering::Relaxed),
+            sent,
             sent_bytes: self.shared.sent_bytes.load(Ordering::Relaxed),
+            frames: self.shared.frames.load(Ordering::Relaxed),
+            sent_immediate,
+            sent_after_hold: sent - sent_immediate,
+            wakeups: self.shared.wakeups.load(Ordering::Relaxed),
             dropped: self.shared.dropped.load(Ordering::Relaxed),
             queued,
             connected: self.shared.connected.load(Ordering::Relaxed),
@@ -229,15 +338,17 @@ impl PeerLink {
         self.enqueue_frames([frame])
     }
 
-    /// Queue several pre-encoded frame payloads in order, taking the
-    /// queue lock and waking the writer once for all of them. `false`
-    /// (everything counted as dropped) only after shutdown.
+    /// Queue several pre-encoded frame payloads in order under one
+    /// queue lock. The writer is woken only if it is parked — on a held
+    /// link this is a push and nothing else. `false` (everything counted
+    /// as dropped) only after shutdown.
     pub fn enqueue_frames(&self, frames: impl IntoIterator<Item = Arc<[u8]>>) -> bool {
         let mut frames = frames.into_iter().peekable();
         if frames.peek().is_none() {
             return true;
         }
-        let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let at = Instant::now();
+        let mut q = self.shared.lock();
         if q.shutting_down {
             self.shared
                 .dropped
@@ -249,22 +360,34 @@ impl PeerLink {
                 q.buf.pop_front();
                 self.shared.dropped.fetch_add(1, Ordering::Relaxed);
             }
-            q.buf.push_back(frame);
+            q.buf.push_back(Queued { at, frame });
         }
+        let wake = std::mem::take(&mut q.parked);
         drop(q);
-        self.shared.ready.notify_one();
+        if wake {
+            self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.shared.ready.notify_one();
+        }
         true
     }
 
     /// Wait until every queued notice has been handed to the socket (or
-    /// dropped). `false` on timeout.
+    /// dropped), cutting short any hold the writer is sitting out.
+    /// `false` on timeout.
     pub fn flush(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut q = self.shared.lock();
+        if q.buf.is_empty() && !q.in_flight {
+            return true;
+        }
+        q.flushers += 1;
+        self.shared.ready.notify_all();
+        let mut quiesced = true;
         while !q.buf.is_empty() || q.in_flight {
             let now = Instant::now();
             if now >= deadline {
-                return false;
+                quiesced = false;
+                break;
             }
             let (guard, _) = self
                 .shared
@@ -273,7 +396,8 @@ impl PeerLink {
                 .unwrap_or_else(|e| e.into_inner());
             q = guard;
         }
-        true
+        q.flushers -= 1;
+        quiesced
     }
 
     /// Signal shutdown, drain what can still be delivered, and join the
@@ -284,7 +408,7 @@ impl PeerLink {
     }
 
     fn signal_shutdown(&self) {
-        let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut q = self.shared.lock();
         q.shutting_down = true;
         drop(q);
         self.shared.ready.notify_all();
@@ -304,32 +428,59 @@ impl Drop for PeerLink {
     }
 }
 
-/// Writer thread: wait for notices, coalesce, deliver; reconnect with
-/// backoff on failure. On shutdown, drain the queue to a live peer; one
-/// failed delivery during shutdown abandons the rest (bounded effort).
+/// What the writer took off the queue for one delivery.
+struct Batch {
+    frames: Vec<Queued>,
+    /// When the queue was drained: the next hold runs from here, so a
+    /// notice enqueued right behind this batch waits one interval, not
+    /// one interval plus this batch's write.
+    taken_at: Instant,
+    /// These notices sat out a hold or backoff rather than finding the
+    /// link idle.
+    held: bool,
+    /// `batch_max` cut the batch: more is queued, so no hold follows.
+    more: bool,
+}
+
+/// Writer thread: send what an idle link is handed at once, then pace —
+/// hold, send everything queued as one batch, repeat — until the queue
+/// runs dry and the writer parks. Reconnect with backoff on failure. On
+/// shutdown, drain the queue to a live peer without holding; one failed
+/// delivery during shutdown abandons the rest (bounded effort).
 fn writer_loop(shared: &LinkShared) {
     let mut stream: Option<TcpStream> = None;
-    let mut backoff = Duration::from_millis(25);
+    let mut backoff = BACKOFF_MIN;
+    let mut hold_until: Option<Instant> = None;
     loop {
-        let Some(batch) = next_batch(shared) else {
+        let Some(batch) = next_batch(shared, hold_until) else {
             return; // shutdown with an empty queue
         };
-        match deliver(shared, &mut stream, &batch) {
-            Ok(()) => {
-                shared.sent.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                let bytes: u64 = batch.iter().map(|b| b.len() as u64).sum();
+        let n = batch.frames.len() as u64;
+        match deliver(shared, &mut stream, &batch.frames) {
+            Ok(frames) => {
+                let now = Instant::now();
+                for q in &batch.frames {
+                    shared
+                        .delay
+                        .record_duration(now.saturating_duration_since(q.at));
+                }
+                let bytes: u64 = batch.frames.iter().map(|q| q.frame.len() as u64).sum();
+                shared.sent.fetch_add(n, Ordering::Relaxed);
                 shared.sent_bytes.fetch_add(bytes, Ordering::Relaxed);
-                backoff = Duration::from_millis(25);
+                shared.frames.fetch_add(frames, Ordering::Relaxed);
+                if !batch.held {
+                    shared.sent_immediate.fetch_add(n, Ordering::Relaxed);
+                }
+                backoff = BACKOFF_MIN;
+                hold_until = (!batch.more).then(|| batch.taken_at + NOTICE_PACE);
                 finish_batch(shared);
             }
             Err(_) => {
-                shared
-                    .dropped
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                shared.dropped.fetch_add(n, Ordering::Relaxed);
                 stream = None;
                 shared.connected.store(false, Ordering::Relaxed);
                 finish_batch(shared);
-                let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                let mut q = shared.lock();
                 if q.shutting_down {
                     // The peer is gone and we are shutting down: count
                     // the rest as dropped rather than timing out per
@@ -342,36 +493,25 @@ fn writer_loop(shared: &LinkShared) {
                     shared.idle.notify_all();
                     return;
                 }
-                // Back off before the next connect attempt; wake early on
-                // shutdown so drains stay prompt.
-                let (guard, _) = shared
-                    .ready
-                    .wait_timeout(q, backoff)
-                    .unwrap_or_else(|e| e.into_inner());
-                drop(guard);
-                backoff = (backoff * 2).min(Duration::from_secs(1));
+                drop(q);
+                // Back off before the next connect attempt, as a hold:
+                // enqueues do not wake the writer out of it, flush and
+                // shutdown do.
+                hold_until = Some(Instant::now() + backoff);
+                backoff = (backoff * 2).min(BACKOFF_MAX);
             }
         }
     }
 }
 
-/// Block until notices are queued (or shutdown with nothing left), then
-/// take up to `batch_max`, optionally lingering `batch_window` first.
-fn next_batch(shared: &LinkShared) -> Option<Vec<Arc<[u8]>>> {
-    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        if !q.buf.is_empty() {
-            break;
-        }
-        if q.shutting_down {
-            return None;
-        }
-        q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-    }
-    let window = shared.cfg.batch_window;
-    if !window.is_zero() && !q.shutting_down && q.buf.len() < shared.cfg.batch_max {
-        let deadline = Instant::now() + window;
-        while !q.shutting_down && q.buf.len() < shared.cfg.batch_max {
+/// Sit out the hold (if any), park if the queue is then empty, and take
+/// up to `batch_max` notices. `None` on shutdown with nothing left.
+fn next_batch(shared: &LinkShared, hold_until: Option<Instant>) -> Option<Batch> {
+    let mut q = shared.lock();
+    let mut held = false;
+    if let Some(deadline) = hold_until {
+        held = true;
+        while !q.cut_hold() {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -383,71 +523,90 @@ fn next_batch(shared: &LinkShared) -> Option<Vec<Arc<[u8]>>> {
             q = guard;
         }
     }
+    while q.buf.is_empty() {
+        if q.shutting_down {
+            return None;
+        }
+        // Nothing queued when the hold ended (or no hold at all): the
+        // link is idle, and the next notice goes out at once.
+        held = false;
+        q.parked = true;
+        q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+        q.parked = false;
+    }
     let n = q.buf.len().min(shared.cfg.batch_max);
-    let batch: Vec<Arc<[u8]>> = q.buf.drain(..n).collect();
+    let frames: Vec<Queued> = q.buf.drain(..n).collect();
     q.in_flight = true;
-    Some(batch)
+    Some(Batch {
+        frames,
+        taken_at: Instant::now(),
+        held,
+        more: !q.buf.is_empty(),
+    })
 }
 
 fn finish_batch(shared: &LinkShared) {
-    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+    let mut q = shared.lock();
     q.in_flight = false;
-    if q.buf.is_empty() {
+    if q.buf.is_empty() && q.flushers > 0 {
         drop(q);
         shared.idle.notify_all();
     }
 }
 
-/// Write one batch, (re)connecting as needed. A single message goes out
-/// as its own frame; several are coalesced into `Batch` frames (split if
-/// a combined payload would exceed the frame limit). On a write error
-/// the writer reconnects once and retries the whole batch — notices are
-/// idempotent, so a duplicate after a partial delivery is harmless.
+/// Write one batch, (re)connecting as needed; returns the number of wire
+/// frames it took. A single message goes out as its own frame; several
+/// are coalesced into `Batch` frames (split if a combined payload would
+/// exceed the frame limit). On a write error the writer reconnects once
+/// and retries the whole batch — notices are idempotent, so a duplicate
+/// after a partial delivery is harmless.
 fn deliver(
     shared: &LinkShared,
     stream: &mut Option<TcpStream>,
-    batch: &[Arc<[u8]>],
-) -> io::Result<()> {
+    batch: &[Queued],
+) -> io::Result<u64> {
     if stream.is_none() {
         *stream = Some(connect(shared)?);
         shared.connected.store(true, Ordering::Relaxed);
     }
     let s = stream.as_mut().expect("just connected");
     match write_batch(s, batch) {
-        Ok(()) => Ok(()),
+        Ok(frames) => Ok(frames),
         Err(_) => {
             // The common failure is a peer restart having closed the old
             // connection: reconnect once and retry.
             shared.connected.store(false, Ordering::Relaxed);
             let mut s = connect(shared)?;
-            write_batch(&mut s, batch).map_err(to_io)?;
+            let frames = write_batch(&mut s, batch).map_err(to_io)?;
             *stream = Some(s);
             shared.connected.store(true, Ordering::Relaxed);
-            Ok(())
+            Ok(frames)
         }
     }
 }
 
-fn write_batch<W: io::Write>(out: &mut W, batch: &[Arc<[u8]>]) -> Result<(), ProtoError> {
+fn write_batch<W: io::Write>(out: &mut W, batch: &[Queued]) -> Result<u64, ProtoError> {
     // Split so no coalesced frame exceeds the limit (notices are tiny,
     // so in practice this is one frame per call).
     let budget = MAX_FRAME / 2;
+    let mut frames = 0;
     let mut start = 0;
     while start < batch.len() {
         let mut end = start;
         let mut size = 0usize;
-        while end < batch.len() && (end == start || size + batch[end].len() + 4 <= budget) {
-            size += batch[end].len() + 4;
+        while end < batch.len() && (end == start || size + batch[end].frame.len() + 4 <= budget) {
+            size += batch[end].frame.len() + 4;
             end += 1;
         }
         if end - start == 1 {
-            write_frame(out, &batch[start])?;
+            write_frame(out, &batch[start].frame)?;
         } else {
             write_frame(out, &encode_batch(&batch[start..end]))?;
         }
+        frames += 1;
         start = end;
     }
-    Ok(())
+    Ok(frames)
 }
 
 fn connect(shared: &LinkShared) -> io::Result<TcpStream> {
@@ -467,6 +626,8 @@ fn to_io(e: ProtoError) -> io::Error {
 /// All of a node's outgoing links; fan-out lives here.
 pub struct Broadcaster {
     links: Vec<PeerLink>,
+    /// Enqueue→socket delay of every notice any link delivered.
+    delay: Arc<Histogram>,
 }
 
 impl Broadcaster {
@@ -482,17 +643,27 @@ impl Broadcaster {
         peers: impl IntoIterator<Item = (NodeId, SocketAddr)>,
         cfg: BroadcastConfig,
     ) -> Self {
+        let delay = Arc::new(Histogram::new());
         Broadcaster {
             links: peers
                 .into_iter()
-                .map(|(peer, addr)| PeerLink::with_config(local, peer, addr, cfg.clone()))
+                .map(|(peer, addr)| {
+                    PeerLink::with_delay_histogram(
+                        local,
+                        peer,
+                        addr,
+                        cfg.clone(),
+                        Arc::clone(&delay),
+                    )
+                })
                 .collect(),
+            delay,
         }
     }
 
     /// A broadcaster with no peers (single-node operation).
     pub fn solo() -> Self {
-        Broadcaster { links: Vec::new() }
+        Self::new(NodeId(0), [])
     }
 
     /// Number of peers.
@@ -538,8 +709,8 @@ impl Broadcaster {
 
     /// Queue several notices at once, each addressed to one peer
     /// (`Some`) or to every peer (`None`): each message is encoded once,
-    /// and each link's queue is locked and its writer woken once for
-    /// everything that link receives. Order within a link is the slice's
+    /// and each link's queue is locked once (its writer woken only if
+    /// parked) for everything that link receives. Order within a link is the slice's
     /// order. An insert and the evictions it caused go out this way.
     pub fn enqueue(&self, notices: &[(Option<NodeId>, Message)]) {
         if self.links.is_empty() {
@@ -565,6 +736,18 @@ impl Broadcaster {
             let (ls, ld) = l.counters();
             (s + ls, d + ld)
         })
+    }
+
+    /// Wire frames written across links (`sent / frames` notices each).
+    pub fn frames(&self) -> u64 {
+        self.links.iter().map(PeerLink::frames).sum()
+    }
+
+    /// Enqueue→socket delay of delivered notices, microseconds: the
+    /// pacing contract's histogram (max ≈ [`NOTICE_PACE`] on a connected
+    /// link).
+    pub fn notice_delay(&self) -> &Arc<Histogram> {
+        &self.delay
     }
 
     /// Per-link observable state, for the admin page.
@@ -727,25 +910,219 @@ mod tests {
         assert!(stats.dropped >= 20 - 4 - 1, "dropped {}", stats.dropped);
     }
 
-    #[test]
-    fn writer_coalesces_into_batch_frames() {
-        let (addr, handle) = collecting_listener(1);
+    /// A connector that parks the writer inside `connect` until released,
+    /// so a test can enqueue against a link that is provably busy (not
+    /// parked) without racing a 500 µs hold.
+    struct Gate {
+        entered: std::sync::mpsc::Receiver<()>,
+        release: std::sync::mpsc::Sender<()>,
+    }
+
+    fn gated_config() -> (BroadcastConfig, Gate) {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
         let cfg = BroadcastConfig {
-            batch_window: Duration::from_millis(100),
+            connector: Arc::new(move |_peer, addr, timeout| {
+                let _ = entered_tx.send(());
+                // Bounded, so a failed assertion unwinds (joining this
+                // writer) instead of hanging the test.
+                let _ = release_rx
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(10));
+                TcpStream::connect_timeout(&addr, timeout)
+            }),
             ..Default::default()
         };
-        let link = PeerLink::with_config(NodeId(0), NodeId(1), addr, cfg);
-        for i in 0..10u16 {
-            link.send(&Message::Hello { node: NodeId(i) }).unwrap();
+        (cfg, Gate { entered, release })
+    }
+
+    impl Gate {
+        /// Block until the writer has taken a batch and is connecting.
+        fn wait_entered(&self) {
+            self.entered
+                .recv_timeout(Duration::from_secs(5))
+                .expect("writer reached connect");
+        }
+
+        fn release(&self) {
+            self.release.send(()).unwrap();
+        }
+    }
+
+    fn numbered(i: u16) -> Message {
+        Message::Hello { node: NodeId(i) }
+    }
+
+    fn dir_update(i: u16) -> Message {
+        Message::DirUpdate {
+            owner: NodeId(0),
+            key: swala_cache::CacheKey::new(format!("/cgi-bin/adl?id={i}")),
+            meta: None,
+        }
+    }
+
+    #[test]
+    fn spaced_enqueues_all_go_out_at_once() {
+        let (addr, handle) = collecting_listener(1);
+        let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+        for i in 0..10 {
+            // 3 × the pace apart, and (so a descheduled writer cannot
+            // flake the counters) not before the writer has parked.
+            std::thread::sleep(3 * NOTICE_PACE);
+            wait_until("writer parked", || link.parked());
+            link.send(&numbered(i)).unwrap();
         }
         assert!(link.flush(Duration::from_secs(5)));
-        assert_eq!(link.counters().0, 10);
+        let st = link.stats();
+        assert_eq!(
+            (st.sent, st.sent_immediate, st.sent_after_hold),
+            (10, 10, 0)
+        );
+        assert_eq!(st.frames, 10, "one frame per notice on an idle link");
+        assert_eq!(st.wakeups, 10);
+        assert_eq!(link.notice_delay().snapshot().count, 10);
         drop(link);
         let (msgs, batches) = handle.join().unwrap();
-        // Connection hello + 10 notices, coalesced into at least one
-        // real batch frame (the window gathers all ten).
+        assert_eq!(batches, 0);
         assert_eq!(msgs.len(), 11);
-        assert!(batches >= 1, "no batch frames seen");
+    }
+
+    /// A burst handed to a busy link: no wake-up, one `Batch` frame, order
+    /// kept — for broadcast notices and for partitioned `DirUpdate`s
+    /// alike, since both ride the same link.
+    fn burst_on_busy_link(msg: fn(u16) -> Message, send: fn(&Broadcaster, &Message)) {
+        const N: u16 = 40;
+        let (addr, handle) = collecting_listener(1);
+        let (cfg, gate) = gated_config();
+        let b = Broadcaster::with_config(NodeId(0), [(NodeId(1), addr)], cfg);
+        wait_until("writer parked", || b.links[0].parked());
+        send(&b, &msg(0)); // finds the link idle: the one wake-up
+        gate.wait_entered(); // writer took it and is busy, not parked
+        for i in 1..=N {
+            send(&b, &msg(i));
+        }
+        let st = &b.link_stats()[0];
+        assert_eq!((st.wakeups, st.queued), (1, N as usize), "pushes only");
+        gate.release();
+        assert!(b.flush(Duration::from_secs(5)));
+        let st = &b.link_stats()[0];
+        assert_eq!((st.sent, st.frames, st.wakeups), (N as u64 + 1, 2, 1));
+        assert_eq!((st.sent_immediate, st.sent_after_hold), (1, N as u64));
+        assert_eq!(b.frames(), 2);
+        assert_eq!(b.notice_delay().snapshot().count, N as u64 + 1);
+        drop(b);
+        let (msgs, batches) = handle.join().unwrap();
+        assert_eq!(batches, 1, "the burst left as one Batch frame");
+        let expected: Vec<Message> = std::iter::once(Message::Hello { node: NodeId(0) })
+            .chain((0..=N).map(msg))
+            .collect();
+        assert_eq!(msgs, expected);
+    }
+
+    #[test]
+    fn burst_on_busy_link_is_one_batch_and_no_wakeup() {
+        burst_on_busy_link(numbered, |b, m| {
+            assert_eq!(b.broadcast(m), 1);
+        });
+    }
+
+    #[test]
+    fn partitioned_dir_updates_are_paced_identically() {
+        burst_on_busy_link(dir_update, |b, m| {
+            assert!(b.send_to(NodeId(1), m));
+        });
+    }
+
+    #[test]
+    fn burst_inside_a_hold_coalesces() {
+        const N: u16 = 50;
+        let (addr, handle) = collecting_listener(1);
+        let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+        // Connect first, so the burst below meets a connected link.
+        link.send(&numbered(0)).unwrap();
+        assert!(link.flush(Duration::from_secs(5)));
+        let t0 = Instant::now();
+        link.send(&numbered(1)).unwrap(); // at once; the writer then holds
+        for i in 2..=N {
+            link.send(&numbered(i)).unwrap();
+        }
+        let burst = t0.elapsed();
+        assert!(link.flush(Duration::from_secs(5)));
+        let st = link.stats();
+        assert_eq!(st.sent, N as u64 + 1);
+        // One frame at once, one per hold the burst spanned, one for the
+        // flush cutting the last hold short; the usual outcome is 2.
+        let allowed = 3 + (burst.as_micros() / NOTICE_PACE.as_micros()) as u64;
+        assert!(
+            st.frames - 1 <= allowed,
+            "{} frames for a {burst:?} burst",
+            st.frames - 1
+        );
+        // Every wake-up starts a send, so a held link is never woken per
+        // notice.
+        assert!(st.wakeups <= st.frames, "{st:?}");
+        drop(link);
+        let (msgs, _) = handle.join().unwrap();
+        assert_eq!(&msgs[1..], &(0..=N).map(numbered).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn flush_during_a_hold_delivers_everything() {
+        let (addr, handle) = collecting_listener(1);
+        let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+        link.send(&numbered(0)).unwrap();
+        wait_until("first notice out", || link.counters().0 == 1);
+        for i in 1..=5 {
+            link.send(&numbered(i)).unwrap();
+        }
+        assert!(link.flush(Duration::from_secs(5)));
+        let st = link.stats();
+        assert_eq!((st.sent, st.queued, st.dropped), (6, 0, 0));
+        drop(link);
+        assert_eq!(handle.join().unwrap().0.len(), 7);
+    }
+
+    #[test]
+    fn shutdown_during_a_hold_drains_in_order() {
+        let (addr, handle) = collecting_listener(1);
+        let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+        link.send(&numbered(0)).unwrap();
+        wait_until("first notice out", || link.counters().0 == 1);
+        for i in 1..=20 {
+            link.send(&numbered(i)).unwrap();
+        }
+        link.shutdown();
+        assert_eq!(link.counters(), (21, 0));
+        let (msgs, _) = handle.join().unwrap();
+        assert_eq!(&msgs[1..], &(0..=20).map(numbered).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn overflow_on_a_busy_link_drops_oldest_and_counts_it() {
+        let (addr, handle) = collecting_listener(1);
+        let (cfg, gate) = gated_config();
+        let cfg = BroadcastConfig {
+            queue_depth: 4,
+            ..cfg
+        };
+        let link = PeerLink::with_config(NodeId(0), NodeId(1), addr, cfg);
+        wait_until("writer parked", || link.parked());
+        link.send(&numbered(0)).unwrap();
+        gate.wait_entered();
+        for i in 1..=20 {
+            link.send(&numbered(i)).unwrap();
+        }
+        let st = link.stats();
+        assert_eq!((st.queued, st.dropped, st.wakeups), (4, 16, 1));
+        gate.release();
+        assert!(link.flush(Duration::from_secs(5)));
+        assert_eq!(link.counters(), (5, 16));
+        drop(link);
+        let (msgs, _) = handle.join().unwrap();
+        let kept: Vec<Message> = [0, 17, 18, 19, 20].map(numbered).into();
+        assert_eq!(&msgs[1..], &kept[..], "the newest survive, in order");
     }
 
     #[test]

@@ -39,6 +39,15 @@ echo "==> eviction-index equivalence (victim_index, 2048 cases, pinned seed)"
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test victim_index
 
+echo "==> paced notice plane (pacing tests + apply_remote_batch equivalence, pinned seed)"
+# Counter-based: idle links send at once, busy links batch without a
+# wake-up, flush/shutdown cut a hold short, overflow still drops oldest.
+# Then the batched directory apply against the per-notice calls it
+# replaces on the receive side, 2048 cases on the same pinned seed.
+cargo test -q --release -p swala-proto --lib peers::
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-cache --test remote_batch
+
 echo "==> benches still compile (cargo bench --no-run -p swala-bench)"
 cargo bench --no-run -p swala-bench
 
@@ -52,6 +61,20 @@ target/release/c10k
 echo "==> hot-path smoke (tables hitpath)"
 SWALA_BENCH_QUICK=1 target/release/tables hitpath
 python3 -m json.tool BENCH_hitpath.json > /dev/null
+
+echo "==> broadcast-pipeline smoke (tables broadcast)"
+# Enqueue cost, dead-peer isolation, and the loaded-link section: the
+# experiment's own asserts gate on a 15k-notices/s link coalescing >= 4
+# notices per frame with no more wake-ups than frames and no drops.
+SWALA_BENCH_QUICK=1 target/release/tables broadcast
+python3 - <<'EOF'
+import json
+with open("BENCH_broadcast.json") as f:
+    doc = json.load(f)
+held = doc["loaded_link"]["held"]
+assert held["notices_per_frame"] >= 4.0, held
+assert held["wakeups"] <= held["frames"], held
+EOF
 
 echo "==> coalescing smoke (tables coalesce)"
 # Flash-crowd burst both ways; the experiment's own asserts gate on
