@@ -470,13 +470,16 @@ fn status_page(ctx: &NodeContext) -> Response {
     let eng = &ctx.engine_stats;
     let engine = format!(
         "engine={} open_connections={} idle_connections={} \
-         worker_queue_depth={} conn_buffer_bytes={} eventloop_wakeups={}",
+         worker_queue_depth={} conn_buffer_bytes={} eventloop_wakeups={} \
+         read_calls={} reads_per_request={:.2}",
         ctx.engine.as_str(),
         eng.open_connections.get(),
         eng.idle_connections.get(),
         eng.worker_queue_depth.get(),
         eng.conn_buffer_bytes.get(),
         eng.wakeups(),
+        http.read_calls,
+        http.read_calls as f64 / http.requests.max(1) as f64,
     );
     let mut latency = String::new();
     for outcome in swala_obs::Outcome::ALL {

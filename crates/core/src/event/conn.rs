@@ -17,7 +17,7 @@ use swala_obs::Trace;
 /// Where one connection is in its keep-alive request cycle.
 pub enum ConnState {
     /// Between requests: waiting for the first byte of the next one.
-    /// Expiry closes silently (the threaded pool's peek-loop semantics).
+    /// Expiry closes silently (the threaded pool's idle-wait semantics).
     Idle,
     /// Partial request bytes buffered; `started` stamps the first byte
     /// (it becomes the trace's attempt start). Expiry means a stalled

@@ -261,6 +261,7 @@ impl<S: EventSource> EventLoop<S> {
             let mut got = 0usize;
             let mut tmp = [0u8; 16 * 1024];
             loop {
+                RequestStats::bump(&self.ctx.stats.read_calls);
                 match conn.stream.read(&mut tmp) {
                     Ok(0) => {
                         eof = true;
@@ -439,10 +440,7 @@ impl<S: EventSource> EventLoop<S> {
     fn record_finish(&self, peer: &str, mut job: WriteJob) {
         if let Some(FinishMeta { req, mut trace }) = job.finish.take() {
             trace.record_span(Stage::ResponseWrite, job.started, Instant::now());
-            let summary = self.ctx.telemetry.finish(trace);
-            if let Some(log) = &self.ctx.access_log {
-                log.log_with(peer, &req, &job.resp, summary.as_ref());
-            }
+            self.ctx.finish_request(peer, &req, &job.resp, trace);
         }
     }
 

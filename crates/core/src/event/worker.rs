@@ -123,11 +123,10 @@ fn worker_thread(
         // Identical per-request telemetry to the threaded pool: trace
         // begins at the request's first byte, Parse span covers the wire
         // parse, handler spans land via `handle_request`.
-        let mut trace = ctx
-            .telemetry
-            .begin_trace(&job.req.target.cache_key_string(), job.started);
+        let target = job.req.target.cache_key_string();
+        let mut trace = ctx.telemetry.begin_trace(&target, job.started);
         trace.record_span(Stage::Parse, job.started, job.parse_end);
-        let mut resp = handle_request(ctx, &job.req, &job.peer, &mut trace);
+        let mut resp = handle_request(ctx, &job.req, &target, &job.peer, &mut trace);
         resp.version = job.req.version;
         resp.set_keep_alive(keep);
         completions.lock().unwrap().push(Completion {

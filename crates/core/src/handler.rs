@@ -85,20 +85,36 @@ impl NodeContext {
     fn peer_cache_addr(&self, node: NodeId) -> Option<SocketAddr> {
         self.cache_addrs.read().get(node.index()).copied().flatten()
     }
+
+    /// Close a served request's trace and write its access-log line.
+    /// The line is the trace summary's only reader, so the summary is
+    /// formatted only when a log is configured.
+    pub(crate) fn finish_request(&self, peer: &str, req: &Request, resp: &Response, trace: Trace) {
+        match &self.access_log {
+            Some(log) => {
+                let summary = self.telemetry.finish(trace);
+                log.log_with(peer, req, resp, summary.as_ref());
+            }
+            None => self.telemetry.record(trace),
+        }
+    }
 }
 
-/// Handle one parsed request, producing the response to write. Spans
-/// and the cache outcome land on `trace`; the connection loop finishes
-/// the trace after the response write (and writes the access-log line,
-/// which carries the trace summary).
+/// Handle one parsed request, producing the response to write. `target`
+/// is `req.target.cache_key_string()`, formatted once by the connection
+/// loop for the trace and reused here as the cache key. Spans and the
+/// cache outcome land on `trace`; the connection loop finishes the trace
+/// after the response write (and writes the access-log line, which
+/// carries the trace summary).
 pub fn handle_request(
     ctx: &NodeContext,
     req: &Request,
+    target: &str,
     remote_addr: &str,
     trace: &mut Trace,
 ) -> Response {
     RequestStats::bump(&ctx.stats.requests);
-    let mut resp = route(ctx, req, remote_addr, trace);
+    let mut resp = route(ctx, req, target, remote_addr, trace);
     resp.set_server(&ctx.server_name);
     resp.headers
         .set("Date", swala_http::date::http_date_cached());
@@ -111,7 +127,13 @@ pub fn handle_request(
     resp
 }
 
-fn route(ctx: &NodeContext, req: &Request, remote_addr: &str, trace: &mut Trace) -> Response {
+fn route(
+    ctx: &NodeContext,
+    req: &Request,
+    target: &str,
+    remote_addr: &str,
+    trace: &mut Trace,
+) -> Response {
     let path = req.target.path.as_str();
     // Reserved administrative paths take precedence over programs/files.
     if crate::admin::is_admin_path(path) {
@@ -120,7 +142,7 @@ fn route(ctx: &NodeContext, req: &Request, remote_addr: &str, trace: &mut Trace)
     }
     if ctx.registry.is_dynamic(path) {
         RequestStats::bump(&ctx.stats.dynamic);
-        return handle_dynamic(ctx, req, remote_addr, trace);
+        return handle_dynamic(ctx, req, target, remote_addr, trace);
     }
     RequestStats::bump(&ctx.stats.static_files);
     trace.set_outcome(Outcome::Static);
@@ -130,10 +152,26 @@ fn route(ctx: &NodeContext, req: &Request, remote_addr: &str, trace: &mut Trace)
     }
 }
 
+/// What a CGI execution is made from. The program-facing request view
+/// costs a dozen allocations, so it is built ([`Exec::request`]) only on
+/// the branches that execute: a hit never pays for a run it skips.
+struct Exec<'a> {
+    program: &'a dyn Program,
+    req: &'a Request,
+    remote_addr: &'a str,
+}
+
+impl Exec<'_> {
+    fn request(&self, ctx: &NodeContext) -> CgiRequest {
+        CgiRequest::from_http(self.req, self.remote_addr, &ctx.server_name, ctx.http_port)
+    }
+}
+
 /// The dynamic-request flow of Figure 2.
 fn handle_dynamic(
     ctx: &NodeContext,
     req: &Request,
+    target: &str,
     remote_addr: &str,
     trace: &mut Trace,
 ) -> Response {
@@ -142,7 +180,11 @@ fn handle_dynamic(
         Some(None) => return Response::error(StatusCode::NOT_FOUND),
         None => unreachable!("route() checked is_dynamic"),
     };
-    let cgi_req = CgiRequest::from_http(req, remote_addr, &ctx.server_name, ctx.http_port);
+    let exec = &Exec {
+        program: program.as_ref(),
+        req,
+        remote_addr,
+    };
 
     // Only GET results participate in caching; POST always executes.
     if !ctx.caching_enabled || !req.method.is_cacheable() {
@@ -151,18 +193,12 @@ fn handle_dynamic(
         } else {
             cache_header::DISABLED
         };
-        return execute_plain(ctx, program.as_ref(), &cgi_req, tag, trace);
+        return execute_plain(ctx, exec, tag, trace);
     }
 
-    let key = CacheKey::new(req.target.cache_key_string());
+    let key = CacheKey::new(target);
     match ctx.manager.lookup_traced(&key, key.as_str(), trace) {
-        LookupResult::Uncacheable => execute_plain(
-            ctx,
-            program.as_ref(),
-            &cgi_req,
-            cache_header::UNCACHEABLE,
-            trace,
-        ),
+        LookupResult::Uncacheable => execute_plain(ctx, exec, cache_header::UNCACHEABLE, trace),
         LookupResult::LocalHit { meta, body, tier } => {
             RequestStats::bump(&ctx.stats.served_local_cache);
             trace.set_outcome(match tier {
@@ -174,9 +210,7 @@ fn handle_dynamic(
                 .set(cache_header::NAME, cache_header::LOCAL_HIT);
             resp
         }
-        LookupResult::RemoteHit { meta } => {
-            handle_remote_hit(ctx, program.as_ref(), &cgi_req, key, meta, trace)
-        }
+        LookupResult::RemoteHit { meta } => handle_remote_hit(ctx, exec, key, meta, trace),
         LookupResult::Miss { decision, .. } => {
             // Partitioned directory: a local miss is not yet a cluster
             // miss — the key's home node holds the authoritative entry.
@@ -184,36 +218,14 @@ fn handle_dynamic(
             // in which case the local miss was already authoritative).
             if let Some(home) = ctx.manager.home_node(&key) {
                 if home != ctx.node {
-                    return resolve_miss_via_home(
-                        ctx,
-                        program.as_ref(),
-                        &cgi_req,
-                        key,
-                        decision,
-                        home,
-                        trace,
-                    );
+                    return resolve_miss_via_home(ctx, exec, key, decision, home, trace);
                 }
             }
-            execute_and_cache(
-                ctx,
-                program.as_ref(),
-                &cgi_req,
-                key,
-                decision,
-                cache_header::MISS,
-                trace,
-            )
+            execute_and_cache(ctx, exec, key, decision, cache_header::MISS, trace)
         }
-        LookupResult::CoalesceWait { decision, waiter } => wait_and_serve(
-            ctx,
-            program.as_ref(),
-            &cgi_req,
-            key,
-            decision,
-            waiter,
-            trace,
-        ),
+        LookupResult::CoalesceWait { decision, waiter } => {
+            wait_and_serve(ctx, exec, key, decision, waiter, trace)
+        }
     }
 }
 
@@ -222,8 +234,7 @@ fn handle_dynamic(
 /// (registered first, so the fallback is itself coalesce-visible).
 fn wait_and_serve(
     ctx: &NodeContext,
-    program: &dyn Program,
-    cgi_req: &CgiRequest,
+    exec: &Exec<'_>,
     key: CacheKey,
     decision: CacheDecision,
     waiter: FlightWaiter,
@@ -247,8 +258,7 @@ fn wait_and_serve(
             ctx.manager.begin_forced_execution(&key);
             execute_and_cache(
                 ctx,
-                program,
-                cgi_req,
+                exec,
                 key,
                 decision,
                 cache_header::COALESCE_FALLBACK,
@@ -263,8 +273,7 @@ fn wait_and_serve(
 /// CGI request locally").
 fn handle_remote_hit(
     ctx: &NodeContext,
-    program: &dyn Program,
-    cgi_req: &CgiRequest,
+    exec: &Exec<'_>,
     key: CacheKey,
     meta: swala_cache::EntryMeta,
     trace: &mut Trace,
@@ -272,14 +281,14 @@ fn handle_remote_hit(
     trace.set_owner(meta.owner.0);
     let Some(addr) = ctx.peer_cache_addr(meta.owner) else {
         // Cluster wiring incomplete: behave like an unreachable peer.
-        return execute_fallback(ctx, program, cgi_req, key, cache_header::REMOTE_DOWN, trace);
+        return execute_fallback(ctx, exec, key, cache_header::REMOTE_DOWN, trace);
     };
     // Quarantine gate: a peer declared dead is skipped without touching
     // the network (no connect-timeout tax), except when its probe window
     // has elapsed — then this very fetch doubles as the probe.
     if !ctx.health.should_attempt(meta.owner) {
         RequestStats::bump(&ctx.stats.quarantine_skips);
-        return execute_fallback(ctx, program, cgi_req, key, cache_header::QUARANTINED, trace);
+        return execute_fallback(ctx, exec, key, cache_header::QUARANTINED, trace);
     }
     // The trace id rides in the fetch request, so the owner records
     // correlated spans under the same id.
@@ -326,7 +335,7 @@ fn handle_remote_hit(
             // with no memory of its old advertisements) — a broadcast in
             // replicated mode, one update to the home in partitioned.
             announce_delete(&ctx.manager, &ctx.broadcaster, meta.owner, &key);
-            execute_fallback(ctx, program, cgi_req, key, cache_header::FALSE_HIT, trace)
+            execute_fallback(ctx, exec, key, cache_header::FALSE_HIT, trace)
         }
         FetchOutcome::Unreachable(_) => {
             // Peer down ≠ entry gone: the directory entry survives a
@@ -343,7 +352,7 @@ fn handle_remote_hit(
                     .broadcast(&Message::NodeDown { node: meta.owner });
                 CacheStats::bump(&ctx.manager.stats().broadcasts_sent);
             }
-            execute_fallback(ctx, program, cgi_req, key, cache_header::REMOTE_DOWN, trace)
+            execute_fallback(ctx, exec, key, cache_header::REMOTE_DOWN, trace)
         }
     }
 }
@@ -356,8 +365,7 @@ fn handle_remote_hit(
 /// requests coalesce behind this resolution.
 fn resolve_miss_via_home(
     ctx: &NodeContext,
-    program: &dyn Program,
-    cgi_req: &CgiRequest,
+    exec: &Exec<'_>,
     key: CacheKey,
     decision: CacheDecision,
     home: NodeId,
@@ -365,29 +373,13 @@ fn resolve_miss_via_home(
 ) -> Response {
     let Some(home_addr) = ctx.peer_cache_addr(home) else {
         // Cluster wiring incomplete: behave like an unreachable home.
-        return execute_and_cache(
-            ctx,
-            program,
-            cgi_req,
-            key,
-            decision,
-            cache_header::HOME_DOWN,
-            trace,
-        );
+        return execute_and_cache(ctx, exec, key, decision, cache_header::HOME_DOWN, trace);
     };
     // Quarantine gate, as on the owner-fetch path: a home declared dead
     // is skipped without touching the network.
     if !ctx.health.should_attempt(home) {
         RequestStats::bump(&ctx.stats.quarantine_skips);
-        return execute_and_cache(
-            ctx,
-            program,
-            cgi_req,
-            key,
-            decision,
-            cache_header::HOME_DOWN,
-            trace,
-        );
+        return execute_and_cache(ctx, exec, key, decision, cache_header::HOME_DOWN, trace);
     }
     let t0 = trace.start_span();
     let answer = ctx
@@ -409,44 +401,20 @@ fn resolve_miss_via_home(
                 ctx.broadcaster.broadcast(&Message::NodeDown { node: home });
                 CacheStats::bump(&ctx.manager.stats().broadcasts_sent);
             }
-            return execute_and_cache(
-                ctx,
-                program,
-                cgi_req,
-                key,
-                decision,
-                cache_header::HOME_DOWN,
-                trace,
-            );
+            return execute_and_cache(ctx, exec, key, decision, cache_header::HOME_DOWN, trace);
         }
     };
     let Some(meta) = meta else {
         // The home has no record: a true cluster-wide miss.
-        return execute_and_cache(
-            ctx,
-            program,
-            cgi_req,
-            key,
-            decision,
-            cache_header::MISS,
-            trace,
-        );
+        return execute_and_cache(ctx, exec, key, decision, cache_header::MISS, trace);
     };
     if meta.owner == ctx.node {
         // The home says *we* own it, but we just missed locally: its
         // record is stale (e.g. a lost delete). Repair it and execute.
         announce_delete(&ctx.manager, &ctx.broadcaster, meta.owner, &key);
-        return execute_and_cache(
-            ctx,
-            program,
-            cgi_req,
-            key,
-            decision,
-            cache_header::MISS,
-            trace,
-        );
+        return execute_and_cache(ctx, exec, key, decision, cache_header::MISS, trace);
     }
-    fetch_body_from_owner(ctx, program, cgi_req, key, decision, meta, trace)
+    fetch_body_from_owner(ctx, exec, key, decision, meta, trace)
 }
 
 /// Fetch the body from the owner a home-node lookup named. Unlike
@@ -455,8 +423,7 @@ fn resolve_miss_via_home(
 /// releases the slot without inserting), and fallbacks execute directly.
 fn fetch_body_from_owner(
     ctx: &NodeContext,
-    program: &dyn Program,
-    cgi_req: &CgiRequest,
+    exec: &Exec<'_>,
     key: CacheKey,
     decision: CacheDecision,
     meta: swala_cache::EntryMeta,
@@ -464,27 +431,11 @@ fn fetch_body_from_owner(
 ) -> Response {
     trace.set_owner(meta.owner.0);
     let Some(addr) = ctx.peer_cache_addr(meta.owner) else {
-        return execute_and_cache(
-            ctx,
-            program,
-            cgi_req,
-            key,
-            decision,
-            cache_header::REMOTE_DOWN,
-            trace,
-        );
+        return execute_and_cache(ctx, exec, key, decision, cache_header::REMOTE_DOWN, trace);
     };
     if !ctx.health.should_attempt(meta.owner) {
         RequestStats::bump(&ctx.stats.quarantine_skips);
-        return execute_and_cache(
-            ctx,
-            program,
-            cgi_req,
-            key,
-            decision,
-            cache_header::QUARANTINED,
-            trace,
-        );
+        return execute_and_cache(ctx, exec, key, decision, cache_header::QUARANTINED, trace);
     }
     let t0 = trace.start_span();
     let (outcome, attempts) = ctx.fetch_pool.fetch(
@@ -536,15 +487,7 @@ fn fetch_body_from_owner(
             CacheStats::bump(&ctx.manager.stats().remote_hits);
             ctx.manager.note_false_hit(meta.owner, &key);
             announce_delete(&ctx.manager, &ctx.broadcaster, meta.owner, &key);
-            execute_and_cache(
-                ctx,
-                program,
-                cgi_req,
-                key,
-                decision,
-                cache_header::FALSE_HIT,
-                trace,
-            )
+            execute_and_cache(ctx, exec, key, decision, cache_header::FALSE_HIT, trace)
         }
         FetchOutcome::Unreachable(_) => {
             if ctx.health.record_failure(meta.owner) == Some(PeerState::Quarantined) {
@@ -554,15 +497,7 @@ fn fetch_body_from_owner(
                     .broadcast(&Message::NodeDown { node: meta.owner });
                 CacheStats::bump(&ctx.manager.stats().broadcasts_sent);
             }
-            execute_and_cache(
-                ctx,
-                program,
-                cgi_req,
-                key,
-                decision,
-                cache_header::REMOTE_DOWN,
-                trace,
-            )
+            execute_and_cache(ctx, exec, key, decision, cache_header::REMOTE_DOWN, trace)
         }
     }
 }
@@ -573,8 +508,7 @@ fn fetch_body_from_owner(
 /// double-executing.
 fn execute_fallback(
     ctx: &NodeContext,
-    program: &dyn Program,
-    cgi_req: &CgiRequest,
+    exec: &Exec<'_>,
     key: CacheKey,
     tag: &'static str,
     trace: &mut Trace,
@@ -583,27 +517,23 @@ fn execute_fallback(
     // original lookup returned RemoteHit, which carries no decision).
     let decision = ctx.manager.lookup_decision(key.as_str());
     match ctx.manager.begin_fallback_execution(&key) {
-        FallbackStart::Execute => {
-            execute_and_cache(ctx, program, cgi_req, key, decision, tag, trace)
-        }
-        FallbackStart::Wait(waiter) => {
-            wait_and_serve(ctx, program, cgi_req, key, decision, waiter, trace)
-        }
+        FallbackStart::Execute => execute_and_cache(ctx, exec, key, decision, tag, trace),
+        FallbackStart::Wait(waiter) => wait_and_serve(ctx, exec, key, decision, waiter, trace),
     }
 }
 
 /// Execute without any cache interaction.
 fn execute_plain(
     ctx: &NodeContext,
-    program: &dyn Program,
-    cgi_req: &CgiRequest,
+    exec: &Exec<'_>,
     tag: &'static str,
     trace: &mut Trace,
 ) -> Response {
     RequestStats::bump(&ctx.stats.executions);
     trace.set_outcome(Outcome::Uncacheable);
+    let cgi_req = exec.request(ctx);
     let t0 = trace.start_span();
-    let result = program.run(cgi_req);
+    let result = exec.program.run(&cgi_req);
     trace.end_span(Stage::CgiExec, t0);
     match result {
         Ok(out) => {
@@ -619,8 +549,7 @@ fn execute_plain(
 /// directory insert, broadcast.
 fn execute_and_cache(
     ctx: &NodeContext,
-    program: &dyn Program,
-    cgi_req: &CgiRequest,
+    exec: &Exec<'_>,
     key: CacheKey,
     decision: CacheDecision,
     tag: &'static str,
@@ -628,8 +557,9 @@ fn execute_and_cache(
 ) -> Response {
     RequestStats::bump(&ctx.stats.executions);
     trace.set_outcome(Outcome::Miss);
+    let cgi_req = exec.request(ctx);
     let started = Instant::now();
-    let out = match program.run(cgi_req) {
+    let out = match exec.program.run(&cgi_req) {
         Ok(out) => out,
         Err(_) => {
             ctx.manager.abort_execution(&key);

@@ -28,6 +28,10 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 }
 
 fn two_node_cluster() -> Vec<SwalaServer> {
+    two_node_cluster_with(ServerOptions::default())
+}
+
+fn two_node_cluster_with(base: ServerOptions) -> Vec<SwalaServer> {
     let bounds: Vec<BoundSwala> = (0..2)
         .map(|i| {
             BoundSwala::bind(
@@ -35,7 +39,7 @@ fn two_node_cluster() -> Vec<SwalaServer> {
                     node: NodeId(i),
                     num_nodes: 2,
                     pool_size: 4,
-                    ..Default::default()
+                    ..base.clone()
                 },
                 registry(),
             )
@@ -85,6 +89,56 @@ fn status_page_reports_stats() {
         "{metrics}"
     );
     server.shutdown();
+}
+
+/// The syscall floor is checkable on a running node: over a keep-alive
+/// session the threaded engine issues one socket read per request — no
+/// peek, no second read for the head — visible on both metrics
+/// endpoints and the status page.
+#[test]
+fn keep_alive_requests_cost_one_read_each() {
+    let servers = two_node_cluster_with(ServerOptions {
+        engine: swala::EngineKind::Threaded,
+        ..Default::default()
+    });
+    let mut client = HttpClient::new(servers[0].http_addr());
+    for i in 0..200 {
+        let resp = client
+            .get(&format!("/cgi-bin/adl?id={}&ms=0", i % 4))
+            .unwrap();
+        assert_eq!(resp.status, StatusCode::OK);
+    }
+    let metrics = client.get("/swala-metrics").unwrap();
+    let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
+    let value = |name: &str| -> f64 {
+        let line = metrics
+            .lines()
+            .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
+            .unwrap_or_else(|| panic!("{name} missing: {metrics}"));
+        line[name.len()..].trim().parse().unwrap()
+    };
+    // Both counters include the scrape's own request.
+    let (reads, requests) = (value("swala_http_read_calls"), value("swala_http_requests"));
+    assert!(requests >= 201.0, "{requests}");
+    assert!(
+        reads >= requests && reads <= requests * 1.05,
+        "{reads} reads for {requests} requests"
+    );
+    let cluster = client.get("/swala-cluster-metrics").unwrap();
+    let cluster = String::from_utf8(cluster.body.into_vec()).unwrap();
+    for node in ["0", "1"] {
+        assert!(
+            cluster.contains(&format!("swala_http_read_calls{{node=\"{node}\"}}")),
+            "read calls federate from node {node}: {cluster}"
+        );
+    }
+    let page = client.get("/swala-status").unwrap();
+    let html = String::from_utf8(page.body.into_vec()).unwrap();
+    assert!(html.contains(" read_calls=20"), "{html}");
+    assert!(html.contains(" reads_per_request=1.0"), "{html}");
+    for s in servers {
+        s.shutdown();
+    }
 }
 
 #[test]

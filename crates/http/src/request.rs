@@ -67,104 +67,90 @@ impl Request {
     }
 }
 
-/// Read one line terminated by `\n`, tolerating a preceding `\r`.
-///
-/// Returns the line without the terminator. `limit` bounds the bytes read.
-fn read_line<R: BufRead>(
-    reader: &mut R,
-    limit: usize,
-    what: &'static str,
-) -> Result<Option<String>> {
-    let mut buf = Vec::with_capacity(64);
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            if buf.is_empty() {
-                return Ok(None); // clean EOF at a line boundary
-            }
-            return Err(HttpError::ConnectionClosed { clean: false });
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&available[..pos]);
-                reader.consume(pos + 1);
-                if buf.last() == Some(&b'\r') {
-                    buf.pop();
-                }
-                if buf.len() > limit {
-                    return Err(HttpError::TooLarge(what));
-                }
-                return String::from_utf8(buf)
-                    .map(Some)
-                    .map_err(|e| HttpError::BadRequestLine(format!("non-utf8 line: {e}")));
-            }
-            None => {
-                let n = available.len();
-                buf.extend_from_slice(available);
-                reader.consume(n);
-                if buf.len() > limit {
-                    return Err(HttpError::TooLarge(what));
-                }
-            }
-        }
-    }
+/// Where a parse of buffered bytes stopped.
+enum Parsed {
+    /// A whole request, and how many bytes of the buffer it took.
+    Complete(Request, usize),
+    /// The buffer ends mid-request. `clean` when it ends before the
+    /// request's first byte (at most stray blank lines were seen).
+    Incomplete { clean: bool },
 }
 
-/// Read and parse one request from `reader`.
-///
-/// On a clean EOF before any byte of a new request, returns
-/// `Err(ConnectionClosed { clean: true })` so keep-alive loops can exit
-/// silently. Leading empty lines are skipped, as RFC 2616 §4.1 recommends.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request> {
-    // Request line, skipping at most a few stray CRLFs.
-    let mut line;
+/// The next line of `rest`, without its `\n` (or `\r\n`) terminator, and
+/// the offset just past it. `None` when no terminator is buffered yet.
+/// `limit` bounds the line's length either way.
+fn next_line<'a>(
+    rest: &'a [u8],
+    limit: usize,
+    what: &'static str,
+) -> Result<Option<(&'a str, usize)>> {
+    let (line, next) = match rest.iter().position(|&b| b == b'\n') {
+        Some(pos) => (&rest[..pos], Some(pos + 1)),
+        None => (rest, None),
+    };
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    if line.len() > limit {
+        return Err(HttpError::TooLarge(what));
+    }
+    let Some(next) = next else {
+        return Ok(None);
+    };
+    std::str::from_utf8(line)
+        .map(|line| Some((line, next)))
+        .map_err(|e| HttpError::BadRequestLine(format!("non-utf8 line: {e}")))
+}
+
+/// Parse one request from the front of `buf`. Lines are parsed where
+/// they lie; only what the [`Request`] keeps is copied out.
+fn parse_buffered(buf: &[u8]) -> Result<Parsed> {
+    // Request line, skipping at most a few stray CRLFs (RFC 2616 §4.1).
+    let mut pos = 0;
     let mut skipped = 0;
-    loop {
-        line = match read_line(reader, MAX_REQUEST_LINE, "request line")? {
-            Some(l) => l,
-            None => return Err(HttpError::ConnectionClosed { clean: true }),
+    let line = loop {
+        if pos == buf.len() {
+            return Ok(Parsed::Incomplete { clean: true });
+        }
+        let Some((line, next)) = next_line(&buf[pos..], MAX_REQUEST_LINE, "request line")? else {
+            return Ok(Parsed::Incomplete { clean: false });
         };
+        pos += next;
         if !line.is_empty() {
-            break;
+            break line;
         }
         skipped += 1;
         if skipped > 4 {
             return Err(HttpError::BadRequestLine("leading blank lines".into()));
         }
-    }
+    };
 
+    let bad_line = || HttpError::BadRequestLine(line.to_string());
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
-    let method: Method = parts
-        .next()
-        .ok_or_else(|| HttpError::BadRequestLine(line.clone()))?
-        .parse()?;
-    let raw_target = parts
-        .next()
-        .ok_or_else(|| HttpError::BadRequestLine(line.clone()))?;
+    let method: Method = parts.next().ok_or_else(bad_line)?.parse()?;
+    let raw_target = parts.next().ok_or_else(bad_line)?;
     let version: Version = match parts.next() {
         Some(v) => v.parse()?,
         // HTTP/0.9 simple requests carried no version; treat as 1.0.
         None => Version::Http10,
     };
     if parts.next().is_some() {
-        return Err(HttpError::BadRequestLine(line.clone()));
+        return Err(bad_line());
     }
     let target = RequestTarget::parse(raw_target)?;
 
     // Headers.
     let mut headers = HeaderMap::new();
     loop {
-        let hline = match read_line(reader, MAX_HEADER_LINE, "header line")? {
-            Some(l) => l,
-            None => return Err(HttpError::ConnectionClosed { clean: false }),
+        let Some((hline, next)) = next_line(&buf[pos..], MAX_HEADER_LINE, "header line")? else {
+            return Ok(Parsed::Incomplete { clean: false });
         };
+        pos += next;
         if hline.is_empty() {
             break;
         }
         if headers.len() >= MAX_HEADERS {
             return Err(HttpError::TooLarge("header count"));
         }
-        let h = parse_header_line(&hline).ok_or_else(|| HttpError::BadHeader(hline.clone()))?;
+        let h = parse_header_line(hline).ok_or_else(|| HttpError::BadHeader(hline.to_string()))?;
         headers.append(h.name, h.value);
     }
 
@@ -176,18 +162,56 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request> {
     if body_len > MAX_BODY {
         return Err(HttpError::TooLarge("request body"));
     }
-    let mut body = vec![0u8; body_len];
-    if body_len > 0 {
-        reader.read_exact(&mut body)?;
-    }
-
-    Ok(Request {
+    let Some(body) = buf[pos..].get(..body_len) else {
+        return Ok(Parsed::Incomplete { clean: false });
+    };
+    let request = Request {
         method,
         target,
         version,
         headers,
-        body,
-    })
+        body: body.to_vec(),
+    };
+    Ok(Parsed::Complete(request, pos + body_len))
+}
+
+/// Read and parse one request from `reader`.
+///
+/// On a clean EOF before any byte of a new request, returns
+/// `Err(ConnectionClosed { clean: true })` so keep-alive loops can exit
+/// silently. Leading empty lines are skipped, as RFC 2616 §4.1 recommends.
+///
+/// A request that is whole in the reader's buffer is parsed in place;
+/// one that is not is gathered chunk by chunk, taking from the reader
+/// only the bytes that belong to it.
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request> {
+    // Bytes of this request already taken from `reader`.
+    let mut held: Vec<u8> = Vec::new();
+    loop {
+        let fresh = reader.fill_buf()?;
+        let (taken, arrived) = (held.len(), fresh.len());
+        let parsed = if taken == 0 {
+            parse_buffered(fresh)?
+        } else {
+            held.extend_from_slice(fresh);
+            parse_buffered(&held)?
+        };
+        match parsed {
+            Parsed::Complete(request, consumed) => {
+                reader.consume(consumed - taken);
+                return Ok(request);
+            }
+            Parsed::Incomplete { clean } if arrived == 0 => {
+                return Err(HttpError::ConnectionClosed { clean });
+            }
+            Parsed::Incomplete { .. } => {
+                if taken == 0 {
+                    held.extend_from_slice(fresh);
+                }
+                reader.consume(arrived);
+            }
+        }
+    }
 }
 
 /// Outcome of attempting to parse a request from a byte buffer that may
@@ -207,23 +231,11 @@ pub enum ParseStatus {
 /// Try to parse one request from `buf` without consuming it.
 ///
 /// This is the incremental twin of [`read_request`], built on the same
-/// parser so the two accept byte-for-byte the same wire format: an
-/// EOF-shaped failure against the in-memory buffer means the request is
-/// merely incomplete, while every other failure is a real parse error.
+/// parser so the two accept byte-for-byte the same wire format.
 pub fn try_parse_request(buf: &[u8]) -> ParseStatus {
-    let mut cursor = std::io::Cursor::new(buf);
-    match read_request(&mut cursor) {
-        Ok(request) => ParseStatus::Complete {
-            request,
-            consumed: cursor.position() as usize,
-        },
-        // read_line maps running out of buffer to ConnectionClosed; the
-        // body's read_exact surfaces it as UnexpectedEof. Both mean
-        // "incomplete", not "malformed".
-        Err(HttpError::ConnectionClosed { .. }) => ParseStatus::Partial,
-        Err(HttpError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            ParseStatus::Partial
-        }
+    match parse_buffered(buf) {
+        Ok(Parsed::Complete(request, consumed)) => ParseStatus::Complete { request, consumed },
+        Ok(Parsed::Incomplete { .. }) => ParseStatus::Partial,
         Err(e) => ParseStatus::Error(e),
     }
 }

@@ -73,10 +73,9 @@ impl Response {
     /// head + body out in resumable partial writes.
     pub fn head_bytes(&self) -> Vec<u8> {
         let mut head = Vec::with_capacity(256);
-        head.extend_from_slice(self.version.as_str().as_bytes());
-        head.push(b' ');
-        head.extend_from_slice(self.status.to_string().as_bytes());
-        head.extend_from_slice(b"\r\n");
+        // Formatting straight into the Vec cannot fail and allocates no
+        // intermediate strings.
+        let _ = write!(head, "{} {}\r\n", self.version.as_str(), self.status);
         for h in self.headers.iter() {
             if h.name.eq_ignore_ascii_case("Content-Length") {
                 continue; // authoritative value computed below
@@ -86,8 +85,7 @@ impl Response {
             head.extend_from_slice(h.value.as_bytes());
             head.extend_from_slice(b"\r\n");
         }
-        head.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
-        head.extend_from_slice(b"\r\n");
+        let _ = write!(head, "Content-Length: {}\r\n\r\n", self.body.len());
         head
     }
 

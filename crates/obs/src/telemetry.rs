@@ -204,25 +204,35 @@ impl Telemetry {
         Trace::active(id, self.node, target, Instant::now())
     }
 
-    /// Finish a trace: record its total into the per-outcome histogram,
-    /// park it in the ring, and return the access-log summary.
+    /// Finish a trace: record its total into the per-outcome histogram
+    /// and park it in the ring.
+    pub fn record(&self, trace: Trace) {
+        self.complete(trace, false);
+    }
+
+    /// [`record`](Self::record), returning the access-log summary — for
+    /// callers that write one; formatting it is not free.
     pub fn finish(&self, trace: Trace) -> Option<TraceSummary> {
+        self.complete(trace, true)
+    }
+
+    fn complete(&self, trace: Trace, summarize: bool) -> Option<TraceSummary> {
         let done = trace.finish()?;
         let idx = Outcome::ALL
             .iter()
             .position(|o| *o == done.outcome)
             .expect("outcome in ALL");
         self.request_hists[idx].record(done.total_us);
-        let summary = TraceSummary {
+        let summary = summarize.then(|| TraceSummary {
             id: done.id,
             outcome: done.outcome,
             owner: done.owner,
             total_us: done.total_us,
             stages: done.stage_summary(),
-        };
+        });
         self.slow.offer(idx, &done);
         self.ring.push(done);
-        Some(summary)
+        summary
     }
 
     /// Drop a trace without recording it (e.g. unparseable request).

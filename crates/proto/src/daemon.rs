@@ -13,7 +13,8 @@
 use crate::faults::{AcceptFilter, FaultAction};
 use crate::message::Message;
 use crate::peers::Broadcaster;
-use crate::wire::{read_frame_patient, write_frame, write_frame_split, FrameRead};
+use crate::reader::{FrameRead, PatientReader};
+use crate::wire::{write_frame, write_frame_split};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -349,29 +350,34 @@ impl Drop for CacheDaemons {
 
 /// Serve one peer connection until EOF, error or shutdown.
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     manager: &CacheManager,
     broadcaster: &Broadcaster,
     shutdown: &AtomicBool,
     telemetry: Option<&Telemetry>,
 ) {
-    // A finite read timeout lets the handler observe shutdown even when
-    // the peer link is idle.
-    let _ = stream.set_read_timeout(Some(READ_TICK));
+    // A finite read timeout, set once, lets the handler observe shutdown
+    // even when the peer link is idle; without it the thread could never
+    // be joined, so a socket that refuses it is closed.
+    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
+        return;
+    }
     let _ = stream.set_nodelay(true);
+    let mut reader = PatientReader::new(&stream);
+    let mut stream = &stream;
     loop {
         if shutdown.load(Ordering::Acquire) {
             return;
         }
         let stop = || shutdown.load(Ordering::Acquire);
-        let frame = match read_frame_patient(&mut stream, FRAME_STALL_LIMIT, stop) {
-            Ok(FrameRead::Frame(f)) => f,
+        let decoded = match reader.read_frame(FRAME_STALL_LIMIT, stop) {
+            Ok(FrameRead::Frame(frame)) => Message::decode(&frame),
             Ok(FrameRead::Idle) => continue, // nothing consumed; re-check shutdown
             // Clean close, reset, or a peer stalled mid-frame: resuming
             // would mis-frame everything after it, so close.
             Ok(FrameRead::Closed) | Err(_) => return,
         };
-        let Ok(msg) = Message::decode(&frame) else {
+        let Ok(msg) = decoded else {
             return;
         };
         match msg {
@@ -417,7 +423,7 @@ fn handle_connection(
                 t.end_span(Stage::ResponseWrite, t0);
                 t.set_outcome(Outcome::OwnerServe);
                 if let Some(tel) = telemetry {
-                    tel.finish(t);
+                    tel.record(t);
                 }
                 if written.is_err() {
                     return;
@@ -445,7 +451,7 @@ fn handle_connection(
                 t.end_span(Stage::ResponseWrite, t0);
                 t.set_outcome(Outcome::OwnerServe);
                 if let Some(tel) = telemetry {
-                    tel.finish(t);
+                    tel.record(t);
                 }
                 if written.is_err() {
                     return;
@@ -482,7 +488,7 @@ fn handle_connection(
                 t.end_span(Stage::ResponseWrite, t0);
                 t.set_outcome(Outcome::OwnerServe);
                 if let Some(tel) = telemetry {
-                    tel.finish(t);
+                    tel.record(t);
                 }
                 if written.is_err() {
                     return;

@@ -15,7 +15,7 @@
 
 use crate::message::Message;
 use crate::wire::{read_frame, write_frame, ProtoError};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -119,6 +119,12 @@ impl Read for FaultStream {
 impl Write for FaultStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.inner.write(buf)
+    }
+
+    /// Forwarded so a frame stays one `writev` (the default would send
+    /// its first part only).
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.inner.write_vectored(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -18,6 +18,9 @@
 //! This crate implements that machinery over TCP:
 //!
 //! * [`wire`] — length-prefixed binary framing and primitive codecs;
+//! * [`reader`] — the patient buffered reader every long-lived socket
+//!   (cluster and HTTP) is read through: one `recv` per message, one
+//!   idle-vs-stall rule;
 //! * [`message`] — the message set (hello, insert/delete notices, fetch
 //!   request/reply, directory sync, ping);
 //! * [`peers`] — the asynchronous broadcast pipeline: per-peer writer
@@ -40,6 +43,7 @@ pub mod health;
 pub mod message;
 pub mod peers;
 pub mod pool;
+pub mod reader;
 pub mod wire;
 
 pub use daemon::{announce, announce_delete, announce_insert, CacheDaemons, DaemonConfig};
@@ -52,6 +56,5 @@ pub use health::{HealthConfig, HealthSnapshot, HealthTracker, PeerState};
 pub use message::{Message, NodeStats};
 pub use peers::{BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE};
 pub use pool::{FetchPool, FetchPoolStats, DEFAULT_POOL_SIZE};
-pub use wire::{
-    read_frame, read_frame_patient, write_frame, write_frame_split, FrameRead, ProtoError,
-};
+pub use reader::{Fill, FrameRead, PatientReader};
+pub use wire::{read_frame, write_frame, write_frame_split, ProtoError};

@@ -235,7 +235,7 @@ impl Message {
                 encode_node_stats(&mut buf, stats);
             }
         }
-        buf.to_vec()
+        buf.into()
     }
 
     /// Decode from a frame payload.
@@ -349,7 +349,7 @@ impl Message {
             buf.put_u8(1);
             buf.put_u64(id);
         }
-        buf.to_vec()
+        buf.into()
     }
 
     /// Encode a `FetchRequest` without cloning the key.
@@ -361,7 +361,7 @@ impl Message {
             buf.put_u8(1);
             buf.put_u64(id);
         }
-        buf.to_vec()
+        buf.into()
     }
 
     /// Encode an `Invalidate` without cloning the key.
@@ -369,7 +369,7 @@ impl Message {
         let mut buf = BytesMut::with_capacity(16 + key.as_str().len());
         buf.put_u8(TAG_INVALIDATE);
         put_string(&mut buf, key.as_str());
-        buf.to_vec()
+        buf.into()
     }
 
     /// Encode everything of a `FetchHit` *except* the body bytes.
@@ -384,7 +384,7 @@ impl Message {
         buf.put_u8(TAG_FETCH_HIT);
         put_string(&mut buf, content_type);
         buf.put_u32(body_len as u32);
-        buf.to_vec()
+        buf.into()
     }
 }
 
@@ -400,7 +400,7 @@ pub fn encode_batch<T: AsRef<[u8]>>(parts: &[T]) -> Vec<u8> {
     for p in parts {
         put_bytes(&mut buf, p.as_ref());
     }
-    buf.to_vec()
+    buf.into()
 }
 
 fn encode_node_stats(buf: &mut BytesMut, stats: &NodeStats) {

@@ -19,8 +19,10 @@
 
 use crate::fetch::{Dialer, FaultStream, FetchOutcome, RetryPolicy};
 use crate::message::Message;
-use crate::wire::{read_frame, write_frame, ProtoError};
+use crate::reader::{FrameRead, PatientReader};
+use crate::wire::{write_frame, ProtoError};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
@@ -83,14 +85,19 @@ impl FetchFlight {
     }
 }
 
+/// A pooled connection: the stream plus the buffer its replies are read
+/// through (one `recv` per reply that fits it).
+type Conn = PatientReader<FaultStream>;
+
 /// A pool of warm request/reply connections, one stack per peer.
 pub struct FetchPool {
     dialer: Dialer,
     max_per_peer: usize,
-    idle: Mutex<HashMap<u16, Vec<FaultStream>>>,
+    idle: Mutex<HashMap<u16, Vec<Conn>>>,
     /// Single-flight registry: one in-flight wire fetch per `(peer, key)`
     /// when coalescing is on; concurrent identical fetches wait for it.
-    flights: Mutex<HashMap<(u16, CacheKey), Arc<FetchFlight>>>,
+    /// Keyed by peer, then key, so only the insert needs an owned key.
+    flights: Mutex<HashMap<u16, HashMap<CacheKey, Arc<FetchFlight>>>>,
     coalesce: bool,
     connects_opened: AtomicU64,
     reuses: AtomicU64,
@@ -152,14 +159,17 @@ impl FetchPool {
         if !self.coalesce {
             return self.fetch_alone(peer, addr, key, timeout, policy, trace);
         }
-        let flight = {
-            let mut flights = self.flights.lock();
-            match flights.get(&(peer.0, key.clone())) {
-                Some(flight) => Some(Arc::clone(flight)),
-                None => {
-                    flights.insert((peer.0, key.clone()), Arc::new(FetchFlight::new()));
-                    None
-                }
+        let flight = match self
+            .flights
+            .lock()
+            .entry(peer.0)
+            .or_default()
+            .entry(key.clone())
+        {
+            Entry::Occupied(flight) => Some(Arc::clone(flight.get())),
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::new(FetchFlight::new()));
+                None
             }
         };
         match flight {
@@ -167,7 +177,11 @@ impl FetchPool {
                 // Leader: one wire fetch for the whole burst.
                 self.coalesce_leads.fetch_add(1, Ordering::Relaxed);
                 let result = self.fetch_alone(peer, addr, key, timeout, policy, trace);
-                let flight = self.flights.lock().remove(&(peer.0, key.clone()));
+                let flight = self
+                    .flights
+                    .lock()
+                    .get_mut(&peer.0)
+                    .and_then(|flights| flights.remove(key));
                 // Waiters join only through the map, so once the flight is
                 // out of it the handles that exist are all that ever will:
                 // publish (a body clone) only if someone holds one.
@@ -252,35 +266,43 @@ impl FetchPool {
         timeout: Duration,
         trace: Option<u64>,
     ) -> FetchOutcome {
+        self.with_conn(peer, addr, timeout, |conn| {
+            fetch_on(conn, key, timeout, trace)
+        })
+        .unwrap_or_else(FetchOutcome::Unreachable)
+    }
+
+    /// Run one request/reply `exchange` with `peer` on a pooled
+    /// connection. A failure on a *reused* connection is staleness, not
+    /// evidence against the peer: the connection is dropped and the
+    /// exchange repeated once on a fresh dial, whose failure is the
+    /// caller's to handle.
+    fn with_conn<T>(
+        &self,
+        peer: NodeId,
+        addr: SocketAddr,
+        timeout: Duration,
+        exchange: impl Fn(&mut Conn) -> Result<T, ProtoError>,
+    ) -> Result<T, String> {
         if let Some(mut conn) = self.checkout(peer) {
             self.reuses.fetch_add(1, Ordering::Relaxed);
-            match fetch_on(&mut conn, key, timeout, trace) {
-                Ok(outcome) => {
+            match exchange(&mut conn) {
+                Ok(reply) => {
                     self.checkin(peer, conn);
-                    return outcome;
+                    return Ok(reply);
                 }
-                // Stale while idle — not evidence against the peer.
-                // Drop it and fall through to a fresh dial.
                 Err(_) => {
                     self.stale_drops.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        let mut conn = match (self.dialer)(peer, addr, timeout) {
-            Ok(conn) => conn,
-            Err(e) => return FetchOutcome::Unreachable(e.to_string()),
-        };
+        let stream = (self.dialer)(peer, addr, timeout).map_err(|e| e.to_string())?;
         self.connects_opened.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = conn.set_nodelay(true) {
-            return FetchOutcome::Unreachable(e.to_string());
-        }
-        match fetch_on(&mut conn, key, timeout, trace) {
-            Ok(outcome) => {
-                self.checkin(peer, conn);
-                outcome
-            }
-            Err(e) => FetchOutcome::Unreachable(e.to_string()),
-        }
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
+        let mut conn = PatientReader::new(stream);
+        let reply = exchange(&mut conn).map_err(|e| e.to_string())?;
+        self.checkin(peer, conn);
+        Ok(reply)
     }
 
     /// One pooled directory-lookup exchange (partitioned mode): ask
@@ -301,29 +323,9 @@ impl FetchPool {
         timeout: Duration,
         trace: Option<u64>,
     ) -> Result<(NodeId, Option<swala_cache::EntryMeta>), String> {
-        if let Some(mut conn) = self.checkout(peer) {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            match dir_lookup_on(&mut conn, key, timeout, trace) {
-                Ok(answer) => {
-                    self.checkin(peer, conn);
-                    return Ok(answer);
-                }
-                // Stale while idle — drop and fall through to a dial.
-                Err(_) => {
-                    self.stale_drops.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let mut conn = (self.dialer)(peer, addr, timeout).map_err(|e| e.to_string())?;
-        self.connects_opened.fetch_add(1, Ordering::Relaxed);
-        conn.set_nodelay(true).map_err(|e| e.to_string())?;
-        match dir_lookup_on(&mut conn, key, timeout, trace) {
-            Ok(answer) => {
-                self.checkin(peer, conn);
-                Ok(answer)
-            }
-            Err(e) => Err(e.to_string()),
-        }
+        self.with_conn(peer, addr, timeout, |conn| {
+            dir_lookup_on(conn, key, timeout, trace)
+        })
     }
 
     /// One pooled stats-federation exchange: pull `peer`'s metrics
@@ -338,36 +340,20 @@ impl FetchPool {
         timeout: Duration,
         trace: Option<u64>,
     ) -> Result<crate::message::NodeStats, String> {
-        if let Some(mut conn) = self.checkout(peer) {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            match stats_pull_on(&mut conn, timeout, trace) {
-                Ok(stats) => {
-                    self.checkin(peer, conn);
-                    return Ok(stats);
-                }
-                // Stale while idle — drop and fall through to a dial.
-                Err(_) => {
-                    self.stale_drops.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let mut conn = (self.dialer)(peer, addr, timeout).map_err(|e| e.to_string())?;
-        self.connects_opened.fetch_add(1, Ordering::Relaxed);
-        conn.set_nodelay(true).map_err(|e| e.to_string())?;
-        match stats_pull_on(&mut conn, timeout, trace) {
-            Ok(stats) => {
-                self.checkin(peer, conn);
-                Ok(stats)
-            }
-            Err(e) => Err(e.to_string()),
-        }
+        self.with_conn(peer, addr, timeout, |conn| {
+            stats_pull_on(conn, timeout, trace)
+        })
     }
 
-    fn checkout(&self, peer: NodeId) -> Option<FaultStream> {
+    fn checkout(&self, peer: NodeId) -> Option<Conn> {
         self.idle.lock().get_mut(&peer.0)?.pop()
     }
 
-    fn checkin(&self, peer: NodeId, conn: FaultStream) {
+    fn checkin(&self, peer: NodeId, conn: Conn) {
+        // Bytes behind the reply would be read as the next one: close.
+        if !conn.buffer().is_empty() {
+            return;
+        }
         let mut idle = self.idle.lock();
         let stack = idle.entry(peer.0).or_default();
         if stack.len() < self.max_per_peer {
@@ -398,58 +384,69 @@ impl FetchPool {
     }
 }
 
-/// One request/reply exchange on an established connection.
+/// Send `request` and decode the reply frame, both bounded by `timeout`
+/// (the socket carries it, so a timeout anywhere is a failure).
+fn exchange(
+    conn: &mut Conn,
+    timeout: Duration,
+    request: &[u8],
+    what: &'static str,
+) -> Result<Message, ProtoError> {
+    conn.get_mut().set_io_timeout(timeout)?;
+    write_frame(conn.get_mut(), request)?;
+    match conn.read_frame(Duration::ZERO, || true)? {
+        FrameRead::Frame(reply) => Message::decode(&reply),
+        FrameRead::Idle => Err(ProtoError::Io(std::io::ErrorKind::TimedOut.into())),
+        FrameRead::Closed => Err(ProtoError::Truncated(what)),
+    }
+}
+
+fn unexpected(what: &str, reply: Message) -> ProtoError {
+    ProtoError::Io(std::io::Error::other(format!(
+        "unexpected {what}: {reply:?}"
+    )))
+}
+
+/// One fetch request/reply exchange on an established connection.
 fn fetch_on(
-    conn: &mut FaultStream,
+    conn: &mut Conn,
     key: &swala_cache::CacheKey,
     timeout: Duration,
     trace: Option<u64>,
 ) -> Result<FetchOutcome, ProtoError> {
-    conn.set_io_timeout(timeout)?;
-    write_frame(conn, &Message::encode_fetch_request(key, trace))?;
-    let frame = read_frame(conn)?.ok_or(ProtoError::Truncated("fetch reply"))?;
-    match Message::decode(&frame)? {
+    let request = Message::encode_fetch_request(key, trace);
+    match exchange(conn, timeout, &request, "fetch reply")? {
         Message::FetchHit { content_type, body } => Ok(FetchOutcome::Hit { content_type, body }),
         Message::FetchMiss => Ok(FetchOutcome::Gone),
-        other => Err(ProtoError::Io(std::io::Error::other(format!(
-            "unexpected fetch reply: {other:?}"
-        )))),
+        other => Err(unexpected("fetch reply", other)),
     }
 }
 
 /// One directory-lookup request/reply exchange on an established
 /// connection. The reply reuses the [`Message::DirUpdate`] shape.
 fn dir_lookup_on(
-    conn: &mut FaultStream,
+    conn: &mut Conn,
     key: &CacheKey,
     timeout: Duration,
     trace: Option<u64>,
 ) -> Result<(NodeId, Option<swala_cache::EntryMeta>), ProtoError> {
-    conn.set_io_timeout(timeout)?;
-    write_frame(conn, &Message::encode_dir_lookup(key, trace))?;
-    let frame = read_frame(conn)?.ok_or(ProtoError::Truncated("dir-lookup reply"))?;
-    match Message::decode(&frame)? {
+    let request = Message::encode_dir_lookup(key, trace);
+    match exchange(conn, timeout, &request, "dir-lookup reply")? {
         Message::DirUpdate { owner, meta, .. } => Ok((owner, meta)),
-        other => Err(ProtoError::Io(std::io::Error::other(format!(
-            "unexpected dir-lookup reply: {other:?}"
-        )))),
+        other => Err(unexpected("dir-lookup reply", other)),
     }
 }
 
 /// One stats-pull request/reply exchange on an established connection.
 fn stats_pull_on(
-    conn: &mut FaultStream,
+    conn: &mut Conn,
     timeout: Duration,
     trace: Option<u64>,
 ) -> Result<crate::message::NodeStats, ProtoError> {
-    conn.set_io_timeout(timeout)?;
-    write_frame(conn, &Message::StatsPull { trace }.encode())?;
-    let frame = read_frame(conn)?.ok_or(ProtoError::Truncated("stats reply"))?;
-    match Message::decode(&frame)? {
+    let request = Message::StatsPull { trace }.encode();
+    match exchange(conn, timeout, &request, "stats reply")? {
         Message::StatsSnapshot(stats) => Ok(stats),
-        other => Err(ProtoError::Io(std::io::Error::other(format!(
-            "unexpected stats reply: {other:?}"
-        )))),
+        other => Err(unexpected("stats reply", other)),
     }
 }
 
@@ -457,6 +454,7 @@ fn stats_pull_on(
 mod tests {
     use super::*;
     use crate::fetch::{default_dialer, StreamFault};
+    use crate::wire::read_frame;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
@@ -577,7 +575,10 @@ mod tests {
             let dead = stack.pop().unwrap();
             drop(dead);
             let raw = std::net::TcpStream::connect(addr).unwrap();
-            stack.push(FaultStream::wrap(raw, StreamFault::ResetReads));
+            stack.push(PatientReader::new(FaultStream::wrap(
+                raw,
+                StreamFault::ResetReads,
+            )));
         }
         let (out, attempts) = pool.fetch(
             NodeId(1),

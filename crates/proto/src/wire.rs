@@ -6,8 +6,7 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::time::{Duration, Instant};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frames larger than this are rejected (a 1 MB body plus slack — larger
 /// results are legal HTTP but out of scope for the paper's workloads).
@@ -55,31 +54,29 @@ impl From<io::Error> for ProtoError {
     }
 }
 
-/// Above this payload size the header/payload copy costs more than the
-/// extra syscall it saves, so large frames go out as two writes.
-const COALESCE_LIMIT: usize = 64 * 1024;
+/// Send `parts` as one logical write: a single vectored write, and when
+/// the stream took only part of it (a full socket buffer), the rest of
+/// each part in order. Nothing is copied.
+fn write_all_parts<W: Write>(out: &mut W, parts: [&[u8]; 3]) -> io::Result<()> {
+    let slices = parts.map(IoSlice::new);
+    let mut written = loop {
+        match out.write_vectored(&slices) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => break other?,
+        }
+    };
+    for part in parts {
+        let skip = written.min(part.len());
+        written -= skip;
+        out.write_all(&part[skip..])?;
+    }
+    out.flush()
+}
 
-/// Write one frame.
-///
-/// Small frames are assembled into a single buffer and written with one
-/// syscall — notices are tiny, and header + payload + flush as separate
-/// writes tripled the syscall count on the hot broadcast path.
+/// Write one frame: length prefix and payload in one vectored write, so
+/// a notice costs one syscall and no payload-sized copy.
 pub fn write_frame<W: Write>(out: &mut W, payload: &[u8]) -> Result<(), ProtoError> {
-    if payload.len() > MAX_FRAME {
-        return Err(ProtoError::FrameTooLarge(payload.len()));
-    }
-    let head = (payload.len() as u32).to_be_bytes();
-    if payload.len() <= COALESCE_LIMIT {
-        let mut buf = Vec::with_capacity(4 + payload.len());
-        buf.extend_from_slice(&head);
-        buf.extend_from_slice(payload);
-        out.write_all(&buf)?;
-    } else {
-        out.write_all(&head)?;
-        out.write_all(payload)?;
-    }
-    out.flush()?;
-    Ok(())
+    write_frame_split(out, payload, &[])
 }
 
 /// Write one frame whose payload is `prefix` followed by `body`,
@@ -88,9 +85,8 @@ pub fn write_frame<W: Write>(out: &mut W, payload: &[u8]) -> Result<(), ProtoErr
 /// This is the zero-copy half of the cache-daemon fetch reply: the
 /// `FetchHit` tag + content-type + body-length prefix is a few dozen
 /// bytes, while `body` is the cached entry (an `Arc<[u8]>` from the
-/// memory tier). Small frames still coalesce into one buffer — a copy
-/// of a small body is cheaper than a second syscall — but a large body
-/// goes straight from the cache allocation to the socket.
+/// memory tier), which goes straight from the cache allocation to the
+/// socket.
 pub fn write_frame_split<W: Write>(
     out: &mut W,
     prefix: &[u8],
@@ -101,20 +97,7 @@ pub fn write_frame_split<W: Write>(
         return Err(ProtoError::FrameTooLarge(len));
     }
     let head = (len as u32).to_be_bytes();
-    if len <= COALESCE_LIMIT {
-        let mut buf = Vec::with_capacity(4 + len);
-        buf.extend_from_slice(&head);
-        buf.extend_from_slice(prefix);
-        buf.extend_from_slice(body);
-        out.write_all(&buf)?;
-    } else {
-        let mut small = Vec::with_capacity(4 + prefix.len());
-        small.extend_from_slice(&head);
-        small.extend_from_slice(prefix);
-        out.write_all(&small)?;
-        out.write_all(body)?;
-    }
-    out.flush()?;
+    write_all_parts(out, [&head, prefix, body])?;
     Ok(())
 }
 
@@ -131,88 +114,6 @@ pub fn read_frame<R: Read>(input: &mut R) -> Result<Option<Vec<u8>>, ProtoError>
     let mut payload = vec![0u8; len];
     input.read_exact(&mut payload)?;
     Ok(Some(payload))
-}
-
-/// What [`read_frame_patient`] found on a socket with a read timeout.
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameRead {
-    /// One whole frame's payload.
-    Frame(Vec<u8>),
-    /// The read timed out before a frame's first byte: nothing was
-    /// consumed, so the caller may simply call again.
-    Idle,
-    /// Clean EOF at a frame boundary.
-    Closed,
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Read one frame from a stream whose reads time out (a socket with a
-/// short `SO_RCVTIMEO`, so its thread can poll a shutdown flag).
-///
-/// A timeout is idleness only *between* frames ([`FrameRead::Idle`]).
-/// Once a frame's first byte has been consumed, returning would lose
-/// the position in the stream — the next call would parse payload bytes
-/// as a length prefix — so a mid-frame timeout keeps reading instead,
-/// until `abandon()` says to stop or the sender has made no progress for
-/// `stall_limit`; either is an error and the connection must be closed.
-pub fn read_frame_patient<R: Read>(
-    input: &mut R,
-    stall_limit: Duration,
-    mut abandon: impl FnMut() -> bool,
-) -> Result<FrameRead, ProtoError> {
-    let mut head = [0u8; 4];
-    let first = loop {
-        match input.read(&mut head) {
-            Ok(0) => return Ok(FrameRead::Closed),
-            Ok(n) => break n,
-            Err(e) if is_timeout(&e) => return Ok(FrameRead::Idle),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    };
-    let mut fill = |buf: &mut [u8], mut filled: usize| -> Result<(), ProtoError> {
-        let mut stalled_since = None;
-        while filled < buf.len() {
-            match input.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    return Err(ProtoError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "eof mid-frame",
-                    )))
-                }
-                Ok(n) => {
-                    filled += n;
-                    stalled_since = None;
-                }
-                Err(e) if is_timeout(&e) => {
-                    let since = *stalled_since.get_or_insert_with(Instant::now);
-                    if abandon() || since.elapsed() >= stall_limit {
-                        return Err(ProtoError::Io(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "peer stalled mid-frame",
-                        )));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    };
-    fill(&mut head, first)?;
-    let len = u32::from_be_bytes(head) as usize;
-    if len > MAX_FRAME {
-        return Err(ProtoError::FrameTooLarge(len));
-    }
-    let mut payload = vec![0u8; len];
-    fill(&mut payload, 0)?;
-    Ok(FrameRead::Frame(payload))
 }
 
 /// Like `read_exact` but distinguishes EOF-before-first-byte (`false`)
@@ -284,8 +185,8 @@ pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, ProtoError> {
     if buf.remaining() < len {
         return Err(ProtoError::Truncated("bytes body"));
     }
-    let mut out = vec![0u8; len];
-    buf.copy_to_slice(&mut out);
+    let out = buf[..len].to_vec();
+    buf.advance(len);
     Ok(out)
 }
 
@@ -310,101 +211,10 @@ mod tests {
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
     }
 
-    /// A reader that plays back a script of chunks and read timeouts,
-    /// then reports EOF.
-    struct Script(std::collections::VecDeque<Option<Vec<u8>>>);
-
-    impl Script {
-        fn new(steps: impl IntoIterator<Item = Option<Vec<u8>>>) -> Script {
-            Script(steps.into_iter().collect())
-        }
-    }
-
-    impl Read for Script {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            match self.0.pop_front() {
-                None => Ok(0),
-                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
-                Some(Some(mut chunk)) => {
-                    let n = chunk.len().min(buf.len());
-                    buf[..n].copy_from_slice(&chunk[..n]);
-                    if n < chunk.len() {
-                        self.0.push_front(Some(chunk.split_off(n)));
-                    }
-                    Ok(n)
-                }
-            }
-        }
-    }
-
-    const PATIENT: Duration = Duration::from_secs(3600);
-
-    #[test]
-    fn patient_read_treats_a_timeout_as_idle_only_between_frames() {
-        let mut first = Vec::new();
-        write_frame(&mut first, b"first-payload").unwrap();
-        let mut second = Vec::new();
-        write_frame(&mut second, b"second").unwrap();
-        // Timeouts before the frame, after two header bytes, after the
-        // header, and mid-payload; then a second frame right behind.
-        let mut r = Script::new([
-            None,
-            Some(first[..2].to_vec()),
-            None,
-            Some(first[2..4].to_vec()),
-            None,
-            None,
-            Some(first[4..9].to_vec()),
-            None,
-            Some([&first[9..], &second[..]].concat()),
-        ]);
-        let never = || false;
-        assert_eq!(
-            read_frame_patient(&mut r, PATIENT, never).unwrap(),
-            FrameRead::Idle
-        );
-        assert_eq!(
-            read_frame_patient(&mut r, PATIENT, never).unwrap(),
-            FrameRead::Frame(b"first-payload".to_vec())
-        );
-        assert_eq!(
-            read_frame_patient(&mut r, PATIENT, never).unwrap(),
-            FrameRead::Frame(b"second".to_vec())
-        );
-        assert_eq!(
-            read_frame_patient(&mut r, PATIENT, never).unwrap(),
-            FrameRead::Closed
-        );
-    }
-
-    #[test]
-    fn patient_read_gives_up_on_a_stalled_frame_rather_than_resuming() {
-        // Two header bytes, then silence: with the stall limit spent (or
-        // the caller abandoning) it is an error, never `Idle` — `Idle`
-        // would restart framing two bytes late.
-        for abandon in [false, true] {
-            let limit = if abandon { PATIENT } else { Duration::ZERO };
-            let mut r = Script::new([Some(vec![0, 0]), None, None]);
-            let err = read_frame_patient(&mut r, limit, || abandon).unwrap_err();
-            assert!(
-                matches!(&err, ProtoError::Io(e) if e.kind() == io::ErrorKind::TimedOut),
-                "{err}"
-            );
-        }
-        // EOF mid-frame is an error too; an oversize length is refused.
-        let mut r = Script::new([Some(vec![0, 0, 0, 9, 1, 2])]);
-        assert!(read_frame_patient(&mut r, PATIENT, || false).is_err());
-        let mut r = Script::new([Some(u32::MAX.to_be_bytes().to_vec())]);
-        assert!(matches!(
-            read_frame_patient(&mut r, PATIENT, || false),
-            Err(ProtoError::FrameTooLarge(_))
-        ));
-    }
-
     #[test]
     fn split_frame_equals_concatenated_frame() {
-        // Below and above COALESCE_LIMIT the wire bytes must be
-        // identical to a normal write of prefix ++ body.
+        // Small or large, the wire bytes must be identical to a normal
+        // write of prefix ++ body.
         for body_len in [10usize, 100_000] {
             let prefix = b"\x05some-prefix".to_vec();
             let body = vec![0xabu8; body_len];

@@ -9,9 +9,10 @@ use std::sync::Arc;
 use std::time::Duration;
 use swala_cache::{CacheKey, EntryMeta, NodeId};
 use swala_obs::{HeatEntry, Histogram, MetricSnapshot, MetricValue};
+use swala_proto::reader::Script;
 use swala_proto::{
     fetch_remote_retry, read_frame, request_sync_via, write_frame, Dialer, FaultStream,
-    FetchOutcome, Message, NodeStats, RetryPolicy, StreamFault,
+    FetchOutcome, FrameRead, Message, NodeStats, PatientReader, RetryPolicy, StreamFault,
 };
 
 fn key_strategy() -> impl Strategy<Value = CacheKey> {
@@ -216,6 +217,58 @@ proptest! {
     fn frame_reader_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut r = &bytes[..];
         while let Ok(Some(_)) = read_frame(&mut r) {}
+    }
+
+    /// The patient reader against `read_frame` as the oracle: whatever
+    /// the split points, wherever reads time out, whether or not a frame
+    /// fits the buffer, and even over garbage, the same payloads come out
+    /// in the same order and the stream ends the same way — a clean close
+    /// or an error at the torn tail.
+    #[test]
+    fn patient_reader_matches_read_frame_at_every_split(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 0..6),
+        garbage in proptest::collection::vec(any::<u8>(), 0..12),
+        cuts in proptest::collection::vec(0usize..1300, 0..12),
+        timeouts in proptest::collection::vec(0usize..16, 0..6),
+        capacity in 4usize..128,
+    ) {
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        wire.extend_from_slice(&garbage);
+
+        let mut oracle = &wire[..];
+        let mut expected = Vec::new();
+        let expected_end = loop {
+            match read_frame(&mut oracle) {
+                Ok(Some(frame)) => expected.push(frame),
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+
+        let mut cuts: Vec<usize> = cuts.into_iter().filter(|&c| c < wire.len()).collect();
+        cuts.extend([0, wire.len()]);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut steps: Vec<Option<Vec<u8>>> =
+            cuts.windows(2).map(|w| Some(wire[w[0]..w[1]].to_vec())).collect();
+        for at in timeouts {
+            steps.insert(at.min(steps.len()), None);
+        }
+        let mut reader = PatientReader::with_capacity(capacity, Script::new(steps));
+        let mut got = Vec::new();
+        let got_end = loop {
+            match reader.read_frame(Duration::from_secs(3600), || false) {
+                Ok(FrameRead::Frame(frame)) => got.push(frame.into_owned()),
+                Ok(FrameRead::Idle) => {}
+                Ok(FrameRead::Closed) => break true,
+                Err(_) => break false,
+            }
+        };
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(got_end, expected_end);
     }
 }
 

@@ -48,6 +48,23 @@ cargo test -q --release -p swala-proto --lib peers::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test remote_batch
 
+echo "==> request path at the syscall floor (reader, request loop, allocation budget; release)"
+# Counter-based, no clocks: one read per request / frame, idle vs stall,
+# every split point against read_frame / try_parse_request as oracles
+# (2048 cases, pinned seed), and allocations per warm local hit.
+cargo test -q --release -p swala-proto --lib reader::
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-proto --test proptests patient_reader
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala --lib pool::
+cargo test -q --release -p swala --test alloc_budget
+
+echo "==> benchmark harness builds against the workspace (benchmark/run.sh --selftest)"
+# benchmark/ is a workspace of its own calling http/proto/cache/cgi/core
+# functions by name; nothing else compiles it, so a signature change
+# there would otherwise break the benchmark silently.
+benchmark/run.sh --selftest
+
 echo "==> benches still compile (cargo bench --no-run -p swala-bench)"
 cargo bench --no-run -p swala-bench
 
