@@ -34,6 +34,9 @@ pub fn run() -> TableReport {
                 pool_size: 4,
                 work: WorkKind::Sleep,
                 cores_per_node: Some(1),
+                // The paper's §4.1 layout, whatever the shipped default is
+                // (moot while the experiment runs memory stores).
+                store: swala_cache::StoreKind::Files,
                 ..Default::default()
             })
             .expect("start cluster");

@@ -44,6 +44,9 @@ fn run_live(nodes: usize, capacity: usize, cooperative: bool, trace: &Trace) -> 
         capacity,
         pool_size: 4,
         work: WorkKind::Sleep,
+        // The paper's §4.1 layout, whatever the shipped default is (moot
+        // while the experiment runs memory stores).
+        store: swala_cache::StoreKind::Files,
         ..Default::default()
     })
     .expect("cluster");
@@ -59,6 +62,7 @@ fn run_live(nodes: usize, capacity: usize, cooperative: bool, trace: &Trace) -> 
                     capacity,
                     pool_size: 4,
                     work: WorkKind::Sleep,
+                    store: swala_cache::StoreKind::Files,
                     ..Default::default()
                 })
                 .expect("standalone node"),

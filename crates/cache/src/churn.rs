@@ -15,18 +15,21 @@ use std::hash::Hash;
 
 /// Call before inserting one entry into a map that lives under churn.
 /// When the map has no free slot left — the next insert would make it
-/// reallocate or rehash anyway — rebuild it here with room for half as
-/// many entries again: a table truly full grows as it would have, one
-/// merely full of tombstones is rebuilt at its own size. At least
-/// `len / 2` inserts pass between rebuilds, so the cost stays amortised
-/// O(1) per insert.
+/// reallocate or rehash anyway — empty it, which clears its tombstones,
+/// and put the entries back: a table truly full then grows as it would
+/// have, one merely full of tombstones carries on in the allocation it
+/// has. (Building the replacement beside the old table, as this once
+/// did, left the allocator ping-ponging between two table-sized regions
+/// of the heap: one table's worth of resident memory wasted per map.)
+/// At least `len / 2` inserts pass between calls that do anything, so
+/// the cost stays amortised O(1) per insert.
 pub(crate) fn reserve_one<K: Eq + Hash, V>(map: &mut HashMap<K, V>) {
     if map.capacity() > map.len() {
         return;
     }
-    let mut rebuilt = HashMap::with_capacity(map.len() + map.len() / 2 + 1);
-    rebuilt.extend(map.drain());
-    *map = rebuilt;
+    let entries: Vec<(K, V)> = map.drain().collect();
+    map.reserve(entries.len() + entries.len() / 2 + 1);
+    map.extend(entries);
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
-//! Content digests for body dedup.
+//! Content digests of cached bodies.
 //!
-//! The segment store and the memory tier both key bodies by a SHA-256
-//! digest of their bytes, so N cache entries sharing one body hold a
-//! single on-disk copy and a single `Arc<[u8]>` in memory. The hash is
+//! The memory tier keys bodies by a SHA-256 digest of their bytes, so N
+//! cache entries sharing one body hold a single `Arc<[u8]>`; the segment
+//! store writes the same digest into each record as the body's integrity
+//! value and re-derives it when it recovers the file. The hash is
 //! implemented here (FIPS 180-4, straightforwardly) because the
 //! workspace builds offline with no crypto crates vendored; it is used
-//! for dedup addressing, not for security against adversarial inputs.
+//! for addressing and torn-write detection, not for security against
+//! adversarial inputs.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -19,32 +21,19 @@ impl Digest {
     /// (see [`DigestImpl::active`]). Every implementation produces the
     /// same 32 bytes.
     pub fn of(bytes: &[u8]) -> Digest {
-        match Self::of_accelerated(bytes) {
-            Some(digest) => digest,
-            None => Self::of_scalar(bytes),
-        }
+        DigestStream::new().finish(bytes)
     }
 
     /// Digest of `bytes` by the portable scalar rounds, whatever the CPU
     /// offers. The reference the accelerated path is tested against.
     pub fn of_scalar(bytes: &[u8]) -> Digest {
-        Digest(sha256(bytes, compress_scalar))
+        Digest(sha256_from(H0, 0, bytes, compress_scalar))
     }
 
     /// Digest of `bytes` by the SHA-NI rounds; `None` where the CPU (or
     /// the target) has no SHA extension.
     pub fn of_accelerated(bytes: &[u8]) -> Option<Digest> {
-        #[cfg(target_arch = "x86_64")]
-        if DigestImpl::active() == DigestImpl::ShaNi {
-            return Some(Digest(sha256(bytes, |state, blocks| {
-                // SAFETY: `active()` returns `ShaNi` only after
-                // `is_x86_feature_detected!` confirmed every feature
-                // `compress_sha_ni` is compiled with.
-                unsafe { compress_sha_ni(state, blocks) }
-            })));
-        }
-        let _ = bytes;
-        None
+        (DigestImpl::active() == DigestImpl::ShaNi).then(|| Digest::of(bytes))
     }
 
     /// The raw 32 bytes.
@@ -118,11 +107,63 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// SHA-256 of `data`, with `compress` folding whole 64-byte blocks into
-/// the state. Full blocks are hashed where they lie; only the last
-/// partial block is copied, into the one or two padding blocks.
-fn sha256(data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) -> [u8; 32] {
-    let mut state = H0;
+/// [`Digest::of`] over a body read piece by piece (the segment store's
+/// recovery scan holds a bounded buffer, not the body): whole 64-byte
+/// blocks as they arrive, whatever is left at the end.
+pub struct DigestStream {
+    state: [u32; 8],
+    hashed: u64,
+}
+
+impl DigestStream {
+    pub fn new() -> DigestStream {
+        DigestStream {
+            state: H0,
+            hashed: 0,
+        }
+    }
+
+    /// Fold in the next `blocks`; their length must be a multiple of 64.
+    pub fn blocks(&mut self, blocks: &[u8]) {
+        assert_eq!(blocks.len() % 64, 0, "whole SHA-256 blocks only");
+        compress_active(&mut self.state, blocks);
+        self.hashed += blocks.len() as u64;
+    }
+
+    /// Fold in the last `rest` bytes (any length) and close the digest.
+    pub fn finish(self, rest: &[u8]) -> Digest {
+        Digest(sha256_from(self.state, self.hashed, rest, compress_active))
+    }
+}
+
+impl Default for DigestStream {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The compression function [`DigestImpl::active`] names.
+fn compress_active(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if DigestImpl::active() == DigestImpl::ShaNi {
+        // SAFETY: `active()` returns `ShaNi` only after
+        // `is_x86_feature_detected!` confirmed every feature
+        // `compress_sha_ni` is compiled with.
+        return unsafe { compress_sha_ni(state, blocks) };
+    }
+    compress_scalar(state, blocks)
+}
+
+/// Close a SHA-256 whose first `hashed` bytes (a multiple of 64) are
+/// already folded into `state`. Full blocks are hashed where they lie;
+/// only the last partial block is copied, into the one or two padding
+/// blocks.
+fn sha256_from(
+    mut state: [u32; 8],
+    hashed: u64,
+    data: &[u8],
+    compress: impl Fn(&mut [u32; 8], &[u8]),
+) -> [u8; 32] {
     let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
     compress(&mut state, blocks);
 
@@ -131,7 +172,7 @@ fn sha256(data: &[u8], compress: impl Fn(&mut [u32; 8], &[u8])) -> [u8; 32] {
     tail[..rest.len()].copy_from_slice(rest);
     tail[rest.len()] = 0x80;
     let tail_len = if rest.len() < 56 { 64 } else { 128 };
-    let bit_len = (data.len() as u64).wrapping_mul(8);
+    let bit_len = (hashed + data.len() as u64).wrapping_mul(8);
     tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
     compress(&mut state, &tail[..tail_len]);
 
@@ -334,6 +375,22 @@ mod tests {
                     "{name}: len {n} collided"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn streamed_digest_equals_one_shot() {
+        let body: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        for cut in [0usize, 64, 4096, 199_936] {
+            let mut stream = DigestStream::new();
+            for chunk in body[..cut].chunks(1024) {
+                stream.blocks(chunk);
+            }
+            assert_eq!(
+                stream.finish(&body[cut..]),
+                Digest::of_scalar(&body),
+                "{cut}"
+            );
         }
     }
 

@@ -12,9 +12,11 @@
 //!   exactly one table (§4.2's chosen locking granularity — the rejected
 //!   alternatives are also implemented, in [`locking`], for the ablation
 //!   benches).
-//! * **Memory directory, disk bodies** ([`store`]): only metadata lives in
-//!   memory; each cached result is one file, so "every cache fetch in
-//!   effect becomes a file fetch" served by the OS page cache.
+//! * **Memory directory, disk bodies** ([`store`], [`segstore`]): only
+//!   metadata lives in memory; "every cache fetch in effect becomes a
+//!   file fetch" served by the OS page cache — one file per result in the
+//!   paper's layout (`store files`), one extent of one data file in the
+//!   shipped default (`store segment`).
 //! * **TTL content consistency** ([`rules`], [`manager`]): per-pattern
 //!   time-to-live set by the administrator's configuration file; a purge
 //!   pass deletes expired entries.

@@ -25,7 +25,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
-use swala_obs::{Gauge, HeatSketch, Stage, Trace};
+use swala_obs::{Gauge, HeatSketch, Histogram, Stage, Trace};
 
 /// Construction parameters for a [`CacheManager`].
 pub struct CacheManagerConfig {
@@ -217,12 +217,22 @@ pub enum InsertOutcome {
     Discarded,
 }
 
+/// The store calls the manager times, in `store_ops` order.
+#[derive(Clone, Copy)]
+enum StoreOp {
+    Put,
+    Get,
+    Delete,
+}
+
 /// Per-node cache state machine.
 pub struct CacheManager {
     local: NodeId,
     capacity: usize,
     directory: CacheDirectory,
     store: Box<dyn Store>,
+    /// Durations of the calls made on `store`, indexed by [`StoreOp`].
+    store_ops: [Arc<Histogram>; 3],
     /// In-memory body tier over `store`; `None` when disabled.
     mem: Option<MemCache>,
     rules: CacheRules,
@@ -252,6 +262,7 @@ impl CacheManager {
             capacity: cfg.capacity,
             directory: CacheDirectory::with_policy(cfg.num_nodes, cfg.local, cfg.policy),
             store,
+            store_ops: std::array::from_fn(|_| Arc::new(Histogram::new())),
             mem: (cfg.mem_cache_bytes > 0).then(|| MemCache::new(cfg.mem_cache_bytes)),
             rules: cfg.rules,
             stats: Arc::new(CacheStats::new()),
@@ -338,7 +349,7 @@ impl CacheManager {
 
     /// Write-through to the memory tier (its bytes gauge tracks itself).
     /// `digest` is the content digest of `body` — computed once by the
-    /// caller and shared with the store's dedup index.
+    /// caller and shared with the store, which records it.
     fn mem_insert(&self, key: &CacheKey, digest: Digest, body: &Arc<[u8]>) {
         if let Some(mem) = &self.mem {
             if mem.insert(key, digest, Arc::clone(body)) {
@@ -352,6 +363,23 @@ impl CacheManager {
         if let Some(mem) = &self.mem {
             mem.remove(key);
         }
+    }
+
+    /// Run one store call, recording how long it took under `op`. Only
+    /// store calls pay for the clock.
+    fn timed_store<T>(&self, op: StoreOp, call: impl FnOnce(&dyn Store) -> T) -> T {
+        let t0 = Instant::now();
+        let out = call(&*self.store);
+        self.store_ops[op as usize].record_duration(t0.elapsed());
+        out
+    }
+
+    fn store_get(&self, key: &CacheKey) -> io::Result<Vec<u8>> {
+        self.timed_store(StoreOp::Get, |s| s.get(key))
+    }
+
+    fn store_delete(&self, key: &CacheKey) {
+        let _ = self.timed_store(StoreOp::Delete, |s| s.delete(key));
     }
 
     /// Read a local body: memory tier first, then the store (populating
@@ -369,7 +397,7 @@ impl CacheManager {
         }
         CacheStats::bump(&self.stats.store_reads);
         let t0 = trace.start_span();
-        let read = self.store.get(key);
+        let read = self.store_get(key);
         trace.end_span(Stage::StoreRead, t0);
         let body: Arc<[u8]> = read.ok()?.into();
         if self.mem.is_some() {
@@ -574,11 +602,12 @@ impl CacheManager {
         );
         // Self-describing write: the header carries everything needed to
         // rebuild the directory entry on a warm restart. The digest is
-        // computed once and shared by the store's body dedup and the
-        // memory tier's.
+        // computed once: the store records it as the body's integrity
+        // value, the memory tier dedups on it.
         let digest = Digest::of(body);
-        self.store
-            .put_digested(key, &(&meta).into(), &digest, body)?;
+        self.timed_store(StoreOp::Put, |s| {
+            s.put_digested(key, &(&meta).into(), &digest, body)
+        })?;
         self.mem_insert(key, digest, &shared);
         let meta = self.directory.insert_fresh(meta);
         CacheStats::bump(&self.stats.inserts);
@@ -592,7 +621,7 @@ impl CacheManager {
         let eviction = self.directory.evict_to_capacity(self.capacity);
         CacheStats::add(&self.stats.evict_examined, eviction.examined);
         for victim in &eviction.victims {
-            let _ = self.store.delete(&victim.key);
+            self.store_delete(&victim.key);
             self.mem_remove(&victim.key);
             CacheStats::bump(&self.stats.evictions);
         }
@@ -774,7 +803,7 @@ impl CacheManager {
     /// removed metadata — the caller broadcasts the deletion.
     pub fn remove_local(&self, key: &CacheKey) -> Option<EntryMeta> {
         let meta = self.directory.remove(self.local, key)?;
-        let _ = self.store.delete(key);
+        self.store_delete(key);
         self.mem_remove(key);
         Some(meta)
     }
@@ -785,7 +814,7 @@ impl CacheManager {
     pub fn purge_expired(&self) -> Vec<EntryMeta> {
         let dead = self.directory.purge_expired();
         for m in &dead {
-            let _ = self.store.delete(&m.key);
+            self.store_delete(&m.key);
             self.mem_remove(&m.key);
             CacheStats::bump(&self.stats.expirations);
         }
@@ -808,7 +837,7 @@ impl CacheManager {
         let mut restored = 0;
         for recovered in self.store.recover() {
             if recovered.expires_unix.is_some_and(|e| e <= now) {
-                let _ = self.store.delete(&recovered.key);
+                self.store_delete(&recovered.key);
                 CacheStats::bump(&self.stats.expirations);
                 continue;
             }
@@ -836,7 +865,7 @@ impl CacheManager {
             if mem.bytes() + meta.size as usize > mem.budget() {
                 continue;
             }
-            let Ok(body) = self.store.get(&meta.key) else {
+            let Ok(body) = self.store_get(&meta.key) else {
                 continue;
             };
             let body: Arc<[u8]> = body.into();
@@ -844,11 +873,17 @@ impl CacheManager {
         }
     }
 
-    /// The body store's self-reported metrics (segment counts, live/dead
-    /// bytes, dedup hits, compactions — zeros for stores that don't
-    /// track a given field).
+    /// The body store's self-reported metrics (file, live and free bytes,
+    /// fsyncs — zeros for stores that don't track a given field).
     pub fn store_metrics(&self) -> crate::store::StoreMetrics {
         self.store.metrics()
+    }
+
+    /// How long this manager's `put`, `get` and `delete` calls on the
+    /// body store took, measured where they ran.
+    pub fn store_op_durations(&self) -> [(&'static str, Arc<Histogram>); 3] {
+        let [put, get, delete] = self.store_ops.each_ref().map(Arc::clone);
+        [("put", put), ("get", get), ("delete", delete)]
     }
 }
 

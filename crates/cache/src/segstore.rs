@@ -1,55 +1,92 @@
-//! Append-only segment-log body store with digest dedup.
+//! One-file body store that reuses space in place.
 //!
-//! The paper's one-file-per-entry layout (`DiskStore`) acks a put after
-//! a buffered write and rename — a crash can silently drop committed
-//! entries, and identical bodies are stored once per key. This store
-//! rebuilds the persistence layer along the lines of the gffice
-//! dircache storage design: everything lives in a handful of
-//! append-only **segment files** of checksummed records, the key index
-//! is rebuilt on boot by scanning the segments (torn tails are
-//! truncated, corrupt records skipped — never a panic), and bodies are
-//! stored **once per content digest** with refcounts, so N keys sharing
-//! a body hold one on-disk copy.
+//! The paper's one-file-per-entry layout ([`crate::store::DiskStore`])
+//! allocates an inode for every insert and releases one for every
+//! eviction; under churn that — not the bytes written — is most of what
+//! a miss costs. This store keeps every body in **one data file** behind
+//! one long-lived descriptor, along the lines of the gffice dircache
+//! ("have everything in one place"): a put is one `pwritev` into a free
+//! extent, a delete one small write over the record's header, a get
+//! one `pread`.
 //!
-//! On-disk format (all integers big-endian):
+//! On-disk format (all integers big-endian). The file is a run of
+//! **extents**, each a multiple of [`ALIGN`] bytes, each starting with a
+//! record:
 //!
 //! ```text
-//! segment file  = magic "SWSEG01\n" , record*
+//! extent        = record , body? , zero padding to ALIGN
 //! record        = header(21) , payload
 //! header        = kind u8 | seq u64 | payload_len u32
 //!               | payload_crc u32 | header_crc u32      (crc of bytes 0..17)
-//! payload(Body) = digest[32] | body bytes
 //! payload(Put)  = key_len u32 | key | digest[32] | ct_len u32 | ct
 //!               | exec_micros u64 | expiry_flag u8 | expiry u64 | created u64
-//! payload(Del)  = key_len u32 | key
+//!               | body_len u64          (body_len body bytes follow the record)
+//! payload(Free) = len u64               (this extent is free for len bytes)
 //! ```
 //!
-//! Replay is **latest-wins by `seq`** (not file order), which makes
-//! compaction crash-safe: compacted records keep their original
-//! sequence numbers, so a crash that leaves both the old and the new
-//! segments behind replays to the same index. Deleted/expired/
-//! superseded records are *dead bytes*; when enough accumulate, a
-//! compaction pass rewrites only the live records into fresh segments
-//! and deletes the old files.
+//! The body is covered by the SHA-256 the caller already computed
+//! (`put_digested`), so a put makes no second pass over it. In memory
+//! there is a `key → slot` index and an ordered map of all extents; a put
+//! takes the **best-fitting** free extent (smallest that fits, lowest
+//! offset among equals), always from its start, and hands the remainder
+//! back; a freed extent is **coalesced** with free neighbours, and a free
+//! extent at the end of the file is **trimmed** off it. With no free
+//! extent that fits, the file grows by exactly one extent. When the
+//! contents shrink (smaller bodies replacing larger ones) the holes are
+//! in the middle, so while more than 1/16 of the file is free each put
+//! also **moves the last record** into a hole, and the tail it vacates is
+//! trimmed: the file's length follows its live bytes down.
+//!
+//! Crash argument. A record is written only into space no index entry
+//! points to, so a torn write can damage nothing that was acknowledged;
+//! recovery accepts a record only if header CRC, payload CRC and body
+//! digest all hold. A re-put writes the new version (higher `seq`)
+//! elsewhere before it frees the old one, so a crash leaves old, new, or
+//! both — and of two valid records for one key the higher `seq` wins (a
+//! moved record keeps its `seq`: either copy will do). Freeing always
+//! overwrites the record's *own* header with a `Free` record, and
+//! recovery does the same to every valid-looking record it does not
+//! index, so no stale header survives to resurrect a deleted key. With
+//! `fsync` on, the data is `fdatasync`ed before a put or a delete
+//! returns.
+//!
+//! What recovery trusts: a `Free` record only lets it skip ahead — one
+//! that this store wrote never covers a live record, because space is
+//! always taken from the start of a maximal free extent, which overwrites
+//! any older `Free` record there before anything lands behind it. Past a
+//! header that does not verify it steps [`ALIGN`] bytes at a time, which
+//! reads old body bytes as candidate records; those are rejected unless
+//! two CRCs and a SHA-256 agree, so only content crafted to look like a
+//! record (or a forged `Free` record) could mislead it.
 
-use crate::digest::Digest;
-use crate::entry::unix_now;
+use crate::digest::{Digest, DigestStream};
 use crate::key::CacheKey;
 use crate::store::{HeaderMeta, RecoveredEntry, Store, StoreMetrics};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, IoSlice};
+use std::os::fd::AsRawFd;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Segment-file magic + format version.
-pub const SEG_MAGIC: &[u8; 8] = b"SWSEG01\n";
+/// Name of the data file under the store's root.
+pub const DATA_FILE: &str = "bodies.swseg";
 /// Fixed record-header length in bytes.
 pub const REC_HEADER_LEN: usize = 21;
+/// Extent granularity: every extent starts and ends on a multiple.
+pub const ALIGN: u64 = 64;
+/// Upper bound on a `Put` record without its body (header, key,
+/// content type, fixed fields). Puts beyond it are refused; recovery
+/// never buffers more than this for a record it has not verified.
+pub const MAX_HEAD: usize = 64 * 1024;
 
-const KIND_BODY: u8 = 1;
 const KIND_PUT: u8 = 2;
-const KIND_DEL: u8 = 3;
+const KIND_FREE: u8 = 4;
+
+/// Body bytes recovery hashes per step (a multiple of the SHA block).
+const SCAN_CHUNK: usize = 64 * 1024;
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. Implemented
 /// here because the workspace builds offline with no checksum crates.
@@ -82,144 +119,115 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xffff_ffff
 }
 
-/// One decoded segment-log record (public so the proptests can
-/// round-trip the wire format directly).
+/// One decoded record (public so the proptests can round-trip the
+/// on-disk format directly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// A body, stored once per content digest.
-    Body {
-        seq: u64,
-        digest: Digest,
-        body: Vec<u8>,
-    },
-    /// A key → digest mapping plus the metadata the directory needs.
+    /// A live entry; `body_len` body bytes follow the record.
     Put {
         seq: u64,
         key: CacheKey,
         digest: Digest,
         meta: HeaderMeta,
+        body_len: u64,
     },
-    /// A deletion tombstone.
-    Del { seq: u64, key: CacheKey },
-}
-
-impl Record {
-    fn seq(&self) -> u64 {
-        match self {
-            Record::Body { seq, .. } | Record::Put { seq, .. } | Record::Del { seq, .. } => *seq,
-        }
-    }
+    /// A free extent of `len` bytes starting at this record.
+    Free { len: u64 },
 }
 
 /// Encode a record: 21-byte checksummed header plus payload.
 pub fn encode_record(rec: &Record) -> Vec<u8> {
-    let (kind, seq, payload) = match rec {
-        Record::Body { seq, digest, body } => {
-            let mut p = Vec::with_capacity(32 + body.len());
-            p.extend_from_slice(digest.as_bytes());
-            p.extend_from_slice(body);
-            (KIND_BODY, *seq, p)
-        }
+    match rec {
         Record::Put {
             seq,
             key,
             digest,
             meta,
-        } => {
-            let k = key.as_str().as_bytes();
-            let ct = meta.content_type.as_bytes();
-            let mut p = Vec::with_capacity(4 + k.len() + 32 + 4 + ct.len() + 26);
-            p.extend_from_slice(&(k.len() as u32).to_be_bytes());
-            p.extend_from_slice(k);
-            p.extend_from_slice(digest.as_bytes());
-            p.extend_from_slice(&(ct.len() as u32).to_be_bytes());
-            p.extend_from_slice(ct);
-            p.extend_from_slice(&meta.exec_micros.to_be_bytes());
-            match meta.expires_unix {
-                Some(e) => {
-                    p.push(1);
-                    p.extend_from_slice(&e.to_be_bytes());
-                }
-                None => {
-                    p.push(0);
-                    p.extend_from_slice(&0u64.to_be_bytes());
-                }
-            }
-            p.extend_from_slice(&meta.created_unix.to_be_bytes());
-            (KIND_PUT, *seq, p)
-        }
-        Record::Del { seq, key } => {
-            let k = key.as_str().as_bytes();
-            let mut p = Vec::with_capacity(4 + k.len());
-            p.extend_from_slice(&(k.len() as u32).to_be_bytes());
-            p.extend_from_slice(k);
-            (KIND_DEL, *seq, p)
-        }
-    };
+            body_len,
+        } => encode_put(*seq, key, digest, meta, *body_len),
+        Record::Free { len } => frame(KIND_FREE, 0, &len.to_be_bytes()),
+    }
+}
+
+fn encode_put(
+    seq: u64,
+    key: &CacheKey,
+    digest: &Digest,
+    meta: &HeaderMeta,
+    body_len: u64,
+) -> Vec<u8> {
+    let k = key.as_str().as_bytes();
+    let ct = meta.content_type.as_bytes();
+    let mut p = Vec::with_capacity(4 + k.len() + 32 + 4 + ct.len() + 33);
+    p.extend_from_slice(&(k.len() as u32).to_be_bytes());
+    p.extend_from_slice(k);
+    p.extend_from_slice(digest.as_bytes());
+    p.extend_from_slice(&(ct.len() as u32).to_be_bytes());
+    p.extend_from_slice(ct);
+    p.extend_from_slice(&meta.exec_micros.to_be_bytes());
+    p.push(meta.expires_unix.is_some() as u8);
+    p.extend_from_slice(&meta.expires_unix.unwrap_or(0).to_be_bytes());
+    p.extend_from_slice(&meta.created_unix.to_be_bytes());
+    p.extend_from_slice(&body_len.to_be_bytes());
+    frame(KIND_PUT, seq, &p)
+}
+
+fn frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(REC_HEADER_LEN + payload.len());
     out.push(kind);
     out.extend_from_slice(&seq.to_be_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(&payload).to_be_bytes());
+    out.extend_from_slice(&crc32(payload).to_be_bytes());
     let header_crc = crc32(&out[..17]);
     out.extend_from_slice(&header_crc.to_be_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     out
 }
 
+/// The payload length a header announces, if its own checksum holds.
+fn header_payload_len(header: &[u8]) -> Option<usize> {
+    let header = header.get(..REC_HEADER_LEN)?;
+    let stored = u32::from_be_bytes(header[17..21].try_into().ok()?);
+    (crc32(&header[..17]) == stored)
+        .then(|| u32::from_be_bytes(header[9..13].try_into().expect("4 bytes")) as usize)
+}
+
 /// Decode one record from the front of `bytes`. Returns the record and
-/// the bytes consumed; `None` on a truncated tail or any checksum /
-/// structure mismatch (the caller treats both as end-of-valid-data).
-/// Never panics, whatever the input.
+/// the bytes consumed (a `Put`'s body is not part of either); `None` on
+/// a truncated tail or any checksum / structure mismatch. Never panics,
+/// whatever the input.
 pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
-    if bytes.len() < REC_HEADER_LEN {
-        return None;
-    }
-    let header = &bytes[..REC_HEADER_LEN];
-    let stored_header_crc = u32::from_be_bytes(header[17..21].try_into().ok()?);
-    if crc32(&header[..17]) != stored_header_crc {
-        return None;
-    }
-    let kind = header[0];
-    let seq = u64::from_be_bytes(header[1..9].try_into().ok()?);
-    let payload_len = u32::from_be_bytes(header[9..13].try_into().ok()?) as usize;
-    let payload_crc = u32::from_be_bytes(header[13..17].try_into().ok()?);
-    let payload = bytes.get(REC_HEADER_LEN..REC_HEADER_LEN + payload_len)?;
+    let payload_len = header_payload_len(bytes)?;
+    let kind = bytes[0];
+    let seq = u64::from_be_bytes(bytes[1..9].try_into().ok()?);
+    let payload_crc = u32::from_be_bytes(bytes[13..17].try_into().ok()?);
+    let consumed = REC_HEADER_LEN.checked_add(payload_len)?;
+    let payload = bytes.get(REC_HEADER_LEN..consumed)?;
     if crc32(payload) != payload_crc {
         return None;
     }
-    let consumed = REC_HEADER_LEN + payload_len;
     let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = payload.get(*at..*at + n)?;
+        let s = payload.get(*at..at.checked_add(n)?)?;
         *at += n;
         Some(s)
     };
+    let u64_at = |at: &mut usize| Some(u64::from_be_bytes(take(at, 8)?.try_into().ok()?));
+    let len_at = |at: &mut usize| Some(u32::from_be_bytes(take(at, 4)?.try_into().ok()?) as usize);
     let mut at = 0usize;
     let rec = match kind {
-        KIND_BODY => {
-            let digest = Digest(take(&mut at, 32)?.try_into().ok()?);
-            Record::Body {
-                seq,
-                digest,
-                body: payload[at..].to_vec(),
-            }
-        }
         KIND_PUT => {
-            let key_len = u32::from_be_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-            let key = std::str::from_utf8(take(&mut at, key_len)?).ok()?;
-            let key = CacheKey::new(key);
+            let key_len = len_at(&mut at)?;
+            let key = CacheKey::new(std::str::from_utf8(take(&mut at, key_len)?).ok()?);
             let digest = Digest(take(&mut at, 32)?.try_into().ok()?);
-            let ct_len = u32::from_be_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
+            let ct_len = len_at(&mut at)?;
             let content_type = std::str::from_utf8(take(&mut at, ct_len)?)
                 .ok()?
                 .to_string();
-            let exec_micros = u64::from_be_bytes(take(&mut at, 8)?.try_into().ok()?);
+            let exec_micros = u64_at(&mut at)?;
             let has_expiry = take(&mut at, 1)?[0];
-            let expires_raw = u64::from_be_bytes(take(&mut at, 8)?.try_into().ok()?);
-            let created_unix = u64::from_be_bytes(take(&mut at, 8)?.try_into().ok()?);
-            if at != payload.len() {
-                return None;
-            }
+            let expires_raw = u64_at(&mut at)?;
+            let created_unix = u64_at(&mut at)?;
+            let body_len = u64_at(&mut at)?;
             Record::Put {
                 seq,
                 key,
@@ -230,347 +238,226 @@ pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
                     expires_unix: (has_expiry == 1).then_some(expires_raw),
                     created_unix,
                 },
+                body_len,
             }
         }
-        KIND_DEL => {
-            let key_len = u32::from_be_bytes(take(&mut at, 4)?.try_into().ok()?) as usize;
-            let key = std::str::from_utf8(take(&mut at, key_len)?).ok()?;
-            if at != payload.len() {
-                return None;
-            }
-            Record::Del {
-                seq,
-                key: CacheKey::new(key),
-            }
-        }
+        KIND_FREE => Record::Free {
+            len: u64_at(&mut at)?,
+        },
         _ => return None,
     };
-    Some((rec, consumed))
+    (at == payload.len()).then_some((rec, consumed))
 }
 
 /// Construction parameters for a [`SegmentStore`].
 #[derive(Debug, Clone)]
 pub struct SegmentConfig {
-    /// Roll to a new segment file once the current one reaches this
-    /// many bytes.
-    pub segment_bytes: u64,
-    /// `sync_all` every put (and compaction output) before acking.
+    /// `fdatasync` every put and delete before acking.
     pub fsync: bool,
-    /// Run compaction once dead bytes across all segments exceed this.
-    pub compact_min_dead: u64,
 }
 
 impl Default for SegmentConfig {
     fn default() -> Self {
-        SegmentConfig {
-            segment_bytes: 16 * 1024 * 1024,
-            fsync: true,
-            compact_min_dead: 16 * 1024 * 1024,
-        }
+        SegmentConfig { fsync: true }
     }
 }
 
-/// A live key's index entry.
-struct KeyEntry {
-    digest: Digest,
-    meta: HeaderMeta,
-    seq: u64,
-    /// Segment holding this key's put record, and its full length —
-    /// what becomes dead bytes when the key is overwritten or deleted.
-    segment: u64,
-    rec_len: u64,
+fn round_up(n: u64) -> u64 {
+    n.div_ceil(ALIGN) * ALIGN
 }
 
-/// Where a deduped body physically lives.
-struct BodyLoc {
-    segment: u64,
-    /// Offset of the raw body bytes (past header + digest).
-    offset: u64,
+/// When more than one part in this many of the file is free, a put also
+/// moves the file's last record into a free extent (see
+/// [`SegmentStore::squeeze`]). Steady churn of one size mix leaves a few
+/// percent free and stays under it; a shift to smaller bodies does not.
+const SQUEEZE: u64 = 16;
+
+/// Where a live key's record lies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    off: u64,
+    /// Record plus body, without the padding.
     len: u64,
-    /// CRC of the body bytes alone, re-verified on every read.
-    crc: u32,
-    rec_len: u64,
-    /// Number of live keys mapping to this digest.
-    refs: u64,
+    /// Record alone: the body starts this far into the extent.
+    head: u32,
+    /// The version of the key's content: of two records for one key the
+    /// higher wins. A moved record keeps its `seq`.
+    seq: u64,
+    /// Unique per indexing and never stored, so an unchanged slot means
+    /// untouched bytes.
+    stamp: u64,
 }
 
-#[derive(Default, Clone, Copy)]
-struct SegInfo {
-    live: u64,
-    dead: u64,
+impl Slot {
+    fn extent(&self) -> u64 {
+        round_up(self.len)
+    }
 }
 
-struct Inner {
-    index: HashMap<CacheKey, KeyEntry>,
-    bodies: HashMap<Digest, BodyLoc>,
-    segments: BTreeMap<u64, SegInfo>,
-    current: u64,
-    writer: fs::File,
-    written: u64,
-    next_seq: u64,
-    dedup_hits: u64,
-    compactions: u64,
-    compacted_bytes: u64,
-    fsyncs: u64,
+/// The key index and the ordered extent map. Extents handed out by
+/// [`alloc`](Space::alloc) and not yet indexed or released are in
+/// neither; they lie below `end`, so nothing trims or reuses them.
+#[derive(Default)]
+struct Space {
+    /// A B-tree: smaller than a hash table with room for insert/evict
+    /// churn at a fixed population (see `churn.rs`), and never rebuilt.
+    index: BTreeMap<CacheKey, Slot>,
+    /// Extents by offset → (length, key of the live record or `None` for
+    /// free). Never two free extents adjacent, never a free one ending
+    /// at `end`.
+    extents: BTreeMap<u64, (u64, Option<CacheKey>)>,
+    /// The free extents as (length, offset), for best fit.
+    by_len: BTreeSet<(u64, u64)>,
+    /// Where the last extent ends and the file grows.
+    end: u64,
+    live_bytes: u64,
+    free_bytes: u64,
+    stamps: u64,
 }
 
-/// Append-only segment-log store. See the module docs for the format.
+impl Space {
+    fn take_free(&mut self, off: u64, len: u64) {
+        self.extents.remove(&off);
+        self.by_len.remove(&(len, off));
+        self.free_bytes -= len;
+    }
+
+    /// An extent of exactly `need` bytes: the start of the best-fitting
+    /// free extent or, if `grow`, new space at the end of the file. Also
+    /// returns what is left of a larger free extent, which the caller
+    /// gives back with [`release`](Space::release) once its own write —
+    /// which ends in the remainder's `Free` record — has landed.
+    fn alloc(&mut self, need: u64, grow: bool) -> Option<(u64, u64)> {
+        if let Some((len, off)) = self.by_len.range((need, 0)..).next().copied() {
+            self.take_free(off, len);
+            return Some((off, len - need));
+        }
+        grow.then(|| {
+            let off = self.end;
+            self.end += need;
+            (off, 0)
+        })
+    }
+
+    /// Return `[off, off + len)` to the free map, merged with free
+    /// neighbours. True when it reached the end of the file instead,
+    /// which has moved `end` down: the caller truncates.
+    fn release(&mut self, mut off: u64, mut len: u64) -> bool {
+        if let Some((&prev, &(prev_len, None))) = self.extents.range(..off).next_back() {
+            if prev + prev_len == off {
+                self.take_free(prev, prev_len);
+                off = prev;
+                len += prev_len;
+            }
+        }
+        if let Some(&(next_len, None)) = self.extents.get(&(off + len)) {
+            self.take_free(off + len, next_len);
+            len += next_len;
+        }
+        if off + len == self.end {
+            self.end = off;
+            return true;
+        }
+        self.extents.insert(off, (len, None));
+        self.by_len.insert((len, off));
+        self.free_bytes += len;
+        false
+    }
+
+    /// Index `key` at `slot`; the slot it occupied before, if any, is the
+    /// caller's to retire.
+    fn set_live(&mut self, key: &CacheKey, mut slot: Slot) -> Option<Slot> {
+        let old = self.unset_live(key);
+        self.stamps += 1;
+        slot.stamp = self.stamps;
+        self.extents
+            .insert(slot.off, (slot.extent(), Some(key.clone())));
+        self.live_bytes += slot.extent();
+        self.index.insert(key.clone(), slot);
+        old
+    }
+
+    fn unset_live(&mut self, key: &CacheKey) -> Option<Slot> {
+        let slot = self.index.remove(key)?;
+        self.extents.remove(&slot.off);
+        self.live_bytes -= slot.extent();
+        Some(slot)
+    }
+
+    /// The file's last record, when enough of the file is free and some
+    /// free extent can take it.
+    fn tail_to_move(&self) -> Option<(CacheKey, Slot)> {
+        if self.free_bytes * SQUEEZE <= self.end {
+            return None;
+        }
+        let (&off, (len, key)) = self.extents.last_key_value()?;
+        // An extent still being written may lie behind it.
+        if off + len != self.end {
+            return None;
+        }
+        self.by_len.range((*len, 0)..).next()?;
+        let key = key.as_ref()?;
+        Some((key.clone(), self.index[key]))
+    }
+}
+
+extern "C" {
+    /// `pwritev(2)` (`std` has it only behind an unstable feature), so a
+    /// put writes record and body in one call without first copying the
+    /// body behind the record. The 64-bit `off_t` this declares is what
+    /// every 64-bit Unix has.
+    fn pwritev(fd: i32, iov: *const IoSlice<'_>, iovcnt: i32, offset: i64) -> isize;
+}
+const _: () = assert!(usize::BITS == 64, "pwritev is declared with a 64-bit off_t");
+
+/// One-file body store with in-place reuse. See the module docs.
 pub struct SegmentStore {
     root: PathBuf,
-    cfg: SegmentConfig,
-    inner: Mutex<Inner>,
-}
-
-fn seg_path(root: &Path, id: u64) -> PathBuf {
-    root.join(format!("seg-{id:08}.swseg"))
-}
-
-fn seg_id(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let id = name.strip_prefix("seg-")?.strip_suffix(".swseg")?;
-    id.parse().ok()
-}
-
-fn fsync_dir(root: &Path) -> io::Result<()> {
-    fs::File::open(root)?.sync_all()
+    fsync: bool,
+    file: fs::File,
+    space: Mutex<Space>,
+    next_seq: AtomicU64,
+    fsyncs: AtomicU64,
+    /// Test hook: the next data write fails before touching the file.
+    #[cfg(test)]
+    fail_next_write: std::sync::atomic::AtomicBool,
 }
 
 impl SegmentStore {
-    /// Open (creating if needed) a store rooted at `root` with default
-    /// tuning.
+    /// Open (creating if needed) a store rooted at `root`, durable.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<SegmentStore> {
         Self::open_with(root, SegmentConfig::default())
     }
 
-    /// Open with explicit tuning.
+    /// Open with explicit tuning. Scans the data file once, in bounded
+    /// memory, to rebuild the index and the extent map.
     pub fn open_with(root: impl Into<PathBuf>, cfg: SegmentConfig) -> io::Result<SegmentStore> {
         let root = root.into();
         fs::create_dir_all(&root)?;
-        // Reap leftovers from a crash mid-compaction (tmp outputs were
-        // never renamed in, so they hold nothing committed).
-        let mut seg_ids: Vec<u64> = Vec::new();
-        for entry in fs::read_dir(&root)?.filter_map(|e| e.ok()) {
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("compact-") && name.ends_with(".tmp") {
-                let _ = fs::remove_file(&path);
-            } else if let Some(id) = seg_id(&path) {
-                seg_ids.push(id);
-            }
-        }
-        seg_ids.sort_unstable();
-
-        let replayed = Self::replay(&root, &seg_ids)?;
-
-        // Resume appending to the last segment if it still has room,
-        // else start a fresh one.
-        let open_id = match seg_ids.last() {
-            Some(&last) => {
-                let len = fs::metadata(seg_path(&root, last))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                if len < cfg.segment_bytes {
-                    last
-                } else {
-                    last + 1
-                }
-            }
-            None => 0,
-        };
-        let path = seg_path(&root, open_id);
-        let (writer, written) = Self::open_segment(&root, &path, cfg.fsync)?;
-        let mut segments = replayed.segments;
-        segments.entry(open_id).or_default();
-        Ok(SegmentStore {
-            root,
-            cfg,
-            inner: Mutex::new(Inner {
-                index: replayed.index,
-                bodies: replayed.bodies,
-                segments,
-                current: open_id,
-                writer,
-                written,
-                next_seq: replayed.max_seq + 1,
-                dedup_hits: 0,
-                compactions: 0,
-                compacted_bytes: 0,
-                fsyncs: 0,
-            }),
-        })
-    }
-
-    /// Open `path` for appending, writing the magic if it is new.
-    /// Returns the handle and the current file length.
-    fn open_segment(root: &Path, path: &Path, fsync: bool) -> io::Result<(fs::File, u64)> {
-        let mut f = fs::OpenOptions::new()
+        let file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
             .create(true)
-            .append(true)
-            .open(path)?;
-        let len = f.metadata()?.len();
-        if len == 0 {
-            f.write_all(SEG_MAGIC)?;
-            if fsync {
-                f.sync_all()?;
-                fsync_dir(root)?;
-            }
-            return Ok((f, SEG_MAGIC.len() as u64));
+            .truncate(false)
+            .open(root.join(DATA_FILE))?;
+        let store = SegmentStore {
+            root,
+            fsync: cfg.fsync,
+            file,
+            space: Mutex::new(Space::default()),
+            next_seq: AtomicU64::new(1),
+            fsyncs: AtomicU64::new(0),
+            #[cfg(test)]
+            fail_next_write: std::sync::atomic::AtomicBool::new(false),
+        };
+        store.recover_file()?;
+        if store.fsync {
+            // The data file's directory entry (and anything recovery
+            // rewrote) must not be newer than what the first ack implies.
+            store.file.sync_data()?;
+            fs::File::open(&store.root)?.sync_all()?;
         }
-        Ok((f, len))
-    }
-
-    /// Scan every segment and rebuild the index, latest-wins by seq.
-    /// Corruption is contained: a bad record in the *last* segment
-    /// truncates the torn tail (appends resume there); in an earlier
-    /// segment it skips the rest of that file. Never panics.
-    fn replay(root: &Path, seg_ids: &[u64]) -> io::Result<Replayed> {
-        struct PendingPut {
-            seq: u64,
-            digest: Digest,
-            meta: HeaderMeta,
-            segment: u64,
-            rec_len: u64,
-        }
-        let mut puts: HashMap<CacheKey, PendingPut> = HashMap::new();
-        let mut dels: HashMap<CacheKey, u64> = HashMap::new();
-        let mut out = Replayed::default();
-        let now = unix_now();
-
-        for (i, &id) in seg_ids.iter().enumerate() {
-            let is_last = i == seg_ids.len() - 1;
-            let path = seg_path(root, id);
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => continue,
-            };
-            out.segments.entry(id).or_default();
-            if bytes.len() < SEG_MAGIC.len() || &bytes[..SEG_MAGIC.len()] != SEG_MAGIC {
-                // Unrecognizable file: quarantine by truncation if it is
-                // the tail we would append to, otherwise ignore it.
-                if is_last {
-                    fs::write(&path, SEG_MAGIC)?;
-                }
-                continue;
-            }
-            let mut at = SEG_MAGIC.len();
-            while at < bytes.len() {
-                let Some((rec, consumed)) = decode_record(&bytes[at..]) else {
-                    // Torn or corrupt tail.
-                    if is_last {
-                        let f = fs::OpenOptions::new().write(true).open(&path)?;
-                        f.set_len(at as u64)?;
-                    } else {
-                        add_dead(&mut out.segments, id, (bytes.len() - at) as u64);
-                    }
-                    break;
-                };
-                out.max_seq = out.max_seq.max(rec.seq());
-                let rec_len = consumed as u64;
-                match rec {
-                    Record::Body {
-                        seq: _,
-                        digest,
-                        body,
-                    } => {
-                        if out.bodies.contains_key(&digest) {
-                            // Duplicate (e.g. crash mid-compaction left
-                            // both copies): keep the first, dead-count
-                            // the rest.
-                            add_dead(&mut out.segments, id, rec_len);
-                        } else {
-                            add_live(&mut out.segments, id, rec_len);
-                            out.bodies.insert(
-                                digest,
-                                BodyLoc {
-                                    segment: id,
-                                    offset: (at + REC_HEADER_LEN + 32) as u64,
-                                    len: body.len() as u64,
-                                    crc: crc32(&body),
-                                    rec_len,
-                                    refs: 0,
-                                },
-                            );
-                        }
-                    }
-                    Record::Put {
-                        seq,
-                        key,
-                        digest,
-                        meta,
-                    } => {
-                        add_live(&mut out.segments, id, rec_len);
-                        match puts.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(mut o) => {
-                                if seq >= o.get().seq {
-                                    let old = o.insert(PendingPut {
-                                        seq,
-                                        digest,
-                                        meta,
-                                        segment: id,
-                                        rec_len,
-                                    });
-                                    mark_dead(&mut out.segments, old.segment, old.rec_len);
-                                } else {
-                                    mark_dead(&mut out.segments, id, rec_len);
-                                }
-                            }
-                            std::collections::hash_map::Entry::Vacant(v) => {
-                                v.insert(PendingPut {
-                                    seq,
-                                    digest,
-                                    meta,
-                                    segment: id,
-                                    rec_len,
-                                });
-                            }
-                        }
-                    }
-                    Record::Del { seq, key } => {
-                        // Tombstones are pure overhead once replayed.
-                        add_dead(&mut out.segments, id, rec_len);
-                        let e = dels.entry(key).or_insert(seq);
-                        *e = (*e).max(seq);
-                    }
-                }
-                at += consumed;
-            }
-        }
-
-        for (key, put) in puts {
-            let deleted = dels.get(&key).is_some_and(|&d| d >= put.seq);
-            let expired = put.meta.expires_unix.is_some_and(|e| e <= now);
-            let body_ok = out.bodies.contains_key(&put.digest);
-            if deleted || expired || !body_ok {
-                mark_dead(&mut out.segments, put.segment, put.rec_len);
-                continue;
-            }
-            out.bodies.get_mut(&put.digest).expect("checked above").refs += 1;
-            out.index.insert(
-                key,
-                KeyEntry {
-                    digest: put.digest,
-                    meta: put.meta,
-                    seq: put.seq,
-                    segment: put.segment,
-                    rec_len: put.rec_len,
-                },
-            );
-        }
-        // Bodies no live key references are dead weight for compaction.
-        let mut orphaned: Vec<(u64, u64)> = Vec::new();
-        out.bodies.retain(|_, loc| {
-            if loc.refs == 0 {
-                orphaned.push((loc.segment, loc.rec_len));
-                false
-            } else {
-                true
-            }
-        });
-        for (segment, rec_len) in orphaned {
-            mark_dead(&mut out.segments, segment, rec_len);
-        }
-        Ok(out)
+        Ok(store)
     }
 
     /// The root directory.
@@ -578,271 +465,351 @@ impl SegmentStore {
         &self.root
     }
 
-    fn alloc_seq(inner: &mut Inner) -> u64 {
-        let s = inner.next_seq;
-        inner.next_seq += 1;
-        s
+    /// Every settled extent in file order as (offset, length, live), for
+    /// tests and diagnostics: on an idle store they tile the file.
+    pub fn extents(&self) -> Vec<(u64, u64, bool)> {
+        let space = self.space.lock();
+        space
+            .extents
+            .iter()
+            .map(|(&off, (len, key))| (off, *len, key.is_some()))
+            .collect()
     }
 
-    /// Seal the current segment and start a fresh one if `incoming`
-    /// bytes would push it past the roll threshold.
-    fn roll_if_needed(&self, inner: &mut Inner, incoming: u64) -> io::Result<()> {
-        if inner.written + incoming <= self.cfg.segment_bytes
-            || inner.written <= SEG_MAGIC.len() as u64
-        {
-            return Ok(());
+    /// One `pwritev` of `parts` laid end to end, made durable when
+    /// configured.
+    fn write(&self, mut off: u64, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+        #[cfg(test)]
+        if self.fail_next_write.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other("injected write failure"));
         }
-        let next = inner.current + 1;
-        let path = seg_path(&self.root, next);
-        let (writer, written) = Self::open_segment(&self.root, &path, self.cfg.fsync)?;
-        if self.cfg.fsync {
-            inner.fsyncs += 2; // segment magic + directory entry
+        // A short count (possible, if rare, on a regular file) is
+        // finished by further calls.
+        while !parts.is_empty() {
+            // SAFETY: `IoSlice` is guaranteed ABI-compatible with `iovec`,
+            // the slices it borrows outlive the call, and the descriptor
+            // is open for as long as `self.file` is.
+            let n = unsafe {
+                pwritev(
+                    self.file.as_raw_fd(),
+                    parts.as_ptr(),
+                    parts.len() as i32,
+                    off as i64,
+                )
+            };
+            match n {
+                n if n > 0 => {
+                    IoSlice::advance_slices(&mut parts, n as usize);
+                    off += n as u64;
+                }
+                0 => return Err(io::ErrorKind::WriteZero.into()),
+                _ => {
+                    let e = io::Error::last_os_error();
+                    if e.kind() != io::ErrorKind::Interrupted {
+                        return Err(e);
+                    }
+                }
+            }
         }
-        inner.segments.entry(next).or_default();
-        inner.current = next;
-        inner.writer = writer;
-        inner.written = written;
+        if self.fsync {
+            self.file.sync_data()?;
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
     }
 
-    /// Append `batch` to the current segment, fsyncing when configured.
-    fn append(&self, inner: &mut Inner, batch: &[u8]) -> io::Result<()> {
-        inner.writer.write_all(batch)?;
-        if self.cfg.fsync {
-            inner.writer.sync_all()?;
-            inner.fsyncs += 1;
+    /// Free an extent no index entry points to any more: first on disk,
+    /// so its header stops describing a live record before the space can
+    /// be handed out again, then in the extent map.
+    fn retire(&self, off: u64, len: u64) -> io::Result<()> {
+        let marker = encode_record(&Record::Free { len });
+        let written = self.write(off, &mut [IoSlice::new(&marker)]);
+        self.release(&mut self.space.lock(), off, len)?;
+        written
+    }
+
+    /// [`Space::release`], cutting the file where that freed its tail —
+    /// under the lock, so no append starts at the new end before the
+    /// file ends there.
+    fn release(&self, space: &mut Space, off: u64, len: u64) -> io::Result<()> {
+        if space.release(off, len) {
+            self.file.set_len(space.end)?;
         }
-        inner.written += batch.len() as u64;
         Ok(())
     }
 
-    /// Drop the caller's claim on `digest`; marks the body record dead
-    /// when the last reference goes.
-    fn release_digest(inner: &mut Inner, digest: &Digest) {
-        if let Some(loc) = inner.bodies.get_mut(digest) {
-            loc.refs = loc.refs.saturating_sub(1);
-            if loc.refs == 0 {
-                let (seg, len) = (loc.segment, loc.rec_len);
-                inner.bodies.remove(digest);
-                mark_dead(&mut inner.segments, seg, len);
-            }
-        }
-    }
-
-    fn total_dead(inner: &Inner) -> u64 {
-        inner.segments.values().map(|s| s.dead).sum()
-    }
-
-    /// Rewrite all live records into fresh segments and delete the old
-    /// files. Crash-safe: outputs are written to `compact-*.tmp`, synced,
-    /// renamed in (new ids are strictly greater than every old id), and
-    /// only then are old segments removed — records keep their original
-    /// seqs, so replaying any intermediate state yields the same index.
-    fn compact_locked(&self, inner: &mut Inner) -> io::Result<()> {
-        let old_ids: Vec<u64> = inner.segments.keys().copied().collect();
-        let old_bytes: u64 = inner
-            .segments
-            .values()
-            .map(|s| s.live + s.dead)
-            .sum::<u64>();
-        let first_new = old_ids.last().map_or(0, |&m| m + 1);
-
-        // Read every live body out of the old segments before touching
-        // anything. Unreadable bodies (bit rot) are dropped along with
-        // the keys that reference them — compaction must never panic.
-        let mut live_bodies: Vec<(Digest, Vec<u8>)> = Vec::with_capacity(inner.bodies.len());
-        let mut lost: Vec<Digest> = Vec::new();
-        for (digest, loc) in &inner.bodies {
-            match self.read_body_at(loc) {
-                Ok(body) => live_bodies.push((*digest, body)),
-                Err(_) => lost.push(*digest),
-            }
-        }
-        for digest in &lost {
-            inner.index.retain(|_, e| e.digest != *digest);
-            inner.bodies.remove(digest);
-        }
-        live_bodies.sort_by_key(|(d, _)| *d);
-
-        // Write the new segments: bodies first, then the puts (so a
-        // replayed put always finds its body).
-        let mut new_id = first_new;
-        let mut out_path = self.root.join(format!("compact-{new_id:08}.tmp"));
-        let mut out = fs::File::create(&out_path)?;
-        out.write_all(SEG_MAGIC)?;
-        let mut out_written = SEG_MAGIC.len() as u64;
-        let mut renames: Vec<(PathBuf, u64)> = Vec::new();
-        let mut new_segments: BTreeMap<u64, SegInfo> = BTreeMap::new();
-        let mut new_body_loc: HashMap<Digest, BodyLoc> = HashMap::new();
-
-        let roll = |out: &mut fs::File,
-                    out_path: &mut PathBuf,
-                    out_written: &mut u64,
-                    new_id: &mut u64,
-                    renames: &mut Vec<(PathBuf, u64)>,
-                    incoming: u64|
-         -> io::Result<()> {
-            if *out_written + incoming <= self.cfg.segment_bytes
-                || *out_written <= SEG_MAGIC.len() as u64
-            {
-                return Ok(());
-            }
-            if self.cfg.fsync {
-                out.sync_all()?;
-            }
-            renames.push((out_path.clone(), *new_id));
-            *new_id += 1;
-            *out_path = self.root.join(format!("compact-{:08}.tmp", *new_id));
-            *out = fs::File::create(&*out_path)?;
-            out.write_all(SEG_MAGIC)?;
-            *out_written = SEG_MAGIC.len() as u64;
-            Ok(())
+    /// Write a record for `key` and index it. `moving: None` is a put: it
+    /// may grow the file, and of two racing puts the higher `seq` stays,
+    /// as it would after a recovery that found both. `moving: Some(slot)`
+    /// copies that slot's record (same `seq`) into existing free space
+    /// only, and indexes the copy only if the key still lives in `slot`
+    /// once the copy has landed.
+    fn write_record(
+        &self,
+        key: &CacheKey,
+        meta: &HeaderMeta,
+        digest: &Digest,
+        body: &[u8],
+        moving: Option<Slot>,
+    ) -> io::Result<()> {
+        let seq = match moving {
+            Some(from) => from.seq,
+            None => self.next_seq.fetch_add(1, Ordering::Relaxed),
         };
-
-        for (digest, body) in &live_bodies {
-            // Body records carry no ordering semantics (puts reference
-            // them by digest), so compacted copies use seq 0.
-            let rec = encode_record(&Record::Body {
-                seq: 0,
-                digest: *digest,
-                body: body.clone(),
-            });
-            roll(
-                &mut out,
-                &mut out_path,
-                &mut out_written,
-                &mut new_id,
-                &mut renames,
-                rec.len() as u64,
-            )?;
-            let offset = out_written + (REC_HEADER_LEN + 32) as u64;
-            out.write_all(&rec)?;
-            new_body_loc.insert(
-                *digest,
-                BodyLoc {
-                    segment: new_id,
-                    offset,
-                    len: body.len() as u64,
-                    crc: crc32(body),
-                    rec_len: rec.len() as u64,
-                    refs: inner.bodies[digest].refs,
-                },
-            );
-            new_segments.entry(new_id).or_default().live += rec.len() as u64;
-            out_written += rec.len() as u64;
-        }
-        let keys: Vec<CacheKey> = inner.index.keys().cloned().collect();
-        for key in keys {
-            let entry = inner.index.get(&key).expect("just listed");
-            let rec = encode_record(&Record::Put {
-                seq: entry.seq,
-                key: key.clone(),
-                digest: entry.digest,
-                meta: entry.meta.clone(),
-            });
-            roll(
-                &mut out,
-                &mut out_path,
-                &mut out_written,
-                &mut new_id,
-                &mut renames,
-                rec.len() as u64,
-            )?;
-            out.write_all(&rec)?;
-            let e = inner.index.get_mut(&key).expect("just listed");
-            e.segment = new_id;
-            e.rec_len = rec.len() as u64;
-            new_segments.entry(new_id).or_default().live += rec.len() as u64;
-            out_written += rec.len() as u64;
-        }
-        if self.cfg.fsync {
-            out.sync_all()?;
-            inner.fsyncs += 1;
-        }
-        renames.push((out_path, new_id));
-        new_segments.entry(new_id).or_default();
-
-        // Publish: rename every tmp into place, then drop the old files.
-        for (tmp, id) in &renames {
-            fs::rename(tmp, seg_path(&self.root, *id))?;
-        }
-        if self.cfg.fsync {
-            fsync_dir(&self.root)?;
-            inner.fsyncs += 1;
-        }
-        for id in &old_ids {
-            let _ = fs::remove_file(seg_path(&self.root, *id));
-        }
-
-        inner.bodies = new_body_loc;
-        inner.segments = new_segments;
-        inner.current = new_id;
-        let (writer, written) =
-            Self::open_segment(&self.root, &seg_path(&self.root, new_id), self.cfg.fsync)?;
-        inner.writer = writer;
-        inner.written = written;
-        inner.compactions += 1;
-        let new_bytes: u64 = inner
-            .segments
-            .values()
-            .map(|s| s.live + s.dead)
-            .sum::<u64>();
-        inner.compacted_bytes += old_bytes.saturating_sub(new_bytes);
-        Ok(())
-    }
-
-    /// Read and CRC-verify a body at its recorded location.
-    fn read_body_at(&self, loc: &BodyLoc) -> io::Result<Vec<u8>> {
-        let mut f = fs::File::open(seg_path(&self.root, loc.segment))?;
-        f.seek(SeekFrom::Start(loc.offset))?;
-        let mut body = vec![0u8; loc.len as usize];
-        f.read_exact(&mut body)?;
-        if crc32(&body) != loc.crc {
+        let buf = encode_put(seq, key, digest, meta, body.len() as u64);
+        let head = buf.len();
+        if head > MAX_HEAD {
             return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "segment body failed CRC verification",
+                io::ErrorKind::InvalidInput,
+                "key and content type exceed the record bound",
             ));
         }
-        Ok(body)
-    }
+        let mut slot = Slot {
+            off: 0,
+            len: (head + body.len()) as u64,
+            head: head as u32,
+            seq,
+            stamp: 0,
+        };
+        let need = slot.extent();
+        let Some((off, spare)) = self.space.lock().alloc(need, moving.is_none()) else {
+            return Ok(());
+        };
+        slot.off = off;
 
-    /// Force a compaction pass (also triggered automatically once dead
-    /// bytes exceed `compact_min_dead`).
-    pub fn compact(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        self.compact_locked(&mut inner)
-    }
-
-    fn maybe_compact(&self, inner: &mut Inner) -> io::Result<()> {
-        if Self::total_dead(inner) > self.cfg.compact_min_dead {
-            self.compact_locked(inner)?;
+        // Record, body and — when a larger extent was split — the
+        // remainder's `Free` record right behind the padding: one write,
+        // the body from where it lies.
+        let mut tail = Vec::new();
+        if spare > 0 {
+            tail.resize((need - slot.len) as usize, 0);
+            tail.extend_from_slice(&encode_record(&Record::Free { len: spare }));
         }
+        let mut parts = [IoSlice::new(&buf), IoSlice::new(body), IoSlice::new(&tail)];
+        if let Err(e) = self.write(off, &mut parts) {
+            // Whatever reached the file must not verify later; the whole
+            // extent goes back. `retire`'s own write may fail too — then
+            // the first error is still the one to report.
+            let _ = self.retire(off, need + spare);
+            return Err(e);
+        }
+
+        let mut space = self.space.lock();
+        if spare > 0 {
+            self.release(&mut space, off + need, spare)?;
+        }
+        let superseded = match (space.index.get(key), moving) {
+            (Some(current), None) => current.seq > seq,
+            (current, Some(from)) => current != Some(&from),
+            (None, None) => false,
+        };
+        let loser = if superseded {
+            Some(slot)
+        } else {
+            space.set_live(key, slot)
+        };
+        drop(space);
+        match loser {
+            Some(old) => self.retire(old.off, old.extent()),
+            None => Ok(()),
+        }
+    }
+
+    /// Read `slot`'s record and body whole.
+    fn read_slot(&self, slot: &Slot) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0u8; slot.len as usize];
+        self.file.read_exact_at(&mut buf, slot.off)?;
+        Ok(buf)
+    }
+
+    /// Let the file shrink after its contents have: while more than
+    /// 1/[`SQUEEZE`] of it is free, move its last record into the
+    /// best-fitting free extent, so that freeing the old copy trims the
+    /// tail. One record per call; crash-safe like a re-put (the copy
+    /// lands before the original is freed, and both carry one `seq`).
+    fn squeeze(&self) -> io::Result<()> {
+        let Some((key, slot)) = self.space.lock().tail_to_move() else {
+            return Ok(());
+        };
+        let buf = self.read_slot(&slot)?;
+        match decode_record(&buf) {
+            Some((Record::Put { meta, digest, .. }, head)) if head == slot.head as usize => {
+                self.write_record(&key, &meta, &digest, &buf[head..], Some(slot))
+            }
+            // Unreadable where it lies: `get` will say so; nothing to move.
+            _ => Ok(()),
+        }
+    }
+
+    /// Rebuild index and extent map from the data file. Reads through a
+    /// fixed window; steps [`ALIGN`] bytes past anything that does not
+    /// verify, so a torn or corrupt header costs that extent only.
+    fn recover_file(&self) -> io::Result<()> {
+        let file_len = self.file.metadata()?.len();
+        let mut window = Window::new(&self.file, file_len);
+        let mut index: HashMap<CacheKey, Slot> = HashMap::new();
+        // Offsets of records whose header verifies but which are not
+        // indexed (torn body, or another copy of an indexed key).
+        let mut dropped: Vec<u64> = Vec::new();
+        let mut max_seq = 0u64;
+        let mut at = 0u64;
+        while at < file_len {
+            at += match window.record_at(at)? {
+                Scanned::Junk => ALIGN,
+                Scanned::Free(len) => len,
+                Scanned::Torn => {
+                    dropped.push(at);
+                    ALIGN
+                }
+                Scanned::Live(key, slot) => {
+                    max_seq = max_seq.max(slot.seq);
+                    match index.get(&key) {
+                        Some(kept) if kept.seq >= slot.seq => dropped.push(at),
+                        _ => {
+                            if let Some(older) = index.insert(key, slot) {
+                                dropped.push(older.off);
+                            }
+                        }
+                    }
+                    slot.extent()
+                }
+            };
+        }
+
+        // Everything between live extents is free; what follows the last
+        // one is cut off.
+        let mut space = Space::default();
+        let mut live: Vec<(CacheKey, Slot)> = index.into_iter().collect();
+        live.sort_unstable_by_key(|(_, slot)| slot.off);
+        for (key, slot) in live {
+            let gap_at = space.end;
+            space.end = slot.off + slot.extent();
+            if slot.off > gap_at {
+                space.release(gap_at, slot.off - gap_at);
+            }
+            space.set_live(&key, slot);
+        }
+        if file_len > space.end {
+            self.file.set_len(space.end)?;
+        }
+        // A dropped record claims one ALIGN step only: that much is
+        // certainly not part of a live extent.
+        let tombstone = encode_record(&Record::Free { len: ALIGN });
+        for off in dropped.into_iter().filter(|&off| off < space.end) {
+            self.file.write_all_at(&tombstone, off)?;
+        }
+        self.next_seq.store(max_seq + 1, Ordering::Relaxed);
+        *self.space.lock() = space;
         Ok(())
     }
 }
 
-/// Everything boot replay reconstructs from the segment files.
-#[derive(Default)]
-struct Replayed {
-    index: HashMap<CacheKey, KeyEntry>,
-    bodies: HashMap<Digest, BodyLoc>,
-    segments: BTreeMap<u64, SegInfo>,
-    max_seq: u64,
+/// What recovery found at one offset.
+enum Scanned {
+    /// Nothing that verifies.
+    Junk,
+    /// A `Free` record covering this many bytes.
+    Free(u64),
+    /// A `Put` record whose body is cut short or fails its digest.
+    Torn,
+    /// A verified record and body.
+    Live(CacheKey, Slot),
 }
 
-fn add_live(segments: &mut BTreeMap<u64, SegInfo>, segment: u64, bytes: u64) {
-    segments.entry(segment).or_default().live += bytes;
+/// A fixed-size read window over the data file: recovery's only buffer.
+struct Window<'a> {
+    file: &'a fs::File,
+    file_len: u64,
+    buf: Vec<u8>,
+    start: u64,
+    filled: usize,
 }
 
-fn add_dead(segments: &mut BTreeMap<u64, SegInfo>, segment: u64, bytes: u64) {
-    segments.entry(segment).or_default().dead += bytes;
-}
+impl<'a> Window<'a> {
+    fn new(file: &'a fs::File, file_len: u64) -> Window<'a> {
+        Window {
+            file,
+            file_len,
+            buf: vec![0u8; (2 * MAX_HEAD.max(SCAN_CHUNK) as u64).min(file_len) as usize],
+            start: 0,
+            filled: 0,
+        }
+    }
 
-/// Retire bytes that were previously counted live.
-fn mark_dead(segments: &mut BTreeMap<u64, SegInfo>, segment: u64, bytes: u64) {
-    let info = segments.entry(segment).or_default();
-    info.live = info.live.saturating_sub(bytes);
-    info.dead += bytes;
+    /// `n` bytes at `off` (at most half the window), `None` past the end
+    /// of the file.
+    fn get(&mut self, off: u64, n: usize) -> io::Result<Option<&[u8]>> {
+        if off.checked_add(n as u64).is_none_or(|e| e > self.file_len) {
+            return Ok(None);
+        }
+        if off < self.start || off + n as u64 > self.start + self.filled as u64 {
+            self.start = off;
+            self.filled = (self.buf.len() as u64).min(self.file_len - off) as usize;
+            self.file
+                .read_exact_at(&mut self.buf[..self.filled], self.start)?;
+        }
+        let at = (off - self.start) as usize;
+        Ok(Some(&self.buf[at..at + n]))
+    }
+
+    fn record_at(&mut self, at: u64) -> io::Result<Scanned> {
+        let Some(payload_len) = self.get(at, REC_HEADER_LEN)?.and_then(header_payload_len) else {
+            return Ok(Scanned::Junk);
+        };
+        let head = REC_HEADER_LEN + payload_len;
+        if head > MAX_HEAD {
+            return Ok(Scanned::Junk);
+        }
+        let Some((rec, _)) = self.get(at, head)?.and_then(decode_record) else {
+            return Ok(Scanned::Junk);
+        };
+        match rec {
+            Record::Free { len } => {
+                let fits = len >= ALIGN
+                    && len % ALIGN == 0
+                    && at
+                        .checked_add(len)
+                        .is_some_and(|e| e <= round_up(self.file_len));
+                Ok(if fits {
+                    Scanned::Free(len)
+                } else {
+                    Scanned::Junk
+                })
+            }
+            Record::Put {
+                seq,
+                key,
+                digest,
+                body_len,
+                ..
+            } => {
+                let mut stream = DigestStream::new();
+                let mut pos = at + head as u64;
+                let mut left = body_len;
+                while left > SCAN_CHUNK as u64 {
+                    let Some(chunk) = self.get(pos, SCAN_CHUNK)? else {
+                        return Ok(Scanned::Torn);
+                    };
+                    stream.blocks(chunk);
+                    pos += SCAN_CHUNK as u64;
+                    left -= SCAN_CHUNK as u64;
+                }
+                match self.get(pos, left as usize)? {
+                    Some(rest) if stream.finish(rest) == digest => Ok(Scanned::Live(
+                        key,
+                        Slot {
+                            off: at,
+                            len: head as u64 + body_len,
+                            head: head as u32,
+                            seq,
+                            stamp: 0,
+                        },
+                    )),
+                    _ => Ok(Scanned::Torn),
+                }
+            }
+        }
+    }
 }
 
 impl Store for SegmentStore {
@@ -857,137 +824,81 @@ impl Store for SegmentStore {
         digest: &Digest,
         body: &[u8],
     ) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-
-        let need_body = !inner.bodies.contains_key(digest);
-        let mut batch = Vec::new();
-        let body_rec_len = if need_body {
-            let seq = Self::alloc_seq(inner);
-            batch.extend_from_slice(&encode_record(&Record::Body {
-                seq,
-                digest: *digest,
-                body: body.to_vec(),
-            }));
-            batch.len() as u64
-        } else {
-            inner.dedup_hits += 1;
-            0
-        };
-        let put_seq = Self::alloc_seq(inner);
-        let put_rec = encode_record(&Record::Put {
-            seq: put_seq,
-            key: key.clone(),
-            digest: *digest,
-            meta: meta.clone(),
-        });
-        batch.extend_from_slice(&put_rec);
-
-        self.roll_if_needed(inner, batch.len() as u64)?;
-        let base = inner.written;
-        self.append(inner, &batch)?;
-        let segment = inner.current;
-
-        if need_body {
-            inner.bodies.insert(
-                *digest,
-                BodyLoc {
-                    segment,
-                    offset: base + (REC_HEADER_LEN + 32) as u64,
-                    len: body.len() as u64,
-                    crc: crc32(body),
-                    rec_len: body_rec_len,
-                    refs: 0,
-                },
-            );
-            inner.segments.entry(segment).or_default().live += body_rec_len;
-        }
-        inner.segments.entry(segment).or_default().live += put_rec.len() as u64;
-
-        // Retire the previous version of this key, then claim the new
-        // digest (order matters when old and new digests are equal).
-        if let Some(old) = inner.index.remove(key) {
-            mark_dead(&mut inner.segments, old.segment, old.rec_len);
-            Self::release_digest(inner, &old.digest);
-        }
-        inner
-            .bodies
-            .get_mut(digest)
-            .expect("inserted or pre-existing")
-            .refs += 1;
-        inner.index.insert(
-            key.clone(),
-            KeyEntry {
-                digest: *digest,
-                meta: meta.clone(),
-                seq: put_seq,
-                segment,
-                rec_len: put_rec.len() as u64,
-            },
-        );
-        self.maybe_compact(inner)?;
+        self.write_record(key, meta, digest, body, None)?;
+        // The put stands whatever becomes of the move: a failure there
+        // leaves the file longer than it need be, and the next put tries
+        // again.
+        let _ = self.squeeze();
         Ok(())
     }
 
     fn get(&self, key: &CacheKey) -> io::Result<Vec<u8>> {
-        let inner = self.inner.lock();
-        let entry = inner
-            .index
-            .get(key)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no body for {key}")))?;
-        let loc = inner
-            .bodies
-            .get(&entry.digest)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "dangling digest"))?;
-        self.read_body_at(loc)
+        loop {
+            let Some(slot) = self.space.lock().index.get(key).copied() else {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("no body for {key}"),
+                ));
+            };
+            let read = self.read_slot(&slot);
+            // The bytes are this key's only if its slot stood still while
+            // they were read: an extent is rewritten only after the index
+            // entry pointing at it is gone, and a stamp never repeats.
+            if self.space.lock().index.get(key) != Some(&slot) {
+                continue;
+            }
+            let mut buf = read?;
+            return match decode_record(&buf) {
+                Some((Record::Put { seq, key: k, .. }, head))
+                    if k == *key && seq == slot.seq && head == slot.head as usize =>
+                {
+                    buf.drain(..head);
+                    Ok(buf)
+                }
+                _ => Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "segment record failed verification",
+                )),
+            };
+        }
     }
 
     fn delete(&self, key: &CacheKey) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let Some(old) = inner.index.remove(key) else {
+        let Some(slot) = self.space.lock().unset_live(key) else {
             return Ok(());
         };
-        let seq = Self::alloc_seq(inner);
-        let rec = encode_record(&Record::Del {
-            seq,
-            key: key.clone(),
-        });
-        self.roll_if_needed(inner, rec.len() as u64)?;
-        self.append(inner, &rec)?;
-        // The tombstone is immediately dead weight (it only matters for
-        // replay until compaction removes the put it shadows), as is the
-        // put record it retires.
-        let current = inner.current;
-        inner.segments.entry(current).or_default().dead += rec.len() as u64;
-        mark_dead(&mut inner.segments, old.segment, old.rec_len);
-        Self::release_digest(inner, &old.digest);
-        self.maybe_compact(inner)?;
-        Ok(())
+        self.retire(slot.off, slot.extent())
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
-        self.inner.lock().index.contains_key(key)
+        self.space.lock().index.contains_key(key)
     }
 
     fn len(&self) -> usize {
-        self.inner.lock().index.len()
+        self.space.lock().index.len()
     }
 
     fn recover(&self) -> Vec<RecoveredEntry> {
-        let inner = self.inner.lock();
-        let now = unix_now();
-        let mut out: Vec<RecoveredEntry> = inner
-            .index
+        let slots: Vec<Slot> = self.space.lock().index.values().copied().collect();
+        let mut head = Vec::new();
+        let mut out: Vec<RecoveredEntry> = slots
             .iter()
-            .filter(|(_, e)| e.meta.expires_unix.is_none_or(|x| x > now))
-            .map(|(key, e)| RecoveredEntry {
-                key: key.clone(),
-                content_type: e.meta.content_type.clone(),
-                exec_micros: e.meta.exec_micros,
-                expires_unix: e.meta.expires_unix,
-                created_unix: e.meta.created_unix,
-                size: inner.bodies.get(&e.digest).map_or(0, |l| l.len),
+            .filter_map(|slot| {
+                head.resize(slot.head as usize, 0);
+                self.file.read_exact_at(&mut head, slot.off).ok()?;
+                match decode_record(&head)? {
+                    (Record::Put { key, meta, seq, .. }, _) if seq == slot.seq => {
+                        Some(RecoveredEntry {
+                            key,
+                            content_type: meta.content_type,
+                            exec_micros: meta.exec_micros,
+                            expires_unix: meta.expires_unix,
+                            created_unix: meta.created_unix,
+                            size: slot.len - slot.head as u64,
+                        })
+                    }
+                    _ => None,
+                }
             })
             .collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
@@ -995,17 +906,13 @@ impl Store for SegmentStore {
     }
 
     fn metrics(&self) -> StoreMetrics {
-        let inner = self.inner.lock();
+        let space = self.space.lock();
         StoreMetrics {
             kind: "segment",
-            segments: inner.segments.len() as u64,
-            live_bytes: inner.segments.values().map(|s| s.live).sum(),
-            dead_bytes: inner.segments.values().map(|s| s.dead).sum(),
-            dedup_hits: inner.dedup_hits,
-            compactions: inner.compactions,
-            compacted_bytes: inner.compacted_bytes,
-            bodies: inner.bodies.len() as u64,
-            fsyncs: inner.fsyncs,
+            file_bytes: space.end,
+            live_bytes: space.live_bytes,
+            free_bytes: space.free_bytes,
+            fsyncs: self.fsyncs.load(Ordering::Relaxed),
         }
     }
 }
@@ -1013,6 +920,7 @@ impl Store for SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::unix_now;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1024,13 +932,8 @@ mod tests {
         d
     }
 
-    /// Fast config for tests: no fsync, small segments.
-    fn cfg(segment_bytes: u64) -> SegmentConfig {
-        SegmentConfig {
-            segment_bytes,
-            fsync: false,
-            compact_min_dead: u64::MAX,
-        }
+    fn open(root: &Path) -> SegmentStore {
+        SegmentStore::open_with(root, SegmentConfig { fsync: false }).unwrap()
     }
 
     fn meta() -> HeaderMeta {
@@ -1042,13 +945,36 @@ mod tests {
         }
     }
 
+    fn key(i: usize) -> CacheKey {
+        CacheKey::new(format!("/k?i={i:04}"))
+    }
+
+    /// Extents as (offset, length, live), checked to tile the file with
+    /// no two free ones adjacent.
+    fn tiling(s: &SegmentStore) -> Vec<(u64, u64, bool)> {
+        let extents = s.extents();
+        let mut at = 0;
+        for (i, &(off, len, live)) in extents.iter().enumerate() {
+            assert_eq!(off, at, "gap or overlap before extent {i}: {extents:?}");
+            assert!(len > 0 && len % ALIGN == 0, "{extents:?}");
+            assert!(
+                live || i == 0 || extents[i - 1].2,
+                "adjacent free: {extents:?}"
+            );
+            at = off + len;
+        }
+        assert_eq!(at, s.metrics().file_bytes);
+        assert!(extents.last().is_none_or(|e| e.2), "free tail: {extents:?}");
+        extents
+    }
+
     #[test]
     fn store_semantics() {
         let root = tmp_root("sem");
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
+        let s = open(&root);
         let k = CacheKey::new("/cgi-bin/adl?id=1&ms=40");
         assert!(!s.contains(&k));
-        assert!(s.get(&k).is_err());
+        assert_eq!(s.get(&k).unwrap_err().kind(), io::ErrorKind::NotFound);
         s.put(&k, b"result-body").unwrap();
         assert!(s.contains(&k));
         assert_eq!(s.get(&k).unwrap(), b"result-body");
@@ -1060,17 +986,13 @@ mod tests {
         s.delete(&k).unwrap();
         assert!(!s.contains(&k));
         assert!(s.is_empty());
+        assert_eq!(s.metrics().file_bytes, 0, "an empty store is an empty file");
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
     fn record_roundtrip() {
         let recs = [
-            Record::Body {
-                seq: 7,
-                digest: Digest::of(b"x"),
-                body: b"x".to_vec(),
-            },
             Record::Put {
                 seq: 8,
                 key: CacheKey::new("/k?q=1"),
@@ -1081,11 +1003,9 @@ mod tests {
                     expires_unix: Some(456),
                     created_unix: 789,
                 },
+                body_len: 1,
             },
-            Record::Del {
-                seq: 9,
-                key: CacheKey::new("/k?q=1"),
-            },
+            Record::Free { len: 4096 },
         ];
         for rec in recs {
             let bytes = encode_record(&rec);
@@ -1093,332 +1013,336 @@ mod tests {
             assert_eq!(back, rec);
             assert_eq!(used, bytes.len());
         }
+        assert!(encode_record(&Record::Free { len: u64::MAX }).len() <= ALIGN as usize);
     }
 
     #[test]
-    fn persists_and_replays_across_reopen() {
+    fn persists_across_reopen() {
         let root = tmp_root("reopen");
         {
-            let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
+            let s = open(&root);
             for i in 0..20 {
-                s.put_described(
-                    &CacheKey::new(format!("/k?i={i}")),
-                    &meta(),
-                    format!("body{i}").as_bytes(),
-                )
-                .unwrap();
+                s.put_described(&key(i), &meta(), format!("body{i}").as_bytes())
+                    .unwrap();
             }
-            s.put(&CacheKey::new("/k?i=3"), b"rewritten").unwrap();
-            s.delete(&CacheKey::new("/k?i=5")).unwrap();
+            s.put(&key(3), b"rewritten").unwrap();
+            s.delete(&key(5)).unwrap();
         }
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
+        let s = open(&root);
         assert_eq!(s.len(), 19);
-        assert_eq!(s.get(&CacheKey::new("/k?i=3")).unwrap(), b"rewritten");
-        assert!(!s.contains(&CacheKey::new("/k?i=5")), "tombstone replayed");
-        assert_eq!(s.get(&CacheKey::new("/k?i=7")).unwrap(), b"body7");
-        // Appending still works after replay.
+        assert_eq!(s.get(&key(3)).unwrap(), b"rewritten");
+        assert!(!s.contains(&key(5)), "a deleted key stays deleted");
+        assert_eq!(s.get(&key(7)).unwrap(), b"body7");
+        tiling(&s);
         s.put(&CacheKey::new("/new"), b"fresh").unwrap();
         assert_eq!(s.get(&CacheKey::new("/new")).unwrap(), b"fresh");
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn dedup_stores_one_body_for_many_keys() {
-        let root = tmp_root("dedup");
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        let body = vec![42u8; 4096];
-        for i in 0..100 {
-            s.put_described(&CacheKey::new(format!("/k?i={i}")), &meta(), &body)
-                .unwrap();
+    fn churn_at_capacity_reuses_space_in_place() {
+        let root = tmp_root("reuse");
+        let s = open(&root);
+        let body = vec![7u8; 4096];
+        for i in 0..50 {
+            s.put(&key(i), &body).unwrap();
+        }
+        s.put(&key(50), &body).unwrap();
+        let full = s.metrics().file_bytes;
+        s.delete(&key(0)).unwrap();
+        for i in 51..1000 {
+            s.put(&key(i), &body).unwrap();
+            assert_eq!(s.metrics().file_bytes, full, "put {i} grew the file");
+            s.delete(&key(i - 50)).unwrap();
         }
         let m = s.metrics();
-        assert_eq!(m.bodies, 1, "one physical body");
-        assert_eq!(m.dedup_hits, 99);
-        // Disk usage: one body + 100 small index records, nowhere near
-        // 100 bodies.
-        let disk: u64 = fs::read_dir(&root)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.metadata().map(|m| m.len()).unwrap_or(0))
-            .sum();
-        assert!(
-            disk < 2 * 4096 + 100 * 200,
-            "disk {disk} should hold ~1 body copy"
-        );
-        // Every key still reads the right bytes.
-        for i in (0..100).step_by(17) {
-            assert_eq!(s.get(&CacheKey::new(format!("/k?i={i}"))).unwrap(), body);
-        }
-        // Dedup survives replay.
-        drop(s);
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        assert_eq!(s.metrics().bodies, 1);
-        assert_eq!(s.get(&CacheKey::new("/k?i=99")).unwrap(), body);
+        assert_eq!(m.live_bytes + m.free_bytes, m.file_bytes);
+        // The last record's padding is never written.
+        let on_disk = fs::metadata(root.join(DATA_FILE)).unwrap().len();
+        assert_eq!(round_up(on_disk), m.file_bytes);
+        tiling(&s);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn deleting_one_sharer_keeps_the_body() {
-        let root = tmp_root("share-del");
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        let a = CacheKey::new("/a");
-        let b = CacheKey::new("/b");
-        s.put(&a, b"shared").unwrap();
-        s.put(&b, b"shared").unwrap();
+    fn free_extents_split_coalesce_and_trim() {
+        let root = tmp_root("extents");
+        let s = open(&root);
+        let (a, b, c, d) = (key(1), key(2), key(3), key(4));
+        s.put(&a, &vec![1u8; 4000]).unwrap();
+        s.put(&b, &vec![2u8; 1000]).unwrap();
+        s.put(&c, &vec![3u8; 4000]).unwrap();
+        let before = tiling(&s);
+        assert_eq!(before.len(), 3);
+        // A hole opens where `a` was; a smaller record takes its start
+        // and the rest stays free.
         s.delete(&a).unwrap();
-        assert_eq!(s.get(&b).unwrap(), b"shared");
-        assert_eq!(s.metrics().bodies, 1);
+        s.put(&d, &vec![4u8; 1000]).unwrap();
+        let split = tiling(&s);
+        assert_eq!(split.len(), 4, "{split:?}");
+        assert_eq!(
+            (split[0].0, split[0].2),
+            (0, true),
+            "best fit from the start"
+        );
+        assert!(!split[1].2, "remainder is free: {split:?}");
+        assert_eq!(split[0].1 + split[1].1, before[0].1);
+        // Freeing it again merges the two pieces back into one extent.
+        s.delete(&d).unwrap();
+        let merged = tiling(&s);
+        assert_eq!(
+            (merged[0].1, merged[0].2),
+            (before[0].1, false),
+            "{merged:?}"
+        );
+        // Freeing the middle merges three ways; freeing the tail cuts the
+        // file back to nothing.
         s.delete(&b).unwrap();
-        assert_eq!(s.metrics().bodies, 0, "last ref drops the body");
+        assert_eq!(tiling(&s).len(), 2);
+        s.delete(&c).unwrap();
+        assert!(tiling(&s).is_empty());
+        assert_eq!(fs::metadata(root.join(DATA_FILE)).unwrap().len(), 0);
+        // Everything still works across a reopen of a file with holes.
+        s.put(&a, &vec![1u8; 4000]).unwrap();
+        s.put(&b, &vec![2u8; 1000]).unwrap();
+        s.put(&c, &[3u8; 100]).unwrap();
+        s.delete(&a).unwrap();
+        let live = tiling(&s);
+        drop(s);
+        let s = open(&root);
+        assert_eq!(tiling(&s), live);
+        assert_eq!(s.get(&b).unwrap(), vec![2u8; 1000]);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn torn_tail_is_truncated_and_appends_resume() {
+    fn torn_tail_and_truncation_cost_only_the_last_record() {
         let root = tmp_root("torn");
         {
-            let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-            s.put(&CacheKey::new("/a"), b"alpha").unwrap();
-            s.put(&CacheKey::new("/b"), b"beta").unwrap();
+            let s = open(&root);
+            s.put(&key(1), b"alpha").unwrap();
+            s.put(&key(2), &vec![9u8; 3000]).unwrap();
         }
-        // Simulate a torn write: half a record at the tail.
-        let seg = seg_path(&root, 0);
-        let mut f = fs::OpenOptions::new().append(true).open(&seg).unwrap();
-        f.write_all(&[KIND_PUT, 0, 0, 0]).unwrap();
-        drop(f);
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        assert_eq!(s.len(), 2, "acked entries survive the torn tail");
-        assert_eq!(s.get(&CacheKey::new("/a")).unwrap(), b"alpha");
-        s.put(&CacheKey::new("/c"), b"gamma").unwrap();
+        let path = root.join(DATA_FILE);
+        let whole = fs::read(&path).unwrap();
+        // Cut inside the second record's body: a torn append.
+        fs::write(&path, &whole[..whole.len() - 1000]).unwrap();
+        let s = open(&root);
+        assert_eq!(s.len(), 1, "the acked first entry survives");
+        assert_eq!(s.get(&key(1)).unwrap(), b"alpha");
+        assert_eq!(tiling(&s).len(), 1, "the torn tail is trimmed");
+        s.put(&key(3), b"gamma").unwrap();
         drop(s);
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        assert_eq!(s.len(), 3, "append after truncation replays cleanly");
-        assert_eq!(s.get(&CacheKey::new("/c")).unwrap(), b"gamma");
+        let s = open(&root);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get(&key(3)).unwrap(), b"gamma");
+        // Garbage where a store should be is an empty store.
+        drop(s);
+        fs::write(&path, b"not a segment at all, just some bytes".repeat(10)).unwrap();
+        let s = open(&root);
+        assert_eq!((s.len(), s.metrics().file_bytes), (0, 0));
+        s.put(&key(4), b"y").unwrap();
+        assert_eq!(s.get(&key(4)).unwrap(), b"y");
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn corrupt_magic_never_panics() {
-        let root = tmp_root("badmagic");
-        fs::create_dir_all(&root).unwrap();
-        fs::write(seg_path(&root, 0), b"not a segment at all").unwrap();
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        assert_eq!(s.len(), 0);
-        s.put(&CacheKey::new("/x"), b"y").unwrap();
-        assert_eq!(s.get(&CacheKey::new("/x")).unwrap(), b"y");
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn bit_flip_in_body_is_invalid_data() {
+    fn bit_flip_in_a_body_drops_that_record_at_reopen() {
         let root = tmp_root("flip");
         {
-            let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-            s.put(&CacheKey::new("/a"), &vec![7u8; 512]).unwrap();
+            let s = open(&root);
+            s.put(&key(1), &vec![7u8; 512]).unwrap();
+            s.put(&key(2), &vec![8u8; 512]).unwrap();
         }
-        // Flip one bit inside the body payload (past magic + header +
-        // digest, safely inside the 512-byte body).
-        let seg = seg_path(&root, 0);
-        let mut bytes = fs::read(&seg).unwrap();
-        let at = SEG_MAGIC.len() + REC_HEADER_LEN + 32 + 100;
-        bytes[at] ^= 0x40;
-        fs::write(&seg, &bytes).unwrap();
-        // Replay drops the record (payload CRC fails ⇒ torn tail), so the
-        // key is simply gone — never wrong bytes, never a panic.
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        match s.get(&CacheKey::new("/a")) {
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    io::ErrorKind::NotFound | io::ErrorKind::InvalidData
-                ),
-                "{e:?}"
-            ),
-            Ok(body) => assert_eq!(body, vec![7u8; 512], "served bytes must be correct"),
-        }
+        let path = root.join(DATA_FILE);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[300] ^= 0x40; // inside the first body
+        fs::write(&path, &bytes).unwrap();
+        let s = open(&root);
+        assert_eq!(s.get(&key(1)).unwrap_err().kind(), io::ErrorKind::NotFound);
+        assert_eq!(s.get(&key(2)).unwrap(), vec![8u8; 512]);
+        tiling(&s);
         let _ = fs::remove_dir_all(root);
     }
 
+    /// A crash between a re-put's write and the freeing of the old
+    /// version leaves both on disk: the newer wins, and the loser is
+    /// overwritten so that deleting the key later cannot bring it back.
     #[test]
-    fn expired_entries_are_skipped_on_replay_and_recover() {
-        let root = tmp_root("expire");
+    fn both_versions_on_disk_resolve_to_the_newer_for_good() {
+        let root = tmp_root("reput");
+        let path = root.join(DATA_FILE);
+        let k = key(1);
         {
-            let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-            s.put_described(
-                &CacheKey::new("/dead"),
-                &HeaderMeta {
-                    expires_unix: Some(1),
-                    ..meta()
-                },
-                b"stale",
-            )
-            .unwrap();
-            s.put_described(&CacheKey::new("/live"), &meta(), b"fresh")
-                .unwrap();
-            let recovered = s.recover();
-            assert_eq!(recovered.len(), 1, "recover() skips expired entries");
-            assert_eq!(recovered[0].key.as_str(), "/live");
+            let s = open(&root);
+            s.put(&k, &vec![1u8; 2000]).unwrap();
+            // Large enough that the hole the re-put leaves is too small a
+            // share of the file for the new version to be moved into it.
+            s.put(&key(2), &vec![9u8; 100_000]).unwrap();
+            let old_start = fs::read(&path).unwrap()[..ALIGN as usize].to_vec();
+            s.put(&k, &vec![2u8; 2000]).unwrap();
+            assert!(!s.extents()[0].2, "the old version's extent is free");
+            // Undo the `Free` record over the old version's header: the
+            // state a crash before that write would have left.
+            s.file.write_all_at(&old_start, 0).unwrap();
         }
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        assert!(!s.contains(&CacheKey::new("/dead")), "expired not replayed");
-        assert!(s.contains(&CacheKey::new("/live")));
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn segments_roll_at_the_size_bound() {
-        let root = tmp_root("roll");
-        let s = SegmentStore::open_with(&root, cfg(4096)).unwrap();
-        for i in 0..16 {
-            s.put_described(
-                &CacheKey::new(format!("/k?i={i}")),
-                &meta(),
-                &vec![i as u8; 1024],
-            )
-            .unwrap();
-        }
-        assert!(s.metrics().segments > 1, "writes rolled segments");
+        let s = open(&root);
+        assert_eq!(s.get(&k).unwrap(), vec![2u8; 2000]);
+        assert_eq!(s.len(), 2);
+        tiling(&s);
+        s.delete(&k).unwrap();
         drop(s);
-        let s = SegmentStore::open_with(&root, cfg(4096)).unwrap();
-        assert_eq!(s.len(), 16);
-        for i in 0..16 {
-            assert_eq!(
-                s.get(&CacheKey::new(format!("/k?i={i}"))).unwrap(),
-                vec![i as u8; 1024]
-            );
-        }
+        let s = open(&root);
+        assert!(!s.contains(&k), "a deleted key never resurrects");
+        assert_eq!(s.get(&key(2)).unwrap(), vec![9u8; 100_000]);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn compaction_drops_dead_records_and_preserves_live() {
-        let root = tmp_root("compact");
-        let s = SegmentStore::open_with(&root, cfg(4096)).unwrap();
-        for round in 0..5 {
-            for i in 0..8 {
-                s.put_described(
-                    &CacheKey::new(format!("/k?i={i}")),
-                    &meta(),
-                    format!("round-{round}-body-{i}-{}", "x".repeat(200)).as_bytes(),
-                )
-                .unwrap();
-            }
-        }
-        s.delete(&CacheKey::new("/k?i=0")).unwrap();
-        let before = s.metrics();
-        assert!(before.dead_bytes > 0);
-        s.compact().unwrap();
-        let after = s.metrics();
-        assert_eq!(after.compactions, 1);
-        assert_eq!(after.dead_bytes, 0, "compaction drops all dead bytes");
-        assert!(after.compacted_bytes > 0);
-        assert_eq!(s.len(), 7);
-        for i in 1..8 {
-            assert_eq!(
-                s.get(&CacheKey::new(format!("/k?i={i}"))).unwrap(),
-                format!("round-4-body-{i}-{}", "x".repeat(200)).as_bytes()
-            );
-        }
-        // And the compacted state replays.
+    fn failed_write_keeps_the_previous_version_and_frees_the_extent() {
+        let root = tmp_root("failwrite");
+        let s = open(&root);
+        let k = key(1);
+        s.put(&k, b"version one").unwrap();
+        s.put(&key(2), b"tail").unwrap();
+        let before = tiling(&s);
+        s.fail_next_write.store(true, Ordering::SeqCst);
+        assert!(s.put(&k, &vec![2u8; 5000]).is_err());
+        assert_eq!(s.get(&k).unwrap(), b"version one");
+        assert_eq!(tiling(&s), before, "the extent went back");
+        // Into a hole, too: the split-off remainder must come back whole.
+        s.put(&key(3), &vec![3u8; 4000]).unwrap();
+        s.put(&key(4), b"new tail").unwrap();
+        s.delete(&key(3)).unwrap();
+        let holed = tiling(&s);
+        s.fail_next_write.store(true, Ordering::SeqCst);
+        assert!(s.put(&k, &[2u8; 100]).is_err());
+        assert_eq!(tiling(&s), holed);
+        assert_eq!(s.get(&k).unwrap(), b"version one");
         drop(s);
-        let s = SegmentStore::open_with(&root, cfg(4096)).unwrap();
-        assert_eq!(s.len(), 7);
-        assert_eq!(
-            s.get(&CacheKey::new(format!("/k?i=3"))).unwrap(),
-            format!("round-4-body-3-{}", "x".repeat(200)).as_bytes()
-        );
+        let s = open(&root);
+        assert_eq!(s.get(&k).unwrap(), b"version one");
+        assert_eq!(s.len(), 3);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    /// The index says `k` lives in an extent whose bytes say otherwise
+    /// (what a reader that lost a race with delete-then-reuse would see
+    /// if nothing else caught it): an error, never the other key's body.
+    #[test]
+    fn get_verifies_the_key_in_the_record_it_read() {
+        let root = tmp_root("wrongkey");
+        let s = open(&root);
+        let (k, other) = (key(1), key(2));
+        s.put_described(&k, &meta(), &vec![1u8; 300]).unwrap();
+        let forged = encode_put(9, &other, &Digest::of(&[2u8; 300]), &meta(), 300);
+        s.file.write_all_at(&forged, 0).unwrap();
+        assert_eq!(s.get(&k).unwrap_err().kind(), io::ErrorKind::InvalidData);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
-    fn auto_compaction_triggers_on_dead_bytes() {
-        let root = tmp_root("autocompact");
-        let s = SegmentStore::open_with(
-            &root,
-            SegmentConfig {
-                segment_bytes: 1 << 20,
-                fsync: false,
-                compact_min_dead: 8 * 1024,
-            },
-        )
-        .unwrap();
-        let k = CacheKey::new("/hot");
-        for round in 0..64 {
-            s.put(&k, format!("{round}-{}", "y".repeat(512)).as_bytes())
-                .unwrap();
+    fn file_shrinks_after_a_shift_to_smaller_bodies() {
+        let root = tmp_root("squeeze");
+        let s = open(&root);
+        for i in 0..100 {
+            s.put(&key(i), &vec![1u8; 16 * 1024]).unwrap();
+        }
+        let big = s.metrics().file_bytes;
+        // One record moves per put, so the file follows its contents
+        // down over the next turnover, not at once.
+        for i in 0..300 {
+            s.put(&key(100 + i), &vec![2u8; 1024]).unwrap();
+            s.delete(&key(i)).unwrap();
         }
         let m = s.metrics();
-        assert!(m.compactions >= 1, "overwrites should have compacted");
-        assert!(m.dead_bytes <= 8 * 1024 + 1024);
-        assert_eq!(
-            s.get(&k).unwrap(),
-            format!("63-{}", "y".repeat(512)).as_bytes()
-        );
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn leftover_compaction_tmp_is_swept() {
-        let root = tmp_root("sweep");
-        fs::create_dir_all(&root).unwrap();
-        fs::write(root.join("compact-00000007.tmp"), b"half-finished").unwrap();
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-        assert!(!root.join("compact-00000007.tmp").exists());
-        s.put(&CacheKey::new("/x"), b"y").unwrap();
+        assert!(m.file_bytes < big / 8, "{m:?} after {big}");
+        assert!(m.free_bytes * SQUEEZE <= m.file_bytes + 2048, "{m:?}");
+        for i in 300..400 {
+            assert_eq!(s.get(&key(i)).unwrap(), vec![2u8; 1024]);
+        }
+        tiling(&s);
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
     fn recovery_roundtrips_metadata() {
         let root = tmp_root("recmeta");
+        let described = HeaderMeta {
+            content_type: "text/html".into(),
+            exec_micros: 1_600_000,
+            expires_unix: Some(9_999_999_999),
+            created_unix: 901_627_200,
+        };
         {
-            let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
-            s.put_described(
-                &CacheKey::new("/cgi-bin/a?x=1"),
-                &HeaderMeta {
-                    content_type: "text/html".into(),
-                    exec_micros: 1_600_000,
-                    expires_unix: Some(9_999_999_999),
-                    created_unix: 901_627_200,
-                },
-                b"body-a",
-            )
-            .unwrap();
+            let s = open(&root);
+            s.put_described(&CacheKey::new("/cgi-bin/a?x=1"), &described, b"body-a")
+                .unwrap();
         }
-        let s = SegmentStore::open_with(&root, cfg(1 << 20)).unwrap();
+        let s = open(&root);
         let recovered = s.recover();
         assert_eq!(recovered.len(), 1);
         let a = &recovered[0];
         assert_eq!(a.key.as_str(), "/cgi-bin/a?x=1");
-        assert_eq!(a.content_type, "text/html");
-        assert_eq!(a.exec_micros, 1_600_000);
-        assert_eq!(a.expires_unix, Some(9_999_999_999));
-        assert_eq!(a.created_unix, 901_627_200);
+        assert_eq!(a.content_type, described.content_type);
+        assert_eq!(a.exec_micros, described.exec_micros);
+        assert_eq!(a.expires_unix, described.expires_unix);
+        assert_eq!(a.created_unix, described.created_unix);
         assert_eq!(a.size, 6);
         assert_eq!(s.get(&a.key).unwrap(), b"body-a");
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
+    fn fsync_knob_counts_durability_work() {
+        let root = tmp_root("fsync");
+        let s = SegmentStore::open(&root).unwrap();
+        s.put(&key(1), b"x").unwrap();
+        assert_eq!(s.metrics().fsyncs, 1, "one data sync per put");
+        s.delete(&key(1)).unwrap();
+        assert_eq!(s.metrics().fsyncs, 2, "and one per delete");
+        assert_eq!(s.metrics().kind, "segment");
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn oversized_key_is_refused() {
+        let root = tmp_root("bigkey");
+        let s = open(&root);
+        let k = CacheKey::new("k".repeat(MAX_HEAD));
+        assert_eq!(
+            s.put(&k, b"x").unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert!(s.is_empty() && tiling(&s).is_empty());
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
     fn concurrent_access() {
-        use std::sync::Arc;
         let root = tmp_root("conc");
-        let s = Arc::new(SegmentStore::open_with(&root, cfg(64 * 1024)).unwrap());
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    let k = CacheKey::new(format!("/t{t}?i={i}"));
-                    s.put(&k, format!("{t}-{i}").as_bytes()).unwrap();
-                    assert_eq!(s.get(&k).unwrap(), format!("{t}-{i}").as_bytes());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.len(), 200);
+        let s = open(&root);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..200 {
+                        let k = CacheKey::new(format!("/t{t}?i={i}"));
+                        s.put(&k, format!("{t}-{i}").repeat(1 + i % 7).as_bytes())
+                            .unwrap();
+                        assert_eq!(
+                            s.get(&k).unwrap(),
+                            format!("{t}-{i}").repeat(1 + i % 7).as_bytes()
+                        );
+                        if i % 3 == 0 {
+                            s.delete(&k).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(s.len(), 4 * 133);
+        tiling(&s);
         let _ = fs::remove_dir_all(root);
     }
 

@@ -28,11 +28,11 @@ const MAGIC: &[u8; 4] = b"SWC1";
 /// Which body-store implementation a node runs (`store files|segment`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreKind {
-    /// The paper's §4.1 one-file-per-entry layout ([`DiskStore`]) — the
-    /// faithful default.
+    /// The paper's §4.1 one-file-per-entry layout ([`DiskStore`]) — what
+    /// the paper experiments pin.
     Files,
-    /// Append-only segment log with checksummed records and digest
-    /// dedup ([`crate::segstore::SegmentStore`]).
+    /// One data file of checksummed records, space reused in place
+    /// ([`crate::segstore::SegmentStore`]) — the shipped default.
     Segment,
 }
 
@@ -63,21 +63,13 @@ impl std::str::FromStr for StoreKind {
 pub struct StoreMetrics {
     /// Implementation name ("files", "segment", "mem").
     pub kind: &'static str,
-    /// Segment files on disk (segment store only).
-    pub segments: u64,
-    /// Bytes of live records.
+    /// Length of the data file (segment store only).
+    pub file_bytes: u64,
+    /// Bytes of extents holding live records.
     pub live_bytes: u64,
-    /// Bytes of deleted/superseded records awaiting compaction.
-    pub dead_bytes: u64,
-    /// Puts whose body was already stored under the same digest.
-    pub dedup_hits: u64,
-    /// Completed compaction passes.
-    pub compactions: u64,
-    /// Bytes reclaimed by compaction.
-    pub compacted_bytes: u64,
-    /// Distinct bodies physically stored.
-    pub bodies: u64,
-    /// `sync_all` calls issued (durability work performed).
+    /// Bytes of free extents inside the data file, awaiting reuse.
+    pub free_bytes: u64,
+    /// Durability syncs issued.
     pub fsyncs: u64,
 }
 
@@ -127,8 +119,8 @@ pub trait Store: Send + Sync {
     /// Persist `body` with descriptive metadata (enables recovery).
     fn put_described(&self, key: &CacheKey, meta: &HeaderMeta, body: &[u8]) -> io::Result<()>;
     /// [`put_described`](Store::put_described) with the body's content
-    /// digest precomputed by the caller, so dedup-capable stores don't
-    /// hash twice. Stores without dedup ignore the digest.
+    /// digest precomputed by the caller, so a store that records it as
+    /// the body's integrity value doesn't hash twice. Others ignore it.
     fn put_digested(
         &self,
         key: &CacheKey,

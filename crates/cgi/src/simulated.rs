@@ -127,6 +127,9 @@ fn spin_for(d: Duration) {
     }
 }
 
+/// Length of one filler line, newline included.
+const FILLER_LINE: usize = 64;
+
 /// Deterministic HTML body: identity line + filler up to `size` bytes.
 ///
 /// The body is a pure function of (program, script, query), which is what
@@ -141,16 +144,18 @@ fn render_body(program: &str, req: &CgiRequest, size: usize) -> Vec<u8> {
     let mut body = Vec::with_capacity(size.max(header.len() + footer.len()));
     body.extend_from_slice(header.as_bytes());
     // Deterministic filler derived from the query, so different requests
-    // produce different payloads (useful for corruption detection).
+    // produce different payloads (useful for corruption detection): every
+    // line is the alphabet rotated to start at the query's letter, cut to
+    // length and newline-terminated. It is the workload's stand-in, so it
+    // is copied a line at a time rather than computed a byte at a time.
     let seed = req
         .query_string
         .bytes()
         .fold(17u8, |a, b| a.wrapping_mul(31).wrapping_add(b));
+    let line: [u8; FILLER_LINE] = std::array::from_fn(|i| b'a' + ((seed as usize + i) % 26) as u8);
     while body.len() + footer.len() < size {
-        let line_len = (size - footer.len() - body.len()).min(64);
-        for i in 0..line_len.saturating_sub(1) {
-            body.push(b'a' + ((seed as usize + i) % 26) as u8);
-        }
+        let line_len = (size - footer.len() - body.len()).min(FILLER_LINE);
+        body.extend_from_slice(&line[..line_len - 1]);
         body.push(b'\n');
     }
     body.extend_from_slice(footer.as_bytes());
@@ -234,6 +239,52 @@ mod tests {
             "fixed size should win: {}",
             out.body.len()
         );
+    }
+
+    /// The byte-at-a-time filler `render_body` replaced, kept as the
+    /// reference its output is pinned to.
+    fn render_body_bytewise(program: &str, req: &CgiRequest, size: usize) -> Vec<u8> {
+        let header = format!(
+            "<html><body><p>program={program} script={} query={}</p>\n",
+            req.script_name, req.query_string
+        );
+        let footer = "</body></html>\n";
+        let mut body = Vec::new();
+        body.extend_from_slice(header.as_bytes());
+        let seed = req
+            .query_string
+            .bytes()
+            .fold(17u8, |a, b| a.wrapping_mul(31).wrapping_add(b));
+        while body.len() + footer.len() < size {
+            let line_len = (size - footer.len() - body.len()).min(64);
+            for i in 0..line_len.saturating_sub(1) {
+                body.push(b'a' + ((seed as usize + i) % 26) as u8);
+            }
+            body.push(b'\n');
+        }
+        body.extend_from_slice(footer.as_bytes());
+        body
+    }
+
+    #[test]
+    fn filler_is_byte_identical_to_the_bytewise_reference() {
+        let queries = [
+            "",
+            "id=1",
+            "id=7&ms=0&bytes=4096",
+            "id=z16383&ms=2&bytes=65536",
+            "x=%20y&z=~",
+        ];
+        for query in queries {
+            let req = cgi(&format!("/cgi-bin/adl?{query}"));
+            for size in (0..=200).chain([1024, 4096, 65_536]) {
+                assert_eq!(
+                    render_body("adl", &req, size),
+                    render_body_bytewise("adl", &req, size),
+                    "query {query:?}, size {size}"
+                );
+            }
+        }
     }
 
     #[test]

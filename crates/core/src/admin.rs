@@ -452,20 +452,24 @@ fn status_page(ctx: &NodeContext) -> Response {
         ));
     }
     let sm = ctx.manager.store_metrics();
-    let store = format!(
-        "store={} digest={} segments={} live_bytes={} dead_bytes={} bodies={} \
-         dedup_hits={} compactions={} compacted_bytes={} fsyncs={}",
+    let mut store = format!(
+        "store={} digest={} file_bytes={} live_bytes={} free_bytes={} fsyncs={}",
         sm.kind,
         DigestImpl::active().as_str(),
-        sm.segments,
+        sm.file_bytes,
         sm.live_bytes,
-        sm.dead_bytes,
-        sm.bodies,
-        sm.dedup_hits,
-        sm.compactions,
-        sm.compacted_bytes,
+        sm.free_bytes,
         sm.fsyncs,
     );
+    for (op, hist) in ctx.manager.store_op_durations() {
+        let h = hist.snapshot();
+        store.push_str(&format!(
+            "\n{op}: count={} p50_us={} p99_us={}",
+            h.count,
+            h.p50(),
+            h.p99()
+        ));
+    }
     let pool = ctx.fetch_pool.stats();
     let eng = &ctx.engine_stats;
     let engine = format!(

@@ -178,17 +178,18 @@ pub struct ServerOptions {
     /// Virtual nodes per member on the consistent-hash ring
     /// (partitioned mode only).
     pub ring_vnodes: usize,
-    /// Body-store layout (`store files|segment`). `files` is the
-    /// paper-faithful default (one OS file per cached result, §4.1);
-    /// `segment` is the crash-safe append-only segment log with
-    /// checksummed records and content-digest dedup. Like `engine`, the
-    /// `SWALA_STORE` environment variable overrides the *default* only —
-    /// explicit config lines and programmatic settings win, so tests
-    /// that pin a store are immune to a suite-wide env sweep.
+    /// Body-store layout (`store segment|files`). `segment`, the default,
+    /// keeps every body in one data file of checksummed records and
+    /// reuses space in place; `files` is the paper's §4.1 layout (one OS
+    /// file per cached result), which the paper experiments pin. Like
+    /// `engine`, the `SWALA_STORE` environment variable overrides the
+    /// *default* only — explicit config lines and programmatic settings
+    /// win, so tests that pin a store are immune to a suite-wide env
+    /// sweep.
     pub store: StoreKind,
-    /// Durability of body-store writes (`fsync on|off`): sync data
-    /// before publishing a write and sync the directory/segment after,
-    /// so an acked entry survives power loss. `off` trades that for
+    /// Durability of body-store writes (`fsync on|off`): sync the data
+    /// (and, for `store files`, the directory) before acking a put or a
+    /// delete, so an acked entry survives power loss. `off` trades that for
     /// write throughput (benches, ephemeral caches).
     pub fsync: bool,
 }
@@ -242,8 +243,8 @@ impl Default for ServerOptions {
             },
             ring_vnodes: swala_cache::DEFAULT_VNODES,
             store: match std::env::var("SWALA_STORE").as_deref() {
-                Ok("segment") => StoreKind::Segment,
-                _ => StoreKind::Files,
+                Ok("files") => StoreKind::Files,
+                _ => StoreKind::Segment,
             },
             fsync: true,
         }

@@ -80,7 +80,6 @@ impl BoundSwala {
                     dir,
                     SegmentConfig {
                         fsync: options.fsync,
-                        ..SegmentConfig::default()
                     },
                 )?),
             },
@@ -187,45 +186,21 @@ impl BoundSwala {
             // reports only fsyncs).
             let m = Arc::clone(&manager);
             reg.register_gauge_fn(
-                "swala_store_segments",
-                "Segment files in the body store's log",
-                move || m.store_metrics().segments as i64,
+                "swala_store_file_bytes",
+                "Length of the body store's data file",
+                move || m.store_metrics().file_bytes as i64,
             );
             let m = Arc::clone(&manager);
             reg.register_gauge_fn(
                 "swala_store_live_bytes",
-                "Bytes of live records in the body store",
+                "Bytes of extents holding live records in the body store",
                 move || m.store_metrics().live_bytes as i64,
             );
             let m = Arc::clone(&manager);
             reg.register_gauge_fn(
-                "swala_store_dead_bytes",
-                "Bytes of dead (deleted/superseded) records awaiting compaction",
-                move || m.store_metrics().dead_bytes as i64,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_gauge_fn(
-                "swala_store_bodies",
-                "Unique bodies (distinct content digests) in the body store",
-                move || m.store_metrics().bodies as i64,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_counter(
-                "swala_store_dedup_hits",
-                "Store puts whose body was already present under another key",
-                move || m.store_metrics().dedup_hits,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_counter(
-                "swala_store_compactions",
-                "Compaction passes run by the body store",
-                move || m.store_metrics().compactions,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_counter(
-                "swala_store_compacted_bytes",
-                "Dead bytes reclaimed by compaction",
-                move || m.store_metrics().compacted_bytes,
+                "swala_store_free_bytes",
+                "Bytes of free extents inside the data file, awaiting reuse",
+                move || m.store_metrics().free_bytes as i64,
             );
             let m = Arc::clone(&manager);
             reg.register_counter(
@@ -233,6 +208,17 @@ impl BoundSwala {
                 "Durability syncs issued by the body store",
                 move || m.store_metrics().fsyncs,
             );
+            // Store calls timed where they run, so the live cost of a
+            // put, get or delete is a scrape and not a replay.
+            for (op, hist) in manager.store_op_durations() {
+                reg.register_histogram_labeled(
+                    "swala_store_op_duration_microseconds",
+                    "Duration of body-store calls made by the cache manager",
+                    "op",
+                    op,
+                    hist,
+                );
+            }
         }
         let accept_filter = options.faults.as_ref().map(|f| f.acceptor(options.node));
         let daemons = CacheDaemons::start_with_listener_observed(

@@ -116,7 +116,7 @@ fn warm_restart_with_segment_store() {
     assert_eq!(
         server.manager().directory().len(NodeId(0)),
         3,
-        "directory recovered from segment log"
+        "directory recovered from the data file"
     );
     let mut client = HttpClient::new(server.http_addr());
     for (i, expected) in bodies.iter().enumerate() {
@@ -132,6 +132,68 @@ fn warm_restart_with_segment_store() {
         3,
         "post-restart hits served from the pre-warmed memory tier"
     );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The live cost of the body store is a scrape: every put, get and
+/// delete the manager issues is timed where it runs, and the store's
+/// space accounting rides along.
+#[test]
+fn store_ops_are_timed_in_situ_and_exported() {
+    let dir = std::env::temp_dir().join(format!("swala-store-obs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = SwalaServer::start_single(
+        ServerOptions {
+            cache_dir: Some(dir.clone()),
+            pool_size: 2,
+            capacity: 2,
+            // No memory tier: every local hit is a store get.
+            mem_cache_bytes: 0,
+            store: StoreKind::Segment,
+            ..Default::default()
+        },
+        registry(),
+    )
+    .unwrap();
+    let mut client = HttpClient::new(server.http_addr());
+    for i in 0..3 {
+        client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
+    }
+    let hit = client.get("/cgi-bin/adl?id=2&ms=1").unwrap();
+    assert_eq!(hit.headers.get("X-Swala-Cache"), Some("local-hit"));
+
+    let text = String::from_utf8(client.get("/swala-metrics").unwrap().body.into_vec()).unwrap();
+    let samples = swala_obs::parse_exposition(&text).unwrap();
+    let value = |name: &str, label: Option<(&str, &str)>| {
+        samples
+            .iter()
+            .find(|s| {
+                s.name == name
+                    && label.is_none_or(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
+            })
+            .unwrap_or_else(|| panic!("no sample {name} {label:?}"))
+            .value
+    };
+    let ops = "swala_store_op_duration_microseconds_count";
+    assert_eq!(value(ops, Some(("op", "put"))), 3.0, "three inserts");
+    assert_eq!(value(ops, Some(("op", "get"))), 1.0, "one store-served hit");
+    assert_eq!(value(ops, Some(("op", "delete"))), 1.0, "one eviction");
+    assert!(value("swala_store_live_bytes", None) > 0.0);
+    assert_eq!(
+        value("swala_store_file_bytes", None),
+        value("swala_store_live_bytes", None) + value("swala_store_free_bytes", None)
+    );
+    assert!(value("swala_store_fsyncs", None) >= 4.0, "fsync is on");
+
+    let status = String::from_utf8(client.get("/swala-status").unwrap().body.into_vec()).unwrap();
+    assert!(status.contains("store=segment"), "{status}");
+    for op in ["put", "get", "delete"] {
+        assert!(
+            status.contains(&format!("{op}: count=")) && status.contains("p99_us="),
+            "{status}"
+        );
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -215,8 +215,26 @@ impl MetricsRegistry {
         h
     }
 
-    /// Create and register a labelled histogram (one series of a family
-    /// such as `..._duration{outcome="local-mem"}`).
+    /// Register an externally owned histogram as one labelled series of
+    /// a family such as `..._duration{outcome="local-mem"}`.
+    pub fn register_histogram_labeled(
+        &self,
+        name: &str,
+        help: &str,
+        label_key: &str,
+        label_value: &str,
+        histogram: Arc<Histogram>,
+    ) {
+        self.push(Metric {
+            name: name.to_string(),
+            help: help.to_string(),
+            label: Some((label_key.to_string(), label_value.to_string())),
+            source: Source::Histogram(histogram),
+        });
+    }
+
+    /// Create and register a labelled histogram, returning the shared
+    /// handle.
     pub fn histogram_labeled(
         &self,
         name: &str,
@@ -225,12 +243,7 @@ impl MetricsRegistry {
         label_value: &str,
     ) -> Arc<Histogram> {
         let h = Arc::new(Histogram::new());
-        self.push(Metric {
-            name: name.to_string(),
-            help: help.to_string(),
-            label: Some((label_key.to_string(), label_value.to_string())),
-            source: Source::Histogram(Arc::clone(&h)),
-        });
+        self.register_histogram_labeled(name, help, label_key, label_value, Arc::clone(&h));
         h
     }
 

@@ -412,11 +412,20 @@ fn seg_chaos_body(i: usize) -> Vec<u8> {
     b
 }
 
+/// Entries the kill -9 drill's writer keeps live: each put beyond that
+/// is followed by the delete of the oldest, so new records land in space
+/// that deleted ones gave up.
+const K9_LIVE: usize = 8;
+
+fn k9_key(i: usize) -> swala_cache::CacheKey {
+    swala_cache::CacheKey::new(format!("/cgi-bin/adl?id=k9-{i}"))
+}
+
 /// Helper process for [`kill9_mid_insert_preserves_every_acked_entry`]:
 /// inert unless re-exec'd with `SWALA_SEG_CHAOS_DIR` set, in which case
-/// it inserts durably-acked entries until SIGKILLed. Each "acked N" line
-/// is printed only after the fsync'd put returned, so every acked entry
-/// is a promise the restarted store must honor.
+/// it inserts and deletes durably-acked entries until SIGKILLed. Each
+/// "acked N" / "gone N" line is printed only after the fsync'd put /
+/// delete returned, so each is a promise the restarted store must honor.
 #[test]
 fn segment_store_child_writer() {
     let Ok(dir) = std::env::var("SWALA_SEG_CHAOS_DIR") else {
@@ -424,42 +433,39 @@ fn segment_store_child_writer() {
     };
     use std::io::Write as _;
     use swala_cache::Store as _;
-    let store = swala_cache::SegmentStore::open_with(
-        dir,
-        swala_cache::SegmentConfig {
-            // Small segments so the kill lands in a multi-segment log.
-            segment_bytes: 8 * 1024,
-            fsync: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let store =
+        swala_cache::SegmentStore::open_with(dir, swala_cache::SegmentConfig { fsync: true })
+            .unwrap();
     let meta = swala_cache::store::HeaderMeta {
         content_type: "text/html".to_string(),
         exec_micros: 500,
         expires_unix: None,
         created_unix: 1,
     };
-    let stdout = std::io::stdout();
+    let say = |line: String| {
+        let mut out = std::io::stdout().lock();
+        writeln!(out, "{line}").unwrap();
+        out.flush().unwrap();
+    };
     for i in 0usize.. {
         store
-            .put_described(
-                &swala_cache::CacheKey::new(format!("/cgi-bin/adl?id=k9-{i}")),
-                &meta,
-                &seg_chaos_body(i),
-            )
+            .put_described(&k9_key(i), &meta, &seg_chaos_body(i))
             .unwrap();
-        let mut out = stdout.lock();
-        writeln!(out, "acked {i}").unwrap();
-        out.flush().unwrap();
+        say(format!("acked {i}"));
+        if i >= K9_LIVE {
+            store.delete(&k9_key(i - K9_LIVE)).unwrap();
+            say(format!("gone {}", i - K9_LIVE));
+        }
     }
 }
 
 /// The segment store's headline crash gate: SIGKILL a writer process
-/// mid-insert (no destructors, no flush), restart, and every entry whose
-/// put was acknowledged before the kill is served byte-identical. The
-/// log's tail may hold a torn record — recovery must absorb it silently,
-/// never trading acked durability for it.
+/// mid-insert (no destructors, no flush) while it overwrites space in
+/// place, restart, and every entry whose put was acknowledged before the
+/// kill is served byte-identical — unless its delete was acknowledged
+/// too, in which case it stays gone. The record being written at the
+/// kill may be torn — recovery must absorb it silently, never trading
+/// an acked promise for it.
 #[test]
 fn kill9_mid_insert_preserves_every_acked_entry() {
     use std::io::BufRead;
@@ -476,36 +482,46 @@ fn kill9_mid_insert_preserves_every_acked_entry() {
         .spawn()
         .unwrap();
     let reader = std::io::BufReader::new(child.stdout.take().unwrap());
-    let mut acked = 0usize;
+    let (mut acked, mut gone) = (0usize, 0usize);
     for line in reader.lines() {
         // libtest glues its unterminated "test <name> ... " progress
         // prefix onto the first ack, so match anywhere in the line.
         let line = line.unwrap();
-        if let Some(pos) = line.find("acked ") {
-            let n = &line[pos + "acked ".len()..];
-            assert_eq!(n.trim().parse::<usize>().unwrap(), acked, "acks in order");
+        let number_after = |tag: &str| {
+            line.find(tag)
+                .map(|pos| line[pos + tag.len()..].trim().parse::<usize>().unwrap())
+        };
+        if let Some(n) = number_after("acked ") {
+            assert_eq!(n, acked, "acks in order");
             acked += 1;
-            if acked >= 25 {
+            if acked >= 40 {
                 break;
             }
+        } else if let Some(n) = number_after("gone ") {
+            assert_eq!(n, gone, "deletes in order");
+            gone += 1;
         }
     }
     // SIGKILL mid-write: the child gets no chance to close anything.
     child.kill().unwrap();
     let _ = child.wait();
-    assert!(acked >= 25, "child writer died early at {acked} acks");
+    assert!(acked >= 40, "child writer died early at {acked} acks");
 
-    // Restart: a fresh process (this one) reopens the log and rebuilds
-    // its index by scanning segments.
+    // Restart: a fresh process (this one) reopens the data file and
+    // rebuilds index and extent map by scanning it.
     let store = swala_cache::SegmentStore::open(&dir).unwrap();
     assert!(
-        store.recover().len() >= acked,
-        "recovery lost acked entries"
+        store.metrics().file_bytes < (2 * K9_LIVE as u64 + 2) * 512,
+        "space was not reused in place: {:?}",
+        store.metrics()
     );
-    for i in 0..acked {
-        let key = swala_cache::CacheKey::new(format!("/cgi-bin/adl?id=k9-{i}"));
+    for i in 0..gone {
+        assert!(!store.contains(&k9_key(i)), "deleted entry {i} is back");
+    }
+    // Entry `gone` itself may have been mid-delete at the kill.
+    for i in gone + 1..acked {
         let got = store
-            .get(&key)
+            .get(&k9_key(i))
             .unwrap_or_else(|e| panic!("acked entry {i} lost after kill -9: {e}"));
         assert_eq!(
             got,
