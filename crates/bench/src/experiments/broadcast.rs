@@ -13,12 +13,14 @@
 //!    response must track a fully-alive pair, because connect timeouts
 //!    and retries happen on writer threads, not request threads.
 //! 3. A loaded link: one producer enqueueing ≈ 15 k notices/s at a live
-//!    sink (what `miss-insert` hands each link), then the same link fed
-//!    one notice every 3 × `NOTICE_PACE`. Counters, not timing, say what
-//!    pacing did — notices per frame, sent at once vs after a hold,
-//!    wake-ups issued — next to the writer thread's CPU per notice, the
-//!    caller's enqueue cost on a held vs a parked link, and the
-//!    enqueue→socket delay histogram the pacing contract bounds.
+//!    sink, then the same link fed one notice every 2 × `NOTICE_PACE_MAX`
+//!    (further apart than any hold, so each finds the link parked).
+//!    Counters, not timing, say what pacing did — notices per frame,
+//!    frames against what the hold ramp allows, the hold the link ended
+//!    on, sent at once vs after a hold, wake-ups issued — next to the
+//!    writer thread's CPU per notice, the caller's enqueue cost on a held
+//!    vs a parked link, and the enqueue→socket delay histogram the pacing
+//!    contract bounds.
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
 use swala_cache::{CacheKey, EntryMeta, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
-use swala_proto::{Broadcaster, LinkStats, Message, NOTICE_PACE};
+use swala_proto::{Broadcaster, LinkStats, Message, NOTICE_PACE, NOTICE_PACE_MAX};
 
 /// An address that refuses connections: bind, record, drop.
 fn dead_addr() -> SocketAddr {
@@ -173,8 +175,11 @@ struct LinkPhase {
     enqueue_ns: f64,
     /// Writer-thread CPU per notice.
     writer_cpu_us: f64,
-    /// The link's counters, as deltas over the phase.
+    /// The link's counters, as deltas over the phase (`hold` as the
+    /// phase's last enqueue found it).
     stats: LinkStats,
+    /// How long the enqueueing took.
+    fed: Duration,
 }
 
 fn link_phase(b: &Broadcaster, count: u64, gap: Duration) -> LinkPhase {
@@ -194,9 +199,12 @@ fn link_phase(b: &Broadcaster, count: u64, gap: Duration) -> LinkPhase {
         b.broadcast(&msg);
         in_enqueue += t.elapsed();
     }
+    let fed = start.elapsed();
+    let hold = b.link_stats()[0].hold;
     assert!(b.flush(Duration::from_secs(5)), "sink stopped draining");
     let cpu_ns = writer_cpu_ns() - cpu0;
     let mut stats = b.link_stats().remove(0);
+    stats.hold = hold;
     stats.sent -= before.sent;
     stats.frames -= before.frames;
     stats.sent_immediate -= before.sent_immediate;
@@ -207,6 +215,7 @@ fn link_phase(b: &Broadcaster, count: u64, gap: Duration) -> LinkPhase {
         enqueue_ns: in_enqueue.as_nanos() as f64 / count as f64,
         writer_cpu_us: cpu_ns as f64 / 1e3 / count as f64,
         stats,
+        fed,
     }
 }
 
@@ -287,12 +296,18 @@ pub fn run() -> TableReport {
         Duration::from_micros(1_000_000 / 15_000),
     );
     let loaded_delay = link.notice_delay().snapshot();
-    std::thread::sleep(3 * NOTICE_PACE); // let the last hold run out
-    let spaced = link_phase(&link, if quick { 200 } else { 1_000 }, 3 * NOTICE_PACE);
+    // Let the last hold run out.
+    std::thread::sleep(2 * NOTICE_PACE_MAX);
+    // Further apart than the longest hold: whatever a stall of this
+    // producer does to the ramp, the next gap parks the link again. (A
+    // steady notice per 1.5 ms is *not* an idle link any more — once a
+    // burst has pushed its hold to 2 ms every hold catches the next
+    // notice, and it stays at the maximum, three notices to a frame.)
+    let spaced = link_phase(&link, if quick { 100 } else { 500 }, 2 * NOTICE_PACE_MAX);
     link.shutdown();
     for (name, phase) in [
         ("loaded link, 15k notices/s", &loaded),
-        ("idle link, 3x pace apart", &spaced),
+        ("idle link, 2x max hold apart", &spaced),
     ] {
         let st = &phase.stats;
         report.row(vec![
@@ -303,9 +318,11 @@ pub fn run() -> TableReport {
             st.dropped.to_string(),
         ]);
         report.note(format!(
-            "{name}: {:.1} notices/frame ({} frames), {} at once / {} after a hold, {} wake-ups, writer {:.2} us CPU/notice",
-            st.sent as f64 / st.frames.max(1) as f64,
+            "{name}: {:.1} notices/frame ({} frames, {:.0}/s, hold {} us), {} at once / {} after a hold, {} wake-ups, writer {:.2} us CPU/notice",
+            st.notices_per_frame(),
             st.frames,
+            st.frames as f64 / phase.fed.as_secs_f64(),
+            st.hold.as_micros(),
             st.sent_immediate,
             st.sent_after_hold,
             st.wakeups,
@@ -313,20 +330,34 @@ pub fn run() -> TableReport {
         ));
     }
     report.note(format!(
-        "loaded-link notice delay (enqueue -> socket): p50 {} us, p99 {} us, max {} us against a {} us pace",
+        "loaded-link notice delay (enqueue -> socket): p50 {} us, p99 {} us, max {} us against holds of {} .. {} us",
         loaded_delay.p50(),
         loaded_delay.p99(),
         loaded_delay.max,
         NOTICE_PACE.as_micros(),
+        NOTICE_PACE_MAX.as_micros(),
     ));
     assert_eq!(
         loaded.stats.dropped + spaced.stats.dropped,
         0,
         "a live sink sheds nothing at 15k/s"
     );
+    // Four times what a constant 500 us hold coalesced at this rate (8.65
+    // notices/frame); an undisturbed 4 ms hold gathers 60.
     assert!(
-        loaded.stats.sent >= 4 * loaded.stats.frames,
+        loaded.stats.sent >= 32 * loaded.stats.frames,
         "a loaded link must coalesce: {:?}",
+        loaded.stats
+    );
+    // One frame per maximum hold, plus the ramp: each idle→busy transition
+    // (a wake-up) sends at once and after 0.5, 1 and 2 ms before holds
+    // reach the maximum; the closing flush cuts one hold short.
+    let allowed_frames = (loaded.fed.as_micros() / NOTICE_PACE_MAX.as_micros()) as u64
+        + 4 * loaded.stats.wakeups
+        + 1;
+    assert!(
+        loaded.stats.frames <= allowed_frames,
+        "more frames than the hold ramp allows ({allowed_frames}): {:?}",
         loaded.stats
     );
     assert!(
@@ -338,11 +369,14 @@ pub fn run() -> TableReport {
         let st = &p.stats;
         format!(
             "{{\"notices\": {}, \"frames\": {}, \"notices_per_frame\": {:.2}, \
+             \"frames_per_s\": {:.0}, \"hold_us\": {}, \
              \"sent_immediate\": {}, \"sent_after_hold\": {}, \"wakeups\": {}, \
              \"enqueue_ns\": {:.0}, \"writer_cpu_us_per_notice\": {:.3}}}",
             st.sent,
             st.frames,
-            st.sent as f64 / st.frames.max(1) as f64,
+            st.notices_per_frame(),
+            st.frames as f64 / p.fed.as_secs_f64(),
+            st.hold.as_micros(),
             st.sent_immediate,
             st.sent_after_hold,
             st.wakeups,
@@ -365,11 +399,12 @@ pub fn run() -> TableReport {
          \"requests\": {requests},\n  \"work_ms\": {ms},\n  \"insert\": {{\n    \
          \"peer_alive\": {{\"client_mean_ms\": {alive:.4}, \"miss_hist\": {}}},\n    \
          \"peer_dead\": {{\"client_mean_ms\": {dead:.4}, \"miss_hist\": {}}}\n  }},\n  \
-         \"loaded_link\": {{\n    \"pace_us\": {},\n    \"held\": {},\n    \
+         \"loaded_link\": {{\n    \"pace_us\": {},\n    \"pace_max_us\": {},\n    \"held\": {},\n    \
          \"parked\": {},\n    \"delay\": {}\n  }}\n}}\n",
         hist_json(&alive_hist),
         hist_json(&dead_hist),
         NOTICE_PACE.as_micros(),
+        NOTICE_PACE_MAX.as_micros(),
         phase_json(&loaded),
         phase_json(&spaced),
         hist_json(&loaded_delay),

@@ -12,6 +12,11 @@
 use std::fmt;
 use std::sync::OnceLock;
 
+#[cfg(test)]
+thread_local! {
+    static PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A SHA-256 content digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
@@ -21,7 +26,16 @@ impl Digest {
     /// (see [`DigestImpl::active`]). Every implementation produces the
     /// same 32 bytes.
     pub fn of(bytes: &[u8]) -> Digest {
+        #[cfg(test)]
+        PASSES.with(|p| p.set(p.get() + 1));
         DigestStream::new().finish(bytes)
+    }
+
+    /// How many times this thread has called [`Digest::of`]: lets a test
+    /// pin that a path makes no pass over a body.
+    #[cfg(test)]
+    pub(crate) fn passes() -> u64 {
+        PASSES.with(std::cell::Cell::get)
     }
 
     /// Digest of `bytes` by the portable scalar rounds, whatever the CPU

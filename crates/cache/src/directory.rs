@@ -35,6 +35,11 @@ pub enum Classification {
     Remote(EntryMeta),
 }
 
+/// Most updates [`CacheDirectory::apply_updates`] applies under one
+/// acquisition of a table's write lock: a peer's frame may carry a few
+/// hundred, and a lookup must not wait behind all of them.
+pub const APPLY_RUN_MAX: usize = 64;
+
 /// One remote change to the directory, as a peer's notice describes it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RemoteUpdate {
@@ -188,14 +193,17 @@ impl CacheDirectory {
     }
 
     /// Apply `updates` in order, write-locking each owner's table once
-    /// per run of consecutive updates to it — a batch off one peer's link
-    /// is one run. Ends in the same tables as an [`insert`](Self::insert)
-    /// or [`remove`](Self::remove) per update.
+    /// per run of consecutive updates to it, at most [`APPLY_RUN_MAX`] to
+    /// a run — a frame off one peer's link is a few such runs. Ends in
+    /// the same tables as an [`insert`](Self::insert) or
+    /// [`remove`](Self::remove) per update.
     pub fn apply_updates(&self, updates: Vec<RemoteUpdate>) {
         let mut updates = updates.into_iter().peekable();
         while let Some(owner) = updates.peek().map(RemoteUpdate::owner) {
             let mut table = self.tables[owner.index()].write();
-            while let Some(update) = updates.next_if(|u| u.owner() == owner) {
+            let mut room = APPLY_RUN_MAX;
+            while let Some(update) = updates.next_if(|u| room > 0 && u.owner() == owner) {
+                room -= 1;
                 match update {
                     RemoteUpdate::Insert(meta) => {
                         table.insert(meta);

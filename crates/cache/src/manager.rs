@@ -8,7 +8,7 @@
 //! the store directly.
 
 use crate::digest::Digest;
-use crate::directory::{CacheDirectory, Classification, RemoteUpdate};
+use crate::directory::{CacheDirectory, Classification, RemoteUpdate, APPLY_RUN_MAX};
 use crate::entry::EntryMeta;
 use crate::key::CacheKey;
 use crate::memcache::MemCache;
@@ -358,6 +358,13 @@ impl CacheManager {
         }
     }
 
+    /// Admit a body just read from the store, under the digest the store
+    /// recorded for it where it keeps one — which saves a pass over the
+    /// body.
+    fn mem_promote(&self, key: &CacheKey, digest: Option<Digest>, body: &Arc<[u8]>) {
+        self.mem_insert(key, digest.unwrap_or_else(|| Digest::of(body)), body);
+    }
+
     /// Mirror a directory-visible removal into the memory tier.
     fn mem_remove(&self, key: &CacheKey) {
         if let Some(mem) = &self.mem {
@@ -374,8 +381,8 @@ impl CacheManager {
         out
     }
 
-    fn store_get(&self, key: &CacheKey) -> io::Result<Vec<u8>> {
-        self.timed_store(StoreOp::Get, |s| s.get(key))
+    fn store_get(&self, key: &CacheKey) -> io::Result<(Vec<u8>, Option<Digest>)> {
+        self.timed_store(StoreOp::Get, |s| s.get_digested(key))
     }
 
     fn store_delete(&self, key: &CacheKey) {
@@ -399,10 +406,11 @@ impl CacheManager {
         let t0 = trace.start_span();
         let read = self.store_get(key);
         trace.end_span(Stage::StoreRead, t0);
-        let body: Arc<[u8]> = read.ok()?.into();
+        let (body, digest) = read.ok()?;
+        let body: Arc<[u8]> = body.into();
         if self.mem.is_some() {
             CacheStats::bump(&self.stats.mem_misses);
-            self.mem_insert(key, Digest::of(&body), &body);
+            self.mem_promote(key, digest, &body);
         }
         Some((body, BodyTier::Disk))
     }
@@ -762,20 +770,21 @@ impl CacheManager {
     /// Apply a run of peer notices at once: what an
     /// [`apply_remote_insert`](Self::apply_remote_insert) or
     /// [`apply_remote_delete`](Self::apply_remote_delete) per update
-    /// would do, in one pass over the flight registry (one lock) and one
-    /// table write-lock per owner instead of a lock round-trip each per
-    /// notice. A peer's paced link delivers its notices this way.
+    /// would do, with one flight-registry lock and one table write-lock
+    /// per run of up to [`APPLY_RUN_MAX`] updates instead of a lock
+    /// round-trip each per notice. A peer's paced link delivers its
+    /// notices this way.
     pub fn apply_remote_batch(&self, updates: Vec<RemoteUpdate>) {
         if updates.is_empty() {
             return;
         }
         CacheStats::add(&self.stats.updates_applied, updates.len() as u64);
-        {
+        for run in updates.chunks(APPLY_RUN_MAX) {
             // An insert notice for a key executing here right now is a
             // false miss (§4.2, scenario 2): the peer cached it first.
             let flights = self.flights.lock();
             if !flights.is_empty() {
-                let false_misses = updates
+                let false_misses = run
                     .iter()
                     .filter(
                         |u| matches!(u, RemoteUpdate::Insert(m) if flights.contains_key(&m.key)),
@@ -865,11 +874,10 @@ impl CacheManager {
             if mem.bytes() + meta.size as usize > mem.budget() {
                 continue;
             }
-            let Ok(body) = self.store_get(&meta.key) else {
+            let Ok((body, digest)) = self.store_get(&meta.key) else {
                 continue;
             };
-            let body: Arc<[u8]> = body.into();
-            self.mem_insert(&meta.key, Digest::of(&body), &body);
+            self.mem_promote(&meta.key, digest, &body.into());
         }
     }
 
@@ -1592,5 +1600,56 @@ mod tests {
             }
         ));
         m.abort_execution(&k);
+    }
+
+    /// Digest passes made by a store-tier hit that promotes its body into
+    /// the memory tier, over `store`.
+    fn digest_passes_of_a_store_tier_hit(store: Box<dyn Store>) -> u64 {
+        let m = CacheManager::new(
+            CacheManagerConfig {
+                num_nodes: 1,
+                local: NodeId(0),
+                rules: CacheRules::allow_all(),
+                mem_cache_bytes: 100, // one 64-byte body at a time
+                ..Default::default()
+            },
+            store,
+        );
+        let (a, b) = (key("/cgi-bin/a"), key("/cgi-bin/b"));
+        run_and_insert(&m, &a, &[b'a'; 64]);
+        run_and_insert(&m, &b, &[b'b'; 64]); // pushes a's body out of the tier
+        let before = Digest::passes();
+        match m.lookup(&a, a.as_str()) {
+            LookupResult::LocalHit { tier, body, .. } => {
+                assert_eq!(tier, BodyTier::Disk);
+                assert_eq!(&body[..], &[b'a'; 64]);
+            }
+            other => panic!("{other:?}"),
+        }
+        let passes = Digest::passes() - before;
+        // Promoted under the right digest: the next hit is a memory hit.
+        match m.lookup(&a, a.as_str()) {
+            LookupResult::LocalHit { tier, .. } => assert_eq!(tier, BodyTier::Memory),
+            other => panic!("{other:?}"),
+        }
+        passes
+    }
+
+    #[test]
+    fn store_tier_hit_reuses_the_digest_the_segment_store_recorded() {
+        let dir = std::env::temp_dir().join(format!("swala-mgr-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let segment = crate::segstore::SegmentStore::open_with(
+            &dir,
+            crate::segstore::SegmentConfig { fsync: false },
+        )
+        .unwrap();
+        assert_eq!(digest_passes_of_a_store_tier_hit(Box::new(segment)), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+        // A store that keeps no digest costs the one pass it always did.
+        assert_eq!(
+            digest_passes_of_a_store_tier_hit(Box::new(MemStore::new())),
+            1
+        );
     }
 }

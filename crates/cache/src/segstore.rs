@@ -833,6 +833,10 @@ impl Store for SegmentStore {
     }
 
     fn get(&self, key: &CacheKey) -> io::Result<Vec<u8>> {
+        Ok(self.get_digested(key)?.0)
+    }
+
+    fn get_digested(&self, key: &CacheKey) -> io::Result<(Vec<u8>, Option<Digest>)> {
         loop {
             let Some(slot) = self.space.lock().index.get(key).copied() else {
                 return Err(io::Error::new(
@@ -849,11 +853,17 @@ impl Store for SegmentStore {
             }
             let mut buf = read?;
             return match decode_record(&buf) {
-                Some((Record::Put { seq, key: k, .. }, head))
-                    if k == *key && seq == slot.seq && head == slot.head as usize =>
-                {
+                Some((
+                    Record::Put {
+                        seq,
+                        key: k,
+                        digest,
+                        ..
+                    },
+                    head,
+                )) if k == *key && seq == slot.seq && head == slot.head as usize => {
                     buf.drain(..head);
-                    Ok(buf)
+                    Ok((buf, Some(digest)))
                 }
                 _ => Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -981,6 +991,11 @@ mod tests {
         assert_eq!(s.len(), 1);
         s.put(&k, b"v2").unwrap();
         assert_eq!(s.get(&k).unwrap(), b"v2");
+        assert_eq!(
+            s.get_digested(&k).unwrap(),
+            (b"v2".to_vec(), Some(Digest::of(b"v2"))),
+            "the digest recorded at put comes back with the body"
+        );
         assert_eq!(s.len(), 1);
         s.delete(&k).unwrap();
         s.delete(&k).unwrap();

@@ -133,6 +133,13 @@ pub trait Store: Send + Sync {
     }
     /// Fetch the body for `key`; `NotFound` if absent.
     fn get(&self, key: &CacheKey) -> io::Result<Vec<u8>>;
+    /// [`get`](Store::get), with the body's content digest where the
+    /// store recorded one at [`put_digested`](Store::put_digested) — so
+    /// a caller that needs it doesn't hash the body again. `None` from
+    /// stores that keep no digest.
+    fn get_digested(&self, key: &CacheKey) -> io::Result<(Vec<u8>, Option<Digest>)> {
+        Ok((self.get(key)?, None))
+    }
     /// Delete `key`'s body. Deleting an absent key is not an error
     /// (delete broadcasts may race with purges).
     fn delete(&self, key: &CacheKey) -> io::Result<()>;

@@ -6,7 +6,9 @@
 //! right now — cut into batches anywhere must leave the same directory
 //! tables, the same memory tier and the same `updates_applied` /
 //! `false_misses` counts as an `apply_remote_insert` /
-//! `apply_remote_delete` per update.
+//! `apply_remote_delete` per update. So must a whole frame off one
+//! peer's link — 256 or 1 024 updates, nearly all naming that peer — which
+//! the directory applies in several bounded runs per table lock.
 //!
 //! Default config on purpose: CI raises `PROPTEST_CASES` and pins
 //! `PROPTEST_RNG_SEED` for this file.
@@ -99,6 +101,46 @@ fn observable(m: &CacheManager) -> (Vec<Vec<EntryMeta>>, usize, u64, u64) {
     )
 }
 
+/// A frame as one peer's loaded link carries it: `len` updates, all but
+/// about one in sixteen naming `peer`, so same-owner runs exceed what one
+/// table-lock acquisition may apply.
+fn frame_strategy(len: usize) -> impl Strategy<Value = Vec<RemoteUpdate>> {
+    let update = (update_strategy(), 0u8..16);
+    (1u16..NODES as u16, proptest::collection::vec(update, len)).prop_map(|(peer, updates)| {
+        updates
+            .into_iter()
+            .map(|((update, _), stray)| match update {
+                _ if stray == 0 => update,
+                RemoteUpdate::Insert(mut meta) => {
+                    meta.owner = NodeId(peer);
+                    RemoteUpdate::Insert(meta)
+                }
+                RemoteUpdate::Delete { key, .. } => RemoteUpdate::Delete {
+                    owner: NodeId(peer),
+                    key,
+                },
+            })
+            .collect()
+    })
+}
+
+/// Apply `batches` through `apply_remote_batch` to one manager and their
+/// updates one call each to another; the two must be indistinguishable.
+fn check_equivalence(cached: u8, executing: u8, batches: Vec<Vec<RemoteUpdate>>) {
+    let batched = manager(cached, executing);
+    let sequential = manager(cached, executing);
+    for batch in batches {
+        for update in batch.iter().cloned() {
+            match update {
+                RemoteUpdate::Insert(meta) => sequential.apply_remote_insert(meta),
+                RemoteUpdate::Delete { owner, key } => sequential.apply_remote_delete(owner, &key),
+            }
+        }
+        batched.apply_remote_batch(batch);
+    }
+    assert_eq!(observable(&batched), observable(&sequential));
+}
+
 proptest! {
     #[test]
     fn batch_equals_sequential(
@@ -106,25 +148,22 @@ proptest! {
         executing in 0u8..8,
         updates in proptest::collection::vec(update_strategy(), 0..64),
     ) {
-        let batched = manager(cached, executing);
-        let sequential = manager(cached, executing);
-
-        let mut batch = Vec::new();
-        for (update, cut) in &updates {
-            batch.push(update.clone());
-            if *cut {
-                batched.apply_remote_batch(std::mem::take(&mut batch));
+        let mut batches = vec![Vec::new()];
+        for (update, cut) in updates {
+            batches.last_mut().expect("never empty").push(update);
+            if cut {
+                batches.push(Vec::new());
             }
         }
-        batched.apply_remote_batch(batch);
+        check_equivalence(cached, executing, batches);
+    }
 
-        for (update, _) in updates {
-            match update {
-                RemoteUpdate::Insert(meta) => sequential.apply_remote_insert(meta),
-                RemoteUpdate::Delete { owner, key } => sequential.apply_remote_delete(owner, &key),
-            }
-        }
-
-        prop_assert_eq!(observable(&batched), observable(&sequential));
+    #[test]
+    fn whole_frame_equals_sequential(
+        cached in 0u8..8,
+        executing in 0u8..8,
+        frame in prop_oneof![frame_strategy(256), frame_strategy(1024)],
+    ) {
+        check_equivalence(cached, executing, vec![frame]);
     }
 }

@@ -7,6 +7,12 @@
 //!   view of the cluster;
 //! * `GET /swala-metrics` — the machine-readable metrics registry in
 //!   Prometheus text exposition format (version 0.0.4);
+//! * `GET /swala-threads` — user and system CPU seconds of this node's
+//!   live threads, summed by thread role (`swala-request`,
+//!   `swala-notice-writer`, `swala-cache-conn`, …), read from
+//!   `/proc/self/task` when asked and in the same exposition format. Its
+//!   own page, so that whoever polls `/swala-metrics` does not pay for a
+//!   walk over `/proc`;
 //! * `GET /swala-traces?n=K` — the most recent `K` completed request
 //!   traces from the bounded trace ring, as JSON (newest last); with
 //!   `?slow=1`, the slowest retained traces per outcome class instead
@@ -51,6 +57,8 @@ pub const ADMIN_PREFIX: &str = "/swala-admin/";
 pub const STATUS_PATH: &str = "/swala-status";
 /// Prometheus text exposition of the metrics registry.
 pub const METRICS_PATH: &str = "/swala-metrics";
+/// Per-thread-role CPU seconds, Prometheus text exposition.
+pub const THREADS_PATH: &str = "/swala-threads";
 /// JSON dump of recent completed traces.
 pub const TRACES_PATH: &str = "/swala-traces";
 /// JSON dump of the heat sketch's hottest keys.
@@ -68,6 +76,7 @@ const SCRAPE_HOTKEYS: usize = 64;
 pub fn is_admin_path(path: &str) -> bool {
     path == STATUS_PATH
         || path == METRICS_PATH
+        || path == THREADS_PATH
         || path == TRACES_PATH
         || path == HOTKEYS_PATH
         || path == CLUSTER_METRICS_PATH
@@ -80,6 +89,7 @@ pub fn handle_admin(ctx: &NodeContext, req: &Request) -> Response {
     match req.target.path.as_str() {
         STATUS_PATH => status_page(ctx),
         METRICS_PATH => metrics_page(ctx),
+        THREADS_PATH => threads_page(),
         TRACES_PATH => traces_page(ctx, req),
         HOTKEYS_PATH => hotkeys_page(ctx, req),
         CLUSTER_METRICS_PATH => cluster_metrics_page(ctx),
@@ -363,6 +373,20 @@ fn metrics_page(ctx: &NodeContext) -> Response {
     Response::ok("text/plain; version=0.0.4", body.into_bytes())
 }
 
+fn threads_page() -> Response {
+    match crate::threads::cpu_by_role() {
+        Ok(roles) => Response::ok(
+            "text/plain; version=0.0.4",
+            crate::threads::render(&roles).into_bytes(),
+        ),
+        Err(e) => {
+            let mut r = Response::ok("text/plain", format!("/proc/self/task: {e}\n"));
+            r.status = StatusCode::SERVICE_UNAVAILABLE;
+            r
+        }
+    }
+}
+
 /// The last `n` completed traces (`?n=K`, default 32), oldest first.
 /// `?slow=1` switches to the slow-exemplar set: the slowest retained
 /// traces per outcome class, which survive ring churn.
@@ -438,13 +462,14 @@ fn status_page(ctx: &NodeContext) -> Response {
     for l in ctx.broadcaster.link_stats() {
         links.push_str(&format!(
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{:.1}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
+             <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
             l.peer,
             l.addr,
             l.queued,
             l.sent,
             l.frames,
-            l.sent as f64 / l.frames.max(1) as f64,
+            l.notices_per_frame(),
+            l.hold.as_micros(),
             l.sent_immediate,
             l.sent_after_hold,
             l.dropped,
@@ -518,6 +543,7 @@ fn status_page(ctx: &NodeContext) -> Response {
          <tr><th>outcome</th><th>count</th><th>p50</th><th>p99</th>\
          <th>max</th></tr>{latency}</table>\
          <p><a href=\"/swala-metrics\">metrics</a> &middot; \
+         <a href=\"/swala-threads\">threads</a> &middot; \
          <a href=\"/swala-traces\">traces</a> &middot; \
          <a href=\"/swala-traces?slow=1\">slow traces</a> &middot; \
          <a href=\"/swala-hotkeys\">hotkeys</a> &middot; \
@@ -533,7 +559,8 @@ fn status_page(ctx: &NodeContext) -> Response {
          <h2>Broadcast links ({bcast_sent} sent, {bcast_dropped} dropped)</h2>\
          <table border=1>\
          <tr><th>peer</th><th>addr</th><th>queued</th><th>sent</th>\
-         <th>frames</th><th>notices/frame</th><th>immediate</th><th>after hold</th>\
+         <th>frames</th><th>notices/frame</th><th>hold (&micro;s)</th>\
+         <th>immediate</th><th>after hold</th>\
          <th>dropped</th><th>connected</th></tr>{links}</table>\
          </body></html>\n",
         node = ctx.node,

@@ -118,8 +118,6 @@ pub struct ServerOptions {
     /// Per-peer broadcast queue depth; overflow drops the oldest notice
     /// (asynchronous weak consistency tolerates the loss).
     pub broadcast_queue: usize,
-    /// Max notices coalesced into one batch frame by a writer thread.
-    pub broadcast_batch: usize,
     /// Total remote-fetch attempts per request (1 = no retries).
     pub fetch_retries: u32,
     /// Backoff before the second fetch attempt; doubles per retry, with
@@ -218,7 +216,6 @@ impl Default for ServerOptions {
             access_log: None,
             log_format: LogFormat::Text,
             broadcast_queue: 1024,
-            broadcast_batch: 64,
             fetch_retries: 3,
             fetch_backoff: Duration::from_millis(25),
             suspect_after: 1,
@@ -353,12 +350,6 @@ impl ServerOptions {
                     opts.broadcast_queue = rest.parse().map_err(|_| err("bad broadcast_queue"))?;
                     if opts.broadcast_queue == 0 {
                         return Err(err("broadcast_queue must be positive"));
-                    }
-                }
-                "broadcast_batch" => {
-                    opts.broadcast_batch = rest.parse().map_err(|_| err("bad broadcast_batch"))?;
-                    if opts.broadcast_batch == 0 {
-                        return Err(err("broadcast_batch must be positive"));
                     }
                 }
                 "fetch_retries" => {
@@ -550,22 +541,16 @@ sync_on_join on
 
     #[test]
     fn broadcast_keywords() {
-        let o = ServerOptions::parse(
-            "broadcast_queue 256
-broadcast_batch 16
-",
-        )
-        .unwrap();
+        let o = ServerOptions::parse("broadcast_queue 256\n").unwrap();
         assert_eq!(o.broadcast_queue, 256);
-        assert_eq!(o.broadcast_batch, 16);
         assert!(ServerOptions::parse("broadcast_queue 0")
             .unwrap_err()
             .contains("positive"));
-        assert!(ServerOptions::parse("broadcast_batch 0")
-            .unwrap_err()
-            .contains("positive"));
-        // The linger knob is gone: links pace themselves (NOTICE_PACE).
+        // The linger and batch-size knobs are gone: links pace themselves
+        // (NOTICE_PACE .. NOTICE_PACE_MAX) and a frame carries whatever a
+        // hold gathered.
         assert!(ServerOptions::parse("broadcast_window_ms 5").is_err());
+        assert!(ServerOptions::parse("broadcast_batch 16").is_err());
     }
 
     #[test]

@@ -52,6 +52,7 @@ pub mod monitor;
 pub mod pool;
 pub mod server;
 pub mod stats;
+pub mod threads;
 
 pub use client::HttpClient;
 pub use config::{EngineKind, LogFormat, ServerOptions};

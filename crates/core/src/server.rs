@@ -122,7 +122,6 @@ impl BoundSwala {
             .collect();
         let mut broadcast_config = BroadcastConfig {
             queue_depth: options.broadcast_queue,
-            batch_max: options.broadcast_batch,
             ..BroadcastConfig::default()
         };
         if let Some(faults) = &options.faults {
@@ -339,6 +338,12 @@ impl BoundSwala {
                 "swala_notice_delay_microseconds",
                 "Delay from a cache notice's enqueue to its write to the peer socket",
                 Arc::clone(broadcaster.notice_delay()),
+            );
+            let b = Arc::clone(&broadcaster);
+            reg.register_gauge_fn(
+                "swala_notice_hold_microseconds",
+                "Longest current hold over this node's notice links (500 = idle, 4000 = saturated)",
+                move || b.max_hold().as_micros() as i64,
             );
         }
 

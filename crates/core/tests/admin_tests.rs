@@ -158,11 +158,12 @@ fn status_page_reports_per_link_broadcast_counters() {
     assert!(html.contains("<td>node1</td>"), "{html}");
     assert!(html.contains("(1 sent, 0 dropped)"), "{html}");
     // The pacing columns: that one notice found the link idle and went
-    // out at once, as its own frame.
+    // out at once, as its own frame, followed by the base hold.
     assert!(html.contains("<th>notices/frame</th>"), "{html}");
+    assert!(html.contains("<th>hold (&micro;s)</th>"), "{html}");
     assert!(
-        html.contains("<td>1</td><td>1</td><td>1.0</td><td>1</td><td>0</td>"),
-        "sent, frames, notices/frame, immediate, after hold: {html}"
+        html.contains("<td>1</td><td>1</td><td>1.0</td><td>500</td><td>1</td><td>0</td>"),
+        "sent, frames, notices/frame, hold, immediate, after hold: {html}"
     );
     // The same from the metrics endpoints — this node's, and the
     // federated view built from every node's StatsSnapshot.
@@ -173,6 +174,10 @@ fn status_page_reports_per_link_broadcast_counters() {
         metrics.contains("swala_notice_delay_microseconds_count 1\n"),
         "{metrics}"
     );
+    assert!(
+        metrics.contains("swala_notice_hold_microseconds 500\n"),
+        "{metrics}"
+    );
     let cluster = c0.get("/swala-cluster-metrics").unwrap();
     let cluster = String::from_utf8(cluster.body.into_vec()).unwrap();
     for family in [
@@ -180,6 +185,52 @@ fn status_page_reports_per_link_broadcast_counters() {
         "swala_notice_delay_microseconds_bucket",
     ] {
         assert!(cluster.contains(family), "{family} federates: {cluster}");
+    }
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// `/swala-threads` is served by a live node and names the roles of the
+/// threads it runs. (Other tests' nodes share this process and come and
+/// go, so counts and sums are pinned in `binary_tests.rs`, against a node
+/// process of its own.)
+#[test]
+fn threads_page_lists_thread_roles() {
+    // Pinned: the roles below are the threaded engine's, and a replicated
+    // directory is what makes any miss send node 1 a notice.
+    let servers = two_node_cluster_with(ServerOptions {
+        engine: swala::EngineKind::Threaded,
+        directory: swala_cache::DirectoryKind::Replicated,
+        ..Default::default()
+    });
+    let mut client = HttpClient::new(servers[0].http_addr());
+    // A miss sends a notice, so every role below exists by the scrape.
+    client.get("/cgi-bin/adl?id=1&ms=0").unwrap();
+    wait_until("notice delivered to node 1", || {
+        servers[1].manager().directory().len(NodeId(0)) == 1
+    });
+    let page = client.get("/swala-threads").unwrap();
+    assert_eq!(page.status, StatusCode::OK);
+    let text = String::from_utf8(page.body.into_vec()).unwrap();
+    let samples = swala_obs::parse_exposition(&text).expect("well-formed exposition");
+    let threads = |role: &str| -> f64 {
+        samples
+            .iter()
+            .filter(|s| s.name == "swala_threads" && s.labels[0].1 == role)
+            .map(|s| s.value)
+            .sum()
+    };
+    // Both nodes live in this process: 2 × pool_size request threads, a
+    // writer per link, a reader per accepted peer connection.
+    assert!(threads("swala-request") >= 8.0, "{text}");
+    assert!(threads("swala-notice-writer") >= 2.0, "{text}");
+    for role in [
+        "swala-cache-conn",
+        "swala-cache-accept",
+        "swala-cache-purge",
+    ] {
+        assert!(threads(role) >= 1.0, "{role}: {text}");
     }
     for s in servers {
         s.shutdown();

@@ -87,25 +87,32 @@ fn free_port() -> u16 {
         .port()
 }
 
-#[test]
-fn two_binary_processes_cooperate() {
+/// Two node processes naming each other as peers, each with `extra`
+/// appended to its configuration; returns both and their HTTP addresses.
+fn spawn_pair(tag: &str, extra: &str) -> ([Proc; 2], [std::net::SocketAddr; 2]) {
     // Pre-pick node 1's cache port so node 0 can name it as a peer
     // before node 1 exists — how a real static deployment is configured.
     let port1 = free_port();
     let (p0, http0, cache0) = spawn_node(
         &format!(
             "node 0\nnodes 2\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:0\npool 2\n\
-             peer 1 127.0.0.1:{port1}\ncache /cgi-bin/*\n"
+             peer 1 127.0.0.1:{port1}\ncache /cgi-bin/*\n{extra}"
         ),
-        "pair0",
+        &format!("{tag}0"),
     );
     let (p1, http1, _cache1) = spawn_node(
         &format!(
             "node 1\nnodes 2\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:{port1}\npool 2\n\
-             peer 0 {cache0}\ncache /cgi-bin/*\n"
+             peer 0 {cache0}\ncache /cgi-bin/*\n{extra}"
         ),
-        "pair1",
+        &format!("{tag}1"),
     );
+    ([p0, p1], [http0, http1])
+}
+
+#[test]
+fn two_binary_processes_cooperate() {
+    let (procs, [http0, http1]) = spawn_pair("pair", "");
 
     // Warm node 0; its insert broadcast reaches node 1's directory, and
     // node 1 serves the request as a remote fetch over real process
@@ -132,5 +139,67 @@ fn two_binary_processes_cooperate() {
         r1.body, expect.body,
         "remote fetch returns node 0's exact bytes"
     );
-    drop((p0, p1));
+    drop(procs);
+}
+
+/// `/swala-threads` on a node process of its own: every role is there
+/// with the thread count the configuration implies, no role's CPU time
+/// goes backwards between scrapes, and work done on request threads
+/// shows up under `swala-request`.
+#[test]
+fn threads_page_sums_cpu_by_role() {
+    // Pinned: under the event engine the roles are a loop and its workers,
+    // and only a replicated directory sends every miss's notice to the peer.
+    let (procs, [http0, http1]) = spawn_pair("threads", "engine threaded\ndirectory replicated\n");
+    let mut c0 = HttpClient::new(http0).with_timeout(Duration::from_secs(5));
+    let mut c1 = HttpClient::new(http1).with_timeout(Duration::from_secs(5));
+    // Role → (threads, user + system seconds).
+    let scrape = |client: &mut HttpClient| {
+        let page = client.get("/swala-threads").unwrap();
+        let text = String::from_utf8(page.body.into_vec()).unwrap();
+        let samples = swala_obs::parse_exposition(&text).expect("well-formed exposition");
+        let mut roles = std::collections::BTreeMap::<String, (f64, f64)>::new();
+        for s in samples {
+            let role = &s.labels.iter().find(|(k, _)| k == "role").expect("role").1;
+            let entry = roles.entry(role.clone()).or_default();
+            match s.name.as_str() {
+                "swala_threads" => entry.0 += s.value,
+                "swala_thread_cpu_seconds" => entry.1 += s.value,
+                other => panic!("unexpected family {other}"),
+            }
+        }
+        roles
+    };
+    // A miss on each node opens both notice links, so each node has its
+    // writer running and a reader on the connection its peer dialled.
+    c0.get("/cgi-bin/adl?id=0&ms=0").unwrap();
+    c1.get("/cgi-bin/adl?id=1&ms=0").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let first = loop {
+        let roles = scrape(&mut c0);
+        if roles.get("swala-cache-conn").is_some_and(|r| r.0 >= 1.0) {
+            break roles;
+        }
+        assert!(Instant::now() < deadline, "peer never connected: {roles:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(first["swala-request"].0, 2.0, "pool 2: {first:?}");
+    assert_eq!(first["swala-notice-writer"].0, 1.0, "one peer: {first:?}");
+    for role in ["swala-cache-accept", "swala-cache-purge", "swala"] {
+        assert_eq!(first[role].0, 1.0, "{role}: {first:?}");
+    }
+    // 200 ms of CGI spinning on node 0's request threads.
+    for i in 0..20 {
+        c0.get(&format!("/cgi-bin/adl?id={}&ms=10", 100 + i))
+            .unwrap();
+    }
+    let second = scrape(&mut c0);
+    for (role, (threads, cpu)) in &first {
+        let (threads_now, cpu_now) = second[role];
+        assert_eq!(threads_now, *threads, "{role} threads");
+        assert!(cpu_now >= *cpu, "{role}: {cpu} then {cpu_now}");
+    }
+    let spun = second["swala-request"].1 - first["swala-request"].1;
+    assert!(spun >= 0.15, "request threads accrued {spun} s: {second:?}");
+    drop(procs);
 }

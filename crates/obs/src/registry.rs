@@ -400,7 +400,8 @@ fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-fn escape_label_value(v: &str) -> String {
+/// `v` as it must appear between the quotes of a label value.
+pub fn escape_label_value(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")

@@ -54,7 +54,9 @@ pub use fetch::{
 };
 pub use health::{HealthConfig, HealthSnapshot, HealthTracker, PeerState};
 pub use message::{Message, NodeStats};
-pub use peers::{BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE};
+pub use peers::{
+    BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE, NOTICE_PACE_MAX,
+};
 pub use pool::{FetchPool, FetchPoolStats, DEFAULT_POOL_SIZE};
 pub use reader::{Fill, FrameRead, PatientReader};
 pub use wire::{read_frame, write_frame, write_frame_split, ProtoError};

@@ -13,24 +13,31 @@
 //!
 //! A link is **self-pacing**. A notice that finds the link idle (its
 //! writer parked) wakes the writer and goes out at once, so an idle
-//! cluster sees no added delay. Having sent, the writer *holds* the link
-//! for [`NOTICE_PACE`]: enqueues during a hold only push under the queue
-//! lock — they issue **no wake-up**, because the writer is not parked —
-//! and when the hold ends everything queued leaves as one
-//! [`Message::Batch`] frame (several, back to back, only if more than
-//! `batch_max` notices piled up). An empty queue at the end of a hold
-//! parks the writer again. The contract: *a notice handed to a connected
-//! link reaches the socket within one pace interval* (plus the
-//! scheduler's timer slack); nothing else about §4.2's false-hit /
-//! false-miss window changes. A loaded node thus pays one writer wake-up,
-//! one `write` and one peer-side wake-up per interval instead of per
-//! insert. [`PeerLink::flush`] and shutdown cut a hold short.
+//! cluster sees no added delay. Having sent, the writer *holds* the link:
+//! enqueues during a hold only push under the queue lock — they issue
+//! **no wake-up**, because the writer is not parked — and when the hold
+//! ends everything queued leaves as one [`Message::Batch`] frame (cut
+//! only by the wire's frame limit). An empty queue at the end of a hold
+//! parks the writer again.
+//!
+//! The hold follows the link's load. The first hold after an idle link
+//! sends is [`NOTICE_PACE`]; each hold that ends with notices queued
+//! doubles the next, up to [`NOTICE_PACE_MAX`]; a hold that ends on an
+//! empty queue parks the writer, and the next notice again goes out at
+//! once followed by a [`NOTICE_PACE`] hold. The contract: *a notice
+//! handed to a connected link reaches the socket within
+//! [`NOTICE_PACE`] if the link parked within its last hold, and within
+//! [`NOTICE_PACE_MAX`] otherwise* (plus the scheduler's timer slack);
+//! nothing else about §4.2's false-hit / false-miss window changes. A
+//! loaded node thus pays one writer wake-up, one `write` and one
+//! peer-side wake-up per hold instead of per insert. [`PeerLink::flush`]
+//! and shutdown cut a hold short.
 //!
 //! The contract is checkable: every queued notice carries its enqueue
 //! `Instant`, the writer records enqueue→socket delay into the
 //! [`notice_delay`](Broadcaster::notice_delay) histogram, and
-//! [`LinkStats`] counts frames, notices sent at once vs after a hold,
-//! and wake-ups issued.
+//! [`LinkStats`] carries the link's current hold and counts frames,
+//! notices sent at once vs after a hold, and wake-ups issued.
 //!
 //! Backpressure is **drop-oldest**: when a queue is full the oldest
 //! notice is discarded and counted in the link's `dropped` counter. The
@@ -51,12 +58,18 @@ use std::time::{Duration, Instant};
 use swala_cache::NodeId;
 use swala_obs::Histogram;
 
-/// How long a writer holds its link after a send before sending again.
+/// How long a writer holds its link after an idle link's send: the base
+/// of the ramp, and all the delay a lightly loaded link ever adds.
 ///
 /// A constant, not a knob: it bounds how stale a peer's directory may be
 /// beyond §4.2's own window, and DESIGN.md §5 records the sweep
 /// (125/250/500/1000 µs) that picked it.
 pub const NOTICE_PACE: Duration = Duration::from_micros(500);
+
+/// The longest hold: where the doubling stops on a link whose every hold
+/// ends with notices queued. DESIGN.md §5 records the sweep
+/// (0.5/1/2/4/8 ms at 30 k inserts/s per node) that picked it.
+pub const NOTICE_PACE_MAX: Duration = Duration::from_millis(4);
 
 /// First reconnect backoff; doubles per failure up to [`BACKOFF_MAX`].
 const BACKOFF_MIN: Duration = Duration::from_millis(25);
@@ -74,8 +87,6 @@ pub type Connector =
 pub struct BroadcastConfig {
     /// Bounded queue depth per link; overflow drops the oldest notice.
     pub queue_depth: usize,
-    /// Max sub-messages coalesced into one `Batch` frame.
-    pub batch_max: usize,
     /// TCP connect timeout for (re)connection attempts.
     pub connect_timeout: Duration,
     /// Connection factory (tests inject failures/delays here).
@@ -86,7 +97,6 @@ impl Default for BroadcastConfig {
     fn default() -> Self {
         BroadcastConfig {
             queue_depth: 1024,
-            batch_max: 64,
             connect_timeout: Duration::from_millis(500),
             connector: Arc::new(|_peer, addr, timeout| TcpStream::connect_timeout(&addr, timeout)),
         }
@@ -97,7 +107,6 @@ impl std::fmt::Debug for BroadcastConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BroadcastConfig")
             .field("queue_depth", &self.queue_depth)
-            .field("batch_max", &self.batch_max)
             .field("connect_timeout", &self.connect_timeout)
             .finish_non_exhaustive()
     }
@@ -113,9 +122,12 @@ pub struct LinkStats {
     /// Payload bytes of delivered notices (framing overhead excluded) —
     /// what the directory bench measures as "directory wire bytes".
     pub sent_bytes: u64,
-    /// Wire frames those notices travelled in (`sent / frames` is the
-    /// coalescing factor pacing buys).
+    /// Wire frames those notices travelled in.
     pub frames: u64,
+    /// The hold that follows this link's latest send: [`NOTICE_PACE`] on
+    /// a link that has parked since, up to [`NOTICE_PACE_MAX`] on one
+    /// whose holds keep ending with notices queued.
+    pub hold: Duration,
     /// Notices that found the link idle and went out at once.
     pub sent_immediate: u64,
     /// Notices that waited out a hold (or a reconnect backoff) first;
@@ -130,6 +142,13 @@ pub struct LinkStats {
     pub queued: usize,
     /// Whether the writer currently holds a live connection.
     pub connected: bool,
+}
+
+impl LinkStats {
+    /// Notices per wire frame: the coalescing factor pacing buys.
+    pub fn notices_per_frame(&self) -> f64 {
+        self.sent as f64 / self.frames.max(1) as f64
+    }
 }
 
 /// A notice waiting for the writer, stamped when it was handed over.
@@ -179,6 +198,8 @@ struct LinkShared {
     sent_bytes: AtomicU64,
     frames: AtomicU64,
     sent_immediate: AtomicU64,
+    /// [`LinkStats::hold`], microseconds; only the writer stores to it.
+    hold_us: AtomicU64,
     wakeups: AtomicU64,
     dropped: AtomicU64,
     connected: AtomicBool,
@@ -189,6 +210,15 @@ struct LinkShared {
 impl LinkShared {
     fn lock(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn hold(&self) -> Duration {
+        Duration::from_micros(self.hold_us.load(Ordering::Relaxed))
+    }
+
+    fn set_hold(&self, hold: Duration) {
+        self.hold_us
+            .store(hold.as_micros() as u64, Ordering::Relaxed);
     }
 }
 
@@ -242,6 +272,7 @@ impl PeerLink {
             sent_bytes: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             sent_immediate: AtomicU64::new(0),
+            hold_us: AtomicU64::new(NOTICE_PACE.as_micros() as u64),
             wakeups: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             connected: AtomicBool::new(false),
@@ -308,6 +339,7 @@ impl PeerLink {
             sent,
             sent_bytes: self.shared.sent_bytes.load(Ordering::Relaxed),
             frames: self.shared.frames.load(Ordering::Relaxed),
+            hold: self.shared.hold(),
             sent_immediate,
             sent_after_hold: sent - sent_immediate,
             wakeups: self.shared.wakeups.load(Ordering::Relaxed),
@@ -438,15 +470,14 @@ struct Batch {
     /// These notices sat out a hold or backoff rather than finding the
     /// link idle.
     held: bool,
-    /// `batch_max` cut the batch: more is queued, so no hold follows.
-    more: bool,
 }
 
 /// Writer thread: send what an idle link is handed at once, then pace —
-/// hold, send everything queued as one batch, repeat — until the queue
-/// runs dry and the writer parks. Reconnect with backoff on failure. On
-/// shutdown, drain the queue to a live peer without holding; one failed
-/// delivery during shutdown abandons the rest (bounded effort).
+/// hold, send everything queued as one batch, repeat with the hold
+/// doubling — until the queue runs dry and the writer parks. Reconnect
+/// with backoff on failure. On shutdown, drain the queue to a live peer
+/// without holding; one failed delivery during shutdown abandons the
+/// rest (bounded effort).
 fn writer_loop(shared: &LinkShared) {
     let mut stream: Option<TcpStream> = None;
     let mut backoff = BACKOFF_MIN;
@@ -472,7 +503,16 @@ fn writer_loop(shared: &LinkShared) {
                     shared.sent_immediate.fetch_add(n, Ordering::Relaxed);
                 }
                 backoff = BACKOFF_MIN;
-                hold_until = (!batch.more).then(|| batch.taken_at + NOTICE_PACE);
+                // Notices queued through the whole of the last hold: the
+                // link is loaded, and a frame costs the pair of nodes far
+                // more than a notice does, so the next hold is longer.
+                let hold = if batch.held {
+                    (2 * shared.hold()).min(NOTICE_PACE_MAX)
+                } else {
+                    NOTICE_PACE
+                };
+                shared.set_hold(hold);
+                hold_until = Some(batch.taken_at + hold);
                 finish_batch(shared);
             }
             Err(_) => {
@@ -505,7 +545,7 @@ fn writer_loop(shared: &LinkShared) {
 }
 
 /// Sit out the hold (if any), park if the queue is then empty, and take
-/// up to `batch_max` notices. `None` on shutdown with nothing left.
+/// everything queued. `None` on shutdown with nothing left.
 fn next_batch(shared: &LinkShared, hold_until: Option<Instant>) -> Option<Batch> {
     let mut q = shared.lock();
     let mut held = false;
@@ -528,20 +568,20 @@ fn next_batch(shared: &LinkShared, hold_until: Option<Instant>) -> Option<Batch>
             return None;
         }
         // Nothing queued when the hold ended (or no hold at all): the
-        // link is idle, and the next notice goes out at once.
+        // link is idle, the next notice goes out at once, and the ramp
+        // starts over.
         held = false;
+        shared.set_hold(NOTICE_PACE);
         q.parked = true;
         q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
         q.parked = false;
     }
-    let n = q.buf.len().min(shared.cfg.batch_max);
-    let frames: Vec<Queued> = q.buf.drain(..n).collect();
+    let frames: Vec<Queued> = q.buf.drain(..).collect();
     q.in_flight = true;
     Some(Batch {
         frames,
         taken_at: Instant::now(),
         held,
-        more: !q.buf.is_empty(),
     })
 }
 
@@ -744,8 +784,9 @@ impl Broadcaster {
     }
 
     /// Enqueue→socket delay of delivered notices, microseconds: the
-    /// pacing contract's histogram (max ≈ [`NOTICE_PACE`] on a connected
-    /// link).
+    /// pacing contract's histogram (max ≈ [`NOTICE_PACE_MAX`] on a
+    /// connected link, ≈ [`NOTICE_PACE`] on one that parks between
+    /// notices).
     pub fn notice_delay(&self) -> &Arc<Histogram> {
         &self.delay
     }
@@ -753,6 +794,16 @@ impl Broadcaster {
     /// Per-link observable state, for the admin page.
     pub fn link_stats(&self) -> Vec<LinkStats> {
         self.links.iter().map(PeerLink::stats).collect()
+    }
+
+    /// The longest current hold over all links ([`LinkStats::hold`]):
+    /// where the most loaded link stands on the ramp.
+    pub fn max_hold(&self) -> Duration {
+        self.links
+            .iter()
+            .map(|l| l.shared.hold())
+            .max()
+            .unwrap_or_default()
     }
 
     /// Wait until every link's queue has quiesced. `false` on timeout.
@@ -968,14 +1019,14 @@ mod tests {
         let (addr, handle) = collecting_listener(1);
         let link = PeerLink::new(NodeId(0), NodeId(1), addr);
         for i in 0..10 {
-            // 3 × the pace apart, and (so a descheduled writer cannot
-            // flake the counters) not before the writer has parked.
-            std::thread::sleep(3 * NOTICE_PACE);
+            // Each notice finds the writer parked: the hold after an
+            // idle link's send is the base pace, whatever came before.
             wait_until("writer parked", || link.parked());
             link.send(&numbered(i)).unwrap();
         }
         assert!(link.flush(Duration::from_secs(5)));
         let st = link.stats();
+        assert_eq!(st.hold, NOTICE_PACE);
         assert_eq!(
             (st.sent, st.sent_immediate, st.sent_after_hold),
             (10, 10, 0)
@@ -1068,35 +1119,179 @@ mod tests {
         assert_eq!(&msgs[1..], &(0..=N).map(numbered).collect::<Vec<_>>()[..]);
     }
 
-    #[test]
-    fn flush_during_a_hold_delivers_everything() {
-        let (addr, handle) = collecting_listener(1);
-        let link = PeerLink::new(NodeId(0), NodeId(1), addr);
-        link.send(&numbered(0)).unwrap();
-        wait_until("first notice out", || link.counters().0 == 1);
-        for i in 1..=5 {
+    /// Feed `link` a notice every ~100 µs (numbered from `from`) until
+    /// `done`; returns the next unused number. Sleeping, not spinning:
+    /// the writer's timer wake-ups need a core to land on.
+    fn feed(link: &PeerLink, from: u16, done: impl Fn(&PeerLink) -> bool) -> u16 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut i = from;
+        while !done(link) {
+            assert!(Instant::now() < deadline, "feed condition never held");
             link.send(&numbered(i)).unwrap();
+            i += 1;
+            std::thread::sleep(Duration::from_micros(100));
         }
-        assert!(link.flush(Duration::from_secs(5)));
-        let st = link.stats();
-        assert_eq!((st.sent, st.queued, st.dropped), (6, 0, 0));
-        drop(link);
-        assert_eq!(handle.join().unwrap().0.len(), 7);
+        i
+    }
+
+    /// Feed `link` until its hold has ramped to the maximum.
+    fn saturate(link: &PeerLink, from: u16) -> u16 {
+        feed(link, from, |l| l.stats().hold == NOTICE_PACE_MAX)
     }
 
     #[test]
-    fn shutdown_during_a_hold_drains_in_order() {
+    fn loaded_link_ramps_to_one_frame_per_max_hold_and_back() {
+        const FEED: Duration = Duration::from_millis(60);
         let (addr, handle) = collecting_listener(1);
         let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+        // Connect first, so the feed below meets a connected, idle link.
         link.send(&numbered(0)).unwrap();
-        wait_until("first notice out", || link.counters().0 == 1);
-        for i in 1..=20 {
+        assert!(link.flush(Duration::from_secs(5)));
+        wait_until("writer parked", || link.parked());
+        let before = link.stats();
+        assert_eq!(before.hold, NOTICE_PACE);
+
+        let t0 = Instant::now();
+        let next = feed(&link, 1, |_| t0.elapsed() >= FEED);
+        let fed = t0.elapsed();
+        let loaded = link.stats();
+        assert!(link.flush(Duration::from_secs(5)));
+        let st = link.stats();
+        assert_eq!((st.sent, st.dropped), (next as u64, 0));
+        // Every idle→busy transition starts a ramp of at most four short
+        // frames (at once, then after 0.5, 1 and 2 ms); from there it is
+        // one frame per maximum hold, plus the one the flush cut short.
+        // An undisturbed feed is one transition: ≤ 4 + 15 + 1 frames,
+        // where a constant base pace would have sent ≈ 120.
+        let episodes = st.wakeups - before.wakeups;
+        let allowed = 4 * episodes + (fed.as_micros() / NOTICE_PACE_MAX.as_micros()) as u64 + 1;
+        let frames = st.frames - before.frames;
+        assert!(
+            frames <= allowed,
+            "{frames} frames in {fed:?} over {episodes} episode(s), allowed {allowed}"
+        );
+        if episodes == 1 {
+            assert_eq!(loaded.hold, NOTICE_PACE_MAX, "the ramp reached its top");
+            // The contract on a saturated link: nothing waits longer than
+            // the maximum hold plus the timer's slack. Checked at p90, not
+            // at the maximum, so that one late wake-up of the writer on a
+            // busy test host (a frame's worth of notices, ≈ 7 %) is not a
+            // failure; `tables broadcast` prints the maximum.
+            let bound = (NOTICE_PACE_MAX + Duration::from_millis(1)).as_micros() as u64;
+            let p90 = link.notice_delay().snapshot().p90();
+            assert!(p90 <= bound, "p90 delay {p90} us");
+        }
+
+        // A pause longer than the hold: the writer finds the queue empty,
+        // parks, and the ramp starts over.
+        wait_until("writer parked", || link.parked());
+        assert_eq!(link.stats().hold, NOTICE_PACE);
+        link.send(&numbered(next)).unwrap();
+        assert!(link.flush(Duration::from_secs(5)));
+        let after = link.stats();
+        assert_eq!(after.sent_immediate, st.sent_immediate + 1);
+        assert_eq!(after.hold, NOTICE_PACE);
+        drop(link);
+        let (msgs, _) = handle.join().unwrap();
+        assert_eq!(
+            &msgs[1..],
+            &(0..=next).map(numbered).collect::<Vec<_>>()[..],
+            "every notice, in order"
+        );
+    }
+
+    #[test]
+    fn flush_cuts_a_maximum_hold_short() {
+        const ROUNDS: u32 = 20;
+        let (addr, handle) = collecting_listener(1);
+        let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+        let next = saturate(&link, 0);
+        assert!(link.flush(Duration::from_secs(5)));
+        // Each flush below arrives inside the hold the previous one's
+        // frame started. Waited out, the rounds would take ROUNDS holds.
+        let t0 = Instant::now();
+        for i in 0..ROUNDS as u16 {
+            link.send(&numbered(next + i)).unwrap();
+            assert!(link.flush(Duration::from_secs(5)));
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < ROUNDS * NOTICE_PACE_MAX / 2,
+            "{ROUNDS} flushes took {took:?}"
+        );
+        let st = link.stats();
+        let total = next as u64 + ROUNDS as u64;
+        assert_eq!((st.sent, st.queued, st.dropped), (total, 0, 0));
+        drop(link);
+        let (msgs, _) = handle.join().unwrap();
+        assert_eq!(
+            msgs.len() as u64,
+            total + 1,
+            "connection hello + every notice"
+        );
+    }
+
+    #[test]
+    fn shutdown_during_a_maximum_hold_drains_in_order() {
+        let (addr, handle) = collecting_listener(1);
+        let link = PeerLink::new(NodeId(0), NodeId(1), addr);
+        let next = saturate(&link, 0);
+        for i in 0..20 {
+            link.send(&numbered(next + i)).unwrap();
+        }
+        let t0 = Instant::now();
+        link.shutdown();
+        let took = t0.elapsed();
+        assert_eq!(link.counters(), (next as u64 + 20, 0));
+        let (msgs, _) = handle.join().unwrap();
+        assert_eq!(
+            &msgs[1..],
+            &(0..next + 20).map(numbered).collect::<Vec<_>>()[..]
+        );
+        // Not a timing gate, only a sanity bound: shutdown does not sit
+        // out holds (the drain above is at most two frames).
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    }
+
+    #[test]
+    fn reconnect_backoff_is_a_hold() {
+        const N: u16 = 30;
+        let (addr, handle) = collecting_listener(1);
+        let attempts = Arc::new(AtomicU64::new(0));
+        let cfg = BroadcastConfig {
+            connector: {
+                let attempts = Arc::clone(&attempts);
+                Arc::new(move |_peer, addr, timeout| {
+                    if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                        return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "scripted"));
+                    }
+                    TcpStream::connect_timeout(&addr, timeout)
+                })
+            },
+            ..Default::default()
+        };
+        let link = PeerLink::with_config(NodeId(0), NodeId(1), addr, cfg);
+        wait_until("writer parked", || link.parked());
+        link.send(&numbered(0)).unwrap(); // the one wake-up; its connect fails
+        wait_until("failed delivery counted", || link.counters().1 == 1);
+        // The writer now sits out its backoff: these only queue.
+        for i in 1..=N {
             link.send(&numbered(i)).unwrap();
         }
-        link.shutdown();
-        assert_eq!(link.counters(), (21, 0));
-        let (msgs, _) = handle.join().unwrap();
-        assert_eq!(&msgs[1..], &(0..=20).map(numbered).collect::<Vec<_>>()[..]);
+        let st = link.stats();
+        assert_eq!((st.wakeups, st.queued, st.sent), (1, N as usize, 0));
+        // A flush cuts the backoff short, as it does a pace hold.
+        assert!(link.flush(Duration::from_secs(5)));
+        let st = link.stats();
+        assert_eq!(
+            (st.sent, st.frames, st.wakeups, st.dropped),
+            (N as u64, 1, 1, 1)
+        );
+        assert_eq!((st.sent_immediate, st.sent_after_hold), (0, N as u64));
+        drop(link);
+        let (msgs, batches) = handle.join().unwrap();
+        assert_eq!(batches, 1, "the backlog left as one Batch frame");
+        assert_eq!(&msgs[1..], &(1..=N).map(numbered).collect::<Vec<_>>()[..]);
     }
 
     #[test]
