@@ -1,5 +1,6 @@
-//! C10K smoke: prove the event engine holds ten thousand idle
-//! keep-alive connections while a live request still completes fast.
+//! C10K smoke: prove the request pool, on default options, holds ten
+//! thousand idle keep-alive connections parked on its epoll while a live
+//! request still completes fast.
 //!
 //! ```text
 //! c10k                 # 10k idle conns (capped by RLIMIT_NOFILE), 250 ms bound
@@ -17,7 +18,7 @@
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::{EngineKind, HttpClient, ProgramRegistry, ServerOptions, SwalaServer};
+use swala::{HttpClient, ProgramRegistry, ServerOptions, SwalaServer};
 use swala_cgi::null_cgi;
 use swala_http::StatusCode;
 
@@ -42,14 +43,8 @@ fn main() {
 
     let mut registry = ProgramRegistry::new();
     registry.register(Arc::new(null_cgi()));
-    let server = SwalaServer::start_single(
-        ServerOptions {
-            engine: EngineKind::Event,
-            ..Default::default()
-        },
-        registry,
-    )
-    .expect("start event-engine server");
+    let server =
+        SwalaServer::start_single(ServerOptions::default(), registry).expect("start server");
     let addr = server.http_addr();
 
     let t0 = Instant::now();
@@ -70,8 +65,8 @@ fn main() {
     }
     let park_secs = t0.elapsed().as_secs_f64();
 
-    // The herd is connected client-side; give the loop thread a bounded
-    // moment to drain the accept backlog before holding it to the count.
+    // The herd is connected client-side; give the pool a bounded moment
+    // to drain the accept backlog before holding it to the count.
     for _ in 0..200 {
         if server.engine_stats().open_connections.get() >= conns as i64 {
             break;
@@ -88,9 +83,10 @@ fn main() {
 
     let stats = server.engine_stats();
     let open = stats.open_connections.get();
+    let parks = stats.parks();
     println!(
-        "c10k: parked {conns} idle conns in {park_secs:.1} s (server sees {open} open); \
-         live request {live_ms:.2} ms (bound {bound_ms} ms)"
+        "c10k: parked {conns} idle conns in {park_secs:.1} s (server sees {open} open, \
+         {parks} parks); live request {live_ms:.2} ms (bound {bound_ms} ms)"
     );
     if open < conns as i64 {
         eprintln!("c10k: server holds {open} connections, expected at least {conns}");

@@ -69,10 +69,6 @@ pub struct ClusterConfig {
     pub hotkeys: usize,
     /// Slow-trace exemplars retained per outcome class; 0 disables.
     pub slow_traces: usize,
-    /// Connection engine on every node (threaded accept pool or the
-    /// readiness-polled event loop). Defaults to the process default,
-    /// which honors `SWALA_ENGINE`.
-    pub engine: swala::EngineKind,
     /// Directory organization on every node (replicated broadcast or
     /// consistent-hash partitioned). Defaults to the process default,
     /// which honors `SWALA_DIRECTORY`.
@@ -114,7 +110,6 @@ impl Default for ClusterConfig {
             trace_ring: ServerOptions::default().trace_ring,
             hotkeys: ServerOptions::default().hotkeys,
             slow_traces: ServerOptions::default().slow_traces,
-            engine: ServerOptions::default().engine,
             directory: ServerOptions::default().directory,
             ring_vnodes: ServerOptions::default().ring_vnodes,
             store: ServerOptions::default().store,
@@ -190,7 +185,6 @@ impl SwalaCluster {
                     trace_ring: cfg.trace_ring,
                     hotkeys: cfg.hotkeys,
                     slow_traces: cfg.slow_traces,
-                    engine: cfg.engine,
                     directory: cfg.directory,
                     ring_vnodes: cfg.ring_vnodes,
                     store: cfg.store,

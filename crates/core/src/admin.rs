@@ -498,15 +498,11 @@ fn status_page(ctx: &NodeContext) -> Response {
     let pool = ctx.fetch_pool.stats();
     let eng = &ctx.engine_stats;
     let engine = format!(
-        "engine={} open_connections={} idle_connections={} \
-         worker_queue_depth={} conn_buffer_bytes={} eventloop_wakeups={} \
+        "open_connections={} idle_connections={} parks={} \
          read_calls={} reads_per_request={:.2}",
-        ctx.engine.as_str(),
         eng.open_connections.get(),
         eng.idle_connections.get(),
-        eng.worker_queue_depth.get(),
-        eng.conn_buffer_bytes.get(),
-        eng.wakeups(),
+        eng.parks(),
         http.read_calls,
         http.read_calls as f64 / http.requests.max(1) as f64,
     );

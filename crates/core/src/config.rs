@@ -8,38 +8,6 @@ use std::time::Duration;
 use swala_cache::{CacheRules, DirectoryKind, NodeId, PolicyKind, StoreKind};
 use swala_proto::FaultInjector;
 
-/// Which connection engine serves HTTP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The paper's §4.1 accept pool: one blocking thread per connection,
-    /// "from parsing to completion". The faithful default.
-    Threaded,
-    /// Readiness-polled event loop: one loop thread multiplexes every
-    /// connection; `pool_size` workers execute requests. Same observable
-    /// semantics, C10K-capable idle keep-alive.
-    Event,
-}
-
-impl EngineKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EngineKind::Threaded => "threaded",
-            EngineKind::Event => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<EngineKind, String> {
-        match s {
-            "threaded" => Ok(EngineKind::Threaded),
-            "event" => Ok(EngineKind::Event),
-            other => Err(format!("engine must be threaded|event, got {other:?}")),
-        }
-    }
-}
-
 /// Access-log line format (`log_format text|json`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogFormat {
@@ -161,17 +129,14 @@ pub struct ServerOptions {
     /// Slowest completed traces retained per outcome class
     /// (`/swala-traces?slow=1`); 0 keeps none.
     pub slow_traces: usize,
-    /// Connection engine (`engine threaded|event`). The `SWALA_ENGINE`
-    /// environment variable overrides the *default* only — explicit
-    /// config lines and programmatic settings win, so a test that pins an
-    /// engine is immune to a suite-wide env sweep.
-    pub engine: EngineKind,
     /// Directory organization (`directory replicated|partitioned`).
     /// Replicated is the paper-faithful default: every insert/delete
     /// broadcasts to all peers. Partitioned assigns each key a home node
     /// on a consistent-hash ring and sends one point-to-point update
-    /// instead. Like `engine`, the `SWALA_DIRECTORY` environment
-    /// variable overrides the *default* only.
+    /// instead. The `SWALA_DIRECTORY` environment variable overrides the
+    /// *default* only — explicit config lines and programmatic settings
+    /// win, so a test that pins a mode is immune to a suite-wide env
+    /// sweep.
     pub directory: DirectoryKind,
     /// Virtual nodes per member on the consistent-hash ring
     /// (partitioned mode only).
@@ -180,7 +145,7 @@ pub struct ServerOptions {
     /// keeps every body in one data file of checksummed records and
     /// reuses space in place; `files` is the paper's §4.1 layout (one OS
     /// file per cached result), which the paper experiments pin. Like
-    /// `engine`, the `SWALA_STORE` environment variable overrides the
+    /// `directory`, the `SWALA_STORE` environment variable overrides the
     /// *default* only — explicit config lines and programmatic settings
     /// win, so tests that pin a store are immune to a suite-wide env
     /// sweep.
@@ -230,10 +195,6 @@ impl Default for ServerOptions {
             trace_ring: 256,
             hotkeys: 128,
             slow_traces: 8,
-            engine: match std::env::var("SWALA_ENGINE").as_deref() {
-                Ok("event") => EngineKind::Event,
-                _ => EngineKind::Threaded,
-            },
             directory: match std::env::var("SWALA_DIRECTORY").as_deref() {
                 Ok("partitioned") => DirectoryKind::Partitioned,
                 _ => DirectoryKind::Replicated,
@@ -423,7 +384,9 @@ impl ServerOptions {
                     opts.slow_traces = rest.parse().map_err(|_| err("bad slow_traces"))?;
                 }
                 "engine" => {
-                    opts.engine = rest.parse().map_err(|e: String| err(&e))?;
+                    return Err(err(
+                        "the engine option is gone: the one request pool parks idle connections",
+                    ));
                 }
                 "directory" => {
                     opts.directory = rest.parse().map_err(|e: String| err(&e))?;
@@ -683,16 +646,11 @@ slow_traces 16
     }
 
     #[test]
-    fn engine_keyword() {
-        // Note: the default depends on SWALA_ENGINE (env override of the
-        // default), so only explicit settings are asserted here.
-        let o = ServerOptions::parse("engine event\n").unwrap();
-        assert_eq!(o.engine, EngineKind::Event);
-        let o = ServerOptions::parse("engine threaded\n").unwrap();
-        assert_eq!(o.engine, EngineKind::Threaded);
-        assert!(ServerOptions::parse("engine coroutine")
-            .unwrap_err()
-            .contains("threaded|event"));
+    fn engine_keyword_is_gone_and_says_so() {
+        for line in ["engine event", "engine threaded"] {
+            let err = ServerOptions::parse(line).unwrap_err();
+            assert!(err.contains("engine option is gone"), "{err}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Vendored epoll shim: raw `epoll_create1`/`epoll_ctl`/`epoll_wait` and
-//! `eventfd` FFI against the platform C library.
+//! Vendored epoll shim: raw `epoll_create1`/`epoll_ctl`/`epoll_wait`,
+//! `eventfd` and `recv` FFI against the platform C library.
 //!
 //! The build environment has no registry access, so instead of `mio` or
-//! the `libc` crate this module declares exactly the five symbols the
-//! event engine needs. Everything is wrapped in RAII types; nothing else
-//! in the crate touches `unsafe`.
+//! the `libc` crate this module declares exactly the symbols the request
+//! pool needs to park idle connections. Everything is wrapped in RAII
+//! types and safe functions; the pool itself has no `unsafe`.
 
 #![cfg(target_os = "linux")]
 
@@ -14,10 +14,10 @@ use std::os::raw::{c_int, c_uint};
 use std::time::Duration;
 
 pub const EPOLLIN: u32 = 0x001;
-pub const EPOLLOUT: u32 = 0x004;
-pub const EPOLLERR: u32 = 0x008;
-pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Report the descriptor once, then leave it disarmed: with several
+/// threads in `epoll_wait` exactly one of them gets a parked connection.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
@@ -26,6 +26,7 @@ const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 const RLIMIT_NOFILE: c_int = 7;
+const MSG_DONTWAIT: c_int = 0x40;
 
 /// Mirror of the kernel's `struct epoll_event`. x86_64 is the one ABI
 /// where the struct is packed; other architectures use natural layout.
@@ -49,8 +50,8 @@ extern "C" {
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
+    fn recv(fd: c_int, buf: *mut u8, len: usize, flags: c_int) -> isize;
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
     fn listen(sockfd: c_int, backlog: c_int) -> c_int;
@@ -63,6 +64,19 @@ extern "C" {
 pub fn deepen_backlog(fd: RawFd, backlog: u32) -> io::Result<()> {
     cvt(unsafe { listen(fd, backlog.min(c_int::MAX as u32) as c_int) })?;
     Ok(())
+}
+
+/// One `recv(MSG_DONTWAIT)`: what the socket holds right now (0 = EOF),
+/// or `WouldBlock` — whatever its blocking mode and read timeout.
+pub fn recv_nowait(fd: RawFd, buf: &mut [u8]) -> io::Result<usize> {
+    // SAFETY: `buf` is valid for writes of `buf.len()` bytes for the whole
+    // call, and the kernel writes at most that many.
+    let n = unsafe { recv(fd, buf.as_mut_ptr(), buf.len(), MSG_DONTWAIT) };
+    if n < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
+    }
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -97,6 +111,7 @@ impl Epoll {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
+    /// Re-arm a spent one-shot registration (or change what it reports).
     pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
@@ -108,8 +123,9 @@ impl Epoll {
     }
 
     /// Wait for readiness, filling `events`; returns the number ready.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout: Duration) -> io::Result<usize> {
-        let ms: c_int = timeout.as_millis().min(c_int::MAX as u128) as c_int;
+    /// `None` waits until something is.
+    pub fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
+        let ms: c_int = timeout.map_or(-1, |t| t.as_millis().min(c_int::MAX as u128) as c_int);
         loop {
             let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), events.len() as c_int, ms) };
             if n >= 0 {
@@ -129,8 +145,9 @@ impl Drop for Epoll {
     }
 }
 
-/// An eventfd used as the loop's cross-thread wakeup (closed on drop).
-/// Writes add to a counter; a nonblocking read drains it.
+/// An eventfd used as a cross-thread wakeup (closed on drop). Writes add
+/// to a counter, and until somebody reads it the fd stays readable — so
+/// one signal that is never drained wakes every waiter, now and later.
 pub struct EventFd {
     fd: RawFd,
 }
@@ -151,12 +168,6 @@ impl EventFd {
         let one = 1u64.to_ne_bytes();
         unsafe { write(self.fd, one.as_ptr(), one.len()) };
     }
-
-    /// Consume all pending signals.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
-    }
 }
 
 impl Drop for EventFd {
@@ -164,10 +175,6 @@ impl Drop for EventFd {
         unsafe { close(self.fd) };
     }
 }
-
-// The fd is plain data; signal/drain are thread-safe syscalls.
-unsafe impl Send for EventFd {}
-unsafe impl Sync for EventFd {}
 
 /// Raise the soft `RLIMIT_NOFILE` to the hard limit and return the new
 /// soft limit. C10K needs more descriptors than the usual default of
@@ -193,42 +200,60 @@ mod tests {
     use std::os::fd::AsRawFd;
 
     #[test]
-    fn epoll_reports_readability() {
+    fn a_one_shot_registration_reports_once_and_recv_nowait_never_blocks() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
+        let fd = server.as_raw_fd();
 
         let ep = Epoll::new().unwrap();
-        ep.add(server.as_raw_fd(), EPOLLIN, 7).unwrap();
-
+        ep.add(fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, 7).unwrap();
         let mut events = [EpollEvent { events: 0, data: 0 }; 8];
-        // Nothing written yet: no readiness within a short timeout.
-        assert_eq!(ep.wait(&mut events, Duration::from_millis(20)).unwrap(), 0);
+        let short = Some(Duration::from_millis(20));
+        // Nothing written yet: no readiness, and nothing to receive.
+        assert_eq!(ep.wait(&mut events, short).unwrap(), 0);
+        let mut buf = [0u8; 8];
+        let err = recv_nowait(fd, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
 
         client.write_all(b"x").unwrap();
-        let n = ep.wait(&mut events, Duration::from_secs(2)).unwrap();
-        assert_eq!(n, 1);
+        assert_eq!(ep.wait(&mut events, None).unwrap(), 1);
         let ev = events[0];
         assert_eq!({ ev.data }, 7);
         assert_ne!({ ev.events } & EPOLLIN, 0);
+        // Still unread, but the one shot is spent — until it is re-armed.
+        assert_eq!(ep.wait(&mut events, short).unwrap(), 0);
+        ep.modify(fd, EPOLLIN | EPOLLONESHOT, 9).unwrap();
+        assert_eq!(ep.wait(&mut events, None).unwrap(), 1);
+        let ev = events[0];
+        assert_eq!({ ev.data }, 9);
+        assert_eq!(recv_nowait(fd, &mut buf).unwrap(), 1);
+        ep.delete(fd).unwrap();
 
-        ep.delete(server.as_raw_fd()).unwrap();
+        // A hang-up is readiness too, and reads as EOF.
+        ep.add(fd, EPOLLIN | EPOLLRDHUP | EPOLLONESHOT, 8).unwrap();
+        drop(client);
+        assert_eq!(ep.wait(&mut events, None).unwrap(), 1);
+        assert_eq!(recv_nowait(fd, &mut buf).unwrap(), 0);
     }
 
     #[test]
-    fn eventfd_wakes_and_drains() {
+    fn an_undrained_eventfd_wakes_every_wait() {
         let ep = Epoll::new().unwrap();
         let efd = EventFd::new().unwrap();
         ep.add(efd.raw_fd(), EPOLLIN, 1).unwrap();
         let mut events = [EpollEvent { events: 0, data: 0 }; 4];
-
+        assert_eq!(
+            ep.wait(&mut events, Some(Duration::from_millis(20)))
+                .unwrap(),
+            0
+        );
         efd.signal();
-        efd.signal();
-        let n = ep.wait(&mut events, Duration::from_secs(2)).unwrap();
-        assert_eq!(n, 1);
-        efd.drain();
-        // Drained: quiet again.
-        assert_eq!(ep.wait(&mut events, Duration::from_millis(20)).unwrap(), 0);
+        for _ in 0..3 {
+            assert_eq!(ep.wait(&mut events, None).unwrap(), 1);
+            let ev = events[0];
+            assert_eq!({ ev.data }, 1);
+        }
     }
 
     #[test]

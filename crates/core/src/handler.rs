@@ -69,11 +69,8 @@ pub struct NodeContext {
     pub retry_policy: RetryPolicy,
     /// Per-peer quarantine tracking, fed by fetch outcomes.
     pub health: Arc<HealthTracker>,
-    /// Connection-engine gauges (open/idle connections, worker queue),
-    /// bumped by whichever engine is serving.
+    /// Request-pool gauges (open and idle connections, parks).
     pub engine_stats: Arc<crate::stats::EngineStats>,
-    /// Which engine this node runs (shown on `/swala-status`).
-    pub engine: crate::config::EngineKind,
     /// When the node started (uptime on `/swala-status`).
     pub started: Instant,
     /// Peers whose stats pull failed during a cluster scrape

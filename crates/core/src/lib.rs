@@ -45,7 +45,7 @@ pub mod accesslog;
 pub mod admin;
 pub mod client;
 pub mod config;
-pub mod event;
+mod epoll;
 pub mod files;
 pub mod handler;
 pub mod monitor;
@@ -55,8 +55,8 @@ pub mod stats;
 pub mod threads;
 
 pub use client::HttpClient;
-pub use config::{EngineKind, LogFormat, ServerOptions};
-pub use event::epoll::raise_nofile_limit;
+pub use config::{LogFormat, ServerOptions};
+pub use epoll::raise_nofile_limit;
 pub use server::{BoundSwala, SwalaServer};
 pub use stats::{EngineStats, RequestStats, RequestStatsSnapshot};
 

@@ -1,7 +1,6 @@
 //! The Swala server: binds the pieces into one node.
 
-use crate::config::{EngineKind, ServerOptions};
-use crate::event::EventEngine;
+use crate::config::ServerOptions;
 use crate::handler::NodeContext;
 use crate::monitor::SourceMonitor;
 use crate::pool::RequestPool;
@@ -388,50 +387,21 @@ impl BoundSwala {
                 probe_interval: options.probe_interval,
             })),
             engine_stats,
-            engine: options.engine,
             started: std::time::Instant::now(),
             scrape_failures,
         });
 
-        let engine = match options.engine {
-            EngineKind::Threaded => HttpEngine::Threaded(RequestPool::start(
-                http_listener,
-                Arc::clone(&ctx),
-                options.pool_size,
-            )?),
-            EngineKind::Event => HttpEngine::Event(EventEngine::start(
-                http_listener,
-                Arc::clone(&ctx),
-                options.pool_size,
-            )?),
-        };
+        let pool = RequestPool::start(http_listener, Arc::clone(&ctx), options.pool_size)?;
 
         Ok(SwalaServer {
             ctx,
             manager,
             daemons: Some(daemons),
-            engine: Some(engine),
+            pool: Some(pool),
             monitor,
             http_addr,
             cache_addr,
         })
-    }
-}
-
-/// The connection engine serving a node's HTTP listener.
-pub enum HttpEngine {
-    /// The paper's accept pool (one blocking thread per connection).
-    Threaded(RequestPool),
-    /// The readiness-polled event loop (`engine event`).
-    Event(EventEngine),
-}
-
-impl HttpEngine {
-    fn shutdown(self) {
-        match self {
-            HttpEngine::Threaded(pool) => pool.shutdown(),
-            HttpEngine::Event(engine) => engine.shutdown(),
-        }
     }
 }
 
@@ -440,7 +410,7 @@ pub struct SwalaServer {
     ctx: Arc<NodeContext>,
     manager: Arc<CacheManager>,
     daemons: Option<CacheDaemons>,
-    engine: Option<HttpEngine>,
+    pool: Option<RequestPool>,
     monitor: Option<SourceMonitor>,
     http_addr: SocketAddr,
     cache_addr: SocketAddr,
@@ -524,23 +494,18 @@ impl SwalaServer {
         self.monitor.as_ref()
     }
 
-    /// Gauges and counters of the serving connection engine.
+    /// Gauges and counters of the request pool.
     pub fn engine_stats(&self) -> &Arc<EngineStats> {
         &self.ctx.engine_stats
     }
 
-    /// Which connection engine this node runs.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.ctx.engine
-    }
-
-    /// Stop the engine, the daemons and the monitor, then return. The
+    /// Stop the request pool, the daemons and the monitor, then return. The
     /// broadcaster is drained in between: once no new requests can enqueue
     /// notices, writer threads flush what is queued to live peers before
     /// the cache daemons stop listening.
     pub fn shutdown(mut self) {
-        if let Some(engine) = self.engine.take() {
-            engine.shutdown();
+        if let Some(pool) = self.pool.take() {
+            pool.shutdown();
         }
         if let Some(monitor) = self.monitor.take() {
             monitor.shutdown();
@@ -554,8 +519,8 @@ impl SwalaServer {
 
 impl Drop for SwalaServer {
     fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            engine.shutdown();
+        if let Some(pool) = self.pool.take() {
+            pool.shutdown();
         }
         drop(self.monitor.take());
         self.ctx.broadcaster.shutdown();

@@ -28,7 +28,6 @@ const LONG_ROLES: &[&str] = &[
     "swala-cache-conn",
     "swala-cache-purge",
     "swala-source-monitor",
-    "swala-event-loop",
 ];
 
 /// What one role's live threads have consumed so far.
@@ -153,11 +152,10 @@ mod tests {
         assert_eq!(role_of("swala-request-3"), "swala-request");
         // Sixteen request threads: index 12 is cut to its first digit.
         assert_eq!(role_of("swala-request-1"), "swala-request");
-        assert_eq!(role_of("swala-worker-11"), "swala-worker");
         assert_eq!(role_of("swala-notice-wr"), "swala-notice-writer");
         assert_eq!(role_of("swala-cache-con"), "swala-cache-conn");
         assert_eq!(role_of("swala-cache-acc"), "swala-cache-accept");
-        assert_eq!(role_of("swala-event-loo"), "swala-event-loop");
+        assert_eq!(role_of("swala-source-mo"), "swala-source-monitor");
         // Not ours: unchanged, digits and all.
         assert_eq!(role_of("swala"), "swala");
         assert_eq!(role_of("enterprise-pool"), "enterprise-pool");

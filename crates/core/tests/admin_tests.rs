@@ -92,15 +92,12 @@ fn status_page_reports_stats() {
 }
 
 /// The syscall floor is checkable on a running node: over a keep-alive
-/// session the threaded engine issues one socket read per request — no
+/// session the request pool issues one socket read per request — no
 /// peek, no second read for the head — visible on both metrics
 /// endpoints and the status page.
 #[test]
 fn keep_alive_requests_cost_one_read_each() {
-    let servers = two_node_cluster_with(ServerOptions {
-        engine: swala::EngineKind::Threaded,
-        ..Default::default()
-    });
+    let servers = two_node_cluster_with(ServerOptions::default());
     let mut client = HttpClient::new(servers[0].http_addr());
     for i in 0..200 {
         let resp = client
@@ -197,10 +194,9 @@ fn status_page_reports_per_link_broadcast_counters() {
 /// process of its own.)
 #[test]
 fn threads_page_lists_thread_roles() {
-    // Pinned: the roles below are the threaded engine's, and a replicated
-    // directory is what makes any miss send node 1 a notice.
+    // Pinned: a replicated directory is what makes any miss send node 1
+    // a notice.
     let servers = two_node_cluster_with(ServerOptions {
-        engine: swala::EngineKind::Threaded,
         directory: swala_cache::DirectoryKind::Replicated,
         ..Default::default()
     });

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use swala::{EngineKind, HttpClient, ServerOptions, SwalaServer};
+use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::StatusCode;
 
@@ -83,11 +83,13 @@ fn a_warm_local_hit_stays_within_its_allocation_budget() {
         "adl",
         WorkKind::Sleep,
     )));
-    // One request thread, so "the request thread" is unambiguous.
+    // Two request threads: one stays with the connection, and while the
+    // other is idle the connection is never parked — the production hot
+    // path. (Alone, a thread parks the connection after every response
+    // and the next request's fresh read buffer is a 28th allocation.)
     let server = SwalaServer::start_single(
         ServerOptions {
-            pool_size: 1,
-            engine: EngineKind::Threaded,
+            pool_size: 2,
             ..Default::default()
         },
         registry,

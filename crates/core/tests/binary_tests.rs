@@ -17,12 +17,24 @@ impl Drop for Proc {
     }
 }
 
-/// Start the binary and parse "http on <addr>, cache protocol on <addr>"
-/// from its stderr banner.
 fn spawn_node(config: &str, tag: &str) -> (Proc, std::net::SocketAddr, std::net::SocketAddr) {
+    spawn_node_under(config, tag, "")
+}
+
+/// Start the binary — after `setup`, a shell command such as `ulimit` —
+/// and parse "http on <addr>, cache protocol on <addr>" from its stderr
+/// banner.
+fn spawn_node_under(
+    config: &str,
+    tag: &str,
+    setup: &str,
+) -> (Proc, std::net::SocketAddr, std::net::SocketAddr) {
     let path = std::env::temp_dir().join(format!("swala-bin-{tag}-{}.conf", std::process::id()));
     std::fs::write(&path, config).unwrap();
-    let mut child = Command::new(BIN)
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg(format!("{setup}\nexec \"$0\" \"$1\""))
+        .arg(BIN)
         .arg(&path)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -70,6 +82,11 @@ fn binary_rejects_bad_config() {
     let out = Command::new(BIN).arg(&path).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown keyword"));
+    // There is one request engine; the keyword that chose one says so.
+    std::fs::write(&path, "engine threaded\n").unwrap();
+    let out = Command::new(BIN).arg(&path).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("engine option is gone"));
     // Missing file also fails cleanly.
     let out = Command::new(BIN)
         .arg("/no/such/file.conf")
@@ -148,9 +165,9 @@ fn two_binary_processes_cooperate() {
 /// shows up under `swala-request`.
 #[test]
 fn threads_page_sums_cpu_by_role() {
-    // Pinned: under the event engine the roles are a loop and its workers,
-    // and only a replicated directory sends every miss's notice to the peer.
-    let (procs, [http0, http1]) = spawn_pair("threads", "engine threaded\ndirectory replicated\n");
+    // Pinned: only a replicated directory sends every miss's notice to
+    // the peer.
+    let (procs, [http0, http1]) = spawn_pair("threads", "directory replicated\n");
     let mut c0 = HttpClient::new(http0).with_timeout(Duration::from_secs(5));
     let mut c1 = HttpClient::new(http1).with_timeout(Duration::from_secs(5));
     // Role → (threads, user + system seconds).
@@ -202,4 +219,57 @@ fn threads_page_sums_cpu_by_role() {
     let spun = second["swala-request"].1 - first["swala-request"].1;
     assert!(spun >= 0.15, "request threads accrued {spun} s: {second:?}");
     drop(procs);
+}
+
+/// User + system CPU seconds a process has consumed (`/proc/<pid>/stat`,
+/// 100 ticks a second).
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    let after_name = &stat[stat.rfind(')').unwrap() + 2..];
+    let ticks: u64 = after_name
+        .split(' ')
+        .skip(11)
+        .take(2)
+        .map(|t| t.parse::<u64>().unwrap())
+        .sum();
+    ticks as f64 / 100.0
+}
+
+/// Out of descriptors, `accept()` fails while the listener stays
+/// readable: the pool pauses a tick per failure instead of spinning,
+/// counts it, and serves again once descriptors are back.
+#[test]
+fn a_failing_accept_pauses_instead_of_spinning() {
+    let (proc_, http, _) = spawn_node_under(
+        "node 0\nnodes 1\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:0\npool 2\n",
+        "emfile",
+        "ulimit -n 40",
+    );
+    // More connections than the node has descriptors left: the kernel
+    // completes the handshakes, the node's accept() runs dry.
+    let herd: Vec<_> = (0..64)
+        .map(|_| std::net::TcpStream::connect(http).unwrap())
+        .collect();
+    // Let it take what it can and run into the limit.
+    std::thread::sleep(Duration::from_millis(500));
+    let pid = proc_.0.id();
+    let before = cpu_seconds(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let burned = cpu_seconds(pid) - before;
+    assert!(
+        burned < 0.05,
+        "{burned} s of CPU in one second of refused accepts"
+    );
+    drop(herd);
+    let mut client = HttpClient::new(http).with_timeout(Duration::from_secs(5));
+    let metrics = client.get("/swala-metrics").unwrap();
+    let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
+    let errors: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("swala_http_accept_errors "))
+        .expect("swala_http_accept_errors")
+        .parse()
+        .unwrap();
+    assert!(errors >= 1, "{metrics}");
+    drop(proc_);
 }

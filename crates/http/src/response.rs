@@ -69,8 +69,6 @@ impl Response {
 
     /// Serialize the status line and headers (through the terminating
     /// blank line) exactly as [`write_to`](Self::write_to) sends them.
-    /// Nonblocking writers use this to stage the head once and then push
-    /// head + body out in resumable partial writes.
     pub fn head_bytes(&self) -> Vec<u8> {
         let mut head = Vec::with_capacity(256);
         // Formatting straight into the Vec cannot fail and allocates no

@@ -577,11 +577,19 @@ fn apply_notices(msgs: Vec<Message>, manager: &CacheManager, broadcaster: &Broad
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fetch::{fetch_remote, FetchOutcome};
+    use crate::fetch::{default_dialer, FetchOutcome, RetryPolicy};
+    use crate::pool::FetchPool;
     use crate::wire::read_frame;
     use std::io::{Read, Write};
     use std::time::Instant;
     use swala_cache::{CacheKey, CacheManagerConfig, CacheRules, LookupResult, MemStore, NodeId};
+
+    /// One fetch through the production client, nothing pooled.
+    fn fetch_once(addr: SocketAddr, key: &CacheKey, timeout: Duration) -> FetchOutcome {
+        let pool = FetchPool::new(default_dialer(), 0);
+        let policy = RetryPolicy::no_retry();
+        pool.fetch(NodeId(0), addr, key, timeout, &policy, None).0
+    }
 
     fn start_node(rules: CacheRules, purge_ms: u64) -> (Arc<CacheManager>, CacheDaemons) {
         let manager = Arc::new(CacheManager::new(
@@ -628,7 +636,7 @@ mod tests {
         let key = CacheKey::new("/cgi-bin/adl?id=1");
         insert(&manager, &key, b"the-cached-result");
 
-        let out = fetch_remote(daemons.addr(), &key, Duration::from_secs(1));
+        let out = fetch_once(daemons.addr(), &key, Duration::from_secs(1));
         assert_eq!(
             out,
             FetchOutcome::Hit {
@@ -639,7 +647,7 @@ mod tests {
         // Owner recorded the remote hit in its metadata (§4.1).
         assert_eq!(manager.directory().get(NodeId(0), &key).unwrap().hits, 1);
 
-        let gone = fetch_remote(
+        let gone = fetch_once(
             daemons.addr(),
             &CacheKey::new("/nope"),
             Duration::from_secs(1),
@@ -755,7 +763,7 @@ mod tests {
         assert!(matches!(read_frame(&mut s), Ok(None) | Err(_)));
         let key = CacheKey::new("/cgi-bin/still-up");
         insert(&manager, &key, b"yes");
-        let out = fetch_remote(daemons.addr(), &key, Duration::from_secs(1));
+        let out = fetch_once(daemons.addr(), &key, Duration::from_secs(1));
         assert!(matches!(out, FetchOutcome::Hit { .. }));
         daemons.shutdown();
     }
@@ -854,7 +862,7 @@ mod tests {
         // The daemon drops this connection; the node still serves others.
         let key = CacheKey::new("/cgi-bin/still-alive");
         insert(&manager, &key, b"yes");
-        let out = fetch_remote(daemons.addr(), &key, Duration::from_secs(1));
+        let out = fetch_once(daemons.addr(), &key, Duration::from_secs(1));
         assert!(matches!(out, FetchOutcome::Hit { .. }));
         daemons.shutdown();
     }

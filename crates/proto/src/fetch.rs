@@ -7,11 +7,13 @@
 //! locally, paying "only the added delay of a request/reply session
 //! between the two nodes".
 //!
-//! Transport failures are handled one level up: [`fetch_remote_retry`]
-//! wraps the single-shot fetch in a bounded retry loop with jittered
-//! exponential backoff, and every connection goes through a [`Dialer`]
-//! so the chaos harness (`faults`) can cut, delay or truncate the
-//! session deterministically.
+//! The fetch client itself is [`FetchPool`](crate::pool::FetchPool): it
+//! keeps connections warm and handles transport failures with a bounded
+//! retry loop ([`RetryPolicy`]: jittered exponential backoff). This
+//! module holds what it is built from — the outcome type, the policy, and
+//! the [`Dialer`] every connection goes through, so the chaos harness
+//! (`faults`) can cut, delay or truncate a session deterministically —
+//! and the one-shot sync and invalidate requests.
 
 use crate::message::Message;
 use crate::wire::{read_frame, write_frame, ProtoError};
@@ -193,74 +195,6 @@ impl RetryPolicy {
     }
 }
 
-/// Fetch `key` from the peer at `addr`: single attempt over the default
-/// dialer. Kept for callers that manage retries themselves.
-pub fn fetch_remote(
-    addr: SocketAddr,
-    key: &swala_cache::CacheKey,
-    timeout: Duration,
-) -> FetchOutcome {
-    let (outcome, _) = fetch_remote_retry(
-        &default_dialer(),
-        NodeId(0),
-        addr,
-        key,
-        timeout,
-        &RetryPolicy::no_retry(),
-    );
-    outcome
-}
-
-/// Fetch `key` from peer `peer` at `addr` with bounded retries. Returns
-/// the final outcome and the number of attempts made. Only transport
-/// failures are retried: a `Gone` reply is a protocol-level answer (the
-/// §4.2 false hit) that no retry will change.
-pub fn fetch_remote_retry(
-    dialer: &Dialer,
-    peer: NodeId,
-    addr: SocketAddr,
-    key: &swala_cache::CacheKey,
-    timeout: Duration,
-    policy: &RetryPolicy,
-) -> (FetchOutcome, u32) {
-    let attempts = policy.max_attempts.max(1);
-    let mut last = FetchOutcome::Unreachable("no attempt made".into());
-    for attempt in 1..=attempts {
-        last = match try_fetch(dialer, peer, addr, key, timeout) {
-            Ok(outcome) => outcome,
-            Err(e) => FetchOutcome::Unreachable(e.to_string()),
-        };
-        if !matches!(last, FetchOutcome::Unreachable(_)) {
-            return (last, attempt);
-        }
-        if attempt < attempts {
-            std::thread::sleep(policy.backoff_after(attempt));
-        }
-    }
-    (last, attempts)
-}
-
-fn try_fetch(
-    dialer: &Dialer,
-    peer: NodeId,
-    addr: SocketAddr,
-    key: &swala_cache::CacheKey,
-    timeout: Duration,
-) -> Result<FetchOutcome, ProtoError> {
-    let mut stream = dialer(peer, addr, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_io_timeout(timeout)?;
-    write_frame(&mut stream, &Message::encode_fetch_request(key, None))?;
-    let frame = read_frame(&mut stream)?.ok_or(ProtoError::Truncated("fetch reply"))?;
-    match Message::decode(&frame)? {
-        Message::FetchHit { content_type, body } => Ok(FetchOutcome::Hit { content_type, body }),
-        Message::FetchMiss => Ok(FetchOutcome::Gone),
-        other => Err(ProtoError::Io(std::io::Error::other(format!(
-            "unexpected fetch reply: {other:?}"
-        )))),
-    }
-}
-
 /// Ask the peer at `addr` for its full local table (join-time directory
 /// sync). Returns the peer's node id and its entries.
 pub fn request_sync(
@@ -307,8 +241,41 @@ pub fn request_invalidate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::FetchPool;
     use std::net::TcpListener;
     use swala_cache::CacheKey;
+
+    /// Fetch through the production client with nothing pooled: one dial
+    /// per attempt, so what these cases pin is the wire exchange and the
+    /// retry loop.
+    fn fetch_via(
+        dialer: &Dialer,
+        addr: SocketAddr,
+        key: &str,
+        timeout: Duration,
+        policy: &RetryPolicy,
+    ) -> (FetchOutcome, u32) {
+        FetchPool::new(dialer.clone(), 0).fetch(
+            NodeId(1),
+            addr,
+            &CacheKey::new(key),
+            timeout,
+            policy,
+            None,
+        )
+    }
+
+    /// One attempt over the default dialer.
+    fn fetch_once(addr: SocketAddr, key: &str, timeout: Duration) -> FetchOutcome {
+        fetch_via(
+            &default_dialer(),
+            addr,
+            key,
+            timeout,
+            &RetryPolicy::no_retry(),
+        )
+        .0
+    }
 
     #[test]
     fn io_timeout_is_carried_and_reset_only_on_change() {
@@ -357,7 +324,7 @@ mod tests {
             content_type: "text/html".into(),
             body: b"cached-body".to_vec(),
         });
-        let out = fetch_remote(addr, &CacheKey::new("/cgi-bin/x?1"), Duration::from_secs(1));
+        let out = fetch_once(addr, "/cgi-bin/x?1", Duration::from_secs(1));
         assert_eq!(
             out,
             FetchOutcome::Hit {
@@ -371,20 +338,16 @@ mod tests {
     #[test]
     fn fetch_gone_is_false_hit() {
         let (addr, h) = fetch_server(|_| Message::FetchMiss);
-        let out = fetch_remote(
-            addr,
-            &CacheKey::new("/cgi-bin/deleted"),
-            Duration::from_secs(1),
-        );
+        let out = fetch_once(addr, "/cgi-bin/deleted", Duration::from_secs(1));
         assert_eq!(out, FetchOutcome::Gone);
         h.join().unwrap();
     }
 
     #[test]
     fn fetch_unreachable() {
-        let out = fetch_remote(
+        let out = fetch_once(
             "127.0.0.1:1".parse().unwrap(),
-            &CacheKey::new("/x"),
+            "/x",
             Duration::from_millis(200),
         );
         assert!(matches!(out, FetchOutcome::Unreachable(_)));
@@ -398,7 +361,7 @@ mod tests {
             let (s, _) = listener.accept().unwrap();
             drop(s); // slam the door
         });
-        let out = fetch_remote(addr, &CacheKey::new("/x"), Duration::from_millis(500));
+        let out = fetch_once(addr, "/x", Duration::from_millis(500));
         assert!(matches!(out, FetchOutcome::Unreachable(_)));
         h.join().unwrap();
     }
@@ -406,7 +369,7 @@ mod tests {
     #[test]
     fn unexpected_reply_type_is_unreachable() {
         let (addr, h) = fetch_server(|_| Message::Pong);
-        let out = fetch_remote(addr, &CacheKey::new("/x"), Duration::from_secs(1));
+        let out = fetch_once(addr, "/x", Duration::from_secs(1));
         assert!(matches!(out, FetchOutcome::Unreachable(_)));
         h.join().unwrap();
     }
@@ -417,11 +380,7 @@ mod tests {
             assert_eq!(key.as_str(), "/cgi-bin/echo?k=v");
             Message::FetchMiss
         });
-        fetch_remote(
-            addr,
-            &CacheKey::new("/cgi-bin/echo?k=v"),
-            Duration::from_secs(1),
-        );
+        fetch_once(addr, "/cgi-bin/echo?k=v", Duration::from_secs(1));
         h.join().unwrap();
     }
 
@@ -444,14 +403,7 @@ mod tests {
             base_backoff: Duration::from_millis(1),
             jitter_seed: 9,
         };
-        let (out, attempts) = fetch_remote_retry(
-            &dialer,
-            NodeId(1),
-            addr,
-            &CacheKey::new("/x"),
-            Duration::from_secs(1),
-            &policy,
-        );
+        let (out, attempts) = fetch_via(&dialer, addr, "/x", Duration::from_secs(1), &policy);
         assert_eq!(out, FetchOutcome::Gone);
         assert_eq!(attempts, 3);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
@@ -467,11 +419,10 @@ mod tests {
             base_backoff: Duration::from_millis(1),
             jitter_seed: 0,
         };
-        let (out, attempts) = fetch_remote_retry(
+        let (out, attempts) = fetch_via(
             &dialer,
-            NodeId(1),
             "127.0.0.1:1".parse().unwrap(),
-            &CacheKey::new("/x"),
+            "/x",
             Duration::from_millis(100),
             &policy,
         );
@@ -489,11 +440,10 @@ mod tests {
             calls2.fetch_add(1, Ordering::SeqCst);
             FaultStream::connect(a, t, StreamFault::None)
         });
-        let (out, attempts) = fetch_remote_retry(
+        let (out, attempts) = fetch_via(
             &dialer,
-            NodeId(1),
             addr,
-            &CacheKey::new("/x"),
+            "/x",
             Duration::from_secs(1),
             &RetryPolicy::default(),
         );
@@ -529,11 +479,10 @@ mod tests {
         // Deliver only 16 reply bytes: mid-frame EOF.
         let dialer: Dialer =
             Arc::new(|_peer, a, t| FaultStream::connect(a, t, StreamFault::TruncateReads(16)));
-        let (out, _) = fetch_remote_retry(
+        let (out, _) = fetch_via(
             &dialer,
-            NodeId(1),
             addr,
-            &CacheKey::new("/x"),
+            "/x",
             Duration::from_secs(1),
             &RetryPolicy::no_retry(),
         );

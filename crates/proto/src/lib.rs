@@ -49,8 +49,8 @@ pub mod wire;
 pub use daemon::{announce, announce_delete, announce_insert, CacheDaemons, DaemonConfig};
 pub use faults::{AcceptFilter, FaultAction, FaultEvent, FaultInjector, FaultRule};
 pub use fetch::{
-    default_dialer, fetch_remote, fetch_remote_retry, request_invalidate, request_sync,
-    request_sync_via, Dialer, FaultStream, FetchOutcome, RetryPolicy, StreamFault,
+    default_dialer, request_invalidate, request_sync, request_sync_via, Dialer, FaultStream,
+    FetchOutcome, RetryPolicy, StreamFault,
 };
 pub use health::{HealthConfig, HealthSnapshot, HealthTracker, PeerState};
 pub use message::{Message, NodeStats};

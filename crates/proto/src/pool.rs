@@ -141,9 +141,9 @@ impl FetchPool {
     }
 
     /// Fetch `key` from `peer` at `addr` with bounded retries, reusing a
-    /// warm connection when one is parked. Mirrors
-    /// [`fetch_remote_retry`](crate::fetch::fetch_remote_retry): only
-    /// transport failures are retried, and the attempt count is returned
+    /// warm connection when one is parked. Only transport failures are
+    /// retried — a `Gone` reply is a protocol-level answer (the §4.2 false
+    /// hit) that no retry will change — and the attempt count is returned
     /// for the caller's health accounting.
     /// `trace` is the caller's trace id; when `Some`, it rides in the
     /// `FetchRequest` so the owner's daemon records correlated spans.

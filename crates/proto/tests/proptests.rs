@@ -11,8 +11,8 @@ use swala_cache::{CacheKey, EntryMeta, NodeId};
 use swala_obs::{HeatEntry, Histogram, MetricSnapshot, MetricValue};
 use swala_proto::reader::Script;
 use swala_proto::{
-    fetch_remote_retry, read_frame, request_sync_via, write_frame, Dialer, FaultStream,
-    FetchOutcome, FrameRead, Message, NodeStats, PatientReader, RetryPolicy, StreamFault,
+    read_frame, request_sync_via, write_frame, Dialer, FaultStream, FetchOutcome, FetchPool,
+    FrameRead, Message, NodeStats, PatientReader, RetryPolicy, StreamFault,
 };
 
 fn key_strategy() -> impl Strategy<Value = CacheKey> {
@@ -322,13 +322,13 @@ proptest! {
         let dialer: Dialer = Arc::new(move |_peer, a, t| {
             FaultStream::connect(a, t, StreamFault::TruncateReads(cut))
         });
-        let (out, attempts) = fetch_remote_retry(
-            &dialer,
+        let (out, attempts) = FetchPool::new(dialer, 0).fetch(
             NodeId(1),
             addr,
             &CacheKey::new("/cgi-bin/p?x=1"),
             Duration::from_secs(2),
             &RetryPolicy::no_retry(),
+            None,
         );
         prop_assert_eq!(attempts, 1);
         if cut >= frame.len() {
@@ -352,13 +352,13 @@ proptest! {
         let (addr, h) = one_shot_raw_server(frame[..cut].to_vec());
         let dialer: Dialer =
             Arc::new(|_peer, a, t| FaultStream::connect(a, t, StreamFault::None));
-        let (out, _) = fetch_remote_retry(
-            &dialer,
+        let (out, _) = FetchPool::new(dialer, 0).fetch(
             NodeId(1),
             addr,
             &CacheKey::new("/cgi-bin/p?x=2"),
             Duration::from_secs(2),
             &RetryPolicy::no_retry(),
+            None,
         );
         prop_assert!(matches!(out, FetchOutcome::Unreachable(_)), "{:?}", out);
         h.join().unwrap();

@@ -14,12 +14,6 @@ echo "==> cargo test -q --workspace"
 # package's suites and silently skips every crates/* unit test.
 cargo test -q --workspace
 
-echo "==> cargo test -q --workspace (event engine)"
-# The same suite with the event engine as the default, so both
-# connection layers stay green. Tests that pin `engine` explicitly are
-# unaffected by the env override.
-SWALA_ENGINE=event cargo test -q --workspace
-
 echo "==> cargo test -q --workspace (partitioned directory)"
 # The whole workspace once more with the consistent-hash partitioned
 # directory as the default mode. Tests that assert replicated broadcast
@@ -73,10 +67,11 @@ echo "==> benches still compile (cargo bench --no-run -p swala-bench)"
 cargo bench --no-run -p swala-bench
 
 echo "==> C10K smoke (c10k)"
-# Raise RLIMIT_NOFILE, park 10k idle keep-alive connections on an
-# event-engine node, and require a live request to complete under the
-# latency bound. Scales itself down (and says so) where the fd limit
-# cannot hold 10k two-ended loopback connections.
+# Raise RLIMIT_NOFILE, park 10k idle keep-alive connections on a
+# default-options node (the request pool holds them on its epoll), and
+# require a live request to complete under the latency bound. Scales
+# itself down (and says so) where the fd limit cannot hold 10k two-ended
+# loopback connections.
 target/release/c10k
 
 echo "==> hot-path smoke (tables hitpath)"

@@ -750,20 +750,16 @@ fn resetting_connections_through_pool_still_quarantine_the_peer() {
     cluster.shutdown();
 }
 
-/// The event engine under accept-path chaos: node 1's cache daemon
-/// resets freshly-accepted connections partway through a request burst
-/// against an event-engine front end. The §4.2 promise must hold
-/// unchanged — every client request succeeds with the correct body, the
-/// resets cost only local re-executions, and cooperation resumes the
-/// moment the fault window closes. This exercises the engine's worker
-/// offload: remote fetches (and their retries) run on pool workers, so a
-/// resetting peer must never stall the event loop itself.
+/// Accept-path chaos: node 1's cache daemon resets freshly-accepted
+/// connections partway through a request burst against node 0. The §4.2
+/// promise must hold unchanged — every client request succeeds with the
+/// correct body, the resets cost only local re-executions, and
+/// cooperation resumes the moment the fault window closes.
 #[test]
-fn event_engine_survives_accept_resets_mid_burst() {
+fn request_burst_survives_accept_resets() {
     use swala_proto::faults::ACCEPT_SRC;
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        engine: swala::EngineKind::Event,
         fetch_retries: 2,
         quarantine_after: 100, // keep quarantine out of this scenario
         ..chaos_config(2, &inj)
