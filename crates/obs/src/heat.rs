@@ -348,7 +348,7 @@ mod tests {
         // The true top-10 keys are all monitored, and every one whose
         // lower bound beats the unmonitored ceiling is genuinely hot.
         let mut truth_sorted: Vec<(usize, u64)> = exact.iter().map(|(k, v)| (*k, *v)).collect();
-        truth_sorted.sort_by(|a, b| b.1.cmp(&a.1));
+        truth_sorted.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
         let top = s.top(256);
         for (rank, _) in truth_sorted.iter().take(10) {
             assert!(

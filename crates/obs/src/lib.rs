@@ -170,7 +170,8 @@ mod macro_tests {
     #[test]
     fn snapshot_and_fields_cover_every_counter() {
         let s = TestStats::new();
-        TestStats::bump(&s.alpha);
+        TestStats::add(&s.alpha, 2);
+        TestStats::debit(&s.alpha);
         TestStats::add(&s.beta, 5);
         let snap = s.snapshot();
         assert_eq!(snap.alpha, 1);

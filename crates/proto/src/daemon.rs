@@ -977,7 +977,7 @@ mod tests {
     /// Probe the ring until some key maps to the requested home node.
     fn key_with_home(manager: &CacheManager, home: NodeId) -> CacheKey {
         (0..10_000u32)
-            .map(|i| CacheKey::new(&format!("/cgi-bin/part?i={i}")))
+            .map(|i| CacheKey::new(format!("/cgi-bin/part?i={i}")))
             .find(|k| manager.home_node(k) == Some(home))
             .expect("some probe key maps to the requested home")
     }

@@ -950,7 +950,6 @@ mod tests {
                 std::thread::sleep(Duration::from_secs(1));
                 Err(io::Error::new(io::ErrorKind::TimedOut, "never"))
             }),
-            ..Default::default()
         };
         let link = PeerLink::with_config(NodeId(0), NodeId(1), "127.0.0.1:1".parse().unwrap(), cfg);
         for _ in 0..20 {

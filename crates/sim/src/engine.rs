@@ -1,68 +1,31 @@
 //! The simulation engine.
+//!
+//! Every simulated node is a live [`CacheDirectory`] — the server's own
+//! type, so classification, hit bookkeeping, the victim index and
+//! eviction are the server's — and every directory notice is a
+//! [`RemoteUpdate`] applied by [`CacheDirectory::apply_updates`], the
+//! cache daemon's receive path. The engine adds only what the network
+//! would: request routing, notice delay and wire-cost counting.
 
 use crate::model::{Routing, SimConfig, SimResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use swala_cache::{CacheKey, DirectoryKind, EntryMeta, HashRing, NodeId, VictimIndex};
+use std::collections::VecDeque;
+use swala_cache::{
+    CacheDirectory, CacheKey, Classification, DirectoryKind, EntryMeta, HashRing, NodeId,
+    RemoteUpdate,
+};
 use swala_workload::{RequestKind, Trace};
 
-/// One simulated node's cache and its (possibly stale) view of peers.
-struct Node {
-    /// Entries this node actually holds.
-    cache: HashMap<CacheKey, EntryMeta>,
-    /// Replacement policy + victim index over `cache` — the live
-    /// directory's own type, so both evict the same entries.
-    victims: VictimIndex,
-    /// This node's directory view of *remote* entries: key → owner.
-    /// Updated only by (delayed) insert/delete notices.
-    view: HashMap<CacheKey, NodeId>,
-}
-
-/// An in-flight directory notice.
-struct Notice {
-    /// Visible from the request with this index onward.
-    deliver_at: u64,
-    from: NodeId,
-    key: CacheKey,
-    insert: bool,
-}
-
-/// Payload-byte estimate per directory message, mirroring the live
-/// wire format: the key itself plus the framing/meta overhead of a
-/// `DirUpdate` (inserts carry `EntryMeta`, deletes only the key).
-fn update_bytes(key: &CacheKey, insert: bool) -> u64 {
-    key.as_str().len() as u64 + if insert { 48 } else { 16 }
-}
-
-/// Queue one insert/delete notice, charging the mode's wire cost:
-/// replicated pays N−1 point-to-point messages, partitioned exactly one
-/// (to the key's home) or zero when the sender *is* the home — its own
-/// directory table is already the authoritative copy.
-#[allow(clippy::too_many_arguments)]
-fn send_notice(
-    pending: &mut Vec<Notice>,
-    result: &mut SimResult,
-    ring: Option<&HashRing>,
-    nodes: usize,
-    deliver_at: u64,
-    from: NodeId,
-    key: CacheKey,
-    insert: bool,
-) {
-    let fanout = match ring {
-        None => nodes as u64 - 1,
-        Some(ring) if ring.home(&key) == from => return,
-        Some(_) => 1,
-    };
-    result.dir_update_msgs += fanout;
-    result.dir_update_bytes += fanout * update_bytes(&key, insert);
-    pending.push(Notice {
-        deliver_at,
-        from,
-        key,
-        insert,
-    });
+/// The key `update` names and its payload-byte estimate per message,
+/// mirroring the live wire format: the key itself plus the framing/meta
+/// overhead of a `DirUpdate` (inserts carry `EntryMeta`, deletes only
+/// the key).
+fn key_and_bytes(update: &RemoteUpdate) -> (&CacheKey, u64) {
+    match update {
+        RemoteUpdate::Insert(meta) => (&meta.key, meta.key.as_str().len() as u64 + 48),
+        RemoteUpdate::Delete { key, .. } => (key, key.as_str().len() as u64 + 16),
+    }
 }
 
 /// Replay `trace` through a simulated cluster.
@@ -77,14 +40,12 @@ fn send_notice(
 pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
     assert!(cfg.nodes >= 1);
     assert!(cfg.capacity >= 1);
-    let mut nodes: Vec<Node> = (0..cfg.nodes)
-        .map(|_| Node {
-            cache: HashMap::new(),
-            victims: VictimIndex::new(cfg.policy),
-            view: HashMap::new(),
-        })
+    let dirs: Vec<CacheDirectory> = (0..cfg.nodes)
+        .map(|i| CacheDirectory::with_policy(cfg.nodes, NodeId(i as u16), cfg.policy))
         .collect();
-    let mut pending: Vec<Notice> = Vec::new();
+    // Notices in flight, in send order: (visible from, recipient, update).
+    // One delay for every notice keeps the queue sorted by due time.
+    let mut pending: VecDeque<(u64, usize, RemoteUpdate)> = VecDeque::new();
     let mut result = SimResult::default();
     // Partitioned mode uses the same ring as the live cluster (same
     // hash, same virtual-node count), so simulated key placement is
@@ -99,40 +60,9 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
     for (t, req) in trace.requests.iter().enumerate() {
         let t = t as u64;
         result.requests += 1;
-
-        // Deliver due notices: replicated to every node but the sender,
-        // partitioned to the key's home node only.
-        if cfg.cooperative {
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].deliver_at <= t {
-                    let n = pending.swap_remove(i);
-                    match &ring {
-                        None => {
-                            for (id, node) in nodes.iter_mut().enumerate() {
-                                if id == n.from.index() {
-                                    continue;
-                                }
-                                if n.insert {
-                                    node.view.insert(n.key.clone(), n.from);
-                                } else if node.view.get(&n.key) == Some(&n.from) {
-                                    node.view.remove(&n.key);
-                                }
-                            }
-                        }
-                        Some(ring) => {
-                            let home = &mut nodes[ring.home(&n.key).index()];
-                            if n.insert {
-                                home.view.insert(n.key.clone(), n.from);
-                            } else if home.view.get(&n.key) == Some(&n.from) {
-                                home.view.remove(&n.key);
-                            }
-                        }
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+        while pending.front().is_some_and(|&(due, ..)| due <= t) {
+            let (_, to, update) = pending.pop_front().expect("front checked");
+            dirs[to].apply_updates(vec![update]);
         }
 
         let cost = req.service_micros;
@@ -145,114 +75,84 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
             Some(rng) => rng.random_range(0..cfg.nodes),
             None => (t as usize) % cfg.nodes,
         };
+        let me = NodeId(here as u16);
         let key = CacheKey::new(&req.target);
 
-        // Local hit?
-        if nodes[here].cache.contains_key(&key) {
-            let node = &mut nodes[here];
-            let entry = node.cache.get_mut(&key).expect("checked");
-            node.victims.on_hit(entry, t);
+        let local = dirs[here].classify(&key);
+        if let Classification::Local(_) = local {
+            dirs[here].record_hit(me, &key, t);
             result.local_hits += 1;
             result.saved_micros += cost;
             continue;
         }
 
-        // Remote hit (cooperative only)? Replicated consults the local
-        // replica of the directory; partitioned asks the key's home node
-        // (one lookup round-trip when that is not the requester itself —
-        // the home answers from its own cache or its directory table).
+        // Remote hit (cooperative only)? Replicated nodes consult their
+        // own replica; partitioned ones ask the key's home (one lookup
+        // round-trip when that is not the requester itself — the home
+        // answers from its own table or those of the owners it heard of).
         if cfg.cooperative {
-            let owner_hint: Option<NodeId> = match &ring {
-                None => nodes[here].view.get(&key).copied(),
-                Some(ring) => {
-                    let home = ring.home(&key);
-                    if home.index() != here {
-                        result.dir_lookups += 1;
-                    }
-                    if nodes[home.index()].cache.contains_key(&key) {
-                        Some(home)
-                    } else {
-                        nodes[home.index()].view.get(&key).copied()
-                    }
+            let (asked, answer) = match ring.as_ref().map(|ring| ring.home(&key)) {
+                Some(home) if home != me => {
+                    result.dir_lookups += 1;
+                    (home.index(), dirs[home.index()].classify(&key))
                 }
+                _ => (here, local),
             };
-            if let Some(owner) = owner_hint {
-                if nodes[owner.index()].cache.contains_key(&key) {
-                    let peer = &mut nodes[owner.index()];
-                    let entry = peer.cache.get_mut(&key).expect("checked");
-                    peer.victims.on_hit(entry, t);
-                    result.remote_hits += 1;
-                    result.saved_micros += cost;
-                    continue;
-                }
-                // §4.2 false hit: the directory said owner had it, the
-                // fetch comes back empty, we execute locally.
-                result.false_hits += 1;
-                match &ring {
-                    None => {
-                        nodes[here].view.remove(&key);
+            match answer {
+                Classification::Local(meta) | Classification::Remote(meta) => {
+                    let owner = meta.owner;
+                    if dirs[owner.index()].record_hit(owner, &key, t) {
+                        result.remote_hits += 1;
+                        result.saved_micros += cost;
+                        continue;
                     }
-                    Some(ring) => {
-                        nodes[ring.home(&key).index()].view.remove(&key);
+                    // §4.2 false hit: the directory said owner had it, the
+                    // fetch comes back empty, we execute locally — and drop
+                    // the stale entry where it was advertised, as
+                    // `CacheManager::note_false_hit` does.
+                    result.false_hits += 1;
+                    dirs[asked].remove(owner, &key);
+                }
+                Classification::NotCached => {
+                    // Entry exists in a peer's own table, but the insert
+                    // notice has not arrived: §4.2 false miss (the
+                    // delayed-broadcast kind).
+                    if (0..cfg.nodes)
+                        .any(|i| i != here && dirs[i].get(NodeId(i as u16), &key).is_some())
+                    {
+                        result.false_misses += 1;
                     }
                 }
-            } else if nodes
-                .iter()
-                .enumerate()
-                .any(|(id, n)| id != here && n.cache.contains_key(&key))
-            {
-                // Entry exists at a peer, but the insert notice has not
-                // arrived: §4.2 false miss (the delayed-broadcast kind).
-                result.false_misses += 1;
             }
         }
 
-        // Miss: execute and insert locally.
+        // Miss: execute and insert locally, then evict to capacity.
         result.misses += 1;
         result.exec_micros += cost;
-        let mut meta = EntryMeta::new(
-            key.clone(),
-            NodeId(here as u16),
-            1024,
-            "text/html",
-            cost,
-            None,
-            t,
-        );
-        let node = &mut nodes[here];
-        node.victims.on_insert(&mut meta, &node.cache);
-        node.cache.insert(key.clone(), meta);
-        if cfg.cooperative {
-            send_notice(
-                &mut pending,
-                &mut result,
-                ring.as_ref(),
-                cfg.nodes,
-                t + 1 + cfg.broadcast_delay,
-                NodeId(here as u16),
-                key.clone(),
-                true,
-            );
+        let dir = &dirs[here];
+        let meta = dir.insert_fresh(EntryMeta::new(key, me, 1024, "text/html", cost, None, t));
+        let evicted = dir.evict_to_capacity(cfg.capacity).victims;
+        result.evictions += evicted.len() as u64;
+        if !cfg.cooperative {
+            continue;
         }
 
-        // Evict to capacity, broadcasting deletions.
-        while node.cache.len() > cfg.capacity {
-            let victim = node
-                .victims
-                .evict_one(&mut node.cache)
-                .expect("cache is non-empty");
-            result.evictions += 1;
-            if cfg.cooperative {
-                send_notice(
-                    &mut pending,
-                    &mut result,
-                    ring.as_ref(),
-                    cfg.nodes,
-                    t + 1 + cfg.broadcast_delay,
-                    NodeId(here as u16),
-                    victim.key,
-                    false,
-                );
+        // Notify: replicated sends each update to every peer (N−1
+        // messages), partitioned to the key's home only (one, or none
+        // when the sender is the home — its own table is already the
+        // authoritative copy).
+        let due = t + 1 + cfg.broadcast_delay;
+        let deletes = evicted.into_iter().map(|victim| RemoteUpdate::Delete {
+            owner: me,
+            key: victim.key,
+        });
+        for update in std::iter::once(RemoteUpdate::Insert(meta)).chain(deletes) {
+            let (key, bytes) = key_and_bytes(&update);
+            let home = ring.as_ref().map(|ring| ring.home(key).index());
+            for to in (0..cfg.nodes).filter(|&i| i != here && home.is_none_or(|h| h == i)) {
+                result.dir_update_msgs += 1;
+                result.dir_update_bytes += bytes;
+                pending.push_back((due, to, update.clone()));
             }
         }
     }
@@ -361,7 +261,7 @@ mod tests {
             broadcast_delay: 2,
             ..cfg
         };
-        // t3: id1 → node1: node1's view has id1@node0 (insert notice from
+        // t3: id1 → node1: node1's replica has id1@node0 (insert notice from
         // t0 arrives at t3 with delay 2), but node0 evicted it at t2.
         let r = simulate(&cfg_delayed, &tiny_trace(&[1, 2, 3, 1]));
         assert_eq!(r.false_hits, 1);

@@ -15,9 +15,13 @@
 //! comparisons and false-miss/false-hit rates as a function of broadcast
 //! delay.
 //!
-//! The cache logic is *shared* with the live server: entries are
-//! [`swala_cache::EntryMeta`] and eviction runs through
-//! [`swala_cache::Policy`], so a policy bug would show up in both.
+//! There is one model of a node: every simulated node *is* a live
+//! [`swala_cache::CacheDirectory`] — classification, hit bookkeeping,
+//! replacement policy and eviction are the server's — and every
+//! directory notice is a [`swala_cache::RemoteUpdate`] applied by
+//! `CacheDirectory::apply_updates`, the cache daemon's receive path.
+//! The engine adds only what the network would: routing, notice delay
+//! and wire-cost counting.
 
 pub mod engine;
 pub mod model;

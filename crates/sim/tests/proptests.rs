@@ -4,12 +4,23 @@
 //!   reference LRU implementation (oracle test);
 //! * conservation laws hold on any trace and configuration;
 //! * zero broadcast delay ⇒ zero false misses and zero false hits;
+//! * zero broadcast delay ⇒ the partitioned directory caches exactly
+//!   what the replicated one does, for fewer update messages;
 //! * determinism.
+//!
+//! Every multi-node property runs under both directory organisations.
 
 use proptest::prelude::*;
-use swala_cache::PolicyKind;
+use swala_cache::{DirectoryKind, PolicyKind};
 use swala_sim::{simulate, Routing, SimConfig};
 use swala_workload::{Trace, TraceRequest};
+
+fn directory_strategy() -> impl Strategy<Value = DirectoryKind> {
+    prop_oneof![
+        Just(DirectoryKind::Replicated),
+        Just(DirectoryKind::Partitioned)
+    ]
+}
 
 fn trace_strategy() -> impl Strategy<Value = Trace> {
     proptest::collection::vec((0u8..40, 1u16..100), 1..400).prop_map(|reqs| {
@@ -77,6 +88,7 @@ proptest! {
         capacity in 1usize..30,
         cooperative in any::<bool>(),
         delay in 0u64..8,
+        directory in directory_strategy(),
     ) {
         let r = simulate(
             &SimConfig {
@@ -84,6 +96,7 @@ proptest! {
                 capacity,
                 cooperative,
                 broadcast_delay: delay,
+                directory,
                 ..Default::default()
             },
             &trace,
@@ -108,15 +121,47 @@ proptest! {
         trace in trace_strategy(),
         nodes in 1usize..6,
         capacity in 1usize..30,
+        directory in directory_strategy(),
     ) {
         let r = simulate(
-            &SimConfig { nodes, capacity, broadcast_delay: 0, ..Default::default() },
+            &SimConfig { nodes, capacity, broadcast_delay: 0, directory, ..Default::default() },
             &trace,
         );
         prop_assert_eq!(r.false_misses, 0, "notices are visible by the next request");
         // False hits require a delete racing a stale insert notice; with
         // delay 0 both propagate before the next request.
         prop_assert_eq!(r.false_hits, 0);
+    }
+
+    #[test]
+    fn zero_delay_partitioned_caches_like_replicated(
+        trace in trace_strategy(),
+        nodes in 1usize..6,
+        capacity in 1usize..30,
+    ) {
+        for policy in PolicyKind::ALL {
+            let mk = |directory| SimConfig {
+                nodes,
+                capacity,
+                policy,
+                broadcast_delay: 0,
+                directory,
+                ..Default::default()
+            };
+            let repl = simulate(&mk(DirectoryKind::Replicated), &trace);
+            let part = simulate(&mk(DirectoryKind::Partitioned), &trace);
+            // Every notice lands before the next request in both
+            // families, so they cache exactly the same entries.
+            prop_assert_eq!(part.hits(), repl.hits(), "{}", policy);
+            prop_assert_eq!(part.misses, repl.misses, "{}", policy);
+            prop_assert_eq!(part.local_hits, repl.local_hits, "{}", policy);
+            prop_assert_eq!(part.evictions, repl.evictions, "{}", policy);
+            // Replicated pays N−1 messages per notice, partitioned at
+            // most one (none for keys homed at the sender).
+            let notices = repl.misses + repl.evictions;
+            prop_assert_eq!(repl.dir_update_msgs, notices * (nodes as u64 - 1), "{}", policy);
+            prop_assert!(part.dir_update_msgs <= notices, "{}", policy);
+        }
     }
 
     #[test]
@@ -138,11 +183,16 @@ proptest! {
     }
 
     #[test]
-    fn deterministic(trace in trace_strategy(), seed in any::<u64>()) {
+    fn deterministic(
+        trace in trace_strategy(),
+        seed in any::<u64>(),
+        directory in directory_strategy(),
+    ) {
         let cfg = SimConfig {
             nodes: 3,
             capacity: 16,
             routing: Routing::Random(seed),
+            directory,
             ..Default::default()
         };
         prop_assert_eq!(simulate(&cfg, &trace), simulate(&cfg, &trace));

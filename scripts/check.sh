@@ -165,7 +165,8 @@ PROPTEST_CASES=640 PROPTEST_RNG_SEED=19980728 \
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets: tests, benches and examples are linted too.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> all checks passed"

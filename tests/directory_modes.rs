@@ -97,12 +97,15 @@ fn ttl_deletion_propagates_under_both_directory_modes() {
         assert!(cluster.wait_for_directory_convergence(1, Duration::from_secs(10)));
 
         // After the TTL the purge daemon deletes the entry and announces
-        // the deletion the mode's way; every table must forget it.
+        // the deletion the mode's way; every table must forget it. The
+        // purge leaves the directory before it deletes the body and only
+        // then counts the expiration, so wait for the counter too.
         wait_until("cluster-wide expiry", || {
-            cluster
-                .nodes()
-                .iter()
-                .all(|s| s.manager().directory().total_len() == 0)
+            cluster.node(0).cache_stats().expirations >= 1
+                && cluster
+                    .nodes()
+                    .iter()
+                    .all(|s| s.manager().directory().total_len() == 0)
         });
         assert_eq!(
             cluster.node(0).cache_stats().expirations,
