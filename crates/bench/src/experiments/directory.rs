@@ -12,8 +12,8 @@
 //! a non-owner) against live clusters of 2/4/8(/16) nodes in both modes,
 //! and records:
 //!
-//! * directory-update messages per insert (gate: N−1 replicated, ≤1
-//!   partitioned);
+//! * insert notices on the wire per insert, from the per-link counters
+//!   (gate: N−1 replicated, ≤1 partitioned);
 //! * total directory wire bytes from the per-link payload counters
 //!   (gate: ≥4× fewer partitioned at N=8);
 //! * client-side local-hit and remote-hit (miss-resolution) latency
@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::DirectoryKind;
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
+use swala_cluster::directories_converged;
 
 fn registry() -> ProgramRegistry {
     let mut r = ProgramRegistry::new();
@@ -60,8 +61,9 @@ struct ModeRun {
     directory: DirectoryKind,
     nodes: usize,
     inserts: u64,
-    /// Directory-update messages put on the wire (replicated: notices ×
-    /// fan-out; partitioned: point-to-point `DirUpdate`s).
+    /// Insert/delete notices put on the wire, summed over every peer
+    /// link: each notice once per home it reaches (replicated: N−1 per
+    /// insert; partitioned: one, or none for a key homed at its owner).
     update_msgs: u64,
     /// Payload bytes written on all peer links (directory traffic).
     wire_bytes: u64,
@@ -75,44 +77,16 @@ impl ModeRun {
     }
 }
 
-/// Poll until every write is visible where reads will look for it:
-/// replicated wants the full directory on every replica; partitioned
-/// wants every owned entry registered at its ring home.
-fn await_convergence(servers: &[SwalaServer], directory: DirectoryKind, expected: usize) {
+/// Poll until every write is visible where reads will look for it.
+fn await_convergence(servers: &[SwalaServer], expected: usize) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let done = match directory {
-            DirectoryKind::Replicated => servers
-                .iter()
-                .all(|s| s.manager().directory().total_len() == expected),
-            DirectoryKind::Partitioned => {
-                let total: usize = servers
-                    .iter()
-                    .map(|s| {
-                        let m = s.manager();
-                        m.directory().len(m.local_node())
-                    })
-                    .sum();
-                total == expected
-                    && servers.iter().all(|s| {
-                        let m = s.manager();
-                        m.directory().snapshot(m.local_node()).iter().all(|e| {
-                            let home = m.home_node(&e.key).expect("partitioned ring");
-                            servers[home.index()]
-                                .manager()
-                                .directory()
-                                .get(e.owner, &e.key)
-                                .is_some()
-                        })
-                    })
-            }
-        };
-        if done {
+        if directories_converged(servers, expected) {
             return;
         }
         assert!(
             Instant::now() < deadline,
-            "directory did not converge ({directory:?}, {expected} entries)"
+            "directory did not converge ({expected} entries)"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -145,25 +119,16 @@ fn run_mode(directory: DirectoryKind, nodes: usize, inserts: usize) -> ModeRun {
     for s in &servers {
         assert!(s.flush_broadcasts(Duration::from_secs(10)));
     }
-    await_convergence(&servers, directory, inserts);
+    await_convergence(&servers, inserts);
 
     // Capture directory-traffic counters before the read phase so remote
     // fetches and home lookups don't muddy the update-cost numbers.
-    let update_msgs: u64 = servers
-        .iter()
-        .map(|s| {
-            let stats = s.cache_stats();
-            match directory {
-                DirectoryKind::Replicated => stats.broadcasts_sent * (nodes as u64 - 1),
-                DirectoryKind::Partitioned => stats.dir_updates_sent,
-            }
-        })
-        .sum();
-    let wire_bytes: u64 = servers
+    let links: Vec<_> = servers
         .iter()
         .flat_map(|s| s.broadcast_link_stats())
-        .map(|l| l.sent_bytes)
-        .sum();
+        .collect();
+    let update_msgs: u64 = links.iter().map(|l| l.sent).sum();
+    let wire_bytes: u64 = links.iter().map(|l| l.sent_bytes).sum();
 
     // Read phase 1 — local hits: each key from the node that executed it.
     let mut local_us = Vec::with_capacity(inserts);

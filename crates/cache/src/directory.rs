@@ -57,6 +57,14 @@ impl RemoteUpdate {
             RemoteUpdate::Delete { owner, .. } => *owner,
         }
     }
+
+    /// The key this update is about.
+    pub fn key(&self) -> &CacheKey {
+        match self {
+            RemoteUpdate::Insert(meta) => &meta.key,
+            RemoteUpdate::Delete { key, .. } => key,
+        }
+    }
 }
 
 /// What [`CacheDirectory::evict_to_capacity`] removed, and what finding

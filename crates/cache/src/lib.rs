@@ -58,7 +58,7 @@ pub use manager::{
 pub use memcache::MemCache;
 pub use node::NodeId;
 pub use policy::{Policy, PolicyKind, VictimIndex};
-pub use ring::{DirectoryKind, HashRing, DEFAULT_VNODES};
+pub use ring::{DirectoryKind, HashRing, Placement, DEFAULT_VNODES};
 pub use rules::{CacheDecision, CacheRules, Rule};
 pub use segstore::{crc32, decode_record, encode_record, Record, SegmentConfig, SegmentStore};
 pub use stats::CacheStats;

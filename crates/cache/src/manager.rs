@@ -14,7 +14,7 @@ use crate::key::CacheKey;
 use crate::memcache::MemCache;
 use crate::node::NodeId;
 use crate::policy::PolicyKind;
-use crate::ring::{DirectoryKind, HashRing, DEFAULT_VNODES};
+use crate::ring::{DirectoryKind, Placement, DEFAULT_VNODES};
 use crate::rules::{CacheDecision, CacheRules};
 use crate::stats::CacheStats;
 use crate::store::Store;
@@ -246,10 +246,8 @@ pub struct CacheManager {
     coalesce: bool,
     /// Bounded wait before a coalesced miss falls back to executing.
     coalesce_wait: Duration,
-    /// Which directory organization this node runs.
-    directory_kind: DirectoryKind,
-    /// Key-space ownership ring; `Some` only in partitioned mode.
-    ring: Option<HashRing>,
+    /// Which nodes' directories hold each key's entries.
+    placement: Placement,
     /// Per-key request-frequency / cost sketch (space-saving top-K).
     heat: Arc<HeatSketch>,
 }
@@ -270,9 +268,7 @@ impl CacheManager {
             flights: Mutex::new(HashMap::new()),
             coalesce: cfg.coalesce,
             coalesce_wait: cfg.coalesce_wait,
-            directory_kind: cfg.directory,
-            ring: (cfg.directory == DirectoryKind::Partitioned)
-                .then(|| HashRing::new(cfg.num_nodes, cfg.ring_vnodes)),
+            placement: Placement::new(cfg.directory, cfg.num_nodes, cfg.ring_vnodes),
             heat: Arc::new(HeatSketch::new(cfg.hotkeys)),
         }
     }
@@ -287,20 +283,10 @@ impl CacheManager {
         &self.directory
     }
 
-    /// Which directory organization this node runs.
-    pub fn directory_kind(&self) -> DirectoryKind {
-        self.directory_kind
-    }
-
-    /// The consistent-hash ring; `Some` only in partitioned mode.
-    pub fn ring(&self) -> Option<&HashRing> {
-        self.ring.as_ref()
-    }
-
-    /// The home node responsible for `key`'s directory entry, or `None`
-    /// in replicated mode (where every node is every key's home).
-    pub fn home_node(&self, key: &CacheKey) -> Option<NodeId> {
-        self.ring.as_ref().map(|r| r.home(key))
+    /// Which nodes' directories hold each key's entries: where this
+    /// node's notices go and whether its own miss is authoritative.
+    pub fn placement(&self) -> &Placement {
+        &self.placement
     }
 
     /// Statistics counters.
@@ -645,7 +631,8 @@ impl CacheManager {
     }
 
     /// A miss was resolved by fetching the body from a *remote* owner
-    /// (partitioned mode's fetch-by-way-of-home): publish the body to any
+    /// the key's home named (a node that is not one of the key's homes
+    /// asks the home on a miss): publish the body to any
     /// coalesced waiters and release the caller's executor slot, without
     /// inserting — the entry stays owned by the remote node.
     ///
@@ -1528,11 +1515,14 @@ mod tests {
     }
 
     #[test]
-    fn replicated_manager_has_no_ring() {
+    fn replicated_manager_homes_every_key_everywhere() {
         let m = manager(10);
-        assert_eq!(m.directory_kind(), DirectoryKind::Replicated);
-        assert!(m.ring().is_none());
-        assert!(m.home_node(&key("/cgi-bin/x")).is_none());
+        assert_eq!(m.placement().kind(), DirectoryKind::Replicated);
+        assert!(m.placement().ring().is_none());
+        assert_eq!(
+            m.placement().homes(&key("/cgi-bin/x")),
+            &[NodeId(0), NodeId(1), NodeId(2)]
+        );
     }
 
     #[test]
@@ -1546,14 +1536,15 @@ mod tests {
             },
             Box::new(MemStore::new()),
         );
-        assert_eq!(m.directory_kind(), DirectoryKind::Partitioned);
-        let ring = m.ring().expect("partitioned mode builds a ring");
+        assert_eq!(m.placement().kind(), DirectoryKind::Partitioned);
+        let ring = m
+            .placement()
+            .ring()
+            .expect("partitioned mode builds a ring");
         assert_eq!(ring.members().len(), 4);
         for i in 0..50 {
             let k = key(&format!("/cgi-bin/h?id={i}"));
-            let home = m.home_node(&k).unwrap();
-            assert_eq!(home, ring.home(&k));
-            assert!(home.index() < 4);
+            assert_eq!(m.placement().homes(&k), &[ring.home(&k)]);
         }
     }
 

@@ -1,9 +1,11 @@
-//! Consistent-hash ring for the partitioned directory mode.
+//! Directory placement: which nodes hold a key's directory entries.
 //!
 //! The paper's replicated directory makes every insert/delete an O(N)
 //! broadcast — the §5.2 scaling wall. Partitioned mode replaces the
 //! broadcast with one point-to-point update to the key's *home node*:
 //! the node that the ring assigns the key's slice of hash space to.
+//! [`Placement`] states both as one rule — a key's *homes* are every
+//! node, or its ring home — and is the only place the mode is read.
 //!
 //! The ring hashes `vnodes` virtual points per node onto the 64-bit
 //! circle; a key belongs to the node owning the first point at or after
@@ -133,17 +135,17 @@ impl HashRing {
     /// The home node for `key`: the successor point of the key's stable
     /// hash on the ring.
     pub fn home(&self, key: &CacheKey) -> NodeId {
-        self.home_of_hash(key.stable_hash())
+        *self.successor(key)
     }
 
-    /// Successor lookup on a raw stable hash (the sim hashes synthetic
-    /// ids). The same finalizer mix is applied here as to ring points,
-    /// so pre-mixed and key-derived positions agree.
-    pub fn home_of_hash(&self, h: u64) -> NodeId {
-        let h = mix(h);
+    /// The member owning the successor point of `key`, borrowed from the
+    /// ring so [`Placement::homes`] can hand it out as a slice. The same
+    /// finalizer mix is applied to the key's hash as to ring points.
+    fn successor(&self, key: &CacheKey) -> &NodeId {
+        let h = mix(key.stable_hash());
         let idx = self.points.partition_point(|&(p, _)| p < h);
         // Wrap: a hash past the last point belongs to the first.
-        self.points[idx % self.points.len()].1
+        &self.points[idx % self.points.len()].1
     }
 
     /// Ring membership, sorted.
@@ -197,6 +199,59 @@ impl HashRing {
             .zip(owned)
             .map(|(&n, o)| (n, o as f64 / total))
             .collect()
+    }
+}
+
+/// The one placement rule: which nodes' directories hold every owner's
+/// entry for a key — the key's *homes*.
+///
+/// Replicated, every node is every key's home: each insert and delete
+/// goes to all peers and each node's own miss is authoritative.
+/// Partitioned, a key has one home, its [`HashRing`] successor: notices
+/// go there and nowhere else, and a node that is not the home must ask
+/// it. Everything that routes a notice, decides whether a miss is
+/// authoritative, or checks that the directories have converged asks
+/// this, and nothing else looks at the [`DirectoryKind`].
+#[derive(Debug, Clone)]
+pub struct Placement {
+    /// Every member, sorted: a replicated key's homes.
+    members: Vec<NodeId>,
+    /// The key-space ring; `Some` only when partitioned.
+    ring: Option<HashRing>,
+}
+
+impl Placement {
+    /// The placement of a cluster of nodes `0..num_nodes` running `kind`.
+    pub fn new(kind: DirectoryKind, num_nodes: usize, vnodes: usize) -> Placement {
+        Placement {
+            members: (0..num_nodes).map(|i| NodeId(i as u16)).collect(),
+            ring: (kind == DirectoryKind::Partitioned).then(|| HashRing::new(num_nodes, vnodes)),
+        }
+    }
+
+    /// The nodes whose directories hold every owner's entry for `key`,
+    /// sorted. A node's own miss on `key` is authoritative exactly when
+    /// it is one of them.
+    pub fn homes(&self, key: &CacheKey) -> &[NodeId] {
+        match &self.ring {
+            None => &self.members,
+            Some(ring) => std::slice::from_ref(ring.successor(key)),
+        }
+    }
+
+    /// The directory organization this placement was built from (the
+    /// status page's mode line).
+    pub fn kind(&self) -> DirectoryKind {
+        match self.ring {
+            None => DirectoryKind::Replicated,
+            Some(_) => DirectoryKind::Partitioned,
+        }
+    }
+
+    /// The ring behind partitioned placement (the status page's
+    /// ownership table and the `ring_vnodes` gauge).
+    pub fn ring(&self) -> Option<&HashRing> {
+        self.ring.as_ref()
     }
 }
 

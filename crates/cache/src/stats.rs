@@ -57,16 +57,12 @@ swala_obs::counters! {
         evict_examined: "Eviction-index snapshots examined while choosing victims",
         /// Entries removed by TTL expiry.
         expirations: "Entries removed by TTL expiry",
-        /// Insert/delete notices sent to peers.
+        /// Insert/delete notices sent to peers: one per notice that has a
+        /// home besides this node, however many homes that is (plus each
+        /// `NodeDown` repair broadcast).
         broadcasts_sent: "Insert/delete notices sent to peers",
         /// Insert/delete notices applied from peers.
         updates_applied: "Insert/delete notices applied from peers",
-        /// Point-to-point directory updates sent to home nodes
-        /// (partitioned mode only).
-        dir_updates_sent: "Point-to-point directory updates sent to home nodes",
-        /// Point-to-point directory updates received as a key's home node
-        /// (partitioned mode only).
-        dir_updates_received: "Point-to-point directory updates received as a home node",
         /// Directory entries evicted because their owner was declared dead
         /// (quarantine repair or a peer's `NodeDown` broadcast).
         node_evictions: "Directory entries evicted because their owner was declared dead",

@@ -145,6 +145,47 @@ pub fn gated_registry(work: WorkKind, cores: Option<usize>) -> ProgramRegistry {
     registry
 }
 
+/// Whether the nodes own `expected_total` entries between them and every
+/// directory holds exactly what the placement rule puts there — all
+/// notices have landed.
+pub fn directories_converged(servers: &[SwalaServer], expected_total: usize) -> bool {
+    let owned: usize = servers
+        .iter()
+        .map(|s| s.manager().directory().len(s.manager().local_node()))
+        .sum();
+    owned == expected_total && directories_settled(servers)
+}
+
+/// Whether every node's directory holds exactly the entries the
+/// placement rule puts there: for each other node, that node's own
+/// entries whose homes include this one — none missing (a notice still in
+/// flight) and none extra (a delete lost, or sent but not yet applied).
+/// The same predicate for the replicated directory, where every node is
+/// every key's home, and the partitioned one, where a key has one home.
+fn directories_settled(servers: &[SwalaServer]) -> bool {
+    servers.iter().all(|holder| {
+        let here = holder.manager();
+        let me = here.local_node();
+        servers.iter().all(|owner| {
+            let m = owner.manager();
+            let o = m.local_node();
+            if o == me {
+                return true;
+            }
+            let due: Vec<_> = m
+                .directory()
+                .snapshot(o)
+                .into_iter()
+                .filter(|e| m.placement().homes(&e.key).contains(&me))
+                .collect();
+            here.directory().len(o) == due.len()
+                && due
+                    .iter()
+                    .all(|e| here.directory().get(o, &e.key).is_some())
+        })
+    })
+}
+
 /// A running cluster of Swala nodes.
 pub struct SwalaCluster {
     servers: Vec<SwalaServer>,
@@ -238,17 +279,13 @@ impl SwalaCluster {
         self.servers.iter().map(|s| f(&s.cache_stats())).sum()
     }
 
-    /// Wait until every node's directory shows exactly `expected_total`
-    /// entries across all of its tables — i.e. all insert notices have
-    /// propagated and every node sees the same cluster-wide entry count.
-    /// Returns whether agreement was reached within `timeout`.
-    /// In partitioned mode the nodes never share full tables, so
-    /// "converged" means: the nodes' *owned* entries sum to the expected
-    /// count AND every owned entry is registered at its ring home.
+    /// Wait until the directories have converged on `expected_total`
+    /// entries ([`directories_converged`]). Returns whether that happened
+    /// within `timeout`.
     pub fn wait_for_directory_convergence(&self, expected_total: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.directories_converged(expected_total) {
+            if directories_converged(&self.servers, expected_total) {
                 return true;
             }
             if Instant::now() > deadline {
@@ -258,44 +295,10 @@ impl SwalaCluster {
         }
     }
 
-    fn directories_converged(&self, expected_total: usize) -> bool {
-        if self.servers[0].manager().ring().is_none() {
-            // Replicated: every node sees every entry.
-            return self
-                .servers
-                .iter()
-                .all(|s| s.manager().directory().total_len() == expected_total);
-        }
-        let owned_total: usize = self
-            .servers
-            .iter()
-            .map(|s| {
-                let m = s.manager();
-                m.directory().len(m.local_node())
-            })
-            .sum();
-        owned_total == expected_total && self.homes_registered()
-    }
-
-    /// Partitioned-mode invariant: each node's owned entries appear in
-    /// their home node's directory (the point-to-point update arrived).
-    fn homes_registered(&self) -> bool {
-        self.servers.iter().all(|s| {
-            let m = s.manager();
-            m.directory().snapshot(m.local_node()).iter().all(|e| {
-                let home = m.home_node(&e.key).expect("partitioned mode has a ring");
-                self.servers[home.index()]
-                    .manager()
-                    .directory()
-                    .get(e.owner, &e.key)
-                    .is_some()
-            })
-        })
-    }
-
     /// Wait until the cluster's notice traffic has settled: every node's
-    /// broadcast queues are flushed and all directories agree on the
-    /// cluster-wide entry count across two consecutive polls. Unlike
+    /// broadcast queues are flushed and every directory holds exactly
+    /// what the placement rule puts there, with the same entry counts
+    /// across two consecutive polls. Unlike
     /// [`wait_for_directory_convergence`](Self::wait_for_directory_convergence)
     /// this needs no expected count, so replay harnesses can call it
     /// between requests without tracking insertions themselves. Returns
@@ -303,25 +306,15 @@ impl SwalaCluster {
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut last_agreed: Option<usize> = None;
-        let partitioned = self.servers[0].manager().ring().is_some();
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             let flushed = self.servers.iter().all(|s| s.flush_broadcasts(remaining));
-            let counts: Vec<usize> = self
+            let agreed = flushed && directories_settled(&self.servers);
+            let signature = self
                 .servers
                 .iter()
                 .map(|s| s.manager().directory().total_len())
-                .collect();
-            // Replicated: all tables agree on the cluster-wide count.
-            // Partitioned: tables are disjoint by design; settled means
-            // every owned entry has reached its home node.
-            let consistent = if partitioned {
-                self.homes_registered()
-            } else {
-                counts.windows(2).all(|w| w[0] == w[1])
-            };
-            let agreed = flushed && consistent;
-            let signature = counts.iter().sum::<usize>();
+                .sum::<usize>();
             if agreed && last_agreed == Some(signature) {
                 return true;
             }
@@ -363,6 +356,7 @@ impl SwalaCluster {
 mod tests {
     use super::*;
     use swala::HttpClient;
+    use swala_cache::{CacheKey, DirectoryKind, EntryMeta};
 
     #[test]
     fn four_node_cluster_cooperates() {
@@ -399,7 +393,7 @@ mod tests {
     fn partitioned_cluster_cooperates() {
         let cluster = SwalaCluster::start(&ClusterConfig {
             nodes: 4,
-            directory: swala_cache::DirectoryKind::Partitioned,
+            directory: DirectoryKind::Partitioned,
             ..Default::default()
         })
         .unwrap();
@@ -408,10 +402,9 @@ mod tests {
             .collect();
         cluster.warm(0, &targets).unwrap();
         assert!(cluster.wait_for_directory_convergence(3, Duration::from_secs(5)));
-        // Inserts were announced point-to-point: at most one directory
-        // update each (zero when the owner is the home), no broadcasts.
-        assert_eq!(cluster.total_cache_stat(|s| s.broadcasts_sent), 0);
-        assert!(cluster.total_cache_stat(|s| s.dir_updates_sent) <= 3);
+        // Inserts were announced to their key's home only: at most one
+        // notice each (none when the owner is the home).
+        assert!(cluster.total_cache_stat(|s| s.broadcasts_sent) <= 3);
 
         // Every other node still serves the warm entries as remote hits,
         // resolving through the home node where needed.
@@ -456,6 +449,46 @@ mod tests {
         let hit = client.get("/cgi-bin/adl?id=9&ms=0").unwrap();
         assert_eq!(hit.headers.get("X-Swala-Cache"), Some("local-hit"));
         cluster.shutdown();
+    }
+
+    #[test]
+    fn an_entry_where_the_placement_puts_none_is_not_settled() {
+        // A record node 0 does not own, planted at node 1 under node 0's
+        // name — what a lost or not-yet-applied delete leaves behind. It
+        // is extra wherever the key's homes are, so the cluster must not
+        // read as settled in either directory organization.
+        for directory in [DirectoryKind::Replicated, DirectoryKind::Partitioned] {
+            let cluster = SwalaCluster::start(&ClusterConfig {
+                nodes: 2,
+                directory,
+                ..Default::default()
+            })
+            .unwrap();
+            assert!(cluster.quiesce(Duration::from_secs(5)), "{directory:?}");
+            let stale = EntryMeta::new(
+                CacheKey::new("/cgi-bin/adl?id=stale&ms=0"),
+                NodeId(0),
+                4,
+                "text/html",
+                1000,
+                None,
+                1,
+            );
+            cluster
+                .node(1)
+                .manager()
+                .directory()
+                .insert(NodeId(0), stale);
+            assert!(
+                !cluster.quiesce(Duration::from_millis(200)),
+                "{directory:?}"
+            );
+            assert!(
+                !cluster.wait_for_directory_convergence(0, Duration::from_millis(200)),
+                "{directory:?}"
+            );
+            cluster.shutdown();
+        }
     }
 
     #[test]

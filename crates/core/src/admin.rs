@@ -46,10 +46,10 @@
 use crate::handler::NodeContext;
 use std::sync::atomic::Ordering;
 use swala_cache::directory::Classification;
-use swala_cache::{CacheKey, CacheStats, DigestImpl, NodeId};
+use swala_cache::{CacheKey, DigestImpl, NodeId};
 use swala_http::{Request, Response, StatusCode};
-use swala_obs::{HeatEntry, HistogramSnapshot, MetricSnapshot, MetricValue};
-use swala_proto::{request_invalidate, Message, NodeStats, PeerState};
+use swala_obs::{HeatEntry, HistogramSnapshot, MetricSnapshot, MetricValue, Trace};
+use swala_proto::{request_invalidate, NodeStats};
 
 /// Path prefix reserved for administration.
 pub const ADMIN_PREFIX: &str = "/swala-admin/";
@@ -164,12 +164,7 @@ fn collect_cluster(ctx: &NodeContext) -> Vec<ScrapedNode> {
             }
             Err(_) => {
                 ctx.scrape_failures.fetch_add(1, Ordering::Relaxed);
-                if ctx.health.record_failure(peer) == Some(PeerState::Quarantined) {
-                    ctx.manager.evict_node(peer);
-                    ctx.fetch_pool.purge_peer(peer);
-                    ctx.broadcaster.broadcast(&Message::NodeDown { node: peer });
-                    CacheStats::bump(&ctx.manager.stats().broadcasts_sent);
-                }
+                ctx.note_peer_failure(peer);
                 out.push(ScrapedNode {
                     node: peer,
                     state: "unreachable",
@@ -423,10 +418,11 @@ fn status_page(ctx: &NodeContext) -> Response {
         ));
     }
     // Directory mode line plus, in partitioned mode, the ring's key-space
-    // ownership shares (satellite of the partitioned-directory work).
-    let mut dirmode = format!("directory={}", ctx.manager.directory_kind().as_str());
+    // ownership shares.
+    let placement = ctx.manager.placement();
+    let mut dirmode = format!("directory={}", placement.kind().as_str());
     let mut ring_section = String::new();
-    if let Some(ring) = ctx.manager.ring() {
+    if let Some(ring) = placement.ring() {
         dirmode.push_str(&format!(" ring_vnodes={}", ring.vnodes()));
         let mut rows = String::new();
         for (id, share) in ring.shares() {
@@ -586,31 +582,18 @@ fn invalidate(ctx: &NodeContext, req: &Request) -> Response {
             Response::ok("text/plain", format!("invalidated local entry {key}\n"))
         }
         Classification::Remote(meta) => forward_invalidate(ctx, &key, meta.owner),
-        Classification::NotCached => {
-            // Partitioned mode: a non-home node's directory is silent
-            // about keys homed elsewhere, so ask the home before
-            // declaring the key uncached.
-            if let Some(home) = ctx.manager.home_node(&key) {
-                if home != ctx.node {
-                    if let Some(addr) = ctx.cache_addrs.read().get(home.index()).copied().flatten()
-                    {
-                        if let Ok((_, Some(meta))) =
-                            ctx.fetch_pool
-                                .dir_lookup(home, addr, &key, ctx.fetch_timeout, None)
-                        {
-                            return forward_invalidate(ctx, &key, meta.owner);
-                        }
-                    }
-                }
-            }
-            Response::ok("text/plain", format!("no cached entry for {key}\n"))
-        }
+        // A node that is not one of the key's homes is silent about it,
+        // so ask the home before declaring the key uncached.
+        Classification::NotCached => match ctx.ask_home(&key, &mut Trace::disabled()) {
+            Ok(Some(meta)) => forward_invalidate(ctx, &key, meta.owner),
+            _ => Response::ok("text/plain", format!("no cached entry for {key}\n")),
+        },
     }
 }
 
 /// Forward an invalidation to the entry's owner node.
 fn forward_invalidate(ctx: &NodeContext, key: &CacheKey, owner: swala_cache::NodeId) -> Response {
-    match ctx.cache_addrs.read().get(owner.index()).copied().flatten() {
+    match ctx.peer_cache_addr(owner) {
         Some(addr) => match request_invalidate(addr, key, ctx.fetch_timeout) {
             Ok(()) => Response::ok(
                 "text/plain",

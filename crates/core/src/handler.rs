@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala_cache::{
-    CacheDecision, CacheKey, CacheManager, CacheStats, FallbackStart, FlightWaitOutcome,
+    CacheDecision, CacheKey, CacheManager, CacheStats, EntryMeta, FallbackStart, FlightWaitOutcome,
     FlightWaiter, InsertOutcome, LookupResult, NodeId,
 };
 use swala_cgi::{CgiOutput, CgiRequest, Program, ProgramRegistry};
@@ -79,8 +79,75 @@ pub struct NodeContext {
 }
 
 impl NodeContext {
-    fn peer_cache_addr(&self, node: NodeId) -> Option<SocketAddr> {
+    pub(crate) fn peer_cache_addr(&self, node: NodeId) -> Option<SocketAddr> {
         self.cache_addrs.read().get(node.index()).copied().flatten()
+    }
+
+    /// An exchange with `peer` failed. On the transition into quarantine
+    /// (consecutive-failure threshold crossed) the peer is treated as
+    /// dead: evict everything it advertises, drop its pooled connections
+    /// and broadcast `NodeDown` so the whole cluster stops taking false
+    /// hits on a corpse.
+    pub(crate) fn note_peer_failure(&self, peer: NodeId) {
+        if self.health.record_failure(peer) == Some(PeerState::Quarantined) {
+            self.manager.evict_node(peer);
+            self.fetch_pool.purge_peer(peer);
+            self.broadcaster
+                .broadcast(&Message::NodeDown { node: peer });
+            CacheStats::bump(&self.manager.stats().broadcasts_sent);
+        }
+    }
+
+    /// `peer`'s cache address, or the fallback tag when it cannot be
+    /// asked: its address is unknown (cluster wiring incomplete — treated
+    /// like an unreachable peer), or it is quarantined. A quarantined peer
+    /// is skipped without touching the network (no connect-timeout tax),
+    /// except when its probe window has elapsed — then this very exchange
+    /// doubles as the probe.
+    fn peer_to_ask(&self, peer: NodeId) -> Result<SocketAddr, &'static str> {
+        let addr = self
+            .peer_cache_addr(peer)
+            .ok_or(cache_header::REMOTE_DOWN)?;
+        if !self.health.should_attempt(peer) {
+            RequestStats::bump(&self.stats.quarantine_skips);
+            return Err(cache_header::QUARANTINED);
+        }
+        Ok(addr)
+    }
+
+    /// Ask the key's home who caches it. `Ok(None)` when nobody does —
+    /// including when this node is one of the key's homes, so that its
+    /// own miss is already the answer — and `Err(HOME_DOWN)` when the home
+    /// cannot be asked: its answer is an optimization, never a
+    /// requirement.
+    pub(crate) fn ask_home(
+        &self,
+        key: &CacheKey,
+        trace: &mut Trace,
+    ) -> Result<Option<EntryMeta>, &'static str> {
+        let homes = self.manager.placement().homes(key);
+        if homes.contains(&self.node) {
+            return Ok(None);
+        }
+        let home = homes[0];
+        let addr = self
+            .peer_to_ask(home)
+            .map_err(|_| cache_header::HOME_DOWN)?;
+        let t0 = trace.start_span();
+        let answer = self
+            .fetch_pool
+            .dir_lookup(home, addr, key, self.fetch_timeout, trace.id());
+        trace.end_span(Stage::DirLookup, t0);
+        match answer {
+            Ok(meta) => {
+                self.health.record_success(home);
+                Ok(meta)
+            }
+            Err(_) => {
+                self.note_peer_failure(home);
+                Err(cache_header::HOME_DOWN)
+            }
+        }
     }
 
     /// Close a served request's trace and write its access-log line.
@@ -207,18 +274,28 @@ fn handle_dynamic(
                 .set(cache_header::NAME, cache_header::LOCAL_HIT);
             resp
         }
-        LookupResult::RemoteHit { meta } => handle_remote_hit(ctx, exec, key, meta, trace),
+        LookupResult::RemoteHit { meta } => handle_remote_hit(ctx, exec, key, meta.owner, trace),
         LookupResult::Miss { decision, .. } => {
-            // Partitioned directory: a local miss is not yet a cluster
-            // miss — the key's home node holds the authoritative entry.
-            // Ask it before executing (unless this node *is* the home,
-            // in which case the local miss was already authoritative).
-            if let Some(home) = ctx.manager.home_node(&key) {
-                if home != ctx.node {
-                    return resolve_miss_via_home(ctx, exec, key, decision, home, trace);
+            // A local miss is a cluster miss only where this node is one
+            // of the key's homes; elsewhere the home holds the entry, so
+            // ask it before executing. The caller holds the miss
+            // execution slot throughout, so concurrent identical requests
+            // coalesce behind the answer.
+            let tag = match ctx.ask_home(&key, trace) {
+                Ok(Some(meta)) if meta.owner != ctx.node => {
+                    return fetch_body_from_owner(ctx, exec, key, decision, meta.owner, trace);
                 }
-            }
-            execute_and_cache(ctx, exec, key, decision, cache_header::MISS, trace)
+                Ok(Some(stale)) => {
+                    // The home says *we* own it, but we just missed
+                    // locally: its record is stale (e.g. a lost delete).
+                    // Repair it and execute.
+                    announce_delete(&ctx.manager, &ctx.broadcaster, stale.owner, &key);
+                    cache_header::MISS
+                }
+                Ok(None) => cache_header::MISS,
+                Err(tag) => tag,
+            };
+            execute_and_cache(ctx, exec, key, decision, tag, trace)
         }
         LookupResult::CoalesceWait { decision, waiter } => {
             wait_and_serve(ctx, exec, key, decision, waiter, trace)
@@ -265,35 +342,40 @@ fn wait_and_serve(
     }
 }
 
-/// Figure 2's "Fetch from remote cache" edge, including the false-hit
-/// fallback ("when node A receives the miss response, it will execute the
-/// CGI request locally").
-fn handle_remote_hit(
+/// How a fetch from an entry's owner ended.
+enum OwnerFetch {
+    /// The owner served the body.
+    Hit { content_type: String, body: Vec<u8> },
+    /// The owner answered that the entry is gone — §4.2's false hit —
+    /// and the stale record has been repaired.
+    Gone,
+    /// The owner could not be asked: execute instead, tagged so.
+    Unavailable(&'static str),
+}
+
+/// Figure 2's "Fetch from remote cache" step, shared by a remote hit and
+/// a miss the key's home resolved: the owner's address, the quarantine
+/// gate, the timed fetch with its retry accounting, the peer's health
+/// bookkeeping, and the false-hit repair ("when node A receives the miss
+/// response, it will execute the CGI request locally").
+fn fetch_from_owner(
     ctx: &NodeContext,
-    exec: &Exec<'_>,
-    key: CacheKey,
-    meta: swala_cache::EntryMeta,
+    key: &CacheKey,
+    owner: NodeId,
     trace: &mut Trace,
-) -> Response {
-    trace.set_owner(meta.owner.0);
-    let Some(addr) = ctx.peer_cache_addr(meta.owner) else {
-        // Cluster wiring incomplete: behave like an unreachable peer.
-        return execute_fallback(ctx, exec, key, cache_header::REMOTE_DOWN, trace);
+) -> OwnerFetch {
+    trace.set_owner(owner.0);
+    let addr = match ctx.peer_to_ask(owner) {
+        Ok(addr) => addr,
+        Err(tag) => return OwnerFetch::Unavailable(tag),
     };
-    // Quarantine gate: a peer declared dead is skipped without touching
-    // the network (no connect-timeout tax), except when its probe window
-    // has elapsed — then this very fetch doubles as the probe.
-    if !ctx.health.should_attempt(meta.owner) {
-        RequestStats::bump(&ctx.stats.quarantine_skips);
-        return execute_fallback(ctx, exec, key, cache_header::QUARANTINED, trace);
-    }
     // The trace id rides in the fetch request, so the owner records
     // correlated spans under the same id.
     let t0 = trace.start_span();
     let (outcome, attempts) = ctx.fetch_pool.fetch(
-        meta.owner,
+        owner,
         addr,
-        &key,
+        key,
         ctx.fetch_timeout,
         &ctx.retry_policy,
         trace.id(),
@@ -306,7 +388,7 @@ fn handle_remote_hit(
     trace.add_remote_attempts(1);
     match outcome {
         FetchOutcome::Hit { content_type, body } => {
-            ctx.health.record_success(meta.owner);
+            ctx.health.record_success(owner);
             RequestStats::bump(&ctx.stats.served_remote_cache);
             trace.set_outcome(Outcome::Remote);
             // Heat-sketch cost attribution: a remote hit's wire time is
@@ -317,104 +399,54 @@ fn handle_remote_hit(
                     .heat()
                     .add_cost(key.as_str(), t0.elapsed().as_micros() as u64);
             }
-            let mut resp = Response::ok(&content_type, body);
-            resp.headers
-                .set(cache_header::NAME, cache_header::REMOTE_HIT);
-            resp
+            OwnerFetch::Hit { content_type, body }
         }
         FetchOutcome::Gone => {
             // A reply — even "gone" — proves the peer is alive.
-            ctx.health.record_success(meta.owner);
-            ctx.manager.note_false_hit(meta.owner, &key);
+            ctx.health.record_success(owner);
+            ctx.manager.note_false_hit(owner, key);
             // Directory repair: the owner no longer has this entry, so
             // every other record pointing at it is stale too. Announce
             // the deletion on the owner's behalf (it may have restarted
-            // with no memory of its old advertisements) — a broadcast in
-            // replicated mode, one update to the home in partitioned.
-            announce_delete(&ctx.manager, &ctx.broadcaster, meta.owner, &key);
-            execute_fallback(ctx, exec, key, cache_header::FALSE_HIT, trace)
+            // with no memory of its old advertisements) to the key's
+            // homes.
+            announce_delete(&ctx.manager, &ctx.broadcaster, owner, key);
+            OwnerFetch::Gone
         }
         FetchOutcome::Unreachable(_) => {
             // Peer down ≠ entry gone: the directory entry survives a
-            // transient failure. But on the transition into quarantine
-            // (consecutive-failure threshold crossed) the peer is treated
-            // as dead: evict everything it advertises and broadcast
-            // `NodeDown` so the whole cluster stops taking false hits on
-            // a corpse.
-            if ctx.health.record_failure(meta.owner) == Some(PeerState::Quarantined) {
-                ctx.manager.evict_node(meta.owner);
-                // Its parked connections are dead weight now.
-                ctx.fetch_pool.purge_peer(meta.owner);
-                ctx.broadcaster
-                    .broadcast(&Message::NodeDown { node: meta.owner });
-                CacheStats::bump(&ctx.manager.stats().broadcasts_sent);
-            }
-            execute_fallback(ctx, exec, key, cache_header::REMOTE_DOWN, trace)
+            // transient failure; quarantine is what declares it dead.
+            ctx.note_peer_failure(owner);
+            OwnerFetch::Unavailable(cache_header::REMOTE_DOWN)
         }
     }
 }
 
-/// Partitioned-mode miss resolution: this node's directory has no entry
-/// for `key`, but `home` is the ring-assigned authority — ask it before
-/// executing. Every failure along the way degrades to local execution:
-/// the home's answer is an optimization, never a requirement. The caller
-/// holds the miss execution slot throughout, so concurrent identical
-/// requests coalesce behind this resolution.
-fn resolve_miss_via_home(
+/// The response to a remote hit: the owner's body, tagged.
+fn remote_hit(content_type: &str, body: Vec<u8>) -> Response {
+    let mut resp = Response::ok(content_type, body);
+    resp.headers
+        .set(cache_header::NAME, cache_header::REMOTE_HIT);
+    resp
+}
+
+/// A directory hit on a peer's entry. The lookup took no execution slot,
+/// so a failed fetch falls back through [`execute_fallback`].
+fn handle_remote_hit(
     ctx: &NodeContext,
     exec: &Exec<'_>,
     key: CacheKey,
-    decision: CacheDecision,
-    home: NodeId,
+    owner: NodeId,
     trace: &mut Trace,
 ) -> Response {
-    let Some(home_addr) = ctx.peer_cache_addr(home) else {
-        // Cluster wiring incomplete: behave like an unreachable home.
-        return execute_and_cache(ctx, exec, key, decision, cache_header::HOME_DOWN, trace);
-    };
-    // Quarantine gate, as on the owner-fetch path: a home declared dead
-    // is skipped without touching the network.
-    if !ctx.health.should_attempt(home) {
-        RequestStats::bump(&ctx.stats.quarantine_skips);
-        return execute_and_cache(ctx, exec, key, decision, cache_header::HOME_DOWN, trace);
+    match fetch_from_owner(ctx, &key, owner, trace) {
+        OwnerFetch::Hit { content_type, body } => remote_hit(&content_type, body),
+        OwnerFetch::Gone => execute_fallback(ctx, exec, key, cache_header::FALSE_HIT, trace),
+        OwnerFetch::Unavailable(tag) => execute_fallback(ctx, exec, key, tag, trace),
     }
-    let t0 = trace.start_span();
-    let answer = ctx
-        .fetch_pool
-        .dir_lookup(home, home_addr, &key, ctx.fetch_timeout, trace.id());
-    trace.end_span(Stage::DirLookup, t0);
-    let meta = match answer {
-        Ok((_, meta)) => {
-            ctx.health.record_success(home);
-            meta
-        }
-        Err(_) => {
-            // Home unreachable: same quarantine bookkeeping as a failed
-            // owner fetch, then execute locally (replicated-style
-            // degradation — correctness never depends on the home).
-            if ctx.health.record_failure(home) == Some(PeerState::Quarantined) {
-                ctx.manager.evict_node(home);
-                ctx.fetch_pool.purge_peer(home);
-                ctx.broadcaster.broadcast(&Message::NodeDown { node: home });
-                CacheStats::bump(&ctx.manager.stats().broadcasts_sent);
-            }
-            return execute_and_cache(ctx, exec, key, decision, cache_header::HOME_DOWN, trace);
-        }
-    };
-    let Some(meta) = meta else {
-        // The home has no record: a true cluster-wide miss.
-        return execute_and_cache(ctx, exec, key, decision, cache_header::MISS, trace);
-    };
-    if meta.owner == ctx.node {
-        // The home says *we* own it, but we just missed locally: its
-        // record is stale (e.g. a lost delete). Repair it and execute.
-        announce_delete(&ctx.manager, &ctx.broadcaster, meta.owner, &key);
-        return execute_and_cache(ctx, exec, key, decision, cache_header::MISS, trace);
-    }
-    fetch_body_from_owner(ctx, exec, key, decision, meta, trace)
 }
 
-/// Fetch the body from the owner a home-node lookup named. Unlike
+/// Fetch the body from the owner the key's home named. Unlike
 /// [`handle_remote_hit`], the caller holds the miss execution slot: a hit
 /// is published to coalesced waiters via `complete_remote_serve` (which
 /// releases the slot without inserting), and fallbacks execute directly.
@@ -423,79 +455,30 @@ fn fetch_body_from_owner(
     exec: &Exec<'_>,
     key: CacheKey,
     decision: CacheDecision,
-    meta: swala_cache::EntryMeta,
+    owner: NodeId,
     trace: &mut Trace,
 ) -> Response {
-    trace.set_owner(meta.owner.0);
-    let Some(addr) = ctx.peer_cache_addr(meta.owner) else {
-        return execute_and_cache(ctx, exec, key, decision, cache_header::REMOTE_DOWN, trace);
-    };
-    if !ctx.health.should_attempt(meta.owner) {
-        RequestStats::bump(&ctx.stats.quarantine_skips);
-        return execute_and_cache(ctx, exec, key, decision, cache_header::QUARANTINED, trace);
+    let fetched = fetch_from_owner(ctx, &key, owner, trace);
+    if !matches!(fetched, OwnerFetch::Unavailable(_)) {
+        // The local lookup said Miss (this node's directory has no
+        // entry), but cluster-wide the owner answered: reclassify it as a
+        // (possibly false) remote hit, so hit/miss accounting matches a
+        // node that is the key's home, whose directory classifies Remote
+        // up front — lookups == hits + misses and executions == misses +
+        // false_hits both keep holding.
+        CacheStats::debit(&ctx.manager.stats().misses);
+        CacheStats::bump(&ctx.manager.stats().remote_hits);
     }
-    let t0 = trace.start_span();
-    let (outcome, attempts) = ctx.fetch_pool.fetch(
-        meta.owner,
-        addr,
-        &key,
-        ctx.fetch_timeout,
-        &ctx.retry_policy,
-        trace.id(),
-    );
-    trace.end_span(Stage::RemoteFetch, t0);
-    if attempts > 1 {
-        RequestStats::add(&ctx.stats.fetch_retries, (attempts - 1) as u64);
-        trace.add_remote_attempts(attempts - 1);
-    }
-    trace.add_remote_attempts(1);
-    match outcome {
-        FetchOutcome::Hit { content_type, body } => {
-            ctx.health.record_success(meta.owner);
-            RequestStats::bump(&ctx.stats.served_remote_cache);
-            // The local lookup said Miss (this node's directory has no
-            // entry), but cluster-wide this is a remote hit: reclassify
-            // so hit/miss accounting matches replicated mode, where the
-            // directory replica classifies Remote up front.
-            CacheStats::debit(&ctx.manager.stats().misses);
-            CacheStats::bump(&ctx.manager.stats().remote_hits);
-            trace.set_outcome(Outcome::Remote);
-            if let Some(t0) = t0 {
-                ctx.manager
-                    .heat()
-                    .add_cost(key.as_str(), t0.elapsed().as_micros() as u64);
-            }
+    match fetched {
+        OwnerFetch::Hit { content_type, body } => {
             ctx.manager
                 .complete_remote_serve(&key, &content_type, Arc::from(body.as_slice()));
-            let mut resp = Response::ok(&content_type, body);
-            resp.headers
-                .set(cache_header::NAME, cache_header::REMOTE_HIT);
-            resp
+            remote_hit(&content_type, body)
         }
-        FetchOutcome::Gone => {
-            // A reply — even "gone" — proves the peer is alive. The
-            // home's record was stale; repair it on the owner's behalf.
-            // Reclassify the miss as a (false) remote hit so counters
-            // match replicated mode, where a false hit starts life as a
-            // Remote classification: lookups == hits + misses and
-            // executions == misses + false_hits both keep holding.
-            ctx.health.record_success(meta.owner);
-            CacheStats::debit(&ctx.manager.stats().misses);
-            CacheStats::bump(&ctx.manager.stats().remote_hits);
-            ctx.manager.note_false_hit(meta.owner, &key);
-            announce_delete(&ctx.manager, &ctx.broadcaster, meta.owner, &key);
+        OwnerFetch::Gone => {
             execute_and_cache(ctx, exec, key, decision, cache_header::FALSE_HIT, trace)
         }
-        FetchOutcome::Unreachable(_) => {
-            if ctx.health.record_failure(meta.owner) == Some(PeerState::Quarantined) {
-                ctx.manager.evict_node(meta.owner);
-                ctx.fetch_pool.purge_peer(meta.owner);
-                ctx.broadcaster
-                    .broadcast(&Message::NodeDown { node: meta.owner });
-                CacheStats::bump(&ctx.manager.stats().broadcasts_sent);
-            }
-            execute_and_cache(ctx, exec, key, decision, cache_header::REMOTE_DOWN, trace)
-        }
+        OwnerFetch::Unavailable(tag) => execute_and_cache(ctx, exec, key, decision, tag, trace),
     }
 }
 
@@ -581,9 +564,7 @@ fn execute_and_cache(
         .complete_execution(&key, &out.body, &out.content_type, exec, &decision)
     {
         Ok(InsertOutcome::Inserted { meta, evicted }) => {
-            // Mode-routed announcements: a broadcast to every peer in
-            // replicated mode, one point-to-point update to the key's
-            // home node in partitioned mode.
+            // Announced to each of the key's homes but this node.
             let t0 = trace.start_span();
             announce(&ctx.manager, &ctx.broadcaster, &meta, &evicted);
             trace.end_span(Stage::BroadcastEnqueue, t0);

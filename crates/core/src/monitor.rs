@@ -7,7 +7,7 @@
 //! implements that: the administrator binds a cache-key prefix to the
 //! source files the corresponding CGI reads; a daemon polls the sources'
 //! mtimes, and on any change removes every matching local entry and
-//! broadcasts the deletions.
+//! announces the deletions to the keys' homes.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
-use swala_cache::{CacheManager, CacheStats};
-use swala_proto::{Broadcaster, Message};
+use swala_cache::CacheManager;
+use swala_proto::{announce_delete, Broadcaster};
 
 /// One monitoring rule: entries whose key starts with `key_prefix`
 /// depend on the file at `source`.
@@ -131,11 +131,7 @@ fn run(
                 .collect();
             for victim in victims {
                 if let Some(dead) = manager.remove_local(&victim.key) {
-                    broadcaster.broadcast(&Message::DeleteNotice {
-                        owner: dead.owner,
-                        key: dead.key,
-                    });
-                    CacheStats::bump(&manager.stats().broadcasts_sent);
+                    announce_delete(manager, broadcaster, dead.owner, &dead.key);
                     invalidations.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -146,8 +142,12 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
     use std::time::Instant;
-    use swala_cache::{CacheKey, CacheManagerConfig, CacheRules, LookupResult, MemStore};
+    use swala_cache::{
+        CacheKey, CacheManagerConfig, CacheRules, DirectoryKind, LookupResult, MemStore, NodeId,
+    };
+    use swala_proto::{read_frame, Message};
 
     fn insert(manager: &CacheManager, key: &str) {
         let k = CacheKey::new(key);
@@ -274,6 +274,102 @@ mod tests {
         assert_eq!(monitor.invalidations(), 0);
         assert_eq!(manager.directory().len(swala_cache::NodeId(0)), 1);
         monitor.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn partitioned_invalidation_notifies_the_key_home_only() {
+        // Two-node partitioned directory with a collecting peer as node 1:
+        // invalidating a key homed here puts nothing on the wire (this
+        // node's own table was the only record), one homed at the peer
+        // exactly one delete notice.
+        let dir = std::env::temp_dir().join(format!("swala-mon-part-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (self_src, peer_src) = (dir.join("self.db"), dir.join("peer.db"));
+        std::fs::write(&self_src, "v1").unwrap();
+        std::fs::write(&peer_src, "v1").unwrap();
+
+        let manager = Arc::new(CacheManager::new(
+            CacheManagerConfig {
+                num_nodes: 2,
+                local: NodeId(0),
+                rules: CacheRules::allow_all(),
+                directory: DirectoryKind::Partitioned,
+                ..Default::default()
+            },
+            Box::new(MemStore::new()),
+        ));
+        // Keys end in '/', so neither is a prefix of the other.
+        let homed_at = |home: NodeId| {
+            (0..10_000)
+                .map(|i| format!("/cgi-bin/mon/{i}/"))
+                .find(|k| manager.placement().homes(&CacheKey::new(k)) == [home])
+                .expect("some key is homed there")
+        };
+        let (self_key, peer_key) = (homed_at(NodeId(0)), homed_at(NodeId(1)));
+        insert(&manager, &self_key);
+        insert(&manager, &peer_key);
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer_addr = listener.local_addr().unwrap();
+        let collector = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut msgs = Vec::new();
+            while let Ok(Some(f)) = read_frame(&mut s) {
+                match Message::decode(&f).unwrap() {
+                    Message::Batch(inner) => msgs.extend(inner),
+                    m => msgs.push(m),
+                }
+            }
+            msgs
+        });
+        let broadcaster = Arc::new(Broadcaster::new(NodeId(0), [(NodeId(1), peer_addr)]));
+        let monitor = SourceMonitor::start(
+            Arc::clone(&manager),
+            Arc::clone(&broadcaster),
+            vec![
+                MonitorRule {
+                    key_prefix: self_key.clone(),
+                    source: self_src.clone(),
+                },
+                MonitorRule {
+                    key_prefix: peer_key.clone(),
+                    source: peer_src.clone(),
+                },
+            ],
+            Duration::from_millis(40),
+        );
+        let on_the_wire = || {
+            assert!(broadcaster.flush(Duration::from_secs(5)));
+            let link = &broadcaster.link_stats()[0];
+            link.sent + link.queued as u64 + link.dropped
+        };
+
+        std::thread::sleep(Duration::from_millis(50));
+        std::fs::write(&self_src, "v2").unwrap();
+        wait_until("self-homed entry invalidated", || {
+            monitor.invalidations() == 1
+        });
+        assert_eq!(on_the_wire(), 0, "a self-homed delete stays home");
+
+        std::fs::write(&peer_src, "v2").unwrap();
+        wait_until("peer-homed entry invalidated", || {
+            monitor.invalidations() == 2
+        });
+        assert_eq!(on_the_wire(), 1, "one delete notice, to the home");
+
+        monitor.shutdown();
+        broadcaster.shutdown();
+        assert_eq!(
+            collector.join().unwrap(),
+            vec![
+                Message::Hello { node: NodeId(0) },
+                Message::DeleteNotice {
+                    owner: NodeId(0),
+                    key: CacheKey::new(peer_key),
+                },
+            ]
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -173,7 +173,7 @@ impl BoundSwala {
                     (d.total_len() - d.len(m.local_node())) as i64
                 },
             );
-            let vnodes = manager.ring().map_or(0, |r| r.vnodes()) as i64;
+            let vnodes = manager.placement().ring().map_or(0, |r| r.vnodes()) as i64;
             reg.register_gauge_fn(
                 "swala_cache_ring_vnodes",
                 "Virtual nodes per member on the consistent-hash ring (0 = replicated directory)",

@@ -8,7 +8,7 @@
 //!   handler threads apply insert/delete notices to the local directory
 //!   (the paper's first daemon) and answer fetch/sync/ping requests;
 //! * a **purge thread** that "wakes up every few seconds and deletes
-//!   expired cache entries", broadcasting a delete notice for each.
+//!   expired cache entries", announcing each deletion to the key's homes.
 
 use crate::faults::{AcceptFilter, FaultAction};
 use crate::message::Message;
@@ -38,74 +38,39 @@ const FRAME_STALL_LIMIT: Duration = Duration::from_secs(5);
 /// any sensible cluster ranking while keeping the frame small.
 const HOTKEYS_PER_SNAPSHOT: usize = 64;
 
-/// A notice and where it goes: `None` is every peer (the replicated
-/// directory's broadcast), `Some` the key's home node (partitioned).
-type Routed = (Option<NodeId>, Message);
+/// A notice and the nodes it goes to: the key's homes. The
+/// broadcaster has no link to this node, so "the homes but this node" is
+/// what reaches the wire.
+type Routed<'a> = (&'a [NodeId], Message);
 
-/// The notice that tells the cluster this node just cached `meta`: an
-/// insert notice to everyone in replicated mode; in partitioned mode one
-/// [`Message::DirUpdate`] to the key's home node — and nothing at all
-/// when this node *is* the home (its own directory insert already
-/// recorded the entry).
-fn route_insert(manager: &CacheManager, meta: &EntryMeta) -> Option<Routed> {
-    match manager.home_node(&meta.key) {
-        None => Some((None, Message::InsertNotice { meta: meta.clone() })),
-        Some(home) if home == manager.local_node() => None,
-        Some(home) => Some((
-            Some(home),
-            Message::DirUpdate {
-                owner: meta.owner,
-                key: meta.key.clone(),
-                meta: Some(meta.clone()),
-            },
-        )),
+/// The one announce path: send `update` to every home of its key but
+/// this node — every peer under the replicated directory, the key's home
+/// under the partitioned one — as the `InsertNotice`/`DeleteNotice` the
+/// receiving daemon applies. `None` when this node is the key's only
+/// home: its own directory write already put the entry where it belongs.
+fn route(manager: &CacheManager, update: RemoteUpdate) -> Option<Routed<'_>> {
+    let homes = manager.placement().homes(update.key());
+    if homes.iter().all(|&home| home == manager.local_node()) {
+        return None;
     }
-}
-
-/// The notice that tells the cluster the entry `owner` advertised for
-/// `key` is gone: a delete notice to everyone in replicated mode, one
-/// [`Message::DirUpdate`] (meta `None`) to the key's home node in
-/// partitioned mode. When this node is the home its directory is the
-/// authority: the entry is removed from it here and nothing is sent.
-fn route_delete(manager: &CacheManager, owner: NodeId, key: &CacheKey) -> Option<Routed> {
-    match manager.home_node(key) {
-        None => Some((
-            None,
-            Message::DeleteNotice {
-                owner,
-                key: key.clone(),
-            },
-        )),
-        Some(home) if home == manager.local_node() => {
-            manager.directory().remove(owner, key);
-            None
-        }
-        Some(home) => Some((
-            Some(home),
-            Message::DirUpdate {
-                owner,
-                key: key.clone(),
-                meta: None,
-            },
-        )),
-    }
+    let notice = match update {
+        RemoteUpdate::Insert(meta) => Message::InsertNotice { meta },
+        RemoteUpdate::Delete { owner, key } => Message::DeleteNotice { owner, key },
+    };
+    Some((homes, notice))
 }
 
 /// Hand `notices` to the broadcaster in one go and count them.
-fn enqueue(manager: &CacheManager, broadcaster: &Broadcaster, notices: &[Routed]) {
+fn enqueue(manager: &CacheManager, broadcaster: &Broadcaster, notices: &[Routed<'_>]) {
     broadcaster.enqueue(notices);
-    for (to, _) in notices {
-        CacheStats::bump(match to {
-            None => &manager.stats().broadcasts_sent,
-            Some(_) => &manager.stats().dir_updates_sent,
-        });
-    }
+    CacheStats::add(&manager.stats().broadcasts_sent, notices.len() as u64);
 }
 
 /// Tell the cluster this node just cached `meta` (see [`announce`] for
 /// the insert path, which also has evictions to report).
 pub fn announce_insert(manager: &CacheManager, broadcaster: &Broadcaster, meta: &EntryMeta) {
-    enqueue(manager, broadcaster, route_insert(manager, meta).as_slice());
+    let notice = route(manager, RemoteUpdate::Insert(meta.clone()));
+    enqueue(manager, broadcaster, notice.as_slice());
 }
 
 /// Tell the cluster the entry `owner` advertised for `key` is gone.
@@ -115,11 +80,11 @@ pub fn announce_delete(
     owner: NodeId,
     key: &CacheKey,
 ) {
-    enqueue(
-        manager,
-        broadcaster,
-        route_delete(manager, owner, key).as_slice(),
-    );
+    let delete = RemoteUpdate::Delete {
+        owner,
+        key: key.clone(),
+    };
+    enqueue(manager, broadcaster, route(manager, delete).as_slice());
 }
 
 /// Tell the cluster about one insert and the evictions it caused, as
@@ -132,12 +97,13 @@ pub fn announce(
     inserted: &EntryMeta,
     evicted: &[EntryMeta],
 ) {
-    let deletes = evicted
-        .iter()
-        .filter_map(|victim| route_delete(manager, victim.owner, &victim.key));
-    let notices: Vec<Routed> = route_insert(manager, inserted)
-        .into_iter()
+    let deletes = evicted.iter().map(|victim| RemoteUpdate::Delete {
+        owner: victim.owner,
+        key: victim.key.clone(),
+    });
+    let notices: Vec<Routed> = std::iter::once(RemoteUpdate::Insert(inserted.clone()))
         .chain(deletes)
+        .filter_map(|update| route(manager, update))
         .collect();
     enqueue(manager, broadcaster, &notices);
 }
@@ -177,50 +143,27 @@ impl CacheDaemons {
         cfg: DaemonConfig,
     ) -> io::Result<CacheDaemons> {
         let listener = TcpListener::bind(cfg.listen_addr)?;
-        Self::start_with_listener(listener, manager, broadcaster, cfg.purge_interval)
-    }
-
-    /// Start the daemons on an already-bound listener.
-    ///
-    /// Multi-node deployments bind every node's listener first (to learn
-    /// ephemeral ports), wire up the broadcasters, and only then start the
-    /// daemons — this entry point supports that two-phase bring-up.
-    pub fn start_with_listener(
-        listener: TcpListener,
-        manager: Arc<CacheManager>,
-        broadcaster: Arc<Broadcaster>,
-        purge_interval: Duration,
-    ) -> io::Result<CacheDaemons> {
-        Self::start_with_listener_filtered(listener, manager, broadcaster, purge_interval, None)
-    }
-
-    /// [`start_with_listener`](Self::start_with_listener) with an
-    /// inbound fault hook: the filter is consulted once per accepted
-    /// connection, before any frame is read, so chaos tests can make a
-    /// node unreachable without killing its process.
-    pub fn start_with_listener_filtered(
-        listener: TcpListener,
-        manager: Arc<CacheManager>,
-        broadcaster: Arc<Broadcaster>,
-        purge_interval: Duration,
-        accept_filter: Option<AcceptFilter>,
-    ) -> io::Result<CacheDaemons> {
         Self::start_with_listener_observed(
             listener,
             manager,
             broadcaster,
-            purge_interval,
-            accept_filter,
+            cfg.purge_interval,
+            None,
             None,
         )
     }
 
-    /// [`start_with_listener_filtered`](Self::start_with_listener_filtered)
-    /// plus a telemetry handle. When a `FetchRequest` carries the
-    /// requester's trace id, the owner records its own spans (directory
-    /// lookup, tier probe, store read, reply write) under that same id
-    /// with outcome `owner-serve`, so a remote hit produces correlated
-    /// traces on both nodes.
+    /// Start the daemons on an already-bound listener. Multi-node
+    /// deployments bind every node's listener first (to learn ephemeral
+    /// ports), wire up the broadcasters, and only then start the daemons.
+    ///
+    /// `accept_filter` is an inbound fault hook, consulted once per
+    /// accepted connection before any frame is read, so chaos tests can
+    /// make a node unreachable without killing its process. With
+    /// `telemetry`, a `FetchRequest` carrying the requester's trace id has
+    /// the owner record its own spans (directory lookup, tier probe, store
+    /// read, reply write) under that same id with outcome `owner-serve`,
+    /// so a remote hit produces correlated traces on both nodes.
     pub fn start_with_listener_observed(
         listener: TcpListener,
         manager: Arc<CacheManager>,
@@ -385,8 +328,7 @@ fn handle_connection(
             | Message::InsertNotice { .. }
             | Message::DeleteNotice { .. }
             | Message::Invalidate { .. }
-            | Message::NodeDown { .. }
-            | Message::DirUpdate { .. } => {
+            | Message::NodeDown { .. } => {
                 apply_notices(vec![msg], manager, broadcaster);
             }
             Message::Batch(msgs) => {
@@ -430,10 +372,9 @@ fn handle_connection(
                 }
             }
             Message::DirLookup { key, trace } => {
-                // This node is (the requester believes) the key's home:
-                // answer with the directory's view. The reply reuses the
-                // `DirUpdate` frame — `Some` carries the owner's meta,
-                // `None` means nobody caches the key.
+                // This node is (the requester believes) one of the key's
+                // homes: answer with the directory's entry, which names
+                // the owner, or `None` when nobody caches the key.
                 let mut t = match (telemetry, trace) {
                     (Some(tel), Some(id)) => tel.begin_trace_with_id(id, key.as_str()),
                     _ => Trace::disabled(),
@@ -441,11 +382,11 @@ fn handle_connection(
                 let t0 = t.start_span();
                 let classification = manager.directory().classify(&key);
                 t.end_span(Stage::DirLookup, t0);
-                let (owner, meta) = match classification {
-                    Classification::Local(m) | Classification::Remote(m) => (m.owner, Some(m)),
-                    Classification::NotCached => (manager.local_node(), None),
+                let meta = match classification {
+                    Classification::Local(m) | Classification::Remote(m) => Some(m),
+                    Classification::NotCached => None,
                 };
-                let reply = Message::DirUpdate { owner, key, meta };
+                let reply = Message::DirAnswer { meta };
                 let t0 = t.start_span();
                 let written = write_frame(&mut stream, &reply.encode());
                 t.end_span(Stage::ResponseWrite, t0);
@@ -503,6 +444,7 @@ fn handle_connection(
             // connection rather than guessing.
             Message::FetchHit { .. }
             | Message::FetchMiss
+            | Message::DirAnswer { .. }
             | Message::SyncReply { .. }
             | Message::StatsSnapshot(_)
             | Message::Pong => return,
@@ -519,7 +461,6 @@ fn is_notice(msg: &Message) -> bool {
             | Message::DeleteNotice { .. }
             | Message::Invalidate { .. }
             | Message::NodeDown { .. }
-            | Message::DirUpdate { .. }
     )
 }
 
@@ -529,21 +470,10 @@ fn is_notice(msg: &Message) -> bool {
 /// flushes the run gathered so far and is applied on its own.
 fn apply_notices(msgs: Vec<Message>, manager: &CacheManager, broadcaster: &Broadcaster) {
     let mut run = Vec::with_capacity(msgs.len());
-    let mut dir_updates = 0;
     for msg in msgs {
         match msg {
             Message::InsertNotice { meta } => run.push(RemoteUpdate::Insert(meta)),
             Message::DeleteNotice { owner, key } => run.push(RemoteUpdate::Delete { owner, key }),
-            Message::DirUpdate { owner, key, meta } => {
-                // This node is the key's home: fold the point-to-point
-                // update into the directory (the partitioned replacement
-                // for a broadcast notice).
-                dir_updates += 1;
-                run.push(match meta {
-                    Some(m) => RemoteUpdate::Insert(m),
-                    None => RemoteUpdate::Delete { owner, key },
-                });
-            }
             other => {
                 manager.apply_remote_batch(std::mem::take(&mut run));
                 match other {
@@ -571,7 +501,6 @@ fn apply_notices(msgs: Vec<Message>, manager: &CacheManager, broadcaster: &Broad
         }
     }
     manager.apply_remote_batch(run);
-    CacheStats::add(&manager.stats().dir_updates_received, dir_updates);
 }
 
 #[cfg(test)]
@@ -582,7 +511,9 @@ mod tests {
     use crate::wire::read_frame;
     use std::io::{Read, Write};
     use std::time::Instant;
-    use swala_cache::{CacheKey, CacheManagerConfig, CacheRules, LookupResult, MemStore, NodeId};
+    use swala_cache::{
+        CacheKey, CacheManagerConfig, CacheRules, DirectoryKind, LookupResult, MemStore, NodeId,
+    };
 
     /// One fetch through the production client, nothing pooled.
     fn fetch_once(addr: SocketAddr, key: &CacheKey, timeout: Duration) -> FetchOutcome {
@@ -956,7 +887,7 @@ mod tests {
                 num_nodes: 2,
                 local: NodeId(0),
                 rules,
-                directory: swala_cache::DirectoryKind::Partitioned,
+                directory: DirectoryKind::Partitioned,
                 ..Default::default()
             },
             Box::new(MemStore::new()),
@@ -974,230 +905,146 @@ mod tests {
         (manager, broadcaster, daemons)
     }
 
-    /// Probe the ring until some key maps to the requested home node.
-    fn key_with_home(manager: &CacheManager, home: NodeId) -> CacheKey {
+    /// Probe keys until one has exactly the requested homes.
+    fn key_with_homes(manager: &CacheManager, homes: &[NodeId]) -> CacheKey {
         (0..10_000u32)
             .map(|i| CacheKey::new(format!("/cgi-bin/part?i={i}")))
-            .find(|k| manager.home_node(k) == Some(home))
-            .expect("some probe key maps to the requested home")
+            .find(|k| manager.placement().homes(k) == homes)
+            .expect("some probe key has the requested homes")
     }
 
     #[test]
-    fn dir_update_applies_insert_and_delete() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
-        let link = crate::peers::PeerLink::new(NodeId(1), NodeId(0), daemons.addr());
-        let key = CacheKey::new("/cgi-bin/homed?x=1");
-        let meta = swala_cache::EntryMeta::new(key.clone(), NodeId(1), 8, "t", 1000, None, 1);
-
-        link.send(&Message::DirUpdate {
-            owner: NodeId(1),
-            key: key.clone(),
-            meta: Some(meta),
-        })
-        .unwrap();
-        wait_until(|| manager.directory().len(NodeId(1)) == 1);
-        assert_eq!(manager.stats().snapshot().dir_updates_received, 1);
-
-        link.send(&Message::DirUpdate {
-            owner: NodeId(1),
-            key,
-            meta: None,
-        })
-        .unwrap();
-        wait_until(|| manager.directory().len(NodeId(1)) == 0);
-        assert_eq!(manager.stats().snapshot().dir_updates_received, 2);
-        daemons.shutdown();
-    }
-
-    #[test]
-    fn dir_lookup_replies_with_directory_meta() {
+    fn dir_lookup_answers_with_directory_meta() {
         let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
         let key = CacheKey::new("/cgi-bin/lookup?x=1");
         insert(&manager, &key, b"body");
 
         let mut s = TcpStream::connect(daemons.addr()).unwrap();
-        write_frame(
-            &mut s,
-            &Message::DirLookup {
-                key: key.clone(),
-                trace: None,
-            }
-            .encode(),
-        )
-        .unwrap();
+        write_frame(&mut s, &Message::encode_dir_lookup(&key, None)).unwrap();
         match Message::decode(&read_frame(&mut s).unwrap().unwrap()).unwrap() {
-            Message::DirUpdate {
-                owner,
-                key: k,
-                meta,
-            } => {
-                assert_eq!(owner, NodeId(0));
-                assert_eq!(k, key);
-                assert_eq!(meta.expect("cached key carries meta").owner, NodeId(0));
+            Message::DirAnswer { meta } => {
+                let meta = meta.expect("cached key carries meta");
+                assert_eq!((meta.owner, meta.key), (NodeId(0), key));
             }
             other => panic!("{other:?}"),
         }
 
         // Unknown key: meta is None so the asker falls back to executing.
-        write_frame(
-            &mut s,
-            &Message::DirLookup {
-                key: CacheKey::new("/cgi-bin/absent"),
-                trace: Some(77),
-            }
-            .encode(),
-        )
-        .unwrap();
-        match Message::decode(&read_frame(&mut s).unwrap().unwrap()).unwrap() {
-            Message::DirUpdate { meta, .. } => assert!(meta.is_none()),
-            other => panic!("{other:?}"),
+        let absent = CacheKey::new("/cgi-bin/absent");
+        write_frame(&mut s, &Message::encode_dir_lookup(&absent, Some(77))).unwrap();
+        assert_eq!(
+            Message::decode(&read_frame(&mut s).unwrap().unwrap()).unwrap(),
+            Message::DirAnswer { meta: None }
+        );
+
+        // A reply arriving inbound is a protocol violation: the daemon
+        // closes the connection.
+        write_frame(&mut s, &Message::DirAnswer { meta: None }.encode()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert!(matches!(read_frame(&mut s), Ok(None) | Err(_)));
+        daemons.shutdown();
+    }
+
+    /// The key a routed notice is about.
+    fn notice_key(msg: &Message) -> &CacheKey {
+        match msg {
+            Message::InsertNotice { meta } => &meta.key,
+            Message::DeleteNotice { key, .. } => key,
+            other => panic!("not a directory notice: {other:?}"),
         }
-        daemons.shutdown();
     }
 
     #[test]
-    fn announce_helpers_route_by_home() {
-        let (peer_addr, collector) = collecting_peer();
-        let (manager, broadcaster, daemons) =
-            start_partitioned_node(CacheRules::allow_all(), peer_addr, 60_000);
-        let remote_homed = key_with_home(&manager, NodeId(1));
-        let self_homed = key_with_home(&manager, NodeId(0));
-
-        let meta = EntryMeta::new(remote_homed.clone(), NodeId(0), 4, "t", 1000, None, 1);
-        announce_insert(&manager, &broadcaster, &meta);
-        // Home is local: the directory insert already recorded it, no wire
-        // traffic at all.
-        let local_meta = EntryMeta::new(self_homed, NodeId(0), 4, "t", 1000, None, 2);
-        announce_insert(&manager, &broadcaster, &local_meta);
-        announce_delete(&manager, &broadcaster, NodeId(0), &remote_homed);
-
-        let snap = manager.stats().snapshot();
-        assert_eq!(snap.dir_updates_sent, 2);
-        assert_eq!(snap.broadcasts_sent, 0);
-
-        assert!(broadcaster.flush(Duration::from_secs(5)));
-        daemons.shutdown();
-        broadcaster.shutdown();
-        let msgs = collector.join().unwrap();
-        assert_eq!(
-            msgs,
-            vec![
-                Message::Hello { node: NodeId(0) },
-                Message::DirUpdate {
-                    owner: NodeId(0),
-                    key: remote_homed.clone(),
-                    meta: Some(meta),
+    fn announce_reaches_exactly_the_other_homes() {
+        // Three nodes, this one and two collecting peers: every insert
+        // and eviction notice reaches each of its key's homes but this
+        // node, in announce order, as the same InsertNotice/DeleteNotice
+        // frames under both directory organizations.
+        for directory in [DirectoryKind::Replicated, DirectoryKind::Partitioned] {
+            let peers = [collecting_peer(), collecting_peer()];
+            let manager = CacheManager::new(
+                CacheManagerConfig {
+                    num_nodes: 3,
+                    local: NodeId(0),
+                    directory,
+                    ..Default::default()
                 },
-                Message::DirUpdate {
-                    owner: NodeId(0),
-                    key: remote_homed,
-                    meta: None,
-                },
-            ]
-        );
+                Box::new(MemStore::new()),
+            );
+            let broadcaster = Broadcaster::new(
+                NodeId(0),
+                [(NodeId(1), peers[0].0), (NodeId(2), peers[1].0)],
+            );
+            let meta = |i: u64| {
+                let key = CacheKey::new(format!("/cgi-bin/homes?i={i}"));
+                EntryMeta::new(key, NodeId(0), 4, "t", 1000, None, i)
+            };
+            let delete = |m: &EntryMeta| Message::DeleteNotice {
+                owner: m.owner,
+                key: m.key.clone(),
+            };
+            let mut announced = Vec::new();
+            for i in 0..16 {
+                let (inserted, evicted) = (meta(3 * i), [meta(3 * i + 1), meta(3 * i + 2)]);
+                announce(&manager, &broadcaster, &inserted, &evicted);
+                announced.push(Message::InsertNotice { meta: inserted });
+                announced.extend(evicted.iter().map(delete));
+            }
+            let (lone_insert, lone_delete) = (meta(100), meta(101));
+            announce_insert(&manager, &broadcaster, &lone_insert);
+            announce_delete(&manager, &broadcaster, NodeId(0), &lone_delete.key);
+            announced.push(Message::InsertNotice { meta: lone_insert });
+            announced.push(delete(&lone_delete));
+            assert!(broadcaster.flush(Duration::from_secs(5)));
+            broadcaster.shutdown();
+
+            let homes = |msg: &Message| manager.placement().homes(notice_key(msg)).to_vec();
+            for (peer, (_, collector)) in [NodeId(1), NodeId(2)].into_iter().zip(peers) {
+                let expected: Vec<Message> = std::iter::once(Message::Hello { node: NodeId(0) })
+                    .chain(
+                        announced
+                            .iter()
+                            .filter(|m| homes(m).contains(&peer))
+                            .cloned(),
+                    )
+                    .collect();
+                assert!(
+                    expected.len() > 1,
+                    "{directory:?}: {peer} is some key's home"
+                );
+                assert_eq!(collector.join().unwrap(), expected, "{directory:?} {peer}");
+            }
+            // One count per notice that left this node, whatever its
+            // fan-out; a notice homed only here is not sent at all.
+            let sent = announced.iter().filter(|m| homes(m) != [NodeId(0)]).count();
+            assert_eq!(
+                manager.stats().snapshot().broadcasts_sent,
+                sent as u64,
+                "{directory:?}"
+            );
+            if directory == DirectoryKind::Replicated {
+                assert_eq!(sent, announced.len());
+            } else {
+                assert!(sent < announced.len(), "some key is homed here");
+            }
+        }
     }
 
     #[test]
-    fn announce_sends_an_insert_and_its_evictions_as_one_enqueue() {
-        // Partitioned: the insert and the remote-homed eviction go to the
-        // home in order; the self-homed eviction is a local directory
-        // write and no traffic.
-        let (peer_addr, collector) = collecting_peer();
-        let (manager, broadcaster, daemons) =
-            start_partitioned_node(CacheRules::allow_all(), peer_addr, 60_000);
-        let inserted = EntryMeta::new(
-            key_with_home(&manager, NodeId(1)),
-            NodeId(0),
-            4,
-            "t",
-            1000,
-            None,
-            1,
-        );
-        let self_homed = EntryMeta::new(
-            key_with_home(&manager, NodeId(0)),
-            NodeId(0),
-            4,
-            "t",
-            1000,
-            None,
-            2,
-        );
-        let remote_homed = EntryMeta::new(
-            CacheKey::new(format!("{}&again", inserted.key)),
-            NodeId(0),
-            4,
-            "t",
-            1000,
-            None,
-            3,
-        );
-        let evicted = [self_homed, remote_homed];
-        let expected: Vec<Message> = std::iter::once(Message::Hello { node: NodeId(0) })
-            .chain(std::iter::once(Message::DirUpdate {
-                owner: NodeId(0),
-                key: inserted.key.clone(),
-                meta: Some(inserted.clone()),
-            }))
-            .chain(
-                evicted
-                    .iter()
-                    .filter(|v| manager.home_node(&v.key) == Some(NodeId(1)))
-                    .map(|v| Message::DirUpdate {
-                        owner: NodeId(0),
-                        key: v.key.clone(),
-                        meta: None,
-                    }),
-            )
-            .collect();
-        announce(&manager, &broadcaster, &inserted, &evicted);
-        let snap = manager.stats().snapshot();
-        assert_eq!(snap.dir_updates_sent, expected.len() as u64 - 1);
-        assert_eq!(snap.broadcasts_sent, 0);
-        assert!(broadcaster.flush(Duration::from_secs(5)));
-        daemons.shutdown();
-        broadcaster.shutdown();
-        assert_eq!(collector.join().unwrap(), expected);
-
-        // Replicated: both notices are broadcasts, counted per notice.
-        let (peer_addr, collector) = collecting_peer();
-        let (manager, _daemons) = start_node(CacheRules::allow_all(), 60_000);
-        let broadcaster = Broadcaster::new(NodeId(0), [(NodeId(1), peer_addr)]);
-        announce(&manager, &broadcaster, &inserted, &evicted[..1]);
-        assert_eq!(manager.stats().snapshot().broadcasts_sent, 2);
-        assert!(broadcaster.flush(Duration::from_secs(5)));
-        broadcaster.shutdown();
-        assert_eq!(
-            collector.join().unwrap(),
-            vec![
-                Message::Hello { node: NodeId(0) },
-                Message::InsertNotice {
-                    meta: inserted.clone()
-                },
-                Message::DeleteNotice {
-                    owner: NodeId(0),
-                    key: evicted[0].key.clone(),
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn partitioned_purge_sends_dir_update_to_home() {
+    fn partitioned_purge_sends_delete_notice_to_home() {
         let (peer_addr, collector) = collecting_peer();
         let rules = CacheRules::parse("cache * ttl=1\n").unwrap();
         let (manager, broadcaster, daemons) = start_partitioned_node(rules, peer_addr, 50);
-        let key = key_with_home(&manager, NodeId(1));
+        let key = key_with_homes(&manager, &[NodeId(1)]);
         insert(&manager, &key, b"short-lived");
         // Backdate expiry instead of sleeping out the 1-second TTL.
         let mut meta = manager.directory().get(NodeId(0), &key).unwrap();
         meta.expires_unix = Some(1);
         manager.directory().insert(NodeId(0), meta);
 
-        wait_until(|| manager.stats().snapshot().expirations == 1);
-        let snap = manager.stats().snapshot();
-        assert_eq!(snap.dir_updates_sent, 1);
-        assert_eq!(snap.broadcasts_sent, 0);
+        // The purge counts the expiration before it announces it.
+        wait_until(|| manager.stats().snapshot().broadcasts_sent == 1);
+        assert_eq!(manager.stats().snapshot().expirations, 1);
 
         assert!(broadcaster.flush(Duration::from_secs(5)));
         daemons.shutdown();
@@ -1207,10 +1054,9 @@ mod tests {
             msgs,
             vec![
                 Message::Hello { node: NodeId(0) },
-                Message::DirUpdate {
+                Message::DeleteNotice {
                     owner: NodeId(0),
                     key,
-                    meta: None,
                 },
             ]
         );

@@ -21,10 +21,12 @@ const TAG_PONG: u8 = 0x0a;
 const TAG_INVALIDATE: u8 = 0x0b;
 const TAG_BATCH: u8 = 0x0c;
 const TAG_NODE_DOWN: u8 = 0x0d;
-const TAG_DIR_UPDATE: u8 = 0x0e;
+// 0x0e is retired, not reused: a frame still carrying it is rejected as
+// an unknown tag rather than misread.
 const TAG_DIR_LOOKUP: u8 = 0x0f;
 const TAG_STATS_PULL: u8 = 0x10;
 const TAG_STATS_SNAPSHOT: u8 = 0x11;
+const TAG_DIR_ANSWER: u8 = 0x12;
 
 /// Metric-kind bytes inside a [`Message::StatsSnapshot`] payload.
 const KIND_COUNTER: u8 = 0;
@@ -53,7 +55,8 @@ pub enum Message {
         node: NodeId,
     },
     /// "I just cached this" — apply to the sender's table (§4.2:
-    /// broadcast on every insert, applied asynchronously).
+    /// sent on every insert to each of the key's other homes, applied
+    /// asynchronously).
     InsertNotice {
         meta: EntryMeta,
     },
@@ -108,22 +111,13 @@ pub enum Message {
     /// a `Batch` is a protocol violation, as is batching any message that
     /// requires a reply (fetch/sync/ping).
     Batch(Vec<Message>),
-    /// Partitioned-directory state for one key, two roles:
-    ///
-    /// * sent point-to-point to the key's home node as a fire-and-forget
-    ///   notice — `meta: Some` upserts the owner's entry, `None` deletes
-    ///   it (the partitioned replacement for the insert/delete
-    ///   broadcast);
-    /// * sent back as the reply to a [`Message::DirLookup`] — `Some` is
-    ///   the home's view of where the key lives, `None` means nobody
-    ///   caches it.
-    DirUpdate {
-        owner: NodeId,
-        key: CacheKey,
+    /// Reply to a [`Message::DirLookup`]: the home's entry for the key
+    /// (naming its owner), or `None` when nobody caches it.
+    DirAnswer {
         meta: Option<EntryMeta>,
     },
     /// "You are this key's home node: who caches it?" Answered with a
-    /// [`Message::DirUpdate`]. `trace` follows the same optional-trailer
+    /// [`Message::DirAnswer`]. `trace` follows the same optional-trailer
     /// convention as `FetchRequest`. Requires a reply, so it is illegal
     /// inside a `Batch`.
     DirLookup {
@@ -203,10 +197,8 @@ impl Message {
                     put_bytes(&mut buf, &m.encode());
                 }
             }
-            Message::DirUpdate { owner, key, meta } => {
-                buf.put_u8(TAG_DIR_UPDATE);
-                buf.put_u16(owner.0);
-                put_string(&mut buf, key.as_str());
+            Message::DirAnswer { meta } => {
+                buf.put_u8(TAG_DIR_ANSWER);
                 match meta {
                     Some(m) => {
                         buf.put_u8(1);
@@ -301,15 +293,12 @@ impl Message {
                 }
                 Message::Batch(msgs)
             }
-            TAG_DIR_UPDATE => {
-                let owner = NodeId(get_u16(&mut r)?);
-                let key = CacheKey::new(get_string(&mut r)?);
-                let meta = match get_u8(&mut r)? {
+            TAG_DIR_ANSWER => Message::DirAnswer {
+                meta: match get_u8(&mut r)? {
                     0 => None,
                     _ => Some(decode_meta(&mut r)?),
-                };
-                Message::DirUpdate { owner, key, meta }
-            }
+                },
+            },
             TAG_DIR_LOOKUP => {
                 let key = CacheKey::new(get_string(&mut r)?);
                 let trace = if r.is_empty() {
@@ -613,16 +602,10 @@ mod tests {
                 key: CacheKey::new("/cgi-bin/stale?x=1"),
             },
             Message::NodeDown { node: NodeId(9) },
-            Message::DirUpdate {
-                owner: NodeId(3),
-                key: CacheKey::new("/cgi-bin/adl?id=42&ms=1000"),
+            Message::DirAnswer {
                 meta: Some(sample_meta()),
             },
-            Message::DirUpdate {
-                owner: NodeId(3),
-                key: CacheKey::new("/cgi-bin/adl?id=42&ms=1000"),
-                meta: None,
-            },
+            Message::DirAnswer { meta: None },
             Message::DirLookup {
                 key: CacheKey::new("/cgi-bin/z?q=3"),
                 trace: None,
@@ -741,16 +724,22 @@ mod tests {
     }
 
     #[test]
-    fn truncated_dir_update_rejected() {
-        let full = Message::DirUpdate {
-            owner: NodeId(2),
-            key: CacheKey::new("/cgi-bin/p?x=9"),
+    fn truncated_dir_answer_rejected() {
+        let full = Message::DirAnswer {
             meta: Some(sample_meta()),
         }
         .encode();
         for cut in [1, 3, 8, full.len() / 2, full.len() - 1] {
             assert!(Message::decode(&full[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn retired_dir_update_tag_is_unknown() {
+        assert!(matches!(
+            Message::decode(&[0x0e, 0, 1]),
+            Err(ProtoError::UnknownTag(0x0e))
+        ));
     }
 
     #[test]

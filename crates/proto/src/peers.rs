@@ -719,9 +719,8 @@ impl Broadcaster {
     /// threads, and drops are recorded in the per-link counters
     /// (asynchronous weak consistency, §4.2).
     ///
-    /// Zero-recipient fast path: with no links (single-node cluster, or
-    /// partitioned mode keeping its notices point-to-point) the call
-    /// returns before encoding anything.
+    /// Zero-recipient fast path: with no links (single-node cluster) the
+    /// call returns before encoding anything.
     pub fn broadcast(&self, msg: &Message) -> usize {
         if self.links.is_empty() {
             return 0;
@@ -733,30 +732,18 @@ impl Broadcaster {
             .count()
     }
 
-    /// Queue `msg` to exactly one peer — the partitioned directory's
-    /// home-node update path, which bypasses the broadcast fan-out.
-    ///
-    /// The link is located *before* the message is encoded, so a
-    /// recipient this node has no link to (itself, or an out-of-cluster
-    /// id) costs nothing. Returns `false` when no such link exists or
-    /// the link is shut down.
-    pub fn send_to(&self, peer: NodeId, msg: &Message) -> bool {
-        let Some(link) = self.links.iter().find(|l| l.peer() == peer) else {
-            return false;
-        };
-        link.enqueue_frame(msg.encode().into())
-    }
-
-    /// Queue several notices at once, each addressed to one peer
-    /// (`Some`) or to every peer (`None`): each message is encoded once,
-    /// and each link's queue is locked once (its writer woken only if
-    /// parked) for everything that link receives. Order within a link is the slice's
-    /// order. An insert and the evictions it caused go out this way.
-    pub fn enqueue(&self, notices: &[(Option<NodeId>, Message)]) {
+    /// Queue several notices at once, each addressed to the nodes it
+    /// names — the linked peers among them; a node this broadcaster has
+    /// no link to (itself, or an out-of-cluster id) gets nothing. Each
+    /// message is encoded once, and each link's queue is locked once (its
+    /// writer woken only if parked) for everything that link receives.
+    /// Order within a link is the slice's order. An insert and the
+    /// evictions it caused go out this way.
+    pub fn enqueue(&self, notices: &[(&[NodeId], Message)]) {
         if self.links.is_empty() {
             return;
         }
-        let frames: Vec<(Option<NodeId>, Arc<[u8]>)> = notices
+        let frames: Vec<(&[NodeId], Arc<[u8]>)> = notices
             .iter()
             .map(|(to, msg)| (*to, msg.encode().into()))
             .collect();
@@ -764,7 +751,7 @@ impl Broadcaster {
             link.enqueue_frames(
                 frames
                     .iter()
-                    .filter(|(to, _)| to.is_none_or(|peer| peer == link.peer()))
+                    .filter(|(to, _)| to.contains(&link.peer()))
                     .map(|(_, frame)| Arc::clone(frame)),
             );
         }
@@ -1005,14 +992,6 @@ mod tests {
         Message::Hello { node: NodeId(i) }
     }
 
-    fn dir_update(i: u16) -> Message {
-        Message::DirUpdate {
-            owner: NodeId(0),
-            key: swala_cache::CacheKey::new(format!("/cgi-bin/adl?id={i}")),
-            meta: None,
-        }
-    }
-
     #[test]
     fn spaced_enqueues_all_go_out_at_once() {
         let (addr, handle) = collecting_listener(1);
@@ -1040,18 +1019,18 @@ mod tests {
     }
 
     /// A burst handed to a busy link: no wake-up, one `Batch` frame, order
-    /// kept — for broadcast notices and for partitioned `DirUpdate`s
-    /// alike, since both ride the same link.
-    fn burst_on_busy_link(msg: fn(u16) -> Message, send: fn(&Broadcaster, &Message)) {
+    /// kept — for broadcast notices and for notices addressed to chosen
+    /// peers alike, since both ride the same link.
+    fn burst_on_busy_link(send: fn(&Broadcaster, Message)) {
         const N: u16 = 40;
         let (addr, handle) = collecting_listener(1);
         let (cfg, gate) = gated_config();
         let b = Broadcaster::with_config(NodeId(0), [(NodeId(1), addr)], cfg);
         wait_until("writer parked", || b.links[0].parked());
-        send(&b, &msg(0)); // finds the link idle: the one wake-up
+        send(&b, numbered(0)); // finds the link idle: the one wake-up
         gate.wait_entered(); // writer took it and is busy, not parked
         for i in 1..=N {
-            send(&b, &msg(i));
+            send(&b, numbered(i));
         }
         let st = &b.link_stats()[0];
         assert_eq!((st.wakeups, st.queued), (1, N as usize), "pushes only");
@@ -1066,23 +1045,21 @@ mod tests {
         let (msgs, batches) = handle.join().unwrap();
         assert_eq!(batches, 1, "the burst left as one Batch frame");
         let expected: Vec<Message> = std::iter::once(Message::Hello { node: NodeId(0) })
-            .chain((0..=N).map(msg))
+            .chain((0..=N).map(numbered))
             .collect();
         assert_eq!(msgs, expected);
     }
 
     #[test]
     fn burst_on_busy_link_is_one_batch_and_no_wakeup() {
-        burst_on_busy_link(numbered, |b, m| {
-            assert_eq!(b.broadcast(m), 1);
+        burst_on_busy_link(|b, m| {
+            assert_eq!(b.broadcast(&m), 1);
         });
     }
 
     #[test]
-    fn partitioned_dir_updates_are_paced_identically() {
-        burst_on_busy_link(dir_update, |b, m| {
-            assert!(b.send_to(NodeId(1), m));
-        });
+    fn addressed_notices_are_paced_identically() {
+        burst_on_busy_link(|b, m| b.enqueue(&[(&[NodeId(1)], m)]));
     }
 
     #[test]
@@ -1435,17 +1412,18 @@ mod tests {
     }
 
     #[test]
-    fn send_to_targets_exactly_one_peer() {
+    fn enqueue_reaches_exactly_the_named_peers() {
         // Peer 1 must stay silent, so its listener expects zero
         // connections (links dial lazily, on first delivery).
         let (addr_a, ha) = collecting_listener(0);
         let (addr_b, hb) = collecting_listener(1);
         let b = Broadcaster::new(NodeId(0), [(NodeId(1), addr_a), (NodeId(2), addr_b)]);
-        assert!(b.send_to(NodeId(2), &Message::Ping));
-        // Unknown peer (including the local node): nothing queued, no
-        // encode — the call just reports false.
-        assert!(!b.send_to(NodeId(0), &Message::Ping));
-        assert!(!b.send_to(NodeId(9), &Message::Ping));
+        // Nodes without a link (the local node, an out-of-cluster id)
+        // get nothing.
+        b.enqueue(&[
+            (&[NodeId(0), NodeId(2), NodeId(9)], Message::Ping),
+            (&[NodeId(0)], Message::Pong),
+        ]);
         assert!(b.flush(Duration::from_secs(5)));
         let stats = b.link_stats();
         assert_eq!(stats[0].sent, 0, "peer 1 heard nothing");

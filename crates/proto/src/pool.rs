@@ -305,11 +305,11 @@ impl FetchPool {
         Ok(reply)
     }
 
-    /// One pooled directory-lookup exchange (partitioned mode): ask
-    /// `peer` — the key's home node — who currently caches `key`.
-    /// Returns the home's authoritative answer: the advertised owner and
-    /// `Some(meta)` when the key is cached somewhere, `None` when the
-    /// home has no record (the asker should execute locally).
+    /// One pooled directory-lookup exchange: ask `peer` — one of the
+    /// key's homes — who currently caches `key`. Returns the home's
+    /// authoritative answer: the entry (naming its owner) when the key is
+    /// cached somewhere, `None` when the home has no record (the asker
+    /// should execute locally).
     ///
     /// Single attempt, with the pool's usual stale-drop-then-redial
     /// inside it; a transport failure maps to `Err` so the caller can
@@ -322,7 +322,7 @@ impl FetchPool {
         key: &CacheKey,
         timeout: Duration,
         trace: Option<u64>,
-    ) -> Result<(NodeId, Option<swala_cache::EntryMeta>), String> {
+    ) -> Result<Option<swala_cache::EntryMeta>, String> {
         self.with_conn(peer, addr, timeout, |conn| {
             dir_lookup_on(conn, key, timeout, trace)
         })
@@ -423,16 +423,16 @@ fn fetch_on(
 }
 
 /// One directory-lookup request/reply exchange on an established
-/// connection. The reply reuses the [`Message::DirUpdate`] shape.
+/// connection.
 fn dir_lookup_on(
     conn: &mut Conn,
     key: &CacheKey,
     timeout: Duration,
     trace: Option<u64>,
-) -> Result<(NodeId, Option<swala_cache::EntryMeta>), ProtoError> {
+) -> Result<Option<swala_cache::EntryMeta>, ProtoError> {
     let request = Message::encode_dir_lookup(key, trace);
     match exchange(conn, timeout, &request, "dir-lookup reply")? {
-        Message::DirUpdate { owner, meta, .. } => Ok((owner, meta)),
+        Message::DirAnswer { meta } => Ok(meta),
         other => Err(unexpected("dir-lookup reply", other)),
     }
 }
@@ -458,7 +458,7 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
-    use swala_cache::CacheKey;
+    use swala_cache::{CacheKey, EntryMeta};
 
     /// Fetch server that answers any number of requests per connection
     /// (like the real daemon) and counts accepted connections.
@@ -800,7 +800,7 @@ mod tests {
         assert!(pool.stats().coalesce_leads >= 1);
     }
 
-    /// Server answering `DirLookup` with a fixed-owner `DirUpdate`, any
+    /// Server answering `DirLookup` with an entry owned by `owner`, any
     /// number of exchanges per connection (like the real daemon).
     fn dir_lookup_server(owner: NodeId) -> (SocketAddr, Arc<AtomicU32>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -815,10 +815,8 @@ mod tests {
                     while let Ok(Some(frame)) = read_frame(&mut s) {
                         match Message::decode(&frame) {
                             Ok(Message::DirLookup { key, .. }) => {
-                                let reply = Message::DirUpdate {
-                                    owner,
-                                    key,
-                                    meta: None,
+                                let reply = Message::DirAnswer {
+                                    meta: Some(EntryMeta::new(key, owner, 1, "t", 1, None, 1)),
                                 };
                                 if write_frame(&mut s, &reply.encode()).is_err() {
                                     return;
@@ -847,7 +845,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            assert_eq!(answer, (NodeId(2), None));
+            assert_eq!(answer.map(|meta| meta.owner), Some(NodeId(2)));
         }
         let s = pool.stats();
         assert_eq!(s.connects_opened, 1);

@@ -12,20 +12,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use swala_cache::{
-    CacheDirectory, CacheKey, Classification, DirectoryKind, EntryMeta, HashRing, NodeId,
-    RemoteUpdate,
+    CacheDirectory, CacheKey, Classification, EntryMeta, NodeId, Placement, RemoteUpdate,
 };
 use swala_workload::{RequestKind, Trace};
 
-/// The key `update` names and its payload-byte estimate per message,
-/// mirroring the live wire format: the key itself plus the framing/meta
-/// overhead of a `DirUpdate` (inserts carry `EntryMeta`, deletes only
-/// the key).
-fn key_and_bytes(update: &RemoteUpdate) -> (&CacheKey, u64) {
-    match update {
-        RemoteUpdate::Insert(meta) => (&meta.key, meta.key.as_str().len() as u64 + 48),
-        RemoteUpdate::Delete { key, .. } => (key, key.as_str().len() as u64 + 16),
-    }
+/// A payload-byte estimate per message for `update`: the key itself plus
+/// a fixed allowance for the rest of the `InsertNotice` (which carries
+/// the entry's metadata) or `DeleteNotice` (owner and key only). The
+/// allowance is the estimate the sim tables were produced with, not the
+/// live encoding's exact size.
+fn notice_bytes(update: &RemoteUpdate) -> u64 {
+    let overhead = match update {
+        RemoteUpdate::Insert(_) => 48,
+        RemoteUpdate::Delete { .. } => 16,
+    };
+    update.key().as_str().len() as u64 + overhead
 }
 
 /// Replay `trace` through a simulated cluster.
@@ -47,11 +48,9 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
     // One delay for every notice keeps the queue sorted by due time.
     let mut pending: VecDeque<(u64, usize, RemoteUpdate)> = VecDeque::new();
     let mut result = SimResult::default();
-    // Partitioned mode uses the same ring as the live cluster (same
-    // hash, same virtual-node count), so simulated key placement is
-    // exactly the live placement.
-    let ring = (cfg.cooperative && cfg.directory == DirectoryKind::Partitioned)
-        .then(|| HashRing::with_members((0..cfg.nodes as u16).map(NodeId), cfg.ring_vnodes));
+    // The live cluster's placement rule (same ring, same virtual-node
+    // count), so simulated key placement is exactly the live placement.
+    let placement = Placement::new(cfg.directory, cfg.nodes, cfg.ring_vnodes);
     let mut route_rng = match cfg.routing {
         Routing::Random(seed) => Some(StdRng::seed_from_u64(seed)),
         Routing::RoundRobin => None,
@@ -86,17 +85,17 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
             continue;
         }
 
-        // Remote hit (cooperative only)? Replicated nodes consult their
-        // own replica; partitioned ones ask the key's home (one lookup
-        // round-trip when that is not the requester itself — the home
-        // answers from its own table or those of the owners it heard of).
+        // Remote hit (cooperative only)? A node that is one of the key's
+        // homes answers from its own table; any other asks a home (one
+        // lookup round-trip), which answers from its table of the owners
+        // it heard of.
         if cfg.cooperative {
-            let (asked, answer) = match ring.as_ref().map(|ring| ring.home(&key)) {
-                Some(home) if home != me => {
-                    result.dir_lookups += 1;
-                    (home.index(), dirs[home.index()].classify(&key))
-                }
-                _ => (here, local),
+            let homes = placement.homes(&key);
+            let (asked, answer) = if homes.contains(&me) {
+                (here, local)
+            } else {
+                result.dir_lookups += 1;
+                (homes[0].index(), dirs[homes[0].index()].classify(&key))
             };
             match answer {
                 Classification::Local(meta) | Classification::Remote(meta) => {
@@ -137,22 +136,21 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
             continue;
         }
 
-        // Notify: replicated sends each update to every peer (N−1
-        // messages), partitioned to the key's home only (one, or none
-        // when the sender is the home — its own table is already the
-        // authoritative copy).
+        // Notify each of the key's homes but this node: every peer when
+        // replicated (N−1 messages), the key's home when partitioned (one,
+        // or none when the sender is the home — its own table is already
+        // the authoritative copy).
         let due = t + 1 + cfg.broadcast_delay;
         let deletes = evicted.into_iter().map(|victim| RemoteUpdate::Delete {
             owner: me,
             key: victim.key,
         });
         for update in std::iter::once(RemoteUpdate::Insert(meta)).chain(deletes) {
-            let (key, bytes) = key_and_bytes(&update);
-            let home = ring.as_ref().map(|ring| ring.home(key).index());
-            for to in (0..cfg.nodes).filter(|&i| i != here && home.is_none_or(|h| h == i)) {
+            let bytes = notice_bytes(&update);
+            for &to in placement.homes(update.key()).iter().filter(|&&n| n != me) {
                 result.dir_update_msgs += 1;
                 result.dir_update_bytes += bytes;
-                pending.push_back((due, to, update.clone()));
+                pending.push_back((due, to.index(), update.clone()));
             }
         }
     }

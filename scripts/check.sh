@@ -46,6 +46,15 @@ cargo test -q --release -p swala-proto --lib peers::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test remote_batch
 
+echo "==> one placement rule (Placement proptest + announce routing, pinned seed)"
+# Replicated homes are every member, partitioned homes the ring
+# successor, and a node's miss is authoritative exactly at a key's home
+# (2048 cases, pinned seed); then every announced notice reaches exactly
+# the key's other homes, in order, under both directory organizations.
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-cache --test placement
+cargo test -q --release -p swala-proto --lib daemon::tests::announce_reaches_exactly_the_other_homes
+
 echo "==> request path at the syscall floor (reader, request loop, allocation budget; release)"
 # Counter-based, no clocks: one read per request / frame, idle vs stall,
 # every split point against read_frame / try_parse_request as oracles

@@ -203,7 +203,7 @@ fn unreachable_home_degrades_to_local_execution() {
     // Find a key whose home is node 1 (the node we are about to kill).
     let target = (0..10_000)
         .map(|i| format!("/cgi-bin/adl?id=h{i}&ms=0"))
-        .find(|t| manager.home_node(&CacheKey::new(t)) == Some(NodeId(1)))
+        .find(|t| manager.placement().homes(&CacheKey::new(t)) == [NodeId(1)])
         .expect("some key is homed at node 1");
 
     let mut nodes = cluster.into_nodes().into_iter();
