@@ -10,7 +10,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use swala::{HttpClient, ProgramRegistry, ServerOptions, SwalaServer};
 use swala_baseline::ForkedCgi;
-use swala_bench::servers::custom_cluster;
 use swala_cgi::null_cgi;
 use swala_sim::{simulate, SimConfig};
 use swala_workload::{
@@ -69,18 +68,17 @@ fn bench_fig3_nullcgi(c: &mut Criterion) {
     )
     .unwrap();
     // Two-node cached pair, node 0 warmed.
-    let pair = custom_cluster(
-        2,
-        |_| ServerOptions {
-            pool_size: 4,
-            ..Default::default()
-        },
-        |_| {
-            let mut r = ProgramRegistry::new();
-            r.register(ForkedCgi::wrap(Arc::new(null_cgi())));
-            r
-        },
-    )
+    let pair = swala::start_cluster(2, |_| {
+        let mut r = ProgramRegistry::new();
+        r.register(ForkedCgi::wrap(Arc::new(null_cgi())));
+        (
+            ServerOptions {
+                pool_size: 4,
+                ..Default::default()
+            },
+            r,
+        )
+    })
     .unwrap();
     HttpClient::new(pair[0].http_addr())
         .get("/cgi-bin/nullcgi")

@@ -26,7 +26,7 @@ use crate::report::{fmt_ms, TableReport};
 use crate::scale;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
-use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
+use swala::{BoundSwala, HttpClient, ServerOptions};
 use swala_cache::{CacheKey, EntryMeta, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_proto::{Broadcaster, LinkStats, Message, NOTICE_PACE, NOTICE_PACE_MAX};
@@ -105,26 +105,26 @@ fn live_insert_mean(
         )));
         r
     }
-    let options = |node: u16| ServerOptions {
-        node: NodeId(node),
-        num_nodes: 2,
+    let options = ServerOptions {
         pool_size: 4,
-        sync_on_join: false,
         ..Default::default()
     };
-    let mut servers: Vec<SwalaServer> = Vec::new();
-    let node0 = if dead_peer {
-        BoundSwala::bind(options(0), registry())
-            .and_then(|b| b.start(vec![None, Some(dead_addr())]))
-            .expect("start node")
+    let servers = if dead_peer {
+        // Wired by hand: node 1's slot holds an address nothing serves.
+        let node0 = BoundSwala::bind(
+            ServerOptions {
+                num_nodes: 2,
+                ..options
+            },
+            registry(),
+        )
+        .and_then(|b| b.start(vec![None, Some(dead_addr())]))
+        .expect("start node");
+        vec![node0]
     } else {
-        let b0 = BoundSwala::bind(options(0), registry()).expect("bind");
-        let b1 = BoundSwala::bind(options(1), registry()).expect("bind");
-        let addrs = vec![Some(b0.cache_addr()), Some(b1.cache_addr())];
-        let n0 = b0.start(addrs.clone()).expect("start node");
-        servers.push(b1.start(addrs).expect("start peer"));
-        n0
+        swala::start_cluster(2, |_| (options.clone(), registry())).expect("start pair")
     };
+    let node0 = &servers[0];
     let mut client = HttpClient::new(node0.http_addr());
     // Warm the connection and the pool.
     for n in 0..requests / 10 {
@@ -143,7 +143,6 @@ fn live_insert_mean(
     }
     drop(client);
     let miss_hist = node0.telemetry().outcome_snapshot(swala_obs::Outcome::Miss);
-    node0.shutdown();
     for s in servers {
         s.shutdown();
     }

@@ -23,7 +23,7 @@ use crate::report::{fmt_ms, TableReport};
 use crate::scale;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cache::NodeId;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
@@ -65,9 +65,12 @@ struct LocalOutcome {
 fn local_burst(coalesce: bool, work_ms: u64) -> LocalOutcome {
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 1,
-        pool_size: BURST + 2,
         work: WorkKind::Sleep,
-        coalesce,
+        node: ServerOptions {
+            pool_size: BURST + 2,
+            coalesce,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("start cluster");
@@ -96,10 +99,13 @@ fn remote_burst(coalesce: bool, work_ms: u64, dial_delay: Duration) -> FetchOutc
     let inj = FaultInjector::seeded(42);
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        pool_size: BURST + 2,
         work: WorkKind::Sleep,
-        coalesce,
-        faults: Some(Arc::clone(&inj)),
+        node: ServerOptions {
+            pool_size: BURST + 2,
+            coalesce,
+            faults: Some(Arc::clone(&inj)),
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("start cluster");

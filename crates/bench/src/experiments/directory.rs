@@ -24,7 +24,6 @@
 
 use crate::report::TableReport;
 use crate::scale;
-use crate::servers::custom_cluster;
 use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::DirectoryKind;
@@ -93,16 +92,16 @@ fn await_convergence(servers: &[SwalaServer], expected: usize) {
 }
 
 fn run_mode(directory: DirectoryKind, nodes: usize, inserts: usize) -> ModeRun {
-    let servers = custom_cluster(
-        nodes,
-        |_| ServerOptions {
-            pool_size: 2,
-            sync_on_join: false,
-            directory,
-            ..Default::default()
-        },
-        |_| registry(),
-    )
+    let servers = swala::start_cluster(nodes, |_| {
+        (
+            ServerOptions {
+                pool_size: 2,
+                directory,
+                ..Default::default()
+            },
+            registry(),
+        )
+    })
     .expect("start cluster");
     let mut clients: Vec<HttpClient> = servers
         .iter()

@@ -13,7 +13,7 @@ use crate::report::{fmt_ms, TableReport};
 use crate::scale;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cache::NodeId;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
@@ -40,11 +40,14 @@ fn drive(flapping: bool, requests: usize, num_targets: usize, seed: u64) -> Outc
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 4,
         work: WorkKind::Sleep,
-        faults: Some(Arc::clone(&inj)),
-        fetch_retries: 2,
-        fetch_backoff: Duration::from_millis(2),
-        quarantine_after: 3,
-        probe_interval: Duration::from_millis(250),
+        node: ServerOptions {
+            faults: Some(Arc::clone(&inj)),
+            fetch_retries: 2,
+            fetch_backoff: Duration::from_millis(2),
+            quarantine_after: 3,
+            probe_interval: Duration::from_millis(250),
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("cluster");

@@ -9,7 +9,7 @@
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
-use crate::servers::{custom_cluster, forked_registry};
+use crate::servers::forked_registry;
 use swala::{ServerOptions, SwalaServer};
 use swala_baseline::{ForkingServer, ThreadedServer};
 use swala_workload::LoadGenerator;
@@ -62,14 +62,15 @@ pub fn run() -> TableReport {
     // Swala, remote fetch: warm node 0, load node 1 (§5.1: "The cache on
     // the first node is initially warmed with the CGI request, and then
     // all the requests from WebStone are sent to the second node").
-    let servers = custom_cluster(
-        2,
-        |_| ServerOptions {
-            pool_size: 16,
-            ..Default::default()
-        },
-        |_| forked_registry(),
-    )
+    let servers = swala::start_cluster(2, |_| {
+        (
+            ServerOptions {
+                pool_size: 16,
+                ..Default::default()
+            },
+            forked_registry(),
+        )
+    })
     .expect("swala pair");
     {
         let mut warm = swala::HttpClient::new(servers[0].http_addr());

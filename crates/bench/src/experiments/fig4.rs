@@ -8,6 +8,7 @@
 
 use crate::report::{fmt_ms, fmt_pct, TableReport};
 use crate::scale;
+use swala::ServerOptions;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_sim::{simulate_queueing, QueueConfig};
@@ -56,14 +57,13 @@ pub fn run() -> TableReport {
         for (i, caching) in [false, true].into_iter().enumerate() {
             let cluster = SwalaCluster::start(&ClusterConfig {
                 nodes,
-                caching,
-                pool_size: 8,
                 work: WorkKind::Sleep,
                 cores_per_node: Some(1),
-                // The paper's §4.1 layout, whatever the shipped default is
-                // (moot while the experiment runs memory stores).
-                store: swala_cache::StoreKind::Files,
-                ..Default::default()
+                node: ServerOptions {
+                    caching_enabled: caching,
+                    pool_size: 8,
+                    ..ClusterConfig::default().node
+                },
             })
             .expect("start cluster");
             let report_run =

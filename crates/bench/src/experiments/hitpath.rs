@@ -22,7 +22,7 @@
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
 use std::time::{Duration, Instant};
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_obs::Outcome;
 
@@ -124,7 +124,7 @@ fn idle_sweep(quick: bool, samples: usize, work_ms: u64) -> (String, Vec<String>
         nodes: 1,
         ..Default::default()
     };
-    let pool_size = config.pool_size;
+    let pool_size = config.node.pool_size;
     let top = if quick { 256 } else { 10_000 };
     let mut levels = vec![0, pool_size, 4 * pool_size, 1000.min(top), top];
     levels.dedup();
@@ -250,10 +250,13 @@ pub fn run() -> TableReport {
     let _ = std::fs::remove_dir_all(&base);
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        cache_dir_base: Some(base.clone()),
-        // Benches opt out of durability syncs: the miss numbers measure
-        // the hit path's software, not the disk's flush latency.
-        fsync: false,
+        node: ServerOptions {
+            cache_dir: Some(base.clone()),
+            // Benches opt out of durability syncs: the miss numbers measure
+            // the hit path's software, not the disk's flush latency.
+            fsync: false,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("start cluster");
@@ -279,7 +282,7 @@ pub fn run() -> TableReport {
     // Remote hits: one client bursting through the fetch pool.
     let remote = dist(timed(&mut c1, samples, |_| target.clone()));
     let pool = cluster.node(1).fetch_pool_stats();
-    let pool_size = ClusterConfig::default().fetch_pool_size as u64;
+    let pool_size = ClusterConfig::default().node.fetch_pool_size as u64;
     assert!(
         pool.connects_opened <= pool_size,
         "one client must stay within the pool: {pool}"
@@ -319,7 +322,10 @@ pub fn run() -> TableReport {
     // layer is the median gap between the two runs.
     let off_cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        obs_enabled: false,
+        node: ServerOptions {
+            obs_enabled: false,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("start obs-off cluster");
@@ -332,7 +338,10 @@ pub fn run() -> TableReport {
     // No-cache baseline: the same document re-executes every time.
     let nocache_cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        caching: false,
+        node: ServerOptions {
+            caching_enabled: false,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("start no-cache cluster");

@@ -27,7 +27,7 @@
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
 use std::time::{Duration, Instant};
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cache::stats::StatsSnapshot;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_obs::{parse_exposition, Sample};
@@ -113,8 +113,11 @@ fn overhead_twin(quick: bool) -> (f64, f64, f64) {
     // slow-exemplar comparison — the full cost the budget must absorb.
     let on_cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        hotkeys: 128,
-        slow_traces: 8,
+        node: ServerOptions {
+            hotkeys: 128,
+            slow_traces: 8,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("start obs-on cluster");
@@ -131,7 +134,10 @@ fn overhead_twin(quick: bool) -> (f64, f64, f64) {
 
     let off_cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        obs_enabled: false,
+        node: ServerOptions {
+            obs_enabled: false,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("start obs-off cluster");

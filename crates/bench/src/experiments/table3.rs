@@ -10,7 +10,7 @@
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
 use std::time::Instant;
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 
@@ -30,14 +30,13 @@ pub fn run() -> TableReport {
         for (i, caching) in [false, true].into_iter().enumerate() {
             let cluster = SwalaCluster::start(&ClusterConfig {
                 nodes,
-                caching,
-                pool_size: 4,
                 work: WorkKind::Sleep,
                 cores_per_node: Some(1),
-                // The paper's §4.1 layout, whatever the shipped default is
-                // (moot while the experiment runs memory stores).
-                store: swala_cache::StoreKind::Files,
-                ..Default::default()
+                node: ServerOptions {
+                    caching_enabled: caching,
+                    pool_size: 4,
+                    ..ClusterConfig::default().node
+                },
             })
             .expect("start cluster");
             let mut client = HttpClient::new(cluster.node(0).http_addr());

@@ -9,10 +9,11 @@
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
-use crate::servers::gated_sleep_registry;
 use std::time::Instant;
 use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::CacheRules;
+use swala_cgi::WorkKind;
+use swala_cluster::cluster::gated_registry;
 use swala_cluster::PseudoServer;
 
 pub fn run() -> TableReport {
@@ -41,7 +42,7 @@ pub fn run() -> TableReport {
                 rules: CacheRules::deny_all(), // every request uncacheable
                 ..Default::default()
             },
-            gated_sleep_registry(1),
+            gated_registry(WorkKind::Sleep, Some(1)),
         )
         .expect("start node");
         let pseudo = PseudoServer::start(server.cache_addr(), 7, ups);

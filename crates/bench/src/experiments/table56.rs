@@ -11,6 +11,7 @@
 
 use crate::report::{fmt_pct, TableReport};
 use crate::scale;
+use swala::ServerOptions;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_sim::{simulate, SimConfig};
@@ -41,12 +42,12 @@ fn run_sim(nodes: usize, capacity: usize, cooperative: bool, trace: &Trace) -> u
 fn run_live(nodes: usize, capacity: usize, cooperative: bool, trace: &Trace) -> u64 {
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: if cooperative { nodes } else { 1 },
-        capacity,
-        pool_size: 4,
         work: WorkKind::Sleep,
-        // The paper's §4.1 layout, whatever the shipped default is (moot
-        // while the experiment runs memory stores).
-        store: swala_cache::StoreKind::Files,
+        node: ServerOptions {
+            capacity,
+            pool_size: 4,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .expect("cluster");
@@ -59,10 +60,12 @@ fn run_live(nodes: usize, capacity: usize, cooperative: bool, trace: &Trace) -> 
             extra.push(
                 SwalaCluster::start(&ClusterConfig {
                     nodes: 1,
-                    capacity,
-                    pool_size: 4,
                     work: WorkKind::Sleep,
-                    store: swala_cache::StoreKind::Files,
+                    node: ServerOptions {
+                        capacity,
+                        pool_size: 4,
+                        ..ClusterConfig::default().node
+                    },
                     ..Default::default()
                 })
                 .expect("standalone node"),

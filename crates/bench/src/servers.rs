@@ -1,14 +1,8 @@
 //! Server construction helpers shared by the experiments.
 
-use std::io;
-use std::net::SocketAddr;
 use std::sync::Arc;
-use swala::{BoundSwala, ServerOptions, SwalaServer};
 use swala_baseline::ForkedCgi;
-use swala_cache::NodeId;
-use swala_cgi::{
-    null_cgi, CpuGate, GatedProgram, Program, ProgramRegistry, SimulatedProgram, WorkKind,
-};
+use swala_cgi::{null_cgi, ProgramRegistry, SimulatedProgram, WorkKind};
 
 /// Registry used by the §5.1 comparisons: the paper's `nullcgi` plus the
 /// trace-driven `adl` program, each behind a real `fork`+`exec` (the CGI
@@ -21,71 +15,4 @@ pub fn forked_registry() -> ProgramRegistry {
         WorkKind::Sleep,
     ))));
     r
-}
-
-/// Registry with per-node CPU gating (multi-node timing experiments).
-pub fn gated_sleep_registry(cores: usize) -> ProgramRegistry {
-    let gate = CpuGate::new(cores);
-    let mut r = ProgramRegistry::new();
-    let programs: Vec<Arc<dyn Program>> = vec![
-        Arc::new(null_cgi()),
-        Arc::new(SimulatedProgram::trace_driven("adl", WorkKind::Sleep)),
-    ];
-    for p in programs {
-        r.register(GatedProgram::wrap(p, Arc::clone(&gate)));
-    }
-    r
-}
-
-/// Start an N-node Swala cluster whose registries come from
-/// `registry_for(node)` — used when experiments need non-standard
-/// programs (e.g. fork-wrapped `nullcgi` for Figure 3).
-pub fn custom_cluster(
-    nodes: usize,
-    mut options_for: impl FnMut(usize) -> ServerOptions,
-    mut registry_for: impl FnMut(usize) -> ProgramRegistry,
-) -> io::Result<Vec<SwalaServer>> {
-    let bounds: Vec<BoundSwala> = (0..nodes)
-        .map(|i| {
-            let mut options = options_for(i);
-            options.node = NodeId(i as u16);
-            options.num_nodes = nodes;
-            BoundSwala::bind(options, registry_for(i))
-        })
-        .collect::<io::Result<_>>()?;
-    let addrs: Vec<Option<SocketAddr>> = bounds.iter().map(|b| Some(b.cache_addr())).collect();
-    bounds.into_iter().map(|b| b.start(addrs.clone())).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use swala::HttpClient;
-
-    #[test]
-    fn custom_cluster_wires_peers() {
-        let servers = custom_cluster(
-            2,
-            |_| ServerOptions {
-                pool_size: 2,
-                ..Default::default()
-            },
-            |_| forked_registry(),
-        )
-        .unwrap();
-        let mut c0 = HttpClient::new(servers[0].http_addr());
-        c0.get("/cgi-bin/nullcgi").unwrap();
-        // Wait for the insert notice at node 1, then remote-hit from it.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while servers[1].manager().directory().total_len() == 0 {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let mut c1 = HttpClient::new(servers[1].http_addr());
-        let r = c1.get("/cgi-bin/nullcgi").unwrap();
-        assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
-        for s in servers {
-            s.shutdown();
-        }
-    }
 }

@@ -1,7 +1,7 @@
 //! The cache manager — §4.1's "cacher module" state, minus the network.
 //!
-//! One `CacheManager` lives on each node. It owns the replicated
-//! directory, the local disk store, the replacement policy, the
+//! One `CacheManager` lives on each node. It owns the node's directory
+//! (every table the placement rule puts here), the local body store, the replacement policy, the
 //! cacheability rules and the statistics, and exposes exactly the
 //! operations Figure 2's control flow needs. The `swala` server and the
 //! `swala-proto` daemons drive it; none of them touch the directory or
@@ -51,9 +51,6 @@ pub struct CacheManagerConfig {
     pub coalesce_wait: Duration,
     /// Directory organization: the paper's replicated directory (the
     /// default), or consistent-hash partitioned with per-key home nodes.
-    /// Deliberately *not* env-sensitive here — `ServerOptions::default`
-    /// owns the `SWALA_DIRECTORY` override, so unit tests that build
-    /// managers directly are immune to a suite-wide env sweep.
     pub directory: DirectoryKind,
     /// Virtual points per node on the consistent-hash ring (partitioned
     /// mode only).
@@ -278,7 +275,8 @@ impl CacheManager {
         self.local
     }
 
-    /// The replicated directory (read-mostly introspection).
+    /// This node's directory: its own entries, and the other owners'
+    /// entries whose homes include it (read-mostly introspection).
     pub fn directory(&self) -> &CacheDirectory {
         &self.directory
     }

@@ -43,6 +43,9 @@ pub enum DirectoryKind {
 }
 
 impl DirectoryKind {
+    /// Both organizations, for running one scenario under each.
+    pub const ALL: [DirectoryKind; 2] = [DirectoryKind::Replicated, DirectoryKind::Partitioned];
+
     pub fn as_str(self) -> &'static str {
         match self {
             DirectoryKind::Replicated => "replicated",

@@ -28,8 +28,7 @@ const MAGIC: &[u8; 4] = b"SWC1";
 /// Which body-store implementation a node runs (`store files|segment`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreKind {
-    /// The paper's §4.1 one-file-per-entry layout ([`DiskStore`]) — what
-    /// the paper experiments pin.
+    /// The paper's §4.1 one-file-per-entry layout ([`DiskStore`]).
     Files,
     /// One data file of checksummed records, space reused in place
     /// ([`crate::segstore::SegmentStore`]) — the shipped default.
@@ -37,6 +36,9 @@ pub enum StoreKind {
 }
 
 impl StoreKind {
+    /// Both layouts, for running one scenario under each.
+    pub const ALL: [StoreKind; 2] = [StoreKind::Files, StoreKind::Segment];
+
     pub fn as_str(self) -> &'static str {
         match self {
             StoreKind::Files => "files",

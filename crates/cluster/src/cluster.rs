@@ -2,37 +2,22 @@
 
 use std::io;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::{BoundSwala, ServerOptions, SwalaServer};
-use swala_cache::{CacheRules, NodeId, PolicyKind};
+use swala::{ServerOptions, SwalaServer};
 use swala_cgi::{CpuGate, GatedProgram, ProgramRegistry, SimulatedProgram, WorkKind};
-use swala_proto::FaultInjector;
 
-/// Configuration for a whole cluster (uniform across nodes, as in the
-/// paper's experiments — "the CPU power is roughly equivalent on all
-/// nodes").
+/// Configuration for a whole cluster: uniform across nodes, as in the
+/// paper's experiments ("the CPU power is roughly equivalent on all
+/// nodes"), so one [`ServerOptions`] template serves every node.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// Cooperative caching on (`true`) or the no-cache baseline.
-    pub caching: bool,
-    /// Per-node cache capacity in entries.
-    pub capacity: usize,
-    /// Replacement policy.
-    pub policy: PolicyKind,
-    /// Request threads per node.
-    pub pool_size: usize,
-    /// Cacheability rules (shared by all nodes).
-    pub rules: CacheRules,
-    /// Purge-daemon interval.
-    pub purge_interval: Duration,
-    /// Docroot served by every node (e.g. the WebStone files).
-    pub docroot: Option<PathBuf>,
-    /// Base directory for per-node disk stores; `None` = memory stores.
-    pub cache_dir_base: Option<PathBuf>,
+    /// Every node's options; `node` and `num_nodes` are set per node.
+    /// When `cache_dir` is set it is the base directory that holds each
+    /// node's `node{i}` store directory.
+    pub node: ServerOptions,
     /// Simulated-CGI work kind. `Sleep` lets large clusters run on few
     /// cores without CPU contention skew; `Spin` is faithful to the
     /// paper's CPU-bound workload.
@@ -41,79 +26,18 @@ pub struct ClusterConfig {
     /// [`CpuGate`] with this many slots, restoring the paper's
     /// one-CPU-per-node resource model on any host (see swala-cgi::gate).
     pub cores_per_node: Option<usize>,
-    /// Shared fault injector threaded into every node's transport seams
-    /// (chaos tests); `None` = fault-free cluster.
-    pub faults: Option<Arc<FaultInjector>>,
-    /// Remote-fetch attempts per request (1 = no retry).
-    pub fetch_retries: u32,
-    /// Base backoff between fetch retries.
-    pub fetch_backoff: Duration,
-    /// Consecutive fetch failures before a peer is quarantined.
-    pub quarantine_after: u32,
-    /// How often a quarantined peer is probed by live traffic.
-    pub probe_interval: Duration,
-    /// Per-node byte budget for the in-memory body tier; 0 disables it.
-    pub mem_cache_bytes: usize,
-    /// Warm fetch connections kept per peer; 0 dials on every fetch.
-    pub fetch_pool_size: usize,
-    /// Single-flight coalescing of identical concurrent misses and
-    /// remote fetches; off = paper-faithful re-runs.
-    pub coalesce: bool,
-    /// Bounded wait before a coalesced miss falls back to executing.
-    pub coalesce_wait: Duration,
-    /// Telemetry (histograms + request tracing) on every node.
-    pub obs_enabled: bool,
-    /// Completed traces each node retains for `/swala-traces`.
-    pub trace_ring: usize,
-    /// Heat-sketch capacity (hot keys tracked per node); 0 disables.
-    pub hotkeys: usize,
-    /// Slow-trace exemplars retained per outcome class; 0 disables.
-    pub slow_traces: usize,
-    /// Directory organization on every node (replicated broadcast or
-    /// consistent-hash partitioned). Defaults to the process default,
-    /// which honors `SWALA_DIRECTORY`.
-    pub directory: swala_cache::DirectoryKind,
-    /// Virtual nodes per member on the consistent-hash ring.
-    pub ring_vnodes: usize,
-    /// Body-store layout on every node (one file per entry, or the
-    /// crash-safe segment log). Defaults to the process default, which
-    /// honors `SWALA_STORE`. Only matters with `cache_dir_base` set.
-    pub store: swala_cache::StoreKind,
-    /// Sync body-store writes before acking (durability) on every node.
-    pub fsync: bool,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             nodes: 2,
-            caching: true,
-            capacity: 2000,
-            policy: PolicyKind::Lru,
-            pool_size: 8,
-            rules: CacheRules::allow_all(),
-            purge_interval: Duration::from_secs(2),
-            docroot: None,
-            cache_dir_base: None,
+            node: ServerOptions {
+                pool_size: 8,
+                ..Default::default()
+            },
             work: WorkKind::Sleep,
             cores_per_node: None,
-            faults: None,
-            fetch_retries: 3,
-            fetch_backoff: Duration::from_millis(25),
-            quarantine_after: 3,
-            probe_interval: Duration::from_secs(5),
-            mem_cache_bytes: ServerOptions::default().mem_cache_bytes,
-            fetch_pool_size: ServerOptions::default().fetch_pool_size,
-            coalesce: ServerOptions::default().coalesce,
-            coalesce_wait: ServerOptions::default().coalesce_wait,
-            obs_enabled: ServerOptions::default().obs_enabled,
-            trace_ring: ServerOptions::default().trace_ring,
-            hotkeys: ServerOptions::default().hotkeys,
-            slow_traces: ServerOptions::default().slow_traces,
-            directory: ServerOptions::default().directory,
-            ring_vnodes: ServerOptions::default().ring_vnodes,
-            store: ServerOptions::default().store,
-            fsync: ServerOptions::default().fsync,
         }
     }
 }
@@ -196,51 +120,14 @@ impl SwalaCluster {
     /// then start the nodes fully wired to each other.
     pub fn start(cfg: &ClusterConfig) -> io::Result<SwalaCluster> {
         assert!(cfg.nodes >= 1, "cluster needs at least one node");
-        let bounds: Vec<BoundSwala> = (0..cfg.nodes)
-            .map(|i| {
-                let options = ServerOptions {
-                    node: NodeId(i as u16),
-                    num_nodes: cfg.nodes,
-                    pool_size: cfg.pool_size,
-                    capacity: cfg.capacity,
-                    policy: cfg.policy,
-                    rules: cfg.rules.clone(),
-                    caching_enabled: cfg.caching,
-                    purge_interval: cfg.purge_interval,
-                    docroot: cfg.docroot.clone(),
-                    cache_dir: cfg
-                        .cache_dir_base
-                        .as_ref()
-                        .map(|base| base.join(format!("node{i}"))),
-                    server_name: format!("Swala/0.1 (node {i}/{})", cfg.nodes),
-                    faults: cfg.faults.clone(),
-                    fetch_retries: cfg.fetch_retries,
-                    fetch_backoff: cfg.fetch_backoff,
-                    quarantine_after: cfg.quarantine_after,
-                    probe_interval: cfg.probe_interval,
-                    mem_cache_bytes: cfg.mem_cache_bytes,
-                    fetch_pool_size: cfg.fetch_pool_size,
-                    coalesce: cfg.coalesce,
-                    coalesce_wait: cfg.coalesce_wait,
-                    obs_enabled: cfg.obs_enabled,
-                    trace_ring: cfg.trace_ring,
-                    hotkeys: cfg.hotkeys,
-                    slow_traces: cfg.slow_traces,
-                    directory: cfg.directory,
-                    ring_vnodes: cfg.ring_vnodes,
-                    store: cfg.store,
-                    fsync: cfg.fsync,
-                    ..Default::default()
-                };
-                BoundSwala::bind(options, gated_registry(cfg.work, cfg.cores_per_node))
-            })
-            .collect::<io::Result<_>>()?;
-        let cache_addrs: Vec<Option<SocketAddr>> =
-            bounds.iter().map(|b| Some(b.cache_addr())).collect();
-        let servers = bounds
-            .into_iter()
-            .map(|b| b.start(cache_addrs.clone()))
-            .collect::<io::Result<_>>()?;
+        let servers = swala::start_cluster(cfg.nodes, |id| {
+            let options = ServerOptions {
+                // `id` displays as `node{i}`.
+                cache_dir: cfg.node.cache_dir.as_ref().map(|b| b.join(id.to_string())),
+                ..cfg.node.clone()
+            };
+            (options, gated_registry(cfg.work, cfg.cores_per_node))
+        })?;
         Ok(SwalaCluster { servers })
     }
 
@@ -356,79 +243,69 @@ impl SwalaCluster {
 mod tests {
     use super::*;
     use swala::HttpClient;
-    use swala_cache::{CacheKey, DirectoryKind, EntryMeta};
+    use swala_cache::{CacheKey, DirectoryKind, EntryMeta, NodeId};
 
-    #[test]
-    fn four_node_cluster_cooperates() {
-        let cluster = SwalaCluster::start(&ClusterConfig {
-            nodes: 4,
+    fn start(nodes: usize, directory: DirectoryKind) -> SwalaCluster {
+        let mut cfg = ClusterConfig {
+            nodes,
             ..Default::default()
-        })
-        .unwrap();
-        assert_eq!(cluster.len(), 4);
-
-        // Warm node 0 with three entries.
-        let targets: Vec<String> = (0..3)
-            .map(|i| format!("/cgi-bin/adl?id={i}&ms=0"))
-            .collect();
-        cluster.warm(0, &targets).unwrap();
-        // Every node's directory view must show the 3 cluster-wide entries.
-        assert!(cluster.wait_for_directory_convergence(3, Duration::from_secs(5)));
-
-        // Every other node now serves them as remote hits.
-        for n in 1..4 {
-            let mut client = HttpClient::new(cluster.node(n).http_addr());
-            let resp = client.get(&targets[0]).unwrap();
-            assert_eq!(
-                resp.headers.get("X-Swala-Cache"),
-                Some("remote-hit"),
-                "node {n}"
-            );
-        }
-        assert_eq!(cluster.total_cache_stat(|s| s.remote_hits), 3);
-        cluster.shutdown();
+        };
+        cfg.node.directory = directory;
+        SwalaCluster::start(&cfg).unwrap()
     }
 
     #[test]
-    fn partitioned_cluster_cooperates() {
-        let cluster = SwalaCluster::start(&ClusterConfig {
-            nodes: 4,
-            directory: DirectoryKind::Partitioned,
-            ..Default::default()
-        })
-        .unwrap();
-        let targets: Vec<String> = (0..3)
-            .map(|i| format!("/cgi-bin/adl?id={i}&ms=0"))
-            .collect();
-        cluster.warm(0, &targets).unwrap();
-        assert!(cluster.wait_for_directory_convergence(3, Duration::from_secs(5)));
-        // Inserts were announced to their key's home only: at most one
-        // notice each (none when the owner is the home).
-        assert!(cluster.total_cache_stat(|s| s.broadcasts_sent) <= 3);
+    fn four_node_cluster_cooperates() {
+        for directory in DirectoryKind::ALL {
+            let cluster = start(4, directory);
+            assert_eq!(cluster.len(), 4);
 
-        // Every other node still serves the warm entries as remote hits,
-        // resolving through the home node where needed.
-        for n in 1..4 {
-            let mut client = HttpClient::new(cluster.node(n).http_addr());
-            let resp = client.get(&targets[0]).unwrap();
-            assert_eq!(
-                resp.headers.get("X-Swala-Cache"),
-                Some("remote-hit"),
-                "node {n}"
+            // Warm node 0 with three entries.
+            let targets: Vec<String> = (0..3)
+                .map(|i| format!("/cgi-bin/adl?id={i}&ms=0"))
+                .collect();
+            cluster.warm(0, &targets).unwrap();
+            // Every directory holds what the placement rule puts there.
+            assert!(
+                cluster.wait_for_directory_convergence(3, Duration::from_secs(5)),
+                "{directory:?}"
             );
+            // Replicated broadcasts every insert; partitioned sends it to
+            // the key's home only, and not at all when the owner is the
+            // home.
+            let notices = cluster.total_cache_stat(|s| s.broadcasts_sent);
+            match directory {
+                DirectoryKind::Replicated => assert_eq!(notices, 3),
+                DirectoryKind::Partitioned => assert!(notices <= 3, "{notices}"),
+            }
+
+            // Every other node now serves them as remote hits, resolving
+            // through the key's home where its own table is silent.
+            for n in 1..4 {
+                let mut client = HttpClient::new(cluster.node(n).http_addr());
+                let resp = client.get(&targets[0]).unwrap();
+                assert_eq!(
+                    resp.headers.get("X-Swala-Cache"),
+                    Some("remote-hit"),
+                    "{directory:?} node {n}"
+                );
+            }
+            assert_eq!(
+                cluster.total_cache_stat(|s| s.remote_hits),
+                3,
+                "{directory:?}"
+            );
+            cluster.shutdown();
         }
-        assert_eq!(cluster.total_cache_stat(|s| s.remote_hits), 3);
-        cluster.shutdown();
     }
 
     #[test]
     fn no_cache_cluster_has_empty_directories() {
-        let cluster = SwalaCluster::start(&ClusterConfig {
-            nodes: 2,
-            caching: false,
-            ..Default::default()
-        })
-        .unwrap();
+        // One directory organization: with caching off there is no
+        // directory traffic for the choice to shape.
+        let mut cfg = ClusterConfig::default();
+        cfg.node.caching_enabled = false;
+        let cluster = SwalaCluster::start(&cfg).unwrap();
         cluster
             .warm(0, &["/cgi-bin/adl?id=1&ms=0".to_string()])
             .unwrap();
@@ -439,11 +316,7 @@ mod tests {
 
     #[test]
     fn single_node_cluster_works() {
-        let cluster = SwalaCluster::start(&ClusterConfig {
-            nodes: 1,
-            ..Default::default()
-        })
-        .unwrap();
+        let cluster = start(1, DirectoryKind::Replicated);
         let mut client = HttpClient::new(cluster.node(0).http_addr());
         client.get("/cgi-bin/adl?id=9&ms=0").unwrap();
         let hit = client.get("/cgi-bin/adl?id=9&ms=0").unwrap();
@@ -457,13 +330,8 @@ mod tests {
         // name — what a lost or not-yet-applied delete leaves behind. It
         // is extra wherever the key's homes are, so the cluster must not
         // read as settled in either directory organization.
-        for directory in [DirectoryKind::Replicated, DirectoryKind::Partitioned] {
-            let cluster = SwalaCluster::start(&ClusterConfig {
-                nodes: 2,
-                directory,
-                ..Default::default()
-            })
-            .unwrap();
+        for directory in DirectoryKind::ALL {
+            let cluster = start(2, directory);
             assert!(cluster.quiesce(Duration::from_secs(5)), "{directory:?}");
             let stale = EntryMeta::new(
                 CacheKey::new("/cgi-bin/adl?id=stale&ms=0"),
@@ -493,13 +361,14 @@ mod tests {
 
     #[test]
     fn convergence_times_out_honestly() {
-        let cluster = SwalaCluster::start(&ClusterConfig {
-            nodes: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        // Nothing was inserted; expecting entries must time out.
-        assert!(!cluster.wait_for_directory_convergence(99, Duration::from_millis(100)));
-        cluster.shutdown();
+        for directory in DirectoryKind::ALL {
+            let cluster = start(2, directory);
+            // Nothing was inserted; expecting entries must time out.
+            assert!(
+                !cluster.wait_for_directory_convergence(99, Duration::from_millis(100)),
+                "{directory:?}"
+            );
+            cluster.shutdown();
+        }
     }
 }

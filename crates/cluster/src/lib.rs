@@ -6,9 +6,9 @@
 //! [`swala::SwalaServer`] with its own HTTP listener, cache daemons and
 //! disk/memory store, wired over real localhost TCP.
 //!
-//! * [`cluster`] — two-phase cluster bring-up (bind everything, learn the
-//!   ephemeral ports, wire the broadcasters, start), warm-up and
-//!   synchronization helpers;
+//! * [`cluster`] — bring-up of N nodes from one `ServerOptions` template
+//!   (through [`swala::start_cluster`]), warm-up and synchronization
+//!   helpers;
 //! * [`pseudo`] — §5.2's pseudo-server, "a program which only sends cache
 //!   directory updates to a Swala node", used by Table 4 to impose a
 //!   controlled update-per-second load without running real peers.

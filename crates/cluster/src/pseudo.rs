@@ -123,13 +123,15 @@ mod tests {
     use super::*;
     use crate::cluster::standard_registry;
     use swala::{ServerOptions, SwalaServer};
+    use swala_cache::DirectoryKind;
     use swala_cgi::WorkKind;
 
-    fn one_node_expecting(n: usize) -> SwalaServer {
+    fn one_node_expecting(n: usize, directory: DirectoryKind) -> SwalaServer {
         SwalaServer::start_single(
             ServerOptions {
                 num_nodes: n,
                 pool_size: 2,
+                directory,
                 ..Default::default()
             },
             standard_registry(WorkKind::Sleep),
@@ -139,43 +141,55 @@ mod tests {
 
     #[test]
     fn floods_directory_updates_at_roughly_the_requested_rate() {
-        let server = one_node_expecting(8);
-        let pseudo = PseudoServer::start(server.cache_addr(), 7, 200);
-        std::thread::sleep(Duration::from_millis(600));
-        let sent = pseudo.stop();
-        // ~120 expected in 0.6s at 200/s; allow generous scheduling slop.
-        assert!((60..=200).contains(&(sent as usize)), "sent {sent}");
+        for directory in DirectoryKind::ALL {
+            let server = one_node_expecting(8, directory);
+            let pseudo = PseudoServer::start(server.cache_addr(), 7, 200);
+            std::thread::sleep(Duration::from_millis(600));
+            let sent = pseudo.stop();
+            // ~120 expected in 0.6s at 200/s; allow generous scheduling slop.
+            assert!((60..=200).contains(&(sent as usize)), "sent {sent}");
 
-        // The node applied them across the seven impersonated tables.
-        let applied = server.cache_stats().updates_applied;
-        assert!(applied >= sent / 2, "applied {applied} of {sent}");
-        let dir = server.manager().directory();
-        let total: usize = (1..8).map(|n| dir.len(swala_cache::NodeId(n))).sum();
-        assert!(total > 0);
-        assert_eq!(dir.len(swala_cache::NodeId(0)), 0, "local table untouched");
-        server.shutdown();
+            // The node applied them across the seven impersonated tables.
+            let applied = server.cache_stats().updates_applied;
+            assert!(
+                applied >= sent / 2,
+                "{directory:?}: applied {applied} of {sent}"
+            );
+            let dir = server.manager().directory();
+            let total: usize = (1..8).map(|n| dir.len(swala_cache::NodeId(n))).sum();
+            assert!(total > 0, "{directory:?}");
+            assert_eq!(dir.len(swala_cache::NodeId(0)), 0, "local table untouched");
+            server.shutdown();
+        }
     }
 
     #[test]
     fn zero_ups_is_idle() {
-        let server = one_node_expecting(2);
-        let pseudo = PseudoServer::start(server.cache_addr(), 1, 0);
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(pseudo.stop(), 0);
-        assert_eq!(server.cache_stats().updates_applied, 0);
-        server.shutdown();
+        for directory in DirectoryKind::ALL {
+            let server = one_node_expecting(2, directory);
+            let pseudo = PseudoServer::start(server.cache_addr(), 1, 0);
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(pseudo.stop(), 0);
+            assert_eq!(server.cache_stats().updates_applied, 0, "{directory:?}");
+            server.shutdown();
+        }
     }
 
     #[test]
     fn updates_round_robin_across_fake_nodes() {
-        let server = one_node_expecting(4);
-        let pseudo = PseudoServer::start(server.cache_addr(), 3, 300);
-        std::thread::sleep(Duration::from_millis(500));
-        pseudo.stop();
-        let dir = server.manager().directory();
-        for n in 1..4u16 {
-            assert!(dir.len(swala_cache::NodeId(n)) > 0, "node {n} table empty");
+        for directory in DirectoryKind::ALL {
+            let server = one_node_expecting(4, directory);
+            let pseudo = PseudoServer::start(server.cache_addr(), 3, 300);
+            std::thread::sleep(Duration::from_millis(500));
+            pseudo.stop();
+            let dir = server.manager().directory();
+            for n in 1..4u16 {
+                assert!(
+                    dir.len(swala_cache::NodeId(n)) > 0,
+                    "{directory:?}: node {n} table empty"
+                );
+            }
+            server.shutdown();
         }
-        server.shutdown();
     }
 }

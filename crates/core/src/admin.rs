@@ -591,22 +591,30 @@ fn invalidate(ctx: &NodeContext, req: &Request) -> Response {
     }
 }
 
-/// Forward an invalidation to the entry's owner node.
-fn forward_invalidate(ctx: &NodeContext, key: &CacheKey, owner: swala_cache::NodeId) -> Response {
-    match ctx.peer_cache_addr(owner) {
-        Some(addr) => match request_invalidate(addr, key, ctx.fetch_timeout) {
-            Ok(()) => Response::ok(
-                "text/plain",
-                format!("invalidation forwarded to owner {owner}\n"),
-            ),
+/// Forward an invalidation to the entry's owner node, under the same
+/// client rules as a fetch: the node's dialer, the quarantine gate and
+/// peer-health bookkeeping.
+fn forward_invalidate(ctx: &NodeContext, key: &CacheKey, owner: NodeId) -> Response {
+    let sent = match ctx.peer_to_ask(owner) {
+        Err(why) => Err(format!("owner {owner} not asked ({why})")),
+        Ok(addr) => match request_invalidate(&ctx.dialer, owner, addr, key, ctx.fetch_timeout) {
+            Ok(()) => {
+                ctx.health.record_success(owner);
+                Ok(())
+            }
             Err(e) => {
-                let mut r = Response::ok("text/plain", format!("owner {owner} unreachable: {e}\n"));
-                r.status = StatusCode::BAD_GATEWAY;
-                r
+                ctx.note_peer_failure(owner);
+                Err(format!("owner {owner} unreachable: {e}"))
             }
         },
-        None => {
-            let mut r = Response::ok("text/plain", format!("owner {owner} address unknown\n"));
+    };
+    match sent {
+        Ok(()) => Response::ok(
+            "text/plain",
+            format!("invalidation forwarded to owner {owner}\n"),
+        ),
+        Err(msg) => {
+            let mut r = Response::ok("text/plain", msg + "\n");
             r.status = StatusCode::BAD_GATEWAY;
             r
         }

@@ -133,10 +133,7 @@ pub struct ServerOptions {
     /// Replicated is the paper-faithful default: every insert/delete
     /// broadcasts to all peers. Partitioned assigns each key a home node
     /// on a consistent-hash ring and sends one point-to-point update
-    /// instead. The `SWALA_DIRECTORY` environment variable overrides the
-    /// *default* only — explicit config lines and programmatic settings
-    /// win, so a test that pins a mode is immune to a suite-wide env
-    /// sweep.
+    /// instead.
     pub directory: DirectoryKind,
     /// Virtual nodes per member on the consistent-hash ring
     /// (partitioned mode only).
@@ -144,11 +141,7 @@ pub struct ServerOptions {
     /// Body-store layout (`store segment|files`). `segment`, the default,
     /// keeps every body in one data file of checksummed records and
     /// reuses space in place; `files` is the paper's §4.1 layout (one OS
-    /// file per cached result), which the paper experiments pin. Like
-    /// `directory`, the `SWALA_STORE` environment variable overrides the
-    /// *default* only — explicit config lines and programmatic settings
-    /// win, so tests that pin a store are immune to a suite-wide env
-    /// sweep.
+    /// file per cached result).
     pub store: StoreKind,
     /// Durability of body-store writes (`fsync on|off`): sync the data
     /// (and, for `store files`, the directory) before acking a put or a
@@ -195,15 +188,9 @@ impl Default for ServerOptions {
             trace_ring: 256,
             hotkeys: 128,
             slow_traces: 8,
-            directory: match std::env::var("SWALA_DIRECTORY").as_deref() {
-                Ok("partitioned") => DirectoryKind::Partitioned,
-                _ => DirectoryKind::Replicated,
-            },
+            directory: DirectoryKind::Replicated,
             ring_vnodes: swala_cache::DEFAULT_VNODES,
-            store: match std::env::var("SWALA_STORE").as_deref() {
-                Ok("files") => StoreKind::Files,
-                _ => StoreKind::Segment,
-            },
+            store: StoreKind::Segment,
             fsync: true,
         }
     }
@@ -655,8 +642,12 @@ slow_traces 16
 
     #[test]
     fn directory_keywords() {
-        // Note: the default depends on SWALA_DIRECTORY (env override of
-        // the default), so only explicit settings are asserted here.
+        let d = ServerOptions::parse("").unwrap();
+        assert_eq!(
+            d.directory,
+            DirectoryKind::Replicated,
+            "the paper's default"
+        );
         let o = ServerOptions::parse("directory partitioned\nring_vnodes 64\n").unwrap();
         assert_eq!(o.directory, DirectoryKind::Partitioned);
         assert_eq!(o.ring_vnodes, 64);
@@ -676,8 +667,8 @@ slow_traces 16
 
     #[test]
     fn store_keywords() {
-        // Note: the default depends on SWALA_STORE (env override of the
-        // default), so only explicit settings are asserted here.
+        let d = ServerOptions::parse("").unwrap();
+        assert_eq!(d.store, StoreKind::Segment, "the shipped default");
         let o = ServerOptions::parse("store segment\n").unwrap();
         assert_eq!(o.store, StoreKind::Segment);
         let o = ServerOptions::parse("store files\n").unwrap();

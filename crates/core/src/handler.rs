@@ -104,7 +104,7 @@ impl NodeContext {
     /// is skipped without touching the network (no connect-timeout tax),
     /// except when its probe window has elapsed — then this very exchange
     /// doubles as the probe.
-    fn peer_to_ask(&self, peer: NodeId) -> Result<SocketAddr, &'static str> {
+    pub(crate) fn peer_to_ask(&self, peer: NodeId) -> Result<SocketAddr, &'static str> {
         let addr = self
             .peer_cache_addr(peer)
             .ok_or(cache_header::REMOTE_DOWN)?;

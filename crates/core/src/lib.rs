@@ -57,7 +57,7 @@ pub mod threads;
 pub use client::HttpClient;
 pub use config::{LogFormat, ServerOptions};
 pub use epoll::raise_nofile_limit;
-pub use server::{BoundSwala, SwalaServer};
+pub use server::{start_cluster, BoundSwala, SwalaServer};
 pub use stats::{EngineStats, RequestStats, RequestStatsSnapshot};
 
 // Re-export the pieces examples and benches compose with.

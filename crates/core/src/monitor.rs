@@ -72,12 +72,9 @@ impl SourceMonitor {
         self.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Stop the monitor thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stop the monitor thread (what dropping the monitor does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 

@@ -405,6 +405,30 @@ impl BoundSwala {
     }
 }
 
+/// Bring up an `n`-node cluster in this process: bind every node, so
+/// each cache address is known, then start each node wired to all the
+/// others. `node_for(id)` gives node `id`'s options and programs; its
+/// `node` and `num_nodes` are set here.
+pub fn start_cluster(
+    n: usize,
+    mut node_for: impl FnMut(NodeId) -> (ServerOptions, ProgramRegistry),
+) -> io::Result<Vec<SwalaServer>> {
+    let bounds: Vec<BoundSwala> = (0..n)
+        .map(|i| {
+            let node = NodeId(i as u16);
+            let (options, registry) = node_for(node);
+            let options = ServerOptions {
+                node,
+                num_nodes: n,
+                ..options
+            };
+            BoundSwala::bind(options, registry)
+        })
+        .collect::<io::Result<_>>()?;
+    let addrs: Vec<Option<SocketAddr>> = bounds.iter().map(|b| Some(b.cache_addr())).collect();
+    bounds.into_iter().map(|b| b.start(addrs.clone())).collect()
+}
+
 /// A running Swala node.
 pub struct SwalaServer {
     ctx: Arc<NodeContext>,
@@ -499,33 +523,22 @@ impl SwalaServer {
         &self.ctx.engine_stats
     }
 
-    /// Stop the request pool, the daemons and the monitor, then return. The
-    /// broadcaster is drained in between: once no new requests can enqueue
-    /// notices, writer threads flush what is queued to live peers before
-    /// the cache daemons stop listening.
-    pub fn shutdown(mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
-        if let Some(monitor) = self.monitor.take() {
-            monitor.shutdown();
-        }
-        self.ctx.broadcaster.shutdown();
-        if let Some(daemons) = self.daemons.take() {
-            daemons.shutdown();
-        }
+    /// Stop the node and return once it has stopped (what dropping it
+    /// does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for SwalaServer {
+    /// Stop the request pool, the monitor and the daemons. The
+    /// broadcaster is drained in between: once no new requests can enqueue
+    /// notices, writer threads flush what is queued to live peers before
+    /// the cache daemons stop listening.
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        drop(self.pool.take());
         drop(self.monitor.take());
         self.ctx.broadcaster.shutdown();
-        if let Some(daemons) = self.daemons.take() {
-            daemons.shutdown();
-        }
+        drop(self.daemons.take());
     }
 }

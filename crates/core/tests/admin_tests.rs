@@ -6,9 +6,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala::monitor::MonitorRule;
 use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
-use swala_cache::NodeId;
+use swala_cache::{DirectoryKind, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::{Method, Request, StatusCode};
+use swala_proto::{FaultAction, FaultInjector, FaultRule};
 
 fn registry() -> ProgramRegistry {
     let mut r = ProgramRegistry::new();
@@ -27,30 +28,24 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-fn two_node_cluster() -> Vec<SwalaServer> {
-    two_node_cluster_with(ServerOptions::default())
+/// The keys the two-node tests warm on node 0 are homed at node 1 on the
+/// partitioned ring, so under either directory node 1 hears of them.
+fn two_node_cluster(directory: DirectoryKind) -> Vec<SwalaServer> {
+    two_node_cluster_with(ServerOptions {
+        directory,
+        ..Default::default()
+    })
 }
 
 fn two_node_cluster_with(base: ServerOptions) -> Vec<SwalaServer> {
-    let bounds: Vec<BoundSwala> = (0..2)
-        .map(|i| {
-            BoundSwala::bind(
-                ServerOptions {
-                    node: NodeId(i),
-                    num_nodes: 2,
-                    pool_size: 4,
-                    ..base.clone()
-                },
-                registry(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let addrs: Vec<_> = bounds.iter().map(|b| Some(b.cache_addr())).collect();
-    bounds
-        .into_iter()
-        .map(|b| b.start(addrs.clone()).unwrap())
-        .collect()
+    swala::start_cluster(2, |_| {
+        let options = ServerOptions {
+            pool_size: 4,
+            ..base.clone()
+        };
+        (options, registry())
+    })
+    .unwrap()
 }
 
 #[test]
@@ -97,7 +92,9 @@ fn status_page_reports_stats() {
 /// endpoints and the status page.
 #[test]
 fn keep_alive_requests_cost_one_read_each() {
-    let servers = two_node_cluster_with(ServerOptions::default());
+    // One directory organization: reads per request do not depend on
+    // how the directory is shared.
+    let servers = two_node_cluster(DirectoryKind::Replicated);
     let mut client = HttpClient::new(servers[0].http_addr());
     for i in 0..200 {
         let resp = client
@@ -140,51 +137,53 @@ fn keep_alive_requests_cost_one_read_each() {
 
 #[test]
 fn status_page_reports_per_link_broadcast_counters() {
-    let servers = two_node_cluster();
-    let mut c0 = HttpClient::new(servers[0].http_addr());
-    c0.get("/cgi-bin/adl?id=77&ms=1").unwrap();
-    wait_until("notice delivered to node 1", || {
-        servers[1].manager().directory().len(NodeId(0)) == 1
-    });
+    for directory in DirectoryKind::ALL {
+        let servers = two_node_cluster(directory);
+        let mut c0 = HttpClient::new(servers[0].http_addr());
+        c0.get("/cgi-bin/adl?id=77&ms=1").unwrap();
+        wait_until("notice delivered to node 1", || {
+            servers[1].manager().directory().len(NodeId(0)) == 1
+        });
 
-    let page = c0.get("/swala-status").unwrap();
-    let html = String::from_utf8(page.body.into_vec()).unwrap();
-    assert!(html.contains("Broadcast links"), "{html}");
-    // One row for the single peer, with the insert notice counted sent
-    // and nothing dropped.
-    assert!(html.contains("<td>node1</td>"), "{html}");
-    assert!(html.contains("(1 sent, 0 dropped)"), "{html}");
-    // The pacing columns: that one notice found the link idle and went
-    // out at once, as its own frame, followed by the base hold.
-    assert!(html.contains("<th>notices/frame</th>"), "{html}");
-    assert!(html.contains("<th>hold (&micro;s)</th>"), "{html}");
-    assert!(
-        html.contains("<td>1</td><td>1</td><td>1.0</td><td>500</td><td>1</td><td>0</td>"),
-        "sent, frames, notices/frame, hold, immediate, after hold: {html}"
-    );
-    // The same from the metrics endpoints — this node's, and the
-    // federated view built from every node's StatsSnapshot.
-    let metrics = c0.get("/swala-metrics").unwrap();
-    let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
-    assert!(metrics.contains("swala_broadcast_frames 1\n"), "{metrics}");
-    assert!(
-        metrics.contains("swala_notice_delay_microseconds_count 1\n"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("swala_notice_hold_microseconds 500\n"),
-        "{metrics}"
-    );
-    let cluster = c0.get("/swala-cluster-metrics").unwrap();
-    let cluster = String::from_utf8(cluster.body.into_vec()).unwrap();
-    for family in [
-        "swala_broadcast_frames",
-        "swala_notice_delay_microseconds_bucket",
-    ] {
-        assert!(cluster.contains(family), "{family} federates: {cluster}");
-    }
-    for s in servers {
-        s.shutdown();
+        let page = c0.get("/swala-status").unwrap();
+        let html = String::from_utf8(page.body.into_vec()).unwrap();
+        assert!(html.contains("Broadcast links"), "{html}");
+        // One row for the single peer, with the insert notice counted sent
+        // and nothing dropped.
+        assert!(html.contains("<td>node1</td>"), "{html}");
+        assert!(html.contains("(1 sent, 0 dropped)"), "{html}");
+        // The pacing columns: that one notice found the link idle and went
+        // out at once, as its own frame, followed by the base hold.
+        assert!(html.contains("<th>notices/frame</th>"), "{html}");
+        assert!(html.contains("<th>hold (&micro;s)</th>"), "{html}");
+        assert!(
+            html.contains("<td>1</td><td>1</td><td>1.0</td><td>500</td><td>1</td><td>0</td>"),
+            "sent, frames, notices/frame, hold, immediate, after hold: {html}"
+        );
+        // The same from the metrics endpoints — this node's, and the
+        // federated view built from every node's StatsSnapshot.
+        let metrics = c0.get("/swala-metrics").unwrap();
+        let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
+        assert!(metrics.contains("swala_broadcast_frames 1\n"), "{metrics}");
+        assert!(
+            metrics.contains("swala_notice_delay_microseconds_count 1\n"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("swala_notice_hold_microseconds 500\n"),
+            "{metrics}"
+        );
+        let cluster = c0.get("/swala-cluster-metrics").unwrap();
+        let cluster = String::from_utf8(cluster.body.into_vec()).unwrap();
+        for family in [
+            "swala_broadcast_frames",
+            "swala_notice_delay_microseconds_bucket",
+        ] {
+            assert!(cluster.contains(family), "{family} federates: {cluster}");
+        }
+        for s in servers {
+            s.shutdown();
+        }
     }
 }
 
@@ -197,7 +196,7 @@ fn threads_page_lists_thread_roles() {
     // Pinned: a replicated directory is what makes any miss send node 1
     // a notice.
     let servers = two_node_cluster_with(ServerOptions {
-        directory: swala_cache::DirectoryKind::Replicated,
+        directory: DirectoryKind::Replicated,
         ..Default::default()
     });
     let mut client = HttpClient::new(servers[0].http_addr());
@@ -265,29 +264,70 @@ fn invalidate_local_entry_over_http() {
 
 #[test]
 fn invalidate_forwards_to_remote_owner() {
-    let servers = two_node_cluster();
-    let mut c0 = HttpClient::new(servers[0].http_addr());
-    c0.get("/cgi-bin/adl?id=9&ms=1").unwrap();
-    wait_until("replication to node 1", || {
-        servers[1].manager().directory().len(NodeId(0)) == 1
+    for directory in DirectoryKind::ALL {
+        let servers = two_node_cluster(directory);
+        let mut c0 = HttpClient::new(servers[0].http_addr());
+        c0.get("/cgi-bin/adl?id=9&ms=1").unwrap();
+        wait_until("notice at node 1", || {
+            servers[1].manager().directory().len(NodeId(0)) == 1
+        });
+
+        // Ask node 1 (non-owner) to invalidate: it forwards to node 0,
+        // which deletes and announces; eventually both directories are
+        // clean.
+        let mut c1 = HttpClient::new(servers[1].http_addr());
+        let resp = c1
+            .get("/swala-admin/invalidate?key=%2Fcgi-bin%2Fadl%3Fid%3D9%26ms%3D1")
+            .unwrap();
+        assert_eq!(resp.status, StatusCode::OK, "{directory:?}");
+        assert!(String::from_utf8(resp.body.into_vec())
+            .unwrap()
+            .contains("forwarded to owner node0"));
+        wait_until("owner dropped entry", || {
+            servers[0].manager().directory().len(NodeId(0)) == 0
+        });
+        wait_until("delete notice applied", || {
+            servers[1].manager().directory().len(NodeId(0)) == 0
+        });
+        for s in servers {
+            s.shutdown();
+        }
+    }
+}
+
+/// A forwarded invalidation is a cluster-plane exchange like a fetch: it
+/// dials through the node's dialer (so faults apply), and a failure
+/// counts against the owner's health. With node 0's dials to node 1
+/// dropped, node 0 cannot reach the owner — it must say so, and the
+/// entry must survive.
+#[test]
+fn forwarded_invalidate_goes_through_the_nodes_dialer() {
+    let faults = FaultInjector::seeded(42);
+    let servers = two_node_cluster_with(ServerOptions {
+        faults: Some(Arc::clone(&faults)),
+        ..Default::default()
+    });
+    let mut c1 = HttpClient::new(servers[1].http_addr());
+    c1.get("/cgi-bin/adl?id=12&ms=1").unwrap();
+    wait_until("notice at node 0", || {
+        servers[0].manager().directory().len(NodeId(1)) == 1
     });
 
-    // Ask node 1 (non-owner) to invalidate: it forwards to node 0, which
-    // deletes and broadcasts; eventually both directories are clean.
-    let mut c1 = HttpClient::new(servers[1].http_addr());
-    let resp = c1
-        .get("/swala-admin/invalidate?key=%2Fcgi-bin%2Fadl%3Fid%3D9%26ms%3D1")
+    faults.add_rule(FaultRule::between(NodeId(0), NodeId(1), FaultAction::Drop));
+    let dials = faults.attempt_count(NodeId(0), NodeId(1));
+    let mut c0 = HttpClient::new(servers[0].http_addr());
+    let resp = c0
+        .get("/swala-admin/invalidate?key=%2Fcgi-bin%2Fadl%3Fid%3D12%26ms%3D1")
         .unwrap();
-    assert_eq!(resp.status, StatusCode::OK);
-    assert!(String::from_utf8(resp.body.into_vec())
-        .unwrap()
-        .contains("forwarded to owner node0"));
-    wait_until("owner dropped entry", || {
-        servers[0].manager().directory().len(NodeId(0)) == 0
-    });
-    wait_until("delete broadcast applied", || {
-        servers[1].manager().directory().len(NodeId(0)) == 0
-    });
+    assert_eq!(resp.status, StatusCode::BAD_GATEWAY);
+    assert_eq!(servers[1].manager().directory().len(NodeId(1)), 1);
+    assert_eq!(faults.attempt_count(NodeId(0), NodeId(1)), dials + 1);
+    let owner = servers[0]
+        .peer_health()
+        .into_iter()
+        .find(|h| h.peer == NodeId(1))
+        .expect("node 1 tracked");
+    assert_eq!(owner.total_failures, 1, "{owner:?}");
     for s in servers {
         s.shutdown();
     }
@@ -387,46 +427,59 @@ fn source_monitor_invalidates_through_live_server() {
 
 #[test]
 fn late_joiner_syncs_directory() {
-    // Node 0 starts alone (in a 2-slot cluster) and caches entries.
-    let b0 = BoundSwala::bind(
-        ServerOptions {
-            node: NodeId(0),
-            num_nodes: 2,
-            pool_size: 2,
-            ..Default::default()
-        },
-        registry(),
-    )
-    .unwrap();
-    let addr0 = b0.cache_addr();
-    let s0 = b0.start(vec![Some(addr0), None]).unwrap();
-    let mut c0 = HttpClient::new(s0.http_addr());
-    for i in 0..4 {
-        c0.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
+    for directory in DirectoryKind::ALL {
+        // Node 0 starts alone (in a 2-slot cluster) and caches entries.
+        // Wired by hand: node 1 does not exist yet.
+        let b0 = BoundSwala::bind(
+            ServerOptions {
+                node: NodeId(0),
+                num_nodes: 2,
+                pool_size: 2,
+                directory,
+                ..Default::default()
+            },
+            registry(),
+        )
+        .unwrap();
+        let addr0 = b0.cache_addr();
+        let s0 = b0.start(vec![Some(addr0), None]).unwrap();
+        let mut c0 = HttpClient::new(s0.http_addr());
+        for i in 0..4 {
+            c0.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
+        }
+
+        // Node 1 joins later with sync_on_join: it learns all 4 entries
+        // at startup instead of waiting for future notices.
+        let b1 = BoundSwala::bind(
+            ServerOptions {
+                node: NodeId(1),
+                num_nodes: 2,
+                pool_size: 2,
+                sync_on_join: true,
+                directory,
+                ..Default::default()
+            },
+            registry(),
+        )
+        .unwrap();
+        let addr1 = b1.cache_addr();
+        let s1 = b1.start(vec![Some(addr0), Some(addr1)]).unwrap();
+        assert_eq!(
+            s1.manager().directory().len(NodeId(0)),
+            4,
+            "synced at join ({directory:?})"
+        );
+        s0.set_peer_cache_addr(NodeId(1), addr1);
+
+        // And it can serve those entries as remote hits immediately.
+        let mut c1 = HttpClient::new(s1.http_addr());
+        let r = c1.get("/cgi-bin/adl?id=0&ms=1").unwrap();
+        assert_eq!(
+            r.headers.get("X-Swala-Cache"),
+            Some("remote-hit"),
+            "{directory:?}"
+        );
+        s0.shutdown();
+        s1.shutdown();
     }
-
-    // Node 1 joins later with sync_on_join: it learns all 4 entries at
-    // startup instead of waiting for future notices.
-    let b1 = BoundSwala::bind(
-        ServerOptions {
-            node: NodeId(1),
-            num_nodes: 2,
-            pool_size: 2,
-            sync_on_join: true,
-            ..Default::default()
-        },
-        registry(),
-    )
-    .unwrap();
-    let addr1 = b1.cache_addr();
-    let s1 = b1.start(vec![Some(addr0), Some(addr1)]).unwrap();
-    assert_eq!(s1.manager().directory().len(NodeId(0)), 4, "synced at join");
-    s0.set_peer_cache_addr(NodeId(1), addr1);
-
-    // And it can serve those entries as remote hits immediately.
-    let mut c1 = HttpClient::new(s1.http_addr());
-    let r = c1.get("/cgi-bin/adl?id=0&ms=1").unwrap();
-    assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
-    s0.shutdown();
-    s1.shutdown();
 }

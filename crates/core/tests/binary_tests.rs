@@ -17,18 +17,22 @@ impl Drop for Proc {
     }
 }
 
-fn spawn_node(config: &str, tag: &str) -> (Proc, std::net::SocketAddr, std::net::SocketAddr) {
+type Node = (Proc, std::net::SocketAddr, std::net::SocketAddr);
+
+fn spawn_node(config: &str, tag: &str) -> Node {
     spawn_node_under(config, tag, "")
+}
+
+/// [`try_spawn_node`], for a node that must start.
+fn spawn_node_under(config: &str, tag: &str, setup: &str) -> Node {
+    try_spawn_node(config, tag, setup).unwrap_or_else(|line| panic!("unparsable banner: {line:?}"))
 }
 
 /// Start the binary — after `setup`, a shell command such as `ulimit` —
 /// and parse "http on <addr>, cache protocol on <addr>" from its stderr
-/// banner.
-fn spawn_node_under(
-    config: &str,
-    tag: &str,
-    setup: &str,
-) -> (Proc, std::net::SocketAddr, std::net::SocketAddr) {
+/// banner. A first line that is something else (a failed bind, say) is
+/// returned as the error.
+fn try_spawn_node(config: &str, tag: &str, setup: &str) -> Result<Node, String> {
     let path = std::env::temp_dir().join(format!("swala-bin-{tag}-{}.conf", std::process::id()));
     std::fs::write(&path, config).unwrap();
     let mut child = Command::new("sh")
@@ -41,6 +45,7 @@ fn spawn_node_under(
         .spawn()
         .expect("spawn swala binary");
     let stderr = child.stderr.take().expect("stderr piped");
+    let child = Proc(child);
     let mut reader = BufReader::new(stderr);
     let mut line = String::new();
     reader.read_line(&mut line).expect("banner line");
@@ -49,16 +54,17 @@ fn spawn_node_under(
         .split("http on ")
         .nth(1)
         .and_then(|s| s.split(',').next())
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or_else(|| panic!("unparsable banner: {line:?}"));
+        .and_then(|s| s.trim().parse().ok());
     let cache = line
         .split("cache protocol on ")
         .nth(1)
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or_else(|| panic!("unparsable banner: {line:?}"));
+        .and_then(|s| s.trim().parse().ok());
+    let (Some(http), Some(cache)) = (http, cache) else {
+        return Err(line);
+    };
     // Drain remaining stderr in the background so the child never blocks.
     std::thread::spawn(move || for _ in reader.lines() {});
-    (Proc(child), http, cache)
+    Ok((child, http, cache))
 }
 
 #[test]
@@ -109,54 +115,70 @@ fn free_port() -> u16 {
 fn spawn_pair(tag: &str, extra: &str) -> ([Proc; 2], [std::net::SocketAddr; 2]) {
     // Pre-pick node 1's cache port so node 0 can name it as a peer
     // before node 1 exists — how a real static deployment is configured.
-    let port1 = free_port();
-    let (p0, http0, cache0) = spawn_node(
-        &format!(
-            "node 0\nnodes 2\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:0\npool 2\n\
-             peer 1 127.0.0.1:{port1}\ncache /cgi-bin/*\n{extra}"
-        ),
-        &format!("{tag}0"),
-    );
-    let (p1, http1, _cache1) = spawn_node(
-        &format!(
-            "node 1\nnodes 2\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:{port1}\npool 2\n\
-             peer 0 {cache0}\ncache /cgi-bin/*\n{extra}"
-        ),
-        &format!("{tag}1"),
-    );
-    ([p0, p1], [http0, http1])
+    // Another socket may take the port in between; then pick again.
+    for _ in 0..5 {
+        let port1 = free_port();
+        let (p0, http0, cache0) = spawn_node(
+            &format!(
+                "node 0\nnodes 2\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:0\npool 2\n\
+                 peer 1 127.0.0.1:{port1}\ncache /cgi-bin/*\n{extra}"
+            ),
+            &format!("{tag}0"),
+        );
+        let node1 = try_spawn_node(
+            &format!(
+                "node 1\nnodes 2\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:{port1}\npool 2\n\
+                 peer 0 {cache0}\ncache /cgi-bin/*\n{extra}"
+            ),
+            &format!("{tag}1"),
+            "",
+        );
+        match node1 {
+            Ok((p1, http1, _)) => return ([p0, p1], [http0, http1]),
+            Err(banner) => eprintln!("node 1 did not start ({banner:?}); picking another port"),
+        }
+    }
+    panic!("node 1 never started");
 }
 
 #[test]
 fn two_binary_processes_cooperate() {
-    let (procs, [http0, http1]) = spawn_pair("pair", "");
+    for directory in ["replicated", "partitioned"] {
+        let (procs, [http0, http1]) = spawn_pair(
+            &format!("pair-{directory}"),
+            &format!("directory {directory}\n"),
+        );
 
-    // Warm node 0; its insert broadcast reaches node 1's directory, and
-    // node 1 serves the request as a remote fetch over real process
-    // boundaries.
-    let mut c0 = HttpClient::new(http0).with_timeout(Duration::from_secs(5));
-    let expect = c0.get("/cgi-bin/adl?id=77&ms=1").unwrap();
-    assert!(expect.status.is_success());
+        // Warm node 0; its insert notice reaches node 1's directory (or
+        // the key's home), and node 1 serves the request as a remote
+        // fetch over real process boundaries.
+        let mut c0 = HttpClient::new(http0).with_timeout(Duration::from_secs(5));
+        let expect = c0.get("/cgi-bin/adl?id=77&ms=1").unwrap();
+        assert!(expect.status.is_success());
 
-    let mut c1 = HttpClient::new(http1).with_timeout(Duration::from_secs(5));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let r1 = loop {
-        let r = c1.get("/cgi-bin/adl?id=77&ms=1").unwrap();
-        if r.headers.get("X-Swala-Cache") == Some("remote-hit") {
-            break r;
-        }
-        // The notice may not have landed yet and node 1 cached its own
-        // execution; invalidate and retry until the remote path is seen.
-        c1.get("/swala-admin/invalidate?key=%2Fcgi-bin%2Fadl%3Fid%3D77%26ms%3D1")
-            .unwrap();
-        assert!(Instant::now() < deadline, "never observed a remote hit");
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert_eq!(
-        r1.body, expect.body,
-        "remote fetch returns node 0's exact bytes"
-    );
-    drop(procs);
+        let mut c1 = HttpClient::new(http1).with_timeout(Duration::from_secs(5));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let r1 = loop {
+            let r = c1.get("/cgi-bin/adl?id=77&ms=1").unwrap();
+            if r.headers.get("X-Swala-Cache") == Some("remote-hit") {
+                break r;
+            }
+            // The notice may not have landed yet and node 1 cached its own
+            // execution; invalidate and retry until the remote path is seen.
+            c1.get("/swala-admin/invalidate?key=%2Fcgi-bin%2Fadl%3Fid%3D77%26ms%3D1")
+                .unwrap();
+            assert!(
+                Instant::now() < deadline,
+                "never observed a remote hit ({directory})"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        };
+        assert_eq!(
+            r1.body, expect.body,
+            "remote fetch returns node 0's exact bytes ({directory})"
+        );
+        drop(procs);
+    }
 }
 
 /// `/swala-threads` on a node process of its own: every role is there
@@ -236,19 +258,22 @@ fn cpu_seconds(pid: u32) -> f64 {
 }
 
 /// Out of descriptors, `accept()` fails while the listener stays
-/// readable: the pool pauses a tick per failure instead of spinning,
-/// counts it, and serves again once descriptors are back.
+/// readable: the request pool and the cache daemon each pause a tick per
+/// failure instead of spinning, the pool counts it, and it serves again
+/// once descriptors are back.
 #[test]
 fn a_failing_accept_pauses_instead_of_spinning() {
-    let (proc_, http, _) = spawn_node_under(
+    let (proc_, http, cache) = spawn_node_under(
         "node 0\nnodes 1\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:0\npool 2\n",
         "emfile",
         "ulimit -n 40",
     );
-    // More connections than the node has descriptors left: the kernel
-    // completes the handshakes, the node's accept() runs dry.
+    // More connections than the node has descriptors left, on both
+    // listeners: the kernel completes the handshakes, the node's
+    // accept() runs dry.
     let herd: Vec<_> = (0..64)
-        .map(|_| std::net::TcpStream::connect(http).unwrap())
+        .flat_map(|_| [http, cache])
+        .map(|addr| std::net::TcpStream::connect(addr).unwrap())
         .collect();
     // Let it take what it can and run into the limit.
     std::thread::sleep(Duration::from_millis(500));

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
-use swala_cache::NodeId;
+use swala::{HttpClient, ServerOptions, SwalaServer};
+use swala_cache::{DirectoryKind, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::StatusCode;
 
@@ -19,27 +19,19 @@ fn registry() -> ProgramRegistry {
     r
 }
 
-fn two_node_cluster(fetch_pool_size: usize) -> Vec<SwalaServer> {
-    let bounds: Vec<BoundSwala> = (0..2)
-        .map(|i| {
-            BoundSwala::bind(
-                ServerOptions {
-                    node: NodeId(i),
-                    num_nodes: 2,
-                    pool_size: 4,
-                    fetch_pool_size,
-                    ..Default::default()
-                },
-                registry(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let addrs: Vec<_> = bounds.iter().map(|b| Some(b.cache_addr())).collect();
-    bounds
-        .into_iter()
-        .map(|b| b.start(addrs.clone()).unwrap())
-        .collect()
+/// The keys the two-node tests warm on node 0 are homed at node 1 on the
+/// partitioned ring, so under either directory node 1 hears of them.
+fn two_node_cluster(fetch_pool_size: usize, directory: DirectoryKind) -> Vec<SwalaServer> {
+    swala::start_cluster(2, |_| {
+        let options = ServerOptions {
+            pool_size: 4,
+            fetch_pool_size,
+            directory,
+            ..Default::default()
+        };
+        (options, registry())
+    })
+    .unwrap()
 }
 
 fn wait_for_remote_entry(server: &SwalaServer, owner: NodeId, n: usize) {
@@ -107,56 +99,60 @@ fn disabled_mem_tier_still_serves_local_hits() {
 
 #[test]
 fn remote_hit_burst_reuses_pooled_connections() {
-    let nodes = two_node_cluster(2);
-    let mut warm = HttpClient::new(nodes[0].http_addr());
-    warm.get("/cgi-bin/adl?id=31&ms=0").unwrap();
-    wait_for_remote_entry(&nodes[1], NodeId(0), 1);
+    for directory in DirectoryKind::ALL {
+        let nodes = two_node_cluster(2, directory);
+        let mut warm = HttpClient::new(nodes[0].http_addr());
+        warm.get("/cgi-bin/adl?id=31&ms=0").unwrap();
+        wait_for_remote_entry(&nodes[1], NodeId(0), 1);
 
-    let mut client = HttpClient::new(nodes[1].http_addr());
-    for _ in 0..12 {
-        let r = client.get("/cgi-bin/adl?id=31&ms=0").unwrap();
-        assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
-    }
-    let pool = nodes[1].fetch_pool_stats();
-    assert!(
-        pool.connects_opened <= 2,
-        "burst over one client must reuse, opened {}",
-        pool.connects_opened
-    );
-    assert!(
-        pool.reuses >= 10,
-        "most fetches ride warm connections, reused {}",
-        pool.reuses
-    );
-    for n in nodes {
-        n.shutdown();
+        let mut client = HttpClient::new(nodes[1].http_addr());
+        for _ in 0..12 {
+            let r = client.get("/cgi-bin/adl?id=31&ms=0").unwrap();
+            assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
+        }
+        let pool = nodes[1].fetch_pool_stats();
+        assert!(
+            pool.connects_opened <= 2,
+            "burst over one client must reuse, opened {}",
+            pool.connects_opened
+        );
+        assert!(
+            pool.reuses >= 10,
+            "most fetches ride warm connections, reused {}",
+            pool.reuses
+        );
+        for n in nodes {
+            n.shutdown();
+        }
     }
 }
 
 #[test]
 fn status_page_shows_hot_path_counters() {
-    let nodes = two_node_cluster(4);
-    let mut warm = HttpClient::new(nodes[0].http_addr());
-    warm.get("/cgi-bin/adl?id=5&ms=0").unwrap();
-    warm.get("/cgi-bin/adl?id=5&ms=0").unwrap();
-    wait_for_remote_entry(&nodes[1], NodeId(0), 1);
-    let mut client = HttpClient::new(nodes[1].http_addr());
-    client.get("/cgi-bin/adl?id=5&ms=0").unwrap();
+    for directory in DirectoryKind::ALL {
+        let nodes = two_node_cluster(4, directory);
+        let mut warm = HttpClient::new(nodes[0].http_addr());
+        warm.get("/cgi-bin/adl?id=5&ms=0").unwrap();
+        warm.get("/cgi-bin/adl?id=5&ms=0").unwrap();
+        wait_for_remote_entry(&nodes[1], NodeId(0), 1);
+        let mut client = HttpClient::new(nodes[1].http_addr());
+        client.get("/cgi-bin/adl?id=5&ms=0").unwrap();
 
-    let page = client.get("/swala-status").unwrap();
-    assert_eq!(page.status, StatusCode::OK);
-    let html = String::from_utf8(page.body.into_vec()).unwrap();
-    assert!(html.contains("Fetch pool"), "{html}");
-    assert!(html.contains("connects=1"), "{html}");
+        let page = client.get("/swala-status").unwrap();
+        assert_eq!(page.status, StatusCode::OK);
+        let html = String::from_utf8(page.body.into_vec()).unwrap();
+        assert!(html.contains("Fetch pool"), "{html}");
+        assert!(html.contains("connects=1"), "{html}");
 
-    // Node 0 served one warm local hit plus node 1's fetch, both from
-    // the memory tier.
-    let page = warm.get("/swala-status").unwrap();
-    let html = String::from_utf8(page.body.into_vec()).unwrap();
-    assert!(html.contains("mem_hits=2"), "{html}");
-    assert!(html.contains("store_reads=0"), "{html}");
-    for n in nodes {
-        n.shutdown();
+        // Node 0 served one warm local hit plus node 1's fetch, both from
+        // the memory tier.
+        let page = warm.get("/swala-status").unwrap();
+        let html = String::from_utf8(page.body.into_vec()).unwrap();
+        assert!(html.contains("mem_hits=2"), "{html}");
+        assert!(html.contains("store_reads=0"), "{html}");
+        for n in nodes {
+            n.shutdown();
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::{BoundSwala, HttpClient, LogFormat, ServerOptions, SwalaServer};
+use swala::{HttpClient, LogFormat, ServerOptions, SwalaServer};
 use swala_cache::NodeId;
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::StatusCode;
@@ -22,29 +22,17 @@ fn registry() -> ProgramRegistry {
 }
 
 fn cluster(n: u16) -> Vec<SwalaServer> {
-    let bounds: Vec<BoundSwala> = (0..n)
-        .map(|i| {
-            BoundSwala::bind(
-                ServerOptions {
-                    node: NodeId(i),
-                    num_nodes: n as usize,
-                    pool_size: 4,
-                    // The convergence waits below watch node 0's table
-                    // replicate; pin the mode so the suite-wide
-                    // `SWALA_DIRECTORY` sweep cannot change the shape.
-                    directory: swala_cache::DirectoryKind::Replicated,
-                    ..Default::default()
-                },
-                registry(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let addrs: Vec<_> = bounds.iter().map(|b| Some(b.cache_addr())).collect();
-    bounds
-        .into_iter()
-        .map(|b| b.start(addrs.clone()).unwrap())
-        .collect()
+    swala::start_cluster(n as usize, |_| {
+        let options = ServerOptions {
+            pool_size: 4,
+            // The convergence waits below watch node 0's table reach
+            // every peer, which only the replicated directory does.
+            directory: swala_cache::DirectoryKind::Replicated,
+            ..Default::default()
+        };
+        (options, registry())
+    })
+    .unwrap()
 }
 
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {

@@ -16,60 +16,64 @@ fn registry() -> ProgramRegistry {
 
 #[test]
 fn warm_restart_recovers_cached_results() {
-    let dir = std::env::temp_dir().join(format!("swala-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // First life: cache three results, then shut down.
-    let bodies: Vec<Vec<u8>> = {
-        let server = SwalaServer::start_single(
-            ServerOptions {
-                cache_dir: Some(dir.clone()),
-                pool_size: 2,
-                ..Default::default()
-            },
-            registry(),
-        )
-        .unwrap();
-        let mut client = HttpClient::new(server.http_addr());
-        let bodies = (0..3)
-            .map(|i| {
-                client
-                    .get(&format!("/cgi-bin/adl?id={i}&ms=1"))
-                    .unwrap()
-                    .body
-                    .into_vec()
-            })
-            .collect();
-        assert_eq!(server.manager().directory().len(NodeId(0)), 3);
-        server.shutdown();
-        bodies
-    };
-
-    // Second life: the directory is rebuilt from disk before the first
-    // request, so all three are immediate local hits with identical bytes.
-    let server = SwalaServer::start_single(
-        ServerOptions {
+    for store in StoreKind::ALL {
+        let dir = std::env::temp_dir().join(format!(
+            "swala-restart-{}-{}",
+            store.as_str(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = || ServerOptions {
             cache_dir: Some(dir.clone()),
             pool_size: 2,
+            store,
             ..Default::default()
-        },
-        registry(),
-    )
-    .unwrap();
-    assert_eq!(
-        server.manager().directory().len(NodeId(0)),
-        3,
-        "directory recovered"
-    );
-    let mut client = HttpClient::new(server.http_addr());
-    for (i, expected) in bodies.iter().enumerate() {
-        let r = client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
-        assert_eq!(r.headers.get("X-Swala-Cache"), Some("local-hit"), "id={i}");
-        assert_eq!(&r.body, expected, "recovered bytes identical, id={i}");
+        };
+
+        // First life: cache three results, then shut down.
+        let bodies: Vec<Vec<u8>> = {
+            let server = SwalaServer::start_single(options(), registry()).unwrap();
+            let mut client = HttpClient::new(server.http_addr());
+            let bodies = (0..3)
+                .map(|i| {
+                    client
+                        .get(&format!("/cgi-bin/adl?id={i}&ms=1"))
+                        .unwrap()
+                        .body
+                        .into_vec()
+                })
+                .collect();
+            assert_eq!(server.manager().directory().len(NodeId(0)), 3);
+            server.shutdown();
+            bodies
+        };
+
+        // Second life: the directory is rebuilt from disk before the
+        // first request, so all three are immediate local hits with
+        // identical bytes.
+        let server = SwalaServer::start_single(options(), registry()).unwrap();
+        assert_eq!(
+            server.manager().directory().len(NodeId(0)),
+            3,
+            "directory recovered ({store:?})"
+        );
+        let mut client = HttpClient::new(server.http_addr());
+        for (i, expected) in bodies.iter().enumerate() {
+            let r = client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
+            assert_eq!(
+                r.headers.get("X-Swala-Cache"),
+                Some("local-hit"),
+                "{store:?} id={i}"
+            );
+            assert_eq!(
+                &r.body, expected,
+                "recovered bytes identical, {store:?} id={i}"
+            );
+        }
+        assert_eq!(server.request_stats().executions, 0, "nothing re-executed");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
     }
-    assert_eq!(server.request_stats().executions, 0, "nothing re-executed");
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -200,36 +204,36 @@ fn store_ops_are_timed_in_situ_and_exported() {
 
 #[test]
 fn recover_cache_off_starts_cold() {
-    let dir = std::env::temp_dir().join(format!("swala-cold-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let server = SwalaServer::start_single(
-            ServerOptions {
-                cache_dir: Some(dir.clone()),
-                pool_size: 2,
-                ..Default::default()
-            },
-            registry(),
-        )
-        .unwrap();
-        HttpClient::new(server.http_addr())
-            .get("/cgi-bin/adl?id=0&ms=1")
-            .unwrap();
-        server.shutdown();
-    }
-    let server = SwalaServer::start_single(
-        ServerOptions {
+    for store in StoreKind::ALL {
+        let dir = std::env::temp_dir().join(format!(
+            "swala-cold-{}-{}",
+            store.as_str(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = |recover_cache| ServerOptions {
             cache_dir: Some(dir.clone()),
-            recover_cache: false,
+            recover_cache,
             pool_size: 2,
+            store,
             ..Default::default()
-        },
-        registry(),
-    )
-    .unwrap();
-    assert_eq!(server.manager().directory().len(NodeId(0)), 0, "cold start");
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
+        };
+        {
+            let server = SwalaServer::start_single(options(true), registry()).unwrap();
+            HttpClient::new(server.http_addr())
+                .get("/cgi-bin/adl?id=0&ms=1")
+                .unwrap();
+            server.shutdown();
+        }
+        let server = SwalaServer::start_single(options(false), registry()).unwrap();
+        assert_eq!(
+            server.manager().directory().len(NodeId(0)),
+            0,
+            "cold start ({store:?})"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
@@ -243,7 +247,7 @@ fn recovery_respects_capacity() {
                 capacity: 10,
                 pool_size: 2,
                 // Pinned: this test counts per-entry .swc files, which
-                // only the files store produces (immune to SWALA_STORE).
+                // only the files store produces.
                 store: StoreKind::Files,
                 ..Default::default()
             },

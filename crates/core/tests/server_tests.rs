@@ -5,8 +5,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 use swala::handler::cache_header;
-use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
-use swala_cache::{CacheRules, NodeId, PolicyKind};
+use swala::{HttpClient, ServerOptions, SwalaServer};
+use swala_cache::{CacheRules, DirectoryKind, NodeId, PolicyKind};
 use swala_cgi::{null_cgi, ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::{Method, Request, StatusCode};
 
@@ -230,30 +230,20 @@ fn disk_store_survives_on_disk() {
 
 /// Start a wired N-node cluster sharing a program registry shape.
 fn cluster(n: usize, caching: bool) -> Vec<SwalaServer> {
-    let bounds: Vec<BoundSwala> = (0..n)
-        .map(|i| {
-            let options = ServerOptions {
-                node: NodeId(i as u16),
-                num_nodes: n,
-                pool_size: 4,
-                caching_enabled: caching,
-                // These tests assert the paper's §4.1/§4.2 broadcast
-                // semantics (every peer hears every insert/delete), so
-                // they pin the replicated directory regardless of any
-                // SWALA_DIRECTORY sweep. tests/directory_modes.rs covers
-                // the behaviour common to both families.
-                directory: swala_cache::DirectoryKind::Replicated,
-                ..Default::default()
-            };
-            BoundSwala::bind(options, registry()).unwrap()
-        })
-        .collect();
-    let addrs: Vec<Option<std::net::SocketAddr>> =
-        bounds.iter().map(|b| Some(b.cache_addr())).collect();
-    bounds
-        .into_iter()
-        .map(|b| b.start(addrs.clone()).unwrap())
-        .collect()
+    swala::start_cluster(n, |_| {
+        let options = ServerOptions {
+            pool_size: 4,
+            caching_enabled: caching,
+            // These tests assert the paper's §4.1/§4.2 broadcast
+            // semantics (every peer hears every insert/delete), so they
+            // pin the replicated directory. tests/directory_modes.rs
+            // covers the behaviour common to both families.
+            directory: swala_cache::DirectoryKind::Replicated,
+            ..Default::default()
+        };
+        (options, registry())
+    })
+    .unwrap()
 }
 
 fn wait_until(cond: impl Fn() -> bool, what: &str) {
@@ -264,6 +254,62 @@ fn wait_until(cond: impl Fn() -> bool, what: &str) {
             "timeout waiting for {what}"
         );
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// `start_cluster` wires every node to every other one: each knows its
+/// own id, the cluster size and both peers' cache addresses, and a
+/// request for another node's entry is served as a remote hit.
+#[test]
+fn start_cluster_wires_every_node_to_the_others() {
+    for directory in DirectoryKind::ALL {
+        let servers = swala::start_cluster(3, |_| {
+            let options = ServerOptions {
+                pool_size: 2,
+                directory,
+                ..Default::default()
+            };
+            (options, registry())
+        })
+        .unwrap();
+        for (i, s) in servers.iter().enumerate() {
+            assert_eq!(s.node(), NodeId(i as u16));
+            assert_eq!(s.manager().directory().num_nodes(), 3);
+            let mut peers: Vec<_> = s
+                .broadcast_link_stats()
+                .iter()
+                .map(|l| (l.peer, l.addr))
+                .collect();
+            peers.sort();
+            let others: Vec<_> = servers
+                .iter()
+                .filter(|o| o.node() != s.node())
+                .map(|o| (o.node(), o.cache_addr()))
+                .collect();
+            assert_eq!(peers, others, "{directory:?} node {i}");
+        }
+
+        let target = "/cgi-bin/adl?id=300&ms=0";
+        HttpClient::new(servers[0].http_addr()).get(target).unwrap();
+        let key = swala_cache::CacheKey::new(target);
+        let homes = servers[0].manager().placement().homes(&key).to_vec();
+        wait_until(
+            || {
+                homes
+                    .iter()
+                    .all(|h| servers[h.index()].manager().directory().len(NodeId(0)) == 1)
+            },
+            "insert notice at the key's homes",
+        );
+        let remote = HttpClient::new(servers[1].http_addr()).get(target).unwrap();
+        assert_eq!(
+            cache_tag(&remote),
+            cache_header::REMOTE_HIT,
+            "{directory:?}"
+        );
+        for s in servers {
+            s.shutdown();
+        }
     }
 }
 

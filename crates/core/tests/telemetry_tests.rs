@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
-use swala_cache::NodeId;
+use swala::{HttpClient, ServerOptions, SwalaServer};
+use swala_cache::{DirectoryKind, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_obs::{parse_exposition, Outcome};
 use swala_proto::FaultInjector;
@@ -27,30 +27,22 @@ fn chaos_seed() -> u64 {
         .unwrap_or(42)
 }
 
-fn two_node_cluster() -> Vec<SwalaServer> {
+/// The keys the two-node tests warm on node 0 are homed at node 1 on the
+/// partitioned ring, so under either directory node 1 hears of them.
+fn two_node_cluster(directory: DirectoryKind) -> Vec<SwalaServer> {
     // A (rule-free) seeded injector keeps the transport deterministic
     // under SWALA_CHAOS_SEED replay, as the chaos tests do.
     let faults = FaultInjector::seeded(chaos_seed());
-    let bounds: Vec<BoundSwala> = (0..2)
-        .map(|i| {
-            BoundSwala::bind(
-                ServerOptions {
-                    node: NodeId(i),
-                    num_nodes: 2,
-                    pool_size: 4,
-                    faults: Some(Arc::clone(&faults)),
-                    ..Default::default()
-                },
-                registry(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let addrs: Vec<_> = bounds.iter().map(|b| Some(b.cache_addr())).collect();
-    bounds
-        .into_iter()
-        .map(|b| b.start(addrs.clone()).unwrap())
-        .collect()
+    swala::start_cluster(2, |_| {
+        let options = ServerOptions {
+            pool_size: 4,
+            faults: Some(Arc::clone(&faults)),
+            directory,
+            ..Default::default()
+        };
+        (options, registry())
+    })
+    .unwrap()
 }
 
 fn wait_for_remote_entry(server: &SwalaServer, owner: NodeId, n: usize) {
@@ -159,49 +151,51 @@ fn metrics_endpoint_is_valid_exposition_with_consistent_twins() {
 
 #[test]
 fn remote_hit_carries_one_trace_id_across_both_nodes() {
-    let nodes = two_node_cluster();
-    let target = "/cgi-bin/adl?id=77&ms=0";
+    for directory in DirectoryKind::ALL {
+        let nodes = two_node_cluster(directory);
+        let target = "/cgi-bin/adl?id=77&ms=0";
 
-    // Warm node 0, then hit the same key from node 1 → remote fetch.
-    HttpClient::new(nodes[0].http_addr()).get(target).unwrap();
-    wait_for_remote_entry(&nodes[1], NodeId(0), 1);
-    let resp = HttpClient::new(nodes[1].http_addr()).get(target).unwrap();
-    assert_eq!(resp.headers.get("X-Swala-Cache"), Some("remote-hit"));
+        // Warm node 0, then hit the same key from node 1 → remote fetch.
+        HttpClient::new(nodes[0].http_addr()).get(target).unwrap();
+        wait_for_remote_entry(&nodes[1], NodeId(0), 1);
+        let resp = HttpClient::new(nodes[1].http_addr()).get(target).unwrap();
+        assert_eq!(resp.headers.get("X-Swala-Cache"), Some("remote-hit"));
 
-    // Requester side: the trace ring holds a Remote-outcome trace that
-    // names node 0 as the owner. The trace lands in the ring just after
-    // the response bytes leave, so poll briefly.
-    let remote = wait_for_trace(&nodes[1], Outcome::Remote);
-    assert_eq!(remote.owner, Some(0));
-    assert!(
-        remote.stage_summary().contains("remote-fetch:"),
-        "{}",
-        remote.stage_summary()
-    );
-    // Trace ids are node-tagged: node 1 minted this one.
-    assert_eq!(remote.id >> 48, 1);
+        // Requester side: the trace ring holds a Remote-outcome trace that
+        // names node 0 as the owner. The trace lands in the ring just after
+        // the response bytes leave, so poll briefly.
+        let remote = wait_for_trace(&nodes[1], Outcome::Remote);
+        assert_eq!(remote.owner, Some(0));
+        assert!(
+            remote.stage_summary().contains("remote-fetch:"),
+            "{}",
+            remote.stage_summary()
+        );
+        // Trace ids are node-tagged: node 1 minted this one.
+        assert_eq!(remote.id >> 48, 1);
 
-    // Owner side: the fetch daemon adopted the requester's id, so the
-    // same 64-bit id appears in node 0's ring with an owner-serve span.
-    let serve = wait_for_trace(&nodes[0], Outcome::OwnerServe);
-    assert_eq!(
-        serve.id, remote.id,
-        "owner {:016x} vs requester {:016x}",
-        serve.id, remote.id
-    );
+        // Owner side: the fetch daemon adopted the requester's id, so the
+        // same 64-bit id appears in node 0's ring with an owner-serve span.
+        let serve = wait_for_trace(&nodes[0], Outcome::OwnerServe);
+        assert_eq!(
+            serve.id, remote.id,
+            "owner {:016x} vs requester {:016x}",
+            serve.id, remote.id
+        );
 
-    // And both `/swala-traces` dumps expose the shared id as hex.
-    let hex = format!("{:016x}", remote.id);
-    for node in &nodes {
-        let body = HttpClient::new(node.http_addr())
-            .get("/swala-traces?n=32")
-            .unwrap()
-            .body;
-        let json = String::from_utf8(body.to_vec()).unwrap();
-        assert!(json.contains(&hex), "node dump lacks {hex}: {json}");
-    }
-    for n in nodes {
-        n.shutdown();
+        // And both `/swala-traces` dumps expose the shared id as hex.
+        let hex = format!("{:016x}", remote.id);
+        for node in &nodes {
+            let body = HttpClient::new(node.http_addr())
+                .get("/swala-traces?n=32")
+                .unwrap()
+                .body;
+            let json = String::from_utf8(body.to_vec()).unwrap();
+            assert!(json.contains(&hex), "node dump lacks {hex}: {json}");
+        }
+        for n in nodes {
+            n.shutdown();
+        }
     }
 }
 

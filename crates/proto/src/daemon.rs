@@ -190,7 +190,18 @@ impl CacheDaemons {
                             if shutdown.load(Ordering::Acquire) {
                                 break;
                             }
-                            let Ok(stream) = conn else { continue };
+                            let stream = match conn {
+                                Ok(stream) => stream,
+                                // Out of descriptors (EMFILE and friends)
+                                // the listener stays readable and accept()
+                                // fails at once: pause rather than spin.
+                                Err(e) => {
+                                    if e.kind() != io::ErrorKind::Interrupted {
+                                        std::thread::sleep(Duration::from_millis(100));
+                                    }
+                                    continue;
+                                }
+                            };
                             let fault = accept_filter.as_ref().and_then(|f| f());
                             let manager = Arc::clone(&manager);
                             let broadcaster = Arc::clone(&broadcaster);
@@ -270,20 +281,17 @@ impl CacheDaemons {
         self.addr
     }
 
-    /// Stop all daemon threads and wait for them.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Unblock the accept loop with a dummy connection.
-        let _ = TcpStream::connect(self.addr);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Stop all daemon threads and wait for them (what dropping the
+    /// daemons does).
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for CacheDaemons {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        // Unblock the accept loop with a dummy connection.
         let _ = TcpStream::connect(self.addr);
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -846,10 +854,20 @@ mod tests {
         insert(&manager, &key, b"stale-content");
         assert_eq!(manager.directory().len(NodeId(0)), 1);
 
-        crate::fetch::request_invalidate(daemons.addr(), &key, Duration::from_secs(1)).unwrap();
+        let invalidate = || {
+            crate::fetch::request_invalidate(
+                &crate::fetch::default_dialer(),
+                NodeId(0),
+                daemons.addr(),
+                &key,
+                Duration::from_secs(1),
+            )
+            .unwrap()
+        };
+        invalidate();
         wait_until(|| manager.directory().len(NodeId(0)) == 0);
         // Invalidating again is a harmless no-op.
-        crate::fetch::request_invalidate(daemons.addr(), &key, Duration::from_secs(1)).unwrap();
+        invalidate();
 
         daemons.shutdown();
         let deletes = collector.join().unwrap();
@@ -1067,8 +1085,13 @@ mod tests {
         let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
         insert(&manager, &CacheKey::new("/cgi-bin/a?1"), b"a");
         insert(&manager, &CacheKey::new("/cgi-bin/a?2"), b"b");
-        let (node, entries) =
-            crate::fetch::request_sync(daemons.addr(), Duration::from_secs(1)).unwrap();
+        let (node, entries) = crate::fetch::request_sync_via(
+            &crate::fetch::default_dialer(),
+            NodeId(0),
+            daemons.addr(),
+            Duration::from_secs(1),
+        )
+        .unwrap();
         assert_eq!(node, NodeId(0));
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().all(|e| e.owner == NodeId(0)));

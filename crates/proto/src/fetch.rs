@@ -195,16 +195,8 @@ impl RetryPolicy {
     }
 }
 
-/// Ask the peer at `addr` for its full local table (join-time directory
+/// Ask `peer` at `addr` for its full local table (join-time directory
 /// sync). Returns the peer's node id and its entries.
-pub fn request_sync(
-    addr: SocketAddr,
-    timeout: Duration,
-) -> Result<(swala_cache::NodeId, Vec<swala_cache::EntryMeta>), ProtoError> {
-    request_sync_via(&default_dialer(), NodeId(0), addr, timeout)
-}
-
-/// [`request_sync`] through an explicit dialer, for fault injection.
 pub fn request_sync_via(
     dialer: &Dialer,
     peer: NodeId,
@@ -224,17 +216,19 @@ pub fn request_sync_via(
     }
 }
 
-/// Ask the owner at `addr` to invalidate `key` (application-driven
-/// invalidation). Fire-and-forget: the owner broadcasts the resulting
-/// deletion to the whole cluster.
+/// Ask the owner `peer` at `addr` to invalidate `key` (application-driven
+/// invalidation). Fire-and-forget: the owner announces the resulting
+/// deletion to the key's homes.
 pub fn request_invalidate(
+    dialer: &Dialer,
+    peer: NodeId,
     addr: SocketAddr,
     key: &swala_cache::CacheKey,
     timeout: Duration,
 ) -> Result<(), ProtoError> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let mut stream = dialer(peer, addr, timeout)?;
     stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(timeout))?;
+    stream.set_io_timeout(timeout)?;
     write_frame(&mut stream, &Message::encode_invalidate(key))
 }
 

@@ -10,6 +10,7 @@
 //! cargo run --release --example cooperative_vs_standalone
 //! ```
 
+use swala::ServerOptions;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_sim::{simulate, SimConfig};
@@ -23,8 +24,11 @@ fn live_hits(cooperative: bool, targets: &[String]) -> u64 {
     let clusters: Vec<SwalaCluster> = if cooperative {
         vec![SwalaCluster::start(&ClusterConfig {
             nodes: NODES,
-            capacity: CAPACITY,
             work: WorkKind::Sleep,
+            node: ServerOptions {
+                capacity: CAPACITY,
+                ..ClusterConfig::default().node
+            },
             ..Default::default()
         })
         .expect("cluster")]
@@ -33,8 +37,11 @@ fn live_hits(cooperative: bool, targets: &[String]) -> u64 {
             .map(|_| {
                 SwalaCluster::start(&ClusterConfig {
                     nodes: 1,
-                    capacity: CAPACITY,
                     work: WorkKind::Sleep,
+                    node: ServerOptions {
+                        capacity: CAPACITY,
+                        ..ClusterConfig::default().node
+                    },
                     ..Default::default()
                 })
                 .expect("node")

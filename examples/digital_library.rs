@@ -9,6 +9,7 @@
 //! cargo run --release --example digital_library
 //! ```
 
+use swala::ServerOptions;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_workload::{
@@ -44,11 +45,13 @@ fn main() -> std::io::Result<()> {
     for caching in [false, true] {
         let cluster = SwalaCluster::start(&ClusterConfig {
             nodes,
-            caching,
-            docroot: Some(docroot.clone()),
             work: WorkKind::Sleep,
             cores_per_node: Some(1),
-            ..Default::default()
+            node: ServerOptions {
+                caching_enabled: caching,
+                docroot: Some(docroot.clone()),
+                ..ClusterConfig::default().node
+            },
         })?;
         let report = LoadGenerator::new(clients).replay_shared(&cluster.http_addrs(), &targets);
         let hits = cluster.total_cache_stat(|s| s.local_hits + s.remote_hits);

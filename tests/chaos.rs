@@ -12,9 +12,8 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cache::NodeId;
-use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_proto::{FaultAction, FaultEvent, FaultInjector, FaultRule, PeerState};
 
@@ -25,20 +24,20 @@ fn chaos_seed() -> u64 {
         .unwrap_or(42)
 }
 
-fn chaos_config(nodes: usize, inj: &Arc<FaultInjector>) -> ClusterConfig {
-    ClusterConfig {
-        nodes,
-        work: WorkKind::Sleep,
+/// Every chaos node's options: faults on every seam, fast retries, no
+/// probe unless a test opts in.
+fn chaos_node(inj: &Arc<FaultInjector>) -> ServerOptions {
+    ServerOptions {
         faults: Some(Arc::clone(inj)),
         fetch_backoff: Duration::from_millis(2),
         // Long enough that no probe fires mid-test unless a test opts in.
         probe_interval: Duration::from_secs(3600),
         // These drills script exact broadcast/NodeDown repair sequences
-        // of the paper's replicated directory; pin the mode so a
-        // SWALA_DIRECTORY sweep cannot re-route the notices they count.
-        // Partitioned fault handling is covered by tests/directory_modes.rs.
+        // of the paper's replicated directory, where every peer hears
+        // every notice. Partitioned fault handling is covered by
+        // tests/directory_modes.rs.
         directory: swala_cache::DirectoryKind::Replicated,
-        ..Default::default()
+        ..ClusterConfig::default().node
     }
 }
 
@@ -75,9 +74,13 @@ fn cache_tag(resp: &swala_http::Response) -> String {
 fn dead_peer_causes_zero_failures_and_attempts_stop() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 1,
-        quarantine_after: 2,
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 1,
+            quarantine_after: 2,
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
 
@@ -159,9 +162,13 @@ fn dead_peer_causes_zero_failures_and_attempts_stop() {
 fn node_down_broadcast_repairs_third_party_directories() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 1,
-        quarantine_after: 1,
-        ..chaos_config(3, &inj)
+        nodes: 3,
+        node: ServerOptions {
+            fetch_retries: 1,
+            quarantine_after: 1,
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
 
@@ -205,9 +212,13 @@ fn node_down_broadcast_repairs_third_party_directories() {
 fn retry_exhaustion_falls_back_to_local_execution() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 3,
-        quarantine_after: 100, // keep quarantine out of this scenario
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 3,
+            quarantine_after: 100, // keep quarantine out of this scenario
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
     let target = "/cgi-bin/adl?id=70&ms=0";
@@ -244,9 +255,13 @@ fn retry_exhaustion_falls_back_to_local_execution() {
 fn single_transient_failure_is_hidden_by_retry() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 3,
-        quarantine_after: 100,
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 3,
+            quarantine_after: 100,
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
     let target = "/cgi-bin/adl?id=71&ms=0";
@@ -276,9 +291,13 @@ fn single_transient_failure_is_hidden_by_retry() {
 fn partition_heals_and_cooperation_resumes() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 1,
-        quarantine_after: 100,
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 1,
+            quarantine_after: 100,
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
     let mut c0 = HttpClient::new(cluster.node(0).http_addr());
@@ -325,7 +344,12 @@ fn partition_heals_and_cooperation_resumes() {
 #[test]
 fn false_hit_after_silent_restart_repairs_the_cluster() {
     let inj = FaultInjector::seeded(chaos_seed());
-    let cluster = SwalaCluster::start(&chaos_config(3, &inj)).unwrap();
+    let cluster = SwalaCluster::start(&ClusterConfig {
+        nodes: 3,
+        node: chaos_node(&inj),
+        ..Default::default()
+    })
+    .unwrap();
     let target = "/cgi-bin/adl?id=50&ms=0";
     let mut c2 = HttpClient::new(cluster.node(2).http_addr());
     let warm_body = c2.get(target).unwrap().body;
@@ -367,9 +391,13 @@ fn false_hit_after_silent_restart_repairs_the_cluster() {
 fn node_crash_mid_broadcast_leaves_survivors_consistent() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 1,
-        quarantine_after: 1,
-        ..chaos_config(3, &inj)
+        nodes: 3,
+        node: ServerOptions {
+            fetch_retries: 1,
+            quarantine_after: 1,
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
     let mut c0 = HttpClient::new(cluster.node(0).http_addr());
@@ -540,13 +568,17 @@ fn same_seed_same_schedule_same_trace() {
     fn run(seed: u64) -> Vec<FaultEvent> {
         let inj = FaultInjector::seeded(seed);
         let cluster = SwalaCluster::start(&ClusterConfig {
-            fetch_retries: 1,
-            quarantine_after: 100,
-            // The trace under test is made of dial-time fault decisions;
-            // pooled connections would skip most dials, so every fetch
-            // must open a fresh one.
-            fetch_pool_size: 0,
-            ..chaos_config(2, &inj)
+            nodes: 2,
+            node: ServerOptions {
+                fetch_retries: 1,
+                quarantine_after: 100,
+                // The trace under test is made of dial-time fault decisions;
+                // pooled connections would skip most dials, so every fetch
+                // must open a fresh one.
+                fetch_pool_size: 0,
+                ..chaos_node(&inj)
+            },
+            ..Default::default()
         })
         .unwrap();
         let targets: Vec<String> = (0..8)
@@ -591,8 +623,12 @@ fn same_seed_same_schedule_same_trace() {
 fn pooled_connection_truncated_mid_reply_recovers_in_place() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 1, // recovery must come from the pool, not retry
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 1, // recovery must come from the pool, not retry
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
     let target = "/cgi-bin/adl?id=60&ms=0";
@@ -635,9 +671,13 @@ fn pooled_connection_truncated_mid_reply_recovers_in_place() {
 fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 1,
-        quarantine_after: 100, // keep quarantine out of this scenario
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 1,
+            quarantine_after: 100, // keep quarantine out of this scenario
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
     let target = "/cgi-bin/adl?id=72&ms=150";
@@ -705,9 +745,13 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
 fn resetting_connections_through_pool_still_quarantine_the_peer() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 1,
-        quarantine_after: 2,
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 1,
+            quarantine_after: 2,
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
     let targets: Vec<String> = (0..4)
@@ -760,9 +804,13 @@ fn request_burst_survives_accept_resets() {
     use swala_proto::faults::ACCEPT_SRC;
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
-        fetch_retries: 2,
-        quarantine_after: 100, // keep quarantine out of this scenario
-        ..chaos_config(2, &inj)
+        nodes: 2,
+        node: ServerOptions {
+            fetch_retries: 2,
+            quarantine_after: 100, // keep quarantine out of this scenario
+            ..chaos_node(&inj)
+        },
+        ..Default::default()
     })
     .unwrap();
 

@@ -3,7 +3,7 @@
 //! end, and concurrent multi-node load with invariant checks.
 
 use std::time::{Duration, Instant};
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cache::{CacheRules, NodeId};
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
@@ -21,12 +21,15 @@ fn ttl_expiry_propagates_cluster_wide() {
     // 1-second TTL, 100 ms purge interval.
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        rules: CacheRules::parse("cache * ttl=1\n").unwrap(),
-        purge_interval: Duration::from_millis(100),
         work: WorkKind::Sleep,
-        // Seed-faithful §4.2 semantics: the deletion must reach every
-        // replica, so pin the replicated directory against mode sweeps.
-        directory: swala_cache::DirectoryKind::Replicated,
+        node: ServerOptions {
+            rules: CacheRules::parse("cache * ttl=1\n").unwrap(),
+            purge_interval: Duration::from_millis(100),
+            // Seed-faithful §4.2 semantics: the deletion must reach every
+            // replica, which only the replicated directory keeps.
+            directory: swala_cache::DirectoryKind::Replicated,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .unwrap();
@@ -57,9 +60,12 @@ fn false_hit_path_live_end_to_end() {
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
         work: WorkKind::Sleep,
-        // The §4.2 race needs node 1 to hold a replica of node 0's
-        // insert; pin the paper's replicated directory explicitly.
-        directory: swala_cache::DirectoryKind::Replicated,
+        node: ServerOptions {
+            // The §4.2 race needs node 1 to hold a replica of node 0's
+            // insert; pin the paper's replicated directory explicitly.
+            directory: swala_cache::DirectoryKind::Replicated,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .unwrap();
@@ -94,7 +100,10 @@ fn concurrent_same_key_burst_counts_false_misses_not_errors() {
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 1,
         work: WorkKind::Sleep,
-        coalesce: false,
+        node: ServerOptions {
+            coalesce: false,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .unwrap();
@@ -165,9 +174,12 @@ fn node_crash_degrades_gracefully() {
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 3,
         work: WorkKind::Sleep,
-        // Node 2 must know node 0's entry without asking a home node:
-        // replicated-directory behaviour, pinned against mode sweeps.
-        directory: swala_cache::DirectoryKind::Replicated,
+        node: ServerOptions {
+            // Node 2 must know node 0's entry without asking a home node:
+            // replicated-directory behaviour.
+            directory: swala_cache::DirectoryKind::Replicated,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .unwrap();

@@ -4,22 +4,23 @@
 //! — plus the partitioned-only degradation path (unreachable home).
 //!
 //! Replicated stays the paper-faithful default; these tests run every
-//! scenario under both `DirectoryKind`s explicitly so neither the
-//! default nor a `SWALA_DIRECTORY` sweep changes what is covered.
+//! scenario under both `DirectoryKind`s explicitly, so the default does
+//! not decide what is covered.
 
 use std::time::{Duration, Instant};
-use swala::HttpClient;
+use swala::{HttpClient, ServerOptions};
 use swala_cache::{CacheKey, DirectoryKind, NodeId};
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
-
-const BOTH: [DirectoryKind; 2] = [DirectoryKind::Replicated, DirectoryKind::Partitioned];
 
 fn start(nodes: usize, directory: DirectoryKind) -> SwalaCluster {
     SwalaCluster::start(&ClusterConfig {
         nodes,
         work: WorkKind::Sleep,
-        directory,
+        node: ServerOptions {
+            directory,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .unwrap()
@@ -52,7 +53,7 @@ fn enc(target: &str) -> String {
 
 #[test]
 fn remote_hit_works_under_both_directory_modes() {
-    for directory in BOTH {
+    for directory in DirectoryKind::ALL {
         let cluster = start(2, directory);
         let mut c0 = HttpClient::new(cluster.node(0).http_addr());
         let mut c1 = HttpClient::new(cluster.node(1).http_addr());
@@ -82,13 +83,16 @@ fn remote_hit_works_under_both_directory_modes() {
 
 #[test]
 fn ttl_deletion_propagates_under_both_directory_modes() {
-    for directory in BOTH {
+    for directory in DirectoryKind::ALL {
         let cluster = SwalaCluster::start(&ClusterConfig {
             nodes: 2,
             work: WorkKind::Sleep,
-            rules: swala_cache::CacheRules::parse("cache * ttl=1\n").unwrap(),
-            purge_interval: Duration::from_millis(100),
-            directory,
+            node: ServerOptions {
+                rules: swala_cache::CacheRules::parse("cache * ttl=1\n").unwrap(),
+                purge_interval: Duration::from_millis(100),
+                directory,
+                ..ClusterConfig::default().node
+            },
             ..Default::default()
         })
         .unwrap();
@@ -120,7 +124,7 @@ fn ttl_deletion_propagates_under_both_directory_modes() {
 
 #[test]
 fn invalidate_from_non_owner_works_under_both_directory_modes() {
-    for directory in BOTH {
+    for directory in DirectoryKind::ALL {
         let cluster = start(2, directory);
         let target = "/cgi-bin/adl?id=33&ms=0";
         let mut c0 = HttpClient::new(cluster.node(0).http_addr());
@@ -167,7 +171,7 @@ fn false_hit_repairs_under_both_directory_modes() {
         .find(|t| ring.home(&CacheKey::new(t)) == NodeId(1))
         .expect("some key is homed at node 1");
     let target = target.as_str();
-    for directory in BOTH {
+    for directory in DirectoryKind::ALL {
         let cluster = start(2, directory);
         let mut c0 = HttpClient::new(cluster.node(0).http_addr());
         let mut c1 = HttpClient::new(cluster.node(1).http_addr());

@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full pipeline — workload synthesis →
 //! live cluster → load generation → statistics — holds its invariants.
 
+use swala::ServerOptions;
+use swala_cache::{DirectoryKind, StoreKind};
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_workload::{
@@ -9,8 +11,9 @@ use swala_workload::{
 
 #[test]
 fn adl_replay_accounting_balances() {
-    // Replay a small ADL trace against a 3-node cooperative cluster and
-    // check that every request is accounted for exactly once.
+    // Replay a small ADL trace against a 3-node cooperative cluster on
+    // disk stores and check that every request is accounted for exactly
+    // once — under each directory organization and each store layout.
     let trace = synthesize_adl_trace(&AdlTraceConfig {
         live_ms_per_paper_second: 2.0,
         ..AdlTraceConfig::scaled_to(300)
@@ -22,51 +25,85 @@ fn adl_replay_accounting_balances() {
         .map(|r| r.target.clone())
         .collect();
 
-    let cluster = SwalaCluster::start(&ClusterConfig {
-        nodes: 3,
-        work: WorkKind::Sleep,
-        ..Default::default()
-    })
-    .unwrap();
-    let report = LoadGenerator::new(6).replay_shared(&cluster.http_addrs(), &targets);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.completed, targets.len());
+    for directory in DirectoryKind::ALL {
+        for store in StoreKind::ALL {
+            let mode = format!("{} directory, {} store", directory.as_str(), store.as_str());
+            let base = std::env::temp_dir().join(format!(
+                "swala-it-adl-{}-{}-{}",
+                directory.as_str(),
+                store.as_str(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&base);
+            let cluster = SwalaCluster::start(&ClusterConfig {
+                nodes: 3,
+                work: WorkKind::Sleep,
+                node: ServerOptions {
+                    cache_dir: Some(base.clone()),
+                    directory,
+                    store,
+                    ..ClusterConfig::default().node
+                },
+                ..Default::default()
+            })
+            .unwrap();
+            assert_eq!(
+                cluster.node(0).manager().store_metrics().kind,
+                store.as_str()
+            );
+            let report = LoadGenerator::new(6).replay_shared(&cluster.http_addrs(), &targets);
+            assert_eq!(report.errors, 0, "{mode}");
+            assert_eq!(report.completed, targets.len(), "{mode}");
 
-    let lookups = cluster.total_cache_stat(|s| s.lookups);
-    let hits = cluster.total_cache_stat(|s| s.local_hits + s.remote_hits);
-    let misses = cluster.total_cache_stat(|s| s.misses);
-    assert_eq!(lookups as usize, targets.len(), "every GET is one lookup");
-    assert_eq!(hits + misses, lookups, "each lookup is a hit or a miss");
+            let lookups = cluster.total_cache_stat(|s| s.lookups);
+            let hits = cluster.total_cache_stat(|s| s.local_hits + s.remote_hits);
+            let misses = cluster.total_cache_stat(|s| s.misses);
+            assert_eq!(
+                lookups as usize,
+                targets.len(),
+                "every GET is one lookup ({mode})"
+            );
+            assert_eq!(
+                hits + misses,
+                lookups,
+                "each lookup is a hit or a miss ({mode})"
+            );
 
-    // Work conservation: every miss or false-hit fallback either runs
-    // the CGI itself or is served another request's single-flight
-    // execution. A coalesced wait that fails (leader failure/timeout)
-    // falls back to executing, so the served-from-flight count is
-    // exactly `coalesce_waits - coalesce_fallbacks`.
-    let execs: u64 = cluster
-        .nodes()
-        .iter()
-        .map(|s| s.request_stats().executions)
-        .sum();
-    let false_hits = cluster.total_cache_stat(|s| s.false_hits);
-    let flight_served = cluster.total_cache_stat(|s| s.coalesce_waits)
-        - cluster.total_cache_stat(|s| s.coalesce_fallbacks);
-    assert_eq!(execs + flight_served, misses + false_hits);
-
-    // Inserted entries are visible cluster-wide after convergence.
-    let inserts = cluster.total_cache_stat(|s| s.inserts);
-    assert!(inserts > 0);
-    cluster.shutdown();
+            // Work conservation: every miss or false-hit fallback either
+            // runs the CGI itself or is served another request's
+            // single-flight execution. A coalesced wait that fails (leader
+            // failure/timeout) falls back to executing, so the
+            // served-from-flight count is exactly
+            // `coalesce_waits - coalesce_fallbacks`.
+            let execs: u64 = cluster
+                .nodes()
+                .iter()
+                .map(|s| s.request_stats().executions)
+                .sum();
+            let false_hits = cluster.total_cache_stat(|s| s.false_hits);
+            let flight_served = cluster.total_cache_stat(|s| s.coalesce_waits)
+                - cluster.total_cache_stat(|s| s.coalesce_fallbacks);
+            assert_eq!(execs + flight_served, misses + false_hits, "{mode}");
+            assert!(cluster.total_cache_stat(|s| s.inserts) > 0, "{mode}");
+            cluster.shutdown();
+            let _ = std::fs::remove_dir_all(&base);
+        }
+    }
 }
 
 #[test]
 fn mixed_static_and_dynamic_traffic() {
+    // One directory organization: what is asserted is the static/dynamic
+    // split and what may be cached, not how entries are shared.
     let docroot = std::env::temp_dir().join(format!("swala-it-mixed-{}", std::process::id()));
     materialize_docroot(&docroot).unwrap();
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        docroot: Some(docroot.clone()),
         work: WorkKind::Sleep,
+        node: ServerOptions {
+            docroot: Some(docroot.clone()),
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .unwrap();
@@ -119,32 +156,49 @@ fn mixed_static_and_dynamic_traffic() {
 
 #[test]
 fn cluster_with_disk_stores_keeps_bodies_on_disk() {
-    let base = std::env::temp_dir().join(format!("swala-it-disk-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let cluster = SwalaCluster::start(&ClusterConfig {
-        nodes: 2,
-        cache_dir_base: Some(base.clone()),
-        work: WorkKind::Sleep,
-        // Pinned: the file-count assertion below is about the paper's
-        // one-file-per-entry layout (files store only).
-        store: swala_cache::StoreKind::Files,
-        ..Default::default()
-    })
-    .unwrap();
-    let mut client = swala::HttpClient::new(cluster.node(0).http_addr());
-    for i in 0..5 {
-        client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
+    for directory in DirectoryKind::ALL {
+        let base = std::env::temp_dir().join(format!(
+            "swala-it-disk-{}-{}",
+            directory.as_str(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&base);
+        let cluster = SwalaCluster::start(&ClusterConfig {
+            nodes: 2,
+            work: WorkKind::Sleep,
+            node: ServerOptions {
+                cache_dir: Some(base.clone()),
+                directory,
+                // Pinned: the file-count assertion below is about the
+                // paper's one-file-per-entry layout (files store only).
+                store: StoreKind::Files,
+                ..ClusterConfig::default().node
+            },
+            ..Default::default()
+        })
+        .unwrap();
+        let mut client = swala::HttpClient::new(cluster.node(0).http_addr());
+        for i in 0..5 {
+            client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
+        }
+        let node0_files = std::fs::read_dir(base.join("node0")).unwrap().count();
+        assert_eq!(node0_files, 5, "one file per cached result");
+        assert!(base.join("node1").exists());
+        // Remote fetches read node 0's files over the wire.
+        assert!(
+            cluster.wait_for_directory_convergence(5, std::time::Duration::from_secs(5)),
+            "{directory:?}"
+        );
+        let mut client1 = swala::HttpClient::new(cluster.node(1).http_addr());
+        let r = client1.get("/cgi-bin/adl?id=0&ms=1").unwrap();
+        assert_eq!(
+            r.headers.get("X-Swala-Cache"),
+            Some("remote-hit"),
+            "{directory:?}"
+        );
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(base);
     }
-    let node0_files = std::fs::read_dir(base.join("node0")).unwrap().count();
-    assert_eq!(node0_files, 5, "one file per cached result");
-    assert!(base.join("node1").exists());
-    // Remote fetches read node 0's files over the wire.
-    assert!(cluster.wait_for_directory_convergence(5, std::time::Duration::from_secs(5)));
-    let mut client1 = swala::HttpClient::new(cluster.node(1).http_addr());
-    let r = client1.get("/cgi-bin/adl?id=0&ms=1").unwrap();
-    assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(base);
 }
 
 #[test]

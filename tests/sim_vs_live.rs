@@ -4,6 +4,7 @@
 //! the live system stays honest.
 
 use std::time::Duration;
+use swala::ServerOptions;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_sim::{simulate, Routing, SimConfig};
@@ -19,12 +20,15 @@ use swala_workload::{section53_trace, Trace};
 fn live_cooperative_hits(nodes: usize, capacity: usize, trace: &Trace) -> (u64, u64) {
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes,
-        capacity,
         work: WorkKind::Sleep,
-        pool_size: 4,
-        // The sim twin below runs the replicated model; pin the live
-        // side to match regardless of any SWALA_DIRECTORY sweep.
-        directory: swala_cache::DirectoryKind::Replicated,
+        node: ServerOptions {
+            capacity,
+            pool_size: 4,
+            // The sim twin below runs the replicated model, where every
+            // peer hears every notice; the live side must match it.
+            directory: swala_cache::DirectoryKind::Replicated,
+            ..ClusterConfig::default().node
+        },
         ..Default::default()
     })
     .unwrap();
