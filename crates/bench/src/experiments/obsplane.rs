@@ -108,16 +108,11 @@ fn overhead_twin(quick: bool) -> (f64, f64, f64) {
     let work_ms: u64 = if quick { 3 } else { 10 };
     let target = format!("/cgi-bin/adl?id=ov&ms={work_ms}");
 
-    // Obs on, with the per-key instruments explicitly enabled: every
-    // timed hit feeds the duration histogram, the heat sketch, and the
-    // slow-exemplar comparison — the full cost the budget must absorb.
+    // Obs on, the default: every timed hit feeds the duration
+    // histogram, the heat sketch, and the slow-exemplar comparison — the
+    // full cost the budget must absorb.
     let on_cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            hotkeys: 128,
-            slow_traces: 8,
-            ..ClusterConfig::default().node
-        },
         ..Default::default()
     })
     .expect("start obs-on cluster");

@@ -53,7 +53,7 @@ pub use entry::EntryMeta;
 pub use key::CacheKey;
 pub use manager::{
     BodyTier, CacheManager, CacheManagerConfig, FallbackStart, FlightWaitOutcome, FlightWaiter,
-    InsertOutcome, LookupResult,
+    InsertOutcome, LookupResult, COALESCE_WAIT, HOTKEYS,
 };
 pub use memcache::MemCache;
 pub use node::NodeId;

@@ -14,7 +14,7 @@ use crate::key::CacheKey;
 use crate::memcache::MemCache;
 use crate::node::NodeId;
 use crate::policy::PolicyKind;
-use crate::ring::{DirectoryKind, Placement, DEFAULT_VNODES};
+use crate::ring::{DirectoryKind, Placement};
 use crate::rules::{CacheDecision, CacheRules};
 use crate::stats::CacheStats;
 use crate::store::Store;
@@ -26,6 +26,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 use swala_obs::{Gauge, HeatSketch, Histogram, Stage, Trace};
+
+/// How long a coalesced miss waits for the leader's body before it
+/// executes on its own.
+///
+/// A constant, not a knob: it only bounds a wait that ends when the
+/// leader finishes or fails, so it matters only for a leader that hangs,
+/// and 10 s is longer than any CGI the paper runs.
+pub const COALESCE_WAIT: Duration = Duration::from_secs(10);
+
+/// Monitored slots in the per-key heat sketch (`/swala-hotkeys`).
+///
+/// A constant, not a knob: the sketch reports the hottest keys with a
+/// stated error bound, and 128 slots are twice the 64 a node ships in
+/// its cluster snapshot, so the shipped entries' bounds stay tight. The
+/// `obs off` baseline turns the sketch off with the rest of telemetry.
+pub const HOTKEYS: usize = 128;
 
 /// Construction parameters for a [`CacheManager`].
 pub struct CacheManagerConfig {
@@ -47,16 +63,15 @@ pub struct CacheManagerConfig {
     /// the paper's re-run semantics (§4.2, false-miss scenario 1).
     pub coalesce: bool,
     /// Bound on how long a coalesced miss waits for the leader before
-    /// falling back to its own execution.
+    /// falling back to its own execution ([`COALESCE_WAIT`] on every
+    /// node; a test shortens it to see the fallback).
     pub coalesce_wait: Duration,
     /// Directory organization: the paper's replicated directory (the
     /// default), or consistent-hash partitioned with per-key home nodes.
     pub directory: DirectoryKind,
-    /// Virtual points per node on the consistent-hash ring (partitioned
-    /// mode only).
-    pub ring_vnodes: usize,
-    /// Monitored slots in the per-key heat sketch (space-saving top-K);
-    /// 0 disables the sketch entirely (observations become no-ops).
+    /// Monitored slots in the per-key heat sketch (space-saving top-K):
+    /// [`HOTKEYS`], or 0 to disable the sketch entirely (observations
+    /// become no-ops).
     pub hotkeys: usize,
 }
 
@@ -70,10 +85,9 @@ impl Default for CacheManagerConfig {
             rules: CacheRules::allow_all(),
             mem_cache_bytes: 64 * 1024 * 1024,
             coalesce: true,
-            coalesce_wait: Duration::from_secs(10),
+            coalesce_wait: COALESCE_WAIT,
             directory: DirectoryKind::Replicated,
-            ring_vnodes: DEFAULT_VNODES,
-            hotkeys: 128,
+            hotkeys: HOTKEYS,
         }
     }
 }
@@ -265,7 +279,7 @@ impl CacheManager {
             flights: Mutex::new(HashMap::new()),
             coalesce: cfg.coalesce,
             coalesce_wait: cfg.coalesce_wait,
-            placement: Placement::new(cfg.directory, cfg.num_nodes, cfg.ring_vnodes),
+            placement: Placement::new(cfg.directory, cfg.num_nodes),
             heat: Arc::new(HeatSketch::new(cfg.hotkeys)),
         }
     }

@@ -22,9 +22,11 @@
 use crate::key::CacheKey;
 use crate::node::NodeId;
 
-/// Virtual points per node when no explicit count is configured.
+/// Virtual points per node on the placement ring, in the server and the
+/// simulator alike.
 ///
-/// Per-node share spread scales as 1/sqrt(vnodes); 256 points keeps an
+/// A constant, not a knob: every node must build the same ring, and
+/// per-node share spread scales as 1/sqrt(vnodes); 256 points keeps an
 /// 8-node ring within ±20% of fair share (64 did not — one node drew
 /// 21.8% under fair), while lookups stay a binary search over a couple
 /// thousand points.
@@ -224,11 +226,13 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// The placement of a cluster of nodes `0..num_nodes` running `kind`.
-    pub fn new(kind: DirectoryKind, num_nodes: usize, vnodes: usize) -> Placement {
+    /// The placement of a cluster of nodes `0..num_nodes` running `kind`
+    /// (a partitioned ring has [`DEFAULT_VNODES`] points per node).
+    pub fn new(kind: DirectoryKind, num_nodes: usize) -> Placement {
         Placement {
             members: (0..num_nodes).map(|i| NodeId(i as u16)).collect(),
-            ring: (kind == DirectoryKind::Partitioned).then(|| HashRing::new(num_nodes, vnodes)),
+            ring: (kind == DirectoryKind::Partitioned)
+                .then(|| HashRing::new(num_nodes, DEFAULT_VNODES)),
         }
     }
 

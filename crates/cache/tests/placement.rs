@@ -12,10 +12,42 @@
 //! `PROPTEST_RNG_SEED` for this file.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use swala_cache::{
     CacheDirectory, CacheKey, Classification, DirectoryKind, EntryMeta, HashRing, NodeId,
     Placement, RemoteUpdate, DEFAULT_VNODES,
 };
+
+/// Both placements and the reference ring for one cluster size.
+struct Built {
+    replicated: Placement,
+    partitioned: Placement,
+    ring: HashRing,
+}
+
+/// Everything the properties compare, for clusters of 1 to 16 nodes,
+/// built once: a placement depends only on its kind and node count, and
+/// two 256-point rings per case would dominate the run.
+fn built(nodes: usize) -> &'static Built {
+    static BUILT: OnceLock<Vec<Built>> = OnceLock::new();
+    let all = BUILT.get_or_init(|| {
+        (1..=16)
+            .map(|n| Built {
+                replicated: Placement::new(DirectoryKind::Replicated, n),
+                partitioned: Placement::new(DirectoryKind::Partitioned, n),
+                ring: HashRing::new(n, DEFAULT_VNODES),
+            })
+            .collect()
+    });
+    &all[nodes - 1]
+}
+
+fn placement(kind: DirectoryKind, nodes: usize) -> &'static Placement {
+    match kind {
+        DirectoryKind::Replicated => &built(nodes).replicated,
+        DirectoryKind::Partitioned => &built(nodes).partitioned,
+    }
+}
 
 fn kind() -> impl Strategy<Value = DirectoryKind> {
     prop_oneof![
@@ -31,21 +63,16 @@ fn key() -> impl Strategy<Value = CacheKey> {
 
 proptest! {
     #[test]
-    fn replicated_homes_are_every_member(nodes in 1usize..=16, vnodes in 1usize..64, key in key()) {
-        let placement = Placement::new(DirectoryKind::Replicated, nodes, vnodes);
+    fn replicated_homes_are_every_member(nodes in 1usize..=16, key in key()) {
+        let placement = placement(DirectoryKind::Replicated, nodes);
         let every: Vec<NodeId> = (0..nodes as u16).map(NodeId).collect();
         prop_assert_eq!(placement.homes(&key), &every[..]);
     }
 
     #[test]
-    fn partitioned_home_is_the_ring_successor(
-        nodes in 1usize..=16,
-        vnodes in 1usize..64,
-        key in key(),
-    ) {
-        let placement = Placement::new(DirectoryKind::Partitioned, nodes, vnodes);
-        let ring = HashRing::new(nodes, vnodes);
-        prop_assert_eq!(placement.homes(&key), &[ring.home(&key)]);
+    fn partitioned_home_is_the_ring_successor(nodes in 1usize..=16, key in key()) {
+        let placement = placement(DirectoryKind::Partitioned, nodes);
+        prop_assert_eq!(placement.homes(&key), &[built(nodes).ring.home(&key)]);
     }
 
     #[test]
@@ -55,7 +82,7 @@ proptest! {
         owner_bits in any::<u8>(),
         key in key(),
     ) {
-        let placement = Placement::new(kind, nodes, DEFAULT_VNODES);
+        let placement = placement(kind, nodes);
         let homes = placement.homes(&key);
         let dirs: Vec<CacheDirectory> = (0..nodes)
             .map(|i| CacheDirectory::new(nodes, NodeId(i as u16)))

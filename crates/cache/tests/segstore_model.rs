@@ -19,7 +19,8 @@ use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 use swala_cache::segstore::{ALIGN, DATA_FILE};
 use swala_cache::store::HeaderMeta;
 use swala_cache::{encode_record, CacheKey, Digest, Record, SegmentConfig, SegmentStore, Store};
@@ -289,6 +290,11 @@ proptest! {
 /// error — whatever it reads, never another key's bytes. (A stress run:
 /// the reader's seqlock check is what the race exercises; the record's
 /// own key check is pinned deterministically in `segstore.rs`.)
+///
+/// The writer runs at least 20 000 rounds and then until the reader has
+/// seen both a hit and a miss, so a reader the scheduler starves on a
+/// loaded host still meets the race; only a 30 s deadline without both
+/// fails.
 #[test]
 fn get_racing_delete_then_reuse_never_sees_another_keys_body() {
     let root = tmp_root("race");
@@ -296,21 +302,26 @@ fn get_racing_delete_then_reuse_never_sees_another_keys_body() {
     let k = CacheKey::new("/cgi-bin/adl?id=victim");
     let mine = vec![0xAAu8; 3000];
     let start = std::sync::Barrier::new(2);
-    let done = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
+    let done = AtomicBool::new(false);
+    let raced = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (rounds, (hits, misses)) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
             start.wait();
-            for round in 0..20_000u32 {
+            let mut round = 0u32;
+            while round < 20_000 || !(raced.load(Ordering::SeqCst) || Instant::now() > deadline) {
                 store.put(&k, &mine).unwrap();
                 store.delete(&k).unwrap();
                 // Same length as `k`, so it lands exactly where `k` was.
                 let squatter = CacheKey::new(format!("/cgi-bin/adl?id=sq{:04}", round % 10_000));
                 store.put(&squatter, &vec![0x55u8; 3000]).unwrap();
                 store.delete(&squatter).unwrap();
+                round += 1;
             }
             done.store(true, Ordering::SeqCst);
+            round
         });
-        scope.spawn(|| {
+        let reader = scope.spawn(|| {
             start.wait();
             let (mut hits, mut misses) = (0u64, 0u64);
             while !done.load(Ordering::SeqCst) {
@@ -324,13 +335,18 @@ fn get_racing_delete_then_reuse_never_sees_another_keys_body() {
                         misses += 1;
                     }
                 }
+                if hits > 0 && misses > 0 {
+                    raced.store(true, Ordering::SeqCst);
+                }
             }
-            assert!(
-                hits > 0 && misses > 0,
-                "no race: {hits} hits, {misses} misses"
-            );
+            (hits, misses)
         });
+        (writer.join().unwrap(), reader.join().unwrap())
     });
+    assert!(
+        hits > 0 && misses > 0,
+        "no race within 30 s: the reader saw {hits} hits and {misses} misses over {rounds} writer rounds"
+    );
     assert_tiles(&store);
     let _ = std::fs::remove_dir_all(root);
 }

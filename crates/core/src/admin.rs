@@ -43,7 +43,7 @@
 //! The admin prefix is reserved before program and file resolution, so a
 //! CGI program or file cannot shadow it.
 
-use crate::handler::NodeContext;
+use crate::handler::{NodeContext, FETCH_TIMEOUT};
 use std::sync::atomic::Ordering;
 use swala_cache::directory::Classification;
 use swala_cache::{CacheKey, DigestImpl, NodeId};
@@ -150,10 +150,7 @@ fn collect_cluster(ctx: &NodeContext) -> Vec<ScrapedNode> {
             });
             continue;
         }
-        match ctx
-            .fetch_pool
-            .stats_pull(peer, addr, ctx.fetch_timeout, None)
-        {
+        match ctx.fetch_pool.stats_pull(peer, addr, FETCH_TIMEOUT, None) {
             Ok(stats) => {
                 ctx.health.record_success(peer);
                 out.push(ScrapedNode {
@@ -597,7 +594,7 @@ fn invalidate(ctx: &NodeContext, req: &Request) -> Response {
 fn forward_invalidate(ctx: &NodeContext, key: &CacheKey, owner: NodeId) -> Response {
     let sent = match ctx.peer_to_ask(owner) {
         Err(why) => Err(format!("owner {owner} not asked ({why})")),
-        Ok(addr) => match request_invalidate(&ctx.dialer, owner, addr, key, ctx.fetch_timeout) {
+        Ok(addr) => match request_invalidate(&ctx.dialer, owner, addr, key, FETCH_TIMEOUT) {
             Ok(()) => {
                 ctx.health.record_success(owner);
                 Ok(())

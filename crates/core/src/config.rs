@@ -62,12 +62,8 @@ pub struct ServerOptions {
     pub rules: CacheRules,
     /// Master switch: false = "Swala no-cache" baseline mode.
     pub caching_enabled: bool,
-    /// Timeout for remote cache fetches.
-    pub fetch_timeout: Duration,
     /// Purge-daemon wake interval.
     pub purge_interval: Duration,
-    /// Value of the `Server:` header.
-    pub server_name: String,
     /// Source-monitoring rules (automatic invalidation, after \[16\]).
     pub monitors: Vec<MonitorRule>,
     /// How often monitored sources are polled.
@@ -83,16 +79,11 @@ pub struct ServerOptions {
     /// CLF default; json emits one object per request with the same
     /// fields (including the trace suffix's `trace=`/`owner=`).
     pub log_format: LogFormat,
-    /// Per-peer broadcast queue depth; overflow drops the oldest notice
-    /// (asynchronous weak consistency tolerates the loss).
-    pub broadcast_queue: usize,
     /// Total remote-fetch attempts per request (1 = no retries).
     pub fetch_retries: u32,
     /// Backoff before the second fetch attempt; doubles per retry, with
     /// deterministic jitter.
     pub fetch_backoff: Duration,
-    /// Consecutive fetch failures before a peer is marked suspect.
-    pub suspect_after: u32,
     /// Consecutive fetch failures before a peer is quarantined (its
     /// directory entries are evicted and a `NodeDown` is broadcast).
     pub quarantine_after: u32,
@@ -109,35 +100,21 @@ pub struct ServerOptions {
     /// share one owner fetch) instead of duplicating the work. Off
     /// preserves the paper's re-run semantics for the §5 experiments.
     pub coalesce: bool,
-    /// Bound on how long a coalesced miss waits for the leader before
-    /// falling back to its own execution.
-    pub coalesce_wait: Duration,
     /// Fault injector shared by the node's transports. `None` (always,
     /// outside chaos tests — there is no config-file syntax for it) means
     /// clean production transports.
     pub faults: Option<Arc<FaultInjector>>,
-    /// Telemetry master switch: off = no tracing, no latency histograms
-    /// (counters stay scrapeable). The `obs off` baseline is what the
-    /// hitpath bench compares against to bound telemetry overhead.
+    /// Telemetry master switch: off = no tracing, no latency histograms,
+    /// no heat sketch (counters stay scrapeable). The `obs off` baseline
+    /// is what the hitpath bench compares against to bound telemetry
+    /// overhead.
     pub obs_enabled: bool,
-    /// Completed traces kept in the in-memory ring (`/swala-traces`);
-    /// 0 keeps none.
-    pub trace_ring: usize,
-    /// Monitored slots in the per-key heat sketch (`/swala-hotkeys`);
-    /// 0 disables the sketch. Forced to 0 when `obs` is off.
-    pub hotkeys: usize,
-    /// Slowest completed traces retained per outcome class
-    /// (`/swala-traces?slow=1`); 0 keeps none.
-    pub slow_traces: usize,
     /// Directory organization (`directory replicated|partitioned`).
     /// Replicated is the paper-faithful default: every insert/delete
     /// broadcasts to all peers. Partitioned assigns each key a home node
     /// on a consistent-hash ring and sends one point-to-point update
     /// instead.
     pub directory: DirectoryKind,
-    /// Virtual nodes per member on the consistent-hash ring
-    /// (partitioned mode only).
-    pub ring_vnodes: usize,
     /// Body-store layout (`store segment|files`). `segment`, the default,
     /// keeps every body in one data file of checksummed records and
     /// reuses space in place; `files` is the paper's §4.1 layout (one OS
@@ -164,40 +141,51 @@ impl Default for ServerOptions {
             policy: PolicyKind::Lru,
             rules: CacheRules::allow_all(),
             caching_enabled: true,
-            fetch_timeout: Duration::from_secs(2),
             purge_interval: Duration::from_secs(2),
-            server_name: "Swala/0.1".to_string(),
             monitors: Vec::new(),
             monitor_interval: Duration::from_secs(2),
             sync_on_join: false,
             recover_cache: true,
             access_log: None,
             log_format: LogFormat::Text,
-            broadcast_queue: 1024,
             fetch_retries: 3,
             fetch_backoff: Duration::from_millis(25),
-            suspect_after: 1,
             quarantine_after: 3,
             probe_interval: Duration::from_secs(5),
             mem_cache_bytes: 64 * 1024 * 1024,
             fetch_pool_size: swala_proto::DEFAULT_POOL_SIZE,
             coalesce: true,
-            coalesce_wait: Duration::from_secs(10),
             faults: None,
             obs_enabled: true,
-            trace_ring: 256,
-            hotkeys: 128,
-            slow_traces: 8,
             directory: DirectoryKind::Replicated,
-            ring_vnodes: swala_cache::DEFAULT_VNODES,
             store: StoreKind::Segment,
             fsync: true,
         }
     }
 }
 
+/// Keywords that no longer parse, each with why. `parse` rejects each
+/// one with `line N: the <keyword> option is gone: <why>`; nothing else
+/// knows them.
+#[rustfmt::skip]
+const RETIRED: &[(&str, &str)] = &[
+    ("engine", "the one request pool parks idle connections"),
+    ("broadcast_window_ms", "links pace themselves (swala_proto::NOTICE_PACE, NOTICE_PACE_MAX)"),
+    ("broadcast_batch", "a frame carries whatever one hold gathered"),
+    ("broadcast_queue", "a link queues swala_proto::NOTICE_QUEUE_DEPTH notices"),
+    ("fetch_timeout_ms", "peer exchanges are bounded by swala::handler::FETCH_TIMEOUT"),
+    ("server_name", "the Server header is swala::handler::SERVER_NAME"),
+    ("suspect_after", "one failure makes a peer suspect (swala_proto::SUSPECT_AFTER)"),
+    ("coalesce_wait_ms", "a coalesced miss waits at most swala_cache::COALESCE_WAIT"),
+    ("trace_ring", "the trace ring keeps swala_obs::TRACE_RING traces"),
+    ("hotkeys", "the heat sketch has swala_cache::HOTKEYS slots (none with obs off)"),
+    ("slow_traces", "swala_obs::SLOW_TRACES exemplars are kept per outcome"),
+    ("ring_vnodes", "every ring has swala_cache::DEFAULT_VNODES points per node"),
+];
+
 impl ServerOptions {
-    /// Parse the `swala.conf` line format. Unknown keys are errors.
+    /// Parse the `swala.conf` line format. Unknown keys are errors, and a
+    /// retired key says why it went.
     ///
     /// ```text
     /// node 0
@@ -210,7 +198,6 @@ impl ServerOptions {
     /// capacity 2000
     /// policy gds
     /// caching on
-    /// fetch_timeout_ms 2000
     /// purge_interval_ms 2000
     /// # cacheability rules use the rule syntax directly:
     /// cache /cgi-bin/adl* ttl=300 min_ms=50
@@ -221,15 +208,14 @@ impl ServerOptions {
         let mut rule_lines = String::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
             let (keyword, rest) = match line.split_once(char::is_whitespace) {
                 Some((k, r)) => (k, r.trim()),
                 None => (line, ""),
             };
+            let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
             match keyword {
+                // A blank or comment-only line.
+                "" => {}
                 "node" => opts.node = NodeId(rest.parse().map_err(|_| err("bad node id"))?),
                 "nodes" => opts.num_nodes = rest.parse().map_err(|_| err("bad node count"))?,
                 "listen" => opts.http_addr = rest.parse().map_err(|_| err("bad listen addr"))?,
@@ -248,17 +234,11 @@ impl ServerOptions {
                         _ => return Err(err("caching must be on|off")),
                     }
                 }
-                "fetch_timeout_ms" => {
-                    opts.fetch_timeout = Duration::from_millis(
-                        rest.parse().map_err(|_| err("bad fetch_timeout_ms"))?,
-                    )
-                }
                 "purge_interval_ms" => {
                     opts.purge_interval = Duration::from_millis(
                         rest.parse().map_err(|_| err("bad purge_interval_ms"))?,
                     )
                 }
-                "server_name" => opts.server_name = rest.to_string(),
                 "monitor" => {
                     let (prefix, source) = rest
                         .split_once(char::is_whitespace)
@@ -294,12 +274,6 @@ impl ServerOptions {
                 "log_format" => {
                     opts.log_format = rest.parse().map_err(|e: String| err(&e))?;
                 }
-                "broadcast_queue" => {
-                    opts.broadcast_queue = rest.parse().map_err(|_| err("bad broadcast_queue"))?;
-                    if opts.broadcast_queue == 0 {
-                        return Err(err("broadcast_queue must be positive"));
-                    }
-                }
                 "fetch_retries" => {
                     opts.fetch_retries = rest.parse().map_err(|_| err("bad fetch_retries"))?;
                     if opts.fetch_retries == 0 {
@@ -310,12 +284,6 @@ impl ServerOptions {
                     opts.fetch_backoff = Duration::from_millis(
                         rest.parse().map_err(|_| err("bad fetch_backoff_ms"))?,
                     )
-                }
-                "suspect_after" => {
-                    opts.suspect_after = rest.parse().map_err(|_| err("bad suspect_after"))?;
-                    if opts.suspect_after == 0 {
-                        return Err(err("suspect_after must be positive"));
-                    }
                 }
                 "quarantine_after" => {
                     opts.quarantine_after =
@@ -344,14 +312,6 @@ impl ServerOptions {
                         _ => return Err(err("coalesce must be on|off")),
                     }
                 }
-                "coalesce_wait_ms" => {
-                    opts.coalesce_wait = Duration::from_millis(
-                        rest.parse().map_err(|_| err("bad coalesce_wait_ms"))?,
-                    );
-                    if opts.coalesce_wait.is_zero() {
-                        return Err(err("coalesce_wait_ms must be positive"));
-                    }
-                }
                 "obs" => {
                     opts.obs_enabled = match rest {
                         "on" => true,
@@ -359,30 +319,8 @@ impl ServerOptions {
                         _ => return Err(err("obs must be on|off")),
                     }
                 }
-                // 0 is legal: no traces retained, histograms still record.
-                "trace_ring" => {
-                    opts.trace_ring = rest.parse().map_err(|_| err("bad trace_ring"))?;
-                }
-                // 0 is legal for both: it disables that instrument only.
-                "hotkeys" => {
-                    opts.hotkeys = rest.parse().map_err(|_| err("bad hotkeys"))?;
-                }
-                "slow_traces" => {
-                    opts.slow_traces = rest.parse().map_err(|_| err("bad slow_traces"))?;
-                }
-                "engine" => {
-                    return Err(err(
-                        "the engine option is gone: the one request pool parks idle connections",
-                    ));
-                }
                 "directory" => {
                     opts.directory = rest.parse().map_err(|e: String| err(&e))?;
-                }
-                "ring_vnodes" => {
-                    opts.ring_vnodes = rest.parse().map_err(|_| err("bad ring_vnodes"))?;
-                    if opts.ring_vnodes == 0 {
-                        return Err(err("ring_vnodes must be positive"));
-                    }
                 }
                 "store" => {
                     opts.store = rest.parse().map_err(|e: String| err(&e))?;
@@ -394,15 +332,19 @@ impl ServerOptions {
                         _ => return Err(err("fsync must be on|off")),
                     }
                 }
-                // Cacheability rules pass through to the rules parser.
-                "cache" | "nocache" => {
-                    rule_lines.push_str(line);
-                    rule_lines.push('\n');
+                // Cacheability rules go to the rules parser, every other line
+                // as a blank one, so the line numbers it reports are the file's.
+                "cache" | "nocache" => rule_lines.push_str(line),
+                other => {
+                    return Err(err(&match RETIRED.iter().find(|(kw, _)| *kw == other) {
+                        Some((_, why)) => format!("the {other} option is gone: {why}"),
+                        None => format!("unknown keyword {other:?}"),
+                    }))
                 }
-                other => return Err(err(&format!("unknown keyword {other:?}"))),
             }
+            rule_lines.push('\n');
         }
-        if !rule_lines.is_empty() {
+        if !rule_lines.trim().is_empty() {
             opts.rules = CacheRules::parse(&rule_lines)?;
         }
         if opts.node.index() >= opts.num_nodes {
@@ -421,6 +363,8 @@ impl ServerOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn defaults_are_sane() {
@@ -445,9 +389,7 @@ cache_dir /srv/cache
 capacity 500
 policy gds
 caching on
-fetch_timeout_ms 1500
 purge_interval_ms 750
-server_name TestSwala
 nocache /cgi-bin/private/*
 cache /cgi-bin/* ttl=60 min_ms=20
 ";
@@ -460,9 +402,7 @@ cache /cgi-bin/* ttl=60 min_ms=20
         assert_eq!(o.docroot.as_deref(), Some(std::path::Path::new("/srv/www")));
         assert_eq!(o.capacity, 500);
         assert_eq!(o.policy, PolicyKind::GreedyDualSize);
-        assert_eq!(o.fetch_timeout, Duration::from_millis(1500));
         assert_eq!(o.purge_interval, Duration::from_millis(750));
-        assert_eq!(o.server_name, "TestSwala");
         assert_eq!(o.rules.len(), 2);
         assert_eq!(
             o.rules.decide("/cgi-bin/private/x"),
@@ -490,25 +430,10 @@ sync_on_join on
     }
 
     #[test]
-    fn broadcast_keywords() {
-        let o = ServerOptions::parse("broadcast_queue 256\n").unwrap();
-        assert_eq!(o.broadcast_queue, 256);
-        assert!(ServerOptions::parse("broadcast_queue 0")
-            .unwrap_err()
-            .contains("positive"));
-        // The linger and batch-size knobs are gone: links pace themselves
-        // (NOTICE_PACE .. NOTICE_PACE_MAX) and a frame carries whatever a
-        // hold gathered.
-        assert!(ServerOptions::parse("broadcast_window_ms 5").is_err());
-        assert!(ServerOptions::parse("broadcast_batch 16").is_err());
-    }
-
-    #[test]
     fn failure_model_keywords() {
         let o = ServerOptions::parse(
             "fetch_retries 5
 fetch_backoff_ms 10
-suspect_after 2
 quarantine_after 4
 probe_interval_ms 750
 ",
@@ -516,7 +441,6 @@ probe_interval_ms 750
         .unwrap();
         assert_eq!(o.fetch_retries, 5);
         assert_eq!(o.fetch_backoff, Duration::from_millis(10));
-        assert_eq!(o.suspect_after, 2);
         assert_eq!(o.quarantine_after, 4);
         assert_eq!(o.probe_interval, Duration::from_millis(750));
         assert!(ServerOptions::parse("fetch_retries 0")
@@ -525,7 +449,7 @@ probe_interval_ms 750
         assert!(ServerOptions::parse("quarantine_after 0")
             .unwrap_err()
             .contains("positive"));
-        assert!(ServerOptions::parse("suspect_after none")
+        assert!(ServerOptions::parse("quarantine_after none")
             .unwrap_err()
             .contains("bad"));
     }
@@ -556,88 +480,27 @@ fetch_pool_size 8
     fn coalesce_keywords() {
         let d = ServerOptions::parse("").unwrap();
         assert!(d.coalesce, "single-flight defaults on");
-        assert_eq!(d.coalesce_wait, Duration::from_secs(10));
-        let o = ServerOptions::parse("coalesce off\ncoalesce_wait_ms 2500\n").unwrap();
+        let o = ServerOptions::parse("coalesce off\n").unwrap();
         assert!(!o.coalesce);
-        assert_eq!(o.coalesce_wait, Duration::from_millis(2500));
         assert!(ServerOptions::parse("coalesce maybe")
             .unwrap_err()
             .contains("on|off"));
-        assert!(ServerOptions::parse("coalesce_wait_ms 0")
-            .unwrap_err()
-            .contains("positive"));
-        assert!(ServerOptions::parse("coalesce_wait_ms soon")
-            .unwrap_err()
-            .contains("bad"));
-    }
-
-    #[test]
-    fn telemetry_keywords() {
-        let o = ServerOptions::parse(
-            "obs off
-trace_ring 64
-",
-        )
-        .unwrap();
-        assert!(!o.obs_enabled);
-        assert_eq!(o.trace_ring, 64);
-        let d = ServerOptions::parse("").unwrap();
-        assert!(d.obs_enabled);
-        assert_eq!(d.trace_ring, 256);
-        assert_eq!(
-            ServerOptions::parse(
-                "trace_ring 0
-"
-            )
-            .unwrap()
-            .trace_ring,
-            0
-        );
-        assert!(ServerOptions::parse("obs maybe")
-            .unwrap_err()
-            .contains("on|off"));
-        assert!(ServerOptions::parse("trace_ring lots")
-            .unwrap_err()
-            .contains("bad"));
     }
 
     #[test]
     fn observability_keywords() {
         let d = ServerOptions::parse("").unwrap();
+        assert!(d.obs_enabled);
         assert_eq!(d.log_format, LogFormat::Text, "text log is the default");
-        assert_eq!(d.hotkeys, 128);
-        assert_eq!(d.slow_traces, 8);
-        let o = ServerOptions::parse(
-            "log_format json
-hotkeys 512
-slow_traces 16
-",
-        )
-        .unwrap();
+        let o = ServerOptions::parse("obs off\nlog_format json\n").unwrap();
+        assert!(!o.obs_enabled);
         assert_eq!(o.log_format, LogFormat::Json);
-        assert_eq!(o.hotkeys, 512);
-        assert_eq!(o.slow_traces, 16);
-        // 0 disables each instrument; both remain valid configs.
-        let off = ServerOptions::parse("hotkeys 0\nslow_traces 0\n").unwrap();
-        assert_eq!(off.hotkeys, 0);
-        assert_eq!(off.slow_traces, 0);
+        assert!(ServerOptions::parse("obs maybe")
+            .unwrap_err()
+            .contains("on|off"));
         assert!(ServerOptions::parse("log_format xml")
             .unwrap_err()
             .contains("text|json"));
-        assert!(ServerOptions::parse("hotkeys lots")
-            .unwrap_err()
-            .contains("bad"));
-        assert!(ServerOptions::parse("slow_traces crawl")
-            .unwrap_err()
-            .contains("bad"));
-    }
-
-    #[test]
-    fn engine_keyword_is_gone_and_says_so() {
-        for line in ["engine event", "engine threaded"] {
-            let err = ServerOptions::parse(line).unwrap_err();
-            assert!(err.contains("engine option is gone"), "{err}");
-        }
     }
 
     #[test]
@@ -648,21 +511,13 @@ slow_traces 16
             DirectoryKind::Replicated,
             "the paper's default"
         );
-        let o = ServerOptions::parse("directory partitioned\nring_vnodes 64\n").unwrap();
+        let o = ServerOptions::parse("directory partitioned\n").unwrap();
         assert_eq!(o.directory, DirectoryKind::Partitioned);
-        assert_eq!(o.ring_vnodes, 64);
         let o = ServerOptions::parse("directory replicated\n").unwrap();
         assert_eq!(o.directory, DirectoryKind::Replicated);
-        assert_eq!(o.ring_vnodes, swala_cache::DEFAULT_VNODES);
         assert!(ServerOptions::parse("directory sharded")
             .unwrap_err()
             .contains("replicated|partitioned"));
-        assert!(ServerOptions::parse("ring_vnodes 0")
-            .unwrap_err()
-            .contains("positive"));
-        assert!(ServerOptions::parse("ring_vnodes many")
-            .unwrap_err()
-            .contains("bad"));
     }
 
     #[test]
@@ -712,11 +567,198 @@ slow_traces 16
         assert!(ServerOptions::parse("pool 0")
             .unwrap_err()
             .contains("positive"));
+        // A bad rule is reported at its line in the file, not at its
+        // place among the rules.
+        assert_eq!(
+            ServerOptions::parse("pool 4\ncache /x\n# note\ncache relative/y").unwrap_err(),
+            "line 4: pattern must start with '/' or be '*'"
+        );
     }
 
     #[test]
     fn empty_config_is_defaults() {
         let o = ServerOptions::parse("  \n# only a comment\n").unwrap();
         assert_eq!(o.num_nodes, ServerOptions::default().num_nodes);
+    }
+
+    /// One row of README.md's "Configuration" table.
+    struct Row {
+        /// The keywords that set the field (`cache`, `nocache` share one).
+        keywords: Vec<String>,
+        field: String,
+        kind: String,
+        /// `None` where the table says "unset": the default is no line.
+        default: Option<String>,
+    }
+
+    /// The rows of README.md's "Configuration" table, the one list of
+    /// every keyword the parser accepts.
+    fn readme_rows() -> Vec<Row> {
+        const README: &str = include_str!("../../../README.md");
+        let section = README
+            .split("\n## Configuration\n")
+            .nth(1)
+            .expect("README.md has a Configuration section");
+        let section = section.split("\n## ").next().unwrap_or(section);
+        let ticked = |cell: &str| -> Vec<String> {
+            cell.split('`')
+                .skip(1)
+                .step_by(2)
+                .map(String::from)
+                .collect()
+        };
+        section
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .map(|l| {
+                let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
+                assert_eq!(cells.len(), 4, "README row {l:?}");
+                Row {
+                    keywords: ticked(cells[0]),
+                    field: ticked(cells[1]).remove(0),
+                    kind: cells[2].to_string(),
+                    default: ticked(cells[3]).into_iter().next(),
+                }
+            })
+            .collect()
+    }
+
+    /// The README's knob table is the struct: one row per field, each
+    /// documented default parses back to the default, and every retired
+    /// keyword is rejected with its reason and documented nowhere.
+    #[test]
+    fn readme_configuration_table_matches_the_struct() {
+        let defaults = format!("{:#?}", ServerOptions::default());
+        let rows = readme_rows();
+        // `faults` has no config syntax: chaos tests set it in code.
+        let mut fields: Vec<&str> = defaults
+            .lines()
+            .filter_map(|l| l.strip_prefix("    "))
+            .filter_map(|l| l.split_once(": ").map(|(field, _)| field))
+            .filter(|f| !f.starts_with(' ') && *f != "faults")
+            .collect();
+        fields.sort_unstable();
+        let mut documented: Vec<&str> = rows.iter().map(|r| r.field.as_str()).collect();
+        documented.sort_unstable();
+        assert_eq!(
+            documented, fields,
+            "README.md's Configuration table needs exactly one row per ServerOptions field"
+        );
+        for row in &rows {
+            assert!(
+                ["deployment", "paper", "tuning"].contains(&row.kind.as_str()),
+                "{}: kind {:?}",
+                row.field,
+                row.kind
+            );
+            let keyword = &row.keywords[0];
+            match &row.default {
+                Some(value) => {
+                    let line = format!("{keyword} {value}");
+                    let parsed = ServerOptions::parse(&line).unwrap_or_else(|e| panic!("{e}"));
+                    assert_eq!(
+                        format!("{parsed:#?}"),
+                        defaults,
+                        "README.md documents `{line}` as the default of {}",
+                        row.field
+                    );
+                }
+                None => {
+                    let unset = [
+                        format!("    {}: None,", row.field),
+                        format!("    {}: [],", row.field),
+                    ];
+                    assert!(
+                        defaults.lines().any(|l| unset.contains(&l.to_string())),
+                        "README.md documents {} as unset by default",
+                        row.field
+                    );
+                }
+            }
+        }
+        for (keyword, why) in RETIRED {
+            assert!(
+                !rows.iter().any(|r| r.keywords.iter().any(|k| k == keyword)),
+                "{keyword} is retired"
+            );
+            assert_eq!(
+                ServerOptions::parse(&format!("pool 4\n{keyword} 1")).unwrap_err(),
+                format!("line 2: the {keyword} option is gone: {why}")
+            );
+        }
+    }
+
+    /// Every keyword the parser accepts, from the README table.
+    fn live_keywords() -> &'static [String] {
+        static LIVE: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        LIVE.get_or_init(|| readme_rows().into_iter().flat_map(|r| r.keywords).collect())
+    }
+
+    /// A line the fuzzer may write: a keyword (live, retired, or any
+    /// identifier) and a value built to break parsers.
+    fn config_line() -> impl Strategy<Value = String> {
+        let keyword = prop_oneof![
+            (0..live_keywords().len()).prop_map(|i| live_keywords()[i].clone()),
+            (0..RETIRED.len()).prop_map(|i| RETIRED[i].0.to_string()),
+            "[a-z_]{1,20}",
+        ];
+        let value = prop_oneof![
+            Just(String::new()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            any::<u64>().prop_map(|n| format!("-{n}")),
+            Just("340282366920938463463374607431768211456".to_string()),
+            "\\PC{0,40}",
+            "[\u{0}\u{1}\u{7f}\u{80}\u{ff}\u{e9}\u{fffd}\u{feff}\u{2028}x]{1,12}",
+            "[a-z0-9./:*=_ ]{0,16}#[a-z #]{0,8}",
+            "/[a-z/*?=]{0,12} [a-z_=0-9 ]{0,16}",
+        ];
+        (keyword, "[ \t]{1,3}", value).prop_map(|(k, sep, v)| format!("{k}{sep}{v}"))
+    }
+
+    proptest! {
+        /// Whatever a config file holds, the parser returns: every error
+        /// either names a line that is wrong on its own, with the same
+        /// message, or is one of the two whole-file checks; a retired
+        /// keyword says why, and any other word it does not know is an
+        /// unknown keyword.
+        #[test]
+        fn parser_errors_name_the_line_at_fault(
+            lines in collection::vec(
+                prop_oneof![6 => config_line(), 1 => "[ \t]{0,3}", 1 => "#\\PC{0,20}"],
+                1..12,
+            )
+        ) {
+            if let Err(e) = ServerOptions::parse(&lines.join("\n")) {
+                match e.strip_prefix("line ").and_then(|r| r.split_once(": ")) {
+                    Some((n, msg)) => {
+                        let n: usize = n.parse().unwrap_or(0);
+                        prop_assert!((1..=lines.len()).contains(&n), "{}", e);
+                        prop_assert_eq!(
+                            ServerOptions::parse(&lines[n - 1]).err(),
+                            Some(format!("line 1: {msg}"))
+                        );
+                    }
+                    None => prop_assert!(
+                        e.contains("out of range") || e == "pool size must be positive",
+                        "{}", e
+                    ),
+                }
+            }
+            for line in &lines {
+                let content = line.split('#').next().unwrap_or("");
+                let Some(keyword) = content.split_whitespace().next() else { continue };
+                let alone = ServerOptions::parse(line).err();
+                if let Some((_, why)) = RETIRED.iter().find(|(kw, _)| *kw == keyword) {
+                    let gone = format!("line 1: the {keyword} option is gone: {why}");
+                    prop_assert_eq!(alone, Some(gone));
+                } else if !live_keywords().iter().any(|kw| kw == keyword) {
+                    let unknown = format!("line 1: unknown keyword {keyword:?}");
+                    prop_assert_eq!(alone, Some(unknown));
+                } else if let Some(e) = alone {
+                    let misread = e.contains("unknown keyword") || e.contains("is gone");
+                    prop_assert!(!misread, "{}", e);
+                }
+            }
+        }
     }
 }

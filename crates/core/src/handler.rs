@@ -39,12 +39,25 @@ pub mod cache_header {
     pub const DISABLED: &str = "disabled";
 }
 
+/// Value of the `Server:` header, and `SERVER_NAME` for CGI programs.
+///
+/// A constant, not a knob: no experiment, client or program depends on
+/// its value.
+pub const SERVER_NAME: &str = "Swala/0.1";
+
+/// Bound on one exchange with a peer: a remote fetch attempt, a home
+/// lookup, a stats pull, a forwarded invalidation, a join-time sync.
+///
+/// A constant, not a knob: it only caps a peer that hangs. A dead peer is
+/// found by its refused or reset connection and quarantined after
+/// `quarantine_after` failures, and a live one answers orders of
+/// magnitude sooner than 2 s.
+pub const FETCH_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Shared state one node's request threads operate on.
 pub struct NodeContext {
     pub node: NodeId,
-    pub server_name: String,
     pub caching_enabled: bool,
-    pub fetch_timeout: Duration,
     pub docroot: Option<PathBuf>,
     pub registry: ProgramRegistry,
     pub manager: Arc<CacheManager>,
@@ -136,7 +149,7 @@ impl NodeContext {
         let t0 = trace.start_span();
         let answer = self
             .fetch_pool
-            .dir_lookup(home, addr, key, self.fetch_timeout, trace.id());
+            .dir_lookup(home, addr, key, FETCH_TIMEOUT, trace.id());
         trace.end_span(Stage::DirLookup, t0);
         match answer {
             Ok(meta) => {
@@ -179,7 +192,7 @@ pub fn handle_request(
 ) -> Response {
     RequestStats::bump(&ctx.stats.requests);
     let mut resp = route(ctx, req, target, remote_addr, trace);
-    resp.set_server(&ctx.server_name);
+    resp.set_server(SERVER_NAME);
     resp.headers
         .set("Date", swala_http::date::http_date_cached());
     if resp.status.is_client_error() {
@@ -227,7 +240,7 @@ struct Exec<'a> {
 
 impl Exec<'_> {
     fn request(&self, ctx: &NodeContext) -> CgiRequest {
-        CgiRequest::from_http(self.req, self.remote_addr, &ctx.server_name, ctx.http_port)
+        CgiRequest::from_http(self.req, self.remote_addr, SERVER_NAME, ctx.http_port)
     }
 }
 
@@ -376,7 +389,7 @@ fn fetch_from_owner(
         owner,
         addr,
         key,
-        ctx.fetch_timeout,
+        FETCH_TIMEOUT,
         &ctx.retry_policy,
         trace.id(),
     );

@@ -481,7 +481,7 @@ fn serve_connection(conn: &Conn, pool: &Shared) -> bool {
                     if let Some(status) = status {
                         let mut resp = Response::error(status);
                         resp.set_keep_alive(false);
-                        resp.set_server(&ctx.server_name);
+                        resp.set_server(crate::handler::SERVER_NAME);
                         let _ = resp.write_to(&mut writer, true);
                     }
                     return false;

@@ -1,7 +1,7 @@
 //! The Swala server: binds the pieces into one node.
 
 use crate::config::ServerOptions;
-use crate::handler::NodeContext;
+use crate::handler::{NodeContext, FETCH_TIMEOUT};
 use crate::monitor::SourceMonitor;
 use crate::pool::RequestPool;
 use crate::stats::{EngineStats, RequestStats, RequestStatsSnapshot};
@@ -11,7 +11,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use swala_cache::{
     CacheManager, CacheManagerConfig, DiskStore, MemStore, NodeId, SegmentConfig, SegmentStore,
-    Store, StoreKind,
+    Store, StoreKind, HOTKEYS,
 };
 use swala_cgi::ProgramRegistry;
 use swala_obs::Telemetry;
@@ -93,16 +93,11 @@ impl BoundSwala {
                 rules: options.rules.clone(),
                 mem_cache_bytes: options.mem_cache_bytes,
                 coalesce: options.coalesce,
-                coalesce_wait: options.coalesce_wait,
                 directory: options.directory,
-                ring_vnodes: options.ring_vnodes,
                 // The heat sketch is part of the `obs off` honest
                 // baseline: disabled entirely when telemetry is off.
-                hotkeys: if options.obs_enabled {
-                    options.hotkeys
-                } else {
-                    0
-                },
+                hotkeys: if options.obs_enabled { HOTKEYS } else { 0 },
+                ..CacheManagerConfig::default()
             },
             store,
         ));
@@ -119,10 +114,7 @@ impl BoundSwala {
             .filter(|(i, _)| *i != options.node.index())
             .filter_map(|(i, a)| a.map(|a| (NodeId(i as u16), a)))
             .collect();
-        let mut broadcast_config = BroadcastConfig {
-            queue_depth: options.broadcast_queue,
-            ..BroadcastConfig::default()
-        };
+        let mut broadcast_config = BroadcastConfig::default();
         if let Some(faults) = &options.faults {
             broadcast_config.connector = faults.connector(options.node);
         }
@@ -136,7 +128,7 @@ impl BoundSwala {
         // working (scrapeable) registry but never touches the clock on the
         // request path.
         let telemetry = if options.obs_enabled {
-            Telemetry::with_slow_traces(options.node.0, options.trace_ring, options.slow_traces)
+            Telemetry::new(options.node.0)
         } else {
             Telemetry::disabled(options.node.0)
         };
@@ -242,12 +234,9 @@ impl BoundSwala {
                     continue;
                 }
                 let Some(addr) = addr else { continue };
-                if let Ok((peer, entries)) = swala_proto::request_sync_via(
-                    &dialer,
-                    NodeId(i as u16),
-                    *addr,
-                    options.fetch_timeout,
-                ) {
+                if let Ok((peer, entries)) =
+                    swala_proto::request_sync_via(&dialer, NodeId(i as u16), *addr, FETCH_TIMEOUT)
+                {
                     manager.directory().load_snapshot(peer, entries);
                 }
             }
@@ -360,9 +349,7 @@ impl BoundSwala {
 
         let ctx = Arc::new(NodeContext {
             node: options.node,
-            server_name: options.server_name.clone(),
             caching_enabled: options.caching_enabled,
-            fetch_timeout: options.fetch_timeout,
             docroot: options.docroot.clone(),
             registry,
             manager: Arc::clone(&manager),
@@ -382,7 +369,6 @@ impl BoundSwala {
                 jitter_seed: options.node.0 as u64,
             },
             health: Arc::new(HealthTracker::new(HealthConfig {
-                suspect_after: options.suspect_after,
                 quarantine_after: options.quarantine_after,
                 probe_interval: options.probe_interval,
             })),

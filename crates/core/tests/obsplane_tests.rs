@@ -248,7 +248,6 @@ fn slow_trace_exemplars_survive_ring_churn() {
     let server = SwalaServer::start_single(
         ServerOptions {
             pool_size: 2,
-            trace_ring: 4,
             ..Default::default()
         },
         registry(),
@@ -257,12 +256,21 @@ fn slow_trace_exemplars_survive_ring_churn() {
     let mut client = HttpClient::new(server.http_addr());
     // One slow miss, then enough fast hits to evict it from the ring.
     client.get("/cgi-bin/adl?id=slow&ms=30").unwrap();
-    for _ in 0..8 {
+    for _ in 0..swala_obs::TRACE_RING + 4 {
         client.get("/cgi-bin/adl?id=slow&ms=30").unwrap();
     }
 
-    let ring = client.get("/swala-traces?n=4").unwrap();
+    // Ask for more than the ring holds, so the dump is every retained
+    // trace: the miss shows up unless the ring evicted it.
+    let ring = client
+        .get(&format!("/swala-traces?n={}", 2 * swala_obs::TRACE_RING))
+        .unwrap();
     let ring_json = String::from_utf8(ring.body.into_vec()).unwrap();
+    assert_eq!(
+        ring_json.matches("\"outcome\":").count(),
+        swala_obs::TRACE_RING,
+        "the ring is full and bounded"
+    );
     assert!(
         !ring_json.contains("\"outcome\":\"miss\""),
         "ring churned past the miss: {ring_json}"

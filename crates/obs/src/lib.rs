@@ -34,7 +34,7 @@ pub use registry::{
     escape_label_value, parse_exposition, render_cluster, Gauge, MetricSnapshot, MetricValue,
     MetricsRegistry, Sample,
 };
-pub use telemetry::{Telemetry, TraceSummary};
+pub use telemetry::{Telemetry, TraceSummary, SLOW_TRACES, TRACE_RING};
 pub use trace::{CompletedTrace, Outcome, SpanRecord, Stage, Trace};
 
 /// Define an atomic counter struct plus its plain-value snapshot.

@@ -12,6 +12,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Completed traces the recency ring keeps (`/swala-traces`).
+///
+/// A constant, not a knob: the ring answers "what happened lately" for
+/// the last few hundred requests in bounded memory; the per-outcome
+/// histograms and the slow set keep what matters from before that.
+pub const TRACE_RING: usize = 256;
+
+/// Slowest completed traces kept per outcome class
+/// (`/swala-traces?slow=1`).
+///
+/// A constant, not a knob: eight exemplars per class show the tail's
+/// shape without growing the one mutex hold per finished trace.
+pub const SLOW_TRACES: usize = 8;
+
 /// Bounded ring of completed traces, newest last.
 struct TraceRing {
     capacity: usize,
@@ -108,25 +122,11 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Slow-trace exemplars retained per outcome class by default.
-    pub const DEFAULT_SLOW_TRACES: usize = 8;
-
-    /// A live telemetry bundle for `node`, keeping up to `trace_ring`
-    /// completed traces and [`Self::DEFAULT_SLOW_TRACES`] slow-trace
+    /// A live telemetry bundle for `node`, keeping the last
+    /// [`TRACE_RING`] completed traces and [`SLOW_TRACES`] slow-trace
     /// exemplars per outcome.
-    pub fn new(node: u16, trace_ring: usize) -> Arc<Telemetry> {
-        Arc::new(Telemetry::build(
-            node,
-            trace_ring,
-            Telemetry::DEFAULT_SLOW_TRACES,
-            true,
-        ))
-    }
-
-    /// A live bundle with an explicit slow-exemplar capacity per
-    /// outcome class (the `slow_traces` config knob).
-    pub fn with_slow_traces(node: u16, trace_ring: usize, slow_traces: usize) -> Arc<Telemetry> {
-        Arc::new(Telemetry::build(node, trace_ring, slow_traces, true))
+    pub fn new(node: u16) -> Arc<Telemetry> {
+        Arc::new(Telemetry::build(node, TRACE_RING, SLOW_TRACES, true))
     }
 
     /// A disabled bundle: traces are no-ops and histograms never record,
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn ids_are_node_scoped_and_unique() {
-        let t = Telemetry::new(3, 16);
+        let t = Telemetry::new(3);
         let a = t.begin_trace("/a", Instant::now()).id().unwrap();
         let b = t.begin_trace("/b", Instant::now()).id().unwrap();
         assert_ne!(a, b);
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn finish_lands_in_ring_and_histogram() {
-        let tel = Telemetry::new(0, 4);
+        let tel = Telemetry::new(0);
         for i in 0..6 {
             let mut tr = tel.begin_trace(&format!("/t{i}"), Instant::now());
             tr.set_outcome(Outcome::Miss);
@@ -318,10 +318,9 @@ mod tests {
             assert_eq!(summary.outcome, Outcome::Miss);
             assert!(summary.stages.starts_with("cgi-exec:"));
         }
-        // Ring is bounded at 4, newest kept.
         let last = tel.last_traces(10);
-        assert_eq!(last.len(), 4);
-        assert_eq!(last[3].target, "/t5");
+        assert_eq!(last.len(), 6);
+        assert_eq!(last[5].target, "/t5");
         assert_eq!(tel.last_traces(2).len(), 2);
         assert_eq!(tel.outcome_snapshot(Outcome::Miss).count, 6);
         assert_eq!(tel.outcome_snapshot(Outcome::Remote).count, 0);
@@ -348,12 +347,27 @@ mod tests {
 
     #[test]
     fn adopted_ids_pass_through_verbatim() {
-        let tel = Telemetry::new(1, 4);
+        let tel = Telemetry::new(1);
         let mut tr = tel.begin_trace_with_id(0xdead_beef, "/k");
         tr.set_outcome(Outcome::OwnerServe);
         let summary = tel.finish(tr).unwrap();
         assert_eq!(summary.id, 0xdead_beef);
         assert_eq!(tel.last_traces(1)[0].id, 0xdead_beef);
+    }
+
+    #[test]
+    fn trace_ring_is_bounded_and_keeps_the_newest() {
+        let ring = TraceRing::new(4);
+        for us in 0..6 {
+            ring.push(fake_trace(Outcome::Miss, us));
+        }
+        let last = ring.last(10);
+        assert_eq!(last.len(), 4);
+        assert_eq!(last[0].target, "/t2");
+        assert_eq!(last[3].target, "/t5");
+        let none = TraceRing::new(0);
+        none.push(fake_trace(Outcome::Miss, 1));
+        assert!(none.last(10).is_empty(), "0 keeps none (obs off)");
     }
 
     fn fake_trace(outcome: Outcome, total_us: u64) -> CompletedTrace {
@@ -404,19 +418,22 @@ mod tests {
 
     #[test]
     fn slow_exemplars_survive_ring_churn() {
-        let tel = Telemetry::with_slow_traces(0, 2, 4);
+        let tel = Telemetry::new(0);
         // One slow(ish) miss, then enough fast hits to wrap the ring.
         let mut tr = tel.begin_trace("/slow", Instant::now());
         tr.set_outcome(Outcome::Miss);
         std::thread::sleep(std::time::Duration::from_millis(2));
         tel.finish(tr).unwrap();
-        for i in 0..8 {
+        for i in 0..TRACE_RING + 8 {
             let mut tr = tel.begin_trace(&format!("/fast{i}"), Instant::now());
             tr.set_outcome(Outcome::LocalMem);
             tel.finish(tr).unwrap();
         }
-        // The recency ring (capacity 2) has long forgotten the miss...
-        assert!(tel.last_traces(10).iter().all(|t| t.target != "/slow"));
+        // The recency ring has long forgotten the miss...
+        assert!(tel
+            .last_traces(TRACE_RING)
+            .iter()
+            .all(|t| t.target != "/slow"));
         // ...but the slow set still holds it.
         let slow = tel.slow_traces();
         assert!(slow.iter().any(|t| t.target == "/slow"), "{slow:?}");
@@ -427,7 +444,7 @@ mod tests {
 
     #[test]
     fn registry_exposition_is_parseable() {
-        let tel = Telemetry::new(0, 4);
+        let tel = Telemetry::new(0);
         let mut tr = tel.begin_trace("/x", Instant::now());
         tr.set_outcome(Outcome::LocalMem);
         tel.finish(tr);

@@ -50,11 +50,17 @@ impl PeerState {
     }
 }
 
+/// Consecutive failures before a peer turns `Suspect`.
+///
+/// A constant, not a knob: `Suspect` only reports a failure streak on
+/// `/swala-status` — fetches still go to the peer — so the first failure
+/// is the one worth showing. `quarantine_after` is the threshold that
+/// changes behaviour.
+pub const SUSPECT_AFTER: u32 = 1;
+
 /// Thresholds for the quarantine state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthConfig {
-    /// Consecutive failures before a peer turns `Suspect`.
-    pub suspect_after: u32,
     /// Consecutive failures before a peer is `Quarantined`.
     pub quarantine_after: u32,
     /// How long a quarantined peer rests before one probe is allowed.
@@ -64,7 +70,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            suspect_after: 1,
             quarantine_after: 3,
             probe_interval: Duration::from_secs(5),
         }
@@ -171,7 +176,7 @@ impl HealthTracker {
                 h.total_quarantines += 1;
                 return Some(PeerState::Quarantined);
             }
-        } else if h.consecutive_failures >= self.cfg.suspect_after {
+        } else if h.consecutive_failures >= SUSPECT_AFTER {
             h.state = PeerState::Suspect;
         }
         None
@@ -211,7 +216,6 @@ mod tests {
 
     fn tracker() -> HealthTracker {
         HealthTracker::new(HealthConfig {
-            suspect_after: 1,
             quarantine_after: 3,
             probe_interval: Duration::from_millis(30),
         })

@@ -52,10 +52,11 @@ pub use fetch::{
     default_dialer, request_invalidate, request_sync_via, Dialer, FaultStream, FetchOutcome,
     RetryPolicy, StreamFault,
 };
-pub use health::{HealthConfig, HealthSnapshot, HealthTracker, PeerState};
+pub use health::{HealthConfig, HealthSnapshot, HealthTracker, PeerState, SUSPECT_AFTER};
 pub use message::{Message, NodeStats};
 pub use peers::{
     BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE, NOTICE_PACE_MAX,
+    NOTICE_QUEUE_DEPTH,
 };
 pub use pool::{FetchPool, FetchPoolStats, DEFAULT_POOL_SIZE};
 pub use reader::{Fill, FrameRead, PatientReader};

@@ -71,6 +71,14 @@ pub const NOTICE_PACE: Duration = Duration::from_micros(500);
 /// (0.5/1/2/4/8 ms at 30 k inserts/s per node) that picked it.
 pub const NOTICE_PACE_MAX: Duration = Duration::from_millis(4);
 
+/// Notices a link queues before it drops the oldest.
+///
+/// A constant, not a knob: with a [`NOTICE_PACE_MAX`] hold a link sheds
+/// only above ≈ 256 k notices/s, four times `miss-insert`'s rate, and a
+/// dropped notice costs no more than §4.2's weak consistency already
+/// absorbs (a false miss or a false hit).
+pub const NOTICE_QUEUE_DEPTH: usize = 1024;
+
 /// First reconnect backoff; doubles per failure up to [`BACKOFF_MAX`].
 const BACKOFF_MIN: Duration = Duration::from_millis(25);
 const BACKOFF_MAX: Duration = Duration::from_secs(1);
@@ -86,6 +94,7 @@ pub type Connector =
 #[derive(Clone)]
 pub struct BroadcastConfig {
     /// Bounded queue depth per link; overflow drops the oldest notice.
+    /// [`NOTICE_QUEUE_DEPTH`] on every node; tests shrink it to overflow.
     pub queue_depth: usize,
     /// TCP connect timeout for (re)connection attempts.
     pub connect_timeout: Duration,
@@ -96,7 +105,7 @@ pub struct BroadcastConfig {
 impl Default for BroadcastConfig {
     fn default() -> Self {
         BroadcastConfig {
-            queue_depth: 1024,
+            queue_depth: NOTICE_QUEUE_DEPTH,
             connect_timeout: Duration::from_millis(500),
             connector: Arc::new(|_peer, addr, timeout| TcpStream::connect_timeout(&addr, timeout)),
         }

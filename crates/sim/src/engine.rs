@@ -48,9 +48,9 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
     // One delay for every notice keeps the queue sorted by due time.
     let mut pending: VecDeque<(u64, usize, RemoteUpdate)> = VecDeque::new();
     let mut result = SimResult::default();
-    // The live cluster's placement rule (same ring, same virtual-node
-    // count), so simulated key placement is exactly the live placement.
-    let placement = Placement::new(cfg.directory, cfg.nodes, cfg.ring_vnodes);
+    // The live cluster's placement rule (same ring), so simulated key
+    // placement is exactly the live placement.
+    let placement = Placement::new(cfg.directory, cfg.nodes);
     let mut route_rng = match cfg.routing {
         Routing::Random(seed) => Some(StdRng::seed_from_u64(seed)),
         Routing::RoundRobin => None,

@@ -1,6 +1,6 @@
 //! Simulation configuration and results.
 
-use swala_cache::{DirectoryKind, PolicyKind, DEFAULT_VNODES};
+use swala_cache::{DirectoryKind, PolicyKind};
 
 /// How requests are spread over the cluster's nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +36,6 @@ pub struct SimConfig {
     /// a consistent-hash ring assigns each key one *home* node that is
     /// the single recipient of its updates and the oracle for lookups.
     pub directory: DirectoryKind,
-    /// Virtual nodes per member on the partitioned ring. Matches the
-    /// live default so simulated placement equals live placement.
-    pub ring_vnodes: usize,
 }
 
 impl Default for SimConfig {
@@ -51,7 +48,6 @@ impl Default for SimConfig {
             broadcast_delay: 0,
             routing: Routing::RoundRobin,
             directory: DirectoryKind::Replicated,
-            ring_vnodes: DEFAULT_VNODES,
         }
     }
 }

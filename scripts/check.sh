@@ -64,6 +64,15 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala --lib pool::
 cargo test -q --release -p swala --test alloc_budget
 
+step "config parser (README knob table + structure-aware fuzz, 2048 cases, pinned seed)"
+# The README's Configuration table has one row per ServerOptions field
+# and each documented default parses back to the default; every retired
+# keyword says why it went. Then lines built from live, retired and
+# arbitrary keywords with hostile values: no panic, every error names a
+# line that is wrong on its own, and an unknown word is "unknown keyword".
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala --lib config::
+
 step "benchmark harness builds against the workspace (benchmark/run.sh --selftest)"
 # benchmark/ is a workspace of its own calling http/proto/cache/cgi/core
 # functions by name; nothing else compiles it, so a signature change
