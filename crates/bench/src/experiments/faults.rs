@@ -3,8 +3,9 @@
 //! Not a paper table — the 1998 evaluation never measured failures — but
 //! the natural companion to §4.2's fault-tolerance claims: a 4-node
 //! cluster whose entries live on one flapping node (half its inbound
-//! connections injected dead, probed back to life every 250 ms) must
-//! keep answering every request correctly. The cost shows up as a lower
+//! connections injected dead, probed back to life every
+//! [`PROBE_INTERVAL`], the shipped constants throughout) must keep
+//! answering every request correctly. The cost shows up as a lower
 //! cooperative hit rate and a fatter p99, never as an error. The same
 //! seeded [`FaultInjector`] used by `tests/chaos.rs` drives the flap, so
 //! the run is reproducible.
@@ -17,7 +18,7 @@ use swala::{HttpClient, ServerOptions};
 use swala_cache::NodeId;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
-use swala_proto::{FaultAction, FaultInjector, FaultRule};
+use swala_proto::{FaultAction, FaultInjector, FaultRule, PROBE_INTERVAL};
 
 struct Outcome {
     hit_rate: f64,
@@ -43,9 +44,7 @@ fn drive(flapping: bool, requests: usize, num_targets: usize, seed: u64) -> Outc
         node: ServerOptions {
             faults: Some(Arc::clone(&inj)),
             fetch_retries: 2,
-            fetch_backoff: Duration::from_millis(2),
             quarantine_after: 3,
-            probe_interval: Duration::from_millis(250),
             ..ClusterConfig::default().node
         },
         ..Default::default()
@@ -184,7 +183,8 @@ pub fn run() -> TableReport {
     std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
     report.note("client and server-side distributions written to BENCH_faults.json");
     report.note(format!(
-        "seed {seed}: half of all connections toward the owning node dropped; probe interval 250 ms"
+        "seed {seed}: half of all connections toward the owning node dropped; probe interval {} s",
+        PROBE_INTERVAL.as_secs()
     ));
     report.note("every request returns 200 in both scenarios — failures cost hit rate and tail latency, never correctness");
     report

@@ -20,7 +20,7 @@ fn measure(addr: std::net::SocketAddr, clients: usize, per_client: usize) -> f64
     let report =
         LoadGenerator::new(clients).run_sampler(&[addr], per_client, 3, |_| TARGET.to_string());
     assert_eq!(report.errors, 0, "nullcgi errors against {addr}");
-    report.latency.mean.as_secs_f64() * 1e3
+    report.mean().as_secs_f64() * 1e3
 }
 
 pub fn run() -> TableReport {

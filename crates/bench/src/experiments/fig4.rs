@@ -72,7 +72,7 @@ pub fn run() -> TableReport {
                 report_run.errors, 0,
                 "replay errors at {nodes} nodes caching={caching}"
             );
-            means[i] = report_run.latency.mean.as_secs_f64() * 1e3;
+            means[i] = report_run.mean().as_secs_f64() * 1e3;
             cluster.shutdown();
         }
         let (nc, cc) = (means[0], means[1]);

@@ -13,11 +13,8 @@
 //!
 //! The distributions are appended to `BENCH_hitpath.json` (handwritten
 //! JSON, no serde in the tree) so later PRs have a trajectory to defend.
-//! Since the telemetry PR the report also carries each node's own
-//! per-outcome histogram quantiles (what `/swala-metrics` would show)
-//! and an overhead guard: the warm-local-hit median with telemetry on
-//! must stay within 3% (plus a 30 µs timer-jitter floor) of an
-//! `obs_enabled: false` run of the same scenario.
+//! The report also carries each node's own per-outcome histogram
+//! quantiles (what `/swala-metrics` would show).
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
@@ -25,11 +22,6 @@ use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions};
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_obs::Outcome;
-
-/// Telemetry-overhead tolerance: 3% relative…
-const OVERHEAD_REL: f64 = 0.03;
-/// …plus an absolute floor for scheduler/timer jitter at the µs scale.
-const OVERHEAD_FLOOR_MS: f64 = 0.030;
 
 /// One scenario's latency distribution, in milliseconds.
 struct Dist {
@@ -317,24 +309,6 @@ pub fn run() -> TableReport {
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&base);
 
-    // Telemetry-off twin of the warm-local-hit scenario: same cluster
-    // shape, same key, `obs_enabled: false` — the cost of the telemetry
-    // layer is the median gap between the two runs.
-    let off_cluster = SwalaCluster::start(&ClusterConfig {
-        nodes: 2,
-        node: ServerOptions {
-            obs_enabled: false,
-            ..ClusterConfig::default().node
-        },
-        ..Default::default()
-    })
-    .expect("start obs-off cluster");
-    let mut coff = HttpClient::new(off_cluster.node(0).http_addr());
-    coff.get(&target).expect("warm");
-    let local_off = dist(timed(&mut coff, samples, |_| target.clone()));
-    off_cluster.shutdown();
-    let overhead_budget_ms = local_off.p50 * OVERHEAD_REL + OVERHEAD_FLOOR_MS;
-
     // No-cache baseline: the same document re-executes every time.
     let nocache_cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
@@ -365,10 +339,8 @@ pub fn run() -> TableReport {
     };
     let json = format!(
         "{{\n  \"experiment\": \"hitpath\",\n  \"quick\": {quick},\n  \
-         \"samples\": {samples},\n  \"work_ms\": {work_ms},\n  \"scenarios\": {{\n{},\n{},\n{},\n{},\n{}\n  }},\n  \
+         \"samples\": {samples},\n  \"work_ms\": {work_ms},\n  \"scenarios\": {{\n{},\n{},\n{},\n{}\n  }},\n  \
          \"telemetry\": {{\n{},\n{},\n{}\n  }},\n  \
-         \"obs_overhead\": {{\"p50_on_ms\": {:.4}, \"p50_off_ms\": {:.4}, \
-         \"budget_ms\": {overhead_budget_ms:.4}}},\n  \
          \"idle_sweep\": {idle_json},\n  \
          \"counters\": {{\"mem_hits\": {}, \"store_reads_during_hits\": {store_reads_during_hits}, \
          \"pool_connects\": {}, \"pool_reuses\": {}}}\n}}\n",
@@ -376,12 +348,9 @@ pub fn run() -> TableReport {
         json_scenario("remote_hit", &remote),
         json_scenario("miss", &miss),
         json_scenario("nocache_execute", &nocache),
-        json_scenario("local_hit_obs_disabled", &local_off),
         hist_json("local_mem", &hist_local),
         hist_json("remote", &hist_remote),
         hist_json("miss", &hist_miss),
-        local.p50,
-        local_off.p50,
         stats0.mem_hits,
         pool.connects_opened,
         pool.reuses,
@@ -395,7 +364,6 @@ pub fn run() -> TableReport {
     );
     for (name, d) in [
         ("local hit (memory tier)", &local),
-        ("local hit (telemetry off)", &local_off),
         ("remote hit (pooled fetch)", &remote),
         ("miss (execute + insert)", &miss),
         ("no-cache (execute always)", &nocache),
@@ -422,18 +390,6 @@ pub fn run() -> TableReport {
     report.note(format!(
         "zero-copy evidence: {} warm hits, 0 store reads; {} remote fetches over {} connections",
         stats0.mem_hits, pool.reuses, pool.connects_opened,
-    ));
-    assert!(
-        local.p50 <= local_off.p50 + overhead_budget_ms,
-        "telemetry overhead too high on the warm hit path: p50 {:.4} ms with obs, \
-         {:.4} ms without (budget {:.4} ms)",
-        local.p50,
-        local_off.p50,
-        overhead_budget_ms
-    );
-    report.note(format!(
-        "telemetry overhead on warm hits: p50 {:.3} ms on vs {:.3} ms off (budget {:.3} ms = 3% + 30us floor)",
-        local.p50, local_off.p50, overhead_budget_ms,
     ));
     report.note(format!(
         "node histograms: local-mem p50/p99 {}/{} us ({} obs), remote {}/{} us ({} obs)",

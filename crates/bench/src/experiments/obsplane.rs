@@ -1,8 +1,7 @@
 //! Cluster-observability-plane gate: one `/swala-cluster-metrics`
-//! scrape must fan out to every peer, merge exactly, and cost nothing
-//! measurable on the request hot path.
+//! scrape must fan out to every peer and merge exactly.
 //!
-//! Run by `scripts/check.sh` as `tables obsplane`; three parts:
+//! Run by `scripts/check.sh` as `tables obsplane`; two parts:
 //!
 //! 1. **Scrape fan-out at N=8** — drive a deterministic traffic mix
 //!    (misses, warm local hits, remote hits) through an eight-node
@@ -16,26 +15,20 @@
 //!    passed through verbatim (no float re-aggregation), so equality is
 //!    exact, not approximate. A partial scrape would also fail here:
 //!    `swala_cluster_scrape_failures` must stay 0 with all peers up.
-//! 3. **Obs-overhead twin** — the warm-local-hit median with the full
-//!    observability plane on (histograms, heat sketch, slow-trace
-//!    exemplars) must stay within 3% + 30 µs of an `obs_enabled: false`
-//!    twin of the same scenario, extending `hitpath`'s telemetry budget
-//!    to the new per-key instruments.
+//!
+//! What telemetry costs the hot path is not gated here: two short
+//! latency runs on one host differ by more than the cost being asked
+//! about. That is a question for a `benchmark/` A/B, obs off vs on.
 //!
 //! Results append to `BENCH_obsplane.json` for the CI gate.
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
 use std::time::{Duration, Instant};
-use swala::{HttpClient, ServerOptions};
+use swala::HttpClient;
 use swala_cache::stats::StatsSnapshot;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_obs::{parse_exposition, Sample};
-
-/// Telemetry-overhead tolerance: 3% relative…
-const OVERHEAD_REL: f64 = 0.03;
-/// …plus an absolute floor for scheduler/timer jitter at the µs scale.
-const OVERHEAD_FLOOR_MS: f64 = 0.030;
 
 /// Fan-out width for the federation gate (the acceptance criterion's N).
 const NODES: usize = 8;
@@ -101,58 +94,6 @@ fn timed(client: &mut HttpClient, n: usize, target: &str) -> Vec<f64> {
         .collect()
 }
 
-/// Warm-local-hit median with the observability plane on vs off.
-/// Returns (p50_on_ms, p50_off_ms, budget_ms); asserts the budget.
-fn overhead_twin(quick: bool) -> (f64, f64, f64) {
-    let samples = if quick { 60 } else { 300 };
-    let work_ms: u64 = if quick { 3 } else { 10 };
-    let target = format!("/cgi-bin/adl?id=ov&ms={work_ms}");
-
-    // Obs on, the default: every timed hit feeds the duration
-    // histogram, the heat sketch, and the slow-exemplar comparison — the
-    // full cost the budget must absorb.
-    let on_cluster = SwalaCluster::start(&ClusterConfig {
-        nodes: 2,
-        ..Default::default()
-    })
-    .expect("start obs-on cluster");
-    let mut con = HttpClient::new(on_cluster.node(0).http_addr());
-    con.get(&target).expect("warm");
-    let on = dist(timed(&mut con, samples, &target));
-    // The sketch must actually have been on the path we just timed.
-    let hot = on_cluster.node(0).manager().heat().top(1);
-    assert!(
-        hot.first().map(|e| e.count).unwrap_or(0) > samples as u64 / 2,
-        "heat sketch saw no traffic — the overhead run measured nothing: {hot:?}"
-    );
-    on_cluster.shutdown();
-
-    let off_cluster = SwalaCluster::start(&ClusterConfig {
-        nodes: 2,
-        node: ServerOptions {
-            obs_enabled: false,
-            ..ClusterConfig::default().node
-        },
-        ..Default::default()
-    })
-    .expect("start obs-off cluster");
-    let mut coff = HttpClient::new(off_cluster.node(0).http_addr());
-    coff.get(&target).expect("warm");
-    let off = dist(timed(&mut coff, samples, &target));
-    off_cluster.shutdown();
-
-    let budget = off.p50 * OVERHEAD_REL + OVERHEAD_FLOOR_MS;
-    assert!(
-        on.p50 <= off.p50 + budget,
-        "observability overhead too high on the warm hit path: p50 {:.4} ms with \
-         sketch+exemplars on, {:.4} ms with obs off (budget {:.4} ms)",
-        on.p50,
-        off.p50,
-        budget
-    );
-    (on.p50, off.p50, budget)
-}
-
 pub fn run() -> TableReport {
     let quick = scale::quick();
     let scrapes = if quick { 10 } else { 40 };
@@ -204,7 +145,7 @@ pub fn run() -> TableReport {
 
     let mut report = TableReport::new(
         "obsplane",
-        "Cluster observability plane: merged scrape exactness and overhead",
+        "Cluster observability plane: merged scrape exactness",
         &["counter family", "merged sum", "per-node sum", "nodes"],
     );
 
@@ -243,9 +184,6 @@ pub fn run() -> TableReport {
     );
     cluster.shutdown();
 
-    // Hot-path cost of the whole plane, sketch and exemplars included.
-    let (p50_on, p50_off, budget) = overhead_twin(quick);
-
     let totals_json: Vec<String> = totals
         .iter()
         .map(|(f, v)| format!("    \"{f}\": {v}"))
@@ -256,9 +194,7 @@ pub fn run() -> TableReport {
          \"scrape\": {{\"samples\": {scrapes}, \"mean_ms\": {:.4}, \"p50_ms\": {:.4}, \
          \"p95_ms\": {:.4}, \"series\": {}}},\n  \
          \"merged_equals_sum\": true,\n  \"scrape_failures\": 0,\n  \
-         \"cluster_totals\": {{\n{}\n  }},\n  \
-         \"obs_overhead\": {{\"p50_on_ms\": {p50_on:.4}, \"p50_off_ms\": {p50_off:.4}, \
-         \"budget_ms\": {budget:.4}}}\n}}\n",
+         \"cluster_totals\": {{\n{}\n  }}\n}}\n",
         scrape_ms.mean,
         scrape_ms.p50,
         scrape_ms.p95,
@@ -278,11 +214,6 @@ pub fn run() -> TableReport {
         "exactness: every {node} sample equals that node's own counter handle; \
          sums over the node label are exact",
     );
-    report.note(format!(
-        "obs overhead with sketch+exemplars: warm-hit p50 {:.3} ms on vs {:.3} ms off \
-         (budget {:.3} ms = 3% + 30us floor)",
-        p50_on, p50_off, budget,
-    ));
     report.note("results written to BENCH_obsplane.json");
     report
 }

@@ -54,7 +54,7 @@ pub fn run() -> TableReport {
         let ent_report = run(enterprise.addr());
         let swala_report = run(swala.http_addr());
 
-        let ms = |r: &swala_workload::LoadReport| r.latency.mean.as_secs_f64() * 1e3;
+        let ms = |r: &swala_workload::LoadReport| r.mean().as_secs_f64() * 1e3;
         let (h, e, s) = (ms(&httpd_report), ms(&ent_report), ms(&swala_report));
         report.row(vec![
             clients.to_string(),

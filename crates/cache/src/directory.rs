@@ -17,7 +17,8 @@
 //! one consistent table without a second lock.
 
 use crate::churn::reserve_one;
-use crate::entry::{unix_now, EntryMeta};
+use crate::clock::Clock;
+use crate::entry::EntryMeta;
 use crate::key::CacheKey;
 use crate::node::NodeId;
 use crate::policy::{PolicyKind, VictimIndex};
@@ -107,6 +108,8 @@ pub struct CacheDirectory {
     local: NodeId,
     /// `tables[i]` = entries cached at node `i`.
     tables: Vec<RwLock<Table>>,
+    /// What TTL expiry is judged against.
+    clock: Clock,
 }
 
 impl CacheDirectory {
@@ -130,7 +133,18 @@ impl CacheDirectory {
                     })
                 })
                 .collect(),
+            clock: Clock::Real,
         }
+    }
+
+    /// Judge TTL expiry against `clock` instead of the host's wall time.
+    pub(crate) fn with_clock(self, clock: Clock) -> Self {
+        CacheDirectory { clock, ..self }
+    }
+
+    /// The clock TTL expiry is judged against.
+    pub(crate) fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     /// The node this directory instance belongs to.
@@ -150,7 +164,7 @@ impl CacheDirectory {
     /// (but not removed here; the purge pass owns removal so that file
     /// deletion and delete-broadcasts happen in one place).
     pub fn classify(&self, key: &CacheKey) -> Classification {
-        let now = unix_now();
+        let now = self.clock.unix_now();
         {
             let local = self.tables[self.local.index()].read();
             if let Some(meta) = local.entries.get(key) {
@@ -232,7 +246,11 @@ impl CacheDirectory {
     /// Look up `key` in `node`'s table (unexpired only).
     pub fn get(&self, node: NodeId, key: &CacheKey) -> Option<EntryMeta> {
         let t = self.tables[node.index()].read();
-        t.entries.get(key).filter(|m| !m.is_expired()).cloned()
+        let now = self.clock.unix_now();
+        t.entries
+            .get(key)
+            .filter(|m| !m.is_expired_at(now))
+            .cloned()
     }
 
     /// Record a hit on an entry in `node`'s table at logical time `seq`,
@@ -294,7 +312,7 @@ impl CacheDirectory {
     /// is responsible for the authoritative delete broadcast; we just stop
     /// advertising them).
     pub fn purge_expired(&self) -> Vec<EntryMeta> {
-        let now = unix_now();
+        let now = self.clock.unix_now();
         let mut out = Vec::new();
         {
             let mut t = self.tables[self.local.index()].write();

@@ -1,5 +1,6 @@
 //! Cache entry metadata — what the replicated directory stores.
 
+use crate::clock::Clock;
 use crate::key::CacheKey;
 use crate::node::NodeId;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -39,7 +40,8 @@ pub struct EntryMeta {
 }
 
 impl EntryMeta {
-    /// Create metadata for a fresh insertion.
+    /// Create metadata for a fresh insertion, stamped with the host's
+    /// wall time.
     pub fn new(
         key: CacheKey,
         owner: NodeId,
@@ -49,15 +51,27 @@ impl EntryMeta {
         ttl: Option<Duration>,
         seq: u64,
     ) -> Self {
-        let now = unix_now();
+        Self::unstamped(key, owner, size, content_type, exec_micros, seq).stamped(&Clock::Real, ttl)
+    }
+
+    /// [`new`](Self::new) before [`stamped`](Self::stamped) gives it a
+    /// creation time and an expiry.
+    pub(crate) fn unstamped(
+        key: CacheKey,
+        owner: NodeId,
+        size: u64,
+        content_type: impl Into<String>,
+        exec_micros: u64,
+        seq: u64,
+    ) -> Self {
         EntryMeta {
             key,
             owner,
             size,
             content_type: content_type.into(),
             exec_micros,
-            expires_unix: ttl.map(|t| now.saturating_add(t.as_secs().max(1))),
-            created_unix: now,
+            expires_unix: None,
+            created_unix: 0,
             hits: 0,
             last_access_seq: seq,
             insert_seq: seq,
@@ -65,14 +79,18 @@ impl EntryMeta {
         }
     }
 
+    /// Stamp creation time from `clock`'s wall time, and expiry `ttl`
+    /// after it (in whole seconds, at least one).
+    pub(crate) fn stamped(mut self, clock: &Clock, ttl: Option<Duration>) -> Self {
+        let now = clock.unix_now();
+        self.created_unix = now;
+        self.expires_unix = ttl.map(|t| now.saturating_add(t.as_secs().max(1)));
+        self
+    }
+
     /// Whether the entry has expired at Unix time `now`.
     pub fn is_expired_at(&self, now: u64) -> bool {
         matches!(self.expires_unix, Some(e) if e <= now)
-    }
-
-    /// Whether the entry has expired right now.
-    pub fn is_expired(&self) -> bool {
-        self.is_expired_at(unix_now())
     }
 
     /// Record a hit at logical time `seq`.
@@ -118,7 +136,7 @@ mod tests {
         assert_eq!(m.insert_seq, 7);
         assert_eq!(m.last_access_seq, 7);
         assert_eq!(m.expires_unix, None);
-        assert!(!m.is_expired());
+        assert!(!m.is_expired_at(u64::MAX));
     }
 
     #[test]
@@ -135,7 +153,7 @@ mod tests {
         // A TTL of 10ms must not truncate to "expires immediately at
         // creation second" — it rounds up to 1s granularity.
         let m = meta(Some(Duration::from_millis(10)));
-        assert!(!m.is_expired());
+        assert!(!m.is_expired_at(m.created_unix));
     }
 
     #[test]

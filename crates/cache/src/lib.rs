@@ -25,6 +25,8 @@
 //!   GreedyDual-Size.
 //! * **Statistics** ([`stats`]): hit/miss/false-hit/false-miss counters
 //!   that the §5 experiments report.
+//! * **One clock** ([`clock`]): TTL expiry and every daemon that paces
+//!   itself read a [`Clock`], the host's or a manual one tests advance.
 //!
 //! Recency/frequency bookkeeping uses *logical sequence numbers* from a
 //! per-manager atomic counter rather than wall-clock time, so policy
@@ -32,6 +34,7 @@
 //! the exact same evictions as the live server.
 
 mod churn;
+pub mod clock;
 pub mod digest;
 pub mod directory;
 pub mod entry;
@@ -47,6 +50,7 @@ pub mod segstore;
 pub mod stats;
 pub mod store;
 
+pub use clock::{Clock, ManualClock, StopSignal, Waiter};
 pub use digest::{Digest, DigestImpl};
 pub use directory::{CacheDirectory, Classification, Eviction, RemoteUpdate};
 pub use entry::EntryMeta;

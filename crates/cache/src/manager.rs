@@ -7,6 +7,7 @@
 //! `swala-proto` daemons drive it; none of them touch the directory or
 //! the store directly.
 
+use crate::clock::Clock;
 use crate::digest::Digest;
 use crate::directory::{CacheDirectory, Classification, RemoteUpdate, APPLY_RUN_MAX};
 use crate::entry::EntryMeta;
@@ -73,6 +74,9 @@ pub struct CacheManagerConfig {
     /// [`HOTKEYS`], or 0 to disable the sketch entirely (observations
     /// become no-ops).
     pub hotkeys: usize,
+    /// What TTLs are stamped and judged against, and what the node's
+    /// purge daemon and source monitor pace themselves by.
+    pub clock: Clock,
 }
 
 impl Default for CacheManagerConfig {
@@ -88,6 +92,7 @@ impl Default for CacheManagerConfig {
             coalesce_wait: COALESCE_WAIT,
             directory: DirectoryKind::Replicated,
             hotkeys: HOTKEYS,
+            clock: Clock::Real,
         }
     }
 }
@@ -269,7 +274,8 @@ impl CacheManager {
         CacheManager {
             local: cfg.local,
             capacity: cfg.capacity,
-            directory: CacheDirectory::with_policy(cfg.num_nodes, cfg.local, cfg.policy),
+            directory: CacheDirectory::with_policy(cfg.num_nodes, cfg.local, cfg.policy)
+                .with_clock(cfg.clock),
             store,
             store_ops: std::array::from_fn(|_| Arc::new(Histogram::new())),
             mem: (cfg.mem_cache_bytes > 0).then(|| MemCache::new(cfg.mem_cache_bytes)),
@@ -299,6 +305,11 @@ impl CacheManager {
     /// node's notices go and whether its own miss is authoritative.
     pub fn placement(&self) -> &Placement {
         &self.placement
+    }
+
+    /// The node's clock: TTLs, and the daemons that pace themselves.
+    pub fn clock(&self) -> &Clock {
+        self.directory.clock()
     }
 
     /// Statistics counters.
@@ -597,15 +608,15 @@ impl CacheManager {
             CacheDecision::Uncacheable => unreachable!("should_insert rejected uncacheable"),
         };
         let seq = self.next_seq();
-        let meta = EntryMeta::new(
+        let meta = EntryMeta::unstamped(
             key.clone(),
             self.local,
             body.len() as u64,
             content_type,
             exec.as_micros() as u64,
-            ttl,
             seq,
-        );
+        )
+        .stamped(self.clock(), ttl);
         // Self-describing write: the header carries everything needed to
         // rebuild the directory entry on a warm restart. The digest is
         // computed once: the store records it as the body's integrity
@@ -841,7 +852,7 @@ impl CacheManager {
     /// recovered set respects capacity. Returns how many entries were
     /// restored.
     pub fn recover_from_store(&self) -> usize {
-        let now = crate::entry::unix_now();
+        let now = self.clock().unix_now();
         let mut restored = 0;
         for recovered in self.store.recover() {
             if recovered.expires_unix.is_some_and(|e| e <= now) {
@@ -1360,27 +1371,27 @@ mod tests {
         assert_eq!(m.directory().len(NodeId(0)), 1);
     }
 
-    #[test]
-    fn purge_expired_deletes_files() {
-        let rules = CacheRules::parse("cache * ttl=1\n").unwrap();
+    /// A manager whose entries live one second, on a clock the test moves.
+    fn ttl_manager() -> (CacheManager, Arc<crate::clock::ManualClock>) {
+        let time = crate::clock::ManualClock::new();
         let m = CacheManager::new(
             CacheManagerConfig {
-                rules,
+                rules: CacheRules::parse("cache * ttl=1\n").unwrap(),
+                clock: time.clock(),
                 ..Default::default()
             },
             Box::new(MemStore::new()),
         );
+        (m, time)
+    }
+
+    #[test]
+    fn purge_expired_deletes_files() {
+        let (m, time) = ttl_manager();
         let k = key("/cgi-bin/ttl");
-        let decision = match m.lookup(&k, k.as_str()) {
-            LookupResult::Miss { decision, .. } => decision,
-            other => panic!("{other:?}"),
-        };
-        m.complete_execution(&k, b"x", "t", Duration::from_millis(10), &decision)
-            .unwrap();
-        // Force expiry by rewriting the entry's clock.
-        let mut meta = m.directory().get(NodeId(0), &k).unwrap();
-        meta.expires_unix = Some(1);
-        m.directory().insert(NodeId(0), meta);
+        run_and_insert(&m, &k, b"x");
+        assert!(m.purge_expired().is_empty(), "alive for its second");
+        time.advance(Duration::from_secs(1));
         let dead = m.purge_expired();
         assert_eq!(dead.len(), 1);
         assert_eq!(m.stats().snapshot().expirations, 1);
@@ -1388,6 +1399,27 @@ mod tests {
             m.lookup(&k, k.as_str()),
             LookupResult::Miss { .. }
         ));
+    }
+
+    #[test]
+    fn expiry_is_judged_against_the_wall_clock_at_each_lookup() {
+        let (m, time) = ttl_manager();
+        let k = key("/cgi-bin/ttl-step");
+        run_and_insert(&m, &k, b"x");
+        time.advance(Duration::from_secs(1));
+        assert!(matches!(
+            m.lookup(&k, k.as_str()),
+            LookupResult::Miss { .. }
+        ));
+        m.abort_execution(&k);
+        // Wall time stepped back before the purge ran: the entry is
+        // unexpired again, and nothing was lost or announced.
+        time.step_wall_back(Duration::from_secs(3600));
+        assert!(matches!(
+            m.lookup(&k, k.as_str()),
+            LookupResult::LocalHit { .. }
+        ));
+        assert_eq!(m.stats().snapshot().expirations, 0);
     }
 
     #[test]

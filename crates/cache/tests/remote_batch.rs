@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use swala_cache::{
-    CacheKey, CacheManager, CacheManagerConfig, CacheRules, EntryMeta, LookupResult, MemStore,
-    NodeId, RemoteUpdate,
+    CacheKey, CacheManager, CacheManagerConfig, CacheRules, Clock, EntryMeta, LookupResult,
+    ManualClock, MemStore, NodeId, RemoteUpdate,
 };
 
 const NODES: usize = 3;
@@ -52,14 +52,16 @@ fn update_strategy() -> impl Strategy<Value = (RemoteUpdate, bool)> {
 }
 
 /// A manager holding local entries for ids `0..cached` and executing
-/// (flight registered, not completed) ids `8..8 + executing`.
-fn manager(cached: u8, executing: u8) -> CacheManager {
+/// (flight registered, not completed) ids `8..8 + executing`, stamped
+/// by `clock`.
+fn manager(cached: u8, executing: u8, clock: Clock) -> CacheManager {
     let m = CacheManager::new(
         CacheManagerConfig {
             num_nodes: NODES,
             local: LOCAL,
             rules: CacheRules::allow_all(),
             mem_cache_bytes: 1 << 20,
+            clock,
             ..Default::default()
         },
         Box::new(MemStore::new()),
@@ -127,8 +129,12 @@ fn frame_strategy(len: usize) -> impl Strategy<Value = Vec<RemoteUpdate>> {
 /// Apply `batches` through `apply_remote_batch` to one manager and their
 /// updates one call each to another; the two must be indistinguishable.
 fn check_equivalence(cached: u8, executing: u8, batches: Vec<Vec<RemoteUpdate>>) {
-    let batched = manager(cached, executing);
-    let sequential = manager(cached, executing);
+    // One clock standing still: the two managers' own entries carry the
+    // same creation time even when the host clock ticks a second between
+    // building them.
+    let time = ManualClock::new();
+    let batched = manager(cached, executing, time.clock());
+    let sequential = manager(cached, executing, time.clock());
     for batch in batches {
         for update in batch.iter().cloned() {
             match update {

@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
+use swala_cache::entry::unix_now;
 use swala_cache::{CacheDirectory, CacheKey, EntryMeta, NodeId, Policy, PolicyKind, VictimIndex};
 
 const LOCAL: NodeId = NodeId(0);
@@ -185,11 +186,11 @@ fn run_equivalence(policy: PolicyKind, capacity: usize, ops: &[Op]) -> Result<()
                 let mut expected: Vec<CacheKey> = scan
                     .entries
                     .values()
-                    .filter(|e| e.is_expired())
+                    .filter(|e| e.is_expired_at(unix_now()))
                     .map(|e| e.key.clone())
                     .collect();
                 expected.sort();
-                scan.entries.retain(|_, e| !e.is_expired());
+                scan.entries.retain(|_, e| !e.is_expired_at(unix_now()));
                 same!(policy, purged, expected, step, "purged keys");
             }
             Op::Replace {

@@ -4,8 +4,7 @@ use crate::monitor::MonitorRule;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
-use swala_cache::{CacheRules, DirectoryKind, NodeId, PolicyKind, StoreKind};
+use swala_cache::{CacheRules, Clock, DirectoryKind, NodeId, PolicyKind, StoreKind};
 use swala_proto::FaultInjector;
 
 /// Access-log line format (`log_format text|json`).
@@ -62,12 +61,8 @@ pub struct ServerOptions {
     pub rules: CacheRules,
     /// Master switch: false = "Swala no-cache" baseline mode.
     pub caching_enabled: bool,
-    /// Purge-daemon wake interval.
-    pub purge_interval: Duration,
     /// Source-monitoring rules (automatic invalidation, after \[16\]).
     pub monitors: Vec<MonitorRule>,
-    /// How often monitored sources are polled.
-    pub monitor_interval: Duration,
     /// Pull peers' directory snapshots at startup (late-joining nodes).
     pub sync_on_join: bool,
     /// Warm restart: rebuild the directory from a disk store's
@@ -81,14 +76,9 @@ pub struct ServerOptions {
     pub log_format: LogFormat,
     /// Total remote-fetch attempts per request (1 = no retries).
     pub fetch_retries: u32,
-    /// Backoff before the second fetch attempt; doubles per retry, with
-    /// deterministic jitter.
-    pub fetch_backoff: Duration,
     /// Consecutive fetch failures before a peer is quarantined (its
     /// directory entries are evicted and a `NodeDown` is broadcast).
     pub quarantine_after: u32,
-    /// Rest period before a quarantined peer gets one probe fetch.
-    pub probe_interval: Duration,
     /// Byte budget for the in-memory body tier over the store; 0
     /// disables it (every local hit reads the store).
     pub mem_cache_bytes: usize,
@@ -104,6 +94,11 @@ pub struct ServerOptions {
     /// outside chaos tests — there is no config-file syntax for it) means
     /// clean production transports.
     pub faults: Option<Arc<FaultInjector>>,
+    /// The node's clock: TTL expiry, the purge and monitor intervals,
+    /// the probe window, notice holds and reconnect backoff. `Real`
+    /// (always, outside tests that move a `ManualClock` instead of
+    /// sleeping — there is no config-file syntax for it).
+    pub clock: Clock,
     /// Telemetry master switch: off = no tracing, no latency histograms,
     /// no heat sketch (counters stay scrapeable). The `obs off` baseline
     /// is what the hitpath bench compares against to bound telemetry
@@ -141,21 +136,18 @@ impl Default for ServerOptions {
             policy: PolicyKind::Lru,
             rules: CacheRules::allow_all(),
             caching_enabled: true,
-            purge_interval: Duration::from_secs(2),
             monitors: Vec::new(),
-            monitor_interval: Duration::from_secs(2),
             sync_on_join: false,
             recover_cache: true,
             access_log: None,
             log_format: LogFormat::Text,
             fetch_retries: 3,
-            fetch_backoff: Duration::from_millis(25),
             quarantine_after: 3,
-            probe_interval: Duration::from_secs(5),
             mem_cache_bytes: 64 * 1024 * 1024,
             fetch_pool_size: swala_proto::DEFAULT_POOL_SIZE,
             coalesce: true,
             faults: None,
+            clock: Clock::Real,
             obs_enabled: true,
             directory: DirectoryKind::Replicated,
             store: StoreKind::Segment,
@@ -181,6 +173,10 @@ const RETIRED: &[(&str, &str)] = &[
     ("hotkeys", "the heat sketch has swala_cache::HOTKEYS slots (none with obs off)"),
     ("slow_traces", "swala_obs::SLOW_TRACES exemplars are kept per outcome"),
     ("ring_vnodes", "every ring has swala_cache::DEFAULT_VNODES points per node"),
+    ("purge_interval_ms", "the purge daemon wakes every swala_proto::PURGE_INTERVAL"),
+    ("monitor_interval_ms", "sources are polled every swala::monitor::MONITOR_INTERVAL"),
+    ("probe_interval_ms", "a quarantined peer is probed every swala_proto::PROBE_INTERVAL"),
+    ("fetch_backoff_ms", "retries back off from swala_proto::FETCH_BACKOFF"),
 ];
 
 impl ServerOptions {
@@ -198,7 +194,6 @@ impl ServerOptions {
     /// capacity 2000
     /// policy gds
     /// caching on
-    /// purge_interval_ms 2000
     /// # cacheability rules use the rule syntax directly:
     /// cache /cgi-bin/adl* ttl=300 min_ms=50
     /// nocache /cgi-bin/private/*
@@ -234,11 +229,6 @@ impl ServerOptions {
                         _ => return Err(err("caching must be on|off")),
                     }
                 }
-                "purge_interval_ms" => {
-                    opts.purge_interval = Duration::from_millis(
-                        rest.parse().map_err(|_| err("bad purge_interval_ms"))?,
-                    )
-                }
                 "monitor" => {
                     let (prefix, source) = rest
                         .split_once(char::is_whitespace)
@@ -250,11 +240,6 @@ impl ServerOptions {
                         key_prefix: prefix.to_string(),
                         source: PathBuf::from(source.trim()),
                     });
-                }
-                "monitor_interval_ms" => {
-                    opts.monitor_interval = Duration::from_millis(
-                        rest.parse().map_err(|_| err("bad monitor_interval_ms"))?,
-                    )
                 }
                 "sync_on_join" => {
                     opts.sync_on_join = match rest {
@@ -280,22 +265,12 @@ impl ServerOptions {
                         return Err(err("fetch_retries must be positive"));
                     }
                 }
-                "fetch_backoff_ms" => {
-                    opts.fetch_backoff = Duration::from_millis(
-                        rest.parse().map_err(|_| err("bad fetch_backoff_ms"))?,
-                    )
-                }
                 "quarantine_after" => {
                     opts.quarantine_after =
                         rest.parse().map_err(|_| err("bad quarantine_after"))?;
                     if opts.quarantine_after == 0 {
                         return Err(err("quarantine_after must be positive"));
                     }
-                }
-                "probe_interval_ms" => {
-                    opts.probe_interval = Duration::from_millis(
-                        rest.parse().map_err(|_| err("bad probe_interval_ms"))?,
-                    )
                 }
                 // 0 is legal for both hot-path knobs: it turns the
                 // optimization off rather than breaking the server.
@@ -389,7 +364,6 @@ cache_dir /srv/cache
 capacity 500
 policy gds
 caching on
-purge_interval_ms 750
 nocache /cgi-bin/private/*
 cache /cgi-bin/* ttl=60 min_ms=20
 ";
@@ -402,7 +376,6 @@ cache /cgi-bin/* ttl=60 min_ms=20
         assert_eq!(o.docroot.as_deref(), Some(std::path::Path::new("/srv/www")));
         assert_eq!(o.capacity, 500);
         assert_eq!(o.policy, PolicyKind::GreedyDualSize);
-        assert_eq!(o.purge_interval, Duration::from_millis(750));
         assert_eq!(o.rules.len(), 2);
         assert_eq!(
             o.rules.decide("/cgi-bin/private/x"),
@@ -414,7 +387,6 @@ cache /cgi-bin/* ttl=60 min_ms=20
     fn monitor_and_sync_keywords() {
         let o = ServerOptions::parse(
             "monitor /cgi-bin/gaz* /srv/gazetteer.db
-monitor_interval_ms 500
 sync_on_join on
 ",
         )
@@ -422,7 +394,6 @@ sync_on_join on
         assert_eq!(o.monitors.len(), 1);
         assert_eq!(o.monitors[0].key_prefix, "/cgi-bin/gaz*");
         assert_eq!(o.monitors[0].source, PathBuf::from("/srv/gazetteer.db"));
-        assert_eq!(o.monitor_interval, Duration::from_millis(500));
         assert!(o.sync_on_join);
         assert!(ServerOptions::parse("monitor nopath file").is_err());
         assert!(ServerOptions::parse("monitor /x").is_err());
@@ -433,16 +404,12 @@ sync_on_join on
     fn failure_model_keywords() {
         let o = ServerOptions::parse(
             "fetch_retries 5
-fetch_backoff_ms 10
 quarantine_after 4
-probe_interval_ms 750
 ",
         )
         .unwrap();
         assert_eq!(o.fetch_retries, 5);
-        assert_eq!(o.fetch_backoff, Duration::from_millis(10));
         assert_eq!(o.quarantine_after, 4);
-        assert_eq!(o.probe_interval, Duration::from_millis(750));
         assert!(ServerOptions::parse("fetch_retries 0")
             .unwrap_err()
             .contains("positive"));
@@ -609,7 +576,7 @@ fetch_pool_size 8
         };
         section
             .lines()
-            .filter(|l| l.starts_with("| `"))
+            .filter(|l| l.starts_with("| `") || l.starts_with("| —"))
             .map(|l| {
                 let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
                 assert_eq!(cells.len(), 4, "README row {l:?}");
@@ -624,18 +591,18 @@ fetch_pool_size 8
     }
 
     /// The README's knob table is the struct: one row per field, each
-    /// documented default parses back to the default, and every retired
-    /// keyword is rejected with its reason and documented nowhere.
+    /// documented default parses back to the default, a test seam has no
+    /// keyword, and every retired keyword is rejected with its reason and
+    /// documented nowhere.
     #[test]
     fn readme_configuration_table_matches_the_struct() {
         let defaults = format!("{:#?}", ServerOptions::default());
         let rows = readme_rows();
-        // `faults` has no config syntax: chaos tests set it in code.
         let mut fields: Vec<&str> = defaults
             .lines()
             .filter_map(|l| l.strip_prefix("    "))
             .filter_map(|l| l.split_once(": ").map(|(field, _)| field))
-            .filter(|f| !f.starts_with(' ') && *f != "faults")
+            .filter(|f| !f.starts_with(' '))
             .collect();
         fields.sort_unstable();
         let mut documented: Vec<&str> = rows.iter().map(|r| r.field.as_str()).collect();
@@ -646,11 +613,27 @@ fetch_pool_size 8
         );
         for row in &rows {
             assert!(
-                ["deployment", "paper", "tuning"].contains(&row.kind.as_str()),
+                ["deployment", "paper", "tuning", "seam"].contains(&row.kind.as_str()),
                 "{}: kind {:?}",
                 row.field,
                 row.kind
             );
+            if row.kind == "seam" {
+                // Set in code by tests, never by a config line.
+                assert!(row.keywords.is_empty(), "seam {} has a keyword", row.field);
+                let value = row
+                    .default
+                    .as_deref()
+                    .expect("a seam row names its default");
+                assert!(
+                    defaults
+                        .lines()
+                        .any(|l| l == format!("    {}: {value},", row.field)),
+                    "README.md documents `{value}` as the default of {}",
+                    row.field
+                );
+                continue;
+            }
             let keyword = &row.keywords[0];
             match &row.default {
                 Some(value) => {

@@ -6,17 +6,26 @@
 //! \[16\]" — Vahdat & Anderson's *Transparent Result Caching*. This module
 //! implements that: the administrator binds a cache-key prefix to the
 //! source files the corresponding CGI reads; a daemon polls the sources'
-//! mtimes, and on any change removes every matching local entry and
-//! announces the deletions to the keys' homes.
+//! mtimes every [`MONITOR_INTERVAL`] on the manager's clock, and on any
+//! change removes every matching local entry and announces the
+//! deletions to the keys' homes.
 
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime};
-use swala_cache::CacheManager;
+use std::time::{Duration, Instant, SystemTime};
+use swala_cache::{CacheManager, StopSignal};
 use swala_proto::{announce_delete, Broadcaster};
+
+/// How long the monitor sleeps between polls of its sources, on the
+/// manager's clock.
+///
+/// A constant, not a knob: a poll is one `stat` per source, and a source
+/// change reaches the cache within two seconds, the same bound the purge
+/// daemon keeps for expiry (`swala_proto::PURGE_INTERVAL`). Tests
+/// advance the clock instead.
+pub const MONITOR_INTERVAL: Duration = Duration::from_secs(2);
 
 /// One monitoring rule: entries whose key starts with `key_prefix`
 /// depend on the file at `source`.
@@ -28,21 +37,30 @@ pub struct MonitorRule {
 
 /// A running source monitor.
 pub struct SourceMonitor {
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     invalidations: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl SourceMonitor {
-    /// Start polling `rules` every `interval`.
+    /// Start polling `rules` every [`MONITOR_INTERVAL`].
     pub fn start(
         manager: Arc<CacheManager>,
         broadcaster: Arc<Broadcaster>,
         rules: Vec<MonitorRule>,
-        interval: Duration,
     ) -> SourceMonitor {
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = StopSignal::new(manager.clock().clone());
         let invalidations = Arc::new(AtomicU64::new(0));
+        // Each rule with its source's mtime, taken before `start`
+        // returns; a source that appears later counts as a change.
+        let watched: Vec<(MonitorRule, Option<SystemTime>)> = rules
+            .into_iter()
+            .map(|rule| {
+                let seen = mtime_of(&rule.source);
+                (rule, seen)
+            })
+            .collect();
+        let first = manager.clock().now() + MONITOR_INTERVAL;
         let handle = {
             let stop = Arc::clone(&stop);
             let invalidations = Arc::clone(&invalidations);
@@ -52,8 +70,8 @@ impl SourceMonitor {
                     run(
                         &manager,
                         &broadcaster,
-                        &rules,
-                        interval,
+                        watched,
+                        first,
                         &stop,
                         &invalidations,
                     )
@@ -80,46 +98,34 @@ impl SourceMonitor {
 
 impl Drop for SourceMonitor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.stop();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
 
-fn mtime_of(path: &PathBuf) -> Option<SystemTime> {
+fn mtime_of(path: &Path) -> Option<SystemTime> {
     std::fs::metadata(path).and_then(|m| m.modified()).ok()
 }
 
 fn run(
     manager: &CacheManager,
     broadcaster: &Broadcaster,
-    rules: &[MonitorRule],
-    interval: Duration,
-    stop: &AtomicBool,
+    mut watched: Vec<(MonitorRule, Option<SystemTime>)>,
+    first: Instant,
+    stop: &StopSignal,
     invalidations: &AtomicU64,
 ) {
-    // Baseline mtimes; a source that appears later counts as a change.
-    let mut seen: HashMap<&PathBuf, Option<SystemTime>> = rules
-        .iter()
-        .map(|r| (&r.source, mtime_of(&r.source)))
-        .collect();
-    let tick = Duration::from_millis(20).min(interval);
-    let mut elapsed = Duration::ZERO;
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
-        elapsed += tick;
-        if elapsed < interval {
-            continue;
-        }
-        elapsed = Duration::ZERO;
-        for rule in rules {
+    let mut due = first;
+    while stop.sleep_until(due) {
+        due += MONITOR_INTERVAL;
+        for (rule, seen) in &mut watched {
             let now = mtime_of(&rule.source);
-            let before = seen.get_mut(&rule.source).expect("rule key present");
-            if now == *before {
+            if now == *seen {
                 continue;
             }
-            *before = now;
+            *seen = now;
             // Source changed: invalidate every matching local entry.
             let victims: Vec<_> = manager
                 .local_snapshot()
@@ -140,9 +146,9 @@ fn run(
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use std::time::Instant;
     use swala_cache::{
-        CacheKey, CacheManagerConfig, CacheRules, DirectoryKind, LookupResult, MemStore, NodeId,
+        CacheKey, CacheManagerConfig, CacheRules, DirectoryKind, LookupResult, ManualClock,
+        MemStore, NodeId,
     };
     use swala_proto::{read_frame, Message};
 
@@ -166,20 +172,50 @@ mod tests {
         }
     }
 
+    /// A manager on a clock the test moves, under `directory`.
+    fn manager(directory: DirectoryKind) -> (Arc<CacheManager>, Arc<ManualClock>) {
+        let time = ManualClock::new();
+        let manager = Arc::new(CacheManager::new(
+            CacheManagerConfig {
+                num_nodes: 2,
+                rules: CacheRules::allow_all(),
+                directory,
+                clock: time.clock(),
+                ..Default::default()
+            },
+            Box::new(MemStore::new()),
+        ));
+        (manager, time)
+    }
+
+    /// Rewrite `source` with an mtime no earlier write could share: the
+    /// kernel stamps files from a coarse clock, so two writes in a row
+    /// may otherwise look like none.
+    fn rewrite(source: &Path, contents: &str, stamp: u64) {
+        std::fs::write(source, contents).unwrap();
+        std::fs::File::options()
+            .write(true)
+            .open(source)
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(stamp))
+            .unwrap();
+    }
+
+    fn rule(prefix: &str, source: &Path) -> MonitorRule {
+        MonitorRule {
+            key_prefix: prefix.to_string(),
+            source: source.to_path_buf(),
+        }
+    }
+
     #[test]
     fn source_change_invalidates_matching_entries() {
         let dir = std::env::temp_dir().join(format!("swala-mon-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let source = dir.join("gazetteer.db");
-        std::fs::write(&source, "v1").unwrap();
+        rewrite(&source, "v1", 1);
 
-        let manager = Arc::new(CacheManager::new(
-            CacheManagerConfig {
-                rules: CacheRules::allow_all(),
-                ..Default::default()
-            },
-            Box::new(MemStore::new()),
-        ));
+        let (manager, time) = manager(DirectoryKind::Replicated);
         insert(&manager, "/cgi-bin/gazetteer?q=a");
         insert(&manager, "/cgi-bin/gazetteer?q=b");
         insert(&manager, "/cgi-bin/other?q=c");
@@ -187,25 +223,19 @@ mod tests {
         let monitor = SourceMonitor::start(
             Arc::clone(&manager),
             Arc::new(Broadcaster::solo()),
-            vec![MonitorRule {
-                key_prefix: "/cgi-bin/gazetteer".to_string(),
-                source: source.clone(),
-            }],
-            Duration::from_millis(40),
+            vec![rule("/cgi-bin/gazetteer", &source)],
         );
-
-        // Touch the source with a definitely-different mtime.
-        std::thread::sleep(Duration::from_millis(50));
-        std::fs::write(&source, "v2 — database updated").unwrap();
+        rewrite(&source, "v2 — database updated", 2);
+        time.advance(MONITOR_INTERVAL);
 
         wait_until("gazetteer entries invalidated", || {
-            manager.directory().len(swala_cache::NodeId(0)) == 1
+            manager.directory().len(NodeId(0)) == 1
         });
         assert_eq!(monitor.invalidations(), 2);
         // The unrelated entry survives.
         assert!(manager
             .directory()
-            .get(swala_cache::NodeId(0), &CacheKey::new("/cgi-bin/other?q=c"))
+            .get(NodeId(0), &CacheKey::new("/cgi-bin/other?q=c"))
             .is_some());
         monitor.shutdown();
         let _ = std::fs::remove_dir_all(dir);
@@ -216,29 +246,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("swala-mon-rm-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let source = dir.join("t.db");
-        std::fs::write(&source, "x").unwrap();
+        rewrite(&source, "x", 1);
 
-        let manager = Arc::new(CacheManager::new(
-            CacheManagerConfig {
-                rules: CacheRules::allow_all(),
-                ..Default::default()
-            },
-            Box::new(MemStore::new()),
-        ));
+        let (manager, time) = manager(DirectoryKind::Replicated);
         insert(&manager, "/cgi-bin/t?1");
         let monitor = SourceMonitor::start(
             Arc::clone(&manager),
             Arc::new(Broadcaster::solo()),
-            vec![MonitorRule {
-                key_prefix: "/cgi-bin/t".into(),
-                source: source.clone(),
-            }],
-            Duration::from_millis(40),
+            vec![rule("/cgi-bin/t", &source)],
         );
-        std::thread::sleep(Duration::from_millis(50));
         std::fs::remove_file(&source).unwrap();
+        time.advance(MONITOR_INTERVAL);
         wait_until("entry invalidated after source vanished", || {
-            manager.directory().len(swala_cache::NodeId(0)) == 0
+            manager.directory().len(NodeId(0)) == 0
         });
         monitor.shutdown();
         let _ = std::fs::remove_dir_all(dir);
@@ -248,28 +268,55 @@ mod tests {
     fn no_change_no_invalidation() {
         let dir = std::env::temp_dir().join(format!("swala-mon-idle-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let source = dir.join("stable.db");
-        std::fs::write(&source, "x").unwrap();
-        let manager = Arc::new(CacheManager::new(
-            CacheManagerConfig {
-                rules: CacheRules::allow_all(),
-                ..Default::default()
-            },
-            Box::new(MemStore::new()),
-        ));
+        let (stable, moving) = (dir.join("stable.db"), dir.join("moving.db"));
+        rewrite(&stable, "x", 1);
+        rewrite(&moving, "x", 1);
+        let (manager, time) = manager(DirectoryKind::Replicated);
         insert(&manager, "/cgi-bin/stable?1");
+        insert(&manager, "/cgi-bin/moving?1");
         let monitor = SourceMonitor::start(
             Arc::clone(&manager),
             Arc::new(Broadcaster::solo()),
-            vec![MonitorRule {
-                key_prefix: "/cgi-bin/stable".into(),
-                source,
-            }],
-            Duration::from_millis(30),
+            vec![
+                rule("/cgi-bin/stable", &stable),
+                rule("/cgi-bin/moving", &moving),
+            ],
         );
-        std::thread::sleep(Duration::from_millis(150));
-        assert_eq!(monitor.invalidations(), 0);
-        assert_eq!(manager.directory().len(swala_cache::NodeId(0)), 1);
+        for _ in 0..3 {
+            time.advance(MONITOR_INTERVAL);
+        }
+        // The monitor is polling: a change to the other source is seen,
+        // and the stable source's entry outlives every poll.
+        rewrite(&moving, "y", 2);
+        time.advance(MONITOR_INTERVAL);
+        wait_until("moving entry invalidated", || monitor.invalidations() == 1);
+        assert_eq!(manager.directory().len(NodeId(0)), 1);
+        assert!(manager
+            .directory()
+            .get(NodeId(0), &CacheKey::new("/cgi-bin/stable?1"))
+            .is_some());
+        monitor.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn rules_sharing_a_source_each_invalidate() {
+        let dir = std::env::temp_dir().join(format!("swala-mon-shared-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let source = dir.join("shared.db");
+        rewrite(&source, "v1", 1);
+        let (manager, time) = manager(DirectoryKind::Replicated);
+        insert(&manager, "/cgi-bin/a?1");
+        insert(&manager, "/cgi-bin/b?1");
+        let monitor = SourceMonitor::start(
+            Arc::clone(&manager),
+            Arc::new(Broadcaster::solo()),
+            vec![rule("/cgi-bin/a", &source), rule("/cgi-bin/b", &source)],
+        );
+        rewrite(&source, "v2", 2);
+        time.advance(MONITOR_INTERVAL);
+        wait_until("both prefixes invalidated", || monitor.invalidations() == 2);
+        assert_eq!(manager.directory().len(NodeId(0)), 0);
         monitor.shutdown();
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -283,19 +330,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("swala-mon-part-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (self_src, peer_src) = (dir.join("self.db"), dir.join("peer.db"));
-        std::fs::write(&self_src, "v1").unwrap();
-        std::fs::write(&peer_src, "v1").unwrap();
+        rewrite(&self_src, "v1", 1);
+        rewrite(&peer_src, "v1", 1);
 
-        let manager = Arc::new(CacheManager::new(
-            CacheManagerConfig {
-                num_nodes: 2,
-                local: NodeId(0),
-                rules: CacheRules::allow_all(),
-                directory: DirectoryKind::Partitioned,
-                ..Default::default()
-            },
-            Box::new(MemStore::new()),
-        ));
+        let (manager, time) = manager(DirectoryKind::Partitioned);
         // Keys end in '/', so neither is a prefix of the other.
         let homed_at = |home: NodeId| {
             (0..10_000)
@@ -324,17 +362,7 @@ mod tests {
         let monitor = SourceMonitor::start(
             Arc::clone(&manager),
             Arc::clone(&broadcaster),
-            vec![
-                MonitorRule {
-                    key_prefix: self_key.clone(),
-                    source: self_src.clone(),
-                },
-                MonitorRule {
-                    key_prefix: peer_key.clone(),
-                    source: peer_src.clone(),
-                },
-            ],
-            Duration::from_millis(40),
+            vec![rule(&self_key, &self_src), rule(&peer_key, &peer_src)],
         );
         let on_the_wire = || {
             assert!(broadcaster.flush(Duration::from_secs(5)));
@@ -342,14 +370,15 @@ mod tests {
             link.sent + link.queued as u64 + link.dropped
         };
 
-        std::thread::sleep(Duration::from_millis(50));
-        std::fs::write(&self_src, "v2").unwrap();
+        rewrite(&self_src, "v2", 2);
+        time.advance(MONITOR_INTERVAL);
         wait_until("self-homed entry invalidated", || {
             monitor.invalidations() == 1
         });
         assert_eq!(on_the_wire(), 0, "a self-homed delete stays home");
 
-        std::fs::write(&peer_src, "v2").unwrap();
+        rewrite(&peer_src, "v2", 2);
+        time.advance(MONITOR_INTERVAL);
         wait_until("peer-homed entry invalidated", || {
             monitor.invalidations() == 2
         });

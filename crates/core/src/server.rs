@@ -17,7 +17,7 @@ use swala_cgi::ProgramRegistry;
 use swala_obs::Telemetry;
 use swala_proto::{
     default_dialer, BroadcastConfig, Broadcaster, CacheDaemons, FetchPool, FetchPoolStats,
-    HealthConfig, HealthSnapshot, HealthTracker, RetryPolicy,
+    HealthConfig, HealthSnapshot, HealthTracker, RetryPolicy, FETCH_BACKOFF,
 };
 
 /// A node whose listeners are bound but whose daemons and pool have not
@@ -97,6 +97,7 @@ impl BoundSwala {
                 // The heat sketch is part of the `obs off` honest
                 // baseline: disabled entirely when telemetry is off.
                 hotkeys: if options.obs_enabled { HOTKEYS } else { 0 },
+                clock: options.clock.clone(),
                 ..CacheManagerConfig::default()
             },
             store,
@@ -114,7 +115,10 @@ impl BoundSwala {
             .filter(|(i, _)| *i != options.node.index())
             .filter_map(|(i, a)| a.map(|a| (NodeId(i as u16), a)))
             .collect();
-        let mut broadcast_config = BroadcastConfig::default();
+        let mut broadcast_config = BroadcastConfig {
+            clock: options.clock.clone(),
+            ..BroadcastConfig::default()
+        };
         if let Some(faults) = &options.faults {
             broadcast_config.connector = faults.connector(options.node);
         }
@@ -215,7 +219,6 @@ impl BoundSwala {
             cache_listener,
             Arc::clone(&manager),
             Arc::clone(&broadcaster),
-            options.purge_interval,
             accept_filter,
             Some(Arc::clone(&telemetry)),
         )?;
@@ -249,7 +252,6 @@ impl BoundSwala {
                 Arc::clone(&manager),
                 Arc::clone(&broadcaster),
                 options.monitors.clone(),
-                options.monitor_interval,
             ))
         };
 
@@ -363,14 +365,14 @@ impl BoundSwala {
             dialer,
             retry_policy: RetryPolicy {
                 max_attempts: options.fetch_retries,
-                base_backoff: options.fetch_backoff,
+                base_backoff: FETCH_BACKOFF,
                 // Distinct per node so simultaneous retries against one
                 // struggling peer don't arrive in lockstep.
                 jitter_seed: options.node.0 as u64,
             },
             health: Arc::new(HealthTracker::new(HealthConfig {
                 quarantine_after: options.quarantine_after,
-                probe_interval: options.probe_interval,
+                clock: options.clock.clone(),
             })),
             engine_stats,
             started: std::time::Instant::now(),

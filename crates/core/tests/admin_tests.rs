@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::monitor::MonitorRule;
+use swala::monitor::{MonitorRule, MONITOR_INTERVAL};
 use swala::{BoundSwala, HttpClient, ServerOptions, SwalaServer};
-use swala_cache::{DirectoryKind, NodeId};
+use swala_cache::{DirectoryKind, ManualClock, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::{Method, Request, StatusCode};
 use swala_proto::{FaultAction, FaultInjector, FaultRule};
@@ -396,6 +396,7 @@ fn source_monitor_invalidates_through_live_server() {
     let source = dir.join("index.db");
     std::fs::write(&source, "v1").unwrap();
 
+    let time = ManualClock::new();
     let server = SwalaServer::start_single(
         ServerOptions {
             pool_size: 2,
@@ -403,7 +404,7 @@ fn source_monitor_invalidates_through_live_server() {
                 key_prefix: "/cgi-bin/adl".to_string(),
                 source: source.clone(),
             }],
-            monitor_interval: Duration::from_millis(40),
+            clock: time.clock(),
             ..Default::default()
         },
         registry(),
@@ -414,8 +415,16 @@ fn source_monitor_invalidates_through_live_server() {
     let hit = client.get("/cgi-bin/adl?id=3&ms=1").unwrap();
     assert_eq!(hit.headers.get("X-Swala-Cache"), Some("local-hit"));
 
-    std::thread::sleep(Duration::from_millis(60));
+    // Reindexed, with an mtime the first write cannot share (the kernel
+    // stamps files from a coarse clock), and one poll interval on.
     std::fs::write(&source, "v2: reindexed").unwrap();
+    std::fs::File::options()
+        .write(true)
+        .open(&source)
+        .unwrap()
+        .set_modified(std::time::SystemTime::UNIX_EPOCH)
+        .unwrap();
+    time.advance(MONITOR_INTERVAL);
     wait_until("monitor invalidates", || {
         server.source_monitor().unwrap().invalidations() == 1
     });

@@ -184,6 +184,21 @@ proptest! {
     }
 
     #[test]
+    fn summary_is_ordered(samples in proptest::collection::vec(1u64..1_000_000, 1..200)) {
+        let h = Histogram::new();
+        for s in &samples {
+            h.record_duration(std::time::Duration::from_micros(*s));
+        }
+        let sum = h.snapshot();
+        prop_assert!(sum.p50() <= sum.p90());
+        prop_assert!(sum.p90() <= sum.p99());
+        prop_assert!(sum.p99() <= sum.max);
+        prop_assert!(sum.mean() <= sum.max as f64);
+        prop_assert_eq!(sum.count, samples.len() as u64);
+        prop_assert_eq!(sum.sum, samples.iter().sum::<u64>(), "the mean's sum is exact");
+    }
+
+    #[test]
     fn concurrent_histogram_recording_is_lossless(
         per_thread in proptest::collection::vec(
             proptest::collection::vec(value_strategy(), 0..50), 1..4),

@@ -9,6 +9,8 @@
 //!   (the paper's first daemon) and answer fetch/sync/ping requests;
 //! * a **purge thread** that "wakes up every few seconds and deletes
 //!   expired cache entries", announcing each deletion to the key's homes.
+//!   It sleeps [`PURGE_INTERVAL`] on the manager's clock between passes,
+//!   and shutdown ends the sleep at once.
 
 use crate::faults::{AcceptFilter, FaultAction};
 use crate::message::Message;
@@ -17,14 +19,22 @@ use crate::reader::{FrameRead, PatientReader};
 use crate::wire::{write_frame, write_frame_split};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use swala_cache::{
-    CacheKey, CacheManager, CacheStats, Classification, EntryMeta, NodeId, RemoteUpdate,
+    CacheKey, CacheManager, CacheStats, Classification, EntryMeta, NodeId, RemoteUpdate, StopSignal,
 };
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
+
+/// How long the purge daemon sleeps between passes, on the manager's
+/// clock: the paper's "every few seconds".
+///
+/// A constant, not a knob: an expired entry already misses at lookup
+/// (expiry is judged at each lookup), so the interval only bounds how
+/// long an expired entry's body and directory record linger and when
+/// peers hear of the expiry. Tests advance the clock instead.
+pub const PURGE_INTERVAL: Duration = Duration::from_secs(2);
 
 /// How often an idle connection handler re-checks the shutdown flag (its
 /// socket's read timeout).
@@ -108,21 +118,17 @@ pub fn announce(
     enqueue(manager, broadcaster, &notices);
 }
 
-/// Daemon tuning knobs.
+/// Where the daemons listen.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Address to bind the cache-protocol listener on (port 0 = ephemeral).
     pub listen_addr: SocketAddr,
-    /// How often the purge daemon wakes ("every few seconds" — scaled
-    /// down for tests).
-    pub purge_interval: Duration,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             listen_addr: "127.0.0.1:0".parse().expect("static addr"),
-            purge_interval: Duration::from_secs(2),
         }
     }
 }
@@ -130,7 +136,7 @@ impl Default for DaemonConfig {
 /// Handle to a node's running cache daemons.
 pub struct CacheDaemons {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<StopSignal>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -143,14 +149,7 @@ impl CacheDaemons {
         cfg: DaemonConfig,
     ) -> io::Result<CacheDaemons> {
         let listener = TcpListener::bind(cfg.listen_addr)?;
-        Self::start_with_listener_observed(
-            listener,
-            manager,
-            broadcaster,
-            cfg.purge_interval,
-            None,
-            None,
-        )
+        Self::start_with_listener_observed(listener, manager, broadcaster, None, None)
     }
 
     /// Start the daemons on an already-bound listener. Multi-node
@@ -168,12 +167,11 @@ impl CacheDaemons {
         listener: TcpListener,
         manager: Arc<CacheManager>,
         broadcaster: Arc<Broadcaster>,
-        purge_interval: Duration,
         accept_filter: Option<AcceptFilter>,
         telemetry: Option<Arc<Telemetry>>,
     ) -> io::Result<CacheDaemons> {
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = StopSignal::new(manager.clock().clone());
         let mut handles = Vec::new();
 
         // Accept thread.
@@ -187,7 +185,7 @@ impl CacheDaemons {
                     .name("swala-cache-accept".into())
                     .spawn(move || {
                         for conn in listener.incoming() {
-                            if shutdown.load(Ordering::Acquire) {
+                            if shutdown.is_stopped() {
                                 break;
                             }
                             let stream = match conn {
@@ -221,7 +219,7 @@ impl CacheDaemons {
                                         // Held open but never serviced: the
                                         // dialer's read times out.
                                         Some(FaultAction::BlackHole) => {
-                                            while !shutdown.load(Ordering::Acquire) {
+                                            while !shutdown.is_stopped() {
                                                 std::thread::sleep(Duration::from_millis(25));
                                             }
                                             return;
@@ -247,23 +245,19 @@ impl CacheDaemons {
             let manager = Arc::clone(&manager);
             let broadcaster = Arc::clone(&broadcaster);
             let shutdown = Arc::clone(&shutdown);
-            let interval = purge_interval;
+            // Passes fall due every interval from now, however long the
+            // thread takes to start or a pass takes to run.
+            let mut due = manager.clock().now();
             handles.push(
                 std::thread::Builder::new()
                     .name("swala-cache-purge".into())
-                    .spawn(move || {
-                        let tick = Duration::from_millis(25).min(interval);
-                        let mut elapsed = Duration::ZERO;
-                        while !shutdown.load(Ordering::Acquire) {
-                            std::thread::sleep(tick);
-                            elapsed += tick;
-                            if elapsed < interval {
-                                continue;
-                            }
-                            elapsed = Duration::ZERO;
-                            for dead in manager.purge_expired() {
-                                announce_delete(&manager, &broadcaster, dead.owner, &dead.key);
-                            }
+                    .spawn(move || loop {
+                        due += PURGE_INTERVAL;
+                        if !shutdown.sleep_until(due) {
+                            return;
+                        }
+                        for dead in manager.purge_expired() {
+                            announce_delete(&manager, &broadcaster, dead.owner, &dead.key);
                         }
                     })?,
             );
@@ -290,7 +284,7 @@ impl CacheDaemons {
 
 impl Drop for CacheDaemons {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.shutdown.stop();
         // Unblock the accept loop with a dummy connection.
         let _ = TcpStream::connect(self.addr);
         for h in self.handles.drain(..) {
@@ -304,7 +298,7 @@ fn handle_connection(
     stream: TcpStream,
     manager: &CacheManager,
     broadcaster: &Broadcaster,
-    shutdown: &AtomicBool,
+    shutdown: &StopSignal,
     telemetry: Option<&Telemetry>,
 ) {
     // A finite read timeout, set once, lets the handler observe shutdown
@@ -317,10 +311,10 @@ fn handle_connection(
     let mut reader = PatientReader::new(&stream);
     let mut stream = &stream;
     loop {
-        if shutdown.load(Ordering::Acquire) {
+        if shutdown.is_stopped() {
             return;
         }
-        let stop = || shutdown.load(Ordering::Acquire);
+        let stop = || shutdown.is_stopped();
         let decoded = match reader.read_frame(FRAME_STALL_LIMIT, stop) {
             Ok(FrameRead::Frame(frame)) => Message::decode(&frame),
             Ok(FrameRead::Idle) => continue, // nothing consumed; re-check shutdown
@@ -520,7 +514,8 @@ mod tests {
     use std::io::{Read, Write};
     use std::time::Instant;
     use swala_cache::{
-        CacheKey, CacheManagerConfig, CacheRules, DirectoryKind, LookupResult, MemStore, NodeId,
+        CacheKey, CacheManagerConfig, CacheRules, DirectoryKind, LookupResult, ManualClock,
+        MemStore, NodeId,
     };
 
     /// One fetch through the production client, nothing pooled.
@@ -530,7 +525,7 @@ mod tests {
         pool.fetch(NodeId(0), addr, key, timeout, &policy, None).0
     }
 
-    fn start_node(rules: CacheRules, purge_ms: u64) -> (Arc<CacheManager>, CacheDaemons) {
+    fn start_node(rules: CacheRules) -> (Arc<CacheManager>, CacheDaemons) {
         let manager = Arc::new(CacheManager::new(
             CacheManagerConfig {
                 num_nodes: 2,
@@ -543,10 +538,7 @@ mod tests {
         let daemons = CacheDaemons::start(
             Arc::clone(&manager),
             Arc::new(Broadcaster::solo()),
-            DaemonConfig {
-                purge_interval: Duration::from_millis(purge_ms),
-                ..Default::default()
-            },
+            DaemonConfig::default(),
         )
         .unwrap();
         (manager, daemons)
@@ -571,7 +563,7 @@ mod tests {
 
     #[test]
     fn serves_fetch_requests() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let key = CacheKey::new("/cgi-bin/adl?id=1");
         insert(&manager, &key, b"the-cached-result");
 
@@ -597,7 +589,7 @@ mod tests {
 
     #[test]
     fn applies_insert_and_delete_notices() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let link = crate::peers::PeerLink::new(NodeId(1), NodeId(0), daemons.addr());
         let key = CacheKey::new("/cgi-bin/remote?x=2");
         let meta = swala_cache::EntryMeta::new(key.clone(), NodeId(1), 8, "t", 1000, None, 1);
@@ -616,7 +608,7 @@ mod tests {
 
     #[test]
     fn batched_notices_fan_out() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let k1 = CacheKey::new("/cgi-bin/b?x=1");
         let k2 = CacheKey::new("/cgi-bin/b?x=2");
         let batch = Message::Batch(vec![
@@ -658,7 +650,7 @@ mod tests {
         // header and again mid-payload: the handler must keep its place
         // in the stream rather than restart at a "length" made of payload
         // bytes.
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let mut s = TcpStream::connect(daemons.addr()).unwrap();
         s.set_nodelay(true).unwrap();
         let payload = insert_notice(1).encode();
@@ -678,7 +670,7 @@ mod tests {
 
     #[test]
     fn half_a_header_then_silence_closes_the_connection() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let mut s = TcpStream::connect(daemons.addr()).unwrap();
         s.write_all(&[0, 0]).unwrap();
         // The handler gives the frame FRAME_STALL_LIMIT to continue, then
@@ -693,7 +685,7 @@ mod tests {
 
     #[test]
     fn reply_requiring_message_in_batch_drops_connection() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let mut s = TcpStream::connect(daemons.addr()).unwrap();
         write_frame(&mut s, &Message::Batch(vec![Message::Ping]).encode()).unwrap();
         // The daemon closes this connection without replying; the node
@@ -709,7 +701,7 @@ mod tests {
 
     #[test]
     fn answers_sync_and_ping() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         insert(&manager, &CacheKey::new("/cgi-bin/s?1"), b"a");
         insert(&manager, &CacheKey::new("/cgi-bin/s?2"), b"b");
 
@@ -729,28 +721,26 @@ mod tests {
         daemons.shutdown();
     }
 
-    #[test]
-    fn purge_daemon_expires_and_broadcasts() {
-        // Node 0's purge notices go to a collector acting as node 1.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer_addr = listener.local_addr().unwrap();
-        let collector = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let mut deletes = Vec::new();
-            while let Ok(Some(f)) = read_frame(&mut s) {
-                if let Ok(Message::DeleteNotice { key, .. }) = Message::decode(&f) {
-                    deletes.push(key);
-                }
-            }
-            deletes
-        });
+    /// Node 0, whose entries live one second on a clock the test moves,
+    /// and whose notices go to a collector acting as node 1.
+    struct TtlNode {
+        manager: Arc<CacheManager>,
+        time: Arc<ManualClock>,
+        broadcaster: Arc<Broadcaster>,
+        daemons: CacheDaemons,
+        collector: std::thread::JoinHandle<Vec<Message>>,
+    }
 
-        let rules = CacheRules::parse("cache * ttl=1\n").unwrap();
+    fn start_ttl_node(directory: DirectoryKind) -> TtlNode {
+        let (peer_addr, collector) = collecting_peer();
+        let time = ManualClock::new();
         let manager = Arc::new(CacheManager::new(
             CacheManagerConfig {
                 num_nodes: 2,
                 local: NodeId(0),
-                rules,
+                rules: CacheRules::parse("cache * ttl=1\n").unwrap(),
+                directory,
+                clock: time.clock(),
                 ..Default::default()
             },
             Box::new(MemStore::new()),
@@ -758,30 +748,98 @@ mod tests {
         let broadcaster = Arc::new(Broadcaster::new(NodeId(0), [(NodeId(1), peer_addr)]));
         let daemons = CacheDaemons::start(
             Arc::clone(&manager),
-            broadcaster,
-            DaemonConfig {
-                purge_interval: Duration::from_millis(50),
-                ..Default::default()
-            },
+            Arc::clone(&broadcaster),
+            DaemonConfig::default(),
         )
         .unwrap();
+        TtlNode {
+            manager,
+            time,
+            broadcaster,
+            daemons,
+            collector,
+        }
+    }
 
+    #[test]
+    fn purge_daemon_expires_and_broadcasts() {
+        let TtlNode {
+            manager,
+            time,
+            broadcaster,
+            daemons,
+            collector,
+        } = start_ttl_node(DirectoryKind::Replicated);
         let key = CacheKey::new("/cgi-bin/ttl?x=1");
         insert(&manager, &key, b"short-lived");
-        // Backdate expiry instead of sleeping out the 1-second TTL.
-        let mut meta = manager.directory().get(NodeId(0), &key).unwrap();
-        meta.expires_unix = Some(1);
-        manager.directory().insert(NodeId(0), meta);
-
+        // One interval: the entry's one-second TTL has run out when the
+        // daemon wakes, and nothing earlier wakes it.
+        time.advance(PURGE_INTERVAL - Duration::from_millis(1));
+        assert_eq!(manager.stats().snapshot().expirations, 0);
+        time.advance(Duration::from_millis(1));
         wait_until(|| manager.stats().snapshot().expirations == 1);
+        assert!(broadcaster.flush(Duration::from_secs(5)));
         daemons.shutdown();
-        let deletes = collector.join().unwrap();
+        broadcaster.shutdown();
+        let deletes: Vec<CacheKey> = collector
+            .join()
+            .unwrap()
+            .into_iter()
+            .filter_map(|m| match m {
+                Message::DeleteNotice { key, .. } => Some(key),
+                _ => None,
+            })
+            .collect();
         assert_eq!(deletes, vec![key]);
     }
 
     #[test]
+    fn wall_clock_step_back_never_undoes_a_purge() {
+        let TtlNode {
+            manager,
+            time,
+            broadcaster,
+            daemons,
+            collector,
+        } = start_ttl_node(DirectoryKind::Replicated);
+        let key = CacheKey::new("/cgi-bin/ttl?x=2");
+        insert(&manager, &key, b"short-lived");
+        time.advance(PURGE_INTERVAL);
+        wait_until(|| manager.stats().snapshot().broadcasts_sent == 1);
+        // Wall time steps back an hour, to before the entry was made. The
+        // purged entry stays gone, and so does its delete notice: the
+        // next passes find nothing, and a lookup is a fresh miss.
+        time.step_wall_back(Duration::from_secs(3600));
+        time.advance(PURGE_INTERVAL);
+        time.advance(PURGE_INTERVAL);
+        assert!(matches!(
+            manager.lookup(&key, key.as_str()),
+            LookupResult::Miss {
+                first_in_flight: true,
+                ..
+            }
+        ));
+        manager.abort_execution(&key);
+        assert!(broadcaster.flush(Duration::from_secs(5)));
+        daemons.shutdown();
+        broadcaster.shutdown();
+        let s = manager.stats().snapshot();
+        assert_eq!((s.expirations, s.broadcasts_sent), (1, 1));
+        assert_eq!(
+            collector.join().unwrap(),
+            vec![
+                Message::Hello { node: NodeId(0) },
+                Message::DeleteNotice {
+                    owner: NodeId(0),
+                    key,
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn shutdown_is_prompt() {
-        let (_, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (_, daemons) = start_node(CacheRules::allow_all());
         // Open an idle connection so a handler thread exists too.
         let _idle = TcpStream::connect(daemons.addr()).unwrap();
         let start = Instant::now();
@@ -795,7 +853,7 @@ mod tests {
 
     #[test]
     fn garbage_frame_drops_connection_only() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let mut s = TcpStream::connect(daemons.addr()).unwrap();
         write_frame(&mut s, &[0x7f, 1, 2, 3]).unwrap();
         // The daemon drops this connection; the node still serves others.
@@ -840,15 +898,9 @@ mod tests {
             Box::new(MemStore::new()),
         ));
         let broadcaster = Arc::new(Broadcaster::new(NodeId(0), [(NodeId(1), peer_addr)]));
-        let daemons = CacheDaemons::start(
-            Arc::clone(&manager),
-            broadcaster,
-            DaemonConfig {
-                purge_interval: Duration::from_secs(60),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let daemons =
+            CacheDaemons::start(Arc::clone(&manager), broadcaster, DaemonConfig::default())
+                .unwrap();
 
         let key = CacheKey::new("/cgi-bin/stale?x=1");
         insert(&manager, &key, b"stale-content");
@@ -895,34 +947,6 @@ mod tests {
         (addr, handle)
     }
 
-    fn start_partitioned_node(
-        rules: CacheRules,
-        peer_addr: SocketAddr,
-        purge_ms: u64,
-    ) -> (Arc<CacheManager>, Arc<Broadcaster>, CacheDaemons) {
-        let manager = Arc::new(CacheManager::new(
-            CacheManagerConfig {
-                num_nodes: 2,
-                local: NodeId(0),
-                rules,
-                directory: DirectoryKind::Partitioned,
-                ..Default::default()
-            },
-            Box::new(MemStore::new()),
-        ));
-        let broadcaster = Arc::new(Broadcaster::new(NodeId(0), [(NodeId(1), peer_addr)]));
-        let daemons = CacheDaemons::start(
-            Arc::clone(&manager),
-            Arc::clone(&broadcaster),
-            DaemonConfig {
-                purge_interval: Duration::from_millis(purge_ms),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        (manager, broadcaster, daemons)
-    }
-
     /// Probe keys until one has exactly the requested homes.
     fn key_with_homes(manager: &CacheManager, homes: &[NodeId]) -> CacheKey {
         (0..10_000u32)
@@ -933,7 +957,7 @@ mod tests {
 
     #[test]
     fn dir_lookup_answers_with_directory_meta() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         let key = CacheKey::new("/cgi-bin/lookup?x=1");
         insert(&manager, &key, b"body");
 
@@ -1050,16 +1074,16 @@ mod tests {
 
     #[test]
     fn partitioned_purge_sends_delete_notice_to_home() {
-        let (peer_addr, collector) = collecting_peer();
-        let rules = CacheRules::parse("cache * ttl=1\n").unwrap();
-        let (manager, broadcaster, daemons) = start_partitioned_node(rules, peer_addr, 50);
+        let TtlNode {
+            manager,
+            time,
+            broadcaster,
+            daemons,
+            collector,
+        } = start_ttl_node(DirectoryKind::Partitioned);
         let key = key_with_homes(&manager, &[NodeId(1)]);
         insert(&manager, &key, b"short-lived");
-        // Backdate expiry instead of sleeping out the 1-second TTL.
-        let mut meta = manager.directory().get(NodeId(0), &key).unwrap();
-        meta.expires_unix = Some(1);
-        manager.directory().insert(NodeId(0), meta);
-
+        time.advance(PURGE_INTERVAL);
         // The purge counts the expiration before it announces it.
         wait_until(|| manager.stats().snapshot().broadcasts_sent == 1);
         assert_eq!(manager.stats().snapshot().expirations, 1);
@@ -1082,7 +1106,7 @@ mod tests {
 
     #[test]
     fn request_sync_returns_peer_table() {
-        let (manager, daemons) = start_node(CacheRules::allow_all(), 60_000);
+        let (manager, daemons) = start_node(CacheRules::allow_all());
         insert(&manager, &CacheKey::new("/cgi-bin/a?1"), b"a");
         insert(&manager, &CacheKey::new("/cgi-bin/a?2"), b"b");
         let (node, entries) = crate::fetch::request_sync_via(

@@ -144,6 +144,15 @@ pub fn default_dialer() -> Dialer {
     Arc::new(|_peer, addr, timeout| FaultStream::connect(addr, timeout, StreamFault::None))
 }
 
+/// Backoff before a fetch's second attempt; it doubles per retry.
+///
+/// A constant, not a knob: it only spaces retries of one request against
+/// one peer, whose failure streak the health tracker already turns into a
+/// quarantine, and most chaos scenarios run `fetch_retries 1`, which
+/// never backs off. The retry sleep stays on real time: it holds up a
+/// request thread, not a timer.
+pub const FETCH_BACKOFF: Duration = Duration::from_millis(25);
+
 /// Bounded-retry policy for remote fetches. Backoff is exponential with
 /// deterministic jitter: the sleep before attempt `k` (1-based) is
 /// `base · 2^(k-1) · (1 + j)` where `j ∈ [0, 0.5)` is derived by hashing
@@ -163,7 +172,7 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 3,
-            base_backoff: Duration::from_millis(25),
+            base_backoff: FETCH_BACKOFF,
             jitter_seed: 0,
         }
     }

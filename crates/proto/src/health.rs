@@ -16,7 +16,7 @@
 //!
 //! While `Quarantined`, [`should_attempt`](HealthTracker::should_attempt)
 //! answers `false` and the handler skips the peer without touching the
-//! network. Once per probe interval it answers `true` exactly once
+//! network. Once per [`PROBE_INTERVAL`] it answers `true` exactly once
 //! (state moves to `Probing`): that live fetch *is* the probe — success
 //! restores `Healthy`, failure re-quarantines. Recovery therefore rides
 //! on real traffic; no dedicated pinger thread is needed.
@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use swala_cache::NodeId;
+use swala_cache::{Clock, NodeId};
 
 /// Health state of one peer, as seen from this node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,20 +58,28 @@ impl PeerState {
 /// changes behaviour.
 pub const SUSPECT_AFTER: u32 = 1;
 
-/// Thresholds for the quarantine state machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How long a quarantined peer rests before one live fetch may probe it.
+///
+/// A constant, not a knob: a quarantined peer costs a node nothing but
+/// the cooperative hits it could have served, and one probe per 5 s is
+/// one connect attempt at a dead peer, not a stream of them. Tests
+/// advance the clock instead.
+pub const PROBE_INTERVAL: Duration = Duration::from_secs(5);
+
+/// Settings of the quarantine state machine.
+#[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// Consecutive failures before a peer is `Quarantined`.
     pub quarantine_after: u32,
-    /// How long a quarantined peer rests before one probe is allowed.
-    pub probe_interval: Duration,
+    /// What the probe window runs on.
+    pub clock: Clock,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             quarantine_after: 3,
-            probe_interval: Duration::from_secs(5),
+            clock: Clock::Real,
         }
     }
 }
@@ -137,7 +145,7 @@ impl HealthTracker {
             PeerState::Quarantined => {
                 let due = h
                     .quarantined_at
-                    .map(|t| t.elapsed() >= self.cfg.probe_interval)
+                    .map(|t| self.cfg.clock.now().saturating_duration_since(t) >= PROBE_INTERVAL)
                     .unwrap_or(true);
                 if due {
                     h.state = PeerState::Probing;
@@ -171,7 +179,7 @@ impl HealthTracker {
         let was_quarantined = matches!(h.state, PeerState::Quarantined | PeerState::Probing);
         if h.consecutive_failures >= self.cfg.quarantine_after || h.state == PeerState::Probing {
             h.state = PeerState::Quarantined;
-            h.quarantined_at = Some(Instant::now());
+            h.quarantined_at = Some(self.cfg.clock.now());
             if !was_quarantined {
                 h.total_quarantines += 1;
                 return Some(PeerState::Quarantined);
@@ -214,16 +222,21 @@ impl HealthTracker {
 mod tests {
     use super::*;
 
-    fn tracker() -> HealthTracker {
-        HealthTracker::new(HealthConfig {
+    use swala_cache::ManualClock;
+
+    /// A tracker whose probe window runs on a clock the test moves.
+    fn tracker() -> (HealthTracker, std::sync::Arc<ManualClock>) {
+        let time = ManualClock::new();
+        let t = HealthTracker::new(HealthConfig {
             quarantine_after: 3,
-            probe_interval: Duration::from_millis(30),
-        })
+            clock: time.clock(),
+        });
+        (t, time)
     }
 
     #[test]
     fn healthy_to_suspect_to_quarantined() {
-        let t = tracker();
+        let (t, _) = tracker();
         let p = NodeId(1);
         assert_eq!(t.state(p), PeerState::Healthy);
         assert_eq!(t.record_failure(p), None);
@@ -239,14 +252,15 @@ mod tests {
 
     #[test]
     fn quarantine_blocks_attempts_until_probe_window() {
-        let t = tracker();
+        let (t, time) = tracker();
         let p = NodeId(1);
         for _ in 0..3 {
             t.record_failure(p);
         }
         assert!(!t.should_attempt(p));
-        assert!(!t.should_attempt(p));
-        std::thread::sleep(Duration::from_millis(40));
+        time.advance(PROBE_INTERVAL - Duration::from_millis(1));
+        assert!(!t.should_attempt(p), "the window is not over");
+        time.advance(Duration::from_millis(1));
         // Window elapsed: exactly one probe is let through.
         assert!(t.should_attempt(p));
         assert_eq!(t.state(p), PeerState::Probing);
@@ -255,12 +269,12 @@ mod tests {
 
     #[test]
     fn probe_success_restores_healthy() {
-        let t = tracker();
+        let (t, time) = tracker();
         let p = NodeId(1);
         for _ in 0..3 {
             t.record_failure(p);
         }
-        std::thread::sleep(Duration::from_millis(40));
+        time.advance(PROBE_INTERVAL);
         assert!(t.should_attempt(p));
         t.record_success(p);
         assert_eq!(t.state(p), PeerState::Healthy);
@@ -269,24 +283,29 @@ mod tests {
 
     #[test]
     fn probe_failure_requarantines_immediately() {
-        let t = tracker();
+        let (t, time) = tracker();
         let p = NodeId(1);
         for _ in 0..3 {
             t.record_failure(p);
         }
-        std::thread::sleep(Duration::from_millis(40));
+        time.advance(PROBE_INTERVAL);
         assert!(t.should_attempt(p));
         assert_eq!(t.state(p), PeerState::Probing);
         // A probing peer re-quarantines on one failure, but the
-        // transition is not re-reported (repair already ran).
+        // transition is not re-reported (repair already ran), and the
+        // next probe waits a whole window from the failed one.
         assert_eq!(t.record_failure(p), None);
         assert_eq!(t.state(p), PeerState::Quarantined);
         assert!(!t.should_attempt(p));
+        time.advance(PROBE_INTERVAL - Duration::from_millis(1));
+        assert!(!t.should_attempt(p));
+        time.advance(Duration::from_millis(1));
+        assert!(t.should_attempt(p));
     }
 
     #[test]
     fn success_resets_failure_streak() {
-        let t = tracker();
+        let (t, _) = tracker();
         let p = NodeId(1);
         t.record_failure(p);
         t.record_failure(p);
@@ -300,7 +319,7 @@ mod tests {
 
     #[test]
     fn snapshot_reports_all_peers_sorted() {
-        let t = tracker();
+        let (t, _) = tracker();
         t.record_failure(NodeId(3));
         for _ in 0..3 {
             t.record_failure(NodeId(1));

@@ -46,13 +46,17 @@ pub mod pool;
 pub mod reader;
 pub mod wire;
 
-pub use daemon::{announce, announce_delete, announce_insert, CacheDaemons, DaemonConfig};
+pub use daemon::{
+    announce, announce_delete, announce_insert, CacheDaemons, DaemonConfig, PURGE_INTERVAL,
+};
 pub use faults::{AcceptFilter, FaultAction, FaultEvent, FaultInjector, FaultRule};
 pub use fetch::{
     default_dialer, request_invalidate, request_sync_via, Dialer, FaultStream, FetchOutcome,
-    RetryPolicy, StreamFault,
+    RetryPolicy, StreamFault, FETCH_BACKOFF,
 };
-pub use health::{HealthConfig, HealthSnapshot, HealthTracker, PeerState, SUSPECT_AFTER};
+pub use health::{
+    HealthConfig, HealthSnapshot, HealthTracker, PeerState, PROBE_INTERVAL, SUSPECT_AFTER,
+};
 pub use message::{Message, NodeStats};
 pub use peers::{
     BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE, NOTICE_PACE_MAX,

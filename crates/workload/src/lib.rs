@@ -14,13 +14,11 @@
 //! * [`section53`] — the fixed 1600-request / 1122-unique trace §5.3's
 //!   hit-ratio experiments (Tables 5–6) replay;
 //! * [`webstone`] — the paper's WebStone file mix and a multi-threaded
-//!   load generator measuring mean response time;
-//! * [`latency`] — latency recording/aggregation.
+//!   load generator measuring mean response time.
 
 pub mod adl;
 pub mod analysis;
 pub mod hetero;
-pub mod latency;
 pub mod logfile;
 pub mod section53;
 pub mod trace;
@@ -30,7 +28,6 @@ pub mod zipf;
 pub use adl::{synthesize_adl_trace, AdlTraceConfig};
 pub use analysis::{analyze_thresholds, ThresholdRow};
 pub use hetero::{heterogeneous_trace, HeteroConfig};
-pub use latency::{LatencyRecorder, LatencySummary};
 pub use logfile::{filter_for_replay, parse_clf, replay_and_time, ClfRecord};
 pub use section53::{section53_trace, SECTION53_TOTAL, SECTION53_UNIQUE};
 pub use trace::{RequestKind, Trace, TraceRequest};

@@ -8,10 +8,10 @@
 //!
 //! [`LoadGenerator`] reproduces the tool: N client threads, each with a
 //! keep-alive connection, issuing requests and recording wall-clock
-//! latency; the report carries the mean response time the paper's tables
-//! plot.
+//! latency into one [`Histogram`], the summariser the nodes use too; the
+//! report carries the mean response time the paper's tables plot,
+//! computed from the histogram's exact sum.
 
-use crate::latency::{LatencyRecorder, LatencySummary};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -19,6 +19,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use swala::HttpClient;
+use swala_obs::{Histogram, HistogramSnapshot};
 
 /// One file class in the WebStone mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +93,8 @@ pub fn materialize_docroot(docroot: &Path) -> std::io::Result<()> {
 /// Aggregate result of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    pub latency: LatencySummary,
+    /// Latency of every successful request, microseconds.
+    pub latency: HistogramSnapshot,
     /// Requests that failed (connect/parse errors, non-2xx).
     pub errors: usize,
     /// Wall-clock duration of the whole run.
@@ -102,6 +104,12 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// Mean response time: the exact sum over the count, whole
+    /// microseconds (zero for a run with no successes).
+    pub fn mean(&self) -> Duration {
+        Duration::from_micros(self.latency.sum / self.latency.count.max(1))
+    }
+
     /// Completed requests per wall-clock second.
     pub fn throughput(&self) -> f64 {
         if self.elapsed.is_zero() {
@@ -140,37 +148,33 @@ impl LoadGenerator {
     {
         assert!(!addrs.is_empty());
         let started = Instant::now();
-        let mut recorder = LatencyRecorder::with_capacity(self.clients * per_client);
-        let mut errors = 0usize;
-        std::thread::scope(|scope| {
+        let latency = Histogram::new();
+        let errors = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.clients)
                 .map(|c| {
-                    let sampler = &sampler;
+                    let (sampler, latency) = (&sampler, &latency);
                     let addr = addrs[c % addrs.len()];
                     scope.spawn(move || {
                         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
                         let mut client = HttpClient::new(addr);
-                        let mut rec = LatencyRecorder::with_capacity(per_client);
                         let mut errs = 0usize;
                         for _ in 0..per_client {
                             let target = sampler(&mut rng);
                             let t0 = Instant::now();
                             match client.get(&target) {
-                                Ok(resp) if resp.status.is_success() => rec.record(t0.elapsed()),
+                                Ok(resp) if resp.status.is_success() => {
+                                    latency.record_duration(t0.elapsed())
+                                }
                                 _ => errs += 1,
                             }
                         }
-                        (rec, errs)
+                        errs
                     })
                 })
                 .collect();
-            for h in handles {
-                let (rec, errs) = h.join().expect("client thread panicked");
-                recorder.merge(rec);
-                errors += errs;
-            }
+            joined_errors(handles)
         });
-        finish(recorder, errors, started)
+        finish(&latency, errors, started)
     }
 
     /// Clients drain a shared list of targets (trace replay): target `i`
@@ -180,16 +184,14 @@ impl LoadGenerator {
         assert!(!addrs.is_empty());
         let started = Instant::now();
         let next = AtomicUsize::new(0);
-        let mut recorder = LatencyRecorder::with_capacity(targets.len());
-        let mut errors = 0usize;
-        std::thread::scope(|scope| {
+        let latency = Histogram::new();
+        let errors = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.clients)
                 .map(|c| {
-                    let next = &next;
+                    let (next, latency) = (&next, &latency);
                     let addr = addrs[c % addrs.len()];
                     scope.spawn(move || {
                         let mut client = HttpClient::new(addr);
-                        let mut rec = LatencyRecorder::new();
                         let mut errs = 0usize;
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -198,40 +200,37 @@ impl LoadGenerator {
                             }
                             let t0 = Instant::now();
                             match client.get(&targets[i]) {
-                                Ok(resp) if resp.status.is_success() => rec.record(t0.elapsed()),
+                                Ok(resp) if resp.status.is_success() => {
+                                    latency.record_duration(t0.elapsed())
+                                }
                                 _ => errs += 1,
                             }
                         }
-                        (rec, errs)
+                        errs
                     })
                 })
                 .collect();
-            for h in handles {
-                let (rec, errs) = h.join().expect("client thread panicked");
-                recorder.merge(rec);
-                errors += errs;
-            }
+            joined_errors(handles)
         });
-        finish(recorder, errors, started)
+        finish(&latency, errors, started)
     }
 }
 
-fn finish(recorder: LatencyRecorder, errors: usize, started: Instant) -> LoadReport {
-    let completed = recorder.len();
-    let latency = recorder.summarize().unwrap_or(LatencySummary {
-        count: 0,
-        mean: Duration::ZERO,
-        p50: Duration::ZERO,
-        p95: Duration::ZERO,
-        p99: Duration::ZERO,
-        max: Duration::ZERO,
-        total: Duration::ZERO,
-    });
+/// Join the client threads, summing the errors each counted.
+fn joined_errors(handles: Vec<std::thread::ScopedJoinHandle<'_, usize>>) -> usize {
+    handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread panicked"))
+        .sum()
+}
+
+fn finish(latency: &Histogram, errors: usize, started: Instant) -> LoadReport {
+    let latency = latency.snapshot();
     LoadReport {
+        completed: latency.count as usize,
         latency,
         errors,
         elapsed: started.elapsed(),
-        completed,
     }
 }
 
@@ -299,7 +298,8 @@ mod tests {
         });
         assert_eq!(report.completed, 40);
         assert_eq!(report.errors, 0);
-        assert!(report.latency.mean > Duration::ZERO);
+        assert!(report.mean() > Duration::ZERO);
+        assert!(report.latency.p50() <= report.latency.p99());
         assert!(report.throughput() > 0.0);
 
         let targets: Vec<String> = (0..30)

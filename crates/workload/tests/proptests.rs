@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use swala_workload::{
-    analyze_thresholds, section53_trace, synthesize_adl_trace, AdlTraceConfig, LatencyRecorder,
-    RequestKind, Trace, TraceRequest, Zipf,
+    analyze_thresholds, section53_trace, synthesize_adl_trace, AdlTraceConfig, RequestKind, Trace,
+    TraceRequest, Zipf,
 };
 
 proptest! {
@@ -79,19 +79,5 @@ proptest! {
         for _ in 0..200 {
             prop_assert!(z.sample(&mut rng) < n);
         }
-    }
-
-    #[test]
-    fn latency_summary_is_ordered(samples in proptest::collection::vec(1u64..1_000_000, 1..200)) {
-        let mut rec = LatencyRecorder::new();
-        for s in &samples {
-            rec.record(std::time::Duration::from_micros(*s));
-        }
-        let sum = rec.summarize().unwrap();
-        prop_assert!(sum.p50 <= sum.p95);
-        prop_assert!(sum.p95 <= sum.p99);
-        prop_assert!(sum.p99 <= sum.max);
-        prop_assert!(sum.mean <= sum.max);
-        prop_assert_eq!(sum.count, samples.len());
     }
 }

@@ -9,6 +9,7 @@
 //! cargo run --release --example digital_library
 //! ```
 
+use std::time::Duration;
 use swala::ServerOptions;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
@@ -57,10 +58,11 @@ fn main() -> std::io::Result<()> {
         let hits = cluster.total_cache_stat(|s| s.local_hits + s.remote_hits);
         let remote = cluster.total_cache_stat(|s| s.remote_hits);
         println!(
-            "{:<14} mean {:>7.1?}  p95 {:>7.1?}  throughput {:>6.0} req/s  hits {} ({} remote)  errors {}",
+            "{:<14} mean {:>7.1?}  p90 {:>7.1?}  p99 {:>7.1?}  throughput {:>6.0} req/s  hits {} ({} remote)  errors {}",
             if caching { "cooperative:" } else { "no cache:" },
-            report.latency.mean,
-            report.latency.p95,
+            report.mean(),
+            Duration::from_micros(report.latency.p90()),
+            Duration::from_micros(report.latency.p99()),
             report.throughput(),
             hits,
             remote,

@@ -33,10 +33,12 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test victim_index
 
 step "paced notice plane (pacing tests + apply_remote_batch equivalence, pinned seed)"
-# Counter-based: idle links send at once, busy links batch without a
-# wake-up, a loaded link's hold ramps 500 us -> 4 ms (one frame per hold)
-# and starts over once the link parks, flush/shutdown cut a maximum hold
-# short, a reconnect backoff is a hold, overflow still drops oldest.
+# In virtual time, on a manual clock the tests advance: idle links send
+# at once, busy links batch without a wake-up, a loaded link's hold
+# ramps 500 us -> 4 ms (one frame per hold, each notice waiting exactly
+# its hold) and starts over once the link parks, flush/shutdown cut a
+# maximum hold short with the clock standing still, a reconnect backoff
+# is a hold, overflow still drops oldest.
 # Then the batched directory apply against the per-notice calls it
 # replaces on the receive side — cut anywhere, and as whole frames of
 # 256 and 1024 updates — 2048 cases on the same pinned seed.
@@ -139,8 +141,7 @@ SWALA_BENCH_QUICK=1 target/release/tables metrics
 step "cluster-observability gate (tables obsplane)"
 # Eight-node federated scrape; the experiment's own asserts gate on the
 # merged /swala-cluster-metrics counters equalling each node's handles
-# exactly and on the observability plane (heat sketch + slow-trace
-# exemplars) staying within the 3%+30us warm-hit budget.
+# exactly, with no scrape failure.
 SWALA_BENCH_QUICK=1 target/release/tables obsplane
 python3 - <<'EOF'
 import json

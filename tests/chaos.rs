@@ -24,14 +24,12 @@ fn chaos_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// Every chaos node's options: faults on every seam, fast retries, no
-/// probe unless a test opts in.
+/// Every chaos node's options: faults on every seam. Retries back off
+/// and quarantined peers are probed at the shipped constants; no drill
+/// fetches from a quarantined peer, whose entries quarantine evicts.
 fn chaos_node(inj: &Arc<FaultInjector>) -> ServerOptions {
     ServerOptions {
         faults: Some(Arc::clone(inj)),
-        fetch_backoff: Duration::from_millis(2),
-        // Long enough that no probe fires mid-test unless a test opts in.
-        probe_interval: Duration::from_secs(3600),
         // These drills script exact broadcast/NodeDown repair sequences
         // of the paper's replicated directory, where every peer hears
         // every notice. Partitioned fault handling is covered by

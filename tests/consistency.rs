@@ -4,9 +4,10 @@
 
 use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions};
-use swala_cache::{CacheRules, NodeId};
+use swala_cache::{CacheRules, ManualClock, NodeId};
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
+use swala_proto::PURGE_INTERVAL;
 
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -18,13 +19,14 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn ttl_expiry_propagates_cluster_wide() {
-    // 1-second TTL, 100 ms purge interval.
+    // 1-second TTL, on a cluster clock the test moves.
+    let time = ManualClock::new();
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
         work: WorkKind::Sleep,
         node: ServerOptions {
             rules: CacheRules::parse("cache * ttl=1\n").unwrap(),
-            purge_interval: Duration::from_millis(100),
+            clock: time.clock(),
             // Seed-faithful §4.2 semantics: the deletion must reach every
             // replica, which only the replicated directory keeps.
             directory: swala_cache::DirectoryKind::Replicated,
@@ -39,8 +41,10 @@ fn ttl_expiry_propagates_cluster_wide() {
         cluster.node(1).manager().directory().len(NodeId(0)) == 1
     });
 
-    // After the TTL, the purge daemon expires it locally and broadcasts
-    // the deletion; node 1's replica table must empty out too.
+    // One purge interval on: the TTL has run out, the purge daemon
+    // expires the entry locally and broadcasts the deletion; node 1's
+    // replica table must empty out too.
+    time.advance(PURGE_INTERVAL);
     wait_until("expiry at owner", || {
         cluster.node(0).manager().directory().len(NodeId(0)) == 0
     });

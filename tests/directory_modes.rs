@@ -9,9 +9,10 @@
 
 use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions};
-use swala_cache::{CacheKey, DirectoryKind, NodeId};
+use swala_cache::{CacheKey, DirectoryKind, ManualClock, NodeId};
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
+use swala_proto::PURGE_INTERVAL;
 
 fn start(nodes: usize, directory: DirectoryKind) -> SwalaCluster {
     SwalaCluster::start(&ClusterConfig {
@@ -84,12 +85,13 @@ fn remote_hit_works_under_both_directory_modes() {
 #[test]
 fn ttl_deletion_propagates_under_both_directory_modes() {
     for directory in DirectoryKind::ALL {
+        let time = ManualClock::new();
         let cluster = SwalaCluster::start(&ClusterConfig {
             nodes: 2,
             work: WorkKind::Sleep,
             node: ServerOptions {
                 rules: swala_cache::CacheRules::parse("cache * ttl=1\n").unwrap(),
-                purge_interval: Duration::from_millis(100),
+                clock: time.clock(),
                 directory,
                 ..ClusterConfig::default().node
             },
@@ -100,10 +102,12 @@ fn ttl_deletion_propagates_under_both_directory_modes() {
         c0.get("/cgi-bin/adl?id=32&ms=0").unwrap();
         assert!(cluster.wait_for_directory_convergence(1, Duration::from_secs(10)));
 
-        // After the TTL the purge daemon deletes the entry and announces
-        // the deletion the mode's way; every table must forget it. The
-        // purge leaves the directory before it deletes the body and only
-        // then counts the expiration, so wait for the counter too.
+        // A purge interval on, the TTL has run out: the purge daemon
+        // deletes the entry and announces the deletion the mode's way;
+        // every table must forget it. The purge leaves the directory
+        // before it deletes the body and only then counts the
+        // expiration, so wait for the counter too.
+        time.advance(PURGE_INTERVAL);
         wait_until("cluster-wide expiry", || {
             cluster.node(0).cache_stats().expirations >= 1
                 && cluster
