@@ -12,12 +12,12 @@
 //! * **owner fetch burst** — N threads on node 0 against a key owned by
 //!   node 1, with a fault-injected dial delay widening the fetch window.
 //!   The measure is wire fetches (connections opened + reuses) toward
-//!   the owner: exactly 1 with coalescing on, ~N with it off.
+//!   the owner: exactly 1 with coalescing on, exactly N with it off.
 //!
 //! The asserts double as the CI gate (`scripts/check.sh` runs this
 //! experiment in quick mode): duplicate executions must be zero with
-//! coalescing on and nonzero with it off. Results are written to
-//! `BENCH_coalesce.json`.
+//! coalescing on and nonzero with it off, and owner fetches 1 and N.
+//! Results are written to `BENCH_coalesce.json`.
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
@@ -87,15 +87,9 @@ fn local_burst(coalesce: bool, work_ms: u64) -> LocalOutcome {
     }
 }
 
-struct FetchOutcome {
-    wire_fetches: u64,
-    leads: u64,
-    waits: u64,
-}
-
 /// Same-instant remote hits on node 0 against node 1's entry: how many
-/// fetches reach the owner's wire?
-fn remote_burst(coalesce: bool, work_ms: u64, dial_delay: Duration) -> FetchOutcome {
+/// fetches reach the owner's wire (connections opened + reuses)?
+fn remote_burst(coalesce: bool, work_ms: u64, dial_delay: Duration) -> u64 {
     let inj = FaultInjector::seeded(42);
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
@@ -123,11 +117,7 @@ fn remote_burst(coalesce: bool, work_ms: u64, dial_delay: Duration) -> FetchOutc
     burst(cluster.node(0).http_addr(), &target);
     let pool = cluster.node(0).fetch_pool_stats();
     cluster.shutdown();
-    FetchOutcome {
-        wire_fetches: pool.connects_opened + pool.reuses,
-        leads: pool.coalesce_leads,
-        waits: pool.coalesce_waits,
-    }
+    pool.connects_opened + pool.reuses
 }
 
 pub fn run() -> TableReport {
@@ -155,14 +145,12 @@ pub fn run() -> TableReport {
         local_off.executions > 1,
         "coalesce off must preserve the duplicate executions it measures"
     );
-    assert!(
-        fetch_on.wire_fetches <= 1,
-        "coalesce on: at most one owner fetch per burst, saw {}",
-        fetch_on.wire_fetches
+    assert_eq!(
+        fetch_on, 1,
+        "coalesce on: one owner fetch per {BURST}-request burst"
     );
-    assert_eq!(fetch_on.leads, 1, "exactly one fetch flight leader");
-    assert!(
-        fetch_off.wire_fetches > 1,
+    assert_eq!(
+        fetch_off, BURST as u64,
         "coalesce off: every reader fetches independently"
     );
 
@@ -177,12 +165,7 @@ pub fn run() -> TableReport {
             o.mean_ms
         )
     };
-    let json_fetch = |o: &FetchOutcome| {
-        format!(
-            "{{\"wire_fetches\": {}, \"coalesce_leads\": {}, \"coalesce_waits\": {}}}",
-            o.wire_fetches, o.leads, o.waits
-        )
-    };
+    let json_fetch = |wire_fetches: u64| format!("{{\"wire_fetches\": {wire_fetches}}}");
     let json = format!(
         "{{\n  \"experiment\": \"coalesce\",\n  \"quick\": {quick},\n  \
          \"burst\": {BURST},\n  \"work_ms\": {work_ms},\n  \"local\": {{\n    \
@@ -190,8 +173,8 @@ pub fn run() -> TableReport {
          \"coalesce_on\": {},\n    \"coalesce_off\": {}\n  }}\n}}\n",
         json_local(&local_on),
         json_local(&local_off),
-        json_fetch(&fetch_on),
-        json_fetch(&fetch_off),
+        json_fetch(fetch_on),
+        json_fetch(fetch_off),
     );
     std::fs::write("BENCH_coalesce.json", &json).expect("write BENCH_coalesce.json");
 
@@ -201,13 +184,13 @@ pub fn run() -> TableReport {
         &["burst / mode", "CGI runs", "owner fetches", "mean latency"],
     );
     for (name, l, f) in [
-        ("coalesce on (default)", &local_on, &fetch_on),
-        ("coalesce off (paper §4.2)", &local_off, &fetch_off),
+        ("coalesce on (default)", &local_on, fetch_on),
+        ("coalesce off (paper §4.2)", &local_off, fetch_off),
     ] {
         report.row(vec![
             name.into(),
             format!("{}", l.executions),
-            format!("{}", f.wire_fetches),
+            format!("{f}"),
             format!("{} ms", fmt_ms(l.mean_ms)),
         ]);
     }
@@ -217,8 +200,8 @@ pub fn run() -> TableReport {
         local_on.coalesce_waits, local_off.executions, local_off.false_misses,
     ));
     report.note(format!(
-        "owner fetches per burst: {} on ({} waiters shared the leader's reply) vs {} off",
-        fetch_on.wire_fetches, fetch_on.waits, fetch_off.wire_fetches,
+        "owner fetches per burst: {fetch_on} on (the other remote hits waited on its flight) \
+         vs {fetch_off} off",
     ));
     report.note("results written to BENCH_coalesce.json");
     report

@@ -38,6 +38,7 @@ pub mod clock;
 pub mod digest;
 pub mod directory;
 pub mod entry;
+pub mod flights;
 pub mod key;
 pub mod locking;
 pub mod manager;
@@ -54,10 +55,10 @@ pub use clock::{Clock, ManualClock, StopSignal, Waiter};
 pub use digest::{Digest, DigestImpl};
 pub use directory::{CacheDirectory, Classification, Eviction, RemoteUpdate};
 pub use entry::EntryMeta;
+pub use flights::{FlightWaitOutcome, FlightWaiter};
 pub use key::CacheKey;
 pub use manager::{
-    BodyTier, CacheManager, CacheManagerConfig, FallbackStart, FlightWaitOutcome, FlightWaiter,
-    InsertOutcome, LookupResult, COALESCE_WAIT, HOTKEYS,
+    BodyTier, CacheManager, CacheManagerConfig, InsertOutcome, LookupResult, COALESCE_WAIT, HOTKEYS,
 };
 pub use memcache::MemCache;
 pub use node::NodeId;

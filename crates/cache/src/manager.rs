@@ -2,7 +2,8 @@
 //!
 //! One `CacheManager` lives on each node. It owns the node's directory
 //! (every table the placement rule puts here), the local body store, the replacement policy, the
-//! cacheability rules and the statistics, and exposes exactly the
+//! cacheability rules, the single-flight registry ([`crate::flights`])
+//! and the statistics, and exposes exactly the
 //! operations Figure 2's control flow needs. The `swala` server and the
 //! `swala-proto` daemons drive it; none of them touch the directory or
 //! the store directly.
@@ -11,6 +12,7 @@ use crate::clock::Clock;
 use crate::digest::Digest;
 use crate::directory::{CacheDirectory, Classification, RemoteUpdate, APPLY_RUN_MAX};
 use crate::entry::EntryMeta;
+use crate::flights::{FlightWaitOutcome, FlightWaiter, Flights, Joined};
 use crate::key::CacheKey;
 use crate::memcache::MemCache;
 use crate::node::NodeId;
@@ -19,16 +21,13 @@ use crate::ring::{DirectoryKind, Placement};
 use crate::rules::{CacheDecision, CacheRules};
 use crate::stats::CacheStats;
 use crate::store::Store;
-use parking_lot::Mutex;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala_obs::{Gauge, HeatSketch, Histogram, Stage, Trace};
 
-/// How long a coalesced miss waits for the leader's body before it
+/// How long a coalesced request waits for the leader's body before it
 /// executes on its own.
 ///
 /// A constant, not a knob: it only bounds a wait that ends when the
@@ -59,11 +58,12 @@ pub struct CacheManagerConfig {
     /// Byte budget for the in-memory body tier; 0 disables the tier
     /// (every local hit then reads the body store).
     pub mem_cache_bytes: usize,
-    /// Single-flight coalescing: concurrent misses for one key wait for
-    /// the first executor instead of re-running the CGI. `false` keeps
-    /// the paper's re-run semantics (§4.2, false-miss scenario 1).
+    /// Single-flight coalescing: concurrent misses and remote hits for
+    /// one key wait for the first request producing it instead of
+    /// re-running the CGI or re-fetching the body. `false` keeps the
+    /// paper's re-run semantics (§4.2, false-miss scenario 1).
     pub coalesce: bool,
-    /// Bound on how long a coalesced miss waits for the leader before
+    /// Bound on how long a coalesced request waits for the leader before
     /// falling back to its own execution ([`COALESCE_WAIT`] on every
     /// node; a test shortens it to see the fallback).
     pub coalesce_wait: Duration,
@@ -110,9 +110,9 @@ pub enum LookupResult {
         decision: CacheDecision,
         first_in_flight: bool,
     },
-    /// An identical request is already executing here and coalescing is
-    /// on: call [`CacheManager::wait_flight`] to be served the leader's
-    /// body instead of re-running the CGI.
+    /// An identical request is already producing the body here and
+    /// coalescing is on: call [`CacheManager::wait_flight`] to be served
+    /// its body instead of re-running the CGI.
     CoalesceWait {
         decision: CacheDecision,
         waiter: FlightWaiter,
@@ -124,7 +124,8 @@ pub enum LookupResult {
         body: Arc<[u8]>,
         tier: BodyTier,
     },
-    /// Cached at a remote node: the caller must fetch over the wire.
+    /// Cached at a remote node: take the key's flight with
+    /// [`CacheManager::begin_remote_fetch`], then fetch over the wire.
     RemoteHit { meta: EntryMeta },
 }
 
@@ -136,89 +137,6 @@ pub enum BodyTier {
     Memory,
     /// Read from the body store (tier disabled or cold).
     Disk,
-}
-
-/// Shared record of one key's in-flight execution. The leader (first
-/// miss) executes; waiters block on the condvar until a result — or the
-/// last executor's failure — is published.
-#[derive(Debug)]
-struct Flight {
-    state: StdMutex<FlightState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-enum FlightState {
-    /// Executor(s) still running.
-    Running,
-    /// Finished. `Some` carries the body for waiters (published even when
-    /// the insert itself was threshold-discarded); `None` means every
-    /// executor failed and waiters must execute themselves.
-    Done(Option<(String, Arc<[u8]>)>),
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            state: StdMutex::new(FlightState::Running),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Non-poisoning lock (an executor panicking mid-publish must not
-    /// wedge waiters behind a poisoned mutex).
-    fn lock(&self) -> MutexGuard<'_, FlightState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Registry entry: the key's flight plus how many executors are working
-/// on it (1 leader, plus re-runners when coalescing is off and fallback
-/// executors). The entry — the paper's "in-flight marker" — stays alive
-/// until the last executor finishes, which is what fixes the marker
-/// clobbering between overlapping executions.
-struct FlightEntry {
-    flight: Arc<Flight>,
-    executors: usize,
-}
-
-impl FlightEntry {
-    fn new() -> FlightEntry {
-        FlightEntry {
-            flight: Arc::new(Flight::new()),
-            executors: 1,
-        }
-    }
-}
-
-/// A waiter's handle on another request's in-flight execution; redeem it
-/// with [`CacheManager::wait_flight`].
-#[derive(Debug)]
-pub struct FlightWaiter {
-    flight: Arc<Flight>,
-}
-
-/// How a coalesced wait resolved.
-#[derive(Debug)]
-pub enum FlightWaitOutcome {
-    /// The leader's body, shared zero-copy with every waiter.
-    Served {
-        content_type: String,
-        body: Arc<[u8]>,
-    },
-    /// Every executor failed: the caller must execute itself.
-    LeaderFailed,
-    /// The bounded wait elapsed: the caller must execute itself.
-    TimedOut,
-}
-
-/// What [`CacheManager::begin_fallback_execution`] decided.
-#[derive(Debug)]
-pub enum FallbackStart {
-    /// The caller is registered as an executor and should run the CGI.
-    Execute,
-    /// Someone else is already producing this key: wait instead.
-    Wait(FlightWaiter),
 }
 
 /// Result of committing an executed CGI result.
@@ -255,12 +173,11 @@ pub struct CacheManager {
     stats: Arc<CacheStats>,
     /// Logical clock for recency bookkeeping.
     seq: AtomicU64,
-    /// Keys currently being executed on this node: false-miss detection
-    /// and (when `coalesce` is on) the single-flight waiter registry.
-    flights: Mutex<HashMap<CacheKey, FlightEntry>>,
-    /// Single-flight coalescing on/off (off = paper-faithful re-runs).
-    coalesce: bool,
-    /// Bounded wait before a coalesced miss falls back to executing.
+    /// Keys whose body a request is producing here — executing, or
+    /// fetching from the owner: false-miss detection and (coalescing on)
+    /// where identical requests wait.
+    flights: Flights,
+    /// Bounded wait before a coalesced request falls back to executing.
     coalesce_wait: Duration,
     /// Which nodes' directories hold each key's entries.
     placement: Placement,
@@ -282,8 +199,7 @@ impl CacheManager {
             rules: cfg.rules,
             stats: Arc::new(CacheStats::new()),
             seq: AtomicU64::new(0),
-            flights: Mutex::new(HashMap::new()),
-            coalesce: cfg.coalesce,
+            flights: Flights::new(cfg.coalesce),
             coalesce_wait: cfg.coalesce_wait,
             placement: Placement::new(cfg.directory, cfg.num_nodes),
             heat: Arc::new(HeatSketch::new(cfg.hotkeys)),
@@ -340,8 +256,9 @@ impl CacheManager {
 
     /// The rules' verdict for `path`, without touching the directory.
     ///
-    /// Used by fallback paths (e.g. after a false hit) that need the
-    /// TTL/threshold parameters for a fresh insertion.
+    /// Used by fallback paths (a remote hit the owner could not serve, a
+    /// failed coalesced wait) that need the TTL/threshold parameters for
+    /// a fresh insertion.
     pub fn lookup_decision(&self, path: &str) -> CacheDecision {
         self.rules.decide(path)
     }
@@ -426,7 +343,7 @@ impl CacheManager {
 
     /// Figure 2, top half: classify a GET for `path_with_query`.
     ///
-    /// For misses the key is marked in-flight; the caller *must* balance
+    /// For misses the key's flight is taken; the caller *must* balance
     /// with [`complete_execution`](Self::complete_execution) or
     /// [`abort_execution`](Self::abort_execution).
     pub fn lookup(&self, key: &CacheKey, path: &str) -> LookupResult {
@@ -475,35 +392,9 @@ impl CacheManager {
 
     fn note_miss(&self, key: &CacheKey, decision: CacheDecision) -> LookupResult {
         CacheStats::bump(&self.stats.misses);
-        let mut flights = self.flights.lock();
-        match flights.entry(key.clone()) {
-            Entry::Occupied(mut occupied) => {
-                if self.coalesce {
-                    // Single-flight: park behind the in-flight execution
-                    // instead of re-running the CGI.
-                    let waiter = FlightWaiter {
-                        flight: Arc::clone(&occupied.get().flight),
-                    };
-                    drop(flights);
-                    CacheStats::bump(&self.stats.coalesce_waits);
-                    LookupResult::CoalesceWait { decision, waiter }
-                } else {
-                    // Identical request already executing here: Swala
-                    // re-runs it rather than waiting (§4.2, false-miss
-                    // scenario 1).
-                    occupied.get_mut().executors += 1;
-                    drop(flights);
-                    CacheStats::bump(&self.stats.false_misses);
-                    LookupResult::Miss {
-                        decision,
-                        first_in_flight: false,
-                    }
-                }
-            }
-            Entry::Vacant(vacant) => {
-                vacant.insert(FlightEntry::new());
-                drop(flights);
-                if self.coalesce {
+        match self.flights.join(key, true) {
+            Joined::Lead => {
+                if self.flights.coalescing() {
                     CacheStats::bump(&self.stats.coalesce_leads);
                 }
                 LookupResult::Miss {
@@ -511,6 +402,42 @@ impl CacheManager {
                     first_in_flight: true,
                 }
             }
+            // Single-flight: park behind the request producing the body
+            // instead of re-running the CGI.
+            Joined::Wait(waiter) => {
+                CacheStats::bump(&self.stats.coalesce_waits);
+                LookupResult::CoalesceWait { decision, waiter }
+            }
+            // Coalescing off: Swala re-runs rather than waits. Beside an
+            // execution that is §4.2's false-miss scenario 1; beside a
+            // remote fetch it is an ordinary miss.
+            Joined::Beside { executing } => {
+                if executing {
+                    CacheStats::bump(&self.stats.false_misses);
+                }
+                LookupResult::Miss {
+                    decision,
+                    first_in_flight: !executing,
+                }
+            }
+        }
+    }
+
+    /// Take `key`'s flight for a remote hit (a `RemoteHit` lookup) before
+    /// fetching the body from its owner.
+    ///
+    /// `None`: the caller holds the flight. It ends it with
+    /// [`complete_remote_serve`](Self::complete_remote_serve) once the
+    /// owner serves the body, or — after a false hit, or with the owner
+    /// unreachable or quarantined — calls
+    /// [`execute_instead`](Self::execute_instead) and executes like a
+    /// miss. `Some`: coalescing is on and an identical request holds the
+    /// flight; [`wait_flight`](Self::wait_flight) for its body. The wait
+    /// counts as the remote hit it is: no `coalesce_waits`, no false hit.
+    pub fn begin_remote_fetch(&self, key: &CacheKey) -> Option<FlightWaiter> {
+        match self.flights.join(key, false) {
+            Joined::Wait(waiter) => Some(waiter),
+            Joined::Lead | Joined::Beside { .. } => None,
         }
     }
 
@@ -520,62 +447,20 @@ impl CacheManager {
     /// [`begin_forced_execution`](Self::begin_forced_execution) and run
     /// the CGI — the deterministic fallback.
     pub fn wait_flight(&self, waiter: FlightWaiter) -> FlightWaitOutcome {
-        let deadline = Instant::now() + self.coalesce_wait;
-        let mut state = waiter.flight.lock();
-        loop {
-            match &*state {
-                FlightState::Done(Some((content_type, body))) => {
-                    return FlightWaitOutcome::Served {
-                        content_type: content_type.clone(),
-                        body: Arc::clone(body),
-                    };
-                }
-                FlightState::Done(None) => {
+        let outcome = waiter.wait(self.coalesce_wait);
+        if waiter.miss {
+            match outcome {
+                FlightWaitOutcome::Served { .. } => {}
+                FlightWaitOutcome::LeaderFailed => {
                     CacheStats::bump(&self.stats.coalesce_fallbacks);
-                    return FlightWaitOutcome::LeaderFailed;
                 }
-                FlightState::Running => {}
+                FlightWaitOutcome::TimedOut => {
+                    CacheStats::bump(&self.stats.coalesce_timeouts);
+                    CacheStats::bump(&self.stats.coalesce_fallbacks);
+                }
             }
-            let now = Instant::now();
-            if now >= deadline {
-                CacheStats::bump(&self.stats.coalesce_timeouts);
-                CacheStats::bump(&self.stats.coalesce_fallbacks);
-                return FlightWaitOutcome::TimedOut;
-            }
-            state = waiter
-                .flight
-                .cv
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
         }
-    }
-
-    /// One executor finished. Drops its refcount; the entry — the paper's
-    /// "in-flight marker" — survives until the *last* executor is done,
-    /// so overlapping executions no longer clobber each other. A success
-    /// (`Some`) is published to waiters immediately and never downgraded;
-    /// `None` wakes waiters only when no executor remains.
-    fn finish_flight(&self, key: &CacheKey, result: Option<(String, Arc<[u8]>)>) {
-        let mut flights = self.flights.lock();
-        let Some(entry) = flights.get_mut(key) else {
-            return;
-        };
-        entry.executors = entry.executors.saturating_sub(1);
-        let last = entry.executors == 0;
-        let flight = Arc::clone(&entry.flight);
-        if last {
-            flights.remove(key);
-        }
-        drop(flights);
-        let mut state = flight.lock();
-        if matches!(&*state, FlightState::Done(Some(_))) {
-            return;
-        }
-        if result.is_some() || last {
-            *state = FlightState::Done(result);
-            flight.cv.notify_all();
-        }
+        outcome
     }
 
     /// Figure 2, bottom half: the CGI ran successfully in `exec` time.
@@ -595,7 +480,9 @@ impl CacheManager {
         // insert below is threshold-discarded, the waiters' requests are
         // answered by these bytes.
         let shared: Arc<[u8]> = Arc::from(body);
-        self.finish_flight(key, Some((content_type.to_string(), Arc::clone(&shared))));
+        if let Some(flight) = self.flights.finish(key) {
+            flight.publish(content_type, &shared);
+        }
         // Attribute the execution's cost to the key's heat-sketch slot
         // (only if the key is still monitored — no count is added).
         self.heat.add_cost(key.as_str(), exec.as_micros() as u64);
@@ -646,24 +533,51 @@ impl CacheManager {
     }
 
     /// The CGI failed (Figure 2's unhappy path): release this executor's
-    /// in-flight slot without inserting anything. Waiters are woken to
-    /// fall back only once no executor remains.
+    /// hold on the key's flight without inserting anything. Waiters are
+    /// woken to fall back only once no holder remains.
     pub fn abort_execution(&self, key: &CacheKey) {
-        self.finish_flight(key, None);
+        self.flights.fail(key);
         CacheStats::bump(&self.stats.aborts);
     }
 
-    /// A miss was resolved by fetching the body from a *remote* owner
-    /// the key's home named (a node that is not one of the key's homes
-    /// asks the home on a miss): publish the body to any
-    /// coalesced waiters and release the caller's executor slot, without
-    /// inserting — the entry stays owned by the remote node.
+    /// The caller's flight was resolved by fetching the body from a
+    /// *remote* owner — a remote hit, or a miss the key's home resolved:
+    /// publish the body to any coalesced waiters and release the flight,
+    /// without inserting — the entry stays owned by the remote node.
     ///
-    /// Balances the in-flight registration from
-    /// [`lookup`](Self::lookup)'s `Miss` just like `complete_execution`
-    /// would, so the flight-leader never deadlocks waiting on itself.
-    pub fn complete_remote_serve(&self, key: &CacheKey, content_type: &str, body: Arc<[u8]>) {
-        self.finish_flight(key, Some((content_type.to_string(), body)));
+    /// Returns the body as the caller's `B`. It is shared (one copy into
+    /// an `Arc`) only when a waiter can read it; an uncontended fetch
+    /// hands the owner's bytes back untouched.
+    pub fn complete_remote_serve<B>(&self, key: &CacheKey, content_type: &str, body: Vec<u8>) -> B
+    where
+        B: From<Vec<u8>> + From<Arc<[u8]>>,
+    {
+        let Some(flight) = self.flights.finish(key) else {
+            return body.into();
+        };
+        let shared: Arc<[u8]> = body.into();
+        flight.publish(content_type, &shared);
+        shared.into()
+    }
+
+    /// A miss that the key's home resolved to a remote owner, and the
+    /// owner answered (the body, or "gone"): count it as the (possibly
+    /// false) remote hit a home's own lookup would have classified up
+    /// front, so `lookups == local + remote + misses` and
+    /// `executions + flight_served == misses + false_hits` keep holding.
+    pub fn reclassify_miss_as_remote_hit(&self) {
+        CacheStats::debit(&self.stats.misses);
+        CacheStats::bump(&self.stats.remote_hits);
+    }
+
+    /// The owner could not serve the body the caller holds `key`'s flight
+    /// for (a false hit, or it is unreachable or quarantined): the caller
+    /// executes under that flight instead — "when node A receives the
+    /// miss response, it will execute the CGI request locally" — and
+    /// balances it like a miss. From now on an insert notice for the key
+    /// is a §4.2 false miss.
+    pub fn execute_instead(&self, key: &CacheKey) {
+        self.flights.start_executing(key);
     }
 
     /// Serve a peer's fetch of a locally owned entry.
@@ -700,45 +614,12 @@ impl CacheManager {
         self.directory.remove(owner, key);
     }
 
-    /// Mark the start of the fallback execution after a false hit (the
-    /// usual miss bookkeeping, minus the `misses` count which already
-    /// happened as a remote hit). With coalescing on, a fallback that
-    /// finds the key already executing waits for it like any other miss.
-    pub fn begin_fallback_execution(&self, key: &CacheKey) -> FallbackStart {
-        let mut flights = self.flights.lock();
-        match flights.entry(key.clone()) {
-            Entry::Occupied(mut occupied) => {
-                if self.coalesce {
-                    let waiter = FlightWaiter {
-                        flight: Arc::clone(&occupied.get().flight),
-                    };
-                    drop(flights);
-                    CacheStats::bump(&self.stats.coalesce_waits);
-                    FallbackStart::Wait(waiter)
-                } else {
-                    occupied.get_mut().executors += 1;
-                    FallbackStart::Execute
-                }
-            }
-            Entry::Vacant(vacant) => {
-                vacant.insert(FlightEntry::new());
-                FallbackStart::Execute
-            }
-        }
-    }
-
     /// Register the caller as an executor unconditionally — used after a
     /// coalesced wait fails (leader failure or timeout) so the caller's
     /// own execution is balanced by `complete_execution`/`abort_execution`
     /// like any other.
     pub fn begin_forced_execution(&self, key: &CacheKey) {
-        let mut flights = self.flights.lock();
-        match flights.entry(key.clone()) {
-            Entry::Occupied(mut occupied) => occupied.get_mut().executors += 1,
-            Entry::Vacant(vacant) => {
-                vacant.insert(FlightEntry::new());
-            }
-        }
+        self.flights.force(key);
     }
 
     /// Apply a peer's insert notice to its directory table.
@@ -747,9 +628,8 @@ impl CacheManager {
         CacheStats::bump(&self.stats.updates_applied);
         // If we are executing the same key right now, that execution is a
         // false miss (§4.2, scenario 2): the peer cached it first.
-        if self.flights.lock().contains_key(&meta.key) {
-            CacheStats::bump(&self.stats.false_misses);
-        }
+        let false_misses = self.flights.count_executing(std::iter::once(&meta.key));
+        CacheStats::add(&self.stats.false_misses, false_misses as u64);
         self.directory.insert(meta.owner, meta);
     }
 
@@ -792,16 +672,13 @@ impl CacheManager {
         for run in updates.chunks(APPLY_RUN_MAX) {
             // An insert notice for a key executing here right now is a
             // false miss (§4.2, scenario 2): the peer cached it first.
-            let flights = self.flights.lock();
-            if !flights.is_empty() {
-                let false_misses = run
-                    .iter()
-                    .filter(
-                        |u| matches!(u, RemoteUpdate::Insert(m) if flights.contains_key(&m.key)),
-                    )
-                    .count();
-                CacheStats::add(&self.stats.false_misses, false_misses as u64);
-            }
+            let false_misses = self
+                .flights
+                .count_executing(run.iter().filter_map(|u| match u {
+                    RemoteUpdate::Insert(meta) => Some(&meta.key),
+                    RemoteUpdate::Delete { .. } => None,
+                }));
+            CacheStats::add(&self.stats.false_misses, false_misses as u64);
         }
         for update in &updates {
             match update {
@@ -1199,21 +1076,128 @@ mod tests {
         assert_eq!(s.coalesce_fallbacks, 1);
     }
 
+    /// A manager that lists `k` as cached at node 2.
+    fn with_remote_entry(m: &CacheManager, k: &CacheKey) {
+        m.apply_remote_insert(EntryMeta::new(
+            k.clone(),
+            NodeId(2),
+            4,
+            "text/html",
+            1_000,
+            None,
+            1,
+        ));
+    }
+
     #[test]
-    fn fallback_after_false_hit_coalesces_too() {
+    fn a_remote_hit_joins_an_executing_flight_as_a_remote_hit() {
         let m = manager(10);
         let k = key("/cgi-bin/fh?x=1");
         assert!(matches!(
             m.lookup(&k, k.as_str()),
             LookupResult::Miss { .. }
         ));
-        // A false-hit fallback arriving while the miss executes waits for
-        // it instead of double-executing.
+        // A peer's insert lands mid-execution; the next request is a
+        // remote hit, and it waits for the execution instead of fetching.
+        with_remote_entry(&m, &k);
         assert!(matches!(
-            m.begin_fallback_execution(&k),
-            FallbackStart::Wait(_)
+            m.lookup(&k, k.as_str()),
+            LookupResult::RemoteHit { .. }
         ));
-        assert_eq!(m.stats().snapshot().coalesce_waits, 1);
+        assert!(m.begin_remote_fetch(&k).is_some());
+        let s = m.stats().snapshot();
+        assert_eq!((s.remote_hits, s.coalesce_waits), (1, 0));
+    }
+
+    #[test]
+    fn remote_waiters_are_remote_hits_served_the_leader_fetch() {
+        let m = Arc::new(manager(10));
+        let k = key("/cgi-bin/burst-remote?x=1");
+        with_remote_entry(&m, &k);
+        let mut waiters = Vec::new();
+        for i in 0..4 {
+            assert!(matches!(
+                m.lookup(&k, k.as_str()),
+                LookupResult::RemoteHit { .. }
+            ));
+            match (i, m.begin_remote_fetch(&k)) {
+                (0, None) => {}
+                (0, Some(_)) => panic!("the first remote hit leads"),
+                (_, Some(waiter)) => {
+                    let m = Arc::clone(&m);
+                    waiters.push(std::thread::spawn(move || m.wait_flight(waiter)));
+                }
+                (_, None) => panic!("an identical remote hit must wait"),
+            }
+        }
+        let body: Arc<[u8]> = m.complete_remote_serve(&k, "text/html", b"owner-body".to_vec());
+        for waiter in waiters {
+            match waiter.join().unwrap() {
+                FlightWaitOutcome::Served { body: got, .. } => assert!(Arc::ptr_eq(&got, &body)),
+                other => panic!("{other:?}"),
+            }
+        }
+        let s = m.stats().snapshot();
+        assert_eq!(s.lookups, 4);
+        assert_eq!(s.remote_hits, 4);
+        assert_eq!(
+            (s.coalesce_waits, s.coalesce_fallbacks, s.false_hits),
+            (0, 0, 0)
+        );
+    }
+
+    /// The two shapes a remote-serve body comes back in.
+    #[derive(Debug)]
+    enum Served {
+        Owned(Vec<u8>),
+        Shared,
+    }
+
+    impl From<Vec<u8>> for Served {
+        fn from(body: Vec<u8>) -> Served {
+            Served::Owned(body)
+        }
+    }
+
+    impl From<Arc<[u8]>> for Served {
+        fn from(_: Arc<[u8]>) -> Served {
+            Served::Shared
+        }
+    }
+
+    #[test]
+    fn an_uncontended_remote_serve_hands_the_body_back_uncopied() {
+        let m = manager(10);
+        let k = key("/cgi-bin/alone?x=1");
+        with_remote_entry(&m, &k);
+        m.lookup(&k, k.as_str());
+        assert!(m.begin_remote_fetch(&k).is_none());
+        let body = b"owner-body".to_vec();
+        let at = body.as_ptr();
+        match m.complete_remote_serve(&k, "text/html", body) {
+            Served::Owned(body) => assert_eq!(body.as_ptr(), at, "the owner's bytes, not a copy"),
+            Served::Shared => panic!("nobody waited, yet the body was shared"),
+        }
+    }
+
+    #[test]
+    fn an_insert_notice_for_a_fetching_flight_is_no_false_miss() {
+        let m = manager(10);
+        let k = key("/cgi-bin/fetching?x=1");
+        with_remote_entry(&m, &k);
+        m.lookup(&k, k.as_str());
+        assert!(m.begin_remote_fetch(&k).is_none());
+        // Another owner's insert notice, one notice at a time and batched:
+        // the flight only fetches, so neither is a §4.2 false miss.
+        let notice = |seq| EntryMeta::new(k.clone(), NodeId(1), 4, "t", 1000, None, seq);
+        m.apply_remote_insert(notice(2));
+        m.apply_remote_batch(vec![RemoteUpdate::Insert(notice(3))]);
+        assert_eq!(m.stats().snapshot().false_misses, 0);
+        // The owner could not serve it: the flight executes now, and the
+        // same notice is a false miss.
+        m.execute_instead(&k);
+        m.apply_remote_batch(vec![RemoteUpdate::Insert(notice(4))]);
+        assert_eq!(m.stats().snapshot().false_misses, 1);
     }
 
     #[test]
@@ -1243,20 +1227,18 @@ mod tests {
     fn remote_insert_classifies_remote_then_false_hit_fallback() {
         let m = manager(10);
         let k = key("/cgi-bin/r?x=1");
-        let remote_meta = EntryMeta::new(k.clone(), NodeId(2), 4, "text/html", 1_000_000, None, 1);
-        m.apply_remote_insert(remote_meta);
+        with_remote_entry(&m, &k);
         match m.lookup(&k, k.as_str()) {
             LookupResult::RemoteHit { meta } => assert_eq!(meta.owner, NodeId(2)),
             other => panic!("{other:?}"),
         }
-        // Remote says gone: false hit, entry dropped, fallback executes.
+        assert!(m.begin_remote_fetch(&k).is_none());
+        // Remote says gone: false hit, entry dropped, the leader executes
+        // under the flight it holds.
         m.note_false_hit(NodeId(2), &k);
         assert_eq!(m.stats().snapshot().false_hits, 1);
-        assert!(matches!(
-            m.begin_fallback_execution(&k),
-            FallbackStart::Execute
-        ));
-        let decision = CacheRules::allow_all().decide(k.as_str());
+        m.execute_instead(&k);
+        let decision = m.lookup_decision(k.as_str());
         m.complete_execution(
             &k,
             b"recomputed",
@@ -1615,8 +1597,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(30));
         // ...and the leader resolves the miss from a remote owner.
-        let body: Arc<[u8]> = Arc::from(&b"owner-body"[..]);
-        m.complete_remote_serve(&k, "text/html", body);
+        let _: Arc<[u8]> = m.complete_remote_serve(&k, "text/html", b"owner-body".to_vec());
         match handle.join().unwrap() {
             FlightWaitOutcome::Served { content_type, body } => {
                 assert_eq!(content_type, "text/html");

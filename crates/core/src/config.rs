@@ -85,10 +85,11 @@ pub struct ServerOptions {
     /// Max idle fetch connections kept warm per peer; 0 disables
     /// pooling (every remote fetch dials).
     pub fetch_pool_size: usize,
-    /// Single-flight coalescing: concurrent identical misses wait for
-    /// the first execution (and concurrent identical remote fetches
-    /// share one owner fetch) instead of duplicating the work. Off
-    /// preserves the paper's re-run semantics for the §5 experiments.
+    /// Single-flight coalescing: concurrent identical misses and remote
+    /// hits wait for the one request producing the key's body (an
+    /// execution, or a fetch from the owner) instead of duplicating the
+    /// work. Off preserves the paper's re-run semantics for the §5
+    /// experiments.
     pub coalesce: bool,
     /// Fault injector shared by the node's transports. `None` (always,
     /// outside chaos tests — there is no config-file syntax for it) means

@@ -12,15 +12,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala_cache::{
-    CacheDecision, CacheKey, CacheManager, CacheStats, EntryMeta, FallbackStart, FlightWaitOutcome,
-    FlightWaiter, InsertOutcome, LookupResult, NodeId,
+    CacheDecision, CacheKey, CacheManager, EntryMeta, FlightWaitOutcome, FlightWaiter,
+    InsertOutcome, LookupResult, NodeId,
 };
 use swala_cgi::{CgiOutput, CgiRequest, Program, ProgramRegistry};
-use swala_http::{Method, Request, Response, StatusCode};
+use swala_http::{Body, Method, Request, Response, StatusCode};
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
 use swala_proto::{
-    announce, announce_delete, Broadcaster, Dialer, FetchOutcome, FetchPool, HealthTracker,
-    Message, PeerState, RetryPolicy,
+    announce, announce_delete, announce_node_down, Broadcaster, Dialer, FetchOutcome, FetchPool,
+    HealthTracker, PeerState, RetryPolicy,
 };
 
 /// Value of the diagnostic `X-Swala-Cache` response header.
@@ -105,9 +105,7 @@ impl NodeContext {
         if self.health.record_failure(peer) == Some(PeerState::Quarantined) {
             self.manager.evict_node(peer);
             self.fetch_pool.purge_peer(peer);
-            self.broadcaster
-                .broadcast(&Message::NodeDown { node: peer });
-            CacheStats::bump(&self.manager.stats().broadcasts_sent);
+            announce_node_down(&self.manager, &self.broadcaster, peer);
         }
     }
 
@@ -282,21 +280,24 @@ fn handle_dynamic(
                 swala_cache::BodyTier::Memory => Outcome::LocalMem,
                 swala_cache::BodyTier::Disk => Outcome::LocalDisk,
             });
-            let mut resp = Response::ok(&meta.content_type, body);
-            resp.headers
-                .set(cache_header::NAME, cache_header::LOCAL_HIT);
-            resp
+            tagged(
+                Response::ok(&meta.content_type, body),
+                cache_header::LOCAL_HIT,
+            )
         }
-        LookupResult::RemoteHit { meta } => handle_remote_hit(ctx, exec, key, meta.owner, trace),
+        LookupResult::RemoteHit { meta } => match ctx.manager.begin_remote_fetch(&key) {
+            None => serve_from_owner(ctx, exec, key, meta.owner, false, trace),
+            Some(waiter) => wait_and_serve(ctx, exec, key, waiter, trace),
+        },
         LookupResult::Miss { decision, .. } => {
             // A local miss is a cluster miss only where this node is one
             // of the key's homes; elsewhere the home holds the entry, so
-            // ask it before executing. The caller holds the miss
-            // execution slot throughout, so concurrent identical requests
-            // coalesce behind the answer.
+            // ask it before executing. The caller holds the key's flight
+            // throughout, so concurrent identical requests coalesce
+            // behind the answer.
             let tag = match ctx.ask_home(&key, trace) {
                 Ok(Some(meta)) if meta.owner != ctx.node => {
-                    return fetch_body_from_owner(ctx, exec, key, decision, meta.owner, trace);
+                    return serve_from_owner(ctx, exec, key, meta.owner, true, trace);
                 }
                 Ok(Some(stale)) => {
                     // The home says *we* own it, but we just missed
@@ -310,39 +311,42 @@ fn handle_dynamic(
             };
             execute_and_cache(ctx, exec, key, decision, tag, trace)
         }
-        LookupResult::CoalesceWait { decision, waiter } => {
-            wait_and_serve(ctx, exec, key, decision, waiter, trace)
-        }
+        LookupResult::CoalesceWait { waiter, .. } => wait_and_serve(ctx, exec, key, waiter, trace),
     }
 }
 
-/// Single-flight wait: park behind the identical in-flight execution and
-/// serve its body. On leader failure or timeout, fall back to executing
-/// (registered first, so the fallback is itself coalesce-visible).
+/// Single-flight wait: park behind the identical request producing the
+/// key's body and serve it. On leader failure or timeout, fall back to
+/// executing (registered first, so the fallback is itself
+/// coalesce-visible).
 fn wait_and_serve(
     ctx: &NodeContext,
     exec: &Exec<'_>,
     key: CacheKey,
-    decision: CacheDecision,
     waiter: FlightWaiter,
     trace: &mut Trace,
 ) -> Response {
+    let remote_hit = waiter.is_remote_hit();
     let t0 = trace.start_span();
     let outcome = ctx.manager.wait_flight(waiter);
     trace.end_span(Stage::CoalesceWait, t0);
     match outcome {
+        // A waiting remote hit answers like the fetch it joined.
+        FlightWaitOutcome::Served { content_type, body } if remote_hit => {
+            RequestStats::bump(&ctx.stats.served_remote_cache);
+            trace.set_outcome(Outcome::Remote);
+            tagged(Response::ok(&content_type, body), cache_header::REMOTE_HIT)
+        }
         FlightWaitOutcome::Served { content_type, body } => {
             RequestStats::bump(&ctx.stats.served_local_cache);
             // Latency-faithful: a coalesced request still paid (most of)
             // the miss latency, so it lands in the miss histogram.
             trace.set_outcome(Outcome::Miss);
-            let mut resp = Response::ok(&content_type, body);
-            resp.headers
-                .set(cache_header::NAME, cache_header::COALESCED);
-            resp
+            tagged(Response::ok(&content_type, body), cache_header::COALESCED)
         }
         FlightWaitOutcome::LeaderFailed | FlightWaitOutcome::TimedOut => {
             ctx.manager.begin_forced_execution(&key);
+            let decision = ctx.manager.lookup_decision(key.as_str());
             execute_and_cache(
                 ctx,
                 exec,
@@ -355,164 +359,95 @@ fn wait_and_serve(
     }
 }
 
-/// How a fetch from an entry's owner ended.
-enum OwnerFetch {
-    /// The owner served the body.
-    Hit { content_type: String, body: Vec<u8> },
-    /// The owner answered that the entry is gone — §4.2's false hit —
-    /// and the stale record has been repaired.
-    Gone,
-    /// The owner could not be asked: execute instead, tagged so.
-    Unavailable(&'static str),
-}
-
-/// Figure 2's "Fetch from remote cache" step, shared by a remote hit and
-/// a miss the key's home resolved: the owner's address, the quarantine
-/// gate, the timed fetch with its retry accounting, the peer's health
-/// bookkeeping, and the false-hit repair ("when node A receives the miss
-/// response, it will execute the CGI request locally").
-fn fetch_from_owner(
+/// Figure 2's "Fetch from remote cache" step, for a remote hit and for a
+/// miss the key's home resolved to `owner` (`home_resolved`). The caller
+/// holds the key's flight, so identical requests wait on this one fetch:
+/// the owner's body is published to them, or — after a false hit, or with
+/// the owner unreachable or quarantined — this request executes under the
+/// flight ("when node A receives the miss response, it will execute the
+/// CGI request locally"). Only this request records the owner's health,
+/// the false hit and its repair.
+fn serve_from_owner(
     ctx: &NodeContext,
-    key: &CacheKey,
+    exec: &Exec<'_>,
+    key: CacheKey,
     owner: NodeId,
+    home_resolved: bool,
     trace: &mut Trace,
-) -> OwnerFetch {
+) -> Response {
     trace.set_owner(owner.0);
-    let addr = match ctx.peer_to_ask(owner) {
-        Ok(addr) => addr,
-        Err(tag) => return OwnerFetch::Unavailable(tag),
-    };
-    // The trace id rides in the fetch request, so the owner records
-    // correlated spans under the same id.
-    let t0 = trace.start_span();
-    let (outcome, attempts) = ctx.fetch_pool.fetch(
-        owner,
-        addr,
-        key,
-        FETCH_TIMEOUT,
-        &ctx.retry_policy,
-        trace.id(),
-    );
-    trace.end_span(Stage::RemoteFetch, t0);
-    if attempts > 1 {
-        RequestStats::add(&ctx.stats.fetch_retries, (attempts - 1) as u64);
-        trace.add_remote_attempts(attempts - 1);
-    }
-    trace.add_remote_attempts(1);
-    match outcome {
-        FetchOutcome::Hit { content_type, body } => {
-            ctx.health.record_success(owner);
-            RequestStats::bump(&ctx.stats.served_remote_cache);
-            trace.set_outcome(Outcome::Remote);
-            // Heat-sketch cost attribution: a remote hit's wire time is
-            // this key's cost, like exec time is a miss's. `t0` is None
-            // exactly when obs is off, and the sketch is disabled then.
-            if let Some(t0) = t0 {
-                ctx.manager
-                    .heat()
-                    .add_cost(key.as_str(), t0.elapsed().as_micros() as u64);
+    let tag = match ctx.peer_to_ask(owner) {
+        Err(tag) => tag,
+        Ok(addr) => {
+            // The trace id rides in the fetch request, so the owner
+            // records correlated spans under the same id.
+            let t0 = trace.start_span();
+            let (outcome, attempts) = ctx.fetch_pool.fetch(
+                owner,
+                addr,
+                &key,
+                FETCH_TIMEOUT,
+                &ctx.retry_policy,
+                trace.id(),
+            );
+            trace.end_span(Stage::RemoteFetch, t0);
+            if attempts > 1 {
+                RequestStats::add(&ctx.stats.fetch_retries, (attempts - 1) as u64);
+                trace.add_remote_attempts(attempts - 1);
             }
-            OwnerFetch::Hit { content_type, body }
+            trace.add_remote_attempts(1);
+            if home_resolved && !matches!(outcome, FetchOutcome::Unreachable(_)) {
+                // The local lookup said Miss, but the owner answered.
+                ctx.manager.reclassify_miss_as_remote_hit();
+            }
+            match outcome {
+                FetchOutcome::Hit { content_type, body } => {
+                    ctx.health.record_success(owner);
+                    RequestStats::bump(&ctx.stats.served_remote_cache);
+                    trace.set_outcome(Outcome::Remote);
+                    // Heat-sketch cost attribution: a remote hit's wire
+                    // time is this key's cost, like exec time is a miss's.
+                    // `t0` is None exactly when obs is off, and the sketch
+                    // is disabled then.
+                    if let Some(t0) = t0 {
+                        ctx.manager
+                            .heat()
+                            .add_cost(key.as_str(), t0.elapsed().as_micros() as u64);
+                    }
+                    let body: Body = ctx.manager.complete_remote_serve(&key, &content_type, body);
+                    return tagged(Response::ok(&content_type, body), cache_header::REMOTE_HIT);
+                }
+                FetchOutcome::Gone => {
+                    // A reply — even "gone" — proves the peer is alive.
+                    ctx.health.record_success(owner);
+                    ctx.manager.note_false_hit(owner, &key);
+                    // Directory repair: the owner no longer has this
+                    // entry, so every other record pointing at it is stale
+                    // too. Announce the deletion on the owner's behalf (it
+                    // may have restarted with no memory of its old
+                    // advertisements) to the key's homes.
+                    announce_delete(&ctx.manager, &ctx.broadcaster, owner, &key);
+                    cache_header::FALSE_HIT
+                }
+                FetchOutcome::Unreachable(_) => {
+                    // Peer down ≠ entry gone: the directory entry survives
+                    // a transient failure; quarantine is what declares it
+                    // dead.
+                    ctx.note_peer_failure(owner);
+                    cache_header::REMOTE_DOWN
+                }
+            }
         }
-        FetchOutcome::Gone => {
-            // A reply — even "gone" — proves the peer is alive.
-            ctx.health.record_success(owner);
-            ctx.manager.note_false_hit(owner, key);
-            // Directory repair: the owner no longer has this entry, so
-            // every other record pointing at it is stale too. Announce
-            // the deletion on the owner's behalf (it may have restarted
-            // with no memory of its old advertisements) to the key's
-            // homes.
-            announce_delete(&ctx.manager, &ctx.broadcaster, owner, key);
-            OwnerFetch::Gone
-        }
-        FetchOutcome::Unreachable(_) => {
-            // Peer down ≠ entry gone: the directory entry survives a
-            // transient failure; quarantine is what declares it dead.
-            ctx.note_peer_failure(owner);
-            OwnerFetch::Unavailable(cache_header::REMOTE_DOWN)
-        }
-    }
-}
-
-/// The response to a remote hit: the owner's body, tagged.
-fn remote_hit(content_type: &str, body: Vec<u8>) -> Response {
-    let mut resp = Response::ok(content_type, body);
-    resp.headers
-        .set(cache_header::NAME, cache_header::REMOTE_HIT);
-    resp
-}
-
-/// A directory hit on a peer's entry. The lookup took no execution slot,
-/// so a failed fetch falls back through [`execute_fallback`].
-fn handle_remote_hit(
-    ctx: &NodeContext,
-    exec: &Exec<'_>,
-    key: CacheKey,
-    owner: NodeId,
-    trace: &mut Trace,
-) -> Response {
-    match fetch_from_owner(ctx, &key, owner, trace) {
-        OwnerFetch::Hit { content_type, body } => remote_hit(&content_type, body),
-        OwnerFetch::Gone => execute_fallback(ctx, exec, key, cache_header::FALSE_HIT, trace),
-        OwnerFetch::Unavailable(tag) => execute_fallback(ctx, exec, key, tag, trace),
-    }
-}
-
-/// Fetch the body from the owner the key's home named. Unlike
-/// [`handle_remote_hit`], the caller holds the miss execution slot: a hit
-/// is published to coalesced waiters via `complete_remote_serve` (which
-/// releases the slot without inserting), and fallbacks execute directly.
-fn fetch_body_from_owner(
-    ctx: &NodeContext,
-    exec: &Exec<'_>,
-    key: CacheKey,
-    decision: CacheDecision,
-    owner: NodeId,
-    trace: &mut Trace,
-) -> Response {
-    let fetched = fetch_from_owner(ctx, &key, owner, trace);
-    if !matches!(fetched, OwnerFetch::Unavailable(_)) {
-        // The local lookup said Miss (this node's directory has no
-        // entry), but cluster-wide the owner answered: reclassify it as a
-        // (possibly false) remote hit, so hit/miss accounting matches a
-        // node that is the key's home, whose directory classifies Remote
-        // up front — lookups == hits + misses and executions == misses +
-        // false_hits both keep holding.
-        CacheStats::debit(&ctx.manager.stats().misses);
-        CacheStats::bump(&ctx.manager.stats().remote_hits);
-    }
-    match fetched {
-        OwnerFetch::Hit { content_type, body } => {
-            ctx.manager
-                .complete_remote_serve(&key, &content_type, Arc::from(body.as_slice()));
-            remote_hit(&content_type, body)
-        }
-        OwnerFetch::Gone => {
-            execute_and_cache(ctx, exec, key, decision, cache_header::FALSE_HIT, trace)
-        }
-        OwnerFetch::Unavailable(tag) => execute_and_cache(ctx, exec, key, decision, tag, trace),
-    }
-}
-
-/// Start a fallback execution (false hit, unreachable or quarantined
-/// peer) — unless an identical execution is already in flight and
-/// coalescing is on, in which case park behind it instead of
-/// double-executing.
-fn execute_fallback(
-    ctx: &NodeContext,
-    exec: &Exec<'_>,
-    key: CacheKey,
-    tag: &'static str,
-    trace: &mut Trace,
-) -> Response {
-    // Re-derive the rules decision for the fallback execution path (the
-    // original lookup returned RemoteHit, which carries no decision).
+    };
+    ctx.manager.execute_instead(&key);
     let decision = ctx.manager.lookup_decision(key.as_str());
-    match ctx.manager.begin_fallback_execution(&key) {
-        FallbackStart::Execute => execute_and_cache(ctx, exec, key, decision, tag, trace),
-        FallbackStart::Wait(waiter) => wait_and_serve(ctx, exec, key, decision, waiter, trace),
-    }
+    execute_and_cache(ctx, exec, key, decision, tag, trace)
+}
+
+/// `resp` with its `X-Swala-Cache` class.
+fn tagged(mut resp: Response, tag: &'static str) -> Response {
+    resp.headers.set(cache_header::NAME, tag);
+    resp
 }
 
 /// Execute without any cache interaction.
@@ -529,11 +464,7 @@ fn execute_plain(
     let result = exec.program.run(&cgi_req);
     trace.end_span(Stage::CgiExec, t0);
     match result {
-        Ok(out) => {
-            let mut resp = output_to_response(out);
-            resp.headers.set(cache_header::NAME, tag);
-            resp
-        }
+        Ok(out) => tagged(output_to_response(out), tag),
         Err(_) => Response::error(StatusCode::INTERNAL_SERVER_ERROR),
     }
 }
@@ -567,9 +498,7 @@ fn execute_and_cache(
     // Only 200s are cacheable; an error result is returned but not kept.
     if out.status != StatusCode::OK {
         ctx.manager.abort_execution(&key);
-        let mut resp = output_to_response(out);
-        resp.headers.set(cache_header::NAME, tag);
-        return resp;
+        return tagged(output_to_response(out), tag);
     }
 
     match ctx
@@ -588,9 +517,7 @@ fn execute_and_cache(
             // good; the cache just doesn't keep it.
         }
     }
-    let mut resp = output_to_response(out);
-    resp.headers.set(cache_header::NAME, tag);
-    resp
+    tagged(output_to_response(out), tag)
 }
 
 fn output_to_response(out: CgiOutput) -> Response {

@@ -263,9 +263,7 @@ impl BoundSwala {
             None => None,
         };
 
-        let fetch_pool = Arc::new(
-            FetchPool::new(dialer.clone(), options.fetch_pool_size).with_coalesce(options.coalesce),
-        );
+        let fetch_pool = Arc::new(FetchPool::new(dialer.clone(), options.fetch_pool_size));
         {
             // Fetch-pool and broadcaster internals expose their own
             // atomics; closures adapt them into registry counters.
@@ -287,24 +285,6 @@ impl BoundSwala {
                 "swala_fetch_stale_drops",
                 "Fetch-pool pooled connections dropped as stale",
                 move || p.stats().stale_drops,
-            );
-            let p = Arc::clone(&fetch_pool);
-            reg.register_counter(
-                "swala_fetch_coalesce_leads",
-                "Remote fetches that led a single-flight burst",
-                move || p.stats().coalesce_leads,
-            );
-            let p = Arc::clone(&fetch_pool);
-            reg.register_counter(
-                "swala_fetch_coalesce_waits",
-                "Remote fetches served by an identical in-flight fetch",
-                move || p.stats().coalesce_waits,
-            );
-            let p = Arc::clone(&fetch_pool);
-            reg.register_counter(
-                "swala_fetch_coalesce_timeouts",
-                "Coalesced fetch waits that gave up and fetched alone",
-                move || p.stats().coalesce_timeouts,
             );
             let b = Arc::clone(&broadcaster);
             reg.register_counter(

@@ -3,23 +3,27 @@
 //!
 //! Every allocation is tallied against the thread that made it, so the
 //! request thread's share can be read from outside while the server runs
-//! as it does in production. The budget is what a warm local hit costs
-//! today plus 20 % slack: a change that makes a hit build something it
-//! does not use (the parent commit built the whole CGI request view,
+//! as it does in production. The budget is what a warm hit costs today
+//! plus 20 % slack: a change that makes a hit build something it does
+//! not use (the parent commit built the whole CGI request view,
 //! ≈ 12 allocations, before every lookup) fails here, not in a profile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
+use swala_cache::NodeId;
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::StatusCode;
 
 /// More threads than the test ever runs; later ones share the last slot.
-const SLOTS: usize = 64;
+const SLOTS: usize = 256;
 
 static ALLOCATIONS: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
+/// Kernel thread id of each slot's thread, for its name in `/proc`.
+static TIDS: [AtomicI32; SLOTS] = [const { AtomicI32::new(0) }; SLOTS];
 static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -29,12 +33,19 @@ thread_local! {
     static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
+extern "C" {
+    fn gettid() -> i32;
+}
+
 struct Tally;
 
 fn count_one() {
     let slot = SLOT.with(|s| {
         if s.get() == usize::MAX {
-            s.set(NEXT_SLOT.fetch_add(1, Ordering::Relaxed).min(SLOTS - 1));
+            let slot = NEXT_SLOT.fetch_add(1, Ordering::Relaxed).min(SLOTS - 1);
+            s.set(slot);
+            // SAFETY: gettid takes nothing and returns the caller's id.
+            TIDS[slot].store(unsafe { gettid() }, Ordering::Relaxed);
         }
         s.get()
     });
@@ -65,6 +76,10 @@ unsafe impl GlobalAlloc for Tally {
 #[global_allocator]
 static GLOBAL: Tally = Tally;
 
+/// The tests start servers of their own; one at a time, so a thread
+/// measured by one is never busy for the other.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn tallies() -> Vec<u64> {
     ALLOCATIONS
         .iter()
@@ -76,51 +91,65 @@ fn tallies() -> Vec<u64> {
 /// reference build: parent commit 51.0, this change 27.0.
 const BUDGET_PER_HIT: f64 = 27.0 * 1.2;
 
-#[test]
-fn a_warm_local_hit_stays_within_its_allocation_budget() {
+/// Allocations per warm pooled remote hit on the requester's request
+/// thread, measured on the reference build: 32.0 with the remote hit's
+/// flight in the fetch pool, 32.0 with it in the cache manager.
+const BUDGET_PER_REMOTE_HIT: f64 = 32.0 * 1.2;
+
+fn registry() -> ProgramRegistry {
     let mut registry = ProgramRegistry::new();
     registry.register(Arc::new(SimulatedProgram::trace_driven(
         "adl",
         WorkKind::Sleep,
     )));
-    // Two request threads: one stays with the connection, and while the
-    // other is idle the connection is never parked — the production hot
-    // path. (Alone, a thread parks the connection after every response
-    // and the next request's fresh read buffer is a 28th allocation.)
-    let server = SwalaServer::start_single(
-        ServerOptions {
-            pool_size: 2,
-            ..Default::default()
-        },
-        registry,
-    )
-    .unwrap();
-    let mut client = HttpClient::new(server.http_addr());
-    let mut hit = || {
-        let resp = client.get("/cgi-bin/adl?id=1&ms=0").unwrap();
-        assert_eq!(resp.status, StatusCode::OK);
-        resp
-    };
-    // The miss, then enough hits that every lazily grown structure (the
-    // trace ring, histograms, the date cache) has reached its size.
+    registry
+}
+
+/// Two request threads: one stays with the connection, and while the
+/// other is idle the connection is never parked — the production hot
+/// path. (Alone, a thread parks the connection after every response and
+/// the next request's fresh read buffer is one more allocation.)
+fn options() -> ServerOptions {
+    ServerOptions {
+        pool_size: 2,
+        ..Default::default()
+    }
+}
+
+/// Allocations per `hit` on the busiest request thread, after enough
+/// warm-up hits that every lazily grown structure (the trace ring,
+/// histograms, the date cache, pooled connections) has reached its size.
+fn per_hit_on_the_request_thread(mut hit: impl FnMut()) -> f64 {
     for _ in 0..2_000 {
         hit();
     }
-    assert_eq!(hit().headers.get("X-Swala-Cache"), Some("local-hit"));
-
     const HITS: u64 = 2_000;
-    let mine = SLOT.with(Cell::get);
     let before = tallies();
     for _ in 0..HITS {
         hit();
     }
     let after = tallies();
-    // The request thread is the busiest thread that is not this one
-    // (the purge and accept threads allocate next to nothing).
-    let per_hit = (0..SLOTS)
-        .filter(|&slot| slot != mine)
+    (0..SLOTS)
+        .filter(|&slot| {
+            let tid = TIDS[slot].load(Ordering::Relaxed);
+            std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
+                .is_ok_and(|name| name.starts_with("swala-request"))
+        })
         .map(|slot| (after[slot] - before[slot]) as f64 / HITS as f64)
-        .fold(0.0, f64::max);
+        .fold(0.0, f64::max)
+}
+
+#[test]
+fn a_warm_local_hit_stays_within_its_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let server = SwalaServer::start_single(options(), registry()).unwrap();
+    let mut client = HttpClient::new(server.http_addr());
+    let per_hit = per_hit_on_the_request_thread(|| {
+        let resp = client.get("/cgi-bin/adl?id=1&ms=0").unwrap();
+        assert_eq!(resp.status, StatusCode::OK);
+    });
+    let resp = client.get("/cgi-bin/adl?id=1&ms=0").unwrap();
+    assert_eq!(resp.headers.get("X-Swala-Cache"), Some("local-hit"));
     println!("allocations per warm local hit on the request thread: {per_hit:.1}");
     assert!(per_hit >= 1.0, "found the request thread's tally");
     assert!(
@@ -128,4 +157,35 @@ fn a_warm_local_hit_stays_within_its_allocation_budget() {
         "{per_hit:.1} allocations per hit, budget {BUDGET_PER_HIT:.1}"
     );
     server.shutdown();
+}
+
+#[test]
+fn a_warm_remote_hit_stays_within_its_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let nodes = swala::start_cluster(2, |_| (options(), registry())).unwrap();
+    let target = "/cgi-bin/adl?id=2&ms=0";
+    HttpClient::new(nodes[1].http_addr()).get(target).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while nodes[0].manager().directory().len(NodeId(1)) == 0 {
+        assert!(Instant::now() < deadline, "node 1's insert never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The requester side: node 0's request thread fetches from node 1
+    // over its pooled connection.
+    let mut client = HttpClient::new(nodes[0].http_addr());
+    let per_hit = per_hit_on_the_request_thread(|| {
+        let resp = client.get(target).unwrap();
+        assert_eq!(resp.status, StatusCode::OK);
+    });
+    let resp = client.get(target).unwrap();
+    assert_eq!(resp.headers.get("X-Swala-Cache"), Some("remote-hit"));
+    println!("allocations per warm remote hit on the requester's request thread: {per_hit:.1}");
+    assert!(per_hit >= 1.0, "found the request thread's tally");
+    assert!(
+        per_hit <= BUDGET_PER_REMOTE_HIT,
+        "{per_hit:.1} allocations per remote hit, budget {BUDGET_PER_REMOTE_HIT:.1}"
+    );
+    for node in nodes {
+        node.shutdown();
+    }
 }

@@ -97,6 +97,13 @@ pub fn announce_delete(
     enqueue(manager, broadcaster, route(manager, delete).as_slice());
 }
 
+/// Tell every peer that this node declared `node` dead, so they stop
+/// taking false hits on its entries too.
+pub fn announce_node_down(manager: &CacheManager, broadcaster: &Broadcaster, node: NodeId) {
+    broadcaster.broadcast(&Message::NodeDown { node });
+    CacheStats::bump(&manager.stats().broadcasts_sent);
+}
+
 /// Tell the cluster about one insert and the evictions it caused, as
 /// [`announce_insert`] and an [`announce_delete`] per victim would — but
 /// with every notice bound for a link queued under one lock. The

@@ -47,7 +47,8 @@ pub mod reader;
 pub mod wire;
 
 pub use daemon::{
-    announce, announce_delete, announce_insert, CacheDaemons, DaemonConfig, PURGE_INTERVAL,
+    announce, announce_delete, announce_insert, announce_node_down, CacheDaemons, DaemonConfig,
+    PURGE_INTERVAL,
 };
 pub use faults::{AcceptFilter, FaultAction, FaultEvent, FaultInjector, FaultRule};
 pub use fetch::{

@@ -22,13 +22,11 @@ use crate::message::Message;
 use crate::reader::{FrameRead, PatientReader};
 use crate::wire::{write_frame, ProtoError};
 use parking_lot::Mutex;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use swala_cache::{CacheKey, NodeId};
 
 /// Default maximum idle connections kept per peer.
@@ -45,43 +43,15 @@ pub struct FetchPoolStats {
     pub stale_drops: u64,
     /// Idle connections currently parked, across all peers.
     pub idle: u64,
-    /// Fetches that led a single-flight burst (executed the wire fetch).
-    pub coalesce_leads: u64,
-    /// Fetches served by waiting on an identical in-flight fetch.
-    pub coalesce_waits: u64,
-    /// Coalesced waits that gave up and fetched on their own.
-    pub coalesce_timeouts: u64,
 }
 
 impl fmt::Display for FetchPoolStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "connects={} reuses={} stale_drops={} idle={} coalesce_leads={} coalesce_waits={} coalesce_timeouts={}",
-            self.connects_opened,
-            self.reuses,
-            self.stale_drops,
-            self.idle,
-            self.coalesce_leads,
-            self.coalesce_waits,
-            self.coalesce_timeouts,
+            "connects={} reuses={} stale_drops={} idle={}",
+            self.connects_opened, self.reuses, self.stale_drops, self.idle,
         )
-    }
-}
-
-/// Shared record of one in-flight `(peer, key)` wire fetch: the leader
-/// publishes its [`FetchOutcome`] here and every waiter clones it.
-struct FetchFlight {
-    outcome: StdMutex<Option<FetchOutcome>>,
-    cv: Condvar,
-}
-
-impl FetchFlight {
-    fn new() -> FetchFlight {
-        FetchFlight {
-            outcome: StdMutex::new(None),
-            cv: Condvar::new(),
-        }
     }
 }
 
@@ -94,45 +64,26 @@ pub struct FetchPool {
     dialer: Dialer,
     max_per_peer: usize,
     idle: Mutex<HashMap<u16, Vec<Conn>>>,
-    /// Single-flight registry: one in-flight wire fetch per `(peer, key)`
-    /// when coalescing is on; concurrent identical fetches wait for it.
-    /// Keyed by peer, then key, so only the insert needs an owned key.
-    flights: Mutex<HashMap<u16, HashMap<CacheKey, Arc<FetchFlight>>>>,
-    coalesce: bool,
     connects_opened: AtomicU64,
     reuses: AtomicU64,
     stale_drops: AtomicU64,
-    coalesce_leads: AtomicU64,
-    coalesce_waits: AtomicU64,
-    coalesce_timeouts: AtomicU64,
 }
 
 impl FetchPool {
     /// A pool dialing through `dialer`, keeping at most `max_per_peer`
     /// idle connections per peer. `max_per_peer == 0` disables pooling
-    /// (every fetch dials, like PR 1). Single-flight coalescing of
-    /// identical fetches defaults on; see [`with_coalesce`](Self::with_coalesce).
+    /// (every fetch dials). Identical concurrent fetches are
+    /// not merged here: the cache manager's flight registry lets one
+    /// request per key fetch while the others wait.
     pub fn new(dialer: Dialer, max_per_peer: usize) -> FetchPool {
         FetchPool {
             dialer,
             max_per_peer,
             idle: Mutex::new(HashMap::new()),
-            flights: Mutex::new(HashMap::new()),
-            coalesce: true,
             connects_opened: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             stale_drops: AtomicU64::new(0),
-            coalesce_leads: AtomicU64::new(0),
-            coalesce_waits: AtomicU64::new(0),
-            coalesce_timeouts: AtomicU64::new(0),
         }
-    }
-
-    /// Enable/disable single-flight coalescing (off = every identical
-    /// concurrent fetch goes to the wire on its own, as in PRs 1–4).
-    pub fn with_coalesce(mut self, on: bool) -> FetchPool {
-        self.coalesce = on;
-        self
     }
 
     /// The configured per-peer idle cap.
@@ -148,92 +99,6 @@ impl FetchPool {
     /// `trace` is the caller's trace id; when `Some`, it rides in the
     /// `FetchRequest` so the owner's daemon records correlated spans.
     pub fn fetch(
-        &self,
-        peer: NodeId,
-        addr: SocketAddr,
-        key: &swala_cache::CacheKey,
-        timeout: Duration,
-        policy: &RetryPolicy,
-        trace: Option<u64>,
-    ) -> (FetchOutcome, u32) {
-        if !self.coalesce {
-            return self.fetch_alone(peer, addr, key, timeout, policy, trace);
-        }
-        let flight = match self
-            .flights
-            .lock()
-            .entry(peer.0)
-            .or_default()
-            .entry(key.clone())
-        {
-            Entry::Occupied(flight) => Some(Arc::clone(flight.get())),
-            Entry::Vacant(slot) => {
-                slot.insert(Arc::new(FetchFlight::new()));
-                None
-            }
-        };
-        match flight {
-            None => {
-                // Leader: one wire fetch for the whole burst.
-                self.coalesce_leads.fetch_add(1, Ordering::Relaxed);
-                let result = self.fetch_alone(peer, addr, key, timeout, policy, trace);
-                let flight = self
-                    .flights
-                    .lock()
-                    .get_mut(&peer.0)
-                    .and_then(|flights| flights.remove(key));
-                // Waiters join only through the map, so once the flight is
-                // out of it the handles that exist are all that ever will:
-                // publish (a body clone) only if someone holds one.
-                if let Some(flight) = flight.filter(|f| Arc::strong_count(f) > 1) {
-                    let mut outcome = flight.outcome.lock().unwrap_or_else(|e| e.into_inner());
-                    *outcome = Some(result.0.clone());
-                    flight.cv.notify_all();
-                }
-                result
-            }
-            Some(flight) => {
-                // Waiter: the leader's outcome is this fetch's outcome,
-                // at the cost of zero wire traffic and one attempt.
-                self.coalesce_waits.fetch_add(1, Ordering::Relaxed);
-                let budget = self.wait_budget(timeout, policy);
-                let deadline = Instant::now() + budget;
-                let mut outcome = flight.outcome.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(out) = &*outcome {
-                        return (out.clone(), 1);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        // Leader wedged past its whole retry budget:
-                        // deterministic fallback to a private fetch.
-                        drop(outcome);
-                        self.coalesce_timeouts.fetch_add(1, Ordering::Relaxed);
-                        return self.fetch_alone(peer, addr, key, timeout, policy, trace);
-                    }
-                    outcome = flight
-                        .cv
-                        .wait_timeout(outcome, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
-                }
-            }
-        }
-    }
-
-    /// How long a waiter allows the leader: the leader's full worst case
-    /// (every attempt timing out plus backoff sleeps) plus slack.
-    fn wait_budget(&self, timeout: Duration, policy: &RetryPolicy) -> Duration {
-        let attempts = policy.max_attempts.max(1);
-        let mut budget = timeout * attempts + Duration::from_millis(250);
-        for attempt in 1..attempts {
-            budget += policy.backoff_after(attempt);
-        }
-        budget
-    }
-
-    /// The retry loop itself, bypassing the single-flight registry.
-    fn fetch_alone(
         &self,
         peer: NodeId,
         addr: SocketAddr,
@@ -377,9 +242,6 @@ impl FetchPool {
             reuses: self.reuses.load(Ordering::Relaxed),
             stale_drops: self.stale_drops.load(Ordering::Relaxed),
             idle,
-            coalesce_leads: self.coalesce_leads.load(Ordering::Relaxed),
-            coalesce_waits: self.coalesce_waits.load(Ordering::Relaxed),
-            coalesce_timeouts: self.coalesce_timeouts.load(Ordering::Relaxed),
         }
     }
 }
@@ -664,140 +526,6 @@ mod tests {
         assert!(matches!(out, FetchOutcome::Unreachable(_)));
         assert_eq!(attempts, 2);
         assert_eq!(pool.stats().idle, 0);
-    }
-
-    /// Fetch server like `persistent_fetch_server` but sleeping before
-    /// each reply, to hold a burst of concurrent fetches open.
-    fn slow_fetch_server(
-        delay: Duration,
-        reply: impl Fn(&CacheKey) -> Message + Send + Sync + 'static,
-    ) -> (SocketAddr, Arc<AtomicU32>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let accepted = Arc::new(AtomicU32::new(0));
-        let accepted2 = Arc::clone(&accepted);
-        let reply = Arc::new(reply);
-        std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                let Ok(mut s) = conn else { break };
-                accepted2.fetch_add(1, Ordering::SeqCst);
-                let reply = Arc::clone(&reply);
-                std::thread::spawn(move || {
-                    while let Ok(Some(frame)) = read_frame(&mut s) {
-                        match Message::decode(&frame) {
-                            Ok(Message::FetchRequest { key, .. }) => {
-                                std::thread::sleep(delay);
-                                if write_frame(&mut s, &reply(&key).encode()).is_err() {
-                                    return;
-                                }
-                            }
-                            _ => return,
-                        }
-                    }
-                });
-            }
-        });
-        (addr, accepted)
-    }
-
-    #[test]
-    fn coalesced_burst_issues_one_wire_fetch() {
-        let (addr, accepted) = slow_fetch_server(Duration::from_millis(150), |_| hit(b"owner"));
-        let pool = Arc::new(FetchPool::new(default_dialer(), 4));
-        let barrier = Arc::new(std::sync::Barrier::new(8));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let pool = Arc::clone(&pool);
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                pool.fetch(
-                    NodeId(1),
-                    addr,
-                    &CacheKey::new("/hot"),
-                    Duration::from_secs(2),
-                    &RetryPolicy::no_retry(),
-                    None,
-                )
-            }));
-        }
-        for h in handles {
-            let (out, attempts) = h.join().unwrap();
-            match out {
-                FetchOutcome::Hit { body, .. } => assert_eq!(body, b"owner"),
-                other => panic!("{other:?}"),
-            }
-            assert_eq!(attempts, 1);
-        }
-        let s = pool.stats();
-        assert_eq!(s.coalesce_leads, 1, "{s}");
-        assert_eq!(s.coalesce_waits, 7, "{s}");
-        assert_eq!(s.coalesce_timeouts, 0, "{s}");
-        // One connection, one request/reply on the wire for the burst.
-        assert_eq!(s.connects_opened, 1, "{s}");
-        assert_eq!(s.reuses, 0, "{s}");
-        assert_eq!(accepted.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn uncoalesced_burst_fetches_independently() {
-        let (addr, _) = slow_fetch_server(Duration::from_millis(100), |_| hit(b"x"));
-        let pool = Arc::new(FetchPool::new(default_dialer(), 8).with_coalesce(false));
-        let barrier = Arc::new(std::sync::Barrier::new(4));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let pool = Arc::clone(&pool);
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                pool.fetch(
-                    NodeId(1),
-                    addr,
-                    &CacheKey::new("/hot"),
-                    Duration::from_secs(2),
-                    &RetryPolicy::no_retry(),
-                    None,
-                )
-            }));
-        }
-        for h in handles {
-            let (out, _) = h.join().unwrap();
-            assert!(matches!(out, FetchOutcome::Hit { .. }));
-        }
-        let s = pool.stats();
-        assert_eq!(s.coalesce_leads, 0);
-        assert_eq!(s.coalesce_waits, 0);
-        // Every fetch hit the wire on its own (dial or reuse).
-        assert_eq!(s.connects_opened + s.reuses, 4, "{s}");
-        assert!(s.connects_opened > 1, "{s}");
-    }
-
-    #[test]
-    fn coalesced_waiters_share_unreachable_verdict() {
-        // Leader and waiters all see the same failure; nobody hangs.
-        let pool = Arc::new(FetchPool::new(default_dialer(), 2));
-        let barrier = Arc::new(std::sync::Barrier::new(3));
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let pool = Arc::clone(&pool);
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                pool.fetch(
-                    NodeId(1),
-                    "127.0.0.1:1".parse().unwrap(),
-                    &CacheKey::new("/dead"),
-                    Duration::from_millis(200),
-                    &RetryPolicy::no_retry(),
-                    None,
-                )
-            }));
-        }
-        for h in handles {
-            let (out, _) = h.join().unwrap();
-            assert!(matches!(out, FetchOutcome::Unreachable(_)));
-        }
-        assert!(pool.stats().coalesce_leads >= 1);
     }
 
     /// Server answering `DirLookup` with an entry owned by `owner`, any

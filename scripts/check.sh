@@ -93,6 +93,10 @@ step "C10K smoke (c10k)"
 target/release/c10k
 
 step "hot-path smoke (tables hitpath)"
+# Counter gates: warm hits read no store, one client stays within the
+# fetch pool, parked connections cost bounded RSS and no new threads.
+# The idle sweep's p99 per level is data in BENCH_hitpath.json, not a
+# gate: sub-ms p99s from 60 samples spike by milliseconds on a busy host.
 SWALA_BENCH_QUICK=1 target/release/tables hitpath
 python3 -m json.tool BENCH_hitpath.json > /dev/null
 
@@ -112,11 +116,19 @@ assert held["notices_per_frame"] >= 32.0, held
 assert held["wakeups"] <= held["frames"], held
 EOF
 
-step "coalescing smoke (tables coalesce)"
+step "coalescing smoke (tables coalesce, one flight per key)"
 # Flash-crowd burst both ways; the experiment's own asserts gate on
-# duplicate executions == 0 with coalescing on (and > 0 with it off).
+# duplicate executions == 0 with coalescing on (and > 0 with it off),
+# and on owner wire fetches per 16-request remote burst: 1 on, 16 off.
 SWALA_BENCH_QUICK=1 target/release/tables coalesce
 python3 -m json.tool BENCH_coalesce.json > /dev/null
+# One flight per key, whatever the burst: a remote-hit burst on a
+# failing owner is one health failure, a false-hit burst one false hit
+# and one repair notice, and an insert notice for a key whose flight
+# only fetches is no false miss.
+cargo test -q --release --test chaos -- hit_burst_
+cargo test -q --release -p swala-cache --lib \
+    manager::tests::an_insert_notice_for_a_fetching_flight_is_no_false_miss
 
 step "directory-mode smoke (tables directory)"
 # Replicated vs partitioned update cost on live clusters. The

@@ -660,11 +660,10 @@ fn pooled_connection_truncated_mid_reply_recovers_in_place() {
 }
 
 /// A coalesced flash-crowd burst whose leader's remote fetch is
-/// fault-injected must never deadlock: the fetch-pool flight shares the
-/// `Unreachable` verdict with every fetch waiter, the first faller-back
-/// becomes the execution leader, and everyone else is served its body.
-/// Results arrive over a channel with a hard receive deadline, so a
-/// stuck waiter fails the test instead of hanging it.
+/// fault-injected must never deadlock: the leader holds the key's
+/// flight, executes under it when the fetch fails, and everyone else is
+/// served its body. Results arrive over a channel with a hard receive
+/// deadline, so a stuck waiter fails the test instead of hanging it.
 #[test]
 fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
     let inj = FaultInjector::seeded(chaos_seed());
@@ -672,7 +671,6 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
         nodes: 2,
         node: ServerOptions {
             fetch_retries: 1,
-            quarantine_after: 100, // keep quarantine out of this scenario
             ..chaos_node(&inj)
         },
         ..Default::default()
@@ -716,21 +714,172 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
     }
 
     let stats = cluster.node(1).cache_stats();
-    assert_eq!(cluster.node(1).request_stats().server_errors, 0);
-    assert!(
-        stats.coalesce_waits >= 1,
-        "burst never overlapped the fallback execution: {stats}"
-    );
+    let requests = cluster.node(1).request_stats();
+    assert_eq!(requests.server_errors, 0);
+    // Every request was a remote hit; the burst shared one wire fetch
+    // and one execution, and the failed fetch cost the owner one strike.
+    assert_eq!(stats.remote_hits, BURST as u64, "{stats}");
     assert_eq!(
-        stats.coalesce_fallbacks, 0,
-        "fallback leader finished; no waiter re-executed: {stats}"
+        (stats.coalesce_waits, stats.coalesce_fallbacks),
+        (0, 0),
+        "{stats}"
     );
-    // The faulted fetches were coalesced too: one flight leader per
-    // wave of concurrent fetch attempts, the rest shared its verdict.
+    assert_eq!(requests.executions, 1, "the leader executed, once");
     let pool = cluster.node(1).fetch_pool_stats();
-    assert!(
-        pool.coalesce_leads >= 1,
-        "fetch flight never formed: {pool}"
+    assert_eq!(pool.connects_opened + pool.reuses, 1, "{pool}");
+    let h = cluster.node(1).peer_health();
+    assert_eq!(
+        (h[0].state, h[0].consecutive_failures),
+        (PeerState::Suspect, 1)
+    );
+    cluster.shutdown();
+}
+
+/// `n` identical GETs at `addr`, released together; each reply's status,
+/// body and cache class. A receive deadline turns a stuck request into a
+/// failure instead of a hang.
+fn burst(addr: std::net::SocketAddr, target: &str, n: usize) -> Vec<(bool, Vec<u8>, String)> {
+    let gate = Arc::new(std::sync::Barrier::new(n));
+    let (tx, rx) = std::sync::mpsc::channel();
+    for _ in 0..n {
+        let (gate, tx, target) = (Arc::clone(&gate), tx.clone(), target.to_string());
+        std::thread::spawn(move || {
+            let mut c = HttpClient::new(addr);
+            gate.wait();
+            let r = c.get(&target).unwrap();
+            let tag = cache_tag(&r);
+            tx.send((r.status.is_success(), r.body.into_vec(), tag))
+                .unwrap();
+        });
+    }
+    (0..n)
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(30))
+                .expect("burst request stuck")
+        })
+        .collect()
+}
+
+/// One failed exchange is one health failure, whatever the burst size.
+/// Eight same-instant remote hits meet an owner whose every fetch
+/// connection is reset (each dial also delayed, so the burst lands inside
+/// the first fetch): the leader's failed fetch is one strike, at the
+/// shipped `quarantine_after`, and the owner's other entries stay listed.
+#[test]
+fn remote_hit_burst_on_a_failing_owner_is_one_health_failure() {
+    use swala_proto::faults::ACCEPT_SRC;
+    const BURST: usize = 8;
+    let inj = FaultInjector::seeded(chaos_seed());
+    let cluster = SwalaCluster::start(&ClusterConfig {
+        nodes: 2,
+        node: chaos_node(&inj),
+        ..Default::default()
+    })
+    .unwrap();
+    let targets: Vec<String> = (0..3)
+        .map(|i| format!("/cgi-bin/adl?id=83{i}&ms=100"))
+        .collect();
+    let mut c1 = HttpClient::new(cluster.node(1).http_addr());
+    let warm_body = c1.get(&targets[0]).unwrap().body.into_vec();
+    for t in &targets[1..] {
+        c1.get(t).unwrap();
+    }
+    assert!(cluster.wait_for_directory_convergence(3, Duration::from_secs(10)));
+    settle(&cluster);
+
+    inj.add_rule(FaultRule::between(
+        NodeId(0),
+        NodeId(1),
+        FaultAction::Delay(Duration::from_millis(100)),
+    ));
+    inj.add_rule(FaultRule::between(
+        ACCEPT_SRC,
+        NodeId(1),
+        FaultAction::Reset,
+    ));
+    for (ok, body, tag) in burst(cluster.node(0).http_addr(), &targets[0], BURST) {
+        assert!(ok, "request failed (tag {tag})");
+        assert_eq!(body, warm_body, "wrong body (tag {tag})");
+    }
+
+    let h = cluster.node(0).peer_health();
+    assert_eq!(
+        (
+            h[0].state,
+            h[0].consecutive_failures,
+            h[0].total_quarantines
+        ),
+        (PeerState::Suspect, 1, 0),
+        "one failed fetch, one strike"
+    );
+    let stats = cluster.node(0).cache_stats();
+    assert_eq!(stats.node_evictions, 0, "no NodeDown repair ran: {stats}");
+    assert_eq!(
+        cluster.node(0).manager().directory().len(NodeId(1)),
+        3,
+        "the owner's entries are still listed"
+    );
+    assert_eq!(cluster.node(0).request_stats().executions, 1);
+    cluster.shutdown();
+}
+
+/// One false hit is one false hit and one repair, whatever the burst
+/// size. The owner drops an entry without its delete notice reaching node
+/// 0; eight same-instant remote hits then share the leader's `Gone`
+/// reply and its one execution, and both accounting identities hold.
+#[test]
+fn false_hit_burst_counts_one_false_hit_and_sends_one_repair() {
+    const BURST: usize = 8;
+    let inj = FaultInjector::seeded(chaos_seed());
+    let cluster = SwalaCluster::start(&ClusterConfig {
+        nodes: 2,
+        node: chaos_node(&inj),
+        ..Default::default()
+    })
+    .unwrap();
+    let target = "/cgi-bin/adl?id=84&ms=100";
+    let warm_body = HttpClient::new(cluster.node(1).http_addr())
+        .get(target)
+        .unwrap()
+        .body
+        .into_vec();
+    assert!(cluster.wait_for_directory_convergence(1, Duration::from_secs(10)));
+    settle(&cluster);
+
+    // Silent drop at the owner; node 0 still lists the entry.
+    let key = swala_cache::CacheKey::new(target);
+    cluster.node(1).manager().remove_local(&key).unwrap();
+    let notices_to_1 = || {
+        let links = cluster.node(0).broadcast_link_stats();
+        let link = links.iter().find(|l| l.peer == NodeId(1)).unwrap();
+        link.sent + link.dropped + link.queued as u64
+    };
+    let (notices_before, inserts_before) = (notices_to_1(), cluster.node(0).cache_stats().inserts);
+    inj.add_rule(FaultRule::between(
+        NodeId(0),
+        NodeId(1),
+        FaultAction::Delay(Duration::from_millis(100)),
+    ));
+    for (ok, body, tag) in burst(cluster.node(0).http_addr(), target, BURST) {
+        assert!(ok, "request failed (tag {tag})");
+        assert_eq!(body, warm_body, "wrong body (tag {tag})");
+    }
+    settle(&cluster);
+
+    let s = cluster.node(0).cache_stats();
+    let executions = cluster.node(0).request_stats().executions;
+    assert_eq!(s.false_hits, 1, "{s}");
+    assert_eq!(executions, 1, "{s}");
+    let inserts = s.inserts - inserts_before;
+    assert_eq!(inserts, 1, "{s}");
+    // Node 0's notices to node 1 since the drop: its one insert, and the
+    // repair deletes.
+    assert_eq!(notices_to_1() - notices_before - inserts, 1, "one repair");
+    assert_eq!(s.lookups, s.local_hits + s.remote_hits + s.misses, "{s}");
+    assert_eq!(
+        executions + s.coalesce_waits - s.coalesce_fallbacks,
+        s.misses + s.false_hits,
+        "{s}"
     );
     cluster.shutdown();
 }
