@@ -12,11 +12,11 @@
 //!   exactly one table (§4.2's chosen locking granularity — the rejected
 //!   alternatives are also implemented, in [`locking`], for the ablation
 //!   benches).
-//! * **Memory directory, disk bodies** ([`store`], [`segstore`]): only
-//!   metadata lives in memory; "every cache fetch in effect becomes a
-//!   file fetch" served by the OS page cache — one file per result in the
-//!   paper's layout (`store files`), one extent of one data file in the
-//!   shipped default (`store segment`).
+//! * **Memory directory, disk bodies** ([`bodies`] over [`store`] or
+//!   [`segstore`]): only metadata lives in memory; "every cache fetch in
+//!   effect becomes a file fetch" served by the OS page cache — one file
+//!   per result in the paper's layout (`store files`), one extent of one
+//!   data file in the shipped default (`store segment`).
 //! * **TTL content consistency** ([`rules`], [`manager`]): per-pattern
 //!   time-to-live set by the administrator's configuration file; a purge
 //!   pass deletes expired entries.
@@ -33,6 +33,7 @@
 //! decisions are deterministic and the simulator (`swala-sim`) reproduces
 //! the exact same evictions as the live server.
 
+pub mod bodies;
 mod churn;
 pub mod clock;
 pub mod digest;
@@ -51,6 +52,7 @@ pub mod segstore;
 pub mod stats;
 pub mod store;
 
+pub use bodies::{Bodies, BodyTier};
 pub use clock::{Clock, ManualClock, StopSignal, Waiter};
 pub use digest::{Digest, DigestImpl};
 pub use directory::{CacheDirectory, Classification, Eviction, RemoteUpdate};
@@ -58,7 +60,7 @@ pub use entry::EntryMeta;
 pub use flights::{FlightWaitOutcome, FlightWaiter};
 pub use key::CacheKey;
 pub use manager::{
-    BodyTier, CacheManager, CacheManagerConfig, InsertOutcome, LookupResult, COALESCE_WAIT, HOTKEYS,
+    CacheManager, CacheManagerConfig, InsertOutcome, LookupResult, COALESCE_WAIT, HOTKEYS,
 };
 pub use memcache::MemCache;
 pub use node::NodeId;

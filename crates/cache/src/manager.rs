@@ -1,20 +1,20 @@
 //! The cache manager — §4.1's "cacher module" state, minus the network.
 //!
-//! One `CacheManager` lives on each node. It owns the node's directory
-//! (every table the placement rule puts here), the local body store, the replacement policy, the
-//! cacheability rules, the single-flight registry ([`crate::flights`])
-//! and the statistics, and exposes exactly the
-//! operations Figure 2's control flow needs. The `swala` server and the
-//! `swala-proto` daemons drive it; none of them touch the directory or
-//! the store directly.
+//! One `CacheManager` lives on each node. It coordinates the parts it
+//! owns — the directory (every table the placement rule puts here, with
+//! the replacement policy), the body tier ([`crate::bodies`]), the
+//! single-flight registry ([`crate::flights`]) — with the cacheability
+//! rules and the statistics, and exposes exactly the operations Figure
+//! 2's control flow needs. The `swala` server and the `swala-proto`
+//! daemons drive it; none of them touch the directory or the store
+//! directly.
 
+use crate::bodies::{Bodies, BodyTier};
 use crate::clock::Clock;
-use crate::digest::Digest;
 use crate::directory::{CacheDirectory, Classification, RemoteUpdate, APPLY_RUN_MAX};
 use crate::entry::EntryMeta;
 use crate::flights::{FlightWaitOutcome, FlightWaiter, Flights, Joined};
 use crate::key::CacheKey;
-use crate::memcache::MemCache;
 use crate::node::NodeId;
 use crate::policy::PolicyKind;
 use crate::ring::{DirectoryKind, Placement};
@@ -24,8 +24,8 @@ use crate::store::Store;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use swala_obs::{Gauge, HeatSketch, Histogram, Stage, Trace};
+use std::time::Duration;
+use swala_obs::{HeatSketch, Stage, Trace};
 
 /// How long a coalesced request waits for the leader's body before it
 /// executes on its own.
@@ -129,16 +129,6 @@ pub enum LookupResult {
     RemoteHit { meta: EntryMeta },
 }
 
-/// Which tier a local body was served from (telemetry's
-/// `local-mem` / `local-disk` outcome distinction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BodyTier {
-    /// Served from the in-memory body tier — zero syscalls.
-    Memory,
-    /// Read from the body store (tier disabled or cold).
-    Disk,
-}
-
 /// Result of committing an executed CGI result.
 #[derive(Debug)]
 pub enum InsertOutcome {
@@ -151,24 +141,13 @@ pub enum InsertOutcome {
     Discarded,
 }
 
-/// The store calls the manager times, in `store_ops` order.
-#[derive(Clone, Copy)]
-enum StoreOp {
-    Put,
-    Get,
-    Delete,
-}
-
 /// Per-node cache state machine.
 pub struct CacheManager {
     local: NodeId,
     capacity: usize,
     directory: CacheDirectory,
-    store: Box<dyn Store>,
-    /// Durations of the calls made on `store`, indexed by [`StoreOp`].
-    store_ops: [Arc<Histogram>; 3],
-    /// In-memory body tier over `store`; `None` when disabled.
-    mem: Option<MemCache>,
+    /// The bodies of exactly the local table's entries.
+    bodies: Bodies,
     rules: CacheRules,
     stats: Arc<CacheStats>,
     /// Logical clock for recency bookkeeping.
@@ -188,16 +167,15 @@ pub struct CacheManager {
 impl CacheManager {
     /// Build a manager over the given body store.
     pub fn new(cfg: CacheManagerConfig, store: Box<dyn Store>) -> Self {
+        let stats = Arc::new(CacheStats::new());
         CacheManager {
             local: cfg.local,
             capacity: cfg.capacity,
             directory: CacheDirectory::with_policy(cfg.num_nodes, cfg.local, cfg.policy)
                 .with_clock(cfg.clock),
-            store,
-            store_ops: std::array::from_fn(|_| Arc::new(Histogram::new())),
-            mem: (cfg.mem_cache_bytes > 0).then(|| MemCache::new(cfg.mem_cache_bytes)),
+            bodies: Bodies::new(store, cfg.mem_cache_bytes, Arc::clone(&stats)),
             rules: cfg.rules,
-            stats: Arc::new(CacheStats::new()),
+            stats,
             seq: AtomicU64::new(0),
             flights: Flights::new(cfg.coalesce),
             coalesce_wait: cfg.coalesce_wait,
@@ -228,14 +206,9 @@ impl CacheManager {
         self.directory.clock()
     }
 
-    /// Statistics counters.
-    pub fn stats(&self) -> &CacheStats {
+    /// Statistics counters (shared, for metrics-registry hookup).
+    pub fn stats(&self) -> &Arc<CacheStats> {
         &self.stats
-    }
-
-    /// Shared handle on the counters, for metrics-registry hookup.
-    pub fn stats_arc(&self) -> Arc<CacheStats> {
-        Arc::clone(&self.stats)
     }
 
     /// The per-key heat sketch (no-op when built with `hotkeys: 0`).
@@ -243,15 +216,9 @@ impl CacheManager {
         &self.heat
     }
 
-    /// Shared handle on the memory tier's resident-bytes gauge, when
-    /// the tier is enabled.
-    pub fn mem_bytes_gauge(&self) -> Option<Arc<Gauge>> {
-        self.mem.as_ref().map(|m| m.bytes_gauge())
-    }
-
-    /// Local capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The body tier: store, memory tier and store-call timing.
+    pub fn bodies(&self) -> &Bodies {
+        &self.bodies
     }
 
     /// The rules' verdict for `path`, without touching the directory.
@@ -268,77 +235,17 @@ impl CacheManager {
         self.seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Bytes currently held by the in-memory body tier.
-    pub fn mem_bytes(&self) -> usize {
-        self.mem.as_ref().map_or(0, |m| m.bytes())
-    }
-
-    /// Write-through to the memory tier (its bytes gauge tracks itself).
-    /// `digest` is the content digest of `body` — computed once by the
-    /// caller and shared with the store, which records it.
-    fn mem_insert(&self, key: &CacheKey, digest: Digest, body: &Arc<[u8]>) {
-        if let Some(mem) = &self.mem {
-            if mem.insert(key, digest, Arc::clone(body)) {
-                CacheStats::bump(&self.stats.mem_dedup_hits);
-            }
-        }
-    }
-
-    /// Admit a body just read from the store, under the digest the store
-    /// recorded for it where it keeps one — which saves a pass over the
-    /// body.
-    fn mem_promote(&self, key: &CacheKey, digest: Option<Digest>, body: &Arc<[u8]>) {
-        self.mem_insert(key, digest.unwrap_or_else(|| Digest::of(body)), body);
-    }
-
-    /// Mirror a directory-visible removal into the memory tier.
-    fn mem_remove(&self, key: &CacheKey) {
-        if let Some(mem) = &self.mem {
-            mem.remove(key);
-        }
-    }
-
-    /// Run one store call, recording how long it took under `op`. Only
-    /// store calls pay for the clock.
-    fn timed_store<T>(&self, op: StoreOp, call: impl FnOnce(&dyn Store) -> T) -> T {
-        let t0 = Instant::now();
-        let out = call(&*self.store);
-        self.store_ops[op as usize].record_duration(t0.elapsed());
-        out
-    }
-
-    fn store_get(&self, key: &CacheKey) -> io::Result<(Vec<u8>, Option<Digest>)> {
-        self.timed_store(StoreOp::Get, |s| s.get_digested(key))
-    }
-
-    fn store_delete(&self, key: &CacheKey) {
-        let _ = self.timed_store(StoreOp::Delete, |s| s.delete(key));
-    }
-
-    /// Read a local body: memory tier first, then the store (populating
-    /// the tier on the way back). `None` means the store read failed.
-    /// Records mem-tier / store-read spans on `trace`.
-    fn read_local_body(&self, key: &CacheKey, trace: &mut Trace) -> Option<(Arc<[u8]>, BodyTier)> {
-        if let Some(mem) = &self.mem {
-            let t0 = trace.start_span();
-            let cached = mem.get(key);
-            trace.end_span(Stage::MemTier, t0);
-            if let Some(body) = cached {
-                CacheStats::bump(&self.stats.mem_hits);
-                return Some((body, BodyTier::Memory));
-            }
-        }
-        CacheStats::bump(&self.stats.store_reads);
-        let t0 = trace.start_span();
-        let read = self.store_get(key);
-        trace.end_span(Stage::StoreRead, t0);
-        let (body, digest) = read.ok()?;
-        let body: Arc<[u8]> = body.into();
-        if self.mem.is_some() {
-            CacheStats::bump(&self.stats.mem_misses);
-            self.mem_promote(key, digest, &body);
-        }
-        Some((body, BodyTier::Disk))
+    /// A local entry's body, its hit recorded with the policy. A failed
+    /// read means the store lost the body: the entry leaves the table and
+    /// the tier, unannounced — a peer that asks for it gets a false hit
+    /// and repairs its own directory.
+    fn serve_local(&self, key: &CacheKey, trace: &mut Trace) -> Option<(Arc<[u8]>, BodyTier)> {
+        let Some(read) = self.bodies.get(key, trace) else {
+            self.remove_local(key);
+            return None;
+        };
+        self.directory.record_hit(self.local, key, self.next_seq());
+        Some(read)
     }
 
     /// Figure 2, top half: classify a GET for `path_with_query`.
@@ -366,21 +273,13 @@ impl CacheManager {
         let classification = self.directory.classify(key);
         trace.end_span(Stage::DirLookup, t0);
         match classification {
-            Classification::Local(meta) => match self.read_local_body(key, trace) {
+            Classification::Local(meta) => match self.serve_local(key, trace) {
                 Some((body, tier)) => {
-                    let seq = self.next_seq();
-                    self.directory.record_hit(self.local, key, seq);
                     CacheStats::bump(&self.stats.local_hits);
                     LookupResult::LocalHit { meta, body, tier }
                 }
-                // Directory/store disagreement (e.g. file removed out from
-                // under us): self-heal by dropping the directory entry and
-                // treating it as a miss.
-                None => {
-                    self.directory.remove(self.local, key);
-                    self.mem_remove(key);
-                    self.note_miss(key, decision)
-                }
+                // The store lost the body: the entry is healed away.
+                None => self.note_miss(key, decision),
             },
             Classification::Remote(meta) => {
                 CacheStats::bump(&self.stats.remote_hits);
@@ -504,15 +403,7 @@ impl CacheManager {
             seq,
         )
         .stamped(self.clock(), ttl);
-        // Self-describing write: the header carries everything needed to
-        // rebuild the directory entry on a warm restart. The digest is
-        // computed once: the store records it as the body's integrity
-        // value, the memory tier dedups on it.
-        let digest = Digest::of(body);
-        self.timed_store(StoreOp::Put, |s| {
-            s.put_digested(key, &(&meta).into(), &digest, body)
-        })?;
-        self.mem_insert(key, digest, &shared);
+        self.bodies.put(&meta, &shared)?;
         let meta = self.directory.insert_fresh(meta);
         CacheStats::bump(&self.stats.inserts);
         let evicted = self.evict_to_capacity();
@@ -525,8 +416,7 @@ impl CacheManager {
         let eviction = self.directory.evict_to_capacity(self.capacity);
         CacheStats::add(&self.stats.evict_examined, eviction.examined);
         for victim in &eviction.victims {
-            self.store_delete(&victim.key);
-            self.mem_remove(&victim.key);
+            self.bodies.remove(&victim.key);
             CacheStats::bump(&self.stats.evictions);
         }
         eviction.victims
@@ -601,10 +491,8 @@ impl CacheManager {
         let meta = self.directory.get(self.local, key);
         trace.end_span(Stage::DirLookup, t0);
         let meta = meta?;
-        let (body, _tier) = self.read_local_body(key, trace)?;
-        let seq = self.next_seq();
-        self.directory.record_hit(self.local, key, seq);
-        Some((meta, body))
+        self.serve_local(key, trace)
+            .map(|(body, _tier)| (meta, body))
     }
 
     /// A remote fetch came back empty: §4.2's false hit. The caller falls
@@ -648,12 +536,14 @@ impl CacheManager {
         dropped.len()
     }
 
-    /// Apply a peer's delete notice.
+    /// Apply a peer's delete notice. One naming this node is a peer's
+    /// false-hit repair: the entry goes, and its body with it.
     pub fn apply_remote_delete(&self, owner: NodeId, key: &CacheKey) {
         CacheStats::bump(&self.stats.updates_applied);
-        self.directory.remove(owner, key);
         if owner == self.local {
-            self.mem_remove(key);
+            self.remove_local(key);
+        } else {
+            self.directory.remove(owner, key);
         }
     }
 
@@ -664,11 +554,24 @@ impl CacheManager {
     /// per run of up to [`APPLY_RUN_MAX`] updates instead of a lock
     /// round-trip each per notice. A peer's paced link delivers its
     /// notices this way.
-    pub fn apply_remote_batch(&self, updates: Vec<RemoteUpdate>) {
+    pub fn apply_remote_batch(&self, mut updates: Vec<RemoteUpdate>) {
         if updates.is_empty() {
             return;
         }
         CacheStats::add(&self.stats.updates_applied, updates.len() as u64);
+        // Deletes naming this node leave the batch: the local table takes
+        // no peer's inserts, so they commute with the rest.
+        updates.retain(|update| match update {
+            RemoteUpdate::Insert(meta) => {
+                debug_assert_ne!(meta.owner, self.local, "own inserts are applied directly");
+                true
+            }
+            RemoteUpdate::Delete { owner, key } if *owner == self.local => {
+                self.remove_local(key);
+                false
+            }
+            RemoteUpdate::Delete { .. } => true,
+        });
         for run in updates.chunks(APPLY_RUN_MAX) {
             // An insert notice for a key executing here right now is a
             // false miss (§4.2, scenario 2): the peer cached it first.
@@ -680,18 +583,6 @@ impl CacheManager {
                 }));
             CacheStats::add(&self.stats.false_misses, false_misses as u64);
         }
-        for update in &updates {
-            match update {
-                RemoteUpdate::Insert(meta) => {
-                    debug_assert_ne!(meta.owner, self.local, "own inserts are applied directly")
-                }
-                RemoteUpdate::Delete { owner, key } => {
-                    if *owner == self.local {
-                        self.mem_remove(key);
-                    }
-                }
-            }
-        }
         self.directory.apply_updates(updates);
     }
 
@@ -699,19 +590,17 @@ impl CacheManager {
     /// removed metadata — the caller broadcasts the deletion.
     pub fn remove_local(&self, key: &CacheKey) -> Option<EntryMeta> {
         let meta = self.directory.remove(self.local, key)?;
-        self.store_delete(key);
-        self.mem_remove(key);
+        self.bodies.remove(key);
         Some(meta)
     }
 
-    /// The purge daemon's body: drop expired local entries (deleting
-    /// their files) and stale remote metadata. Returns the local
+    /// The purge daemon's body: drop expired local entries (and their
+    /// bodies) and stale remote metadata. Returns the local
     /// expirations for delete-broadcast.
     pub fn purge_expired(&self) -> Vec<EntryMeta> {
         let dead = self.directory.purge_expired();
         for m in &dead {
-            self.store_delete(&m.key);
-            self.mem_remove(&m.key);
+            self.bodies.remove(&m.key);
             CacheStats::bump(&self.stats.expirations);
         }
         dead
@@ -731,60 +620,27 @@ impl CacheManager {
     pub fn recover_from_store(&self) -> usize {
         let now = self.clock().unix_now();
         let mut restored = 0;
-        for recovered in self.store.recover() {
+        for recovered in self.bodies.recover() {
             if recovered.expires_unix.is_some_and(|e| e <= now) {
-                self.store_delete(&recovered.key);
+                self.bodies.remove(&recovered.key);
                 CacheStats::bump(&self.stats.expirations);
                 continue;
             }
-            let seq = self.next_seq();
-            self.directory
-                .insert_fresh(recovered.into_meta(self.local, seq));
+            let meta = recovered.into_meta(self.local, self.next_seq());
+            self.directory.insert_fresh(meta);
             restored += 1;
         }
         let evicted = self.evict_to_capacity();
-        self.warm_mem_tier();
+        self.bodies.warm(&self.local_snapshot());
         restored - evicted.len()
-    }
-
-    /// Pre-populate the memory tier from the store after a warm restart,
-    /// so the post-restart hit path matches the pre-crash steady state
-    /// (no cold mem-tier window of store reads). Budget-bounded: stops
-    /// admitting once the tier is full rather than churning LRU.
-    fn warm_mem_tier(&self) {
-        let Some(mem) = &self.mem else {
-            return;
-        };
-        for meta in self.local_snapshot() {
-            // Shared bodies cost nothing extra, so the size guard is
-            // conservative — at worst it skips a dedup freebie.
-            if mem.bytes() + meta.size as usize > mem.budget() {
-                continue;
-            }
-            let Ok((body, digest)) = self.store_get(&meta.key) else {
-                continue;
-            };
-            self.mem_promote(&meta.key, digest, &body.into());
-        }
-    }
-
-    /// The body store's self-reported metrics (file, live and free bytes,
-    /// fsyncs — zeros for stores that don't track a given field).
-    pub fn store_metrics(&self) -> crate::store::StoreMetrics {
-        self.store.metrics()
-    }
-
-    /// How long this manager's `put`, `get` and `delete` calls on the
-    /// body store took, measured where they ran.
-    pub fn store_op_durations(&self) -> [(&'static str, Arc<Histogram>); 3] {
-        let [put, get, delete] = self.store_ops.each_ref().map(Arc::clone);
-        [("put", put), ("get", get), ("delete", delete)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::Digest;
+    use crate::segstore::{SegmentConfig, SegmentStore};
     use crate::store::MemStore;
 
     fn manager(capacity: usize) -> CacheManager {
@@ -1434,7 +1290,7 @@ mod tests {
         assert_eq!(s.store_reads, reads_after_first, "warm hit read the store");
         assert_eq!(s.mem_hits, 2);
         assert_eq!(s.mem_misses, 0);
-        assert_eq!(m.mem_bytes(), 8);
+        assert_eq!(m.bodies().mem_bytes(), 8);
         // Both hits share the tier's single allocation — zero copies.
         assert!(Arc::ptr_eq(&first, &second));
     }
@@ -1460,8 +1316,7 @@ mod tests {
         assert_eq!(s.store_reads, 2);
         assert_eq!(s.mem_hits, 0);
         assert_eq!(s.mem_misses, 0);
-        assert_eq!(m.mem_bytes(), 0);
-        assert!(m.mem_bytes_gauge().is_none());
+        assert_eq!(m.bodies().mem_bytes(), 0);
     }
 
     #[test]
@@ -1469,11 +1324,11 @@ mod tests {
         let m = manager(10);
         let k = key("/cgi-bin/gone");
         run_and_insert(&m, &k, b"stale?");
-        assert_eq!(m.mem_bytes(), 6);
+        assert_eq!(m.bodies().mem_bytes(), 6);
         // Explicit removal drops the body from the tier too: a later
         // re-insert must not resurrect the old bytes.
         m.remove_local(&k);
-        assert_eq!(m.mem_bytes(), 0);
+        assert_eq!(m.bodies().mem_bytes(), 0);
         run_and_insert(&m, &k, b"fresh");
         match m.lookup(&k, k.as_str()) {
             LookupResult::LocalHit { body, .. } => assert_eq!(&body[..], b"fresh"),
@@ -1481,19 +1336,26 @@ mod tests {
         }
     }
 
+    /// A manager without a memory tier, so every local read is a store
+    /// read.
+    fn store_only_manager() -> CacheManager {
+        CacheManager::new(
+            CacheManagerConfig {
+                mem_cache_bytes: 0,
+                ..Default::default()
+            },
+            Box::new(MemStore::new()),
+        )
+    }
+
     #[test]
     fn self_heals_directory_store_disagreement() {
-        let m = manager(10);
+        let m = store_only_manager();
         let k = key("/cgi-bin/heal");
         run_and_insert(&m, &k, b"x");
-        // Simulate the body vanishing (e.g. operator wiped the cache dir).
-        // MemStore::delete never fails.
-        m.directory().get(NodeId(0), &k).unwrap();
-        // Reach in via the store trait on a fresh manager is not possible,
-        // so emulate by removing through remove_local then re-adding only
-        // the directory entry.
-        let meta = m.remove_local(&k).unwrap();
-        m.directory().insert(NodeId(0), meta);
+        // The body vanishes behind the table's back (e.g. an operator
+        // wiped the cache dir).
+        m.bodies.remove(&k);
         match m.lookup(&k, k.as_str()) {
             LookupResult::Miss { .. } => {}
             other => panic!("expected self-healing miss, got {other:?}"),
@@ -1502,6 +1364,46 @@ mod tests {
             m.directory().get(NodeId(0), &k).is_none(),
             "stale entry dropped"
         );
+    }
+
+    #[test]
+    fn owner_heals_on_a_failed_fetch_read() {
+        let m = store_only_manager();
+        let k = key("/cgi-bin/heal-fetch");
+        run_and_insert(&m, &k, b"x");
+        m.bodies.remove(&k);
+        // The peer sees a false hit, and the owner stops advertising the
+        // entry it cannot serve.
+        assert!(m.fetch_local_body(&k).is_none());
+        assert!(m.directory().get(NodeId(0), &k).is_none());
+    }
+
+    #[test]
+    fn a_delete_notice_naming_this_node_removes_the_body_too() {
+        for batched in [true, false] {
+            let dir = std::env::temp_dir()
+                .join(format!("swala-mgr-repair-{}-{batched}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let open = || SegmentStore::open_with(&dir, SegmentConfig { fsync: false }).unwrap();
+            let m = CacheManager::new(CacheManagerConfig::default(), Box::new(open()));
+            let k = key("/cgi-bin/repaired");
+            run_and_insert(&m, &k, b"stale body");
+            // A peer's false-hit repair names this node as the owner.
+            if batched {
+                m.apply_remote_batch(vec![RemoteUpdate::Delete {
+                    owner: NodeId(0),
+                    key: k.clone(),
+                }]);
+            } else {
+                m.apply_remote_delete(NodeId(0), &k);
+            }
+            drop(m);
+            let m = CacheManager::new(CacheManagerConfig::default(), Box::new(open()));
+            assert_eq!(m.recover_from_store(), 0, "batched: {batched}");
+            assert_eq!(m.bodies().metrics().live_bytes, 0, "batched: {batched}");
+            drop(m);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1655,11 +1557,7 @@ mod tests {
     fn store_tier_hit_reuses_the_digest_the_segment_store_recorded() {
         let dir = std::env::temp_dir().join(format!("swala-mgr-digest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let segment = crate::segstore::SegmentStore::open_with(
-            &dir,
-            crate::segstore::SegmentConfig { fsync: false },
-        )
-        .unwrap();
+        let segment = SegmentStore::open_with(&dir, SegmentConfig { fsync: false }).unwrap();
         assert_eq!(digest_passes_of_a_store_tier_hit(Box::new(segment)), 0);
         let _ = std::fs::remove_dir_all(&dir);
         // A store that keeps no digest costs the one pass it always did.

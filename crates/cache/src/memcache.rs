@@ -14,11 +14,10 @@
 //! resident body, feeding the `mem_dedup_hits` counter.
 //!
 //! The tier is strictly a read accelerator — the disk store stays the
-//! source of truth. Writes go through ([`MemCache::insert`] happens on
-//! the same path as `Store::put_described`), and every directory-visible
-//! removal (delete, eviction, expiry, self-heal) is mirrored here by the
-//! `CacheManager`. A lookup consults the directory before this tier, so
-//! a body can never be served after its directory entry is gone.
+//! source of truth. [`Bodies`](crate::bodies::Bodies) owns both: a
+//! write goes through to both, and a body leaves both when its entry
+//! leaves the local table. A lookup consults the directory before this
+//! tier, so a body can never be served after its entry is gone.
 //!
 //! Eviction is LRU over a *byte* budget (the directory's entry-count
 //! capacity is about metadata; body bytes are what memory pressure is
@@ -178,21 +177,6 @@ impl MemCache {
     pub fn bytes_gauge(&self) -> Arc<Gauge> {
         Arc::clone(&self.bytes)
     }
-
-    /// Number of keys currently mapped.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Number of unique bodies resident (≤ [`len`](Self::len)).
-    pub fn body_count(&self) -> usize {
-        self.inner.lock().bodies.len()
-    }
-
-    /// Whether the tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -211,6 +195,16 @@ mod tests {
         m.insert(k, Digest::of(&b), b)
     }
 
+    /// Keys mapped.
+    fn keys(m: &MemCache) -> usize {
+        m.inner.lock().entries.len()
+    }
+
+    /// Unique bodies resident.
+    fn bodies(m: &MemCache) -> usize {
+        m.inner.lock().bodies.len()
+    }
+
     #[test]
     fn insert_get_remove() {
         let m = MemCache::new(100);
@@ -224,7 +218,7 @@ mod tests {
         assert_eq!(m.bytes(), 0);
         // Removing again is harmless.
         m.remove(&k);
-        assert!(m.is_empty());
+        assert_eq!(keys(&m), 0);
     }
 
     #[test]
@@ -257,7 +251,7 @@ mod tests {
         insert(&m, &k, body("aaaa"));
         insert(&m, &k, body("bb"));
         assert_eq!(m.bytes(), 2);
-        assert_eq!(m.len(), 1);
+        assert_eq!(keys(&m), 1);
         assert_eq!(&m.get(&k).unwrap()[..], b"bb");
     }
 
@@ -292,8 +286,8 @@ mod tests {
                 "copy {i} should dedup"
             );
         }
-        assert_eq!(m.len(), 10);
-        assert_eq!(m.body_count(), 1);
+        assert_eq!(keys(&m), 10);
+        assert_eq!(bodies(&m), 1);
         assert_eq!(m.bytes(), b.len());
         // All keys serve the same allocation.
         assert!(Arc::ptr_eq(&m.get(&key("/a")).unwrap(), &b));
@@ -311,7 +305,7 @@ mod tests {
         assert!(m.get(&key("/b")).is_some());
         m.remove(&key("/b"));
         assert_eq!(m.bytes(), 0);
-        assert_eq!(m.body_count(), 0);
+        assert_eq!(bodies(&m), 0);
     }
 
     #[test]
@@ -322,7 +316,7 @@ mod tests {
         // Re-populating the same key with the same bytes (store → mem
         // refill) must not inflate the dedup counter.
         assert!(!insert(&m, &key("/a"), Arc::clone(&b)));
-        assert_eq!(m.len(), 1);
+        assert_eq!(keys(&m), 1);
         assert_eq!(m.bytes(), b.len());
     }
 
@@ -334,7 +328,7 @@ mod tests {
         // A second key sharing those bytes needs zero new bytes, so it
         // is admitted even though len == budget leaves no headroom.
         assert!(insert(&m, &key("/b"), Arc::clone(&b)));
-        assert_eq!(m.len(), 2);
+        assert_eq!(keys(&m), 2);
         assert_eq!(m.bytes(), 8);
     }
 

@@ -12,12 +12,14 @@
 //!   alignment.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 use swala_cache::store::HeaderMeta;
 use swala_cache::{
     decode_record, encode_record, CacheKey, CacheManager, CacheManagerConfig, CacheRules, Digest,
-    DiskStore, InsertOutcome, LookupResult, MemStore, NodeId, PolicyKind, Record, Store,
+    DiskStore, InsertOutcome, LookupResult, MemStore, NodeId, PolicyKind, Record, RemoteUpdate,
+    Store,
 };
 
 fn policy_strategy() -> impl Strategy<Value = PolicyKind> {
@@ -34,10 +36,20 @@ fn policy_strategy() -> impl Strategy<Value = PolicyKind> {
 /// counterexamples stay readable.
 #[derive(Debug, Clone)]
 enum Op {
-    Request { id: u8, cost_ms: u16, size: u16 },
-    RemoveLocal { id: u8 },
+    Request {
+        id: u8,
+        cost_ms: u16,
+        size: u16,
+    },
+    RemoveLocal {
+        id: u8,
+    },
     Purge,
     EvictNode,
+    /// A peer's false-hit repair: a batched delete naming node 0.
+    RepairDelete {
+        id: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -47,11 +59,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => any::<u8>().prop_map(|id| Op::RemoveLocal { id }),
         1 => Just(Op::Purge),
         1 => Just(Op::EvictNode),
+        1 => any::<u8>().prop_map(|id| Op::RepairDelete { id }),
     ]
 }
 
 fn key_for(id: u8) -> CacheKey {
     CacheKey::new(format!("/cgi-bin/adl?id={id}"))
+}
+
+/// Apply a peer's repair notice for `id` naming node 0 as its owner.
+fn repair_delete(m: &CacheManager, id: u8) {
+    m.apply_remote_batch(vec![RemoteUpdate::Delete {
+        owner: NodeId(0),
+        key: key_for(id),
+    }]);
 }
 
 // ---- segment-log wire format strategies ----
@@ -154,6 +175,7 @@ proptest! {
                 Op::Purge => { m.purge_expired(); }
                 // Single node: out-of-range eviction must be a no-op.
                 Op::EvictNode => { m.evict_node(NodeId(1)); }
+                Op::RepairDelete { id } => repair_delete(&m, id),
             }
             prop_assert!(m.directory().len(NodeId(0)) <= capacity,
                 "directory over capacity: {} > {}", m.directory().len(NodeId(0)), capacity);
@@ -187,6 +209,8 @@ proptest! {
                 }
             } else if let Op::RemoveLocal { id } = op {
                 m.remove_local(&key_for(id));
+            } else if let Op::RepairDelete { id } = op {
+                repair_delete(&m, id);
             }
             // Invariant: every directory entry has a readable body of the
             // advertised size.
@@ -222,11 +246,11 @@ proptest! {
         }
     }
 
-    /// Satellite invariant for the in-memory body tier: after any
-    /// interleaving of insert / delete / evict / `evict_node`, every
-    /// body the manager serves (memory tier or not) byte-equals what an
-    /// independent reader sees on disk, and the tier never holds more
-    /// than its byte budget.
+    /// The body tier's rule: after any interleaving of insert / delete /
+    /// evict / `evict_node` / a peer's delete naming this node, the disk
+    /// holds exactly the local table's bodies, every body the manager
+    /// serves (memory tier or not) byte-equals what an independent reader
+    /// sees there, and the tier never holds more than its byte budget.
     #[test]
     fn mem_tier_coherent_with_disk_store(
         budget in 256usize..4096,
@@ -273,9 +297,21 @@ proptest! {
                 Op::RemoveLocal { id } => { m.remove_local(&key_for(id)); }
                 Op::Purge => { m.purge_expired(); }
                 Op::EvictNode => { m.evict_node(NodeId(1)); }
+                Op::RepairDelete { id } => repair_delete(&m, id),
             }
-            prop_assert!(m.mem_bytes() <= budget,
-                "tier holds {} bytes over budget {}", m.mem_bytes(), budget);
+            prop_assert!(m.bodies().mem_bytes() <= budget,
+                "tier holds {} bytes over budget {}", m.bodies().mem_bytes(), budget);
+            // The second handle's own count is of its own puts, so the
+            // files on disk are listed by what recovery would read.
+            let on_disk: BTreeSet<CacheKey> =
+                disk_view.recover().into_iter().map(|r| r.key).collect();
+            let listed: BTreeSet<CacheKey> =
+                m.local_snapshot().into_iter().map(|meta| meta.key).collect();
+            prop_assert_eq!(on_disk.len(), m.directory().len(NodeId(0)));
+            prop_assert_eq!(&on_disk, &listed, "disk and local table disagree");
+            for key in &listed {
+                prop_assert!(disk_view.contains(key), "no body on disk for {}", key);
+            }
             for meta in m.local_snapshot() {
                 let (_, served) = m.fetch_local_body(&meta.key).unwrap();
                 let on_disk = disk_view.get(&meta.key).unwrap();

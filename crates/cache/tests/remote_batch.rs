@@ -4,9 +4,9 @@
 //! Any mix of remote inserts and deletes — duplicate keys, deletes of
 //! absent keys, deletes naming this node, keys this node is executing
 //! right now — cut into batches anywhere must leave the same directory
-//! tables, the same memory tier and the same `updates_applied` /
-//! `false_misses` counts as an `apply_remote_insert` /
-//! `apply_remote_delete` per update. So must a whole frame off one
+//! tables, the same memory tier, the same stored bodies and the same
+//! `updates_applied` / `false_misses` counts as an `apply_remote_insert`
+//! / `apply_remote_delete` per update. So must a whole frame off one
 //! peer's link — 256 or 1 024 updates, nearly all naming that peer — which
 //! the directory applies in several bounded runs per table lock.
 //!
@@ -86,7 +86,7 @@ fn manager(cached: u8, executing: u8, clock: Clock) -> CacheManager {
 }
 
 /// Everything the two managers must agree on.
-fn observable(m: &CacheManager) -> (Vec<Vec<EntryMeta>>, usize, u64, u64) {
+fn observable(m: &CacheManager) -> (Vec<Vec<EntryMeta>>, usize, usize, u64, u64) {
     let tables = (0..NODES as u16)
         .map(|n| {
             let mut t = m.directory().snapshot(NodeId(n));
@@ -97,7 +97,8 @@ fn observable(m: &CacheManager) -> (Vec<Vec<EntryMeta>>, usize, u64, u64) {
     let stats = m.stats().snapshot();
     (
         tables,
-        m.mem_bytes(),
+        m.bodies().mem_bytes(),
+        m.bodies().stored(),
         stats.updates_applied,
         stats.false_misses,
     )

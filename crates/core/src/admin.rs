@@ -469,7 +469,7 @@ fn status_page(ctx: &NodeContext) -> Response {
             if l.connected { "yes" } else { "no" },
         ));
     }
-    let sm = ctx.manager.store_metrics();
+    let sm = ctx.manager.bodies().metrics();
     let mut store = format!(
         "store={} digest={} file_bytes={} live_bytes={} free_bytes={} fsyncs={}",
         sm.kind,
@@ -479,7 +479,7 @@ fn status_page(ctx: &NodeContext) -> Response {
         sm.free_bytes,
         sm.fsyncs,
     );
-    for (op, hist) in ctx.manager.store_op_durations() {
+    for (op, hist) in ctx.manager.bodies().op_durations() {
         let h = hist.snapshot();
         store.push_str(&format!(
             "\n{op}: count={} p50_us={} p99_us={}",

@@ -136,84 +136,36 @@ impl BoundSwala {
         } else {
             Telemetry::disabled(options.node.0)
         };
+        let reg = telemetry.registry();
         let stats = Arc::new(RequestStats::new());
-        stats.register_into(telemetry.registry(), "swala_http");
+        stats.register_into(reg, "swala_http");
         let engine_stats = EngineStats::new();
-        engine_stats.register_into(telemetry.registry());
-        manager
-            .stats_arc()
-            .register_into(telemetry.registry(), "swala_cache");
-        if let Some(gauge) = manager.mem_bytes_gauge() {
-            telemetry.registry().register_gauge(
-                "swala_cache_mem_bytes",
-                "Bytes resident in the in-memory body tier",
-                gauge,
-            );
-        }
-        {
-            // Directory-size gauges read the manager's existing tables at
-            // scrape time; ring_vnodes is static geometry.
-            let reg = telemetry.registry();
-            let m = Arc::clone(&manager);
-            reg.register_gauge_fn(
-                "swala_cache_dir_entries_owned",
-                "Directory entries this node owns (local inserts)",
-                move || m.directory().len(m.local_node()) as i64,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_gauge_fn(
-                "swala_cache_dir_entries_remote",
-                "Directory entries advertised by other nodes",
-                move || {
-                    let d = m.directory();
-                    (d.total_len() - d.len(m.local_node())) as i64
-                },
-            );
-            let vnodes = manager.placement().ring().map_or(0, |r| r.vnodes()) as i64;
-            reg.register_gauge_fn(
-                "swala_cache_ring_vnodes",
-                "Virtual nodes per member on the consistent-hash ring (0 = replicated directory)",
-                move || vnodes,
-            );
-            // Body-store internals, read from the store's own metrics at
-            // scrape time (all zeros for the mem store; the files store
-            // reports only fsyncs).
-            let m = Arc::clone(&manager);
-            reg.register_gauge_fn(
-                "swala_store_file_bytes",
-                "Length of the body store's data file",
-                move || m.store_metrics().file_bytes as i64,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_gauge_fn(
-                "swala_store_live_bytes",
-                "Bytes of extents holding live records in the body store",
-                move || m.store_metrics().live_bytes as i64,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_gauge_fn(
-                "swala_store_free_bytes",
-                "Bytes of free extents inside the data file, awaiting reuse",
-                move || m.store_metrics().free_bytes as i64,
-            );
-            let m = Arc::clone(&manager);
-            reg.register_counter(
-                "swala_store_fsyncs",
-                "Durability syncs issued by the body store",
-                move || m.store_metrics().fsyncs,
-            );
-            // Store calls timed where they run, so the live cost of a
-            // put, get or delete is a scrape and not a replay.
-            for (op, hist) in manager.store_op_durations() {
-                reg.register_histogram_labeled(
-                    "swala_store_op_duration_microseconds",
-                    "Duration of body-store calls made by the cache manager",
-                    "op",
-                    op,
-                    hist,
-                );
-            }
-        }
+        engine_stats.register_into(reg);
+        manager.stats().register_into(reg, "swala_cache");
+        manager.bodies().register_into(reg);
+        // Directory-size gauges read the manager's existing tables at
+        // scrape time; ring_vnodes is static geometry.
+        let m = Arc::clone(&manager);
+        reg.register_gauge_fn(
+            "swala_cache_dir_entries_owned",
+            "Directory entries this node owns (local inserts)",
+            move || m.directory().len(m.local_node()) as i64,
+        );
+        let m = Arc::clone(&manager);
+        reg.register_gauge_fn(
+            "swala_cache_dir_entries_remote",
+            "Directory entries advertised by other nodes",
+            move || {
+                let d = m.directory();
+                (d.total_len() - d.len(m.local_node())) as i64
+            },
+        );
+        let vnodes = manager.placement().ring().map_or(0, |r| r.vnodes()) as i64;
+        reg.register_gauge_fn(
+            "swala_cache_ring_vnodes",
+            "Virtual nodes per member on the consistent-hash ring (0 = replicated directory)",
+            move || vnodes,
+        );
         let accept_filter = options.faults.as_ref().map(|f| f.acceptor(options.node));
         let daemons = CacheDaemons::start_with_listener_observed(
             cache_listener,

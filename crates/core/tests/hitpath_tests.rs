@@ -71,7 +71,7 @@ fn warm_local_hits_never_touch_the_store() {
         "warm hits must not read the store"
     );
     assert!(
-        server.manager().mem_bytes() > 0,
+        server.manager().bodies().mem_bytes() > 0,
         "tier holds the cached body"
     );
 }
@@ -93,7 +93,7 @@ fn disabled_mem_tier_still_serves_local_hits() {
     assert_eq!(hit.headers.get("X-Swala-Cache"), Some("local-hit"));
     let stats = server.cache_stats();
     assert_eq!(stats.mem_hits, 0);
-    assert_eq!(server.manager().mem_bytes(), 0);
+    assert_eq!(server.manager().bodies().mem_bytes(), 0);
     assert!(stats.store_reads >= 1, "every hit reads the store");
 }
 

@@ -92,7 +92,7 @@ fn warm_restart_with_segment_store() {
             registry(),
         )
         .unwrap();
-        assert_eq!(server.manager().store_metrics().kind, "segment");
+        assert_eq!(server.manager().bodies().metrics().kind, "segment");
         let mut client = HttpClient::new(server.http_addr());
         let bodies = (0..3)
             .map(|i| {

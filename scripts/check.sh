@@ -183,6 +183,13 @@ assert crash["byte_identical"] is True, doc
 assert crash["resurrected"] == 0, doc
 assert crash["warm_hit_rate"] == crash["pre_kill_hit_rate"], doc
 EOF
+# "No deleted entry back" without the kill -9: a peer's delete notice
+# naming this node removes the body as well as the entry (per notice and
+# batched), so a restart lists nothing; and an owner that cannot read a
+# body stops advertising it on a peer's fetch too.
+cargo test -q --release -p swala-cache --lib -- \
+    manager::tests::a_delete_notice_naming_this_node_removes_the_body_too \
+    manager::tests::owner_heals_on_a_failed_fetch_read
 
 step "segment store against its model (10x cases, pinned seed)"
 # Random put / re-put / delete / reopen with truncation, bit flips and

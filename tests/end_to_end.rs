@@ -48,7 +48,7 @@ fn adl_replay_accounting_balances() {
             })
             .unwrap();
             assert_eq!(
-                cluster.node(0).manager().store_metrics().kind,
+                cluster.node(0).manager().bodies().metrics().kind,
                 store.as_str()
             );
             let report = LoadGenerator::new(6).replay_shared(&cluster.http_addrs(), &targets);
