@@ -115,7 +115,7 @@ fn remote_burst(coalesce: bool, work_ms: u64, dial_delay: Duration) -> u64 {
         FaultAction::Delay(dial_delay),
     ));
     burst(cluster.node(0).http_addr(), &target);
-    let pool = cluster.node(0).fetch_pool_stats();
+    let pool = cluster.node(0).fetch_pool().stats();
     cluster.shutdown();
     pool.connects_opened + pool.reuses
 }

@@ -18,7 +18,9 @@ use swala::{HttpClient, ServerOptions};
 use swala_cache::NodeId;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
-use swala_proto::{FaultAction, FaultInjector, FaultRule, PROBE_INTERVAL};
+use swala_proto::{
+    FaultAction, FaultInjector, FaultRule, FETCH_ATTEMPTS, PROBE_INTERVAL, QUARANTINE_AFTER,
+};
 
 struct Outcome {
     hit_rate: f64,
@@ -43,8 +45,6 @@ fn drive(flapping: bool, requests: usize, num_targets: usize, seed: u64) -> Outc
         work: WorkKind::Sleep,
         node: ServerOptions {
             faults: Some(Arc::clone(&inj)),
-            fetch_retries: 2,
-            quarantine_after: 3,
             ..ClusterConfig::default().node
         },
         ..Default::default()
@@ -183,7 +183,9 @@ pub fn run() -> TableReport {
     std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
     report.note("client and server-side distributions written to BENCH_faults.json");
     report.note(format!(
-        "seed {seed}: half of all connections toward the owning node dropped; probe interval {} s",
+        "seed {seed}: half of all connections toward the owning node dropped; \
+         {FETCH_ATTEMPTS} attempts per fetch, quarantine after {QUARANTINE_AFTER} failed fetches, \
+         probe interval {} s",
         PROBE_INTERVAL.as_secs()
     ));
     report.note("every request returns 200 in both scenarios — failures cost hit rate and tail latency, never correctness");

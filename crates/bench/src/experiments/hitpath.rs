@@ -266,10 +266,9 @@ pub fn run() -> TableReport {
 
     // Remote hits: one client bursting through the fetch pool.
     let remote = dist(timed(&mut c1, samples, |_| target.clone()));
-    let pool = cluster.node(1).fetch_pool_stats();
-    let pool_size = ClusterConfig::default().node.fetch_pool_size as u64;
+    let pool = cluster.node(1).fetch_pool().stats();
     assert!(
-        pool.connects_opened <= pool_size,
+        pool.connects_opened <= swala_proto::DEFAULT_POOL_SIZE as u64,
         "one client must stay within the pool: {pool}"
     );
 

@@ -25,7 +25,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use swala_obs::{HeatSketch, Stage, Trace};
+use swala_obs::{HeatSketch, MetricsRegistry, Stage, Trace};
 
 /// How long a coalesced request waits for the leader's body before it
 /// executes on its own.
@@ -219,6 +219,32 @@ impl CacheManager {
     /// The body tier: store, memory tier and store-call timing.
     pub fn bodies(&self) -> &Bodies {
         &self.bodies
+    }
+
+    /// Register the node's cache series: the counters, the body tier's
+    /// series, and the directory-size gauges, which read the tables at
+    /// scrape time (`ring_vnodes` is static geometry).
+    pub fn register_into(self: &Arc<Self>, reg: &MetricsRegistry) {
+        self.stats.register_into(reg, "swala_cache");
+        self.bodies.register_into(reg);
+        let m = Arc::clone(self);
+        reg.register_gauge_fn(
+            "swala_cache_dir_entries_owned",
+            "Directory entries this node owns (local inserts)",
+            move || m.directory.len(m.local) as i64,
+        );
+        let m = Arc::clone(self);
+        reg.register_gauge_fn(
+            "swala_cache_dir_entries_remote",
+            "Directory entries advertised by other nodes",
+            move || (m.directory.total_len() - m.directory.len(m.local)) as i64,
+        );
+        let vnodes = self.placement.ring().map_or(0, |r| r.vnodes()) as i64;
+        reg.register_gauge_fn(
+            "swala_cache_ring_vnodes",
+            "Virtual nodes per member on the consistent-hash ring (0 = replicated directory)",
+            move || vnodes,
+        );
     }
 
     /// The rules' verdict for `path`, without touching the directory.

@@ -74,17 +74,9 @@ pub struct ServerOptions {
     /// CLF default; json emits one object per request with the same
     /// fields (including the trace suffix's `trace=`/`owner=`).
     pub log_format: LogFormat,
-    /// Total remote-fetch attempts per request (1 = no retries).
-    pub fetch_retries: u32,
-    /// Consecutive fetch failures before a peer is quarantined (its
-    /// directory entries are evicted and a `NodeDown` is broadcast).
-    pub quarantine_after: u32,
     /// Byte budget for the in-memory body tier over the store; 0
     /// disables it (every local hit reads the store).
     pub mem_cache_bytes: usize,
-    /// Max idle fetch connections kept warm per peer; 0 disables
-    /// pooling (every remote fetch dials).
-    pub fetch_pool_size: usize,
     /// Single-flight coalescing: concurrent identical misses and remote
     /// hits wait for the one request producing the key's body (an
     /// execution, or a fetch from the owner) instead of duplicating the
@@ -142,10 +134,7 @@ impl Default for ServerOptions {
             recover_cache: true,
             access_log: None,
             log_format: LogFormat::Text,
-            fetch_retries: 3,
-            quarantine_after: 3,
             mem_cache_bytes: 64 * 1024 * 1024,
-            fetch_pool_size: swala_proto::DEFAULT_POOL_SIZE,
             coalesce: true,
             faults: None,
             clock: Clock::Real,
@@ -178,6 +167,9 @@ const RETIRED: &[(&str, &str)] = &[
     ("monitor_interval_ms", "sources are polled every swala::monitor::MONITOR_INTERVAL"),
     ("probe_interval_ms", "a quarantined peer is probed every swala_proto::PROBE_INTERVAL"),
     ("fetch_backoff_ms", "retries back off from swala_proto::FETCH_BACKOFF"),
+    ("fetch_retries", "a remote fetch makes swala_proto::FETCH_ATTEMPTS attempts"),
+    ("quarantine_after", "swala_proto::QUARANTINE_AFTER failures in a row quarantine a peer"),
+    ("fetch_pool_size", "a node parks up to swala_proto::DEFAULT_POOL_SIZE connections per peer"),
 ];
 
 impl ServerOptions {
@@ -260,26 +252,10 @@ impl ServerOptions {
                 "log_format" => {
                     opts.log_format = rest.parse().map_err(|e: String| err(&e))?;
                 }
-                "fetch_retries" => {
-                    opts.fetch_retries = rest.parse().map_err(|_| err("bad fetch_retries"))?;
-                    if opts.fetch_retries == 0 {
-                        return Err(err("fetch_retries must be positive"));
-                    }
-                }
-                "quarantine_after" => {
-                    opts.quarantine_after =
-                        rest.parse().map_err(|_| err("bad quarantine_after"))?;
-                    if opts.quarantine_after == 0 {
-                        return Err(err("quarantine_after must be positive"));
-                    }
-                }
-                // 0 is legal for both hot-path knobs: it turns the
-                // optimization off rather than breaking the server.
+                // 0 is legal: it turns the memory tier off rather than
+                // breaking the server.
                 "mem_cache_bytes" => {
                     opts.mem_cache_bytes = rest.parse().map_err(|_| err("bad mem_cache_bytes"))?;
-                }
-                "fetch_pool_size" => {
-                    opts.fetch_pool_size = rest.parse().map_err(|_| err("bad fetch_pool_size"))?;
                 }
                 "coalesce" => {
                     opts.coalesce = match rest {
@@ -402,44 +378,13 @@ sync_on_join on
     }
 
     #[test]
-    fn failure_model_keywords() {
-        let o = ServerOptions::parse(
-            "fetch_retries 5
-quarantine_after 4
-",
-        )
-        .unwrap();
-        assert_eq!(o.fetch_retries, 5);
-        assert_eq!(o.quarantine_after, 4);
-        assert!(ServerOptions::parse("fetch_retries 0")
-            .unwrap_err()
-            .contains("positive"));
-        assert!(ServerOptions::parse("quarantine_after 0")
-            .unwrap_err()
-            .contains("positive"));
-        assert!(ServerOptions::parse("quarantine_after none")
-            .unwrap_err()
-            .contains("bad"));
-    }
-
-    #[test]
-    fn hot_path_keywords() {
-        let o = ServerOptions::parse(
-            "mem_cache_bytes 1048576
-fetch_pool_size 8
-",
-        )
-        .unwrap();
+    fn mem_cache_keyword() {
+        let o = ServerOptions::parse("mem_cache_bytes 1048576\n").unwrap();
         assert_eq!(o.mem_cache_bytes, 1_048_576);
-        assert_eq!(o.fetch_pool_size, 8);
-        // Zero disables each optimization; both remain valid configs.
-        let off = ServerOptions::parse("mem_cache_bytes 0\nfetch_pool_size 0\n").unwrap();
+        // Zero disables the memory tier and remains a valid config.
+        let off = ServerOptions::parse("mem_cache_bytes 0\n").unwrap();
         assert_eq!(off.mem_cache_bytes, 0);
-        assert_eq!(off.fetch_pool_size, 0);
         assert!(ServerOptions::parse("mem_cache_bytes lots")
-            .unwrap_err()
-            .contains("bad"));
-        assert!(ServerOptions::parse("fetch_pool_size many")
             .unwrap_err()
             .contains("bad"));
     }

@@ -50,7 +50,7 @@ pub const SERVER_NAME: &str = "Swala/0.1";
 ///
 /// A constant, not a knob: it only caps a peer that hangs. A dead peer is
 /// found by its refused or reset connection and quarantined after
-/// `quarantine_after` failures, and a live one answers orders of
+/// `QUARANTINE_AFTER` failures, and a live one answers orders of
 /// magnitude sooner than 2 s.
 pub const FETCH_TIMEOUT: Duration = Duration::from_secs(2);
 

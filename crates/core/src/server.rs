@@ -16,8 +16,8 @@ use swala_cache::{
 use swala_cgi::ProgramRegistry;
 use swala_obs::Telemetry;
 use swala_proto::{
-    default_dialer, BroadcastConfig, Broadcaster, CacheDaemons, FetchPool, FetchPoolStats,
-    HealthConfig, HealthSnapshot, HealthTracker, RetryPolicy, FETCH_BACKOFF,
+    default_dialer, BroadcastConfig, Broadcaster, CacheDaemons, FetchPool, HealthSnapshot,
+    HealthTracker, RetryPolicy, DEFAULT_POOL_SIZE,
 };
 
 /// A node whose listeners are bound but whose daemons and pool have not
@@ -141,31 +141,7 @@ impl BoundSwala {
         stats.register_into(reg, "swala_http");
         let engine_stats = EngineStats::new();
         engine_stats.register_into(reg);
-        manager.stats().register_into(reg, "swala_cache");
-        manager.bodies().register_into(reg);
-        // Directory-size gauges read the manager's existing tables at
-        // scrape time; ring_vnodes is static geometry.
-        let m = Arc::clone(&manager);
-        reg.register_gauge_fn(
-            "swala_cache_dir_entries_owned",
-            "Directory entries this node owns (local inserts)",
-            move || m.directory().len(m.local_node()) as i64,
-        );
-        let m = Arc::clone(&manager);
-        reg.register_gauge_fn(
-            "swala_cache_dir_entries_remote",
-            "Directory entries advertised by other nodes",
-            move || {
-                let d = m.directory();
-                (d.total_len() - d.len(m.local_node())) as i64
-            },
-        );
-        let vnodes = manager.placement().ring().map_or(0, |r| r.vnodes()) as i64;
-        reg.register_gauge_fn(
-            "swala_cache_ring_vnodes",
-            "Virtual nodes per member on the consistent-hash ring (0 = replicated directory)",
-            move || vnodes,
-        );
+        manager.register_into(reg);
         let accept_filter = options.faults.as_ref().map(|f| f.acceptor(options.node));
         let daemons = CacheDaemons::start_with_listener_observed(
             cache_listener,
@@ -215,7 +191,7 @@ impl BoundSwala {
             None => None,
         };
 
-        let fetch_pool = Arc::new(FetchPool::new(dialer.clone(), options.fetch_pool_size));
+        let fetch_pool = Arc::new(FetchPool::new(dialer.clone(), DEFAULT_POOL_SIZE));
         {
             // Fetch-pool and broadcaster internals expose their own
             // atomics; closures adapt them into registry counters.
@@ -296,16 +272,12 @@ impl BoundSwala {
             fetch_pool,
             dialer,
             retry_policy: RetryPolicy {
-                max_attempts: options.fetch_retries,
-                base_backoff: FETCH_BACKOFF,
                 // Distinct per node so simultaneous retries against one
                 // struggling peer don't arrive in lockstep.
                 jitter_seed: options.node.0 as u64,
+                ..RetryPolicy::default()
             },
-            health: Arc::new(HealthTracker::new(HealthConfig {
-                quarantine_after: options.quarantine_after,
-                clock: options.clock.clone(),
-            })),
+            health: Arc::new(HealthTracker::new(options.clock.clone())),
             engine_stats,
             started: std::time::Instant::now(),
             scrape_failures,
@@ -423,9 +395,10 @@ impl SwalaServer {
         self.ctx.broadcaster.link_stats()
     }
 
-    /// Counters of the persistent fetch-connection pool.
-    pub fn fetch_pool_stats(&self) -> FetchPoolStats {
-        self.ctx.fetch_pool.stats()
+    /// The node's pool of warm fetch connections: its counters, and
+    /// `purge_peer` to make the next fetch dial.
+    pub fn fetch_pool(&self) -> &FetchPool {
+        &self.ctx.fetch_pool
     }
 
     /// The node's telemetry layer (metrics registry + trace ring).

@@ -9,6 +9,7 @@ use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::{DirectoryKind, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::StatusCode;
+use swala_proto::DEFAULT_POOL_SIZE;
 
 fn registry() -> ProgramRegistry {
     let mut r = ProgramRegistry::new();
@@ -21,11 +22,10 @@ fn registry() -> ProgramRegistry {
 
 /// The keys the two-node tests warm on node 0 are homed at node 1 on the
 /// partitioned ring, so under either directory node 1 hears of them.
-fn two_node_cluster(fetch_pool_size: usize, directory: DirectoryKind) -> Vec<SwalaServer> {
+fn two_node_cluster(directory: DirectoryKind) -> Vec<SwalaServer> {
     swala::start_cluster(2, |_| {
         let options = ServerOptions {
             pool_size: 4,
-            fetch_pool_size,
             directory,
             ..Default::default()
         };
@@ -100,7 +100,7 @@ fn disabled_mem_tier_still_serves_local_hits() {
 #[test]
 fn remote_hit_burst_reuses_pooled_connections() {
     for directory in DirectoryKind::ALL {
-        let nodes = two_node_cluster(2, directory);
+        let nodes = two_node_cluster(directory);
         let mut warm = HttpClient::new(nodes[0].http_addr());
         warm.get("/cgi-bin/adl?id=31&ms=0").unwrap();
         wait_for_remote_entry(&nodes[1], NodeId(0), 1);
@@ -110,9 +110,9 @@ fn remote_hit_burst_reuses_pooled_connections() {
             let r = client.get("/cgi-bin/adl?id=31&ms=0").unwrap();
             assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
         }
-        let pool = nodes[1].fetch_pool_stats();
+        let pool = nodes[1].fetch_pool().stats();
         assert!(
-            pool.connects_opened <= 2,
+            pool.connects_opened <= DEFAULT_POOL_SIZE as u64,
             "burst over one client must reuse, opened {}",
             pool.connects_opened
         );
@@ -130,7 +130,7 @@ fn remote_hit_burst_reuses_pooled_connections() {
 #[test]
 fn status_page_shows_hot_path_counters() {
     for directory in DirectoryKind::ALL {
-        let nodes = two_node_cluster(4, directory);
+        let nodes = two_node_cluster(directory);
         let mut warm = HttpClient::new(nodes[0].http_addr());
         warm.get("/cgi-bin/adl?id=5&ms=0").unwrap();
         warm.get("/cgi-bin/adl?id=5&ms=0").unwrap();

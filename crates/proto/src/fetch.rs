@@ -144,13 +144,20 @@ pub fn default_dialer() -> Dialer {
     Arc::new(|_peer, addr, timeout| FaultStream::connect(addr, timeout, StreamFault::None))
 }
 
+/// Attempts a remote fetch makes, the first included, before the request
+/// executes locally.
+///
+/// A constant, not a knob: retries absorb a refused or reset connection
+/// that would succeed a moment later, within about 100 ms of backoff; a
+/// peer that stays down is the health tracker's to quarantine.
+pub const FETCH_ATTEMPTS: u32 = 3;
+
 /// Backoff before a fetch's second attempt; it doubles per retry.
 ///
 /// A constant, not a knob: it only spaces retries of one request against
 /// one peer, whose failure streak the health tracker already turns into a
-/// quarantine, and most chaos scenarios run `fetch_retries 1`, which
-/// never backs off. The retry sleep stays on real time: it holds up a
-/// request thread, not a timer.
+/// quarantine. The retry sleep stays on real time: it holds up a request
+/// thread, not a timer.
 pub const FETCH_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Bounded-retry policy for remote fetches. Backoff is exponential with
@@ -171,7 +178,7 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            max_attempts: 3,
+            max_attempts: FETCH_ATTEMPTS,
             base_backoff: FETCH_BACKOFF,
             jitter_seed: 0,
         }

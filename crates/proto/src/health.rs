@@ -54,9 +54,17 @@ impl PeerState {
 ///
 /// A constant, not a knob: `Suspect` only reports a failure streak on
 /// `/swala-status` — fetches still go to the peer — so the first failure
-/// is the one worth showing. `quarantine_after` is the threshold that
+/// is the one worth showing. [`QUARANTINE_AFTER`] is the threshold that
 /// changes behaviour.
 pub const SUSPECT_AFTER: u32 = 1;
+
+/// Consecutive failures before a peer is `Quarantined`.
+///
+/// A constant, not a knob: a request is one failure however many
+/// attempts it made, so three in a row that exhausted their retries is a
+/// peer that is down, and a wrong quarantine costs only the hits it could
+/// have served until the next probe.
+pub const QUARANTINE_AFTER: u32 = 3;
 
 /// How long a quarantined peer rests before one live fetch may probe it.
 ///
@@ -65,24 +73,6 @@ pub const SUSPECT_AFTER: u32 = 1;
 /// one connect attempt at a dead peer, not a stream of them. Tests
 /// advance the clock instead.
 pub const PROBE_INTERVAL: Duration = Duration::from_secs(5);
-
-/// Settings of the quarantine state machine.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Consecutive failures before a peer is `Quarantined`.
-    pub quarantine_after: u32,
-    /// What the probe window runs on.
-    pub clock: Clock,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            quarantine_after: 3,
-            clock: Clock::Real,
-        }
-    }
-}
 
 #[derive(Debug, Clone)]
 struct PeerHealth {
@@ -118,20 +108,17 @@ pub struct HealthSnapshot {
 /// Tracks the health of every peer this node fetches from.
 #[derive(Debug)]
 pub struct HealthTracker {
-    cfg: HealthConfig,
+    /// What the probe window runs on.
+    clock: Clock,
     peers: Mutex<HashMap<u16, PeerHealth>>,
 }
 
 impl HealthTracker {
-    pub fn new(cfg: HealthConfig) -> Self {
+    pub fn new(clock: Clock) -> Self {
         HealthTracker {
-            cfg,
+            clock,
             peers: Mutex::new(HashMap::new()),
         }
-    }
-
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// May this node fetch from `peer` right now? `Quarantined` peers
@@ -145,7 +132,7 @@ impl HealthTracker {
             PeerState::Quarantined => {
                 let due = h
                     .quarantined_at
-                    .map(|t| self.cfg.clock.now().saturating_duration_since(t) >= PROBE_INTERVAL)
+                    .map(|t| self.clock.now().saturating_duration_since(t) >= PROBE_INTERVAL)
                     .unwrap_or(true);
                 if due {
                     h.state = PeerState::Probing;
@@ -177,9 +164,9 @@ impl HealthTracker {
         // A failed probe re-enters quarantine silently: directory repair
         // already ran when the outage was first declared.
         let was_quarantined = matches!(h.state, PeerState::Quarantined | PeerState::Probing);
-        if h.consecutive_failures >= self.cfg.quarantine_after || h.state == PeerState::Probing {
+        if h.consecutive_failures >= QUARANTINE_AFTER || h.state == PeerState::Probing {
             h.state = PeerState::Quarantined;
-            h.quarantined_at = Some(self.cfg.clock.now());
+            h.quarantined_at = Some(self.clock.now());
             if !was_quarantined {
                 h.total_quarantines += 1;
                 return Some(PeerState::Quarantined);
@@ -227,11 +214,14 @@ mod tests {
     /// A tracker whose probe window runs on a clock the test moves.
     fn tracker() -> (HealthTracker, std::sync::Arc<ManualClock>) {
         let time = ManualClock::new();
-        let t = HealthTracker::new(HealthConfig {
-            quarantine_after: 3,
-            clock: time.clock(),
-        });
-        (t, time)
+        (HealthTracker::new(time.clock()), time)
+    }
+
+    /// `n` consecutive failures against `p`.
+    fn fail(t: &HealthTracker, p: NodeId, n: u32) {
+        for _ in 0..n {
+            t.record_failure(p);
+        }
     }
 
     #[test]
@@ -239,11 +229,11 @@ mod tests {
         let (t, _) = tracker();
         let p = NodeId(1);
         assert_eq!(t.state(p), PeerState::Healthy);
-        assert_eq!(t.record_failure(p), None);
-        assert_eq!(t.state(p), PeerState::Suspect);
-        assert_eq!(t.record_failure(p), None);
-        assert_eq!(t.state(p), PeerState::Suspect);
-        // Third consecutive failure crosses the threshold — and the
+        for _ in 1..QUARANTINE_AFTER {
+            assert_eq!(t.record_failure(p), None);
+            assert_eq!(t.state(p), PeerState::Suspect);
+        }
+        // The streak's last failure crosses the threshold — and the
         // transition is reported exactly once.
         assert_eq!(t.record_failure(p), Some(PeerState::Quarantined));
         assert_eq!(t.state(p), PeerState::Quarantined);
@@ -254,9 +244,7 @@ mod tests {
     fn quarantine_blocks_attempts_until_probe_window() {
         let (t, time) = tracker();
         let p = NodeId(1);
-        for _ in 0..3 {
-            t.record_failure(p);
-        }
+        fail(&t, p, QUARANTINE_AFTER);
         assert!(!t.should_attempt(p));
         time.advance(PROBE_INTERVAL - Duration::from_millis(1));
         assert!(!t.should_attempt(p), "the window is not over");
@@ -271,9 +259,7 @@ mod tests {
     fn probe_success_restores_healthy() {
         let (t, time) = tracker();
         let p = NodeId(1);
-        for _ in 0..3 {
-            t.record_failure(p);
-        }
+        fail(&t, p, QUARANTINE_AFTER);
         time.advance(PROBE_INTERVAL);
         assert!(t.should_attempt(p));
         t.record_success(p);
@@ -285,9 +271,7 @@ mod tests {
     fn probe_failure_requarantines_immediately() {
         let (t, time) = tracker();
         let p = NodeId(1);
-        for _ in 0..3 {
-            t.record_failure(p);
-        }
+        fail(&t, p, QUARANTINE_AFTER);
         time.advance(PROBE_INTERVAL);
         assert!(t.should_attempt(p));
         assert_eq!(t.state(p), PeerState::Probing);
@@ -307,13 +291,12 @@ mod tests {
     fn success_resets_failure_streak() {
         let (t, _) = tracker();
         let p = NodeId(1);
-        t.record_failure(p);
-        t.record_failure(p);
+        fail(&t, p, QUARANTINE_AFTER - 1);
         t.record_success(p);
         assert_eq!(t.state(p), PeerState::Healthy);
-        // Streak restarted: two more failures stay below the threshold.
-        t.record_failure(p);
-        assert_eq!(t.record_failure(p), None);
+        // Streak restarted: as many failures again stay below the
+        // threshold.
+        fail(&t, p, QUARANTINE_AFTER - 1);
         assert_eq!(t.state(p), PeerState::Suspect);
     }
 
@@ -321,9 +304,7 @@ mod tests {
     fn snapshot_reports_all_peers_sorted() {
         let (t, _) = tracker();
         t.record_failure(NodeId(3));
-        for _ in 0..3 {
-            t.record_failure(NodeId(1));
-        }
+        fail(&t, NodeId(1), QUARANTINE_AFTER);
         t.record_success(NodeId(2));
         let snap = t.snapshot();
         assert_eq!(snap.len(), 3);

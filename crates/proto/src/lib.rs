@@ -53,10 +53,10 @@ pub use daemon::{
 pub use faults::{AcceptFilter, FaultAction, FaultEvent, FaultInjector, FaultRule};
 pub use fetch::{
     default_dialer, request_invalidate, request_sync_via, Dialer, FaultStream, FetchOutcome,
-    RetryPolicy, StreamFault, FETCH_BACKOFF,
+    RetryPolicy, StreamFault, FETCH_ATTEMPTS, FETCH_BACKOFF,
 };
 pub use health::{
-    HealthConfig, HealthSnapshot, HealthTracker, PeerState, PROBE_INTERVAL, SUSPECT_AFTER,
+    HealthSnapshot, HealthTracker, PeerState, PROBE_INTERVAL, QUARANTINE_AFTER, SUSPECT_AFTER,
 };
 pub use message::{Message, NodeStats};
 pub use peers::{

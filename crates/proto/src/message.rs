@@ -267,7 +267,7 @@ impl Message {
             TAG_SYNC_REPLY => {
                 let node = NodeId(get_u16(&mut r)?);
                 let n = get_u32(&mut r)? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
+                let mut entries = Vec::with_capacity(room_for::<EntryMeta>(n, r));
                 for _ in 0..n {
                     entries.push(decode_meta(&mut r)?);
                 }
@@ -283,7 +283,7 @@ impl Message {
             },
             TAG_BATCH => {
                 let n = get_u32(&mut r)? as usize;
-                let mut msgs = Vec::with_capacity(n.min(1024));
+                let mut msgs = Vec::with_capacity(room_for::<Message>(n, r));
                 for _ in 0..n {
                     let sub = get_bytes(&mut r)?;
                     if sub.first() == Some(&TAG_BATCH) {
@@ -438,10 +438,17 @@ fn encode_node_stats(buf: &mut BytesMut, stats: &NodeStats) {
     }
 }
 
+/// Items of `T` to reserve for a declared count of `n` still to decode
+/// from `rest`: never more bytes than `rest` holds, so a hostile count
+/// reserves nothing the frame does not back.
+fn room_for<T>(n: usize, rest: &[u8]) -> usize {
+    n.min(rest.len() / std::mem::size_of::<T>())
+}
+
 fn decode_node_stats(r: &mut &[u8]) -> Result<NodeStats, ProtoError> {
     let node = NodeId(get_u16(r)?);
     let n_metrics = get_u32(r)? as usize;
-    let mut metrics = Vec::with_capacity(n_metrics.min(4096));
+    let mut metrics = Vec::with_capacity(room_for::<MetricSnapshot>(n_metrics, r));
     for _ in 0..n_metrics {
         let name = get_string(r)?;
         let help = get_string(r)?;
@@ -482,7 +489,7 @@ fn decode_node_stats(r: &mut &[u8]) -> Result<NodeStats, ProtoError> {
         });
     }
     let n_hot = get_u32(r)? as usize;
-    let mut hotkeys = Vec::with_capacity(n_hot.min(4096));
+    let mut hotkeys = Vec::with_capacity(room_for::<HeatEntry>(n_hot, r));
     for _ in 0..n_hot {
         hotkeys.push(HeatEntry {
             key: get_string(r)?,

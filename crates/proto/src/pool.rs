@@ -29,7 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use swala_cache::{CacheKey, NodeId};
 
-/// Default maximum idle connections kept per peer.
+/// Idle fetch connections every node keeps warm per peer. A constant,
+/// not a knob: a remote hit holds a connection for one exchange, so a few
+/// carry a peer's remote-hit stream, and a burst beyond them dials.
 pub const DEFAULT_POOL_SIZE: usize = 4;
 
 /// Counter snapshot for reporting (`/swala-status`, bench assertions).
@@ -84,11 +86,6 @@ impl FetchPool {
             reuses: AtomicU64::new(0),
             stale_drops: AtomicU64::new(0),
         }
-    }
-
-    /// The configured per-peer idle cap.
-    pub fn max_per_peer(&self) -> usize {
-        self.max_per_peer
     }
 
     /// Fetch `key` from `peer` at `addr` with bounded retries, reusing a

@@ -66,6 +66,13 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala --lib pool::
 cargo test -q --release -p swala --test alloc_budget
 
+step "wire decoder against hostile counts (allocation budget, 2048 cases, pinned seed)"
+# Every tag with a hostile count before a short, arbitrary or cut-short
+# tail, alone and inside a lying Batch: no panic, and decoding asks the
+# allocator for at most 8 x the input's length + 4096 bytes.
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-proto --test decode_alloc
+
 step "config parser (README knob table + structure-aware fuzz, 2048 cases, pinned seed)"
 # The README's Configuration table has one row per ServerOptions field
 # and each documented default parses back to the default; every retired

@@ -15,7 +15,9 @@ use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions};
 use swala_cache::NodeId;
 use swala_cluster::{ClusterConfig, SwalaCluster};
-use swala_proto::{FaultAction, FaultEvent, FaultInjector, FaultRule, PeerState};
+use swala_proto::{
+    FaultAction, FaultEvent, FaultInjector, FaultRule, PeerState, FETCH_ATTEMPTS, QUARANTINE_AFTER,
+};
 
 fn chaos_seed() -> u64 {
     std::env::var("SWALA_CHAOS_SEED")
@@ -24,8 +26,9 @@ fn chaos_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// Every chaos node's options: faults on every seam. Retries back off
-/// and quarantined peers are probed at the shipped constants; no drill
+/// Every chaos node's options: faults on every seam, and otherwise the
+/// node Swala ships — `FETCH_ATTEMPTS` per fetch, quarantine after
+/// `QUARANTINE_AFTER` failed requests, a warm fetch pool. No drill
 /// fetches from a quarantined peer, whose entries quarantine evicts.
 fn chaos_node(inj: &Arc<FaultInjector>) -> ServerOptions {
     ServerOptions {
@@ -66,24 +69,23 @@ fn cache_tag(resp: &swala_http::Response) -> String {
 
 /// A dead peer produces zero request failures: every affected request is
 /// served by a local-execution fallback, the corpse is quarantined after
-/// the configured failure streak, its directory entries are evicted, and
-/// — the acceptance criterion — fetch attempts toward it stop entirely.
+/// `QUARANTINE_AFTER` failed requests, its directory entries are evicted,
+/// and — the acceptance criterion — fetch attempts toward it stop
+/// entirely.
 #[test]
 fn dead_peer_causes_zero_failures_and_attempts_stop() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 1,
-            quarantine_after: 2,
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
 
-    // Warm node 1 and record the correct bodies.
-    let targets: Vec<String> = (0..6)
+    // Warm node 1 and record the correct bodies: a failure streak's worth
+    // of keys, and as many again to serve after the quarantine.
+    let fallbacks = QUARANTINE_AFTER as usize;
+    let targets: Vec<String> = (0..2 * fallbacks)
         .map(|i| format!("/cgi-bin/adl?id=9{i}&ms=0"))
         .collect();
     let mut c1 = HttpClient::new(cluster.node(1).http_addr());
@@ -105,19 +107,13 @@ fn dead_peer_causes_zero_failures_and_attempts_stop() {
         assert_eq!(&r.body, body, "fallback body wrong for {t}");
         tags.push(cache_tag(&r));
     }
-    // Two failures reach the quarantine threshold; everything after is a
+    // The streak reaches the quarantine threshold; everything after is a
     // clean miss because the corpse's directory entries were evicted.
     assert_eq!(
-        tags,
-        [
-            "remote-unreachable-fallback",
-            "remote-unreachable-fallback",
-            "miss",
-            "miss",
-            "miss",
-            "miss"
-        ]
+        tags[..fallbacks],
+        ["remote-unreachable-fallback"; QUARANTINE_AFTER as usize]
     );
+    assert_eq!(tags[fallbacks..], ["miss"; QUARANTINE_AFTER as usize]);
 
     let stats = cluster.node(0).request_stats();
     assert_eq!(stats.server_errors, 0, "dead peer must not cause errors");
@@ -134,7 +130,10 @@ fn dead_peer_causes_zero_failures_and_attempts_stop() {
         0,
         "corpse's directory entries evicted"
     );
-    assert_eq!(cluster.node(0).cache_stats().node_evictions, 6);
+    assert_eq!(
+        cluster.node(0).cache_stats().node_evictions,
+        targets.len() as u64
+    );
 
     // Acceptance: with the directory repaired, re-serving the same keys
     // makes zero further attempts toward the dead peer.
@@ -161,32 +160,32 @@ fn node_down_broadcast_repairs_third_party_directories() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 3,
-        node: ServerOptions {
-            fetch_retries: 1,
-            quarantine_after: 1,
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
 
-    let targets: Vec<String> = (0..4)
+    // A failure streak's worth of keys, and one to ask after it.
+    let streak = QUARANTINE_AFTER as usize;
+    let targets: Vec<String> = (0..=streak)
         .map(|i| format!("/cgi-bin/adl?id=8{i}&ms=0"))
         .collect();
     let mut c2 = HttpClient::new(cluster.node(2).http_addr());
     for t in &targets {
         c2.get(t).unwrap();
     }
-    assert!(cluster.wait_for_directory_convergence(4, Duration::from_secs(10)));
+    assert!(cluster.wait_for_directory_convergence(targets.len(), Duration::from_secs(10)));
     settle(&cluster);
 
     // Only the 0→2 path dies; 0→1 and 1→2 stay healthy.
     inj.add_rule(FaultRule::between(NodeId(0), NodeId(2), FaultAction::Drop));
 
     let mut c0 = HttpClient::new(cluster.node(0).http_addr());
-    let r = c0.get(&targets[0]).unwrap();
-    assert!(r.status.is_success());
-    assert_eq!(cache_tag(&r), "remote-unreachable-fallback");
+    for t in &targets[..streak] {
+        let r = c0.get(t).unwrap();
+        assert!(r.status.is_success());
+        assert_eq!(cache_tag(&r), "remote-unreachable-fallback");
+    }
     assert_eq!(
         cluster.node(0).peer_health()[0].state,
         PeerState::Quarantined
@@ -198,24 +197,20 @@ fn node_down_broadcast_repairs_third_party_directories() {
     });
     assert_eq!(cluster.node(0).manager().directory().len(NodeId(2)), 0);
     // The next affected request at node 0 is a plain miss — no fetch.
-    let r = c0.get(&targets[1]).unwrap();
+    let r = c0.get(&targets[streak]).unwrap();
     assert_eq!(cache_tag(&r), "miss");
     cluster.shutdown();
 }
 
-/// Retry exhaustion: a persistently refused fetch is retried the
-/// configured number of times with backoff, then falls back to local
-/// CGI execution — still a 200, with the retries visible in the stats.
+/// Retry exhaustion: a persistently refused fetch makes its
+/// `FETCH_ATTEMPTS` attempts with backoff, then falls back to local CGI
+/// execution — still a 200, with the retries visible in the stats.
 #[test]
 fn retry_exhaustion_falls_back_to_local_execution() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 3,
-            quarantine_after: 100, // keep quarantine out of this scenario
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
@@ -234,10 +229,14 @@ fn retry_exhaustion_falls_back_to_local_execution() {
     assert_eq!(r.body, warm_body);
 
     let stats = cluster.node(0).request_stats();
-    assert_eq!(stats.fetch_retries, 2, "3 attempts = 2 retries");
+    assert_eq!(
+        stats.fetch_retries,
+        u64::from(FETCH_ATTEMPTS - 1),
+        "every attempt after the first is a retry"
+    );
     assert!(
-        inj.attempt_count(NodeId(0), NodeId(1)) >= before + 3,
-        "all three attempts hit the wire"
+        inj.attempt_count(NodeId(0), NodeId(1)) >= before + u64::from(FETCH_ATTEMPTS),
+        "every attempt hit the wire"
     );
     // One request is one failure for the health tracker, however many
     // transport attempts it took.
@@ -254,11 +253,7 @@ fn single_transient_failure_is_hidden_by_retry() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 3,
-            quarantine_after: 100,
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
@@ -284,17 +279,15 @@ fn single_transient_failure_is_hidden_by_retry() {
 
 /// Full partition, then heal: during the partition both sides keep
 /// serving correct answers from local execution; after `clear_rules`
-/// new inserts propagate and cooperative caching resumes.
+/// new inserts propagate and cooperative caching resumes. The partition
+/// drops notices, so neither node ever fetches from the other during it
+/// and no failure streak starts.
 #[test]
 fn partition_heals_and_cooperation_resumes() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 1,
-            quarantine_after: 100,
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
@@ -332,6 +325,9 @@ fn partition_heals_and_cooperation_resumes() {
     assert_eq!(r.body, body_b);
     assert_eq!(cluster.node(0).request_stats().server_errors, 0);
     assert_eq!(cluster.node(1).request_stats().server_errors, 0);
+    for n in cluster.nodes() {
+        assert!(n.peer_health().iter().all(|h| h.total_failures == 0));
+    }
     cluster.shutdown();
 }
 
@@ -390,11 +386,7 @@ fn node_crash_mid_broadcast_leaves_survivors_consistent() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 3,
-        node: ServerOptions {
-            fetch_retries: 1,
-            quarantine_after: 1,
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
@@ -567,15 +559,7 @@ fn same_seed_same_schedule_same_trace() {
         let inj = FaultInjector::seeded(seed);
         let cluster = SwalaCluster::start(&ClusterConfig {
             nodes: 2,
-            node: ServerOptions {
-                fetch_retries: 1,
-                quarantine_after: 100,
-                // The trace under test is made of dial-time fault decisions;
-                // pooled connections would skip most dials, so every fetch
-                // must open a fresh one.
-                fetch_pool_size: 0,
-                ..chaos_node(&inj)
-            },
+            node: chaos_node(&inj),
             ..Default::default()
         })
         .unwrap();
@@ -600,6 +584,9 @@ fn same_seed_same_schedule_same_trace() {
             // Serialize: drain writer-thread fault decisions before the
             // next request so the decision order is schedule-determined.
             settle(&cluster);
+            // The trace under test is made of dial-time fault decisions,
+            // which a warm connection would skip: every fetch dials.
+            cluster.node(0).fetch_pool().purge_peer(NodeId(1));
         }
         let trace = inj.trace();
         cluster.shutdown();
@@ -622,10 +609,7 @@ fn pooled_connection_truncated_mid_reply_recovers_in_place() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 1, // recovery must come from the pool, not retry
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
@@ -649,10 +633,15 @@ fn pooled_connection_truncated_mid_reply_recovers_in_place() {
         assert_eq!(r.body, warm_body[..], "torn body on request {i}");
     }
 
-    let pool = cluster.node(0).fetch_pool_stats();
+    let pool = cluster.node(0).fetch_pool().stats();
     assert!(pool.stale_drops >= 2, "mid-reply EOFs surfaced: {pool}");
     assert!(pool.reuses >= 2, "healthy stretches reused: {pool}");
-    assert_eq!(cluster.node(0).request_stats().server_errors, 0);
+    let requests = cluster.node(0).request_stats();
+    assert_eq!(requests.server_errors, 0);
+    assert_eq!(
+        requests.fetch_retries, 0,
+        "recovery came from the pool, not from a retry"
+    );
     // In-place reconnects are invisible to the health tracker.
     let h = cluster.node(0).peer_health();
     assert!(h.is_empty() || h[0].state == PeerState::Healthy);
@@ -669,10 +658,7 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 1,
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
@@ -716,8 +702,9 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
     let stats = cluster.node(1).cache_stats();
     let requests = cluster.node(1).request_stats();
     assert_eq!(requests.server_errors, 0);
-    // Every request was a remote hit; the burst shared one wire fetch
-    // and one execution, and the failed fetch cost the owner one strike.
+    // Every request was a remote hit; the burst shared one fetch (its
+    // attempts each dialed) and one execution, and the failed fetch cost
+    // the owner one strike.
     assert_eq!(stats.remote_hits, BURST as u64, "{stats}");
     assert_eq!(
         (stats.coalesce_waits, stats.coalesce_fallbacks),
@@ -725,8 +712,12 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
         "{stats}"
     );
     assert_eq!(requests.executions, 1, "the leader executed, once");
-    let pool = cluster.node(1).fetch_pool_stats();
-    assert_eq!(pool.connects_opened + pool.reuses, 1, "{pool}");
+    let pool = cluster.node(1).fetch_pool().stats();
+    assert_eq!(
+        pool.connects_opened + pool.reuses,
+        u64::from(FETCH_ATTEMPTS),
+        "{pool}"
+    );
     let h = cluster.node(1).peer_health();
     assert_eq!(
         (h[0].state, h[0].consecutive_failures),
@@ -763,8 +754,8 @@ fn burst(addr: std::net::SocketAddr, target: &str, n: usize) -> Vec<(bool, Vec<u
 /// One failed exchange is one health failure, whatever the burst size.
 /// Eight same-instant remote hits meet an owner whose every fetch
 /// connection is reset (each dial also delayed, so the burst lands inside
-/// the first fetch): the leader's failed fetch is one strike, at the
-/// shipped `quarantine_after`, and the owner's other entries stay listed.
+/// the first fetch): the leader's failed fetch is one strike of
+/// `QUARANTINE_AFTER`, and the owner's other entries stay listed.
 #[test]
 fn remote_hit_burst_on_a_failing_owner_is_one_health_failure() {
     use swala_proto::faults::ACCEPT_SRC;
@@ -893,15 +884,13 @@ fn resetting_connections_through_pool_still_quarantine_the_peer() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 1,
-            quarantine_after: 2,
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
-    let targets: Vec<String> = (0..4)
+    // A failure streak's worth of keys, and one to ask after it.
+    let streak = QUARANTINE_AFTER as usize;
+    let targets: Vec<String> = (0..=streak)
         .map(|i| format!("/cgi-bin/adl?id=5{i}&ms=0"))
         .collect();
     let mut c1 = HttpClient::new(cluster.node(1).http_addr());
@@ -909,7 +898,7 @@ fn resetting_connections_through_pool_still_quarantine_the_peer() {
         .iter()
         .map(|t| c1.get(t).unwrap().body.into_vec())
         .collect();
-    assert!(cluster.wait_for_directory_convergence(4, Duration::from_secs(10)));
+    assert!(cluster.wait_for_directory_convergence(targets.len(), Duration::from_secs(10)));
     settle(&cluster);
 
     // Node 0 never built a warm connection, and from now on every new
@@ -924,18 +913,14 @@ fn resetting_connections_through_pool_still_quarantine_the_peer() {
         tags.push(cache_tag(&r));
     }
     assert_eq!(
-        tags,
-        [
-            "remote-unreachable-fallback",
-            "remote-unreachable-fallback",
-            "miss",
-            "miss"
-        ]
+        tags[..streak],
+        ["remote-unreachable-fallback"; QUARANTINE_AFTER as usize]
     );
+    assert_eq!(tags[streak..], ["miss"]);
     let h = cluster.node(0).peer_health();
     assert_eq!(h[0].state, PeerState::Quarantined);
     assert_eq!(h[0].total_quarantines, 1);
-    let pool = cluster.node(0).fetch_pool_stats();
+    let pool = cluster.node(0).fetch_pool().stats();
     assert_eq!(pool.idle, 0, "no poisoned connection may stay parked");
     assert_eq!(cluster.node(0).request_stats().server_errors, 0);
     cluster.shutdown();
@@ -952,11 +937,7 @@ fn request_burst_survives_accept_resets() {
     let inj = FaultInjector::seeded(chaos_seed());
     let cluster = SwalaCluster::start(&ClusterConfig {
         nodes: 2,
-        node: ServerOptions {
-            fetch_retries: 2,
-            quarantine_after: 100, // keep quarantine out of this scenario
-            ..chaos_node(&inj)
-        },
+        node: chaos_node(&inj),
         ..Default::default()
     })
     .unwrap();
@@ -979,8 +960,11 @@ fn request_burst_survives_accept_resets() {
     // window also swallows whatever broadcast-link reconnects land on
     // the daemon meanwhile, so the exact request where cooperation
     // resumes varies — the invariants below do not.
+    const RESETS: u64 = 8;
     let n = inj.attempt_count(ACCEPT_SRC, NodeId(1));
-    inj.add_rule(FaultRule::between(ACCEPT_SRC, NodeId(1), FaultAction::Reset).window(n, n + 8));
+    inj.add_rule(
+        FaultRule::between(ACCEPT_SRC, NodeId(1), FaultAction::Reset).window(n, n + RESETS),
+    );
 
     let mut c0 = HttpClient::new(cluster.node(0).http_addr());
     let mut tags = Vec::new();
@@ -996,12 +980,14 @@ fn request_burst_survives_accept_resets() {
         tags[0], "remote-unreachable-fallback",
         "first fetch of the burst must hit a reset: {tags:?}"
     );
-    // Eight reset accepts cannot outlast four failing requests (a
-    // failing request burns at least two), so the tail of the burst runs
-    // on healthy connections again.
-    assert_eq!(
-        &tags[4..],
-        ["remote-hit", "remote-hit"],
+    // A failing request burns `FETCH_ATTEMPTS` reset accepts, so the
+    // window fails at most this many requests — too few to quarantine
+    // the peer — and the rest of the burst rides the connection the
+    // first clean fetch parked.
+    let max_failing = (RESETS / u64::from(FETCH_ATTEMPTS)) as usize;
+    assert!(max_failing < QUARANTINE_AFTER as usize);
+    assert!(
+        tags[max_failing..].iter().all(|t| t == "remote-hit"),
         "cooperation must resume once the fault window closes: {tags:?}"
     );
     assert!(
