@@ -181,22 +181,13 @@ fn bench_evict_at_capacity(c: &mut Criterion) {
     group.finish();
 }
 
-/// SHA-256 of one 4 KiB body — what every insert and every store read
-/// pays — by each implementation this host runs.
+/// The digest of one 4 KiB body — what every insert pays, and every
+/// store read that finds no digest recorded.
 fn bench_digest(c: &mut Criterion) {
     let body: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
-    let mut group = c.benchmark_group("digest_4k");
-    group.bench_function("scalar", |b| {
-        b.iter(|| black_box(Digest::of_scalar(black_box(&body))))
+    c.bench_function("digest_4k", |b| {
+        b.iter(|| black_box(Digest::of(black_box(&body))))
     });
-    if Digest::of_accelerated(&body).is_some() {
-        group.bench_function("accelerated", |b| {
-            b.iter(|| black_box(Digest::of_accelerated(black_box(&body))))
-        });
-    } else {
-        println!("digest_4k/accelerated                            skipped: no sha extension");
-    }
-    group.finish();
 }
 
 /// Wire codec throughput: the per-broadcast serialization cost.

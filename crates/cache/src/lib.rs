@@ -54,7 +54,7 @@ pub mod store;
 
 pub use bodies::{Bodies, BodyTier};
 pub use clock::{Clock, ManualClock, StopSignal, Waiter};
-pub use digest::{Digest, DigestImpl};
+pub use digest::Digest;
 pub use directory::{CacheDirectory, Classification, Eviction, RemoteUpdate};
 pub use entry::EntryMeta;
 pub use flights::{FlightWaitOutcome, FlightWaiter};

@@ -10,6 +10,9 @@
 //! Bodies are keyed by their content [`Digest`]: keys map to digests and
 //! digests map (refcounted) to the actual bytes, so N keys sharing one
 //! body hold a single allocation and the byte budget counts it once.
+//! The digest is not collision-resistant, so a key shares a resident
+//! body only when the bytes are equal too; a key whose body merely
+//! hashes alike is not admitted and is served from the store.
 //! [`MemCache::insert`] reports when an insert deduplicated against a
 //! resident body, feeding the `mem_dedup_hits` counter.
 //!
@@ -118,6 +121,8 @@ impl MemCache {
     ///
     /// Returns `true` when the bytes were already resident via another
     /// key — a dedup hit: the insert cost an index entry, not a copy.
+    /// When another body with this digest is resident, `key` is not
+    /// admitted.
     pub fn insert(&self, key: &CacheKey, digest: Digest, body: Arc<[u8]>) -> bool {
         let mut inner = self.inner.lock();
         // Unlink any previous mapping first so a same-key replace
@@ -126,7 +131,10 @@ impl MemCache {
         if freed > 0 {
             self.bytes.sub(freed);
         }
-        let shared = inner.bodies.contains_key(&digest);
+        let shared = match inner.bodies.get(&digest) {
+            Some((resident, _)) if resident[..] != body[..] => return false,
+            resident => resident.is_some(),
+        };
         let needed = if shared { 0 } else { body.len() };
         if needed > self.budget {
             return false;
@@ -330,6 +338,25 @@ mod tests {
         assert!(insert(&m, &key("/b"), Arc::clone(&b)));
         assert_eq!(keys(&m), 2);
         assert_eq!(m.bytes(), 8);
+    }
+
+    /// Two bodies under one digest (a collision, forged here): each key
+    /// gets its own bytes or nothing, never the other key's.
+    #[test]
+    fn a_digest_collision_never_shares_another_keys_bytes() {
+        let m = MemCache::new(100);
+        let digest = Digest::of(b"first");
+        assert!(!m.insert(&key("/a"), digest, body("first")));
+        assert!(!m.insert(&key("/b"), digest, body("second")));
+        assert_eq!(&m.get(&key("/a")).unwrap()[..], b"first");
+        assert!(m.get(&key("/b")).is_none(), "served another key's bytes");
+        assert_eq!(m.bytes(), 5);
+        // The other order: /b's bytes resident, /a refused.
+        m.remove(&key("/a"));
+        assert!(!m.insert(&key("/b"), digest, body("second")));
+        assert!(!m.insert(&key("/a"), digest, body("first")));
+        assert_eq!(&m.get(&key("/b")).unwrap()[..], b"second");
+        assert!(m.get(&key("/a")).is_none());
     }
 
     #[test]

@@ -18,24 +18,27 @@
 //! record        = header(21) , payload
 //! header        = kind u8 | seq u64 | payload_len u32
 //!               | payload_crc u32 | header_crc u32      (crc of bytes 0..17)
-//! payload(Put)  = key_len u32 | key | digest[32] | ct_len u32 | ct
+//! payload(Put)  = key_len u32 | key | digest[16] | ct_len u32 | ct
 //!               | exec_micros u64 | expiry_flag u8 | expiry u64 | created u64
 //!               | body_len u64          (body_len body bytes follow the record)
 //! payload(Free) = len u64               (this extent is free for len bytes)
 //! ```
 //!
-//! The body is covered by the SHA-256 the caller already computed
-//! (`put_digested`), so a put makes no second pass over it. In memory
-//! there is a `key → slot` index and an ordered map of all extents; a put
-//! takes the **best-fitting** free extent (smallest that fits, lowest
-//! offset among equals), always from its start, and hands the remainder
-//! back; a freed extent is **coalesced** with free neighbours, and a free
-//! extent at the end of the file is **trimmed** off it. With no free
-//! extent that fits, the file grows by exactly one extent. When the
-//! contents shrink (smaller bodies replacing larger ones) the holes are
-//! in the middle, so while more than 1/16 of the file is free each put
-//! also **moves the last record** into a hole, and the tail it vacates is
-//! trimmed: the file's length follows its live bytes down.
+//! The body is covered by the 128-bit digest the caller already computed
+//! (`put_digested`), so a put makes no second pass over it. `Put` records
+//! are kind 3; kind 2, the earlier format with a 32-byte SHA-256, no
+//! longer decodes, so such a file opens empty and its space is reused.
+//! In memory there is a `key → slot` index and an ordered map of all
+//! extents; a put takes the **best-fitting** free extent (smallest that
+//! fits, lowest offset among equals), always from its start, and hands
+//! the remainder back; a freed extent is **coalesced** with free
+//! neighbours, and a free extent at the end of the file is **trimmed**
+//! off it. With no free extent that fits, the file grows by exactly one
+//! extent. When the contents shrink (smaller bodies replacing larger
+//! ones) the holes are in the middle, so while more than 1/16 of the
+//! file is free each put also **moves the last record** into a hole, and
+//! the tail it vacates is trimmed: the file's length follows its live
+//! bytes down.
 //!
 //! Crash argument. A record is written only into space no index entry
 //! points to, so a torn write can damage nothing that was acknowledged;
@@ -56,8 +59,9 @@
 //! any older `Free` record there before anything lands behind it. Past a
 //! header that does not verify it steps [`ALIGN`] bytes at a time, which
 //! reads old body bytes as candidate records; those are rejected unless
-//! two CRCs and a SHA-256 agree, so only content crafted to look like a
-//! record (or a forged `Free` record) could mislead it.
+//! two CRCs and a 128-bit hash agree, so only content crafted to look
+//! like a record (or a forged `Free` record) could mislead it — which no
+//! hash could prevent, since the forger writes the digest too.
 
 use crate::digest::{Digest, DigestStream};
 use crate::key::CacheKey;
@@ -82,10 +86,11 @@ pub const ALIGN: u64 = 64;
 /// never buffers more than this for a record it has not verified.
 pub const MAX_HEAD: usize = 64 * 1024;
 
-const KIND_PUT: u8 = 2;
+const KIND_PUT: u8 = 3;
 const KIND_FREE: u8 = 4;
 
-/// Body bytes recovery hashes per step (a multiple of the SHA block).
+/// Body bytes recovery hashes per step (a multiple of the digest's
+/// 64-byte stripe).
 const SCAN_CHUNK: usize = 64 * 1024;
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. Implemented
@@ -158,7 +163,7 @@ fn encode_put(
 ) -> Vec<u8> {
     let k = key.as_str().as_bytes();
     let ct = meta.content_type.as_bytes();
-    let mut p = Vec::with_capacity(4 + k.len() + 32 + 4 + ct.len() + 33);
+    let mut p = Vec::with_capacity(4 + k.len() + 16 + 4 + ct.len() + 33);
     p.extend_from_slice(&(k.len() as u32).to_be_bytes());
     p.extend_from_slice(k);
     p.extend_from_slice(digest.as_bytes());
@@ -218,7 +223,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
         KIND_PUT => {
             let key_len = len_at(&mut at)?;
             let key = CacheKey::new(std::str::from_utf8(take(&mut at, key_len)?).ok()?);
-            let digest = Digest(take(&mut at, 32)?.try_into().ok()?);
+            let digest = Digest(take(&mut at, 16)?.try_into().ok()?);
             let ct_len = len_at(&mut at)?;
             let content_type = std::str::from_utf8(take(&mut at, ct_len)?)
                 .ok()?
@@ -1277,6 +1282,59 @@ mod tests {
             assert_eq!(s.get(&key(i)).unwrap(), vec![2u8; 1024]);
         }
         tiling(&s);
+        let _ = fs::remove_dir_all(root);
+    }
+
+    /// A `Put` record in the earlier format — kind 2, a 32-byte SHA-256 —
+    /// built by hand with valid CRCs: it opens as no entry, its body is
+    /// never served, and its space goes to the next put.
+    #[test]
+    fn an_earlier_format_record_opens_empty_and_its_space_is_reused() {
+        let root = tmp_root("kind2");
+        let body = [0x5au8; 300];
+        // SHA-256 of `body`.
+        let sha256 = "dd128ff0ec9391a9bbfbe5df89898c568e39e0cce1104a4add8be7fb53ea9a76";
+        let k = key(1);
+        let ct = b"text/html";
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&(k.as_str().len() as u32).to_be_bytes());
+        payload.extend_from_slice(k.as_str().as_bytes());
+        payload.extend((0..32).map(|i| u8::from_str_radix(&sha256[2 * i..2 * i + 2], 16).unwrap()));
+        payload.extend_from_slice(&(ct.len() as u32).to_be_bytes());
+        payload.extend_from_slice(ct);
+        payload.extend_from_slice(&1000u64.to_be_bytes());
+        payload.push(0);
+        payload.extend_from_slice(&0u64.to_be_bytes());
+        payload.extend_from_slice(&unix_now().to_be_bytes());
+        payload.extend_from_slice(&(body.len() as u64).to_be_bytes());
+        let mut file = vec![2u8];
+        file.extend_from_slice(&1u64.to_be_bytes());
+        file.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        file.extend_from_slice(&crc32(&payload).to_be_bytes());
+        file.extend_from_slice(&crc32(&file[..17]).to_be_bytes());
+        assert!(header_payload_len(&file).is_some(), "the header verifies");
+        file.extend_from_slice(&payload);
+        file.extend_from_slice(&body);
+        file.resize(round_up(file.len() as u64) as usize, 0);
+        let old_len = file.len() as u64;
+        fs::create_dir_all(&root).unwrap();
+        fs::write(root.join(DATA_FILE), &file).unwrap();
+
+        let s = open(&root);
+        assert!(s.is_empty());
+        assert!(s.recover().is_empty());
+        assert_eq!(s.get(&k).unwrap_err().kind(), io::ErrorKind::NotFound);
+        assert_eq!(s.metrics().file_bytes, 0, "the old record's space is free");
+        s.put(&key(2), &body).unwrap();
+        assert!(
+            matches!(tiling(&s)[..], [(0, len, true)] if len <= old_len),
+            "the put landed in its place"
+        );
+        drop(s);
+        let s = open(&root);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.get(&key(2)).unwrap(), body);
+        assert!(!s.contains(&k));
         let _ = fs::remove_dir_all(root);
     }
 

@@ -46,7 +46,7 @@
 use crate::handler::{NodeContext, FETCH_TIMEOUT};
 use std::sync::atomic::Ordering;
 use swala_cache::directory::Classification;
-use swala_cache::{CacheKey, DigestImpl, NodeId};
+use swala_cache::{CacheKey, NodeId};
 use swala_http::{Request, Response, StatusCode};
 use swala_obs::{HeatEntry, HistogramSnapshot, MetricSnapshot, MetricValue, Trace};
 use swala_proto::{request_invalidate, NodeStats};
@@ -471,13 +471,8 @@ fn status_page(ctx: &NodeContext) -> Response {
     }
     let sm = ctx.manager.bodies().metrics();
     let mut store = format!(
-        "store={} digest={} file_bytes={} live_bytes={} free_bytes={} fsyncs={}",
-        sm.kind,
-        DigestImpl::active().as_str(),
-        sm.file_bytes,
-        sm.live_bytes,
-        sm.free_bytes,
-        sm.fsyncs,
+        "store={} file_bytes={} live_bytes={} free_bytes={} fsyncs={}",
+        sm.kind, sm.file_bytes, sm.live_bytes, sm.free_bytes, sm.fsyncs,
     );
     for (op, hist) in ctx.manager.bodies().op_durations() {
         let h = hist.snapshot();

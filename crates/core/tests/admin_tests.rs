@@ -72,9 +72,8 @@ fn status_page_reports_stats() {
     assert!(html.contains("hits=1"), "cache hit visible: {html}");
     assert!(html.contains("this node"));
     // "Why is insert slow on this host" is answerable from the endpoints:
-    // which digest implementation runs, and what an eviction examines.
-    let digest = swala_cache::DigestImpl::active().as_str();
-    assert!(html.contains(&format!(" digest={digest} ")), "{html}");
+    // what the store holds, and what an eviction examines.
+    assert!(html.contains("store=mem file_bytes="), "{html}");
     let metrics = client.get("/swala-metrics").unwrap();
     let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
     assert!(metrics.contains("swala_cache_evictions 1\n"), "{metrics}");

@@ -99,6 +99,11 @@ step "C10K smoke (c10k)"
 # loopback connections.
 target/release/c10k
 
+step "chaos (fixed seed, release)"
+# Deterministic fault-injection scenarios; the default seed (42) must
+# replay the exact same fault schedule on every run.
+cargo test --release --test chaos
+
 step "hot-path smoke (tables hitpath)"
 # Counter gates: warm hits read no store, one client stays within the
 # fetch pool, parked connections cost bounded RSS and no new threads.
@@ -106,6 +111,20 @@ step "hot-path smoke (tables hitpath)"
 # gate: sub-ms p99s from 60 samples spike by milliseconds on a busy host.
 SWALA_BENCH_QUICK=1 target/release/tables hitpath
 python3 -m json.tool BENCH_hitpath.json > /dev/null
+
+step "coalescing smoke (tables coalesce, one flight per key)"
+# Flash-crowd burst both ways; the experiment's own asserts gate on
+# duplicate executions == 0 with coalescing on (and > 0 with it off),
+# and on owner wire fetches per 16-request remote burst: 1 on, 16 off.
+SWALA_BENCH_QUICK=1 target/release/tables coalesce
+python3 -m json.tool BENCH_coalesce.json > /dev/null
+# One flight per key, whatever the burst: a remote-hit burst on a
+# failing owner is one health failure, a false-hit burst one false hit
+# and one repair notice, and an insert notice for a key whose flight
+# only fetches is no false miss.
+cargo test -q --release --test chaos -- hit_burst_
+cargo test -q --release -p swala-cache --lib \
+    manager::tests::an_insert_notice_for_a_fetching_flight_is_no_false_miss
 
 step "broadcast-pipeline smoke (tables broadcast)"
 # Enqueue cost, dead-peer isolation, and the loaded-link section: the
@@ -122,20 +141,6 @@ held = doc["loaded_link"]["held"]
 assert held["notices_per_frame"] >= 32.0, held
 assert held["wakeups"] <= held["frames"], held
 EOF
-
-step "coalescing smoke (tables coalesce, one flight per key)"
-# Flash-crowd burst both ways; the experiment's own asserts gate on
-# duplicate executions == 0 with coalescing on (and > 0 with it off),
-# and on owner wire fetches per 16-request remote burst: 1 on, 16 off.
-SWALA_BENCH_QUICK=1 target/release/tables coalesce
-python3 -m json.tool BENCH_coalesce.json > /dev/null
-# One flight per key, whatever the burst: a remote-hit burst on a
-# failing owner is one health failure, a false-hit burst one false hit
-# and one repair notice, and an insert notice for a key whose flight
-# only fetches is no false miss.
-cargo test -q --release --test chaos -- hit_burst_
-cargo test -q --release -p swala-cache --lib \
-    manager::tests::an_insert_notice_for_a_fetching_flight_is_no_false_miss
 
 step "directory-mode smoke (tables directory)"
 # Replicated vs partitioned update cost on live clusters. The
@@ -204,6 +209,13 @@ step "segment store against its model (10x cases, pinned seed)"
 # what recovery may allocate. Same seed every run so a failure replays.
 PROPTEST_CASES=640 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test segstore_model
+
+step "body digest (streamed = one-shot, 2048 cases, pinned seed; rendered-body collisions)"
+# The digest folded in pieces equals the one-shot digest at every
+# 64-byte cut of slices starting anywhere, and no two of 800 k rendered
+# CGI bodies (200 k ids at 1, 4, 16 and 64 KiB) share a digest.
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-cache --test digest
 
 step "cargo fmt --check"
 cargo fmt --check
