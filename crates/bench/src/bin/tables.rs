@@ -14,26 +14,20 @@ use swala_bench::experiments;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden helper for the `store` crash gate: the parent experiment
-    // re-execs this binary as a writer child and SIGKILLs it mid-insert.
-    if args.first().map(String::as_str) == Some("store-child") {
-        let dir = args.get(1).expect("store-child <dir>");
-        experiments::store::run_child(dir);
-        return;
-    }
+    let all: Vec<&str> = experiments::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     if args.iter().any(|a| a == "--list" || a == "-l") {
-        for id in experiments::ALL_IDS {
+        for id in &all {
             println!("{id}");
         }
         return;
     }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("usage: tables [--list] [EXPERIMENT-ID ...]");
-        println!("ids: {}", experiments::ALL_IDS.join(", "));
+        println!("ids: {}", all.join(", "));
         return;
     }
     let ids: Vec<&str> = if args.is_empty() {
-        experiments::ALL_IDS.to_vec()
+        all
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };

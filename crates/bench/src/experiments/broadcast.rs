@@ -16,11 +16,12 @@
 //!    sink, then the same link fed one notice every 2 × `NOTICE_PACE_MAX`
 //!    (further apart than any hold, so each finds the link parked).
 //!    Counters, not timing, say what pacing did — notices per frame,
-//!    frames against what the hold ramp allows, the hold the link ended
-//!    on, sent at once vs after a hold, wake-ups issued — next to the
-//!    writer thread's CPU per notice, the caller's enqueue cost on a held
-//!    vs a parked link, and the enqueue→socket delay histogram the pacing
-//!    contract bounds.
+//!    frames, the hold the link ended on, sent at once vs after a hold,
+//!    wake-ups issued — next to the writer thread's CPU per notice, the
+//!    caller's enqueue cost on a held vs a parked link, and the
+//!    enqueue→socket delay histogram the pacing contract bounds. The
+//!    counter bounds are held by `swala-proto`'s `peers::` tests, which
+//!    drive the same feed on a manual clock.
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
@@ -242,8 +243,6 @@ pub fn run() -> TableReport {
     }
     let (us_dead, sent_dead, dropped_dead) =
         enqueue_cost((0..4).map(|_| dead_addr()).collect(), rounds);
-    assert_eq!(sent_dead, 0, "dead peers must never be counted as sent");
-    assert!(dropped_dead > 0, "dead peers must shed load as drops");
     report.row(vec![
         "enqueue, dead peers".into(),
         "4".to_string(),
@@ -336,79 +335,5 @@ pub fn run() -> TableReport {
         NOTICE_PACE.as_micros(),
         NOTICE_PACE_MAX.as_micros(),
     ));
-    assert_eq!(
-        loaded.stats.dropped + spaced.stats.dropped,
-        0,
-        "a live sink sheds nothing at 15k/s"
-    );
-    // Four times what a constant 500 us hold coalesced at this rate (8.65
-    // notices/frame); an undisturbed 4 ms hold gathers 60.
-    assert!(
-        loaded.stats.sent >= 32 * loaded.stats.frames,
-        "a loaded link must coalesce: {:?}",
-        loaded.stats
-    );
-    // One frame per maximum hold, plus the ramp: each idle→busy transition
-    // (a wake-up) sends at once and after 0.5, 1 and 2 ms before holds
-    // reach the maximum; the closing flush cuts one hold short.
-    let allowed_frames = (loaded.fed.as_micros() / NOTICE_PACE_MAX.as_micros()) as u64
-        + 4 * loaded.stats.wakeups
-        + 1;
-    assert!(
-        loaded.stats.frames <= allowed_frames,
-        "more frames than the hold ramp allows ({allowed_frames}): {:?}",
-        loaded.stats
-    );
-    assert!(
-        loaded.stats.wakeups <= loaded.stats.frames,
-        "a held link is never woken per notice: {:?}",
-        loaded.stats
-    );
-    let phase_json = |p: &LinkPhase| {
-        let st = &p.stats;
-        format!(
-            "{{\"notices\": {}, \"frames\": {}, \"notices_per_frame\": {:.2}, \
-             \"frames_per_s\": {:.0}, \"hold_us\": {}, \
-             \"sent_immediate\": {}, \"sent_after_hold\": {}, \"wakeups\": {}, \
-             \"enqueue_ns\": {:.0}, \"writer_cpu_us_per_notice\": {:.3}}}",
-            st.sent,
-            st.frames,
-            st.notices_per_frame(),
-            st.frames as f64 / p.fed.as_secs_f64(),
-            st.hold.as_micros(),
-            st.sent_immediate,
-            st.sent_after_hold,
-            st.wakeups,
-            p.enqueue_ns,
-            p.writer_cpu_us,
-        )
-    };
-
-    let hist_json = |h: &swala_obs::HistogramSnapshot| {
-        format!(
-            "{{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            h.count,
-            h.p50(),
-            h.p99(),
-            h.max
-        )
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"broadcast\",\n  \"quick\": {quick},\n  \
-         \"requests\": {requests},\n  \"work_ms\": {ms},\n  \"insert\": {{\n    \
-         \"peer_alive\": {{\"client_mean_ms\": {alive:.4}, \"miss_hist\": {}}},\n    \
-         \"peer_dead\": {{\"client_mean_ms\": {dead:.4}, \"miss_hist\": {}}}\n  }},\n  \
-         \"loaded_link\": {{\n    \"pace_us\": {},\n    \"pace_max_us\": {},\n    \"held\": {},\n    \
-         \"parked\": {},\n    \"delay\": {}\n  }}\n}}\n",
-        hist_json(&alive_hist),
-        hist_json(&dead_hist),
-        NOTICE_PACE.as_micros(),
-        NOTICE_PACE_MAX.as_micros(),
-        phase_json(&loaded),
-        phase_json(&spaced),
-        hist_json(&loaded_delay),
-    );
-    std::fs::write("BENCH_broadcast.json", &json).expect("write BENCH_broadcast.json");
-    report.note("insert-path distributions written to BENCH_broadcast.json");
     report
 }

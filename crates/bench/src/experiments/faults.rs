@@ -129,11 +129,7 @@ pub fn run() -> TableReport {
             "evictions",
         ],
     );
-    let mut scenarios: Vec<(&str, Outcome)> = Vec::new();
-    for (label, key, flapping) in [
-        ("healthy", "healthy", false),
-        ("flapping owner", "flapping_owner", true),
-    ] {
+    for (label, flapping) in [("healthy", false), ("flapping owner", true)] {
         let o = drive(flapping, requests, num_targets, seed);
         report.row(vec![
             label.into(),
@@ -153,35 +149,7 @@ pub fn run() -> TableReport {
             o.remote_hist.p99(),
             o.remote_hist.max,
         ));
-        scenarios.push((key, o));
     }
-    let scenario_json: Vec<String> = scenarios
-        .iter()
-        .map(|(key, o)| {
-            format!(
-                "    \"{key}\": {{\"hit_rate\": {:.4}, \"client_mean_ms\": {:.4}, \
-                 \"client_p99_ms\": {:.4}, \"fallbacks\": {}, \"retries\": {}, \
-                 \"remote_hist\": {{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"max_us\": {}}}}}",
-                o.hit_rate,
-                o.mean_ms,
-                o.p99_ms,
-                o.fallbacks,
-                o.retries,
-                o.remote_hist.count,
-                o.remote_hist.p50(),
-                o.remote_hist.p99(),
-                o.remote_hist.max,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"faults\",\n  \"quick\": {quick},\n  \
-         \"requests\": {requests},\n  \"seed\": {seed},\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
-        scenario_json.join(",\n"),
-    );
-    std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
-    report.note("client and server-side distributions written to BENCH_faults.json");
     report.note(format!(
         "seed {seed}: half of all connections toward the owning node dropped; \
          {FETCH_ATTEMPTS} attempts per fetch, quarantine after {QUARANTINE_AFTER} failed fetches, \

@@ -7,14 +7,11 @@
 //! remote hit (pooled fetch connection, no TCP handshake), and miss
 //! (full CGI execution + store insert) — plus the no-cache baseline
 //! where every request executes. Alongside the latency distributions it
-//! checks the zero-copy machinery's own counters: warm hits must not
-//! read the store, and a burst of remote hits from one client must not
-//! open more connections than the pool allows.
-//!
-//! The distributions are appended to `BENCH_hitpath.json` (handwritten
-//! JSON, no serde in the tree) so later PRs have a trajectory to defend.
-//! The report also carries each node's own per-outcome histogram
-//! quantiles (what `/swala-metrics` would show).
+//! reports the zero-copy machinery's own counters (store reads during
+//! warm hits, fetch-pool connections) and each node's own per-outcome
+//! histogram quantiles (what `/swala-metrics` would show). The counter
+//! bounds are held by `crates/core/tests/hitpath_tests.rs` and
+//! `parked_connections.rs`.
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;
@@ -54,13 +51,6 @@ fn timed(client: &mut HttpClient, n: usize, mut target: impl FnMut(usize) -> Str
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect()
-}
-
-fn json_scenario(name: &str, d: &Dist) -> String {
-    format!(
-        "    \"{name}\": {{\"mean_ms\": {:.4}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}}}",
-        d.mean, d.p50, d.p95
-    )
 }
 
 /// A field from `/proc/self/status`, e.g. `VmRSS` (kB) or `Threads`.
@@ -107,7 +97,7 @@ struct IdlePoint {
 /// must not notice `pool_size` or 4 × `pool_size` of them either, the
 /// two points where a thread per idle connection made a new request wait
 /// ≈ 5 s for a keep-alive timeout.
-fn idle_sweep(quick: bool, samples: usize, work_ms: u64) -> (String, Vec<String>) {
+fn idle_sweep(quick: bool, samples: usize, work_ms: u64) -> Vec<String> {
     // Both ends of every parked connection live in this process, so the
     // fd budget is two per connection plus headroom for everything else.
     let nofile = swala::raise_nofile_limit().unwrap_or(1024);
@@ -168,62 +158,18 @@ fn idle_sweep(quick: bool, samples: usize, work_ms: u64) -> (String, Vec<String>
     }
     cluster.shutdown();
 
-    let zero = &points[0].d;
-    // Acceptance gates are counters: bounded RSS per parked connection
-    // and no new threads. The hot-hit p99 per level is data in
-    // BENCH_hitpath.json, not a gate: a sub-ms p99 from 60 samples on a
-    // shared host spikes by milliseconds on its own.
-    for p in &points[1..] {
-        assert!(
-            p.rss_per_conn < 16 * 1024 || p.idle < 256,
-            "{} idle conns cost {} bytes each — not bounded",
-            p.idle,
-            p.rss_per_conn,
-        );
-        assert_eq!(
-            p.threads_delta, 0,
-            "parking {} connections must not spawn threads",
-            p.idle,
-        );
-    }
-
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "      {{\"requested\": {}, \"idle\": {}, \"fresh_conn_ms\": {:.4}, \
-                 \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-                 \"rss_per_conn_bytes\": {}, \"threads_delta\": {}}}",
-                p.requested, p.idle, p.fresh_ms, p.d.p50, p.d.p99, p.rss_per_conn, p.threads_delta
-            )
-        })
-        .collect();
-    let top = points.last().unwrap();
-    let json = format!(
-        "{{\n    \"nofile_limit\": {nofile},\n    \"usable_idle_conns\": {usable},\n    \
-         \"pool_size\": {pool_size},\n    \"pool\": [\n{}\n    ],\n    \
-         \"p99_ratio_max_vs_zero\": {:.3}\n  }}",
-        rows.join(",\n"),
-        if zero.p99 > 0.0 {
-            top.d.p99 / zero.p99
-        } else {
-            0.0
-        },
-    );
-    let cliffs = &points[1..3];
-    let notes = vec![
+    let mut notes = vec![format!(
+        "idle sweep (request pool, default options, pool_size {pool_size}, RLIMIT_NOFILE {nofile}); \
+         a thread per idle connection stalled ≈ 5 s behind pool_size and 4 x pool_size"
+    )];
+    notes.extend(points.iter().map(|p| {
         format!(
-            "idle sweep (request pool, default options): p99 {:.3} ms at 0 idle vs {:.3} ms at {} idle \
-             ({} requested, RLIMIT_NOFILE {nofile}); {} bytes RSS per parked conn, 0 new threads",
-            zero.p99, top.d.p99, top.idle, top.requested, top.rss_per_conn,
-        ),
-        format!(
-            "where a thread per idle connection stalled ≈ 5 s: a fresh connection's first request \
-             took {:.3} ms behind {} idle conns (pool_size) and {:.3} ms behind {}",
-            cliffs[0].fresh_ms, cliffs[0].idle, cliffs[1].fresh_ms, cliffs[1].idle,
-        ),
-    ];
-    (json, notes)
+            "{} idle ({} requested): fresh connection's first request {:.3} ms, hot-hit p50/p99 \
+             {:.3}/{:.3} ms, {} bytes RSS per parked conn, {} new threads",
+            p.idle, p.requested, p.fresh_ms, p.d.p50, p.d.p99, p.rss_per_conn, p.threads_delta,
+        )
+    }));
+    notes
 }
 
 pub fn run() -> TableReport {
@@ -252,25 +198,15 @@ pub fn run() -> TableReport {
     c0.get(&target).expect("warm");
     assert!(cluster.wait_for_directory_convergence(1, Duration::from_secs(10)));
 
-    // Warm local hits: the memory tier must serve every one of them
-    // without touching the disk store.
+    // Warm local hits, served by the memory tier.
     let reads_before = cluster.node(0).cache_stats().store_reads;
     let local = dist(timed(&mut c0, samples, |_| target.clone()));
     let stats0 = cluster.node(0).cache_stats();
-    assert!(
-        stats0.mem_hits >= samples as u64,
-        "warm hits must come from the memory tier: {stats0:?}"
-    );
     let store_reads_during_hits = stats0.store_reads - reads_before;
-    assert_eq!(store_reads_during_hits, 0, "warm hits must not read disk");
 
     // Remote hits: one client bursting through the fetch pool.
     let remote = dist(timed(&mut c1, samples, |_| target.clone()));
     let pool = cluster.node(1).fetch_pool().stats();
-    assert!(
-        pool.connects_opened <= swala_proto::DEFAULT_POOL_SIZE as u64,
-        "one client must stay within the pool: {pool}"
-    );
 
     // Misses: unique documents, full CGI execution + insert each.
     let miss = dist(timed(&mut c0, samples, |i| {
@@ -288,16 +224,6 @@ pub fn run() -> TableReport {
         .node(1)
         .telemetry()
         .outcome_snapshot(Outcome::Remote);
-    assert!(
-        hist_local.count >= samples as u64,
-        "local-mem histogram undercounts: {} < {samples}",
-        hist_local.count
-    );
-    assert!(
-        hist_remote.count >= samples as u64,
-        "remote histogram undercounts: {} < {samples}",
-        hist_remote.count
-    );
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&base);
 
@@ -318,36 +244,7 @@ pub fn run() -> TableReport {
 
     // C10K: hot-hit latency while thousands of keep-alive connections
     // sit parked on the request pool.
-    let (idle_json, idle_notes) = idle_sweep(quick, samples, work_ms);
-
-    let hist_json = |name: &str, h: &swala_obs::HistogramSnapshot| {
-        format!(
-            "    \"{name}\": {{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-            h.count,
-            h.p50(),
-            h.p99(),
-            h.max
-        )
-    };
-    let json = format!(
-        "{{\n  \"experiment\": \"hitpath\",\n  \"quick\": {quick},\n  \
-         \"samples\": {samples},\n  \"work_ms\": {work_ms},\n  \"scenarios\": {{\n{},\n{},\n{},\n{}\n  }},\n  \
-         \"telemetry\": {{\n{},\n{},\n{}\n  }},\n  \
-         \"idle_sweep\": {idle_json},\n  \
-         \"counters\": {{\"mem_hits\": {}, \"store_reads_during_hits\": {store_reads_during_hits}, \
-         \"pool_connects\": {}, \"pool_reuses\": {}}}\n}}\n",
-        json_scenario("local_hit", &local),
-        json_scenario("remote_hit", &remote),
-        json_scenario("miss", &miss),
-        json_scenario("nocache_execute", &nocache),
-        hist_json("local_mem", &hist_local),
-        hist_json("remote", &hist_remote),
-        hist_json("miss", &hist_miss),
-        stats0.mem_hits,
-        pool.connects_opened,
-        pool.reuses,
-    );
-    std::fs::write("BENCH_hitpath.json", &json).expect("write BENCH_hitpath.json");
+    let idle_notes = idle_sweep(quick, samples, work_ms);
 
     let mut report = TableReport::new(
         "hitpath",
@@ -380,21 +277,25 @@ pub fn run() -> TableReport {
         miss.mean / remote.mean,
     ));
     report.note(format!(
-        "zero-copy evidence: {} warm hits, 0 store reads; {} remote fetches over {} connections",
+        "zero-copy evidence: {} warm hits, {store_reads_during_hits} store reads; \
+         {} remote fetches over {} connections",
         stats0.mem_hits, pool.reuses, pool.connects_opened,
     ));
     report.note(format!(
-        "node histograms: local-mem p50/p99 {}/{} us ({} obs), remote {}/{} us ({} obs)",
+        "node histograms: local-mem p50/p99 {}/{} us ({} obs), remote {}/{} us ({} obs), \
+         miss {}/{} us ({} obs)",
         hist_local.p50(),
         hist_local.p99(),
         hist_local.count,
         hist_remote.p50(),
         hist_remote.p99(),
         hist_remote.count,
+        hist_miss.p50(),
+        hist_miss.p99(),
+        hist_miss.count,
     ));
     for note in idle_notes {
         report.note(note);
     }
-    report.note("distributions written to BENCH_hitpath.json");
     report
 }

@@ -76,10 +76,12 @@ fn node_value(samples: &[swala_obs::Sample], family: &str, node: u16) -> Option<
 /// the merged exposition verbatim, so per-node values match the node
 /// handles' own counters and the sum over the `node` label equals the
 /// arithmetic cluster total. Deterministic: all traffic completes (and
-/// directories converge) before the scrape.
+/// directories converge) before the scrape. Eight nodes: one scrape fans
+/// out to seven peers.
 #[test]
-fn cluster_metrics_merge_is_exact_across_four_nodes() {
-    let servers = cluster(4);
+fn cluster_metrics_merge_is_exact_across_eight_nodes() {
+    const NODES: u16 = 8;
+    let servers = cluster(NODES);
     // Deterministic traffic: warm 3 keys on node 0, then remote-hit each
     // from every other node.
     let mut c0 = HttpClient::new(servers[0].http_addr());
@@ -90,7 +92,9 @@ fn cluster_metrics_merge_is_exact_across_four_nodes() {
         c0.get(t).unwrap();
     }
     wait_until("directories converge", || {
-        (0..4).all(|n| servers[n].manager().directory().len(NodeId(0)) == 3)
+        servers
+            .iter()
+            .all(|s| s.manager().directory().len(NodeId(0)) == 3)
     });
     for s in &servers[1..] {
         let mut c = HttpClient::new(s.http_addr());
@@ -101,8 +105,8 @@ fn cluster_metrics_merge_is_exact_across_four_nodes() {
     }
 
     // Scrape via the last node — the merge must be node-order-agnostic.
-    let mut c3 = HttpClient::new(servers[3].http_addr());
-    let resp = c3.get("/swala-cluster-metrics").unwrap();
+    let mut last = HttpClient::new(servers[NODES as usize - 1].http_addr());
+    let resp = last.get("/swala-cluster-metrics").unwrap();
     assert_eq!(resp.status, StatusCode::OK);
     let body = String::from_utf8(resp.body.into_vec()).unwrap();
     let samples = parse_exposition(&body).expect("merged exposition parses");
@@ -139,11 +143,12 @@ fn cluster_metrics_merge_is_exact_across_four_nodes() {
         );
     }
     // The latency histograms merged too: the cluster-wide completed
-    // request count covers at least the 3 misses + 9 remote hits.
+    // request count covers at least the 3 misses + 21 remote hits.
     let hist_count = sum_over_nodes(&samples, "swala_request_duration_microseconds_count");
-    assert!(hist_count >= 12, "merged histogram count: {hist_count}");
+    assert!(hist_count >= 24, "merged histogram count: {hist_count}");
     // No peer failed during the scrape.
     assert_eq!(sum_over_nodes(&samples, "swala_cluster_scrape_failures"), 0);
+    drop((c0, last));
     for s in servers {
         s.shutdown();
     }

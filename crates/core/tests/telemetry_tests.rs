@@ -273,3 +273,79 @@ fn disabled_telemetry_still_scrapes_counters_but_keeps_no_traces() {
     );
     server.shutdown();
 }
+
+/// The count twin on two nodes with remote hits: each node's HTTP-facing
+/// duration histograms (every outcome but owner-serve, which the cache
+/// daemon records) count exactly the requests `swala_http_requests`
+/// counts, less the scrape still in flight.
+#[test]
+fn duration_histograms_count_every_http_request_on_two_nodes() {
+    let nodes = two_node_cluster(DirectoryKind::Replicated);
+    // Node 0: 4 misses, then 6 warm local hits. Node 1: 5 remote hits on
+    // node 0's entry, then 2 misses of its own.
+    let mut c0 = HttpClient::new(nodes[0].http_addr());
+    for i in 0..4 {
+        c0.get(&format!("/cgi-bin/adl?id=g{i}&ms=0")).unwrap();
+    }
+    for _ in 0..6 {
+        c0.get("/cgi-bin/adl?id=g0&ms=0").unwrap();
+    }
+    wait_for_remote_entry(&nodes[1], NodeId(0), 4);
+    let mut c1 = HttpClient::new(nodes[1].http_addr());
+    for _ in 0..5 {
+        let r = c1.get("/cgi-bin/adl?id=g1&ms=0").unwrap();
+        assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
+    }
+    for i in 0..2 {
+        c1.get(&format!("/cgi-bin/adl?id=n1-{i}&ms=0")).unwrap();
+    }
+
+    let http_facing = |outcome: &str| outcome != Outcome::OwnerServe.as_str();
+    for (n, (node, client)) in nodes.iter().zip([&mut c0, &mut c1]).enumerate() {
+        // A trace finishes just after its response bytes leave.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let requests = node.request_stats().requests;
+            let traced: u64 = Outcome::ALL
+                .iter()
+                .filter(|o| http_facing(o.as_str()))
+                .map(|o| node.telemetry().outcome_snapshot(*o).count)
+                .sum();
+            if traced == requests {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "node {n}: histograms never caught up ({traced} != {requests})"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let resp = client.get("/swala-metrics").unwrap();
+        let text = String::from_utf8(resp.body.to_vec()).unwrap();
+        let samples = parse_exposition(&text).expect("exposition must parse");
+        let requests = samples
+            .iter()
+            .find(|s| s.name == "swala_http_requests" && s.labels.is_empty())
+            .unwrap_or_else(|| panic!("node {n}: no swala_http_requests in:\n{text}"))
+            .value;
+        let histogram_total: f64 = samples
+            .iter()
+            .filter(|s| {
+                s.name == "swala_request_duration_microseconds_count"
+                    && s.labels
+                        .iter()
+                        .any(|(k, v)| k == "outcome" && http_facing(v))
+            })
+            .map(|s| s.value)
+            .sum();
+        assert_eq!(
+            histogram_total,
+            requests - 1.0,
+            "node {n}: the scrape is the one request without a finished trace\n{text}"
+        );
+    }
+    drop((c0, c1));
+    for n in nodes {
+        n.shutdown();
+    }
+}

@@ -23,9 +23,7 @@
 //! (key already monitored, or table not yet full) is a hash lookup; an
 //! eviction scans the table for the minimum, which is O(capacity) but
 //! only happens for keys outside the monitored set. With the default
-//! capacity (128) that scan is ~100 ns — well inside the enforced
-//! ≤3%+30µs observability budget, verified by the obs-overhead twin
-//! run in `tables obsplane`.
+//! capacity (128) that scan is ~100 ns.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;

@@ -313,8 +313,8 @@ pub struct MetricSnapshot {
 /// with a `node="N"` label prepended, families grouped across nodes so
 /// the output stays one exposition document. Values pass through
 /// verbatim — summing a family over its `node` label therefore equals
-/// the arithmetic sum of the per-node registries, which the obsplane
-/// gate checks exactly.
+/// the arithmetic sum of the per-node registries, which `obsplane_tests`
+/// checks exactly.
 pub fn render_cluster(nodes: &[(u16, Vec<MetricSnapshot>)]) -> String {
     let mut families: Vec<&str> = Vec::new();
     for (_, metrics) in nodes {

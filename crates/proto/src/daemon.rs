@@ -282,8 +282,10 @@ impl CacheDaemons {
         self.addr
     }
 
-    /// Stop all daemon threads and wait for them (what dropping the
-    /// daemons does).
+    /// Signal stop, then join the accept and purge threads (what
+    /// dropping the daemons does). Per-connection threads are detached
+    /// and not joined: each sees the stop within `READ_TICK` and returns
+    /// on its own (ROADMAP item 15).
     pub fn shutdown(self) {
         drop(self);
     }

@@ -1220,6 +1220,64 @@ mod tests {
         );
     }
 
+    /// A producer at 15 k notices/s for one virtual second, as `tables
+    /// broadcast` feeds a live link. The link coalesces four times what a
+    /// constant 500 µs hold did at this rate (8.65 notices/frame), sends
+    /// at most one frame per maximum hold plus the ramp — each wake-up
+    /// sends at once and after 0.5, 1 and 2 ms before holds reach the
+    /// maximum, and the closing flush cuts one hold short — is never
+    /// woken per notice, and drops nothing.
+    #[test]
+    fn loaded_link_coalesces_a_15k_per_second_feed() {
+        const NOTICES: u16 = 15_000;
+        let gap = Duration::from_micros(1_000_000 / NOTICES as u64);
+        let (addr, handle) = collecting_listener(1);
+        let (link, time) = manual_link(addr, BroadcastConfig::default());
+        // Connect first, so the feed below meets a connected, idle link.
+        link.send(&numbered(0)).unwrap();
+        park(&link, &time);
+        let before = link.stats();
+        // Virtual time stands still while the writer sends what it took,
+        // so every hold starts at the instant the previous one ended.
+        let sent_all = || {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !link.settled() {
+                assert!(Instant::now() < deadline, "writer never sent its batch");
+                std::thread::yield_now();
+            }
+        };
+        link.send(&numbered(1)).unwrap(); // finds the link idle: at once
+        sent_all();
+        let (mut now, mut hold_ends) = (Duration::ZERO, link.stats().hold);
+        for i in 2..=NOTICES {
+            time.advance(gap);
+            now += gap;
+            if now >= hold_ends {
+                sent_all();
+                hold_ends = now + link.stats().hold;
+            }
+            link.send(&numbered(i)).unwrap();
+        }
+        assert!(link.flush(Duration::from_secs(5)));
+        let st = link.stats();
+        let (sent, frames, wakeups) = (
+            st.sent - before.sent,
+            st.frames - before.frames,
+            st.wakeups - before.wakeups,
+        );
+        assert_eq!((sent, st.dropped), (NOTICES as u64, 0), "{st:?}");
+        assert!(sent >= 32 * frames, "a loaded link must coalesce: {st:?}");
+        let allowed = (now.as_micros() / NOTICE_PACE_MAX.as_micros()) as u64 + 4 * wakeups + 1;
+        assert!(
+            frames <= allowed,
+            "{frames} frames, more than the hold ramp allows ({allowed}): {st:?}"
+        );
+        assert!(wakeups <= frames, "woken per notice: {st:?}");
+        drop(link);
+        let (msgs, _) = handle.join().unwrap();
+        assert_eq!(msgs.len(), NOTICES as usize + 2, "hello, connect, feed");
+    }
+
     #[test]
     fn flush_cuts_a_maximum_hold_short() {
         const ROUNDS: u16 = 20;

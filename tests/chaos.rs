@@ -483,7 +483,9 @@ fn segment_store_child_writer() {
 /// kill is served byte-identical — unless its delete was acknowledged
 /// too, in which case it stays gone. The record being written at the
 /// kill may be torn — recovery must absorb it silently, never trading
-/// an acked promise for it.
+/// an acked promise for it. A warm restart through
+/// `CacheManager::recover_from_store` then serves every survivor as a
+/// local hit from the memory tier: the hit rate before the kill.
 #[test]
 fn kill9_mid_insert_preserves_every_acked_entry() {
     use std::io::BufRead;
@@ -547,6 +549,35 @@ fn kill9_mid_insert_preserves_every_acked_entry() {
             "acked entry {i} not byte-identical after restart"
         );
     }
+
+    // Warm restart through the whole manager: the table rebuilt from the
+    // data file and the memory tier pre-warmed, so every survivor is a
+    // local hit served from memory, as it was before the kill.
+    let manager =
+        swala_cache::CacheManager::new(swala_cache::CacheManagerConfig::default(), Box::new(store));
+    let survivors = gone + 1..acked;
+    let recovered = manager.recover_from_store();
+    assert!(
+        recovered >= survivors.len(),
+        "{recovered} recovered, {} acked and not deleted",
+        survivors.len()
+    );
+    for i in survivors.clone() {
+        let key = k9_key(i);
+        match manager.lookup(&key, key.as_str()) {
+            swala_cache::LookupResult::LocalHit { body, .. } => assert_eq!(
+                &body[..],
+                &seg_chaos_body(i)[..],
+                "acked entry {i} not byte-identical after a warm restart"
+            ),
+            other => panic!("acked entry {i} is no local hit after a warm restart: {other:?}"),
+        }
+    }
+    assert_eq!(
+        manager.stats().snapshot().mem_hits,
+        survivors.len() as u64,
+        "recovery pre-warms the memory tier"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -812,6 +843,56 @@ fn remote_hit_burst_on_a_failing_owner_is_one_health_failure() {
     );
     assert_eq!(cluster.node(0).request_stats().executions, 1);
     cluster.shutdown();
+}
+
+/// One flight per key on the remote path: sixteen same-instant remote
+/// hits behind a delayed dial reach the owner's wire once with
+/// coalescing on (the others wait on the leader's flight) and sixteen
+/// times with it off (every reader fetches for itself).
+#[test]
+fn remote_hit_burst_is_one_owner_fetch_unless_coalescing_is_off() {
+    const BURST: usize = 16;
+    for coalesce in [true, false] {
+        let inj = FaultInjector::seeded(chaos_seed());
+        let cluster = SwalaCluster::start(&ClusterConfig {
+            nodes: 2,
+            node: ServerOptions {
+                // A request thread for every member of the burst.
+                pool_size: BURST + 2,
+                coalesce,
+                ..chaos_node(&inj)
+            },
+            ..Default::default()
+        })
+        .unwrap();
+        let target = "/cgi-bin/adl?id=84&ms=0";
+        let warm_body = HttpClient::new(cluster.node(1).http_addr())
+            .get(target)
+            .unwrap()
+            .body
+            .into_vec();
+        assert!(cluster.wait_for_directory_convergence(1, Duration::from_secs(10)));
+
+        // Every 0 -> 1 dial waits, so the whole burst lands inside the
+        // first fetch.
+        inj.add_rule(FaultRule::between(
+            NodeId(0),
+            NodeId(1),
+            FaultAction::Delay(Duration::from_millis(100)),
+        ));
+        for (ok, body, tag) in burst(cluster.node(0).http_addr(), target, BURST) {
+            assert!(ok, "request failed (tag {tag})");
+            assert_eq!(body, warm_body, "wrong body (tag {tag})");
+            assert_eq!(tag, "remote-hit");
+        }
+        let pool = cluster.node(0).fetch_pool().stats();
+        assert_eq!(
+            pool.connects_opened + pool.reuses,
+            if coalesce { 1 } else { BURST as u64 },
+            "owner fetches with coalesce {coalesce}: {pool}"
+        );
+        cluster.shutdown();
+    }
 }
 
 /// One false hit is one false hit and one repair, whatever the burst

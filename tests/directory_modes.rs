@@ -230,3 +230,68 @@ fn unreachable_home_degrades_to_local_execution() {
     assert_eq!(tag(&r2), "local-hit");
     node0.shutdown();
 }
+
+/// Directory update cost, counted on the wire of live clusters: a write
+/// phase of unique inserts sprayed round-robin makes replicated send
+/// exactly N−1 update messages per insert and partitioned at most one
+/// (none for a key homed at its owner), and at 8 nodes partitioned cuts
+/// directory wire bytes at least 4×.
+#[test]
+fn update_cost_per_insert_under_both_directory_modes() {
+    const INSERTS: usize = 60;
+    let mut wire_bytes_at_8 = Vec::new();
+    for nodes in [2, 4, 8] {
+        for directory in DirectoryKind::ALL {
+            let cluster = start(nodes, directory);
+            let mut clients: Vec<HttpClient> = cluster
+                .nodes()
+                .iter()
+                .map(|s| HttpClient::new(s.http_addr()))
+                .collect();
+            for i in 0..INSERTS {
+                let r = clients[i % nodes]
+                    .get(&format!("/cgi-bin/adl?id=dir{i}&ms=0"))
+                    .unwrap();
+                assert_eq!(tag(&r), "miss", "{directory:?} at {nodes} nodes");
+            }
+            for s in cluster.nodes() {
+                assert!(s.flush_broadcasts(Duration::from_secs(10)));
+            }
+            assert!(
+                cluster.wait_for_directory_convergence(INSERTS, Duration::from_secs(10)),
+                "{directory:?} at {nodes} nodes"
+            );
+            let links: Vec<_> = cluster
+                .nodes()
+                .iter()
+                .flat_map(|s| s.broadcast_link_stats())
+                .collect();
+            let updates: u64 = links.iter().map(|l| l.sent).sum();
+            let inserts = INSERTS as u64;
+            match directory {
+                DirectoryKind::Replicated => assert_eq!(
+                    updates,
+                    inserts * (nodes as u64 - 1),
+                    "replicated pays N-1 messages per insert at {nodes} nodes"
+                ),
+                DirectoryKind::Partitioned => assert!(
+                    updates <= inserts,
+                    "partitioned sent {updates} updates for {inserts} inserts at {nodes} nodes"
+                ),
+            }
+            if nodes == 8 {
+                wire_bytes_at_8.push(links.iter().map(|l| l.sent_bytes).sum::<u64>());
+            }
+            drop(clients);
+            cluster.shutdown();
+        }
+    }
+    let [replicated, partitioned] = wire_bytes_at_8[..] else {
+        unreachable!("one run per directory at 8 nodes")
+    };
+    assert!(
+        replicated >= 4 * partitioned,
+        "at 8 nodes partitioned must cut directory wire bytes >= 4x \
+         (replicated {replicated} vs partitioned {partitioned})"
+    );
+}
