@@ -2,13 +2,17 @@
 //! ([`MemCache`]) and the timing of every store call, owned by the
 //! [`CacheManager`](crate::CacheManager).
 //!
-//! **The store and the memory tier hold exactly the bodies of the local
-//! table's entries** (the memory tier those its budget keeps). A body
-//! comes in with its entry (`Bodies::put`), and every removal from the
-//! local table — eviction, invalidation, expiry, a peer's delete notice
-//! naming this node, the heal after a failed read — calls
+//! **The store holds exactly the bodies of the local table's entries,
+//! and the memory tier those of them that were read since their put**
+//! (as many as its budget keeps). A body comes in with its entry
+//! (`Bodies::put`, to the store alone), and enters the memory tier the
+//! first time a local hit or a peer's fetch reads it from the store: a
+//! result nobody asks for again never holds memory. Every removal from
+//! the local table — eviction, invalidation, expiry, a peer's delete
+//! notice naming this node, the heal after a failed read — calls
 //! `Bodies::remove` once. So a warm restart brings back only live
-//! entries, and memory never serves a body whose entry is gone.
+//! entries, and memory never serves a body whose entry is gone, nor one
+//! older than the store's.
 
 use crate::digest::Digest;
 use crate::entry::EntryMeta;
@@ -66,36 +70,42 @@ impl Bodies {
         out
     }
 
-    /// Write `body` through to the memory tier, under its digest where
-    /// the caller has it (the store records one) — saving a pass.
-    fn admit(&self, key: &CacheKey, digest: Option<Digest>, body: &Arc<[u8]>) {
-        if let Some(mem) = &self.mem {
-            let digest = digest.unwrap_or_else(|| Digest::of(body));
-            if mem.insert(key, digest, Arc::clone(body)) {
-                CacheStats::bump(&self.stats.mem_dedup_hits);
-            }
+    /// Count a memory-tier admission that shared a resident body.
+    fn note_admitted(&self, shared: bool) {
+        if shared {
+            CacheStats::bump(&self.stats.mem_dedup_hits);
         }
     }
 
-    /// Store `body` with a header a warm restart rebuilds `meta` from, and
-    /// write it through; one digest serves the store and the memory tier.
-    pub(crate) fn put(&self, meta: &EntryMeta, body: &Arc<[u8]>) -> io::Result<()> {
-        let (digest, header) = (Digest::of(body), meta.into());
-        self.timed(PUT, |s| s.put_digested(&meta.key, &header, &digest, body))?;
-        self.admit(&meta.key, Some(digest), body);
-        Ok(())
+    /// Store `body` with a header a warm restart rebuilds `meta` from.
+    /// The memory tier takes it at its first read; until then it drops
+    /// any older copy of the key.
+    pub(crate) fn put(&self, meta: &EntryMeta, body: &[u8]) -> io::Result<()> {
+        let header = meta.into();
+        let put = self.timed(PUT, |s| {
+            s.put_digested(&meta.key, &header, &Digest::of(body), body)
+        });
+        if let Some(mem) = &self.mem {
+            mem.remove(&meta.key);
+        }
+        put
     }
 
-    /// `key`'s body from the memory tier, else the store (promoting it);
-    /// `None` if the store read failed. Spans go on `trace`.
+    /// `key`'s body from the memory tier, else the store (promoting it,
+    /// under the digest the store recorded where it has one); `None` if
+    /// the store read failed. Spans go on `trace`.
     pub(crate) fn get(&self, key: &CacheKey, trace: &mut Trace) -> Option<(Arc<[u8]>, BodyTier)> {
+        let mut generation = None;
         if let Some(mem) = &self.mem {
             let t0 = trace.start_span();
-            let cached = mem.get(key);
+            let cached = mem.get_or_generation(key);
             trace.end_span(Stage::MemTier, t0);
-            if let Some(body) = cached {
-                CacheStats::bump(&self.stats.mem_hits);
-                return Some((body, BodyTier::Memory));
+            match cached {
+                Ok(body) => {
+                    CacheStats::bump(&self.stats.mem_hits);
+                    return Some((body, BodyTier::Memory));
+                }
+                Err(seen) => generation = Some(seen),
             }
         }
         CacheStats::bump(&self.stats.store_reads);
@@ -104,9 +114,10 @@ impl Bodies {
         trace.end_span(Stage::StoreRead, t0);
         let (body, digest) = read.ok()?;
         let body: Arc<[u8]> = body.into();
-        if self.mem.is_some() {
+        if let (Some(mem), Some(generation)) = (&self.mem, generation) {
             CacheStats::bump(&self.stats.mem_misses);
-            self.admit(key, digest, &body);
+            let digest = digest.unwrap_or_else(|| Digest::of(&body));
+            self.note_admitted(mem.promote(key, digest, Arc::clone(&body), generation));
         }
         Some((body, BodyTier::Disk))
     }
@@ -136,7 +147,8 @@ impl Bodies {
                 continue;
             }
             if let Ok((body, digest)) = self.timed(GET, |s| s.get_digested(&meta.key)) {
-                self.admit(&meta.key, digest, &body.into());
+                let digest = digest.unwrap_or_else(|| Digest::of(&body));
+                self.note_admitted(mem.insert(&meta.key, digest, body.into()));
             }
         }
     }
@@ -227,13 +239,25 @@ mod tests {
     fn a_removed_body_leaves_the_store_and_the_tier() {
         let b = bodies(1 << 10);
         let m = meta("/cgi-bin/a", 4);
-        b.put(&m, &Arc::from(&b"body"[..])).unwrap();
-        assert_eq!((b.stored(), b.mem_bytes()), (1, 4));
+        b.put(&m, b"body").unwrap();
+        assert_eq!(
+            (b.stored(), b.mem_bytes()),
+            (1, 0),
+            "the put holds no memory"
+        );
+        let tier = |b: &Bodies| b.get(&m.key, &mut Trace::disabled()).map(|(_, tier)| tier);
+        assert_eq!(tier(&b), Some(BodyTier::Disk));
+        assert_eq!(
+            (b.stored(), b.mem_bytes()),
+            (1, 4),
+            "promoted at its first read"
+        );
+        assert_eq!(tier(&b), Some(BodyTier::Memory));
         b.remove(&m.key);
         assert_eq!((b.stored(), b.mem_bytes()), (0, 0));
         assert!(b.get(&m.key, &mut Trace::disabled()).is_none());
         let counts: Vec<u64> = b.op_durations().map(|(_, h)| h.snapshot().count).collect();
-        assert_eq!(counts, [1, 1, 1], "put, get, delete each timed once");
+        assert_eq!(counts, [1, 2, 1], "one put, two store reads, one delete");
     }
 
     #[test]

@@ -403,10 +403,9 @@ impl CacheManager {
     ) -> io::Result<InsertOutcome> {
         // Publish the body to any coalesced waiters first — even when the
         // insert below is threshold-discarded, the waiters' requests are
-        // answered by these bytes.
-        let shared: Arc<[u8]> = Arc::from(body);
+        // answered by these bytes. Only a parked waiter costs a copy.
         if let Some(flight) = self.flights.finish(key) {
-            flight.publish(content_type, &shared);
+            flight.publish(content_type, &Arc::from(body));
         }
         // Attribute the execution's cost to the key's heat-sketch slot
         // (only if the key is still monitored — no count is added).
@@ -429,7 +428,7 @@ impl CacheManager {
             seq,
         )
         .stamped(self.clock(), ttl);
-        self.bodies.put(&meta, &shared)?;
+        self.bodies.put(&meta, body)?;
         let meta = self.directory.insert_fresh(meta);
         CacheStats::bump(&self.stats.inserts);
         let evicted = self.evict_to_capacity();
@@ -724,18 +723,23 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match m.lookup(&k, k.as_str()) {
-            LookupResult::LocalHit { body, meta, tier } => {
-                assert_eq!(&body[..], b"body-a");
-                assert_eq!(meta.key, k);
-                assert_eq!(tier, BodyTier::Memory);
+        // The first hit reads the store and promotes the body; the
+        // second is served from memory.
+        for expected in [BodyTier::Disk, BodyTier::Memory] {
+            match m.lookup(&k, k.as_str()) {
+                LookupResult::LocalHit { body, meta, tier } => {
+                    assert_eq!(&body[..], b"body-a");
+                    assert_eq!(meta.key, k);
+                    assert_eq!(tier, expected);
+                }
+                other => panic!("expected hit, got {other:?}"),
             }
-            other => panic!("expected hit, got {other:?}"),
         }
         let s = m.stats().snapshot();
         assert_eq!(s.misses, 1);
-        assert_eq!(s.local_hits, 1);
+        assert_eq!(s.local_hits, 2);
         assert_eq!(s.inserts, 1);
+        assert_eq!(s.store_reads, 1);
     }
 
     #[test]
@@ -1301,24 +1305,25 @@ mod tests {
         let m = manager(10);
         let k = key("/cgi-bin/hot");
         run_and_insert(&m, &k, b"hot-body");
-        // First hit: write-through already populated the tier, so even
-        // the first lookup is memory-served.
-        let first = match m.lookup(&k, k.as_str()) {
-            LookupResult::LocalHit { body, .. } => body,
+        // The insert holds no memory: the body enters the tier at its
+        // first read, which costs exactly one store read.
+        assert_eq!(m.bodies().mem_bytes(), 0);
+        let hit = || match m.lookup(&k, k.as_str()) {
+            LookupResult::LocalHit { body, tier, .. } => (body, tier),
             other => panic!("{other:?}"),
         };
-        let reads_after_first = m.stats().snapshot().store_reads;
-        let second = match m.lookup(&k, k.as_str()) {
-            LookupResult::LocalHit { body, .. } => body,
-            other => panic!("{other:?}"),
-        };
+        assert_eq!(hit().1, BodyTier::Disk);
+        assert_eq!(m.stats().snapshot().store_reads, 1);
+        let (second, tier2) = hit();
+        let (third, tier3) = hit();
+        assert_eq!((tier2, tier3), (BodyTier::Memory, BodyTier::Memory));
         let s = m.stats().snapshot();
-        assert_eq!(s.store_reads, reads_after_first, "warm hit read the store");
+        assert_eq!(s.store_reads, 1, "warm hit read the store");
         assert_eq!(s.mem_hits, 2);
-        assert_eq!(s.mem_misses, 0);
+        assert_eq!(s.mem_misses, 1);
         assert_eq!(m.bodies().mem_bytes(), 8);
-        // Both hits share the tier's single allocation — zero copies.
-        assert!(Arc::ptr_eq(&first, &second));
+        // Both warm hits share the tier's single allocation — zero copies.
+        assert!(Arc::ptr_eq(&second, &third));
     }
 
     #[test]
@@ -1350,14 +1355,103 @@ mod tests {
         let m = manager(10);
         let k = key("/cgi-bin/gone");
         run_and_insert(&m, &k, b"stale?");
+        let hit = || match m.lookup(&k, k.as_str()) {
+            LookupResult::LocalHit { body, tier, .. } => (body, tier),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(hit().1, BodyTier::Disk, "promoted at its first read");
         assert_eq!(m.bodies().mem_bytes(), 6);
         // Explicit removal drops the body from the tier too: a later
         // re-insert must not resurrect the old bytes.
         m.remove_local(&k);
         assert_eq!(m.bodies().mem_bytes(), 0);
         run_and_insert(&m, &k, b"fresh");
+        let reads = m.stats().snapshot().store_reads;
+        for tier in [BodyTier::Disk, BodyTier::Memory, BodyTier::Memory] {
+            let (body, served) = hit();
+            assert_eq!((&body[..], served), (&b"fresh"[..], tier));
+        }
+        assert_eq!(m.stats().snapshot().store_reads, reads + 1);
+        assert_eq!(m.bodies().mem_bytes(), 5);
+    }
+
+    /// A store whose `get`, once armed, reads the body and then parks on
+    /// `barrier` twice: once to say it has read, once to be let go.
+    struct ParkingStore {
+        inner: MemStore,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+        barrier: Arc<std::sync::Barrier>,
+    }
+
+    impl Store for ParkingStore {
+        fn put_described(
+            &self,
+            key: &CacheKey,
+            meta: &crate::store::HeaderMeta,
+            body: &[u8],
+        ) -> io::Result<()> {
+            self.inner.put_described(key, meta, body)
+        }
+        fn get(&self, key: &CacheKey) -> io::Result<Vec<u8>> {
+            let read = self.inner.get(key);
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.barrier.wait();
+                self.barrier.wait();
+            }
+            read
+        }
+        fn delete(&self, key: &CacheKey) -> io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn contains(&self, key: &CacheKey) -> bool {
+            self.inner.contains(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    /// A reader that read a body before an invalidate and re-insert must
+    /// not promote it after them: every later hit would serve the old
+    /// bytes while the directory and the store hold the new ones.
+    #[test]
+    fn a_promotion_never_installs_a_superseded_body() {
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let store = ParkingStore {
+            inner: MemStore::new(),
+            armed: Arc::clone(&armed),
+            barrier: Arc::clone(&barrier),
+        };
+        let config = CacheManagerConfig {
+            mem_cache_bytes: 64,
+            ..Default::default()
+        };
+        let m = CacheManager::new(config, Box::new(store));
+        let (k, other) = (key("/cgi-bin/k"), key("/cgi-bin/other"));
+        run_and_insert(&m, &k, &[b'o'; 40]);
+        // Whatever the tier took of k, a second 40-byte body leaves k
+        // only in the store.
+        run_and_insert(&m, &other, &[b'x'; 40]);
+        armed.store(true, Ordering::SeqCst);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| m.lookup(&k, k.as_str()));
+            barrier.wait(); // the reader holds k's old body
+            m.remove_local(&k);
+            run_and_insert(&m, &k, &[b'n'; 40]);
+            barrier.wait();
+            // The parked reader itself may answer with the old body.
+            assert!(matches!(
+                reader.join().unwrap(),
+                LookupResult::LocalHit { .. }
+            ));
+        });
         match m.lookup(&k, k.as_str()) {
-            LookupResult::LocalHit { body, .. } => assert_eq!(&body[..], b"fresh"),
+            LookupResult::LocalHit { body, .. } => assert_eq!(
+                &body[..],
+                &[b'n'; 40],
+                "stale body served after invalidate + re-insert"
+            ),
             other => panic!("{other:?}"),
         }
     }

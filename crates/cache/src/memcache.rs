@@ -17,10 +17,16 @@
 //! resident body, feeding the `mem_dedup_hits` counter.
 //!
 //! The tier is strictly a read accelerator — the disk store stays the
-//! source of truth. [`Bodies`](crate::bodies::Bodies) owns both: a
-//! write goes through to both, and a body leaves both when its entry
-//! leaves the local table. A lookup consults the directory before this
-//! tier, so a body can never be served after its entry is gone.
+//! source of truth. [`Bodies`](crate::bodies::Bodies) owns both: a body
+//! enters the tier at its first read from the store (a *promotion*), and
+//! leaves it when its entry leaves the local table or a put replaces it.
+//! A lookup consults the directory before this tier, so a body can
+//! never be served after its entry is gone.
+//!
+//! Every [`remove`](MemCache::remove) bumps a removal *generation*. A
+//! promotion reads it before its store read and is admitted only if it
+//! is unchanged ([`promote`](MemCache::promote)), so bytes read before
+//! an invalidate and re-insert never land in the tier after them.
 //!
 //! Eviction is LRU over a *byte* budget (the directory's entry-count
 //! capacity is about metadata; body bytes are what memory pressure is
@@ -59,6 +65,8 @@ struct Inner {
     recency: BTreeMap<u64, CacheKey>,
     /// Monotonic stamp source.
     tick: u64,
+    /// Removal generation: bumped by every `remove`.
+    generation: u64,
 }
 
 impl Inner {
@@ -91,6 +99,7 @@ impl MemCache {
                 bodies: HashMap::new(),
                 recency: BTreeMap::new(),
                 tick: 0,
+                generation: 0,
             }),
         }
     }
@@ -102,16 +111,25 @@ impl MemCache {
 
     /// Fetch a body, marking its key most recently used.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<[u8]>> {
+        self.get_or_generation(key).ok()
+    }
+
+    /// [`get`](Self::get), or on a miss the removal generation to hand
+    /// [`promote`](Self::promote) once the body is read from the store.
+    pub fn get_or_generation(&self, key: &CacheKey) -> Result<Arc<[u8]>, u64> {
         let mut inner = self.inner.lock();
         let tick = inner.tick + 1;
         inner.tick = tick;
-        let (digest, stamp) = inner.entries.get_mut(key)?;
+        let generation = inner.generation;
+        let Some((digest, stamp)) = inner.entries.get_mut(key) else {
+            return Err(generation);
+        };
         let digest = *digest;
         let old = std::mem::replace(stamp, tick);
         inner.recency.remove(&old);
         inner.recency.insert(tick, key.clone());
         let (body, _) = inner.bodies.get(&digest).expect("entry has a body");
-        Some(Arc::clone(body))
+        Ok(Arc::clone(body))
     }
 
     /// Insert (or replace) a body, evicting least-recently-used keys
@@ -124,7 +142,26 @@ impl MemCache {
     /// When another body with this digest is resident, `key` is not
     /// admitted.
     pub fn insert(&self, key: &CacheKey, digest: Digest, body: Arc<[u8]>) -> bool {
+        self.admit(&mut self.inner.lock(), key, digest, body)
+    }
+
+    /// [`insert`](Self::insert) a body read from the store, unless a key
+    /// was removed since [`get_or_generation`](Self::get_or_generation)
+    /// returned `generation`: the read may then predate an invalidate
+    /// and re-insert, and the tier must never hold a body older than
+    /// the store's. Returns `true` on a dedup hit, as `insert` does.
+    pub fn promote(
+        &self,
+        key: &CacheKey,
+        digest: Digest,
+        body: Arc<[u8]>,
+        generation: u64,
+    ) -> bool {
         let mut inner = self.inner.lock();
+        inner.generation == generation && self.admit(&mut inner, key, digest, body)
+    }
+
+    fn admit(&self, inner: &mut Inner, key: &CacheKey, digest: Digest, body: Arc<[u8]>) -> bool {
         // Unlink any previous mapping first so a same-key replace
         // neither double-counts bytes nor reads as a dedup hit.
         let freed = inner.unlink(key);
@@ -169,6 +206,7 @@ impl MemCache {
     /// body itself stays resident while other keys still share it.
     pub fn remove(&self, key: &CacheKey) {
         let mut inner = self.inner.lock();
+        inner.generation += 1;
         let freed = inner.unlink(key);
         if freed > 0 {
             self.bytes.sub(freed);

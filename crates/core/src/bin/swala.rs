@@ -110,11 +110,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    eprintln!(
-        "swala {node}: http on {}, cache protocol on {}",
-        bound.http_addr(),
-        bound.cache_addr()
-    );
     let server = match bound.start(peer_addrs) {
         Ok(s) => s,
         Err(e) => {
@@ -122,6 +117,14 @@ fn main() {
             std::process::exit(1);
         }
     };
+    // Announced once the node serves: start() opens descriptors after
+    // the listeners are bound, and connections made before it returns
+    // can take the ones it still needs.
+    eprintln!(
+        "swala {node}: http on {}, cache protocol on {}",
+        server.http_addr(),
+        server.cache_addr()
+    );
 
     // Serve until killed; print a stats line periodically like 1998
     // servers logged to their error_log.

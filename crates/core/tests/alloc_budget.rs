@@ -96,6 +96,12 @@ const BUDGET_PER_HIT: f64 = 27.0 * 1.2;
 /// flight in the fetch pool, 32.0 with it in the cache manager.
 const BUDGET_PER_REMOTE_HIT: f64 = 32.0 * 1.2;
 
+/// Allocations per evicting miss (a fresh key on a full cache, with a
+/// segment store and an insert notice to one peer) on the request
+/// thread, measured on the reference build: parent commit 67.3, this
+/// change 58.1.
+const BUDGET_PER_MISS: f64 = 58.1 * 1.2;
+
 fn registry() -> ProgramRegistry {
     let mut registry = ProgramRegistry::new();
     registry.register(Arc::new(SimulatedProgram::trace_driven(
@@ -116,8 +122,8 @@ fn options() -> ServerOptions {
     }
 }
 
-/// Allocations per `hit` on the busiest request thread, after enough
-/// warm-up hits that every lazily grown structure (the trace ring,
+/// Allocations per `hit` (or miss) on the busiest request thread, after
+/// enough warm-up requests that every lazily grown structure (the trace ring,
 /// histograms, the date cache, pooled connections) has reached its size.
 fn per_hit_on_the_request_thread(mut hit: impl FnMut()) -> f64 {
     for _ in 0..2_000 {
@@ -188,4 +194,44 @@ fn a_warm_remote_hit_stays_within_its_allocation_budget() {
     for node in nodes {
         node.shutdown();
     }
+}
+
+#[test]
+fn an_evicting_miss_stays_within_its_allocation_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let base = std::env::temp_dir().join(format!("swala-alloc-miss-{}", std::process::id()));
+    let nodes = swala::start_cluster(2, |node| {
+        let options = ServerOptions {
+            cache_dir: Some(base.join(format!("node{}", node.0))),
+            fsync: false,
+            ..options()
+        };
+        (options, registry())
+    })
+    .unwrap();
+    let mut client = HttpClient::new(nodes[0].http_addr());
+    // The 2 000 warm-up misses fill the cache to capacity, so every
+    // measured miss evicts.
+    let mut id = 0u64;
+    let per_miss = per_hit_on_the_request_thread(|| {
+        id += 1;
+        let resp = client
+            .get(&format!("/cgi-bin/adl?id={id}&ms=0&bytes=4096"))
+            .unwrap();
+        assert_eq!(resp.status, StatusCode::OK);
+        assert_eq!(resp.headers.get("X-Swala-Cache"), Some("miss"));
+    });
+    let stats = nodes[0].manager().stats().snapshot();
+    assert_eq!(stats.inserts, 4_000);
+    assert!(stats.evictions >= 2_000, "{stats:?}");
+    println!("allocations per evicting miss on the request thread: {per_miss:.1}");
+    assert!(per_miss >= 1.0, "found the request thread's tally");
+    assert!(
+        per_miss <= BUDGET_PER_MISS,
+        "{per_miss:.1} allocations per miss, budget {BUDGET_PER_MISS:.1}"
+    );
+    for node in nodes {
+        node.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -3,17 +3,44 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use swala::HttpClient;
 
 const BIN: &str = env!("CARGO_BIN_EXE_swala");
 
-struct Proc(Child);
+/// The tests read process CPU time and herd listeners; one at a time,
+/// so no test's nodes compete with another's for the two cores.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A node process and everything it wrote to stderr after its banner.
+struct Proc {
+    child: Child,
+    stderr: Arc<Mutex<String>>,
+}
+
+impl Proc {
+    /// Whether the node has exited, and its stderr: what a failed
+    /// request to it needs to say.
+    fn report(&mut self) -> String {
+        let status = match self.child.try_wait() {
+            Ok(Some(status)) => format!("exited ({status})"),
+            Ok(None) => "still running".to_string(),
+            Err(e) => format!("unknown ({e})"),
+        };
+        let stderr = self.stderr.lock().unwrap_or_else(|e| e.into_inner());
+        format!("node {status}; stderr:\n{stderr}")
+    }
+}
 
 impl Drop for Proc {
     fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -29,9 +56,9 @@ fn spawn_node_under(config: &str, tag: &str, setup: &str) -> Node {
 }
 
 /// Start the binary — after `setup`, a shell command such as `ulimit` —
-/// and parse "http on <addr>, cache protocol on <addr>" from its stderr
-/// banner. A first line that is something else (a failed bind, say) is
-/// returned as the error.
+/// and parse "http on <addr>, cache protocol on <addr>" from the banner
+/// it prints on stderr once it serves. A first line that is something
+/// else (a failed bind, say) is returned as the error.
 fn try_spawn_node(config: &str, tag: &str, setup: &str) -> Result<Node, String> {
     let path = std::env::temp_dir().join(format!("swala-bin-{tag}-{}.conf", std::process::id()));
     std::fs::write(&path, config).unwrap();
@@ -45,7 +72,10 @@ fn try_spawn_node(config: &str, tag: &str, setup: &str) -> Result<Node, String> 
         .spawn()
         .expect("spawn swala binary");
     let stderr = child.stderr.take().expect("stderr piped");
-    let child = Proc(child);
+    let child = Proc {
+        child,
+        stderr: Arc::default(),
+    };
     let mut reader = BufReader::new(stderr);
     let mut line = String::new();
     reader.read_line(&mut line).expect("banner line");
@@ -62,13 +92,22 @@ fn try_spawn_node(config: &str, tag: &str, setup: &str) -> Result<Node, String> 
     let (Some(http), Some(cache)) = (http, cache) else {
         return Err(line);
     };
-    // Drain remaining stderr in the background so the child never blocks.
-    std::thread::spawn(move || for _ in reader.lines() {});
+    // Drain remaining stderr in the background so the child never
+    // blocks, keeping it for `Proc::report`.
+    let log = Arc::clone(&child.stderr);
+    std::thread::spawn(move || {
+        for line in reader.lines().map_while(Result::ok) {
+            let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
+            log.push_str(&line);
+            log.push('\n');
+        }
+    });
     Ok((child, http, cache))
 }
 
 #[test]
 fn binary_serves_requests_from_config() {
+    let _serial = serial();
     let (proc_, http, _) = spawn_node(
         "node 0\nnodes 1\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:0\npool 2\ncache /cgi-bin/*\n",
         "single",
@@ -83,6 +122,7 @@ fn binary_serves_requests_from_config() {
 
 #[test]
 fn binary_rejects_bad_config() {
+    let _serial = serial();
     let path = std::env::temp_dir().join(format!("swala-bin-bad-{}.conf", std::process::id()));
     std::fs::write(&path, "frobnicate everything\n").unwrap();
     let out = Command::new(BIN).arg(&path).output().unwrap();
@@ -143,6 +183,7 @@ fn spawn_pair(tag: &str, extra: &str) -> ([Proc; 2], [std::net::SocketAddr; 2]) 
 
 #[test]
 fn two_binary_processes_cooperate() {
+    let _serial = serial();
     for directory in ["replicated", "partitioned"] {
         let (procs, [http0, http1]) = spawn_pair(
             &format!("pair-{directory}"),
@@ -187,6 +228,7 @@ fn two_binary_processes_cooperate() {
 /// shows up under `swala-request`.
 #[test]
 fn threads_page_sums_cpu_by_role() {
+    let _serial = serial();
     // Pinned: only a replicated directory sends every miss's notice to
     // the peer.
     let (procs, [http0, http1]) = spawn_pair("threads", "directory replicated\n");
@@ -227,10 +269,18 @@ fn threads_page_sums_cpu_by_role() {
     for role in ["swala-cache-accept", "swala-cache-purge", "swala"] {
         assert_eq!(first[role].0, 1.0, "{role}: {first:?}");
     }
-    // 200 ms of CGI spinning on node 0's request threads.
-    for i in 0..20 {
-        c0.get(&format!("/cgi-bin/adl?id={}&ms=10", 100 + i))
-            .unwrap();
+    // 200 ms of CGI spinning on node 0's request threads. A spin is
+    // bounded by wall time, and on a loaded host 20 of 10 ms each get
+    // less CPU than that: spin until node 0 has used 200 ms.
+    let node0 = procs[0].child.id();
+    let cpu_before = cpu_seconds(node0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for i in 100.. {
+        if cpu_seconds(node0) - cpu_before >= 0.2 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "node 0 never got 200 ms of CPU");
+        c0.get(&format!("/cgi-bin/adl?id={i}&ms=10")).unwrap();
     }
     let second = scrape(&mut c0);
     for (role, (threads, cpu)) in &first {
@@ -263,7 +313,8 @@ fn cpu_seconds(pid: u32) -> f64 {
 /// once descriptors are back.
 #[test]
 fn a_failing_accept_pauses_instead_of_spinning() {
-    let (proc_, http, cache) = spawn_node_under(
+    let _serial = serial();
+    let (mut proc_, http, cache) = spawn_node_under(
         "node 0\nnodes 1\nlisten 127.0.0.1:0\ncache_listen 127.0.0.1:0\npool 2\n",
         "emfile",
         "ulimit -n 40",
@@ -271,13 +322,20 @@ fn a_failing_accept_pauses_instead_of_spinning() {
     // More connections than the node has descriptors left, on both
     // listeners: the kernel completes the handshakes, the node's
     // accept() runs dry.
-    let herd: Vec<_> = (0..64)
-        .flat_map(|_| [http, cache])
-        .map(|addr| std::net::TcpStream::connect(addr).unwrap())
-        .collect();
+    let mut herd = Vec::new();
+    for addr in (0..64).flat_map(|_| [http, cache]) {
+        match std::net::TcpStream::connect(addr) {
+            Ok(stream) => herd.push(stream),
+            Err(e) => panic!(
+                "herd connect {} to {addr}: {e}; {}",
+                herd.len(),
+                proc_.report()
+            ),
+        }
+    }
     // Let it take what it can and run into the limit.
     std::thread::sleep(Duration::from_millis(500));
-    let pid = proc_.0.id();
+    let pid = proc_.child.id();
     let before = cpu_seconds(pid);
     std::thread::sleep(Duration::from_secs(1));
     let burned = cpu_seconds(pid) - before;

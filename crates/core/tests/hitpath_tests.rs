@@ -57,22 +57,38 @@ fn warm_local_hits_never_touch_the_store() {
     let miss = client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
     assert_eq!(miss.headers.get("X-Swala-Cache"), Some("miss"));
     let after_insert = server.cache_stats();
-
-    let first = client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
-    let second = client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
-    assert_eq!(first.headers.get("X-Swala-Cache"), Some("local-hit"));
-    assert_eq!(second.headers.get("X-Swala-Cache"), Some("local-hit"));
-    assert_eq!(first.body, second.body);
-
-    let warm = server.cache_stats();
-    assert_eq!(warm.mem_hits, 2, "both hits served from the memory tier");
     assert_eq!(
-        warm.store_reads, after_insert.store_reads,
-        "warm hits must not read the store"
+        server.manager().bodies().mem_bytes(),
+        0,
+        "an insert holds no memory"
     );
+
+    // The first hit reads the store once and promotes the body.
+    let first = client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
+    assert_eq!(first.headers.get("X-Swala-Cache"), Some("local-hit"));
+    let after_first = server.cache_stats();
+    assert_eq!(after_first.store_reads, after_insert.store_reads + 1);
+    assert_eq!(after_first.mem_hits, 0);
     assert!(
         server.manager().bodies().mem_bytes() > 0,
         "tier holds the cached body"
+    );
+
+    let second = client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
+    let third = client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
+    assert_eq!(second.headers.get("X-Swala-Cache"), Some("local-hit"));
+    assert_eq!(third.headers.get("X-Swala-Cache"), Some("local-hit"));
+    assert_eq!(first.body, second.body);
+    assert_eq!(second.body, third.body);
+
+    let warm = server.cache_stats();
+    assert_eq!(
+        warm.mem_hits, 2,
+        "both warm hits served from the memory tier"
+    );
+    assert_eq!(
+        warm.store_reads, after_first.store_reads,
+        "warm hits must not read the store"
     );
 }
 
@@ -144,12 +160,12 @@ fn status_page_shows_hot_path_counters() {
         assert!(html.contains("Fetch pool"), "{html}");
         assert!(html.contains("connects=1"), "{html}");
 
-        // Node 0 served one warm local hit plus node 1's fetch, both from
-        // the memory tier.
+        // Node 0 served one local hit, which read the store and promoted
+        // the body, then node 1's fetch from the memory tier.
         let page = warm.get("/swala-status").unwrap();
         let html = String::from_utf8(page.body.into_vec()).unwrap();
-        assert!(html.contains("mem_hits=2"), "{html}");
-        assert!(html.contains("store_reads=0"), "{html}");
+        assert!(html.contains("mem_hits=1 "), "{html}");
+        assert!(html.contains("store_reads=1 "), "{html}");
         for n in nodes {
             n.shutdown();
         }

@@ -88,7 +88,9 @@ fn metrics_endpoint_is_valid_exposition_with_consistent_twins() {
     for i in 0..4 {
         client.get(&format!("/cgi-bin/adl?id={i}&ms=0")).unwrap();
     }
-    for _ in 0..3 {
+    // The first hit reads the store and promotes the body; the next
+    // three are served from memory.
+    for _ in 0..4 {
         client.get("/cgi-bin/adl?id=0&ms=0").unwrap();
     }
     // A trace is finished just after its response bytes leave; wait for
@@ -117,12 +119,13 @@ fn metrics_endpoint_is_valid_exposition_with_consistent_twins() {
             .unwrap_or_else(|| panic!("missing sample {name} in:\n{text}"))
             .value
     };
-    // 7 dynamic requests processed before the scrape; the scrape itself
-    // is in flight, so `requests` counts at least those 7.
-    assert!(value("swala_http_requests") >= 7.0);
-    assert_eq!(value("swala_http_dynamic"), 7.0);
+    // 8 dynamic requests processed before the scrape; the scrape itself
+    // is in flight, so `requests` counts at least those 8.
+    assert!(value("swala_http_requests") >= 8.0);
+    assert_eq!(value("swala_http_dynamic"), 8.0);
     assert_eq!(value("swala_cache_inserts"), 4.0);
-    assert_eq!(value("swala_cache_local_hits"), 3.0);
+    assert_eq!(value("swala_cache_local_hits"), 4.0);
+    assert_eq!(value("swala_cache_store_reads"), 1.0);
 
     // Histogram twin: the per-outcome duration histograms must agree
     // with the counter view of the same traffic.
@@ -132,20 +135,29 @@ fn metrics_endpoint_is_valid_exposition_with_consistent_twins() {
         .map(|s| s.value)
         .sum();
     assert!(
-        hist_count >= 7.0,
+        hist_count >= 8.0,
         "duration histograms saw {hist_count} requests"
     );
-    let local_mem: f64 = samples
-        .iter()
-        .filter(|s| {
-            s.name == "swala_request_duration_microseconds_count"
-                && s.labels
-                    .iter()
-                    .any(|(k, v)| k == "outcome" && v == "local-mem")
-        })
-        .map(|s| s.value)
-        .sum();
-    assert_eq!(local_mem, 3.0, "warm hits land in the local-mem histogram");
+    let outcome_count = |outcome: &str| -> f64 {
+        samples
+            .iter()
+            .filter(|s| {
+                s.name == "swala_request_duration_microseconds_count"
+                    && s.labels.iter().any(|(k, v)| k == "outcome" && v == outcome)
+            })
+            .map(|s| s.value)
+            .sum()
+    };
+    assert_eq!(
+        outcome_count("local-disk"),
+        1.0,
+        "the first hit lands in the local-disk histogram"
+    );
+    assert_eq!(
+        outcome_count("local-mem"),
+        3.0,
+        "warm hits land in the local-mem histogram"
+    );
     server.shutdown();
 }
 
@@ -214,15 +226,18 @@ fn access_log_lines_carry_trace_suffix() {
     )
     .unwrap();
     let mut client = HttpClient::new(server.http_addr());
-    client.get("/cgi-bin/adl?id=5&ms=0").unwrap();
-    client.get("/cgi-bin/adl?id=5&ms=0").unwrap();
+    for _ in 0..3 {
+        client.get("/cgi-bin/adl?id=5&ms=0").unwrap();
+    }
     server.shutdown();
 
     let text = std::fs::read_to_string(&log_path).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2, "{text}");
+    assert_eq!(lines.len(), 3, "{text}");
     assert!(lines[0].contains(" out=miss "), "{}", lines[0]);
-    assert!(lines[1].contains(" out=local-mem "), "{}", lines[1]);
+    // The first hit reads the store and promotes; the second is warm.
+    assert!(lines[1].contains(" out=local-disk "), "{}", lines[1]);
+    assert!(lines[2].contains(" out=local-mem "), "{}", lines[2]);
     for line in &lines {
         assert!(line.contains(" trace="), "{line}");
         assert!(line.contains(" total_us="), "{line}");

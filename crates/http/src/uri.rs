@@ -135,6 +135,9 @@ pub fn decode_percent(s: &str) -> Option<String> {
 /// Form decoding: like percent decoding but `+` becomes space, and invalid
 /// escapes pass through verbatim (lenient, as CGI libraries of the era were).
 fn decode_form(s: &str) -> String {
+    if !s.contains(['+', '%']) {
+        return s.to_string();
+    }
     let replaced = s.replace('+', " ");
     decode_percent(&replaced).unwrap_or(replaced)
 }

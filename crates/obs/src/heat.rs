@@ -20,13 +20,15 @@
 //! while monitored, giving the (cost × reuse) signal directly.
 //!
 //! Cost profile: one short mutex hold per observation. The common case
-//! (key already monitored, or table not yet full) is a hash lookup; an
-//! eviction scans the table for the minimum, which is O(capacity) but
-//! only happens for keys outside the monitored set. With the default
-//! capacity (128) that scan is ~100 ns.
+//! (key already monitored, or table not yet full) is a hash lookup. A
+//! key outside the monitored set replaces the lowest-numbered slot with
+//! the minimum count: the counts sit in one dense array, so the search
+//! reads 1 KiB at the default capacity (128), and the key is allocated
+//! once, shared by the slot and the index.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One monitored key with its estimated frequency and cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,11 +42,53 @@ pub struct HeatEntry {
     pub cost_us: u64,
 }
 
+/// The monitored keys, one slot each: slot `i` is `keys[i]` with
+/// `counts[i]`, `errors[i]` and `costs[i]`.
 #[derive(Default)]
 struct Inner {
-    entries: HashMap<String, HeatEntry>,
+    /// Key → its slot.
+    index: HashMap<Arc<str>, usize>,
+    keys: Vec<Arc<str>>,
+    counts: Vec<u64>,
+    errors: Vec<u64>,
+    costs: Vec<u64>,
     /// Total observations, monitored or not.
     total: u64,
+}
+
+impl Inner {
+    /// Give `slot` (pushed when it is one past the end) to `key`.
+    fn assign(&mut self, slot: usize, key: &str, count: u64, error: u64, cost_us: u64) {
+        let key: Arc<str> = Arc::from(key);
+        self.index.insert(Arc::clone(&key), slot);
+        if slot == self.keys.len() {
+            self.keys.push(key);
+            self.counts.push(count);
+            self.errors.push(error);
+            self.costs.push(cost_us);
+        } else {
+            self.keys[slot] = key;
+            self.counts[slot] = count;
+            self.errors[slot] = error;
+            self.costs[slot] = cost_us;
+        }
+    }
+
+    /// The lowest-numbered slot holding the minimum count.
+    fn min_slot(&self) -> Option<usize> {
+        // `min_by_key` keeps the first of equal minima.
+        let (slot, _) = self.counts.iter().enumerate().min_by_key(|&(_, c)| c)?;
+        Some(slot)
+    }
+
+    fn entry(&self, slot: usize) -> HeatEntry {
+        HeatEntry {
+            key: self.keys[slot].to_string(),
+            count: self.counts[slot],
+            error: self.errors[slot],
+            cost_us: self.costs[slot],
+        }
+    }
 }
 
 /// A space-saving top-K sketch of per-key request heat.
@@ -81,44 +125,26 @@ impl HeatSketch {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.total += 1;
-        if let Some(e) = inner.entries.get_mut(key) {
-            e.count += 1;
-            e.cost_us += cost_us;
+        if let Some(&slot) = inner.index.get(key) {
+            inner.counts[slot] += 1;
+            inner.costs[slot] += cost_us;
             return;
         }
-        if inner.entries.len() < self.capacity {
-            inner.entries.insert(
-                key.to_string(),
-                HeatEntry {
-                    key: key.to_string(),
-                    count: 1,
-                    error: 0,
-                    cost_us,
-                },
-            );
+        if inner.keys.len() < self.capacity {
+            let slot = inner.keys.len();
+            inner.assign(slot, key, 1, 0, cost_us);
             return;
         }
         // Space-saving replacement: the new key inherits the minimum
         // monitored count as its (pessimistic) estimate and carries that
         // same value as its error bound.
-        let min_key = inner
-            .entries
-            .values()
-            .min_by_key(|e| e.count)
-            .map(|e| e.key.clone())
-            .expect("non-empty at capacity");
-        let min = inner.entries.remove(&min_key).expect("min key present");
-        inner.entries.insert(
-            key.to_string(),
-            HeatEntry {
-                key: key.to_string(),
-                count: min.count + 1,
-                error: min.count,
-                cost_us,
-            },
-        );
+        let slot = inner.min_slot().expect("non-empty at capacity");
+        let min = inner.counts[slot];
+        inner.index.remove(&inner.keys[slot]);
+        inner.assign(slot, key, min + 1, min, cost_us);
     }
 
     /// Attribute extra cost to `key` if it is currently monitored —
@@ -129,8 +155,8 @@ impl HeatSketch {
             return;
         }
         let mut inner = self.inner.lock();
-        if let Some(e) = inner.entries.get_mut(key) {
-            e.cost_us += cost_us;
+        if let Some(&slot) = inner.index.get(key) {
+            inner.costs[slot] += cost_us;
         }
     }
 
@@ -141,7 +167,7 @@ impl HeatSketch {
 
     /// Number of currently monitored keys.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.inner.lock().keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -152,17 +178,17 @@ impl HeatSketch {
     /// of *any* unmonitored key (0 while the table is not full).
     pub fn min_count(&self) -> u64 {
         let inner = self.inner.lock();
-        if inner.entries.len() < self.capacity {
+        if inner.keys.len() < self.capacity {
             return 0;
         }
-        inner.entries.values().map(|e| e.count).min().unwrap_or(0)
+        inner.counts.iter().copied().min().unwrap_or(0)
     }
 
     /// The hottest `n` monitored keys, by estimated count descending
     /// (ties broken by key for determinism).
     pub fn top(&self, n: usize) -> Vec<HeatEntry> {
         let inner = self.inner.lock();
-        let mut all: Vec<HeatEntry> = inner.entries.values().cloned().collect();
+        let mut all: Vec<HeatEntry> = (0..inner.keys.len()).map(|i| inner.entry(i)).collect();
         all.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
         all.truncate(n);
         all
@@ -363,6 +389,42 @@ mod tests {
                 e.key
             );
         }
+    }
+
+    /// Under a rotating stream every unmonitored key takes over the
+    /// lowest-numbered slot holding the minimum count.
+    #[test]
+    fn a_replaced_slot_always_held_the_minimum_count() {
+        let s = HeatSketch::new(4);
+        let slots = |s: &HeatSketch| {
+            let inner = s.inner.lock();
+            (inner.keys.clone(), inner.counts.clone())
+        };
+        let mut replaced = 0;
+        for i in 0..1000u64 {
+            let key = format!("k{}", i % 13 + i / 97);
+            let (keys, counts) = slots(&s);
+            s.observe(&key, 0);
+            let (keys_after, counts_after) = slots(&s);
+            if keys.len() < 4 || keys.iter().any(|k| **k == *key) {
+                assert!(
+                    keys_after.starts_with(&keys),
+                    "step {i}: no slot changes hands"
+                );
+                continue;
+            }
+            let changed: Vec<usize> = (0..4).filter(|&j| keys[j] != keys_after[j]).collect();
+            let min = *counts.iter().min().unwrap();
+            let first_min = counts.iter().position(|&c| c == min).unwrap();
+            assert_eq!(changed, [first_min], "step {i}: {counts:?}");
+            assert_eq!(&*keys_after[first_min], key.as_str());
+            assert_eq!(counts_after[first_min], min + 1);
+            replaced += 1;
+        }
+        assert!(replaced > 500, "{replaced} replacements");
+        let inner = s.inner.lock();
+        assert_eq!(inner.index.len(), 4);
+        assert!(inner.index.iter().all(|(k, &at)| inner.keys[at] == *k));
     }
 
     #[test]

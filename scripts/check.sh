@@ -25,7 +25,8 @@ cargo build --release --workspace
 step "cargo test -q --workspace"
 # --workspace matters: a bare `cargo test -q` runs only the root
 # package's suites and silently skips every crates/* unit test. Among
-# them the live-cluster counter bounds: warm hits read no store, a
+# them the live-cluster counter bounds: a body's first hit reads the
+# store once and promotes it, later (warm) hits read no store, a
 # remote-hit burst stays within the fetch pool, parked connections spawn
 # no thread and cost < 16 KiB RSS each, replicated pays exactly N-1
 # update messages per insert and partitioned at most 1 (>= 4x fewer
