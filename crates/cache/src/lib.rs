@@ -61,6 +61,7 @@ pub use flights::{FlightWaitOutcome, FlightWaiter};
 pub use key::CacheKey;
 pub use manager::{
     CacheManager, CacheManagerConfig, InsertOutcome, LookupResult, COALESCE_WAIT, HOTKEYS,
+    MAX_CACHED_RESULT,
 };
 pub use memcache::MemCache;
 pub use node::NodeId;

@@ -43,6 +43,15 @@ pub const COALESCE_WAIT: Duration = Duration::from_secs(10);
 /// `obs off` baseline turns the sketch off with the rest of telemetry.
 pub const HOTKEYS: usize = 128;
 
+/// The largest result a node caches, body and content type together.
+///
+/// Every cached result must reach a peer in one fetch reply, and the
+/// cluster protocol's frames carry at most 8 MiB (`swala_proto::MAX_FRAME`);
+/// this leaves 64 bytes of the frame for the reply's tag and two length
+/// fields. A larger result is served but not cached: a peer's remote hit
+/// on it could only fail, and each failure counts against this node.
+pub const MAX_CACHED_RESULT: usize = 8 * 1024 * 1024 - 64;
+
 /// Construction parameters for a [`CacheManager`].
 pub struct CacheManagerConfig {
     /// Cluster size (number of directory tables).
@@ -390,9 +399,9 @@ impl CacheManager {
 
     /// Figure 2, bottom half: the CGI ran successfully in `exec` time.
     ///
-    /// Applies the execution-time threshold, stores the body, inserts the
-    /// directory entry and evicts down to capacity. Returns what must be
-    /// broadcast.
+    /// Applies the execution-time threshold and [`MAX_CACHED_RESULT`],
+    /// stores the body, inserts the directory entry and evicts down to
+    /// capacity. Returns what must be broadcast.
     pub fn complete_execution(
         &self,
         key: &CacheKey,
@@ -410,7 +419,7 @@ impl CacheManager {
         // Attribute the execution's cost to the key's heat-sketch slot
         // (only if the key is still monitored — no count is added).
         self.heat.add_cost(key.as_str(), exec.as_micros() as u64);
-        if !decision.should_insert(exec) {
+        if !decision.should_insert(exec) || body.len() + content_type.len() > MAX_CACHED_RESULT {
             CacheStats::bump(&self.stats.discards);
             return Ok(InsertOutcome::Discarded);
         }
@@ -639,16 +648,24 @@ impl CacheManager {
     /// Warm restart: rebuild the local directory from the store's
     /// self-describing entries (an extension beyond the paper, whose
     /// nodes always started cold). Expired entries are deleted rather
-    /// than resurrected; the replacement policy is applied so the
-    /// recovered set respects capacity. Returns how many entries were
-    /// restored.
+    /// than resurrected, and so are entries over [`MAX_CACHED_RESULT`] (a
+    /// store written before the limit may hold some); the replacement
+    /// policy is applied so the recovered set respects capacity. Returns
+    /// how many entries were restored.
     pub fn recover_from_store(&self) -> usize {
         let now = self.clock().unix_now();
         let mut restored = 0;
         for recovered in self.bodies.recover() {
-            if recovered.expires_unix.is_some_and(|e| e <= now) {
+            let dropped = if recovered.expires_unix.is_some_and(|e| e <= now) {
+                Some(&self.stats.expirations)
+            } else if recovered.size as usize + recovered.content_type.len() > MAX_CACHED_RESULT {
+                Some(&self.stats.discards)
+            } else {
+                None
+            };
+            if let Some(counter) = dropped {
                 self.bodies.remove(&recovered.key);
-                CacheStats::bump(&self.stats.expirations);
+                CacheStats::bump(counter);
                 continue;
             }
             let meta = recovered.into_meta(self.local, self.next_seq());
@@ -1524,6 +1541,28 @@ mod tests {
             drop(m);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn recovery_drops_a_result_too_large_to_fetch() {
+        // A store written before the size limit may hold a result no
+        // fetch reply can carry: a warm restart must not advertise it.
+        let dir = std::env::temp_dir().join(format!("swala-mgr-oversize-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || SegmentStore::open_with(&dir, SegmentConfig { fsync: false }).unwrap();
+        let store = open();
+        let (big, small) = (key("/cgi-bin/big"), key("/cgi-bin/small"));
+        store.put(&big, &vec![1u8; MAX_CACHED_RESULT]).unwrap();
+        store.put(&small, b"fits").unwrap();
+        drop(store);
+        let m = CacheManager::new(CacheManagerConfig::default(), Box::new(open()));
+        assert_eq!(m.recover_from_store(), 1);
+        assert!(m.directory().get(NodeId(0), &big).is_none());
+        assert!(m.directory().get(NodeId(0), &small).is_some());
+        assert_eq!(m.bodies().stored(), 1);
+        assert_eq!(m.stats().snapshot().discards, 1);
+        drop(m);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

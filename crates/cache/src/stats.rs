@@ -36,8 +36,9 @@ swala_obs::counters! {
         uncacheable: "Requests the rules classified uncacheable",
         /// Successful cache insertions.
         inserts: "Successful cache insertions",
-        /// Results discarded because they ran under the min-exec threshold.
-        discards: "Results discarded under the min-exec threshold",
+        /// Results discarded because they ran under the min-exec threshold
+        /// or exceed [`MAX_CACHED_RESULT`](crate::MAX_CACHED_RESULT).
+        discards: "Results discarded under the min-exec threshold or too large to cache",
         /// Executions abandoned because the CGI failed or returned non-200.
         aborts: "Executions abandoned (CGI failure or non-200 result)",
         /// Misses that became the single-flight leader for their key.

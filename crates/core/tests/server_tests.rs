@@ -421,6 +421,57 @@ fn delete_broadcast_prevents_false_hits() {
     }
 }
 
+/// A result too large for one fetch reply is served but not cached, so
+/// no peer ever tries to fetch it: every such fetch would fail, and three
+/// failures quarantine a healthy owner and drop all its entries.
+#[test]
+fn results_too_large_to_fetch_are_not_cached() {
+    let servers = cluster(2, true);
+    let mut c0 = HttpClient::new(servers[0].http_addr());
+    let mut c1 = HttpClient::new(servers[1].http_addr());
+    let small = "/cgi-bin/adl?id=99&ms=0";
+    let big: Vec<String> = (0..3)
+        .map(|i| format!("/cgi-bin/adl?id={i}&ms=0&bytes=9000000"))
+        .collect();
+    let small_body = c1.get(small).unwrap().body.into_vec();
+    let big_bodies: Vec<Vec<u8>> = big
+        .iter()
+        .map(|t| c1.get(t).unwrap().body.into_vec())
+        .collect();
+    assert!(big_bodies.iter().all(|b| b.len() == 9_000_000));
+    assert!(servers[1].flush_broadcasts(Duration::from_secs(5)));
+
+    // Node 0 asks for each large result once; every body is node 1's.
+    let tags: Vec<String> = big
+        .iter()
+        .zip(&big_bodies)
+        .map(|(target, body)| {
+            let resp = c0.get(target).unwrap();
+            assert!(resp.body == *body, "wrong body for {target}");
+            cache_tag(&resp).to_string()
+        })
+        .collect();
+    let health = servers[0].peer_health();
+    assert!(
+        health
+            .iter()
+            .all(|h| h.state == swala_proto::PeerState::Healthy && h.total_quarantines == 0),
+        "a healthy owner was punished: {health:?}"
+    );
+    assert_eq!(servers[0].cache_stats().node_evictions, 0);
+    let resp = c0.get(small).unwrap();
+    assert_eq!(cache_tag(&resp), cache_header::REMOTE_HIT);
+    assert_eq!(resp.body, small_body);
+    // Node 1 served the large results without caching them, so node 0
+    // never tried to fetch one: it ran each itself, as a plain miss.
+    assert_eq!(tags, [cache_header::MISS; 3]);
+    assert_eq!(servers[1].cache_stats().discards, 3);
+    assert_eq!(servers[0].manager().directory().len(NodeId(1)), 1);
+    for s in servers {
+        s.shutdown();
+    }
+}
+
 #[test]
 fn no_cache_cluster_never_shares() {
     let servers = cluster(2, false);

@@ -1,0 +1,112 @@
+//! Dropping a node joins every thread it started, in a test binary of
+//! its own so that `/proc/self/task` holds only this test's threads.
+//!
+//! Node 1's cache daemon is given every kind of inbound connection that
+//! could hold a thread past shutdown: black-holed by the accept filter,
+//! idle, stalled mid-header, and one whose peer asks for 64 fetches of a
+//! 1 MiB body and never reads a reply, so its handler blocks in a write.
+
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use swala::{HttpClient, ServerOptions};
+use swala_cache::{CacheKey, NodeId};
+use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
+use swala_proto::faults::ACCEPT_SRC;
+use swala_proto::{write_frame, FaultAction, FaultInjector, FaultRule, Message, FRAME_STALL_LIMIT};
+
+fn registry() -> ProgramRegistry {
+    let mut r = ProgramRegistry::new();
+    r.register(Arc::new(SimulatedProgram::trace_driven(
+        "adl",
+        WorkKind::Sleep,
+    )));
+    r
+}
+
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timeout: {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Names of this process's live threads that a Swala node started.
+fn swala_threads() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|comm| comm.starts_with("swala-"))
+        .collect()
+}
+
+#[test]
+fn dropping_a_node_leaves_none_of_its_threads() {
+    let inj = FaultInjector::seeded(1);
+    let servers = swala::start_cluster(2, |_| {
+        let options = ServerOptions {
+            pool_size: 2,
+            faults: Some(Arc::clone(&inj)),
+            ..Default::default()
+        };
+        (options, registry())
+    })
+    .unwrap();
+    let target = "/cgi-bin/adl?id=1&ms=0&bytes=1048576";
+    HttpClient::new(servers[1].http_addr()).get(target).unwrap();
+    let key = CacheKey::new(target);
+    let owner = Arc::clone(servers[1].manager());
+    assert!(owner.directory().get(NodeId(1), &key).is_some());
+    let cache_port = servers[1].cache_addr();
+    let accepted = || inj.attempt_count(ACCEPT_SRC, NodeId(1));
+
+    let n = accepted();
+    inj.add_rule(
+        FaultRule::between(ACCEPT_SRC, NodeId(1), FaultAction::BlackHole).window(n, n + 2),
+    );
+    let mut held: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(cache_port).unwrap())
+        .collect();
+    wait_until("both black-holed connections accepted", || {
+        accepted() == n + 2
+    });
+    held.extend((0..3).map(|_| TcpStream::connect(cache_port).unwrap()));
+    let mut stalled = TcpStream::connect(cache_port).unwrap();
+    stalled.write_all(&[0, 0]).unwrap();
+    held.push(stalled);
+    let mut reader_gone = TcpStream::connect(cache_port).unwrap();
+    let request = Message::FetchRequest {
+        key: key.clone(),
+        trace: None,
+    }
+    .encode();
+    for _ in 0..64 {
+        write_frame(&mut reader_gone, &request).unwrap();
+    }
+    held.push(reader_gone);
+    wait_until("every connection accepted", || accepted() == n + 7);
+    wait_until("the owner serving the fetches", || {
+        owner.directory().get(NodeId(1), &key).unwrap().hits > 0
+    });
+    // Let the replies fill both socket buffers, so the handler is
+    // blocked in a write that makes no progress.
+    std::thread::sleep(Duration::from_millis(500));
+
+    let started = Instant::now();
+    drop(servers);
+    let took = started.elapsed();
+    eprintln!("drop took {took:?}");
+    let survivors = swala_threads();
+    assert!(
+        survivors.is_empty(),
+        "threads alive after drop: {survivors:?}"
+    );
+    assert!(
+        took <= FRAME_STALL_LIMIT + Duration::from_secs(1),
+        "drop took {took:?}"
+    );
+    drop(held);
+}

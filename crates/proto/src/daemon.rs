@@ -1,27 +1,33 @@
 //! The cacher module's daemon threads (§4.1).
 //!
-//! [`CacheDaemons::start`] binds a TCP listener and spawns:
+//! [`CacheDaemons::start`] binds a TCP listener and spawns two threads:
 //!
-//! * an **accept thread** which, per incoming connection, starts a
-//!   handler thread ("The second thread listens for data requests from
-//!   the other nodes and starts a separate thread for each request");
-//!   handler threads apply insert/delete notices to the local directory
-//!   (the paper's first daemon) and answer fetch/sync/ping requests;
+//! * an **accept thread**, which starts a **handler thread** per incoming
+//!   connection ("The second thread listens for data requests from the
+//!   other nodes and starts a separate thread for each request") in one
+//!   [`std::thread::scope`], and joins them all before it returns.
+//!   Handler threads apply insert/delete notices to the local directory
+//!   (the paper's first daemon) and answer fetch/sync/ping requests. A
+//!   connection the accept filter faults gets no thread;
 //! * a **purge thread** that "wakes up every few seconds and deletes
 //!   expired cache entries", announcing each deletion to the key's homes.
 //!   It sleeps [`PURGE_INTERVAL`] on the manager's clock between passes,
 //!   and shutdown ends the sleep at once.
+//!
+//! Dropping [`CacheDaemons`] raises the stop signal, shuts the listening
+//! socket down and joins both.
 
 use crate::faults::{AcceptFilter, FaultAction};
 use crate::message::Message;
 use crate::peers::Broadcaster;
 use crate::reader::{FrameRead, PatientReader};
-use crate::wire::{write_frame, write_frame_split};
+use crate::wire::{write_frame, write_frame_split, ProtoError};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
+use std::sync::{Arc, Weak};
+use std::thread::{Builder, JoinHandle, Scope, ScopedJoinHandle};
+use std::time::{Duration, Instant};
 use swala_cache::{
     CacheKey, CacheManager, CacheStats, Classification, EntryMeta, NodeId, RemoteUpdate, StopSignal,
 };
@@ -37,12 +43,14 @@ use swala_obs::{Outcome, Stage, Telemetry, Trace};
 pub const PURGE_INTERVAL: Duration = Duration::from_secs(2);
 
 /// How often an idle connection handler re-checks the shutdown flag (its
-/// socket's read timeout).
+/// socket's read timeout, set per connection: on the listener it would
+/// time `accept()` out too).
 const READ_TICK: Duration = Duration::from_millis(100);
 
-/// A peer that stops sending mid-frame for this long is dropped (the
-/// request plane's keep-alive idle limit, applied to the cluster plane).
-const FRAME_STALL_LIMIT: Duration = Duration::from_secs(5);
+/// A peer that stops sending mid-frame, or stops reading a reply, for
+/// this long is dropped (the request plane's keep-alive idle limit,
+/// applied to the cluster plane).
+pub const FRAME_STALL_LIMIT: Duration = Duration::from_secs(5);
 
 /// Hot-key entries shipped per [`Message::StatsSnapshot`] — enough for
 /// any sensible cluster ranking while keeping the frame small.
@@ -142,9 +150,21 @@ impl Default for DaemonConfig {
 
 /// Handle to a node's running cache daemons.
 pub struct CacheDaemons {
-    addr: SocketAddr,
     shutdown: Arc<StopSignal>,
-    handles: Vec<JoinHandle<()>>,
+    /// The listening socket, as the stream view std shuts down.
+    listener: TcpStream,
+    /// The purge thread and the accept thread.
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// What the purge and accept threads share, and every handler borrows
+/// from the accept thread.
+struct Daemon {
+    manager: Arc<CacheManager>,
+    broadcaster: Arc<Broadcaster>,
+    shutdown: Arc<StopSignal>,
+    accept_filter: Option<AcceptFilter>,
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 impl CacheDaemons {
@@ -177,115 +197,52 @@ impl CacheDaemons {
         accept_filter: Option<AcceptFilter>,
         telemetry: Option<Arc<Telemetry>>,
     ) -> io::Result<CacheDaemons> {
-        let addr = listener.local_addr()?;
+        let (listener, socket) = with_connection_options(listener)?;
         let shutdown = StopSignal::new(manager.clock().clone());
-        let mut handles = Vec::new();
-
-        // Accept thread.
-        {
-            let manager = Arc::clone(&manager);
-            let broadcaster = Arc::clone(&broadcaster);
-            let shutdown = Arc::clone(&shutdown);
-            let telemetry = telemetry.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("swala-cache-accept".into())
-                    .spawn(move || {
-                        for conn in listener.incoming() {
-                            if shutdown.is_stopped() {
-                                break;
-                            }
-                            let stream = match conn {
-                                Ok(stream) => stream,
-                                // Out of descriptors (EMFILE and friends)
-                                // the listener stays readable and accept()
-                                // fails at once: pause rather than spin.
-                                Err(e) => {
-                                    if e.kind() != io::ErrorKind::Interrupted {
-                                        std::thread::sleep(Duration::from_millis(100));
-                                    }
-                                    continue;
-                                }
-                            };
-                            let fault = accept_filter.as_ref().and_then(|f| f());
-                            let manager = Arc::clone(&manager);
-                            let broadcaster = Arc::clone(&broadcaster);
-                            let shutdown = Arc::clone(&shutdown);
-                            let telemetry = telemetry.clone();
-                            // Per-connection handler thread, as the paper does.
-                            let _ = std::thread::Builder::new()
-                                .name("swala-cache-conn".into())
-                                .spawn(move || {
-                                    match fault {
-                                        // Connection closed before a single
-                                        // frame is served — to the dialer this
-                                        // is a peer that accepts then dies.
-                                        Some(FaultAction::Drop)
-                                        | Some(FaultAction::Reset)
-                                        | Some(FaultAction::Truncate(_)) => return,
-                                        // Held open but never serviced: the
-                                        // dialer's read times out.
-                                        Some(FaultAction::BlackHole) => {
-                                            while !shutdown.is_stopped() {
-                                                std::thread::sleep(Duration::from_millis(25));
-                                            }
-                                            return;
-                                        }
-                                        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                                        None => {}
-                                    }
-                                    handle_connection(
-                                        stream,
-                                        &manager,
-                                        &broadcaster,
-                                        &shutdown,
-                                        telemetry.as_deref(),
-                                    )
-                                });
-                        }
-                    })?,
-            );
-        }
-
-        // Purge thread.
-        {
-            let manager = Arc::clone(&manager);
-            let broadcaster = Arc::clone(&broadcaster);
-            let shutdown = Arc::clone(&shutdown);
-            // Passes fall due every interval from now, however long the
-            // thread takes to start or a pass takes to run.
-            let mut due = manager.clock().now();
-            handles.push(
-                std::thread::Builder::new()
-                    .name("swala-cache-purge".into())
-                    .spawn(move || loop {
-                        due += PURGE_INTERVAL;
-                        if !shutdown.sleep_until(due) {
-                            return;
-                        }
-                        for dead in manager.purge_expired() {
-                            announce_delete(&manager, &broadcaster, dead.owner, &dead.key);
-                        }
-                    })?,
-            );
-        }
-
-        Ok(CacheDaemons {
-            addr,
+        // Passes fall due every interval from now, however long the
+        // purge thread takes to start.
+        let first_purge = manager.clock().now() + PURGE_INTERVAL;
+        let daemon = Arc::new(Daemon {
+            manager,
+            broadcaster,
+            shutdown: Arc::clone(&shutdown),
+            accept_filter,
+            telemetry,
+        });
+        // Should a spawn fail, dropping `daemons` stops and joins what
+        // did start.
+        let mut daemons = CacheDaemons {
             shutdown,
-            handles,
-        })
+            listener: socket,
+            threads: Vec::with_capacity(2),
+        };
+        let purge = Arc::clone(&daemon);
+        daemons.threads.push(
+            Builder::new()
+                .name("swala-cache-purge".into())
+                .spawn(move || purge.purge(first_purge))?,
+        );
+        daemons.threads.push(
+            Builder::new()
+                .name("swala-cache-accept".into())
+                .spawn(move || std::thread::scope(|scope| daemon.run(scope, &listener)))?,
+        );
+        Ok(daemons)
     }
 
     /// The listener's actual address (for peers' broadcaster config).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener
+            .local_addr()
+            .expect("a bound socket has an address")
     }
 
-    /// Signal stop, then join the accept and purge threads (what
-    /// dropping the daemons does). Per-connection threads are detached
-    /// and not joined: each sees the stop within `READ_TICK` and returns
-    /// on its own (ROADMAP item 15).
+    /// Stop the daemons and join every thread they started (what
+    /// dropping them does): the stop signal ends the purge sleep, a
+    /// listener shutdown ends the `accept()`, and the accept thread shuts
+    /// every handler's connection down, which ends a read or a send
+    /// blocked on its peer, and joins them all. A faulted connection had
+    /// no thread.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -294,172 +251,239 @@ impl CacheDaemons {
 impl Drop for CacheDaemons {
     fn drop(&mut self) {
         self.shutdown.stop();
-        // Unblock the accept loop with a dummy connection.
-        let _ = TcpStream::connect(self.addr);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        // On Linux, a listening socket shut down for reading fails a
+        // blocked (and every later) `accept()` with EINVAL.
+        let _ = self.listener.shutdown(Shutdown::Read);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
-/// Serve one peer connection until EOF, error or shutdown.
-fn handle_connection(
-    stream: TcpStream,
-    manager: &CacheManager,
-    broadcaster: &Broadcaster,
-    shutdown: &StopSignal,
-    telemetry: Option<&Telemetry>,
-) {
-    // A finite read timeout, set once, lets the handler observe shutdown
-    // even when the peer link is idle; without it the thread could never
-    // be joined, so a socket that refuses it is closed.
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let _ = stream.set_nodelay(true);
-    let mut reader = PatientReader::new(&stream);
-    let mut stream = &stream;
-    loop {
-        if shutdown.is_stopped() {
-            return;
-        }
-        let stop = || shutdown.is_stopped();
-        let decoded = match reader.read_frame(FRAME_STALL_LIMIT, stop) {
-            Ok(FrameRead::Frame(frame)) => Message::decode(&frame),
-            Ok(FrameRead::Idle) => continue, // nothing consumed; re-check shutdown
-            // Clean close, reset, or a peer stalled mid-frame: resuming
-            // would mis-frame everything after it, so close.
-            Ok(FrameRead::Closed) | Err(_) => return,
-        };
-        let Ok(msg) = decoded else {
-            return;
-        };
-        match msg {
-            Message::Hello { .. }
-            | Message::InsertNotice { .. }
-            | Message::DeleteNotice { .. }
-            | Message::Invalidate { .. }
-            | Message::NodeDown { .. } => {
-                apply_notices(vec![msg], manager, broadcaster);
-            }
-            Message::Batch(msgs) => {
-                // Coalesced notices from a peer's paced writer. Only
-                // fire-and-forget notices may be batched; a
-                // reply-requiring sub-message is a protocol violation and
-                // drops the connection with nothing applied.
-                if !msgs.iter().all(is_notice) {
-                    return;
+/// Set on the listener, once, the options every handler needs that leave
+/// `accept()` alone (Linux hands an accepted socket its listener's
+/// options): no Nagle delay, and a [`FRAME_STALL_LIMIT`] write timeout
+/// that frees a handler whose peer stopped reading. std sets options (and
+/// shuts down) only through a stream, so this returns the listener and
+/// that stream view of it.
+fn with_connection_options(listener: TcpListener) -> io::Result<(TcpListener, TcpStream)> {
+    let socket = TcpStream::from(OwnedFd::from(listener));
+    socket.set_nodelay(true)?;
+    socket.set_write_timeout(Some(FRAME_STALL_LIMIT))?;
+    let listener = TcpListener::from(OwnedFd::from(socket.try_clone()?));
+    Ok((listener, socket))
+}
+
+/// Wait for a connection and give it the [`READ_TICK`] read timeout its
+/// handler polls the stop flag with. A socket that refuses it is closed:
+/// its handler could miss a peer's stall mid-frame.
+fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+    let (stream, _) = listener.accept()?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    Ok(stream)
+}
+
+impl Daemon {
+    /// Accept connections until stop. A connection the accept filter
+    /// faults is closed, or held unread until stop; any other gets a
+    /// handler thread. At stop, every handler's connection is shut down,
+    /// which ends a read or a send blocked on its peer, and every handler
+    /// is joined here: one the scope alone waits for may not have exited.
+    fn run<'s>(&'s self, scope: &'s Scope<'s, '_>, listener: &TcpListener) {
+        // Every live handler, with the connection it serves.
+        let mut handlers: Vec<(ScopedJoinHandle<()>, Weak<TcpStream>)> = Vec::new();
+        let mut black_holed = Vec::new();
+        loop {
+            let accepted = accept(listener);
+            if self.shutdown.is_stopped() {
+                for (handler, conn) in handlers {
+                    let _ = conn.upgrade().map(|conn| conn.shutdown(Shutdown::Both));
+                    let _ = handler.join();
                 }
-                apply_notices(msgs, manager, broadcaster);
+                return;
             }
-            Message::FetchRequest { key, trace } => {
-                // Adopt the requester's trace id so both nodes' spans of
-                // one remote hit correlate; without telemetry (or an
-                // untraced request) the handle is inert.
-                let mut t = match (telemetry, trace) {
-                    (Some(tel), Some(id)) => tel.begin_trace_with_id(id, key.as_str()),
-                    _ => Trace::disabled(),
-                };
-                // Zero-copy reply: the body `Arc` from the cache tier is
-                // written directly after a small encoded prefix, never
-                // copied into a reply buffer.
-                let hit = manager.fetch_local_body_traced(&key, &mut t);
-                let t0 = t.start_span();
-                let written = match hit {
-                    Some((meta, body)) => {
-                        let prefix =
-                            Message::encode_fetch_hit_prefix(&meta.content_type, body.len());
-                        write_frame_split(&mut stream, &prefix, &body)
+            let stream = match accepted {
+                Ok(stream) => stream,
+                // Out of descriptors (EMFILE and friends) the listener
+                // stays readable and accept() fails at once: pause rather
+                // than spin.
+                Err(e) => {
+                    if e.kind() != io::ErrorKind::Interrupted {
+                        std::thread::sleep(READ_TICK);
                     }
-                    None => write_frame(&mut stream, &Message::FetchMiss.encode()),
-                };
-                t.end_span(Stage::ResponseWrite, t0);
-                t.set_outcome(Outcome::OwnerServe);
-                if let Some(tel) = telemetry {
-                    tel.record(t);
+                    continue;
                 }
-                if written.is_err() {
-                    return;
+            };
+            let delay = match self.accept_filter.as_ref().and_then(|f| f()) {
+                // Closed before a single frame is served — to the dialer
+                // this is a peer that accepts then dies.
+                Some(FaultAction::Drop | FaultAction::Reset | FaultAction::Truncate(_)) => continue,
+                // Held open but never serviced: the dialer's read times out.
+                Some(FaultAction::BlackHole) => {
+                    black_holed.push(stream);
+                    continue;
                 }
+                Some(FaultAction::Delay(d)) => d,
+                None => Duration::ZERO,
+            };
+            for (done, _) in handlers.extract_if(.., |(handler, _)| handler.is_finished()) {
+                let _ = done.join();
             }
-            Message::DirLookup { key, trace } => {
-                // This node is (the requester believes) one of the key's
-                // homes: answer with the directory's entry, which names
-                // the owner, or `None` when nobody caches the key.
-                let mut t = match (telemetry, trace) {
-                    (Some(tel), Some(id)) => tel.begin_trace_with_id(id, key.as_str()),
-                    _ => Trace::disabled(),
-                };
-                let t0 = t.start_span();
-                let classification = manager.directory().classify(&key);
-                t.end_span(Stage::DirLookup, t0);
-                let meta = match classification {
-                    Classification::Local(m) | Classification::Remote(m) => Some(m),
-                    Classification::NotCached => None,
-                };
-                let reply = Message::DirAnswer { meta };
-                let t0 = t.start_span();
-                let written = write_frame(&mut stream, &reply.encode());
-                t.end_span(Stage::ResponseWrite, t0);
-                t.set_outcome(Outcome::OwnerServe);
-                if let Some(tel) = telemetry {
-                    tel.record(t);
-                }
-                if written.is_err() {
-                    return;
-                }
-            }
-            Message::SyncRequest => {
-                let reply = Message::SyncReply {
-                    node: manager.local_node(),
-                    entries: manager.local_snapshot(),
-                };
-                if write_frame(&mut stream, &reply.encode()).is_err() {
-                    return;
-                }
-            }
-            Message::StatsPull { trace } => {
-                // Stats federation: dump the registry (plain values) and
-                // the hot-key sketch. Without a telemetry handle (bare
-                // daemon in tests) the metrics list is simply empty — the
-                // puller still gets a well-formed snapshot.
-                let mut t = match (telemetry, trace) {
-                    (Some(tel), Some(id)) => tel.begin_trace_with_id(id, "/swala-stats-pull"),
-                    _ => Trace::disabled(),
-                };
-                let metrics = telemetry
-                    .map(|tel| tel.registry().snapshot())
-                    .unwrap_or_default();
-                let reply = Message::StatsSnapshot(crate::message::NodeStats {
-                    node: manager.local_node(),
-                    metrics,
-                    hotkeys: manager.heat().top(HOTKEYS_PER_SNAPSHOT),
-                });
-                let t0 = t.start_span();
-                let written = write_frame(&mut stream, &reply.encode());
-                t.end_span(Stage::ResponseWrite, t0);
-                t.set_outcome(Outcome::OwnerServe);
-                if let Some(tel) = telemetry {
-                    tel.record(t);
-                }
-                if written.is_err() {
-                    return;
-                }
-            }
-            Message::Ping => {
-                if write_frame(&mut stream, &Message::Pong.encode()).is_err() {
-                    return;
-                }
-            }
-            // Replies arriving inbound are protocol violations; drop the
-            // connection rather than guessing.
-            Message::FetchHit { .. }
-            | Message::FetchMiss
-            | Message::DirAnswer { .. }
-            | Message::SyncReply { .. }
-            | Message::StatsSnapshot(_)
-            | Message::Pong => return,
+            let stream = Arc::new(stream);
+            let conn = Arc::downgrade(&stream);
+            // Per-connection handler thread, as the paper does. One that
+            // cannot start closes its connection.
+            let handler = Builder::new()
+                .name("swala-cache-conn".into())
+                .spawn_scoped(scope, move || self.handle_connection(&stream, delay));
+            handlers.extend(handler.map(|handler| (handler, conn)));
         }
+    }
+
+    /// The purge daemon: a pass at `due` and every [`PURGE_INTERVAL`]
+    /// after it, until stop.
+    fn purge(&self, mut due: Instant) {
+        while self.shutdown.sleep_until(due) {
+            for dead in self.manager.purge_expired() {
+                announce_delete(&self.manager, &self.broadcaster, dead.owner, &dead.key);
+            }
+            due += PURGE_INTERVAL;
+        }
+    }
+
+    /// Serve one peer connection, after an injected `delay`, until EOF,
+    /// error or shutdown.
+    fn handle_connection(&self, mut stream: &TcpStream, delay: Duration) {
+        std::thread::sleep(delay);
+        let telemetry = self.telemetry.as_deref();
+        let mut reader = PatientReader::new(stream);
+        let stop = || self.shutdown.is_stopped();
+        while !stop() {
+            let decoded = match reader.read_frame(FRAME_STALL_LIMIT, stop) {
+                Ok(FrameRead::Frame(frame)) => Message::decode(&frame),
+                Ok(FrameRead::Idle) => continue, // nothing consumed; re-check shutdown
+                // Clean close, reset, or a peer stalled mid-frame: resuming
+                // would mis-frame everything after it, so close.
+                Ok(FrameRead::Closed) | Err(_) => return,
+            };
+            let Ok(msg) = decoded else {
+                return;
+            };
+            let written = match msg {
+                Message::Hello { .. }
+                | Message::InsertNotice { .. }
+                | Message::DeleteNotice { .. }
+                | Message::Invalidate { .. }
+                | Message::NodeDown { .. } => {
+                    apply_notices(vec![msg], &self.manager, &self.broadcaster);
+                    Ok(())
+                }
+                Message::Batch(msgs) => {
+                    // Coalesced notices from a peer's paced writer. Only
+                    // fire-and-forget notices may be batched; a
+                    // reply-requiring sub-message is a protocol violation
+                    // and drops the connection with nothing applied.
+                    if !msgs.iter().all(is_notice) {
+                        return;
+                    }
+                    apply_notices(msgs, &self.manager, &self.broadcaster);
+                    Ok(())
+                }
+                Message::FetchRequest { key, trace } => {
+                    let mut t = self.owner_trace(trace, key.as_str());
+                    // Zero-copy reply: the body `Arc` from the cache tier
+                    // is written directly after a small encoded prefix,
+                    // never copied into a reply buffer.
+                    let hit = self.manager.fetch_local_body_traced(&key, &mut t);
+                    self.traced_reply(t, || match hit {
+                        Some((meta, body)) => {
+                            let prefix =
+                                Message::encode_fetch_hit_prefix(&meta.content_type, body.len());
+                            write_frame_split(&mut stream, &prefix, &body)
+                        }
+                        None => write_frame(&mut stream, &Message::FetchMiss.encode()),
+                    })
+                }
+                Message::DirLookup { key, trace } => {
+                    // This node is (the requester believes) one of the
+                    // key's homes: answer with the directory's entry,
+                    // which names the owner, or `None` when nobody caches
+                    // the key.
+                    let mut t = self.owner_trace(trace, key.as_str());
+                    let t0 = t.start_span();
+                    let classification = self.manager.directory().classify(&key);
+                    t.end_span(Stage::DirLookup, t0);
+                    let meta = match classification {
+                        Classification::Local(m) | Classification::Remote(m) => Some(m),
+                        Classification::NotCached => None,
+                    };
+                    let reply = Message::DirAnswer { meta }.encode();
+                    self.traced_reply(t, || write_frame(&mut stream, &reply))
+                }
+                Message::SyncRequest => {
+                    let reply = Message::SyncReply {
+                        node: self.manager.local_node(),
+                        entries: self.manager.local_snapshot(),
+                    };
+                    write_frame(&mut stream, &reply.encode())
+                }
+                Message::StatsPull { trace } => {
+                    // Stats federation: dump the registry (plain values)
+                    // and the hot-key sketch. Without a telemetry handle
+                    // (bare daemon in tests) the metrics list is simply
+                    // empty — the puller still gets a well-formed snapshot.
+                    let t = self.owner_trace(trace, "/swala-stats-pull");
+                    let metrics = telemetry
+                        .map(|tel| tel.registry().snapshot())
+                        .unwrap_or_default();
+                    let reply = Message::StatsSnapshot(crate::message::NodeStats {
+                        node: self.manager.local_node(),
+                        metrics,
+                        hotkeys: self.manager.heat().top(HOTKEYS_PER_SNAPSHOT),
+                    });
+                    self.traced_reply(t, || write_frame(&mut stream, &reply.encode()))
+                }
+                Message::Ping => write_frame(&mut stream, &Message::Pong.encode()),
+                // Replies arriving inbound are protocol violations; drop
+                // the connection rather than guessing.
+                Message::FetchHit { .. }
+                | Message::FetchMiss
+                | Message::DirAnswer { .. }
+                | Message::SyncReply { .. }
+                | Message::StatsSnapshot(_)
+                | Message::Pong => return,
+            };
+            if written.is_err() {
+                return;
+            }
+        }
+    }
+
+    /// A trace under the requester's id, so both nodes' spans of one
+    /// exchange correlate; inert without telemetry or for an untraced
+    /// request.
+    fn owner_trace(&self, trace: Option<u64>, target: &str) -> Trace {
+        match (&self.telemetry, trace) {
+            (Some(tel), Some(id)) => tel.begin_trace_with_id(id, target),
+            _ => Trace::disabled(),
+        }
+    }
+
+    /// Write a reply inside `t`'s response-write span, then record `t`
+    /// as an owner-serve.
+    fn traced_reply(
+        &self,
+        mut t: Trace,
+        write: impl FnOnce() -> Result<(), ProtoError>,
+    ) -> Result<(), ProtoError> {
+        let t0 = t.start_span();
+        let written = write();
+        t.end_span(Stage::ResponseWrite, t0);
+        t.set_outcome(Outcome::OwnerServe);
+        if let Some(tel) = &self.telemetry {
+            tel.record(t);
+        }
+        written
     }
 }
 
@@ -844,6 +868,42 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn accepted_connections_carry_every_option_and_accept_never_times_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (listener, _) = with_connection_options(listener).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let waiting = std::thread::spawn(move || accept(&listener));
+        // Linux times `accept()` out by the listener's read timeout: the
+        // tick must not be set there.
+        std::thread::sleep(READ_TICK * 3);
+        assert!(!waiting.is_finished(), "{:?}", waiting.join());
+        let _client = TcpStream::connect(addr).unwrap();
+        let accepted = waiting.join().unwrap().unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TICK));
+        assert_eq!(accepted.write_timeout().unwrap(), Some(FRAME_STALL_LIMIT));
+    }
+
+    #[test]
+    fn an_idle_daemon_serves_a_new_connection_at_once() {
+        let (_, daemons) = start_node(CacheRules::allow_all());
+        // Each connection comes after more than a tick of silence: none
+        // may wait for the accept thread to come round.
+        let mut waited = Duration::ZERO;
+        for _ in 0..6 {
+            std::thread::sleep(READ_TICK * 3 / 2);
+            let t0 = Instant::now();
+            let mut s = TcpStream::connect(daemons.addr()).unwrap();
+            write_frame(&mut s, &Message::Ping.encode()).unwrap();
+            let pong = Message::decode(&read_frame(&mut s).unwrap().unwrap()).unwrap();
+            assert_eq!(pong, Message::Pong);
+            waited += t0.elapsed();
+        }
+        assert!(waited < READ_TICK, "6 pings took {waited:?}");
+        daemons.shutdown();
     }
 
     #[test]

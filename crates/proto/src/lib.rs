@@ -48,7 +48,7 @@ pub mod wire;
 
 pub use daemon::{
     announce, announce_delete, announce_insert, announce_node_down, CacheDaemons, DaemonConfig,
-    PURGE_INTERVAL,
+    FRAME_STALL_LIMIT, PURGE_INTERVAL,
 };
 pub use faults::{AcceptFilter, FaultAction, FaultEvent, FaultInjector, FaultRule};
 pub use fetch::{

@@ -919,6 +919,23 @@ mod tests {
     }
 
     #[test]
+    fn the_largest_cacheable_result_fits_one_fetch_frame() {
+        // The owner sends a cached result as one FetchHit frame, so the
+        // cache's size limit must leave room for the reply's prefix,
+        // however the limit is split between content type and body.
+        let content_type = "application/x-".to_string() + &"long".repeat(4096);
+        let body = vec![7u8; swala_cache::MAX_CACHED_RESULT - content_type.len()];
+        let prefix = Message::encode_fetch_hit_prefix(&content_type, body.len());
+        assert!(prefix.len() + body.len() <= crate::wire::MAX_FRAME);
+        let mut frame = Vec::new();
+        crate::wire::write_frame_split(&mut frame, &prefix, &body).unwrap();
+        assert_eq!(
+            Message::decode(&frame[4..]).unwrap(),
+            Message::FetchHit { content_type, body }
+        );
+    }
+
+    #[test]
     fn large_body_fetch_hit() {
         let body = vec![0xabu8; 1 << 20];
         let msg = Message::FetchHit {

@@ -31,7 +31,8 @@ step "cargo test -q --workspace"
 # no thread and cost < 16 KiB RSS each, replicated pays exactly N-1
 # update messages per insert and partitioned at most 1 (>= 4x fewer
 # directory bytes at 8 nodes), duration histograms count every HTTP
-# request, and an 8-node merged scrape equals each node's counters.
+# request, an 8-node merged scrape equals each node's counters, and
+# dropping a node joins every thread it started.
 cargo test -q --workspace
 
 step "eviction-index equivalence (victim_index, 2048 cases, pinned seed)"
