@@ -21,7 +21,8 @@
 //!    caller's enqueue cost on a held vs a parked link, and the
 //!    enqueue→socket delay histogram the pacing contract bounds. The
 //!    counter bounds are held by `swala-proto`'s `peers::` tests, which
-//!    drive the same feed on a manual clock.
+//!    drive the same feed through the link's `LinkState` with explicit
+//!    instants.
 
 use crate::report::{fmt_ms, TableReport};
 use crate::scale;

@@ -89,11 +89,6 @@ impl CacheRules {
         }
     }
 
-    /// Programmatic rule-list constructor.
-    pub fn from_rules(rules: Vec<Rule>) -> Self {
-        CacheRules { rules }
-    }
-
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.rules.len()

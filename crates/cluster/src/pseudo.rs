@@ -51,11 +51,6 @@ impl PseudoServer {
         }
     }
 
-    /// Insert notices sent so far.
-    pub fn updates_sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-
     /// Stop the flood and join the thread.
     pub fn stop(mut self) -> u64 {
         self.stop.store(true, Ordering::Release);

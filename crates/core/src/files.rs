@@ -13,7 +13,7 @@
 //! client, the other half of the paper's caching story.
 
 use std::path::{Path, PathBuf};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::UNIX_EPOCH;
 use swala_http::date::{parse_rfc1123, UtcDateTime};
 use swala_http::{mime, Response, StatusCode};
 
@@ -86,11 +86,6 @@ pub fn serve_file_conditional(
 /// Unconditional file serving (no validator header).
 pub fn serve_file(docroot: &Path, request_path: &str) -> Response {
     serve_file_conditional(docroot, request_path, None)
-}
-
-/// Current time helper for tests constructing validators.
-pub fn now_rfc1123() -> String {
-    UtcDateTime::from_system_time(SystemTime::now()).to_rfc1123()
 }
 
 #[cfg(test)]

@@ -33,8 +33,11 @@
 //! peer-side wake-up per hold instead of per insert. [`PeerLink::flush`]
 //! and shutdown cut a hold short.
 //!
-//! Holds and backoffs run on the link's [`Clock`]
-//! ([`BroadcastConfig::clock`]), so a test advances time through them.
+//! The rule, the queue and the counters live in `LinkState`, with no
+//! lock, thread, socket or clock in it. The writer thread asks it for
+//! the next step — send, hold until an instant, park, or stop — waits
+//! out holds on the link's [`Clock`] ([`BroadcastConfig::clock`]), writes
+//! with the lock released and reports back; tests drive it directly.
 //!
 //! The contract is checkable: every queued notice carries its enqueue
 //! `Instant`, the writer records enqueue→socket delay into the
@@ -54,7 +57,6 @@ use crate::wire::{write_frame, ProtoError, MAX_FRAME};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -156,7 +158,7 @@ pub struct LinkStats {
     pub dropped: u64,
     /// Notices currently queued.
     pub queued: usize,
-    /// Whether the writer currently holds a live connection.
+    /// Whether the writer's latest delivery left it a live connection.
     pub connected: bool,
 }
 
@@ -168,7 +170,7 @@ impl LinkStats {
 }
 
 /// A notice waiting for the writer, stamped when it was handed over.
-struct Queued {
+pub(crate) struct Queued {
     at: Instant,
     frame: Arc<[u8]>,
 }
@@ -179,23 +181,176 @@ impl AsRef<[u8]> for Queued {
     }
 }
 
-struct Queue {
+/// The writer's next step, as [`LinkState::next`] rules it.
+pub(crate) enum Step {
+    /// Write these notices and report with [`LinkState::sent`] or
+    /// [`LinkState::failed`]; `held`: they sat out a hold or backoff.
+    Send(Vec<Queued>, bool),
+    /// Sit out a hold or backoff until this instant, then ask again. A
+    /// flush, shutdown or clock advance wakes the writer; enqueues do not.
+    Hold(Instant),
+    /// Nothing queued: wait for the enqueue that wakes the writer.
+    Park,
+    /// Shutting down with nothing left to send: the writer exits.
+    Stop,
+}
+
+/// One link's pacing rule, queue and counters. [`PeerLink`]'s writer
+/// keeps it under the queue mutex and does what [`next`](Self::next) says.
+pub(crate) struct LinkState {
     buf: VecDeque<Queued>,
-    /// Writer has taken a batch it has not finished delivering.
-    in_flight: bool,
-    shutting_down: bool,
-    /// Writer is blocked on `ready` with nothing to send — the one state
-    /// in which an enqueue must wake it. Cleared by whoever wakes it.
+    depth: usize,
+    /// Every counter, the current hold and the connection flag;
+    /// `queued` is filled in from `buf` on copy.
+    stats: LinkStats,
+    /// When the writer drained the queue for a batch it has not reported
+    /// yet. The next hold runs from here, so a notice enqueued right
+    /// behind that batch waits one hold, not one hold plus its write.
+    taken: Option<Instant>,
+    /// When the latest hold or backoff ends: `None` on a fresh link and
+    /// after a park. A send is `held` exactly when this is `Some`.
+    hold_until: Option<Instant>,
+    /// The writer waits for an enqueue — the one state in which an
+    /// enqueue must wake it. Cleared by the enqueue that does.
     parked: bool,
-    /// `flush` callers waiting for the pipeline to quiesce; while any
-    /// wait, holds are cut short.
+    /// The next reconnect backoff.
+    backoff: Duration,
+    shutting_down: bool,
+    /// `flush` callers waiting for the link to quiesce; while any wait, a
+    /// hold with notices queued ends at once.
     flushers: usize,
 }
 
-impl Queue {
-    /// A hold (pace or backoff) must end now rather than at its deadline.
-    fn cut_hold(&self) -> bool {
-        self.shutting_down || (self.flushers > 0 && !self.buf.is_empty())
+impl LinkState {
+    pub(crate) fn new(peer: NodeId, addr: SocketAddr, depth: usize) -> Self {
+        LinkState {
+            buf: VecDeque::new(),
+            depth,
+            stats: LinkStats {
+                peer,
+                addr,
+                sent: 0,
+                sent_bytes: 0,
+                frames: 0,
+                hold: NOTICE_PACE,
+                sent_immediate: 0,
+                sent_after_hold: 0,
+                wakeups: 0,
+                dropped: 0,
+                queued: 0,
+                connected: false,
+            },
+            taken: None,
+            hold_until: None,
+            parked: false,
+            backoff: BACKOFF_MIN,
+            shutting_down: false,
+            flushers: 0,
+        }
+    }
+
+    /// Queue `frames` stamped `at`, dropping the oldest past the depth.
+    /// `None` after shutdown, with every frame counted as dropped;
+    /// otherwise whether the writer is parked and must be woken — once
+    /// per idle→busy transition, never on a held link.
+    pub(crate) fn enqueue(
+        &mut self,
+        at: Instant,
+        frames: impl IntoIterator<Item = Arc<[u8]>>,
+    ) -> Option<bool> {
+        if self.shutting_down {
+            self.stats.dropped += frames.into_iter().count() as u64;
+            return None;
+        }
+        for frame in frames {
+            if self.buf.len() >= self.depth {
+                self.buf.pop_front();
+                self.stats.dropped += 1;
+            }
+            self.buf.push_back(Queued { at, frame });
+        }
+        let wake = self.parked && !self.buf.is_empty();
+        if wake {
+            self.parked = false;
+            self.stats.wakeups += 1;
+        }
+        Some(wake)
+    }
+
+    /// The writer's next step at `now`: sit out a pending hold unless a
+    /// flush or shutdown cuts it, then send everything queued, or park
+    /// (stop, when shutting down) on an empty queue.
+    pub(crate) fn next(&mut self, now: Instant) -> Step {
+        if let Some(until) = self.hold_until {
+            let cut = self.shutting_down || (self.flushers > 0 && !self.buf.is_empty());
+            if now < until && !cut {
+                return Step::Hold(until);
+            }
+        }
+        if self.buf.is_empty() {
+            if self.shutting_down {
+                return Step::Stop;
+            }
+            // Nothing queued when the hold ended (or no hold at all): the
+            // link is idle, the next notice goes out at once, and the ramp
+            // starts over.
+            self.hold_until = None;
+            self.parked = true;
+            self.stats.hold = NOTICE_PACE;
+            return Step::Park;
+        }
+        self.parked = false;
+        self.taken = Some(now);
+        Step::Send(self.buf.drain(..).collect(), self.hold_until.is_some())
+    }
+
+    /// The writer wrote the `batch` [`next`](Self::next) gave it, `held`
+    /// as given, in `frames` wire frames: count it and start the next
+    /// hold, doubled after a held batch and reset after an immediate one.
+    pub(crate) fn sent(&mut self, batch: &[Queued], held: bool, frames: u64) {
+        let taken_at = self.taken.take().expect("sent reports a taken batch");
+        let n = batch.len() as u64;
+        let st = &mut self.stats;
+        st.sent += n;
+        st.sent_bytes += batch.iter().map(|q| q.frame.len() as u64).sum::<u64>();
+        st.frames += frames;
+        if held {
+            st.sent_after_hold += n;
+        } else {
+            st.sent_immediate += n;
+        }
+        st.connected = true;
+        // Notices queued through the whole of the last hold: the link is
+        // loaded, and a frame costs the pair of nodes far more than a
+        // notice does, so the next hold is longer.
+        st.hold = if held {
+            (2 * st.hold).min(NOTICE_PACE_MAX)
+        } else {
+            NOTICE_PACE
+        };
+        self.backoff = BACKOFF_MIN;
+        self.hold_until = Some(taken_at + st.hold);
+    }
+
+    /// The writer failed to deliver a batch of `n` notices at `now`: drop
+    /// them and back off, as a hold — or, during shutdown, drop the rest
+    /// too rather than time out batch by batch (bounded-effort drain).
+    pub(crate) fn failed(&mut self, n: usize, now: Instant) {
+        self.taken = None;
+        self.stats.dropped += n as u64;
+        self.stats.connected = false;
+        if self.shutting_down {
+            self.stats.dropped += self.buf.len() as u64;
+            self.buf.clear();
+            return;
+        }
+        self.hold_until = Some(now + self.backoff);
+        self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
+    }
+
+    /// Everything handed to the link has been sent or dropped.
+    fn quiet(&self) -> bool {
+        self.buf.is_empty() && self.taken.is_none()
     }
 }
 
@@ -204,38 +359,20 @@ struct LinkShared {
     peer: NodeId,
     local: NodeId,
     cfg: BroadcastConfig,
-    queue: Mutex<Queue>,
+    state: Mutex<LinkState>,
     /// Writer waits here: parked (woken by an enqueue), or sitting out a
     /// hold (woken only by `flush`, shutdown, and a manual clock's
     /// advance).
     ready: Condvar,
-    /// Signaled when the pipeline quiesces; `flush` waits here.
+    /// Signaled when the link quiesces; `flush` waits here.
     idle: Condvar,
-    sent: AtomicU64,
-    sent_bytes: AtomicU64,
-    frames: AtomicU64,
-    sent_immediate: AtomicU64,
-    /// [`LinkStats::hold`], microseconds; only the writer stores to it.
-    hold_us: AtomicU64,
-    wakeups: AtomicU64,
-    dropped: AtomicU64,
-    connected: AtomicBool,
     /// Enqueue→socket delay of every delivered notice, microseconds.
     delay: Arc<Histogram>,
 }
 
 impl LinkShared {
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn hold(&self) -> Duration {
-        Duration::from_micros(self.hold_us.load(Ordering::Relaxed))
-    }
-
-    fn set_hold(&self, hold: Duration) {
-        self.hold_us
-            .store(hold.as_micros() as u64, Ordering::Relaxed);
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn now(&self) -> Instant {
@@ -246,7 +383,7 @@ impl LinkShared {
 /// A manual clock's advance ends the writer's hold or backoff wait.
 impl Waiter for LinkShared {
     fn wake(&self) {
-        let _queue = self.lock();
+        let _state = self.lock();
         self.ready.notify_all();
     }
 }
@@ -287,24 +424,10 @@ impl PeerLink {
             addr,
             peer,
             local,
+            state: Mutex::new(LinkState::new(peer, addr, cfg.queue_depth)),
             cfg,
-            queue: Mutex::new(Queue {
-                buf: VecDeque::new(),
-                in_flight: false,
-                shutting_down: false,
-                parked: false,
-                flushers: 0,
-            }),
             ready: Condvar::new(),
             idle: Condvar::new(),
-            sent: AtomicU64::new(0),
-            sent_bytes: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-            sent_immediate: AtomicU64::new(0),
-            hold_us: AtomicU64::new(NOTICE_PACE.as_micros() as u64),
-            wakeups: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            connected: AtomicBool::new(false),
             delay,
         });
         let waiter: Weak<dyn Waiter> = Arc::downgrade(&shared) as Weak<LinkShared>;
@@ -334,15 +457,13 @@ impl PeerLink {
 
     /// Notices written / dropped so far.
     pub fn counters(&self) -> (u64, u64) {
-        (
-            self.shared.sent.load(Ordering::Relaxed),
-            self.shared.dropped.load(Ordering::Relaxed),
-        )
+        let st = self.shared.lock();
+        (st.stats.sent, st.stats.dropped)
     }
 
     /// Wire frames written so far.
     pub fn frames(&self) -> u64 {
-        self.shared.frames.load(Ordering::Relaxed)
+        self.shared.lock().stats.frames
     }
 
     /// Enqueue→socket delay of this link's delivered notices.
@@ -361,30 +482,16 @@ impl PeerLink {
     /// since: it is sitting out a hold, or parked.
     #[cfg(test)]
     fn settled(&self) -> bool {
-        let q = self.shared.lock();
-        q.buf.is_empty() && !q.in_flight
+        self.shared.lock().quiet()
     }
 
     /// Snapshot of this link's observable state.
     pub fn stats(&self) -> LinkStats {
-        let queued = self.shared.lock().buf.len();
-        // `sent` is bumped before `sent_immediate`, so reading them in
-        // the opposite order keeps the difference from going negative.
-        let sent_immediate = self.shared.sent_immediate.load(Ordering::Relaxed);
-        let sent = self.shared.sent.load(Ordering::Relaxed);
+        let st = self.shared.lock();
+        let queued = st.buf.len();
         LinkStats {
-            peer: self.shared.peer,
-            addr: self.shared.addr,
-            sent,
-            sent_bytes: self.shared.sent_bytes.load(Ordering::Relaxed),
-            frames: self.shared.frames.load(Ordering::Relaxed),
-            hold: self.shared.hold(),
-            sent_immediate,
-            sent_after_hold: sent - sent_immediate,
-            wakeups: self.shared.wakeups.load(Ordering::Relaxed),
-            dropped: self.shared.dropped.load(Ordering::Relaxed),
             queued,
-            connected: self.shared.connected.load(Ordering::Relaxed),
+            ..st.stats.clone()
         }
     }
 
@@ -419,27 +526,11 @@ impl PeerLink {
             return true;
         }
         let at = self.shared.now();
-        let mut q = self.shared.lock();
-        if q.shutting_down {
-            self.shared
-                .dropped
-                .fetch_add(frames.count() as u64, Ordering::Relaxed);
-            return false;
-        }
-        for frame in frames {
-            if q.buf.len() >= self.shared.cfg.queue_depth {
-                q.buf.pop_front();
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            q.buf.push_back(Queued { at, frame });
-        }
-        let wake = std::mem::take(&mut q.parked);
-        drop(q);
-        if wake {
-            self.shared.wakeups.fetch_add(1, Ordering::Relaxed);
+        let queued = self.shared.lock().enqueue(at, frames);
+        if queued == Some(true) {
             self.shared.ready.notify_one();
         }
-        true
+        queued.is_some()
     }
 
     /// Wait until every queued notice has been handed to the socket (or
@@ -447,14 +538,14 @@ impl PeerLink {
     /// `false` on timeout.
     pub fn flush(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut q = self.shared.lock();
-        if q.buf.is_empty() && !q.in_flight {
+        let mut st = self.shared.lock();
+        if st.quiet() {
             return true;
         }
-        q.flushers += 1;
+        st.flushers += 1;
         self.shared.ready.notify_all();
         let mut quiesced = true;
-        while !q.buf.is_empty() || q.in_flight {
+        while !st.quiet() {
             let now = Instant::now();
             if now >= deadline {
                 quiesced = false;
@@ -463,11 +554,11 @@ impl PeerLink {
             let (guard, _) = self
                 .shared
                 .idle
-                .wait_timeout(q, deadline - now)
+                .wait_timeout(st, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
-            q = guard;
+            st = guard;
         }
-        q.flushers -= 1;
+        st.flushers -= 1;
         quiesced
     }
 
@@ -479,9 +570,7 @@ impl PeerLink {
     }
 
     fn signal_shutdown(&self) {
-        let mut q = self.shared.lock();
-        q.shutting_down = true;
-        drop(q);
+        self.shared.lock().shutting_down = true;
         self.shared.ready.notify_all();
     }
 
@@ -499,136 +588,43 @@ impl Drop for PeerLink {
     }
 }
 
-/// What the writer took off the queue for one delivery.
-struct Batch {
-    frames: Vec<Queued>,
-    /// When the queue was drained: the next hold runs from here, so a
-    /// notice enqueued right behind this batch waits one interval, not
-    /// one interval plus this batch's write.
-    taken_at: Instant,
-    /// These notices sat out a hold or backoff rather than finding the
-    /// link idle.
-    held: bool,
-}
-
-/// Writer thread: send what an idle link is handed at once, then pace —
-/// hold, send everything queued as one batch, repeat with the hold
-/// doubling — until the queue runs dry and the writer parks. Reconnect
-/// with backoff on failure. On shutdown, drain the queue to a live peer
-/// without holding; one failed delivery during shutdown abandons the
-/// rest (bounded effort).
+/// Writer thread: do what the link's [`LinkState`] says — wait out a hold
+/// on the clock or a park on the condvar, or write a batch unlocked and
+/// report back, waking `flush` callers once the link is quiet.
 fn writer_loop(shared: &LinkShared) {
+    let (clock, delay) = (&shared.cfg.clock, &shared.delay);
     let mut stream: Option<TcpStream> = None;
-    let mut backoff = BACKOFF_MIN;
-    let mut hold_until: Option<Instant> = None;
     loop {
-        let Some(batch) = next_batch(shared, hold_until) else {
-            return; // shutdown with an empty queue
-        };
-        let n = batch.frames.len() as u64;
-        match deliver(shared, &mut stream, &batch.frames) {
-            Ok(frames) => {
-                let now = shared.now();
-                for q in &batch.frames {
-                    shared
-                        .delay
-                        .record_duration(now.saturating_duration_since(q.at));
-                }
-                let bytes: u64 = batch.frames.iter().map(|q| q.frame.len() as u64).sum();
-                shared.sent.fetch_add(n, Ordering::Relaxed);
-                shared.sent_bytes.fetch_add(bytes, Ordering::Relaxed);
-                shared.frames.fetch_add(frames, Ordering::Relaxed);
-                if !batch.held {
-                    shared.sent_immediate.fetch_add(n, Ordering::Relaxed);
-                }
-                backoff = BACKOFF_MIN;
-                // Notices queued through the whole of the last hold: the
-                // link is loaded, and a frame costs the pair of nodes far
-                // more than a notice does, so the next hold is longer.
-                let hold = if batch.held {
-                    (2 * shared.hold()).min(NOTICE_PACE_MAX)
-                } else {
-                    NOTICE_PACE
-                };
-                shared.set_hold(hold);
-                hold_until = Some(batch.taken_at + hold);
-                finish_batch(shared);
-            }
-            Err(_) => {
-                shared.dropped.fetch_add(n, Ordering::Relaxed);
-                stream = None;
-                shared.connected.store(false, Ordering::Relaxed);
-                finish_batch(shared);
-                let mut q = shared.lock();
-                if q.shutting_down {
-                    // The peer is gone and we are shutting down: count
-                    // the rest as dropped rather than timing out per
-                    // batch (bounded-effort drain).
-                    shared
-                        .dropped
-                        .fetch_add(q.buf.len() as u64, Ordering::Relaxed);
-                    q.buf.clear();
-                    drop(q);
-                    shared.idle.notify_all();
-                    return;
-                }
-                drop(q);
-                // Back off before the next connect attempt, as a hold:
-                // enqueues do not wake the writer out of it, flush and
-                // shutdown do.
-                hold_until = Some(shared.now() + backoff);
-                backoff = (backoff * 2).min(BACKOFF_MAX);
-            }
-        }
-    }
-}
-
-/// Sit out the hold (if any), park if the queue is then empty, and take
-/// everything queued. `None` on shutdown with nothing left.
-fn next_batch(shared: &LinkShared, hold_until: Option<Instant>) -> Option<Batch> {
-    let mut q = shared.lock();
-    let mut held = false;
-    if let Some(deadline) = hold_until {
-        held = true;
-        while !q.cut_hold() {
+        let mut st = shared.lock();
+        let (batch, held) = loop {
             let now = shared.now();
-            if now >= deadline {
-                break;
+            st = match st.next(now) {
+                Step::Send(batch, held) => break (batch, held),
+                Step::Hold(until) => clock.wait_timeout(&shared.ready, st, until - now),
+                Step::Park => shared.ready.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Step::Stop => return,
+            };
+        };
+        drop(st);
+        let delivered = deliver(shared, &mut stream, &batch);
+        let now = shared.now();
+        if delivered.is_ok() {
+            for q in &batch {
+                delay.record_duration(now.saturating_duration_since(q.at));
             }
-            q = shared
-                .cfg
-                .clock
-                .wait_timeout(&shared.ready, q, deadline - now);
+        } else {
+            stream = None;
         }
-    }
-    while q.buf.is_empty() {
-        if q.shutting_down {
-            return None;
+        // Declared after `batch`, so dropped before it: the batch's frames
+        // are freed with the lock released.
+        let mut st = shared.lock();
+        match delivered {
+            Ok(frames) => st.sent(&batch, held, frames),
+            Err(_) => st.failed(batch.len(), now),
         }
-        // Nothing queued when the hold ended (or no hold at all): the
-        // link is idle, the next notice goes out at once, and the ramp
-        // starts over.
-        held = false;
-        shared.set_hold(NOTICE_PACE);
-        q.parked = true;
-        q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-        q.parked = false;
-    }
-    let frames: Vec<Queued> = q.buf.drain(..).collect();
-    q.in_flight = true;
-    Some(Batch {
-        frames,
-        taken_at: shared.now(),
-        held,
-    })
-}
-
-fn finish_batch(shared: &LinkShared) {
-    let mut q = shared.lock();
-    q.in_flight = false;
-    if q.buf.is_empty() && q.flushers > 0 {
-        drop(q);
-        shared.idle.notify_all();
+        if st.flushers > 0 && st.quiet() {
+            shared.idle.notify_all();
+        }
     }
 }
 
@@ -645,7 +641,6 @@ fn deliver(
 ) -> io::Result<u64> {
     if stream.is_none() {
         *stream = Some(connect(shared)?);
-        shared.connected.store(true, Ordering::Relaxed);
     }
     let s = stream.as_mut().expect("just connected");
     match write_batch(s, batch) {
@@ -653,11 +648,9 @@ fn deliver(
         Err(_) => {
             // The common failure is a peer restart having closed the old
             // connection: reconnect once and retry.
-            shared.connected.store(false, Ordering::Relaxed);
             let mut s = connect(shared)?;
             let frames = write_batch(&mut s, batch).map_err(to_io)?;
             *stream = Some(s);
-            shared.connected.store(true, Ordering::Relaxed);
             Ok(frames)
         }
     }
@@ -826,7 +819,7 @@ impl Broadcaster {
     pub fn max_hold(&self) -> Duration {
         self.links
             .iter()
-            .map(|l| l.shared.hold())
+            .map(|l| l.shared.lock().stats.hold)
             .max()
             .unwrap_or_default()
     }
@@ -867,7 +860,9 @@ impl Drop for Broadcaster {
 mod tests {
     use super::*;
     use crate::wire::read_frame;
+    use proptest::prelude::*;
     use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use swala_cache::ManualClock;
 
     /// Accept `n` connections, collecting every message until each peer
@@ -1049,33 +1044,6 @@ mod tests {
         wait_until("writer parked", || link.parked());
     }
 
-    #[test]
-    fn spaced_enqueues_all_go_out_at_once() {
-        let (addr, handle) = collecting_listener(1);
-        let (link, time) = manual_link(addr, BroadcastConfig::default());
-        for i in 0..10 {
-            // Each notice finds the writer parked: the hold after an
-            // idle link's send is the base pace, whatever came before.
-            wait_until("writer parked", || link.parked());
-            link.send(&numbered(i)).unwrap();
-            park(&link, &time);
-        }
-        let st = link.stats();
-        assert_eq!(st.hold, NOTICE_PACE);
-        assert_eq!(
-            (st.sent, st.sent_immediate, st.sent_after_hold),
-            (10, 10, 0)
-        );
-        assert_eq!(st.frames, 10, "one frame per notice on an idle link");
-        assert_eq!(st.wakeups, 10);
-        let delay = link.notice_delay().snapshot();
-        assert_eq!((delay.count, delay.max), (10, 0), "no notice waited");
-        drop(link);
-        let (msgs, batches) = handle.join().unwrap();
-        assert_eq!(batches, 0);
-        assert_eq!(msgs.len(), 11);
-    }
-
     /// A burst handed to a busy link: no wake-up, one `Batch` frame, order
     /// kept — for broadcast notices and for notices addressed to chosen
     /// peers alike, since both ride the same link.
@@ -1118,35 +1086,6 @@ mod tests {
     #[test]
     fn addressed_notices_are_paced_identically() {
         burst_on_busy_link(|b, m| b.enqueue(&[(&[NodeId(1)], m)]));
-    }
-
-    #[test]
-    fn burst_inside_a_hold_coalesces() {
-        const N: u16 = 50;
-        let (addr, handle) = collecting_listener(1);
-        let (link, time) = manual_link(addr, BroadcastConfig::default());
-        // Connect first, so the burst below meets a connected, idle link.
-        wait_until("writer parked", || link.parked());
-        link.send(&numbered(0)).unwrap();
-        park(&link, &time);
-        link.send(&numbered(1)).unwrap(); // at once; the writer then holds
-        wait_until("sent at once", || link.counters().0 == 2);
-        for i in 2..=N {
-            link.send(&numbered(i)).unwrap();
-        }
-        // No time passes: the flush alone ends the hold.
-        assert!(link.flush(Duration::from_secs(5)));
-        let st = link.stats();
-        assert_eq!(st.sent, N as u64 + 1);
-        assert_eq!(
-            st.frames, 3,
-            "the connecting notice, one at once, one batch"
-        );
-        assert_eq!((st.sent_immediate, st.wakeups), (2, 2));
-        drop(link);
-        let (msgs, batches) = handle.join().unwrap();
-        assert_eq!(batches, 1);
-        assert_eq!(&msgs[1..], &(0..=N).map(numbered).collect::<Vec<_>>()[..]);
     }
 
     /// Drive a connected, parked link up its hold ramp on a manual clock:
@@ -1220,106 +1159,27 @@ mod tests {
         );
     }
 
-    /// A producer at 15 k notices/s for one virtual second, as `tables
-    /// broadcast` feeds a live link. The link coalesces four times what a
-    /// constant 500 µs hold did at this rate (8.65 notices/frame), sends
-    /// at most one frame per maximum hold plus the ramp — each wake-up
-    /// sends at once and after 0.5, 1 and 2 ms before holds reach the
-    /// maximum, and the closing flush cuts one hold short — is never
-    /// woken per notice, and drops nothing.
+    /// A flush, then shutdown, each end a maximum hold with the clock
+    /// standing still: the wake-ups the writer's hold wait must answer.
     #[test]
-    fn loaded_link_coalesces_a_15k_per_second_feed() {
-        const NOTICES: u16 = 15_000;
-        let gap = Duration::from_micros(1_000_000 / NOTICES as u64);
-        let (addr, handle) = collecting_listener(1);
-        let (link, time) = manual_link(addr, BroadcastConfig::default());
-        // Connect first, so the feed below meets a connected, idle link.
-        link.send(&numbered(0)).unwrap();
-        park(&link, &time);
-        let before = link.stats();
-        // Virtual time stands still while the writer sends what it took,
-        // so every hold starts at the instant the previous one ended.
-        let sent_all = || {
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while !link.settled() {
-                assert!(Instant::now() < deadline, "writer never sent its batch");
-                std::thread::yield_now();
-            }
-        };
-        link.send(&numbered(1)).unwrap(); // finds the link idle: at once
-        sent_all();
-        let (mut now, mut hold_ends) = (Duration::ZERO, link.stats().hold);
-        for i in 2..=NOTICES {
-            time.advance(gap);
-            now += gap;
-            if now >= hold_ends {
-                sent_all();
-                hold_ends = now + link.stats().hold;
-            }
-            link.send(&numbered(i)).unwrap();
-        }
-        assert!(link.flush(Duration::from_secs(5)));
-        let st = link.stats();
-        let (sent, frames, wakeups) = (
-            st.sent - before.sent,
-            st.frames - before.frames,
-            st.wakeups - before.wakeups,
-        );
-        assert_eq!((sent, st.dropped), (NOTICES as u64, 0), "{st:?}");
-        assert!(sent >= 32 * frames, "a loaded link must coalesce: {st:?}");
-        let allowed = (now.as_micros() / NOTICE_PACE_MAX.as_micros()) as u64 + 4 * wakeups + 1;
-        assert!(
-            frames <= allowed,
-            "{frames} frames, more than the hold ramp allows ({allowed}): {st:?}"
-        );
-        assert!(wakeups <= frames, "woken per notice: {st:?}");
-        drop(link);
-        let (msgs, _) = handle.join().unwrap();
-        assert_eq!(msgs.len(), NOTICES as usize + 2, "hello, connect, feed");
-    }
-
-    #[test]
-    fn flush_cuts_a_maximum_hold_short() {
-        const ROUNDS: u16 = 20;
+    fn flush_and_shutdown_cut_a_maximum_hold() {
         let (addr, handle) = collecting_listener(1);
         let (link, time) = manual_link(addr, BroadcastConfig::default());
         let (_, next) = ramp(&link, &time, 0, 6);
         assert_eq!(link.stats().hold, NOTICE_PACE_MAX);
-        // Each send below lands inside the hold the previous frame
-        // started, and the clock stands still: only the flush ends it.
         let at = time.now();
-        for i in 0..ROUNDS {
-            link.send(&numbered(next + i)).unwrap();
-            assert!(link.flush(Duration::from_secs(5)), "round {i}");
-        }
-        assert_eq!(time.now(), at, "no hold was waited out");
-        let st = link.stats();
-        let total = (next + ROUNDS) as u64;
-        assert_eq!((st.sent, st.queued, st.dropped), (total, 0, 0));
-        drop(link);
-        let (msgs, _) = handle.join().unwrap();
-        assert_eq!(
-            msgs.len() as u64,
-            total + 1,
-            "connection hello + every notice"
-        );
-    }
-
-    #[test]
-    fn shutdown_during_a_maximum_hold_drains_in_order() {
-        let (addr, handle) = collecting_listener(1);
-        let (link, time) = manual_link(addr, BroadcastConfig::default());
-        let (_, next) = ramp(&link, &time, 0, 6);
-        for i in 0..20 {
+        link.send(&numbered(next)).unwrap();
+        assert!(link.flush(Duration::from_secs(5)));
+        for i in 1..=20 {
             link.send(&numbered(next + i)).unwrap();
         }
-        // The clock stands still, so only shutdown can end the hold.
         link.shutdown();
-        assert_eq!(link.counters(), (next as u64 + 20, 0));
+        assert_eq!(time.now(), at, "no hold was waited out");
+        assert_eq!(link.counters(), (next as u64 + 21, 0));
         let (msgs, _) = handle.join().unwrap();
         assert_eq!(
             &msgs[1..],
-            &(0..next + 20).map(numbered).collect::<Vec<_>>()[..]
+            &(0..next + 21).map(numbered).collect::<Vec<_>>()[..]
         );
     }
 
@@ -1372,32 +1232,6 @@ mod tests {
         let (msgs, batches) = handle.join().unwrap();
         assert_eq!(batches, 1, "the backlog left as one Batch frame");
         assert_eq!(&msgs[1..], &(1..=N).map(numbered).collect::<Vec<_>>()[..]);
-    }
-
-    #[test]
-    fn overflow_on_a_busy_link_drops_oldest_and_counts_it() {
-        let (addr, handle) = collecting_listener(1);
-        let (cfg, gate) = gated_config();
-        let cfg = BroadcastConfig {
-            queue_depth: 4,
-            ..cfg
-        };
-        let link = PeerLink::with_config(NodeId(0), NodeId(1), addr, cfg);
-        wait_until("writer parked", || link.parked());
-        link.send(&numbered(0)).unwrap();
-        gate.wait_entered();
-        for i in 1..=20 {
-            link.send(&numbered(i)).unwrap();
-        }
-        let st = link.stats();
-        assert_eq!((st.queued, st.dropped, st.wakeups), (4, 16, 1));
-        gate.release();
-        assert!(link.flush(Duration::from_secs(5)));
-        assert_eq!(link.counters(), (5, 16));
-        drop(link);
-        let (msgs, _) = handle.join().unwrap();
-        let kept: Vec<Message> = [0, 17, 18, 19, 20].map(numbered).into();
-        assert_eq!(&msgs[1..], &kept[..], "the newest survive, in order");
     }
 
     #[test]
@@ -1553,5 +1387,399 @@ mod tests {
         assert_eq!(b.broadcast(&Message::Ping), 0);
         assert!(b.flush(Duration::from_millis(10)));
         b.shutdown();
+    }
+
+    // The pacing rule alone: `LinkState` driven with explicit instants.
+
+    fn state(depth: usize) -> LinkState {
+        LinkState::new(NodeId(1), "127.0.0.1:1".parse().unwrap(), depth)
+    }
+
+    fn notice(i: u16) -> Arc<[u8]> {
+        numbered(i).encode().into()
+    }
+
+    /// What the writer does at `now` on a network that takes every batch
+    /// at once in one frame: send what `next` hands it until it must
+    /// hold, park or stop. Returns each batch (decoded) with its `held`
+    /// flag, and the step it ended on.
+    fn settle(st: &mut LinkState, now: Instant) -> (Vec<(Vec<Message>, bool)>, Step) {
+        let mut sends = Vec::new();
+        loop {
+            match st.next(now) {
+                Step::Send(batch, held) => {
+                    st.sent(&batch, held, 1);
+                    let msgs = batch.iter().map(|q| Message::decode(&q.frame).unwrap());
+                    sends.push((msgs.collect(), held));
+                }
+                step => return (sends, step),
+            }
+        }
+    }
+
+    #[test]
+    fn spaced_enqueues_all_go_out_at_once() {
+        let mut st = state(NOTICE_QUEUE_DEPTH);
+        let mut now = Instant::now();
+        for i in 0..10 {
+            // Each notice finds the writer parked: it wakes it and goes out
+            // at once, and the hold after an idle link's send is the base
+            // pace, whatever came before.
+            assert!(matches!(settle(&mut st, now).1, Step::Park));
+            assert_eq!(st.enqueue(now, [notice(i)]), Some(true));
+            let (sends, step) = settle(&mut st, now);
+            assert_eq!(sends, [(vec![numbered(i)], false)]);
+            assert!(matches!(step, Step::Hold(until) if until == now + NOTICE_PACE));
+            now += NOTICE_PACE + Duration::from_millis(3);
+        }
+        let s = &st.stats;
+        assert_eq!(s.hold, NOTICE_PACE);
+        assert_eq!((s.sent, s.sent_immediate, s.sent_after_hold), (10, 10, 0));
+        assert_eq!(
+            (s.frames, s.wakeups),
+            (10, 10),
+            "one frame, one wake-up each"
+        );
+    }
+
+    #[test]
+    fn burst_inside_a_hold_coalesces() {
+        const N: u16 = 50;
+        let mut st = state(NOTICE_QUEUE_DEPTH);
+        let t0 = Instant::now();
+        settle(&mut st, t0);
+        assert_eq!(st.enqueue(t0, [notice(0)]), Some(true));
+        let (sends, step) = settle(&mut st, t0);
+        assert_eq!(sends, [(vec![numbered(0)], false)]);
+        let Step::Hold(until) = step else {
+            panic!("a send is followed by a hold")
+        };
+        assert_eq!(until, t0 + NOTICE_PACE, "the hold runs from the drain");
+        // The burst lands inside the hold: pushes only — no wake-up, and
+        // nothing leaves before the hold ends.
+        for i in 1..=N {
+            let at = t0 + NOTICE_PACE * u32::from(i) / (u32::from(N) + 1);
+            assert_eq!(st.enqueue(at, [notice(i)]), Some(false));
+            assert!(settle(&mut st, at).0.is_empty());
+        }
+        let (sends, _) = settle(&mut st, until);
+        assert_eq!(sends, [((1..=N).map(numbered).collect(), true)]);
+        let s = &st.stats;
+        assert_eq!((s.sent, s.frames, s.wakeups), (N as u64 + 1, 2, 1));
+        assert_eq!((s.sent_immediate, s.sent_after_hold), (1, N as u64));
+        assert_eq!(s.hold, 2 * NOTICE_PACE, "a hold that ends busy doubles");
+    }
+
+    #[test]
+    fn flush_cuts_a_maximum_hold_short() {
+        const ROUNDS: u16 = 20;
+        let mut st = state(NOTICE_QUEUE_DEPTH);
+        let mut now = Instant::now();
+        settle(&mut st, now);
+        // Up the ramp: one notice queued into each hold, sent as it ends.
+        let mut hold_ends = now;
+        for i in 0..4 {
+            now = hold_ends;
+            st.enqueue(now, [notice(i)]);
+            let (_, step) = settle(&mut st, now);
+            let Step::Hold(until) = step else {
+                panic!("a send is followed by a hold")
+            };
+            hold_ends = until;
+        }
+        assert_eq!(st.stats.hold, NOTICE_PACE_MAX);
+        // The clock stands still from here: only the flush ends each hold,
+        // and only while a notice is queued.
+        for i in 4..4 + ROUNDS {
+            st.enqueue(now, [notice(i)]);
+            assert!(matches!(st.next(now), Step::Hold(_)), "round {i}");
+            st.flushers += 1;
+            let (sends, step) = settle(&mut st, now);
+            st.flushers -= 1;
+            assert_eq!(sends, [(vec![numbered(i)], true)], "round {i}");
+            assert!(matches!(step, Step::Hold(until) if until == now + NOTICE_PACE_MAX));
+        }
+        let s = &st.stats;
+        let total = u64::from(4 + ROUNDS);
+        assert_eq!((s.sent, st.buf.len(), s.dropped), (total, 0, 0));
+    }
+
+    #[test]
+    fn overflow_on_a_busy_link_drops_oldest_and_counts_it() {
+        let mut st = state(4);
+        let t0 = Instant::now();
+        settle(&mut st, t0);
+        assert_eq!(st.enqueue(t0, [notice(0)]), Some(true));
+        // The writer took notice 0 and is writing it: the link is busy.
+        let Step::Send(first, held) = st.next(t0) else {
+            panic!("a woken writer sends")
+        };
+        for i in 1..=20 {
+            assert_eq!(st.enqueue(t0, [notice(i)]), Some(false));
+        }
+        assert_eq!(
+            (st.buf.len(), st.stats.dropped, st.stats.wakeups),
+            (4, 16, 1)
+        );
+        st.sent(&first, held, 1);
+        let (sends, _) = settle(&mut st, t0 + NOTICE_PACE);
+        let kept: Vec<Message> = [17, 18, 19, 20].map(numbered).into();
+        assert_eq!(sends, [(kept, true)], "the newest survive, in order");
+        assert_eq!((st.stats.sent, st.stats.dropped), (5, 16));
+    }
+
+    /// A producer at 15 k notices/s for one second, as `tables broadcast`
+    /// feeds a live link, with the writer acting at every instant the feed
+    /// reaches. The link coalesces four times what a constant 500 µs hold
+    /// did at this rate (8.65 notices/frame), sends at most one frame per
+    /// maximum hold plus the ramp — each wake-up sends at once and after
+    /// 0.5, 1 and 2 ms before holds reach the maximum, and the closing
+    /// flush cuts one hold short — is never woken per notice, and drops
+    /// nothing.
+    #[test]
+    fn loaded_link_coalesces_a_15k_per_second_feed() {
+        const NOTICES: u16 = 15_000;
+        let gap = Duration::from_micros(1_000_000 / NOTICES as u64);
+        let mut st = state(NOTICE_QUEUE_DEPTH);
+        let t0 = Instant::now();
+        let mut now = t0;
+        for i in 0..NOTICES {
+            now += gap;
+            settle(&mut st, now);
+            st.enqueue(now, [notice(i)]);
+            settle(&mut st, now);
+        }
+        st.flushers += 1;
+        settle(&mut st, now);
+        let s = &st.stats;
+        assert_eq!(
+            (s.sent, s.dropped, st.buf.len()),
+            (NOTICES as u64, 0, 0),
+            "{s:?}"
+        );
+        assert!(
+            s.sent >= 32 * s.frames,
+            "a loaded link must coalesce: {s:?}"
+        );
+        let elapsed = (now - t0).as_micros() / NOTICE_PACE_MAX.as_micros();
+        let allowed = elapsed as u64 + 4 * s.wakeups + 1;
+        assert!(
+            s.frames <= allowed,
+            "{} frames, more than the hold ramp allows ({allowed}): {s:?}",
+            s.frames
+        );
+        assert!(s.wakeups <= s.frames, "woken per notice: {s:?}");
+    }
+
+    /// One input to a link's state in a generated schedule.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Hand the link a burst of this many notices.
+        Enqueue(u16),
+        Advance(Duration),
+        /// The writer asks for its next step (not while it is writing).
+        Next,
+        /// The batch being written went out in this many frames.
+        Sent(u64),
+        /// The batch being written failed.
+        Failed,
+        /// A flush caller starts (`true`) or stops waiting.
+        Flush(bool),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            4 => (1u16..=12).prop_map(Op::Enqueue),
+            4 => (0u64..=5_000).prop_map(|us| Op::Advance(Duration::from_micros(us))),
+            6 => Just(Op::Next),
+            3 => (1u64..=3).prop_map(Op::Sent),
+            1 => Just(Op::Failed),
+            1 => any::<bool>().prop_map(Op::Flush),
+        ]
+    }
+
+    fn id(q: &Queued) -> u64 {
+        u64::from_le_bytes(q.frame[..].try_into().unwrap())
+    }
+
+    /// A writer's view of one `LinkState` under a generated schedule, with
+    /// a model of what the state must do.
+    struct Run {
+        st: LinkState,
+        now: Instant,
+        /// Notices handed over so far; each frame is its own number.
+        enqueued: u64,
+        /// What drop-oldest must leave queued, oldest first.
+        model: VecDeque<u64>,
+        /// The batch being written, with its `held` flag and drain instant.
+        writing: Option<(Vec<Queued>, bool, Instant)>,
+        /// No send since the writer parked (or ever).
+        idle: bool,
+        /// The latest hold or backoff may end no later than this.
+        bound: Option<Instant>,
+        /// The exact end a hold must have: the drain plus the new hold.
+        exact: Option<Instant>,
+    }
+
+    impl Run {
+        fn new() -> Self {
+            Run {
+                st: state(8),
+                now: Instant::now(),
+                enqueued: 0,
+                model: VecDeque::new(),
+                writing: None,
+                idle: true,
+                bound: None,
+                exact: None,
+            }
+        }
+
+        fn apply(&mut self, op: &Op) -> Result<(), &'static str> {
+            let st = &mut self.st;
+            match *op {
+                Op::Enqueue(n) => {
+                    let ids = self.enqueued..self.enqueued + u64::from(n);
+                    self.enqueued = ids.end;
+                    let frames = ids.clone().map(|i| Arc::from(i.to_le_bytes()));
+                    let dropped = st.stats.dropped;
+                    match st.enqueue(self.now, frames) {
+                        None if st.shutting_down => {
+                            check(
+                                st.stats.dropped == dropped + u64::from(n),
+                                "refused, not dropped",
+                            )?;
+                        }
+                        None => return Err("refused before shutdown"),
+                        Some(_) if st.shutting_down => return Err("accepted after shutdown"),
+                        Some(_) => {
+                            for i in ids {
+                                if self.model.len() == 8 {
+                                    self.model.pop_front();
+                                }
+                                self.model.push_back(i);
+                            }
+                        }
+                    }
+                }
+                Op::Advance(d) => self.now += d,
+                Op::Next if self.writing.is_some() => {}
+                Op::Next => {
+                    let cut = st.shutting_down || (st.flushers > 0 && !st.buf.is_empty());
+                    match st.next(self.now) {
+                        Step::Send(batch, held) => {
+                            let ids: Vec<u64> = batch.iter().map(id).collect();
+                            check(
+                                ids == self.model.drain(..).collect::<Vec<_>>(),
+                                "not drop-oldest FIFO",
+                            )?;
+                            check(!ids.is_empty(), "an empty batch")?;
+                            check(
+                                held != self.idle,
+                                "held after a park, or immediate after a send",
+                            )?;
+                            self.idle = false;
+                            self.writing = Some((batch, held, self.now));
+                        }
+                        Step::Hold(until) => {
+                            check(!cut, "a hold a flush or shutdown should cut")?;
+                            check(until > self.now, "a hold already over")?;
+                            check(
+                                self.bound.is_some_and(|b| until <= b),
+                                "a hold past its bound",
+                            )?;
+                            check(
+                                self.exact.is_none_or(|e| until == e),
+                                "a hold not from the drain",
+                            )?;
+                        }
+                        Step::Park => {
+                            check(
+                                !st.shutting_down && st.buf.is_empty(),
+                                "a park with work left",
+                            )?;
+                            check(st.stats.hold == NOTICE_PACE, "a park keeps the ramp")?;
+                            self.idle = true;
+                        }
+                        Step::Stop => {
+                            check(
+                                st.shutting_down && st.buf.is_empty(),
+                                "a stop with work left",
+                            )?;
+                        }
+                    }
+                }
+                Op::Sent(frames) => {
+                    if let Some((batch, held, taken_at)) = self.writing.take() {
+                        st.sent(&batch, held, frames);
+                        self.bound = Some(taken_at + NOTICE_PACE_MAX);
+                        self.exact = Some(taken_at + st.stats.hold);
+                    }
+                }
+                Op::Failed => {
+                    if let Some((batch, _, _)) = self.writing.take() {
+                        st.failed(batch.len(), self.now);
+                        self.bound = Some(self.now + BACKOFF_MAX);
+                        self.exact = None;
+                        if st.shutting_down {
+                            self.model.clear();
+                        }
+                    }
+                }
+                Op::Flush(on) => st.flushers = usize::from(on),
+            }
+            self.invariants()
+        }
+
+        fn invariants(&self) -> Result<(), &'static str> {
+            let (st, s) = (&self.st, &self.st.stats);
+            let writing = self.writing.as_ref().map_or(0, |(b, _, _)| b.len() as u64);
+            let accounted = s.sent + s.dropped + st.buf.len() as u64 + writing;
+            check(self.enqueued == accounted, "a notice unaccounted for")?;
+            check(s.sent == s.sent_immediate + s.sent_after_hold, "sent split")?;
+            let ms = Duration::from_micros;
+            check(
+                [500, 1000, 2000, 4000].map(ms).contains(&s.hold),
+                "a hold off the ramp",
+            )?;
+            check(st.buf.len() <= 8, "the queue past its depth")
+        }
+    }
+
+    fn check(ok: bool, what: &'static str) -> Result<(), &'static str> {
+        ok.then_some(()).ok_or(what)
+    }
+
+    proptest! {
+        /// Any schedule of bursts, clock steps, writer steps, outcomes,
+        /// flushes and a shutdown keeps the link's invariants, and
+        /// shutdown then drains the link to a stop.
+        #[test]
+        fn any_schedule_keeps_the_link_invariants(
+            ops in proptest::collection::vec(op(), 1..300),
+            shutdown_at in proptest::option::of(0usize..300),
+        ) {
+            let mut run = Run::new();
+            for (i, op) in ops.iter().enumerate() {
+                if shutdown_at == Some(i) {
+                    run.st.shutting_down = true;
+                }
+                if let Err(e) = run.apply(op) {
+                    prop_assert!(false, "op {i} {op:?}: {e}");
+                }
+            }
+            // Shutdown drains: the writer delivers what is left, then stops.
+            run.st.shutting_down = true;
+            for _ in 0..4 {
+                for op in [Op::Sent(1), Op::Next] {
+                    if let Err(e) = run.apply(&op) {
+                        prop_assert!(false, "drain {op:?}: {e}");
+                    }
+                }
+            }
+            prop_assert!(matches!(run.st.next(run.now), Step::Stop));
+            let s = &run.st.stats;
+            prop_assert_eq!(run.enqueued, s.sent + s.dropped);
+        }
     }
 }

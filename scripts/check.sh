@@ -43,18 +43,28 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test victim_index
 
 step "paced notice plane (pacing tests + apply_remote_batch equivalence, pinned seed)"
-# In virtual time, on a manual clock the tests advance: idle links send
-# at once, busy links batch without a wake-up, a loaded link's hold
-# ramps 500 us -> 4 ms (one frame per hold, each notice waiting exactly
-# its hold) and starts over once the link parks, flush/shutdown cut a
-# maximum hold short with the clock standing still, a reconnect backoff
-# is a hold, overflow still drops oldest, and a 15k-notices/s feed
-# coalesces >= 32 notices per frame with no more frames than one per
-# 4 ms hold plus the ramp, no more wake-ups than frames and no drops.
-# Then the batched directory apply against the per-notice calls it
-# replaces on the receive side — cut anywhere, and as whole frames of
-# 256 and 1024 updates — 2048 cases on the same pinned seed.
+# Pure LinkState tests, the pacing rule driven with explicit instants:
+# idle links send at once, a burst inside a hold leaves as one batch
+# with no wake-up, a flush cuts a maximum hold short with time standing
+# still, overflow on a busy link drops the oldest, and a 15k-notices/s
+# feed coalesces >= 32 notices per frame with no more frames than one
+# per 4 ms hold plus the ramp, no more wake-ups than frames and no
+# drops. Threaded wiring tests, on a manual clock the tests advance:
+# hello and reconnect, a blackholed connect kept off the send path, one
+# wake-up per idle->busy transition and the burst as one Batch frame on
+# the wire, a loaded link's hold ramp (500 us -> 4 ms, each notice
+# waiting exactly its hold) and a reconnect backoff waited out, a flush
+# and shutdown waking a held writer, and shutdown's drain and join. Then
+# the LinkState property test: random schedules of bursts, clock steps,
+# writer steps, outcomes, flushes and shutdown keep every notice
+# accounted for, holds on the ramp and from the drain, and drop-oldest
+# order (2048 cases, pinned seed). Then the batched directory apply
+# against the per-notice calls it replaces on the receive side — cut
+# anywhere, and as whole frames of 256 and 1024 updates — 2048 cases on
+# the same pinned seed.
 cargo test -q --release -p swala-proto --lib peers::
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-proto --lib peers::tests::any_schedule_keeps_the_link_invariants
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test remote_batch
 
