@@ -218,7 +218,7 @@ fn bench_wire_codec(c: &mut Criterion) {
 /// (a held link: the enqueue is a push under the queue lock and nothing
 /// else). Pacing turns all but one enqueue per interval into the second.
 fn bench_broadcast_enqueue(c: &mut Criterion) {
-    let frame: Arc<[u8]> = Message::Ping.encode().into();
+    let frame: Arc<[u8]> = Message::NodeDown { node: NodeId(1) }.encode().into();
     let mut group = c.benchmark_group("broadcast");
 
     // A live sink; each timed enqueue waits (off the clock) for the

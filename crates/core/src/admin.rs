@@ -9,7 +9,7 @@
 //!   Prometheus text exposition format (version 0.0.4);
 //! * `GET /swala-threads` — user and system CPU seconds of this node's
 //!   live threads, summed by thread role (`swala-request`,
-//!   `swala-notice-writer`, `swala-cache-conn`, …), read from
+//!   `swala-notice-writer`, `swala-cacher`, …), read from
 //!   `/proc/self/task` when asked and in the same exposition format. Its
 //!   own page, so that whoever polls `/swala-metrics` does not pay for a
 //!   walk over `/proc`;

@@ -83,7 +83,7 @@ pub struct NodeContext {
     /// Per-peer quarantine tracking, fed by fetch outcomes.
     pub health: Arc<HealthTracker>,
     /// Request-pool gauges (open and idle connections, parks).
-    pub engine_stats: Arc<crate::stats::EngineStats>,
+    pub engine_stats: Arc<swala_proto::PoolStats>,
     /// When the node started (uptime on `/swala-status`).
     pub started: Instant,
     /// Peers whose stats pull failed during a cluster scrape

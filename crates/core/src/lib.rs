@@ -45,7 +45,6 @@ pub mod accesslog;
 pub mod admin;
 pub mod client;
 pub mod config;
-mod epoll;
 pub mod files;
 pub mod handler;
 pub mod monitor;
@@ -56,9 +55,9 @@ pub mod threads;
 
 pub use client::HttpClient;
 pub use config::{LogFormat, ServerOptions};
-pub use epoll::raise_nofile_limit;
 pub use server::{start_cluster, BoundSwala, SwalaServer};
-pub use stats::{EngineStats, RequestStats, RequestStatsSnapshot};
+pub use stats::{RequestStats, RequestStatsSnapshot};
+pub use swala_proto::{raise_nofile_limit, PoolStats};
 
 // Re-export the pieces examples and benches compose with.
 pub use swala_cache::{CacheKey, CacheRules, NodeId, PolicyKind, StoreKind};

@@ -4,7 +4,7 @@ use crate::config::ServerOptions;
 use crate::handler::{NodeContext, FETCH_TIMEOUT};
 use crate::monitor::SourceMonitor;
 use crate::pool::RequestPool;
-use crate::stats::{EngineStats, RequestStats, RequestStatsSnapshot};
+use crate::stats::{register_engine_stats, RequestStats, RequestStatsSnapshot};
 use parking_lot::RwLock;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -17,7 +17,7 @@ use swala_cgi::ProgramRegistry;
 use swala_obs::Telemetry;
 use swala_proto::{
     default_dialer, BroadcastConfig, Broadcaster, CacheDaemons, FetchPool, HealthSnapshot,
-    HealthTracker, RetryPolicy, DEFAULT_POOL_SIZE,
+    HealthTracker, PoolStats, RetryPolicy, DEFAULT_POOL_SIZE,
 };
 
 /// A node whose listeners are bound but whose daemons and pool have not
@@ -139,8 +139,8 @@ impl BoundSwala {
         let reg = telemetry.registry();
         let stats = Arc::new(RequestStats::new());
         stats.register_into(reg, "swala_http");
-        let engine_stats = EngineStats::new();
-        engine_stats.register_into(reg);
+        let engine_stats = Arc::default();
+        register_engine_stats(&engine_stats, reg);
         manager.register_into(reg);
         let accept_filter = options.faults.as_ref().map(|f| f.acceptor(options.node));
         let daemons = CacheDaemons::start_with_listener_observed(
@@ -412,8 +412,13 @@ impl SwalaServer {
     }
 
     /// Gauges and counters of the request pool.
-    pub fn engine_stats(&self) -> &Arc<EngineStats> {
+    pub fn engine_stats(&self) -> &Arc<PoolStats> {
         &self.ctx.engine_stats
+    }
+
+    /// Gauges and counters of the cache port's pool.
+    pub fn cache_port_stats(&self) -> &PoolStats {
+        self.daemons.as_ref().expect("running").port_stats()
     }
 
     /// Stop the node and return once it has stopped (what dropping it

@@ -1,18 +1,18 @@
 //! CPU time of this process's threads, by role.
 //!
 //! Every thread Swala spawns is named for what it does
-//! (`swala-request-3`, `swala-notice-writer`, `swala-cache-conn`, …), and
+//! (`swala-request-3`, `swala-notice-writer`, `swala-cacher-5`, …), and
 //! the kernel accounts user and system time per thread in
 //! `/proc/self/task/<tid>/stat`. Summing those by name answers "which
 //! plane is the CPU going to" — the request threads, the notice writers,
-//! the peer-connection readers — from the running node, where before it
+//! the cache port's threads — from the running node, where before it
 //! took a shell loop over `/proc/<pid>/task/*/stat` beside the benchmark.
 //!
 //! Read on request only (`GET /swala-threads`): nothing is sampled in the
 //! background and the request path pays nothing. The kernel drops a
 //! thread's entry when it exits, so a role's figure covers its *live*
 //! threads: it only rises while they run, and falls when one ends (a
-//! peer connection closing takes its `swala-cache-conn` reader with it).
+//! broadcaster shutting down takes its `swala-notice-writer`s with it).
 
 use std::collections::BTreeMap;
 use std::io;
@@ -24,8 +24,6 @@ const COMM_LEN: usize = 15;
 /// `swala-notice-writer` reads back as `swala-notice-wr`.
 const LONG_ROLES: &[&str] = &[
     "swala-notice-writer",
-    "swala-cache-accept",
-    "swala-cache-conn",
     "swala-cache-purge",
     "swala-source-monitor",
 ];
@@ -153,8 +151,9 @@ mod tests {
         // Sixteen request threads: index 12 is cut to its first digit.
         assert_eq!(role_of("swala-request-1"), "swala-request");
         assert_eq!(role_of("swala-notice-wr"), "swala-notice-writer");
-        assert_eq!(role_of("swala-cache-con"), "swala-cache-conn");
-        assert_eq!(role_of("swala-cache-acc"), "swala-cache-accept");
+        assert_eq!(role_of("swala-cache-pur"), "swala-cache-purge");
+        // A hundred cache-port threads: index 123 is cut to its first two.
+        assert_eq!(role_of("swala-cacher-12"), "swala-cacher");
         assert_eq!(role_of("swala-source-mo"), "swala-source-monitor");
         // Not ours: unchanged, digits and all.
         assert_eq!(role_of("swala"), "swala");

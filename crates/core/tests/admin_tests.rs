@@ -216,14 +216,10 @@ fn threads_page_lists_thread_roles() {
             .sum()
     };
     // Both nodes live in this process: 2 × pool_size request threads, a
-    // writer per link, a reader per accepted peer connection.
+    // writer per link, the cache ports' threads.
     assert!(threads("swala-request") >= 8.0, "{text}");
     assert!(threads("swala-notice-writer") >= 2.0, "{text}");
-    for role in [
-        "swala-cache-conn",
-        "swala-cache-accept",
-        "swala-cache-purge",
-    ] {
+    for role in ["swala-cacher", "swala-cache-purge"] {
         assert!(threads(role) >= 1.0, "{role}: {text}");
     }
     for s in servers {

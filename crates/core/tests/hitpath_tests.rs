@@ -143,6 +143,29 @@ fn remote_hit_burst_reuses_pooled_connections() {
     }
 }
 
+/// The cache port's `swala_engine_parks` staying flat: back-to-back
+/// remote hits ride a warm fetch connection its owner's thread lingers
+/// on, so the owner's cache port parks nothing.
+#[test]
+fn back_to_back_remote_hits_never_park_on_the_owners_cache_port() {
+    for directory in DirectoryKind::ALL {
+        let nodes = two_node_cluster(directory);
+        let mut warm = HttpClient::new(nodes[0].http_addr());
+        warm.get("/cgi-bin/adl?id=31&ms=0").unwrap();
+        wait_for_remote_entry(&nodes[1], NodeId(0), 1);
+
+        let mut client = HttpClient::new(nodes[1].http_addr());
+        for _ in 0..1000 {
+            let r = client.get("/cgi-bin/adl?id=31&ms=0").unwrap();
+            assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
+        }
+        assert_eq!(nodes[0].cache_port_stats().parks(), 0, "{directory:?}");
+        for n in nodes {
+            n.shutdown();
+        }
+    }
+}
+
 #[test]
 fn status_page_shows_hot_path_counters() {
     for directory in DirectoryKind::ALL {

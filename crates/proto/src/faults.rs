@@ -337,9 +337,9 @@ impl FaultInjector {
 }
 
 /// Server-side fault hook: consulted once per accepted connection.
-/// `Drop`/`Reset`/`Truncate` close the connection unhandled; `Delay`
-/// stalls the handler before its first read; `BlackHole` holds the
-/// connection open but never services it.
+/// `Drop`/`Reset`/`Truncate` close the connection unserved; `Delay`
+/// sleeps before its first serve; `BlackHole` holds it open, unread,
+/// until the pool stops.
 pub type AcceptFilter = Arc<dyn Fn() -> Option<FaultAction> + Send + Sync>;
 
 #[cfg(test)]

@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn unexpected_reply_type_is_unreachable() {
-        let (addr, h) = fetch_server(|_| Message::Pong);
+        let (addr, h) = fetch_server(|_| Message::SyncRequest);
         let out = fetch_once(addr, "/x", Duration::from_secs(1));
         assert!(matches!(out, FetchOutcome::Unreachable(_)));
         h.join().unwrap();

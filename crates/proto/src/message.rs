@@ -16,8 +16,8 @@ const TAG_FETCH_HIT: u8 = 0x05;
 const TAG_FETCH_MISS: u8 = 0x06;
 const TAG_SYNC_REQ: u8 = 0x07;
 const TAG_SYNC_REPLY: u8 = 0x08;
-const TAG_PING: u8 = 0x09;
-const TAG_PONG: u8 = 0x0a;
+// 0x09 and 0x0a (a ping nobody sent and its pong) are retired, not
+// reused, like 0x0e below.
 const TAG_INVALIDATE: u8 = 0x0b;
 const TAG_BATCH: u8 = 0x0c;
 const TAG_NODE_DOWN: u8 = 0x0d;
@@ -51,34 +51,21 @@ pub struct NodeStats {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// First message on a notice link: identifies the sender.
-    Hello {
-        node: NodeId,
-    },
+    Hello { node: NodeId },
     /// "I just cached this" — apply to the sender's table (§4.2:
     /// sent on every insert to each of the key's other homes, applied
     /// asynchronously).
-    InsertNotice {
-        meta: EntryMeta,
-    },
+    InsertNotice { meta: EntryMeta },
     /// "I dropped this" (eviction, expiry or explicit invalidation).
-    DeleteNotice {
-        owner: NodeId,
-        key: CacheKey,
-    },
+    DeleteNotice { owner: NodeId, key: CacheKey },
     /// "Send me the body you advertise for this key." `trace` is the
     /// requester's trace id, so the owner's spans correlate with the
     /// requester's; `None` encodes byte-identically to the pre-telemetry
     /// wire format, and a decoder ignores the absence, so mixed-version
     /// clusters interoperate.
-    FetchRequest {
-        key: CacheKey,
-        trace: Option<u64>,
-    },
+    FetchRequest { key: CacheKey, trace: Option<u64> },
     /// Fetch succeeded.
-    FetchHit {
-        content_type: String,
-        body: Vec<u8>,
-    },
+    FetchHit { content_type: String, body: Vec<u8> },
     /// Fetch found nothing — the requester experienced a false hit.
     FetchMiss,
     /// "Send me your whole local table" (join-time directory sync).
@@ -88,50 +75,36 @@ pub enum Message {
         node: NodeId,
         entries: Vec<EntryMeta>,
     },
-    /// Liveness probe.
-    Ping,
-    Pong,
     /// "Drop this entry if you own it" — application-driven
     /// invalidation (§4.2's planned stronger consistency, after \[12\]).
     /// The owner removes the entry and broadcasts the deletion.
-    Invalidate {
-        key: CacheKey,
-    },
+    Invalidate { key: CacheKey },
     /// "I have quarantined this node" — directory repair broadcast. The
     /// sender declared `node` dead after consecutive fetch failures and
     /// evicted its directory entries; receivers do the same so the whole
     /// cluster stops taking false hits on a corpse. Fire-and-forget like
     /// the other notices: a lost `NodeDown` costs extra false hits, never
     /// correctness.
-    NodeDown {
-        node: NodeId,
-    },
+    NodeDown { node: NodeId },
     /// Several notices coalesced into one frame by a peer link's writer
     /// thread. Sub-messages are length-prefixed; nesting a `Batch` inside
     /// a `Batch` is a protocol violation, as is batching any message that
-    /// requires a reply (fetch/sync/ping).
+    /// requires a reply (fetch/sync/lookup/stats).
     Batch(Vec<Message>),
     /// Reply to a [`Message::DirLookup`]: the home's entry for the key
     /// (naming its owner), or `None` when nobody caches it.
-    DirAnswer {
-        meta: Option<EntryMeta>,
-    },
+    DirAnswer { meta: Option<EntryMeta> },
     /// "You are this key's home node: who caches it?" Answered with a
     /// [`Message::DirAnswer`]. `trace` follows the same optional-trailer
     /// convention as `FetchRequest`. Requires a reply, so it is illegal
     /// inside a `Batch`.
-    DirLookup {
-        key: CacheKey,
-        trace: Option<u64>,
-    },
+    DirLookup { key: CacheKey, trace: Option<u64> },
     /// "Send me your metrics snapshot" — the stats-federation pull.
     /// Served by the cache daemon from its telemetry handle; answered
     /// with a [`Message::StatsSnapshot`]. Requires a reply, so it is
     /// illegal inside a `Batch`. `trace` follows the same
     /// optional-trailer convention as `FetchRequest`.
-    StatsPull {
-        trace: Option<u64>,
-    },
+    StatsPull { trace: Option<u64> },
     /// Reply to [`Message::StatsPull`]: the node's registry and hot-key
     /// sketch as plain values (see [`NodeStats`]).
     StatsSnapshot(NodeStats),
@@ -178,8 +151,6 @@ impl Message {
                     encode_meta(&mut buf, e);
                 }
             }
-            Message::Ping => buf.put_u8(TAG_PING),
-            Message::Pong => buf.put_u8(TAG_PONG),
             Message::Invalidate { key } => {
                 buf.put_u8(TAG_INVALIDATE);
                 put_string(&mut buf, key.as_str());
@@ -273,8 +244,6 @@ impl Message {
                 }
                 Message::SyncReply { node, entries }
             }
-            TAG_PING => Message::Ping,
-            TAG_PONG => Message::Pong,
             TAG_INVALIDATE => Message::Invalidate {
                 key: CacheKey::new(get_string(&mut r)?),
             },
@@ -603,8 +572,6 @@ mod tests {
                 node: NodeId(2),
                 entries: vec![sample_meta(), sample_meta()],
             },
-            Message::Ping,
-            Message::Pong,
             Message::Invalidate {
                 key: CacheKey::new("/cgi-bin/stale?x=1"),
             },
@@ -742,11 +709,14 @@ mod tests {
     }
 
     #[test]
-    fn retired_dir_update_tag_is_unknown() {
-        assert!(matches!(
-            Message::decode(&[0x0e, 0, 1]),
-            Err(ProtoError::UnknownTag(0x0e))
-        ));
+    fn retired_tags_are_unknown() {
+        // 0x09/0x0a were Ping/Pong, 0x0e a directory update.
+        for tag in [0x09, 0x0a, 0x0e] {
+            assert!(matches!(
+                Message::decode(&[tag, 0, 1]),
+                Err(ProtoError::UnknownTag(t)) if t == tag
+            ));
+        }
     }
 
     #[test]
@@ -831,7 +801,8 @@ mod tests {
 
     #[test]
     fn nested_batch_rejected() {
-        let nested = super::encode_batch(&[Message::Batch(vec![Message::Ping]).encode()]);
+        let inner = Message::Batch(vec![Message::NodeDown { node: NodeId(3) }]);
+        let nested = super::encode_batch(&[inner.encode()]);
         assert!(matches!(
             Message::decode(&nested),
             Err(ProtoError::NestedBatch)
@@ -844,7 +815,7 @@ mod tests {
             Message::InsertNotice {
                 meta: sample_meta(),
             },
-            Message::Ping,
+            Message::NodeDown { node: NodeId(3) },
         ])
         .encode();
         for cut in [1, 4, 6, full.len() / 2, full.len() - 1] {

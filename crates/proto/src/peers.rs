@@ -905,14 +905,14 @@ mod tests {
     fn link_sends_hello_then_notices() {
         let (addr, handle) = collecting_listener(1);
         let link = PeerLink::new(NodeId(0), NodeId(1), addr);
-        link.send(&Message::Ping).unwrap();
-        link.send(&Message::Pong).unwrap();
+        link.send(&numbered(1)).unwrap();
+        link.send(&numbered(2)).unwrap();
         assert!(link.flush(Duration::from_secs(5)));
         assert_eq!(link.counters(), (2, 0));
         drop(link); // joins the writer, closing the stream
         let (msgs, _) = handle.join().unwrap();
         assert_eq!(msgs[0], Message::Hello { node: NodeId(0) });
-        assert_eq!(&msgs[1..], &[Message::Ping, Message::Pong]);
+        assert_eq!(&msgs[1..], &[numbered(1), numbered(2)]);
     }
 
     #[test]
@@ -921,7 +921,7 @@ mod tests {
         // itself still succeeds — it is an enqueue — and the failure is
         // recorded asynchronously by the writer.
         let link = PeerLink::new(NodeId(0), NodeId(1), "127.0.0.1:1".parse().unwrap());
-        link.send(&Message::Ping).unwrap();
+        link.send(&numbered(1)).unwrap();
         wait_until("drop counted", || link.counters() == (0, 1));
     }
 
@@ -944,7 +944,7 @@ mod tests {
         let link = PeerLink::with_config(NodeId(0), NodeId(1), "127.0.0.1:1".parse().unwrap(), cfg);
         let t0 = Instant::now();
         for _ in 0..100 {
-            link.send(&Message::Ping).unwrap();
+            link.send(&numbered(1)).unwrap();
         }
         let elapsed = t0.elapsed();
         assert!(
@@ -960,26 +960,28 @@ mod tests {
 
     #[test]
     fn queue_overflow_drops_oldest() {
-        // Writer can never deliver (refused instantly), so the queue
-        // fills; keep the depth tiny to force overflow deterministically.
+        // The writer is held in `connect` with the first notice in hand,
+        // so the other 19 meet a queue of 4: the 15 oldest are dropped,
+        // and the newest 4 follow the first once the connect goes through.
+        let (addr, handle) = collecting_listener(1);
+        let (cfg, gate) = gated_config();
         let cfg = BroadcastConfig {
             queue_depth: 4,
-            connect_timeout: Duration::from_millis(10),
-            // Stalls long enough for every send below to land while the
-            // writer is stuck connecting; never succeeds.
-            connector: Arc::new(|_peer, _addr, _t| {
-                std::thread::sleep(Duration::from_secs(1));
-                Err(io::Error::new(io::ErrorKind::TimedOut, "never"))
-            }),
-            ..Default::default()
+            ..cfg
         };
-        let link = PeerLink::with_config(NodeId(0), NodeId(1), "127.0.0.1:1".parse().unwrap(), cfg);
-        for _ in 0..20 {
-            link.send(&Message::Ping).unwrap();
+        let link = PeerLink::with_config(NodeId(0), NodeId(1), addr, cfg);
+        link.send(&numbered(1)).unwrap();
+        gate.wait_entered();
+        for i in 2..=20 {
+            link.send(&numbered(i)).unwrap();
         }
         let stats = link.stats();
-        assert!(stats.queued <= 4 + 1, "queued {}", stats.queued);
-        assert!(stats.dropped >= 20 - 4 - 1, "dropped {}", stats.dropped);
+        assert_eq!((stats.queued, stats.dropped), (4, 15));
+        gate.release();
+        assert!(link.flush(Duration::from_secs(5)));
+        drop(link);
+        let (msgs, _) = handle.join().unwrap();
+        assert_eq!(msgs, [0, 1, 17, 18, 19, 20].map(numbered));
     }
 
     /// A connector that parks the writer inside `connect` until released,
@@ -1265,13 +1267,13 @@ mod tests {
             })
         };
 
-        link.send(&Message::Ping).unwrap();
+        link.send(&numbered(1)).unwrap();
         assert!(link.flush(Duration::from_secs(5)));
         // Keep sending until a write actually fails over to the restarted
         // peer (buffered writes to the half-closed socket can succeed
         // until the RST comes back).
         wait_until("reconnect to restarted peer", || {
-            link.send(&Message::Pong).unwrap();
+            link.send(&numbered(2)).unwrap();
             link.flush(Duration::from_secs(1));
             reconnected.load(Ordering::SeqCst)
         });
@@ -1289,14 +1291,14 @@ mod tests {
         let (addr_b, hb) = collecting_listener(1);
         let b = Broadcaster::new(NodeId(0), [(NodeId(1), addr_a), (NodeId(2), addr_b)]);
         assert_eq!(b.peer_count(), 2);
-        assert_eq!(b.broadcast(&Message::Ping), 2);
+        assert_eq!(b.broadcast(&numbered(1)), 2);
         assert!(b.flush(Duration::from_secs(5)));
         assert_eq!(b.counters().0, 2);
         drop(b);
         for h in [ha, hb] {
             let (msgs, _) = h.join().unwrap();
-            assert_eq!(msgs.len(), 2); // hello + ping
-            assert_eq!(msgs[1], Message::Ping);
+            assert_eq!(msgs.len(), 2); // hello + notice
+            assert_eq!(msgs[1], numbered(1));
         }
     }
 
@@ -1312,7 +1314,7 @@ mod tests {
         );
         // Both links accept the enqueue; the dead peer's failure shows up
         // asynchronously in the counters.
-        assert_eq!(b.broadcast(&Message::Ping), 2);
+        assert_eq!(b.broadcast(&numbered(1)), 2);
         let deadline = Instant::now() + Duration::from_secs(5);
         while b.counters() != (1, 1) {
             assert!(Instant::now() < deadline, "counters {:?}", b.counters());
@@ -1344,7 +1346,7 @@ mod tests {
     fn sends_after_shutdown_fail() {
         let link = PeerLink::new(NodeId(0), NodeId(1), "127.0.0.1:1".parse().unwrap());
         link.shutdown();
-        assert!(link.send(&Message::Ping).is_err());
+        assert!(link.send(&numbered(1)).is_err());
         link.shutdown(); // idempotent
     }
 
@@ -1358,8 +1360,8 @@ mod tests {
         // Nodes without a link (the local node, an out-of-cluster id)
         // get nothing.
         b.enqueue(&[
-            (&[NodeId(0), NodeId(2), NodeId(9)], Message::Ping),
-            (&[NodeId(0)], Message::Pong),
+            (&[NodeId(0), NodeId(2), NodeId(9)], numbered(1)),
+            (&[NodeId(0)], numbered(2)),
         ]);
         assert!(b.flush(Duration::from_secs(5)));
         let stats = b.link_stats();
@@ -1367,7 +1369,7 @@ mod tests {
         assert_eq!(stats[1].sent, 1, "peer 2 got the message");
         assert_eq!(
             stats[1].sent_bytes,
-            Message::Ping.encode().len() as u64,
+            numbered(1).encode().len() as u64,
             "payload bytes accounted on the delivering link"
         );
         drop(b);
@@ -1376,7 +1378,7 @@ mod tests {
         assert!(msgs_a.is_empty());
         assert_eq!(
             msgs_b,
-            vec![Message::Hello { node: NodeId(0) }, Message::Ping]
+            vec![Message::Hello { node: NodeId(0) }, numbered(1)]
         );
     }
 
@@ -1384,7 +1386,7 @@ mod tests {
     fn solo_broadcaster_is_a_noop() {
         let b = Broadcaster::solo();
         assert_eq!(b.peer_count(), 0);
-        assert_eq!(b.broadcast(&Message::Ping), 0);
+        assert_eq!(b.broadcast(&numbered(1)), 0);
         assert!(b.flush(Duration::from_millis(10)));
         b.shutdown();
     }

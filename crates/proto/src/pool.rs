@@ -1,12 +1,11 @@
 //! Persistent per-peer fetch connections.
 //!
 //! The paper's remote cache hit pays "only the added delay of a
-//! request/reply session between the two nodes" — but our PR-1 client
-//! opened a fresh TCP connection for every fetch, adding a three-way
-//! handshake to exactly the path that is supposed to be cheap. The
-//! server side already supports it: daemon handler threads loop reading
-//! frames until the peer hangs up, so a connection can carry any number
-//! of request/reply exchanges.
+//! request/reply session between the two nodes"; a fresh TCP connection
+//! per fetch would add a three-way handshake to exactly the path that is
+//! supposed to be cheap. The cache port serves a connection's frames
+//! until the peer hangs up, so one connection carries any number of
+//! request/reply exchanges.
 //!
 //! [`FetchPool`] keeps a small stack of warm connections per peer and
 //! reuses them across remote hits. A pooled connection may have died

@@ -143,7 +143,11 @@ fn item_bytes() -> Vec<Vec<u8>> {
         }
         .encode()[7..]
             .to_vec(),
-        Message::Batch(vec![Message::Ping, Message::InsertNotice { meta: meta() }]).encode()[5..]
+        Message::Batch(vec![
+            Message::NodeDown { node: NodeId(1) },
+            Message::InsertNotice { meta: meta() },
+        ])
+        .encode()[5..]
             .to_vec(),
         Message::StatsSnapshot(stats).encode()[7..].to_vec(),
     ]

@@ -130,8 +130,6 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                 entries,
             }
         }),
-        Just(Message::Ping),
-        Just(Message::Pong),
         proptest::option::of(any::<u64>()).prop_map(|trace| Message::StatsPull { trace }),
     ]
 }

@@ -28,11 +28,13 @@ step "cargo test -q --workspace"
 # them the live-cluster counter bounds: a body's first hit reads the
 # store once and promotes it, later (warm) hits read no store, a
 # remote-hit burst stays within the fetch pool, parked connections spawn
-# no thread and cost < 16 KiB RSS each, replicated pays exactly N-1
-# update messages per insert and partitioned at most 1 (>= 4x fewer
-# directory bytes at 8 nodes), duration histograms count every HTTP
-# request, an 8-node merged scrape equals each node's counters, and
-# dropping a node joins every thread it started.
+# no thread and cost < 16 KiB RSS each on the HTTP and the cache port,
+# back-to-back remote hits park nothing on the owner's cache port,
+# replicated pays exactly N-1 update messages per insert and
+# partitioned at most 1 (>= 4x fewer directory bytes at 8 nodes),
+# duration histograms count every HTTP request, an 8-node merged
+# scrape equals each node's counters, and dropping a node joins every
+# thread it started.
 cargo test -q --workspace
 
 step "eviction-index equivalence (victim_index, 2048 cases, pinned seed)"
@@ -77,13 +79,16 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test placement
 cargo test -q --release -p swala-proto --lib daemon::tests::announce_reaches_exactly_the_other_homes
 
-step "request path at the syscall floor (reader, request loop, allocation budget; release)"
+step "request path at the syscall floor (reader, connection pool, request loop, allocation budget; release)"
 # Counter-based, no clocks: one read per request / frame, idle vs stall,
 # every split point against read_frame / try_parse_request as oracles
-# (2048 cases, pinned seed), and allocations per warm local hit.
+# (2048 cases, pinned seed), and allocations per warm local hit. The
+# connection pool serves both ports, the HTTP port and the cache port:
+# its own unit tests, then the HTTP request loop's over it.
 cargo test -q --release -p swala-proto --lib reader::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-proto --test proptests patient_reader
+cargo test -q --release -p swala-proto --lib conn_pool::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala --lib pool::
 cargo test -q --release -p swala --test alloc_budget
