@@ -122,7 +122,7 @@ impl Default for ServerOptions {
             num_nodes: 1,
             http_addr: "127.0.0.1:0".parse().expect("static addr"),
             cache_addr: "127.0.0.1:0".parse().expect("static addr"),
-            pool_size: 16,
+            pool_size: swala_proto::DEFAULT_REQUEST_THREADS,
             docroot: None,
             cache_dir: None,
             capacity: 2000,
