@@ -3,11 +3,8 @@
 pub mod ablations;
 pub mod broadcast;
 pub mod directory;
-pub mod faults;
 pub mod fig3;
 pub mod fig4;
-pub mod hitpath;
-pub mod store;
 pub mod table1;
 pub mod table2;
 pub mod table3;
@@ -36,9 +33,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("locking", ablations::run_locking),
     ("broadcast", broadcast::run),
     ("directory", directory::run),
-    ("faults", faults::run),
-    ("hitpath", hitpath::run),
-    ("store", store::run),
 ];
 
 /// Run one experiment by id.
@@ -47,4 +41,39 @@ pub fn run(id: &str) -> Option<TableReport> {
         .iter()
         .find(|(name, _)| *name == id)
         .map(|(_, run)| run())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    /// The ids README.md's experiment table names, row by row, in order.
+    fn readme_ids() -> Vec<String> {
+        const README: &str = include_str!("../../../../README.md");
+        let table = README
+            .split("\n| id | reproduces | what it shows |\n")
+            .nth(1)
+            .expect("README.md has the tables id table");
+        table
+            .lines()
+            .take_while(|l| l.starts_with('|'))
+            .filter(|l| l.starts_with("| `"))
+            .flat_map(|l| {
+                let ids = l.split('|').nth(1).expect("README row has an id cell");
+                ids.split('`').skip(1).step_by(2).map(String::from)
+            })
+            .collect()
+    }
+
+    /// README.md's `tables` id table is the registry: every id it names
+    /// runs, and every id that runs is documented, in the same order.
+    #[test]
+    fn readme_experiment_table_matches_the_registry() {
+        let registered: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        assert_eq!(
+            readme_ids(),
+            registered,
+            "README.md's tables id table needs exactly the ids of EXPERIMENTS"
+        );
+    }
 }

@@ -93,9 +93,9 @@ pub struct ServerOptions {
     /// sleeping — there is no config-file syntax for it).
     pub clock: Clock,
     /// Telemetry master switch: off = no tracing, no latency histograms,
-    /// no heat sketch (counters stay scrapeable). The `obs off` baseline
-    /// is what the hitpath bench compares against to bound telemetry
-    /// overhead.
+    /// no heat sketch (counters stay scrapeable). Nothing measures what
+    /// telemetry costs against an `obs off` node yet; that A/B is
+    /// ROADMAP item 10's.
     pub obs_enabled: bool,
     /// Directory organization (`directory replicated|partitioned`).
     /// Replicated is the paper-faithful default: every insert/delete

@@ -34,10 +34,22 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 }
 
 /// Names of this process's live threads that a Swala node started.
+///
+/// A thread that `join` has returned for can stay listed for a few ms
+/// while the kernel finishes its exit. By then it has released its
+/// memory map, so its `status` has no `VmRSS` line: such a task is
+/// skipped. A thread that was never joined still has one.
 fn swala_threads() -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter_map(|task| {
+            let task = task.ok()?.path();
+            let status = std::fs::read_to_string(task.join("status")).ok()?;
+            if !status.contains("\nVmRSS:") {
+                return None;
+            }
+            std::fs::read_to_string(task.join("comm")).ok()
+        })
         .map(|comm| comm.trim_end().to_string())
         .filter(|comm| comm.starts_with("swala-"))
         .collect()

@@ -927,20 +927,9 @@ mod tests {
 
     #[test]
     fn send_returns_before_any_connect_attempt() {
-        // Blackholed peer: connects hang for the full timeout, then fail.
-        let attempts = Arc::new(AtomicU64::new(0));
-        let cfg = BroadcastConfig {
-            connect_timeout: Duration::from_millis(300),
-            connector: {
-                let attempts = Arc::clone(&attempts);
-                Arc::new(move |_peer, _addr, timeout| {
-                    attempts.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(timeout);
-                    Err(io::Error::new(io::ErrorKind::TimedOut, "blackhole"))
-                })
-            },
-            ..Default::default()
-        };
+        // Blackholed peer: the writer hangs in `connect` until released,
+        // then fails (nothing listens on port 1).
+        let (cfg, gate) = gated_config();
         let link = PeerLink::with_config(NodeId(0), NodeId(1), "127.0.0.1:1".parse().unwrap(), cfg);
         let t0 = Instant::now();
         for _ in 0..100 {
@@ -951,7 +940,11 @@ mod tests {
             elapsed < Duration::from_millis(100),
             "100 sends took {elapsed:?} against a blackholed peer"
         );
-        wait_until("blackhole probed", || attempts.load(Ordering::SeqCst) >= 1);
+        gate.wait_entered();
+        // Shut down while the connect hangs, so its failure drops the
+        // whole queue rather than backing off into a second connect.
+        link.signal_shutdown();
+        gate.release();
         link.shutdown();
         let (sent, dropped) = link.counters();
         assert_eq!(sent, 0);

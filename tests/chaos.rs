@@ -501,31 +501,40 @@ fn kill9_mid_insert_preserves_every_acked_entry() {
         .stderr(std::process::Stdio::null())
         .spawn()
         .unwrap();
-    let reader = std::io::BufReader::new(child.stdout.take().unwrap());
-    let (mut acked, mut gone) = (0usize, 0usize);
-    for line in reader.lines() {
+    /// Count one "acked N" / "gone N" line of the writer's; each kind
+    /// arrives in order.
+    fn tally(line: &str, acked: &mut usize, gone: &mut usize) {
         // libtest glues its unterminated "test <name> ... " progress
         // prefix onto the first ack, so match anywhere in the line.
-        let line = line.unwrap();
         let number_after = |tag: &str| {
             line.find(tag)
                 .map(|pos| line[pos + tag.len()..].trim().parse::<usize>().unwrap())
         };
         if let Some(n) = number_after("acked ") {
-            assert_eq!(n, acked, "acks in order");
-            acked += 1;
-            if acked >= 40 {
-                break;
-            }
+            assert_eq!(n, *acked, "acks in order");
+            *acked += 1;
         } else if let Some(n) = number_after("gone ") {
-            assert_eq!(n, gone, "deletes in order");
-            gone += 1;
+            assert_eq!(n, *gone, "deletes in order");
+            *gone += 1;
+        }
+    }
+    let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+    let (mut acked, mut gone) = (0usize, 0usize);
+    for line in lines.by_ref() {
+        tally(&line.unwrap(), &mut acked, &mut gone);
+        if acked >= 40 {
+            break;
         }
     }
     // SIGKILL mid-write: the child gets no chance to close anything.
     child.kill().unwrap();
     let _ = child.wait();
     assert!(acked >= 40, "child writer died early at {acked} acks");
+    // The writer kept going until the kill landed. What it acked in the
+    // meantime is still in the pipe, and binds the restarted store too.
+    for line in lines {
+        tally(&line.unwrap(), &mut acked, &mut gone);
+    }
 
     // Restart: a fresh process (this one) reopens the data file and
     // rebuilds index and extent map by scanning it.
@@ -629,6 +638,59 @@ fn same_seed_same_schedule_same_trace() {
     let second = run(seed);
     assert_eq!(first, second, "seed {seed} did not replay identically");
     assert!(!first.is_empty(), "probabilistic rule never fired");
+}
+
+/// A flapping owner never fails a request: every entry lives on node 3,
+/// half of all connections toward it (the accept path included) are
+/// dropped, and the other three nodes keep asking for its entries. Each
+/// reply is 2xx with the owner's body, whether a fetch got through, a
+/// retry did, or the requester fell back to running the program itself.
+/// Hit rates and retry counts depend on timing, so none is asserted.
+#[test]
+fn flapping_owner_never_fails_a_request() {
+    let inj = FaultInjector::seeded(chaos_seed());
+    let cluster = SwalaCluster::start(&ClusterConfig {
+        nodes: 4,
+        node: chaos_node(&inj),
+        ..Default::default()
+    })
+    .unwrap();
+    let targets: Vec<String> = (0..24)
+        .map(|i| format!("/cgi-bin/adl?id=9{i}&ms=0"))
+        .collect();
+    let mut c3 = HttpClient::new(cluster.node(3).http_addr());
+    let bodies: Vec<Vec<u8>> = targets
+        .iter()
+        .map(|t| c3.get(t).unwrap().body.into_vec())
+        .collect();
+    assert!(cluster.wait_for_directory_convergence(targets.len(), Duration::from_secs(10)));
+    settle(&cluster);
+
+    inj.add_rule(FaultRule::toward(NodeId(3), FaultAction::Drop).with_probability(0.5));
+    let mut clients: Vec<HttpClient> = (0..3)
+        .map(|n| HttpClient::new(cluster.node(n).http_addr()))
+        .collect();
+    for i in 0..240 {
+        // Round robin over the requesters, each asking for every key.
+        let (node, k) = (i % 3, i / 3 % targets.len());
+        // A warm connection skips the dial, and with it the rule: keep
+        // every requester dialing node 3 now and then.
+        if i % 8 == 0 {
+            cluster.node(node).fetch_pool().purge_peer(NodeId(3));
+        }
+        let r = clients[node].get(&targets[k]).unwrap();
+        assert!(
+            r.status.is_success(),
+            "request {i} to node {node} answered {}",
+            r.status
+        );
+        assert_eq!(r.body, bodies[k][..], "wrong body for request {i}");
+    }
+    for s in cluster.nodes() {
+        assert_eq!(s.request_stats().server_errors, 0);
+    }
+    assert!(!inj.trace().is_empty(), "the flapping rule never fired");
+    cluster.shutdown();
 }
 
 /// A pooled fetch connection that dies mid-reply is replaced within the
