@@ -160,7 +160,7 @@ fn handle_one(stream: TcpStream, inner: &Inner) {
             None => Response::error(StatusCode::NOT_FOUND),
         }
     };
-    resp.set_server(&inner.server_name);
+    resp.set_server(inner.server_name.clone());
     resp.set_keep_alive(false); // process-per-request: always close
     let _ = resp.write_to(&mut writer, req.method.response_has_body());
 }

@@ -164,7 +164,7 @@ fn serve_connection(
         };
         let keep = req.keep_alive();
         resp.version = req.version;
-        resp.set_server(&inner.server_name);
+        resp.set_server(inner.server_name.clone());
         resp.set_keep_alive(keep);
         if resp
             .write_to(&mut writer, req.method.response_has_body())

@@ -94,12 +94,18 @@ impl Bodies {
     /// `key`'s body from the memory tier, else the store (promoting it,
     /// under the digest the store recorded where it has one); `None` if
     /// the store read failed. Spans go on `trace`.
-    pub(crate) fn get(&self, key: &CacheKey, trace: &mut Trace) -> Option<(Arc<[u8]>, BodyTier)> {
+    /// The memory-tier span starts at `started`, the instant the
+    /// caller's previous span ended.
+    pub(crate) fn get(
+        &self,
+        key: &CacheKey,
+        trace: &mut Trace,
+        started: Option<Instant>,
+    ) -> Option<(Arc<[u8]>, BodyTier)> {
         let mut generation = None;
         if let Some(mem) = &self.mem {
-            let t0 = trace.start_span();
             let cached = mem.get_or_generation(key);
-            trace.end_span(Stage::MemTier, t0);
+            trace.end_span(Stage::MemTier, started);
             match cached {
                 Ok(body) => {
                     CacheStats::bump(&self.stats.mem_hits);
@@ -245,7 +251,10 @@ mod tests {
             (1, 0),
             "the put holds no memory"
         );
-        let tier = |b: &Bodies| b.get(&m.key, &mut Trace::disabled()).map(|(_, tier)| tier);
+        let tier = |b: &Bodies| {
+            b.get(&m.key, &mut Trace::disabled(), None)
+                .map(|(_, tier)| tier)
+        };
         assert_eq!(tier(&b), Some(BodyTier::Disk));
         assert_eq!(
             (b.stored(), b.mem_bytes()),
@@ -255,7 +264,7 @@ mod tests {
         assert_eq!(tier(&b), Some(BodyTier::Memory));
         b.remove(&m.key);
         assert_eq!((b.stored(), b.mem_bytes()), (0, 0));
-        assert!(b.get(&m.key, &mut Trace::disabled()).is_none());
+        assert!(b.get(&m.key, &mut Trace::disabled(), None).is_none());
         let counts: Vec<u64> = b.op_durations().map(|(_, h)| h.snapshot().count).collect();
         assert_eq!(counts, [1, 2, 1], "one put, two store reads, one delete");
     }

@@ -11,7 +11,7 @@
 //! at 4 KiB bodies, for nothing.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Call before inserting one entry into a map that lives under churn.
 /// When the map has no free slot left — the next insert would make it
@@ -23,7 +23,7 @@ use std::hash::Hash;
 /// of the heap: one table's worth of resident memory wasted per map.)
 /// At least `len / 2` inserts pass between calls that do anything, so
 /// the cost stays amortised O(1) per insert.
-pub(crate) fn reserve_one<K: Eq + Hash, V>(map: &mut HashMap<K, V>) {
+pub(crate) fn reserve_one<K: Eq + Hash, V, S: BuildHasher>(map: &mut HashMap<K, V, S>) {
     if map.capacity() > map.len() {
         return;
     }

@@ -19,11 +19,10 @@
 use crate::churn::reserve_one;
 use crate::clock::Clock;
 use crate::entry::EntryMeta;
-use crate::key::CacheKey;
+use crate::key::{CacheKey, KeyMap};
 use crate::node::NodeId;
 use crate::policy::{PolicyKind, VictimIndex};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// Result of a directory lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +80,7 @@ pub struct Eviction {
 /// One node's table. Only the local node's is evicted from, so only it
 /// carries replacement state.
 struct Table {
-    entries: HashMap<CacheKey, EntryMeta>,
+    entries: KeyMap<EntryMeta>,
     victims: Option<VictimIndex>,
 }
 
@@ -128,7 +127,7 @@ impl CacheDirectory {
             tables: (0..num_nodes)
                 .map(|i| {
                     RwLock::new(Table {
-                        entries: HashMap::new(),
+                        entries: KeyMap::default(),
                         victims: (i == local.index()).then(|| VictimIndex::new(policy)),
                     })
                 })
@@ -164,22 +163,52 @@ impl CacheDirectory {
     /// (but not removed here; the purge pass owns removal so that file
     /// deletion and delete-broadcasts happen in one place).
     pub fn classify(&self, key: &CacheKey) -> Classification {
-        let now = self.clock.unix_now();
         {
             let local = self.tables[self.local.index()].read();
             if let Some(meta) = local.entries.get(key) {
-                if !meta.is_expired_at(now) {
+                if self.live(meta) {
                     return Classification::Local(meta.clone());
                 }
             }
         }
+        self.classify_remote(key)
+    }
+
+    /// [`classify`](Self::classify) for a lookup that serves a local
+    /// entry it finds: the entry's hit is recorded with the policy at
+    /// logical time `seq()`, under the one lock that found it.
+    pub fn classify_for_hit(&self, key: &CacheKey, seq: impl FnOnce() -> u64) -> Classification {
+        {
+            let mut local = self.tables[self.local.index()].write();
+            let Table { entries, victims } = &mut *local;
+            if let Some(meta) = entries.get_mut(key) {
+                if self.live(meta) {
+                    match victims {
+                        Some(victims) => victims.on_hit(meta, seq()),
+                        None => meta.record_hit(seq()),
+                    }
+                    return Classification::Local(meta.clone());
+                }
+            }
+        }
+        self.classify_remote(key)
+    }
+
+    /// Whether `meta` has not expired. The clock is read only for an
+    /// entry that can expire.
+    fn live(&self, meta: &EntryMeta) -> bool {
+        meta.expires_unix.is_none() || !meta.is_expired_at(self.clock.unix_now())
+    }
+
+    /// The first remote table holding a live entry for `key`.
+    fn classify_remote(&self, key: &CacheKey) -> Classification {
         for (i, table) in self.tables.iter().enumerate() {
             if i == self.local.index() {
                 continue;
             }
             let t = table.read();
             if let Some(meta) = t.entries.get(key) {
-                if !meta.is_expired_at(now) {
+                if self.live(meta) {
                     return Classification::Remote(meta.clone());
                 }
             }

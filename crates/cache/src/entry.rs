@@ -3,6 +3,7 @@
 use crate::clock::Clock;
 use crate::key::CacheKey;
 use crate::node::NodeId;
+use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Metadata about one cached CGI result.
@@ -20,8 +21,9 @@ pub struct EntryMeta {
     pub owner: NodeId,
     /// Body size in bytes.
     pub size: u64,
-    /// `Content-Type` to serve the cached body with.
-    pub content_type: String,
+    /// `Content-Type` to serve the cached body with, shared by every
+    /// copy of the entry.
+    pub content_type: Arc<str>,
     /// CGI execution time that this entry saves, in microseconds.
     /// Replacement policies use it as the recomputation cost.
     pub exec_micros: u64,
@@ -46,7 +48,7 @@ impl EntryMeta {
         key: CacheKey,
         owner: NodeId,
         size: u64,
-        content_type: impl Into<String>,
+        content_type: impl Into<Arc<str>>,
         exec_micros: u64,
         ttl: Option<Duration>,
         seq: u64,
@@ -60,7 +62,7 @@ impl EntryMeta {
         key: CacheKey,
         owner: NodeId,
         size: u64,
-        content_type: impl Into<String>,
+        content_type: impl Into<Arc<str>>,
         exec_micros: u64,
         seq: u64,
     ) -> Self {

@@ -11,10 +11,9 @@
 //! last holder finishes, so overlapping holders never clobber each
 //! other's marker.
 
-use crate::key::CacheKey;
+use crate::key::{CacheKey, KeyMap};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -161,14 +160,14 @@ pub(crate) enum Joined {
 
 /// Every key in flight on this node.
 pub(crate) struct Flights {
-    holders: Mutex<HashMap<CacheKey, Holders>>,
+    holders: Mutex<KeyMap<Holders>>,
     coalesce: bool,
 }
 
 impl Flights {
     pub(crate) fn new(coalesce: bool) -> Flights {
         Flights {
-            holders: Mutex::new(HashMap::new()),
+            holders: Mutex::new(KeyMap::default()),
             coalesce,
         }
     }

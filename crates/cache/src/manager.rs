@@ -24,7 +24,7 @@ use crate::store::Store;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use swala_obs::{HeatSketch, MetricsRegistry, Stage, Trace};
 
 /// How long a coalesced request waits for the leader's body before it
@@ -274,8 +274,13 @@ impl CacheManager {
     /// read means the store lost the body: the entry leaves the table and
     /// the tier, unannounced — a peer that asks for it gets a false hit
     /// and repairs its own directory.
-    fn serve_local(&self, key: &CacheKey, trace: &mut Trace) -> Option<(Arc<[u8]>, BodyTier)> {
-        let Some(read) = self.bodies.get(key, trace) else {
+    fn serve_local(
+        &self,
+        key: &CacheKey,
+        trace: &mut Trace,
+        started: Option<Instant>,
+    ) -> Option<(Arc<[u8]>, BodyTier)> {
+        let Some(read) = self.bodies.get(key, trace, started) else {
             self.remove_local(key);
             return None;
         };
@@ -293,28 +298,33 @@ impl CacheManager {
     }
 
     /// [`lookup`](Self::lookup) with rules / dir-lookup / mem-tier /
-    /// store-read spans recorded on `trace` (no-ops when disabled).
+    /// store-read spans recorded on `trace` (no-ops when disabled). Each
+    /// span starts where the last one ended — the rules span where the
+    /// request's previous stage (its parse) did — so a hit's three spans
+    /// cost three clock reads.
     pub fn lookup_traced(&self, key: &CacheKey, path: &str, trace: &mut Trace) -> LookupResult {
-        let t0 = trace.start_span();
+        let t0 = trace.resume_span();
         let decision = self.rules.decide(path);
-        trace.end_span(Stage::Rules, t0);
+        let t1 = trace.end_span(Stage::Rules, t0);
         if decision == CacheDecision::Uncacheable {
             CacheStats::bump(&self.stats.uncacheable);
             return LookupResult::Uncacheable;
         }
         CacheStats::bump(&self.stats.lookups);
-        self.heat.observe(key.as_str(), 0);
-        let t0 = trace.start_span();
-        let classification = self.directory.classify(key);
-        trace.end_span(Stage::DirLookup, t0);
+        self.heat.observe_hashed(key.keyed_hash(), key.shared(), 0);
+        let classification = self.directory.classify_for_hit(key, || self.next_seq());
+        let t2 = trace.end_span(Stage::DirLookup, t1);
         match classification {
-            Classification::Local(meta) => match self.serve_local(key, trace) {
+            Classification::Local(meta) => match self.bodies.get(key, trace, t2) {
                 Some((body, tier)) => {
                     CacheStats::bump(&self.stats.local_hits);
                     LookupResult::LocalHit { meta, body, tier }
                 }
                 // The store lost the body: the entry is healed away.
-                None => self.note_miss(key, decision),
+                None => {
+                    self.remove_local(key);
+                    self.note_miss(key, decision)
+                }
             },
             Classification::Remote(meta) => {
                 CacheStats::bump(&self.stats.remote_hits);
@@ -418,7 +428,8 @@ impl CacheManager {
         }
         // Attribute the execution's cost to the key's heat-sketch slot
         // (only if the key is still monitored — no count is added).
-        self.heat.add_cost(key.as_str(), exec.as_micros() as u64);
+        self.heat
+            .add_cost(key.keyed_hash(), key.as_str(), exec.as_micros() as u64);
         if !decision.should_insert(exec) || body.len() + content_type.len() > MAX_CACHED_RESULT {
             CacheStats::bump(&self.stats.discards);
             return Ok(InsertOutcome::Discarded);
@@ -523,9 +534,9 @@ impl CacheManager {
     ) -> Option<(EntryMeta, Arc<[u8]>)> {
         let t0 = trace.start_span();
         let meta = self.directory.get(self.local, key);
-        trace.end_span(Stage::DirLookup, t0);
+        let t1 = trace.end_span(Stage::DirLookup, t0);
         let meta = meta?;
-        self.serve_local(key, trace)
+        self.serve_local(key, trace, t1)
             .map(|(body, _tier)| (meta, body))
     }
 

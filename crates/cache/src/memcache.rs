@@ -30,7 +30,10 @@
 //!
 //! Eviction is LRU over a *byte* budget (the directory's entry-count
 //! capacity is about metadata; body bytes are what memory pressure is
-//! made of). Evicting a key only releases bytes once no other key
+//! made of). A hit only stamps its entry: the recency order files each
+//! key under an earlier stamp, and eviction re-files a key whose stamp
+//! moved on before taking the next oldest, so a hit costs no ordering
+//! work and eviction still takes exactly the least recently used key. Evicting a key only releases bytes once no other key
 //! references the same body. Bodies larger than the whole budget are
 //! simply not admitted — they stay disk-only rather than wiping the
 //! tier (unless the bytes are already resident via another key, in
@@ -38,7 +41,7 @@
 
 use crate::churn::reserve_one;
 use crate::digest::Digest;
-use crate::key::CacheKey;
+use crate::key::{CacheKey, KeyMap};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -56,12 +59,23 @@ pub struct MemCache {
     inner: Mutex<Inner>,
 }
 
+/// A key's resident body.
+struct Resident {
+    digest: Digest,
+    body: Arc<[u8]>,
+    /// The stamp `recency` files the key under.
+    filed: u64,
+    /// The stamp of its latest use (≥ `filed`).
+    used: u64,
+}
+
 struct Inner {
-    /// Key → (digest of its body, current recency stamp).
-    entries: HashMap<CacheKey, (Digest, u64)>,
+    /// Key → its body and recency stamps.
+    entries: KeyMap<Resident>,
     /// Digest → (shared body, number of keys referencing it).
     bodies: HashMap<Digest, (Arc<[u8]>, usize)>,
-    /// Recency order: lowest stamp = least recently used.
+    /// Recency order by filed stamp: lowest = least recently used once
+    /// keys used since they were filed have been re-filed.
     recency: BTreeMap<u64, CacheKey>,
     /// Monotonic stamp source.
     tick: u64,
@@ -73,17 +87,33 @@ impl Inner {
     /// Drop `key`'s mapping (if any) and release its body reference.
     /// Returns the bytes freed (0 while other keys still share the body).
     fn unlink(&mut self, key: &CacheKey) -> u64 {
-        let Some((digest, stamp)) = self.entries.remove(key) else {
+        let Some(gone) = self.entries.remove(key) else {
             return 0;
         };
-        self.recency.remove(&stamp);
-        let (_, refs) = self.bodies.get_mut(&digest).expect("entry has a body");
+        self.recency.remove(&gone.filed);
+        let (_, refs) = self.bodies.get_mut(&gone.digest).expect("entry has a body");
         *refs -= 1;
         if *refs == 0 {
-            let (body, _) = self.bodies.remove(&digest).expect("just seen");
+            let (body, _) = self.bodies.remove(&gone.digest).expect("just seen");
             body.len() as u64
         } else {
             0
+        }
+    }
+
+    /// The least recently used key, re-filing on the way every older
+    /// key that has been used since it was filed.
+    fn least_recent(&mut self) -> Option<CacheKey> {
+        loop {
+            let (&filed, key) = self.recency.first_key_value()?;
+            let entry = self.entries.get_mut(key).expect("filed keys are resident");
+            if entry.used == filed {
+                return Some(key.clone());
+            }
+            let used = entry.used;
+            entry.filed = used;
+            let key = self.recency.remove(&filed).expect("just seen");
+            self.recency.insert(used, key);
         }
     }
 }
@@ -95,7 +125,7 @@ impl MemCache {
             budget,
             bytes: Arc::new(Gauge::new()),
             inner: Mutex::new(Inner {
-                entries: HashMap::new(),
+                entries: KeyMap::default(),
                 bodies: HashMap::new(),
                 recency: BTreeMap::new(),
                 tick: 0,
@@ -121,15 +151,11 @@ impl MemCache {
         let tick = inner.tick + 1;
         inner.tick = tick;
         let generation = inner.generation;
-        let Some((digest, stamp)) = inner.entries.get_mut(key) else {
+        let Some(entry) = inner.entries.get_mut(key) else {
             return Err(generation);
         };
-        let digest = *digest;
-        let old = std::mem::replace(stamp, tick);
-        inner.recency.remove(&old);
-        inner.recency.insert(tick, key.clone());
-        let (body, _) = inner.bodies.get(&digest).expect("entry has a body");
-        Ok(Arc::clone(body))
+        entry.used = tick;
+        Ok(Arc::clone(&entry.body))
     }
 
     /// Insert (or replace) a body, evicting least-recently-used keys
@@ -177,10 +203,9 @@ impl MemCache {
             return false;
         }
         while self.bytes.get() as usize + needed > self.budget {
-            let Some((&oldest, _)) = inner.recency.iter().next() else {
+            let Some(victim) = inner.least_recent() else {
                 break;
             };
-            let victim = inner.recency[&oldest].clone();
             let freed = inner.unlink(&victim);
             if freed > 0 {
                 self.bytes.sub(freed);
@@ -188,16 +213,26 @@ impl MemCache {
         }
         let tick = inner.tick + 1;
         inner.tick = tick;
-        match inner.bodies.get_mut(&digest) {
-            Some((_, refs)) => *refs += 1,
+        let body = match inner.bodies.get_mut(&digest) {
+            Some((resident, refs)) => {
+                *refs += 1;
+                Arc::clone(resident)
+            }
             None => {
                 self.bytes.add(body.len() as u64);
                 reserve_one(&mut inner.bodies);
-                inner.bodies.insert(digest, (body, 1));
+                inner.bodies.insert(digest, (Arc::clone(&body), 1));
+                body
             }
-        }
+        };
         reserve_one(&mut inner.entries);
-        inner.entries.insert(key.clone(), (digest, tick));
+        let resident = Resident {
+            digest,
+            body,
+            filed: tick,
+            used: tick,
+        };
+        inner.entries.insert(key.clone(), resident);
         inner.recency.insert(tick, key.clone());
         shared
     }
@@ -274,6 +309,59 @@ mod tests {
         let b = body("shared");
         insert(&m, &k, Arc::clone(&b));
         assert!(Arc::ptr_eq(&m.get(&k).unwrap(), &b));
+    }
+
+    #[test]
+    fn lazy_refiling_evicts_exactly_what_an_eager_lru_would() {
+        // The model: keys in use order, oldest first, each with its size;
+        // every body distinct, so bytes are the sum over resident keys.
+        let mut model: Vec<(String, usize)> = Vec::new();
+        let m = MemCache::new(40);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for step in 0..20_000 {
+            let k = format!("/k{}", next(12));
+            match next(3) {
+                0 => {
+                    let len = 1 + next(12) as usize;
+                    let bytes = format!("{k}:{step}:{}", "x".repeat(len));
+                    let len = bytes.len();
+                    insert(&m, &key(&k), body(&bytes));
+                    model.retain(|(mk, _)| *mk != k);
+                    if len <= 40 {
+                        while model.iter().map(|(_, l)| l).sum::<usize>() + len > 40 {
+                            model.remove(0);
+                        }
+                        model.push((k, len));
+                    }
+                }
+                1 => {
+                    let hit = m.get(&key(&k)).is_some();
+                    let at = model.iter().position(|(mk, _)| *mk == k);
+                    assert_eq!(hit, at.is_some(), "step {step}: get {k}");
+                    if let Some(at) = at {
+                        let used = model.remove(at);
+                        model.push(used);
+                    }
+                }
+                _ => {
+                    m.remove(&key(&k));
+                    model.retain(|(mk, _)| *mk != k);
+                }
+            }
+            assert_eq!(
+                m.bytes(),
+                model.iter().map(|(_, l)| l).sum::<usize>(),
+                "step {step}"
+            );
+            assert_eq!(keys(&m), model.len(), "step {step}");
+            assert_eq!(m.inner.lock().recency.len(), model.len(), "step {step}");
+        }
     }
 
     #[test]

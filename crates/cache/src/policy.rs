@@ -43,6 +43,7 @@ use crate::key::CacheKey;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::str::FromStr;
 
 /// Which replacement algorithm to run.
@@ -269,7 +270,11 @@ impl VictimIndex {
 
     /// `entry` is a fresh insertion about to join `table`: apply the
     /// policy's insert hook, then index it.
-    pub fn on_insert(&mut self, entry: &mut EntryMeta, table: &HashMap<CacheKey, EntryMeta>) {
+    pub fn on_insert<S: BuildHasher>(
+        &mut self,
+        entry: &mut EntryMeta,
+        table: &HashMap<CacheKey, EntryMeta, S>,
+    ) {
         self.policy.on_insert(entry);
         self.track(entry, table);
     }
@@ -278,7 +283,11 @@ impl VictimIndex {
     /// stands, e.g. a snapshot load. Without evictions to drain it —
     /// TTL churn below capacity — the heap would collect one dead
     /// snapshot per removed entry, hence the bound.
-    pub fn track(&mut self, entry: &EntryMeta, table: &HashMap<CacheKey, EntryMeta>) {
+    pub fn track<S: BuildHasher>(
+        &mut self,
+        entry: &EntryMeta,
+        table: &HashMap<CacheKey, EntryMeta, S>,
+    ) {
         if self.heap.len() >= Self::bound(table.len()) {
             self.rebuild(table);
         }
@@ -305,7 +314,10 @@ impl VictimIndex {
     }
 
     /// Remove and return the entry of `table` the policy ranks lowest.
-    pub fn evict_one(&mut self, table: &mut HashMap<CacheKey, EntryMeta>) -> Option<EntryMeta> {
+    pub fn evict_one<S: BuildHasher>(
+        &mut self,
+        table: &mut HashMap<CacheKey, EntryMeta, S>,
+    ) -> Option<EntryMeta> {
         loop {
             let Some(Reverse(top)) = self.heap.pop() else {
                 debug_assert!(table.is_empty(), "live entries the index never saw");
@@ -342,7 +354,7 @@ impl VictimIndex {
         }
     }
 
-    fn rebuild(&mut self, table: &HashMap<CacheKey, EntryMeta>) {
+    fn rebuild<S: BuildHasher>(&mut self, table: &HashMap<CacheKey, EntryMeta, S>) {
         let fresh: Vec<_> = table.values().map(|e| Reverse(self.snapshot(e))).collect();
         self.heap = fresh.into();
     }

@@ -94,7 +94,7 @@ impl RecoveredEntry {
             key: self.key,
             owner,
             size: self.size,
-            content_type: self.content_type,
+            content_type: self.content_type.into(),
             exec_micros: self.exec_micros,
             expires_unix: self.expires_unix,
             created_unix: self.created_unix,
@@ -176,7 +176,7 @@ pub struct HeaderMeta {
 impl From<&EntryMeta> for HeaderMeta {
     fn from(m: &EntryMeta) -> Self {
         HeaderMeta {
-            content_type: m.content_type.clone(),
+            content_type: m.content_type.to_string(),
             exec_micros: m.exec_micros,
             expires_unix: m.expires_unix,
             created_unix: m.created_unix,

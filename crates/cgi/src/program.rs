@@ -37,8 +37,8 @@ impl CgiRequest {
     ) -> Self {
         CgiRequest {
             method: req.method,
-            script_name: req.target.path.clone(),
-            query_string: req.target.query.clone().unwrap_or_default(),
+            script_name: req.target.path.to_string(),
+            query_string: req.target.query.as_deref().unwrap_or_default().to_string(),
             query_pairs: req.target.query_pairs(),
             body: req.body.clone(),
             remote_addr: remote_addr.to_string(),

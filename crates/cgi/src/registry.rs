@@ -66,13 +66,16 @@ impl ProgramRegistry {
     /// * `None` if the path is not under the dynamic prefix (static file).
     /// * `Some(None)` if it is dynamic but no such program exists (404).
     /// * `Some(Some(p))` on success.
-    pub fn resolve(&self, path: &str) -> Option<Option<Arc<dyn Program>>> {
+    ///
+    /// The program is lent, not cloned: a request does not touch the
+    /// reference count every other request shares.
+    pub fn resolve(&self, path: &str) -> Option<Option<&Arc<dyn Program>>> {
         let rest = path.strip_prefix(&self.prefix)?;
         let name = rest.split('/').next().unwrap_or("");
         if name.is_empty() {
             return Some(None);
         }
-        Some(self.programs.get(name).cloned())
+        Some(self.programs.get(name))
     }
 }
 

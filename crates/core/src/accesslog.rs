@@ -124,7 +124,7 @@ pub fn format_clf(
         t.minute,
         t.second,
         req.method,
-        req.target.cache_key_string(),
+        req.target.cache_key(),
         req.version,
         resp.status.as_u16(),
         resp.body.len(),
@@ -153,7 +153,7 @@ pub fn format_json(
         t.minute,
         t.second,
         req.method,
-        json_escape(&req.target.cache_key_string()),
+        json_escape(req.target.cache_key()),
         req.version,
         resp.status.as_u16(),
         resp.body.len(),
@@ -197,7 +197,7 @@ mod tests {
     use std::time::{Duration, UNIX_EPOCH};
     use swala_http::{Method, StatusCode};
 
-    fn sample() -> (Request, Response) {
+    fn sample() -> (Request<'static>, Response) {
         let req = Request::get("/cgi-bin/adl?id=1&ms=5").unwrap();
         let resp = Response::ok("text/html", vec![b'x'; 2048]);
         (req, resp)

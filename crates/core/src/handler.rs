@@ -164,7 +164,13 @@ impl NodeContext {
     /// Close a served request's trace and write its access-log line.
     /// The line is the trace summary's only reader, so the summary is
     /// formatted only when a log is configured.
-    pub(crate) fn finish_request(&self, peer: &str, req: &Request, resp: &Response, trace: Trace) {
+    pub(crate) fn finish_request(
+        &self,
+        peer: &str,
+        req: &Request<'_>,
+        resp: &Response,
+        trace: Trace,
+    ) {
         match &self.access_log {
             Some(log) => {
                 let summary = self.telemetry.finish(trace);
@@ -175,24 +181,23 @@ impl NodeContext {
     }
 }
 
-/// Handle one parsed request, producing the response to write. `target`
-/// is `req.target.cache_key_string()`, formatted once by the connection
-/// loop for the trace and reused here as the cache key. Spans and the
-/// cache outcome land on `trace`; the connection loop finishes the trace
-/// after the response write (and writes the access-log line, which
-/// carries the trace summary).
+/// Handle one parsed request, producing the response to write. `key` is
+/// made from `req.target.cache_key()` once by the connection loop, which
+/// shares its text with the trace. Spans and the cache outcome land on
+/// `trace`; the connection loop finishes the trace after the response
+/// write (and writes the access-log line, which carries the trace
+/// summary).
 pub fn handle_request(
     ctx: &NodeContext,
-    req: &Request,
-    target: &str,
+    req: &Request<'_>,
+    key: CacheKey,
     remote_addr: &str,
     trace: &mut Trace,
 ) -> Response {
     RequestStats::bump(&ctx.stats.requests);
-    let mut resp = route(ctx, req, target, remote_addr, trace);
+    let mut resp = route(ctx, req, key, remote_addr, trace);
     resp.set_server(SERVER_NAME);
-    resp.headers
-        .set("Date", swala_http::date::http_date_cached());
+    resp.set_date_now();
     if resp.status.is_client_error() {
         RequestStats::bump(&ctx.stats.client_errors);
     } else if resp.status.is_server_error() {
@@ -204,8 +209,8 @@ pub fn handle_request(
 
 fn route(
     ctx: &NodeContext,
-    req: &Request,
-    target: &str,
+    req: &Request<'_>,
+    key: CacheKey,
     remote_addr: &str,
     trace: &mut Trace,
 ) -> Response {
@@ -217,7 +222,7 @@ fn route(
     }
     if ctx.registry.is_dynamic(path) {
         RequestStats::bump(&ctx.stats.dynamic);
-        return handle_dynamic(ctx, req, target, remote_addr, trace);
+        return handle_dynamic(ctx, req, key, remote_addr, trace);
     }
     RequestStats::bump(&ctx.stats.static_files);
     trace.set_outcome(Outcome::Static);
@@ -232,7 +237,7 @@ fn route(
 /// the branches that execute: a hit never pays for a run it skips.
 struct Exec<'a> {
     program: &'a dyn Program,
-    req: &'a Request,
+    req: &'a Request<'a>,
     remote_addr: &'a str,
 }
 
@@ -245,8 +250,8 @@ impl Exec<'_> {
 /// The dynamic-request flow of Figure 2.
 fn handle_dynamic(
     ctx: &NodeContext,
-    req: &Request,
-    target: &str,
+    req: &Request<'_>,
+    key: CacheKey,
     remote_addr: &str,
     trace: &mut Trace,
 ) -> Response {
@@ -271,7 +276,6 @@ fn handle_dynamic(
         return execute_plain(ctx, exec, tag, trace);
     }
 
-    let key = CacheKey::new(target);
     match ctx.manager.lookup_traced(&key, key.as_str(), trace) {
         LookupResult::Uncacheable => execute_plain(ctx, exec, cache_header::UNCACHEABLE, trace),
         LookupResult::LocalHit { meta, body, tier } => {
@@ -410,9 +414,11 @@ fn serve_from_owner(
                     // `t0` is None exactly when obs is off, and the sketch
                     // is disabled then.
                     if let Some(t0) = t0 {
-                        ctx.manager
-                            .heat()
-                            .add_cost(key.as_str(), t0.elapsed().as_micros() as u64);
+                        ctx.manager.heat().add_cost(
+                            key.keyed_hash(),
+                            key.as_str(),
+                            t0.elapsed().as_micros() as u64,
+                        );
                     }
                     let body: Body = ctx.manager.complete_remote_serve(&key, &content_type, body);
                     return tagged(Response::ok(&content_type, body), cache_header::REMOTE_HIT);

@@ -8,14 +8,19 @@
 //! The threads and the parked connections are a [`ConnPool`]; this module
 //! is the HTTP port's keep-alive request loop, which parks a connection
 //! only on [`Fill::Idle`] and drops it after [`KEEP_ALIVE_IDLE`] idle.
+//!
+//! A request is parsed where it lies in the connection's read buffer and
+//! answered before the buffer moves on ([`respond`]), so its fields are
+//! never copied out.
 
 use crate::handler::{handle_request, response_body_allowed, NodeContext};
 use crate::stats::RequestStats;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use swala_cache::CacheKey;
 use swala_http::{try_parse_request, ParseStatus, Request, Response, StatusCode};
 use swala_obs::Stage;
 use swala_proto::conn_pool::{Conn, ConnPool, Port, PortConfig, Reads, Service, READ_TICK};
@@ -60,29 +65,33 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
-/// The next request on a connection, and when its first byte was seen.
-enum Next {
-    Request(Request, Instant),
+/// How waiting for the next request on a connection ended.
+enum Next<T> {
+    /// A request arrived and `serve` answered it with this.
+    Served(T),
     /// Idle with nothing buffered, and waiting here would hold up others.
     Park,
     /// Answer with this status (if any) and close.
     Close(Option<StatusCode>),
 }
 
-/// Wait for one whole request. Until its first byte arrives a read
-/// timeout is idleness (shutdown and the keep-alive limit are checked
-/// each tick, and `linger` — asked before each such read, with the stream
-/// to prepare — says whether to keep waiting here or park); after it, the
-/// reader keeps reading until the client has stalled for
-/// [`KEEP_ALIVE_IDLE`] — answered 408, since restarting the parse would
-/// drop bytes already consumed. Pipelined bytes left over by the previous
-/// parse are parsed before any read.
-fn next_request<R: Read>(
+/// Wait for one whole request and hand it to `serve`, with the instant
+/// its first byte was seen. The request borrows the reader's buffer,
+/// whose bytes are consumed once `serve` returns. Until its first byte
+/// arrives a read timeout is idleness (shutdown and the keep-alive limit
+/// are checked each tick, and `linger` — asked before each such read,
+/// with the stream to prepare — says whether to keep waiting here or
+/// park); after it, the reader keeps reading until the client has stalled
+/// for [`KEEP_ALIVE_IDLE`] — answered 408, since restarting the parse
+/// would drop bytes already consumed. Pipelined bytes left over by the
+/// previous parse are parsed before any read.
+fn next_request<R: Read, T>(
     reader: &mut PatientReader<R>,
     idle_connections: &swala_obs::Gauge,
     mut linger: impl FnMut(&mut R) -> bool,
     shutdown: &AtomicBool,
-) -> Next {
+    serve: impl FnOnce(&Request<'_>, Instant) -> T,
+) -> Next<T> {
     let stop = || shutdown.load(Ordering::Acquire);
     let mut started = (!reader.buffer().is_empty()).then(Instant::now);
     let mut idle_gauge = started.is_none().then(|| {
@@ -94,8 +103,10 @@ fn next_request<R: Read>(
         if let Some(started) = started {
             match try_parse_request(reader.buffer()) {
                 ParseStatus::Complete { request, consumed } => {
+                    let served = serve(&request, started);
+                    request.recycle();
                     reader.consume(consumed);
-                    return Next::Request(request, started);
+                    return Next::Served(served);
                 }
                 ParseStatus::Partial => {}
                 ParseStatus::Error(e) => return Next::Close(e.response_status()),
@@ -128,6 +139,35 @@ fn next_request<R: Read>(
     }
 }
 
+/// Answer one parsed request on `out`, whose first byte arrived at
+/// `started`: the request's one key, its trace, the response, the write,
+/// and the trace's end. Returns whether the connection stays open.
+///
+/// The key text is allocated once and shared by the cache lookup and the
+/// trace; the response head is written into the thread's reused buffer.
+pub fn respond<W: Write>(
+    ctx: &NodeContext,
+    req: &Request<'_>,
+    started: Instant,
+    peer: &str,
+    out: &mut W,
+) -> bool {
+    let keep = req.keep_alive();
+    let parse_end = Instant::now();
+    let key = CacheKey::new(req.target.cache_key());
+    let mut trace = ctx.telemetry.begin_trace(Arc::clone(key.shared()), started);
+    trace.record_span(Stage::Parse, started, parse_end);
+    let mut resp = handle_request(ctx, req, key, peer, &mut trace);
+    resp.version = req.version;
+    resp.set_keep_alive(keep);
+    let t0 = trace.start_span();
+    let written = resp.write_to(out, response_body_allowed(req.method));
+    trace.end_span(Stage::ResponseWrite, t0);
+    ctx.finish_request(peer, req, &resp, trace);
+    resp.recycle();
+    written.is_ok() && keep
+}
+
 /// The HTTP port.
 impl Service for NodeContext {
     /// A connection's keep-alive request loop: per request, one read (when
@@ -140,34 +180,24 @@ impl Service for NodeContext {
         let idle_connections = &ctx.engine_stats.idle_connections;
         let linger = |reads: &mut Reads| port.linger(reads);
         loop {
-            let (req, attempt_start) =
-                match next_request(&mut reader, idle_connections, linger, port.stop_flag()) {
-                    Next::Request(req, started) => (req, started),
-                    Next::Park => return true,
-                    Next::Close(status) => {
-                        if let Some(status) = status {
-                            let mut resp = Response::error(status);
-                            resp.set_keep_alive(false);
-                            resp.set_server(crate::handler::SERVER_NAME);
-                            let _ = resp.write_to(&mut writer, true);
-                        }
-                        return false;
-                    }
-                };
-            let keep = req.keep_alive();
-            let parse_end = Instant::now();
-            let target = req.target.cache_key_string();
-            let mut trace = ctx.telemetry.begin_trace(&target, attempt_start);
-            trace.record_span(Stage::Parse, attempt_start, parse_end);
-            let mut resp = handle_request(ctx, &req, &target, peer, &mut trace);
-            resp.version = req.version;
-            resp.set_keep_alive(keep);
-            let t0 = trace.start_span();
-            let written = resp.write_to(&mut writer, response_body_allowed(req.method));
-            trace.end_span(Stage::ResponseWrite, t0);
-            ctx.finish_request(peer, &req, &resp, trace);
-            if written.is_err() || !keep {
-                return false;
+            let answer = |req: &Request<'_>, started| respond(ctx, req, started, peer, &mut writer);
+            match next_request(
+                &mut reader,
+                idle_connections,
+                linger,
+                port.stop_flag(),
+                answer,
+            ) {
+                Next::Served(true) => {}
+                Next::Served(false) | Next::Close(None) => return false,
+                Next::Park => return true,
+                Next::Close(Some(status)) => {
+                    let mut resp = Response::error(status);
+                    resp.set_keep_alive(false);
+                    resp.set_server(crate::handler::SERVER_NAME);
+                    let _ = resp.write_to(&mut writer, true);
+                    return false;
+                }
             }
         }
     }
@@ -209,9 +239,21 @@ mod tests {
     /// None is: a read that finds nothing parks the connection.
     const PARK: fn(&mut Script) -> bool = |_| false;
 
-    fn expect_request(next: Next) -> Request {
+    /// [`next_request`], serving with an owned copy of the request.
+    fn next<R: Read>(
+        reader: &mut PatientReader<R>,
+        idle_connections: &Gauge,
+        linger: impl FnMut(&mut R) -> bool,
+        shutdown: &AtomicBool,
+    ) -> Next<Request<'static>> {
+        next_request(reader, idle_connections, linger, shutdown, |req, _| {
+            req.clone().into_owned()
+        })
+    }
+
+    fn expect_request(next: Next<Request<'static>>) -> Request<'static> {
         match next {
-            Next::Request(req, _) => req,
+            Next::Served(req) => req,
             Next::Park => panic!("expected a request, got Park"),
             Next::Close(status) => panic!("expected a request, got Close({status:?})"),
         }
@@ -221,14 +263,14 @@ mod tests {
     fn a_whole_request_is_one_read_and_a_pipelined_burst_is_one_read_for_all_of_it() {
         let idle = Gauge::new();
         let mut r = reader([Some(GET_A.to_vec())]);
-        let req = expect_request(next_request(&mut r, &idle, LINGER, &running()));
+        let req = expect_request(next(&mut r, &idle, LINGER, &running()));
         assert_eq!(req.target.cache_key_string(), "/cgi-bin/a?x=1");
         assert_eq!(r.get_ref().reads(), 1);
 
         let mut r = reader([Some([GET_A, POST_B, GET_C].concat())]);
-        let a = expect_request(next_request(&mut r, &idle, LINGER, &running()));
-        let b = expect_request(next_request(&mut r, &idle, LINGER, &running()));
-        let c = expect_request(next_request(&mut r, &idle, LINGER, &running()));
+        let a = expect_request(next(&mut r, &idle, LINGER, &running()));
+        let b = expect_request(next(&mut r, &idle, LINGER, &running()));
+        let c = expect_request(next(&mut r, &idle, LINGER, &running()));
         assert_eq!(
             (a.method, b.method, c.target.path.as_str()),
             (Method::Get, Method::Post, "/c.html")
@@ -237,7 +279,7 @@ mod tests {
         assert_eq!(r.get_ref().reads(), 1, "the second and third were buffered");
         // Then the client hangs up: a silent close, one more read.
         assert!(matches!(
-            next_request(&mut r, &idle, LINGER, &running()),
+            next(&mut r, &idle, LINGER, &running()),
             Next::Close(None)
         ));
         assert_eq!(r.get_ref().reads(), 2);
@@ -252,7 +294,7 @@ mod tests {
         let mut steps = vec![None; ticks - 1];
         steps.push(Some(GET_A.to_vec()));
         let mut r = reader(steps);
-        expect_request(next_request(&mut r, &idle, LINGER, &running()));
+        expect_request(next(&mut r, &idle, LINGER, &running()));
         assert_eq!(r.get_ref().reads(), ticks);
         // The full limit of silence: closed without a reply, nothing
         // consumed, and the idle gauge is released.
@@ -260,7 +302,7 @@ mod tests {
         steps.push(Some(GET_A.to_vec()));
         let mut r = reader(steps);
         assert!(matches!(
-            next_request(&mut r, &idle, LINGER, &running()),
+            next(&mut r, &idle, LINGER, &running()),
             Next::Close(None)
         ));
         assert_eq!(r.get_ref().reads(), ticks);
@@ -283,23 +325,17 @@ mod tests {
         steps.push(Some(GET_C[5..].to_vec()));
         let mut r = reader(steps);
         // Nothing yet: parked after the one read, nothing consumed.
-        assert!(matches!(
-            next_request(&mut r, &idle, PARK, &running()),
-            Next::Park
-        ));
+        assert!(matches!(next(&mut r, &idle, PARK, &running()), Next::Park));
         assert_eq!(r.get_ref().reads(), 1);
         // Readiness: the first request, and the second has begun behind
         // it, so the silence after its head is a stall to ride out.
-        expect_request(next_request(&mut r, &idle, PARK, &running()));
-        let b = expect_request(next_request(&mut r, &idle, PARK, &running()));
+        expect_request(next(&mut r, &idle, PARK, &running()));
+        let b = expect_request(next(&mut r, &idle, PARK, &running()));
         assert_eq!(b.body, b"hello");
-        assert!(matches!(
-            next_request(&mut r, &idle, PARK, &running()),
-            Next::Park
-        ));
+        assert!(matches!(next(&mut r, &idle, PARK, &running()), Next::Park));
         assert!(r.buffer().is_empty());
         // Five bytes of a third, then silence: never parked.
-        let c = expect_request(next_request(&mut r, &idle, PARK, &running()));
+        let c = expect_request(next(&mut r, &idle, PARK, &running()));
         assert_eq!(c.target.path.as_str(), "/c.html");
         assert_eq!(idle.get(), 0);
     }
@@ -311,7 +347,7 @@ mod tests {
         let idle = Gauge::new();
         let mut r = reader([None, None, None, Some(GET_A.to_vec())]);
         let mut asked = 0;
-        let next = next_request(
+        let parked = next(
             &mut r,
             &idle,
             |_| {
@@ -320,9 +356,9 @@ mod tests {
             },
             &running(),
         );
-        assert!(matches!(next, Next::Park));
+        assert!(matches!(parked, Next::Park));
         assert_eq!((asked, r.get_ref().reads()), (3, 3));
-        expect_request(next_request(&mut r, &idle, PARK, &running()));
+        expect_request(next(&mut r, &idle, PARK, &running()));
     }
 
     #[test]
@@ -338,7 +374,7 @@ mod tests {
         steps.push(None);
         steps.push(Some(GET_A[30..].to_vec()));
         let mut r = reader(steps);
-        let req = expect_request(next_request(&mut r, &idle, LINGER, &running()));
+        let req = expect_request(next(&mut r, &idle, LINGER, &running()));
         assert_eq!(req.target.cache_key_string(), "/cgi-bin/a?x=1");
         assert_eq!(idle.get(), 0, "a request in progress is not idle");
     }
@@ -350,7 +386,7 @@ mod tests {
         // Idle: not even a read is issued.
         let mut r = reader([Some(GET_A.to_vec())]);
         assert!(matches!(
-            next_request(&mut r, &idle, LINGER, &stopping),
+            next(&mut r, &idle, LINGER, &stopping),
             Next::Close(None)
         ));
         assert_eq!(r.get_ref().reads(), 0);
@@ -360,7 +396,7 @@ mod tests {
         let mut r = reader([Some(GET_A[..9].to_vec()), None, Some(GET_A[9..].to_vec())]);
         assert_eq!(r.fill(KEEP_ALIVE_IDLE, || false).unwrap(), Fill::Data);
         assert!(matches!(
-            next_request(&mut r, &idle, LINGER, &stopping),
+            next(&mut r, &idle, LINGER, &stopping),
             Next::Close(None)
         ));
         assert_eq!(r.get_ref().reads(), 2);
@@ -372,13 +408,13 @@ mod tests {
         for wire in [&b""[..], &GET_A[..20]] {
             let mut r = reader([Some(wire.to_vec())]);
             assert!(matches!(
-                next_request(&mut r, &idle, LINGER, &running()),
+                next(&mut r, &idle, LINGER, &running()),
                 Next::Close(None)
             ));
         }
         let mut r = reader([Some(b"BREW / HTTP/1.0\r\n\r\n".to_vec())]);
         assert!(matches!(
-            next_request(&mut r, &idle, LINGER, &running()),
+            next(&mut r, &idle, LINGER, &running()),
             Next::Close(Some(StatusCode::NOT_IMPLEMENTED))
         ));
     }
@@ -429,7 +465,7 @@ mod tests {
             ),
             req.headers
                 .iter()
-                .map(|h| (h.name.clone(), h.value.clone()))
+                .map(|h| (h.name.to_string(), h.value.to_string()))
                 .collect(),
             req.body.clone(),
         )
@@ -484,8 +520,8 @@ mod tests {
             let idle = Gauge::new();
             let mut got: Served = (Vec::new(), None);
             loop {
-                match next_request(&mut r, &idle, |_| others_idle, &running()) {
-                    Next::Request(req, _) => got.0.push(digest(&req)),
+                match next(&mut r, &idle, |_| others_idle, &running()) {
+                    Next::Served(req) => got.0.push(digest(&req)),
                     Next::Park => {
                         prop_assert!(!others_idle);
                         prop_assert!(r.buffer().is_empty());

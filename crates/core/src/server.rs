@@ -401,6 +401,12 @@ impl SwalaServer {
         &self.ctx.fetch_pool
     }
 
+    /// The state this node's request threads share, for driving
+    /// [`crate::pool::respond`] without a socket.
+    pub fn context(&self) -> &Arc<NodeContext> {
+        &self.ctx
+    }
+
     /// The node's telemetry layer (metrics registry + trace ring).
     pub fn telemetry(&self) -> &Arc<swala_obs::Telemetry> {
         &self.ctx.telemetry

@@ -71,28 +71,62 @@ pub fn http_date_now() -> String {
     UtcDateTime::from_system_time(SystemTime::now()).to_rfc1123()
 }
 
-/// [`http_date_now`] with a per-second cache.
+/// The value of a `Date` header that means "the time the response is
+/// written": the head writer puts the current date in its place, from
+/// [`with_http_date`]'s cache, so setting it costs nothing per request.
+pub const NOW: &str = "now";
+
+#[repr(C)]
+struct Timespec {
+    secs: i64,
+    nanos: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, now: *mut Timespec) -> i32;
+}
+
+/// Unix seconds from the kernel's coarse wall clock: a read of the time
+/// of the last tick (a few ms old at most), far cheaper than a precise
+/// read, and precise enough for a clock that is shown in seconds.
+fn unix_seconds_coarse() -> u64 {
+    const CLOCK_REALTIME_COARSE: i32 = 5;
+    let mut now = Timespec { secs: 0, nanos: 0 };
+    // SAFETY: `now` is a valid, writable timespec for the call.
+    let failed = unsafe { clock_gettime(CLOCK_REALTIME_COARSE, &mut now) } != 0;
+    if failed || now.secs < 0 {
+        return SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap_or(Duration::ZERO)
+            .as_secs();
+    }
+    now.secs as u64
+}
+
+/// Call `f` with the current time formatted for a `Date:` header.
 ///
 /// Every response carries a `Date:` header, but the RFC 1123 string
-/// only changes once per second — so format once per tick and hand out
-/// clones, instead of one calendar conversion + format per request on
-/// the hot path.
-pub fn http_date_cached() -> String {
-    use std::sync::Mutex;
-    static CACHE: Mutex<Option<(u64, String)>> = Mutex::new(None);
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap_or(Duration::ZERO)
-        .as_secs();
-    let mut cached = CACHE.lock().unwrap_or_else(|p| p.into_inner());
-    match &*cached {
-        Some((at, text)) if *at == secs => text.clone(),
-        _ => {
-            let text = UtcDateTime::from_unix_seconds(secs as i64).to_rfc1123();
-            *cached = Some((secs, text.clone()));
-            text
-        }
+/// only changes once per second — so each thread formats it once per
+/// tick into a buffer of its own, with no lock and no allocation, from
+/// the coarse wall clock.
+pub(crate) fn with_http_date<R>(f: impl FnOnce(&[u8]) -> R) -> R {
+    use std::cell::Cell;
+    thread_local! {
+        static CACHE: Cell<(u64, [u8; 29])> = const { Cell::new((u64::MAX, [0; 29])) };
     }
+    let secs = unix_seconds_coarse();
+    let (at, mut text) = CACHE.get();
+    if at != secs {
+        let formatted = UtcDateTime::from_unix_seconds(secs as i64).to_rfc1123();
+        text.copy_from_slice(&formatted.as_bytes()[..29]);
+        CACHE.set((secs, text));
+    }
+    f(&text)
+}
+
+/// [`http_date_now`] from [`with_http_date`]'s per-thread cache.
+pub fn http_date_cached() -> String {
+    with_http_date(|text| String::from_utf8_lossy(text).into_owned())
 }
 
 /// Parse an RFC 1123 date (`Sun, 06 Nov 1994 08:49:37 GMT`) to Unix
@@ -200,6 +234,28 @@ mod tests {
         let s = http_date_now();
         assert!(s.ends_with(" GMT"));
         assert_eq!(s.len(), 29);
+    }
+
+    #[test]
+    fn the_coarse_clock_agrees_with_the_precise_one() {
+        let precise = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .unwrap()
+            .as_secs();
+        assert!(unix_seconds_coarse().abs_diff(precise) <= 1);
+    }
+
+    #[test]
+    fn the_cached_date_is_the_formatted_date() {
+        let cached = http_date_cached();
+        let fresh = http_date_now();
+        // The two reads may straddle a second boundary.
+        let (a, b) = (
+            parse_rfc1123(&cached).unwrap(),
+            parse_rfc1123(&fresh).unwrap(),
+        );
+        assert!(b >= a && b - a <= 1, "{cached} vs {fresh}");
+        assert_eq!(with_http_date(|t| t.len()), 29);
     }
 
     #[test]

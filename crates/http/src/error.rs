@@ -30,6 +30,9 @@ pub enum HttpError {
     ConnectionClosed { clean: bool },
     /// `Content-Length` was present but unparsable or contradictory.
     BadContentLength(String),
+    /// The request uses a feature this server does not implement (a
+    /// `Transfer-Encoding`).
+    Unsupported(&'static str),
 }
 
 impl HttpError {
@@ -47,7 +50,9 @@ impl HttpError {
         match self {
             HttpError::Io(_) | HttpError::ConnectionClosed { .. } => None,
             HttpError::TooLarge(_) => Some(StatusCode::PAYLOAD_TOO_LARGE),
-            HttpError::BadMethod(_) => Some(StatusCode::NOT_IMPLEMENTED),
+            HttpError::BadMethod(_) | HttpError::Unsupported(_) => {
+                Some(StatusCode::NOT_IMPLEMENTED)
+            }
             HttpError::BadVersion(_) => Some(StatusCode::VERSION_NOT_SUPPORTED),
             _ => Some(StatusCode::BAD_REQUEST),
         }
@@ -72,6 +77,7 @@ impl fmt::Display for HttpError {
                 )
             }
             HttpError::BadContentLength(v) => write!(f, "bad Content-Length: {v:?}"),
+            HttpError::Unsupported(what) => write!(f, "unsupported {what}"),
         }
     }
 }

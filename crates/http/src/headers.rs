@@ -1,14 +1,20 @@
 //! Case-insensitive, insertion-ordered header map.
+//!
+//! Names and values are `Cow`s: a parsed request's headers borrow the
+//! request bytes, and a response's fixed names and values (`Server`,
+//! `Connection`, `X-Swala-Cache`, common content types) are `'static`
+//! strings — neither side allocates a string per header.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A single header as parsed from or written to the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Header {
+pub struct Header<'a> {
     /// Field name with original casing preserved for writing.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Field value, with surrounding whitespace trimmed.
-    pub value: String,
+    pub value: Cow<'a, str>,
 }
 
 /// An ordered multimap of HTTP headers.
@@ -21,11 +27,11 @@ pub struct Header {
 /// With the `MAX_HEADERS` cap at 128 a linear scan beats a hash map here:
 /// requests in the Swala workloads carry fewer than ten headers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HeaderMap {
-    entries: Vec<Header>,
+pub struct HeaderMap<'a> {
+    entries: Vec<Header<'a>>,
 }
 
-impl HeaderMap {
+impl<'a> HeaderMap<'a> {
     /// Create an empty map.
     pub fn new() -> Self {
         HeaderMap {
@@ -33,6 +39,29 @@ impl HeaderMap {
         }
     }
 
+    /// An empty map over `entries`' allocation.
+    pub(crate) fn reusing(mut entries: Vec<Header<'a>>) -> Self {
+        entries.clear();
+        HeaderMap { entries }
+    }
+
+    /// The list's allocation, for [`reusing`](Self::reusing).
+    pub(crate) fn take_entries(&mut self) -> Vec<Header<'a>> {
+        std::mem::take(&mut self.entries)
+    }
+}
+
+/// `entries`' allocation, emptied, as a list that may outlive what its
+/// headers borrowed (the collect reuses the buffer in place).
+pub(crate) fn detached(mut entries: Vec<Header<'_>>) -> Vec<Header<'static>> {
+    entries.clear();
+    entries
+        .into_iter()
+        .map(|_| unreachable!("the list is empty"))
+        .collect()
+}
+
+impl<'a> HeaderMap<'a> {
     /// Number of header lines.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -44,7 +73,7 @@ impl HeaderMap {
     }
 
     /// Append a header, preserving any existing ones with the same name.
-    pub fn append(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn append(&mut self, name: impl Into<Cow<'a, str>>, value: impl Into<Cow<'a, str>>) {
         self.entries.push(Header {
             name: name.into(),
             value: value.into(),
@@ -52,10 +81,11 @@ impl HeaderMap {
     }
 
     /// Set a header, replacing every existing occurrence of the name.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        self.entries.retain(|h| !h.name.eq_ignore_ascii_case(name));
+    pub fn set(&mut self, name: impl Into<Cow<'a, str>>, value: impl Into<Cow<'a, str>>) {
+        let name = name.into();
+        self.entries.retain(|h| !h.name.eq_ignore_ascii_case(&name));
         self.entries.push(Header {
-            name: name.to_string(),
+            name,
             value: value.into(),
         });
     }
@@ -65,15 +95,15 @@ impl HeaderMap {
         self.entries
             .iter()
             .find(|h| h.name.eq_ignore_ascii_case(name))
-            .map(|h| h.value.as_str())
+            .map(|h| &*h.value)
     }
 
     /// All values for `name`, in insertion order.
-    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+    pub fn get_all<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'s str> + 's {
         self.entries
             .iter()
             .filter(move |h| h.name.eq_ignore_ascii_case(name))
-            .map(|h| h.value.as_str())
+            .map(|h| &*h.value)
     }
 
     /// Remove every occurrence of `name`; returns true if any was present.
@@ -89,39 +119,59 @@ impl HeaderMap {
     }
 
     /// Iterate over all headers in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Header> {
+    pub fn iter(&self) -> impl Iterator<Item = &Header<'a>> {
         self.entries.iter()
+    }
+
+    /// An owned copy that no longer borrows the request bytes.
+    pub fn into_owned(self) -> HeaderMap<'static> {
+        HeaderMap {
+            entries: self
+                .entries
+                .into_iter()
+                .map(|h| Header {
+                    name: Cow::Owned(h.name.into_owned()),
+                    value: Cow::Owned(h.value.into_owned()),
+                })
+                .collect(),
+        }
     }
 
     /// Parsed `Content-Length`, if present and syntactically valid.
     ///
-    /// Returns `Err` with the raw value when present but invalid, so the
-    /// caller can reject the request instead of silently mis-framing it.
+    /// Returns `Err` with the raw value when present but invalid — not
+    /// all digits, or repeated with different values — so the caller can
+    /// reject the request instead of silently mis-framing it.
     pub fn content_length(&self) -> Result<Option<usize>, String> {
-        match self.get("Content-Length") {
-            None => Ok(None),
-            Some(v) => v
-                .trim()
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| v.to_string()),
+        let mut length = None;
+        for v in self.get_all("Content-Length") {
+            length = Some(one_length(length, v).ok_or_else(|| v.to_string())?);
         }
+        Ok(length)
     }
 
     /// Evaluate keep-alive semantics for a message of version `version`.
     ///
-    /// HTTP/1.1 defaults to persistent unless `Connection: close`;
-    /// HTTP/1.0 defaults to close unless `Connection: keep-alive`.
+    /// `Connection` is a comma-separated token list and may be repeated:
+    /// a `close` token anywhere closes, else a `keep-alive` token keeps
+    /// the connection open, else the version decides — HTTP/1.1 persists,
+    /// HTTP/1.0 closes.
     pub fn keep_alive(&self, version: crate::Version) -> bool {
-        match self.get("Connection") {
-            Some(v) if v.eq_ignore_ascii_case("close") => false,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-            _ => version.default_keep_alive(),
+        let mut keep = version.default_keep_alive();
+        for value in self.get_all("Connection") {
+            for token in value.split(',') {
+                match token.trim_ascii().as_bytes() {
+                    t if t.eq_ignore_ascii_case(b"close") => return false,
+                    t if t.eq_ignore_ascii_case(b"keep-alive") => keep = true,
+                    _ => {}
+                }
+            }
         }
+        keep
     }
 }
 
-impl fmt::Display for HeaderMap {
+impl fmt::Display for HeaderMap<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for h in &self.entries {
             writeln!(f, "{}: {}", h.name, h.value)?;
@@ -130,30 +180,46 @@ impl fmt::Display for HeaderMap {
     }
 }
 
+/// One more `Content-Length` value, `value`, after `seen`: its length,
+/// or `None` when it is not all digits or differs from `seen`.
+pub(crate) fn one_length(seen: Option<usize>, value: &str) -> Option<usize> {
+    let digits = value.trim_ascii();
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let length = digits.parse::<usize>().ok()?;
+    seen.is_none_or(|seen| seen == length).then_some(length)
+}
+
 /// Parse one `name: value` header line (without the trailing CRLF).
 ///
 /// Returns `None` for syntactically invalid lines. Leading/trailing
 /// whitespace around the value is trimmed; the name must be a non-empty
-/// RFC 1945 token (no spaces, no control characters).
-pub fn parse_header_line(line: &str) -> Option<Header> {
-    let colon = line.find(':')?;
-    let (name, rest) = line.split_at(colon);
-    let value = &rest[1..];
-    if name.is_empty() || !name.bytes().all(is_token_byte) {
+/// RFC 1945 token (no spaces, no control characters). The header
+/// borrows `line`.
+pub fn parse_header_line(line: &str) -> Option<Header<'_>> {
+    let colon = line.bytes().position(|b| !TOKEN[b as usize])?;
+    if colon == 0 || line.as_bytes()[colon] != b':' {
         return None;
     }
     Some(Header {
-        name: name.to_string(),
-        value: value.trim().to_string(),
+        name: Cow::Borrowed(&line[..colon]),
+        value: Cow::Borrowed(line[colon + 1..].trim_ascii()),
     })
 }
 
 /// RFC 1945 token characters: printable ASCII minus separators.
-fn is_token_byte(b: u8) -> bool {
-    matches!(b,
-        b'!' | b'#' | b'$' | b'%' | b'&' | b'\'' | b'*' | b'+' | b'-' | b'.' |
-        b'^' | b'_' | b'`' | b'|' | b'~' | b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z')
-}
+static TOKEN: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = matches!(b as u8,
+            b'!' | b'#' | b'$' | b'%' | b'&' | b'\'' | b'*' | b'+' | b'-' | b'.' |
+            b'^' | b'_' | b'`' | b'|' | b'~' | b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z');
+        b += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
@@ -201,6 +267,14 @@ mod tests {
         assert!(h.content_length().is_err());
         h.set("Content-Length", "-1");
         assert!(h.content_length().is_err());
+        h.set("Content-Length", "+5");
+        assert!(h.content_length().is_err());
+        // Repeated: the same value is one length, different values none.
+        h.set("Content-Length", "5");
+        h.append("Content-Length", "5");
+        assert_eq!(h.content_length().unwrap(), Some(5));
+        h.append("content-length", "0");
+        assert!(h.content_length().is_err());
     }
 
     #[test]
@@ -213,6 +287,25 @@ mod tests {
         h.set("Connection", "Close");
         assert!(!h.keep_alive(Version::Http11));
         h.set("Connection", "upgrade"); // unknown token falls back to default
+        assert!(h.keep_alive(Version::Http11));
+        assert!(!h.keep_alive(Version::Http10));
+    }
+
+    #[test]
+    fn connection_is_a_token_list_across_repeated_headers() {
+        let mut h = HeaderMap::new();
+        h.set("Connection", "TE, close");
+        assert!(!h.keep_alive(Version::Http11));
+        h.set("Connection", "Keep-Alive , TE");
+        assert!(h.keep_alive(Version::Http10));
+        h.set("Connection", "TE");
+        h.append("connection", " close ");
+        assert!(!h.keep_alive(Version::Http11));
+        // close wins over keep-alive wherever it appears.
+        h.set("Connection", "keep-alive");
+        h.append("Connection", "upgrade,close");
+        assert!(!h.keep_alive(Version::Http10));
+        h.set("Connection", "te,,upgrade");
         assert!(h.keep_alive(Version::Http11));
         assert!(!h.keep_alive(Version::Http10));
     }

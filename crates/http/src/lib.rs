@@ -14,7 +14,8 @@
 //!
 //! ## Scope
 //!
-//! * Request line + headers + optional body (`Content-Length` framing).
+//! * Request line + headers + optional body (`Content-Length` framing),
+//!   parsed in place: a request borrows the bytes it was read into.
 //! * Percent-decoding and query-string parsing (CGI requests are keyed by
 //!   their full path + query, so this must be exact and canonical).
 //! * Response writing with status lines, headers and bodies.
@@ -22,7 +23,9 @@
 //!
 //! Chunked transfer encoding is intentionally out of scope: the paper
 //! pre-dates widespread HTTP/1.1 deployment and every Swala response is
-//! either a file or a completed CGI result with a known length.
+//! either a file or a completed CGI result with a known length. A request
+//! with any `Transfer-Encoding` is refused (501), as is one whose
+//! `Content-Length` values disagree (400), rather than mis-framed.
 
 pub mod body;
 pub mod date;
@@ -43,7 +46,7 @@ pub use method::Method;
 pub use request::{read_request, try_parse_request, ParseStatus, Request};
 pub use response::Response;
 pub use status::StatusCode;
-pub use uri::{decode_percent, RequestTarget};
+pub use uri::{decode_percent, RequestTarget, Text};
 pub use version::Version;
 
 /// Maximum accepted request-line length in bytes.

@@ -25,6 +25,30 @@ pub fn from_extension(ext: &str) -> Option<&'static str> {
     })
 }
 
+/// `content_type` as a `'static` string when it is one of the types
+/// above (or `application/octet-stream`), so a response can hold it
+/// without copying.
+pub(crate) fn interned(content_type: &str) -> Option<&'static str> {
+    Some(match content_type {
+        "text/html" => "text/html",
+        "text/plain" => "text/plain",
+        "text/css" => "text/css",
+        "text/xml" => "text/xml",
+        "application/javascript" => "application/javascript",
+        "application/octet-stream" => "application/octet-stream",
+        "application/pdf" => "application/pdf",
+        "application/postscript" => "application/postscript",
+        "application/zip" => "application/zip",
+        "application/gzip" => "application/gzip",
+        "application/x-tar" => "application/x-tar",
+        "image/gif" => "image/gif",
+        "image/jpeg" => "image/jpeg",
+        "image/png" => "image/png",
+        "image/tiff" => "image/tiff",
+        _ => return None,
+    })
+}
+
 /// Content type for a path, defaulting to `application/octet-stream`.
 pub fn for_path(path: &str) -> &'static str {
     path.rsplit('/')
@@ -45,6 +69,18 @@ mod tests {
         assert_eq!(from_extension("gif"), Some("image/gif"));
         assert_eq!(from_extension("jpeg"), Some("image/jpeg"));
         assert_eq!(from_extension("weird"), None);
+    }
+
+    #[test]
+    fn every_known_type_is_interned() {
+        for ext in [
+            "html", "txt", "css", "js", "gif", "jpg", "png", "tif", "pdf", "ps", "zip", "gz",
+            "tar", "bin", "xml",
+        ] {
+            let ct = from_extension(ext).unwrap();
+            assert_eq!(interned(ct), Some(ct));
+        }
+        assert_eq!(interned("text/html; charset=utf-8"), None);
     }
 
     #[test]

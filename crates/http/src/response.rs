@@ -1,10 +1,14 @@
 //! HTTP response construction, serialization and (client-side) parsing.
 
 use crate::body::Body;
+use crate::date;
 use crate::error::{HttpError, Result};
-use crate::headers::{parse_header_line, HeaderMap};
+use crate::headers::{parse_header_line, Header, HeaderMap};
+use crate::mime;
 use crate::status::StatusCode;
 use crate::version::Version;
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::io::{self, BufRead, IoSlice, Write};
 
 /// An HTTP response.
@@ -12,18 +16,40 @@ use std::io::{self, BufRead, IoSlice, Write};
 pub struct Response {
     pub version: Version,
     pub status: StatusCode,
-    pub headers: HeaderMap,
+    pub headers: HeaderMap<'static>,
     pub body: Body,
 }
 
+/// Headers a response starts with room for: the server's own are
+/// `Content-Type`, `X-Swala-Cache`, `Server`, `Date` and `Connection`.
+const HEADER_ROOM: usize = 6;
+
+thread_local! {
+    /// The buffer each thread writes response heads into, reused from
+    /// one response to the next.
+    static HEAD: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    /// The header list of the last response this thread recycled, for
+    /// the next one it builds.
+    static SPARE_HEADERS: Cell<Vec<Header<'static>>> = const { Cell::new(Vec::new()) };
+}
+
 impl Response {
-    /// A `200 OK` response with the given content type and body.
+    /// A `200 OK` response with the given content type and body. A
+    /// common content type is held as a `'static` string, not copied,
+    /// and the header list is the one the thread last
+    /// [`recycle`](Self::recycle)d.
     pub fn ok(content_type: &str, body: impl Into<Body>) -> Response {
+        let mut entries = SPARE_HEADERS.try_with(Cell::take).unwrap_or_default();
+        entries.reserve(HEADER_ROOM);
         let mut r = Response {
             version: Version::Http10,
             status: StatusCode::OK,
-            headers: HeaderMap::new(),
+            headers: HeaderMap::reusing(entries),
             body: body.into(),
+        };
+        let content_type = match mime::interned(content_type) {
+            Some(known) => Cow::Borrowed(known),
+            None => Cow::Owned(content_type.to_string()),
         };
         r.headers.set("Content-Type", content_type);
         r
@@ -40,6 +66,17 @@ impl Response {
         r
     }
 
+    /// Done with the response: its header list is kept for the next
+    /// response this thread builds, so a connection loop that recycles
+    /// each response allocates no header list in steady state.
+    pub fn recycle(mut self) {
+        let mut entries = self.headers.take_entries();
+        entries.clear();
+        if entries.capacity() <= 2 * HEADER_ROOM {
+            let _ = SPARE_HEADERS.try_with(|spare| spare.set(entries));
+        }
+    }
+
     /// Set the `Connection` header according to the keep-alive decision.
     pub fn set_keep_alive(&mut self, keep: bool) {
         self.headers
@@ -47,8 +84,14 @@ impl Response {
     }
 
     /// Server identification header.
-    pub fn set_server(&mut self, name: &str) {
+    pub fn set_server(&mut self, name: impl Into<Cow<'static, str>>) {
         self.headers.set("Server", name);
+    }
+
+    /// A `Date` header that [`write_to`](Self::write_to) fills with the
+    /// time of writing (see [`date::NOW`]).
+    pub fn set_date_now(&mut self) {
+        self.headers.set("Date", date::NOW);
     }
 
     /// Write this response to `out`, framing the body with `Content-Length`.
@@ -56,35 +99,55 @@ impl Response {
     /// Header and body go out through one vectored write, so a shared
     /// (cached) body reaches the socket without ever being copied into a
     /// response-sized buffer — the zero-copy half of the cache hit path.
+    /// The head is written into a buffer the thread reuses.
     ///
     /// When `include_body` is false (HEAD requests) the headers still
     /// advertise the full length but no body bytes are sent.
     pub fn write_to<W: Write>(&self, out: &mut W, include_body: bool) -> Result<()> {
-        let head = self.head_bytes();
+        let mut head = HEAD.take();
+        self.write_head(&mut head);
         let body: &[u8] = if include_body { &self.body } else { &[] };
-        write_all_vectored(out, &head, body)?;
-        out.flush()?;
-        Ok(())
+        let written = write_all_vectored(out, &head, body).and_then(|()| Ok(out.flush()?));
+        HEAD.set(head);
+        written
     }
 
     /// Serialize the status line and headers (through the terminating
     /// blank line) exactly as [`write_to`](Self::write_to) sends them.
     pub fn head_bytes(&self) -> Vec<u8> {
-        let mut head = Vec::with_capacity(256);
-        // Formatting straight into the Vec cannot fail and allocates no
-        // intermediate strings.
-        let _ = write!(head, "{} {}\r\n", self.version.as_str(), self.status);
+        let mut head = Vec::new();
+        self.write_head(&mut head);
+        head
+    }
+
+    /// Replace `head` with this response's status line and headers. The
+    /// numbers are formatted by hand and a [`date::NOW`] date comes from
+    /// the thread's per-second cache, so nothing here allocates once
+    /// `head` has grown to a head's size.
+    fn write_head(&self, head: &mut Vec<u8>) {
+        head.clear();
+        head.extend_from_slice(self.version.as_str().as_bytes());
+        head.push(b' ');
+        push_decimal(head, self.status.as_u16() as u64);
+        head.push(b' ');
+        head.extend_from_slice(self.status.reason().as_bytes());
+        head.extend_from_slice(b"\r\n");
         for h in self.headers.iter() {
             if h.name.eq_ignore_ascii_case("Content-Length") {
                 continue; // authoritative value computed below
             }
             head.extend_from_slice(h.name.as_bytes());
             head.extend_from_slice(b": ");
-            head.extend_from_slice(h.value.as_bytes());
+            if h.value == date::NOW && h.name.eq_ignore_ascii_case("Date") {
+                date::with_http_date(|now| head.extend_from_slice(now));
+            } else {
+                head.extend_from_slice(h.value.as_bytes());
+            }
             head.extend_from_slice(b"\r\n");
         }
-        let _ = write!(head, "Content-Length: {}\r\n\r\n", self.body.len());
-        head
+        head.extend_from_slice(b"Content-Length: ");
+        push_decimal(head, self.body.len() as u64);
+        head.extend_from_slice(b"\r\n\r\n");
     }
 
     /// Serialize to a byte vector (body included).
@@ -123,7 +186,7 @@ impl Response {
                 break;
             }
             let h = parse_header_line(&line).ok_or_else(|| HttpError::BadHeader(line.clone()))?;
-            headers.append(h.name, h.value);
+            headers.append(h.name.into_owned(), h.value.into_owned());
         }
         let len = if expect_body {
             headers
@@ -144,6 +207,21 @@ impl Response {
             body: body.into(),
         })
     }
+}
+
+/// Append `n` in decimal, without going through `fmt`.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Write `head` then `body` as one logical stream, preferring a single
@@ -249,6 +327,64 @@ mod tests {
         let parsed = Response::read_from(&mut BufReader::new(&r.to_bytes()[..])).unwrap();
         assert!(parsed.body.is_empty());
         assert_eq!(parsed.status.as_u16(), 204);
+    }
+
+    #[test]
+    fn the_head_writer_formats_like_fmt() {
+        for (status, len) in [
+            (200u16, 0usize),
+            (404, 7),
+            (500, 1_000_000),
+            (999, 12_345_678_901),
+        ] {
+            let mut r = Response::ok("text/html", Vec::new());
+            r.status = StatusCode(status);
+            r.set_server("Swala/0.1");
+            r.set_keep_alive(true);
+            let mut head = Vec::new();
+            r.write_head(&mut head);
+            let text = String::from_utf8(head).unwrap();
+            let expected = format!(
+                "HTTP/1.0 {}\r\nContent-Type: text/html\r\nServer: Swala/0.1\r\n\
+                 Connection: keep-alive\r\nContent-Length: 0\r\n\r\n",
+                StatusCode(status)
+            );
+            assert_eq!(text, expected);
+            let mut digits = Vec::new();
+            push_decimal(&mut digits, len as u64);
+            assert_eq!(digits, len.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn a_date_now_header_is_written_as_the_time_of_writing() {
+        let mut r = Response::ok("text/plain", "x");
+        r.set_date_now();
+        r.set_keep_alive(false);
+        let text = String::from_utf8(r.to_bytes()).unwrap();
+        let line = text.lines().find(|l| l.starts_with("Date: ")).unwrap();
+        let unix = date::parse_rfc1123(&line["Date: ".len()..]).expect("an RFC 1123 date");
+        let now = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_secs();
+        assert!(unix.abs_diff(now) <= 1, "{line}");
+        // Before the Connection header, where it was set.
+        assert!(text.find("Date: ").unwrap() < text.find("Connection: ").unwrap());
+        // A date given as text is written as given.
+        r.headers.set("Date", "Sun, 06 Nov 1994 08:49:37 GMT");
+        assert!(String::from_utf8(r.to_bytes())
+            .unwrap()
+            .contains("Date: Sun, 06 Nov 1994 08:49:37 GMT\r\n"));
+    }
+
+    #[test]
+    fn common_content_types_are_not_copied() {
+        let r = Response::ok("text/html", "x");
+        let ct = &r.headers.iter().next().unwrap().value;
+        assert!(matches!(ct, Cow::Borrowed(_)));
+        let r = Response::ok("application/x-custom", "x");
+        assert_eq!(r.headers.get("Content-Type"), Some("application/x-custom"));
     }
 
     #[test]

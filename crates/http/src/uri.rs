@@ -3,59 +3,174 @@
 //! Cache keys in Swala are derived from the request target, so two spellings
 //! of the same CGI invocation must normalize identically, and path traversal
 //! (`..`) must be rejected before a file or program is resolved.
+//!
+//! A target borrows from the bytes it was parsed from: a path that is
+//! already in canonical form (the common case) is not copied.
 
 use crate::error::{HttpError, Result};
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
+
+/// Text taken from a request: borrowed from the bytes it was parsed out
+/// of when they need no change, owned when decoding or normalizing
+/// changed them.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub struct Text<'a>(Cow<'a, str>);
+
+impl<'a> Text<'a> {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// An owned copy that no longer borrows the request bytes.
+    pub fn into_owned(self) -> Text<'static> {
+        Text(Cow::Owned(self.0.into_owned()))
+    }
+}
+
+impl Deref for Text<'_> {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for Text<'_> {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl<'a> From<&'a str> for Text<'a> {
+    fn from(s: &'a str) -> Text<'a> {
+        Text(Cow::Borrowed(s))
+    }
+}
+
+impl From<String> for Text<'_> {
+    fn from(s: String) -> Self {
+        Text(Cow::Owned(s))
+    }
+}
+
+impl From<Text<'_>> for String {
+    fn from(t: Text<'_>) -> String {
+        t.0.into_owned()
+    }
+}
+
+impl PartialEq<str> for Text<'_> {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for Text<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<String> for Text<'_> {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Debug for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for Text<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
 
 /// A parsed origin-form request target (`/path/to/x?query`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RequestTarget {
+pub struct RequestTarget<'a> {
     /// Percent-decoded, `.`/`..`-normalized absolute path. Always starts
     /// with `/`.
-    pub path: String,
+    pub path: Text<'a>,
     /// The raw (still percent-encoded) query string, without the leading
     /// `?`. `None` when no `?` was present; `Some("")` for a bare `?`.
-    pub query: Option<String>,
+    pub query: Option<Text<'a>>,
+    /// `path`, then `?` and the query when there is one: the cache key.
+    key: Text<'a>,
 }
 
-impl RequestTarget {
+impl<'a> RequestTarget<'a> {
     /// Parse an origin-form target from the request line.
     ///
     /// Absolute-form targets (`http://host/path`) are accepted and reduced
     /// to origin form, as RFC 1945 requires of proxies-capable servers.
-    pub fn parse(raw: &str) -> Result<RequestTarget> {
+    pub fn parse(raw: &'a str) -> Result<RequestTarget<'a>> {
+        let bad = || HttpError::BadTarget(raw.to_string());
         if raw.is_empty() {
-            return Err(HttpError::BadTarget(raw.to_string()));
+            return Err(bad());
         }
         // Strip absolute-form scheme+authority if present.
-        let origin = if let Some(rest) = strip_scheme_authority(raw) {
-            rest
-        } else {
-            raw
+        let origin = match raw.starts_with('/') {
+            true => raw,
+            false => strip_scheme_authority(raw).unwrap_or(raw),
         };
         if !origin.starts_with('/') {
-            return Err(HttpError::BadTarget(raw.to_string()));
+            return Err(bad());
         }
-        let (path_part, query) = match origin.find('?') {
-            Some(i) => (&origin[..i], Some(origin[i + 1..].to_string())),
+        let (path_part, query) = match origin.bytes().position(|b| b == b'?') {
+            Some(i) => (&origin[..i], Some(&origin[i + 1..])),
             None => (origin, None),
         };
-        let decoded =
-            decode_percent(path_part).ok_or_else(|| HttpError::BadTarget(raw.to_string()))?;
-        if decoded.bytes().any(|b| b == 0) {
-            return Err(HttpError::BadTarget(raw.to_string()));
+        // A canonical path is the text itself, and so is the key.
+        if is_canonical(path_part) {
+            return Ok(RequestTarget {
+                path: Text::from(path_part),
+                query: query.map(Text::from),
+                key: Text::from(origin),
+            });
         }
-        let path = normalize_path(&decoded).ok_or_else(|| HttpError::BadTarget(raw.to_string()))?;
-        Ok(RequestTarget { path, query })
+        if path_part.bytes().any(|b| b == 0) {
+            return Err(bad());
+        }
+        let decoded = decode_percent(path_part).ok_or_else(bad)?;
+        if decoded.bytes().any(|b| b == 0) {
+            return Err(bad());
+        }
+        let path = normalize_path(&decoded).ok_or_else(bad)?;
+        let key = match query {
+            Some(q) => Text::from(format!("{path}?{q}")),
+            None => Text::from(path.clone()),
+        };
+        Ok(RequestTarget {
+            path: Text::from(path),
+            query: query.map(Text::from),
+            key,
+        })
     }
 
     /// The canonical string form used as the dynamic-content cache key:
     /// normalized path plus the raw query (queries are significant bytes
     /// for CGI, so they are *not* decoded).
+    pub fn cache_key(&self) -> &str {
+        &self.key
+    }
+
+    /// [`cache_key`](Self::cache_key) as an owned string.
     pub fn cache_key_string(&self) -> String {
-        match &self.query {
-            Some(q) => format!("{}?{}", self.path, q),
-            None => self.path.clone(),
+        self.key.to_string()
+    }
+
+    /// An owned copy that no longer borrows the request bytes.
+    pub fn into_owned(self) -> RequestTarget<'static> {
+        RequestTarget {
+            path: self.path.into_owned(),
+            query: self.query.map(Text::into_owned),
+            key: self.key.into_owned(),
         }
     }
 
@@ -91,10 +206,32 @@ impl RequestTarget {
     }
 }
 
-impl fmt::Display for RequestTarget {
+impl fmt::Display for RequestTarget<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.cache_key_string())
+        f.write_str(&self.key)
     }
+}
+
+/// True when decoding and [`normalize_path`] would return `path`
+/// unchanged: no `%` escape or NUL byte, no empty segment but a trailing
+/// one, and no `.` or `..` segment. One pass over the bytes.
+fn is_canonical(path: &str) -> bool {
+    let bytes = path.as_bytes();
+    // Where the current segment starts (just past its `/`).
+    let mut segment = 1;
+    for (i, &b) in bytes.iter().enumerate().skip(1) {
+        match b {
+            b'%' | 0 => return false,
+            b'/' => {
+                if matches!(&bytes[segment..i], b"" | b"." | b"..") {
+                    return false;
+                }
+                segment = i + 1;
+            }
+            _ => {}
+        }
+    }
+    !matches!(&bytes[segment..], b"." | b"..")
 }
 
 /// If `raw` is absolute-form, return the part starting at the path.
@@ -298,6 +435,28 @@ mod tests {
             None
         );
         assert_eq!(RequestTarget::parse("/a/dot.").unwrap().extension(), None);
+    }
+
+    #[test]
+    fn a_canonical_path_is_borrowed_and_others_are_normalized() {
+        let raw = "/cgi-bin/map?x=1";
+        let t = RequestTarget::parse(raw).unwrap();
+        assert!(std::ptr::eq(t.path.as_ptr(), raw.as_ptr()));
+        assert!(std::ptr::eq(t.cache_key().as_ptr(), raw.as_ptr()));
+        for (raw, key) in [
+            ("/", "/"),
+            ("/a/", "/a/"),
+            ("//a?q", "/a?q"),
+            ("/a/./b", "/a/b"),
+            ("/a/..", "/"),
+            ("/a%20b?q=%20", "/a b?q=%20"),
+            ("http://h/x/../y?z", "/y?z"),
+        ] {
+            let t = RequestTarget::parse(raw).unwrap();
+            assert_eq!(t.cache_key(), key, "{raw}");
+            assert_eq!(t.cache_key_string(), key, "{raw}");
+            assert_eq!(t.to_string(), key, "{raw}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ proptest! {
         req.headers.set("Host", "prop");
         let parsed = read_request(&mut BufReader::new(&req.to_bytes()[..])).unwrap();
         prop_assert_eq!(parsed.target.path, path);
-        prop_assert_eq!(parsed.target.query, q);
+        prop_assert_eq!(parsed.target.query.as_deref(), q.as_deref());
         prop_assert_eq!(parsed.body, body);
     }
 
@@ -86,7 +86,7 @@ proptest! {
     fn cache_key_stable_under_reparse(path in simple_path(), q in query()) {
         let target = match &q { Some(q) => format!("{path}?{q}"), None => path.clone() };
         let t1 = RequestTarget::parse(&target).unwrap();
-        let t2 = RequestTarget::parse(&t1.cache_key_string()).unwrap();
+        let t2 = RequestTarget::parse(t1.cache_key()).unwrap();
         prop_assert_eq!(t1.cache_key_string(), t2.cache_key_string());
     }
 }

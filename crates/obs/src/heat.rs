@@ -23,9 +23,12 @@
 //! (key already monitored, or table not yet full) is a hash lookup. A
 //! key outside the monitored set replaces the lowest-numbered slot with
 //! the minimum count: the counts sit in one dense array, so the search
-//! reads 1 KiB at the default capacity (128), and the key is allocated
-//! once, shared by the slot and the index.
+//! reads 1 KiB at the default capacity (128). The index is keyed by the
+//! key's [`key_hash`], which a cache key already carries, and a slot
+//! shares the caller's `Arc<str>` when it has one: observing a key the
+//! cache made allocates nothing.
 
+use crate::keyhash::{key_hash, PrehashedState};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,9 +49,12 @@ pub struct HeatEntry {
 /// `counts[i]`, `errors[i]` and `costs[i]`.
 #[derive(Default)]
 struct Inner {
-    /// Key → its slot.
-    index: HashMap<Arc<str>, usize>,
+    /// A key's [`key_hash`] → its slot. Two monitored keys never share a
+    /// hash: a key whose hash a different monitored key holds (a 64-bit
+    /// collision) is counted in `total` only.
+    index: HashMap<u64, usize, PrehashedState>,
     keys: Vec<Arc<str>>,
+    hashes: Vec<u64>,
     counts: Vec<u64>,
     errors: Vec<u64>,
     costs: Vec<u64>,
@@ -57,17 +63,26 @@ struct Inner {
 }
 
 impl Inner {
+    /// The slot monitoring `key`, whose hash is `hash`.
+    fn slot_of(&self, hash: u64, key: &str) -> Option<usize> {
+        let &slot = self.index.get(&hash)?;
+        (*self.keys[slot] == *key).then_some(slot)
+    }
+
     /// Give `slot` (pushed when it is one past the end) to `key`.
-    fn assign(&mut self, slot: usize, key: &str, count: u64, error: u64, cost_us: u64) {
-        let key: Arc<str> = Arc::from(key);
-        self.index.insert(Arc::clone(&key), slot);
+    fn assign(&mut self, slot: usize, key: Key<'_>, count: u64, error: u64, cost_us: u64) {
+        let Key { hash, text, shared } = key;
+        let key = shared.map_or_else(|| Arc::from(text), Arc::clone);
+        self.index.insert(hash, slot);
         if slot == self.keys.len() {
             self.keys.push(key);
+            self.hashes.push(hash);
             self.counts.push(count);
             self.errors.push(error);
             self.costs.push(cost_us);
         } else {
             self.keys[slot] = key;
+            self.hashes[slot] = hash;
             self.counts[slot] = count;
             self.errors[slot] = error;
             self.costs[slot] = cost_us;
@@ -89,6 +104,14 @@ impl Inner {
             cost_us: self.costs[slot],
         }
     }
+}
+
+/// A key as the sketch is given it: its hash, its text, and the shared
+/// text to keep when the caller has one.
+struct Key<'k> {
+    hash: u64,
+    text: &'k str,
+    shared: Option<&'k Arc<str>>,
 }
 
 /// A space-saving top-K sketch of per-key request heat.
@@ -125,13 +148,43 @@ impl HeatSketch {
         if self.capacity == 0 {
             return;
         }
+        self.count(
+            Key {
+                hash: key_hash(key),
+                text: key,
+                shared: None,
+            },
+            cost_us,
+        );
+    }
+
+    /// [`observe`](Self::observe) a key already hashed by [`key_hash`],
+    /// whose text a monitoring slot shares rather than copies.
+    pub fn observe_hashed(&self, hash: u64, key: &Arc<str>, cost_us: u64) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.count(
+            Key {
+                hash,
+                text: key,
+                shared: Some(key),
+            },
+            cost_us,
+        );
+    }
+
+    fn count(&self, key: Key<'_>, cost_us: u64) {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.total += 1;
-        if let Some(&slot) = inner.index.get(key) {
+        if let Some(slot) = inner.slot_of(key.hash, key.text) {
             inner.counts[slot] += 1;
             inner.costs[slot] += cost_us;
             return;
+        }
+        if inner.index.contains_key(&key.hash) {
+            return; // a 64-bit collision with a monitored key
         }
         if inner.keys.len() < self.capacity {
             let slot = inner.keys.len();
@@ -143,19 +196,19 @@ impl HeatSketch {
         // same value as its error bound.
         let slot = inner.min_slot().expect("non-empty at capacity");
         let min = inner.counts[slot];
-        inner.index.remove(&inner.keys[slot]);
+        inner.index.remove(&inner.hashes[slot]);
         inner.assign(slot, key, min + 1, min, cost_us);
     }
 
-    /// Attribute extra cost to `key` if it is currently monitored —
-    /// used for work measured after the lookup (CGI execution, remote
-    /// fetch) without inflating the request count.
-    pub fn add_cost(&self, key: &str, cost_us: u64) {
+    /// Attribute extra cost to `key`, whose [`key_hash`] is `hash`, if it
+    /// is currently monitored — used for work measured after the lookup
+    /// (CGI execution, remote fetch) without inflating the request count.
+    pub fn add_cost(&self, hash: u64, key: &str, cost_us: u64) {
         if self.capacity == 0 || cost_us == 0 {
             return;
         }
         let mut inner = self.inner.lock();
-        if let Some(&slot) = inner.index.get(key) {
+        if let Some(slot) = inner.slot_of(hash, key) {
             inner.costs[slot] += cost_us;
         }
     }
@@ -424,15 +477,30 @@ mod tests {
         assert!(replaced > 500, "{replaced} replacements");
         let inner = s.inner.lock();
         assert_eq!(inner.index.len(), 4);
-        assert!(inner.index.iter().all(|(k, &at)| inner.keys[at] == *k));
+        assert!(inner
+            .index
+            .iter()
+            .all(|(&h, &at)| inner.hashes[at] == h && key_hash(&inner.keys[at]) == h));
+    }
+
+    #[test]
+    fn a_hashed_observation_shares_the_callers_key() {
+        let s = HeatSketch::new(2);
+        let key: Arc<str> = Arc::from("/cgi-bin/adl?id=1");
+        s.observe_hashed(key_hash(&key), &key, 3);
+        s.observe("/cgi-bin/adl?id=1", 4);
+        s.add_cost(key_hash(&key), &key, 5);
+        assert!(Arc::ptr_eq(&s.inner.lock().keys[0], &key));
+        let top = s.top(1);
+        assert_eq!((top[0].count, top[0].cost_us), (2, 12));
     }
 
     #[test]
     fn add_cost_only_touches_monitored_keys() {
         let s = HeatSketch::new(2);
         s.observe("a", 5);
-        s.add_cost("a", 10);
-        s.add_cost("ghost", 100);
+        s.add_cost(key_hash("a"), "a", 10);
+        s.add_cost(key_hash("ghost"), "ghost", 100);
         let top = s.top(10);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].cost_us, 15);
@@ -443,7 +511,7 @@ mod tests {
         let s = HeatSketch::disabled();
         assert!(!s.enabled());
         s.observe("a", 1);
-        s.add_cost("a", 1);
+        s.add_cost(key_hash("a"), "a", 1);
         assert_eq!(s.total(), 0);
         assert!(s.top(10).is_empty());
         assert_eq!(

@@ -78,7 +78,10 @@ impl Histogram {
     pub fn record(&self, micros: u64) {
         self.buckets[bucket_index(micros)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(micros, Ordering::Relaxed);
-        self.max.fetch_max(micros, Ordering::Relaxed);
+        // Most records are not a new maximum: skip the write.
+        if micros > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(micros, Ordering::Relaxed);
+        }
     }
 
     /// Record a duration (saturating to u64 microseconds).

@@ -24,6 +24,7 @@
 
 mod heat;
 mod hist;
+pub mod keyhash;
 mod registry;
 mod telemetry;
 mod trace;

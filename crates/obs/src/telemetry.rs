@@ -5,7 +5,7 @@
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::registry::MetricsRegistry;
-use crate::trace::{CompletedTrace, Outcome, Trace};
+use crate::trace::{recycle_spans, CompletedTrace, Outcome, Trace};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,15 +40,21 @@ impl TraceRing {
         }
     }
 
+    /// Keep `trace`, handing the span list of the trace it pushes out to
+    /// [`recycle_spans`].
     fn push(&self, trace: CompletedTrace) {
         if self.capacity == 0 {
             return;
         }
         let mut traces = self.traces.lock();
-        if traces.len() == self.capacity {
-            traces.pop_front();
-        }
+        let evicted = (traces.len() == self.capacity)
+            .then(|| traces.pop_front())
+            .flatten();
         traces.push_back(trace);
+        drop(traces);
+        if let Some(old) = evicted {
+            recycle_spans(old.spans);
+        }
     }
 
     fn last(&self, n: usize) -> Vec<CompletedTrace> {
@@ -66,6 +72,10 @@ struct SlowSet {
     /// Indexed by position in `Outcome::ALL`; each sorted by
     /// `total_us` descending, at most `capacity` long.
     per_outcome: Mutex<Vec<Vec<CompletedTrace>>>,
+    /// Per outcome, the total a trace must beat to enter a full set (0
+    /// while it is not full): most traces are turned away without the
+    /// lock.
+    bars: Vec<AtomicU64>,
 }
 
 impl SlowSet {
@@ -73,11 +83,16 @@ impl SlowSet {
         SlowSet {
             capacity,
             per_outcome: Mutex::new(vec![Vec::new(); Outcome::ALL.len()]),
+            bars: Outcome::ALL.iter().map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     fn offer(&self, idx: usize, trace: &CompletedTrace) {
         if self.capacity == 0 {
+            return;
+        }
+        let bar = self.bars[idx].load(Ordering::Relaxed);
+        if bar > 0 && trace.total_us <= bar {
             return;
         }
         let mut sets = self.per_outcome.lock();
@@ -88,6 +103,9 @@ impl SlowSet {
         let pos = set.partition_point(|t| t.total_us > trace.total_us);
         set.insert(pos, trace.clone());
         set.truncate(self.capacity);
+        if set.len() == self.capacity {
+            self.bars[idx].store(set[set.len() - 1].total_us, Ordering::Relaxed);
+        }
     }
 
     /// All retained exemplars, grouped by outcome order, slowest first
@@ -187,8 +205,9 @@ impl Telemetry {
     }
 
     /// Begin a trace for a locally accepted request. `start` anchors
-    /// span offsets (pass the first-read instant so parse lands at 0).
-    pub fn begin_trace(&self, target: &str, start: Instant) -> Trace {
+    /// span offsets (pass the first-read instant so parse lands at 0);
+    /// pass the request's shared key text as `target` to share it.
+    pub fn begin_trace(&self, target: impl Into<Arc<str>>, start: Instant) -> Trace {
         if !self.enabled {
             return Trace::disabled();
         }
@@ -197,7 +216,7 @@ impl Telemetry {
 
     /// Begin a trace that adopts a peer's id (owner side of a remote
     /// fetch) so both nodes' dumps correlate on the same id.
-    pub fn begin_trace_with_id(&self, id: u64, target: &str) -> Trace {
+    pub fn begin_trace_with_id(&self, id: u64, target: impl Into<Arc<str>>) -> Trace {
         if !self.enabled {
             return Trace::disabled();
         }
@@ -237,8 +256,9 @@ impl Telemetry {
 
     /// Drop a trace without recording it (e.g. unparseable request).
     pub fn discard(&self, trace: Trace) {
-        if trace.finish().is_some() {
+        if let Some(done) = trace.finish() {
             self.traces_dropped.fetch_add(1, Ordering::Relaxed);
+            recycle_spans(done.spans);
         }
     }
 
@@ -310,7 +330,7 @@ mod tests {
     fn finish_lands_in_ring_and_histogram() {
         let tel = Telemetry::new(0);
         for i in 0..6 {
-            let mut tr = tel.begin_trace(&format!("/t{i}"), Instant::now());
+            let mut tr = tel.begin_trace(format!("/t{i}"), Instant::now());
             tr.set_outcome(Outcome::Miss);
             let s = tr.start_span();
             tr.end_span(Stage::CgiExec, s);
@@ -320,7 +340,7 @@ mod tests {
         }
         let last = tel.last_traces(10);
         assert_eq!(last.len(), 6);
-        assert_eq!(last[5].target, "/t5");
+        assert_eq!(&*last[5].target, "/t5");
         assert_eq!(tel.last_traces(2).len(), 2);
         assert_eq!(tel.outcome_snapshot(Outcome::Miss).count, 6);
         assert_eq!(tel.outcome_snapshot(Outcome::Remote).count, 0);
@@ -363,8 +383,8 @@ mod tests {
         }
         let last = ring.last(10);
         assert_eq!(last.len(), 4);
-        assert_eq!(last[0].target, "/t2");
-        assert_eq!(last[3].target, "/t5");
+        assert_eq!(&*last[0].target, "/t2");
+        assert_eq!(&*last[3].target, "/t5");
         let none = TraceRing::new(0);
         none.push(fake_trace(Outcome::Miss, 1));
         assert!(none.last(10).is_empty(), "0 keeps none (obs off)");
@@ -376,7 +396,7 @@ mod tests {
             node: 0,
             outcome,
             owner: None,
-            target: format!("/t{total_us}"),
+            target: Arc::from(format!("/t{total_us}")),
             total_us,
             remote_attempts: 0,
             spans: Vec::new(),
@@ -425,7 +445,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         tel.finish(tr).unwrap();
         for i in 0..TRACE_RING + 8 {
-            let mut tr = tel.begin_trace(&format!("/fast{i}"), Instant::now());
+            let mut tr = tel.begin_trace(format!("/fast{i}"), Instant::now());
             tr.set_outcome(Outcome::LocalMem);
             tel.finish(tr).unwrap();
         }
@@ -433,10 +453,10 @@ mod tests {
         assert!(tel
             .last_traces(TRACE_RING)
             .iter()
-            .all(|t| t.target != "/slow"));
+            .all(|t| &*t.target != "/slow"));
         // ...but the slow set still holds it.
         let slow = tel.slow_traces();
-        assert!(slow.iter().any(|t| t.target == "/slow"), "{slow:?}");
+        assert!(slow.iter().any(|t| &*t.target == "/slow"), "{slow:?}");
         let json = tel.slow_traces_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"target\":\"/slow\""));

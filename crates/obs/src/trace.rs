@@ -4,16 +4,24 @@
 //! A [`Trace`] is created at accept time and threaded by `&mut` through
 //! the request path; each instrumented stage calls
 //! [`Trace::start_span`] / [`Trace::end_span`] around its work — one
-//! `Instant` pair per stage, nothing else. When tracing is disabled the
-//! handle is a `None` and every call is a no-op that never reads the
-//! clock, which is what makes the `obs off` bench comparison honest.
+//! `Instant` pair per stage, nothing else, and one `Instant` for two
+//! adjacent stages ([`Trace::end_span`] returns the instant the next
+//! stage starts at). When tracing is disabled the handle is a `None` and
+//! every call is a no-op that never reads the clock, which is what makes
+//! the `obs off` bench comparison honest.
+//!
+//! A live trace allocates nothing in steady state: its target is the
+//! request's shared key text, and its span list is the one a trace
+//! evicted from the ring gave back ([`recycle_spans`]).
 //!
 //! Trace ids are `node_id << 48 | per-node counter`: unique per node
 //! without coordination, and the owning node of a remote fetch adopts
 //! the requester's id (it rides the wire in `FetchRequest`), so one
 //! user request yields correlated spans on both machines.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The instrumented stages of a request, in rough path order.
@@ -21,7 +29,8 @@ use std::time::Instant;
 pub enum Stage {
     /// Reading + parsing the HTTP request off the socket.
     Parse,
-    /// Cacheability rule evaluation.
+    /// Routing to the dynamic path and cacheability rule evaluation
+    /// (from the end of the parse).
     Rules,
     /// Replicated-directory classification.
     DirLookup,
@@ -124,7 +133,7 @@ pub struct CompletedTrace {
     pub outcome: Outcome,
     /// Owning node of the entry, when the request touched a remote owner.
     pub owner: Option<u16>,
-    pub target: String,
+    pub target: Arc<str>,
     pub total_us: u64,
     /// Fetch attempts spent on the remote-fetch stage (0 = no fetch).
     pub remote_attempts: u32,
@@ -203,20 +212,59 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// Spans a trace starts with room for: a hit records five.
+const SPAN_ROOM: usize = 8;
+
+thread_local! {
+    /// A span list given back by a finished trace, for the next trace
+    /// this thread begins.
+    static SPARE_SPANS: Cell<Vec<SpanRecord>> = const { Cell::new(Vec::new()) };
+}
+
+/// Give a finished trace's span list back for reuse by the next trace
+/// this thread begins.
+pub(crate) fn recycle_spans(mut spans: Vec<SpanRecord>) {
+    spans.clear();
+    SPARE_SPANS.with(|spare| {
+        let kept = spare.take();
+        spare.set(if kept.capacity() >= spans.capacity() {
+            kept
+        } else {
+            spans
+        });
+    });
+}
+
 struct ActiveTrace {
     id: u64,
     node: u16,
     start: Instant,
     outcome: Outcome,
     owner: Option<u16>,
-    target: String,
+    target: Arc<str>,
     remote_attempts: u32,
     spans: Vec<SpanRecord>,
+    /// When the latest span ended.
+    last_end: Option<Instant>,
+    /// When the response write ended: the request's last stage, so its
+    /// end is the trace's end.
+    written: Option<Instant>,
+}
+
+impl ActiveTrace {
+    fn push(&mut self, stage: Stage, started: Instant, ended: Instant) {
+        self.last_end = Some(ended);
+        self.spans.push(SpanRecord {
+            stage,
+            start_us: started.saturating_duration_since(self.start).as_micros() as u64,
+            duration_us: ended.saturating_duration_since(started).as_micros() as u64,
+        });
+    }
 }
 
 /// A per-request trace handle. Disabled handles (`Trace::disabled()`)
-/// are a null pointer wide and every method is a branch-and-return.
-pub struct Trace(Option<Box<ActiveTrace>>);
+/// are a `None`, and every method is a branch-and-return.
+pub struct Trace(Option<ActiveTrace>);
 
 impl Trace {
     /// The always-no-op handle used when telemetry is off.
@@ -226,17 +274,22 @@ impl Trace {
 
     /// A live handle; `start` anchors span offsets (pass the accept /
     /// first-read instant when available so the parse span lands at 0).
-    pub fn active(id: u64, node: u16, target: &str, start: Instant) -> Trace {
-        Trace(Some(Box::new(ActiveTrace {
+    /// `target` is shared, not copied, when it is an `Arc<str>` already.
+    pub fn active(id: u64, node: u16, target: impl Into<Arc<str>>, start: Instant) -> Trace {
+        let mut spans = SPARE_SPANS.take();
+        spans.reserve(SPAN_ROOM);
+        Trace(Some(ActiveTrace {
             id,
             node,
             start,
             outcome: Outcome::Other,
             owner: None,
-            target: target.to_string(),
+            target: target.into(),
             remote_attempts: 0,
-            spans: Vec::with_capacity(8),
-        })))
+            spans,
+            last_end: None,
+            written: None,
+        }))
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -253,60 +306,69 @@ impl Trace {
         self.0.as_ref().map(|_| Instant::now())
     }
 
-    /// Close a span opened by [`start_span`](Self::start_span).
+    /// Start a span where the latest one ended, for a stage that follows
+    /// it: no clock read unless this is the trace's first span.
     #[inline]
-    pub fn end_span(&mut self, stage: Stage, started: Option<Instant>) {
-        let (Some(t), Some(t0)) = (self.0.as_deref_mut(), started) else {
-            return;
+    pub fn resume_span(&self) -> Option<Instant> {
+        let t = self.0.as_ref()?;
+        Some(t.last_end.unwrap_or_else(Instant::now))
+    }
+
+    /// Close a span opened by [`start_span`](Self::start_span), or by the
+    /// previous `end_span`: the instant returned is this span's end, for
+    /// a stage that follows at once to start at without a clock read of
+    /// its own.
+    #[inline]
+    pub fn end_span(&mut self, stage: Stage, started: Option<Instant>) -> Option<Instant> {
+        let (Some(t), Some(t0)) = (self.0.as_mut(), started) else {
+            return None;
         };
-        t.spans.push(SpanRecord {
-            stage,
-            start_us: t0.saturating_duration_since(t.start).as_micros() as u64,
-            duration_us: t0.elapsed().as_micros() as u64,
-        });
+        let now = Instant::now();
+        t.push(stage, t0, now);
+        if stage == Stage::ResponseWrite {
+            t.written = Some(now);
+        }
+        Some(now)
     }
 
     /// Record a span with an explicit pair of instants (used when the
     /// measurement was taken before the trace existed, e.g. parse).
     pub fn record_span(&mut self, stage: Stage, started: Instant, ended: Instant) {
-        let Some(t) = self.0.as_deref_mut() else {
-            return;
-        };
-        t.spans.push(SpanRecord {
-            stage,
-            start_us: started.saturating_duration_since(t.start).as_micros() as u64,
-            duration_us: ended.saturating_duration_since(started).as_micros() as u64,
-        });
+        if let Some(t) = self.0.as_mut() {
+            t.push(stage, started, ended);
+        }
     }
 
     pub fn set_outcome(&mut self, outcome: Outcome) {
-        if let Some(t) = self.0.as_deref_mut() {
+        if let Some(t) = self.0.as_mut() {
             t.outcome = outcome;
         }
     }
 
     pub fn set_owner(&mut self, node: u16) {
-        if let Some(t) = self.0.as_deref_mut() {
+        if let Some(t) = self.0.as_mut() {
             t.owner = Some(node);
         }
     }
 
     pub fn add_remote_attempts(&mut self, attempts: u32) {
-        if let Some(t) = self.0.as_deref_mut() {
+        if let Some(t) = self.0.as_mut() {
             t.remote_attempts += attempts;
         }
     }
 
     /// Close the trace into a [`CompletedTrace`]; `None` when disabled.
+    /// It ends where its response write ended, or now if it has none.
     pub fn finish(self) -> Option<CompletedTrace> {
         let t = self.0?;
+        let end = t.written.unwrap_or_else(Instant::now);
         Some(CompletedTrace {
             id: t.id,
             node: t.node,
             outcome: t.outcome,
             owner: t.owner,
             target: t.target,
-            total_us: t.start.elapsed().as_micros() as u64,
+            total_us: end.saturating_duration_since(t.start).as_micros() as u64,
             remote_attempts: t.remote_attempts,
             spans: t.spans,
         })
@@ -352,13 +414,51 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_spans_share_an_instant_and_spans_are_recycled() {
+        let start = Instant::now();
+        let target: Arc<str> = Arc::from("/k");
+        let mut t = Trace::active(1, 0, Arc::clone(&target), start);
+        let t0 = t.start_span();
+        let t1 = t.end_span(Stage::Rules, t0);
+        assert!(t1 >= t0);
+        assert_eq!(t.resume_span(), t1, "a resumed span starts at the last end");
+        let t2 = t.end_span(Stage::DirLookup, t1);
+        assert!(t2 >= t1);
+        let done = t.finish().unwrap();
+        assert!(Arc::ptr_eq(&done.target, &target), "the target is shared");
+        let stages: Vec<Stage> = done.spans.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, [Stage::Rules, Stage::DirLookup]);
+        // The next trace on this thread starts with the list given back.
+        let spans = done.spans;
+        let buffer = spans.as_ptr();
+        recycle_spans(spans);
+        let mut next = Trace::active(2, 0, "/k2", start);
+        next.record_span(Stage::Parse, start, start);
+        assert_eq!(next.finish().unwrap().spans.as_ptr(), buffer);
+    }
+
+    #[test]
+    fn a_trace_ends_where_its_response_write_ends() {
+        let start = Instant::now();
+        let mut t = Trace::active(1, 0, "/k", start);
+        let t0 = t.start_span();
+        let written = t.end_span(Stage::ResponseWrite, t0).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        let done = t.finish().unwrap();
+        assert_eq!(done.total_us, (written - start).as_micros() as u64);
+        // Without a write, now.
+        let t = Trace::active(2, 0, "/k", start);
+        assert!(t.finish().unwrap().total_us >= 3_000);
+    }
+
+    #[test]
     fn json_shape_is_parseable_by_eye() {
         let done = CompletedTrace {
             id: 0xabc,
             node: 0,
             outcome: Outcome::Remote,
             owner: Some(1),
-            target: "/x\"y".to_string(),
+            target: Arc::from("/x\"y"),
             total_us: 120,
             remote_attempts: 2,
             spans: vec![SpanRecord {

@@ -318,7 +318,7 @@ impl Service for Daemon {
                     Ok(())
                 }
                 Message::FetchRequest { key, trace } => {
-                    let mut t = self.owner_trace(trace, key.as_str());
+                    let mut t = self.owner_trace(trace, Arc::clone(key.shared()));
                     // Zero-copy reply: the body `Arc` from the cache tier
                     // is written directly after a small encoded prefix,
                     // never copied into a reply buffer.
@@ -337,7 +337,7 @@ impl Service for Daemon {
                     // key's homes: answer with the directory's entry,
                     // which names the owner, or `None` when nobody caches
                     // the key.
-                    let mut t = self.owner_trace(trace, key.as_str());
+                    let mut t = self.owner_trace(trace, Arc::clone(key.shared()));
                     let t0 = t.start_span();
                     let classification = self.manager.directory().classify(&key);
                     t.end_span(Stage::DirLookup, t0);
@@ -422,7 +422,7 @@ impl Daemon {
     /// A trace under the requester's id, so both nodes' spans of one
     /// exchange correlate; inert without telemetry or for an untraced
     /// request.
-    fn owner_trace(&self, trace: Option<u64>, target: &str) -> Trace {
+    fn owner_trace(&self, trace: Option<u64>, target: impl Into<Arc<str>>) -> Trace {
         match (&self.telemetry, trace) {
             (Some(tel), Some(id)) => tel.begin_trace_with_id(id, target),
             _ => Trace::disabled(),

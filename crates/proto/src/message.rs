@@ -1,8 +1,8 @@
 //! Protocol messages and their binary encoding.
 
 use crate::wire::{
-    get_bytes, get_f64, get_string, get_u16, get_u32, get_u64, get_u8, put_bytes, put_string,
-    ProtoError,
+    get_bytes, get_f64, get_shared_str, get_string, get_u16, get_u32, get_u64, get_u8, put_bytes,
+    put_string, ProtoError,
 };
 use bytes::{BufMut, BytesMut};
 use swala_cache::{CacheKey, EntryMeta, NodeId};
@@ -214,10 +214,10 @@ impl Message {
             },
             TAG_DELETE => Message::DeleteNotice {
                 owner: NodeId(get_u16(&mut r)?),
-                key: CacheKey::new(get_string(&mut r)?),
+                key: CacheKey::from_shared(get_shared_str(&mut r)?),
             },
             TAG_FETCH_REQ => {
-                let key = CacheKey::new(get_string(&mut r)?);
+                let key = CacheKey::from_shared(get_shared_str(&mut r)?);
                 // Optional trailer: old senders stop here.
                 let trace = if r.is_empty() {
                     None
@@ -245,7 +245,7 @@ impl Message {
                 Message::SyncReply { node, entries }
             }
             TAG_INVALIDATE => Message::Invalidate {
-                key: CacheKey::new(get_string(&mut r)?),
+                key: CacheKey::from_shared(get_shared_str(&mut r)?),
             },
             TAG_NODE_DOWN => Message::NodeDown {
                 node: NodeId(get_u16(&mut r)?),
@@ -269,7 +269,7 @@ impl Message {
                 },
             },
             TAG_DIR_LOOKUP => {
-                let key = CacheKey::new(get_string(&mut r)?);
+                let key = CacheKey::from_shared(get_shared_str(&mut r)?);
                 let trace = if r.is_empty() {
                     None
                 } else {
@@ -495,10 +495,10 @@ fn encode_meta(buf: &mut BytesMut, m: &EntryMeta) {
 }
 
 fn decode_meta(r: &mut &[u8]) -> Result<EntryMeta, ProtoError> {
-    let key = CacheKey::new(get_string(r)?);
+    let key = CacheKey::from_shared(get_shared_str(r)?);
     let owner = NodeId(get_u16(r)?);
     let size = get_u64(r)?;
-    let content_type = get_string(r)?;
+    let content_type = get_shared_str(r)?;
     let exec_micros = get_u64(r)?;
     let expires_unix = match get_u8(r)? {
         0 => None,

@@ -7,6 +7,7 @@
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Frames larger than this are rejected (a 1 MB body plus slack — larger
 /// results are legal HTTP but out of scope for the paper's workloads).
@@ -192,6 +193,19 @@ pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, ProtoError> {
 
 pub fn get_string(buf: &mut &[u8]) -> Result<String, ProtoError> {
     String::from_utf8(get_bytes(buf)?).map_err(|_| ProtoError::BadString)
+}
+
+/// A length-prefixed string as shared text: one allocation, where
+/// [`get_string`] and a conversion would take two.
+pub fn get_shared_str(buf: &mut &[u8]) -> Result<Arc<str>, ProtoError> {
+    let len = get_u32(buf)? as usize;
+    if buf.remaining() < len {
+        return Err(ProtoError::Truncated("bytes body"));
+    }
+    let text = std::str::from_utf8(&buf[..len]).map_err(|_| ProtoError::BadString)?;
+    let out = Arc::from(text);
+    buf.advance(len);
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ fn meta_strategy() -> impl Strategy<Value = EntryMeta> {
                 key,
                 owner: NodeId(owner),
                 size,
-                content_type: ct,
+                content_type: ct.into(),
                 exec_micros: exec,
                 expires_unix: expires,
                 created_unix: created,
