@@ -47,7 +47,7 @@ pub struct ServerOptions {
     pub http_addr: SocketAddr,
     /// Cache-protocol listen address (port 0 = ephemeral).
     pub cache_addr: SocketAddr,
-    /// Request-handler thread-pool size.
+    /// Request-handler thread-pool size (16 by default).
     pub pool_size: usize,
     /// Document root for static files; `None` disables file serving.
     pub docroot: Option<PathBuf>,
@@ -122,7 +122,7 @@ impl Default for ServerOptions {
             num_nodes: 1,
             http_addr: "127.0.0.1:0".parse().expect("static addr"),
             cache_addr: "127.0.0.1:0".parse().expect("static addr"),
-            pool_size: swala_proto::DEFAULT_REQUEST_THREADS,
+            pool_size: 16,
             docroot: None,
             cache_dir: None,
             capacity: 2000,
@@ -169,7 +169,7 @@ const RETIRED: &[(&str, &str)] = &[
     ("fetch_backoff_ms", "retries back off from swala_proto::FETCH_BACKOFF"),
     ("fetch_retries", "a remote fetch makes swala_proto::FETCH_ATTEMPTS attempts"),
     ("quarantine_after", "swala_proto::QUARANTINE_AFTER failures in a row quarantine a peer"),
-    ("fetch_pool_size", "a node parks up to swala_proto::DEFAULT_POOL_SIZE connections per peer"),
+    ("fetch_pool_size", "a node opens at most swala_proto::DEFAULT_POOL_SIZE connections per peer"),
 ];
 
 impl ServerOptions {

@@ -73,10 +73,10 @@ pub struct NodeContext {
     pub http_port: u16,
     /// Common-Log-Format access log, when configured.
     pub access_log: Option<crate::accesslog::AccessLog>,
-    /// How remote fetch/sync sessions are opened (chaos tests inject
-    /// faults here; production uses the plain TCP dialer).
+    /// How connections to peers are opened (chaos tests inject faults
+    /// here; production uses the plain TCP dialer).
     pub dialer: Dialer,
-    /// Warm per-peer fetch connections (dials through `dialer`).
+    /// A fixed set of fetch connections per peer (dials through `dialer`).
     pub fetch_pool: Arc<FetchPool>,
     /// Bounded retry-with-backoff for remote fetches.
     pub retry_policy: RetryPolicy,

@@ -195,6 +195,7 @@ impl Service for NodeContext {
                     let mut resp = Response::error(status);
                     resp.set_keep_alive(false);
                     resp.set_server(crate::handler::SERVER_NAME);
+                    resp.set_date_now();
                     let _ = resp.write_to(&mut writer, true);
                     return false;
                 }

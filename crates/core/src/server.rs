@@ -156,6 +156,7 @@ impl BoundSwala {
             None => default_dialer(),
         };
 
+        let fetch_pool = Arc::new(FetchPool::new(dialer.clone(), DEFAULT_POOL_SIZE));
         // Late-join directory sync: pull every reachable peer's table so
         // this node starts with a warm directory instead of learning the
         // cluster's contents one notice at a time.
@@ -165,8 +166,7 @@ impl BoundSwala {
                     continue;
                 }
                 let Some(addr) = addr else { continue };
-                if let Ok((peer, entries)) =
-                    swala_proto::request_sync_via(&dialer, NodeId(i as u16), *addr, FETCH_TIMEOUT)
+                if let Ok((peer, entries)) = fetch_pool.sync(NodeId(i as u16), *addr, FETCH_TIMEOUT)
                 {
                     manager.directory().load_snapshot(peer, entries);
                 }
@@ -191,7 +191,6 @@ impl BoundSwala {
             None => None,
         };
 
-        let fetch_pool = Arc::new(FetchPool::new(dialer.clone(), DEFAULT_POOL_SIZE));
         {
             // Fetch-pool and broadcaster internals expose their own
             // atomics; closures adapt them into registry counters.

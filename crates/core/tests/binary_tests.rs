@@ -267,8 +267,8 @@ fn threads_page_sums_cpu_by_role() {
     assert_eq!(first["swala-request"].0, 2.0, "pool 2: {first:?}");
     assert_eq!(first["swala-notice-writer"].0, 1.0, "one peer: {first:?}");
     // The cache port: a thread for the peer's notice link, one per
-    // request thread it may fetch with, and a spare.
-    assert_eq!(first["swala-cacher"].0, 18.0, "one peer: {first:?}");
+    // fetch connection it may open, and a spare.
+    assert_eq!(first["swala-cacher"].0, 6.0, "one peer: {first:?}");
     for role in ["swala-cache-purge", "swala"] {
         assert_eq!(first[role].0, 1.0, "{role}: {first:?}");
     }

@@ -116,6 +116,7 @@ fn stalled_partial_request_gets_408_and_is_never_parked() {
         reader.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.0 408"), "pool {pool_size}: {out}");
         assert!(out.contains("Request Timeout"), "pool {pool_size}: {out}");
+        assert!(out.contains("\r\nDate: "), "pool {pool_size}: {out}");
         assert_eq!(server.engine_stats().parks(), parks, "pool {pool_size}");
         server.shutdown();
     }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
-use swala_cache::{DirectoryKind, NodeId};
+use swala_cache::{CacheKey, DirectoryKind, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::StatusCode;
 use swala_proto::DEFAULT_POOL_SIZE;
@@ -166,6 +166,74 @@ fn back_to_back_remote_hits_never_park_on_the_owners_cache_port() {
     }
 }
 
+/// Sixteen clients of remote hits on a pair, four times the fetch
+/// connections the requester may open to its peer: the burst queues for
+/// those connections instead of dialing more, and the owner's cache port,
+/// sized for them, parks nothing.
+#[test]
+fn a_live_burst_of_remote_hits_stays_inside_the_fetch_set() {
+    const CLIENTS: usize = 16;
+    const KEYS_EACH: usize = 4;
+    for directory in DirectoryKind::ALL {
+        let nodes = swala::start_cluster(2, |_| {
+            let options = ServerOptions {
+                directory,
+                ..Default::default()
+            };
+            (options, registry())
+        })
+        .unwrap();
+        let targets: Vec<String> = (0..CLIENTS * KEYS_EACH)
+            .map(|i| format!("/cgi-bin/adl?id=b{i}&ms=0"))
+            .collect();
+        let mut warm = HttpClient::new(nodes[0].http_addr());
+        for t in &targets {
+            warm.get(t).unwrap();
+        }
+        // Node 1 hears of the keys it is a home of and asks node 0, their
+        // home, about the rest.
+        let placement = nodes[1].manager().placement();
+        let heard = targets
+            .iter()
+            .filter(|t| {
+                placement
+                    .homes(&CacheKey::new(t.as_str()))
+                    .contains(&NodeId(1))
+            })
+            .count();
+        wait_for_remote_entry(&nodes[1], NodeId(0), heard);
+
+        let addr = nodes[1].http_addr();
+        let clients: Vec<_> = targets
+            .chunks(KEYS_EACH)
+            .map(|mine| {
+                // Keys of its own, so no two clients share a flight.
+                let mine = mine.to_vec();
+                std::thread::spawn(move || {
+                    let mut client = HttpClient::new(addr);
+                    for i in 0..100 {
+                        let r = client.get(&mine[i % KEYS_EACH]).unwrap();
+                        assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        let pool = nodes[1].fetch_pool().stats();
+        assert!(
+            pool.connects_opened <= DEFAULT_POOL_SIZE as u64,
+            "{directory:?}: {pool}"
+        );
+        assert!(pool.waits > 0, "{directory:?}: {pool}");
+        assert_eq!(nodes[0].cache_port_stats().parks(), 0, "{directory:?}");
+        for n in nodes {
+            n.shutdown();
+        }
+    }
+}
+
 #[test]
 fn status_page_shows_hot_path_counters() {
     for directory in DirectoryKind::ALL {
@@ -182,6 +250,7 @@ fn status_page_shows_hot_path_counters() {
         let html = String::from_utf8(page.body.into_vec()).unwrap();
         assert!(html.contains("Fetch pool"), "{html}");
         assert!(html.contains("connects=1"), "{html}");
+        assert!(html.contains("waits=0"), "{html}");
 
         // Node 0 served one local hit, which read the store and promoted
         // the body, then node 1's fetch from the memory tier.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
-use swala_proto::DEFAULT_REQUEST_THREADS;
+use swala_proto::DEFAULT_POOL_SIZE;
 
 fn registry() -> ProgramRegistry {
     let mut r = ProgramRegistry::new();
@@ -53,9 +53,9 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     server.shutdown();
 
     // A node's cache port, in a pair: a thread for its peer's notice
-    // link, one per request thread the peer may fetch with, and a spare.
+    // link, one per fetch connection the peer may open, and a spare.
     let nodes = swala::start_cluster(2, |_| (ServerOptions::default(), registry())).unwrap();
-    let threads = 1 + DEFAULT_REQUEST_THREADS + 1;
+    let threads = 1 + DEFAULT_POOL_SIZE + 1;
     let open = || nodes[0].cache_port_stats().open_connections.get();
     park_idle_connections(nodes[0].cache_addr(), threads, open);
 }

@@ -20,6 +20,7 @@ use crate::conn_pool::{Conn, ConnPool, PoolStats, Port, PortConfig, Reads, Servi
 use crate::faults::{AcceptFilter, FaultAction};
 use crate::message::Message;
 use crate::peers::Broadcaster;
+use crate::pool::DEFAULT_POOL_SIZE;
 use crate::reader::{FrameRead, PatientReader};
 use crate::wire::{write_frame, write_frame_split, ProtoError};
 use parking_lot::Mutex;
@@ -48,10 +49,6 @@ pub const PURGE_INTERVAL: Duration = Duration::from_secs(2);
 /// applied to the cluster plane). Until then it holds one of the cache
 /// port's threads.
 pub const FRAME_STALL_LIMIT: Duration = Duration::from_secs(5);
-
-/// A node's request threads by default (`ServerOptions::pool_size`), and
-/// so the most fetches a peer makes at once by default.
-pub const DEFAULT_REQUEST_THREADS: usize = 16;
 
 /// Hot-key entries shipped per [`Message::StatsSnapshot`] — enough for
 /// any sensible cluster ranking while keeping the frame small.
@@ -172,15 +169,10 @@ struct Daemon {
 
 /// The cache port's threads in a cluster of `num_nodes`, so that a hot
 /// connection lingers and never meets epoll: one per peer's notice link,
-/// [`DEFAULT_REQUEST_THREADS`] for fetches (the most one peer runs at
-/// once, and in a uniform cluster about what all peers together send one
-/// owner), and a spare that waits in epoll. On a pair, 16 and 32 clients
-/// of back-to-back remote hits parked nothing on these 18 threads; on 6,
-/// one per connection a peer keeps warm, they parked 0.2–0.3 times a hit,
-/// because a loaded fetch pool dials past its warm connections. A burst
-/// beyond parks.
+/// one per fetch connection a peer may open ([`DEFAULT_POOL_SIZE`]), and
+/// a spare in epoll. Any other connection parks between frames.
 fn port_threads(num_nodes: usize) -> usize {
-    num_nodes.saturating_sub(1) + DEFAULT_REQUEST_THREADS + 1
+    num_nodes.saturating_sub(1) * (1 + DEFAULT_POOL_SIZE) + 1
 }
 
 impl CacheDaemons {
@@ -514,9 +506,9 @@ mod tests {
         MemStore, NodeId,
     };
 
-    /// One fetch through the production client, nothing pooled.
+    /// One fetch through a fresh production client.
     fn fetch_once(addr: SocketAddr, key: &CacheKey, timeout: Duration) -> FetchOutcome {
-        let pool = FetchPool::new(default_dialer(), 0);
+        let pool = FetchPool::new(default_dialer(), 1);
         let policy = RetryPolicy::no_retry();
         pool.fetch(NodeId(0), addr, key, timeout, &policy, None).0
     }
@@ -863,6 +855,15 @@ mod tests {
     }
 
     #[test]
+    fn the_port_has_a_thread_for_every_connection_its_peers_may_open() {
+        // Per peer: its notice link and its fetch connections; plus a spare.
+        assert_eq!(port_threads(1), 1);
+        assert_eq!(port_threads(2), 6);
+        assert_eq!(port_threads(4), 16);
+        assert_eq!(port_threads(8), 36);
+    }
+
+    #[test]
     fn more_hot_connections_than_threads_all_make_progress() {
         // Two more connections than the port has threads, each fetching
         // back to back: the two a thread cannot linger on park between
@@ -1167,13 +1168,10 @@ mod tests {
         let (manager, daemons) = start_node(CacheRules::allow_all());
         insert(&manager, &CacheKey::new("/cgi-bin/a?1"), b"a");
         insert(&manager, &CacheKey::new("/cgi-bin/a?2"), b"b");
-        let (node, entries) = crate::fetch::request_sync_via(
-            &crate::fetch::default_dialer(),
-            NodeId(0),
-            daemons.addr(),
-            Duration::from_secs(1),
-        )
-        .unwrap();
+        let pool = FetchPool::new(default_dialer(), 1);
+        let (node, entries) = pool
+            .sync(NodeId(0), daemons.addr(), Duration::from_secs(1))
+            .unwrap();
         assert_eq!(node, NodeId(0));
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().all(|e| e.owner == NodeId(0)));

@@ -1,8 +1,8 @@
 //! Client side of a remote cache fetch.
 //!
 //! Figure 2's "Fetch from remote cache" edge: a node whose directory says
-//! a peer holds the result opens a short-lived connection, sends a
-//! [`Message::FetchRequest`] and reads the reply. A `FetchMiss` reply is
+//! a peer holds the result sends a [`Message::FetchRequest`] on one of
+//! its connections to that peer and reads the reply. A `FetchMiss` reply is
 //! the §4.2 *false hit* — the caller falls back to executing the CGI
 //! locally, paying "only the added delay of a request/reply session
 //! between the two nodes".
@@ -13,10 +13,10 @@
 //! module holds what it is built from — the outcome type, the policy, and
 //! the [`Dialer`] every connection goes through, so the chaos harness
 //! (`faults`) can cut, delay or truncate a session deterministically —
-//! and the one-shot sync and invalidate requests.
+//! and the one-shot invalidate request.
 
 use crate::message::Message;
-use crate::wire::{read_frame, write_frame, ProtoError};
+use crate::wire::{write_frame, ProtoError};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -61,12 +61,12 @@ pub struct FaultStream {
 }
 
 impl FaultStream {
-    /// Connect and wrap in one step.
+    /// Connect and wrap in one step, with `TCP_NODELAY`: every exchange
+    /// on a peer connection is a small request awaiting its reply.
     pub fn connect(addr: SocketAddr, timeout: Duration, fault: StreamFault) -> io::Result<Self> {
-        Ok(Self::wrap(
-            TcpStream::connect_timeout(&addr, timeout)?,
-            fault,
-        ))
+        let inner = TcpStream::connect_timeout(&addr, timeout)?;
+        inner.set_nodelay(true)?;
+        Ok(Self::wrap(inner, fault))
     }
 
     /// Wrap an already-connected stream.
@@ -89,10 +89,6 @@ impl FaultStream {
             self.io_timeout = Some(timeout);
         }
         Ok(())
-    }
-
-    pub fn set_nodelay(&self, on: bool) -> io::Result<()> {
-        self.inner.set_nodelay(on)
     }
 }
 
@@ -211,30 +207,11 @@ impl RetryPolicy {
     }
 }
 
-/// Ask `peer` at `addr` for its full local table (join-time directory
-/// sync). Returns the peer's node id and its entries.
-pub fn request_sync_via(
-    dialer: &Dialer,
-    peer: NodeId,
-    addr: SocketAddr,
-    timeout: Duration,
-) -> Result<(swala_cache::NodeId, Vec<swala_cache::EntryMeta>), ProtoError> {
-    let mut stream = dialer(peer, addr, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_io_timeout(timeout)?;
-    write_frame(&mut stream, &Message::SyncRequest.encode())?;
-    let frame = read_frame(&mut stream)?.ok_or(ProtoError::Truncated("sync reply"))?;
-    match Message::decode(&frame)? {
-        Message::SyncReply { node, entries } => Ok((node, entries)),
-        other => Err(ProtoError::Io(std::io::Error::other(format!(
-            "unexpected sync reply: {other:?}"
-        )))),
-    }
-}
-
 /// Ask the owner `peer` at `addr` to invalidate `key` (application-driven
 /// invalidation). Fire-and-forget: the owner announces the resulting
-/// deletion to the key's homes.
+/// deletion to the key's homes. A one-shot dial, not a pooled connection:
+/// no reply comes back, so a stale pooled socket would swallow the
+/// request without an error.
 pub fn request_invalidate(
     dialer: &Dialer,
     peer: NodeId,
@@ -243,7 +220,6 @@ pub fn request_invalidate(
     timeout: Duration,
 ) -> Result<(), ProtoError> {
     let mut stream = dialer(peer, addr, timeout)?;
-    stream.set_nodelay(true)?;
     stream.set_io_timeout(timeout)?;
     write_frame(&mut stream, &Message::encode_invalidate(key))
 }
@@ -252,12 +228,12 @@ pub fn request_invalidate(
 mod tests {
     use super::*;
     use crate::pool::FetchPool;
+    use crate::wire::read_frame;
     use std::net::TcpListener;
     use swala_cache::CacheKey;
 
-    /// Fetch through the production client with nothing pooled: one dial
-    /// per attempt, so what these cases pin is the wire exchange and the
-    /// retry loop.
+    /// Fetch through a fresh production client: one dial per attempt, so
+    /// what these cases pin is the wire exchange and the retry loop.
     fn fetch_via(
         dialer: &Dialer,
         addr: SocketAddr,
@@ -265,7 +241,7 @@ mod tests {
         timeout: Duration,
         policy: &RetryPolicy,
     ) -> (FetchOutcome, u32) {
-        FetchPool::new(dialer.clone(), 0).fetch(
+        FetchPool::new(dialer.clone(), 1).fetch(
             NodeId(1),
             addr,
             &CacheKey::new(key),

@@ -28,8 +28,8 @@
 //!   batching, and the cluster [`peers::Broadcaster`];
 //! * [`fetch`] — the client side of a remote cache fetch, with bounded
 //!   retry and an injectable [`fetch::Dialer`];
-//! * [`pool`] — persistent per-peer fetch connections, so a remote hit
-//!   reuses a warm session instead of paying a TCP handshake;
+//! * [`pool`] — a fixed set of persistent fetch connections per peer, so
+//!   a remote hit reuses a warm session instead of paying a TCP handshake;
 //! * [`conn_pool`] — the thread pool that serves both of a node's ports;
 //! * [`daemon`] — the cache port's service and the purge daemon, bound to
 //!   a [`swala_cache::CacheManager`];
@@ -52,13 +52,13 @@ pub mod wire;
 pub use conn_pool::PoolStats;
 pub use daemon::{
     announce, announce_delete, announce_insert, announce_node_down, CacheDaemons, DaemonConfig,
-    DEFAULT_REQUEST_THREADS, FRAME_STALL_LIMIT, PURGE_INTERVAL,
+    FRAME_STALL_LIMIT, PURGE_INTERVAL,
 };
 pub use epoll::raise_nofile_limit;
 pub use faults::{AcceptFilter, FaultAction, FaultEvent, FaultInjector, FaultRule};
 pub use fetch::{
-    default_dialer, request_invalidate, request_sync_via, Dialer, FaultStream, FetchOutcome,
-    RetryPolicy, StreamFault, FETCH_ATTEMPTS, FETCH_BACKOFF,
+    default_dialer, request_invalidate, Dialer, FaultStream, FetchOutcome, RetryPolicy,
+    StreamFault, FETCH_ATTEMPTS, FETCH_BACKOFF,
 };
 pub use health::{
     HealthSnapshot, HealthTracker, PeerState, PROBE_INTERVAL, QUARANTINE_AFTER, SUSPECT_AFTER,

@@ -2,35 +2,34 @@
 //!
 //! The paper's remote cache hit pays "only the added delay of a
 //! request/reply session between the two nodes"; a fresh TCP connection
-//! per fetch would add a three-way handshake to exactly the path that is
-//! supposed to be cheap. The cache port serves a connection's frames
-//! until the peer hangs up, so one connection carries any number of
-//! request/reply exchanges.
+//! per fetch would add a handshake to exactly the path that is supposed
+//! to be cheap. The cache port serves a connection's frames until the
+//! peer hangs up, so one connection carries any number of exchanges.
 //!
-//! [`FetchPool`] keeps a small stack of warm connections per peer and
-//! reuses them across remote hits. A pooled connection may have died
-//! while idle (peer restarted, RST in flight, injected fault), so one
-//! failure on a *reused* connection is charged to staleness rather than
-//! to the peer: the pool drops it and dials fresh once within the same
-//! retry attempt. Failures on fresh connections propagate to the
-//! existing [`RetryPolicy`] / `HealthTracker` seams unchanged — the
-//! pool narrows no failure handling, it only removes handshakes.
+//! [`FetchPool`] opens at most a fixed number of connections to each
+//! peer and makes an exchange that finds them all busy wait for one, so
+//! an owner knows how many connections its peers may open. It narrows
+//! no failure handling: a stale connection is redialed within the
+//! exchange, and every other failure reaches [`RetryPolicy`] and the
+//! caller's `HealthTracker` as before.
 
 use crate::fetch::{Dialer, FaultStream, FetchOutcome, RetryPolicy};
-use crate::message::Message;
+use crate::message::{Message, NodeStats};
 use crate::reader::{FrameRead, PatientReader};
 use crate::wire::{write_frame, ProtoError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-use swala_cache::{CacheKey, NodeId};
+use std::sync::{Arc, Condvar, PoisonError};
+use std::time::{Duration, Instant};
+use swala_cache::{CacheKey, EntryMeta, NodeId};
 
-/// Idle fetch connections every node keeps warm per peer. A constant,
-/// not a knob: a remote hit holds a connection for one exchange, so a few
-/// carry a peer's remote-hit stream, and a burst beyond them dials.
+/// Connections a node opens at most to each peer. A constant, not a
+/// knob: a remote hit holds one for one exchange, so a few carry a
+/// peer's remote-hit stream and a burst waits; cache ports are sized by it.
 pub const DEFAULT_POOL_SIZE: usize = 4;
 
 /// Counter snapshot for reporting (`/swala-status`, bench assertions).
@@ -44,14 +43,16 @@ pub struct FetchPoolStats {
     pub stale_drops: u64,
     /// Idle connections currently parked, across all peers.
     pub idle: u64,
+    /// Checkouts that waited for one of a busy peer's connections.
+    pub waits: u64,
 }
 
 impl fmt::Display for FetchPoolStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "connects={} reuses={} stale_drops={} idle={}",
-            self.connects_opened, self.reuses, self.stale_drops, self.idle,
+            "connects={} reuses={} stale_drops={} idle={} waits={}",
+            self.connects_opened, self.reuses, self.stale_drops, self.idle, self.waits,
         )
     }
 }
@@ -60,30 +61,73 @@ impl fmt::Display for FetchPoolStats {
 /// through (one `recv` per reply that fits it).
 type Conn = PatientReader<FaultStream>;
 
-/// A pool of warm request/reply connections, one stack per peer.
+/// One peer's connections: the idle ones, how many are open (idle or in
+/// use, never more than the pool's cap), and the checkouts waiting on
+/// `freed` for one of them.
+#[derive(Default)]
+struct Peer {
+    idle: Vec<Conn>,
+    open: usize,
+    waiting: usize,
+    freed: Arc<Condvar>,
+}
+
+/// A pool of request/reply connections, at most `max_per_peer` per peer.
+///
+/// Deadlock freedom rests on one rule: no caller holds a pooled
+/// connection while it asks for another. Each exchange (`dir_lookup`,
+/// then `fetch` on a remote hit; `stats_pull` on an admin scrape; `sync`
+/// at join) checks a connection out and back in before the next begins,
+/// so a waiter waits only on exchanges that end within their timeout.
 pub struct FetchPool {
     dialer: Dialer,
     max_per_peer: usize,
-    idle: Mutex<HashMap<u16, Vec<Conn>>>,
+    peers: Mutex<HashMap<NodeId, Peer>>,
     connects_opened: AtomicU64,
     reuses: AtomicU64,
     stale_drops: AtomicU64,
+    waits: AtomicU64,
+}
+
+/// One of a peer's `open` connections while an exchange holds it, and
+/// the connection in it. Dropped, the slot goes back: the connection idle,
+/// or closed when there is none or bytes follow its last reply (they
+/// would be read as the next one). Either way one waiter wakes.
+struct Slot<'a> {
+    pool: &'a FetchPool,
+    peer: NodeId,
+    conn: Option<Conn>,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let conn = self.conn.take().filter(|c| c.buffer().is_empty());
+        let mut peers = self.pool.peers.lock();
+        let p = peers.entry(self.peer).or_default();
+        match conn {
+            Some(conn) => p.idle.push(conn),
+            None => p.open -= 1,
+        }
+        if p.waiting > 0 {
+            p.freed.notify_one();
+        }
+    }
 }
 
 impl FetchPool {
-    /// A pool dialing through `dialer`, keeping at most `max_per_peer`
-    /// idle connections per peer. `max_per_peer == 0` disables pooling
-    /// (every fetch dials). Identical concurrent fetches are
-    /// not merged here: the cache manager's flight registry lets one
-    /// request per key fetch while the others wait.
+    /// A pool dialing through `dialer`, with at most `max_per_peer`
+    /// connections per peer, idle and in use. Identical fetches are not
+    /// merged here: the flight registry lets one request per key fetch.
     pub fn new(dialer: Dialer, max_per_peer: usize) -> FetchPool {
+        assert!(max_per_peer > 0, "a fetch pool needs a connection per peer");
         FetchPool {
             dialer,
             max_per_peer,
-            idle: Mutex::new(HashMap::new()),
+            peers: Mutex::new(HashMap::new()),
             connects_opened: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
             stale_drops: AtomicU64::new(0),
+            waits: AtomicU64::new(0),
         }
     }
 
@@ -98,84 +142,74 @@ impl FetchPool {
         &self,
         peer: NodeId,
         addr: SocketAddr,
-        key: &swala_cache::CacheKey,
+        key: &CacheKey,
         timeout: Duration,
         policy: &RetryPolicy,
         trace: Option<u64>,
     ) -> (FetchOutcome, u32) {
-        let attempts = policy.max_attempts.max(1);
-        let mut last = FetchOutcome::Unreachable("no attempt made".into());
-        for attempt in 1..=attempts {
-            last = self.try_once(peer, addr, key, timeout, trace);
-            if !matches!(last, FetchOutcome::Unreachable(_)) {
-                return (last, attempt);
+        let request = Message::encode_fetch_request(key, trace);
+        let accept = |reply| match reply {
+            Message::FetchHit { content_type, body } => {
+                Ok(FetchOutcome::Hit { content_type, body })
             }
-            if attempt < attempts {
-                std::thread::sleep(policy.backoff_after(attempt));
+            Message::FetchMiss => Ok(FetchOutcome::Gone),
+            other => Err(other),
+        };
+        let mut attempt = 1;
+        loop {
+            let out = self.with_conn(peer, addr, timeout, &request, accept);
+            let out = out.unwrap_or_else(FetchOutcome::Unreachable);
+            if attempt >= policy.max_attempts || !matches!(out, FetchOutcome::Unreachable(_)) {
+                return (out, attempt);
             }
+            std::thread::sleep(policy.backoff_after(attempt));
+            attempt += 1;
         }
-        (last, attempts)
     }
 
-    /// One attempt: warm connection first (discard-and-redial once if it
-    /// proves stale), then a fresh dial.
-    fn try_once(
-        &self,
-        peer: NodeId,
-        addr: SocketAddr,
-        key: &swala_cache::CacheKey,
-        timeout: Duration,
-        trace: Option<u64>,
-    ) -> FetchOutcome {
-        self.with_conn(peer, addr, timeout, |conn| {
-            fetch_on(conn, key, timeout, trace)
-        })
-        .unwrap_or_else(FetchOutcome::Unreachable)
-    }
-
-    /// Run one request/reply `exchange` with `peer` on a pooled
-    /// connection. A failure on a *reused* connection is staleness, not
-    /// evidence against the peer: the connection is dropped and the
-    /// exchange repeated once on a fresh dial, whose failure is the
-    /// caller's to handle.
+    /// Send `request` to `peer` on a pooled connection and map the reply
+    /// through `accept`, which hands back any reply it does not expect. A
+    /// failure on a *reused* connection is staleness, not evidence
+    /// against the peer: the connection is closed and the exchange
+    /// repeated once on a fresh dial in its slot, whose failure is the
+    /// caller's to handle. A failed exchange never leaves its connection
+    /// idle.
     fn with_conn<T>(
         &self,
         peer: NodeId,
         addr: SocketAddr,
         timeout: Duration,
-        exchange: impl Fn(&mut Conn) -> Result<T, ProtoError>,
+        request: &[u8],
+        accept: impl Fn(Message) -> Result<T, Message>,
     ) -> Result<T, String> {
-        if let Some(mut conn) = self.checkout(peer) {
+        let conn = self.checkout(peer, timeout)?;
+        let mut slot = Slot {
+            pool: self,
+            peer,
+            conn,
+        };
+        if let Some(conn) = &mut slot.conn {
             self.reuses.fetch_add(1, Ordering::Relaxed);
-            match exchange(&mut conn) {
-                Ok(reply) => {
-                    self.checkin(peer, conn);
-                    return Ok(reply);
-                }
-                Err(_) => {
-                    self.stale_drops.fetch_add(1, Ordering::Relaxed);
-                }
+            if let Ok(reply) = exchange(conn, timeout, request, &accept) {
+                return Ok(reply);
             }
+            self.stale_drops.fetch_add(1, Ordering::Relaxed);
+            slot.conn = None;
         }
         let stream = (self.dialer)(peer, addr, timeout).map_err(|e| e.to_string())?;
         self.connects_opened.fetch_add(1, Ordering::Relaxed);
-        stream.set_nodelay(true).map_err(|e| e.to_string())?;
-        let mut conn = PatientReader::new(stream);
-        let reply = exchange(&mut conn).map_err(|e| e.to_string())?;
-        self.checkin(peer, conn);
-        Ok(reply)
+        let conn = slot.conn.insert(PatientReader::new(stream));
+        let reply = exchange(conn, timeout, request, &accept);
+        if reply.is_err() {
+            slot.conn = None;
+        }
+        reply.map_err(|e| e.to_string())
     }
 
-    /// One pooled directory-lookup exchange: ask `peer` — one of the
-    /// key's homes — who currently caches `key`. Returns the home's
-    /// authoritative answer: the entry (naming its owner) when the key is
-    /// cached somewhere, `None` when the home has no record (the asker
-    /// should execute locally).
-    ///
-    /// Single attempt, with the pool's usual stale-drop-then-redial
-    /// inside it; a transport failure maps to `Err` so the caller can
-    /// fall back to local execution rather than retrying a lookup whose
-    /// answer it can live without.
+    /// One directory-lookup exchange: ask `peer`, one of the key's homes,
+    /// who caches `key` — the entry naming its owner, or `None` when the
+    /// home has no record. One attempt: on `Err` the caller executes
+    /// locally rather than retry a lookup it can live without.
     pub fn dir_lookup(
         &self,
         peer: NodeId,
@@ -183,129 +217,122 @@ impl FetchPool {
         key: &CacheKey,
         timeout: Duration,
         trace: Option<u64>,
-    ) -> Result<Option<swala_cache::EntryMeta>, String> {
-        self.with_conn(peer, addr, timeout, |conn| {
-            dir_lookup_on(conn, key, timeout, trace)
+    ) -> Result<Option<EntryMeta>, String> {
+        let request = Message::encode_dir_lookup(key, trace);
+        self.with_conn(peer, addr, timeout, &request, |reply| match reply {
+            Message::DirAnswer { meta } => Ok(meta),
+            other => Err(other),
         })
     }
 
-    /// One pooled stats-federation exchange: pull `peer`'s metrics
-    /// snapshot and hot-key sketch. Same shape as
-    /// [`dir_lookup`](Self::dir_lookup) — single attempt with the pool's
-    /// stale-drop-then-redial inside it, `Err` on transport failure so
-    /// the scraper can degrade to a partial cluster view.
+    /// One stats-federation exchange: pull `peer`'s metrics snapshot and
+    /// hot-key sketch. One attempt: on `Err` the scraper degrades to a
+    /// partial cluster view.
     pub fn stats_pull(
         &self,
         peer: NodeId,
         addr: SocketAddr,
         timeout: Duration,
         trace: Option<u64>,
-    ) -> Result<crate::message::NodeStats, String> {
-        self.with_conn(peer, addr, timeout, |conn| {
-            stats_pull_on(conn, timeout, trace)
+    ) -> Result<NodeStats, String> {
+        let request = Message::StatsPull { trace }.encode();
+        self.with_conn(peer, addr, timeout, &request, |reply| match reply {
+            Message::StatsSnapshot(stats) => Ok(stats),
+            other => Err(other),
         })
     }
 
-    fn checkout(&self, peer: NodeId) -> Option<Conn> {
-        self.idle.lock().get_mut(&peer.0)?.pop()
+    /// One join-sync exchange: pull `peer`'s whole local table. One
+    /// attempt: on `Err` the joining node learns that peer's entries from
+    /// its notices instead.
+    pub fn sync(
+        &self,
+        peer: NodeId,
+        addr: SocketAddr,
+        timeout: Duration,
+    ) -> Result<(NodeId, Vec<EntryMeta>), String> {
+        let request = Message::SyncRequest.encode();
+        self.with_conn(peer, addr, timeout, &request, |reply| match reply {
+            Message::SyncReply { node, entries } => Ok((node, entries)),
+            other => Err(other),
+        })
     }
 
-    fn checkin(&self, peer: NodeId, conn: Conn) {
-        // Bytes behind the reply would be read as the next one: close.
-        if !conn.buffer().is_empty() {
-            return;
+    /// Take a slot: an idle connection to `peer`, or `None` to dial into
+    /// while fewer than `max_per_peer` are open. Otherwise wait up to
+    /// `timeout` for a slot to go back.
+    fn checkout(&self, peer: NodeId, timeout: Duration) -> Result<Option<Conn>, String> {
+        let deadline = Instant::now() + timeout;
+        let mut waited = false;
+        let mut peers = self.peers.lock();
+        loop {
+            let p = peers.entry(peer).or_default();
+            p.waiting -= waited as usize;
+            if let Some(conn) = p.idle.pop() {
+                return Ok(Some(conn));
+            }
+            if p.open < self.max_per_peer {
+                p.open += 1;
+                return Ok(None);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(format!("all {} connections stayed busy", self.max_per_peer));
+            }
+            if !waited {
+                waited = true;
+                self.waits.fetch_add(1, Ordering::Relaxed);
+            }
+            p.waiting += 1;
+            // The wait takes the map's lock, so it cannot borrow from the map.
+            let freed = Arc::clone(&p.freed);
+            let woken = freed.wait_timeout(peers, left);
+            peers = woken.unwrap_or_else(PoisonError::into_inner).0;
         }
-        let mut idle = self.idle.lock();
-        let stack = idle.entry(peer.0).or_default();
-        if stack.len() < self.max_per_peer {
-            stack.push(conn);
-        }
-        // Else: over the cap (or pooling disabled); dropping closes it.
     }
 
-    /// Discard every idle connection to `peer`. Called when the health
-    /// tracker quarantines the peer — its parked connections are dead
-    /// weight at best and stale-failure noise at worst.
+    /// Discard every idle connection to `peer`, freeing their slots.
+    /// Called when the health tracker quarantines the peer — its parked
+    /// connections are dead weight at best and stale-failure noise at
+    /// worst.
     pub fn purge_peer(&self, peer: NodeId) {
-        self.idle.lock().remove(&peer.0);
+        if let Some(p) = self.peers.lock().get_mut(&peer) {
+            p.open -= p.idle.len();
+            p.idle.clear();
+            p.freed.notify_all();
+        }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> FetchPoolStats {
-        let idle = self.idle.lock().values().map(|v| v.len() as u64).sum();
+        let idle: usize = self.peers.lock().values().map(|p| p.idle.len()).sum();
         FetchPoolStats {
             connects_opened: self.connects_opened.load(Ordering::Relaxed),
             reuses: self.reuses.load(Ordering::Relaxed),
             stale_drops: self.stale_drops.load(Ordering::Relaxed),
-            idle,
+            idle: idle as u64,
+            waits: self.waits.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Send `request` and decode the reply frame, both bounded by `timeout`
-/// (the socket carries it, so a timeout anywhere is a failure).
-fn exchange(
+/// Send `request` and map the reply frame through `accept`, both bounded
+/// by `timeout` (the socket carries it, so a timeout anywhere is a
+/// failure).
+fn exchange<T>(
     conn: &mut Conn,
     timeout: Duration,
     request: &[u8],
-    what: &'static str,
-) -> Result<Message, ProtoError> {
+    accept: impl Fn(Message) -> Result<T, Message>,
+) -> Result<T, ProtoError> {
     conn.get_mut().set_io_timeout(timeout)?;
     write_frame(conn.get_mut(), request)?;
-    match conn.read_frame(Duration::ZERO, || true)? {
-        FrameRead::Frame(reply) => Message::decode(&reply),
-        FrameRead::Idle => Err(ProtoError::Io(std::io::ErrorKind::TimedOut.into())),
-        FrameRead::Closed => Err(ProtoError::Truncated(what)),
-    }
-}
-
-fn unexpected(what: &str, reply: Message) -> ProtoError {
-    ProtoError::Io(std::io::Error::other(format!(
-        "unexpected {what}: {reply:?}"
-    )))
-}
-
-/// One fetch request/reply exchange on an established connection.
-fn fetch_on(
-    conn: &mut Conn,
-    key: &swala_cache::CacheKey,
-    timeout: Duration,
-    trace: Option<u64>,
-) -> Result<FetchOutcome, ProtoError> {
-    let request = Message::encode_fetch_request(key, trace);
-    match exchange(conn, timeout, &request, "fetch reply")? {
-        Message::FetchHit { content_type, body } => Ok(FetchOutcome::Hit { content_type, body }),
-        Message::FetchMiss => Ok(FetchOutcome::Gone),
-        other => Err(unexpected("fetch reply", other)),
-    }
-}
-
-/// One directory-lookup request/reply exchange on an established
-/// connection.
-fn dir_lookup_on(
-    conn: &mut Conn,
-    key: &CacheKey,
-    timeout: Duration,
-    trace: Option<u64>,
-) -> Result<Option<swala_cache::EntryMeta>, ProtoError> {
-    let request = Message::encode_dir_lookup(key, trace);
-    match exchange(conn, timeout, &request, "dir-lookup reply")? {
-        Message::DirAnswer { meta } => Ok(meta),
-        other => Err(unexpected("dir-lookup reply", other)),
-    }
-}
-
-/// One stats-pull request/reply exchange on an established connection.
-fn stats_pull_on(
-    conn: &mut Conn,
-    timeout: Duration,
-    trace: Option<u64>,
-) -> Result<crate::message::NodeStats, ProtoError> {
-    let request = Message::StatsPull { trace }.encode();
-    match exchange(conn, timeout, &request, "stats reply")? {
-        Message::StatsSnapshot(stats) => Ok(stats),
-        other => Err(unexpected("stats reply", other)),
-    }
+    let reply = match conn.read_frame(Duration::ZERO, || true)? {
+        FrameRead::Frame(reply) => Message::decode(&reply)?,
+        FrameRead::Idle => return Err(io::Error::from(io::ErrorKind::TimedOut).into()),
+        FrameRead::Closed => return Err(ProtoError::Truncated("reply")),
+    };
+    accept(reply).map_err(|other| io::Error::other(format!("unexpected reply: {other:?}")).into())
 }
 
 #[cfg(test)]
@@ -313,6 +340,7 @@ mod tests {
     use super::*;
     use crate::fetch::{default_dialer, StreamFault};
     use crate::wire::read_frame;
+    use std::io::Write;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
@@ -387,7 +415,7 @@ mod tests {
         let (addr, accepted) = persistent_fetch_server(|_| hit(b"x"));
         let pool = Arc::new(FetchPool::new(default_dialer(), 4));
         let mut handles = Vec::new();
-        for t in 0..4 {
+        for t in 0..8 {
             let pool = Arc::clone(&pool);
             handles.push(std::thread::spawn(move || {
                 for i in 0..10 {
@@ -406,15 +434,232 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // 4 threads × 10 fetches over a pool of 4: at most 4 dials.
+        // 8 threads × 10 fetches over a pool of 4: at most 4 dials, the
+        // other fetches reuse or wait.
         assert!(accepted.load(Ordering::SeqCst) <= 4);
         assert!(pool.stats().idle <= 4);
+    }
+
+    /// A fetch server on a schedule of its own: every third reply comes
+    /// after a 5 ms stall, every fifth with a stray byte behind it, and
+    /// each connection closes after its seventh.
+    fn scheduled_fetch_server() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let served = Arc::new(AtomicU32::new(0));
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                let Ok(mut s) = conn else { break };
+                let served = Arc::clone(&served);
+                std::thread::spawn(move || {
+                    for _ in 0..7 {
+                        let Ok(Some(_)) = read_frame(&mut s) else {
+                            return;
+                        };
+                        let n = served.fetch_add(1, Ordering::SeqCst);
+                        if n.is_multiple_of(3) {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        let mut reply = Vec::new();
+                        write_frame(&mut reply, &hit(b"x").encode()).unwrap();
+                        if n.is_multiple_of(5) {
+                            reply.push(0);
+                        }
+                        if s.write_all(&reply).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    /// A fetch server whose first reply waits for a word on `go` and is
+    /// then passed through `first`: the bytes to send, or `None` to close
+    /// without a reply. Every other reply is a plain hit.
+    fn gated_fetch_server(
+        go: std::sync::mpsc::Receiver<()>,
+        first: fn(Vec<u8>) -> Option<Vec<u8>>,
+    ) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let mut go = Some(go);
+            for conn in listener.incoming() {
+                let Ok(mut s) = conn else { break };
+                let mut gate = go.take();
+                std::thread::spawn(move || {
+                    while let Ok(Some(_)) = read_frame(&mut s) {
+                        let mut reply = Vec::new();
+                        write_frame(&mut reply, &hit(b"x").encode()).unwrap();
+                        if let Some(go) = gate.take() {
+                            go.recv().unwrap();
+                            match first(reply) {
+                                Some(bytes) => reply = bytes,
+                                None => return,
+                            }
+                        }
+                        if s.write_all(&reply).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    fn wait_until(cond: impl Fn() -> bool) {
+        while !cond() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// One fetch of `/x` from node 1 at `addr`, no retries.
+    fn fetch_x(pool: &FetchPool, addr: SocketAddr, timeout: Duration) -> FetchOutcome {
+        let (key, policy) = (CacheKey::new("/x"), RetryPolicy::no_retry());
+        pool.fetch(NodeId(1), addr, &key, timeout, &policy, None).0
+    }
+
+    #[test]
+    fn a_wait_that_outlasts_its_timeout_is_unreachable() {
+        let (go, gate) = std::sync::mpsc::channel();
+        let addr = gated_fetch_server(gate, Some);
+        let pool = Arc::new(FetchPool::new(default_dialer(), 1));
+        let busy = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || fetch_x(&pool, addr, Duration::from_secs(5)))
+        };
+        wait_until(|| pool.stats().connects_opened == 1);
+        // The only connection is held until `go`: this fetch waits out
+        // its whole timeout.
+        let out = fetch_x(&pool, addr, Duration::from_millis(50));
+        assert!(
+            matches!(&out, FetchOutcome::Unreachable(why) if why.contains("busy")),
+            "{out:?}"
+        );
+        go.send(()).unwrap();
+        assert!(matches!(busy.join().unwrap(), FetchOutcome::Hit { .. }));
+        let s = pool.stats();
+        assert_eq!((s.connects_opened, s.waits, s.idle), (1, 1, 1));
+    }
+
+    /// With one connection per peer, a fetch that waits behind another
+    /// gets the slot as soon as the first one's connection closes, on
+    /// each way a connection closes without going back idle: a failed
+    /// exchange, and bytes behind the reply.
+    #[test]
+    fn every_release_wakes_a_waiter() {
+        let no_reply: fn(Vec<u8>) -> Option<Vec<u8>> = |_| None;
+        let stray_byte: fn(Vec<u8>) -> Option<Vec<u8>> = |mut reply| {
+            reply.push(0);
+            Some(reply)
+        };
+        for (first_hits, first) in [(false, no_reply), (true, stray_byte)] {
+            let (go, gate) = std::sync::mpsc::channel();
+            let addr = gated_fetch_server(gate, first);
+            let pool = Arc::new(FetchPool::new(default_dialer(), 1));
+            let timeout = Duration::from_secs(5);
+            let spawn_fetch = || {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || fetch_x(&pool, addr, timeout))
+            };
+            let holder = spawn_fetch();
+            wait_until(|| pool.stats().connects_opened == 1);
+            let waiter = spawn_fetch();
+            wait_until(|| pool.stats().waits == 1);
+            let released = Instant::now();
+            go.send(()).unwrap();
+            let out = waiter.join().unwrap();
+            assert!(matches!(out, FetchOutcome::Hit { .. }), "{out:?}");
+            assert!(released.elapsed() < Duration::from_secs(1), "{first_hits}");
+            let held = holder.join().unwrap();
+            assert_eq!(matches!(held, FetchOutcome::Hit { .. }), first_hits);
+            // The first connection closed instead of going back idle, so
+            // the waiter dialed rather than reusing it.
+            let s = pool.stats();
+            assert_eq!((s.connects_opened, s.waits, s.idle), (2, 1, 1), "{s}");
+            assert_eq!((s.reuses, s.stale_drops), (0, 0), "{s}");
+        }
+    }
+
+    #[test]
+    fn slots_never_leak_under_failures_stalls_and_purges() {
+        const CAP: usize = 2;
+        let addr = scheduled_fetch_server();
+        // Every fourth dial fails and every fourth delivers 8 bytes.
+        let dials = AtomicU32::new(0);
+        let dialer: Dialer =
+            Arc::new(
+                move |_peer, a, t| match dials.fetch_add(1, Ordering::SeqCst) % 4 {
+                    0 => Err(std::io::Error::other("scheduled dial failure")),
+                    1 => FaultStream::connect(a, t, StreamFault::TruncateReads(8)),
+                    _ => FaultStream::connect(a, t, StreamFault::None),
+                },
+            );
+        let pool = Arc::new(FetchPool::new(dialer, CAP));
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Two peers behind one server, so the caps are per peer.
+        let peers = [NodeId(1), NodeId(2)];
+        let checker = {
+            let (pool, done) = (Arc::clone(&pool), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::SeqCst) {
+                    for p in pool.peers.lock().values() {
+                        assert!(p.open <= CAP && p.idle.len() <= p.open);
+                    }
+                    for peer in peers {
+                        pool.purge_peer(peer);
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            })
+        };
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_millis(1),
+            jitter_seed: 0,
+        };
+        let workers: Vec<_> = (0..8)
+            .map(|t| {
+                let (pool, policy) = (Arc::clone(&pool), policy.clone());
+                std::thread::spawn(move || {
+                    let mut hits = 0;
+                    for i in 0..30 {
+                        let key = CacheKey::new(format!("/t{t}?{i}"));
+                        let timeout = Duration::from_secs(2);
+                        let (out, _) = pool.fetch(peers[i % 2], addr, &key, timeout, &policy, None);
+                        // Every exchange ends within milliseconds, so a
+                        // wait that runs out is a leaked slot or a
+                        // release that woke no waiter.
+                        assert!(
+                            !matches!(&out, FetchOutcome::Unreachable(why) if why.contains("busy")),
+                            "{out:?}"
+                        );
+                        hits += matches!(out, FetchOutcome::Hit { .. }) as usize;
+                    }
+                    hits
+                })
+            })
+            .collect();
+        let hits: usize = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        done.store(true, Ordering::SeqCst);
+        checker.join().unwrap();
+        assert!(hits > 0);
+        for (peer, p) in pool.peers.lock().iter() {
+            assert_eq!(p.open, p.idle.len(), "{peer:?} leaked a slot");
+            assert_eq!(p.waiting, 0, "{peer:?} counts a waiter that left");
+        }
+        assert!(pool.stats().waits > 0, "{}", pool.stats());
     }
 
     #[test]
     fn stale_connection_reconnects_within_one_attempt() {
         let (addr, accepted) = persistent_fetch_server(|_| hit(b"ok"));
-        let pool = FetchPool::new(default_dialer(), 2);
+        // One connection per peer: the redial must take the stale one's
+        // slot, or it would wait for itself.
+        let pool = FetchPool::new(default_dialer(), 1);
         let key = CacheKey::new("/x");
         let (out, _) = pool.fetch(
             NodeId(1),
@@ -428,8 +673,8 @@ mod tests {
         // Poison the parked connection: replace it with one whose reads
         // always reset, as if the peer restarted while it sat idle.
         {
-            let mut idle = pool.idle.lock();
-            let stack = idle.get_mut(&1).unwrap();
+            let mut peers = pool.peers.lock();
+            let stack = &mut peers.get_mut(&NodeId(1)).unwrap().idle;
             let dead = stack.pop().unwrap();
             drop(dead);
             let raw = std::net::TcpStream::connect(addr).unwrap();
@@ -479,7 +724,7 @@ mod tests {
     #[test]
     fn purge_peer_drops_idle_connections() {
         let (addr, _) = persistent_fetch_server(|_| hit(b"x"));
-        let pool = FetchPool::new(default_dialer(), 2);
+        let pool = FetchPool::new(default_dialer(), 1);
         pool.fetch(
             NodeId(3),
             addr,
@@ -491,8 +736,8 @@ mod tests {
         assert_eq!(pool.stats().idle, 1);
         pool.purge_peer(NodeId(3));
         assert_eq!(pool.stats().idle, 0);
-        // Next fetch dials fresh.
-        pool.fetch(
+        // Next fetch dials fresh, in the slot the purge freed.
+        let (out, _) = pool.fetch(
             NodeId(3),
             addr,
             &CacheKey::new("/y"),
@@ -500,7 +745,9 @@ mod tests {
             &RetryPolicy::no_retry(),
             None,
         );
-        assert_eq!(pool.stats().connects_opened, 2);
+        assert!(matches!(out, FetchOutcome::Hit { .. }), "{out:?}");
+        let s = pool.stats();
+        assert_eq!((s.connects_opened, s.waits), (2, 0));
     }
 
     #[test]
@@ -664,27 +911,5 @@ mod tests {
         );
         assert!(err.is_err());
         assert_eq!(pool.stats().idle, 0);
-    }
-
-    #[test]
-    fn zero_sized_pool_never_parks_connections() {
-        let (addr, accepted) = persistent_fetch_server(|_| hit(b"x"));
-        let pool = FetchPool::new(default_dialer(), 0);
-        for _ in 0..3 {
-            let (out, _) = pool.fetch(
-                NodeId(1),
-                addr,
-                &CacheKey::new("/x"),
-                Duration::from_secs(1),
-                &RetryPolicy::no_retry(),
-                None,
-            );
-            assert!(matches!(out, FetchOutcome::Hit { .. }));
-        }
-        let s = pool.stats();
-        assert_eq!(s.connects_opened, 3);
-        assert_eq!(s.reuses, 0);
-        assert_eq!(s.idle, 0);
-        assert_eq!(accepted.load(Ordering::SeqCst), 3);
     }
 }

@@ -11,8 +11,8 @@ use swala_cache::{CacheKey, EntryMeta, NodeId};
 use swala_obs::{HeatEntry, Histogram, MetricSnapshot, MetricValue};
 use swala_proto::reader::Script;
 use swala_proto::{
-    read_frame, request_sync_via, write_frame, Dialer, FaultStream, FetchOutcome, FetchPool,
-    FrameRead, Message, NodeStats, PatientReader, RetryPolicy, StreamFault,
+    read_frame, write_frame, Dialer, FaultStream, FetchOutcome, FetchPool, FrameRead, Message,
+    NodeStats, PatientReader, RetryPolicy, StreamFault,
 };
 
 fn key_strategy() -> impl Strategy<Value = CacheKey> {
@@ -320,7 +320,7 @@ proptest! {
         let dialer: Dialer = Arc::new(move |_peer, a, t| {
             FaultStream::connect(a, t, StreamFault::TruncateReads(cut))
         });
-        let (out, attempts) = FetchPool::new(dialer, 0).fetch(
+        let (out, attempts) = FetchPool::new(dialer, 1).fetch(
             NodeId(1),
             addr,
             &CacheKey::new("/cgi-bin/p?x=1"),
@@ -350,7 +350,7 @@ proptest! {
         let (addr, h) = one_shot_raw_server(frame[..cut].to_vec());
         let dialer: Dialer =
             Arc::new(|_peer, a, t| FaultStream::connect(a, t, StreamFault::None));
-        let (out, _) = FetchPool::new(dialer, 0).fetch(
+        let (out, _) = FetchPool::new(dialer, 1).fetch(
             NodeId(1),
             addr,
             &CacheKey::new("/cgi-bin/p?x=2"),
@@ -380,7 +380,7 @@ proptest! {
         let (addr, h) = one_shot_raw_server(frame[..cut].to_vec());
         let dialer: Dialer =
             Arc::new(|_peer, a, t| FaultStream::connect(a, t, StreamFault::None));
-        let result = request_sync_via(&dialer, NodeId(3), addr, Duration::from_secs(2));
+        let result = FetchPool::new(dialer, 1).sync(NodeId(3), addr, Duration::from_secs(2));
         prop_assert!(result.is_err());
         h.join().unwrap();
     }

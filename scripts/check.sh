@@ -79,13 +79,15 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test placement
 cargo test -q --release -p swala-proto --lib daemon::tests::announce_reaches_exactly_the_other_homes
 
-step "request path at the syscall floor (reader, connection pool, request loop, request decoder, allocation budget; release)"
+step "request path at the syscall floor (reader, connection pool, fetch pool, request loop, request decoder, allocation budget; release)"
 # Counter-based, no clocks: one read per request / frame, idle vs stall,
 # every split point against read_frame / try_parse_request as oracles
 # (2048 cases, pinned seed), and allocations per warm local hit, remote
 # hit (both nodes) and evicting miss. The connection pool serves both
-# ports, the HTTP port and the cache port: its own unit tests, then the
-# HTTP request loop's over it. The request decoder, from structured and
+# ports, the HTTP port and the cache port: its own unit tests and the
+# fetch pool's, which one `pool::` filter takes in (at most
+# DEFAULT_POOL_SIZE connections per peer, slots that never leak, a
+# waiter woken by every release), then the HTTP request loop's over it. The request decoder, from structured and
 # hostile requests (huge or conflicting Content-Length, transfer codings,
 # header counts past the limit, cut or flipped bytes): no panic, at most
 # 16 x the input's length + 4096 bytes asked of the allocator,
@@ -94,7 +96,7 @@ step "request path at the syscall floor (reader, connection pool, request loop, 
 cargo test -q --release -p swala-proto --lib reader::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-proto --test proptests patient_reader
-cargo test -q --release -p swala-proto --lib conn_pool::
+cargo test -q --release -p swala-proto --lib pool::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala --lib pool::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
