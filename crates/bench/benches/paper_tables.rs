@@ -181,44 +181,6 @@ fn bench_table3_insert_overhead(c: &mut Criterion) {
     });
 }
 
-/// The broadcast pipeline's caller-side primitive: one encode + one
-/// bounded enqueue per link, whether peers are reachable or not.
-fn bench_broadcast_enqueue(c: &mut Criterion) {
-    use swala_cache::{CacheKey, EntryMeta, NodeId};
-    use swala_proto::{Broadcaster, Message};
-    let dead = || {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l.local_addr().unwrap();
-        drop(l);
-        addr
-    };
-    let mut group = c.benchmark_group("broadcast");
-    for peers in [1usize, 8] {
-        let b = Broadcaster::new(
-            NodeId(0),
-            (0..peers).map(|i| (NodeId(i as u16 + 1), dead())),
-        );
-        let mut n = 0u64;
-        group.bench_function(format!("enqueue_{peers}_dead_peers"), |bench| {
-            bench.iter(|| {
-                n += 1;
-                let meta = EntryMeta::new(
-                    CacheKey::new(format!("/cgi-bin/adl?id={n}")),
-                    NodeId(0),
-                    256,
-                    "text/html",
-                    1_000_000,
-                    None,
-                    n,
-                );
-                black_box(b.broadcast(&Message::InsertNotice { meta }))
-            })
-        });
-        b.shutdown();
-    }
-    group.finish();
-}
-
 /// Table 4's primitive: applying a peer's insert notice to the directory.
 fn bench_table4_directory_updates(c: &mut Criterion) {
     use swala_cache::{CacheKey, CacheManager, CacheManagerConfig, EntryMeta, MemStore, NodeId};
@@ -287,7 +249,6 @@ criterion_group! {
         bench_fig3_nullcgi,
         bench_fig4_scaling,
         bench_table3_insert_overhead,
-        bench_broadcast_enqueue,
         bench_table4_directory_updates,
         bench_table56_hit_ratio,
 }

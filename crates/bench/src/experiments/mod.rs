@@ -1,8 +1,6 @@
 //! One module per reproduced table/figure, plus the ablations.
 
 pub mod ablations;
-pub mod broadcast;
-pub mod directory;
 pub mod fig3;
 pub mod fig4;
 pub mod table1;
@@ -31,8 +29,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("policies-hetero", ablations::run_policies_hetero),
     ("falsemiss", ablations::run_false_consistency),
     ("locking", ablations::run_locking),
-    ("broadcast", broadcast::run),
-    ("directory", directory::run),
 ];
 
 /// Run one experiment by id.

@@ -69,17 +69,6 @@ pub fn gated_registry(work: WorkKind, cores: Option<usize>) -> ProgramRegistry {
     registry
 }
 
-/// Whether the nodes own `expected_total` entries between them and every
-/// directory holds exactly what the placement rule puts there — all
-/// notices have landed.
-pub fn directories_converged(servers: &[SwalaServer], expected_total: usize) -> bool {
-    let owned: usize = servers
-        .iter()
-        .map(|s| s.manager().directory().len(s.manager().local_node()))
-        .sum();
-    owned == expected_total && directories_settled(servers)
-}
-
 /// Whether every node's directory holds exactly the entries the
 /// placement rule puts there: for each other node, that node's own
 /// entries whose homes include this one — none missing (a notice still in
@@ -166,13 +155,18 @@ impl SwalaCluster {
         self.servers.iter().map(|s| f(&s.cache_stats())).sum()
     }
 
-    /// Wait until the directories have converged on `expected_total`
-    /// entries ([`directories_converged`]). Returns whether that happened
-    /// within `timeout`.
+    /// Wait until the nodes own `expected_total` entries between them
+    /// and every directory holds exactly what the placement rule puts
+    /// there. Returns whether that happened within `timeout`.
     pub fn wait_for_directory_convergence(&self, expected_total: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if directories_converged(&self.servers, expected_total) {
+            let owned: usize = self
+                .servers
+                .iter()
+                .map(|s| s.manager().directory().len(s.manager().local_node()))
+                .sum();
+            if owned == expected_total && directories_settled(&self.servers) {
                 return true;
             }
             if Instant::now() > deadline {

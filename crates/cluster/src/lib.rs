@@ -16,5 +16,5 @@
 pub mod cluster;
 pub mod pseudo;
 
-pub use cluster::{directories_converged, ClusterConfig, SwalaCluster};
+pub use cluster::{ClusterConfig, SwalaCluster};
 pub use pseudo::PseudoServer;

@@ -1,23 +1,20 @@
-//! Access logging: Common Log Format or JSON lines.
+//! Access logging in Common Log Format.
 //!
-//! 1998 servers wrote NCSA Common Log Format, and so does Swala by
-//! default:
+//! 1998 servers wrote NCSA Common Log Format, and so does Swala:
 //!
 //! ```text
 //! 127.0.0.1 - - [28/Jul/1998:12:00:00 +0000] "GET /cgi-bin/adl?id=1 HTTP/1.0" 200 2048
 //! ```
 //!
-//! `log_format json` switches each line to one JSON object with the
-//! same fields (including the telemetry suffix's `out=`/`owner=`/
-//! `trace=` data as proper keys), for log pipelines that would
-//! otherwise regex the CLF line apart.
+//! With tracing on, each line carries a telemetry suffix after the byte
+//! count (`out=`/`owner=`/`trace=`…); parsers that stop at the byte
+//! count, `swala-workload`'s among them, read the line unchanged.
 //!
 //! Lines are buffered per write and the file is shared by all request
 //! threads through a mutex — the bottleneck profile of the original
 //! servers, which is fine because a log write is two orders of magnitude
 //! cheaper than the dynamic requests Swala exists to serve.
 
-use crate::config::LogFormat;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -26,30 +23,18 @@ use swala_http::date::UtcDateTime;
 use swala_http::{Request, Response};
 use swala_obs::TraceSummary;
 
-/// A shared, append-only access log (CLF text or JSON lines).
+/// A shared, append-only CLF access log.
 pub struct AccessLog {
     file: Mutex<File>,
-    format: LogFormat,
 }
 
 impl AccessLog {
-    /// Open (appending) a CLF text log at `path`.
+    /// Open (appending) a CLF log at `path`.
     pub fn open(path: &Path) -> io::Result<AccessLog> {
-        AccessLog::open_with(path, LogFormat::Text)
-    }
-
-    /// Open (appending) the log at `path` in the given line format.
-    pub fn open_with(path: &Path, format: LogFormat) -> io::Result<AccessLog> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(AccessLog {
             file: Mutex::new(file),
-            format,
         })
-    }
-
-    /// The configured line format.
-    pub fn format(&self) -> LogFormat {
-        self.format
     }
 
     /// Append one request/response pair without telemetry.
@@ -58,10 +43,9 @@ impl AccessLog {
     }
 
     /// Append one request/response pair with its trace summary (when
-    /// tracing produced one). Text format splices the telemetry suffix
-    /// in before the newline — the CLF prefix is unchanged, so existing
-    /// log parsers (which stop at status+bytes) keep working. JSON
-    /// format emits the same data as object fields.
+    /// tracing produced one), spliced in as the telemetry suffix before
+    /// the newline — the CLF prefix is unchanged, so existing log
+    /// parsers (which stop at status+bytes) keep working.
     pub fn log_with(
         &self,
         peer: &str,
@@ -69,20 +53,13 @@ impl AccessLog {
         resp: &Response,
         summary: Option<&TraceSummary>,
     ) {
-        let now = std::time::SystemTime::now();
-        let line = match self.format {
-            LogFormat::Text => {
-                let mut line = format_clf(peer, req, resp, now);
-                if let Some(s) = summary {
-                    line.pop();
-                    line.push(' ');
-                    line.push_str(&trace_suffix(s));
-                    line.push('\n');
-                }
-                line
-            }
-            LogFormat::Json => format_json(peer, req, resp, now, summary),
-        };
+        let mut line = format_clf(peer, req, resp, std::time::SystemTime::now());
+        if let Some(s) = summary {
+            line.pop();
+            line.push(' ');
+            line.push_str(&trace_suffix(s));
+            line.push('\n');
+        }
         let mut file = self.file.lock();
         // Logging must never take the server down; drop the line on error.
         let _ = file.write_all(line.as_bytes());
@@ -129,66 +106,6 @@ pub fn format_clf(
         resp.status.as_u16(),
         resp.body.len(),
     )
-}
-
-/// Render one JSON log line (without writing it) — the same fields as
-/// the CLF line plus its telemetry suffix, as one object per line.
-pub fn format_json(
-    peer: &str,
-    req: &Request,
-    resp: &Response,
-    now: std::time::SystemTime,
-    summary: Option<&TraceSummary>,
-) -> String {
-    let host = peer.rsplit_once(':').map(|(h, _)| h).unwrap_or(peer);
-    let t = UtcDateTime::from_system_time(now);
-    let mut line = format!(
-        "{{\"host\":\"{}\",\"time\":\"{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z\",\
-         \"method\":\"{}\",\"target\":\"{}\",\"version\":\"{}\",\"status\":{},\"bytes\":{}",
-        json_escape(host),
-        t.year,
-        t.month,
-        t.day,
-        t.hour,
-        t.minute,
-        t.second,
-        req.method,
-        json_escape(req.target.cache_key()),
-        req.version,
-        resp.status.as_u16(),
-        resp.body.len(),
-    );
-    if let Some(s) = summary {
-        line.push_str(&format!(
-            ",\"out\":\"{}\",\"owner\":{},\"trace\":\"{:016x}\",\"total_us\":{},\"stages\":\"{}\"",
-            s.outcome.as_str(),
-            s.owner
-                .map(|o| o.to_string())
-                .unwrap_or_else(|| "null".into()),
-            s.id,
-            s.total_us,
-            json_escape(&s.stages),
-        ));
-    }
-    line.push_str("}\n");
-    line
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -291,60 +208,6 @@ mod tests {
             trace_suffix(&s),
             "out=remote owner=2 trace=0000000000000007 total_us=9 stages=-"
         );
-    }
-
-    #[test]
-    fn json_line_carries_the_same_fields() {
-        use swala_obs::{Outcome, TraceSummary};
-        let (req, resp) = sample();
-        // 1998-07-28 12:00:00 UTC.
-        let when = UNIX_EPOCH + Duration::from_secs(901_627_200);
-        let summary = TraceSummary {
-            id: 0x2a,
-            outcome: Outcome::Remote,
-            owner: Some(3),
-            total_us: 456,
-            stages: "dir-lookup:1,remote-fetch:400".to_string(),
-        };
-        let line = format_json("10.1.2.3:51000", &req, &resp, when, Some(&summary));
-        assert_eq!(
-            line,
-            "{\"host\":\"10.1.2.3\",\"time\":\"1998-07-28T12:00:00Z\",\
-             \"method\":\"GET\",\"target\":\"/cgi-bin/adl?id=1&ms=5\",\
-             \"version\":\"HTTP/1.0\",\"status\":200,\"bytes\":2048,\
-             \"out\":\"remote\",\"owner\":3,\"trace\":\"000000000000002a\",\
-             \"total_us\":456,\"stages\":\"dir-lookup:1,remote-fetch:400\"}\n"
-        );
-        // Without a summary, the telemetry keys are absent entirely.
-        let bare = format_json("h:1", &req, &resp, when, None);
-        assert!(bare.ends_with("\"status\":200,\"bytes\":2048}\n"), "{bare}");
-        assert!(!bare.contains("\"trace\""), "{bare}");
-    }
-
-    #[test]
-    fn json_escapes_exotic_targets() {
-        let req = Request::get("/cgi-bin/q?s=%22x%5C").unwrap();
-        let resp = Response::ok("text/html", b"y".to_vec());
-        let line = format_json("h:1", &req, &resp, UNIX_EPOCH, None);
-        // The raw (decoded) target may hold quotes/backslashes; whatever
-        // the key string is, the line must stay one valid JSON object.
-        assert_eq!(line.matches('{').count(), 1, "{line}");
-        assert!(line.ends_with("}\n"), "{line}");
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
-    }
-
-    #[test]
-    fn json_log_file_roundtrips() {
-        let path = std::env::temp_dir().join(format!("swala-json-{}.log", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let log = AccessLog::open_with(&path, LogFormat::Json).unwrap();
-        assert_eq!(log.format(), LogFormat::Json);
-        let (req, resp) = sample();
-        log.log("1.2.3.4:9", &req, &resp);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"host\":\"1.2.3.4\""), "{text}");
-        assert!(text.ends_with("}\n"));
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

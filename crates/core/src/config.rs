@@ -7,35 +7,6 @@ use std::sync::Arc;
 use swala_cache::{CacheRules, Clock, DirectoryKind, NodeId, PolicyKind, StoreKind};
 use swala_proto::FaultInjector;
 
-/// Access-log line format (`log_format text|json`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogFormat {
-    /// Common Log Format with the trace suffix — the default.
-    Text,
-    /// One JSON object per request, same fields as the text line.
-    Json,
-}
-
-impl LogFormat {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LogFormat::Text => "text",
-            LogFormat::Json => "json",
-        }
-    }
-}
-
-impl std::str::FromStr for LogFormat {
-    type Err = String;
-    fn from_str(s: &str) -> Result<LogFormat, String> {
-        match s {
-            "text" => Ok(LogFormat::Text),
-            "json" => Ok(LogFormat::Json),
-            other => Err(format!("log_format must be text|json, got {other:?}")),
-        }
-    }
-}
-
 /// Everything needed to run one Swala node.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -70,10 +41,6 @@ pub struct ServerOptions {
     pub recover_cache: bool,
     /// Write a Common-Log-Format access log to this file.
     pub access_log: Option<PathBuf>,
-    /// Access-log line format (`log_format text|json`). Text is the
-    /// CLF default; json emits one object per request with the same
-    /// fields (including the trace suffix's `trace=`/`owner=`).
-    pub log_format: LogFormat,
     /// Byte budget for the in-memory body tier over the store; 0
     /// disables it (every local hit reads the store).
     pub mem_cache_bytes: usize,
@@ -133,7 +100,6 @@ impl Default for ServerOptions {
             sync_on_join: false,
             recover_cache: true,
             access_log: None,
-            log_format: LogFormat::Text,
             mem_cache_bytes: 64 * 1024 * 1024,
             coalesce: true,
             faults: None,
@@ -170,6 +136,7 @@ const RETIRED: &[(&str, &str)] = &[
     ("fetch_retries", "a remote fetch makes swala_proto::FETCH_ATTEMPTS attempts"),
     ("quarantine_after", "swala_proto::QUARANTINE_AFTER failures in a row quarantine a peer"),
     ("fetch_pool_size", "a node opens at most swala_proto::DEFAULT_POOL_SIZE connections per peer"),
+    ("log_format", "the access log is Common Log Format plus the trace suffix, the format swala-workload reads"),
 ];
 
 impl ServerOptions {
@@ -249,9 +216,6 @@ impl ServerOptions {
                     }
                 }
                 "access_log" => opts.access_log = Some(PathBuf::from(rest)),
-                "log_format" => {
-                    opts.log_format = rest.parse().map_err(|e: String| err(&e))?;
-                }
                 // 0 is legal: it turns the memory tier off rather than
                 // breaking the server.
                 "mem_cache_bytes" => {
@@ -404,16 +368,14 @@ sync_on_join on
     fn observability_keywords() {
         let d = ServerOptions::parse("").unwrap();
         assert!(d.obs_enabled);
-        assert_eq!(d.log_format, LogFormat::Text, "text log is the default");
-        let o = ServerOptions::parse("obs off\nlog_format json\n").unwrap();
+        let o = ServerOptions::parse("obs off\n").unwrap();
         assert!(!o.obs_enabled);
-        assert_eq!(o.log_format, LogFormat::Json);
         assert!(ServerOptions::parse("obs maybe")
             .unwrap_err()
             .contains("on|off"));
-        assert!(ServerOptions::parse("log_format xml")
+        assert!(ServerOptions::parse("log_format json")
             .unwrap_err()
-            .contains("text|json"));
+            .starts_with("line 1: the log_format option is gone: "));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod threads;
 
 pub use client::HttpClient;
-pub use config::{LogFormat, ServerOptions};
+pub use config::ServerOptions;
 pub use server::{start_cluster, BoundSwala, SwalaServer};
 pub use stats::{RequestStats, RequestStatsSnapshot};
 pub use swala_proto::{raise_nofile_limit, PoolStats};

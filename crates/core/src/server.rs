@@ -184,10 +184,7 @@ impl BoundSwala {
         };
 
         let access_log = match &options.access_log {
-            Some(path) => Some(crate::accesslog::AccessLog::open_with(
-                path,
-                options.log_format,
-            )?),
+            Some(path) => Some(crate::accesslog::AccessLog::open(path)?),
             None => None,
         };
 

@@ -6,7 +6,7 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::{HttpClient, LogFormat, ServerOptions, SwalaServer};
+use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::NodeId;
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 use swala_http::StatusCode;
@@ -318,34 +318,4 @@ fn status_page_carries_build_header_and_links() {
         assert!(html.contains(link), "missing link {link}: {html}");
     }
     server.shutdown();
-}
-
-/// `log_format json` writes one JSON object per request with the trace
-/// fields inline.
-#[test]
-fn json_access_log_through_a_live_server() {
-    let dir = std::env::temp_dir().join(format!("swala-jsonlog-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("access.json");
-    let server = SwalaServer::start_single(
-        ServerOptions {
-            pool_size: 2,
-            access_log: Some(path.clone()),
-            log_format: LogFormat::Json,
-            ..Default::default()
-        },
-        registry(),
-    )
-    .unwrap();
-    let mut client = HttpClient::new(server.http_addr());
-    client.get("/cgi-bin/adl?id=log&ms=0").unwrap();
-    server.shutdown();
-
-    let text = std::fs::read_to_string(&path).unwrap();
-    let line = text.lines().next().expect("one log line");
-    assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-    assert!(line.contains("\"status\":200"), "{line}");
-    assert!(line.contains("\"method\":\"GET\""), "{line}");
-    assert!(line.contains("\"trace\":"), "trace fields inline: {line}");
-    let _ = std::fs::remove_dir_all(dir);
 }

@@ -4,14 +4,21 @@
 //! A parked connection is an entry on its port's pool epoll, not a
 //! thread: parking as many idle connections as the pool has threads, 4 ×
 //! as many and 256 spawns no thread, and at 256 each costs under 16 KiB of
-//! RSS — on the HTTP port and on the cache port alike.
+//! RSS — on the HTTP port and on the cache port alike. With ten thousand
+//! parked, a live request still answers within 250 ms.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
-use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
+use swala_cgi::{null_cgi, ProgramRegistry, SimulatedProgram, WorkKind};
+use swala_http::StatusCode;
 use swala_proto::DEFAULT_POOL_SIZE;
+
+/// Idle connections the C10K case parks, where the fd limit allows.
+const C10K: usize = 10_000;
+/// The longest a live request may take with the C10K herd parked.
+const C10K_BOUND: Duration = Duration::from_millis(250);
 
 fn registry() -> ProgramRegistry {
     let mut r = ProgramRegistry::new();
@@ -19,6 +26,7 @@ fn registry() -> ProgramRegistry {
         "adl",
         WorkKind::Sleep,
     )));
+    r.register(Arc::new(null_cgi()));
     r
 }
 
@@ -29,18 +37,32 @@ fn proc_status(field: &str) -> u64 {
     line.split_whitespace().nth(1).unwrap().parse().unwrap()
 }
 
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+fn wait_until(what: &str, within: Duration, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + within;
     while !cond() {
         assert!(Instant::now() < deadline, "timeout: {what}");
         std::thread::sleep(Duration::from_millis(5));
     }
 }
 
+/// Open `count` connections to `addr` and send nothing on them.
+fn connect_idle(addr: SocketAddr, count: usize) -> Vec<TcpStream> {
+    (0..count)
+        .map(|i| {
+            // Let the accept loop drain the backlog now and then: a
+            // dropped SYN costs a one-second retransmit.
+            if i % 64 == 63 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            TcpStream::connect(addr).unwrap()
+        })
+        .collect()
+}
+
 #[test]
 fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     // Both ends of every connection live in this process.
-    swala::raise_nofile_limit().unwrap();
+    let nofile = swala::raise_nofile_limit().unwrap();
     let options = ServerOptions::default();
     let pool_size = options.pool_size;
     let server = SwalaServer::start_single(options, registry()).unwrap();
@@ -58,6 +80,40 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     let threads = 1 + DEFAULT_POOL_SIZE + 1;
     let open = || nodes[0].cache_port_stats().open_connections.get();
     park_idle_connections(nodes[0].cache_addr(), threads, open);
+    drop(nodes);
+
+    // C10K: with ten thousand idle connections parked on a default-options
+    // node, a live request still answers within the bound.
+    let conns = C10K.min((nofile.saturating_sub(1000) / 2) as usize);
+    if conns < C10K {
+        eprintln!("c10k: RLIMIT_NOFILE {nofile} caps the herd at {conns} connections");
+    }
+    let server = SwalaServer::start_single(ServerOptions::default(), registry()).unwrap();
+    let addr = server.http_addr();
+    let started = Instant::now();
+    let parked = connect_idle(addr, conns);
+    let connected = started.elapsed();
+    // A bounded moment for the pool to drain the accept backlog.
+    wait_until(
+        "the pool accepted the C10K herd",
+        Duration::from_secs(2),
+        || server.engine_stats().open_connections.get() >= conns as i64,
+    );
+    let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(10));
+    let started = Instant::now();
+    let resp = client.get("/cgi-bin/nullcgi").unwrap();
+    let live = started.elapsed();
+    assert_eq!(resp.status, StatusCode::OK);
+    eprintln!(
+        "c10k: parked {conns} idle connections in {connected:.1?} ({} parks); live request {live:.2?}",
+        server.engine_stats().parks()
+    );
+    assert!(
+        live <= C10K_BOUND,
+        "with {conns} idle connections parked a live request took {live:?}, bound {C10K_BOUND:?}"
+    );
+    drop(parked);
+    server.shutdown();
 }
 
 /// Open `threads`, 4 × `threads` and 256 idle connections to `addr`, once
@@ -65,22 +121,19 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
 /// at 256 each must cost under 16 KiB of RSS.
 fn park_idle_connections(addr: SocketAddr, threads: usize, open: impl Fn() -> i64) {
     for idle in [threads, 4 * threads, 256] {
-        wait_until("earlier connections closed", || open() == 0);
+        wait_until(
+            "earlier connections closed",
+            Duration::from_secs(10),
+            || open() == 0,
+        );
         let rss_before = proc_status("VmRSS");
         let threads_before = proc_status("Threads");
-        let parked: Vec<TcpStream> = (0..idle)
-            .map(|i| {
-                // Let the accept loop drain the backlog now and then: a
-                // dropped SYN costs a one-second retransmit.
-                if i % 64 == 63 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                TcpStream::connect(addr).unwrap()
-            })
-            .collect();
-        wait_until("the pool accepted every connection", || {
-            open() >= idle as i64
-        });
+        let parked = connect_idle(addr, idle);
+        wait_until(
+            "the pool accepted every connection",
+            Duration::from_secs(10),
+            || open() >= idle as i64,
+        );
         let rss_per_conn = proc_status("VmRSS").saturating_sub(rss_before) * 1024 / idle as u64;
         assert_eq!(
             proc_status("Threads"),

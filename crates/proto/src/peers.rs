@@ -1523,14 +1523,14 @@ mod tests {
         assert_eq!((st.stats.sent, st.stats.dropped), (5, 16));
     }
 
-    /// A producer at 15 k notices/s for one second, as `tables broadcast`
-    /// feeds a live link, with the writer acting at every instant the feed
-    /// reaches. The link coalesces four times what a constant 500 µs hold
-    /// did at this rate (8.65 notices/frame), sends at most one frame per
-    /// maximum hold plus the ramp — each wake-up sends at once and after
-    /// 0.5, 1 and 2 ms before holds reach the maximum, and the closing
-    /// flush cuts one hold short — is never woken per notice, and drops
-    /// nothing.
+    /// A producer at 15 k notices/s for one second, the rate
+    /// `miss-insert` hands each link, with the writer acting at every
+    /// instant the feed reaches. The link coalesces four times what a
+    /// constant 500 µs hold did at this rate (8.65 notices/frame), sends
+    /// at most one frame per maximum hold plus the ramp — each wake-up
+    /// sends at once and after 0.5, 1 and 2 ms before holds reach the
+    /// maximum, and the closing flush cuts one hold short — is never woken
+    /// per notice, and drops nothing.
     #[test]
     fn loaded_link_coalesces_a_15k_per_second_feed() {
         const NOTICES: u16 = 15_000;

@@ -18,8 +18,7 @@ step() {
 
 step "cargo build --release --workspace"
 # --workspace matters here too: the root package does not depend on
-# swala-bench, so a bare build never produces the c10k binary the smoke
-# step below runs.
+# swala-bench, so a bare build never produces the tables binary.
 cargo build --release --workspace
 
 step "cargo test -q --workspace"
@@ -29,6 +28,9 @@ step "cargo test -q --workspace"
 # store once and promotes it, later (warm) hits read no store, a
 # remote-hit burst stays within the fetch pool, parked connections spawn
 # no thread and cost < 16 KiB RSS each on the HTTP and the cache port,
+# C10K (parked_connections, formerly the c10k binary's own step: 10k
+# idle keep-alive connections, capped by RLIMIT_NOFILE, parked on a
+# default-options node while a live request answers within 250 ms),
 # back-to-back remote hits park nothing on the owner's cache port,
 # replicated pays exactly N-1 update messages per insert and
 # partitioned at most 1 (>= 4x fewer directory bytes at 8 nodes),
@@ -127,14 +129,6 @@ benchmark/run.sh --selftest
 
 step "benches still compile (cargo bench --no-run -p swala-bench)"
 cargo bench --no-run -p swala-bench
-
-step "C10K smoke (c10k)"
-# Raise RLIMIT_NOFILE, park 10k idle keep-alive connections on a
-# default-options node (the request pool holds them on its epoll), and
-# require a live request to complete under the latency bound. Scales
-# itself down (and says so) where the fd limit cannot hold 10k two-ended
-# loopback connections.
-target/release/c10k
 
 step "chaos (fixed seed, release)"
 # Deterministic fault-injection scenarios; the default seed (42) must

@@ -235,7 +235,8 @@ fn unreachable_home_degrades_to_local_execution() {
 /// phase of unique inserts sprayed round-robin makes replicated send
 /// exactly N−1 update messages per insert and partitioned at most one
 /// (none for a key homed at its owner), and at 8 nodes partitioned cuts
-/// directory wire bytes at least 4×.
+/// directory wire bytes at least 4×. Under `--nocapture` it prints one
+/// row per (N, directory): notices and directory wire bytes per insert.
 #[test]
 fn update_cost_per_insert_under_both_directory_modes() {
     const INSERTS: usize = 60;
@@ -267,7 +268,14 @@ fn update_cost_per_insert_under_both_directory_modes() {
                 .flat_map(|s| s.broadcast_link_stats())
                 .collect();
             let updates: u64 = links.iter().map(|l| l.sent).sum();
+            let wire_bytes: u64 = links.iter().map(|l| l.sent_bytes).sum();
             let inserts = INSERTS as u64;
+            eprintln!(
+                "directory {:<11} N={nodes}: {:.2} notices/insert, {:.1} wire bytes/insert",
+                directory.as_str(),
+                updates as f64 / inserts as f64,
+                wire_bytes as f64 / inserts as f64,
+            );
             match directory {
                 DirectoryKind::Replicated => assert_eq!(
                     updates,
@@ -280,7 +288,7 @@ fn update_cost_per_insert_under_both_directory_modes() {
                 ),
             }
             if nodes == 8 {
-                wire_bytes_at_8.push(links.iter().map(|l| l.sent_bytes).sum::<u64>());
+                wire_bytes_at_8.push(wire_bytes);
             }
             drop(clients);
             cluster.shutdown();
