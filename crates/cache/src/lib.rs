@@ -15,8 +15,8 @@
 //! * **Memory directory, disk bodies** ([`bodies`] over [`store`] or
 //!   [`segstore`]): only metadata lives in memory; "every cache fetch in
 //!   effect becomes a file fetch" served by the OS page cache — one file
-//!   per result in the paper's layout (`store files`), one extent of one
-//!   data file in the shipped default (`store segment`).
+//!   per result in the paper's layout ([`DiskStore`], a library type), one
+//!   extent of one data file in the store a node runs ([`SegmentStore`]).
 //! * **TTL content consistency** ([`rules`], [`manager`]): per-pattern
 //!   time-to-live set by the administrator's configuration file; a purge
 //!   pass deletes expired entries.
@@ -70,4 +70,4 @@ pub use ring::{DirectoryKind, HashRing, Placement, DEFAULT_VNODES};
 pub use rules::{CacheDecision, CacheRules, Rule};
 pub use segstore::{crc32, decode_record, encode_record, Record, SegmentConfig, SegmentStore};
 pub use stats::CacheStats;
-pub use store::{DiskStore, MemStore, Store, StoreKind, StoreMetrics};
+pub use store::{DiskStore, MemStore, Store, StoreMetrics};

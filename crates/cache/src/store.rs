@@ -2,9 +2,11 @@
 //!
 //! §4.1: "we store only the cache directory in main memory, and use a
 //! separate operating system file to store the results of each cached
-//! request. Thus, every cache fetch in effect becomes a file fetch." The
-//! production store is [`DiskStore`]; [`MemStore`] backs unit tests and
-//! the deterministic simulator where file I/O would only add noise.
+//! request. Thus, every cache fetch in effect becomes a file fetch."
+//! [`DiskStore`] is that layout, a library type no server opens: a node
+//! with a cache directory runs [`crate::segstore::SegmentStore`].
+//! [`MemStore`] backs diskless nodes, unit tests and the deterministic
+//! simulator where file I/O would only add noise.
 //!
 //! Disk files are *self-describing*: a small header carries the key and
 //! the metadata the directory needs, so a restarted node can rebuild its
@@ -24,39 +26,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Magic bytes + version for the disk-entry header.
 const MAGIC: &[u8; 4] = b"SWC1";
-
-/// Which body-store implementation a node runs (`store files|segment`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// The paper's §4.1 one-file-per-entry layout ([`DiskStore`]).
-    Files,
-    /// One data file of checksummed records, space reused in place
-    /// ([`crate::segstore::SegmentStore`]) — the shipped default.
-    Segment,
-}
-
-impl StoreKind {
-    /// Both layouts, for running one scenario under each.
-    pub const ALL: [StoreKind; 2] = [StoreKind::Files, StoreKind::Segment];
-
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StoreKind::Files => "files",
-            StoreKind::Segment => "segment",
-        }
-    }
-}
-
-impl std::str::FromStr for StoreKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<StoreKind, String> {
-        match s {
-            "files" => Ok(StoreKind::Files),
-            "segment" => Ok(StoreKind::Segment),
-            other => Err(format!("store must be files|segment, got {other:?}")),
-        }
-    }
-}
 
 /// A point-in-time view of a store's internals, for the metrics
 /// registry and `/swala-status`. Stores that don't track a field report

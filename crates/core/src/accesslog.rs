@@ -88,6 +88,12 @@ pub fn format_clf(
     now: std::time::SystemTime,
 ) -> String {
     let host = peer.rsplit_once(':').map(|(h, _)| h).unwrap_or(peer);
+    // The body bytes sent: a HEAD answer carries none.
+    let bytes = if req.method.response_has_body() {
+        resp.body.len()
+    } else {
+        0
+    };
     let t = UtcDateTime::from_system_time(now);
     const MONTHS: [&str; 12] = [
         "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
@@ -104,7 +110,7 @@ pub fn format_clf(
         req.target.cache_key(),
         req.version,
         resp.status.as_u16(),
-        resp.body.len(),
+        bytes,
     )
 }
 

@@ -115,8 +115,7 @@ struct ScrapedNode {
 /// (including the quarantine-transition bookkeeping), so an admin
 /// scrape both benefits from and contributes to peer-health evidence.
 fn collect_cluster(ctx: &NodeContext) -> Vec<ScrapedNode> {
-    let addrs: Vec<Option<std::net::SocketAddr>> = ctx.cache_addrs.read().clone();
-    let n = addrs.len().max(ctx.node.index() + 1);
+    let n = ctx.cache_addrs.len();
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let peer = NodeId(i as u16);
@@ -130,7 +129,7 @@ fn collect_cluster(ctx: &NodeContext) -> Vec<ScrapedNode> {
             });
             continue;
         }
-        let Some(addr) = addrs.get(i).copied().flatten() else {
+        let Some(addr) = ctx.peer_cache_addr(peer) else {
             out.push(ScrapedNode {
                 node: peer,
                 state: "unknown-addr",

@@ -4,7 +4,7 @@ use crate::monitor::MonitorRule;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use swala_cache::{CacheRules, Clock, DirectoryKind, NodeId, PolicyKind, StoreKind};
+use swala_cache::{CacheRules, Clock, DirectoryKind, NodeId, PolicyKind};
 use swala_proto::FaultInjector;
 
 /// Everything needed to run one Swala node.
@@ -22,7 +22,9 @@ pub struct ServerOptions {
     pub pool_size: usize,
     /// Document root for static files; `None` disables file serving.
     pub docroot: Option<PathBuf>,
-    /// Directory for the disk cache store; `None` = in-memory store.
+    /// Directory for the body store (`SegmentStore`); `None` = in-memory
+    /// store. A node always rebuilds its table from what this holds, so a
+    /// cold start is an empty directory.
     pub cache_dir: Option<PathBuf>,
     /// Local cache capacity in entries (the paper's "cache size").
     pub capacity: usize,
@@ -36,9 +38,6 @@ pub struct ServerOptions {
     pub monitors: Vec<MonitorRule>,
     /// Pull peers' directory snapshots at startup (late-joining nodes).
     pub sync_on_join: bool,
-    /// Warm restart: rebuild the directory from a disk store's
-    /// self-describing entries at startup (no effect on memory stores).
-    pub recover_cache: bool,
     /// Write a Common-Log-Format access log to this file.
     pub access_log: Option<PathBuf>,
     /// Byte budget for the in-memory body tier over the store; 0
@@ -70,15 +69,10 @@ pub struct ServerOptions {
     /// on a consistent-hash ring and sends one point-to-point update
     /// instead.
     pub directory: DirectoryKind,
-    /// Body-store layout (`store segment|files`). `segment`, the default,
-    /// keeps every body in one data file of checksummed records and
-    /// reuses space in place; `files` is the paper's §4.1 layout (one OS
-    /// file per cached result).
-    pub store: StoreKind,
     /// Durability of body-store writes (`fsync on|off`): sync the data
-    /// (and, for `store files`, the directory) before acking a put or a
-    /// delete, so an acked entry survives power loss. `off` trades that for
-    /// write throughput (benches, ephemeral caches).
+    /// before acking a put or a delete, so an acked entry survives power
+    /// loss. `off` trades that for write throughput (benches, ephemeral
+    /// caches).
     pub fsync: bool,
 }
 
@@ -98,7 +92,6 @@ impl Default for ServerOptions {
             caching_enabled: true,
             monitors: Vec::new(),
             sync_on_join: false,
-            recover_cache: true,
             access_log: None,
             mem_cache_bytes: 64 * 1024 * 1024,
             coalesce: true,
@@ -106,7 +99,6 @@ impl Default for ServerOptions {
             clock: Clock::Real,
             obs_enabled: true,
             directory: DirectoryKind::Replicated,
-            store: StoreKind::Segment,
             fsync: true,
         }
     }
@@ -137,6 +129,8 @@ const RETIRED: &[(&str, &str)] = &[
     ("quarantine_after", "swala_proto::QUARANTINE_AFTER failures in a row quarantine a peer"),
     ("fetch_pool_size", "a node opens at most swala_proto::DEFAULT_POOL_SIZE connections per peer"),
     ("log_format", "the access log is Common Log Format plus the trace suffix, the format swala-workload reads"),
+    ("store", "a node with a cache_dir keeps its bodies in one swala_cache::SegmentStore data file"),
+    ("recover_cache", "a node always rebuilds its table from its cache_dir; a cold start is an empty cache_dir"),
 ];
 
 impl ServerOptions {
@@ -208,13 +202,6 @@ impl ServerOptions {
                         _ => return Err(err("sync_on_join must be on|off")),
                     }
                 }
-                "recover_cache" => {
-                    opts.recover_cache = match rest {
-                        "on" => true,
-                        "off" => false,
-                        _ => return Err(err("recover_cache must be on|off")),
-                    }
-                }
                 "access_log" => opts.access_log = Some(PathBuf::from(rest)),
                 // 0 is legal: it turns the memory tier off rather than
                 // breaking the server.
@@ -237,9 +224,6 @@ impl ServerOptions {
                 }
                 "directory" => {
                     opts.directory = rest.parse().map_err(|e: String| err(&e))?;
-                }
-                "store" => {
-                    opts.store = rest.parse().map_err(|e: String| err(&e))?;
                 }
                 "fsync" => {
                     opts.fsync = match rest {
@@ -397,23 +381,21 @@ sync_on_join on
 
     #[test]
     fn store_keywords() {
-        let d = ServerOptions::parse("").unwrap();
-        assert_eq!(d.store, StoreKind::Segment, "the shipped default");
-        let o = ServerOptions::parse("store segment\n").unwrap();
-        assert_eq!(o.store, StoreKind::Segment);
-        let o = ServerOptions::parse("store files\n").unwrap();
-        assert_eq!(o.store, StoreKind::Files);
+        let o = ServerOptions::parse("").unwrap();
         assert!(o.fsync, "durable acks are the default");
         let o = ServerOptions::parse("fsync off\n").unwrap();
         assert!(!o.fsync);
         let o = ServerOptions::parse("fsync on\n").unwrap();
         assert!(o.fsync);
-        assert!(ServerOptions::parse("store ramdisk")
-            .unwrap_err()
-            .contains("files|segment"));
         assert!(ServerOptions::parse("fsync maybe")
             .unwrap_err()
             .contains("on|off"));
+        assert!(ServerOptions::parse("store files")
+            .unwrap_err()
+            .starts_with("line 1: the store option is gone: "));
+        assert!(ServerOptions::parse("recover_cache off")
+            .unwrap_err()
+            .starts_with("line 1: the recover_cache option is gone: "));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use crate::files::serve_file_conditional;
 use crate::stats::RequestStats;
-use parking_lot::RwLock;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -62,9 +61,9 @@ pub struct NodeContext {
     pub registry: ProgramRegistry,
     pub manager: Arc<CacheManager>,
     pub broadcaster: Arc<Broadcaster>,
-    /// Cache-protocol address of every node, indexed by `NodeId`.
-    /// Filled in when the cluster is wired; `None` = unknown peer.
-    pub cache_addrs: RwLock<Vec<Option<SocketAddr>>>,
+    /// Cache-protocol address of every node, indexed by `NodeId`, fixed
+    /// at start; `None` = a peer the node was not given.
+    pub cache_addrs: Vec<Option<SocketAddr>>,
     pub stats: Arc<RequestStats>,
     /// Metrics registry + trace ring shared by the request pool, the
     /// cache daemons and the admin endpoints.
@@ -93,7 +92,7 @@ pub struct NodeContext {
 
 impl NodeContext {
     pub(crate) fn peer_cache_addr(&self, node: NodeId) -> Option<SocketAddr> {
-        self.cache_addrs.read().get(node.index()).copied().flatten()
+        self.cache_addrs.get(node.index()).copied().flatten()
     }
 
     /// An exchange with `peer` failed. On the transition into quarantine
@@ -203,7 +202,6 @@ pub fn handle_request(
     } else if resp.status.is_server_error() {
         RequestStats::bump(&ctx.stats.server_errors);
     }
-    RequestStats::add(&ctx.stats.bytes_sent, resp.body.len() as u64);
     resp
 }
 

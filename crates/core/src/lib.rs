@@ -60,5 +60,5 @@ pub use stats::{RequestStats, RequestStatsSnapshot};
 pub use swala_proto::{raise_nofile_limit, PoolStats};
 
 // Re-export the pieces examples and benches compose with.
-pub use swala_cache::{CacheKey, CacheRules, NodeId, PolicyKind, StoreKind};
+pub use swala_cache::{CacheKey, CacheRules, NodeId, PolicyKind};
 pub use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};

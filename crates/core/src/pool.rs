@@ -161,8 +161,12 @@ pub fn respond<W: Write>(
     resp.version = req.version;
     resp.set_keep_alive(keep);
     let t0 = trace.start_span();
-    let written = resp.write_to(out, response_body_allowed(req.method));
+    let with_body = response_body_allowed(req.method);
+    let written = resp.write_to(out, with_body);
     trace.end_span(Stage::ResponseWrite, t0);
+    if written.is_ok() && with_body {
+        RequestStats::add(&ctx.stats.bytes_sent, resp.body.len() as u64);
+    }
     ctx.finish_request(peer, req, &resp, trace);
     resp.recycle();
     written.is_ok() && keep

@@ -5,13 +5,11 @@ use crate::handler::{NodeContext, FETCH_TIMEOUT};
 use crate::monitor::SourceMonitor;
 use crate::pool::RequestPool;
 use crate::stats::{register_engine_stats, RequestStats, RequestStatsSnapshot};
-use parking_lot::RwLock;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use swala_cache::{
-    CacheManager, CacheManagerConfig, DiskStore, MemStore, NodeId, SegmentConfig, SegmentStore,
-    Store, StoreKind, HOTKEYS,
+    CacheManager, CacheManagerConfig, MemStore, NodeId, SegmentConfig, SegmentStore, Store, HOTKEYS,
 };
 use swala_cgi::ProgramRegistry;
 use swala_obs::Telemetry;
@@ -61,7 +59,8 @@ impl BoundSwala {
 
     /// Start the node. `peer_cache_addrs[i]` must hold node `i`'s
     /// cache-protocol address for every remote peer (this node's own slot
-    /// is filled automatically; extra `None`s are tolerated).
+    /// is filled automatically; extra `None`s are tolerated). Fetches and
+    /// notices use these addresses for the node's life.
     pub fn start(self, peer_cache_addrs: Vec<Option<SocketAddr>>) -> io::Result<SwalaServer> {
         let BoundSwala {
             options,
@@ -73,15 +72,12 @@ impl BoundSwala {
         } = self;
 
         let store: Box<dyn Store> = match &options.cache_dir {
-            Some(dir) => match options.store {
-                StoreKind::Files => Box::new(DiskStore::open_with_fsync(dir, options.fsync)?),
-                StoreKind::Segment => Box::new(SegmentStore::open_with(
-                    dir,
-                    SegmentConfig {
-                        fsync: options.fsync,
-                    },
-                )?),
-            },
+            Some(dir) => Box::new(SegmentStore::open_with(
+                dir,
+                SegmentConfig {
+                    fsync: options.fsync,
+                },
+            )?),
             None => Box::new(MemStore::new()),
         };
         let manager = Arc::new(CacheManager::new(
@@ -102,7 +98,7 @@ impl BoundSwala {
             },
             store,
         ));
-        if options.caching_enabled && options.recover_cache && options.cache_dir.is_some() {
+        if options.caching_enabled && options.cache_dir.is_some() {
             manager.recover_from_store();
         }
 
@@ -260,7 +256,7 @@ impl BoundSwala {
             registry,
             manager: Arc::clone(&manager),
             broadcaster: Arc::clone(&broadcaster),
-            cache_addrs: RwLock::new(addrs),
+            cache_addrs: addrs,
             stats,
             telemetry,
             http_port: http_addr.port(),
@@ -355,14 +351,6 @@ impl SwalaServer {
     /// The cache manager (stats, directory inspection).
     pub fn manager(&self) -> &Arc<CacheManager> {
         &self.manager
-    }
-
-    /// Late-wire a peer's cache address (nodes started before the peer).
-    pub fn set_peer_cache_addr(&self, node: NodeId, addr: SocketAddr) {
-        let mut addrs = self.ctx.cache_addrs.write();
-        if node.index() < addrs.len() {
-            addrs[node.index()] = Some(addr);
-        }
     }
 
     /// HTTP-level statistics.

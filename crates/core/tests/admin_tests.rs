@@ -466,14 +466,12 @@ fn late_joiner_syncs_directory() {
             registry(),
         )
         .unwrap();
-        let addr1 = b1.cache_addr();
-        let s1 = b1.start(vec![Some(addr0), Some(addr1)]).unwrap();
+        let s1 = b1.start(vec![Some(addr0)]).unwrap();
         assert_eq!(
             s1.manager().directory().len(NodeId(0)),
             4,
             "synced at join ({directory:?})"
         );
-        s0.set_peer_cache_addr(NodeId(1), addr1);
 
         // And it can serve those entries as remote hits immediately.
         let mut c1 = HttpClient::new(s1.http_addr());

@@ -3,7 +3,6 @@
 //! per-key heat sketch (`/swala-hotkeys`), slow-trace exemplars
 //! (`/swala-traces?slow=1`) and the JSON access-log format.
 
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
@@ -45,11 +44,6 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 
 /// An address nothing listens on: bind, read the port, drop the
 /// listener. Connects fail fast with ECONNREFUSED.
-fn dead_addr() -> std::net::SocketAddr {
-    let l = TcpListener::bind("127.0.0.1:0").unwrap();
-    l.local_addr().unwrap()
-}
-
 /// Sum a counter family over its `node` label in a parsed exposition.
 fn sum_over_nodes(samples: &[swala_obs::Sample], family: &str) -> u64 {
     samples
@@ -159,11 +153,11 @@ fn cluster_metrics_merge_is_exact_across_eight_nodes() {
 /// quarantine the peer, later scrapes skip it without dialing.
 #[test]
 fn cluster_scrape_degrades_to_partial_on_dead_peer() {
-    let servers = cluster(2);
+    let mut servers = cluster(2);
     let mut c0 = HttpClient::new(servers[0].http_addr());
     c0.get("/cgi-bin/adl?id=1&ms=0").unwrap();
-    // Point node 0 at a dead address for its peer.
-    servers[0].set_peer_cache_addr(NodeId(1), dead_addr());
+    // Node 1 dies: its cache port refuses node 0's stats pulls.
+    servers.pop().unwrap().shutdown();
 
     let resp = c0.get("/swala-cluster-metrics").unwrap();
     assert_eq!(resp.status, StatusCode::OK, "partial view is not an error");

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use swala::{HttpClient, ServerOptions, SwalaServer};
-use swala_cache::{NodeId, StoreKind};
+use swala_cache::{CacheKey, NodeId, SegmentStore, Store};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
 
 fn registry() -> ProgramRegistry {
@@ -16,82 +16,17 @@ fn registry() -> ProgramRegistry {
 
 #[test]
 fn warm_restart_recovers_cached_results() {
-    for store in StoreKind::ALL {
-        let dir = std::env::temp_dir().join(format!(
-            "swala-restart-{}-{}",
-            store.as_str(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = || ServerOptions {
-            cache_dir: Some(dir.clone()),
-            pool_size: 2,
-            store,
-            ..Default::default()
-        };
-
-        // First life: cache three results, then shut down.
-        let bodies: Vec<Vec<u8>> = {
-            let server = SwalaServer::start_single(options(), registry()).unwrap();
-            let mut client = HttpClient::new(server.http_addr());
-            let bodies = (0..3)
-                .map(|i| {
-                    client
-                        .get(&format!("/cgi-bin/adl?id={i}&ms=1"))
-                        .unwrap()
-                        .body
-                        .into_vec()
-                })
-                .collect();
-            assert_eq!(server.manager().directory().len(NodeId(0)), 3);
-            server.shutdown();
-            bodies
-        };
-
-        // Second life: the directory is rebuilt from disk before the
-        // first request, so all three are immediate local hits with
-        // identical bytes.
-        let server = SwalaServer::start_single(options(), registry()).unwrap();
-        assert_eq!(
-            server.manager().directory().len(NodeId(0)),
-            3,
-            "directory recovered ({store:?})"
-        );
-        let mut client = HttpClient::new(server.http_addr());
-        for (i, expected) in bodies.iter().enumerate() {
-            let r = client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
-            assert_eq!(
-                r.headers.get("X-Swala-Cache"),
-                Some("local-hit"),
-                "{store:?} id={i}"
-            );
-            assert_eq!(
-                &r.body, expected,
-                "recovered bytes identical, {store:?} id={i}"
-            );
-        }
-        assert_eq!(server.request_stats().executions, 0, "nothing re-executed");
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-#[test]
-fn warm_restart_with_segment_store() {
-    let dir = std::env::temp_dir().join(format!("swala-seg-restart-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("swala-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let options = || ServerOptions {
+        cache_dir: Some(dir.clone()),
+        pool_size: 2,
+        ..Default::default()
+    };
 
+    // First life: cache three results, then shut down.
     let bodies: Vec<Vec<u8>> = {
-        let server = SwalaServer::start_single(
-            ServerOptions {
-                cache_dir: Some(dir.clone()),
-                pool_size: 2,
-                store: StoreKind::Segment,
-                ..Default::default()
-            },
-            registry(),
-        )
-        .unwrap();
+        let server = SwalaServer::start_single(options(), registry()).unwrap();
         assert_eq!(server.manager().bodies().metrics().kind, "segment");
         let mut client = HttpClient::new(server.http_addr());
         let bodies = (0..3)
@@ -103,20 +38,15 @@ fn warm_restart_with_segment_store() {
                     .into_vec()
             })
             .collect();
+        assert_eq!(server.manager().directory().len(NodeId(0)), 3);
         server.shutdown();
         bodies
     };
 
-    let server = SwalaServer::start_single(
-        ServerOptions {
-            cache_dir: Some(dir.clone()),
-            pool_size: 2,
-            store: StoreKind::Segment,
-            ..Default::default()
-        },
-        registry(),
-    )
-    .unwrap();
+    // Second life: the directory is rebuilt from the data file before
+    // the first request, so all three are immediate local hits with
+    // identical bytes.
+    let server = SwalaServer::start_single(options(), registry()).unwrap();
     assert_eq!(
         server.manager().directory().len(NodeId(0)),
         3,
@@ -154,7 +84,6 @@ fn store_ops_are_timed_in_situ_and_exported() {
             capacity: 2,
             // No memory tier: every local hit is a store get.
             mem_cache_bytes: 0,
-            store: StoreKind::Segment,
             ..Default::default()
         },
         registry(),
@@ -203,89 +132,48 @@ fn store_ops_are_timed_in_situ_and_exported() {
 }
 
 #[test]
-fn recover_cache_off_starts_cold() {
-    for store in StoreKind::ALL {
-        let dir = std::env::temp_dir().join(format!(
-            "swala-cold-{}-{}",
-            store.as_str(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = |recover_cache| ServerOptions {
-            cache_dir: Some(dir.clone()),
-            recover_cache,
-            pool_size: 2,
-            store,
-            ..Default::default()
-        };
-        {
-            let server = SwalaServer::start_single(options(true), registry()).unwrap();
-            HttpClient::new(server.http_addr())
-                .get("/cgi-bin/adl?id=0&ms=1")
-                .unwrap();
-            server.shutdown();
-        }
-        let server = SwalaServer::start_single(options(false), registry()).unwrap();
-        assert_eq!(
-            server.manager().directory().len(NodeId(0)),
-            0,
-            "cold start ({store:?})"
-        );
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-#[test]
 fn recovery_respects_capacity() {
     let dir = std::env::temp_dir().join(format!("swala-cap-rec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let options = |capacity| ServerOptions {
+        cache_dir: Some(dir.clone()),
+        capacity,
+        pool_size: 2,
+        ..Default::default()
+    };
+    let keys: Vec<CacheKey> = (0..8)
+        .map(|i| CacheKey::new(format!("/cgi-bin/adl?id={i}&ms=1")))
+        .collect();
     {
-        let server = SwalaServer::start_single(
-            ServerOptions {
-                cache_dir: Some(dir.clone()),
-                capacity: 10,
-                pool_size: 2,
-                // Pinned: this test counts per-entry .swc files, which
-                // only the files store produces.
-                store: StoreKind::Files,
-                ..Default::default()
-            },
-            registry(),
-        )
-        .unwrap();
+        let server = SwalaServer::start_single(options(10), registry()).unwrap();
         let mut client = HttpClient::new(server.http_addr());
-        for i in 0..8 {
-            client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
+        for key in &keys {
+            client.get(key.as_str()).unwrap();
         }
+        assert_eq!(server.manager().bodies().stored(), 8);
         server.shutdown();
     }
     // Restart with a smaller capacity: recovery must evict down to 4,
-    // deleting the surplus files.
-    let server = SwalaServer::start_single(
-        ServerOptions {
-            cache_dir: Some(dir.clone()),
-            capacity: 4,
-            pool_size: 2,
-            store: StoreKind::Files,
-            ..Default::default()
-        },
-        registry(),
-    )
-    .unwrap();
+    // deleting the surplus bodies, so the store holds exactly the table.
+    let server = SwalaServer::start_single(options(4), registry()).unwrap();
     assert_eq!(server.manager().directory().len(NodeId(0)), 4);
-    let files = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter(|e| {
-            e.as_ref()
-                .unwrap()
-                .path()
-                .extension()
-                .is_some_and(|x| x == "swc")
-        })
-        .count();
-    assert_eq!(files, 4, "evicted entries' files deleted");
+    assert_eq!(server.manager().bodies().stored(), 4);
+    let kept: Vec<CacheKey> = server
+        .manager()
+        .local_snapshot()
+        .into_iter()
+        .map(|meta| meta.key)
+        .collect();
     server.shutdown();
+    let store = SegmentStore::open(&dir).unwrap();
+    for key in &keys {
+        assert_eq!(
+            store.contains(key),
+            kept.contains(key),
+            "{key:?}: an evicted body is gone, a kept one stays"
+        );
+    }
+    drop(store);
     let _ = std::fs::remove_dir_all(dir);
 }
 

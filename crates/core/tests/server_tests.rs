@@ -178,7 +178,12 @@ fn nocache_rule_bypasses_directory() {
 
 #[test]
 fn head_request_returns_headers_only() {
-    let server = single(ServerOptions::default());
+    let log_path = std::env::temp_dir().join(format!("swala-head-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&log_path);
+    let server = single(ServerOptions {
+        access_log: Some(log_path.clone()),
+        ..Default::default()
+    });
     let mut client = HttpClient::new(server.http_addr());
     // Warm the cache so HEAD hits it.
     client.get("/cgi-bin/adl?id=5&ms=0&bytes=2048").unwrap();
@@ -187,7 +192,19 @@ fn head_request_returns_headers_only() {
     assert_eq!(r.status, StatusCode::OK);
     assert!(r.body.is_empty(), "HEAD carries no body");
     // HEAD is not cacheable, so it executed instead of hitting.
+    // `swala_http_bytes_sent` and the access log's byte field count the
+    // body bytes written: the GET's, none for the HEAD. Both are final
+    // once shutdown has joined the request threads.
+    let stats = Arc::clone(&server.context().stats);
     server.shutdown();
+    assert_eq!(stats.snapshot().bytes_sent, 2048);
+    let log = std::fs::read_to_string(&log_path).unwrap();
+    let bytes: Vec<&str> = log
+        .lines()
+        .filter_map(|l| l.rsplit_once('"')?.1.split_whitespace().nth(1))
+        .collect();
+    assert_eq!(bytes, ["2048", "0"], "{log}");
+    let _ = std::fs::remove_file(log_path);
 }
 
 #[test]
@@ -203,27 +220,6 @@ fn eviction_respects_capacity_over_http() {
     assert_eq!(server.manager().directory().len(NodeId(0)), 3);
     assert_eq!(server.cache_stats().evictions, 3);
     server.shutdown();
-}
-
-#[test]
-fn disk_store_survives_on_disk() {
-    let dir = std::env::temp_dir().join(format!("swala-e2e-diskstore-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let server = single(ServerOptions {
-        cache_dir: Some(dir.clone()),
-        // Pinned: this test asserts the paper's one-file-per-entry
-        // layout, which only the files store produces.
-        store: swala_cache::StoreKind::Files,
-        ..Default::default()
-    });
-    let mut client = HttpClient::new(server.http_addr());
-    client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
-    let files = std::fs::read_dir(&dir).unwrap().count();
-    assert_eq!(files, 1, "one cache file per entry");
-    let hit = client.get("/cgi-bin/adl?id=7&ms=0").unwrap();
-    assert_eq!(cache_tag(&hit), cache_header::LOCAL_HIT);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 // ---- cooperative (two-node) tests ----

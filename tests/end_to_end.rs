@@ -2,7 +2,7 @@
 //! live cluster → load generation → statistics — holds its invariants.
 
 use swala::ServerOptions;
-use swala_cache::{DirectoryKind, StoreKind};
+use swala_cache::DirectoryKind;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_workload::{
@@ -13,7 +13,7 @@ use swala_workload::{
 fn adl_replay_accounting_balances() {
     // Replay a small ADL trace against a 3-node cooperative cluster on
     // disk stores and check that every request is accounted for exactly
-    // once — under each directory organization and each store layout.
+    // once — under each directory organization.
     let trace = synthesize_adl_trace(&AdlTraceConfig {
         live_ms_per_paper_second: 2.0,
         ..AdlTraceConfig::scaled_to(300)
@@ -26,68 +26,57 @@ fn adl_replay_accounting_balances() {
         .collect();
 
     for directory in DirectoryKind::ALL {
-        for store in StoreKind::ALL {
-            let mode = format!("{} directory, {} store", directory.as_str(), store.as_str());
-            let base = std::env::temp_dir().join(format!(
-                "swala-it-adl-{}-{}-{}",
-                directory.as_str(),
-                store.as_str(),
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&base);
-            let cluster = SwalaCluster::start(&ClusterConfig {
-                nodes: 3,
-                work: WorkKind::Sleep,
-                node: ServerOptions {
-                    cache_dir: Some(base.clone()),
-                    directory,
-                    store,
-                    ..ClusterConfig::default().node
-                },
-                ..Default::default()
-            })
-            .unwrap();
-            assert_eq!(
-                cluster.node(0).manager().bodies().metrics().kind,
-                store.as_str()
-            );
-            let report = LoadGenerator::new(6).replay_shared(&cluster.http_addrs(), &targets);
-            assert_eq!(report.errors, 0, "{mode}");
-            assert_eq!(report.completed, targets.len(), "{mode}");
+        let mode = directory.as_str();
+        let base = std::env::temp_dir().join(format!("swala-it-adl-{mode}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let cluster = SwalaCluster::start(&ClusterConfig {
+            nodes: 3,
+            work: WorkKind::Sleep,
+            node: ServerOptions {
+                cache_dir: Some(base.clone()),
+                directory,
+                ..ClusterConfig::default().node
+            },
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(cluster.node(0).manager().bodies().metrics().kind, "segment");
+        let report = LoadGenerator::new(6).replay_shared(&cluster.http_addrs(), &targets);
+        assert_eq!(report.errors, 0, "{mode}");
+        assert_eq!(report.completed, targets.len(), "{mode}");
 
-            let lookups = cluster.total_cache_stat(|s| s.lookups);
-            let hits = cluster.total_cache_stat(|s| s.local_hits + s.remote_hits);
-            let misses = cluster.total_cache_stat(|s| s.misses);
-            assert_eq!(
-                lookups as usize,
-                targets.len(),
-                "every GET is one lookup ({mode})"
-            );
-            assert_eq!(
-                hits + misses,
-                lookups,
-                "each lookup is a hit or a miss ({mode})"
-            );
+        let lookups = cluster.total_cache_stat(|s| s.lookups);
+        let hits = cluster.total_cache_stat(|s| s.local_hits + s.remote_hits);
+        let misses = cluster.total_cache_stat(|s| s.misses);
+        assert_eq!(
+            lookups as usize,
+            targets.len(),
+            "every GET is one lookup ({mode})"
+        );
+        assert_eq!(
+            hits + misses,
+            lookups,
+            "each lookup is a hit or a miss ({mode})"
+        );
 
-            // Work conservation: every miss or false-hit fallback either
-            // runs the CGI itself or is served another request's
-            // single-flight execution. A coalesced wait that fails (leader
-            // failure/timeout) falls back to executing, so the
-            // served-from-flight count is exactly
-            // `coalesce_waits - coalesce_fallbacks`.
-            let execs: u64 = cluster
-                .nodes()
-                .iter()
-                .map(|s| s.request_stats().executions)
-                .sum();
-            let false_hits = cluster.total_cache_stat(|s| s.false_hits);
-            let flight_served = cluster.total_cache_stat(|s| s.coalesce_waits)
-                - cluster.total_cache_stat(|s| s.coalesce_fallbacks);
-            assert_eq!(execs + flight_served, misses + false_hits, "{mode}");
-            assert!(cluster.total_cache_stat(|s| s.inserts) > 0, "{mode}");
-            cluster.shutdown();
-            let _ = std::fs::remove_dir_all(&base);
-        }
+        // Work conservation: every miss or false-hit fallback either
+        // runs the CGI itself or is served another request's
+        // single-flight execution. A coalesced wait that fails (leader
+        // failure/timeout) falls back to executing, so the
+        // served-from-flight count is exactly
+        // `coalesce_waits - coalesce_fallbacks`.
+        let execs: u64 = cluster
+            .nodes()
+            .iter()
+            .map(|s| s.request_stats().executions)
+            .sum();
+        let false_hits = cluster.total_cache_stat(|s| s.false_hits);
+        let flight_served = cluster.total_cache_stat(|s| s.coalesce_waits)
+            - cluster.total_cache_stat(|s| s.coalesce_fallbacks);
+        assert_eq!(execs + flight_served, misses + false_hits, "{mode}");
+        assert!(cluster.total_cache_stat(|s| s.inserts) > 0, "{mode}");
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
     }
 }
 
@@ -169,9 +158,6 @@ fn cluster_with_disk_stores_keeps_bodies_on_disk() {
             node: ServerOptions {
                 cache_dir: Some(base.clone()),
                 directory,
-                // Pinned: the file-count assertion below is about the
-                // paper's one-file-per-entry layout (files store only).
-                store: StoreKind::Files,
                 ..ClusterConfig::default().node
             },
             ..Default::default()
@@ -181,10 +167,10 @@ fn cluster_with_disk_stores_keeps_bodies_on_disk() {
         for i in 0..5 {
             client.get(&format!("/cgi-bin/adl?id={i}&ms=1")).unwrap();
         }
-        let node0_files = std::fs::read_dir(base.join("node0")).unwrap().count();
-        assert_eq!(node0_files, 5, "one file per cached result");
+        assert_eq!(cluster.node(0).manager().bodies().stored(), 5);
+        assert!(base.join("node0").join("bodies.swseg").exists());
         assert!(base.join("node1").exists());
-        // Remote fetches read node 0's files over the wire.
+        // Remote fetches read node 0's data file over the wire.
         assert!(
             cluster.wait_for_directory_convergence(5, std::time::Duration::from_secs(5)),
             "{directory:?}"
