@@ -61,8 +61,10 @@ mod tests {
     use swala_cgi::null_cgi;
     use swala_http::Request;
 
-    fn cgi(target: &str) -> CgiRequest {
-        CgiRequest::from_http(&Request::get(target).unwrap(), "c:1", "n", 80)
+    /// `program` run on a GET for `target`.
+    fn run(program: &dyn Program, target: &str) -> io::Result<CgiOutput> {
+        let req = Request::get(target).unwrap();
+        program.run(&CgiRequest::from_http(&req, "c:1", "n", 80))
     }
 
     #[test]
@@ -77,10 +79,10 @@ mod tests {
     #[test]
     fn wrapper_preserves_output_and_name() {
         let plain = null_cgi();
-        let expected = plain.run(&cgi("/cgi-bin/nullcgi")).unwrap();
+        let expected = run(&plain, "/cgi-bin/nullcgi").unwrap();
         let wrapped = ForkedCgi::wrap(Arc::new(null_cgi()));
         assert_eq!(wrapped.name(), "nullcgi");
-        let out = wrapped.run(&cgi("/cgi-bin/nullcgi")).unwrap();
+        let out = run(wrapped.as_ref(), "/cgi-bin/nullcgi").unwrap();
         assert_eq!(out, expected);
     }
 
@@ -88,7 +90,8 @@ mod tests {
     fn wrapped_execution_costs_more_than_bare() {
         let bare = Arc::new(null_cgi());
         let wrapped = ForkedCgi::wrap(Arc::clone(&bare) as Arc<dyn Program>);
-        let req = cgi("/cgi-bin/nullcgi");
+        let req = Request::get("/cgi-bin/nullcgi").unwrap();
+        let req = CgiRequest::from_http(&req, "c:1", "n", 80);
         // Warm both paths once.
         bare.run(&req).unwrap();
         wrapped.run(&req).unwrap();

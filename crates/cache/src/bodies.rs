@@ -81,10 +81,7 @@ impl Bodies {
     /// The memory tier takes it at its first read; until then it drops
     /// any older copy of the key.
     pub(crate) fn put(&self, meta: &EntryMeta, body: &[u8]) -> io::Result<()> {
-        let header = meta.into();
-        let put = self.timed(PUT, |s| {
-            s.put_digested(&meta.key, &header, &Digest::of(body), body)
-        });
+        let put = self.timed(PUT, |s| s.put_entry(meta, &Digest::of(body), body));
         if let Some(mem) = &self.mem {
             mem.remove(&meta.key);
         }

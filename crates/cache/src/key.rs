@@ -18,7 +18,8 @@ use swala_obs::keyhash::{key_hash, PrehashedState};
 /// table, remote tables, in-flight broadcast messages, statistics and
 /// the request's trace without copying. A key is hashed once, when it
 /// is made, with the process's keyed hash ([`key_hash`]); every
-/// [`KeyMap`] it is looked up in uses that hash as it is.
+/// `KeyMap` (the crate's tables keyed by cache key) it is looked up in
+/// uses that hash as it is.
 #[derive(Clone)]
 pub struct CacheKey {
     text: Arc<str>,

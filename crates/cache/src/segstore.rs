@@ -63,11 +63,13 @@
 //! like a record (or a forged `Free` record) could mislead it — which no
 //! hash could prevent, since the forger writes the digest too.
 
+use crate::churn::reserve_one;
 use crate::digest::{Digest, DigestStream};
-use crate::key::CacheKey;
+use crate::entry::EntryMeta;
+use crate::key::{CacheKey, KeyMap};
 use crate::store::{HeaderMeta, RecoveredEntry, Store, StoreMetrics};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, IoSlice};
 use std::os::fd::AsRawFd;
@@ -88,15 +90,24 @@ pub const MAX_HEAD: usize = 64 * 1024;
 
 const KIND_PUT: u8 = 3;
 const KIND_FREE: u8 = 4;
+/// A `Free` record: the header and its 8-byte length.
+const FREE_LEN: usize = REC_HEADER_LEN + 8;
+/// A `Put` record's payload besides its key and content type: the two
+/// length fields, the digest, and exec, expiry flag, expiry, created
+/// and body length.
+const PUT_FIXED: usize = 4 + 16 + 4 + 8 + 1 + 8 + 8 + 8;
 
 /// Body bytes recovery hashes per step (a multiple of the digest's
 /// 64-byte stripe).
 const SCAN_CHUNK: usize = 64 * 1024;
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. Implemented
-/// here because the workspace builds offline with no checksum crates.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the zlib polynomial) tables for slicing by 8,
+/// built at compile time: `[0]` is the classic byte-at-a-time table,
+/// and `[k][b]` is the CRC update of byte `b` followed by `k` zero
+/// bytes. Implemented here because the workspace builds offline with no
+/// checksum crates.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -109,17 +120,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 };
 
-/// CRC-32/IEEE of `bytes`.
+/// CRC-32/IEEE of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(word[4..].try_into().expect("4 bytes"));
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -140,6 +175,89 @@ pub enum Record {
     Free { len: u64 },
 }
 
+/// The descriptive fields of a `Put` record, borrowed: from the
+/// caller's [`HeaderMeta`] or [`EntryMeta`] on a put, from the record's
+/// own bytes on a read.
+#[derive(Debug, Clone, Copy)]
+struct Described<'a> {
+    content_type: &'a str,
+    exec_micros: u64,
+    expires_unix: Option<u64>,
+    created_unix: u64,
+}
+
+impl<'a> From<&'a HeaderMeta> for Described<'a> {
+    fn from(m: &'a HeaderMeta) -> Self {
+        Described {
+            content_type: &m.content_type,
+            exec_micros: m.exec_micros,
+            expires_unix: m.expires_unix,
+            created_unix: m.created_unix,
+        }
+    }
+}
+
+impl<'a> From<&'a EntryMeta> for Described<'a> {
+    fn from(m: &'a EntryMeta) -> Self {
+        Described {
+            content_type: &m.content_type,
+            exec_micros: m.exec_micros,
+            expires_unix: m.expires_unix,
+            created_unix: m.created_unix,
+        }
+    }
+}
+
+/// A `Put` record's fields, borrowed where they lie.
+#[derive(Debug, Clone, Copy)]
+struct Put<'a> {
+    seq: u64,
+    key: &'a str,
+    digest: Digest,
+    meta: Described<'a>,
+    body_len: u64,
+}
+
+impl Put<'_> {
+    /// The record, in one buffer of exactly its length.
+    fn encode(&self) -> Vec<u8> {
+        let (k, ct) = (self.key.as_bytes(), self.meta.content_type.as_bytes());
+        let mut rec = Vec::with_capacity(REC_HEADER_LEN + PUT_FIXED + k.len() + ct.len());
+        rec.extend_from_slice(&[0; REC_HEADER_LEN]);
+        rec.extend_from_slice(&(k.len() as u32).to_be_bytes());
+        rec.extend_from_slice(k);
+        rec.extend_from_slice(self.digest.as_bytes());
+        rec.extend_from_slice(&(ct.len() as u32).to_be_bytes());
+        rec.extend_from_slice(ct);
+        rec.extend_from_slice(&self.meta.exec_micros.to_be_bytes());
+        rec.push(self.meta.expires_unix.is_some() as u8);
+        rec.extend_from_slice(&self.meta.expires_unix.unwrap_or(0).to_be_bytes());
+        rec.extend_from_slice(&self.meta.created_unix.to_be_bytes());
+        rec.extend_from_slice(&self.body_len.to_be_bytes());
+        seal(&mut rec, KIND_PUT, self.seq);
+        rec
+    }
+}
+
+/// Fill in the header of `rec`, whose payload is in place behind it.
+fn seal(rec: &mut [u8], kind: u8, seq: u64) {
+    let (header, payload) = rec.split_at_mut(REC_HEADER_LEN);
+    header[0] = kind;
+    header[1..9].copy_from_slice(&seq.to_be_bytes());
+    header[9..13].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[13..17].copy_from_slice(&crc32(payload).to_be_bytes());
+    let header_crc = crc32(&header[..17]);
+    header[17..21].copy_from_slice(&header_crc.to_be_bytes());
+}
+
+/// The `Free` record for an extent of `len` bytes.
+fn free_record(len: u64) -> [u8; FREE_LEN] {
+    let mut rec = [0; FREE_LEN];
+    rec[REC_HEADER_LEN..].copy_from_slice(&len.to_be_bytes());
+    seal(&mut rec, KIND_FREE, 0);
+    rec
+}
+
 /// Encode a record: 21-byte checksummed header plus payload.
 pub fn encode_record(rec: &Record) -> Vec<u8> {
     match rec {
@@ -149,44 +267,16 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
             digest,
             meta,
             body_len,
-        } => encode_put(*seq, key, digest, meta, *body_len),
-        Record::Free { len } => frame(KIND_FREE, 0, &len.to_be_bytes()),
+        } => Put {
+            seq: *seq,
+            key: key.as_str(),
+            digest: *digest,
+            meta: meta.into(),
+            body_len: *body_len,
+        }
+        .encode(),
+        Record::Free { len } => free_record(*len).to_vec(),
     }
-}
-
-fn encode_put(
-    seq: u64,
-    key: &CacheKey,
-    digest: &Digest,
-    meta: &HeaderMeta,
-    body_len: u64,
-) -> Vec<u8> {
-    let k = key.as_str().as_bytes();
-    let ct = meta.content_type.as_bytes();
-    let mut p = Vec::with_capacity(4 + k.len() + 16 + 4 + ct.len() + 33);
-    p.extend_from_slice(&(k.len() as u32).to_be_bytes());
-    p.extend_from_slice(k);
-    p.extend_from_slice(digest.as_bytes());
-    p.extend_from_slice(&(ct.len() as u32).to_be_bytes());
-    p.extend_from_slice(ct);
-    p.extend_from_slice(&meta.exec_micros.to_be_bytes());
-    p.push(meta.expires_unix.is_some() as u8);
-    p.extend_from_slice(&meta.expires_unix.unwrap_or(0).to_be_bytes());
-    p.extend_from_slice(&meta.created_unix.to_be_bytes());
-    p.extend_from_slice(&body_len.to_be_bytes());
-    frame(KIND_PUT, seq, &p)
-}
-
-fn frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(REC_HEADER_LEN + payload.len());
-    out.push(kind);
-    out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    let header_crc = crc32(&out[..17]);
-    out.extend_from_slice(&header_crc.to_be_bytes());
-    out.extend_from_slice(payload);
-    out
 }
 
 /// The payload length a header announces, if its own checksum holds.
@@ -197,11 +287,17 @@ fn header_payload_len(header: &[u8]) -> Option<usize> {
         .then(|| u32::from_be_bytes(header[9..13].try_into().expect("4 bytes")) as usize)
 }
 
-/// Decode one record from the front of `bytes`. Returns the record and
-/// the bytes consumed (a `Put`'s body is not part of either); `None` on
-/// a truncated tail or any checksum / structure mismatch. Never panics,
-/// whatever the input.
-pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
+/// A checked record, its `Put` fields borrowed from the bytes.
+enum View<'a> {
+    Put(Put<'a>),
+    Free { len: u64 },
+}
+
+/// Check and read one record at the front of `bytes` without copying
+/// it: the record and the bytes it takes (a `Put`'s body is not part of
+/// either); `None` on a truncated tail or any checksum / structure
+/// mismatch. Never panics, whatever the input.
+fn view_record(bytes: &[u8]) -> Option<(View<'_>, usize)> {
     let payload_len = header_payload_len(bytes)?;
     let kind = bytes[0];
     let seq = u64::from_be_bytes(bytes[1..9].try_into().ok()?);
@@ -211,47 +307,79 @@ pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
     if crc32(payload) != payload_crc {
         return None;
     }
-    let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = payload.get(*at..at.checked_add(n)?)?;
-        *at += n;
-        Some(s)
-    };
-    let u64_at = |at: &mut usize| Some(u64::from_be_bytes(take(at, 8)?.try_into().ok()?));
-    let len_at = |at: &mut usize| Some(u32::from_be_bytes(take(at, 4)?.try_into().ok()?) as usize);
-    let mut at = 0usize;
-    let rec = match kind {
+    let mut r = Cursor(payload);
+    let view = match kind {
         KIND_PUT => {
-            let key_len = len_at(&mut at)?;
-            let key = CacheKey::new(std::str::from_utf8(take(&mut at, key_len)?).ok()?);
-            let digest = Digest(take(&mut at, 16)?.try_into().ok()?);
-            let ct_len = len_at(&mut at)?;
-            let content_type = std::str::from_utf8(take(&mut at, ct_len)?)
-                .ok()?
-                .to_string();
-            let exec_micros = u64_at(&mut at)?;
-            let has_expiry = take(&mut at, 1)?[0];
-            let expires_raw = u64_at(&mut at)?;
-            let created_unix = u64_at(&mut at)?;
-            let body_len = u64_at(&mut at)?;
-            Record::Put {
+            let key_len = r.len()?;
+            let key = std::str::from_utf8(r.take(key_len)?).ok()?;
+            let digest = Digest(r.take(16)?.try_into().ok()?);
+            let ct_len = r.len()?;
+            let content_type = std::str::from_utf8(r.take(ct_len)?).ok()?;
+            let exec_micros = r.u64()?;
+            let has_expiry = r.take(1)?[0];
+            let expires_raw = r.u64()?;
+            let created_unix = r.u64()?;
+            let body_len = r.u64()?;
+            View::Put(Put {
                 seq,
                 key,
                 digest,
-                meta: HeaderMeta {
+                meta: Described {
                     content_type,
                     exec_micros,
                     expires_unix: (has_expiry == 1).then_some(expires_raw),
                     created_unix,
                 },
                 body_len,
-            }
+            })
         }
-        KIND_FREE => Record::Free {
-            len: u64_at(&mut at)?,
-        },
+        KIND_FREE => View::Free { len: r.u64()? },
         _ => return None,
     };
-    (at == payload.len()).then_some((rec, consumed))
+    r.0.is_empty().then_some((view, consumed))
+}
+
+/// Reads a payload front to back.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let taken = self.0.get(..n)?;
+        self.0 = &self.0[n..];
+        Some(taken)
+    }
+
+    fn len(&mut self) -> Option<usize> {
+        Some(u32::from_be_bytes(self.take(4)?.try_into().ok()?) as usize)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_be_bytes(self.take(8)?.try_into().ok()?))
+    }
+}
+
+/// Decode one record from the front of `bytes`. Returns the record and
+/// the bytes consumed (a `Put`'s body is not part of either); `None` on
+/// a truncated tail or any checksum / structure mismatch. Never panics,
+/// whatever the input.
+pub fn decode_record(bytes: &[u8]) -> Option<(Record, usize)> {
+    let (view, consumed) = view_record(bytes)?;
+    let rec = match view {
+        View::Put(put) => Record::Put {
+            seq: put.seq,
+            key: CacheKey::new(put.key),
+            digest: put.digest,
+            meta: HeaderMeta {
+                content_type: put.meta.content_type.to_string(),
+                exec_micros: put.meta.exec_micros,
+                expires_unix: put.meta.expires_unix,
+                created_unix: put.meta.created_unix,
+            },
+            body_len: put.body_len,
+        },
+        View::Free { len } => Record::Free { len },
+    };
+    Some((rec, consumed))
 }
 
 /// Construction parameters for a [`SegmentStore`].
@@ -304,9 +432,10 @@ impl Slot {
 /// neither; they lie below `end`, so nothing trims or reuses them.
 #[derive(Default)]
 struct Space {
-    /// A B-tree: smaller than a hash table with room for insert/evict
-    /// churn at a fixed population (see `churn.rs`), and never rebuilt.
-    index: BTreeMap<CacheKey, Slot>,
+    /// Hashed by the hash each key carries, so a lookup compares no key
+    /// text but the one it lands on; kept from doubling under churn like
+    /// the directory's tables (see `churn.rs`).
+    index: KeyMap<Slot>,
     /// Extents by offset → (length, key of the live record or `None` for
     /// free). Never two free extents adjacent, never a free one ending
     /// at `end`.
@@ -378,6 +507,7 @@ impl Space {
         self.extents
             .insert(slot.off, (slot.extent(), Some(key.clone())));
         self.live_bytes += slot.extent();
+        reserve_one(&mut self.index);
         self.index.insert(key.clone(), slot);
         old
     }
@@ -527,7 +657,7 @@ impl SegmentStore {
     /// so its header stops describing a live record before the space can
     /// be handed out again, then in the extent map.
     fn retire(&self, off: u64, len: u64) -> io::Result<()> {
-        let marker = encode_record(&Record::Free { len });
+        let marker = free_record(len);
         let written = self.write(off, &mut [IoSlice::new(&marker)]);
         self.release(&mut self.space.lock(), off, len)?;
         written
@@ -552,7 +682,7 @@ impl SegmentStore {
     fn write_record(
         &self,
         key: &CacheKey,
-        meta: &HeaderMeta,
+        meta: Described<'_>,
         digest: &Digest,
         body: &[u8],
         moving: Option<Slot>,
@@ -561,7 +691,14 @@ impl SegmentStore {
             Some(from) => from.seq,
             None => self.next_seq.fetch_add(1, Ordering::Relaxed),
         };
-        let buf = encode_put(seq, key, digest, meta, body.len() as u64);
+        let buf = Put {
+            seq,
+            key: key.as_str(),
+            digest: *digest,
+            meta,
+            body_len: body.len() as u64,
+        }
+        .encode();
         let head = buf.len();
         if head > MAX_HEAD {
             return Err(io::Error::new(
@@ -585,12 +722,16 @@ impl SegmentStore {
         // Record, body and — when a larger extent was split — the
         // remainder's `Free` record right behind the padding: one write,
         // the body from where it lies.
-        let mut tail = Vec::new();
-        if spare > 0 {
-            tail.resize((need - slot.len) as usize, 0);
-            tail.extend_from_slice(&encode_record(&Record::Free { len: spare }));
-        }
-        let mut parts = [IoSlice::new(&buf), IoSlice::new(body), IoSlice::new(&tail)];
+        let mut tail = [0u8; ALIGN as usize + FREE_LEN];
+        let tail = match spare {
+            0 => &[][..],
+            _ => {
+                let pad = (need - slot.len) as usize;
+                tail[pad..pad + FREE_LEN].copy_from_slice(&free_record(spare));
+                &tail[..pad + FREE_LEN]
+            }
+        };
+        let mut parts = [IoSlice::new(&buf), IoSlice::new(body), IoSlice::new(tail)];
         if let Err(e) = self.write(off, &mut parts) {
             // Whatever reached the file must not verify later; the whole
             // extent goes back. `retire`'s own write may fail too — then
@@ -620,6 +761,23 @@ impl SegmentStore {
         }
     }
 
+    /// Write a put's record and index it, then let the file shrink if it
+    /// should.
+    fn put_record(
+        &self,
+        key: &CacheKey,
+        meta: Described<'_>,
+        digest: &Digest,
+        body: &[u8],
+    ) -> io::Result<()> {
+        self.write_record(key, meta, digest, body, None)?;
+        // The put stands whatever becomes of the move: a failure there
+        // leaves the file longer than it need be, and the next put tries
+        // again.
+        let _ = self.squeeze();
+        Ok(())
+    }
+
     /// Read `slot`'s record and body whole.
     fn read_slot(&self, slot: &Slot) -> io::Result<Vec<u8>> {
         let mut buf = vec![0u8; slot.len as usize];
@@ -637,9 +795,9 @@ impl SegmentStore {
             return Ok(());
         };
         let buf = self.read_slot(&slot)?;
-        match decode_record(&buf) {
-            Some((Record::Put { meta, digest, .. }, head)) if head == slot.head as usize => {
-                self.write_record(&key, &meta, &digest, &buf[head..], Some(slot))
+        match view_record(&buf) {
+            Some((View::Put(put), head)) if head == slot.head as usize => {
+                self.write_record(&key, put.meta, &put.digest, &buf[head..], Some(slot))
             }
             // Unreadable where it lies: `get` will say so; nothing to move.
             _ => Ok(()),
@@ -652,7 +810,7 @@ impl SegmentStore {
     fn recover_file(&self) -> io::Result<()> {
         let file_len = self.file.metadata()?.len();
         let mut window = Window::new(&self.file, file_len);
-        let mut index: HashMap<CacheKey, Slot> = HashMap::new();
+        let mut index: KeyMap<Slot> = KeyMap::default();
         // Offsets of records whose header verifies but which are not
         // indexed (torn body, or another copy of an indexed key).
         let mut dropped: Vec<u64> = Vec::new();
@@ -699,7 +857,7 @@ impl SegmentStore {
         }
         // A dropped record claims one ALIGN step only: that much is
         // certainly not part of a live extent.
-        let tombstone = encode_record(&Record::Free { len: ALIGN });
+        let tombstone = free_record(ALIGN);
         for off in dropped.into_iter().filter(|&off| off < space.end) {
             self.file.write_all_at(&tombstone, off)?;
         }
@@ -765,54 +923,47 @@ impl<'a> Window<'a> {
         if head > MAX_HEAD {
             return Ok(Scanned::Junk);
         }
-        let Some((rec, _)) = self.get(at, head)?.and_then(decode_record) else {
+        let Some((view, _)) = self.get(at, head)?.and_then(view_record) else {
             return Ok(Scanned::Junk);
         };
-        match rec {
-            Record::Free { len } => {
+        let (key, seq, digest, body_len) = match view {
+            View::Free { len } => {
                 let fits = len >= ALIGN
                     && len % ALIGN == 0
                     && at
                         .checked_add(len)
                         .is_some_and(|e| e <= round_up(self.file_len));
-                Ok(if fits {
+                return Ok(if fits {
                     Scanned::Free(len)
                 } else {
                     Scanned::Junk
-                })
+                });
             }
-            Record::Put {
-                seq,
+            View::Put(put) => (CacheKey::new(put.key), put.seq, put.digest, put.body_len),
+        };
+        let mut stream = DigestStream::new();
+        let mut pos = at + head as u64;
+        let mut left = body_len;
+        while left > SCAN_CHUNK as u64 {
+            let Some(chunk) = self.get(pos, SCAN_CHUNK)? else {
+                return Ok(Scanned::Torn);
+            };
+            stream.blocks(chunk);
+            pos += SCAN_CHUNK as u64;
+            left -= SCAN_CHUNK as u64;
+        }
+        match self.get(pos, left as usize)? {
+            Some(rest) if stream.finish(rest) == digest => Ok(Scanned::Live(
                 key,
-                digest,
-                body_len,
-                ..
-            } => {
-                let mut stream = DigestStream::new();
-                let mut pos = at + head as u64;
-                let mut left = body_len;
-                while left > SCAN_CHUNK as u64 {
-                    let Some(chunk) = self.get(pos, SCAN_CHUNK)? else {
-                        return Ok(Scanned::Torn);
-                    };
-                    stream.blocks(chunk);
-                    pos += SCAN_CHUNK as u64;
-                    left -= SCAN_CHUNK as u64;
-                }
-                match self.get(pos, left as usize)? {
-                    Some(rest) if stream.finish(rest) == digest => Ok(Scanned::Live(
-                        key,
-                        Slot {
-                            off: at,
-                            len: head as u64 + body_len,
-                            head: head as u32,
-                            seq,
-                            stamp: 0,
-                        },
-                    )),
-                    _ => Ok(Scanned::Torn),
-                }
-            }
+                Slot {
+                    off: at,
+                    len: head as u64 + body_len,
+                    head: head as u32,
+                    seq,
+                    stamp: 0,
+                },
+            )),
+            _ => Ok(Scanned::Torn),
         }
     }
 }
@@ -829,12 +980,11 @@ impl Store for SegmentStore {
         digest: &Digest,
         body: &[u8],
     ) -> io::Result<()> {
-        self.write_record(key, meta, digest, body, None)?;
-        // The put stands whatever becomes of the move: a failure there
-        // leaves the file longer than it need be, and the next put tries
-        // again.
-        let _ = self.squeeze();
-        Ok(())
+        self.put_record(key, meta.into(), digest, body)
+    }
+
+    fn put_entry(&self, meta: &EntryMeta, digest: &Digest, body: &[u8]) -> io::Result<()> {
+        self.put_record(&meta.key, meta.into(), digest, body)
     }
 
     fn get(&self, key: &CacheKey) -> io::Result<Vec<u8>> {
@@ -857,24 +1007,24 @@ impl Store for SegmentStore {
                 continue;
             }
             let mut buf = read?;
-            return match decode_record(&buf) {
-                Some((
-                    Record::Put {
-                        seq,
-                        key: k,
-                        digest,
-                        ..
-                    },
-                    head,
-                )) if k == *key && seq == slot.seq && head == slot.head as usize => {
-                    buf.drain(..head);
-                    Ok((buf, Some(digest)))
+            let verified = match view_record(&buf) {
+                Some((View::Put(put), head))
+                    if put.key == key.as_str()
+                        && put.seq == slot.seq
+                        && head == slot.head as usize =>
+                {
+                    Some(put.digest)
                 }
-                _ => Err(io::Error::new(
+                _ => None,
+            };
+            let Some(digest) = verified else {
+                return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "segment record failed verification",
-                )),
+                ));
             };
+            buf.drain(..slot.head as usize);
+            return Ok((buf, Some(digest)));
         }
     }
 
@@ -901,11 +1051,12 @@ impl Store for SegmentStore {
             .filter_map(|slot| {
                 head.resize(slot.head as usize, 0);
                 self.file.read_exact_at(&mut head, slot.off).ok()?;
-                match decode_record(&head)? {
-                    (Record::Put { key, meta, seq, .. }, _) if seq == slot.seq => {
+                match view_record(&head)? {
+                    (View::Put(put), _) if put.seq == slot.seq => {
+                        let meta = put.meta;
                         Some(RecoveredEntry {
-                            key,
-                            content_type: meta.content_type,
+                            key: CacheKey::new(put.key),
+                            content_type: meta.content_type.to_string(),
                             exec_micros: meta.exec_micros,
                             expires_unix: meta.expires_unix,
                             created_unix: meta.created_unix,
@@ -1255,7 +1406,13 @@ mod tests {
         let s = open(&root);
         let (k, other) = (key(1), key(2));
         s.put_described(&k, &meta(), &vec![1u8; 300]).unwrap();
-        let forged = encode_put(9, &other, &Digest::of(&[2u8; 300]), &meta(), 300);
+        let forged = encode_record(&Record::Put {
+            seq: 9,
+            key: other,
+            digest: Digest::of(&[2u8; 300]),
+            meta: meta(),
+            body_len: 300,
+        });
         s.file.write_all_at(&forged, 0).unwrap();
         assert_eq!(s.get(&k).unwrap_err().kind(), io::ErrorKind::InvalidData);
         let _ = fs::remove_dir_all(root);
@@ -1421,8 +1578,77 @@ mod tests {
 
     #[test]
     fn crc32_known_vectors() {
-        // The classic zlib check value.
+        // The classic zlib check values.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
+    }
+
+    /// The CRC a byte at a time, from the first of the tables alone.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn the_sliced_crc_is_the_bytewise_crc() {
+        // splitmix64 on a pinned seed: the same 2048 cases every run.
+        let mut state = 19_980_728u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for case in 0..2048 {
+            let len = (next() % 301) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            // Every alignment of the eight-byte steps, too.
+            let from = (next() % 8) as usize;
+            let bytes = &bytes[from.min(len)..];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bytewise(bytes),
+                "case {case}: {bytes:?}"
+            );
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One `Put` and one `Free` record, byte for byte as the earlier
+    /// encoder (two buffers, a CRC a byte at a time) wrote them.
+    #[test]
+    fn records_keep_their_golden_bytes() {
+        let put = Record::Put {
+            seq: 8,
+            key: CacheKey::new("/cgi-bin/adl?id=1&ms=0"),
+            digest: Digest(*b"0123456789abcdef"),
+            meta: HeaderMeta {
+                content_type: "text/html".into(),
+                exec_micros: 1234,
+                expires_unix: Some(5678),
+                created_unix: 901_627_200,
+            },
+            body_len: 4096,
+        };
+        assert_eq!(
+            hex(&encode_record(&put)),
+            "03000000000000000800000058591e507513a79a9e000000162f6367692d62696e2f61646c3f\
+             69643d31266d733d303031323334353637383961626364656600000009746578742f68746d6c\
+             00000000000004d201000000000000162e0000000035bdbd400000000000001000"
+        );
+        assert_eq!(
+            hex(&encode_record(&Record::Free { len: 4096 })),
+            "040000000000000000000000082fe0cd388d72e3e60000000000001000"
+        );
     }
 }

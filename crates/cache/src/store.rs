@@ -102,6 +102,12 @@ pub trait Store: Send + Sync {
         let _ = digest;
         self.put_described(key, meta, body)
     }
+    /// [`put_digested`](Store::put_digested) of `meta`'s body, described
+    /// by `meta` itself: a store that encodes the description where it
+    /// lies need not copy it into a [`HeaderMeta`] first.
+    fn put_entry(&self, meta: &EntryMeta, digest: &Digest, body: &[u8]) -> io::Result<()> {
+        self.put_digested(&meta.key, &meta.into(), digest, body)
+    }
     /// Fetch the body for `key`; `NotFound` if absent.
     fn get(&self, key: &CacheKey) -> io::Result<Vec<u8>>;
     /// [`get`](Store::get), with the body's content digest where the

@@ -63,8 +63,11 @@ fn rendered_bodies_never_collide() {
     for kib in [1, 4, 16, 64] {
         for id in 0..200_000 {
             let target = format!("/cgi-bin/adl?id={id}&bytes={}", kib * 1024);
-            let req = CgiRequest::from_http(&Request::get(&target).unwrap(), "c:1", "n", 80);
-            let body = adl.run(&req).unwrap().body;
+            let req = Request::get(&target).unwrap();
+            let body = adl
+                .run(&CgiRequest::from_http(&req, "c:1", "n", 80))
+                .unwrap()
+                .body;
             assert!(seen.insert(Digest::of(&body)), "{target} collided");
         }
     }

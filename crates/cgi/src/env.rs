@@ -23,9 +23,9 @@ pub fn build_env(req: &CgiRequest) -> Vec<(String, String)> {
             "REQUEST_METHOD".to_string(),
             req.method.as_str().to_string(),
         ),
-        ("SCRIPT_NAME".to_string(), req.script_name.clone()),
-        ("QUERY_STRING".to_string(), req.query_string.clone()),
-        ("SERVER_NAME".to_string(), req.server_name.clone()),
+        ("SCRIPT_NAME".to_string(), req.script_name.to_string()),
+        ("QUERY_STRING".to_string(), req.query_string.to_string()),
+        ("SERVER_NAME".to_string(), req.server_name.to_string()),
         ("SERVER_PORT".to_string(), req.server_port.to_string()),
     ];
     // REMOTE_ADDR without the port, as CGI specifies.
@@ -33,7 +33,7 @@ pub fn build_env(req: &CgiRequest) -> Vec<(String, String)> {
         .remote_addr
         .rsplit_once(':')
         .map(|(h, _)| h)
-        .unwrap_or(&req.remote_addr);
+        .unwrap_or(req.remote_addr);
     env.push(("REMOTE_ADDR".to_string(), addr.to_string()));
     if !req.body.is_empty() {
         env.push(("CONTENT_LENGTH".to_string(), req.body.len().to_string()));
@@ -50,9 +50,15 @@ mod tests {
     use super::*;
     use swala_http::{Method, Request};
 
-    fn cgi(target: &str) -> CgiRequest {
+    /// The environment of a GET for `target`.
+    fn env_of(target: &str) -> Vec<(String, String)> {
         let req = Request::get(target).unwrap();
-        CgiRequest::from_http(&req, "10.0.0.7:51234", "node3", 8083)
+        build_env(&CgiRequest::from_http(
+            &req,
+            "10.0.0.7:51234",
+            "node3",
+            8083,
+        ))
     }
 
     fn lookup<'a>(env: &'a [(String, String)], k: &str) -> Option<&'a str> {
@@ -61,7 +67,7 @@ mod tests {
 
     #[test]
     fn core_variables_present() {
-        let env = build_env(&cgi("/cgi-bin/map?layer=3"));
+        let env = env_of("/cgi-bin/map?layer=3");
         assert_eq!(lookup(&env, "GATEWAY_INTERFACE"), Some("CGI/1.1"));
         assert_eq!(lookup(&env, "REQUEST_METHOD"), Some("GET"));
         assert_eq!(lookup(&env, "SCRIPT_NAME"), Some("/cgi-bin/map"));
@@ -73,7 +79,7 @@ mod tests {
 
     #[test]
     fn content_length_only_with_body() {
-        let env = build_env(&cgi("/cgi-bin/x"));
+        let env = env_of("/cgi-bin/x");
         assert_eq!(lookup(&env, "CONTENT_LENGTH"), None);
 
         let mut req = Request::new(Method::Post, "/cgi-bin/x").unwrap();
@@ -86,7 +92,7 @@ mod tests {
 
     #[test]
     fn empty_query_is_empty_var() {
-        let env = build_env(&cgi("/cgi-bin/x"));
+        let env = env_of("/cgi-bin/x");
         assert_eq!(lookup(&env, "QUERY_STRING"), Some(""));
     }
 }

@@ -103,8 +103,10 @@ mod tests {
     use std::time::{Duration, Instant};
     use swala_http::Request;
 
-    fn cgi(target: &str) -> CgiRequest {
-        CgiRequest::from_http(&Request::get(target).unwrap(), "c:1", "n", 80)
+    /// `program` run on a GET for `target`.
+    fn run(program: &dyn Program, target: &str) -> io::Result<CgiOutput> {
+        let req = Request::get(target).unwrap();
+        program.run(&CgiRequest::from_http(&req, "c:1", "n", 80))
     }
 
     #[test]
@@ -118,7 +120,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let program = &program;
-                s.spawn(move || program.run(&cgi("/cgi-bin/adl?ms=20")).unwrap());
+                s.spawn(move || run(program.as_ref(), "/cgi-bin/adl?ms=20").unwrap());
             }
         });
         // 4 × 20 ms through a 1-core gate must serialize to ≥ 80 ms.
@@ -141,7 +143,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let program = &program;
-                s.spawn(move || program.run(&cgi("/cgi-bin/adl?ms=20")).unwrap());
+                s.spawn(move || run(program.as_ref(), "/cgi-bin/adl?ms=20").unwrap());
             }
         });
         let elapsed = started.elapsed();
@@ -163,7 +165,7 @@ mod tests {
         }
         let gate = CpuGate::new(1);
         let program = GatedProgram::wrap(Arc::new(Failing), Arc::clone(&gate));
-        assert!(program.run(&cgi("/cgi-bin/failing")).is_err());
+        assert!(run(program.as_ref(), "/cgi-bin/failing").is_err());
         // The slot must be free again: acquire must not block.
         let _slot = gate.acquire();
     }

@@ -55,7 +55,7 @@ impl Program for ProcessProgram {
         if !req.body.is_empty() {
             // Write the POST body; the child may exit early, which is fine.
             if let Some(mut stdin) = child.stdin.take() {
-                let _ = stdin.write_all(&req.body);
+                let _ = stdin.write_all(req.body);
             }
         }
         let out = child.wait_with_output()?;
@@ -83,8 +83,10 @@ mod tests {
     use super::*;
     use swala_http::{Method, Request};
 
-    fn cgi(target: &str) -> CgiRequest {
-        CgiRequest::from_http(&Request::get(target).unwrap(), "9.8.7.6:1", "n", 80)
+    /// `program` run on a GET for `target`.
+    fn run(program: &dyn Program, target: &str) -> io::Result<CgiOutput> {
+        let req = Request::get(target).unwrap();
+        program.run(&CgiRequest::from_http(&req, "9.8.7.6:1", "n", 80))
     }
 
     /// Write a tiny shell script and make it executable.
@@ -111,7 +113,7 @@ mod tests {
             "#!/bin/sh\nprintf 'Content-Type: text/plain\\n\\nq=%s m=%s' \"$QUERY_STRING\" \"$REQUEST_METHOD\"\n",
         );
         let p = ProcessProgram::new("echo-env", exe);
-        let out = p.run(&cgi("/cgi-bin/echo-env?a=1")).unwrap();
+        let out = run(&p, "/cgi-bin/echo-env?a=1").unwrap();
         assert_eq!(out.content_type, "text/plain");
         assert_eq!(out.body, b"q=a=1 m=GET");
     }
@@ -135,9 +137,7 @@ mod tests {
     fn nonzero_exit_is_error() {
         let dir = tmpdir("fail");
         let exe = script(&dir, "fail.sh", "#!/bin/sh\nexit 3\n");
-        assert!(ProcessProgram::new("fail", exe)
-            .run(&cgi("/cgi-bin/f"))
-            .is_err());
+        assert!(run(&ProcessProgram::new("fail", exe), "/cgi-bin/f").is_err());
     }
 
     #[test]
@@ -148,16 +148,14 @@ mod tests {
             "nohead.sh",
             "#!/bin/sh\necho 'just text, no headers'\n",
         );
-        let err = ProcessProgram::new("nohead", exe)
-            .run(&cgi("/cgi-bin/n"))
-            .unwrap_err();
+        let err = run(&ProcessProgram::new("nohead", exe), "/cgi-bin/n").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn missing_executable_is_error() {
         let p = ProcessProgram::new("ghost", "/nonexistent/path/to/cgi");
-        assert!(p.run(&cgi("/cgi-bin/g")).is_err());
+        assert!(run(&p, "/cgi-bin/g").is_err());
     }
 
     #[test]
@@ -168,9 +166,7 @@ mod tests {
             "notfound.sh",
             "#!/bin/sh\nprintf 'Content-Type: text/html\\nStatus: 404 Not Found\\n\\nmissing'\n",
         );
-        let out = ProcessProgram::new("nf", exe)
-            .run(&cgi("/cgi-bin/nf"))
-            .unwrap();
+        let out = run(&ProcessProgram::new("nf", exe), "/cgi-bin/nf").unwrap();
         assert_eq!(out.status, swala_http::StatusCode::NOT_FOUND);
     }
 }

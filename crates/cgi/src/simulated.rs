@@ -172,15 +172,17 @@ mod tests {
     use super::*;
     use swala_http::Request;
 
-    fn cgi(target: &str) -> CgiRequest {
-        CgiRequest::from_http(&Request::get(target).unwrap(), "c:1", "n", 80)
+    /// `p` run on a GET for `target`.
+    fn run(p: &dyn Program, target: &str) -> io::Result<CgiOutput> {
+        let req = Request::get(target).unwrap();
+        p.run(&CgiRequest::from_http(&req, "c:1", "n", 80))
     }
 
     #[test]
     fn nullcgi_is_fast_and_small() {
         let p = null_cgi();
         let start = Instant::now();
-        let out = p.run(&cgi("/cgi-bin/nullcgi")).unwrap();
+        let out = run(&p, "/cgi-bin/nullcgi").unwrap();
         assert!(start.elapsed() < Duration::from_millis(50));
         assert!(
             out.body.len() <= 100,
@@ -193,10 +195,10 @@ mod tests {
     #[test]
     fn deterministic_output() {
         let p = SimulatedProgram::trace_driven("adl", WorkKind::Spin);
-        let a = p.run(&cgi("/cgi-bin/adl?id=7&ms=0")).unwrap();
-        let b = p.run(&cgi("/cgi-bin/adl?id=7&ms=0")).unwrap();
+        let a = run(&p, "/cgi-bin/adl?id=7&ms=0").unwrap();
+        let b = run(&p, "/cgi-bin/adl?id=7&ms=0").unwrap();
         assert_eq!(a, b);
-        let c = p.run(&cgi("/cgi-bin/adl?id=8&ms=0")).unwrap();
+        let c = run(&p, "/cgi-bin/adl?id=8&ms=0").unwrap();
         assert_ne!(a.body, c.body);
     }
 
@@ -204,7 +206,7 @@ mod tests {
     fn trace_driven_cost_is_respected() {
         let p = SimulatedProgram::trace_driven("adl", WorkKind::Spin);
         let start = Instant::now();
-        p.run(&cgi("/cgi-bin/adl?id=1&ms=30")).unwrap();
+        run(&p, "/cgi-bin/adl?id=1&ms=30").unwrap();
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(30), "{elapsed:?}");
         assert!(elapsed < Duration::from_millis(500), "{elapsed:?}");
@@ -214,14 +216,14 @@ mod tests {
     fn sleep_kind_also_waits() {
         let p = SimulatedProgram::trace_driven("adl", WorkKind::Sleep);
         let start = Instant::now();
-        p.run(&cgi("/cgi-bin/adl?ms=20")).unwrap();
+        run(&p, "/cgi-bin/adl?ms=20").unwrap();
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
 
     #[test]
     fn output_size_controllable() {
         let p = SimulatedProgram::trace_driven("adl", WorkKind::Spin);
-        let out = p.run(&cgi("/cgi-bin/adl?id=1&ms=0&bytes=4096")).unwrap();
+        let out = run(&p, "/cgi-bin/adl?id=1&ms=0&bytes=4096").unwrap();
         // Exact to within one filler line.
         assert!(
             out.body.len() >= 4096 && out.body.len() < 4096 + 80,
@@ -233,7 +235,7 @@ mod tests {
     #[test]
     fn fixed_ignores_query_overrides() {
         let p = SimulatedProgram::fixed("f", Duration::ZERO, WorkKind::Spin, 200);
-        let out = p.run(&cgi("/cgi-bin/f?ms=5000&bytes=1")).unwrap();
+        let out = run(&p, "/cgi-bin/f?ms=5000&bytes=1").unwrap();
         assert!(
             out.body.len() >= 190,
             "fixed size should win: {}",
@@ -276,7 +278,8 @@ mod tests {
             "x=%20y&z=~",
         ];
         for query in queries {
-            let req = cgi(&format!("/cgi-bin/adl?{query}"));
+            let req = Request::get(&format!("/cgi-bin/adl?{query}")).unwrap();
+            let req = CgiRequest::from_http(&req, "c:1", "n", 80);
             for size in (0..=200).chain([1024, 4096, 65_536]) {
                 assert_eq!(
                     render_body("adl", &req, size),
@@ -290,7 +293,7 @@ mod tests {
     #[test]
     fn tiny_output_still_wellformed() {
         let p = SimulatedProgram::fixed("t", Duration::ZERO, WorkKind::Spin, 1);
-        let out = p.run(&cgi("/cgi-bin/t")).unwrap();
+        let out = run(&p, "/cgi-bin/t").unwrap();
         let s = String::from_utf8(out.body).unwrap();
         assert!(s.starts_with("<html>"));
         assert!(s.ends_with("</html>\n"));

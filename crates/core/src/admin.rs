@@ -49,7 +49,7 @@ use swala_cache::directory::Classification;
 use swala_cache::{CacheKey, NodeId};
 use swala_http::{Request, Response, StatusCode};
 use swala_obs::{HeatEntry, HistogramSnapshot, MetricSnapshot, MetricValue, Trace};
-use swala_proto::{request_invalidate, NodeStats};
+use swala_proto::{request_invalidate, NodeStats, PeerError};
 
 /// Path prefix reserved for administration.
 pub const ADMIN_PREFIX: &str = "/swala-admin/";
@@ -158,9 +158,11 @@ fn collect_cluster(ctx: &NodeContext) -> Vec<ScrapedNode> {
                     stats: Some(stats),
                 });
             }
-            Err(_) => {
+            Err(e) => {
                 ctx.scrape_failures.fetch_add(1, Ordering::Relaxed);
-                ctx.note_peer_failure(peer);
+                if e != PeerError::Busy {
+                    ctx.note_peer_failure(peer);
+                }
                 out.push(ScrapedNode {
                     node: peer,
                     state: "unreachable",

@@ -19,7 +19,7 @@ use swala_http::{Body, Method, Request, Response, StatusCode};
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
 use swala_proto::{
     announce, announce_delete, announce_node_down, Broadcaster, Dialer, FetchOutcome, FetchPool,
-    HealthTracker, PeerState, RetryPolicy,
+    HealthTracker, PeerError, PeerState, RetryPolicy,
 };
 
 /// Value of the diagnostic `X-Swala-Cache` response header.
@@ -153,7 +153,8 @@ impl NodeContext {
                 self.health.record_success(home);
                 Ok(meta)
             }
-            Err(_) => {
+            Err(PeerError::Busy) => Err(cache_header::HOME_DOWN),
+            Err(PeerError::Failed(_)) => {
                 self.note_peer_failure(home);
                 Err(cache_header::HOME_DOWN)
             }
@@ -230,9 +231,8 @@ fn route(
     }
 }
 
-/// What a CGI execution is made from. The program-facing request view
-/// costs a dozen allocations, so it is built ([`Exec::request`]) only on
-/// the branches that execute: a hit never pays for a run it skips.
+/// What a CGI execution is made from: the program and what its
+/// request view ([`Exec::request`]) borrows.
 struct Exec<'a> {
     program: &'a dyn Program,
     req: &'a Request<'a>,
@@ -240,7 +240,7 @@ struct Exec<'a> {
 }
 
 impl Exec<'_> {
-    fn request(&self, ctx: &NodeContext) -> CgiRequest {
+    fn request(&self, ctx: &NodeContext) -> CgiRequest<'_> {
         CgiRequest::from_http(self.req, self.remote_addr, SERVER_NAME, ctx.http_port)
     }
 }
@@ -398,7 +398,8 @@ fn serve_from_owner(
                 trace.add_remote_attempts(attempts - 1);
             }
             trace.add_remote_attempts(1);
-            if home_resolved && !matches!(outcome, FetchOutcome::Unreachable(_)) {
+            let answered = !matches!(outcome, FetchOutcome::Unreachable(_) | FetchOutcome::Busy);
+            if home_resolved && answered {
                 // The local lookup said Miss, but the owner answered.
                 ctx.manager.reclassify_miss_as_remote_hit();
             }
@@ -440,6 +441,10 @@ fn serve_from_owner(
                     ctx.note_peer_failure(owner);
                     cache_header::REMOTE_DOWN
                 }
+                // This node's own exchanges held every connection to the
+                // owner: no evidence against it, so nothing is recorded
+                // and the CGI runs now rather than after retries.
+                FetchOutcome::Busy => cache_header::REMOTE_DOWN,
             }
         }
     };

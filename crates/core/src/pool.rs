@@ -7,7 +7,7 @@
 //!
 //! The threads and the parked connections are a [`ConnPool`]; this module
 //! is the HTTP port's keep-alive request loop, which parks a connection
-//! only on [`Fill::Idle`] and drops it after [`KEEP_ALIVE_IDLE`] idle.
+//! only on [`Fill::Idle`] and drops it after `KEEP_ALIVE_IDLE` idle.
 //!
 //! A request is parsed where it lies in the connection's read buffer and
 //! answered before the buffer moves on ([`respond`]), so its fields are

@@ -105,8 +105,12 @@ const BUDGET_PER_OWNER_SERVE: f64 = 2.0 * 1.2;
 
 /// Allocations per evicting miss (a fresh key on a full cache, with a
 /// segment store and an insert notice to one peer) on the request
-/// thread, measured on the reference build: 67.3, then 58.1, now 29.1.
-const BUDGET_PER_MISS: f64 = 29.1 * 1.2;
+/// thread, measured on the reference build: 67.3, then 58.1, then 29.1,
+/// now 10.0 — the key text, the key's flight, the program's three (its
+/// body, the body's first line, its content type), the entry's shared
+/// content type, the store record, the list of evicted entries, and the
+/// insert and delete notices' shared frames.
+const BUDGET_PER_MISS: f64 = 10.0 * 1.2;
 
 fn registry() -> ProgramRegistry {
     let mut registry = ProgramRegistry::new();

@@ -279,3 +279,105 @@ fn responses_carry_a_cached_date_header() {
     let date = r.headers.get("Date").expect("Date header present");
     assert!(date.ends_with(" GMT"), "RFC 1123 format: {date}");
 }
+
+/// A stand-in owner that takes fetch requests and trickles each reply a
+/// byte at a time, so every exchange stays alive (no read waits long
+/// enough to time out) and holds its connection until `stop`. Any other
+/// frame (the notice link's) is read and ignored.
+fn trickling_owner(stop: Arc<std::sync::atomic::AtomicBool>) -> std::net::SocketAddr {
+    use std::io::Write;
+    use std::sync::atomic::Ordering;
+    use swala_proto::{read_frame, write_frame, Message};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { return };
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while let Ok(Some(frame)) = read_frame(&mut conn) {
+                    if !matches!(Message::decode(&frame), Ok(Message::FetchRequest { .. })) {
+                        continue;
+                    }
+                    let reply = Message::FetchHit {
+                        content_type: "text/html".into(),
+                        body: b"stalled".to_vec(),
+                    };
+                    let mut wire = Vec::new();
+                    write_frame(&mut wire, &reply.encode()).unwrap();
+                    for byte in wire {
+                        if stop.load(Ordering::SeqCst) || conn.write_all(&[byte]).is_err() {
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_millis(300));
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// Busy fetch slots are this node's load, not evidence against the
+/// owner: with every one of the `DEFAULT_POOL_SIZE` connections held by
+/// a stalled exchange, a further remote hit runs the CGI itself once its
+/// one wait for a slot runs out — not after a retry per attempt — and
+/// records no failure against the owner.
+#[test]
+fn a_remote_hit_that_finds_every_slot_busy_falls_back_at_once() {
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let owner = trickling_owner(Arc::clone(&stop));
+    let options = ServerOptions {
+        num_nodes: 2,
+        pool_size: 2 * DEFAULT_POOL_SIZE,
+        ..Default::default()
+    };
+    let server = swala::BoundSwala::bind(options, registry())
+        .unwrap()
+        .start(vec![None, Some(owner)])
+        .unwrap();
+    let target = |i: usize| format!("/cgi-bin/adl?id={i}&ms=0");
+    for i in 0..=DEFAULT_POOL_SIZE {
+        let key = CacheKey::new(target(i));
+        let meta = swala_cache::EntryMeta::new(key, NodeId(1), 7, "text/html", 1000, None, 1);
+        server.manager().apply_remote_insert(meta);
+    }
+    let addr = server.http_addr();
+    let holders: Vec<_> = (0..DEFAULT_POOL_SIZE)
+        .map(|i| {
+            let target = target(i);
+            std::thread::spawn(move || HttpClient::new(addr).get(&target))
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.fetch_pool().stats().connects_opened < DEFAULT_POOL_SIZE as u64 {
+        assert!(Instant::now() < deadline, "the holders never dialed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let started = Instant::now();
+    let resp = HttpClient::new(addr)
+        .get(&target(DEFAULT_POOL_SIZE))
+        .unwrap();
+    let took = started.elapsed();
+    assert_eq!(resp.status, StatusCode::OK);
+    assert_eq!(
+        resp.headers.get("X-Swala-Cache"),
+        Some("remote-unreachable-fallback")
+    );
+    let fetch_timeout = swala::handler::FETCH_TIMEOUT;
+    assert!(
+        took < fetch_timeout + Duration::from_secs(1),
+        "fell back after {took:?}, one wait is {fetch_timeout:?}"
+    );
+    let failures: u64 = server.peer_health().iter().map(|h| h.total_failures).sum();
+    assert_eq!(failures, 0, "{:?}", server.peer_health());
+    assert_eq!(server.fetch_pool().stats().waits, 1);
+
+    // Cut the stall: the holders end with their own outcomes.
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    for holder in holders {
+        assert_eq!(holder.join().unwrap().unwrap().status, StatusCode::OK);
+    }
+    server.shutdown();
+}

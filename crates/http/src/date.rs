@@ -73,7 +73,7 @@ pub fn http_date_now() -> String {
 
 /// The value of a `Date` header that means "the time the response is
 /// written": the head writer puts the current date in its place, from
-/// [`with_http_date`]'s cache, so setting it costs nothing per request.
+/// `with_http_date`'s cache, so setting it costs nothing per request.
 pub const NOW: &str = "now";
 
 #[repr(C)]
@@ -124,7 +124,7 @@ pub(crate) fn with_http_date<R>(f: impl FnOnce(&[u8]) -> R) -> R {
     f(&text)
 }
 
-/// [`http_date_now`] from [`with_http_date`]'s per-thread cache.
+/// [`http_date_now`] from `with_http_date`'s per-thread cache.
 pub fn http_date_cached() -> String {
     with_http_date(|text| String::from_utf8_lossy(text).into_owned())
 }

@@ -224,17 +224,29 @@ fn parse_buffered(buf: &[u8]) -> Result<Parsed<'_>> {
         }
         count += 1;
     };
-    // The framing headers are checked as the list is filled.
+    // The framing headers are checked as the list is filled, and so are
+    // RFC 9112's other musts: one `Host`, and no CR or NUL in a value.
     let mut entries = SPARE_HEADERS.try_with(Cell::take).unwrap_or_default();
     entries.reserve(count);
     let mut headers = HeaderMap::reusing(entries);
     let mut coded = false;
+    let mut host = false;
     let mut length: std::result::Result<Option<usize>, &str> = Ok(None);
     let block = utf8(&buf[headers_at..headers_end])?;
     for hline in block.split_terminator('\n') {
         let hline = hline.strip_suffix('\r').unwrap_or(hline);
-        let h = parse_header_line(hline).ok_or_else(|| HttpError::BadHeader(hline.to_string()))?;
+        let bad = || HttpError::BadHeader(hline.to_string());
+        let h = parse_header_line(hline).ok_or_else(bad)?;
+        if h.value.bytes().any(|b| b == b'\r' || b == 0) {
+            return Err(bad());
+        }
         match h.name.len() {
+            4 if h.name.eq_ignore_ascii_case("Host") => {
+                if host {
+                    return Err(bad());
+                }
+                host = true;
+            }
             14 if h.name.eq_ignore_ascii_case("Content-Length") => {
                 if let Ok(seen) = length {
                     length = one_length(seen, &h.value).map(Some).ok_or(hline);
@@ -497,6 +509,93 @@ mod tests {
         // The same value twice frames like once.
         let wire = b"POST /f HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
         assert_eq!(parse(wire).unwrap().body, b"hello");
+    }
+
+    /// How the parser frames hostile and ambiguous requests: the status a
+    /// refused one is answered with (`None`: parsed and served), and
+    /// whether the connection closes after it — a refused request always
+    /// closes it, since its bytes cannot be trusted to end where it does.
+    #[test]
+    fn framing_musts_table() {
+        let cases: [(&str, &[u8], Option<u16>, bool); 11] = [
+            (
+                "chunked body",
+                b"POST /f HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                Some(501),
+                true,
+            ),
+            (
+                "two lengths",
+                b"POST /f HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello",
+                Some(400),
+                true,
+            ),
+            (
+                "one length twice",
+                b"POST /f HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello",
+                None,
+                false,
+            ),
+            (
+                "two hosts",
+                b"GET / HTTP/1.1\r\nHost: a\r\nhost: b\r\n\r\n",
+                Some(400),
+                true,
+            ),
+            (
+                "bare CR in a value",
+                b"GET / HTTP/1.1\r\nHost: x\rY\r\n\r\n",
+                Some(400),
+                true,
+            ),
+            (
+                "NUL in a value",
+                b"GET / HTTP/1.1\r\nHost: x\0y\r\n\r\n",
+                Some(400),
+                true,
+            ),
+            (
+                "NUL in another header",
+                b"GET / HTTP/1.1\r\nX-A: \0\r\n\r\n",
+                Some(400),
+                true,
+            ),
+            (
+                "one host",
+                b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+                None,
+                false,
+            ),
+            ("no host, 1.0", b"GET / HTTP/1.0\r\n\r\n", None, true),
+            ("fragment", b"GET /a#frag HTTP/1.1\r\n\r\n", None, false),
+            (
+                "fragment after a query",
+                b"GET /cgi-bin/adl?id=1#f HTTP/1.1\r\n\r\n",
+                None,
+                false,
+            ),
+        ];
+        for (what, wire, status, closes) in cases {
+            let got = match try_parse_request(wire) {
+                ParseStatus::Complete { request, consumed } => {
+                    assert_eq!(consumed, wire.len(), "{what}");
+                    assert!(!request.target.cache_key().contains('#'), "{what}");
+                    (None, !request.keep_alive())
+                }
+                ParseStatus::Error(e) => (e.response_status().map(|s| s.0), true),
+                ParseStatus::Partial => panic!("{what}: a whole request"),
+            };
+            assert_eq!(got, (status, closes), "{what}");
+        }
+        // The fragment never reaches the path, the query or the key.
+        let ParseStatus::Complete { request, .. } =
+            try_parse_request(b"GET /cgi-bin/adl?id=1#f HTTP/1.1\r\n\r\n")
+        else {
+            panic!("whole request");
+        };
+        assert_eq!(request.target.path, "/cgi-bin/adl");
+        assert_eq!(request.target.query.as_deref(), Some("id=1"));
+        assert_eq!(request.target.cache_key(), "/cgi-bin/adl?id=1");
     }
 
     #[test]

@@ -122,6 +122,10 @@ impl<'a> RequestTarget<'a> {
         if !origin.starts_with('/') {
             return Err(bad());
         }
+        // A fragment is the client's own (RFC 9112 §3.2): it names
+        // nothing the server serves, so it is no part of the path, the
+        // query or the key.
+        let origin = origin.split_once('#').map_or(origin, |(target, _)| target);
         let (path_part, query) = match origin.bytes().position(|b| b == b'?') {
             Some(i) => (&origin[..i], Some(&origin[i + 1..])),
             None => (origin, None),
@@ -174,24 +178,11 @@ impl<'a> RequestTarget<'a> {
         }
     }
 
-    /// Decode the query string into `(key, value)` pairs.
-    ///
-    /// Uses `application/x-www-form-urlencoded` rules: `&`-separated pairs,
-    /// `=`-split, `+` means space, `%XX` decoding. Undecodable components
-    /// are preserved raw rather than dropped (CGI programs see them as-is).
+    /// Decode the query string into `(key, value)` pairs, by
+    /// [`form_pairs`]' rules.
     pub fn query_pairs(&self) -> Vec<(String, String)> {
-        let Some(q) = &self.query else {
-            return Vec::new();
-        };
-        q.split('&')
-            .filter(|s| !s.is_empty())
-            .map(|pair| {
-                let (k, v) = match pair.find('=') {
-                    Some(i) => (&pair[..i], &pair[i + 1..]),
-                    None => (pair, ""),
-                };
-                (decode_form(k), decode_form(v))
-            })
+        form_pairs(self.query.as_deref().unwrap_or_default())
+            .map(|(k, v)| (k.into_owned(), v.into_owned()))
             .collect()
     }
 
@@ -269,14 +260,28 @@ pub fn decode_percent(s: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
+/// The `(key, value)` pairs of a raw query string, each decoded as it
+/// is reached.
+///
+/// Uses `application/x-www-form-urlencoded` rules: `&`-separated pairs,
+/// `=`-split, `+` means space, `%XX` decoding. Undecodable components
+/// are preserved raw rather than dropped (CGI programs see them as-is),
+/// and a component with nothing to decode is borrowed, not copied.
+pub fn form_pairs(query: &str) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
+    query.split('&').filter(|s| !s.is_empty()).map(|pair| {
+        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+        (decode_form(k), decode_form(v))
+    })
+}
+
 /// Form decoding: like percent decoding but `+` becomes space, and invalid
 /// escapes pass through verbatim (lenient, as CGI libraries of the era were).
-fn decode_form(s: &str) -> String {
+fn decode_form(s: &str) -> Cow<'_, str> {
     if !s.contains(['+', '%']) {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let replaced = s.replace('+', " ");
-    decode_percent(&replaced).unwrap_or(replaced)
+    Cow::Owned(decode_percent(&replaced).unwrap_or(replaced))
 }
 
 fn hex_val(b: u8) -> Option<u8> {

@@ -54,39 +54,55 @@ pub const FRAME_STALL_LIMIT: Duration = Duration::from_secs(5);
 /// any sensible cluster ranking while keeping the frame small.
 const HOTKEYS_PER_SNAPSHOT: usize = 64;
 
-/// A notice and the nodes it goes to: the key's homes. The
+/// A notice's frame and the nodes it goes to: the key's homes. The
 /// broadcaster has no link to this node, so "the homes but this node" is
 /// what reaches the wire.
-type Routed<'a> = (&'a [NodeId], Message);
+type Routed<'a> = (&'a [NodeId], Arc<[u8]>);
 
-/// The one announce path: send `update` to every home of its key but
-/// this node — every peer under the replicated directory, the key's home
-/// under the partitioned one — as the `InsertNotice`/`DeleteNotice` the
-/// receiving daemon applies. `None` when this node is the key's only
-/// home: its own directory write already put the entry where it belongs.
-fn route(manager: &CacheManager, update: RemoteUpdate) -> Option<Routed<'_>> {
-    let homes = manager.placement().homes(update.key());
+/// The one announce path: a notice about `key` goes to every home of the
+/// key but this node — every peer under the replicated directory, the
+/// key's home under the partitioned one — as the
+/// `InsertNotice`/`DeleteNotice` the receiving daemon applies. `None`
+/// when this node is the key's only home: its own directory write
+/// already put the entry where it belongs, and nothing is encoded.
+fn route<'m>(
+    manager: &'m CacheManager,
+    key: &CacheKey,
+    frame: impl FnOnce() -> Arc<[u8]>,
+) -> Option<Routed<'m>> {
+    let homes = manager.placement().homes(key);
     if homes.iter().all(|&home| home == manager.local_node()) {
         return None;
     }
-    let notice = match update {
-        RemoteUpdate::Insert(meta) => Message::InsertNotice { meta },
-        RemoteUpdate::Delete { owner, key } => Message::DeleteNotice { owner, key },
-    };
-    Some((homes, notice))
+    Some((homes, frame()))
+}
+
+fn insert_notice<'m>(manager: &'m CacheManager, meta: &EntryMeta) -> Option<Routed<'m>> {
+    route(manager, &meta.key, || Message::insert_notice_frame(meta))
+}
+
+fn delete_notice<'m>(
+    manager: &'m CacheManager,
+    owner: NodeId,
+    key: &CacheKey,
+) -> Option<Routed<'m>> {
+    route(manager, key, || Message::delete_notice_frame(owner, key))
 }
 
 /// Hand `notices` to the broadcaster in one go and count them.
-fn enqueue(manager: &CacheManager, broadcaster: &Broadcaster, notices: &[Routed<'_>]) {
-    broadcaster.enqueue(notices);
-    CacheStats::add(&manager.stats().broadcasts_sent, notices.len() as u64);
+fn enqueue<'a>(
+    manager: &CacheManager,
+    broadcaster: &Broadcaster,
+    notices: impl Iterator<Item = &'a Routed<'a>> + Clone,
+) {
+    broadcaster.enqueue(notices.clone());
+    CacheStats::add(&manager.stats().broadcasts_sent, notices.count() as u64);
 }
 
 /// Tell the cluster this node just cached `meta` (see [`announce`] for
 /// the insert path, which also has evictions to report).
 pub fn announce_insert(manager: &CacheManager, broadcaster: &Broadcaster, meta: &EntryMeta) {
-    let notice = route(manager, RemoteUpdate::Insert(meta.clone()));
-    enqueue(manager, broadcaster, notice.as_slice());
+    enqueue(manager, broadcaster, insert_notice(manager, meta).iter());
 }
 
 /// Tell the cluster the entry `owner` advertised for `key` is gone.
@@ -96,11 +112,11 @@ pub fn announce_delete(
     owner: NodeId,
     key: &CacheKey,
 ) {
-    let delete = RemoteUpdate::Delete {
-        owner,
-        key: key.clone(),
-    };
-    enqueue(manager, broadcaster, route(manager, delete).as_slice());
+    enqueue(
+        manager,
+        broadcaster,
+        delete_notice(manager, owner, key).iter(),
+    );
 }
 
 /// Tell every peer that this node declared `node` dead, so they stop
@@ -120,15 +136,19 @@ pub fn announce(
     inserted: &EntryMeta,
     evicted: &[EntryMeta],
 ) {
-    let deletes = evicted.iter().map(|victim| RemoteUpdate::Delete {
-        owner: victim.owner,
-        key: victim.key.clone(),
-    });
-    let notices: Vec<Routed> = std::iter::once(RemoteUpdate::Insert(inserted.clone()))
-        .chain(deletes)
-        .filter_map(|update| route(manager, update))
-        .collect();
-    enqueue(manager, broadcaster, &notices);
+    let insert = insert_notice(manager, inserted);
+    let mut deletes = evicted
+        .iter()
+        .filter_map(|victim| delete_notice(manager, victim.owner, &victim.key));
+    // An insert at capacity evicts one entry: its notice and the
+    // insert's are listed in place, and only further ones in a `Vec`.
+    let first = deletes.next();
+    let rest: Vec<Routed<'_>> = deletes.collect();
+    enqueue(
+        manager,
+        broadcaster,
+        insert.iter().chain(&first).chain(&rest),
+    );
 }
 
 /// Where the daemons listen.

@@ -6,10 +6,8 @@
 //! replayed bit-identically. This module provides an injectable transport
 //! layer that sits behind the three network seams:
 //!
-//! * the broadcaster's [`Connector`](crate::peers::Connector) (outgoing
-//!   notice links),
-//! * the fetch/sync [`Dialer`](crate::fetch::Dialer) (request/reply
-//!   sessions), and
+//! * the broadcaster's [`Connector`] (outgoing notice links),
+//! * the fetch/sync [`Dialer`] (request/reply sessions), and
 //! * the cache daemon's accept path ([`AcceptFilter`]).
 //!
 //! A [`FaultInjector`] holds an ordered rule list. Each rule matches a

@@ -32,6 +32,11 @@ pub enum FetchOutcome {
     Gone,
     /// Transport failure (peer down, timeout): execute locally.
     Unreachable(String),
+    /// Every connection to the peer stayed in use by this node's other
+    /// exchanges for the whole timeout: execute locally at once. That is
+    /// this node's load, not evidence against the peer, so it is neither
+    /// retried nor reported to the health tracker.
+    Busy,
 }
 
 /// Stream-level fault applied to a [`FaultStream`]'s reads.

@@ -68,6 +68,6 @@ pub use peers::{
     BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE, NOTICE_PACE_MAX,
     NOTICE_QUEUE_DEPTH,
 };
-pub use pool::{FetchPool, FetchPoolStats, DEFAULT_POOL_SIZE};
+pub use pool::{FetchPool, FetchPoolStats, PeerError, DEFAULT_POOL_SIZE};
 pub use reader::{Fill, FrameRead, PatientReader};
 pub use wire::{read_frame, write_frame, write_frame_split, ProtoError};

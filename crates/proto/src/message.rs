@@ -1,10 +1,11 @@
 //! Protocol messages and their binary encoding.
 
 use crate::wire::{
-    get_bytes, get_f64, get_shared_str, get_string, get_u16, get_u32, get_u64, get_u8, put_bytes,
-    put_string, ProtoError,
+    get_bytes, get_f64, get_shared_str, get_slice, get_string, get_u16, get_u32, get_u64, get_u8,
+    put_bytes, put_string, ProtoError,
 };
 use bytes::{BufMut, BytesMut};
+use std::sync::Arc;
 use swala_cache::{CacheKey, EntryMeta, NodeId};
 use swala_obs::{HeatEntry, HistogramSnapshot, MetricSnapshot, MetricValue, BUCKETS};
 
@@ -254,11 +255,11 @@ impl Message {
                 let n = get_u32(&mut r)? as usize;
                 let mut msgs = Vec::with_capacity(room_for::<Message>(n, r));
                 for _ in 0..n {
-                    let sub = get_bytes(&mut r)?;
+                    let sub = get_slice(&mut r)?;
                     if sub.first() == Some(&TAG_BATCH) {
                         return Err(ProtoError::NestedBatch);
                     }
-                    msgs.push(Message::decode(&sub)?);
+                    msgs.push(Message::decode(sub)?);
                 }
                 Message::Batch(msgs)
             }
@@ -328,6 +329,27 @@ impl Message {
         buf.put_u8(TAG_INVALIDATE);
         put_string(&mut buf, key.as_str());
         buf.into()
+    }
+
+    /// Encode an `InsertNotice` for `meta` straight into the frame every
+    /// link shares, byte-identical to
+    /// `Message::InsertNotice { meta }.encode()`: one allocation, and no
+    /// message built to be encoded.
+    pub fn insert_notice_frame(meta: &EntryMeta) -> Arc<[u8]> {
+        shared_frame(1 + meta_len(meta), |frame| {
+            frame.put_u8(TAG_INSERT);
+            encode_meta(frame, meta);
+        })
+    }
+
+    /// [`insert_notice_frame`](Self::insert_notice_frame) for a
+    /// `DeleteNotice`.
+    pub fn delete_notice_frame(owner: NodeId, key: &CacheKey) -> Arc<[u8]> {
+        shared_frame(1 + 2 + 4 + key.as_str().len(), |frame| {
+            frame.put_u8(TAG_DELETE);
+            frame.put_u16(owner.0);
+            put_string(frame, key.as_str());
+        })
     }
 
     /// Encode everything of a `FetchHit` *except* the body bytes.
@@ -474,7 +496,34 @@ fn decode_node_stats(r: &mut &[u8]) -> Result<NodeStats, ProtoError> {
     })
 }
 
-fn encode_meta(buf: &mut BytesMut, m: &EntryMeta) {
+/// The bytes [`encode_meta`] writes for `m`.
+fn meta_len(m: &EntryMeta) -> usize {
+    let expiry = if m.expires_unix.is_some() { 9 } else { 1 };
+    4 + m.key.as_str().len() + 2 + 8 + 4 + m.content_type.len() + 8 + expiry + 5 * 8
+}
+
+/// A frame of `len` bytes shared by every link, filled in place by
+/// `encode`, which must write exactly `len` bytes.
+fn shared_frame(len: usize, encode: impl FnOnce(&mut Fill<'_>)) -> Arc<[u8]> {
+    let mut frame: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let mut fill = Fill(Arc::get_mut(&mut frame).expect("a new frame is not shared"));
+    encode(&mut fill);
+    assert!(fill.0.is_empty(), "frame length reckoned wrong");
+    frame
+}
+
+/// What is left of a frame being filled front to back.
+struct Fill<'a>(&'a mut [u8]);
+
+impl BufMut for Fill<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        self.0 = rest;
+    }
+}
+
+fn encode_meta(buf: &mut impl BufMut, m: &EntryMeta) {
     put_string(buf, m.key.as_str());
     buf.put_u16(m.owner.0);
     buf.put_u64(m.size);

@@ -763,25 +763,22 @@ impl Broadcaster {
             .count()
     }
 
-    /// Queue several notices at once, each addressed to the nodes it
-    /// names — the linked peers among them; a node this broadcaster has
-    /// no link to (itself, or an out-of-cluster id) gets nothing. Each
-    /// message is encoded once, and each link's queue is locked once (its
-    /// writer woken only if parked) for everything that link receives.
-    /// Order within a link is the slice's order. An insert and the
-    /// evictions it caused go out this way.
-    pub fn enqueue(&self, notices: &[(&[NodeId], Message)]) {
-        if self.links.is_empty() {
-            return;
-        }
-        let frames: Vec<(&[NodeId], Arc<[u8]>)> = notices
-            .iter()
-            .map(|(to, msg)| (*to, msg.encode().into()))
-            .collect();
+    /// Queue several encoded notices at once, each addressed to the
+    /// nodes it names — the linked peers among them; a node this
+    /// broadcaster has no link to (itself, or an out-of-cluster id) gets
+    /// nothing. Every link shares each frame, and each link's queue is
+    /// locked once (its writer woken only if parked) for everything that
+    /// link receives. Order within a link is the notices' order. An
+    /// insert and the evictions it caused go out this way.
+    pub fn enqueue<'a>(
+        &self,
+        notices: impl IntoIterator<Item = &'a (&'a [NodeId], Arc<[u8]>), IntoIter: Clone>,
+    ) {
+        let notices = notices.into_iter();
         for link in &self.links {
             link.enqueue_frames(
-                frames
-                    .iter()
+                notices
+                    .clone()
                     .filter(|(to, _)| to.contains(&link.peer()))
                     .map(|(_, frame)| Arc::clone(frame)),
             );
@@ -1080,7 +1077,7 @@ mod tests {
 
     #[test]
     fn addressed_notices_are_paced_identically() {
-        burst_on_busy_link(|b, m| b.enqueue(&[(&[NodeId(1)], m)]));
+        burst_on_busy_link(|b, m| b.enqueue(&[(&[NodeId(1)][..], m.encode().into())]));
     }
 
     /// Drive a connected, parked link up its hold ramp on a manual clock:
@@ -1353,8 +1350,11 @@ mod tests {
         // Nodes without a link (the local node, an out-of-cluster id)
         // get nothing.
         b.enqueue(&[
-            (&[NodeId(0), NodeId(2), NodeId(9)], numbered(1)),
-            (&[NodeId(0)], numbered(2)),
+            (
+                &[NodeId(0), NodeId(2), NodeId(9)][..],
+                numbered(1).encode().into(),
+            ),
+            (&[NodeId(0)][..], numbered(2).encode().into()),
         ]);
         assert!(b.flush(Duration::from_secs(5)));
         let stats = b.link_stats();

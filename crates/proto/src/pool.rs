@@ -114,6 +114,32 @@ impl Drop for Slot<'_> {
     }
 }
 
+/// Why an exchange with a peer got no answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PeerError {
+    /// Every connection to the peer stayed in use by this node's other
+    /// exchanges for the whole timeout: this node's load, no evidence
+    /// against the peer.
+    Busy,
+    /// The dial or the exchange failed.
+    Failed(String),
+}
+
+impl PeerError {
+    fn failed(e: impl fmt::Display) -> PeerError {
+        PeerError::Failed(e.to_string())
+    }
+}
+
+impl fmt::Display for PeerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PeerError::Busy => f.write_str("every connection to the peer stayed busy"),
+            PeerError::Failed(why) => f.write_str(why),
+        }
+    }
+}
+
 impl FetchPool {
     /// A pool dialing through `dialer`, with at most `max_per_peer`
     /// connections per peer, idle and in use. Identical fetches are not
@@ -157,8 +183,11 @@ impl FetchPool {
         };
         let mut attempt = 1;
         loop {
-            let out = self.with_conn(peer, addr, timeout, &request, accept);
-            let out = out.unwrap_or_else(FetchOutcome::Unreachable);
+            let out = match self.with_conn(peer, addr, timeout, &request, accept) {
+                Ok(out) => out,
+                Err(PeerError::Busy) => FetchOutcome::Busy,
+                Err(PeerError::Failed(why)) => FetchOutcome::Unreachable(why),
+            };
             if attempt >= policy.max_attempts || !matches!(out, FetchOutcome::Unreachable(_)) {
                 return (out, attempt);
             }
@@ -181,7 +210,7 @@ impl FetchPool {
         timeout: Duration,
         request: &[u8],
         accept: impl Fn(Message) -> Result<T, Message>,
-    ) -> Result<T, String> {
+    ) -> Result<T, PeerError> {
         let conn = self.checkout(peer, timeout)?;
         let mut slot = Slot {
             pool: self,
@@ -196,14 +225,14 @@ impl FetchPool {
             self.stale_drops.fetch_add(1, Ordering::Relaxed);
             slot.conn = None;
         }
-        let stream = (self.dialer)(peer, addr, timeout).map_err(|e| e.to_string())?;
+        let stream = (self.dialer)(peer, addr, timeout).map_err(PeerError::failed)?;
         self.connects_opened.fetch_add(1, Ordering::Relaxed);
         let conn = slot.conn.insert(PatientReader::new(stream));
         let reply = exchange(conn, timeout, request, &accept);
         if reply.is_err() {
             slot.conn = None;
         }
-        reply.map_err(|e| e.to_string())
+        reply.map_err(PeerError::failed)
     }
 
     /// One directory-lookup exchange: ask `peer`, one of the key's homes,
@@ -217,7 +246,7 @@ impl FetchPool {
         key: &CacheKey,
         timeout: Duration,
         trace: Option<u64>,
-    ) -> Result<Option<EntryMeta>, String> {
+    ) -> Result<Option<EntryMeta>, PeerError> {
         let request = Message::encode_dir_lookup(key, trace);
         self.with_conn(peer, addr, timeout, &request, |reply| match reply {
             Message::DirAnswer { meta } => Ok(meta),
@@ -234,7 +263,7 @@ impl FetchPool {
         addr: SocketAddr,
         timeout: Duration,
         trace: Option<u64>,
-    ) -> Result<NodeStats, String> {
+    ) -> Result<NodeStats, PeerError> {
         let request = Message::StatsPull { trace }.encode();
         self.with_conn(peer, addr, timeout, &request, |reply| match reply {
             Message::StatsSnapshot(stats) => Ok(stats),
@@ -250,7 +279,7 @@ impl FetchPool {
         peer: NodeId,
         addr: SocketAddr,
         timeout: Duration,
-    ) -> Result<(NodeId, Vec<EntryMeta>), String> {
+    ) -> Result<(NodeId, Vec<EntryMeta>), PeerError> {
         let request = Message::SyncRequest.encode();
         self.with_conn(peer, addr, timeout, &request, |reply| match reply {
             Message::SyncReply { node, entries } => Ok((node, entries)),
@@ -261,7 +290,7 @@ impl FetchPool {
     /// Take a slot: an idle connection to `peer`, or `None` to dial into
     /// while fewer than `max_per_peer` are open. Otherwise wait up to
     /// `timeout` for a slot to go back.
-    fn checkout(&self, peer: NodeId, timeout: Duration) -> Result<Option<Conn>, String> {
+    fn checkout(&self, peer: NodeId, timeout: Duration) -> Result<Option<Conn>, PeerError> {
         let deadline = Instant::now() + timeout;
         let mut waited = false;
         let mut peers = self.peers.lock();
@@ -277,7 +306,7 @@ impl FetchPool {
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Err(format!("all {} connections stayed busy", self.max_per_peer));
+                return Err(PeerError::Busy);
             }
             if !waited {
                 waited = true;
@@ -523,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn a_wait_that_outlasts_its_timeout_is_unreachable() {
+    fn a_wait_that_outlasts_its_timeout_is_busy() {
         let (go, gate) = std::sync::mpsc::channel();
         let addr = gated_fetch_server(gate, Some);
         let pool = Arc::new(FetchPool::new(default_dialer(), 1));
@@ -535,10 +564,7 @@ mod tests {
         // The only connection is held until `go`: this fetch waits out
         // its whole timeout.
         let out = fetch_x(&pool, addr, Duration::from_millis(50));
-        assert!(
-            matches!(&out, FetchOutcome::Unreachable(why) if why.contains("busy")),
-            "{out:?}"
-        );
+        assert_eq!(out, FetchOutcome::Busy);
         go.send(()).unwrap();
         assert!(matches!(busy.join().unwrap(), FetchOutcome::Hit { .. }));
         let s = pool.stats();
@@ -633,10 +659,7 @@ mod tests {
                         // Every exchange ends within milliseconds, so a
                         // wait that runs out is a leaked slot or a
                         // release that woke no waiter.
-                        assert!(
-                            !matches!(&out, FetchOutcome::Unreachable(why) if why.contains("busy")),
-                            "{out:?}"
-                        );
+                        assert_ne!(out, FetchOutcome::Busy);
                         hits += matches!(out, FetchOutcome::Hit { .. }) as usize;
                     }
                     hits

@@ -139,7 +139,7 @@ fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8]) -> Result<bool, Pro
 
 // ---- primitive codecs over bytes::{Buf, BufMut} ----
 
-pub fn put_string(buf: &mut BytesMut, s: &str) {
+pub fn put_string(buf: &mut impl BufMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -182,13 +182,18 @@ pub fn get_f64(buf: &mut &[u8]) -> Result<f64, ProtoError> {
 }
 
 pub fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, ProtoError> {
+    get_slice(buf).map(<[u8]>::to_vec)
+}
+
+/// [`get_bytes`] without the copy: the bytes where they lie.
+pub fn get_slice<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], ProtoError> {
     let len = get_u32(buf)? as usize;
     if buf.remaining() < len {
         return Err(ProtoError::Truncated("bytes body"));
     }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(out)
+    let (bytes, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(bytes)
 }
 
 pub fn get_string(buf: &mut &[u8]) -> Result<String, ProtoError> {

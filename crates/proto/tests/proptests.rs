@@ -169,6 +169,21 @@ proptest! {
         prop_assert_eq!(decoded, msg);
     }
 
+    /// The notices an insert announces are encoded straight into their
+    /// shared frames, byte for byte as the owned messages encode.
+    #[test]
+    fn notice_frames_equal_the_owned_encoding(meta in meta_strategy(), owner in 0u16..16) {
+        prop_assert_eq!(
+            &*Message::insert_notice_frame(&meta),
+            &Message::InsertNotice { meta: meta.clone() }.encode()[..]
+        );
+        let owner = NodeId(owner);
+        prop_assert_eq!(
+            &*Message::delete_notice_frame(owner, &meta.key),
+            &Message::DeleteNotice { owner, key: meta.key.clone() }.encode()[..]
+        );
+    }
+
     #[test]
     fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = Message::decode(&bytes);

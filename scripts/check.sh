@@ -81,7 +81,7 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test placement
 cargo test -q --release -p swala-proto --lib daemon::tests::announce_reaches_exactly_the_other_homes
 
-step "request path at the syscall floor (reader, connection pool, fetch pool, request loop, request decoder, allocation budget; release)"
+step "request path at the syscall floor (reader, connection pool, fetch pool, request loop, request decoder, allocation and write-syscall budgets; release)"
 # Counter-based, no clocks: one read per request / frame, idle vs stall,
 # every split point against read_frame / try_parse_request as oracles
 # (2048 cases, pinned seed), and allocations per warm local hit, remote
@@ -94,7 +94,10 @@ step "request path at the syscall floor (reader, connection pool, fetch pool, re
 # header counts past the limit, cut or flipped bytes): no panic, at most
 # 16 x the input's length + 4096 bytes asked of the allocator,
 # to_bytes -> parse the identity, and every split of a pipelined burst
-# decoding like read_request (2048 cases, pinned seed).
+# decoding like read_request (2048 cases, pinned seed). Last, write
+# syscalls per request, read from /proc/self/task/<tid>/io: 1 per warm
+# local hit, 2 on the requester and 1 on the owner per remote hit, and 3
+# per evicting miss (response, record, the victim's Free marker).
 cargo test -q --release -p swala-proto --lib reader::
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-proto --test proptests patient_reader
@@ -104,6 +107,7 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
 PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-http --test decode_alloc
 cargo test -q --release -p swala --test alloc_budget
+cargo test -q --release -p swala --test syscall_budget
 
 step "wire decoder against hostile counts (allocation budget, 2048 cases, pinned seed)"
 # Every tag with a hostile count before a short, arbitrary or cut-short
@@ -160,5 +164,10 @@ cargo fmt --check
 step "cargo clippy --workspace --all-targets -- -D warnings"
 # --all-targets: tests, benches and examples are linted too.
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "rustdoc (RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps)"
+# Every intra-doc link resolves, to a public item, without a redundant
+# target: a rustdoc warning fails the build of the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step "all checks passed in ${SECONDS} s"
