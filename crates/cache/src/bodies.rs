@@ -205,6 +205,8 @@ impl Bodies {
             let store = Arc::clone(&self.store);
             reg.register_gauge_fn(name, help, move || field(store.metrics()) as i64);
         }
+        let help = "The body store's implementation, as the kind label";
+        reg.register_gauge_fn_labeled("swala_store_info", help, "kind", self.metrics().kind, || 1);
         let store = Arc::clone(&self.store);
         let help = "Durability syncs issued by the body store";
         reg.register_counter("swala_store_fsyncs", help, move || store.metrics().fsyncs);

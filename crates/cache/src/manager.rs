@@ -17,7 +17,7 @@ use crate::flights::{FlightWaitOutcome, FlightWaiter, Flights, Joined};
 use crate::key::CacheKey;
 use crate::node::NodeId;
 use crate::policy::PolicyKind;
-use crate::ring::{DirectoryKind, Placement};
+use crate::ring::{DirectoryKind, HashRing, Placement};
 use crate::rules::{CacheDecision, CacheRules};
 use crate::stats::CacheStats;
 use crate::store::Store;
@@ -231,8 +231,8 @@ impl CacheManager {
     }
 
     /// Register the node's cache series: the counters, the body tier's
-    /// series, and the directory-size gauges, which read the tables at
-    /// scrape time (`ring_vnodes` is static geometry).
+    /// series, and the directory gauges, which read the tables at scrape
+    /// time (the kind, `ring_vnodes` and ring shares are static).
     pub fn register_into(self: &Arc<Self>, reg: &MetricsRegistry) {
         self.stats.register_into(reg, "swala_cache");
         self.bodies.register_into(reg);
@@ -248,12 +248,44 @@ impl CacheManager {
             "Directory entries advertised by other nodes",
             move || (m.directory.total_len() - m.directory.len(m.local)) as i64,
         );
+        for n in 0..self.directory.num_nodes() {
+            let m = Arc::clone(self);
+            reg.register_gauge_fn_labeled(
+                "swala_cache_dir_entries",
+                "Directory entries owned by each node, as this node sees them",
+                "owner",
+                &n.to_string(),
+                move || m.directory.len(NodeId(n as u16)) as i64,
+            );
+        }
+        reg.register_gauge_fn_labeled(
+            "swala_cache_directory_info",
+            "The directory organization, as the kind label",
+            "kind",
+            self.placement.kind().as_str(),
+            || 1,
+        );
         let vnodes = self.placement.ring().map_or(0, |r| r.vnodes()) as i64;
         reg.register_gauge_fn(
             "swala_cache_ring_vnodes",
             "Virtual nodes per member on the consistent-hash ring (0 = replicated directory)",
             move || vnodes,
         );
+        for (home, share) in self
+            .placement
+            .ring()
+            .map(HashRing::shares)
+            .unwrap_or_default()
+        {
+            let ppm = (share * 1e6).round() as i64;
+            reg.register_gauge_fn_labeled(
+                "swala_cache_ring_share_ppm",
+                "Share of the hash space each home node holds on the ring, in parts per million",
+                "home",
+                &home.0.to_string(),
+                move || ppm,
+            );
+        }
     }
 
     /// The rules' verdict for `path`, without touching the directory.

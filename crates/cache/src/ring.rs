@@ -179,7 +179,7 @@ impl HashRing {
     }
 
     /// Exact fraction of the 64-bit hash space each member owns, in
-    /// membership order (the `/swala-status` ownership table).
+    /// membership order (the `swala_cache_ring_share_ppm` series).
     pub fn shares(&self) -> Vec<(NodeId, f64)> {
         let mut owned: Vec<u128> = vec![0; self.members.len()];
         let idx_of = |node: NodeId| self.members.binary_search(&node).expect("member");
@@ -247,7 +247,7 @@ impl Placement {
     }
 
     /// The directory organization this placement was built from (the
-    /// status page's mode line).
+    /// `swala_cache_directory_info` series).
     pub fn kind(&self) -> DirectoryKind {
         match self.ring {
             None => DirectoryKind::Replicated,
@@ -255,8 +255,8 @@ impl Placement {
         }
     }
 
-    /// The ring behind partitioned placement (the status page's
-    /// ownership table and the `ring_vnodes` gauge).
+    /// The ring behind partitioned placement (the ring share and
+    /// `ring_vnodes` gauges).
     pub fn ring(&self) -> Option<&HashRing> {
         self.ring.as_ref()
     }

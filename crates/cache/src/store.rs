@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 const MAGIC: &[u8; 4] = b"SWC1";
 
 /// A point-in-time view of a store's internals, for the metrics
-/// registry and `/swala-status`. Stores that don't track a field report
+/// registry. Stores that don't track a field report
 /// zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreMetrics {

@@ -2,9 +2,8 @@
 //!
 //! Reserved paths, in the spirit of 1998 server status screens:
 //!
-//! * `GET /swala-status` — an HTML page with the node's request and
-//!   cache statistics, per-outcome latency quantiles and the directory's
-//!   view of the cluster;
+//! * `GET /swala-status` — this node's metrics registry as an HTML page:
+//!   every series, four ratios of them, every histogram's quantiles;
 //! * `GET /swala-metrics` — the machine-readable metrics registry in
 //!   Prometheus text exposition format (version 0.0.4);
 //! * `GET /swala-threads` — user and system CPU seconds of this node's
@@ -24,9 +23,8 @@
 //! * `GET /swala-cluster-metrics` — every reachable node's registry in
 //!   one Prometheus exposition, each sample labeled `node="N"` (values
 //!   pass through verbatim, so summing over the label is exact);
-//! * `GET /swala-cluster-status` — a per-node table of the cluster
-//!   (hit rates, health, directory and memory footprint) plus merged
-//!   latency histograms and the cluster-wide hot-key ranking;
+//! * `GET /swala-cluster-status` — that page for every reachable node,
+//!   then merged latency histograms and the cluster-wide hot keys;
 //! * `GET /swala-admin/invalidate?key=<target>` — application-driven
 //!   invalidation (§4.2's planned extension after Iyengar & Challenger
 //!   \[12\]): removes the entry wherever it lives. If this node owns it,
@@ -44,11 +42,12 @@
 //! CGI program or file cannot shadow it.
 
 use crate::handler::{NodeContext, FETCH_TIMEOUT};
+use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use swala_cache::directory::Classification;
 use swala_cache::{CacheKey, NodeId};
 use swala_http::{Request, Response, StatusCode};
-use swala_obs::{HeatEntry, HistogramSnapshot, MetricSnapshot, MetricValue, Trace};
+use swala_obs::{lookup, HeatEntry, MetricSnapshot, MetricValue, Trace};
 use swala_proto::{request_invalidate, NodeStats, PeerError};
 
 /// Path prefix reserved for administration.
@@ -102,81 +101,63 @@ pub fn handle_admin(ctx: &NodeContext, req: &Request) -> Response {
 /// One node's slice of a cluster scrape.
 struct ScrapedNode {
     node: NodeId,
-    /// Why `stats` is present or not: `ok`, `unreachable`,
-    /// `quarantined` or `unknown-addr`.
+    /// `ok`, or why `stats` is missing: `unreachable`, `quarantined`, `unknown-addr`.
     state: &'static str,
     stats: Option<NodeStats>,
 }
 
 /// Pull every peer's stats snapshot over the fetch pool; this node's
-/// own snapshot is read directly. Failures degrade the view to the
-/// reachable subset — each bumps `swala_cluster_scrape_failures` and
-/// feeds the shared health tracker exactly like a failed body fetch
-/// (including the quarantine-transition bookkeeping), so an admin
-/// scrape both benefits from and contributes to peer-health evidence.
+/// own snapshot is read directly, after the peers', so that it includes
+/// this very scrape's failure counts.
 fn collect_cluster(ctx: &NodeContext) -> Vec<ScrapedNode> {
-    let n = ctx.cache_addrs.len();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let peer = NodeId(i as u16);
-        if peer == ctx.node {
-            // Placeholder; filled after the peer pulls so the local
-            // snapshot includes this very scrape's failure counts.
-            out.push(ScrapedNode {
-                node: peer,
-                state: "ok",
-                stats: None,
-            });
-            continue;
-        }
-        let Some(addr) = ctx.peer_cache_addr(peer) else {
-            out.push(ScrapedNode {
-                node: peer,
-                state: "unknown-addr",
-                stats: None,
-            });
-            continue;
-        };
-        // Quarantine gate, as on the fetch path: a peer declared dead is
-        // skipped without touching the network. The view still went
-        // partial, so the scrape-failure counter covers skips too.
-        if !ctx.health.should_attempt(peer) {
-            ctx.scrape_failures.fetch_add(1, Ordering::Relaxed);
-            out.push(ScrapedNode {
-                node: peer,
-                state: "quarantined",
-                stats: None,
-            });
-            continue;
-        }
-        match ctx.fetch_pool.stats_pull(peer, addr, FETCH_TIMEOUT, None) {
-            Ok(stats) => {
-                ctx.health.record_success(peer);
-                out.push(ScrapedNode {
-                    node: peer,
-                    state: "ok",
-                    stats: Some(stats),
-                });
-            }
-            Err(e) => {
-                ctx.scrape_failures.fetch_add(1, Ordering::Relaxed);
-                if e != PeerError::Busy {
-                    ctx.note_peer_failure(peer);
-                }
-                out.push(ScrapedNode {
-                    node: peer,
-                    state: "unreachable",
-                    stats: None,
-                });
-            }
-        }
-    }
+    let mut out: Vec<ScrapedNode> = (0..ctx.cache_addrs.len() as u16)
+        .map(|i| {
+            let node = NodeId(i);
+            let (state, stats) = match node == ctx.node {
+                true => ("ok", None),
+                false => scrape_peer(ctx, node),
+            };
+            ScrapedNode { node, state, stats }
+        })
+        .collect();
     out[ctx.node.index()].stats = Some(NodeStats {
         node: ctx.node,
         metrics: ctx.telemetry.registry().snapshot(),
         hotkeys: ctx.manager.heat().top(SCRAPE_HOTKEYS),
     });
     out
+}
+
+/// One peer's stats snapshot, or why there is none. A failure degrades
+/// the view to the reachable subset: it bumps
+/// `swala_cluster_scrape_failures` and feeds the shared health tracker
+/// exactly like a failed body fetch (including the quarantine-transition
+/// bookkeeping), so an admin scrape both benefits from and contributes to
+/// peer-health evidence.
+fn scrape_peer(ctx: &NodeContext, peer: NodeId) -> (&'static str, Option<NodeStats>) {
+    let Some(addr) = ctx.peer_cache_addr(peer) else {
+        return ("unknown-addr", None);
+    };
+    // Quarantine gate, as on the fetch path: a peer declared dead is
+    // skipped without touching the network. The view still went
+    // partial, so the scrape-failure counter covers skips too.
+    if !ctx.health.should_attempt(peer) {
+        ctx.scrape_failures.fetch_add(1, Ordering::Relaxed);
+        return ("quarantined", None);
+    }
+    match ctx.fetch_pool.stats_pull(peer, addr, FETCH_TIMEOUT, None) {
+        Ok(stats) => {
+            ctx.health.record_success(peer);
+            ("ok", Some(stats))
+        }
+        Err(e) => {
+            ctx.scrape_failures.fetch_add(1, Ordering::Relaxed);
+            if e != PeerError::Busy {
+                ctx.note_peer_failure(peer);
+            }
+            ("unreachable", None)
+        }
+    }
 }
 
 /// Every reachable node's metrics in one exposition document, each
@@ -191,135 +172,65 @@ fn cluster_metrics_page(ctx: &NodeContext) -> Response {
     Response::ok("text/plain; version=0.0.4", body.into_bytes())
 }
 
-/// Pull a named counter out of a metrics snapshot (0 when absent).
-fn counter_of(metrics: &[MetricSnapshot], name: &str) -> u64 {
-    metrics
-        .iter()
-        .find(|m| m.name == name)
-        .map_or(0, |m| match &m.value {
-            MetricValue::Counter(v) => *v,
-            _ => 0,
-        })
-}
-
-/// Pull a named gauge out of a metrics snapshot (0 when absent).
-fn gauge_of(metrics: &[MetricSnapshot], name: &str) -> i64 {
-    metrics
-        .iter()
-        .find(|m| m.name == name)
-        .map_or(0, |m| match &m.value {
-            MetricValue::Gauge(v) => *v,
-            _ => 0,
-        })
-}
-
-/// The cluster at a glance: one row per node, merged latency, global
-/// hot keys.
+/// The cluster at a glance: every scraped node's page, merged latency,
+/// global hot keys.
 fn cluster_status_page(ctx: &NodeContext) -> Response {
     let scraped = collect_cluster(ctx);
-    let mut rows = String::new();
+    let mut nodes = String::new();
     for s in &scraped {
-        match &s.stats {
-            Some(st) => {
-                let m = &st.metrics;
-                let lookups = counter_of(m, "swala_cache_lookups");
-                let hits = counter_of(m, "swala_cache_local_hits")
-                    + counter_of(m, "swala_cache_remote_hits");
-                let rate = if lookups == 0 {
-                    "–".to_string()
-                } else {
-                    format!("{:.1}%", 100.0 * hits as f64 / lookups as f64)
-                };
-                rows.push_str(&format!(
-                    "<tr><td>node{}{}</td><td>{}</td><td>{}</td><td>{}</td>\
-                     <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-                    s.node.0,
-                    if s.node == ctx.node {
-                        " (this node)"
-                    } else {
-                        ""
-                    },
-                    s.state,
-                    counter_of(m, "swala_http_requests"),
-                    lookups,
-                    rate,
-                    counter_of(m, "swala_cache_inserts"),
-                    gauge_of(m, "swala_cache_dir_entries_owned"),
-                    gauge_of(m, "swala_cache_mem_bytes"),
-                ));
-            }
-            None => rows.push_str(&format!(
-                "<tr><td>node{}</td><td>{}</td>\
-                 <td colspan=6>no snapshot (partial scrape)</td></tr>\n",
-                s.node.0, s.state,
-            )),
-        }
+        let _ = match &s.stats {
+            Some(st) => write!(
+                nodes,
+                "<h2>{}</h2>{}",
+                s.node,
+                render_node(s.node, &st.metrics)
+            ),
+            None => write!(
+                nodes,
+                "<h2>{}</h2><p>{}: no snapshot (partial scrape)</p>",
+                s.node, s.state
+            ),
+        };
     }
     // Merged per-outcome latency: raw bucket sums across nodes, so the
     // quantiles are those of one cluster-wide histogram, not an average
     // of per-node quantiles.
-    let mut by_outcome: Vec<(String, HistogramSnapshot)> = Vec::new();
-    for s in &scraped {
-        let Some(st) = &s.stats else { continue };
-        for m in &st.metrics {
-            if m.name != "swala_request_duration_microseconds" {
-                continue;
-            }
-            if let (Some((_, outcome)), MetricValue::Histogram(h)) = (&m.label, &m.value) {
-                match by_outcome.iter_mut().find(|(o, _)| o == outcome) {
-                    Some((_, agg)) => agg.merge(h),
-                    None => by_outcome.push((outcome.clone(), h.clone())),
-                }
-            }
-        }
-    }
-    let mut latency = String::new();
-    for (outcome, h) in &by_outcome {
-        if h.count == 0 {
+    let mut merged: Vec<MetricSnapshot> = Vec::new();
+    let reachable = scraped.iter().filter_map(|s| s.stats.as_ref());
+    for m in reachable.flat_map(|st| &st.metrics) {
+        if m.name != "swala_request_duration_microseconds" {
             continue;
         }
-        latency.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            outcome,
-            h.count,
-            h.p50(),
-            h.p99(),
-            h.max,
-        ));
+        match (merged.iter_mut().find(|a| a.label == m.label), &m.value) {
+            (Some(sum), MetricValue::Histogram(h)) => {
+                if let MetricValue::Histogram(sum) = &mut sum.value {
+                    sum.merge(h)
+                }
+            }
+            _ => merged.push(m.clone()),
+        }
     }
-    if latency.is_empty() {
-        latency.push_str("<tr><td colspan=5>no completed requests yet</td></tr>\n");
-    }
+    let (_, latency) = series_rows(&merged);
     let lists: Vec<Vec<HeatEntry>> = scraped
         .iter()
         .filter_map(|s| s.stats.as_ref().map(|st| st.hotkeys.clone()))
         .collect();
     let mut hot = String::new();
     for e in swala_obs::merge_hotkeys(&lists, 16) {
-        hot.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            e.key,
-            e.count,
-            e.count - e.error,
-            e.cost_us,
-        ));
-    }
-    if hot.is_empty() {
-        hot.push_str("<tr><td colspan=4>no observations yet</td></tr>\n");
+        let (key, count, cost) = (&e.key, e.count, e.cost_us);
+        let lower = count - e.error;
+        let _ = writeln!(
+            hot,
+            "<tr><td>{key}</td><td>{count}</td><td>{lower}</td><td>{cost}</td></tr>"
+        );
     }
     let failures = ctx.scrape_failures.load(Ordering::Relaxed);
     let body = format!(
         "<html><head><title>Swala cluster — via node {node}</title></head><body>\
          <h1>Swala cluster (scraped by node {node}; {failures} scrape failures total)</h1>\
-         <h2>Nodes</h2>\
-         <table border=1>\
-         <tr><th>node</th><th>scrape</th><th>requests</th><th>lookups</th>\
-         <th>hit rate</th><th>inserts</th><th>dir owned</th><th>mem bytes</th></tr>\
-         {rows}</table>\
-         <h2>Cluster latency by outcome (&micro;s, merged histograms)</h2>\
-         <table border=1>\
-         <tr><th>outcome</th><th>count</th><th>p50</th><th>p99</th>\
-         <th>max</th></tr>{latency}</table>\
+         {nodes}\
+         <h2>Cluster latency by outcome (merged histograms)</h2>\
+         <table border=1>{HISTOGRAM_HEAD}\n{latency}</table>\
          <h2>Cluster hot keys (estimated count; lower bound; cost &micro;s)</h2>\
          <table border=1>\
          <tr><th>key</th><th>count</th><th>&ge;</th><th>cost</th></tr>{hot}</table>\
@@ -338,11 +249,7 @@ fn cluster_status_page(ctx: &NodeContext) -> Response {
 /// cluster document reports no unmonitored-count bound (0).
 fn hotkeys_page(ctx: &NodeContext, req: &Request) -> Response {
     let pairs = req.target.query_pairs();
-    let n = pairs
-        .iter()
-        .find(|(k, _)| k == "n")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-        .unwrap_or(32);
+    let n = count_asked(&pairs);
     let cluster = pairs.iter().any(|(k, v)| k == "cluster" && v != "0");
     let body = if cluster {
         let scraped = collect_cluster(ctx);
@@ -385,148 +292,25 @@ fn threads_page() -> Response {
 /// traces per outcome class, which survive ring churn.
 fn traces_page(ctx: &NodeContext, req: &Request) -> Response {
     let pairs = req.target.query_pairs();
-    if pairs.iter().any(|(k, v)| k == "slow" && v != "0") {
-        return Response::ok(
-            "application/json",
-            ctx.telemetry.slow_traces_json().into_bytes(),
-        );
-    }
-    let n = pairs
-        .iter()
-        .find(|(k, _)| k == "n")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-        .unwrap_or(32);
-    Response::ok(
-        "application/json",
-        ctx.telemetry.traces_json(n).into_bytes(),
-    )
+    let body = match pairs.iter().any(|(k, v)| k == "slow" && v != "0") {
+        true => ctx.telemetry.slow_traces_json(),
+        false => ctx.telemetry.traces_json(count_asked(&pairs)),
+    };
+    Response::ok("application/json", body.into_bytes())
 }
 
+/// The `?n=K` of a listing, 32 when absent.
+fn count_asked(pairs: &[(String, String)]) -> usize {
+    let n = pairs.iter().find(|(k, _)| k == "n");
+    n.and_then(|(_, v)| v.parse().ok()).unwrap_or(32)
+}
+
+/// This node's page: its registry, drawn by [`render_node`].
 fn status_page(ctx: &NodeContext) -> Response {
-    let http = ctx.stats.snapshot();
-    let cache = ctx.manager.stats().snapshot();
-    let dir = ctx.manager.directory();
-    let mut tables = String::new();
-    for n in 0..dir.num_nodes() {
-        let id = swala_cache::NodeId(n as u16);
-        tables.push_str(&format!(
-            "<tr><td>node{n}{}</td><td>{}</td></tr>\n",
-            if id == ctx.node { " (this node)" } else { "" },
-            dir.len(id),
-        ));
-    }
-    // Directory mode line plus, in partitioned mode, the ring's key-space
-    // ownership shares.
-    let placement = ctx.manager.placement();
-    let mut dirmode = format!("directory={}", placement.kind().as_str());
-    let mut ring_section = String::new();
-    if let Some(ring) = placement.ring() {
-        dirmode.push_str(&format!(" ring_vnodes={}", ring.vnodes()));
-        let mut rows = String::new();
-        for (id, share) in ring.shares() {
-            rows.push_str(&format!(
-                "<tr><td>node{}{}</td><td>{:.2}%</td></tr>\n",
-                id.0,
-                if id == ctx.node { " (this node)" } else { "" },
-                share * 100.0,
-            ));
-        }
-        ring_section = format!(
-            "<h2>Key-space ownership (consistent-hash ring)</h2>\
-             <table border=1><tr><th>home node</th><th>hash-space share</th></tr>\
-             {rows}</table>"
-        );
-    }
-    let mut health = String::new();
-    for h in ctx.health.snapshot() {
-        health.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            h.peer,
-            h.state.as_str(),
-            h.consecutive_failures,
-            h.total_failures,
-            h.total_quarantines,
-        ));
-    }
-    if health.is_empty() {
-        health.push_str("<tr><td colspan=5>no peer traffic yet</td></tr>\n");
-    }
-    let (bcast_sent, bcast_dropped) = ctx.broadcaster.counters();
-    let mut links = String::new();
-    for l in ctx.broadcaster.link_stats() {
-        links.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{:.1}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            l.peer,
-            l.addr,
-            l.queued,
-            l.sent,
-            l.frames,
-            l.notices_per_frame(),
-            l.hold.as_micros(),
-            l.sent_immediate,
-            l.sent_after_hold,
-            l.dropped,
-            if l.connected { "yes" } else { "no" },
-        ));
-    }
-    let sm = ctx.manager.bodies().metrics();
-    let mut store = format!(
-        "store={} file_bytes={} live_bytes={} free_bytes={} fsyncs={}",
-        sm.kind, sm.file_bytes, sm.live_bytes, sm.free_bytes, sm.fsyncs,
-    );
-    for (op, hist) in ctx.manager.bodies().op_durations() {
-        let h = hist.snapshot();
-        store.push_str(&format!(
-            "\n{op}: count={} p50_us={} p99_us={}",
-            h.count,
-            h.p50(),
-            h.p99()
-        ));
-    }
-    let pool = ctx.fetch_pool.stats();
-    let eng = &ctx.engine_stats;
-    let engine = format!(
-        "open_connections={} idle_connections={} parks={} \
-         read_calls={} reads_per_request={:.2}",
-        eng.open_connections.get(),
-        eng.idle_connections.get(),
-        eng.parks(),
-        http.read_calls,
-        http.read_calls as f64 / http.requests.max(1) as f64,
-    );
-    let mut latency = String::new();
-    for outcome in swala_obs::Outcome::ALL {
-        let snap = ctx.telemetry.outcome_snapshot(outcome);
-        if snap.count == 0 {
-            continue;
-        }
-        latency.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            outcome.as_str(),
-            snap.count,
-            snap.p50(),
-            snap.p99(),
-            snap.max,
-        ));
-    }
-    if latency.is_empty() {
-        latency.push_str("<tr><td colspan=5>no completed requests yet</td></tr>\n");
-    }
-    let uptime = ctx.started.elapsed().as_secs();
+    let metrics = ctx.telemetry.registry().snapshot();
     let body = format!(
         "<html><head><title>Swala status — {node}</title></head><body>\
-         <h1>Swala node {node}</h1>\
-         <p>swala v{version} &middot; node {node} &middot; up {uptime}s</p>\
-         <h2>HTTP</h2><pre>{http}</pre>\
-         <h2>Engine</h2><pre>{engine}</pre>\
-         <h2>Cache</h2><pre>{cache}</pre>\
-         <h2>Body store</h2><pre>{store}</pre>\
-         <h2>Fetch pool</h2><pre>{pool}</pre>\
-         <h2>Latency by outcome (&micro;s)</h2>\
-         <table border=1>\
-         <tr><th>outcome</th><th>count</th><th>p50</th><th>p99</th>\
-         <th>max</th></tr>{latency}</table>\
+         <h1>Swala node {node}</h1>{page}\
          <p><a href=\"/swala-metrics\">metrics</a> &middot; \
          <a href=\"/swala-threads\">threads</a> &middot; \
          <a href=\"/swala-traces\">traces</a> &middot; \
@@ -534,24 +318,94 @@ fn status_page(ctx: &NodeContext) -> Response {
          <a href=\"/swala-hotkeys\">hotkeys</a> &middot; \
          <a href=\"/swala-cluster-metrics\">cluster metrics</a> &middot; \
          <a href=\"/swala-cluster-status\">cluster status</a></p>\
-         <h2>Directory ({dirmode}; entries per node table)</h2>\
-         <table border=1>{tables}</table>\
-         {ring_section}\
-         <h2>Peer health</h2>\
-         <table border=1>\
-         <tr><th>peer</th><th>state</th><th>streak</th><th>failures</th>\
-         <th>quarantines</th></tr>{health}</table>\
-         <h2>Broadcast links ({bcast_sent} sent, {bcast_dropped} dropped)</h2>\
-         <table border=1>\
-         <tr><th>peer</th><th>addr</th><th>queued</th><th>sent</th>\
-         <th>frames</th><th>notices/frame</th><th>hold (&micro;s)</th>\
-         <th>immediate</th><th>after hold</th>\
-         <th>dropped</th><th>connected</th></tr>{links}</table>\
          </body></html>\n",
         node = ctx.node,
-        version = env!("CARGO_PKG_VERSION"),
+        page = render_node(ctx.node, &metrics),
     );
     Response::ok("text/html", body.into_bytes())
+}
+
+/// Every counter and gauge as a row of its series and value, and every
+/// histogram as a row of its series, count, p50, p99 and max.
+fn series_rows(metrics: &[MetricSnapshot]) -> (String, String) {
+    let (mut values, mut histograms) = (String::new(), String::new());
+    for m in metrics {
+        let series = match &m.label {
+            Some((k, v)) => format!("{}{{{k}=\"{v}\"}}", m.name),
+            None => m.name.clone(),
+        };
+        let _ = match &m.value {
+            MetricValue::Counter(v) => writeln!(values, "<tr><td>{series}</td><td>{v}</td></tr>"),
+            MetricValue::Gauge(v) => writeln!(values, "<tr><td>{series}</td><td>{v}</td></tr>"),
+            MetricValue::Histogram(h) => writeln!(
+                histograms,
+                "<tr><td>{series}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
+                h.count,
+                h.p50(),
+                h.p99(),
+                h.max
+            ),
+        };
+    }
+    (values, histograms)
+}
+
+const HISTOGRAM_HEAD: &str =
+    "<tr><th>histogram</th><th>count</th><th>p50</th><th>p99</th><th>max</th></tr>";
+
+/// Ratios a page shows beside the two series each is taken from. None
+/// is a series of its own.
+const RATIOS: [(&str, &str, &str); 4] = [
+    (
+        "reads per request",
+        "swala_http_read_calls",
+        "swala_http_requests",
+    ),
+    (
+        "local hit rate",
+        "swala_cache_local_hits",
+        "swala_cache_lookups",
+    ),
+    (
+        "remote hit rate",
+        "swala_cache_remote_hits",
+        "swala_cache_lookups",
+    ),
+    (
+        "notices per frame",
+        "swala_broadcast_sent",
+        "swala_broadcast_frames",
+    ),
+];
+
+/// One node's statistics as HTML, from its registry snapshot alone: a
+/// header (version, node, uptime), then every counter and gauge as a row
+/// named by its series, the [`RATIOS`] of rows it shows, and every
+/// histogram as count, p50, p99 and max. `/swala-status` draws this
+/// node with it and `/swala-cluster-status` every node it scraped.
+fn render_node(node: NodeId, metrics: &[MetricSnapshot]) -> String {
+    let version = metrics
+        .iter()
+        .find(|m| m.name == "swala_build_info")
+        .and_then(|m| m.label.as_ref())
+        .map_or("?", |(_, v)| v.as_str());
+    let uptime = lookup(metrics, "swala_uptime_seconds", None).unwrap_or(0);
+    let (values, histograms) = series_rows(metrics);
+    let mut ratios = String::new();
+    for (what, part, whole) in RATIOS {
+        let [p, w] = [part, whole].map(|s| lookup(metrics, s, None).unwrap_or(0));
+        let value = p as f64 / w.max(1) as f64;
+        let _ = writeln!(
+            ratios,
+            "<tr><td>{what}</td><td>{part} &divide; {whole}</td><td>{value:.2}</td></tr>"
+        );
+    }
+    format!(
+        "<p>swala v{version} &middot; node {node} &middot; up {uptime}s</p>\
+         <table border=1><tr><th>series</th><th>value</th></tr>\n{values}</table>\
+         <table border=1><tr><th>ratio</th><th>of</th><th>value</th></tr>\n{ratios}</table>\
+         <table border=1>{HISTOGRAM_HEAD}\n{histograms}</table>"
+    )
 }
 
 fn invalidate(ctx: &NodeContext, req: &Request) -> Response {

@@ -83,8 +83,6 @@ pub struct NodeContext {
     pub health: Arc<HealthTracker>,
     /// Request-pool gauges (open and idle connections, parks).
     pub engine_stats: Arc<swala_proto::PoolStats>,
-    /// When the node started (uptime on `/swala-status`).
-    pub started: Instant,
     /// Peers whose stats pull failed during a cluster scrape
     /// (`swala_cluster_scrape_failures`).
     pub scrape_failures: Arc<std::sync::atomic::AtomicU64>,

@@ -90,6 +90,17 @@ impl SourceMonitor {
         self.invalidations.load(Ordering::Relaxed)
     }
 
+    /// Register [`invalidations`](Self::invalidations) on `reg` as
+    /// `swala_monitor_invalidations`.
+    pub(crate) fn register_into(&self, reg: &swala_obs::MetricsRegistry) {
+        let n = Arc::clone(&self.invalidations);
+        reg.register_counter(
+            "swala_monitor_invalidations",
+            "Entries invalidated because a monitored source changed",
+            move || n.load(Ordering::Relaxed),
+        );
+    }
+
     /// Stop the monitor thread (what dropping the monitor does).
     pub fn shutdown(self) {
         drop(self);
@@ -364,10 +375,16 @@ mod tests {
             Arc::clone(&broadcaster),
             vec![rule(&self_key, &self_src), rule(&peer_key, &peer_src)],
         );
+        let reg = swala_obs::MetricsRegistry::new();
+        broadcaster.register_into(&reg);
         let on_the_wire = || {
             assert!(broadcaster.flush(Duration::from_secs(5)));
-            let link = &broadcaster.link_stats()[0];
-            link.sent + link.queued as u64 + link.dropped
+            let metrics = reg.snapshot();
+            ["sent", "queued", "dropped"]
+                .map(|f| format!("swala_broadcast_link_{f}"))
+                .iter()
+                .filter_map(|name| swala_obs::lookup(&metrics, name, Some("1")))
+                .sum::<u64>()
         };
 
         rewrite(&self_src, "v2", 2);

@@ -4,7 +4,7 @@ use crate::config::ServerOptions;
 use crate::handler::{NodeContext, FETCH_TIMEOUT};
 use crate::monitor::SourceMonitor;
 use crate::pool::RequestPool;
-use crate::stats::{register_engine_stats, RequestStats, RequestStatsSnapshot};
+use crate::stats::{register_engine_stats, RequestStats};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -14,8 +14,8 @@ use swala_cache::{
 use swala_cgi::ProgramRegistry;
 use swala_obs::Telemetry;
 use swala_proto::{
-    default_dialer, BroadcastConfig, Broadcaster, CacheDaemons, FetchPool, HealthSnapshot,
-    HealthTracker, PoolStats, RetryPolicy, DEFAULT_POOL_SIZE,
+    default_dialer, BroadcastConfig, Broadcaster, CacheDaemons, FetchPool, HealthTracker,
+    RetryPolicy, DEFAULT_POOL_SIZE,
 };
 
 /// A node whose listeners are bound but whose daemons and pool have not
@@ -136,7 +136,7 @@ impl BoundSwala {
         let stats = Arc::new(RequestStats::new());
         stats.register_into(reg, "swala_http");
         let engine_stats = Arc::default();
-        register_engine_stats(&engine_stats, reg);
+        register_engine_stats(&engine_stats, reg, "swala_engine");
         manager.register_into(reg);
         let accept_filter = options.faults.as_ref().map(|f| f.acceptor(options.node));
         let daemons = CacheDaemons::start_with_listener_observed(
@@ -184,70 +184,35 @@ impl BoundSwala {
             None => None,
         };
 
-        {
-            // Fetch-pool and broadcaster internals expose their own
-            // atomics; closures adapt them into registry counters.
-            let reg = telemetry.registry();
-            let p = Arc::clone(&fetch_pool);
-            reg.register_counter(
-                "swala_fetch_connects_opened",
-                "Fetch-pool TCP connections opened",
-                move || p.stats().connects_opened,
-            );
-            let p = Arc::clone(&fetch_pool);
-            reg.register_counter(
-                "swala_fetch_reuses",
-                "Fetch-pool connection reuses",
-                move || p.stats().reuses,
-            );
-            let p = Arc::clone(&fetch_pool);
-            reg.register_counter(
-                "swala_fetch_stale_drops",
-                "Fetch-pool pooled connections dropped as stale",
-                move || p.stats().stale_drops,
-            );
-            let b = Arc::clone(&broadcaster);
-            reg.register_counter(
-                "swala_broadcast_enqueued",
-                "Cache notices enqueued for peers",
-                move || b.counters().0,
-            );
-            let b = Arc::clone(&broadcaster);
-            reg.register_counter(
-                "swala_broadcast_dropped",
-                "Cache notices dropped on full peer queues",
-                move || b.counters().1,
-            );
-            let b = Arc::clone(&broadcaster);
-            reg.register_counter(
-                "swala_broadcast_frames",
-                "Wire frames the delivered cache notices travelled in",
-                move || b.frames(),
-            );
-            reg.register_histogram(
-                "swala_notice_delay_microseconds",
-                "Delay from a cache notice's enqueue to its write to the peer socket",
-                Arc::clone(broadcaster.notice_delay()),
-            );
-            let b = Arc::clone(&broadcaster);
-            reg.register_gauge_fn(
-                "swala_notice_hold_microseconds",
-                "Longest current hold over this node's notice links (500 = idle, 4000 = saturated)",
-                move || b.max_hold().as_micros() as i64,
-            );
+        // Every number a status page shows is a series here, read from
+        // the state that already holds it.
+        let health = Arc::new(HealthTracker::new(options.clock.clone()));
+        let others = (0..options.num_nodes as u16).filter(|&i| i != options.node.0);
+        health.register_into(reg, others.map(NodeId));
+        fetch_pool.register_into(reg);
+        broadcaster.register_into(reg);
+        register_engine_stats(daemons.port_stats(), reg, "swala_cache_port");
+        if let Some(m) = &monitor {
+            m.register_into(reg);
         }
-
+        let help = "The build's version, as the version label";
+        let version = env!("CARGO_PKG_VERSION");
+        reg.register_gauge_fn_labeled("swala_build_info", help, "version", version, || 1);
+        let started = std::time::Instant::now();
+        reg.register_gauge_fn(
+            "swala_uptime_seconds",
+            "Seconds since the node started",
+            move || started.elapsed().as_secs() as i64,
+        );
         // Cluster-scrape degradation counter: bumped whenever a peer's
         // stats pull fails and the merged view goes partial.
         let scrape_failures = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        {
-            let f = Arc::clone(&scrape_failures);
-            telemetry.registry().register_counter(
-                "swala_cluster_scrape_failures",
-                "Peer stats pulls that failed or were quarantine-skipped during a cluster scrape",
-                move || f.load(std::sync::atomic::Ordering::Relaxed),
-            );
-        }
+        let f = Arc::clone(&scrape_failures);
+        reg.register_counter(
+            "swala_cluster_scrape_failures",
+            "Peer stats pulls that failed or were quarantine-skipped during a cluster scrape",
+            move || f.load(std::sync::atomic::Ordering::Relaxed),
+        );
 
         let ctx = Arc::new(NodeContext {
             node: options.node,
@@ -269,9 +234,8 @@ impl BoundSwala {
                 jitter_seed: options.node.0 as u64,
                 ..RetryPolicy::default()
             },
-            health: Arc::new(HealthTracker::new(options.clock.clone())),
+            health,
             engine_stats,
-            started: std::time::Instant::now(),
             scrape_failures,
         });
 
@@ -353,16 +317,6 @@ impl SwalaServer {
         &self.manager
     }
 
-    /// HTTP-level statistics.
-    pub fn request_stats(&self) -> RequestStatsSnapshot {
-        self.ctx.stats.snapshot()
-    }
-
-    /// Per-peer health states (quarantine tracking).
-    pub fn peer_health(&self) -> Vec<HealthSnapshot> {
-        self.ctx.health.snapshot()
-    }
-
     /// Block until queued broadcast notices have been written to every
     /// reachable peer (or the timeout passes). Test/quiesce helper.
     pub fn flush_broadcasts(&self, timeout: std::time::Duration) -> bool {
@@ -372,11 +326,6 @@ impl SwalaServer {
     /// Cache-level statistics.
     pub fn cache_stats(&self) -> swala_cache::stats::StatsSnapshot {
         self.manager.stats().snapshot()
-    }
-
-    /// Per-link broadcast/send statistics (queued, sent, payload bytes).
-    pub fn broadcast_link_stats(&self) -> Vec<swala_proto::LinkStats> {
-        self.ctx.broadcaster.link_stats()
     }
 
     /// The node's pool of warm fetch connections: its counters, and
@@ -391,24 +340,10 @@ impl SwalaServer {
         &self.ctx
     }
 
-    /// The node's telemetry layer (metrics registry + trace ring).
+    /// The node's telemetry layer: the metrics registry, which holds
+    /// every statistic the node keeps, and the trace ring.
     pub fn telemetry(&self) -> &Arc<swala_obs::Telemetry> {
         &self.ctx.telemetry
-    }
-
-    /// The source monitor, when configured.
-    pub fn source_monitor(&self) -> Option<&SourceMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Gauges and counters of the request pool.
-    pub fn engine_stats(&self) -> &Arc<PoolStats> {
-        &self.ctx.engine_stats
-    }
-
-    /// Gauges and counters of the cache port's pool.
-    pub fn cache_port_stats(&self) -> &PoolStats {
-        self.daemons.as_ref().expect("running").port_stats()
     }
 
     /// Stop the node and return once it has stopped (what dropping it

@@ -28,6 +28,11 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
+/// Series `name` of the node's metrics registry, the one labelled `label`.
+fn series(server: &SwalaServer, name: &str, label: Option<&str>) -> u64 {
+    swala_obs::lookup(&server.telemetry().registry().snapshot(), name, label).unwrap()
+}
+
 /// The keys the two-node tests warm on node 0 are homed at node 1 on the
 /// partitioned ring, so under either directory node 1 hears of them.
 fn two_node_cluster(directory: DirectoryKind) -> Vec<SwalaServer> {
@@ -65,23 +70,20 @@ fn status_page_reports_stats() {
     // A second key at capacity 1 evicts the first.
     client.get("/cgi-bin/adl?id=2&ms=1").unwrap();
 
-    let page = client.get("/swala-status").unwrap();
-    assert_eq!(page.status, StatusCode::OK);
-    let html = String::from_utf8(page.body.into_vec()).unwrap();
-    assert!(html.contains("Swala node node0"), "{html}");
-    assert!(html.contains("hits=1"), "cache hit visible: {html}");
-    assert!(html.contains("this node"));
-    // "Why is insert slow on this host" is answerable from the endpoints:
-    // what the store holds, and what an eviction examines.
-    assert!(html.contains("store=mem file_bytes="), "{html}");
-    let metrics = client.get("/swala-metrics").unwrap();
-    let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
-    assert!(metrics.contains("swala_cache_evictions 1\n"), "{metrics}");
-    // The hit left the first key's snapshot stale: one repair, one pick.
-    assert!(
-        metrics.contains("swala_cache_evict_examined 2\n"),
-        "{metrics}"
+    assert_eq!(
+        series(&server, "swala_cache_local_hits", None),
+        1,
+        "cache hit"
     );
+    // The directory table: this node owns the one entry left.
+    assert_eq!(series(&server, "swala_cache_dir_entries", Some("0")), 1);
+    // "Why is insert slow on this host" is answerable from the registry:
+    // what the store holds, and what an eviction examines.
+    assert_eq!(series(&server, "swala_store_info", Some("mem")), 1);
+    assert_eq!(series(&server, "swala_store_file_bytes", None), 0);
+    assert_eq!(series(&server, "swala_cache_evictions", None), 1);
+    // The hit left the first key's snapshot stale: one repair, one pick.
+    assert_eq!(series(&server, "swala_cache_evict_examined", None), 2);
     server.shutdown();
 }
 
@@ -103,18 +105,13 @@ fn keep_alive_requests_cost_one_read_each() {
     }
     let metrics = client.get("/swala-metrics").unwrap();
     let metrics = String::from_utf8(metrics.body.into_vec()).unwrap();
-    let value = |name: &str| -> f64 {
-        let line = metrics
-            .lines()
-            .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
-            .unwrap_or_else(|| panic!("{name} missing: {metrics}"));
-        line[name.len()..].trim().parse().unwrap()
-    };
+    assert!(metrics.contains("swala_http_read_calls "), "{metrics}");
     // Both counters include the scrape's own request.
-    let (reads, requests) = (value("swala_http_read_calls"), value("swala_http_requests"));
-    assert!(requests >= 201.0, "{requests}");
+    let reads = series(&servers[0], "swala_http_read_calls", None);
+    let requests = series(&servers[0], "swala_http_requests", None);
+    assert!(requests >= 201, "{requests}");
     assert!(
-        reads >= requests && reads <= requests * 1.05,
+        reads >= requests && reads <= requests + requests / 20,
         "{reads} reads for {requests} requests"
     );
     let cluster = client.get("/swala-cluster-metrics").unwrap();
@@ -125,10 +122,9 @@ fn keep_alive_requests_cost_one_read_each() {
             "read calls federate from node {node}: {cluster}"
         );
     }
-    let page = client.get("/swala-status").unwrap();
-    let html = String::from_utf8(page.body.into_vec()).unwrap();
-    assert!(html.contains(" read_calls=20"), "{html}");
-    assert!(html.contains(" reads_per_request=1.0"), "{html}");
+    // What the status page showed: 20x reads, and 1.0x per request.
+    assert!((200..210).contains(&reads), "{reads}");
+    assert_eq!(format!("{:.1}", reads as f64 / requests as f64), "1.0");
     for s in servers {
         s.shutdown();
     }
@@ -144,21 +140,20 @@ fn status_page_reports_per_link_broadcast_counters() {
             servers[1].manager().directory().len(NodeId(0)) == 1
         });
 
-        let page = c0.get("/swala-status").unwrap();
-        let html = String::from_utf8(page.body.into_vec()).unwrap();
-        assert!(html.contains("Broadcast links"), "{html}");
-        // One row for the single peer, with the insert notice counted sent
-        // and nothing dropped.
-        assert!(html.contains("<td>node1</td>"), "{html}");
-        assert!(html.contains("(1 sent, 0 dropped)"), "{html}");
-        // The pacing columns: that one notice found the link idle and went
-        // out at once, as its own frame, followed by the base hold.
-        assert!(html.contains("<th>notices/frame</th>"), "{html}");
-        assert!(html.contains("<th>hold (&micro;s)</th>"), "{html}");
-        assert!(
-            html.contains("<td>1</td><td>1</td><td>1.0</td><td>500</td><td>1</td><td>0</td>"),
-            "sent, frames, notices/frame, hold, immediate, after hold: {html}"
-        );
+        // The node's totals: the insert notice counted sent and nothing
+        // dropped.
+        let node0 = &servers[0];
+        assert_eq!(series(node0, "swala_broadcast_sent", None), 1);
+        assert_eq!(series(node0, "swala_broadcast_dropped", None), 0);
+        // The link to the single peer: that one notice found the link idle
+        // and went out at once, as its own frame, followed by the base
+        // hold.
+        let link = ["sent", "frames", "hold_microseconds", "sent_immediate"]
+            .map(|f| series(node0, &format!("swala_broadcast_link_{f}"), Some("1")));
+        assert_eq!(link, [1, 1, 500, 1], "sent, frames, hold, immediate");
+        let link = ["sent_after_hold", "dropped", "queued"]
+            .map(|f| series(node0, &format!("swala_broadcast_link_{f}"), Some("1")));
+        assert_eq!(link, [0, 0, 0], "after hold, dropped, queued");
         // The same from the metrics endpoints — this node's, and the
         // federated view built from every node's StatsSnapshot.
         let metrics = c0.get("/swala-metrics").unwrap();
@@ -179,6 +174,171 @@ fn status_page_reports_per_link_broadcast_counters() {
             "swala_notice_delay_microseconds_bucket",
         ] {
             assert!(cluster.contains(family), "{family} federates: {cluster}");
+        }
+        for s in servers {
+            s.shutdown();
+        }
+    }
+}
+
+/// `swala_broadcast_sent` counts notices written to a socket, not
+/// notices handed to a link: to a peer that refuses connections, the
+/// first notice is dropped and the ones after it queue behind the
+/// reconnect backoff, which a manual clock never ends.
+#[test]
+fn broadcast_sent_counts_only_notices_written() {
+    let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let dead_addr = dead.local_addr().unwrap();
+    drop(dead);
+    let time = ManualClock::new();
+    let options = ServerOptions {
+        num_nodes: 2,
+        pool_size: 2,
+        clock: time.clock(),
+        ..Default::default()
+    };
+    let server = BoundSwala::bind(options, registry())
+        .unwrap()
+        .start(vec![None, Some(dead_addr)])
+        .unwrap();
+    let mut client = HttpClient::new(server.http_addr());
+    client.get("/cgi-bin/adl?id=0&ms=0").unwrap();
+    wait_until("the first notice dropped", || {
+        series(&server, "swala_broadcast_link_dropped", Some("1")) == 1
+    });
+    for i in 1..=3 {
+        client.get(&format!("/cgi-bin/adl?id={i}&ms=0")).unwrap();
+    }
+    assert_eq!(series(&server, "swala_broadcast_link_queued", Some("1")), 3);
+    assert_eq!(series(&server, "swala_broadcast_sent", None), 0);
+    assert_eq!(series(&server, "swala_broadcast_link_sent", Some("1")), 0);
+    server.shutdown();
+}
+
+/// The cells of every table row with `<td>` cells in `html`.
+fn rows(html: &str) -> Vec<Vec<&str>> {
+    html.split("<tr>")
+        .skip(1)
+        .map(|row| {
+            let row = &row[..row.find("</tr>").unwrap_or(row.len())];
+            row.split("<td>")
+                .skip(1)
+                .map(|cell| &cell[..cell.find("</td>").unwrap()])
+                .collect()
+        })
+        .filter(|cells: &Vec<&str>| !cells.is_empty())
+        .collect()
+}
+
+/// The exposition name of a histogram series' count: `name{..}` becomes
+/// `name_count{..}`.
+fn count_of(series: &str) -> String {
+    let at = series.find('{').unwrap_or(series.len());
+    format!("{}_count{}", &series[..at], &series[at..])
+}
+
+/// A node's `/swala-metrics` samples, keyed as the pages name series.
+fn scrape(client: &mut HttpClient) -> std::collections::HashMap<String, f64> {
+    let text = String::from_utf8(client.get("/swala-metrics").unwrap().body.into_vec()).unwrap();
+    let samples = swala_obs::parse_exposition(&text).unwrap();
+    let key = |s: &swala_obs::Sample| match &s.labels[..] {
+        [] => s.name.clone(),
+        [(k, v)] => format!("{}{{{k}=\"{v}\"}}", s.name),
+        _ => String::new(),
+    };
+    samples.iter().map(|s| (key(s), s.value)).collect()
+}
+
+/// The status pages show the registry and nothing else. Every number on
+/// `/swala-status` is a sample of `/swala-metrics` with the same name,
+/// label and value (a histogram by its count), read between a scrape
+/// before the page and one after it; every ratio is the quotient of two
+/// rows the page shows; every series is on the page. Node 0's
+/// `/swala-cluster-status` shows node 1's per-peer series with node 1's
+/// values.
+#[test]
+fn status_pages_show_exactly_the_registry() {
+    for directory in DirectoryKind::ALL {
+        let servers = two_node_cluster(directory);
+        let mut c0 = HttpClient::new(servers[0].http_addr());
+        let mut c1 = HttpClient::new(servers[1].http_addr());
+        for i in 0..4 {
+            c0.get(&format!("/cgi-bin/adl?id={i}&ms=0")).unwrap();
+            c1.get(&format!("/cgi-bin/adl?id=1{i}&ms=0")).unwrap();
+        }
+        for s in &servers {
+            assert!(s.flush_broadcasts(Duration::from_secs(5)));
+        }
+
+        let before = scrape(&mut c0);
+        let page = String::from_utf8(c0.get("/swala-status").unwrap().body.into_vec()).unwrap();
+        let after = scrape(&mut c0);
+        let mut shown = std::collections::HashMap::new();
+        for cells in rows(&page) {
+            let (series, value) = match cells[..] {
+                [series, value] => (series.to_string(), value),
+                [series, count, _, _, _] => (count_of(series), count),
+                [_, _, _] => continue,
+                _ => panic!("unexpected row {cells:?}"),
+            };
+            let value: f64 = value.parse().unwrap();
+            let scraped = |samples: &std::collections::HashMap<String, f64>| {
+                *samples
+                    .get(&series)
+                    .unwrap_or_else(|| panic!("{series} not scraped"))
+            };
+            let (b, a) = (scraped(&before), scraped(&after));
+            assert!(
+                b.min(a) <= value && value <= b.max(a),
+                "{directory:?}: {series} shows {value}, scraped {b} then {a}"
+            );
+            shown.insert(series.clone(), value);
+        }
+        for cells in rows(&page).into_iter().filter(|c| c.len() == 3) {
+            let (part, whole) = cells[1].split_once(" &divide; ").unwrap();
+            let ratio = shown[part] / shown[whole].max(1.0);
+            assert_eq!(cells[2], format!("{ratio:.2}"), "{directory:?}: {cells:?}");
+        }
+        let uptime = shown["swala_uptime_seconds"];
+        assert!(page.contains(&format!(" up {uptime}s")), "{page}");
+        for m in servers[0].telemetry().registry().snapshot() {
+            let series = match &m.label {
+                Some((k, v)) => format!("{}{{{k}=\"{v}\"}}", m.name),
+                None => m.name.clone(),
+            };
+            let series = match m.value {
+                swala_obs::MetricValue::Histogram(_) => count_of(&series),
+                _ => series,
+            };
+            assert!(
+                shown.contains_key(&series),
+                "{directory:?}: {series} not shown"
+            );
+        }
+
+        // Node 0's cluster page draws node 1 from node 1's own snapshot.
+        let cluster =
+            String::from_utf8(c0.get("/swala-cluster-status").unwrap().body.into_vec()).unwrap();
+        let node1 = cluster
+            .split("<h2>node1</h2>")
+            .nth(1)
+            .expect("node 1 drawn");
+        let node1 = &node1[..node1.find("<h2>").unwrap()];
+        let node1_rows = rows(node1);
+        for name in [
+            "swala_peer_state",
+            "swala_peer_failures",
+            "swala_broadcast_link_sent",
+            "swala_broadcast_link_sent_bytes",
+            "swala_broadcast_link_connected",
+        ] {
+            let shown = format!("{name}{{peer=\"0\"}}");
+            let row = node1_rows
+                .iter()
+                .find(|cells| cells[0] == shown)
+                .unwrap_or_else(|| panic!("{directory:?}: {shown} not on node 1's page"));
+            let value = series(&servers[1], name, Some("0"));
+            assert_eq!(row[1], value.to_string(), "{directory:?}: {shown}");
         }
         for s in servers {
             s.shutdown();
@@ -317,12 +477,7 @@ fn forwarded_invalidate_goes_through_the_nodes_dialer() {
     assert_eq!(resp.status, StatusCode::BAD_GATEWAY);
     assert_eq!(servers[1].manager().directory().len(NodeId(1)), 1);
     assert_eq!(faults.attempt_count(NodeId(0), NodeId(1)), dials + 1);
-    let owner = servers[0]
-        .peer_health()
-        .into_iter()
-        .find(|h| h.peer == NodeId(1))
-        .expect("node 1 tracked");
-    assert_eq!(owner.total_failures, 1, "{owner:?}");
+    assert_eq!(series(&servers[0], "swala_peer_failures", Some("1")), 1);
     for s in servers {
         s.shutdown();
     }
@@ -421,7 +576,7 @@ fn source_monitor_invalidates_through_live_server() {
         .unwrap();
     time.advance(MONITOR_INTERVAL);
     wait_until("monitor invalidates", || {
-        server.source_monitor().unwrap().invalidations() == 1
+        series(&server, "swala_monitor_invalidations", None) == 1
     });
     let after = client.get("/cgi-bin/adl?id=3&ms=1").unwrap();
     assert_eq!(after.headers.get("X-Swala-Cache"), Some("miss"));

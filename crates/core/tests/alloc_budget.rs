@@ -95,8 +95,8 @@ const BUDGET_PER_HIT: f64 = 1.0 * 1.2;
 
 /// Allocations per warm pooled remote hit on the requester's request
 /// thread, measured on the reference build: 32.0 while every request
-/// field was a `String`, now 6.0.
-const BUDGET_PER_REMOTE_HIT: f64 = 6.0 * 1.2;
+/// field was a `String`, then 6.0, now 5.0.
+const BUDGET_PER_REMOTE_HIT: f64 = 5.0 * 1.2;
 
 /// Allocations on the cache-port threads per warm remote hit the owner
 /// serves, measured on the reference build: 7.0 while the fetched key

@@ -41,6 +41,11 @@ fn start() -> SwalaServer {
     start_pool(4)
 }
 
+/// Series `name` of the node's metrics registry.
+fn series(server: &SwalaServer, name: &str) -> u64 {
+    swala_obs::lookup(&server.telemetry().registry().snapshot(), name, None).unwrap()
+}
+
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cond() {
@@ -111,13 +116,17 @@ fn stalled_partial_request_gets_408_and_is_never_parked() {
             .unwrap();
         s.flush().unwrap();
         std::thread::sleep(Duration::from_millis(500));
-        let parks = server.engine_stats().parks();
+        let parks = series(&server, "swala_engine_parks");
         let mut out = String::new();
         reader.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.0 408"), "pool {pool_size}: {out}");
         assert!(out.contains("Request Timeout"), "pool {pool_size}: {out}");
         assert!(out.contains("\r\nDate: "), "pool {pool_size}: {out}");
-        assert_eq!(server.engine_stats().parks(), parks, "pool {pool_size}");
+        assert_eq!(
+            series(&server, "swala_engine_parks"),
+            parks,
+            "pool {pool_size}"
+        );
         server.shutdown();
     }
 }
@@ -179,16 +188,15 @@ fn engine_gauges_surface_on_admin_endpoints() {
         assert!(metrics.contains(name), "missing {name}");
     }
     // The scraping connection itself is open (and not idle: it is
-    // mid-request while the gauge is read).
-    assert!(
-        metrics.contains("swala_engine_open_connections 1\n"),
-        "scrape connection not counted:\n{metrics}"
-    );
+    // mid-request while the gauges are read), and nothing parked.
+    for sample in [
+        "swala_engine_open_connections 1\n",
+        "swala_engine_idle_connections 0\n",
+        "swala_engine_parks 0\n",
+    ] {
+        assert!(metrics.contains(sample), "{sample} missing:\n{metrics}");
+    }
     let status = String::from_utf8(client.get("/swala-status").unwrap().body.into_vec()).unwrap();
-    assert!(
-        status.contains("open_connections=1 idle_connections=0 parks=0"),
-        "{status}"
-    );
     assert!(!status.contains("engine="), "{status}");
     server.shutdown();
 }
@@ -213,8 +221,8 @@ fn keep_alive_reuse_and_close() {
         "connection must close after Connection: close"
     );
     // All four requests rode one connection.
-    assert_eq!(server.request_stats().requests, 4);
-    assert_eq!(server.request_stats().connections, 1);
+    assert_eq!(series(&server, "swala_http_requests"), 4);
+    assert_eq!(series(&server, "swala_http_connections"), 1);
     server.shutdown();
 }
 
@@ -229,12 +237,11 @@ fn a_stalled_response_write_is_bounded() {
     let mut s = TcpStream::connect(server.http_addr()).unwrap();
     s.write_all(b"GET /cgi-bin/adl?id=big&ms=0&bytes=16777216 HTTP/1.0\r\n\r\n")
         .unwrap();
-    let stats = server.engine_stats();
     wait_until("the request to be taken", || {
-        stats.open_connections.get() == 1
+        series(&server, "swala_engine_open_connections") == 1
     });
     let begin = Instant::now();
-    while stats.open_connections.get() != 0 {
+    while series(&server, "swala_engine_open_connections") != 0 {
         assert!(
             begin.elapsed() < 2 * KEEP_ALIVE_IDLE,
             "the pool's only thread is still writing to a client that does not read"
@@ -261,9 +268,8 @@ fn idle_connections_do_not_stall_a_live_request() {
     let idle: Vec<TcpStream> = (0..16)
         .map(|_| TcpStream::connect(server.http_addr()).unwrap())
         .collect();
-    let stats = server.engine_stats();
     wait_until("the idle connections to be accepted", || {
-        stats.open_connections.get() == 16
+        series(&server, "swala_engine_open_connections") == 16
     });
     let begin = Instant::now();
     let resp = HttpClient::new(server.http_addr())
@@ -276,7 +282,7 @@ fn idle_connections_do_not_stall_a_live_request() {
         "live request took {elapsed:?} behind 16 idle connections"
     );
     wait_until("all sixteen to count as idle again", || {
-        stats.idle_connections.get() == 16
+        series(&server, "swala_engine_idle_connections") == 16
     });
     drop(idle);
     server.shutdown();
@@ -291,11 +297,11 @@ fn a_paused_connection_is_parked_and_served_again() {
     let (mut s, mut reader) = connect(&server);
     round_trip(&mut s, &mut reader);
     std::thread::sleep(Duration::from_millis(300));
-    assert_eq!(server.engine_stats().idle_connections.get(), 1);
+    assert_eq!(series(&server, "swala_engine_idle_connections"), 1);
     round_trip(&mut s, &mut reader);
-    assert_eq!(server.request_stats().connections, 1);
-    assert_eq!(server.request_stats().requests, 2);
-    assert!(server.engine_stats().parks() >= 1);
+    assert_eq!(series(&server, "swala_http_connections"), 1);
+    assert_eq!(series(&server, "swala_http_requests"), 2);
+    assert!(series(&server, "swala_engine_parks") >= 1);
     server.shutdown();
 }
 
@@ -315,12 +321,12 @@ fn a_hot_connection_is_never_parked_and_costs_one_read_per_request() {
     // a whole read tick costs that tick's timed-out read; in a run of a
     // few tens of milliseconds there is none.
     let ticks = (begin.elapsed().as_millis() / READ_TICK.as_millis()) as u64;
-    let reads = server.request_stats().read_calls;
+    let reads = series(&server, "swala_http_read_calls");
     assert!(
         (REQUESTS..=REQUESTS + 1 + ticks).contains(&reads),
         "{reads} reads for {REQUESTS} requests ({ticks} ticks)"
     );
-    assert_eq!(server.engine_stats().parks(), 0);
+    assert_eq!(series(&server, "swala_engine_parks"), 0);
     server.shutdown();
 }
 
@@ -336,7 +342,7 @@ fn a_parked_connection_expires_on_the_keep_alive_limit() {
     reader.read_to_end(&mut rest).unwrap();
     let elapsed = begin.elapsed();
     assert!(rest.is_empty(), "expiry must send nothing");
-    assert!(server.engine_stats().parks() >= 1);
+    assert!(series(&server, "swala_engine_parks") >= 1);
     // Half a second of slack for a loaded machine.
     let slack = Duration::from_millis(500);
     assert!(
@@ -345,7 +351,7 @@ fn a_parked_connection_expires_on_the_keep_alive_limit() {
         "closed after {elapsed:?}"
     );
     wait_until("the expired connection's slot to be freed", || {
-        server.engine_stats().open_connections.get() == 0
+        series(&server, "swala_engine_open_connections") == 0
     });
     server.shutdown();
 }
@@ -359,18 +365,17 @@ fn a_hangup_while_parked_frees_the_slot() {
     for (s, reader) in &mut clients {
         round_trip(s, reader);
     }
-    let stats = server.engine_stats();
     wait_until("all three to be parked", || {
-        stats.idle_connections.get() == 3
+        series(&server, "swala_engine_idle_connections") == 3
     });
-    assert!(stats.parks() >= 3);
+    assert!(series(&server, "swala_engine_parks") >= 3);
     let begin = Instant::now();
     drop(clients);
     wait_until("the slots to be freed", || {
-        stats.open_connections.get() == 0
+        series(&server, "swala_engine_open_connections") == 0
     });
     assert!(begin.elapsed() < Duration::from_secs(1));
-    assert_eq!(stats.idle_connections.get(), 0);
+    assert_eq!(series(&server, "swala_engine_idle_connections"), 0);
     server.shutdown();
 }
 
@@ -392,7 +397,7 @@ fn more_clients_than_threads_take_turns() {
         elapsed < Duration::from_secs(2),
         "1200 turns took {elapsed:?}"
     );
-    assert_eq!(server.request_stats().connections, 6);
+    assert_eq!(series(&server, "swala_http_connections"), 6);
     server.shutdown();
 }
 
@@ -435,7 +440,10 @@ fn more_hot_clients_than_threads_all_make_progress() {
             "client {me} finished while another had done {slowest} of {REQUESTS}"
         );
     }
-    assert_eq!(server.request_stats().requests, (CLIENTS * REQUESTS) as u64);
+    assert_eq!(
+        series(&server, "swala_http_requests"),
+        (CLIENTS * REQUESTS) as u64
+    );
     server.shutdown();
 }
 
@@ -454,9 +462,13 @@ fn shutdown_closes_a_thousand_parked_connections_at_once() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    let stats = Arc::clone(server.engine_stats());
+    let telemetry = Arc::clone(server.telemetry());
+    let open = || {
+        let metrics = telemetry.registry().snapshot();
+        swala_obs::lookup(&metrics, "swala_engine_open_connections", None).unwrap()
+    };
     wait_until("the herd to be accepted and idle", || {
-        stats.idle_connections.get() == PARKED as i64
+        series(&server, "swala_engine_idle_connections") == PARKED as u64
     });
     let begin = Instant::now();
     server.shutdown();
@@ -465,7 +477,7 @@ fn shutdown_closes_a_thousand_parked_connections_at_once() {
         elapsed < Duration::from_secs(1),
         "shutdown took {elapsed:?}"
     );
-    assert_eq!(stats.open_connections.get(), 0);
+    assert_eq!(open(), 0);
     for mut s in clients {
         s.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
         let mut buf = [0u8; 1];

@@ -34,6 +34,11 @@ fn two_node_cluster(directory: DirectoryKind) -> Vec<SwalaServer> {
     .unwrap()
 }
 
+/// Series `name` of the node's metrics registry, the one labelled `label`.
+fn series(server: &SwalaServer, name: &str, label: Option<&str>) -> u64 {
+    swala_obs::lookup(&server.telemetry().registry().snapshot(), name, label).unwrap()
+}
+
 fn wait_for_remote_entry(server: &SwalaServer, owner: NodeId, n: usize) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.manager().directory().len(owner) < n {
@@ -143,7 +148,7 @@ fn remote_hit_burst_reuses_pooled_connections() {
     }
 }
 
-/// The cache port's `swala_engine_parks` staying flat: back-to-back
+/// The cache port's `swala_cache_port_parks` staying flat: back-to-back
 /// remote hits ride a warm fetch connection its owner's thread lingers
 /// on, so the owner's cache port parks nothing.
 #[test]
@@ -159,7 +164,11 @@ fn back_to_back_remote_hits_never_park_on_the_owners_cache_port() {
             let r = client.get("/cgi-bin/adl?id=31&ms=0").unwrap();
             assert_eq!(r.headers.get("X-Swala-Cache"), Some("remote-hit"));
         }
-        assert_eq!(nodes[0].cache_port_stats().parks(), 0, "{directory:?}");
+        assert_eq!(
+            series(&nodes[0], "swala_cache_port_parks", None),
+            0,
+            "{directory:?}"
+        );
         for n in nodes {
             n.shutdown();
         }
@@ -224,16 +233,22 @@ fn a_live_burst_of_remote_hits_stays_inside_the_fetch_set() {
         let pool = nodes[1].fetch_pool().stats();
         assert!(
             pool.connects_opened <= DEFAULT_POOL_SIZE as u64,
-            "{directory:?}: {pool}"
+            "{directory:?}: {pool:?}"
         );
-        assert!(pool.waits > 0, "{directory:?}: {pool}");
-        assert_eq!(nodes[0].cache_port_stats().parks(), 0, "{directory:?}");
+        assert!(pool.waits > 0, "{directory:?}: {pool:?}");
+        assert_eq!(
+            series(&nodes[0], "swala_cache_port_parks", None),
+            0,
+            "{directory:?}"
+        );
         for n in nodes {
             n.shutdown();
         }
     }
 }
 
+/// The hot path's counters are registry series, so the status page,
+/// which draws every series, shows them.
 #[test]
 fn status_page_shows_hot_path_counters() {
     for directory in DirectoryKind::ALL {
@@ -245,19 +260,13 @@ fn status_page_shows_hot_path_counters() {
         let mut client = HttpClient::new(nodes[1].http_addr());
         client.get("/cgi-bin/adl?id=5&ms=0").unwrap();
 
-        let page = client.get("/swala-status").unwrap();
-        assert_eq!(page.status, StatusCode::OK);
-        let html = String::from_utf8(page.body.into_vec()).unwrap();
-        assert!(html.contains("Fetch pool"), "{html}");
-        assert!(html.contains("connects=1"), "{html}");
-        assert!(html.contains("waits=0"), "{html}");
+        assert_eq!(series(&nodes[1], "swala_fetch_connects_opened", None), 1);
+        assert_eq!(series(&nodes[1], "swala_fetch_waits", None), 0);
 
         // Node 0 served one local hit, which read the store and promoted
         // the body, then node 1's fetch from the memory tier.
-        let page = warm.get("/swala-status").unwrap();
-        let html = String::from_utf8(page.body.into_vec()).unwrap();
-        assert!(html.contains("mem_hits=1 "), "{html}");
-        assert!(html.contains("store_reads=1 "), "{html}");
+        assert_eq!(series(&nodes[0], "swala_cache_mem_hits", None), 1);
+        assert_eq!(series(&nodes[0], "swala_cache_store_reads", None), 1);
         for n in nodes {
             n.shutdown();
         }
@@ -370,8 +379,7 @@ fn a_remote_hit_that_finds_every_slot_busy_falls_back_at_once() {
         took < fetch_timeout + Duration::from_secs(1),
         "fell back after {took:?}, one wait is {fetch_timeout:?}"
     );
-    let failures: u64 = server.peer_health().iter().map(|h| h.total_failures).sum();
-    assert_eq!(failures, 0, "{:?}", server.peer_health());
+    assert_eq!(series(&server, "swala_peer_failures", Some("1")), 0);
     assert_eq!(server.fetch_pool().stats().waits, 1);
 
     // Cut the stall: the holders end with their own outcomes.

@@ -182,10 +182,9 @@ fn cluster_scrape_degrades_to_partial_on_dead_peer() {
     // keeps rising (quarantine skips count as partial views too).
     wait_until("peer quarantined by scrape failures", || {
         c0.get("/swala-cluster-metrics").unwrap();
-        servers[0]
-            .peer_health()
-            .iter()
-            .any(|h| h.peer == NodeId(1) && h.state == swala_proto::PeerState::Quarantined)
+        let metrics = servers[0].telemetry().registry().snapshot();
+        let state = swala_obs::lookup(&metrics, "swala_peer_state", Some("1"));
+        state == Some(swala_proto::PeerState::Quarantined as u64)
     });
     let resp = c0.get("/swala-cluster-metrics").unwrap();
     let body = String::from_utf8(resp.body.into_vec()).unwrap();

@@ -67,7 +67,7 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     let pool_size = options.pool_size;
     let server = SwalaServer::start_single(options, registry()).unwrap();
     let addr = server.http_addr();
-    let open = || server.engine_stats().open_connections.get();
+    let open = || series(&server, "swala_engine_open_connections");
     HttpClient::new(addr)
         .get("/cgi-bin/adl?id=idle&ms=0")
         .unwrap();
@@ -78,7 +78,7 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     // link, one per fetch connection the peer may open, and a spare.
     let nodes = swala::start_cluster(2, |_| (ServerOptions::default(), registry())).unwrap();
     let threads = 1 + DEFAULT_POOL_SIZE + 1;
-    let open = || nodes[0].cache_port_stats().open_connections.get();
+    let open = || series(&nodes[0], "swala_cache_port_open_connections");
     park_idle_connections(nodes[0].cache_addr(), threads, open);
     drop(nodes);
 
@@ -97,7 +97,7 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     wait_until(
         "the pool accepted the C10K herd",
         Duration::from_secs(2),
-        || server.engine_stats().open_connections.get() >= conns as i64,
+        || series(&server, "swala_engine_open_connections") >= conns as u64,
     );
     let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(10));
     let started = Instant::now();
@@ -106,7 +106,7 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     assert_eq!(resp.status, StatusCode::OK);
     eprintln!(
         "c10k: parked {conns} idle connections in {connected:.1?} ({} parks); live request {live:.2?}",
-        server.engine_stats().parks()
+        series(&server, "swala_engine_parks")
     );
     assert!(
         live <= C10K_BOUND,
@@ -116,10 +116,15 @@ fn parked_connections_spawn_no_threads_and_cost_little_memory() {
     server.shutdown();
 }
 
+/// Series `name` of the node's metrics registry.
+fn series(server: &SwalaServer, name: &str) -> u64 {
+    swala_obs::lookup(&server.telemetry().registry().snapshot(), name, None).unwrap()
+}
+
 /// Open `threads`, 4 × `threads` and 256 idle connections to `addr`, once
 /// `open` says every earlier one is closed: none may spawn a thread, and
 /// at 256 each must cost under 16 KiB of RSS.
-fn park_idle_connections(addr: SocketAddr, threads: usize, open: impl Fn() -> i64) {
+fn park_idle_connections(addr: SocketAddr, threads: usize, open: impl Fn() -> u64) {
     for idle in [threads, 4 * threads, 256] {
         wait_until(
             "earlier connections closed",
@@ -132,7 +137,7 @@ fn park_idle_connections(addr: SocketAddr, threads: usize, open: impl Fn() -> i6
         wait_until(
             "the pool accepted every connection",
             Duration::from_secs(10),
-            || open() >= idle as i64,
+            || open() >= idle as u64,
         );
         let rss_per_conn = proc_status("VmRSS").saturating_sub(rss_before) * 1024 / idle as u64;
         assert_eq!(

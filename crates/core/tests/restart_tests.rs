@@ -4,6 +4,7 @@ use std::sync::Arc;
 use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::{CacheKey, NodeId, SegmentStore, Store};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
+use swala_obs::lookup;
 
 fn registry() -> ProgramRegistry {
     let mut r = ProgramRegistry::new();
@@ -58,7 +59,9 @@ fn warm_restart_recovers_cached_results() {
         assert_eq!(r.headers.get("X-Swala-Cache"), Some("local-hit"), "id={i}");
         assert_eq!(&r.body, expected, "recovered bytes identical, id={i}");
     }
-    assert_eq!(server.request_stats().executions, 0, "nothing re-executed");
+    let metrics = server.telemetry().registry().snapshot();
+    let executions = lookup(&metrics, "swala_http_executions", None);
+    assert_eq!(executions, Some(0), "nothing re-executed");
     // The recovery pass pre-warmed the memory tier, so those hits never
     // touched the body store: the warm hit path matches pre-crash state.
     assert_eq!(
@@ -97,36 +100,33 @@ fn store_ops_are_timed_in_situ_and_exported() {
     assert_eq!(hit.headers.get("X-Swala-Cache"), Some("local-hit"));
 
     let text = String::from_utf8(client.get("/swala-metrics").unwrap().body.into_vec()).unwrap();
-    let samples = swala_obs::parse_exposition(&text).unwrap();
-    let value = |name: &str, label: Option<(&str, &str)>| {
-        samples
-            .iter()
-            .find(|s| {
-                s.name == name
-                    && label.is_none_or(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
-            })
-            .unwrap_or_else(|| panic!("no sample {name} {label:?}"))
-            .value
-    };
-    let ops = "swala_store_op_duration_microseconds_count";
-    assert_eq!(value(ops, Some(("op", "put"))), 3.0, "three inserts");
-    assert_eq!(value(ops, Some(("op", "get"))), 1.0, "one store-served hit");
-    assert_eq!(value(ops, Some(("op", "delete"))), 1.0, "one eviction");
-    assert!(value("swala_store_live_bytes", None) > 0.0);
-    assert_eq!(
-        value("swala_store_file_bytes", None),
-        value("swala_store_live_bytes", None) + value("swala_store_free_bytes", None)
+    swala_obs::parse_exposition(&text).unwrap();
+    let ops = "swala_store_op_duration_microseconds";
+    assert!(
+        text.contains(&format!("{ops}_count{{op=\"put\"}} 3\n")),
+        "{text}"
     );
-    assert!(value("swala_store_fsyncs", None) >= 4.0, "fsync is on");
-
-    let status = String::from_utf8(client.get("/swala-status").unwrap().body.into_vec()).unwrap();
-    assert!(status.contains("store=segment"), "{status}");
-    for op in ["put", "get", "delete"] {
-        assert!(
-            status.contains(&format!("{op}: count=")) && status.contains("p99_us="),
-            "{status}"
-        );
-    }
+    let metrics = server.telemetry().registry().snapshot();
+    assert_eq!(lookup(&metrics, ops, Some("put")), Some(3), "three inserts");
+    assert_eq!(
+        lookup(&metrics, ops, Some("get")),
+        Some(1),
+        "one store-served hit"
+    );
+    assert_eq!(
+        lookup(&metrics, ops, Some("delete")),
+        Some(1),
+        "one eviction"
+    );
+    let [file, live, free, fsyncs] = ["file_bytes", "live_bytes", "free_bytes", "fsyncs"]
+        .map(|field| lookup(&metrics, &format!("swala_store_{field}"), None).unwrap());
+    assert!(live > 0);
+    assert_eq!(file, live + free);
+    assert!(fsyncs >= 4, "fsync is on");
+    assert_eq!(
+        lookup(&metrics, "swala_store_info", Some("segment")),
+        Some(1)
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(dir);
 }

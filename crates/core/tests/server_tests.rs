@@ -29,6 +29,11 @@ fn cache_tag(resp: &swala_http::Response) -> &str {
     resp.headers.get(cache_header::NAME).unwrap_or("<none>")
 }
 
+/// Series `name` of the node's metrics registry, the one labelled `label`.
+fn series(server: &SwalaServer, name: &str, label: Option<&str>) -> u64 {
+    swala_obs::lookup(&server.telemetry().registry().snapshot(), name, label).unwrap()
+}
+
 #[test]
 fn serves_nullcgi() {
     let server = single(ServerOptions::default());
@@ -53,7 +58,7 @@ fn unknown_program_is_404_and_static_without_docroot_is_404() {
         client.get("/static.html").unwrap().status,
         StatusCode::NOT_FOUND
     );
-    assert_eq!(server.request_stats().client_errors, 2);
+    assert_eq!(series(&server, "swala_http_client_errors", None), 2);
     server.shutdown();
 }
 
@@ -71,7 +76,7 @@ fn serves_static_files_from_docroot() {
     assert_eq!(resp.status, StatusCode::OK);
     assert_eq!(resp.body, b"<h1>static hello</h1>");
     assert_eq!(resp.headers.get("Content-Type"), Some("text/html"));
-    assert_eq!(server.request_stats().static_files, 1);
+    assert_eq!(series(&server, "swala_http_static_files", None), 1);
     server.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -96,7 +101,7 @@ fn miss_then_local_hit_with_identical_bytes() {
     assert_eq!(stats.local_hits, 1);
     assert_eq!(stats.inserts, 1);
     assert_eq!(
-        server.request_stats().executions,
+        series(&server, "swala_http_executions", None),
         1,
         "second request executed nothing"
     );
@@ -126,7 +131,7 @@ fn caching_disabled_mode_never_caches() {
         assert_eq!(cache_tag(&r), cache_header::DISABLED);
     }
     assert_eq!(server.cache_stats().lookups, 0);
-    assert_eq!(server.request_stats().executions, 3);
+    assert_eq!(series(&server, "swala_http_executions", None), 3);
     server.shutdown();
 }
 
@@ -271,18 +276,22 @@ fn start_cluster_wires_every_node_to_the_others() {
         for (i, s) in servers.iter().enumerate() {
             assert_eq!(s.node(), NodeId(i as u16));
             assert_eq!(s.manager().directory().num_nodes(), 3);
-            let mut peers: Vec<_> = s
-                .broadcast_link_stats()
-                .iter()
-                .map(|l| (l.peer, l.addr))
-                .collect();
-            peers.sort();
-            let others: Vec<_> = servers
-                .iter()
-                .filter(|o| o.node() != s.node())
-                .map(|o| (o.node(), o.cache_addr()))
-                .collect();
-            assert_eq!(peers, others, "{directory:?} node {i}");
+            let addrs: Vec<_> = servers.iter().map(|o| Some(o.cache_addr())).collect();
+            assert_eq!(s.context().cache_addrs, addrs, "{directory:?} node {i}");
+            // A notice link to each peer, none to itself.
+            let metrics = s.telemetry().registry().snapshot();
+            for peer in 0..3 {
+                let link = swala_obs::lookup(
+                    &metrics,
+                    "swala_broadcast_link_sent",
+                    Some(&peer.to_string()),
+                );
+                assert_eq!(
+                    link.is_some(),
+                    peer != i,
+                    "{directory:?} node {i} peer {peer}"
+                );
+            }
         }
 
         let target = "/cgi-bin/adl?id=300&ms=0";
@@ -447,12 +456,12 @@ fn results_too_large_to_fetch_are_not_cached() {
             cache_tag(&resp).to_string()
         })
         .collect();
-    let health = servers[0].peer_health();
-    assert!(
-        health
-            .iter()
-            .all(|h| h.state == swala_proto::PeerState::Healthy && h.total_quarantines == 0),
-        "a healthy owner was punished: {health:?}"
+    let state = series(&servers[0], "swala_peer_state", Some("1"));
+    let quarantines = series(&servers[0], "swala_peer_quarantines", Some("1"));
+    assert_eq!(
+        (state, quarantines),
+        (swala_proto::PeerState::Healthy as u64, 0),
+        "a healthy owner was punished"
     );
     assert_eq!(servers[0].cache_stats().node_evictions, 0);
     let resp = c0.get(small).unwrap();
@@ -477,8 +486,8 @@ fn no_cache_cluster_never_shares() {
     c1.get("/cgi-bin/adl?id=400&ms=0").unwrap();
     assert_eq!(servers[0].cache_stats().inserts, 0);
     assert_eq!(servers[1].cache_stats().inserts, 0);
-    assert_eq!(servers[0].request_stats().executions, 1);
-    assert_eq!(servers[1].request_stats().executions, 1);
+    assert_eq!(series(&servers[0], "swala_http_executions", None), 1);
+    assert_eq!(series(&servers[1], "swala_http_executions", None), 1);
     for s in servers {
         s.shutdown();
     }
@@ -508,7 +517,7 @@ fn concurrent_clients_on_one_node() {
     let stats = server.cache_stats();
     assert_eq!(stats.lookups, 160);
     assert!(stats.hits() + stats.misses >= 160 - stats.false_misses);
-    assert_eq!(server.request_stats().requests, 160);
+    assert_eq!(series(&server, "swala_http_requests", None), 160);
     server.shutdown();
 }
 
@@ -520,14 +529,14 @@ fn keep_alive_and_close_semantics() {
     for _ in 0..3 {
         client.get("/cgi-bin/nullcgi").unwrap();
     }
-    assert_eq!(server.request_stats().connections, 1);
+    assert_eq!(series(&server, "swala_http_connections", None), 1);
     // Connection: close tears down after one response
     let mut req = Request::new(Method::Get, "/cgi-bin/nullcgi").unwrap();
     req.headers.set("Connection", "close");
     let resp = client.request(&req).unwrap();
     assert_eq!(resp.headers.get("Connection"), Some("close"));
     client.get("/cgi-bin/nullcgi").unwrap(); // forces reconnect
-    assert_eq!(server.request_stats().connections, 2);
+    assert_eq!(series(&server, "swala_http_connections", None), 2);
     server.shutdown();
 }
 
@@ -636,7 +645,7 @@ fn hundreds_of_sequential_connections_do_not_exhaust_the_pool() {
         let r = c.request(&req).unwrap();
         assert!(r.status.is_success(), "request {i}");
     }
-    assert_eq!(server.request_stats().requests, 150);
-    assert_eq!(server.request_stats().connections, 150);
+    assert_eq!(series(&server, "swala_http_requests", None), 150);
+    assert_eq!(series(&server, "swala_http_connections", None), 150);
     server.shutdown();
 }

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::{DirectoryKind, NodeId};
 use swala_cgi::{ProgramRegistry, SimulatedProgram, WorkKind};
-use swala_obs::{parse_exposition, Outcome};
+use swala_obs::{lookup, parse_exposition, Outcome};
 use swala_proto::FaultInjector;
 
 fn registry() -> ProgramRegistry {
@@ -110,52 +110,34 @@ fn metrics_endpoint_is_valid_exposition_with_consistent_twins() {
         Some("text/plain; version=0.0.4")
     );
     let text = String::from_utf8(resp.body.to_vec()).unwrap();
-    let samples = parse_exposition(&text).expect("exposition must parse");
+    parse_exposition(&text).expect("exposition must parse");
 
-    let value = |name: &str| {
-        samples
-            .iter()
-            .find(|s| s.name == name && s.labels.is_empty())
-            .unwrap_or_else(|| panic!("missing sample {name} in:\n{text}"))
-            .value
-    };
-    // 8 dynamic requests processed before the scrape; the scrape itself
-    // is in flight, so `requests` counts at least those 8.
-    assert!(value("swala_http_requests") >= 8.0);
-    assert_eq!(value("swala_http_dynamic"), 8.0);
-    assert_eq!(value("swala_cache_inserts"), 4.0);
-    assert_eq!(value("swala_cache_local_hits"), 4.0);
-    assert_eq!(value("swala_cache_store_reads"), 1.0);
+    // The same values, read from the registry after the scrape (which
+    // counts as a request of its own).
+    let metrics = server.telemetry().registry().snapshot();
+    assert!(lookup(&metrics, "swala_http_requests", None) >= Some(8));
+    assert_eq!(lookup(&metrics, "swala_http_dynamic", None), Some(8));
+    assert_eq!(lookup(&metrics, "swala_cache_inserts", None), Some(4));
+    assert_eq!(lookup(&metrics, "swala_cache_local_hits", None), Some(4));
+    assert_eq!(lookup(&metrics, "swala_cache_store_reads", None), Some(1));
 
     // Histogram twin: the per-outcome duration histograms must agree
     // with the counter view of the same traffic.
-    let hist_count: f64 = samples
-        .iter()
-        .filter(|s| s.name == "swala_request_duration_microseconds_count")
-        .map(|s| s.value)
-        .sum();
+    let hist = "swala_request_duration_microseconds";
+    let outcome_count = |outcome: Outcome| lookup(&metrics, hist, Some(outcome.as_str()));
+    let hist_count: u64 = Outcome::ALL.into_iter().filter_map(outcome_count).sum();
     assert!(
-        hist_count >= 8.0,
+        hist_count >= 8,
         "duration histograms saw {hist_count} requests"
     );
-    let outcome_count = |outcome: &str| -> f64 {
-        samples
-            .iter()
-            .filter(|s| {
-                s.name == "swala_request_duration_microseconds_count"
-                    && s.labels.iter().any(|(k, v)| k == "outcome" && v == outcome)
-            })
-            .map(|s| s.value)
-            .sum()
-    };
     assert_eq!(
-        outcome_count("local-disk"),
-        1.0,
+        outcome_count(Outcome::LocalDisk),
+        Some(1),
         "the first hit lands in the local-disk histogram"
     );
     assert_eq!(
-        outcome_count("local-mem"),
-        3.0,
+        outcome_count(Outcome::LocalMem),
+        Some(3),
         "warm hits land in the local-mem histogram"
     );
     server.shutdown();
@@ -320,7 +302,8 @@ fn duration_histograms_count_every_http_request_on_two_nodes() {
         // A trace finishes just after its response bytes leave.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let requests = node.request_stats().requests;
+            let metrics = node.telemetry().registry().snapshot();
+            let requests = lookup(&metrics, "swala_http_requests", None).unwrap();
             let traced: u64 = Outcome::ALL
                 .iter()
                 .filter(|o| http_facing(o.as_str()))

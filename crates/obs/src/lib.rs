@@ -32,8 +32,8 @@ mod trace;
 pub use heat::{merge_hotkeys, render_hotkeys_json, HeatEntry, HeatSketch};
 pub use hist::{bucket_index, bucket_upper, Histogram, HistogramSnapshot, BUCKETS, SUB, SUB_BITS};
 pub use registry::{
-    escape_label_value, parse_exposition, render_cluster, Gauge, MetricSnapshot, MetricValue,
-    MetricsRegistry, Sample,
+    escape_label_value, lookup, parse_exposition, render_cluster, Gauge, MetricSnapshot,
+    MetricValue, MetricsRegistry, Sample,
 };
 pub use telemetry::{Telemetry, TraceSummary, SLOW_TRACES, TRACE_RING};
 pub use trace::{CompletedTrace, Outcome, SpanRecord, Stage, Trace};

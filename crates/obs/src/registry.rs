@@ -191,6 +191,24 @@ impl MetricsRegistry {
         });
     }
 
+    /// Register a labelled gauge read through `f` at scrape time (one
+    /// sample of a shared family, such as a per-peer state).
+    pub fn register_gauge_fn_labeled(
+        &self,
+        name: &str,
+        help: &str,
+        label_key: &str,
+        label_value: &str,
+        f: impl Fn() -> i64 + Send + Sync + 'static,
+    ) {
+        self.push(Metric {
+            name: name.to_string(),
+            help: help.to_string(),
+            label: Some((label_key.to_string(), label_value.to_string())),
+            source: Source::GaugeFn(Box::new(f)),
+        });
+    }
+
     /// Create and register a new gauge, returning the shared handle.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
         let g = Arc::new(Gauge::new());
@@ -307,6 +325,22 @@ pub struct MetricSnapshot {
     /// Optional single `key="value"` label pair.
     pub label: Option<(String, String)>,
     pub value: MetricValue,
+}
+
+/// The series `name` in `metrics`: the one whose label value is `label`,
+/// or the unlabelled one for `None`. A counter or gauge reads as its
+/// value, a histogram as its count. A gauge below zero, which only an
+/// accounting bug makes, wraps and so fails any bound. The status pages
+/// and the tests read every series through this one function.
+pub fn lookup(metrics: &[MetricSnapshot], name: &str, label: Option<&str>) -> Option<u64> {
+    let m = metrics
+        .iter()
+        .find(|m| m.name == name && m.label.as_ref().map(|(_, v)| v.as_str()) == label)?;
+    Some(match &m.value {
+        MetricValue::Counter(v) => *v,
+        MetricValue::Gauge(v) => *v as u64,
+        MetricValue::Histogram(h) => h.count,
+    })
 }
 
 /// Render a cluster-merged exposition: each node's snapshot re-emitted
@@ -612,6 +646,21 @@ mod tests {
         n.store(11, Ordering::Relaxed);
         assert!(reg.render().contains("swala_dir_entries 11\n"));
         parse_exposition(&text).unwrap();
+    }
+
+    #[test]
+    fn lookup_reads_counters_gauges_and_histogram_counts() {
+        let reg = MetricsRegistry::new();
+        reg.register_counter("swala_c", "c", || 4);
+        reg.register_gauge_fn_labeled("swala_g", "g", "peer", "1", || 2);
+        reg.histogram_labeled("swala_h", "h", "op", "get").record(9);
+        let snap = reg.snapshot();
+        assert_eq!(lookup(&snap, "swala_c", None), Some(4));
+        assert_eq!(lookup(&snap, "swala_c", Some("1")), None);
+        assert_eq!(lookup(&snap, "swala_g", Some("1")), Some(2));
+        assert_eq!(lookup(&snap, "swala_g", None), None);
+        assert_eq!(lookup(&snap, "swala_h", Some("get")), Some(1));
+        assert_eq!(lookup(&snap, "swala_missing", None), None);
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl ConnPool {
     }
 
     /// The pool's counters.
-    pub fn stats(&self) -> &PoolStats {
+    pub fn stats(&self) -> &Arc<PoolStats> {
         &self.port.cfg.stats
     }
 }

@@ -264,7 +264,7 @@ impl CacheDaemons {
     }
 
     /// The cache port's open and idle connections and park count.
-    pub fn port_stats(&self) -> &PoolStats {
+    pub fn port_stats(&self) -> &Arc<PoolStats> {
         self.port.stats()
     }
 

@@ -22,32 +22,22 @@
 //! on real traffic; no dedicated pinger thread is needed.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use swala_cache::{Clock, NodeId};
+use swala_obs::MetricsRegistry;
 
 /// Health state of one peer, as seen from this node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerState {
     /// No recent failures; fetches proceed normally.
-    Healthy,
+    Healthy = 0,
     /// Some consecutive failures, below the quarantine threshold.
-    Suspect,
+    Suspect = 1,
     /// Declared dead: skip fetches until the next probe window.
-    Quarantined,
+    Quarantined = 2,
     /// One trial fetch is in flight; its result decides the next state.
-    Probing,
-}
-
-impl PeerState {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PeerState::Healthy => "healthy",
-            PeerState::Suspect => "suspect",
-            PeerState::Quarantined => "quarantined",
-            PeerState::Probing => "probing",
-        }
-    }
+    Probing = 3,
 }
 
 /// Consecutive failures before a peer turns `Suspect`.
@@ -93,16 +83,6 @@ impl PeerHealth {
             total_quarantines: 0,
         }
     }
-}
-
-/// Point-in-time view of one peer's health, for `/swala-status`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthSnapshot {
-    pub peer: NodeId,
-    pub state: PeerState,
-    pub consecutive_failures: u32,
-    pub total_failures: u64,
-    pub total_quarantines: u64,
 }
 
 /// Tracks the health of every peer this node fetches from.
@@ -187,21 +167,60 @@ impl HealthTracker {
             .unwrap_or(PeerState::Healthy)
     }
 
-    /// Snapshot of every tracked peer, sorted by node id.
-    pub fn snapshot(&self) -> Vec<HealthSnapshot> {
+    /// Register each of `peers`' health on `reg`, labelled `peer="N"`:
+    /// `swala_peer_state` (0 healthy, 1 suspect, 2 quarantined, 3
+    /// probing), the failure streak, and the failure and quarantine
+    /// totals. A peer never seen reads healthy and 0.
+    pub fn register_into(
+        self: &Arc<Self>,
+        reg: &MetricsRegistry,
+        peers: impl IntoIterator<Item = NodeId>,
+    ) {
+        type Field = fn(&PeerHealth) -> u64;
+        let counters: [(&str, &str, Field); 2] = [
+            (
+                "swala_peer_failures",
+                "Transport failures against the peer",
+                |h| h.total_failures,
+            ),
+            (
+                "swala_peer_quarantines",
+                "Times the peer was quarantined",
+                |h| h.total_quarantines,
+            ),
+        ];
+        let gauges: [(&str, &str, Field); 2] = [
+            (
+                "swala_peer_state",
+                "Peer health: 0 healthy, 1 suspect, 2 quarantined, 3 probing",
+                |h| h.state as u64,
+            ),
+            (
+                "swala_peer_failure_streak",
+                "Consecutive transport failures against the peer",
+                |h| h.consecutive_failures as u64,
+            ),
+        ];
+        for peer in peers {
+            let label = peer.0.to_string();
+            for (name, help, read) in counters {
+                let t = Arc::clone(self);
+                reg.register_counter_labeled(name, help, "peer", &label, move || {
+                    t.read(peer, read)
+                });
+            }
+            for (name, help, read) in gauges {
+                let t = Arc::clone(self);
+                reg.register_gauge_fn_labeled(name, help, "peer", &label, move || {
+                    t.read(peer, read) as i64
+                });
+            }
+        }
+    }
+
+    fn read(&self, peer: NodeId, field: fn(&PeerHealth) -> u64) -> u64 {
         let peers = self.peers.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<HealthSnapshot> = peers
-            .iter()
-            .map(|(id, h)| HealthSnapshot {
-                peer: NodeId(*id),
-                state: h.state,
-                consecutive_failures: h.consecutive_failures,
-                total_failures: h.total_failures,
-                total_quarantines: h.total_quarantines,
-            })
-            .collect();
-        out.sort_by_key(|s| s.peer.0);
-        out
+        peers.get(&peer.0).map_or(0, field)
     }
 }
 
@@ -301,18 +320,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reports_all_peers_sorted() {
+    fn registered_series_read_each_peer() {
         let (t, _) = tracker();
+        let t = Arc::new(t);
+        let reg = MetricsRegistry::new();
+        t.register_into(&reg, [1, 2, 3, 4].map(NodeId));
         t.record_failure(NodeId(3));
         fail(&t, NodeId(1), QUARANTINE_AFTER);
         t.record_success(NodeId(2));
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].peer, NodeId(1));
-        assert_eq!(snap[0].state, PeerState::Quarantined);
-        assert_eq!(snap[0].total_quarantines, 1);
-        assert_eq!(snap[1].state, PeerState::Healthy);
-        assert_eq!(snap[2].state, PeerState::Suspect);
-        assert_eq!(snap[2].consecutive_failures, 1);
+        let snap = reg.snapshot();
+        let value = |name, peer| swala_obs::lookup(&snap, name, Some(peer)).unwrap();
+        assert_eq!(value("swala_peer_state", "1"), 2);
+        assert_eq!(value("swala_peer_quarantines", "1"), 1);
+        assert_eq!(value("swala_peer_failures", "1"), QUARANTINE_AFTER as u64);
+        assert_eq!(value("swala_peer_state", "2"), 0);
+        assert_eq!(value("swala_peer_state", "3"), 1);
+        assert_eq!(value("swala_peer_failure_streak", "3"), 1);
+        assert_eq!(value("swala_peer_failures", "4"), 0, "never seen");
     }
 }

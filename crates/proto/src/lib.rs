@@ -60,9 +60,7 @@ pub use fetch::{
     default_dialer, request_invalidate, Dialer, FaultStream, FetchOutcome, RetryPolicy,
     StreamFault, FETCH_ATTEMPTS, FETCH_BACKOFF,
 };
-pub use health::{
-    HealthSnapshot, HealthTracker, PeerState, PROBE_INTERVAL, QUARANTINE_AFTER, SUSPECT_AFTER,
-};
+pub use health::{HealthTracker, PeerState, PROBE_INTERVAL, QUARANTINE_AFTER, SUSPECT_AFTER};
 pub use message::{Message, NodeStats};
 pub use peers::{
     BroadcastConfig, Broadcaster, Connector, LinkStats, PeerLink, NOTICE_PACE, NOTICE_PACE_MAX,

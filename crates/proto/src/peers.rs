@@ -61,7 +61,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use swala_cache::{Clock, NodeId, Waiter};
-use swala_obs::Histogram;
+use swala_obs::{Histogram, MetricsRegistry};
 
 /// How long a writer holds its link after an idle link's send: the base
 /// of the ramp, and all the delay a lightly loaded link ever adds.
@@ -130,7 +130,8 @@ impl std::fmt::Debug for BroadcastConfig {
     }
 }
 
-/// Observable state of one link, for the admin page and tests.
+/// Observable state of one link: its registry series (see
+/// [`Broadcaster::register_into`]) and tests read it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkStats {
     pub peer: NodeId,
@@ -378,6 +379,15 @@ impl LinkShared {
     fn now(&self) -> Instant {
         self.cfg.clock.now()
     }
+
+    fn stats(&self) -> LinkStats {
+        let st = self.lock();
+        let queued = st.buf.len();
+        LinkStats {
+            queued,
+            ..st.stats.clone()
+        }
+    }
 }
 
 /// A manual clock's advance ends the writer's hold or backoff wait.
@@ -487,12 +497,7 @@ impl PeerLink {
 
     /// Snapshot of this link's observable state.
     pub fn stats(&self) -> LinkStats {
-        let st = self.shared.lock();
-        let queued = st.buf.len();
-        LinkStats {
-            queued,
-            ..st.stats.clone()
-        }
+        self.shared.stats()
     }
 
     /// Queue a notice for delivery. Returns immediately: `Ok` means the
@@ -806,9 +811,83 @@ impl Broadcaster {
         &self.delay
     }
 
-    /// Per-link observable state, for the admin page.
-    pub fn link_stats(&self) -> Vec<LinkStats> {
-        self.links.iter().map(PeerLink::stats).collect()
+    /// Register the notice plane on `reg`: totals over the links, the
+    /// delay histogram, the longest hold, and every link's [`LinkStats`]
+    /// as `swala_broadcast_link_*{peer="N"}`. Each series reads the
+    /// link's state when scraped.
+    pub fn register_into(self: &Arc<Self>, reg: &MetricsRegistry) {
+        let b = Arc::clone(self);
+        let help = "Cache notices written to peer sockets";
+        reg.register_counter("swala_broadcast_sent", help, move || b.counters().0);
+        let b = Arc::clone(self);
+        let help = "Cache notices dropped: queue overflow, failed delivery or shutdown";
+        reg.register_counter("swala_broadcast_dropped", help, move || b.counters().1);
+        let b = Arc::clone(self);
+        let help = "Wire frames the delivered cache notices travelled in";
+        reg.register_counter("swala_broadcast_frames", help, move || b.frames());
+        reg.register_histogram(
+            "swala_notice_delay_microseconds",
+            "Delay from a cache notice's enqueue to its write to the peer socket",
+            Arc::clone(&self.delay),
+        );
+        let b = Arc::clone(self);
+        reg.register_gauge_fn(
+            "swala_notice_hold_microseconds",
+            "Longest current hold over this node's notice links (500 = idle, 4000 = saturated)",
+            move || b.max_hold().as_micros() as i64,
+        );
+        type Count = fn(&LinkStats) -> u64;
+        let counters: [(&str, &str, Count); 6] = [
+            ("sent", "Notices this link wrote to the socket", |l| l.sent),
+            (
+                "sent_bytes",
+                "Payload bytes of this link's delivered notices",
+                |l| l.sent_bytes,
+            ),
+            ("frames", "Wire frames this link wrote", |l| l.frames),
+            (
+                "sent_immediate",
+                "Notices that found this link idle and went out at once",
+                |l| l.sent_immediate,
+            ),
+            (
+                "sent_after_hold",
+                "Notices that waited out a hold on this link",
+                |l| l.sent_after_hold,
+            ),
+            ("dropped", "Notices this link dropped", |l| l.dropped),
+        ];
+        type Level = fn(&LinkStats) -> i64;
+        let gauges: [(&str, &str, Level); 3] = [
+            ("queued", "Notices queued on this link", |l| l.queued as i64),
+            (
+                "hold_microseconds",
+                "The hold after this link's latest send",
+                |l| l.hold.as_micros() as i64,
+            ),
+            (
+                "connected",
+                "1 while this link's writer holds a live connection",
+                |l| l.connected as i64,
+            ),
+        ];
+        for link in &self.links {
+            let peer = link.peer().0.to_string();
+            for (field, help, read) in counters {
+                let shared = Arc::clone(&link.shared);
+                let name = format!("swala_broadcast_link_{field}");
+                reg.register_counter_labeled(&name, help, "peer", &peer, move || {
+                    read(&shared.stats())
+                });
+            }
+            for (field, help, read) in gauges {
+                let shared = Arc::clone(&link.shared);
+                let name = format!("swala_broadcast_link_{field}");
+                reg.register_gauge_fn_labeled(&name, help, "peer", &peer, move || {
+                    read(&shared.stats())
+                });
+            }
+        }
     }
 
     /// The longest current hold over all links ([`LinkStats::hold`]):
@@ -1050,11 +1129,11 @@ mod tests {
         for i in 1..=N {
             send(&b, numbered(i));
         }
-        let st = &b.link_stats()[0];
+        let st = &b.links[0].stats();
         assert_eq!((st.wakeups, st.queued), (1, N as usize), "pushes only");
         gate.release();
         assert!(b.flush(Duration::from_secs(5)));
-        let st = &b.link_stats()[0];
+        let st = &b.links[0].stats();
         assert_eq!((st.sent, st.frames, st.wakeups), (N as u64 + 1, 2, 1));
         assert_eq!((st.sent_immediate, st.sent_after_hold), (1, N as u64));
         assert_eq!(b.frames(), 2);
@@ -1310,7 +1389,7 @@ mod tests {
             assert!(Instant::now() < deadline, "counters {:?}", b.counters());
             std::thread::sleep(Duration::from_millis(5));
         }
-        let stats = b.link_stats();
+        let stats: Vec<LinkStats> = b.links.iter().map(PeerLink::stats).collect();
         assert_eq!((stats[0].sent, stats[0].dropped), (1, 0));
         assert_eq!((stats[1].sent, stats[1].dropped), (0, 1));
         drop(b);
@@ -1357,7 +1436,7 @@ mod tests {
             (&[NodeId(0)][..], numbered(2).encode().into()),
         ]);
         assert!(b.flush(Duration::from_secs(5)));
-        let stats = b.link_stats();
+        let stats: Vec<LinkStats> = b.links.iter().map(PeerLink::stats).collect();
         assert_eq!(stats[0].sent, 0, "peer 1 heard nothing");
         assert_eq!(stats[1].sent, 1, "peer 2 got the message");
         assert_eq!(

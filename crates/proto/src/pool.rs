@@ -26,13 +26,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 use swala_cache::{CacheKey, EntryMeta, NodeId};
+use swala_obs::MetricsRegistry;
 
 /// Connections a node opens at most to each peer. A constant, not a
 /// knob: a remote hit holds one for one exchange, so a few carry a
 /// peer's remote-hit stream and a burst waits; cache ports are sized by it.
 pub const DEFAULT_POOL_SIZE: usize = 4;
 
-/// Counter snapshot for reporting (`/swala-status`, bench assertions).
+/// Counter snapshot (the registry's `swala_fetch_*` series, tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchPoolStats {
     /// TCP connections dialed (pool misses).
@@ -45,16 +46,6 @@ pub struct FetchPoolStats {
     pub idle: u64,
     /// Checkouts that waited for one of a busy peer's connections.
     pub waits: u64,
-}
-
-impl fmt::Display for FetchPoolStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "connects={} reuses={} stale_drops={} idle={} waits={}",
-            self.connects_opened, self.reuses, self.stale_drops, self.idle, self.waits,
-        )
-    }
 }
 
 /// A pooled connection: the stream plus the buffer its replies are read
@@ -332,6 +323,39 @@ impl FetchPool {
         }
     }
 
+    /// Register the pool's counters and idle gauge on `reg` as
+    /// `swala_fetch_*`, each read through [`stats`](Self::stats).
+    pub fn register_into(self: &Arc<Self>, reg: &MetricsRegistry) {
+        type Field = fn(FetchPoolStats) -> u64;
+        let counters: [(&str, &str, Field); 4] = [
+            (
+                "swala_fetch_connects_opened",
+                "Fetch-pool TCP connections opened",
+                |s| s.connects_opened,
+            ),
+            ("swala_fetch_reuses", "Fetch-pool connection reuses", |s| {
+                s.reuses
+            }),
+            (
+                "swala_fetch_stale_drops",
+                "Fetch-pool pooled connections dropped as stale",
+                |s| s.stale_drops,
+            ),
+            (
+                "swala_fetch_waits",
+                "Fetch-pool checkouts that waited for a busy peer's connection",
+                |s| s.waits,
+            ),
+        ];
+        for (name, help, read) in counters {
+            let p = Arc::clone(self);
+            reg.register_counter(name, help, move || read(p.stats()));
+        }
+        let p = Arc::clone(self);
+        let help = "Fetch-pool idle connections, across all peers";
+        reg.register_gauge_fn("swala_fetch_idle", help, move || p.stats().idle as i64);
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> FetchPoolStats {
         let idle: usize = self.peers.lock().values().map(|p| p.idle.len()).sum();
@@ -605,8 +629,8 @@ mod tests {
             // The first connection closed instead of going back idle, so
             // the waiter dialed rather than reusing it.
             let s = pool.stats();
-            assert_eq!((s.connects_opened, s.waits, s.idle), (2, 1, 1), "{s}");
-            assert_eq!((s.reuses, s.stale_drops), (0, 0), "{s}");
+            assert_eq!((s.connects_opened, s.waits, s.idle), (2, 1, 1), "{s:?}");
+            assert_eq!((s.reuses, s.stale_drops), (0, 0), "{s:?}");
         }
     }
 
@@ -674,7 +698,7 @@ mod tests {
             assert_eq!(p.open, p.idle.len(), "{peer:?} leaked a slot");
             assert_eq!(p.waiting, 0, "{peer:?} counts a waiter that left");
         }
-        assert!(pool.stats().waits > 0, "{}", pool.stats());
+        assert!(pool.stats().waits > 0, "{:?}", pool.stats());
     }
 
     #[test]

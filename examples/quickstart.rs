@@ -50,9 +50,14 @@ fn main() -> std::io::Result<()> {
     assert_eq!(first.body, second.body, "cached result is byte-identical");
     assert!(hit_time < miss_time);
 
-    // 5. Statistics mirror what happened.
+    // 5. Statistics mirror what happened. The metrics registry holds
+    // every one of them, as `/swala-metrics` and `/swala-status` show.
     println!("cache: {}", server.cache_stats());
-    println!("http : {}", server.request_stats());
+    let metrics = server.telemetry().registry().snapshot();
+    for series in ["swala_http_requests", "swala_http_executions"] {
+        let value = swala_obs::lookup(&metrics, series, None).unwrap_or(0);
+        println!("http : {series} {value}");
+    }
     assert!(hit_time < Duration::from_millis(80));
 
     server.shutdown();

@@ -170,4 +170,10 @@ step "rustdoc (RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps)"
 # target: a rustdoc warning fails the build of the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+step "production line count (scripts/loc.sh; a report, not a gate)"
+# Non-blank crates/*/src lines up to each file's first column-0
+# #[cfg(test)], per crate and in total: the count ROADMAP's "Size"
+# paragraph quotes.
+scripts/loc.sh
+
 step "all checks passed in ${SECONDS} s"

@@ -12,12 +12,33 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala::{HttpClient, ServerOptions};
+use swala::{HttpClient, ServerOptions, SwalaServer};
 use swala_cache::NodeId;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_proto::{
     FaultAction, FaultEvent, FaultInjector, FaultRule, PeerState, FETCH_ATTEMPTS, QUARANTINE_AFTER,
 };
+
+/// Series `name` of `node`'s metrics registry, the one labelled `label`.
+fn series(node: &SwalaServer, name: &str, label: Option<&str>) -> u64 {
+    swala_obs::lookup(&node.telemetry().registry().snapshot(), name, label).unwrap()
+}
+
+/// `node`'s view of `peer`: health state, failure streak, quarantines.
+fn health(node: &SwalaServer, peer: &str) -> (PeerState, u64, u64) {
+    let state = match series(node, "swala_peer_state", Some(peer)) {
+        0 => PeerState::Healthy,
+        1 => PeerState::Suspect,
+        2 => PeerState::Quarantined,
+        _ => PeerState::Probing,
+    };
+    let streak = series(node, "swala_peer_failure_streak", Some(peer));
+    (
+        state,
+        streak,
+        series(node, "swala_peer_quarantines", Some(peer)),
+    )
+}
 
 fn chaos_seed() -> u64 {
     std::env::var("SWALA_CHAOS_SEED")
@@ -115,16 +136,17 @@ fn dead_peer_causes_zero_failures_and_attempts_stop() {
     );
     assert_eq!(tags[fallbacks..], ["miss"; QUARANTINE_AFTER as usize]);
 
-    let stats = cluster.node(0).request_stats();
-    assert_eq!(stats.server_errors, 0, "dead peer must not cause errors");
+    let node0 = cluster.node(0);
+    let server_errors = series(node0, "swala_http_server_errors", None);
+    assert_eq!(server_errors, 0, "dead peer must not cause errors");
     assert_eq!(
-        stats.quarantine_skips, 0,
+        series(node0, "swala_http_quarantine_skips", None),
+        0,
         "eviction, not the gate, stops traffic"
     );
-    let health = cluster.node(0).peer_health();
-    let h1 = health.iter().find(|h| h.peer == NodeId(1)).unwrap();
-    assert_eq!(h1.state, PeerState::Quarantined);
-    assert_eq!(h1.total_quarantines, 1);
+    let (state, _, quarantines) = health(node0, "1");
+    assert_eq!(state, PeerState::Quarantined);
+    assert_eq!(quarantines, 1);
     assert_eq!(
         cluster.node(0).manager().directory().len(NodeId(1)),
         0,
@@ -186,10 +208,7 @@ fn node_down_broadcast_repairs_third_party_directories() {
         assert!(r.status.is_success());
         assert_eq!(cache_tag(&r), "remote-unreachable-fallback");
     }
-    assert_eq!(
-        cluster.node(0).peer_health()[0].state,
-        PeerState::Quarantined
-    );
+    assert_eq!(health(cluster.node(0), "2").0, PeerState::Quarantined);
 
     // Node 1 trusted the declaration and dropped its stale view of 2.
     wait_until("NodeDown reached node 1", || {
@@ -228,9 +247,8 @@ fn retry_exhaustion_falls_back_to_local_execution() {
     assert_eq!(cache_tag(&r), "remote-unreachable-fallback");
     assert_eq!(r.body, warm_body);
 
-    let stats = cluster.node(0).request_stats();
     assert_eq!(
-        stats.fetch_retries,
+        series(cluster.node(0), "swala_http_fetch_retries", None),
         u64::from(FETCH_ATTEMPTS - 1),
         "every attempt after the first is a retry"
     );
@@ -240,9 +258,9 @@ fn retry_exhaustion_falls_back_to_local_execution() {
     );
     // One request is one failure for the health tracker, however many
     // transport attempts it took.
-    let h = cluster.node(0).peer_health();
-    assert_eq!(h[0].state, PeerState::Suspect);
-    assert_eq!(h[0].consecutive_failures, 1);
+    let (state, streak, _) = health(cluster.node(0), "1");
+    assert_eq!(state, PeerState::Suspect);
+    assert_eq!(streak, 1);
     cluster.shutdown();
 }
 
@@ -271,8 +289,8 @@ fn single_transient_failure_is_hidden_by_retry() {
     let r = c0.get(target).unwrap();
     assert_eq!(cache_tag(&r), "remote-hit", "retry recovered the fetch");
     assert_eq!(r.body, warm_body);
-    assert_eq!(cluster.node(0).request_stats().fetch_retries, 1);
-    assert_eq!(cluster.node(0).peer_health()[0].state, PeerState::Healthy);
+    assert_eq!(series(cluster.node(0), "swala_http_fetch_retries", None), 1);
+    assert_eq!(health(cluster.node(0), "1").0, PeerState::Healthy);
     assert_eq!(inj.trace().len(), 1);
     cluster.shutdown();
 }
@@ -323,10 +341,10 @@ fn partition_heals_and_cooperation_resumes() {
     let r = c1.get(b).unwrap();
     assert_eq!(cache_tag(&r), "remote-hit");
     assert_eq!(r.body, body_b);
-    assert_eq!(cluster.node(0).request_stats().server_errors, 0);
-    assert_eq!(cluster.node(1).request_stats().server_errors, 0);
-    for n in cluster.nodes() {
-        assert!(n.peer_health().iter().all(|h| h.total_failures == 0));
+    assert_eq!(series(cluster.node(0), "swala_http_server_errors", None), 0);
+    assert_eq!(series(cluster.node(1), "swala_http_server_errors", None), 0);
+    for (n, peer) in cluster.nodes().iter().zip(["1", "0"]) {
+        assert_eq!(series(n, "swala_peer_failures", Some(peer)), 0);
     }
     cluster.shutdown();
 }
@@ -360,7 +378,7 @@ fn false_hit_after_silent_restart_repairs_the_cluster() {
     assert_eq!(r.body, warm_body, "fallback re-execution served the truth");
     assert_eq!(cluster.node(0).cache_stats().false_hits, 1);
     // The Gone reply proved node 2 alive — no quarantine.
-    assert_eq!(cluster.node(0).peer_health()[0].state, PeerState::Healthy);
+    assert_eq!(health(cluster.node(0), "2").0, PeerState::Healthy);
 
     // Repair: node 1's stale pointer at node 2 disappears...
     wait_until("repair delete reaches node 1", || {
@@ -415,8 +433,8 @@ fn node_crash_mid_broadcast_leaves_survivors_consistent() {
     // New work on the survivors continues unharmed.
     let r = c0.get("/cgi-bin/adl?id=411&ms=0").unwrap();
     assert!(r.status.is_success());
-    assert_eq!(node0.request_stats().server_errors, 0);
-    assert_eq!(node1.request_stats().server_errors, 0);
+    assert_eq!(series(node0, "swala_http_server_errors", None), 0);
+    assert_eq!(series(node1, "swala_http_server_errors", None), 0);
     for n in nodes {
         n.shutdown();
     }
@@ -687,7 +705,7 @@ fn flapping_owner_never_fails_a_request() {
         assert_eq!(r.body, bodies[k][..], "wrong body for request {i}");
     }
     for s in cluster.nodes() {
-        assert_eq!(s.request_stats().server_errors, 0);
+        assert_eq!(series(s, "swala_http_server_errors", None), 0);
     }
     assert!(!inj.trace().is_empty(), "the flapping rule never fired");
     cluster.shutdown();
@@ -727,17 +745,17 @@ fn pooled_connection_truncated_mid_reply_recovers_in_place() {
     }
 
     let pool = cluster.node(0).fetch_pool().stats();
-    assert!(pool.stale_drops >= 2, "mid-reply EOFs surfaced: {pool}");
-    assert!(pool.reuses >= 2, "healthy stretches reused: {pool}");
-    let requests = cluster.node(0).request_stats();
-    assert_eq!(requests.server_errors, 0);
+    assert!(pool.stale_drops >= 2, "mid-reply EOFs surfaced: {pool:?}");
+    assert!(pool.reuses >= 2, "healthy stretches reused: {pool:?}");
+    let node0 = cluster.node(0);
+    assert_eq!(series(node0, "swala_http_server_errors", None), 0);
     assert_eq!(
-        requests.fetch_retries, 0,
+        series(node0, "swala_http_fetch_retries", None),
+        0,
         "recovery came from the pool, not from a retry"
     );
     // In-place reconnects are invisible to the health tracker.
-    let h = cluster.node(0).peer_health();
-    assert!(h.is_empty() || h[0].state == PeerState::Healthy);
+    assert_eq!(health(node0, "1").0, PeerState::Healthy);
     cluster.shutdown();
 }
 
@@ -793,8 +811,7 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
     }
 
     let stats = cluster.node(1).cache_stats();
-    let requests = cluster.node(1).request_stats();
-    assert_eq!(requests.server_errors, 0);
+    assert_eq!(series(cluster.node(1), "swala_http_server_errors", None), 0);
     // Every request was a remote hit; the burst shared one fetch (its
     // attempts each dialed) and one execution, and the failed fetch cost
     // the owner one strike.
@@ -804,18 +821,16 @@ fn coalesced_burst_with_faulted_leader_fetch_never_deadlocks() {
         (0, 0),
         "{stats}"
     );
-    assert_eq!(requests.executions, 1, "the leader executed, once");
+    let executions = series(cluster.node(1), "swala_http_executions", None);
+    assert_eq!(executions, 1, "the leader executed, once");
     let pool = cluster.node(1).fetch_pool().stats();
     assert_eq!(
         pool.connects_opened + pool.reuses,
         u64::from(FETCH_ATTEMPTS),
-        "{pool}"
+        "{pool:?}"
     );
-    let h = cluster.node(1).peer_health();
-    assert_eq!(
-        (h[0].state, h[0].consecutive_failures),
-        (PeerState::Suspect, 1)
-    );
+    let (state, streak, _) = health(cluster.node(1), "0");
+    assert_eq!((state, streak), (PeerState::Suspect, 1));
     cluster.shutdown();
 }
 
@@ -886,13 +901,8 @@ fn remote_hit_burst_on_a_failing_owner_is_one_health_failure() {
         assert_eq!(body, warm_body, "wrong body (tag {tag})");
     }
 
-    let h = cluster.node(0).peer_health();
     assert_eq!(
-        (
-            h[0].state,
-            h[0].consecutive_failures,
-            h[0].total_quarantines
-        ),
+        health(cluster.node(0), "1"),
         (PeerState::Suspect, 1, 0),
         "one failed fetch, one strike"
     );
@@ -903,7 +913,7 @@ fn remote_hit_burst_on_a_failing_owner_is_one_health_failure() {
         3,
         "the owner's entries are still listed"
     );
-    assert_eq!(cluster.node(0).request_stats().executions, 1);
+    assert_eq!(series(cluster.node(0), "swala_http_executions", None), 1);
     cluster.shutdown();
 }
 
@@ -951,7 +961,7 @@ fn remote_hit_burst_is_one_owner_fetch_unless_coalescing_is_off() {
         assert_eq!(
             pool.connects_opened + pool.reuses,
             if coalesce { 1 } else { BURST as u64 },
-            "owner fetches with coalesce {coalesce}: {pool}"
+            "owner fetches with coalesce {coalesce}: {pool:?}"
         );
         cluster.shutdown();
     }
@@ -984,9 +994,11 @@ fn false_hit_burst_counts_one_false_hit_and_sends_one_repair() {
     let key = swala_cache::CacheKey::new(target);
     cluster.node(1).manager().remove_local(&key).unwrap();
     let notices_to_1 = || {
-        let links = cluster.node(0).broadcast_link_stats();
-        let link = links.iter().find(|l| l.peer == NodeId(1)).unwrap();
-        link.sent + link.dropped + link.queued as u64
+        ["sent", "dropped", "queued"]
+            .map(|f| format!("swala_broadcast_link_{f}"))
+            .iter()
+            .map(|name| series(cluster.node(0), name, Some("1")))
+            .sum::<u64>()
     };
     let (notices_before, inserts_before) = (notices_to_1(), cluster.node(0).cache_stats().inserts);
     inj.add_rule(FaultRule::between(
@@ -1001,7 +1013,7 @@ fn false_hit_burst_counts_one_false_hit_and_sends_one_repair() {
     settle(&cluster);
 
     let s = cluster.node(0).cache_stats();
-    let executions = cluster.node(0).request_stats().executions;
+    let executions = series(cluster.node(0), "swala_http_executions", None);
     assert_eq!(s.false_hits, 1, "{s}");
     assert_eq!(executions, 1, "{s}");
     let inserts = s.inserts - inserts_before;
@@ -1060,12 +1072,12 @@ fn resetting_connections_through_pool_still_quarantine_the_peer() {
         ["remote-unreachable-fallback"; QUARANTINE_AFTER as usize]
     );
     assert_eq!(tags[streak..], ["miss"]);
-    let h = cluster.node(0).peer_health();
-    assert_eq!(h[0].state, PeerState::Quarantined);
-    assert_eq!(h[0].total_quarantines, 1);
+    let (state, _, quarantines) = health(cluster.node(0), "1");
+    assert_eq!(state, PeerState::Quarantined);
+    assert_eq!(quarantines, 1);
     let pool = cluster.node(0).fetch_pool().stats();
     assert_eq!(pool.idle, 0, "no poisoned connection may stay parked");
-    assert_eq!(cluster.node(0).request_stats().server_errors, 0);
+    assert_eq!(series(cluster.node(0), "swala_http_server_errors", None), 0);
     cluster.shutdown();
 }
 
@@ -1138,6 +1150,6 @@ fn request_burst_survives_accept_resets() {
             .all(|t| t == "remote-hit" || t == "remote-unreachable-fallback"),
         "only clean outcomes allowed mid-chaos: {tags:?}"
     );
-    assert_eq!(cluster.node(0).request_stats().server_errors, 0);
+    assert_eq!(series(cluster.node(0), "swala_http_server_errors", None), 0);
     cluster.shutdown();
 }

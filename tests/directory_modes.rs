@@ -262,13 +262,20 @@ fn update_cost_per_insert_under_both_directory_modes() {
                 cluster.wait_for_directory_convergence(INSERTS, Duration::from_secs(10)),
                 "{directory:?} at {nodes} nodes"
             );
-            let links: Vec<_> = cluster
-                .nodes()
-                .iter()
-                .flat_map(|s| s.broadcast_link_stats())
-                .collect();
-            let updates: u64 = links.iter().map(|l| l.sent).sum();
-            let wire_bytes: u64 = links.iter().map(|l| l.sent_bytes).sum();
+            // Every node's series of every link it has, one per peer.
+            let link_total = |field: &str| -> u64 {
+                let name = format!("swala_broadcast_link_{field}");
+                let mut total = 0;
+                for (i, s) in cluster.nodes().iter().enumerate() {
+                    let metrics = s.telemetry().registry().snapshot();
+                    for peer in (0..nodes).filter(|&p| p != i) {
+                        let peer = Some(peer.to_string());
+                        total += swala_obs::lookup(&metrics, &name, peer.as_deref()).unwrap();
+                    }
+                }
+                total
+            };
+            let (updates, wire_bytes) = (link_total("sent"), link_total("sent_bytes"));
             let inserts = INSERTS as u64;
             eprintln!(
                 "directory {:<11} N={nodes}: {:.2} notices/insert, {:.1} wire bytes/insert",

@@ -1,13 +1,19 @@
 //! Cross-crate integration: the full pipeline — workload synthesis →
 //! live cluster → load generation → statistics — holds its invariants.
 
-use swala::ServerOptions;
+use swala::{ServerOptions, SwalaServer};
 use swala_cache::DirectoryKind;
 use swala_cgi::WorkKind;
 use swala_cluster::{ClusterConfig, SwalaCluster};
 use swala_workload::{
     materialize_docroot, synthesize_adl_trace, AdlTraceConfig, FileMix, LoadGenerator, RequestKind,
 };
+
+/// The node's `swala_http_<field>` counter, read from its registry.
+fn http_stat(node: &SwalaServer, field: &str) -> u64 {
+    let metrics = node.telemetry().registry().snapshot();
+    swala_obs::lookup(&metrics, &format!("swala_http_{field}"), None).unwrap()
+}
 
 #[test]
 fn adl_replay_accounting_balances() {
@@ -68,7 +74,7 @@ fn adl_replay_accounting_balances() {
         let execs: u64 = cluster
             .nodes()
             .iter()
-            .map(|s| s.request_stats().executions)
+            .map(|s| http_stat(s, "executions"))
             .sum();
         let false_hits = cluster.total_cache_stat(|s| s.false_hits);
         let flight_served = cluster.total_cache_stat(|s| s.coalesce_waits)
@@ -111,12 +117,12 @@ fn mixed_static_and_dynamic_traffic() {
     let statics: u64 = cluster
         .nodes()
         .iter()
-        .map(|s| s.request_stats().static_files)
+        .map(|s| http_stat(s, "static_files"))
         .sum();
     let dynamics: u64 = cluster
         .nodes()
         .iter()
-        .map(|s| s.request_stats().dynamic)
+        .map(|s| http_stat(s, "dynamic"))
         .sum();
     assert_eq!(statics + dynamics, 120);
     assert!(statics > 0 && dynamics > 0);
