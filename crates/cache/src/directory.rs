@@ -35,6 +35,17 @@ pub enum Classification {
     Remote(EntryMeta),
 }
 
+impl Classification {
+    /// The entry found, wherever it is cached: a home's answer to a
+    /// lookup, which names the owner.
+    pub fn into_meta(self) -> Option<EntryMeta> {
+        match self {
+            Classification::Local(meta) | Classification::Remote(meta) => Some(meta),
+            Classification::NotCached => None,
+        }
+    }
+}
+
 /// Most updates [`CacheDirectory::apply_updates`] applies under one
 /// acquisition of a table's write lock: a peer's frame may carry a few
 /// hundred, and a lookup must not wait behind all of them.

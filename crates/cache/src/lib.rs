@@ -40,6 +40,7 @@ pub mod digest;
 pub mod directory;
 pub mod entry;
 pub mod flights;
+pub mod flow;
 pub mod key;
 pub mod locking;
 pub mod manager;

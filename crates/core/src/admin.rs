@@ -45,6 +45,7 @@ use crate::handler::{NodeContext, FETCH_TIMEOUT};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use swala_cache::directory::Classification;
+use swala_cache::flow::{peer_mark, Event};
 use swala_cache::{CacheKey, NodeId};
 use swala_http::{Request, Response, StatusCode};
 use swala_obs::{lookup, HeatEntry, MetricSnapshot, MetricValue, Trace};
@@ -217,7 +218,7 @@ fn cluster_status_page(ctx: &NodeContext) -> Response {
         .collect();
     let mut hot = String::new();
     for e in swala_obs::merge_hotkeys(&lists, 16) {
-        let (key, count, cost) = (&e.key, e.count, e.cost_us);
+        let (key, count, cost) = (html_escape(&e.key), e.count, e.cost_us);
         let lower = count - e.error;
         let _ = writeln!(
             hot,
@@ -331,7 +332,8 @@ fn series_rows(metrics: &[MetricSnapshot]) -> (String, String) {
     let (mut values, mut histograms) = (String::new(), String::new());
     for m in metrics {
         let series = match &m.label {
-            Some((k, v)) => format!("{}{{{k}=\"{v}\"}}", m.name),
+            // A peer's label values arrive over the wire in its snapshot.
+            Some((k, v)) => format!("{}{{{}=\"{}\"}}", m.name, html_escape(k), html_escape(v)),
             None => m.name.clone(),
         };
         let _ = match &m.value {
@@ -348,6 +350,23 @@ fn series_rows(metrics: &[MetricSnapshot]) -> (String, String) {
         };
     }
     (values, histograms)
+}
+
+/// `text` with HTML's five special characters escaped, for a page cell
+/// holding what a client or a peer wrote.
+fn html_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            '\'' => out.push_str("&#39;"),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 const HISTOGRAM_HEAD: &str =
@@ -431,10 +450,18 @@ fn invalidate(ctx: &NodeContext, req: &Request) -> Response {
         Classification::Remote(meta) => forward_invalidate(ctx, &key, meta.owner),
         // A node that is not one of the key's homes is silent about it,
         // so ask the home before declaring the key uncached.
-        Classification::NotCached => match ctx.ask_home(&key, &mut Trace::disabled()) {
-            Ok(Some(meta)) => forward_invalidate(ctx, &key, meta.owner),
-            _ => Response::ok("text/plain", format!("no cached entry for {key}\n")),
-        },
+        Classification::NotCached => {
+            let homes = ctx.manager.placement().homes(&key);
+            let mut answer = Event::Home(None);
+            if !homes.contains(&ctx.node) {
+                answer = ctx.ask_home(homes[0], &key, &mut Trace::disabled());
+                ctx.note_peer(peer_mark(homes[0], answer));
+            }
+            match answer {
+                Event::Home(Some(owner)) => forward_invalidate(ctx, &key, owner),
+                _ => Response::ok("text/plain", format!("no cached entry for {key}\n")),
+            }
+        }
     }
 }
 
@@ -443,7 +470,7 @@ fn invalidate(ctx: &NodeContext, req: &Request) -> Response {
 /// peer-health bookkeeping.
 fn forward_invalidate(ctx: &NodeContext, key: &CacheKey, owner: NodeId) -> Response {
     let sent = match ctx.peer_to_ask(owner) {
-        Err(why) => Err(format!("owner {owner} not asked ({why})")),
+        Err(why) => Err(format!("owner {owner} not asked ({})", why.class())),
         Ok(addr) => match request_invalidate(&ctx.dialer, owner, addr, key, FETCH_TIMEOUT) {
             Ok(()) => {
                 ctx.health.record_success(owner);

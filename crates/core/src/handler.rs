@@ -1,4 +1,5 @@
-//! Figure 2: the per-request control flow.
+//! The per-request path: routing, and the steps of Figure 2's flow
+//! ([`swala_cache::flow`]).
 //!
 //! `handle_request` is invoked by a pool thread that owns the request
 //! "from parsing to completion". Everything it needs hangs off the shared
@@ -10,33 +11,19 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use swala_cache::{
-    CacheDecision, CacheKey, CacheManager, EntryMeta, FlightWaitOutcome, FlightWaiter,
-    InsertOutcome, LookupResult, NodeId,
-};
-use swala_cgi::{CgiOutput, CgiRequest, Program, ProgramRegistry};
-use swala_http::{Body, Method, Request, Response, StatusCode};
+use swala_cache::flow::{Down, Event, Exec, Flow, Step};
+use swala_cache::{CacheKey, CacheManager, FlightWaitOutcome, InsertOutcome, LookupResult, NodeId};
+use swala_cgi::{CgiOutput, CgiRequest, ProgramRegistry};
+use swala_http::{Body, Request, Response, StatusCode};
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
 use swala_proto::{
     announce, announce_delete, announce_node_down, Broadcaster, Dialer, FetchOutcome, FetchPool,
     HealthTracker, PeerError, PeerState, RetryPolicy,
 };
 
-/// Value of the diagnostic `X-Swala-Cache` response header.
-pub mod cache_header {
-    pub const NAME: &str = "X-Swala-Cache";
-    pub const UNCACHEABLE: &str = "uncacheable";
-    pub const MISS: &str = "miss";
-    pub const LOCAL_HIT: &str = "local-hit";
-    pub const REMOTE_HIT: &str = "remote-hit";
-    pub const FALSE_HIT: &str = "false-hit-fallback";
-    pub const REMOTE_DOWN: &str = "remote-unreachable-fallback";
-    pub const QUARANTINED: &str = "quarantined-peer-fallback";
-    pub const HOME_DOWN: &str = "home-unreachable-fallback";
-    pub const COALESCED: &str = "coalesced-hit";
-    pub const COALESCE_FALLBACK: &str = "coalesce-fallback";
-    pub const DISABLED: &str = "disabled";
-}
+/// The `X-Swala-Cache` header and its values, one per way the cache
+/// answers.
+pub use swala_cache::flow::class as cache_header;
 
 /// Value of the `Server:` header, and `SERVER_NAME` for CGI programs.
 ///
@@ -106,56 +93,103 @@ impl NodeContext {
         }
     }
 
-    /// `peer`'s cache address, or the fallback tag when it cannot be
-    /// asked: its address is unknown (cluster wiring incomplete — treated
-    /// like an unreachable peer), or it is quarantined. A quarantined peer
-    /// is skipped without touching the network (no connect-timeout tax),
-    /// except when its probe window has elapsed — then this very exchange
-    /// doubles as the probe.
-    pub(crate) fn peer_to_ask(&self, peer: NodeId) -> Result<SocketAddr, &'static str> {
-        let addr = self
-            .peer_cache_addr(peer)
-            .ok_or(cache_header::REMOTE_DOWN)?;
+    /// `peer`'s cache address, or why it is not asked: its address is
+    /// unknown (cluster wiring incomplete — treated like an unreachable
+    /// peer), or it is quarantined. A quarantined peer is skipped without
+    /// touching the network (no connect-timeout tax), except when its
+    /// probe window has elapsed — then this very exchange doubles as the
+    /// probe.
+    pub(crate) fn peer_to_ask(&self, peer: NodeId) -> Result<SocketAddr, Down> {
+        let addr = self.peer_cache_addr(peer).ok_or(Down::NoAddress)?;
         if !self.health.should_attempt(peer) {
             RequestStats::bump(&self.stats.quarantine_skips);
-            return Err(cache_header::QUARANTINED);
+            return Err(Down::Quarantined);
         }
         Ok(addr)
     }
 
-    /// Ask the key's home who caches it. `Ok(None)` when nobody does —
-    /// including when this node is one of the key's homes, so that its
-    /// own miss is already the answer — and `Err(HOME_DOWN)` when the home
-    /// cannot be asked: its answer is an optimization, never a
-    /// requirement.
+    /// Ask `home` who caches `key`: the owner its table names, if any, or
+    /// `Down` when it cannot be asked. Its answer is an optimization,
+    /// never a requirement.
     pub(crate) fn ask_home(
         &self,
+        home: NodeId,
         key: &CacheKey,
         trace: &mut Trace,
-    ) -> Result<Option<EntryMeta>, &'static str> {
-        let homes = self.manager.placement().homes(key);
-        if homes.contains(&self.node) {
-            return Ok(None);
-        }
-        let home = homes[0];
-        let addr = self
-            .peer_to_ask(home)
-            .map_err(|_| cache_header::HOME_DOWN)?;
+    ) -> Event<'static> {
+        let addr = match self.peer_to_ask(home) {
+            Ok(addr) => addr,
+            Err(down) => return Event::Down(down),
+        };
         let t0 = trace.start_span();
         let answer = self
             .fetch_pool
             .dir_lookup(home, addr, key, FETCH_TIMEOUT, trace.id());
         trace.end_span(Stage::DirLookup, t0);
         match answer {
-            Ok(meta) => {
-                self.health.record_success(home);
-                Ok(meta)
+            Ok(meta) => Event::Home(meta.map(|m| m.owner)),
+            Err(PeerError::Busy) => Event::Down(Down::Busy),
+            Err(PeerError::Failed(_)) => Event::Down(Down::Failed),
+        }
+    }
+
+    /// Fetch `key`'s body from `owner` into `got`, shared with the key's
+    /// waiters. The trace id rides in the fetch request, so the owner
+    /// records correlated spans under the same id.
+    fn fetch(
+        &self,
+        owner: NodeId,
+        key: &CacheKey,
+        trace: &mut Trace,
+        got: &mut Option<Response>,
+    ) -> Event<'static> {
+        trace.set_owner(owner.0);
+        let addr = match self.peer_to_ask(owner) {
+            Ok(addr) => addr,
+            Err(down) => return Event::Down(down),
+        };
+        let t0 = trace.start_span();
+        let (policy, id) = (&self.retry_policy, trace.id());
+        let (outcome, tries) = self
+            .fetch_pool
+            .fetch(owner, addr, key, FETCH_TIMEOUT, policy, id);
+        trace.end_span(Stage::RemoteFetch, t0);
+        if tries > 1 {
+            RequestStats::add(&self.stats.fetch_retries, (tries - 1) as u64);
+        }
+        trace.add_remote_attempts(tries);
+        match outcome {
+            FetchOutcome::Hit { content_type, body } => {
+                // Heat-sketch cost attribution: a remote hit's wire time is
+                // this key's cost, like exec time is a miss's. `t0` is None
+                // exactly when obs is off, and the sketch is disabled then.
+                if let Some(t0) = t0 {
+                    let micros = t0.elapsed().as_micros() as u64;
+                    let heat = self.manager.heat();
+                    heat.add_cost(key.keyed_hash(), key.as_str(), micros);
+                }
+                let body: Body = self.manager.complete_remote_serve(key, &content_type, body);
+                *got = Some(Response::ok(&content_type, body));
+                Event::Hit
             }
-            Err(PeerError::Busy) => Err(cache_header::HOME_DOWN),
-            Err(PeerError::Failed(_)) => {
-                self.note_peer_failure(home);
-                Err(cache_header::HOME_DOWN)
-            }
+            FetchOutcome::Gone => Event::Gone,
+            // Peer down ≠ entry gone: the directory entry survives a
+            // transient failure; quarantine is what declares it dead.
+            FetchOutcome::Unreachable(_) => Event::Down(Down::Failed),
+            // This node's own exchanges held every connection to the
+            // owner: no evidence against it, and the CGI runs now rather
+            // than after retries.
+            FetchOutcome::Busy => Event::Down(Down::Busy),
+        }
+    }
+
+    /// Record a peer's answer (`Ok`), or its failure, with the health
+    /// tracker.
+    pub(crate) fn note_peer(&self, peer: Option<Result<NodeId, NodeId>>) {
+        match peer {
+            Some(Ok(peer)) => self.health.record_success(peer),
+            Some(Err(peer)) => self.note_peer_failure(peer),
+            None => {}
         }
     }
 
@@ -229,21 +263,10 @@ fn route(
     }
 }
 
-/// What a CGI execution is made from: the program and what its
-/// request view ([`Exec::request`]) borrows.
-struct Exec<'a> {
-    program: &'a dyn Program,
-    req: &'a Request<'a>,
-    remote_addr: &'a str,
-}
-
-impl Exec<'_> {
-    fn request(&self, ctx: &NodeContext) -> CgiRequest<'_> {
-        CgiRequest::from_http(self.req, self.remote_addr, SERVER_NAME, ctx.http_port)
-    }
-}
-
-/// The dynamic-request flow of Figure 2.
+/// The dynamic-request flow of Figure 2: each step a [`Flow`] returns,
+/// performed with the fetch pool, the broadcaster, the flights and the
+/// CGI program, and its marks applied to the counters, the health
+/// tracker and the trace.
 fn handle_dynamic(
     ctx: &NodeContext,
     req: &Request<'_>,
@@ -256,285 +279,141 @@ fn handle_dynamic(
         Some(None) => return Response::error(StatusCode::NOT_FOUND),
         None => unreachable!("route() checked is_dynamic"),
     };
-    let exec = &Exec {
-        program: program.as_ref(),
-        req,
-        remote_addr,
-    };
-
+    let manager = &ctx.manager;
+    // What a step leaves for a later one: the response, the rules'
+    // verdict, the flight to wait on, the insert to announce.
+    let (mut got, mut decided, mut waiting, mut inserted) = (None, None, None, None);
     // Only GET results participate in caching; POST always executes.
-    if !ctx.caching_enabled || !req.method.is_cacheable() {
-        let tag = if ctx.caching_enabled {
-            cache_header::UNCACHEABLE
-        } else {
-            cache_header::DISABLED
+    let off = !ctx.caching_enabled;
+    let mut event = Event::Uncacheable { off };
+    if !off && req.method.is_cacheable() {
+        event = match manager.lookup_traced(&key, key.as_str(), trace) {
+            LookupResult::Uncacheable => event,
+            LookupResult::LocalHit { meta, body, tier } => {
+                got = Some(Response::ok(&meta.content_type, body));
+                Event::LocalHit(tier)
+            }
+            LookupResult::RemoteHit { meta } => {
+                waiting = manager.begin_remote_fetch(&key);
+                let (owner, in_flight) = (meta.owner, waiting.is_some());
+                Event::RemoteHit { owner, in_flight }
+            }
+            LookupResult::Miss { decision, .. } => {
+                decided = Some(decision);
+                let homes = manager.placement().homes(&key);
+                Event::Miss { homes }
+            }
+            LookupResult::CoalesceWait { decision, waiter } => {
+                (decided, waiting) = (Some(decision), Some(waiter));
+                Event::CoalesceWait
+            }
         };
-        return execute_plain(ctx, exec, tag, trace);
     }
-
-    match ctx.manager.lookup_traced(&key, key.as_str(), trace) {
-        LookupResult::Uncacheable => execute_plain(ctx, exec, cache_header::UNCACHEABLE, trace),
-        LookupResult::LocalHit { meta, body, tier } => {
-            RequestStats::bump(&ctx.stats.served_local_cache);
-            trace.set_outcome(match tier {
-                swala_cache::BodyTier::Memory => Outcome::LocalMem,
-                swala_cache::BodyTier::Disk => Outcome::LocalDisk,
-            });
-            tagged(
-                Response::ok(&meta.content_type, body),
-                cache_header::LOCAL_HIT,
-            )
+    let mut flow = Flow::new(ctx.node);
+    loop {
+        let (step, marks) = flow.next(event);
+        if marks.reclassify_miss_as_remote_hit {
+            manager.reclassify_miss_as_remote_hit();
         }
-        LookupResult::RemoteHit { meta } => match ctx.manager.begin_remote_fetch(&key) {
-            None => serve_from_owner(ctx, exec, key, meta.owner, false, trace),
-            Some(waiter) => wait_and_serve(ctx, exec, key, waiter, trace),
-        },
-        LookupResult::Miss { decision, .. } => {
-            // A local miss is a cluster miss only where this node is one
-            // of the key's homes; elsewhere the home holds the entry, so
-            // ask it before executing. The caller holds the key's flight
-            // throughout, so concurrent identical requests coalesce
-            // behind the answer.
-            let tag = match ctx.ask_home(&key, trace) {
-                Ok(Some(meta)) if meta.owner != ctx.node => {
-                    return serve_from_owner(ctx, exec, key, meta.owner, true, trace);
-                }
-                Ok(Some(stale)) => {
-                    // The home says *we* own it, but we just missed
-                    // locally: its record is stale (e.g. a lost delete).
-                    // Repair it and execute.
-                    announce_delete(&ctx.manager, &ctx.broadcaster, stale.owner, &key);
-                    cache_header::MISS
-                }
-                Ok(None) => cache_header::MISS,
-                Err(tag) => tag,
-            };
-            execute_and_cache(ctx, exec, key, decision, tag, trace)
+        ctx.note_peer(marks.peer);
+        if marks.abort {
+            manager.abort_execution(&key);
         }
-        LookupResult::CoalesceWait { waiter, .. } => wait_and_serve(ctx, exec, key, waiter, trace),
-    }
-}
-
-/// Single-flight wait: park behind the identical request producing the
-/// key's body and serve it. On leader failure or timeout, fall back to
-/// executing (registered first, so the fallback is itself
-/// coalesce-visible).
-fn wait_and_serve(
-    ctx: &NodeContext,
-    exec: &Exec<'_>,
-    key: CacheKey,
-    waiter: FlightWaiter,
-    trace: &mut Trace,
-) -> Response {
-    let remote_hit = waiter.is_remote_hit();
-    let t0 = trace.start_span();
-    let outcome = ctx.manager.wait_flight(waiter);
-    trace.end_span(Stage::CoalesceWait, t0);
-    match outcome {
-        // A waiting remote hit answers like the fetch it joined.
-        FlightWaitOutcome::Served { content_type, body } if remote_hit => {
-            RequestStats::bump(&ctx.stats.served_remote_cache);
-            trace.set_outcome(Outcome::Remote);
-            tagged(Response::ok(&content_type, body), cache_header::REMOTE_HIT)
-        }
-        FlightWaitOutcome::Served { content_type, body } => {
-            RequestStats::bump(&ctx.stats.served_local_cache);
-            // Latency-faithful: a coalesced request still paid (most of)
-            // the miss latency, so it lands in the miss histogram.
-            trace.set_outcome(Outcome::Miss);
-            tagged(Response::ok(&content_type, body), cache_header::COALESCED)
-        }
-        FlightWaitOutcome::LeaderFailed | FlightWaitOutcome::TimedOut => {
-            ctx.manager.begin_forced_execution(&key);
-            let decision = ctx.manager.lookup_decision(key.as_str());
-            execute_and_cache(
-                ctx,
-                exec,
-                key,
-                decision,
-                cache_header::COALESCE_FALLBACK,
-                trace,
-            )
-        }
-    }
-}
-
-/// Figure 2's "Fetch from remote cache" step, for a remote hit and for a
-/// miss the key's home resolved to `owner` (`home_resolved`). The caller
-/// holds the key's flight, so identical requests wait on this one fetch:
-/// the owner's body is published to them, or — after a false hit, or with
-/// the owner unreachable or quarantined — this request executes under the
-/// flight ("when node A receives the miss response, it will execute the
-/// CGI request locally"). Only this request records the owner's health,
-/// the false hit and its repair.
-fn serve_from_owner(
-    ctx: &NodeContext,
-    exec: &Exec<'_>,
-    key: CacheKey,
-    owner: NodeId,
-    home_resolved: bool,
-    trace: &mut Trace,
-) -> Response {
-    trace.set_owner(owner.0);
-    let tag = match ctx.peer_to_ask(owner) {
-        Err(tag) => tag,
-        Ok(addr) => {
-            // The trace id rides in the fetch request, so the owner
-            // records correlated spans under the same id.
-            let t0 = trace.start_span();
-            let (outcome, attempts) = ctx.fetch_pool.fetch(
-                owner,
-                addr,
-                &key,
-                FETCH_TIMEOUT,
-                &ctx.retry_policy,
-                trace.id(),
-            );
-            trace.end_span(Stage::RemoteFetch, t0);
-            if attempts > 1 {
-                RequestStats::add(&ctx.stats.fetch_retries, (attempts - 1) as u64);
-                trace.add_remote_attempts(attempts - 1);
-            }
-            trace.add_remote_attempts(1);
-            let answered = !matches!(outcome, FetchOutcome::Unreachable(_) | FetchOutcome::Busy);
-            if home_resolved && answered {
-                // The local lookup said Miss, but the owner answered.
-                ctx.manager.reclassify_miss_as_remote_hit();
-            }
-            match outcome {
-                FetchOutcome::Hit { content_type, body } => {
-                    ctx.health.record_success(owner);
-                    RequestStats::bump(&ctx.stats.served_remote_cache);
-                    trace.set_outcome(Outcome::Remote);
-                    // Heat-sketch cost attribution: a remote hit's wire
-                    // time is this key's cost, like exec time is a miss's.
-                    // `t0` is None exactly when obs is off, and the sketch
-                    // is disabled then.
-                    if let Some(t0) = t0 {
-                        ctx.manager.heat().add_cost(
-                            key.keyed_hash(),
-                            key.as_str(),
-                            t0.elapsed().as_micros() as u64,
-                        );
+        event = match step {
+            Step::Serve { class, outcome } => {
+                trace.set_outcome(outcome);
+                let (Some(mut resp), Some(class)) = (got, class) else {
+                    return Response::error(StatusCode::INTERNAL_SERVER_ERROR);
+                };
+                let stats = &ctx.stats;
+                match class {
+                    cache_header::LOCAL_HIT | cache_header::COALESCED => {
+                        RequestStats::bump(&stats.served_local_cache)
                     }
-                    let body: Body = ctx.manager.complete_remote_serve(&key, &content_type, body);
-                    return tagged(Response::ok(&content_type, body), cache_header::REMOTE_HIT);
+                    cache_header::REMOTE_HIT => RequestStats::bump(&stats.served_remote_cache),
+                    _ => {}
                 }
-                FetchOutcome::Gone => {
-                    // A reply — even "gone" — proves the peer is alive.
-                    ctx.health.record_success(owner);
-                    ctx.manager.note_false_hit(owner, &key);
-                    // Directory repair: the owner no longer has this
-                    // entry, so every other record pointing at it is stale
-                    // too. Announce the deletion on the owner's behalf (it
-                    // may have restarted with no memory of its old
-                    // advertisements) to the key's homes.
-                    announce_delete(&ctx.manager, &ctx.broadcaster, owner, &key);
-                    cache_header::FALSE_HIT
-                }
-                FetchOutcome::Unreachable(_) => {
-                    // Peer down ≠ entry gone: the directory entry survives
-                    // a transient failure; quarantine is what declares it
-                    // dead.
-                    ctx.note_peer_failure(owner);
-                    cache_header::REMOTE_DOWN
-                }
-                // This node's own exchanges held every connection to the
-                // owner: no evidence against it, so nothing is recorded
-                // and the CGI runs now rather than after retries.
-                FetchOutcome::Busy => cache_header::REMOTE_DOWN,
+                resp.headers.set(cache_header::NAME, class);
+                return resp;
             }
-        }
-    };
-    ctx.manager.execute_instead(&key);
-    let decision = ctx.manager.lookup_decision(key.as_str());
-    execute_and_cache(ctx, exec, key, decision, tag, trace)
-}
-
-/// `resp` with its `X-Swala-Cache` class.
-fn tagged(mut resp: Response, tag: &'static str) -> Response {
-    resp.headers.set(cache_header::NAME, tag);
-    resp
-}
-
-/// Execute without any cache interaction.
-fn execute_plain(
-    ctx: &NodeContext,
-    exec: &Exec<'_>,
-    tag: &'static str,
-    trace: &mut Trace,
-) -> Response {
-    RequestStats::bump(&ctx.stats.executions);
-    trace.set_outcome(Outcome::Uncacheable);
-    let cgi_req = exec.request(ctx);
-    let t0 = trace.start_span();
-    let result = exec.program.run(&cgi_req);
-    trace.end_span(Stage::CgiExec, t0);
-    match result {
-        Ok(out) => tagged(output_to_response(out), tag),
-        Err(_) => Response::error(StatusCode::INTERNAL_SERVER_ERROR),
+            Step::AskHome { home } => ctx.ask_home(home, &key, trace),
+            Step::Fetch { owner, .. } => ctx.fetch(owner, &key, trace, &mut got),
+            Step::Wait => {
+                let t0 = trace.start_span();
+                let outcome = manager.wait_flight(waiting.take().expect("a wait has its waiter"));
+                trace.end_span(Stage::CoalesceWait, t0);
+                match outcome {
+                    FlightWaitOutcome::Served { content_type, body } => {
+                        got = Some(Response::ok(&content_type, body));
+                        Event::Served
+                    }
+                    _ => Event::Abandoned,
+                }
+            }
+            Step::Execute { exec, .. } => {
+                match exec {
+                    Exec::Forced => manager.begin_forced_execution(&key),
+                    Exec::Instead => manager.execute_instead(&key),
+                    Exec::Plain | Exec::Lead => {}
+                }
+                RequestStats::bump(&ctx.stats.executions);
+                let cgi_req = CgiRequest::from_http(req, remote_addr, SERVER_NAME, ctx.http_port);
+                let started = Instant::now();
+                let result = program.run(&cgi_req);
+                let took = started.elapsed();
+                // The execution timer doubles as the cgi-exec span — one
+                // Instant pair serves both the cost metadata and the trace.
+                trace.record_span(Stage::CgiExec, started, started + took);
+                match result {
+                    Err(_) => Event::Failed,
+                    // Only 200s are cacheable; another result is served
+                    // but not kept.
+                    Ok(out) if exec == Exec::Plain || out.status != StatusCode::OK => {
+                        got = Some(output_to_response(out));
+                        Event::Output
+                    }
+                    Ok(out) => {
+                        let decision = decided.take();
+                        let decision =
+                            decision.unwrap_or_else(|| manager.lookup_decision(key.as_str()));
+                        let (body, content_type) = (&out.body, &out.content_type);
+                        let kept =
+                            manager.complete_execution(&key, body, content_type, took, &decision);
+                        got = Some(output_to_response(out));
+                        match kept {
+                            Ok(InsertOutcome::Inserted { meta, evicted }) => {
+                                inserted = Some((meta, evicted));
+                                Event::Inserted
+                            }
+                            // Below the threshold, or the store write
+                            // failed (disk full...): the response is still
+                            // good; the cache just doesn't keep it.
+                            _ => Event::Discarded,
+                        }
+                    }
+                }
+            }
+            Step::Announce => {
+                let (meta, evicted) = inserted.take().expect("an announce follows an insert");
+                // Announced to each of the key's homes but this node.
+                let t0 = trace.start_span();
+                announce(manager, &ctx.broadcaster, &meta, &evicted);
+                trace.end_span(Stage::BroadcastEnqueue, t0);
+                Event::Done
+            }
+            Step::Repair { owner } => {
+                if marks.false_hit {
+                    manager.note_false_hit(owner, &key);
+                }
+                announce_delete(manager, &ctx.broadcaster, owner, &key);
+                Event::Done
+            }
+        };
     }
-}
-
-/// Execute, then run Figure 2's bottom half: threshold check, store,
-/// directory insert, broadcast.
-fn execute_and_cache(
-    ctx: &NodeContext,
-    exec: &Exec<'_>,
-    key: CacheKey,
-    decision: CacheDecision,
-    tag: &'static str,
-    trace: &mut Trace,
-) -> Response {
-    RequestStats::bump(&ctx.stats.executions);
-    trace.set_outcome(Outcome::Miss);
-    let cgi_req = exec.request(ctx);
-    let started = Instant::now();
-    let out = match exec.program.run(&cgi_req) {
-        Ok(out) => out,
-        Err(_) => {
-            ctx.manager.abort_execution(&key);
-            return Response::error(StatusCode::INTERNAL_SERVER_ERROR);
-        }
-    };
-    let exec = started.elapsed();
-    // The execution timer doubles as the cgi-exec span — one Instant
-    // pair serves both the cache's cost metadata and the trace.
-    trace.record_span(Stage::CgiExec, started, started + exec);
-
-    // Only 200s are cacheable; an error result is returned but not kept.
-    if out.status != StatusCode::OK {
-        ctx.manager.abort_execution(&key);
-        return tagged(output_to_response(out), tag);
-    }
-
-    match ctx
-        .manager
-        .complete_execution(&key, &out.body, &out.content_type, exec, &decision)
-    {
-        Ok(InsertOutcome::Inserted { meta, evicted }) => {
-            // Announced to each of the key's homes but this node.
-            let t0 = trace.start_span();
-            announce(&ctx.manager, &ctx.broadcaster, &meta, &evicted);
-            trace.end_span(Stage::BroadcastEnqueue, t0);
-        }
-        Ok(InsertOutcome::Discarded) => {}
-        Err(_) => {
-            // Store write failed (disk full...): the response is still
-            // good; the cache just doesn't keep it.
-        }
-    }
-    tagged(output_to_response(out), tag)
 }
 
 fn output_to_response(out: CgiOutput) -> Response {
     let mut resp = Response::ok(&out.content_type, out.body);
     resp.status = out.status;
     resp
-}
-
-/// HEAD requests reuse the GET path; the connection loop suppresses the
-/// body. POST bodies reach programs through `CgiRequest::from_http`.
-pub fn response_body_allowed(method: Method) -> bool {
-    method.response_has_body()
 }

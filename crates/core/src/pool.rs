@@ -13,7 +13,7 @@
 //! answered before the buffer moves on ([`respond`]), so its fields are
 //! never copied out.
 
-use crate::handler::{handle_request, response_body_allowed, NodeContext};
+use crate::handler::{handle_request, NodeContext};
 use crate::stats::RequestStats;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -161,7 +161,8 @@ pub fn respond<W: Write>(
     resp.version = req.version;
     resp.set_keep_alive(keep);
     let t0 = trace.start_span();
-    let with_body = response_body_allowed(req.method);
+    // A HEAD request takes the GET path; only its body is not written.
+    let with_body = req.method.response_has_body();
     let written = resp.write_to(out, with_body);
     trace.end_span(Stage::ResponseWrite, t0);
     if written.is_ok() && with_body {

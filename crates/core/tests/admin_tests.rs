@@ -350,6 +350,31 @@ fn status_pages_show_exactly_the_registry() {
 /// threads it runs. (Other tests' nodes share this process and come and
 /// go, so counts and sums are pinned in `binary_tests.rs`, against a node
 /// process of its own.)
+/// A hot key is a request target, written by any client: the cluster
+/// page shows it as text, never as markup.
+#[test]
+fn cluster_status_escapes_hot_keys() {
+    let server = SwalaServer::start_single(
+        ServerOptions {
+            pool_size: 2,
+            ..Default::default()
+        },
+        registry(),
+    )
+    .unwrap();
+    let mut client = HttpClient::new(server.http_addr());
+    let resp = client.get("/cgi-bin/adl?id=<b>x</b>&ms=0").unwrap();
+    assert_eq!(resp.status, StatusCode::OK);
+    let page = client.get("/swala-cluster-status").unwrap();
+    let page = String::from_utf8(page.body.into_vec()).unwrap();
+    assert!(
+        page.contains("<td>/cgi-bin/adl?id=&lt;b&gt;x&lt;/b&gt;&amp;ms=0</td>"),
+        "{page}"
+    );
+    assert!(!page.contains("<b>"), "{page}");
+    server.shutdown();
+}
+
 #[test]
 fn threads_page_lists_thread_roles() {
     // Pinned: a replicated directory is what makes any miss send node 1

@@ -29,6 +29,7 @@
 //! cache made allocates nothing.
 
 use crate::keyhash::{key_hash, PrehashedState};
+use crate::trace::json_escape;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -283,22 +284,6 @@ pub fn render_hotkeys_json(
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Merge per-node hot-key lists into a cluster ranking: counts, errors
 /// and costs for the same key sum across nodes (each node's sketch is
 /// independent, so the summed bounds stay valid: the cluster-wide true
@@ -522,6 +507,10 @@ mod tests {
 
     #[test]
     fn json_escapes_exotic_keys() {
+        assert_eq!(
+            json_escape("a\"b\\c\nd\te\u{1}"),
+            "a\\\"b\\\\c\\nd\\te\\u0001"
+        );
         let s = HeatSketch::new(4);
         s.observe("a\"b\\c\nd", 1);
         let json = s.to_json(10);

@@ -194,7 +194,8 @@ impl CompletedTrace {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` as the inside of a JSON string.
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

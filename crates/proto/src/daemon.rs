@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
 use std::time::{Duration, Instant};
 use swala_cache::{
-    CacheKey, CacheManager, CacheStats, Classification, EntryMeta, NodeId, RemoteUpdate, StopSignal,
+    CacheKey, CacheManager, CacheStats, EntryMeta, NodeId, RemoteUpdate, StopSignal,
 };
 use swala_obs::{Outcome, Stage, Telemetry, Trace};
 
@@ -351,12 +351,8 @@ impl Service for Daemon {
                     // the key.
                     let mut t = self.owner_trace(trace, Arc::clone(key.shared()));
                     let t0 = t.start_span();
-                    let classification = self.manager.directory().classify(&key);
+                    let meta = self.manager.directory().classify(&key).into_meta();
                     t.end_span(Stage::DirLookup, t0);
-                    let meta = match classification {
-                        Classification::Local(m) | Classification::Remote(m) => Some(m),
-                        Classification::NotCached => None,
-                    };
                     let reply = Message::DirAnswer { meta }.encode();
                     self.traced_reply(t, || write_frame(&mut stream, &reply))
                 }

@@ -1,26 +1,23 @@
-//! The simulation engine.
-//!
-//! Every simulated node is a live [`CacheDirectory`] — the server's own
-//! type, so classification, hit bookkeeping, the victim index and
-//! eviction are the server's — and every directory notice is a
-//! [`RemoteUpdate`] applied by [`CacheDirectory::apply_updates`], the
-//! cache daemon's receive path. The engine adds only what the network
-//! would: request routing, notice delay and wire-cost counting.
+//! The simulation engine. Each node is a live [`CacheDirectory`] (the
+//! server's classification, hit bookkeeping, victim index and eviction),
+//! each request runs the server's [`Flow`] (Figure 2's decisions) and
+//! each notice is a [`RemoteUpdate`] applied as the cache daemon applies
+//! it. The engine adds only what the network would: request routing,
+//! notice delay and wire-cost counting.
 
 use crate::model::{Routing, SimConfig, SimResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use swala_cache::{
-    CacheDirectory, CacheKey, Classification, EntryMeta, NodeId, Placement, RemoteUpdate,
-};
+use swala_cache::flow::class::{LOCAL_HIT, MISS, REMOTE_HIT};
+use swala_cache::flow::{Event, Flow, Step};
+use swala_cache::Classification::{Local, NotCached, Remote};
+use swala_cache::{BodyTier, CacheDirectory, CacheKey, EntryMeta, NodeId, Placement, RemoteUpdate};
 use swala_workload::{RequestKind, Trace};
 
-/// A payload-byte estimate per message for `update`: the key itself plus
-/// a fixed allowance for the rest of the `InsertNotice` (which carries
-/// the entry's metadata) or `DeleteNotice` (owner and key only). The
-/// allowance is the estimate the sim tables were produced with, not the
-/// live encoding's exact size.
+/// A payload-byte estimate for `update`: its key, plus an allowance for
+/// the rest of an `InsertNotice` (the entry's metadata) or `DeleteNotice`
+/// (the owner) that the sim tables were produced with, not the live size.
 fn notice_bytes(update: &RemoteUpdate) -> u64 {
     let overhead = match update {
         RemoteUpdate::Insert(_) => 48,
@@ -31,13 +28,11 @@ fn notice_bytes(update: &RemoteUpdate) -> u64 {
 
 /// Replay `trace` through a simulated cluster.
 ///
-/// Requests are processed one at a time in trace order (the §5.3
-/// experiments are closed-loop and the quantities of interest are
-/// counts, so sequential replay loses nothing). A notice emitted while
-/// processing request `t` becomes visible from request
-/// `t + 1 + broadcast_delay`; with delay 0 that is the idealized
-/// next-request visibility, and larger delays widen §4.2's
-/// false-miss/false-hit window.
+/// Requests are replayed one at a time in trace order (the §5.3
+/// experiments are closed-loop and count events, so sequential replay
+/// loses nothing). A notice sent at request `t` is visible from request
+/// `t + 1 + broadcast_delay`: delay 0 is the idealized next-request
+/// visibility, and larger delays widen §4.2's false-miss/false-hit window.
 pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
     assert!(cfg.nodes >= 1);
     assert!(cfg.capacity >= 1);
@@ -76,76 +71,77 @@ pub fn simulate(cfg: &SimConfig, trace: &Trace) -> SimResult {
         };
         let me = NodeId(here as u16);
         let key = CacheKey::new(&req.target);
-
-        let local = dirs[here].classify(&key);
-        if let Classification::Local(_) = local {
-            dirs[here].record_hit(me, &key, t);
-            result.local_hits += 1;
-            result.saved_micros += cost;
-            continue;
-        }
-
-        // Remote hit (cooperative only)? A node that is one of the key's
-        // homes answers from its own table; any other asks a home (one
-        // lookup round-trip), which answers from its table of the owners
-        // it heard of.
-        if cfg.cooperative {
-            let homes = placement.homes(&key);
-            let (asked, answer) = if homes.contains(&me) {
-                (here, local)
-            } else {
-                result.dir_lookups += 1;
-                (homes[0].index(), dirs[homes[0].index()].classify(&key))
-            };
-            match answer {
-                Classification::Local(meta) | Classification::Remote(meta) => {
-                    let owner = meta.owner;
-                    if dirs[owner.index()].record_hit(owner, &key, t) {
-                        result.remote_hits += 1;
-                        result.saved_micros += cost;
-                        continue;
+        // A stand-alone node is its keys' only home: its miss is final.
+        let homes = match cfg.cooperative {
+            true => placement.homes(&key),
+            false => std::slice::from_ref(&me),
+        };
+        let in_flight = false;
+        let mut event = match dirs[here].classify_for_hit(&key, || t) {
+            Local(_) => Event::LocalHit(BodyTier::Memory),
+            Remote(EntryMeta { owner, .. }) => Event::RemoteHit { owner, in_flight },
+            NotCached => Event::Miss { homes },
+        };
+        let (mut flow, mut outbox) = (Flow::new(me), Vec::new());
+        loop {
+            let (step, marks) = flow.next(event);
+            event = match step {
+                Step::Serve { class, .. } => {
+                    match class {
+                        Some(LOCAL_HIT) => result.local_hits += 1,
+                        Some(REMOTE_HIT) => result.remote_hits += 1,
+                        _ => break,
                     }
-                    // §4.2 false hit: the directory said owner had it, the
-                    // fetch comes back empty, we execute locally — and drop
-                    // the stale entry where it was advertised, as
-                    // `CacheManager::note_false_hit` does.
-                    result.false_hits += 1;
-                    dirs[asked].remove(owner, &key);
+                    result.saved_micros += cost;
+                    break;
                 }
-                Classification::NotCached => {
-                    // Entry exists in a peer's own table, but the insert
-                    // notice has not arrived: §4.2 false miss (the
-                    // delayed-broadcast kind).
-                    if (0..cfg.nodes)
-                        .any(|i| i != here && dirs[i].get(NodeId(i as u16), &key).is_some())
-                    {
+                // One round trip, answered from the home's table.
+                Step::AskHome { home } => {
+                    result.dir_lookups += 1;
+                    let answer = dirs[home.index()].classify(&key).into_meta();
+                    Event::Home(answer.map(|meta| meta.owner))
+                }
+                Step::Fetch { owner, .. } => match dirs[owner.index()].record_hit(owner, &key, t) {
+                    true => Event::Hit,
+                    false => Event::Gone,
+                },
+                Step::Wait => unreachable!("a sequential replay has no flights"),
+                Step::Execute { class, .. } => {
+                    // A peer's own table has the entry, but its insert
+                    // notice has not arrived: §4.2's false miss.
+                    let held =
+                        |i: usize| i != here && dirs[i].get(NodeId(i as u16), &key).is_some();
+                    if class == MISS && cfg.cooperative && (0..cfg.nodes).any(held) {
                         result.false_misses += 1;
                     }
+                    result.misses += 1;
+                    result.exec_micros += cost;
+                    let meta = EntryMeta::new(key.clone(), me, 1024, "text/html", cost, None, t);
+                    outbox.push(RemoteUpdate::Insert(dirs[here].insert_fresh(meta)));
+                    let owner = me;
+                    for m in dirs[here].evict_to_capacity(cfg.capacity).victims {
+                        result.evictions += 1;
+                        outbox.push(RemoteUpdate::Delete { owner, key: m.key });
+                    }
+                    Event::Inserted
                 }
-            }
+                Step::Announce => Event::Done,
+                Step::Repair { owner } => {
+                    if marks.false_hit {
+                        result.false_hits += 1;
+                        dirs[here].remove(owner, &key);
+                    }
+                    let key = key.clone();
+                    outbox.push(RemoteUpdate::Delete { owner, key });
+                    Event::Done
+                }
+            };
         }
 
-        // Miss: execute and insert locally, then evict to capacity.
-        result.misses += 1;
-        result.exec_micros += cost;
-        let dir = &dirs[here];
-        let meta = dir.insert_fresh(EntryMeta::new(key, me, 1024, "text/html", cost, None, t));
-        let evicted = dir.evict_to_capacity(cfg.capacity).victims;
-        result.evictions += evicted.len() as u64;
-        if !cfg.cooperative {
-            continue;
-        }
-
-        // Notify each of the key's homes but this node: every peer when
-        // replicated (N−1 messages), the key's home when partitioned (one,
-        // or none when the sender is the home — its own table is already
-        // the authoritative copy).
+        // To each of the key's homes but this node: N−1 peers replicated,
+        // the one home partitioned (none when the sender is the home).
         let due = t + 1 + cfg.broadcast_delay;
-        let deletes = evicted.into_iter().map(|victim| RemoteUpdate::Delete {
-            owner: me,
-            key: victim.key,
-        });
-        for update in std::iter::once(RemoteUpdate::Insert(meta)).chain(deletes) {
+        for update in outbox.into_iter().filter(|_| cfg.cooperative) {
             let bytes = notice_bytes(&update);
             for &to in placement.homes(update.key()).iter().filter(|&&n| n != me) {
                 result.dir_update_msgs += 1;

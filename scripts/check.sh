@@ -81,6 +81,16 @@ PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
     cargo test -q --release -p swala-cache --test placement
 cargo test -q --release -p swala-proto --lib daemon::tests::announce_reaches_exactly_the_other_homes
 
+step "Figure 2's flow (every arm walked, random outcomes, 2048 cases, pinned seed)"
+# The request's cache decisions, written once and driven by the server's
+# handler and the simulator alike, walked with no socket: each arm's
+# steps, class, trace outcome and marks. Then random outcomes at every
+# step (fetch, home, wait, execution) serve within six steps and keep
+# lookups == local + remote + misses, and executions + flight_served ==
+# misses + false_hits beside the remote hits that fall back to executing.
+PROPTEST_CASES=2048 PROPTEST_RNG_SEED=19980728 \
+    cargo test -q --release -p swala-cache --lib flow::
+
 step "request path at the syscall floor (reader, connection pool, fetch pool, request loop, request decoder, allocation and write-syscall budgets; release)"
 # Counter-based, no clocks: one read per request / frame, idle vs stall,
 # every split point against read_frame / try_parse_request as oracles
